@@ -705,7 +705,17 @@ impl AccelL2 {
             // Guard Invs drain with priority even when a new busy state has
             // started, so they can never be trapped behind an L1 request
             // that turned into an upward fetch (see handle_from_xg::Inv).
-            if self.busy.contains_key(&addr) {
+            if let Some(busy) = self.busy.get(&addr) {
+                // Only the guard-dependent states answer a guard Inv at
+                // once. An internal recall re-queues it, so pulling it out
+                // here would spin inside this call forever; it drains when
+                // the recall resolves.
+                if !matches!(
+                    busy,
+                    Busy::Fetch { .. } | Busy::InstallWait { .. } | Busy::EvictPut
+                ) {
+                    return;
+                }
                 let below = self.below;
                 let pending_inv = self.queues.get_mut(&addr).and_then(|q| {
                     q.iter()

@@ -34,7 +34,7 @@ pub fn collect_report(scale: Scale) -> xg_sim::Report {
 /// byte-identical at any worker count.
 pub fn collect_report_jobs(scale: Scale, jobs: usize) -> xg_sim::Report {
     use xg_harness::{run_stress, sweep, HostProtocol, StressOpts, SystemConfig};
-    let ops = scale.ops(800, 10_000);
+    let ops = scale.ops(4_000, 10_000);
     let shards = vec![(HostProtocol::Hammer, 11), (HostProtocol::Mesi, 12)];
     let reports = sweep(shards, jobs, |(host, seed), _| {
         let cfg = SystemConfig {

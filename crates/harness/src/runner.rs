@@ -130,11 +130,14 @@ pub struct StressOutcome {
     pub report: Report,
 }
 
-/// Flags every operation still outstanding at a watchdog stop, so the
-/// post-mortem dump of a deadlocked run names the stuck addresses.
-fn flag_outstanding(system: &mut crate::system::BuiltSystem, cores: &[xg_sim::NodeId], now: u64) {
+/// Flags every operation still outstanding when a run stops, so the
+/// post-mortem dump of a deadlocked run names the stuck addresses. Called
+/// after every run, not only at a watchdog stop: testers hold no idle
+/// timers, so a lost response usually drains the queue instead of stalling
+/// it. Flags nothing when nothing is outstanding.
+fn flag_outstanding(system: &mut BuiltSystem, now: u64) {
     let mut stuck = Vec::new();
-    for &core in cores {
+    for &core in system.cpu_cores.iter().chain(&system.accel_cores) {
         let Some(t) = system.sim.get::<TesterCore>(core) else {
             continue;
         };
@@ -251,15 +254,7 @@ pub fn run_stress_with(
     let out = system
         .sim
         .run_with_watchdog(opts.max_cycles, opts.stall_bound);
-    if out.stalled {
-        let cores: Vec<_> = system
-            .cpu_cores
-            .iter()
-            .chain(&system.accel_cores)
-            .copied()
-            .collect();
-        flag_outstanding(&mut system, &cores, out.now.as_u64());
-    }
+    flag_outstanding(&mut system, out.now.as_u64());
     let mut report = system.sim.report();
     fill_guard_section(&mut report, &system, &shared);
     let post_mortem = system.sim.post_mortem();
@@ -425,15 +420,7 @@ pub fn run_fuzz_with(
     attach_tester_barrier(&mut system, &shared);
     system.start_cores();
     let out = system.sim.run_with_watchdog(50_000_000, 200_000);
-    if out.stalled {
-        let cores: Vec<_> = system
-            .cpu_cores
-            .iter()
-            .chain(&system.accel_cores)
-            .copied()
-            .collect();
-        flag_outstanding(&mut system, &cores, out.now.as_u64());
-    }
+    flag_outstanding(&mut system, out.now.as_u64());
     let mut report = system.sim.report();
     fill_guard_section(&mut report, &system, &shared);
     let post_mortem = system.sim.post_mortem();

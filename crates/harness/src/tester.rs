@@ -15,6 +15,13 @@
 //! the stress configuration, this is the same methodology the paper used
 //! for 22 compute-years (scaled down to CI budgets; crank
 //! [`TesterShared::target_ops`] to scale up).
+//!
+//! Cores are event-driven: each holds at most one pending issue timer,
+//! armed `think` cycles out only while it has a free issue slot and the run
+//! is not done. A core whose slots are full holds no timer — the completion
+//! that frees a slot re-arms it — so dispatched events scale with completed
+//! operations (a handful per op), and a lost response drains the queue
+//! instead of idling it.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -29,19 +36,19 @@ use xg_sim::{Component, NodeId, Report};
 ///
 /// A `Mutex` (not `RefCell`) so tester cores — and the systems containing
 /// them — are [`Send`] and whole simulations can be fanned across worker
-/// threads by [`crate::sweep`]. Within one simulation the lock is always
-/// uncontended (the simulator is single-threaded), so it costs a few
-/// nanoseconds per operation — but the polling wake loop runs hundreds of
-/// times per completed operation, so its done-check reads a lock-free
-/// mirror ([`TesterHub::done_fast`]) instead of taking even an uncontended
-/// lock.
+/// threads by [`crate::sweep`]. On the serial executor the lock is always
+/// uncontended and a core takes it once per issue and once per completion.
+/// On the partitioned executor cores on different shards share it, so the
+/// done-check every wake and every arming decision makes reads an atomic
+/// mirror ([`TesterHub::done_fast`]) instead — which is also what lets
+/// "target reached" be published at a window barrier rather than mid-window.
 pub type SharedTester = Arc<TesterHub>;
 
-/// [`TesterShared`] behind its lock, plus hot-path mirrors of the fields
-/// the per-wake polling loop reads.
+/// [`TesterShared`] behind its lock, plus the atomic mirror of its done
+/// flag that cores poll.
 ///
-/// Derefs to the inner `Mutex`, so `shared.lock().unwrap()` keeps working
-/// for everything off the hot path.
+/// Derefs to the inner `Mutex`, so `shared.lock().unwrap()` works for
+/// everything else.
 #[derive(Debug)]
 pub struct TesterHub {
     inner: Mutex<TesterShared>,
@@ -247,12 +254,22 @@ pub struct TesterCore {
     shared: SharedTester,
     pool: Vec<u64>,
     cfg: TesterCfg,
-    in_flight: HashMap<u64, (u64, bool)>, // id -> (word addr, was_store)
+    /// Outstanding operations in issue order, at most `max_in_flight`.
+    in_flight: Vec<InFlight>,
     next_id: u64,
     issued_ops: u64,
     completed_ops: u64,
     latency_sum: u64,
-    issue_times: HashMap<u64, u64>,
+    /// Whether this core's one issue timer is pending.
+    armed: bool,
+}
+
+/// One outstanding tester operation.
+struct InFlight {
+    id: u64,
+    word_addr: u64,
+    store: bool,
+    issued_at: u64,
 }
 
 impl TesterCore {
@@ -277,12 +294,12 @@ impl TesterCore {
             shared,
             pool,
             cfg,
-            in_flight: HashMap::new(),
+            in_flight: Vec::new(),
             next_id: 0,
             issued_ops: 0,
             completed_ops: 0,
             latency_sum: 0,
-            issue_times: HashMap::new(),
+            armed: false,
         }
     }
 
@@ -297,13 +314,25 @@ impl TesterCore {
         self.in_flight.len()
     }
 
-    /// Addresses (and store-ness) of outstanding operations, for debugging
-    /// liveness failures. Sorted by issue id so post-mortem flags are
-    /// deterministic despite the `HashMap` underneath.
+    /// Addresses (and store-ness) of outstanding operations in issue order,
+    /// for debugging liveness failures.
     pub fn outstanding_ops(&self) -> Vec<(u64, bool)> {
-        let mut ops: Vec<_> = self.in_flight.iter().map(|(&id, &op)| (id, op)).collect();
-        ops.sort_unstable_by_key(|&(id, _)| id);
-        ops.into_iter().map(|(_, op)| op).collect()
+        self.in_flight
+            .iter()
+            .map(|op| (op.word_addr, op.store))
+            .collect()
+    }
+
+    /// Arms the core's single issue timer, `think` cycles out, if none is
+    /// pending, a slot is free and the run is not done. The only place a
+    /// tester schedules a wake: a full or finished core holds no timer.
+    fn arm_if_free(&mut self, ctx: &mut Ctx<'_>) {
+        if self.armed || self.in_flight.len() >= self.cfg.max_in_flight || self.shared.done_fast() {
+            return;
+        }
+        let delay = ctx.rng().gen_range(self.cfg.think.0..=self.cfg.think.1);
+        ctx.wake_in(delay, 0);
+        self.armed = true;
     }
 
     fn issue_one(&mut self, ctx: &mut Ctx<'_>) {
@@ -322,8 +351,12 @@ impl TesterCore {
             CoreKind::Load
         };
         drop(shared);
-        self.in_flight.insert(id, (word_addr, store));
-        self.issue_times.insert(id, ctx.now().as_u64());
+        self.in_flight.push(InFlight {
+            id,
+            word_addr,
+            store,
+            issued_at: ctx.now().as_u64(),
+        });
         self.issued_ops += 1;
         ctx.send(
             self.cache,
@@ -344,21 +377,19 @@ impl Component<Message> for TesterCore {
 
     fn handle(&mut self, _from: NodeId, msg: Message, ctx: &mut Ctx<'_>) {
         let Message::Core(c) = msg else { return };
-        let Some((word_addr, was_store)) = self.in_flight.remove(&c.id) else {
+        let Some(slot) = self.in_flight.iter().position(|op| op.id == c.id) else {
             return;
         };
-        if let Some(t0) = self.issue_times.remove(&c.id) {
-            self.latency_sum += ctx.now().as_u64() - t0;
-        }
+        let op = self.in_flight.remove(slot);
+        self.latency_sum += ctx.now().as_u64() - op.issued_at;
+        let mut shared = self.shared.lock().unwrap();
         match c.kind {
             CoreKind::LoadResp { value } => {
-                debug_assert!(!was_store);
-                let mut shared = self.shared.lock().unwrap();
+                debug_assert!(!op.store);
+                let word_addr = op.word_addr;
                 let before = shared.data_errors();
                 shared.check_load(self.core_index, word_addr, value);
-                let corrupted = shared.data_errors() > before;
-                drop(shared);
-                if corrupted {
+                if shared.data_errors() > before {
                     ctx.flag_post_mortem(
                         Addr::new(word_addr).block().as_u64(),
                         format!(
@@ -369,35 +400,28 @@ impl Component<Message> for TesterCore {
                 }
             }
             CoreKind::StoreResp => {
-                debug_assert!(was_store);
+                debug_assert!(op.store);
             }
             _ => return,
         }
+        shared.completed += 1;
+        let done = shared.done();
+        drop(shared);
+        self.shared.publish_done(done);
         self.completed_ops += 1;
-        {
-            let mut shared = self.shared.lock().unwrap();
-            shared.completed += 1;
-            let done = shared.done();
-            drop(shared);
-            self.shared.publish_done(done);
-        }
         ctx.note_progress();
-        // Immediately consider issuing again (the wake loop also runs).
-        if !self.shared.done_fast() && self.in_flight.len() < self.cfg.max_in_flight {
-            let delay = ctx.rng().gen_range(self.cfg.think.0..=self.cfg.think.1);
-            ctx.wake_in(delay, 0);
-        }
+        self.arm_if_free(ctx);
     }
 
     fn wake(&mut self, _token: u64, ctx: &mut Ctx<'_>) {
+        self.armed = false;
         if self.shared.done_fast() {
             return;
         }
         if self.in_flight.len() < self.cfg.max_in_flight {
             self.issue_one(ctx);
         }
-        let delay = ctx.rng().gen_range(self.cfg.think.0..=self.cfg.think.1);
-        ctx.wake_in(delay, 0);
+        self.arm_if_free(ctx);
     }
 
     fn report(&self, out: &mut Report) {
@@ -461,6 +485,83 @@ mod tests {
         assert!(
             s.error_log()[1].contains("went backwards") || s.error_log()[0].contains("written")
         );
+    }
+
+    /// Answers every core request after a random delay — loads with 0, which
+    /// passes both value checks — so each outstanding op is exactly one
+    /// queued event (its request, then its response).
+    struct EchoCache;
+
+    impl Component<Message> for EchoCache {
+        fn name(&self) -> &str {
+            "echo_cache"
+        }
+        fn handle(&mut self, from: NodeId, msg: Message, ctx: &mut Ctx<'_>) {
+            let Message::Core(c) = msg else { return };
+            let kind = match c.kind {
+                CoreKind::Load => CoreKind::LoadResp { value: 0 },
+                _ => CoreKind::StoreResp,
+            };
+            let delay = ctx.rng().gen_range(0..40u64);
+            ctx.send_after(from, CoreMsg { kind, ..c }.into(), delay);
+        }
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+    }
+
+    /// The event-driven invariant, checked after every dispatched event
+    /// against the kernel's own queue (not the core's `armed` flag): while
+    /// the run is live a core has exactly one timer pending iff it has a
+    /// free issue slot — so never two, and never one with `in_flight ==
+    /// max_in_flight` — and once the run is done no new timer appears.
+    #[test]
+    fn one_timer_per_core_and_only_with_a_free_slot() {
+        for (seed, max_in_flight) in [(1, 1), (2, 2), (3, 3)] {
+            let shared = TesterShared::new(1, 300);
+            let cfg = TesterCfg {
+                max_in_flight,
+                ..TesterCfg::default()
+            };
+            let mut b = xg_sim::SimBuilder::new(seed);
+            let cache = b.add(Box::new(EchoCache));
+            let core = b.add(Box::new(TesterCore::new(
+                "tester",
+                cache,
+                0,
+                shared.clone(),
+                word_pool(0x1000, 2, 2),
+                cfg,
+            )));
+            let mut sim = b.build();
+            sim.post_wake(core, 1, 0);
+            let mut timers_after_done = None;
+            loop {
+                let stats = sim.queue_stats();
+                let queued = (stats.pushes - stats.pops) as usize;
+                let in_flight = sim.get::<TesterCore>(core).unwrap().outstanding();
+                assert!(in_flight <= max_in_flight);
+                let timers = queued - in_flight;
+                if shared.done_fast() {
+                    let before = timers_after_done.replace(timers).unwrap_or(timers);
+                    assert!(timers <= before, "timer armed after done");
+                } else {
+                    assert_eq!(
+                        timers,
+                        usize::from(in_flight < max_in_flight),
+                        "{in_flight} in flight of {max_in_flight}"
+                    );
+                }
+                if !sim.step() {
+                    break;
+                }
+            }
+            assert!(shared.lock().unwrap().done());
+            assert_eq!(sim.get::<TesterCore>(core).unwrap().outstanding(), 0);
+        }
     }
 
     #[test]

@@ -298,3 +298,27 @@ fn regression_late_demands_after_race_absorption() {
     assert!(!out.deadlocked);
     assert_eq!(out.data_errors, 0, "{:?}", out.error_log);
 }
+
+/// Regression: this two-level run never returned. With a new internal
+/// recall already busy on the block, the accelerator L2's queue drain
+/// pulled a guard `Inv` out with priority, the `Inv` handler queued it
+/// straight back (internal recalls make it wait), and the drain pulled it
+/// out again — a spin inside one handler call, where no event is
+/// dispatched and so neither `max_cycles` nor the stall watchdog can fire.
+#[test]
+fn regression_two_level_inv_behind_internal_recall_returns() {
+    let cfg = SystemConfig {
+        host: HostProtocol::Mesi,
+        accel: AccelOrg::Xg {
+            variant: XgVariant::FullState,
+            two_level: true,
+        },
+        accel_cores: 2,
+        seed: 1,
+        ..SystemConfig::default()
+    };
+    let out = run_workload(&cfg, Pattern::Stencil, 8_000);
+    assert!(!out.incomplete);
+    assert_eq!(out.report.sum_suffix(".protocol_violation"), 0);
+    assert_eq!(out.report.get("os.errors_total"), 0);
+}

@@ -7,7 +7,10 @@ use std::collections::BTreeMap;
 use std::fs;
 use std::path::PathBuf;
 
-use xg_harness::{run_stress, run_stress_with, Instrumentation, StressOpts, SystemConfig};
+use xg_core::XgVariant;
+use xg_harness::{
+    run_stress, run_stress_with, AccelOrg, HostProtocol, Instrumentation, StressOpts, SystemConfig,
+};
 use xg_sim::{JsonValue, ProfileConfig, TimelineConfig};
 
 /// Same sizing and seed as the golden fixtures in
@@ -84,6 +87,51 @@ fn profiled_reports_strip_back_to_the_golden_bytes() {
         failures.is_empty(),
         "profiling perturbed the run (stripped report != golden) for {failures:?}"
     );
+}
+
+/// The tester is event-driven: dispatched events scale with completed
+/// operations (about 7 per op), and `Wake` issue timers are a minority of
+/// them (about one in six). A tester that pads the queue with idle timers
+/// reads hundreds of events per op and 99% `Wake`, so the bounds sit an
+/// order of magnitude from both. The counts are simulated statistics,
+/// exact for a seed: the gate cannot flake.
+#[test]
+fn dispatched_events_scale_with_completed_ops() {
+    for host in [HostProtocol::Hammer, HostProtocol::Mesi] {
+        let cfg = SystemConfig {
+            host,
+            accel: AccelOrg::Xg {
+                variant: XgVariant::FullState,
+                two_level: false,
+            },
+            seed: GOLDEN_SEED,
+            ..SystemConfig::default()
+        };
+        let opts = StressOpts {
+            ops: 2_000,
+            ..StressOpts::default()
+        };
+        let out = run_stress_with(&cfg, &opts, &Instrumentation::profiled());
+        let name = cfg.name();
+        assert!(!out.deadlocked, "{name}: deadlocked");
+        assert!(out.completed >= opts.ops, "{name}: {} ops", out.completed);
+        let events = out.report.profile_get("events.total");
+        let wakes: u64 = out
+            .report
+            .profile_entries()
+            .filter(|(k, _)| k.starts_with("dispatch.") && k.ends_with(".Wake"))
+            .map(|(_, n)| n)
+            .sum();
+        assert!(
+            events <= 40 * out.completed,
+            "{name}: {events} events for {} ops",
+            out.completed
+        );
+        assert!(
+            wakes * 2 < events,
+            "{name}: {wakes} of {events} dispatches are Wake timers"
+        );
+    }
 }
 
 /// A default (uninstrumented) run serializes no `profile` key and attaches

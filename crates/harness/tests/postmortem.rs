@@ -119,3 +119,30 @@ fn clean_runs_attach_no_post_mortem() {
     assert!(!out.deadlocked);
     assert_eq!(out.post_mortem, None, "{:?}", out.post_mortem);
 }
+
+#[test]
+fn lost_response_deadlock_names_the_outstanding_words() {
+    // The planted guard bug drops forwarded invalidations, so the host
+    // requester never answers its core. Testers hold no idle timers: the
+    // queue drains with operations hanging instead of tripping the stall
+    // watchdog, and the dump must still name the stuck words.
+    let mut cfg = SystemConfig::default();
+    cfg.xg.test_swallow_invs = true;
+    let opts = StressOpts::default();
+    let out = run_stress(&cfg, &opts);
+    assert!(out.deadlocked, "swallowed invalidations must wedge the run");
+    assert!(out.completed < opts.ops);
+    assert!(out.report.sum_suffix(".outstanding") > 0);
+    let pm = out
+        .post_mortem
+        .as_deref()
+        .expect("a deadlocked run must attach a post-mortem");
+    assert!(pm.contains("outstanding at deadlock"), "{pm}");
+    assert!(
+        pm.contains(&format!(
+            "--- trace for addr {} ---",
+            first_flagged_addr(pm)
+        )),
+        "dump section for the stuck block\n{pm}"
+    );
+}
