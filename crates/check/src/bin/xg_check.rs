@@ -15,6 +15,7 @@
 
 use std::collections::BTreeMap;
 use std::process::ExitCode;
+use std::time::Instant;
 
 use xg_check::{
     explore, minimize_script, repro_test_source, transcript, unreachable_rows, ExploreOpts,
@@ -127,13 +128,25 @@ fn main() -> ExitCode {
             persona.name(),
             args.addrs
         );
+        let started = Instant::now();
         let result = explore(&spec, &opts);
+        let wall_s = started.elapsed().as_secs_f64();
+        // Result first, then the explorer's own health: work done
+        // (expansions from restored states, from-scratch replays), how wide
+        // the search got, how much of the work rediscovered known states,
+        // what a kept state costs, and the rate it all ran at.
         println!(
-            "states {}  levels {}  replays {}  fingerprint {:#018x}{}{}",
+            "states {}  levels {}  expansions {}  replays {}  fingerprint {:#018x}  \
+             peak-frontier {}  dedup {:.1}%  checkpoint {} B/state  {:.0} states/s{}{}",
             result.states,
             result.levels,
+            result.expansions,
             result.replays,
             result.fingerprint,
+            result.peak_frontier,
+            result.dedup_hit_rate() * 100.0,
+            result.checkpoint_bytes_per_state(),
+            result.states as f64 / wall_s.max(1e-9),
             if result.fixpoint { "  (fixpoint)" } else { "" },
             if result.hit_state_cap {
                 "  (STATE CAP HIT)"

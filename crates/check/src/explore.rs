@@ -1,31 +1,71 @@
-//! Breadth-first explicit-state exploration over checker scripts.
+//! Breadth-first explicit-state exploration over drained checker states.
 //!
-//! The explorer enumerates scripts level by level (script length =
-//! BFS depth), replays each candidate from scratch, and deduplicates the
-//! resulting drained states by canonical digest. Because exploration is
+//! The explorer keeps a frontier of *states*, not scripts. A drained world
+//! is a value ([`xg_sim::Checkpoint`]: the six components, simulated time,
+//! the per-component RNG streams, ordered-link delivery floors, progress
+//! and fault counters), so a frontier state is expanded by restoring its
+//! checkpoint into a scratch world, running one step to quiescence, and
+//! digesting the result — no world is rebuilt, no script prefix is re-run
+//! and no string-keyed report is produced per successor. Drained states are
+//! deduplicated by canonical digest; the first script to reach a digest (in
+//! frontier × alphabet × choice order) is its representative, and its
+//! checkpoint is what the next level expands. Because exploration is
 //! breadth-first and a violating state is never expanded, the first
 //! violation found is a shortest counterexample (in steps).
 //!
-//! Invalidation choices are expanded lazily: a replay whose chaos
-//! accelerator saw an invalidation past its scripted choice list is
-//! re-run once per choice code with the list extended, until every
-//! invalidation is scripted (or the per-script choice cap is hit, at
-//! which point the remaining invalidations deterministically stay
+//! [`crate::replay`] stays the reference semantics: restoring a
+//! representative's checkpoint and running a step yields exactly the state
+//! `replay` reaches by running the extended script from scratch
+//! (`tests/small_model.rs` checks this state by state), so state counts and
+//! fingerprints are those of a replay-per-candidate search. From-scratch
+//! replays remain only where the full [`ReplayOutcome`] is wanted — the
+//! initial state and each violation — and where a frontier state's
+//! checkpoint was not kept (see [`FRONTIER_BUDGET_BYTES`]).
+//!
+//! Invalidation choices are expanded lazily: an expansion whose chaos
+//! accelerator saw an invalidation past its scripted choice list is re-run
+//! from the same checkpoint once per choice code with the list extended,
+//! until every invalidation is scripted (or the per-script choice cap is
+//! hit, at which point the remaining invalidations deterministically stay
 //! silent).
 //!
-//! Each level's candidate batch runs through [`xg_harness::sweep`], whose
-//! results come back in submission order — so state counts, frontier
-//! contents, and fingerprints are identical for any worker count.
+//! Each level's frontier runs through [`xg_harness::sweep`], one item per
+//! parent state (the item owns the parent's checkpoint), whose results
+//! come back in submission order — so state counts, representatives and
+//! fingerprints are identical for any worker count. Transition coverage is
+//! summed from the machines' dense fired counters after every expansion and
+//! turned into string-keyed [`TransitionCoverage`] once, at the end.
 
 use std::collections::{BTreeMap, HashSet};
 use std::sync::Mutex;
 
 use xg_harness::{resolve_jobs, sweep};
-use xg_sim::TransitionCoverage;
+use xg_proto::{Message, Sim};
+use xg_sim::{Checkpoint, FsmRows, TransitionCoverage};
 
-use crate::replay::{replay, ReplayOutcome, Verdict};
+use crate::replay::{assess, replay, run_script, run_step, ReplayOutcome, Verdict};
 use crate::script::{CpuOp, Script, Step, ACCEL_KIND_CODES, INV_CHOICE_CODES};
-use crate::world::WorldSpec;
+use crate::world::{build_world, ChaosAccel, World, WorldSpec};
+
+/// Inline bytes ([`Checkpoint::inline_bytes`]) of frontier checkpoints the
+/// explorer holds for the next level before it stops keeping them. States
+/// past the budget keep only their script and are re-materialised with a
+/// from-scratch replay when their turn to expand comes. A checker-world
+/// checkpoint is about 3 KiB inline and 14–17 KiB resident once the
+/// components' heap tables are counted (measured, two attack blocks), so
+/// this bounds a level near 170 000 states and 2.5 GiB — the nightly
+/// two-address depth-6 run peaks at 4 762 and never gets close, and a
+/// deeper one would still fit a 7 GiB CI runner.
+const FRONTIER_BUDGET_BYTES: usize = 512 << 20;
+
+/// Parent states each worker expands per [`sweep`] call. Workers checkpoint
+/// a successor unless earlier levels, earlier chunks or the same parent
+/// already produced its digest; duplicates *across* the parents of one
+/// chunk are only dropped when the chunk is folded, so a chunk of
+/// `jobs × PARENTS_PER_WORKER` parents bounds how many redundant
+/// checkpoints are ever alive (a parent yields a few dozen distinct
+/// successors), while keeping thread start-up per chunk near 1% of its work.
+const PARENTS_PER_WORKER: usize = 8;
 
 /// Exploration limits and knobs.
 #[derive(Debug, Clone)]
@@ -75,13 +115,27 @@ pub struct ExploreResult {
     pub states: usize,
     /// BFS levels completed (deepest script length explored).
     pub levels: usize,
-    /// Total replays executed (including choice expansions).
+    /// From-scratch replays executed: the initial state, one per violation
+    /// (for its full outcome), and one per frontier state whose checkpoint
+    /// was not kept.
     pub replays: u64,
+    /// Steps run from a restored checkpoint (including choice re-runs).
+    pub expansions: u64,
+    /// Largest frontier (states awaiting expansion) of any level.
+    pub peak_frontier: usize,
+    /// Fully-scripted successors whose digest had already been seen.
+    pub dedup_hits: u64,
+    /// Frontier checkpoints kept, and their total
+    /// [`Checkpoint::inline_bytes`].
+    pub checkpoints: u64,
+    /// See [`ExploreResult::checkpoints`].
+    pub checkpoint_bytes: u64,
     /// Order-independent fingerprint of the explored state set.
     pub fingerprint: u64,
     /// Violations found, shortest scripts first.
     pub violations: Vec<Violation>,
-    /// Union transition coverage over every replay, per machine.
+    /// Transition coverage summed over every fully-scripted expansion (each
+    /// counted with the whole path that led to it), per machine.
     pub coverage: BTreeMap<String, TransitionCoverage>,
     /// True if `max_states` stopped the exploration early.
     pub hit_state_cap: bool,
@@ -93,6 +147,24 @@ impl ExploreResult {
     /// Whether every explored state satisfied every property.
     pub fn is_clean(&self) -> bool {
         self.violations.is_empty()
+    }
+
+    /// Share of fully-scripted successors that landed on an already-seen
+    /// digest (0 when nothing was expanded).
+    pub fn dedup_hit_rate(&self) -> f64 {
+        let fresh = self.states.saturating_sub(1) as u64;
+        match self.dedup_hits + fresh {
+            0 => 0.0,
+            successors => self.dedup_hits as f64 / successors as f64,
+        }
+    }
+
+    /// Mean [`Checkpoint::inline_bytes`] of the frontier checkpoints kept
+    /// (0 when none was).
+    pub fn checkpoint_bytes_per_state(&self) -> u64 {
+        self.checkpoint_bytes
+            .checked_div(self.checkpoints)
+            .unwrap_or(0)
     }
 }
 
@@ -134,78 +206,273 @@ pub fn step_alphabet(spec: &WorldSpec, race_steps: bool) -> Vec<Step> {
     steps
 }
 
-/// Replays `script`, lazily expanding unscripted invalidation choices:
-/// returns every fully-scripted completion (choice lists at the cap fall
-/// back to silence for the remainder).
-fn resolve(
-    spec: &WorldSpec,
+/// A frontier state: its representative script and, budget permitting,
+/// the drained world itself.
+struct Node {
     script: Script,
-    choice_cap: usize,
-    replays: &mut u64,
-) -> Vec<(Script, ReplayOutcome)> {
-    let mut pending = vec![script];
-    let mut done = Vec::new();
-    while let Some(s) = pending.pop() {
-        let out = replay(spec, &s);
-        *replays += 1;
-        if out.unscripted_invs > 0 && s.choices.len() < choice_cap {
-            // Branch on the first unscripted invalidation. The appended
-            // silence branch reproduces this run's behavior with the
-            // choice made explicit, so this run itself is not recorded.
-            for choice in 0..INV_CHOICE_CODES {
-                pending.push(s.with_choice(choice));
+    state: Option<Checkpoint<Message>>,
+}
+
+/// One fully-scripted result of running a step from a parent state.
+struct Successor {
+    step: Step,
+    /// The full choice list (the parent's, extended by any re-runs).
+    choices: Vec<u8>,
+    digest: u128,
+    verdict: Verdict,
+    /// Present when the successor is clean, will be expanded, and was not
+    /// already seen when the worker reached it.
+    state: Option<Checkpoint<Message>>,
+}
+
+/// Everything one parent state expanded to, in alphabet × choice order.
+struct Expanded {
+    parent: Script,
+    successors: Vec<Successor>,
+    expansions: u64,
+    replays: u64,
+}
+
+/// Dense per-machine sums of fired counters, matched by visit position
+/// (every world of one exploration registers its components in the same
+/// order).
+#[derive(Default)]
+struct FiredSums(Vec<(&'static dyn FsmRows, Vec<u64>)>);
+
+impl FiredSums {
+    fn add_world(&mut self, sim: &Sim) {
+        let mut machine = 0;
+        sim.visit_fired(&mut |rows, fired| {
+            if machine == self.0.len() {
+                self.0.push((rows, vec![0; fired.len()]));
             }
-        } else {
-            done.push((s, out));
+            for (sum, &n) in self.0[machine].1.iter_mut().zip(fired) {
+                *sum += n;
+            }
+            machine += 1;
+        });
+    }
+
+    fn merge_into(&self, coverage: &mut BTreeMap<String, TransitionCoverage>) {
+        for (rows, fired) in &self.0 {
+            coverage
+                .entry(rows.machine().to_string())
+                .or_default()
+                .add_fired(*rows, fired);
         }
     }
-    // `pending.pop()` explored depth-first; restore a deterministic order
-    // independent of expansion history.
-    done.sort_by(|(a, _), (b, _)| a.choices.cmp(&b.choices));
-    done
+}
+
+/// A worker's reusable world and its share of the coverage sums.
+struct Scratch {
+    world: World,
+    fired: FiredSums,
+}
+
+/// The read-only context of one level's sweep.
+struct Expander<'a> {
+    spec: &'a WorldSpec,
+    alphabet: &'a [Step],
+    choice_cap: usize,
+    /// Digests of earlier levels and earlier chunks of this level.
+    seen: &'a HashSet<u128>,
+    /// Whether this level's successors will themselves be expanded.
+    keep_states: bool,
+    scratch: &'a Mutex<Vec<Scratch>>,
+}
+
+impl Expander<'_> {
+    /// Runs every alphabet step from `node`'s state.
+    fn expand(&self, node: Node) -> Expanded {
+        let spec = self.spec;
+        let pooled = self.scratch.lock().expect("scratch pool").pop();
+        let mut scratch = pooled.unwrap_or_else(|| Scratch {
+            world: build_world(spec, &[]),
+            fired: FiredSums::default(),
+        });
+        let mut replays = 0;
+        let parent = node.state.unwrap_or_else(|| {
+            replays += 1;
+            let (world, _) = run_script(spec, &node.script);
+            world
+                .sim
+                .checkpoint()
+                .expect("a frontier state is drained and clean")
+        });
+        let scripted = node.script.choices.len();
+
+        let mut successors: Vec<Successor> = Vec::with_capacity(self.alphabet.len());
+        let mut expansions = 0;
+        for &step in self.alphabet {
+            let first = successors.len();
+            // Choice suffixes still to try, depth-first; the empty suffix is
+            // the step as the parent's own choice list scripts it.
+            let mut pending: Vec<Vec<u8>> = vec![Vec::new()];
+            while let Some(extra) = pending.pop() {
+                let world = &mut scratch.world;
+                world.sim.restore(&parent);
+                if !extra.is_empty() {
+                    world
+                        .sim
+                        .get_mut::<ChaosAccel>(world.ids.chaos)
+                        .expect("chaos node is a ChaosAccel")
+                        .extend_choices(&extra);
+                }
+                let divergence = !run_step(world, step);
+                expansions += 1;
+                let drained = assess(spec, world, divergence);
+                if drained.unscripted_invs > 0 && scripted + extra.len() < self.choice_cap {
+                    // Branch on the first unscripted invalidation. The
+                    // appended silence branch reproduces this run with the
+                    // choice made explicit, so this run is not recorded.
+                    for choice in 0..INV_CHOICE_CODES {
+                        let mut longer = extra.clone();
+                        longer.push(choice);
+                        pending.push(longer);
+                    }
+                    continue;
+                }
+                scratch.fired.add_world(&world.sim);
+                let keep = self.keep_states
+                    && drained.verdict.is_clean()
+                    && !self.seen.contains(&drained.digest)
+                    && !successors[..first]
+                        .iter()
+                        .any(|s| s.digest == drained.digest);
+                let mut choices = node.script.choices.clone();
+                choices.extend_from_slice(&extra);
+                successors.push(Successor {
+                    step,
+                    choices,
+                    digest: drained.digest,
+                    verdict: drained.verdict,
+                    state: keep.then(|| {
+                        world
+                            .sim
+                            .checkpoint()
+                            .expect("a clean drained world is quiescent")
+                    }),
+                });
+            }
+            // `pending.pop()` explored depth-first; restore a deterministic
+            // order independent of expansion history, then keep only the
+            // first checkpoint of each digest this step's branches share.
+            successors[first..].sort_by(|a, b| a.choices.cmp(&b.choices));
+            for i in first + 1..successors.len() {
+                let (earlier, rest) = successors.split_at_mut(i);
+                if earlier[first..].iter().any(|s| s.digest == rest[0].digest) {
+                    rest[0].state = None;
+                }
+            }
+        }
+        self.scratch.lock().expect("scratch pool").push(scratch);
+        Expanded {
+            parent: node.script,
+            successors,
+            expansions,
+            replays,
+        }
+    }
+}
+
+/// The distinct states found so far and what became of them.
+struct Discovered<'a> {
+    spec: &'a WorldSpec,
+    on_state: &'a mut dyn FnMut(&Script, u128, &Verdict),
+    violations: Vec<Violation>,
+    replays: u64,
+}
+
+impl Discovered<'_> {
+    /// Records a state whose digest was just seen for the first time; a
+    /// clean one joins `frontier`.
+    fn record(
+        &mut self,
+        script: Script,
+        digest: u128,
+        verdict: &Verdict,
+        state: Option<Checkpoint<Message>>,
+        frontier: &mut Vec<Node>,
+    ) {
+        (self.on_state)(&script, digest, verdict);
+        match verdict.violation() {
+            Some(property) => {
+                // Violations are rare; replay for the full outcome.
+                self.replays += 1;
+                self.violations.push(Violation {
+                    property: property.to_string(),
+                    outcome: replay(self.spec, &script),
+                    script,
+                });
+            }
+            None => frontier.push(Node { script, state }),
+        }
+    }
 }
 
 /// Explores the reachable drained-state space of `spec`.
 pub fn explore(spec: &WorldSpec, opts: &ExploreOpts) -> ExploreResult {
+    explore_with(spec, opts, &mut |_, _, _| {})
+}
+
+/// [`explore`], calling `on_state(script, digest, verdict)` for every
+/// distinct state in discovery order with its representative script.
+pub fn explore_with(
+    spec: &WorldSpec,
+    opts: &ExploreOpts,
+    on_state: &mut dyn FnMut(&Script, u128, &Verdict),
+) -> ExploreResult {
+    explore_within(spec, opts, on_state, FRONTIER_BUDGET_BYTES)
+}
+
+/// [`explore_with`] under an explicit frontier checkpoint budget.
+fn explore_within(
+    spec: &WorldSpec,
+    opts: &ExploreOpts,
+    on_state: &mut dyn FnMut(&Script, u128, &Verdict),
+    frontier_budget: usize,
+) -> ExploreResult {
     let alphabet = step_alphabet(spec, opts.race_steps);
     let jobs = resolve_jobs(opts.jobs);
 
     let mut seen: HashSet<u128> = HashSet::new();
-    let mut digests: Vec<u128> = Vec::new();
-    let mut coverage: BTreeMap<String, TransitionCoverage> = BTreeMap::new();
-    let mut violations: Vec<Violation> = Vec::new();
-    let mut replays = 0u64;
+    let mut found = Discovered {
+        spec,
+        on_state,
+        violations: Vec::new(),
+        replays: 0,
+    };
+    let mut expansions = 0u64;
+    let mut dedup_hits = 0u64;
+    let mut checkpoints = 0u64;
+    let mut checkpoint_bytes = 0u64;
     let mut hit_state_cap = false;
 
-    // Workers slim their results into this shared accumulator: each
-    // candidate's full `Report` is merged here immediately and dropped,
-    // so a level's peak memory is scripts + digests + verdicts, not
-    // hundreds of thousands of retained coverage maps (the two-block
-    // model has 100k+ candidates per level). Coverage merging is
-    // additive, so worker interleaving cannot change the final counts.
-    let swept_coverage: Mutex<BTreeMap<String, TransitionCoverage>> = Mutex::new(BTreeMap::new());
-
-    // Level 0: the initial (empty-script) state, replayed inline.
-    let mut frontier: Vec<Script> = Vec::new();
-    for (script, out) in resolve(spec, Script::empty(), opts.choice_cap, &mut replays) {
-        for (machine, cov) in out.report.fsms() {
-            coverage.entry(machine.to_string()).or_default().merge(cov);
-        }
-        if !seen.insert(out.digest) {
-            continue;
-        }
-        digests.push(out.digest);
-        match out.verdict.violation() {
-            Some(property) => violations.push(Violation {
-                script: script.clone(),
-                property: property.to_string(),
-                outcome: out,
-            }),
-            None => frontier.push(script),
-        }
-    }
+    // Level 0: the initial (empty-script) state, run from scratch. Its
+    // world becomes the first scratch world.
+    let mut frontier: Vec<Node> = Vec::new();
+    let root = {
+        let script = Script::empty();
+        let (world, divergence) = run_script(spec, &script);
+        found.replays += 1;
+        let drained = assess(spec, &world, divergence);
+        let mut fired = FiredSums::default();
+        fired.add_world(&world.sim);
+        seen.insert(drained.digest);
+        let state = world.sim.checkpoint().ok();
+        found.record(
+            script,
+            drained.digest,
+            &drained.verdict,
+            state,
+            &mut frontier,
+        );
+        Scratch { world, fired }
+    };
+    let scratch = Mutex::new(vec![root]);
 
     let mut levels = 0usize;
+    let mut peak_frontier = frontier.len();
     let mut fixpoint = frontier.is_empty();
     while !frontier.is_empty() {
         if opts.depth.is_some_and(|d| levels >= d) {
@@ -215,56 +482,72 @@ pub fn explore(spec: &WorldSpec, opts: &ExploreOpts) -> ExploreResult {
             hit_state_cap = true;
             break;
         }
-        if opts.stop_on_violation && !violations.is_empty() {
+        if opts.stop_on_violation && !found.violations.is_empty() {
             break;
         }
-        let candidates: Vec<Script> = frontier
-            .iter()
-            .flat_map(|s| alphabet.iter().map(move |&step| s.with_step(step)))
-            .collect();
-        let batches = sweep(candidates, jobs, |script, _| {
-            let mut local_replays = 0u64;
-            let done = resolve(spec, script, opts.choice_cap, &mut local_replays);
-            let mut slim: Vec<(Script, u128, Verdict)> = Vec::with_capacity(done.len());
-            let mut acc = swept_coverage.lock().expect("coverage accumulator");
-            for (s, out) in done {
-                for (machine, cov) in out.report.fsms() {
-                    acc.entry(machine.to_string()).or_default().merge(cov);
-                }
-                slim.push((s, out.digest, out.verdict));
+        let keep_states = opts.depth.is_none_or(|d| levels + 1 < d);
+        let mut next: Vec<Node> = Vec::new();
+        let mut held_bytes = 0usize;
+        let mut parents = frontier.into_iter();
+        loop {
+            let chunk: Vec<Node> = parents.by_ref().take(jobs * PARENTS_PER_WORKER).collect();
+            if chunk.is_empty() {
+                break;
             }
-            drop(acc);
-            (slim, local_replays)
-        });
-        let mut next: Vec<Script> = Vec::new();
-        for (batch, batch_replays) in batches {
-            replays += batch_replays;
-            for (script, digest, verdict) in batch {
-                if !seen.insert(digest) {
-                    continue;
-                }
-                digests.push(digest);
-                match verdict.violation() {
-                    Some(property) => violations.push(Violation {
-                        property: property.to_string(),
-                        // Violations are rare; re-replay to recover the
-                        // full outcome the slimming dropped.
-                        outcome: replay(spec, &script),
-                        script,
-                    }),
-                    None => next.push(script),
+            let expander = Expander {
+                spec,
+                alphabet: &alphabet,
+                choice_cap: opts.choice_cap,
+                seen: &seen,
+                keep_states,
+                scratch: &scratch,
+            };
+            let batches = sweep(chunk, jobs, |node, _| expander.expand(node));
+            for batch in batches {
+                expansions += batch.expansions;
+                found.replays += batch.replays;
+                for succ in batch.successors {
+                    if !seen.insert(succ.digest) {
+                        dedup_hits += 1;
+                        continue;
+                    }
+                    let state = succ.state.filter(|cp| {
+                        let bytes = cp.inline_bytes();
+                        let fits = held_bytes + bytes <= frontier_budget;
+                        if fits {
+                            held_bytes += bytes;
+                            checkpoints += 1;
+                            checkpoint_bytes += bytes as u64;
+                        }
+                        fits
+                    });
+                    let mut steps = batch.parent.steps.clone();
+                    steps.push(succ.step);
+                    let script = Script {
+                        steps,
+                        choices: succ.choices,
+                    };
+                    found.record(script, succ.digest, &succ.verdict, state, &mut next);
                 }
             }
         }
         levels += 1;
         fixpoint = next.is_empty();
+        peak_frontier = peak_frontier.max(next.len());
         frontier = next;
     }
 
-    for (machine, cov) in swept_coverage.into_inner().expect("coverage accumulator") {
-        coverage.entry(machine).or_default().merge(&cov);
+    let mut coverage: BTreeMap<String, TransitionCoverage> = BTreeMap::new();
+    for worker in scratch.into_inner().expect("scratch pool") {
+        worker.fired.merge_into(&mut coverage);
     }
 
+    let Discovered {
+        violations,
+        replays,
+        ..
+    } = found;
+    let mut digests: Vec<u128> = seen.iter().copied().collect();
     digests.sort_unstable();
     let mut fingerprint = 0xcbf2_9ce4_8422_2325u64;
     for d in &digests {
@@ -277,6 +560,11 @@ pub fn explore(spec: &WorldSpec, opts: &ExploreOpts) -> ExploreResult {
         states: seen.len(),
         levels,
         replays,
+        expansions,
+        peak_frontier,
+        dedup_hits,
+        checkpoints,
+        checkpoint_bytes,
         fingerprint,
         violations,
         coverage,
@@ -315,6 +603,34 @@ mod tests {
         assert_eq!(no_race.len(), 14 * 3 + 6);
         let with_race = step_alphabet(&spec, true);
         assert_eq!(with_race.len(), no_race.len() + 3 * 3 * 2 * 2);
+    }
+
+    #[test]
+    fn states_past_the_checkpoint_budget_are_rematerialised_by_replay() {
+        let opts = ExploreOpts {
+            depth: Some(2),
+            race_steps: false,
+            jobs: Some(1),
+            ..ExploreOpts::default()
+        };
+        for persona in Persona::ALL {
+            let spec = WorldSpec::new(persona);
+            let kept = explore(&spec, &opts);
+            assert_eq!(kept.replays, 1);
+            assert!(kept.checkpoints > 0);
+            // Room for two checkpoints per level; the rest keep scripts.
+            let budget = 2 * kept.checkpoint_bytes_per_state() as usize;
+            let spilled = explore_within(&spec, &opts, &mut |_, _, _| {}, budget);
+            assert_eq!(spilled.checkpoints, 2, "{persona:?}");
+            assert!(
+                spilled.replays > 1,
+                "{persona:?}: script-only states replay"
+            );
+            assert_eq!(spilled.states, kept.states, "{persona:?}");
+            assert_eq!(spilled.fingerprint, kept.fingerprint, "{persona:?}");
+            assert_eq!(spilled.expansions, kept.expansions, "{persona:?}");
+            assert_eq!(spilled.coverage, kept.coverage, "{persona:?}");
+        }
     }
 
     #[test]

@@ -6,10 +6,15 @@
 //! persona, the modified host controller it fronts, one host CPU cache,
 //! the OS error sink, a scripted chaos accelerator, and a value-checking
 //! probe core — over one or two block addresses plus a read-only window
-//! and a forbidden block. Exploration is breadth-first over *scripts*
-//! (stimulus sequences replayed from scratch), with drained states
-//! canonicalized by [`xg_sim::CheckDigest`] and deduplicated, so the
-//! first counterexample found is shortest in stimulus steps.
+//! and a forbidden block. Exploration is breadth-first over *drained
+//! states*: a state is kept as an [`xg_sim::Checkpoint`] of its world and
+//! expanded by restoring it and running one stimulus step, with the
+//! results canonicalized by [`xg_sim::CheckDigest`] and deduplicated, so
+//! the first counterexample found is shortest in stimulus steps. Every
+//! state also has a representative [`Script`]; [`replay`] — build the
+//! world, run the script from scratch — is the reference the explorer is
+//! tested against and the only path counterexample shrinking, transcripts
+//! and emitted reproducers use.
 //!
 //! Checked properties, per drained state:
 //!
@@ -40,7 +45,7 @@ mod world;
 
 pub use emit::{minimize_script, repro_test_source, transcript, verdict_summary};
 pub use explore::{
-    explore, step_alphabet, unreachable_rows, ExploreOpts, ExploreResult, Violation,
+    explore, explore_with, step_alphabet, unreachable_rows, ExploreOpts, ExploreResult, Violation,
 };
 pub use replay::{classify, replay, ReplayOutcome, Verdict, DRAIN_MAX};
 pub use script::{

@@ -3,10 +3,17 @@
 //!
 //! Every step is injected into a quiescent world and the simulator is
 //! drained to quiescence again (including guard timeout timers), so the
-//! checkpoints the explorer deduplicates are exactly the drained states.
-//! Properties are evaluated at the final checkpoint only — the explorer
-//! visits every prefix as its own script, so each intermediate state is
+//! states the explorer deduplicates are exactly the drained states.
+//! Properties are evaluated at the final drained state only — the explorer
+//! visits every prefix as its own state, so each intermediate state is
 //! still verified, and counterexamples stay shortest-first.
+//!
+//! [`replay`] is the reference semantics of a script: the explorer reaches
+//! the same states by restoring a parent's [`xg_sim::Checkpoint`] and
+//! running one [`run_step`], and is tested against `replay` state by
+//! state. Minimisation, emitted reproducers, transcripts and violation
+//! outcomes all go through `replay`, so none of them depends on a
+//! checkpoint being faithful.
 
 use xg_core::CrossingGuard;
 use xg_host_hammer::{HammerCache, HammerDirectory};
@@ -127,22 +134,55 @@ pub(crate) fn inject(world: &mut World, step: Step) {
     }
 }
 
+/// Injects `step` into a drained world and drains it again. `false` means
+/// the world failed to drain within [`DRAIN_MAX`] cycles.
+pub(crate) fn run_step(world: &mut World, step: Step) -> bool {
+    inject(world, step);
+    world.sim.run_to_quiescence(DRAIN_MAX).quiescent
+}
+
+/// Builds a fresh world for `spec` and runs `script` through it. Returns
+/// the world and whether it diverged (failed to drain after some step).
+pub(crate) fn run_script(spec: &WorldSpec, script: &Script) -> (World, bool) {
+    let mut world = build_world(spec, &script.choices);
+    let divergence = !script.steps.iter().all(|&step| run_step(&mut world, step));
+    (world, divergence)
+}
+
 /// Replays `script` against a fresh world for `spec`.
 pub fn replay(spec: &WorldSpec, script: &Script) -> ReplayOutcome {
-    let mut world = build_world(spec, &script.choices);
-    let mut divergence = false;
-    for &step in &script.steps {
-        inject(&mut world, step);
-        if !world.sim.run_to_quiescence(DRAIN_MAX).quiescent {
-            divergence = true;
-            break;
-        }
-    }
+    let (world, divergence) = run_script(spec, script);
     classify(spec, &world, divergence)
+}
+
+/// What the explorer needs of a drained state: a [`ReplayOutcome`] without
+/// the string-keyed report.
+pub(crate) struct Drained {
+    pub(crate) digest: u128,
+    pub(crate) obligations: u64,
+    pub(crate) unscripted_invs: u64,
+    pub(crate) verdict: Verdict,
 }
 
 /// Digests and classifies an already-run world.
 pub fn classify(spec: &WorldSpec, world: &World, divergence: bool) -> ReplayOutcome {
+    let Drained {
+        digest,
+        obligations,
+        unscripted_invs,
+        verdict,
+    } = assess(spec, world, divergence);
+    ReplayOutcome {
+        digest,
+        obligations,
+        unscripted_invs,
+        verdict,
+        report: world.sim.report(),
+    }
+}
+
+/// Digest and property evaluation of an already-run world.
+pub(crate) fn assess(spec: &WorldSpec, world: &World, divergence: bool) -> Drained {
     let ids = &world.ids;
     let mut d = CheckDigest::new();
     spec.assign_roles(&mut d, ids);
@@ -212,12 +252,11 @@ pub fn classify(spec: &WorldSpec, world: &World, divergence: bool) -> ReplayOutc
         os_errors: os.total(),
     };
 
-    ReplayOutcome {
+    Drained {
         digest: d.finish(),
         obligations,
         unscripted_invs: chaos.unscripted_invs(),
         verdict,
-        report: world.sim.report(),
     }
 }
 

@@ -1,10 +1,16 @@
 //! The small-model world: one guard persona, one modified host controller,
 //! one host CPU cache, one scripted chaos accelerator, one probe core.
 //!
-//! Worlds are rebuilt from scratch for every replay, so all state is
-//! reachable from the [`WorldSpec`] plus a [`crate::Script`]. Two knobs
-//! exist purely for the canonicalization tests: the node registration
-//! order ([`WorldSpec::node_order`]) and the attack-block base address
+//! All state is reachable from the [`WorldSpec`] plus a [`crate::Script`]:
+//! [`crate::replay`] builds a world from scratch and runs the script. The
+//! explorer builds one world per worker and moves it between states with
+//! [`xg_sim::Simulator::restore`], so every component here and in the host
+//! and guard crates implements `Component::box_clone`, and the chaos
+//! accelerator's choice list can be extended in place
+//! ([`ChaosAccel::extend_choices`]) to stand for the longer list a child
+//! script would have been built with. Two knobs exist purely for the
+//! canonicalization tests: the node registration order
+//! ([`WorldSpec::node_order`]) and the attack-block base address
 //! ([`WorldSpec::attack_base`]) can be permuted/shifted without changing
 //! any canonical state digest.
 //!
@@ -335,6 +341,7 @@ pub fn build_world(spec: &WorldSpec, choices: &[u8]) -> World {
 /// replay driver. Host-initiated invalidations consume the scripted choice
 /// list in arrival order; invalidations past the end of the list stay
 /// silent and are counted, so the explorer can lazily branch on them.
+#[derive(Clone)]
 pub struct ChaosAccel {
     name: String,
     xg: NodeId,
@@ -359,6 +366,13 @@ impl ChaosAccel {
             forbidden_data: 0,
             ro_exclusive: 0,
         }
+    }
+
+    /// Appends scripted choices for invalidations yet to arrive — how the
+    /// explorer turns a restored parent state into the world
+    /// [`build_world`] would have built for a child script.
+    pub fn extend_choices(&mut self, more: &[u8]) {
+        self.choices.extend_from_slice(more);
     }
 
     /// Invalidations that arrived past the end of the scripted choice
@@ -490,6 +504,10 @@ impl Component<Message> for ChaosAccel {
         out.set(format!("{n}.ro_exclusive_data"), self.ro_exclusive);
     }
 
+    fn box_clone(&self) -> Option<Box<dyn Component<Message>>> {
+        Some(Box::new(self.clone()))
+    }
+
     fn as_any(&self) -> &dyn std::any::Any {
         self
     }
@@ -506,6 +524,7 @@ impl Component<Message> for ChaosAccel {
 /// probe's own store (or zero before it). Attack blocks are
 /// accelerator-writable, so their loads only check membership in the legal
 /// value set (probe constant, chaos fills, fabricated zero).
+#[derive(Clone)]
 pub struct ProbeCore {
     name: String,
     cache: NodeId,
@@ -688,6 +707,10 @@ impl Component<Message> for ProbeCore {
             format!("{n}.outstanding"),
             u64::from(self.in_flight.is_some()),
         );
+    }
+
+    fn box_clone(&self) -> Option<Box<dyn Component<Message>>> {
+        Some(Box::new(self.clone()))
     }
 
     fn as_any(&self) -> &dyn std::any::Any {

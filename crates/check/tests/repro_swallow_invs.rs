@@ -67,9 +67,11 @@ fn checker_finds_and_shrinks_the_planted_bug() {
             "{persona:?}: ddmin must preserve the violation"
         );
 
-        // The text format round-trips the shrunk script exactly.
+        // The text format round-trips the shrunk script exactly, and the
+        // explorer still reaches the bug through the pinned shortest script.
         let text = minimized.to_text();
         assert_eq!(Script::from_text(&text).expect("parses"), minimized);
+        assert_eq!(text, pinned_script(persona), "{persona:?}");
 
         // The emitted regression test embeds that script and the planted
         // spec, and the transcript names the violated property.

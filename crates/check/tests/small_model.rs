@@ -8,11 +8,17 @@
 //! across runs and worker counts. Both are checked here at a bounded
 //! depth that keeps debug-mode test time small; the full-depth run is the
 //! CI `xg-check` gate.
+//!
+//! The explorer reaches states by restoring checkpoints rather than by
+//! replaying scripts, so it is also checked here against [`replay`], the
+//! reference semantics, state by state. (That the planted `swallow_invs`
+//! bug still shrinks to the pinned shortest scripts is asserted next to
+//! those scripts, in `repro_swallow_invs.rs`.)
 
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
-use xg_check::{explore, ExploreOpts, Persona, Role, WorldSpec};
+use xg_check::{explore, explore_with, replay, ExploreOpts, Persona, Role, WorldSpec};
 
 /// The bounded exploration used by every property here.
 fn bounded_opts(depth: usize, jobs: Option<usize>) -> ExploreOpts {
@@ -94,7 +100,7 @@ proptest! {
 }
 
 /// Depth-2 BFS is deterministic across repeated runs and worker counts:
-/// state counts, fingerprints, and total replay counts all match.
+/// state counts, fingerprints, and replay and expansion counts all match.
 #[test]
 fn depth_two_exploration_is_deterministic() {
     let spec = WorldSpec::new(Persona::Hammer);
@@ -106,6 +112,7 @@ fn depth_two_exploration_is_deterministic() {
         assert_eq!(serial.states, again.states, "jobs {jobs:?}");
         assert_eq!(serial.fingerprint, again.fingerprint, "jobs {jobs:?}");
         assert_eq!(serial.replays, again.replays, "jobs {jobs:?}");
+        assert_eq!(serial.expansions, again.expansions, "jobs {jobs:?}");
     }
 }
 
@@ -121,6 +128,61 @@ fn depth_layers_nest() {
             d2.states > d1.states,
             "{persona:?}: depth 2 must discover new states"
         );
-        assert!(d2.replays > d1.replays);
+        assert!(d2.expansions > d1.expansions);
+    }
+}
+
+/// Differential check of the checkpoint explorer against the reference
+/// implementation: every state it reports, replayed from scratch through
+/// its representative script, has the same digest and verdict — so
+/// restoring a checkpoint and running one step is indistinguishable from
+/// rebuilding the world and re-running the whole script. Race steps on,
+/// both personas; and any worker count finds the same states through the
+/// same amount of work.
+#[test]
+fn checkpoint_explorer_agrees_with_replay_state_by_state() {
+    for persona in Persona::ALL {
+        let spec = WorldSpec::new(persona);
+        let opts = |jobs| ExploreOpts {
+            depth: Some(2),
+            race_steps: true,
+            jobs: Some(jobs),
+            ..ExploreOpts::default()
+        };
+        let mut reported = Vec::new();
+        let serial = explore_with(&spec, &opts(1), &mut |script, digest, verdict| {
+            reported.push((script.clone(), digest, verdict.clone()));
+        });
+        assert_eq!(reported.len(), serial.states);
+        assert_eq!(serial.replays, 1, "{persona:?}: only the initial state");
+        assert!(serial.expansions > serial.states as u64);
+        for (script, digest, verdict) in &reported {
+            let reference = replay(&spec, script);
+            assert_eq!(
+                reference.digest,
+                *digest,
+                "{persona:?}: digest of\n{}",
+                script.to_text()
+            );
+            assert_eq!(
+                &reference.verdict,
+                verdict,
+                "{persona:?}: verdict of\n{}",
+                script.to_text()
+            );
+        }
+        for jobs in [2, 4] {
+            let again = explore(&spec, &opts(jobs));
+            assert_eq!(serial.states, again.states, "{persona:?} jobs {jobs}");
+            assert_eq!(
+                serial.fingerprint, again.fingerprint,
+                "{persona:?} jobs {jobs}"
+            );
+            assert_eq!(
+                serial.expansions, again.expansions,
+                "{persona:?} jobs {jobs}"
+            );
+            assert_eq!(serial.coverage, again.coverage, "{persona:?} jobs {jobs}");
+        }
     }
 }

@@ -27,7 +27,7 @@ use xg_mem::{BlockAddr, DataBlock, PagePerm};
 use xg_proto::{
     Ctx, HammerKind, HomeMap, Message, OsMsg, XgData, XgError, XgErrorKind, XgiKind, XgiMsg,
 };
-use xg_sim::{CheckDigest, Component, Cycle, Histogram, NodeId, Report};
+use xg_sim::{CheckDigest, Component, Cycle, FsmRows, Histogram, NodeId, Report};
 
 use crate::config::{XgConfig, XgVariant};
 use crate::hammer_side::HammerPersona;
@@ -51,7 +51,7 @@ struct Entry {
 }
 
 /// An open accelerator-initiated transaction.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum AccelReq {
     Get {
         m: bool,
@@ -72,7 +72,7 @@ enum AccelReq {
 }
 
 /// Why an `Inv` is outstanding at the accelerator.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct InvPending {
     reasons: Vec<(BlockAddr, DemandKind)>,
     /// The accelerator's block was already consumed by a racing Put; the
@@ -82,7 +82,7 @@ struct InvPending {
     started: Cycle,
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 struct Stats {
     accel_received: u64,
     accel_sent: u64,
@@ -108,6 +108,7 @@ struct Stats {
 
 /// The Crossing Guard component. See the [crate docs](crate) and the
 /// [module docs](self).
+#[derive(Clone)]
 pub struct CrossingGuard {
     name: String,
     accel: NodeId,
@@ -1441,6 +1442,14 @@ impl Component<Message> for CrossingGuard {
         out.record_hist(format!("{n}.lat.inv_resp"), &self.stats.lat_inv_resp);
         out.record_hist(format!("{n}.lat.host_rtt"), &self.persona.stats().host_rtt);
         self.persona.record_machine(out);
+    }
+
+    fn box_clone(&self) -> Option<Box<dyn Component<Message>>> {
+        Some(Box::new(self.clone()))
+    }
+
+    fn visit_fired(&self, visit: &mut dyn FnMut(&'static dyn FsmRows, &[u64])) {
+        self.persona.visit_fired(visit);
     }
 
     fn as_any(&self) -> &dyn std::any::Any {

@@ -18,7 +18,7 @@ use std::collections::HashMap;
 use xg_fsm::{alphabet, Controller, Machine, Step, Table, TableBuilder};
 use xg_mem::{BlockAddr, DataBlock};
 use xg_proto::{Ctx, HammerKind, HammerMsg, HomeMap};
-use xg_sim::{CheckDigest, Cycle, NodeId, Report};
+use xg_sim::{CheckDigest, Cycle, FsmRows, NodeId, Report};
 
 use crate::persona::{
     DemandKind, DemandResponse, GetReq, GrantState, HostPersona, PersonaEvent, PersonaStats,
@@ -130,7 +130,7 @@ pub fn table() -> &'static Table<PState, PEvent, PAction> {
     })
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum Txn {
     Get {
         kind: GetReq,
@@ -149,7 +149,7 @@ enum Txn {
     },
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct DemandCtx {
     requestor: Requestor,
 }
@@ -163,6 +163,7 @@ pub struct PCx<'a, 'b, 'e> {
 }
 
 /// Crossing Guard's Hammer-protocol half.
+#[derive(Clone)]
 pub(crate) struct HammerPersona {
     dir: HomeMap,
     txns: HashMap<BlockAddr, Txn>,
@@ -605,6 +606,12 @@ impl HostPersona for HammerPersona {
     }
     fn record_machine(&self, out: &mut Report) {
         self.machine.record_into(out);
+    }
+    fn visit_fired(&self, visit: &mut dyn FnMut(&'static dyn FsmRows, &[u64])) {
+        self.machine.visit_fired(visit);
+    }
+    fn box_clone(&self) -> Box<dyn HostPersona> {
+        Box::new(self.clone())
     }
     fn check_state(&self, out: &mut CheckDigest) {
         out.write_str("hammer_persona");

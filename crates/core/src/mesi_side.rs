@@ -18,7 +18,7 @@ use std::collections::HashMap;
 use xg_fsm::{alphabet, Controller, Machine, Step, Table, TableBuilder};
 use xg_mem::{BlockAddr, DataBlock};
 use xg_proto::{Ctx, HomeMap, MesiKind, MesiMsg};
-use xg_sim::{CheckDigest, Cycle, NodeId, Report};
+use xg_sim::{CheckDigest, Cycle, FsmRows, NodeId, Report};
 
 use crate::persona::{
     DemandKind, DemandResponse, GetReq, GrantState, HostPersona, PersonaEvent, PersonaStats,
@@ -164,7 +164,7 @@ pub fn table() -> &'static Table<PState, PEvent, PAction> {
     })
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum Txn {
     Get {
         grant: Option<(GrantState, DataBlock, bool)>,
@@ -185,7 +185,7 @@ enum Txn {
     },
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct DemandCtx {
     /// Who to answer: a sibling L1 for `Inv`/forwards, or `None` for a
     /// Recall (answered to the L2).
@@ -202,6 +202,7 @@ pub struct PCx<'a, 'b, 'e> {
 }
 
 /// Crossing Guard's MESI-protocol half.
+#[derive(Clone)]
 pub(crate) struct MesiPersona {
     l2: HomeMap,
     txns: HashMap<BlockAddr, Txn>,
@@ -784,6 +785,12 @@ impl HostPersona for MesiPersona {
     }
     fn record_machine(&self, out: &mut Report) {
         self.machine.record_into(out);
+    }
+    fn visit_fired(&self, visit: &mut dyn FnMut(&'static dyn FsmRows, &[u64])) {
+        self.machine.visit_fired(visit);
+    }
+    fn box_clone(&self) -> Box<dyn HostPersona> {
+        Box::new(self.clone())
     }
     fn check_state(&self, out: &mut CheckDigest) {
         out.write_str("mesi_persona");

@@ -16,6 +16,7 @@ use crate::config::OsPolicy;
 /// answering host demands safely) — the containment action the paper
 /// suggests ("disable the accelerator to prevent it from making further
 /// accesses").
+#[derive(Clone)]
 pub struct Os {
     name: String,
     policy: OsPolicy,
@@ -133,6 +134,10 @@ impl Component<Message> for Os {
             out.add(format!("{n}.errors.{kind}"), *count);
         }
         out.set(format!("{n}.guards_disabled"), self.disabled.len() as u64);
+    }
+
+    fn box_clone(&self) -> Option<Box<dyn Component<Message>>> {
+        Some(Box::new(self.clone()))
     }
 
     fn as_any(&self) -> &dyn std::any::Any {

@@ -10,7 +10,7 @@
 
 use xg_mem::{BlockAddr, DataBlock};
 use xg_proto::{Ctx, HammerMsg, MesiMsg};
-use xg_sim::{CheckDigest, Histogram, NodeId, Report};
+use xg_sim::{CheckDigest, FsmRows, Histogram, NodeId, Report};
 
 /// What a completed host Get granted us.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -198,9 +198,19 @@ pub(crate) trait HostPersona: Send {
     }
     /// Folds the persona's transition coverage into the report.
     fn record_machine(&self, out: &mut Report);
+    /// The persona's machine, dense (see [`xg_sim::Component::visit_fired`]).
+    fn visit_fired(&self, visit: &mut dyn FnMut(&'static dyn FsmRows, &[u64]));
+    /// A deep copy, so the guard that owns this persona can be cloned.
+    fn box_clone(&self) -> Box<dyn HostPersona>;
     /// Folds the persona's protocol-relevant state into a canonical digest
     /// (see [`CheckDigest`]): open transactions and pending demands, sorted
     /// by address role, timestamps excluded; each open item also counts as
     /// one [`CheckDigest::obligation`].
     fn check_state(&self, out: &mut CheckDigest);
+}
+
+impl Clone for Box<dyn HostPersona> {
+    fn clone(&self) -> Self {
+        self.box_clone()
+    }
 }

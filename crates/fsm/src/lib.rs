@@ -82,7 +82,7 @@ pub use table::{NextState, RowKind, RowOutcome, Table, TableBuilder, TableError}
 
 /// A finite, labeled vocabulary: the state, event, or action set of one
 /// machine. Implemented via the [`alphabet!`] macro.
-pub trait Alphabet: Copy + Eq + std::fmt::Debug + 'static {
+pub trait Alphabet: Copy + Eq + std::fmt::Debug + Send + Sync + 'static {
     /// Every member, in declaration order.
     const ALL: &'static [Self];
 

@@ -1,6 +1,6 @@
 //! Per-instance machine state: fired counters over a shared static table.
 
-use xg_sim::TransitionCoverage;
+use xg_sim::{FsmRows, TransitionCoverage};
 
 use crate::table::{NextState, Table, KIND_STALL, KIND_TRANSITION};
 use crate::Alphabet;
@@ -30,6 +30,7 @@ pub enum Resolution<S: Alphabet, A: Alphabet> {
 /// per-row fired counters. Cheap to create per controller (or per
 /// controller *instance* — counters from many instances of the same table
 /// merge under the table name in [`xg_sim::Report`]).
+#[derive(Clone)]
 pub struct Machine<S: Alphabet, E: Alphabet, A: Alphabet> {
     table: &'static Table<S, E, A>,
     fired: Vec<u64>,
@@ -89,22 +90,20 @@ impl<S: Alphabet, E: Alphabet, A: Alphabet> Machine<S, E, A> {
     /// controllers' violation statistics.
     pub fn coverage(&self) -> TransitionCoverage {
         let mut cov = TransitionCoverage::new();
-        for (i, &n) in self.fired.iter().enumerate() {
-            if self.table.is_violation(i) {
-                continue;
-            }
-            let (s, e) = Table::<S, E, A>::cell_coords(i);
-            cov.declare(s.label(), e.label());
-            if n > 0 {
-                cov.fire(s.label(), e.label(), n);
-            }
-        }
+        cov.add_fired(self.table, &self.fired);
         cov
+    }
+
+    /// Hands the table and this instance's dense per-cell fired counters
+    /// to `visit` (the body of a controller's
+    /// [`xg_sim::Component::visit_fired`]).
+    pub fn visit_fired(&self, visit: &mut dyn FnMut(&'static dyn FsmRows, &[u64])) {
+        visit(self.table, &self.fired);
     }
 
     /// Folds this instance's coverage into a report under the table name.
     pub fn record_into(&self, report: &mut xg_sim::Report) {
-        report.record_fsm(self.table.name(), &self.coverage());
+        report.record_fired(self.table, &self.fired);
     }
 }
 

@@ -407,6 +407,20 @@ impl<S: Alphabet, E: Alphabet, A: Alphabet> Table<S, E, A> {
     }
 }
 
+impl<S: Alphabet, E: Alphabet, A: Alphabet> xg_sim::FsmRows for Table<S, E, A> {
+    fn machine(&self) -> &'static str {
+        self.name
+    }
+
+    fn legal_row(&self, index: usize) -> Option<(&'static str, &'static str)> {
+        if self.is_violation(index) {
+            return None;
+        }
+        let (s, e) = Self::cell_coords(index);
+        Some((s.label(), e.label()))
+    }
+}
+
 impl<S: Alphabet, E: Alphabet, A: Alphabet> std::fmt::Debug for Table<S, E, A> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(

@@ -221,6 +221,7 @@ struct Stats {
 /// Also used directly as the *accelerator-side cache* of configuration (a)
 /// in Figure 2 — an accelerator that speaks the raw host protocol — and, on
 /// the host side of the chip, as the *host-side cache* of configuration (b).
+#[derive(Clone)]
 pub struct HammerCache {
     name: String,
     dir: HomeMap,
@@ -996,6 +997,10 @@ impl Component<Message> for HammerCache {
         out.record_coverage(format!("hammer_cache/{n}"), &self.coverage);
         out.record_hist(format!("{n}.lat.miss"), &self.stats.lat_miss);
         out.record_hist(format!("{n}.mshr_occupancy"), &self.stats.mshr_occupancy);
+    }
+
+    fn box_clone(&self) -> Option<Box<dyn Component<Message>>> {
+        Some(Box::new(self.clone()))
     }
 
     fn as_any(&self) -> &dyn std::any::Any {

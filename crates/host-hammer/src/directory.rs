@@ -17,7 +17,7 @@ use std::collections::{HashMap, VecDeque};
 use xg_fsm::{alphabet, Alphabet, Controller, Machine, Step, Table, TableBuilder};
 use xg_mem::{BlockAddr, DataBlock};
 use xg_proto::{Ctx, HammerKind, HammerMsg, Message};
-use xg_sim::{CheckDigest, Component, CoverageSet, Cycle, Histogram, NodeId, Report};
+use xg_sim::{CheckDigest, Component, CoverageSet, Cycle, FsmRows, Histogram, NodeId, Report};
 
 alphabet! {
     /// Abstract per-block directory states (paper §2.3 naming).
@@ -134,7 +134,7 @@ pub fn table() -> &'static Table<DirState, DirEvent, DirAction> {
 }
 
 /// Per-block directory state.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 struct DirBlock {
     owner: Option<NodeId>,
     busy: Option<Busy>,
@@ -150,7 +150,7 @@ enum Busy {
     Wb { putter: NodeId },
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 struct Stats {
     gets: u64,
     getms: u64,
@@ -172,6 +172,7 @@ pub struct DirCx<'a, 'b> {
 }
 
 /// The directory/memory controller of the Hammer-like protocol.
+#[derive(Clone)]
 pub struct HammerDirectory {
     name: String,
     caches: Vec<NodeId>,
@@ -577,6 +578,14 @@ impl Component<Message> for HammerDirectory {
         out.record_coverage(format!("hammer_dir/{n}"), &self.coverage);
         out.record_hist(format!("{n}.lat.busy"), &self.stats.lat_busy);
         self.machine.record_into(out);
+    }
+
+    fn box_clone(&self) -> Option<Box<dyn Component<Message>>> {
+        Some(Box::new(self.clone()))
+    }
+
+    fn visit_fired(&self, visit: &mut dyn FnMut(&'static dyn FsmRows, &[u64])) {
+        self.machine.visit_fired(visit);
     }
 
     fn as_any(&self) -> &dyn std::any::Any {

@@ -198,6 +198,7 @@ struct Stats {
 }
 
 /// A private MESI L1 cache serving one core.
+#[derive(Clone)]
 pub struct MesiL1 {
     name: String,
     l2: HomeMap,
@@ -1019,6 +1020,10 @@ impl Component<Message> for MesiL1 {
         out.record_coverage(format!("mesi_l1/{n}"), &self.coverage);
         out.record_hist(format!("{n}.lat.miss"), &self.stats.lat_miss);
         out.record_hist(format!("{n}.mshr_occupancy"), &self.stats.mshr_occupancy);
+    }
+
+    fn box_clone(&self) -> Option<Box<dyn Component<Message>>> {
+        Some(Box::new(self.clone()))
     }
 
     fn as_any(&self) -> &dyn std::any::Any {

@@ -32,7 +32,7 @@ use std::collections::{BTreeSet, HashMap, VecDeque};
 use xg_fsm::{alphabet, Alphabet, Controller, Machine, Step, Table, TableBuilder};
 use xg_mem::{BlockAddr, DataBlock, Replacement, SetAssocCache};
 use xg_proto::{Ctx, MesiKind, MesiMsg, Message};
-use xg_sim::{CheckDigest, Component, CoverageSet, Cycle, Histogram, NodeId, Report};
+use xg_sim::{CheckDigest, Component, CoverageSet, Cycle, FsmRows, Histogram, NodeId, Report};
 
 alphabet! {
     /// Abstract per-block L2 states (stable + transient).
@@ -254,7 +254,7 @@ enum GetKind {
     M,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum Busy {
     /// Memory fetch in flight for `requestor`.
     Fetch { requestor: NodeId, kind: GetKind },
@@ -271,7 +271,7 @@ enum Busy {
     Recall { pending: u32, line: L2Line },
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 struct Stats {
     violation_reasons: std::collections::BTreeMap<&'static str, u64>,
     redundant_getms: u64,
@@ -306,6 +306,7 @@ pub struct L2Cx<'a, 'b> {
 }
 
 /// The shared inclusive L2 + directory + memory controller.
+#[derive(Clone)]
 pub struct MesiL2 {
     name: String,
     cfg: MesiL2Config,
@@ -1134,6 +1135,14 @@ impl Component<Message> for MesiL2 {
         }
         out.record_coverage(format!("mesi_l2/{n}"), &self.coverage);
         self.machine.record_into(out);
+    }
+
+    fn box_clone(&self) -> Option<Box<dyn Component<Message>>> {
+        Some(Box::new(self.clone()))
+    }
+
+    fn visit_fired(&self, visit: &mut dyn FnMut(&'static dyn FsmRows, &[u64])) {
+        self.machine.visit_fired(visit);
     }
 
     fn as_any(&self) -> &dyn std::any::Any {

@@ -4,7 +4,7 @@ use std::any::Any;
 use std::fmt;
 
 use crate::check::CheckDigest;
-use crate::report::Report;
+use crate::report::{FsmRows, Report};
 use crate::simulator::Ctx;
 
 /// Identity of a component within a simulation.
@@ -82,6 +82,24 @@ pub trait Component<M>: Send {
     /// sinks whose state never feeds back into the protocol.
     fn check_state(&self, out: &mut CheckDigest) {
         let _ = out;
+    }
+
+    /// A deep copy of this component — behaviour, statistics and fired
+    /// counters alike — for [`crate::Simulator::checkpoint`]. The default
+    /// `None` marks a component that cannot be checkpointed (a world
+    /// containing one makes `checkpoint` fail by name); components that
+    /// share state with a peer (`Arc<Mutex<_>>`) must keep it, since a copy
+    /// would alias the original.
+    fn box_clone(&self) -> Option<Box<dyn Component<M>>> {
+        None
+    }
+
+    /// Hands each table-driven machine of this component — its row
+    /// universe and its dense per-cell fired counters — to `visit`, without
+    /// building the string-keyed coverage [`report`](Component::report)
+    /// does. The default visits nothing.
+    fn visit_fired(&self, visit: &mut dyn FnMut(&'static dyn FsmRows, &[u64])) {
+        let _ = visit;
     }
 
     /// Upcast for downcasting in harnesses.

@@ -84,8 +84,10 @@ pub use json::{JsonError, JsonValue};
 pub use link::{FaultSpec, Link};
 pub use par::ParSim;
 pub use queue::{CalendarQueue, QueueStats};
-pub use report::{CoverageSet, Report, TransitionCoverage};
-pub use simulator::{Ctx, LinkFaultCounts, RunOutcome, SimBuilder, Simulator};
+pub use report::{CoverageSet, FsmRows, Report, TransitionCoverage};
+pub use simulator::{
+    Checkpoint, CheckpointError, Ctx, LinkFaultCounts, RunOutcome, SimBuilder, Simulator,
+};
 pub use slab::{Slab, SlabId};
 pub use time::Cycle;
 pub use trace::{PostMortemFlag, TraceConfig, TraceEvent, TraceLevel, Tracer};

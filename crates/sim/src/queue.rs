@@ -196,6 +196,20 @@ impl<T> CalendarQueue<T> {
         self.stats
     }
 
+    /// Drops every scheduled event and restarts the window at `cursor`, so
+    /// that pushes at or after it take the ordinary path. Emptying a
+    /// non-empty queue rebuilds it (cold: only a simulator restored over an
+    /// undrained run does that); the operation counters carry on.
+    pub fn reset_at(&mut self, cursor: Cycle) {
+        if !self.is_empty() {
+            let stats = self.stats;
+            *self = CalendarQueue::new();
+            self.stats = stats;
+        }
+        self.cursor = cursor.as_u64();
+        self.cached_next = None;
+    }
+
     /// Schedules `item` at `time`, after everything already scheduled at
     /// the same time (FIFO tie-break).
     pub fn push(&mut self, time: Cycle, item: T) {
@@ -421,6 +435,28 @@ mod tests {
         std::iter::from_fn(|| q.pop())
             .map(|(t, v)| (t.as_u64(), v))
             .collect()
+    }
+
+    #[test]
+    fn reset_at_empties_and_moves_the_window_without_a_rebase() {
+        let mut q = CalendarQueue::new();
+        q.push(Cycle::new(9_000), 1u32);
+        q.push(Cycle::new(9_001), 2);
+        assert_eq!(q.pop().map(|(t, v)| (t.as_u64(), v)), Some((9_000, 1)));
+        // Non-empty reset: the leftover event is dropped.
+        q.reset_at(Cycle::new(100));
+        assert!(q.is_empty());
+        assert_eq!(q.peek_time(), None);
+        // Earlier than the old cursor, yet no rebase: the window moved.
+        q.push(Cycle::new(105), 3);
+        q.push(Cycle::new(101), 4);
+        assert_eq!(drain(&mut q), vec![(101, 4), (105, 3)]);
+        assert_eq!(q.stats().rebases, 0);
+        // Empty reset backwards again.
+        q.reset_at(Cycle::new(7));
+        q.push(Cycle::new(8), 5);
+        assert_eq!(drain(&mut q), vec![(8, 5)]);
+        assert_eq!(q.stats().rebases, 0);
     }
 
     #[test]

@@ -77,6 +77,20 @@ impl CoverageSet {
     }
 }
 
+/// The row universe of one table-driven machine, by dense cell index — what
+/// turns a machine's fired-counter array into a [`TransitionCoverage`].
+/// Implemented by `xg_fsm::Table`; tables are `'static`, so consumers that
+/// fold counters from many simulations (the `xg-check` explorer) can keep
+/// the reference next to their dense accumulator.
+pub trait FsmRows: Sync {
+    /// The machine (table) name coverage is reported under.
+    fn machine(&self) -> &'static str;
+
+    /// `(state, event)` labels of cell `index` when it is a legal row
+    /// (transition or stall); `None` for violation cells.
+    fn legal_row(&self, index: usize) -> Option<(&'static str, &'static str)>;
+}
+
 /// Per-machine transition coverage against a *declared* row universe.
 ///
 /// Where [`CoverageSet`] records whatever `(state, event)` pairs a
@@ -102,23 +116,42 @@ impl TransitionCoverage {
         Self::default()
     }
 
+    /// Adds `count` to a row, declaring it on first sight. A row already
+    /// present — every call but a machine's first — is found by borrowed
+    /// key, so only a new row allocates its labels.
+    fn bump(&mut self, state: &str, event: &str, count: u64) {
+        let events = match self.rows.get_mut(state) {
+            Some(events) => events,
+            None => self.rows.entry(state.to_owned()).or_default(),
+        };
+        match events.get_mut(event) {
+            Some(n) => *n += count,
+            None => {
+                events.insert(event.to_owned(), count);
+            }
+        }
+    }
+
     /// Declares a row of the machine's table without firing it.
     pub fn declare(&mut self, state: &str, event: &str) {
-        self.rows
-            .entry(state.to_owned())
-            .or_default()
-            .entry(event.to_owned())
-            .or_insert(0);
+        self.bump(state, event, 0);
     }
 
     /// Records `count` firings of a row (declaring it if needed).
     pub fn fire(&mut self, state: &str, event: &str, count: u64) {
-        *self
-            .rows
-            .entry(state.to_owned())
-            .or_default()
-            .entry(event.to_owned())
-            .or_insert(0) += count;
+        self.bump(state, event, count);
+    }
+
+    /// Adds one machine instance's dense per-cell fired counters: every
+    /// legal cell of `rows` is declared, fired ones counted. Violation
+    /// cells are excluded — firing one is a protocol bug, not a coverage
+    /// goal.
+    pub fn add_fired(&mut self, rows: &dyn FsmRows, fired: &[u64]) {
+        for (index, &n) in fired.iter().enumerate() {
+            if let Some((state, event)) = rows.legal_row(index) {
+                self.bump(state, event, n);
+            }
+        }
     }
 
     /// Number of declared rows.
@@ -284,6 +317,17 @@ impl Report {
     /// one per-machine table.
     pub fn record_fsm(&mut self, machine: impl Into<String>, cov: &TransitionCoverage) {
         self.fsm.entry(machine.into()).or_default().merge(cov);
+    }
+
+    /// Records a machine instance straight from its dense fired counters
+    /// (see [`TransitionCoverage::add_fired`]), under `rows.machine()` —
+    /// [`record_fsm`](Report::record_fsm) without the intermediate table.
+    pub fn record_fired(&mut self, rows: &dyn FsmRows, fired: &[u64]) {
+        let cov = match self.fsm.get_mut(rows.machine()) {
+            Some(cov) => cov,
+            None => self.fsm.entry(rows.machine().to_owned()).or_default(),
+        };
+        cov.add_fired(rows, fired);
     }
 
     /// Looks up the transition coverage for a machine.
@@ -913,6 +957,53 @@ mod tests {
         assert_eq!(ab.total_rows(), 3);
         assert_eq!(ab.fired_rows(), 2);
         assert_eq!(ab.count("I", "Load"), 1);
+    }
+
+    #[test]
+    fn transition_coverage_self_merge_doubles_counts_and_keeps_rows() {
+        let mut t = TransitionCoverage::new();
+        t.declare("I", "Load");
+        t.fire("S", "Inv", 2);
+        t.fire("S", "Load", 5);
+        let before = t.clone();
+        t.merge(&before);
+        let keys = |c: &TransitionCoverage| -> Vec<(String, String)> {
+            c.iter()
+                .map(|(s, e, _)| (s.to_owned(), e.to_owned()))
+                .collect()
+        };
+        assert_eq!(keys(&t), keys(&before));
+        assert_eq!(t.total_rows(), before.total_rows());
+        for (s, e, n) in before.iter() {
+            assert_eq!(t.count(s, e), 2 * n, "{s}/{e}");
+        }
+    }
+
+    #[test]
+    fn add_fired_declares_legal_cells_and_skips_violations() {
+        struct Rows;
+        impl FsmRows for Rows {
+            fn machine(&self) -> &'static str {
+                "toy"
+            }
+            fn legal_row(&self, index: usize) -> Option<(&'static str, &'static str)> {
+                [Some(("I", "Load")), None, Some(("S", "Inv"))][index]
+            }
+        }
+        let mut cov = TransitionCoverage::new();
+        cov.add_fired(&Rows, &[0, 9, 4]);
+        assert_eq!(cov.total_rows(), 2);
+        assert_eq!(cov.count("S", "Inv"), 4);
+        assert!(cov.is_declared("I", "Load"));
+        assert_eq!(cov.fired_rows(), 1);
+
+        // The report-level shortcut lands the same table, and adds up.
+        let mut direct = Report::new();
+        direct.record_fired(&Rows, &[0, 9, 4]);
+        assert_eq!(direct.fsm("toy"), Some(&cov));
+        direct.record_fired(&Rows, &[1, 0, 0]);
+        assert_eq!(direct.fsm("toy").unwrap().count("I", "Load"), 1);
+        assert_eq!(direct.fsm("toy").unwrap().total_rows(), 2);
     }
 
     #[test]

@@ -13,7 +13,7 @@ use crate::component::{Component, NodeId};
 use crate::event::{EventKind, Pending};
 use crate::link::Link;
 use crate::queue::{CalendarQueue, QueueStats};
-use crate::report::Report;
+use crate::report::{FsmRows, Report};
 use crate::slab::{Slab, SlabId};
 use crate::time::Cycle;
 use crate::trace::{TraceConfig, Tracer};
@@ -529,6 +529,27 @@ impl LinkTable {
         }
     }
 
+    /// The dynamic routing state of every pair, for a checkpoint.
+    fn dynamic(&self) -> Vec<(Cycle, u8)> {
+        self.pairs
+            .iter()
+            .map(|p| (p.last_delivery, p.burst))
+            .collect()
+    }
+
+    /// Reinstates what [`LinkTable::dynamic`] captured.
+    fn set_dynamic(&mut self, saved: &[(Cycle, u8)]) {
+        assert_eq!(
+            saved.len(),
+            self.pairs.len(),
+            "checkpoint of another topology"
+        );
+        for (pair, &(last_delivery, burst)) in self.pairs.iter_mut().zip(saved) {
+            pair.last_delivery = last_delivery;
+            pair.burst = burst;
+        }
+    }
+
     /// Mutable state for `from → to`, or `None` when either id is
     /// fabricated (out of range).
     #[inline]
@@ -569,6 +590,7 @@ fn draw_latency(rng: &mut SmallRng, link: Link) -> u64 {
 /// then depends only on that component's own event sequence, which is what
 /// makes sharded execution partition-invariant (and what keeps one
 /// component's draws from perturbing another's in serial runs).
+#[derive(Clone)]
 enum RngBank {
     Global(SmallRng),
     /// One stream per registered component, plus a trailing "external"
@@ -643,6 +665,89 @@ impl<M> Component<M> for Foreign {
         self
     }
 }
+
+/// A quiescent simulator's state as a value: everything that decides what
+/// the simulation does next, and everything its components would report.
+///
+/// Taken by [`Simulator::checkpoint`], reinstated — any number of times,
+/// into the simulator it came from or any other built from the same
+/// construction sequence — by [`Simulator::restore`]. It holds a deep copy
+/// of every component ([`Component::box_clone`]), simulated time, the RNG
+/// streams, each link's ordered-delivery floor and reorder-burst countdown,
+/// and the progress and link-fault counters. Because a checkpoint is only
+/// taken with nothing in flight it carries no events or payloads; because
+/// event order is relative (`(time, push sequence)`), the scheduler's push
+/// counter and the slab's free list need no copy either. The tracer ring,
+/// the timeline and the profiler are host-side observers and stay with the
+/// simulator.
+pub struct Checkpoint<M> {
+    components: Vec<Box<dyn Component<M>>>,
+    now: Cycle,
+    rng: RngBank,
+    links: Vec<(Cycle, u8)>,
+    progress: u64,
+    last_progress_at: Cycle,
+    faults: LinkFaultCounts,
+}
+
+impl<M> Checkpoint<M> {
+    /// Bytes the checkpoint holds inline: the components' own structs plus
+    /// the kernel state. Tables the components own on the heap (cache
+    /// arrays, transaction maps, fired counters) are not visible from here
+    /// and are not counted.
+    pub fn inline_bytes(&self) -> usize {
+        let components: usize = self
+            .components
+            .iter()
+            .map(|c| std::mem::size_of_val(&**c) + std::mem::size_of::<Box<dyn Component<M>>>())
+            .sum();
+        let streams = match &self.rng {
+            RngBank::Global(_) => 0,
+            RngBank::PerComponent(streams) => std::mem::size_of_val(&streams[..]),
+        };
+        std::mem::size_of::<Self>() + components + streams + std::mem::size_of_val(&self.links[..])
+    }
+}
+
+/// Why [`Simulator::checkpoint`] refused.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum CheckpointError {
+    /// Work is still in flight: queued events, parked message payloads or
+    /// unapplied effects. A checkpoint would silently drop them.
+    NotQuiescent {
+        /// Events in the queue.
+        queued: usize,
+        /// Message payloads parked in the slab.
+        parked: usize,
+    },
+    /// The simulator is one shard of a partitioned run; its peers hold the
+    /// rest of the state.
+    Sharded,
+    /// The named component does not implement [`Component::box_clone`].
+    NotCloneable {
+        /// The component's name.
+        component: String,
+    },
+}
+
+impl std::fmt::Display for CheckpointError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            CheckpointError::NotQuiescent { queued, parked } => write!(
+                f,
+                "simulator is not quiescent: {queued} queued event(s), {parked} parked payload(s)"
+            ),
+            CheckpointError::Sharded => {
+                write!(f, "simulator is one shard of a partitioned run")
+            }
+            CheckpointError::NotCloneable { component } => {
+                write!(f, "component {component:?} does not implement box_clone")
+            }
+        }
+    }
+}
+
+impl std::error::Error for CheckpointError {}
 
 /// A deterministic discrete-event simulator over message type `M`.
 ///
@@ -1096,6 +1201,80 @@ impl<M: Clone + 'static> Simulator<M> {
             out.write_node(id);
             self.components[id.index()].check_state(out);
         }
+    }
+
+    /// Hands every component's table-driven machines (row universe, dense
+    /// fired counters) to `visit`, in registration order. See
+    /// [`Component::visit_fired`].
+    pub fn visit_fired(&self, visit: &mut dyn FnMut(&'static dyn FsmRows, &[u64])) {
+        for comp in self.components.iter() {
+            comp.visit_fired(visit);
+        }
+    }
+
+    /// Captures this simulator's state as a [`Checkpoint`]. Valid only at
+    /// quiescence — empty queue, no parked payloads, no pending effects —
+    /// on an unsharded simulator whose components all implement
+    /// [`Component::box_clone`]; anything else is refused with the reason.
+    pub fn checkpoint(&self) -> Result<Checkpoint<M>, CheckpointError> {
+        if self.shard_map.is_some() {
+            return Err(CheckpointError::Sharded);
+        }
+        if !self.queue.is_empty() || !self.msgs.is_empty() || !self.effects.is_empty() {
+            return Err(CheckpointError::NotQuiescent {
+                queued: self.queue.len(),
+                parked: self.msgs.len(),
+            });
+        }
+        let components = self
+            .components
+            .iter()
+            .map(|c| {
+                c.box_clone().ok_or_else(|| CheckpointError::NotCloneable {
+                    component: c.name().to_owned(),
+                })
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(Checkpoint {
+            components,
+            now: self.now,
+            rng: self.rng.clone(),
+            links: self.links.dynamic(),
+            progress: self.progress,
+            last_progress_at: self.last_progress_at,
+            faults: self.faults,
+        })
+    }
+
+    /// Reinstates `checkpoint`, discarding whatever this simulator was
+    /// doing (pending events and payloads included — restoring over a run
+    /// that failed to drain is how a scratch world is reused). The
+    /// simulator then behaves exactly as the checkpointed one would have.
+    ///
+    /// # Panics
+    /// If `checkpoint` came from a simulator with a different component
+    /// list or topology.
+    pub fn restore(&mut self, checkpoint: &Checkpoint<M>) {
+        assert_eq!(
+            checkpoint.components.len(),
+            self.components.len(),
+            "checkpoint of another simulator"
+        );
+        for (slot, saved) in self.components.iter_mut().zip(&checkpoint.components) {
+            debug_assert_eq!(slot.name(), saved.name(), "checkpoint of another simulator");
+            *slot = saved
+                .box_clone()
+                .expect("a checkpointed component clones again");
+        }
+        self.queue.reset_at(checkpoint.now);
+        self.msgs.clear();
+        self.effects.clear();
+        self.now = checkpoint.now;
+        self.rng = checkpoint.rng.clone();
+        self.links.set_dynamic(&checkpoint.links);
+        self.progress = checkpoint.progress;
+        self.last_progress_at = checkpoint.last_progress_at;
+        self.faults = checkpoint.faults;
     }
 
     /// Names of all registered components, for diagnostics.
@@ -1755,5 +1934,116 @@ mod tests {
             scoped_alone, scoped_crowded,
             "per-component streams must not be perturbed by bystanders"
         );
+    }
+
+    /// A [`Recorder`] that can be checkpointed.
+    #[derive(Clone)]
+    struct Tape(Vec<(u64, u64)>);
+    impl Component<u64> for Tape {
+        fn name(&self) -> &str {
+            "tape"
+        }
+        fn handle(&mut self, _from: NodeId, msg: u64, ctx: &mut Ctx<'_, u64>) {
+            self.0.push((ctx.now().as_u64(), msg));
+            // Every delivery below 3 fans out again, so later behaviour
+            // depends on RNG state, link floors and component state alike.
+            if msg % 4 < 3 {
+                let next: u64 = ctx.rng().gen_range(0..1_000);
+                let me = ctx.self_id();
+                ctx.send(me, next);
+            }
+        }
+        fn box_clone(&self) -> Option<Box<dyn Component<u64>>> {
+            Some(Box::new(self.clone()))
+        }
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+    }
+
+    fn tape_sim() -> (Simulator<u64>, NodeId) {
+        let mut b = SimBuilder::new(5);
+        let tape = b.add(Box::new(Tape(Vec::new())));
+        b.per_component_rng(true);
+        b.link(tape, tape, Link::ordered(1, 30));
+        (b.build(), tape)
+    }
+
+    #[test]
+    fn restore_replays_the_checkpointed_future_exactly() {
+        let (mut sim, tape) = tape_sim();
+        sim.post(tape, tape, 0);
+        assert!(sim.run_to_quiescence(100_000).quiescent);
+        let cp = sim.checkpoint().expect("quiescent, cloneable, unsharded");
+        let taken_at = sim.now();
+        assert!(cp.inline_bytes() > 0);
+
+        let future = |sim: &mut Simulator<u64>| {
+            sim.post(tape, tape, 4);
+            assert!(sim.run_to_quiescence(100_000).quiescent);
+            (sim.get::<Tape>(tape).unwrap().0.clone(), sim.now())
+        };
+        let first = future(&mut sim);
+        sim.restore(&cp);
+        assert_eq!(sim.now(), taken_at);
+        assert_eq!(future(&mut sim), first, "same simulator, restored");
+
+        // A second simulator built the same way takes the checkpoint too,
+        // even while it is mid-run: its pending work is discarded.
+        let (mut other, _) = tape_sim();
+        other.post(tape, tape, 1);
+        other.post_wake(tape, 50_000, 9);
+        assert!(!other.run_to_quiescence(10).quiescent);
+        other.restore(&cp);
+        assert_eq!(future(&mut other), first, "fresh simulator, restored");
+    }
+
+    #[test]
+    fn checkpoint_refuses_a_non_quiescent_simulator() {
+        let (mut sim, tape) = tape_sim();
+        sim.post(tape, tape, 3);
+        match sim.checkpoint() {
+            Err(CheckpointError::NotQuiescent { queued, parked }) => {
+                assert_eq!((queued, parked), (1, 1));
+            }
+            other => panic!("expected NotQuiescent, got {:?}", other.err()),
+        }
+        // The refusal dropped nothing: the message still arrives.
+        assert!(sim.run_to_quiescence(1_000).quiescent);
+        assert_eq!(sim.get::<Tape>(tape).unwrap().0.len(), 1);
+        assert!(sim.checkpoint().is_ok());
+    }
+
+    #[test]
+    fn checkpoint_names_the_component_that_cannot_clone() {
+        let mut b = SimBuilder::new(1);
+        b.add(Box::new(Tape(Vec::new())));
+        b.add(Box::new(Recorder::new()));
+        let err = b
+            .build()
+            .checkpoint()
+            .err()
+            .expect("recorder has no box_clone");
+        assert_eq!(
+            err,
+            CheckpointError::NotCloneable {
+                component: "recorder".into()
+            }
+        );
+        assert!(err.to_string().contains("recorder"), "{err}");
+    }
+
+    #[test]
+    fn checkpoint_refuses_a_shard() {
+        let mut b = SimBuilder::new(1);
+        b.add(Box::new(Tape(Vec::new())));
+        b.add(Box::new(Tape(Vec::new())));
+        let (shards, _, _) = b.build_shards(&[0, 1]);
+        for shard in &shards {
+            assert_eq!(shard.checkpoint().err(), Some(CheckpointError::Sharded));
+        }
     }
 }

@@ -112,6 +112,15 @@ impl<T> Slab<T> {
         self.len() == 0
     }
 
+    /// Drops every parked value. An already-empty slab is left untouched,
+    /// so its recycled slots stay cache-hot.
+    pub fn clear(&mut self) {
+        if !self.is_empty() {
+            self.slots.clear();
+            self.free.clear();
+        }
+    }
+
     /// Total slots ever allocated (the in-flight high-water mark).
     pub fn capacity(&self) -> usize {
         self.slots.len()
@@ -157,6 +166,19 @@ mod tests {
             slab.insert(i);
         }
         assert_eq!(slab.capacity(), 8);
+    }
+
+    #[test]
+    fn clear_drops_parked_values_and_allows_reuse() {
+        let mut slab = Slab::new();
+        slab.insert(1);
+        let b = slab.insert(2);
+        slab.take(b);
+        slab.clear();
+        assert!(slab.is_empty());
+        let c = slab.insert(3);
+        assert_eq!(*slab.get(c), 3);
+        assert_eq!(slab.len(), 1);
     }
 
     #[test]
