@@ -7,7 +7,6 @@
 //! cargo run --release -p xg-bench --bin xg-report -- quick --jobs 4
 //! cargo run --release -p xg-bench --bin xg-report -- quick --coverage
 //! cargo run --release -p xg-bench --bin xg-report -- quick --profile
-//! cargo run --release -p xg-bench --bin xg-report -- quick --shards --banks 2 --threads 4
 //! cargo run --release -p xg-bench --bin xg-report -- quick --timeline trace.json
 //! ```
 //!
@@ -24,12 +23,6 @@
 //! profiling enabled and prints the hot-path attribution table: the top
 //! event types by dispatch count, with sampled host-time attribution.
 //! Combine with `--json` to write the full profiled report.
-//!
-//! `--shards` runs one representative stress simulation on the
-//! *partitioned* executor (`--banks M` home banks, `--threads W` workers;
-//! defaults 2 and 4) with profiling on and prints the shard-occupancy
-//! table: per-shard dispatched events and cross-shard traffic, plus the
-//! window/barrier summary.
 //!
 //! `--timeline PATH` records one representative guarded stress run with
 //! per-address transaction timelines on and writes Chrome trace-event
@@ -74,30 +67,6 @@ fn main() {
     if args.iter().any(|a| a == "--profile") {
         let report = xg_bench::profile::collect_profile_jobs(scale, jobs);
         print!("{}", xg_bench::profile::profile_table(&report, 12));
-        if let Some(path) = json_path {
-            if let Err(e) = std::fs::write(&path, report.to_json()) {
-                eprintln!("failed to write {path}: {e}");
-                std::process::exit(1);
-            }
-            println!("machine-readable report written to {path}");
-        }
-        return;
-    }
-    if args.iter().any(|a| a == "--shards") {
-        let parse = |flag: &str, default: usize| {
-            arg_value(&args, flag)
-                .map(|raw| {
-                    raw.trim().parse::<usize>().unwrap_or_else(|_| {
-                        eprintln!("{flag} requires a positive integer, got {raw:?}");
-                        std::process::exit(2);
-                    })
-                })
-                .unwrap_or(default)
-        };
-        let banks = parse("--banks", 2);
-        let threads = parse("--threads", 4);
-        let report = xg_bench::profile::collect_shard_profile(scale, banks, threads);
-        print!("{}", xg_bench::profile::shard_table(&report));
         if let Some(path) = json_path {
             if let Err(e) = std::fs::write(&path, report.to_json()) {
                 eprintln!("failed to write {path}: {e}");

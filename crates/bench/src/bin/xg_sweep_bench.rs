@@ -1,5 +1,5 @@
-//! Self-measuring speedup benchmark for the parallel sweep executor, and
-//! the keeper of the in-tree perf trajectory (`BENCH_sweep.json`).
+//! Determinism check for the parallel sweep executor, and the keeper of
+//! the in-tree deterministic drift gate (`BENCH_sweep.json`).
 //!
 //! Runs the *same* profiled stress sweep (the full 12-configuration
 //! [`SystemConfig::matrix`] crossed with several seeds) twice — once at
@@ -10,19 +10,14 @@
 //!   (every other profile counter — dispatch counts, queue high-water
 //!   marks, epoch series — must match exactly too: the determinism
 //!   guarantee the sweep executor makes);
-//! * writes `BENCH_sweep.json` with wall-clock times, aggregate
-//!   simulated-op throughput (the headline, printed first together with
-//!   dispatched events per op), dispatched-event throughput, the parallel
-//!   speedup, and a `profile` section (total dispatches, events per op,
-//!   queue high-water mark, scheduler operation counters, top event
-//!   types) so the repo carries a reviewable perf trajectory.
-//!
-//! It then measures *intra-run* parallelism — ONE simulation partitioned
-//! across home-bank/hierarchy/CPU shards on the time-window executor —
-//! at `threads=1` vs `threads=W`, asserts the two runs are byte-identical
-//! (report and deterministic `par.*` counters), and records the result in
-//! an `intra_run` section: partition shape, window/cross-shard counters
-//! (drift-gated), and wall-clock speedup (informational).
+//! * prints wall-clock times, simulated-op throughput and the parallel
+//!   speedup on stderr (informational: they differ per runner, so they are
+//!   never written to the file — wall clock is `benchmark/`'s job);
+//! * writes `BENCH_sweep.json`: the sweep shape plus a `profile` section
+//!   (total dispatches, events per op, queue high-water mark, scheduler
+//!   operation counters, top event types). Every field is a deterministic
+//!   function of the code, so the file moves only when a change alters how
+//!   much work the sweep does.
 //!
 //! ```text
 //! cargo run --release -p xg-bench --bin xg-sweep-bench -- --out BENCH_sweep.json
@@ -30,14 +25,11 @@
 //! cargo run --release -p xg-bench --bin xg-sweep-bench -- --check
 //! ```
 //!
-//! `--check` regenerates the numbers and compares the *machine-independent*
-//! fields (`shards`, `ops_per_shard`, everything under `profile` and
-//! `intra_run`) against the committed file instead of overwriting it.
-//! Drift beyond 20% on any field fails with a per-key diff and a
-//! regeneration hint, so CI catches when a code change silently changes
-//! how much work the sweep does. Wall-clock fields — every `*_ns`/`*_ms`
-//! key plus the derived speedups and throughputs — are informational and
-//! never gated; they differ per runner by design.
+//! `--check` regenerates the numbers and compares every numeric field
+//! against the committed file instead of overwriting it. Drift beyond 20%
+//! on any field fails with a per-key diff and a regeneration hint, so CI
+//! catches when a code change silently changes how much work the sweep
+//! does.
 
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -45,8 +37,7 @@ use std::time::Instant;
 use xg_harness::{run_stress_with, sweep, Instrumentation, StressOpts, SystemConfig};
 use xg_sim::{JsonValue, Report};
 
-/// Ops per shard. Unchanged since the first committed `BENCH_sweep.json`,
-/// so `serial_ops_per_sec` reads as one trajectory across PRs.
+/// Ops per shard. Unchanged since the first committed `BENCH_sweep.json`.
 const OPS: u64 = 800;
 /// Seeds crossed with the 12-configuration matrix: 48 shards total.
 const SEEDS: [u64; 4] = [1, 2, 3, 4];
@@ -85,100 +76,15 @@ fn run_once(shards: &[(SystemConfig, u64)], jobs: usize) -> (Report, f64) {
     (Report::merge_shards(&reports), wall)
 }
 
-/// The deterministic profile subset: everything except sampled wall clock
-/// — `host_ns.*` attribution and any other `*_ns` counter (e.g. the
-/// partitioned executor's `par.barrier_wait_ns`) — which legitimately
-/// varies run to run and machine to machine.
+/// The deterministic profile subset: everything except the sampled
+/// wall-clock `host_ns.*` attribution, which legitimately varies run to
+/// run and machine to machine.
 fn deterministic_profile(report: &Report) -> Vec<(String, u64)> {
     report
         .profile_entries()
-        .filter(|(k, _)| !k.starts_with("host_ns.") && !k.ends_with("_ns"))
+        .filter(|(k, _)| !k.starts_with("host_ns."))
         .map(|(k, v)| (k.to_owned(), v))
         .collect()
-}
-
-/// Ops for the intra-run measurement: one simulation, so it needs to be
-/// long enough that per-window barrier costs amortize.
-const INTRA_OPS: u64 = 6_000;
-/// Home banks for the intra-run partition (banks + hierarchies + CPU
-/// pairs = the shard count the executor can spread across workers).
-const INTRA_BANKS: usize = 4;
-
-/// Runs the representative guarded config ONCE on the partitioned
-/// executor with `threads` workers, returning the profiled report and
-/// wall-clock milliseconds.
-fn run_intra(threads: usize) -> (Report, f64) {
-    let cfg = SystemConfig {
-        home_banks: INTRA_BANKS,
-        threads,
-        seed: 21,
-        ..SystemConfig::default()
-    };
-    let t0 = Instant::now();
-    let out = run_stress_with(
-        &cfg,
-        &StressOpts {
-            ops: INTRA_OPS,
-            ..StressOpts::default()
-        },
-        &Instrumentation::profiled(),
-    );
-    let wall = t0.elapsed().as_secs_f64() * 1e3;
-    assert!(
-        !out.deadlocked && out.data_errors == 0,
-        "intra-run bench config must run clean (threads={threads})"
-    );
-    (out.report, wall)
-}
-
-/// Measures intra-run scaling at `threads=1` vs `threads=workers`, gates
-/// byte-identity, and renders the `intra_run` section. Deterministic
-/// partition counters (shards, windows, delta, cross-shard messages) are
-/// drift-gated; `*_ms` wall clock and the derived speedup are not.
-fn intra_run_section(workers: usize) -> JsonValue {
-    let (oracle, serial_ms) = run_intra(1);
-    let (parallel, parallel_ms) = run_intra(workers);
-    assert_eq!(
-        oracle.without_profile().to_json(),
-        parallel.without_profile().to_json(),
-        "determinism violated: threads=1 and threads={workers} reports differ"
-    );
-    assert_eq!(
-        deterministic_profile(&oracle),
-        deterministic_profile(&parallel),
-        "determinism violated: threads=1 and threads={workers} par counters differ"
-    );
-    let speedup_milli = (serial_ms / parallel_ms.max(1e-9) * 1e3) as u64;
-    let mut section = BTreeMap::new();
-    section.insert("banks".to_owned(), JsonValue::Num(INTRA_BANKS as u64));
-    section.insert("threads".to_owned(), JsonValue::Num(workers as u64));
-    section.insert("ops".to_owned(), JsonValue::Num(INTRA_OPS));
-    section.insert(
-        "shards".to_owned(),
-        JsonValue::Num(oracle.profile_get("par.shards")),
-    );
-    section.insert(
-        "windows".to_owned(),
-        JsonValue::Num(oracle.profile_get("par.windows")),
-    );
-    section.insert(
-        "delta".to_owned(),
-        JsonValue::Num(oracle.profile_get("par.delta")),
-    );
-    section.insert(
-        "xshard_sent".to_owned(),
-        JsonValue::Num(oracle.profile_get("par.xshard.sent")),
-    );
-    section.insert(
-        "serial_wall_ms".to_owned(),
-        JsonValue::Num(serial_ms as u64),
-    );
-    section.insert(
-        "parallel_wall_ms".to_owned(),
-        JsonValue::Num(parallel_ms as u64),
-    );
-    section.insert("speedup_milli".to_owned(), JsonValue::Num(speedup_milli));
-    JsonValue::Obj(section)
 }
 
 /// Builds the committed `profile` section: total dispatches and
@@ -228,22 +134,9 @@ fn profile_section(report: &Report, total_ops: u64) -> JsonValue {
     JsonValue::Obj(section)
 }
 
-/// Renders the whole benchmark result as a (integer-only, deterministic
-/// key order) JSON document.
-#[allow(clippy::too_many_arguments)]
-fn bench_json(
-    shards: usize,
-    jobs: usize,
-    serial_ms: f64,
-    parallel_ms: f64,
-    total_ops: u64,
-    total_events: u64,
-    profile: JsonValue,
-    intra_run: JsonValue,
-) -> JsonValue {
-    let ops_per_sec = |ms: f64| (total_ops as f64 / (ms / 1e3).max(1e-9)) as u64;
-    let events_per_sec = |ms: f64| (total_events as f64 / (ms / 1e3).max(1e-9)) as u64;
-    let speedup_milli = (serial_ms / parallel_ms.max(1e-9) * 1e3) as u64;
+/// Renders the benchmark result as a (integer-only, deterministic key
+/// order) JSON document. Nothing machine-dependent goes in.
+fn bench_json(shards: usize, profile: JsonValue) -> JsonValue {
     let mut doc = BTreeMap::new();
     doc.insert(
         "bench".to_owned(),
@@ -252,84 +145,28 @@ fn bench_json(
     doc.insert("deterministic".to_owned(), JsonValue::Num(1));
     doc.insert("shards".to_owned(), JsonValue::Num(shards as u64));
     doc.insert("ops_per_shard".to_owned(), JsonValue::Num(OPS));
-    doc.insert("jobs".to_owned(), JsonValue::Num(jobs as u64));
-    doc.insert(
-        "serial_wall_ms".to_owned(),
-        JsonValue::Num(serial_ms as u64),
-    );
-    doc.insert(
-        "parallel_wall_ms".to_owned(),
-        JsonValue::Num(parallel_ms as u64),
-    );
-    doc.insert(
-        "serial_ops_per_sec".to_owned(),
-        JsonValue::Num(ops_per_sec(serial_ms)),
-    );
-    doc.insert(
-        "parallel_ops_per_sec".to_owned(),
-        JsonValue::Num(ops_per_sec(parallel_ms)),
-    );
-    // Kernel throughput in dispatched events: machine-dependent,
-    // informational, never gated — and not the headline, since it rises
-    // with idle timers as happily as with useful work. `*_ops_per_sec`
-    // above and `profile.events_per_op_milli` are the figures to quote.
-    doc.insert(
-        "serial_events_per_sec".to_owned(),
-        JsonValue::Num(events_per_sec(serial_ms)),
-    );
-    doc.insert(
-        "parallel_events_per_sec".to_owned(),
-        JsonValue::Num(events_per_sec(parallel_ms)),
-    );
-    doc.insert("speedup_milli".to_owned(), JsonValue::Num(speedup_milli));
-    doc.insert(
-        "profile".to_owned(),
-        JsonValue::Obj(profile.as_obj().cloned().unwrap_or_default()),
-    );
-    doc.insert(
-        "intra_run".to_owned(),
-        JsonValue::Obj(intra_run.as_obj().cloned().unwrap_or_default()),
-    );
+    doc.insert("profile".to_owned(), profile);
     JsonValue::Obj(doc)
 }
 
-/// Flattens the gated (machine-independent) numeric fields of a benchmark
-/// document to dotted keys.
+/// Flattens every numeric field of a benchmark document to dotted keys.
 fn gated_fields(doc: &JsonValue) -> BTreeMap<String, u64> {
-    let mut out = BTreeMap::new();
-    let Some(obj) = doc.as_obj() else { return out };
-    for key in ["shards", "ops_per_shard"] {
-        if let Some(n) = obj.get(key).and_then(JsonValue::as_num) {
-            out.insert(key.to_owned(), n);
-        }
-    }
-    fn flatten(prefix: &str, v: &JsonValue, out: &mut BTreeMap<String, u64>) {
-        // Wall clock and anything derived from it (speedups, throughput
-        // rates) differ per runner by design — never gate them.
-        if prefix.ends_with("_ns")
-            || prefix.ends_with("_ms")
-            || prefix.contains("speedup")
-            || prefix.contains("per_sec")
-        {
-            return;
-        }
+    fn flatten(key: &str, v: &JsonValue, out: &mut BTreeMap<String, u64>) {
         match v {
             JsonValue::Num(n) => {
-                out.insert(prefix.to_owned(), *n);
+                out.insert(key.to_owned(), *n);
             }
             JsonValue::Obj(m) => {
                 for (k, v) in m {
-                    flatten(&format!("{prefix}.{k}"), v, out);
+                    flatten(&format!("{key}.{k}"), v, out);
                 }
             }
             _ => {}
         }
     }
-    if let Some(profile) = obj.get("profile") {
-        flatten("profile", profile, &mut out);
-    }
-    if let Some(intra) = obj.get("intra_run") {
-        flatten("intra_run", intra, &mut out);
+    let mut out = BTreeMap::new();
+    for (k, v) in doc.as_obj().into_iter().flatten() {
+        flatten(k, v, &mut out);
     }
     out
 }
@@ -397,37 +234,17 @@ fn main() {
         "determinism violated: jobs=1 and jobs={jobs} profile counters differ"
     );
 
-    // Intra-run scaling: ONE simulation spread across its shard partition.
-    let intra_workers = jobs.clamp(2, 8);
-    eprintln!(
-        "intra-run bench: 1 sim x {INTRA_OPS} ops, {INTRA_BANKS} banks, \
-         threads=1 then threads={intra_workers}"
-    );
-    let intra = intra_run_section(intra_workers);
-    let intra_speedup = intra
-        .as_obj()
-        .and_then(|m| m.get("speedup_milli"))
-        .and_then(JsonValue::as_num)
-        .unwrap_or(0) as f64
-        / 1e3;
-
     let speedup = serial_ms / parallel_ms.max(1e-9);
     let total_events = serial_report.profile_get("events.total");
-    let doc = bench_json(
-        shards.len(),
-        jobs,
-        serial_ms,
-        parallel_ms,
-        total_ops,
-        total_events,
-        profile_section(&serial_report, total_ops),
-        intra,
-    );
-    let headline = format!(
-        "serial {:.0} ops/s, {:.1} events/op",
-        total_ops as f64 / (serial_ms / 1e3).max(1e-9),
+    let ops_per_sec = |ms: f64| total_ops as f64 / (ms / 1e3).max(1e-9);
+    eprintln!(
+        "serial {serial_ms:.0} ms ({:.0} ops/s), jobs={jobs} {parallel_ms:.0} ms \
+         ({:.0} ops/s), speedup {speedup:.2}x, {:.1} events/op; merged reports byte-identical",
+        ops_per_sec(serial_ms),
+        ops_per_sec(parallel_ms),
         total_events as f64 / total_ops as f64,
     );
+    let doc = bench_json(shards.len(), profile_section(&serial_report, total_ops));
 
     if check {
         let committed_text = std::fs::read_to_string(&out_path).unwrap_or_else(|e| {
@@ -440,11 +257,7 @@ fn main() {
         });
         let drifts = check_drift(&committed, &doc);
         if drifts.is_empty() {
-            println!(
-                "{headline}; {out_path} is fresh: all gated fields within {DRIFT_PCT}% \
-                 (serial {serial_ms:.0} ms, jobs={jobs} {parallel_ms:.0} ms, \
-                 speedup {speedup:.2}x)"
-            );
+            println!("{out_path} is fresh: every field within {DRIFT_PCT}%");
             return;
         }
         eprintln!(
@@ -466,10 +279,5 @@ fn main() {
         eprintln!("failed to write {out_path}: {e}");
         std::process::exit(1);
     }
-    println!(
-        "sweep: {headline}; serial {serial_ms:.0} ms, jobs={jobs} {parallel_ms:.0} ms, \
-         speedup {speedup:.2}x \
-         (merged reports byte-identical); intra-run: threads={intra_workers} speedup \
-         {intra_speedup:.2}x (reports byte-identical); written to {out_path}"
-    );
+    println!("written to {out_path}");
 }

@@ -1,25 +1,20 @@
-//! E13 — intra-run scaling: sharded home nodes × parallel execution.
+//! E13 — banked homes: address-interleaved home nodes.
 //!
-//! The sharded-home tentpole splits one simulation along its natural
-//! partition — M address-interleaved home banks, one shard per
-//! accelerator hierarchy, one per CPU core/cache pair — and runs the
-//! shards on W workers under conservative time-window barriers. This
-//! experiment sweeps the whole shape product (CPU cores × accelerator
-//! slots × home banks × worker threads) and pins the two claims that
-//! make the feature shippable:
+//! `SystemConfig::home_banks` splits the host home node into M
+//! address-interleaved directory / shared-L2 banks; every cache and guard
+//! routes each block to its owning bank. This experiment sweeps two system
+//! shapes (a small guarded Hammer system, a wider MESI one with two
+//! hierarchies) across bank counts and pins the claim that makes the
+//! feature shippable:
 //!
 //! * **Safety at every point**: no cell may deadlock, corrupt data,
 //!   raise a protocol violation, or report a spurious guard error —
-//!   banking and partitioning must never change what the protocols do.
-//! * **Worker-count invariance**: for a fixed partition, every
-//!   `threads ≥ 2` cell must be *byte-identical* (same cycles, same
-//!   completed ops, same report JSON) to its `threads = 1` oracle.
-//!   The table carries a fingerprint column so the gate is visible.
+//!   banking must never change what the protocols do.
 //!
-//! Simulated metrics only — no wall-clock fields — so the table and the
-//! summary report are deterministic and safe to diff across machines.
-//! Wall-clock speedup lives in `BENCH_sweep.json`'s `intra_run` section
-//! (see `xg-sweep-bench`), which is never drift-gated.
+//! The table also reports simulated throughput (ops per thousand cycles)
+//! per cell. Simulated metrics only — no wall-clock fields — so the table
+//! and the summary report are deterministic and safe to diff across
+//! machines.
 
 use xg_harness::{run_stress_with, HostProtocol, Instrumentation, StressOpts, SystemConfig};
 use xg_sim::Report;
@@ -27,10 +22,10 @@ use xg_sim::Report;
 use crate::table::Table;
 use crate::Scale;
 
-/// One (shape × banks × threads) cell.
+/// One (shape × banks) cell.
 #[derive(Debug, Clone)]
 pub struct Row {
-    /// Configuration label with `@bM`/`@tW` execution suffixes.
+    /// Configuration label with the `@bM` bank suffix.
     pub config: String,
     /// CPU core count.
     pub cpus: usize,
@@ -38,8 +33,6 @@ pub struct Row {
     pub accels: usize,
     /// Address-interleaved home banks.
     pub banks: usize,
-    /// Parallel worker threads (≥ 1: the partitioned executor).
-    pub threads: usize,
     /// Tester operations completed.
     pub ops: u64,
     /// Cycles simulated.
@@ -52,9 +45,6 @@ pub struct Row {
     pub data_errors: u64,
     /// True if the watchdog fired or ops were left hanging.
     pub deadlocked: bool,
-    /// FNV-1a over (cycles, completed, report JSON): rows sharing a
-    /// partition must share this at every worker count.
-    pub fingerprint: u64,
 }
 
 impl Row {
@@ -62,48 +52,28 @@ impl Row {
     pub fn ops_per_kcycle(&self) -> u64 {
         self.ops * 1_000 / self.cycles.max(1)
     }
-
-    /// The partition key: rows agreeing here must agree on `fingerprint`.
-    pub fn partition(&self) -> (usize, usize, usize) {
-        (self.cpus, self.accels, self.banks)
-    }
 }
 
-/// FNV-1a, 64-bit: stable, dependency-free fingerprinting.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1_0000_01b3);
-    }
-    h
-}
-
-/// System shapes crossed with the bank/thread sweep: a small guarded
-/// system on each host protocol, and a wider one with two hierarchies.
+/// System shapes crossed with the bank sweep: a small guarded system on
+/// each host protocol, and a wider one with two hierarchies.
 const SHAPES: [(HostProtocol, usize, usize); 2] =
     [(HostProtocol::Hammer, 2, 1), (HostProtocol::Mesi, 4, 2)];
 /// Home-bank counts swept per shape.
 const BANKS: [usize; 3] = [1, 2, 4];
-/// Worker counts swept per partition; 1 is the invariance oracle.
-const THREADS: [usize; 3] = [1, 2, 4];
 
 /// Every cell of the sweep, in table order.
 pub fn configs(seed: u64) -> Vec<SystemConfig> {
     let mut out = Vec::new();
     for (host, cpus, accels) in SHAPES {
         for banks in BANKS {
-            for threads in THREADS {
-                out.push(SystemConfig {
-                    host,
-                    cpu_cores: cpus,
-                    num_accels: accels,
-                    home_banks: banks,
-                    threads,
-                    seed,
-                    ..SystemConfig::default()
-                });
-            }
+            out.push(SystemConfig {
+                host,
+                cpu_cores: cpus,
+                num_accels: accels,
+                home_banks: banks,
+                seed,
+                ..SystemConfig::default()
+            });
         }
     }
     out
@@ -115,8 +85,7 @@ pub fn run(scale: Scale, seed: u64) -> (Vec<Row>, Report) {
 }
 
 /// Runs every cell on `jobs` workers. The returned [`Report`] carries
-/// per-cell simulated throughput and the partition fingerprints under
-/// `e13.<config>.*` scalar keys.
+/// per-cell simulated throughput under `e13.<config>.*` scalar keys.
 pub fn run_jobs(scale: Scale, seed: u64, jobs: usize) -> (Vec<Row>, Report) {
     let ops = scale.ops(150, 1_500);
     let cells = configs(seed);
@@ -133,37 +102,29 @@ pub fn run_jobs(scale: Scale, seed: u64, jobs: usize) -> (Vec<Row>, Report) {
     let mut rows = Vec::new();
     let mut summary = Report::new();
     for (cfg, out) in cells.iter().zip(outcomes) {
-        let json = out.report.to_json();
-        let mut tagged = json.into_bytes();
-        tagged.extend_from_slice(&out.cycles.to_le_bytes());
-        tagged.extend_from_slice(&out.completed.to_le_bytes());
         let row = Row {
             config: cfg.exec_name(),
             cpus: cfg.cpu_cores,
             accels: cfg.num_accels,
             banks: cfg.home_banks,
-            threads: cfg.threads,
             ops: out.completed,
             cycles: out.cycles,
             violations: out.report.sum_suffix(".protocol_violation"),
             os_errors: out.report.get("os.errors_total"),
             data_errors: out.data_errors,
             deadlocked: out.deadlocked,
-            fingerprint: fnv1a(&tagged),
         };
         summary.set(
             format!("e13.{}.ops_per_kcycle", row.config),
             row.ops_per_kcycle(),
         );
         summary.set(format!("e13.{}.cycles", row.config), row.cycles);
-        summary.set(format!("e13.{}.fingerprint", row.config), row.fingerprint);
         rows.push(row);
     }
     (rows, summary)
 }
 
-/// Regression gate: every cell clean, and every partition worker-count
-/// invariant against its `threads = 1` oracle.
+/// Regression gate: every cell clean.
 pub fn failures(rows: &[Row]) -> Vec<String> {
     let mut out = Vec::new();
     for r in rows {
@@ -186,43 +147,15 @@ pub fn failures(rows: &[Row]) -> Vec<String> {
             ));
         }
     }
-    for r in rows {
-        if r.threads == 1 {
-            continue;
-        }
-        let Some(oracle) = rows
-            .iter()
-            .find(|o| o.threads == 1 && o.partition() == r.partition())
-        else {
-            out.push(format!("E13 {}: no threads=1 oracle in sweep", r.config));
-            continue;
-        };
-        if r.fingerprint != oracle.fingerprint {
-            out.push(format!(
-                "E13 {}: diverged from {} — worker-count invariance broken",
-                r.config, oracle.config
-            ));
-        }
-    }
     out
 }
 
-/// Renders the scaling table.
+/// Renders the banked-homes table.
 pub fn table(rows: &[Row]) -> String {
     let mut t = Table::new(
-        "E13: intra-run scaling — home banks x worker threads",
+        "E13: banked homes — address-interleaved home nodes",
         &[
-            "config",
-            "cpus",
-            "accels",
-            "banks",
-            "threads",
-            "ops",
-            "cycles",
-            "ops/kcyc",
-            "viol",
-            "deadlock",
-            "fingerprint",
+            "config", "cpus", "accels", "banks", "ops", "cycles", "ops/kcyc", "viol", "deadlock",
         ],
     );
     for r in rows {
@@ -231,13 +164,11 @@ pub fn table(rows: &[Row]) -> String {
             r.cpus.to_string(),
             r.accels.to_string(),
             r.banks.to_string(),
-            r.threads.to_string(),
             r.ops.to_string(),
             r.cycles.to_string(),
             r.ops_per_kcycle().to_string(),
             r.violations.to_string(),
             if r.deadlocked { "YES" } else { "no" }.to_string(),
-            format!("{:016x}", r.fingerprint),
         ]);
     }
     t.render()
@@ -247,30 +178,16 @@ pub fn table(rows: &[Row]) -> String {
 mod tests {
     use super::*;
 
-    /// The acceptance claim: the whole (shape × banks × threads) product
-    /// runs clean, and within every partition the parallel cells are
-    /// byte-identical to the single-worker oracle.
+    /// The acceptance claim: the whole (shape × banks) product runs clean.
     #[test]
-    fn every_partition_scales_clean_and_invariant() {
+    fn every_bank_count_runs_clean() {
         let (rows, summary) = run(Scale::Quick, 0x5CA1E);
-        assert_eq!(rows.len(), SHAPES.len() * BANKS.len() * THREADS.len());
+        assert_eq!(rows.len(), SHAPES.len() * BANKS.len());
         let gate = failures(&rows);
         assert!(gate.is_empty(), "{gate:?}");
         for r in &rows {
             assert!(r.ops > 0, "{}: no progress", r.config);
-            assert_eq!(
-                summary.get(&format!("e13.{}.fingerprint", r.config)),
-                r.fingerprint
-            );
-        }
-        // Spot-check the invariance gate actually compares something:
-        // each partition must appear at every worker count.
-        for r in rows.iter().filter(|r| r.threads == 1) {
-            let siblings = rows
-                .iter()
-                .filter(|o| o.partition() == r.partition())
-                .count();
-            assert_eq!(siblings, THREADS.len());
+            assert_eq!(summary.get(&format!("e13.{}.cycles", r.config)), r.cycles);
         }
     }
 }

@@ -84,9 +84,11 @@ const BLOCK: u64 = 0x9000;
 
 fn one(timeout: u64, host: HostProtocol, seed: u64) -> Row {
     // The fuzzing organization attaches a raw peer directly to the guard;
-    // with zero fuzz messages it is a perfectly silent accelerator. We
-    // post a single GetM from it (taking ownership) and never respond to
-    // anything again.
+    // with zero fuzz messages and `respond_percent: 0` it is a perfectly
+    // silent accelerator (the default 70 would answer most invalidations
+    // with a random response and exercise Guarantee 2b instead). We post a
+    // single GetM from it (taking ownership) and never respond to anything
+    // again.
     let raw_cfg = SystemConfig {
         host,
         cpu_cores: 1,
@@ -102,6 +104,7 @@ fn one(timeout: u64, host: HostProtocol, seed: u64) -> Row {
     };
     let fuzz = xg_harness::FuzzOpts {
         messages: 0,
+        respond_percent: 0,
         ..xg_harness::FuzzOpts::default()
     };
     let mut system = build_system(
@@ -194,23 +197,29 @@ mod tests {
 
     #[test]
     fn latency_tracks_timeout_and_host_always_completes() {
-        let rows = run(Scale::Quick, 7);
-        for r in &rows {
-            assert!(r.completed, "timeout={}", r.timeout);
-            assert!(r.timeouts_reported >= 1, "timeout={}", r.timeout);
-            assert!(
-                r.store_latency >= r.timeout,
-                "latency {} below timeout {}",
-                r.store_latency,
-                r.timeout
-            );
-            assert!(
-                r.store_latency < r.timeout + 5_000,
-                "latency {} far beyond timeout {}",
-                r.store_latency,
-                r.timeout
-            );
+        for seed in 0..24 {
+            let rows = run(Scale::Quick, seed);
+            for r in &rows {
+                assert!(r.completed, "seed {seed} timeout={}", r.timeout);
+                assert!(
+                    r.timeouts_reported >= 1,
+                    "seed {seed} timeout={}",
+                    r.timeout
+                );
+                assert!(
+                    r.store_latency >= r.timeout,
+                    "seed {seed}: latency {} below timeout {}",
+                    r.store_latency,
+                    r.timeout
+                );
+                assert!(
+                    r.store_latency < r.timeout + 5_000,
+                    "seed {seed}: latency {} far beyond timeout {}",
+                    r.store_latency,
+                    r.timeout
+                );
+            }
+            assert!(rows[2].store_latency > rows[0].store_latency, "seed {seed}");
         }
-        assert!(rows[2].store_latency > rows[0].store_latency);
     }
 }

@@ -123,76 +123,6 @@ pub fn profile_table(report: &Report, top: usize) -> String {
     out
 }
 
-/// Runs one representative guarded stress simulation on the *partitioned*
-/// executor (`home_banks = banks`, `threads`) with kernel profiling on and
-/// returns the profiled report — the input to [`shard_table`]. Backs
-/// `xg-report --shards`.
-pub fn collect_shard_profile(scale: Scale, banks: usize, threads: usize) -> Report {
-    let cfg = SystemConfig {
-        home_banks: banks.max(1),
-        threads: threads.max(1),
-        seed: 14,
-        ..SystemConfig::default()
-    };
-    run_stress_with(
-        &cfg,
-        &StressOpts {
-            ops: scale.ops(400, 4_000),
-            ..StressOpts::default()
-        },
-        &Instrumentation::profiled(),
-    )
-    .report
-}
-
-/// Renders the shard-occupancy table of a partitioned profiled run: one
-/// row per shard with its dispatched events, share of all work, and
-/// cross-shard messages sent, followed by the window/barrier summary
-/// (window count, conservative lookahead δ, total cross-shard traffic,
-/// and wall-clock barrier stall). Backs `xg-report --shards`.
-pub fn shard_table(report: &Report) -> String {
-    let shards = report.profile_get("par.shards");
-    if shards == 0 {
-        return "no par.* counters in report — run with threads >= 1 and profiling on\n".to_owned();
-    }
-    let events: Vec<u64> = (0..shards)
-        .map(|s| report.profile_get(&format!("par.shard{s}.events")))
-        .collect();
-    let total: u64 = events.iter().sum();
-    let mut t = Table::new(
-        "shard occupancy (partitioned executor)",
-        &["shard", "events", "share", "xshard sent"],
-    );
-    for (s, ev) in events.iter().enumerate() {
-        t.row(&[
-            s.to_string(),
-            ev.to_string(),
-            percent(*ev, total),
-            report
-                .profile_get(&format!("par.shard{s}.xshard.sent"))
-                .to_string(),
-        ]);
-    }
-    let mut out = t.render();
-    let _ = writeln!(
-        out,
-        "windows: {} (lookahead delta = {} cycles)",
-        report.profile_get("par.windows"),
-        report.profile_get("par.delta"),
-    );
-    let _ = writeln!(
-        out,
-        "cross-shard messages: {}",
-        report.profile_get("par.xshard.sent"),
-    );
-    let _ = writeln!(
-        out,
-        "barrier stall: {} us (host wall-clock, informational)",
-        report.profile_get("par.barrier_wait_ns") / 1_000,
-    );
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -213,25 +143,6 @@ mod tests {
         assert!(table.contains("high-water mark: 9"));
         // 7000 ns over 70 dispatches = 100 ns/event.
         assert!(table.contains("100"), "{table}");
-    }
-
-    #[test]
-    fn shard_table_shows_every_shard_and_the_window_summary() {
-        let report = collect_shard_profile(Scale::Quick, 2, 2);
-        // Default shape with 2 banks: 2 banks + 1 slot + 2 CPU pairs.
-        assert_eq!(report.profile_get("par.shards"), 5);
-        let table = shard_table(&report);
-        for shard in 0..5 {
-            assert!(table.contains(&format!("\n{shard} ")), "{table}");
-        }
-        assert!(table.contains("windows:"), "{table}");
-        assert!(table.contains("cross-shard messages:"), "{table}");
-    }
-
-    #[test]
-    fn shard_table_degrades_gracefully_without_par_counters() {
-        let table = shard_table(&Report::default());
-        assert!(table.contains("no par.* counters"), "{table}");
     }
 
     #[test]

@@ -246,9 +246,8 @@ pub fn build_world(spec: &WorldSpec, choices: &[u8]) -> World {
     };
 
     let mut b = SimBuilder::new(spec.seed);
-    // RNG streams keyed by component name, not registration index, so the
-    // node-order permutation cannot perturb latency draws.
-    b.per_component_rng(true);
+    // RNG streams are keyed by component name, not registration index, so
+    // the node-order permutation cannot perturb latency draws.
     b.event_label(Message::class);
 
     let xg_cfg = XgConfig {

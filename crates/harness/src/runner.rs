@@ -54,23 +54,11 @@ impl Instrumentation {
     }
 
     fn apply(&self, system: &mut BuiltSystem) {
-        system.sim.set_trace_config(self.trace);
+        system.sim.tracer_mut().set_config(self.trace);
         system.sim.set_profile_config(self.profile);
         if let Some(tl) = self.timeline {
             system.sim.enable_timeline(tl);
         }
-    }
-}
-
-/// Hooks a tester hub into a partitioned run: the done flag switches to
-/// deferred mode and is republished at every window barrier, so every
-/// shard observes "target reached" at the same deterministic window
-/// boundary regardless of worker count. A no-op for serial runs.
-fn attach_tester_barrier(system: &mut BuiltSystem, shared: &SharedTester) {
-    if let Some(par) = system.sim.as_par_mut() {
-        shared.set_deferred(true);
-        let hub = shared.clone();
-        par.add_barrier_hook(Box::new(move || hub.refresh_done()));
     }
 }
 
@@ -148,7 +136,7 @@ fn flag_outstanding(system: &mut BuiltSystem, now: u64) {
     }
     for (name, word_addr, is_store) in stuck {
         let op = if is_store { "store" } else { "load" };
-        system.sim.flag_trace(
+        system.sim.tracer_mut().flag(
             now,
             xg_mem::Addr::new(word_addr).block().as_u64(),
             format!("{name}: {op} at word {word_addr:#x} outstanding at deadlock"),
@@ -249,7 +237,6 @@ pub fn run_stress_with(
         ))
     });
     instr.apply(&mut system);
-    attach_tester_barrier(&mut system, &shared);
     system.start_cores();
     let out = system
         .sim
@@ -417,7 +404,6 @@ pub fn run_fuzz_with(
         },
     );
     instr.apply(&mut system);
-    attach_tester_barrier(&mut system, &shared);
     system.start_cores();
     let out = system.sim.run_with_watchdog(50_000_000, 200_000);
     flag_outstanding(&mut system, out.now.as_u64());

@@ -143,7 +143,6 @@ fn assert_sweep_types_are_send() {
     is_send::<xg_sim::Report>();
     is_send::<xg_sim::RunOutcome>();
     is_send::<xg_sim::Simulator<xg_proto::Message>>();
-    is_send::<xg_sim::ParSim<xg_proto::Message>>();
 }
 
 #[cfg(test)]

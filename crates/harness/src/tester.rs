@@ -36,12 +36,10 @@ use xg_sim::{Component, NodeId, Report};
 ///
 /// A `Mutex` (not `RefCell`) so tester cores — and the systems containing
 /// them — are [`Send`] and whole simulations can be fanned across worker
-/// threads by [`crate::sweep`]. On the serial executor the lock is always
-/// uncontended and a core takes it once per issue and once per completion.
-/// On the partitioned executor cores on different shards share it, so the
-/// done-check every wake and every arming decision makes reads an atomic
-/// mirror ([`TesterHub::done_fast`]) instead — which is also what lets
-/// "target reached" be published at a window barrier rather than mid-window.
+/// threads by [`crate::sweep`]. One simulation runs on one thread, so the
+/// lock is always uncontended; a core takes it once per issue and once per
+/// completion, and the done-check every wake and every arming decision
+/// makes reads an atomic mirror ([`TesterHub::done_fast`]) instead.
 pub type SharedTester = Arc<TesterHub>;
 
 /// [`TesterShared`] behind its lock, plus the atomic mirror of its done
@@ -56,16 +54,6 @@ pub struct TesterHub {
     /// that bumps `completed` (and therefore exact, not approximate —
     /// `target_ops` is fixed at construction).
     done: AtomicBool,
-    /// Deferred-publication mode for partitioned ([`xg_sim::ParSim`]) runs:
-    /// when set, reaching the operation target latches `pending_done`
-    /// instead of flipping `done` immediately, and the mirror only advances
-    /// at [`refresh_done`](TesterHub::refresh_done) — which the parallel
-    /// executor calls from a window-barrier hook. Cores on every shard then
-    /// observe the flip at the same deterministic window boundary, so which
-    /// operations are issued never depends on worker scheduling.
-    deferred: AtomicBool,
-    /// Latched completion, waiting for the next barrier (deferred mode).
-    pending_done: AtomicBool,
 }
 
 impl TesterHub {
@@ -75,29 +63,10 @@ impl TesterHub {
         self.done.load(Ordering::Relaxed)
     }
 
-    /// Switches the done mirror to deferred (barrier-published) mode; see
-    /// the field docs. Call before the run starts.
-    pub fn set_deferred(&self, on: bool) {
-        self.deferred.store(on, Ordering::Relaxed);
-    }
-
-    /// Publishes a latched completion to the fast mirror. In deferred mode
-    /// the parallel executor calls this from its window-barrier hook; a
-    /// no-op until the operation target has been reached.
-    pub fn refresh_done(&self) {
-        if self.pending_done.load(Ordering::Relaxed) {
-            self.done.store(true, Ordering::Relaxed);
-        }
-    }
-
     /// Refreshes the lock-free done mirror; call after bumping `completed`.
     fn publish_done(&self, done: bool) {
         if done {
-            if self.deferred.load(Ordering::Relaxed) {
-                self.pending_done.store(true, Ordering::Relaxed);
-            } else {
-                self.done.store(true, Ordering::Relaxed);
-            }
+            self.done.store(true, Ordering::Relaxed);
         }
     }
 }
@@ -145,8 +114,6 @@ impl TesterShared {
                 last_seen: HashMap::new(),
             }),
             done: AtomicBool::new(target_ops == 0),
-            deferred: AtomicBool::new(false),
-            pending_done: AtomicBool::new(false),
         })
     }
 

@@ -16,11 +16,13 @@ fn stress_opts(ops: u64) -> StressOpts {
 
 #[test]
 fn stress_all_twelve_configurations() {
-    // `XG_BANKS` / `XG_THREADS` let CI re-run this clean-stress gate on a
-    // banked and/or partitioned execution shape; the assertions below are
-    // behavioral (no byte-compare), so any shape must pass them.
-    for cfg in SystemConfig::matrix(7) {
-        let cfg = cfg.apply_env_overrides();
+    // Every configuration at one home and at two address-interleaved
+    // banks; the assertions are behavioral, so both shapes must pass them.
+    let banked = SystemConfig::matrix(7).into_iter().map(|cfg| SystemConfig {
+        home_banks: 2,
+        ..cfg
+    });
+    for cfg in SystemConfig::matrix(7).into_iter().chain(banked) {
         let name = cfg.exec_name();
         let out = run_stress(&cfg, &stress_opts(600));
         assert!(
@@ -46,6 +48,29 @@ fn stress_all_twelve_configurations() {
             "{name}: spurious guard errors"
         );
         assert!(out.transitions > 10, "{name}: no coverage collected");
+    }
+}
+
+#[test]
+fn banked_homes_stay_clean_on_the_serial_path() {
+    for (host, banks) in [(HostProtocol::Hammer, 2), (HostProtocol::Mesi, 3)] {
+        let cfg = SystemConfig {
+            host,
+            home_banks: banks,
+            seed: 77,
+            ..SystemConfig::default()
+        };
+        let out = run_stress(&cfg, &stress_opts(400));
+        assert!(!out.deadlocked, "{}", cfg.exec_name());
+        assert_eq!(
+            out.data_errors,
+            0,
+            "{}: {:?}",
+            cfg.exec_name(),
+            out.error_log
+        );
+        assert_eq!(out.report.sum_suffix(".protocol_violation"), 0);
+        assert_eq!(out.report.get("os.errors_total"), 0);
     }
 }
 
@@ -85,8 +110,7 @@ fn stress_many_seeds_on_guarded_configs() {
                 accel_cores: if two_level { 2 } else { 1 },
                 seed,
                 ..SystemConfig::default()
-            }
-            .apply_env_overrides();
+            };
             let out = run_stress(&cfg, &stress_opts(500));
             assert!(!out.deadlocked, "{} seed {seed}", cfg.name());
             assert_eq!(
@@ -255,6 +279,31 @@ fn performance_shape_host_side_is_slowest() {
         xg.accel_runtime,
         accel_side.accel_runtime
     );
+}
+
+/// ROADMAP item 1's handles: `SystemConfig::matrix(seed)` entries on which
+/// the Hammer host serves stale data to a *correct* accelerator ("went
+/// backwards"). Un-ignore with the `host-hammer` fix.
+#[test]
+#[ignore = "ROADMAP item 1: known Hammer stale read"]
+fn known_hammer_stale_read_seeds_run_clean() {
+    for (name, seed) in [
+        ("hammer/accel_side", 12424050599204292423u64),
+        ("hammer/xg_tx_l1", 6289302247545673172),
+        ("hammer/host_side", 17459687858358631241),
+        ("hammer/xg_full_l1", 6940457821412259359),
+    ] {
+        let cfg = SystemConfig::matrix(seed)
+            .into_iter()
+            .find(|cfg| cfg.name() == name)
+            .expect("a matrix entry");
+        let out = run_stress(&cfg, &stress_opts(800));
+        assert_eq!(
+            out.data_errors, 0,
+            "{name} seed {seed}: {:?}",
+            out.error_log
+        );
+    }
 }
 
 /// Long-running soak in the spirit of the paper's 22 compute-years —

@@ -24,8 +24,8 @@
 /// finalizer, so nearby run seeds and similarly named components still get
 /// unrelated streams. Crucially the derived seed depends only on the pair —
 /// adding or removing *other* components cannot perturb this stream, which
-/// is the partition-invariance property the parallel simulator's
-/// determinism argument rests on.
+/// is what keeps the model checker's worlds invariant under node-order
+/// relabelling.
 pub fn stream_seed(seed: u64, label: &str) -> u64 {
     // FNV-1a (64-bit) over the label bytes.
     let mut h: u64 = 0xCBF2_9CE4_8422_2325;

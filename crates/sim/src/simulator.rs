@@ -1,8 +1,6 @@
 //! The simulator proper: builder, event loop, and component context.
 
-use std::any::Any;
 use std::collections::HashMap;
-use std::sync::Arc;
 use std::time::Instant;
 
 use rand::rngs::SmallRng;
@@ -145,10 +143,9 @@ impl<M> Ctx<'_, M> {
         self.effects.push(Effect::Redeliver { from, msg, delay });
     }
 
-    /// Deterministic simulation RNG. With the default global stream this is
-    /// shared by the whole simulation; with per-component streams (see
-    /// [`crate::SimBuilder::per_component_rng`]) it is this component's own
-    /// stream, so one component's draws never perturb another's.
+    /// Deterministic simulation RNG: this component's own stream, seeded
+    /// from the run seed and the component's name, so one component's draws
+    /// never perturb another's.
     pub fn rng(&mut self) -> &mut SmallRng {
         self.rng
     }
@@ -249,7 +246,6 @@ pub struct SimBuilder<M> {
     links: HashMap<(NodeId, NodeId), Link>,
     default_link: Link,
     seed: u64,
-    per_component_rng: bool,
     trace: TraceConfig,
     profile: ProfileConfig,
     event_label: Option<fn(&M) -> &'static str>,
@@ -265,22 +261,10 @@ impl<M: 'static> SimBuilder<M> {
             links: HashMap::new(),
             default_link: Link::default(),
             seed,
-            per_component_rng: false,
             trace: TraceConfig::from_env(),
             profile: ProfileConfig::off(),
             event_label: None,
         }
-    }
-
-    /// Switches the simulation from one global RNG stream to one
-    /// independent stream per component, each seeded from
-    /// `stream_seed(seed, component_name)`. Off by default (the global
-    /// stream keeps historical runs byte-identical); sharded execution
-    /// (see [`crate::par::ParSim`]) forces it on, because a global
-    /// stream's draw order would depend on the partition.
-    pub fn per_component_rng(&mut self, on: bool) -> &mut Self {
-        self.per_component_rng = on;
-        self
     }
 
     /// Sets the tracing configuration (defaults to
@@ -347,11 +331,7 @@ impl<M: 'static> SimBuilder<M> {
         for ((from, to), link) in self.links {
             links.configure(from, to, link);
         }
-        let rng = if self.per_component_rng {
-            RngBank::PerComponent(per_component_streams(self.seed, &names))
-        } else {
-            RngBank::Global(SmallRng::seed_from_u64(self.seed))
-        };
+        let rng = RngBank::new(self.seed, &names);
         Simulator {
             components: self.components,
             names,
@@ -367,97 +347,7 @@ impl<M: 'static> SimBuilder<M> {
             faults: LinkFaultCounts::default(),
             profiler: Profiler::new(self.profile),
             event_label: self.event_label,
-            shard_map: None,
-            my_shard: 0,
-            outbox: Vec::new(),
         }
-    }
-
-    /// Splits the builder into one shard-local simulator per shard named in
-    /// `shard_map` (component index → shard id). Every shard carries the
-    /// full name table and link table — so routing decisions and RNG
-    /// seeding agree everywhere — but owns only its own components; foreign
-    /// slots hold panicking [`Foreign`] placeholders. Per-component RNG is
-    /// forced on: a global stream's draw order would depend on the
-    /// partition.
-    ///
-    /// Returns `(shards, shard_map, delta)` where `delta` is the
-    /// conservative window width: the smallest minimum latency over any
-    /// cross-shard directed pair (clamped to ≥ 1). A message sent during
-    /// window `[T, T+delta)` can therefore only arrive at `T+delta` or
-    /// later, which is what makes windows independently executable.
-    pub(crate) fn build_shards(self, shard_map: &[u32]) -> (Vec<Simulator<M>>, Arc<[u32]>, u64) {
-        assert_eq!(
-            shard_map.len(),
-            self.components.len(),
-            "shard map must cover every component"
-        );
-        let shard_count = shard_map
-            .iter()
-            .copied()
-            .max()
-            .map_or(1, |m| m as usize + 1);
-        let names: Vec<String> = self
-            .components
-            .iter()
-            .map(|c| c.name().to_owned())
-            .collect();
-        let n = names.len();
-        let mut links = LinkTable::new(n, self.default_link);
-        let mut delta = u64::MAX;
-        for (&(from, to), &link) in &self.links {
-            links.configure(from, to, link);
-            if shard_map[from.index()] != shard_map[to.index()] {
-                delta = delta.min(link.min_latency().max(1));
-            }
-        }
-        // Unconfigured cross-shard pairs route over the default link, so it
-        // bounds the window too (unless the partition is a single shard).
-        let any_cross = (0..n).any(|i| shard_map[i] != shard_map[0]);
-        if any_cross {
-            delta = delta.min(self.default_link.min_latency().max(1));
-        }
-        if delta == u64::MAX {
-            delta = 1;
-        }
-        let map: Arc<[u32]> = shard_map.into();
-        let mut slots: Vec<Option<Box<dyn Component<M>>>> =
-            self.components.into_iter().map(Some).collect();
-        let shards = (0..shard_count)
-            .map(|s| {
-                let components: Vec<Box<dyn Component<M>>> = (0..n)
-                    .map(|idx| {
-                        if shard_map[idx] as usize == s {
-                            slots[idx].take().expect("component claimed by two shards")
-                        } else {
-                            Box::new(Foreign {
-                                name: names[idx].clone(),
-                            }) as Box<dyn Component<M>>
-                        }
-                    })
-                    .collect();
-                Simulator {
-                    components,
-                    names: names.clone(),
-                    queue: CalendarQueue::new(),
-                    msgs: Slab::new(),
-                    links: links.clone(),
-                    now: Cycle::ZERO,
-                    rng: RngBank::PerComponent(per_component_streams(self.seed, &names)),
-                    progress: 0,
-                    last_progress_at: Cycle::ZERO,
-                    effects: Vec::new(),
-                    tracer: Tracer::new(self.trace),
-                    faults: LinkFaultCounts::default(),
-                    profiler: Profiler::new(self.profile),
-                    event_label: self.event_label,
-                    shard_map: Some(Arc::clone(&map)),
-                    my_shard: s as u32,
-                    outbox: Vec::new(),
-                }
-            })
-            .collect();
-        (shards, map, delta)
     }
 }
 
@@ -581,88 +471,30 @@ fn draw_latency(rng: &mut SmallRng, link: Link) -> u64 {
     }
 }
 
-/// Source of simulation randomness.
+/// Source of simulation randomness: one stream per registered component,
+/// plus a trailing "external" stream used when routing from a fabricated
+/// (unregistered) id.
 ///
-/// `Global` is the legacy layout — one stream consumed in event order —
-/// and stays the default so existing golden reports remain byte-identical.
-/// `PerComponent` gives every component an independent stream seeded from
-/// `stream_seed(run_seed, component_name)`; draw order within a stream
-/// then depends only on that component's own event sequence, which is what
-/// makes sharded execution partition-invariant (and what keeps one
-/// component's draws from perturbing another's in serial runs).
+/// Streams depend only on the run seed and the component's name, so draw
+/// order within a stream depends only on that component's own event
+/// sequence, and registering an extra component never re-seeds anyone else.
 #[derive(Clone)]
-enum RngBank {
-    Global(SmallRng),
-    /// One stream per registered component, plus a trailing "external"
-    /// stream used when routing from a fabricated (unregistered) id.
-    PerComponent(Vec<SmallRng>),
-}
+struct RngBank(Vec<SmallRng>);
 
 impl RngBank {
+    fn new(seed: u64, names: &[String]) -> RngBank {
+        let stream = |name: &str| SmallRng::seed_from_u64(rand::stream_seed(seed, name));
+        let mut streams: Vec<SmallRng> = names.iter().map(|name| stream(name)).collect();
+        streams.push(stream("\u{0}external"));
+        RngBank(streams)
+    }
+
     /// The stream that component `idx` draws from (out-of-range indices —
     /// fabricated ids — share the trailing external stream).
     #[inline]
     fn stream(&mut self, idx: usize) -> &mut SmallRng {
-        match self {
-            RngBank::Global(rng) => rng,
-            RngBank::PerComponent(streams) => {
-                let last = streams.len() - 1;
-                &mut streams[idx.min(last)]
-            }
-        }
-    }
-}
-
-/// Builds the per-component stream vector: one stream per name, one
-/// trailing stream for fabricated senders. Streams depend only on the run
-/// seed and the component's name, so registering an extra component never
-/// re-seeds anyone else.
-fn per_component_streams(seed: u64, names: &[String]) -> Vec<SmallRng> {
-    let mut streams: Vec<SmallRng> = names
-        .iter()
-        .map(|name| SmallRng::seed_from_u64(rand::stream_seed(seed, name)))
-        .collect();
-    streams.push(SmallRng::seed_from_u64(rand::stream_seed(
-        seed,
-        "\u{0}external",
-    )));
-    streams
-}
-
-/// A message crossing from this shard to another, captured at the moment
-/// the router resolved its delivery time. The parallel executor drains
-/// these at the window barrier and enqueues them on the owning shard.
-pub(crate) struct Outbound<M> {
-    pub(crate) time: Cycle,
-    pub(crate) from: NodeId,
-    pub(crate) to: NodeId,
-    pub(crate) msg: M,
-}
-
-/// Stand-in occupying a foreign component's slot in a shard-local
-/// simulator. It carries the real component's name — so name tables, trace
-/// labels, and per-component RNG seeding agree across shards — but it is
-/// never dispatched (cross-shard messages leave via the outbox) and
-/// contributes nothing to reports.
-struct Foreign {
-    name: String,
-}
-
-impl<M> Component<M> for Foreign {
-    fn name(&self) -> &str {
-        &self.name
-    }
-    fn handle(&mut self, from: NodeId, _msg: M, _ctx: &mut Ctx<'_, M>) {
-        panic!(
-            "event from {from} delivered to {} on a shard that does not own it",
-            self.name
-        );
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
+        let last = self.0.len() - 1;
+        &mut self.0[idx.min(last)]
     }
 }
 
@@ -701,10 +533,7 @@ impl<M> Checkpoint<M> {
             .iter()
             .map(|c| std::mem::size_of_val(&**c) + std::mem::size_of::<Box<dyn Component<M>>>())
             .sum();
-        let streams = match &self.rng {
-            RngBank::Global(_) => 0,
-            RngBank::PerComponent(streams) => std::mem::size_of_val(&streams[..]),
-        };
+        let streams = std::mem::size_of_val(&self.rng.0[..]);
         std::mem::size_of::<Self>() + components + streams + std::mem::size_of_val(&self.links[..])
     }
 }
@@ -720,9 +549,6 @@ pub enum CheckpointError {
         /// Message payloads parked in the slab.
         parked: usize,
     },
-    /// The simulator is one shard of a partitioned run; its peers hold the
-    /// rest of the state.
-    Sharded,
     /// The named component does not implement [`Component::box_clone`].
     NotCloneable {
         /// The component's name.
@@ -737,9 +563,6 @@ impl std::fmt::Display for CheckpointError {
                 f,
                 "simulator is not quiescent: {queued} queued event(s), {parked} parked payload(s)"
             ),
-            CheckpointError::Sharded => {
-                write!(f, "simulator is one shard of a partitioned run")
-            }
             CheckpointError::NotCloneable { component } => {
                 write!(f, "component {component:?} does not implement box_clone")
             }
@@ -769,14 +592,6 @@ pub struct Simulator<M> {
     faults: LinkFaultCounts,
     profiler: Profiler,
     event_label: Option<fn(&M) -> &'static str>,
-    /// Component → shard assignment when this simulator is one shard of a
-    /// partitioned run (`None` for ordinary whole-system simulators).
-    shard_map: Option<Arc<[u32]>>,
-    /// This simulator's shard id within the partition (0 when unsharded).
-    my_shard: u32,
-    /// Cross-shard messages produced during the current window, drained by
-    /// the parallel executor at the window barrier.
-    outbox: Vec<Outbound<M>>,
 }
 
 impl<M: Clone + 'static> Simulator<M> {
@@ -1010,8 +825,7 @@ impl<M: Clone + 'static> Simulator<M> {
             links, rng, faults, ..
         } = self;
         // Latency draws charge the sender's stream: during effect drain the
-        // sender is the component whose event was just dispatched, so in
-        // per-component mode its draws stay on its own (shard-local) stream.
+        // sender is the component whose event was just dispatched.
         let rng = rng.stream(from.index());
         if links.pair_mut(from, to).is_none() {
             // A fabricated endpoint: route statelessly over the default
@@ -1074,58 +888,8 @@ impl<M: Clone + 'static> Simulator<M> {
         self.queue.push(time, Pending { target, kind });
     }
 
-    /// Enqueues a routed delivery locally, or diverts it to the outbox when
-    /// this simulator is a shard and `to` lives on another one. Fabricated
-    /// ids stay local so they panic at delivery exactly as documented.
+    /// Enqueues a routed delivery.
     fn deliver(&mut self, time: Cycle, to: NodeId, from: NodeId, msg: SlabId) {
-        if let Some(map) = &self.shard_map {
-            let t = to.index();
-            if t < map.len() && map[t] != self.my_shard {
-                let msg = self.msgs.take(msg);
-                self.outbox.push(Outbound {
-                    time,
-                    from,
-                    to,
-                    msg,
-                });
-                return;
-            }
-        }
-        self.push_event(time, to, EventKind::Deliver { from, msg });
-    }
-
-    /// Processes every pending event strictly before `end`, returning how
-    /// many were processed. The conservative-window executor calls this
-    /// once per shard per window.
-    pub(crate) fn run_window(&mut self, end: Cycle) -> u64 {
-        let mut events = 0;
-        while let Some(t) = self.queue.peek_time() {
-            if t >= end {
-                break;
-            }
-            self.step_one();
-            events += 1;
-        }
-        events
-    }
-
-    /// Time of the earliest pending event, if any.
-    pub(crate) fn peek_time(&mut self) -> Option<Cycle> {
-        self.queue.peek_time()
-    }
-
-    /// Drains the cross-shard messages produced since the last drain.
-    /// Their order is this shard's deterministic send order; the executor
-    /// re-sorts merged batches by `(time, source shard, sequence)`.
-    pub(crate) fn take_outbox(&mut self) -> Vec<Outbound<M>> {
-        std::mem::take(&mut self.outbox)
-    }
-
-    /// Enqueues a message handed over from another shard at the window
-    /// barrier. `time` was fixed by the sender's router, so link state and
-    /// randomness were already accounted for on the sending side.
-    pub(crate) fn push_inbound(&mut self, time: Cycle, from: NodeId, to: NodeId, msg: M) {
-        let msg = self.msgs.insert(msg);
         self.push_event(time, to, EventKind::Deliver { from, msg });
     }
 
@@ -1214,12 +978,9 @@ impl<M: Clone + 'static> Simulator<M> {
 
     /// Captures this simulator's state as a [`Checkpoint`]. Valid only at
     /// quiescence — empty queue, no parked payloads, no pending effects —
-    /// on an unsharded simulator whose components all implement
+    /// on a simulator whose components all implement
     /// [`Component::box_clone`]; anything else is refused with the reason.
     pub fn checkpoint(&self) -> Result<Checkpoint<M>, CheckpointError> {
-        if self.shard_map.is_some() {
-            return Err(CheckpointError::Sharded);
-        }
         if !self.queue.is_empty() || !self.msgs.is_empty() || !self.effects.is_empty() {
             return Err(CheckpointError::NotQuiescent {
                 queued: self.queue.len(),
@@ -1846,7 +1607,7 @@ mod tests {
     }
 
     /// Sends `count` randomized payloads to `peer` when poked; named so
-    /// per-component streams can be pinned to a stable label.
+    /// its stream can be pinned to a stable label.
     struct Chatter {
         name: &'static str,
         peer: NodeId,
@@ -1871,8 +1632,8 @@ mod tests {
     }
 
     /// One chatter/recorder pair, optionally preceded by an unrelated
-    /// second pair whose draws would shift a global stream.
-    fn chatter_run(per_component: bool, with_noise: bool) -> Vec<(u64, u64)> {
+    /// second pair whose draws would shift a stream they shared.
+    fn chatter_run(with_noise: bool) -> Vec<(u64, u64)> {
         let mut b = SimBuilder::new(77);
         if with_noise {
             let rec2 = b.add(Box::new(Recorder::new()));
@@ -1890,12 +1651,10 @@ mod tests {
             count: 32,
         }));
         b.link(src, rec, Link::unordered(1, 40));
-        b.per_component_rng(per_component);
         let mut sim = b.build();
         if with_noise {
             // Poke the bystander pair (registered first, at indices 0/1)
-            // ahead of the pair under test, so its draws come first in a
-            // global stream.
+            // ahead of the pair under test, so its draws come first.
             sim.post(NodeId::from_index(0), NodeId::from_index(1), 0);
         }
         sim.post(rec, src, 0);
@@ -1909,29 +1668,21 @@ mod tests {
     }
 
     #[test]
-    fn per_component_rng_is_deterministic() {
-        let a = chatter_run(true, false);
-        let b = chatter_run(true, false);
+    fn per_component_streams_are_deterministic() {
+        let a = chatter_run(false);
+        let b = chatter_run(false);
         assert_eq!(a, b);
         assert_eq!(a.len(), 32);
     }
 
     #[test]
     fn per_component_streams_are_isolated_from_other_components() {
-        // A global stream interleaves draws across components, so adding an
-        // unrelated busy pair perturbs the original pair's latencies and
-        // payloads. Per-component streams are keyed by name: the original
-        // pair's behavior is identical with or without the bystanders.
-        let global_alone = chatter_run(false, false);
-        let global_crowded = chatter_run(false, true);
-        assert_ne!(
-            global_alone, global_crowded,
-            "global stream is expected to be perturbed by bystanders"
-        );
-        let scoped_alone = chatter_run(true, false);
-        let scoped_crowded = chatter_run(true, true);
+        // Streams are keyed by component name: the pair's latencies and
+        // payloads are identical with or without an unrelated busy pair
+        // drawing ahead of it.
         assert_eq!(
-            scoped_alone, scoped_crowded,
+            chatter_run(false),
+            chatter_run(true),
             "per-component streams must not be perturbed by bystanders"
         );
     }
@@ -1967,7 +1718,6 @@ mod tests {
     fn tape_sim() -> (Simulator<u64>, NodeId) {
         let mut b = SimBuilder::new(5);
         let tape = b.add(Box::new(Tape(Vec::new())));
-        b.per_component_rng(true);
         b.link(tape, tape, Link::ordered(1, 30));
         (b.build(), tape)
     }
@@ -1977,7 +1727,7 @@ mod tests {
         let (mut sim, tape) = tape_sim();
         sim.post(tape, tape, 0);
         assert!(sim.run_to_quiescence(100_000).quiescent);
-        let cp = sim.checkpoint().expect("quiescent, cloneable, unsharded");
+        let cp = sim.checkpoint().expect("quiescent and cloneable");
         let taken_at = sim.now();
         assert!(cp.inline_bytes() > 0);
 
@@ -2034,16 +1784,5 @@ mod tests {
             }
         );
         assert!(err.to_string().contains("recorder"), "{err}");
-    }
-
-    #[test]
-    fn checkpoint_refuses_a_shard() {
-        let mut b = SimBuilder::new(1);
-        b.add(Box::new(Tape(Vec::new())));
-        b.add(Box::new(Tape(Vec::new())));
-        let (shards, _, _) = b.build_shards(&[0, 1]);
-        for shard in &shards {
-            assert_eq!(shard.checkpoint().err(), Some(CheckpointError::Sharded));
-        }
     }
 }
