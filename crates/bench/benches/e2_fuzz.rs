@@ -1,10 +1,13 @@
-//! E2/E10: prints the fuzz-safety table and times one fuzz run.
+//! E2/E10: prints the fuzz-safety table and times one fuzz run, untraced
+//! and under the failure-replay instrumentation (what a diagnosis costs).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use xg_bench::experiments::e2_fuzz;
 use xg_bench::Scale;
 use xg_core::XgVariant;
-use xg_harness::{run_fuzz, AccelOrg, FuzzOpts, HostProtocol, SystemConfig};
+use xg_harness::{
+    run_fuzz, run_fuzz_with, AccelOrg, FuzzOpts, HostProtocol, Instrumentation, SystemConfig,
+};
 
 fn bench(c: &mut Criterion) {
     let rows = e2_fuzz::run(Scale::Quick, 5);
@@ -25,6 +28,15 @@ fn bench(c: &mut Criterion) {
     c.bench_function("e2_fuzz/mesi_tx_300msgs", |b| {
         b.iter(|| {
             let out = run_fuzz(&cfg, &fuzz, 500);
+            assert_eq!(out.host_violations, 0);
+            out.cycles
+        })
+    });
+    // The same run with ring tracing and a timeline on: the price of the
+    // post-mortem `run_fuzz` pays only for a failed run. Informational.
+    c.bench_function("e2_fuzz/mesi_tx_300msgs_traced", |b| {
+        b.iter(|| {
+            let out = run_fuzz_with(&cfg, &fuzz, 500, &Instrumentation::replay());
             assert_eq!(out.host_violations, 0);
             out.cycles
         })

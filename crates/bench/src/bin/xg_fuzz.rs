@@ -32,15 +32,16 @@
 //! `--corpus` directory get a `.trace.json` timeline automatically.)
 
 use std::path::{Path, PathBuf};
+use std::time::Instant;
 
 use xg_bench::experiments::e2_campaign;
 use xg_bench::Scale;
 use xg_core::XgVariant;
 use xg_harness::campaign::{
-    minimize, repro_json, repro_test_source, run_schedule, CampaignFailure, CampaignOpts,
-    CampaignOutcome, FailureKind,
+    minimize, repro_json, repro_test_source, run_schedule, run_schedule_with, CampaignFailure,
+    CampaignOpts, CampaignOutcome, FailureKind,
 };
-use xg_harness::{run_campaign, AccelOrg, HostProtocol, Schedule, SystemConfig};
+use xg_harness::{run_campaign, AccelOrg, HostProtocol, Instrumentation, Schedule, SystemConfig};
 
 fn arg_value(args: &[String], flag: &str) -> Option<String> {
     args.iter().position(|a| a == flag).map(|i| {
@@ -102,9 +103,9 @@ fn write_or_die(path: &Path, contents: &str) {
 
 /// Minimizes one campaign failure and renders/writes its repro artifacts.
 /// With `timeline_path` set (or an `--corpus`/`--out` directory), the
-/// minimized schedule is replayed once more and the failure replay's
-/// transaction timeline (Chrome trace-event JSON, Perfetto-loadable) is
-/// written alongside the repro.
+/// minimized schedule is run once more under tracing and its transaction
+/// timeline (Chrome trace-event JSON, Perfetto-loadable) is written
+/// alongside the repro.
 fn emit_repro(
     base: &SystemConfig,
     opts: &CampaignOpts,
@@ -114,12 +115,9 @@ fn emit_repro(
     timeline_path: Option<&Path>,
 ) {
     let shrunk = minimize(&failure.schedule, |s| {
-        let out = run_schedule(base, opts, s, failure.seed);
-        match failure.kind {
-            FailureKind::HostViolation => out.host_violations > 0,
-            FailureKind::DataError => out.cpu_data_errors > 0,
-            FailureKind::Deadlock => out.deadlocked,
-        }
+        failure
+            .kind
+            .holds(&run_schedule(base, opts, s, failure.seed))
     });
     let minimized = CampaignFailure {
         schedule: shrunk,
@@ -147,15 +145,18 @@ fn emit_repro(
         .map(Path::to_path_buf)
         .or_else(|| out_dir.map(|d| d.join(format!("{name}.trace.json"))));
     if let Some(dest) = trace_dest {
-        // The failure replay inside run_schedule re-runs the failing seed
-        // with ring tracing and timelines on; its trace is the artifact.
-        let replay = run_schedule(base, opts, &minimized.schedule, failure.seed);
-        match replay.timeline {
-            Some(trace) => {
-                write_or_die(&dest, &trace);
-                println!("  failure timeline written to {}", dest.display());
-            }
-            None => eprintln!("  minimized schedule no longer fails; no timeline recorded"),
+        // The one traced simulation of the whole minimization: ddmin probes
+        // run untraced, only the schedule that is kept gets a diagnosis.
+        let replay = run_schedule_with(
+            base,
+            opts,
+            &minimized.schedule,
+            failure.seed,
+            &Instrumentation::replay(),
+        );
+        if let Some(trace) = replay.timeline {
+            write_or_die(&dest, &trace);
+            println!("  failure timeline written to {}", dest.display());
         }
     }
 }
@@ -226,7 +227,16 @@ fn campaign_mode(args: &[String]) -> i32 {
         } else {
             base.name()
         };
+        let started = Instant::now();
         let out = run_campaign(&base, &opts);
+        let wall = started.elapsed().as_secs_f64();
+        // Campaign health goes to stderr; stdout is deterministic and diffed.
+        eprintln!(
+            "{label}: {} executions in {:.0} ms, {:.0} execs/s",
+            out.runs,
+            wall * 1e3,
+            out.runs as f64 / wall.max(1e-9)
+        );
         println!(
             "{label}: {} runs, {} messages injected, {} distinct (state, event) pairs, \
              corpus {}, failures {}",
@@ -275,14 +285,7 @@ fn minimize_mode(args: &[String], path: &str) -> i32 {
     });
     let opts = e2_campaign::opts(Scale::Quick, seed);
 
-    let replay = run_schedule(&base, &opts, &schedule, seed);
-    let kind = if replay.deadlocked {
-        FailureKind::Deadlock
-    } else if replay.cpu_data_errors > 0 {
-        FailureKind::DataError
-    } else if replay.host_violations > 0 {
-        FailureKind::HostViolation
-    } else {
+    let Some(kind) = FailureKind::of(&run_schedule(&base, &opts, &schedule, seed)) else {
         eprintln!(
             "{path} does not fail on {} under seed {seed:#x} — nothing to minimize",
             base.name()

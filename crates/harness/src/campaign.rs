@@ -36,7 +36,8 @@ use xg_sim::{FaultSpec, Report, TransitionCoverage};
 
 use crate::config::{AccelOrg, AccelSlot, HostProtocol, SystemConfig};
 use crate::fuzz::{FuzzOpts, FuzzStep, InvPolicy, Schedule, FUZZ_KIND_CODES, INV_RESPONSE_CODES};
-use crate::runner::{run_fuzz, FuzzOutcome};
+pub use crate::runner::FailureKind;
+use crate::runner::{run_fuzz, run_fuzz_with, FuzzOutcome, Instrumentation};
 use crate::sweep::{resolve_jobs, sweep};
 
 /// First block of the CPU testers' working set (`word_pool(0x100_0000, ..)`
@@ -93,28 +94,6 @@ impl Default for CampaignOpts {
             faults: FaultSpec::delay_only(25, 10, 800, 3),
             shrink_caches: true,
             num_accels: 1,
-        }
-    }
-}
-
-/// Which safety claim a failing run broke.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FailureKind {
-    /// A host controller saw an impossible event.
-    HostViolation,
-    /// A CPU tester read a value it never wrote.
-    DataError,
-    /// The host stopped making progress.
-    Deadlock,
-}
-
-impl FailureKind {
-    /// Short tag for artifact names.
-    pub fn tag(self) -> &'static str {
-        match self {
-            FailureKind::HostViolation => "violation",
-            FailureKind::DataError => "data_error",
-            FailureKind::Deadlock => "deadlock",
         }
     }
 }
@@ -272,15 +251,30 @@ fn attack_config(base: &SystemConfig, opts: &CampaignOpts, seed: u64) -> SystemC
     cfg
 }
 
-/// Replays one schedule against `base` (plus the campaign environment:
+/// Runs one schedule against `base` (plus the campaign environment:
 /// shrunken caches, link faults, read-only CPU window) under sim seed
-/// `seed`. This is also the reproduction entry point minimized repro tests
-/// call.
+/// `seed`: one untraced simulation, whatever the outcome, so neither the
+/// campaign loop nor a ddmin probe pays for a diagnosis nobody reads
+/// (`post_mortem` and `timeline` are `None`). This is also the reproduction
+/// entry point minimized repro tests call; for the post-mortem and timeline
+/// of a schedule, run it through [`run_schedule_with`] under
+/// [`Instrumentation::replay`].
 pub fn run_schedule(
     base: &SystemConfig,
     opts: &CampaignOpts,
     schedule: &Schedule,
     seed: u64,
+) -> FuzzOutcome {
+    run_schedule_with(base, opts, schedule, seed, &Instrumentation::off())
+}
+
+/// [`run_schedule`] with explicit [`Instrumentation`].
+pub fn run_schedule_with(
+    base: &SystemConfig,
+    opts: &CampaignOpts,
+    schedule: &Schedule,
+    seed: u64,
+    instr: &Instrumentation,
 ) -> FuzzOutcome {
     let cfg = attack_config(base, opts, seed);
     let fuzz = FuzzOpts {
@@ -290,7 +284,7 @@ pub fn run_schedule(
         read_only_pages: vec![CPU_POOL_PAGE],
         ..FuzzOpts::default()
     };
-    run_fuzz(&cfg, &fuzz, opts.cpu_ops)
+    run_fuzz_with(&cfg, &fuzz, opts.cpu_ops, instr)
 }
 
 /// Picks a corpus entry with probability proportional to its energy.
@@ -384,24 +378,15 @@ pub fn mutate(rng: &mut SmallRng, parent: &Schedule, other: &Schedule, blocks: &
     child
 }
 
-/// Classifies a run's outcome against the safety claims.
-fn classify(out: &FuzzOutcome) -> Option<(FailureKind, String)> {
-    if out.host_violations > 0 {
-        return Some((
-            FailureKind::HostViolation,
-            format!("{} host protocol violations", out.host_violations),
-        ));
+/// One-line description of how `out` broke the `kind` claim.
+fn failure_summary(kind: FailureKind, out: &FuzzOutcome) -> String {
+    match kind {
+        FailureKind::HostViolation => {
+            format!("{} host protocol violations", out.host_violations)
+        }
+        FailureKind::DataError => format!("{} cpu data errors", out.cpu_data_errors),
+        FailureKind::Deadlock => "host deadlocked".into(),
     }
-    if out.cpu_data_errors > 0 {
-        return Some((
-            FailureKind::DataError,
-            format!("{} cpu data errors", out.cpu_data_errors),
-        ));
-    }
-    if out.deadlocked {
-        return Some((FailureKind::Deadlock, "host deadlocked".into()));
-    }
-    None
 }
 
 /// Runs a coverage-guided campaign against `base` (must be a fuzzing
@@ -444,7 +429,7 @@ pub fn run_campaign(base: &SystemConfig, opts: &CampaignOpts) -> CampaignOutcome
         for ((schedule, seed), out) in batch.into_iter().zip(outcomes) {
             runs += 1;
             injected += out.injected;
-            if let Some((kind, summary)) = classify(&out) {
+            if let Some(kind) = FailureKind::of(&out) {
                 match kind {
                     FailureKind::HostViolation => violations += 1,
                     FailureKind::DataError => data_errors += 1,
@@ -454,7 +439,7 @@ pub fn run_campaign(base: &SystemConfig, opts: &CampaignOpts) -> CampaignOutcome
                     kind,
                     seed,
                     schedule: schedule.clone(),
-                    summary,
+                    summary: failure_summary(kind, &out),
                 });
             }
             let mut new_pairs = 0u64;

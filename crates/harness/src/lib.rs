@@ -43,13 +43,13 @@ pub mod tester;
 pub mod workloads;
 
 pub use campaign::{
-    ddmin_vec, guarantee_probe, minimize, run_blind, run_campaign, run_schedule, BlindOutcome,
-    CampaignFailure, CampaignOpts, CampaignOutcome, CorpusEntry, FailureKind,
+    ddmin_vec, guarantee_probe, minimize, run_blind, run_campaign, run_schedule, run_schedule_with,
+    BlindOutcome, CampaignFailure, CampaignOpts, CampaignOutcome, CorpusEntry,
 };
 pub use config::{AccelOrg, AccelSlot, HostProtocol, SystemConfig};
 pub use fuzz::{FuzzAccel, FuzzHostCache, FuzzOpts, Schedule};
 pub use runner::{
-    run_fuzz, run_fuzz_with, run_stress, run_stress_with, run_workload, FuzzOutcome,
+    run_fuzz, run_fuzz_with, run_stress, run_stress_with, run_workload, FailureKind, FuzzOutcome,
     Instrumentation, PerfOutcome, StressOpts, StressOutcome,
 };
 pub use sweep::{available_jobs, resolve_jobs, sweep};

@@ -156,10 +156,21 @@ pub fn run_stress(cfg: &SystemConfig, opts: &StressOpts) -> StressOutcome {
         let replay = run_stress_with(cfg, opts, &Instrumentation::replay());
         out.post_mortem = replay.post_mortem;
         out.timeline = replay.timeline;
-    } else {
-        out.post_mortem = None;
     }
     out
+}
+
+/// What a finished run hands back beside its report: the post-mortem dump
+/// and the timeline JSON. Flags are collected even with tracing off, but a
+/// dump of flags over empty rings explains nothing, so only a run whose
+/// rings were recording carries a post-mortem.
+fn artefacts(system: &BuiltSystem) -> (Option<String>, Option<String>) {
+    let post_mortem = if system.sim.tracer().enabled() {
+        system.sim.post_mortem()
+    } else {
+        None
+    };
+    (post_mortem, system.sim.timeline_json())
 }
 
 /// Fills the report's per-guard section from a finished run: OS error
@@ -244,8 +255,7 @@ pub fn run_stress_with(
     flag_outstanding(&mut system, out.now.as_u64());
     let mut report = system.sim.report();
     fill_guard_section(&mut report, &system, &shared);
-    let post_mortem = system.sim.post_mortem();
-    let timeline = system.sim.timeline_json();
+    let (post_mortem, timeline) = artefacts(&system);
     let shared = shared.lock().unwrap();
     let hung_ops = report.sum_suffix(".outstanding") > 0;
     let transitions: usize = report.coverages().map(|(_, c)| c.len()).sum();
@@ -282,32 +292,82 @@ pub struct FuzzOutcome {
     pub cpu_ops_completed: u64,
     /// CPU-side value-check failures.
     pub cpu_data_errors: u64,
-    /// Post-mortem trace dump from a deterministic replay of a run that
-    /// flagged anything (corruption, host violations, guard errors, or
-    /// deadlock): the last events touching each offending address, across
-    /// the guard and every host controller. None when nothing was flagged.
+    /// Post-mortem trace dump: the last events touching each flagged
+    /// address, across the guard and every host controller. [`run_fuzz`]
+    /// attaches one, from a deterministic traced replay, only to a run that
+    /// *failed* ([`FailureKind::of`]: host violation, CPU data corruption
+    /// or deadlock). Errors the guard reported to the OS are the expected
+    /// outcome of every attack and do not trigger a replay; ask for the
+    /// dump of a passing attack with [`run_fuzz_with`] and
+    /// [`Instrumentation::replay`]. None for an untraced run.
     pub post_mortem: Option<String>,
     /// Chrome trace-event JSON of the run, when a timeline was requested
-    /// (or from the failure replay, for a flagged run).
+    /// (or from the failure replay, for a failed run).
     pub timeline: Option<String>,
     /// Full statistics.
     pub report: Report,
 }
 
+/// Which safety claim a failing fuzz run broke.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FailureKind {
+    /// A host controller saw an impossible event.
+    HostViolation,
+    /// A CPU tester read a value it never wrote.
+    DataError,
+    /// The host stopped making progress.
+    Deadlock,
+}
+
+impl FailureKind {
+    /// Every kind, in the order [`FailureKind::of`] checks them.
+    const ALL: [FailureKind; 3] = [
+        FailureKind::HostViolation,
+        FailureKind::DataError,
+        FailureKind::Deadlock,
+    ];
+
+    /// Short tag for artifact names.
+    pub fn tag(self) -> &'static str {
+        match self {
+            FailureKind::HostViolation => "violation",
+            FailureKind::DataError => "data_error",
+            FailureKind::Deadlock => "deadlock",
+        }
+    }
+
+    /// Whether `out` broke this particular claim. The one place "failed"
+    /// is written down: errors the guard reported to the OS are not on the
+    /// list, they are the guard working.
+    pub fn holds(self, out: &FuzzOutcome) -> bool {
+        match self {
+            FailureKind::HostViolation => out.host_violations > 0,
+            FailureKind::DataError => out.cpu_data_errors > 0,
+            FailureKind::Deadlock => out.deadlocked,
+        }
+    }
+
+    /// The claim `out` broke, if any. A run that broke several is named
+    /// after the first in the order violation, data error, deadlock.
+    pub fn of(out: &FuzzOutcome) -> Option<FailureKind> {
+        Self::ALL.into_iter().find(|kind| kind.holds(out))
+    }
+}
+
 /// Runs a fuzz attack (`FuzzXg` or `FuzzAccelSide` organization) while CPU
 /// testers measure whether the host stays correct and alive.
 ///
-/// If the attack corrupts host data or wedges the host, the identical seed
-/// is replayed with ring tracing enabled and the post-mortem dump naming the
-/// offending addresses is attached to the outcome.
+/// If the run failed ([`FailureKind::of`]: a host protocol violation, CPU
+/// data corruption or deadlock), the identical seed is replayed with ring
+/// tracing enabled and the post-mortem dump naming the offending addresses
+/// is attached to the outcome. Guard-reported OS errors alone are the
+/// expected outcome of an attack and cost no replay.
 pub fn run_fuzz(cfg: &SystemConfig, fuzz: &FuzzOpts, cpu_ops: u64) -> FuzzOutcome {
     let mut out = run_fuzz_with(cfg, fuzz, cpu_ops, &Instrumentation::off());
-    if out.cpu_data_errors > 0 || out.host_violations > 0 || out.os_errors > 0 || out.deadlocked {
+    if FailureKind::of(&out).is_some() {
         let replay = run_fuzz_with(cfg, fuzz, cpu_ops, &Instrumentation::replay());
         out.post_mortem = replay.post_mortem;
         out.timeline = replay.timeline;
-    } else {
-        out.post_mortem = None;
     }
     out
 }
@@ -409,8 +469,7 @@ pub fn run_fuzz_with(
     flag_outstanding(&mut system, out.now.as_u64());
     let mut report = system.sim.report();
     fill_guard_section(&mut report, &system, &shared);
-    let post_mortem = system.sim.post_mortem();
-    let timeline = system.sim.timeline_json();
+    let (post_mortem, timeline) = artefacts(&system);
     let shared = shared.lock().unwrap();
     let hung_ops = report.sum_suffix(".outstanding") > 0;
     FuzzOutcome {
@@ -499,5 +558,35 @@ pub fn run_workload(cfg: &SystemConfig, pattern: Pattern, accel_ops: u64) -> Per
         cycles: out.now.as_u64(),
         incomplete,
         report,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn failure_kinds_are_named_violation_first_then_data_error_then_deadlock() {
+        let mut out = FuzzOutcome {
+            cycles: 0,
+            injected: 0,
+            host_violations: 2,
+            os_errors: 7,
+            deadlocked: true,
+            cpu_ops_completed: 0,
+            cpu_data_errors: 3,
+            post_mortem: None,
+            timeline: None,
+            report: Report::new(),
+        };
+        assert!(FailureKind::ALL.iter().all(|kind| kind.holds(&out)));
+        assert_eq!(FailureKind::of(&out), Some(FailureKind::HostViolation));
+        out.host_violations = 0;
+        assert_eq!(FailureKind::of(&out), Some(FailureKind::DataError));
+        out.cpu_data_errors = 0;
+        assert_eq!(FailureKind::of(&out), Some(FailureKind::Deadlock));
+        out.deadlocked = false;
+        // Guard-reported OS errors alone are not a failure.
+        assert_eq!(FailureKind::of(&out), None);
     }
 }

@@ -2,8 +2,15 @@
 //! campaign against one guarded configuration must run clean, build a
 //! corpus, and summarize itself in the report's `fuzz` section.
 
+use std::collections::BTreeMap;
+
 use xg_core::XgVariant;
-use xg_harness::{run_campaign, AccelOrg, CampaignOpts, HostProtocol, SystemConfig};
+use xg_harness::campaign::distinct_pairs;
+use xg_harness::{
+    guarantee_probe, run_campaign, run_schedule, run_schedule_with, AccelOrg, CampaignOpts,
+    FailureKind, HostProtocol, Instrumentation, SystemConfig,
+};
+use xg_sim::TransitionCoverage;
 
 #[test]
 fn tiny_campaign_runs_clean_and_builds_a_corpus() {
@@ -48,6 +55,62 @@ fn tiny_campaign_runs_clean_and_builds_a_corpus() {
     // And it survives the JSON round trip (what CI artifacts store).
     let back = xg_sim::Report::from_json(&out.report.to_json()).unwrap();
     assert_eq!(back.fuzz_get("campaign_runs"), out.runs);
+
+    // The campaign's feedback is exactly what one untraced run of each
+    // schedule produces: runs that stayed out of the corpus added no row,
+    // so replaying the corpus alone must rebuild the same coverage.
+    let mut replayed: BTreeMap<String, TransitionCoverage> = BTreeMap::new();
+    for entry in &out.corpus {
+        let run = run_schedule(&base, &opts, &entry.schedule, entry.seed);
+        for (machine, cov) in run.report.fsms() {
+            replayed.entry(machine.to_string()).or_default().merge(cov);
+        }
+    }
+    assert_eq!(distinct_pairs(&replayed), out.distinct_pairs());
+}
+
+/// A guard reporting the fuzzer's garbage to the OS is the guard working,
+/// not a failure: `run_schedule` is one untraced simulation and attaches no
+/// diagnosis, and asking for one explicitly does not perturb the run.
+#[test]
+fn passing_attacks_are_simulated_once_and_traced_only_on_request() {
+    for host in [HostProtocol::Hammer, HostProtocol::Mesi] {
+        for variant in [XgVariant::FullState, XgVariant::Transactional] {
+            let base = SystemConfig {
+                host,
+                accel: AccelOrg::FuzzXg { variant },
+                ..SystemConfig::default()
+            };
+            let name = base.name();
+            let opts = CampaignOpts {
+                cpu_ops: 400,
+                ..CampaignOpts::default()
+            };
+            let out = run_schedule(&base, &opts, &guarantee_probe(), 0xF1);
+            assert!(out.os_errors > 0, "{name}: attack must be detected");
+            assert_eq!(FailureKind::of(&out), None, "{name}");
+            assert_eq!(out.post_mortem, None, "{name}");
+            assert_eq!(out.timeline, None, "{name}");
+
+            let traced = run_schedule_with(
+                &base,
+                &opts,
+                &guarantee_probe(),
+                0xF1,
+                &Instrumentation::replay(),
+            );
+            assert!(
+                traced.post_mortem.is_some(),
+                "{name}: post-mortem on request"
+            );
+            assert!(traced.timeline.is_some(), "{name}: timeline on request");
+            assert_eq!(
+                traced.report.without_profile().to_json(),
+                out.report.without_profile().to_json(),
+                "{name}: tracing perturbed the run"
+            );
+        }
+    }
 }
 
 /// The multi-guard campaign path: with `num_accels = 2` every run carries

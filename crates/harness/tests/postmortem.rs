@@ -2,8 +2,10 @@
 //! that names the offending addresses (ISSUE: fuzz-failure post-mortem).
 
 use xg_core::XgVariant;
+use xg_harness::campaign::CPU_POOL_PAGE;
 use xg_harness::{
-    run_fuzz, run_stress, AccelOrg, FuzzOpts, HostProtocol, StressOpts, SystemConfig,
+    guarantee_probe, run_fuzz, run_fuzz_with, run_stress, AccelOrg, FailureKind, FuzzOpts,
+    HostProtocol, Instrumentation, StressOpts, SystemConfig,
 };
 
 /// Extracts the first `flagged addr 0x…` token from a post-mortem dump.
@@ -72,10 +74,11 @@ fn fuzzed_unprotected_host_failure_names_corrupted_address() {
 
 #[test]
 fn guarded_fuzz_post_mortem_spans_guard_and_host() {
-    // A guard under attack reports errors to the OS; the run is replayed
-    // with tracing and the dump shows what the guard saw. Host-side
-    // controllers trace into the same per-address rings, so the one dump
-    // interleaves both sides of the crossing.
+    // A guard under attack reports errors to the OS. That is the guard
+    // working, so `run_fuzz` does not replay it; asked for explicitly, the
+    // traced run's dump shows what the guard saw. Host-side controllers
+    // trace into the same per-address rings, so the one dump interleaves
+    // both sides of the crossing.
     let cfg = SystemConfig {
         host: HostProtocol::Hammer,
         accel: AccelOrg::FuzzXg {
@@ -84,25 +87,57 @@ fn guarded_fuzz_post_mortem_spans_guard_and_host() {
         seed: 5,
         ..SystemConfig::default()
     };
-    let out = run_fuzz(
-        &cfg,
-        &FuzzOpts {
-            messages: 400,
-            ..FuzzOpts::default()
-        },
-        800,
-    );
+    let fuzz = FuzzOpts {
+        messages: 400,
+        ..FuzzOpts::default()
+    };
+    let out = run_fuzz_with(&cfg, &fuzz, 800, &Instrumentation::replay());
     assert!(out.os_errors > 0, "attack must be detected");
     let pm = out
         .post_mortem
         .as_deref()
-        .expect("guard errors must attach a post-mortem");
+        .expect("a traced run with guard errors carries a post-mortem");
     assert!(pm.contains("=== post-mortem ==="), "{pm}");
     assert!(
         pm.contains("guard error"),
         "flag reason names the guard error\n{pm}"
     );
     assert!(pm.contains("[guard]"), "dump has guard events\n{pm}");
+}
+
+#[test]
+fn failed_fuzz_runs_still_explain_themselves() {
+    // The planted guard bug swallows forwarded invalidations: once the
+    // probe has made the accelerator a sharer of CPU-pool blocks, the CPU
+    // writers never hear back. That is a deadlock, a real failure, so
+    // `run_fuzz` replays it and attaches both artefacts unasked.
+    let mut cfg = SystemConfig {
+        host: HostProtocol::Hammer,
+        accel: AccelOrg::FuzzXg {
+            variant: XgVariant::FullState,
+        },
+        ..SystemConfig::default()
+    };
+    cfg.xg.test_swallow_invs = true;
+    let probe = guarantee_probe();
+    let fuzz = FuzzOpts {
+        messages: probe.steps.len() as u64,
+        schedule: Some(probe),
+        read_only_pages: vec![CPU_POOL_PAGE],
+        ..FuzzOpts::default()
+    };
+    let out = run_fuzz(&cfg, &fuzz, 150);
+    assert_eq!(FailureKind::of(&out), Some(FailureKind::Deadlock));
+    let pm = out
+        .post_mortem
+        .as_deref()
+        .expect("a deadlocked fuzz run must attach a post-mortem");
+    assert!(pm.contains("outstanding at deadlock"), "{pm}");
+    assert!(
+        pm.lines().any(|l| l.starts_with("  [")),
+        "post-mortem should retain replayed events\n{pm}"
+    );
+    assert!(out.timeline.is_some(), "and the replay's timeline");
 }
 
 #[test]
