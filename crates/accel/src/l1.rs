@@ -16,9 +16,7 @@
 //! from `B` and awaiting the guaranteed `WbAck`). The `tests` module holds
 //! a conformance test that walks this table entry by entry.
 
-use std::collections::HashMap;
-
-use xg_mem::{BlockAddr, DataBlock, Replacement, SetAssocCache};
+use xg_mem::{BlockAddr, DataBlock, IdMap, Replacement, SetAssocCache};
 use xg_proto::{CoreKind, CoreMsg, Ctx, Message, XgData, XgiKind, XgiMsg};
 use xg_sim::{Component, CoverageSet, Cycle, Histogram, NodeId, Report};
 
@@ -146,7 +144,7 @@ pub struct AccelL1 {
     below: NodeId,
     cfg: AccelL1Config,
     cache: SetAssocCache<Line>,
-    pending: HashMap<BlockAddr, Pending>,
+    pending: IdMap<BlockAddr, Pending>,
     stats: Stats,
     coverage: CoverageSet,
 }
@@ -163,7 +161,7 @@ impl AccelL1 {
             name: name.into(),
             below,
             cache: SetAssocCache::new(cfg.sets, cfg.ways, cfg.replacement, cfg.seed),
-            pending: HashMap::new(),
+            pending: IdMap::default(),
             cfg,
             stats: Stats::default(),
             coverage: CoverageSet::new(),

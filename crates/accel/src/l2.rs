@@ -15,9 +15,9 @@
 //! sharer set, and the owning L1. Multi-step flows (recalls before grants,
 //! host invalidations, inclusive evictions) serialize per block.
 
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 
-use xg_mem::{BlockAddr, DataBlock, Replacement, SetAssocCache};
+use xg_mem::{BlockAddr, DataBlock, IdMap, Replacement, SetAssocCache};
 use xg_proto::{Ctx, Message, XgData, XgiKind, XgiMsg};
 use xg_sim::{Component, CoverageSet, Cycle, Histogram, NodeId, Report};
 
@@ -121,10 +121,10 @@ pub struct AccelL2 {
     below: NodeId,
     cfg: AccelL2Config,
     array: SetAssocCache<L2Line>,
-    busy: HashMap<BlockAddr, Busy>,
+    busy: IdMap<BlockAddr, Busy>,
     /// Issue times of in-flight upward Gets, for the `lat.up_get` histogram.
-    fetch_started: HashMap<BlockAddr, Cycle>,
-    queues: HashMap<BlockAddr, VecDeque<(NodeId, XgiKind)>>,
+    fetch_started: IdMap<BlockAddr, Cycle>,
+    queues: IdMap<BlockAddr, VecDeque<(NodeId, XgiKind)>>,
     stats: Stats,
     coverage: CoverageSet,
 }
@@ -140,9 +140,9 @@ impl AccelL2 {
             name: name.into(),
             below,
             array: SetAssocCache::new(cfg.sets, cfg.ways, cfg.replacement, cfg.seed),
-            busy: HashMap::new(),
-            fetch_started: HashMap::new(),
-            queues: HashMap::new(),
+            busy: IdMap::default(),
+            fetch_started: IdMap::default(),
+            queues: IdMap::default(),
             cfg,
             stats: Stats::default(),
             coverage: CoverageSet::new(),

@@ -1,8 +1,6 @@
 //! Accelerator-protocol tests, including the Table 1 conformance walk.
 
-use std::collections::HashMap;
-
-use xg_mem::{Addr, BlockAddr, DataBlock};
+use xg_mem::{Addr, BlockAddr, DataBlock, IdMap};
 use xg_proto::{CoreKind, CoreMsg, Ctx, Message, XgData, XgiKind, XgiMsg};
 use xg_sim::{Component, Link, NodeId, SimBuilder};
 
@@ -18,7 +16,7 @@ struct MockGuard {
     auto: bool,
     /// Grant E (instead of S) for GetS when auto-responding.
     grant_e: bool,
-    memory: HashMap<BlockAddr, Vec<DataBlock>>,
+    memory: IdMap<BlockAddr, Vec<DataBlock>>,
     blocks: usize,
 }
 
@@ -29,7 +27,7 @@ impl MockGuard {
             log: Vec::new(),
             auto,
             grant_e,
-            memory: HashMap::new(),
+            memory: IdMap::default(),
             blocks,
         }
     }

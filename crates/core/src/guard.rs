@@ -21,9 +21,9 @@
 //!   gets its `WbAck`, and the `InvAck` the accelerator sends from state
 //!   `B` is absorbed.
 
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
-use xg_mem::{BlockAddr, DataBlock, PagePerm};
+use xg_mem::{BlockAddr, DataBlock, IdMap, IdSet, PagePerm};
 use xg_proto::{
     Ctx, HammerKind, HomeMap, Message, OsMsg, XgData, XgError, XgErrorKind, XgiKind, XgiMsg,
 };
@@ -117,14 +117,14 @@ pub struct CrossingGuard {
     k: u64,
     persona: Box<dyn HostPersona>,
     /// Full State table (None for Transactional).
-    table: Option<HashMap<BlockAddr, Entry>>,
+    table: Option<IdMap<BlockAddr, Entry>>,
     shadow_blocks: u64,
-    reqs: HashMap<BlockAddr, AccelReq>,
-    queued: HashMap<BlockAddr, VecDeque<XgiKind>>,
-    inv_pending: HashMap<BlockAddr, InvPending>,
-    wake_epochs: HashMap<u64, BlockAddr>,
+    reqs: IdMap<BlockAddr, AccelReq>,
+    queued: IdMap<BlockAddr, VecDeque<XgiKind>>,
+    inv_pending: IdMap<BlockAddr, InvPending>,
+    wake_epochs: IdMap<u64, BlockAddr>,
     next_epoch: u64,
-    internal_puts: HashSet<BlockAddr>,
+    internal_puts: IdSet<BlockAddr>,
     rate: Option<TokenBucket>,
     disabled: bool,
     stats: Stats,
@@ -181,7 +181,7 @@ impl CrossingGuard {
             "block-size translation requires the Full State variant (paper §2.5)"
         );
         let table = match cfg.variant {
-            XgVariant::FullState => Some(HashMap::new()),
+            XgVariant::FullState => Some(IdMap::default()),
             XgVariant::Transactional => None,
         };
         let rate = cfg.rate_limit.map(TokenBucket::new);
@@ -193,12 +193,12 @@ impl CrossingGuard {
             persona,
             table,
             shadow_blocks: 0,
-            reqs: HashMap::new(),
-            queued: HashMap::new(),
-            inv_pending: HashMap::new(),
-            wake_epochs: HashMap::new(),
+            reqs: IdMap::default(),
+            queued: IdMap::default(),
+            inv_pending: IdMap::default(),
+            wake_epochs: IdMap::default(),
             next_epoch: 0,
-            internal_puts: HashSet::new(),
+            internal_puts: IdSet::default(),
             rate,
             disabled: false,
             cfg,
@@ -737,7 +737,7 @@ impl CrossingGuard {
             .get_mut(&a)
             .map(|ip| std::mem::take(&mut ip.reasons))
             .unwrap_or_default();
-        let mut consumed: HashSet<BlockAddr> = HashSet::new();
+        let mut consumed: IdSet<BlockAddr> = IdSet::default();
         for (h, kind) in &reasons {
             let idx = (h.as_u64() - a.as_u64()) as usize;
             let resp = match &resolution {

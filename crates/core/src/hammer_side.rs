@@ -13,10 +13,8 @@
 //! to a [`PEvent`] (a forward racing our writeback is a different event
 //! than one opening a demand), and the `xg-fsm` table decides legality.
 
-use std::collections::HashMap;
-
 use xg_fsm::{alphabet, Controller, Machine, Step, Table, TableBuilder};
-use xg_mem::{BlockAddr, DataBlock};
+use xg_mem::{BlockAddr, DataBlock, IdMap};
 use xg_proto::{Ctx, HammerKind, HammerMsg, HomeMap};
 use xg_sim::{CheckDigest, Cycle, FsmRows, NodeId, Report};
 
@@ -166,8 +164,8 @@ pub struct PCx<'a, 'b, 'e> {
 #[derive(Clone)]
 pub(crate) struct HammerPersona {
     dir: HomeMap,
-    txns: HashMap<BlockAddr, Txn>,
-    demands: HashMap<BlockAddr, DemandCtx>,
+    txns: IdMap<BlockAddr, Txn>,
+    demands: IdMap<BlockAddr, DemandCtx>,
     pub(crate) stats: PersonaStats,
     machine: Machine<PState, PEvent, PAction>,
 }
@@ -176,8 +174,8 @@ impl HammerPersona {
     pub(crate) fn new(dir: HomeMap) -> Self {
         HammerPersona {
             dir,
-            txns: HashMap::new(),
-            demands: HashMap::new(),
+            txns: IdMap::default(),
+            demands: IdMap::default(),
             stats: PersonaStats::default(),
             machine: Machine::new(table()),
         }

@@ -13,10 +13,8 @@
 //! cross to the accelerator. The `xg-fsm` table decides legality; the
 //! symbolic [`PAction`]s move the data.
 
-use std::collections::HashMap;
-
 use xg_fsm::{alphabet, Controller, Machine, Step, Table, TableBuilder};
-use xg_mem::{BlockAddr, DataBlock};
+use xg_mem::{BlockAddr, DataBlock, IdMap};
 use xg_proto::{Ctx, HomeMap, MesiKind, MesiMsg};
 use xg_sim::{CheckDigest, Cycle, FsmRows, NodeId, Report};
 
@@ -205,8 +203,8 @@ pub struct PCx<'a, 'b, 'e> {
 #[derive(Clone)]
 pub(crate) struct MesiPersona {
     l2: HomeMap,
-    txns: HashMap<BlockAddr, Txn>,
-    demands: HashMap<BlockAddr, DemandCtx>,
+    txns: IdMap<BlockAddr, Txn>,
+    demands: IdMap<BlockAddr, DemandCtx>,
     pub(crate) stats: PersonaStats,
     machine: Machine<PState, PEvent, PAction>,
 }
@@ -215,8 +213,8 @@ impl MesiPersona {
     pub(crate) fn new(l2: HomeMap) -> Self {
         MesiPersona {
             l2,
-            txns: HashMap::new(),
-            demands: HashMap::new(),
+            txns: IdMap::default(),
+            demands: IdMap::default(),
             stats: PersonaStats::default(),
             machine: Machine::new(table()),
         }

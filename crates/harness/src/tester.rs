@@ -23,12 +23,11 @@
 //! operations (a handful per op), and a lost response drains the queue
 //! instead of idling it.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 use rand::Rng;
-use xg_mem::Addr;
+use xg_mem::{Addr, IdMap};
 use xg_proto::{CoreKind, CoreMsg, Ctx, Message};
 use xg_sim::{Component, NodeId, Report};
 
@@ -88,12 +87,12 @@ pub struct TesterShared {
     data_errors: u64,
     /// Value-check failures per observing core index, for multi-accelerator
     /// blast-radius attribution (which hierarchy saw corrupted data).
-    errors_by_core: HashMap<usize, u64>,
+    errors_by_core: IdMap<usize, u64>,
     error_log: Vec<String>,
     /// Word addresses whose value checks failed, in detection order.
     corrupted: Vec<u64>,
-    issued: HashMap<u64, u64>,
-    last_seen: HashMap<(usize, u64), u64>,
+    issued: IdMap<u64, u64>,
+    last_seen: IdMap<(usize, u64), u64>,
 }
 
 impl TesterShared {
@@ -107,11 +106,11 @@ impl TesterShared {
                 target_ops,
                 completed: 0,
                 data_errors: 0,
-                errors_by_core: HashMap::new(),
+                errors_by_core: IdMap::default(),
                 error_log: Vec::new(),
                 corrupted: Vec::new(),
-                issued: HashMap::new(),
-                last_seen: HashMap::new(),
+                issued: IdMap::default(),
+                last_seen: IdMap::default(),
             }),
             done: AtomicBool::new(target_ops == 0),
         })

@@ -33,9 +33,7 @@
 //! bookkeeping with dirty bits and response counters — against which the
 //! five-state accelerator cache of Table 1 is compared.
 
-use std::collections::HashMap;
-
-use xg_mem::{BlockAddr, DataBlock, Mshr, Replacement, SetAssocCache};
+use xg_mem::{BlockAddr, DataBlock, IdMap, Mshr, Replacement, SetAssocCache};
 use xg_proto::{CoreKind, CoreMsg, Ctx, HammerKind, HammerMsg, HomeMap, Message};
 use xg_sim::{CheckDigest, Component, CoverageSet, Cycle, Histogram, NodeId, Report};
 
@@ -229,7 +227,7 @@ pub struct HammerCache {
     cache: SetAssocCache<Line>,
     mshr: Mshr<Txn>,
     /// Open times of in-flight MSHR transactions, for latency histograms.
-    txn_started: HashMap<BlockAddr, Cycle>,
+    txn_started: IdMap<BlockAddr, Cycle>,
     stats: Stats,
     coverage: CoverageSet,
 }
@@ -243,7 +241,7 @@ impl HammerCache {
             dir: dir.into(),
             cache: SetAssocCache::new(cfg.sets, cfg.ways, cfg.replacement, cfg.seed),
             mshr: Mshr::new(cfg.mshr_entries),
-            txn_started: HashMap::new(),
+            txn_started: IdMap::default(),
             cfg,
             stats: Stats::default(),
             coverage: CoverageSet::new(),

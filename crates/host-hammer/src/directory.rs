@@ -12,10 +12,10 @@
 //! (owner identity, queue contents, memory) stays here, interpreted through
 //! the symbolic [`DirAction`]s.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use xg_fsm::{alphabet, Alphabet, Controller, Machine, Step, Table, TableBuilder};
-use xg_mem::{BlockAddr, DataBlock};
+use xg_mem::{BlockAddr, DataBlock, IdMap};
 use xg_proto::{Ctx, HammerKind, HammerMsg, Message};
 use xg_sim::{CheckDigest, Component, CoverageSet, Cycle, FsmRows, Histogram, NodeId, Report};
 
@@ -176,8 +176,8 @@ pub struct DirCx<'a, 'b> {
 pub struct HammerDirectory {
     name: String,
     caches: Vec<NodeId>,
-    memory: HashMap<BlockAddr, DataBlock>,
-    blocks: HashMap<BlockAddr, DirBlock>,
+    memory: IdMap<BlockAddr, DataBlock>,
+    blocks: IdMap<BlockAddr, DirBlock>,
     mem_latency: u64,
     stats: Stats,
     coverage: CoverageSet,
@@ -193,8 +193,8 @@ impl HammerDirectory {
         HammerDirectory {
             name: name.into(),
             caches,
-            memory: HashMap::new(),
-            blocks: HashMap::new(),
+            memory: IdMap::default(),
+            blocks: IdMap::default(),
             mem_latency,
             stats: Stats::default(),
             coverage: CoverageSet::new(),

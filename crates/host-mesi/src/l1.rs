@@ -29,9 +29,7 @@
 //! textbook MESI race that the accelerator protocols behind Crossing Guard
 //! never see.
 
-use std::collections::HashMap;
-
-use xg_mem::{BlockAddr, DataBlock, Mshr, Replacement, SetAssocCache};
+use xg_mem::{BlockAddr, DataBlock, IdMap, Mshr, Replacement, SetAssocCache};
 use xg_proto::{CoreKind, CoreMsg, Ctx, HomeMap, MesiKind, MesiMsg, Message};
 use xg_sim::{CheckDigest, Component, CoverageSet, Cycle, Histogram, NodeId, Report};
 
@@ -206,7 +204,7 @@ pub struct MesiL1 {
     cache: SetAssocCache<Line>,
     mshr: Mshr<Txn>,
     /// Open times of in-flight MSHR transactions, for latency histograms.
-    txn_started: HashMap<BlockAddr, Cycle>,
+    txn_started: IdMap<BlockAddr, Cycle>,
     stats: Stats,
     coverage: CoverageSet,
 }
@@ -220,7 +218,7 @@ impl MesiL1 {
             l2: l2.into(),
             cache: SetAssocCache::new(cfg.sets, cfg.ways, cfg.replacement, cfg.seed),
             mshr: Mshr::new(cfg.mshr_entries),
-            txn_started: HashMap::new(),
+            txn_started: IdMap::default(),
             cfg,
             stats: Stats::default(),
             coverage: CoverageSet::new(),

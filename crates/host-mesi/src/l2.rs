@@ -27,10 +27,10 @@
 //! `xg-fsm` table maps `(state, event)` to transition, stall (queue), or
 //! violation. Data movement lives in the symbolic [`L2Action`]s.
 
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 
 use xg_fsm::{alphabet, Alphabet, Controller, Machine, Step, Table, TableBuilder};
-use xg_mem::{BlockAddr, DataBlock, Replacement, SetAssocCache};
+use xg_mem::{BlockAddr, DataBlock, IdMap, Replacement, SetAssocCache};
 use xg_proto::{Ctx, MesiKind, MesiMsg, Message};
 use xg_sim::{CheckDigest, Component, CoverageSet, Cycle, FsmRows, Histogram, NodeId, Report};
 
@@ -311,11 +311,11 @@ pub struct MesiL2 {
     name: String,
     cfg: MesiL2Config,
     array: SetAssocCache<L2Line>,
-    busy: HashMap<BlockAddr, Busy>,
+    busy: IdMap<BlockAddr, Busy>,
     /// Open times of busy entries, for the `lat.busy` histogram.
-    busy_since: HashMap<BlockAddr, Cycle>,
-    queues: HashMap<BlockAddr, VecDeque<(NodeId, MesiKind)>>,
-    memory: HashMap<BlockAddr, DataBlock>,
+    busy_since: IdMap<BlockAddr, Cycle>,
+    queues: IdMap<BlockAddr, VecDeque<(NodeId, MesiKind)>>,
+    memory: IdMap<BlockAddr, DataBlock>,
     stats: Stats,
     coverage: CoverageSet,
     machine: Machine<L2State, L2Event, L2Action>,
@@ -327,10 +327,10 @@ impl MesiL2 {
         MesiL2 {
             name: name.into(),
             array: SetAssocCache::new(cfg.sets, cfg.ways, cfg.replacement, cfg.seed),
-            busy: HashMap::new(),
-            busy_since: HashMap::new(),
-            queues: HashMap::new(),
-            memory: HashMap::new(),
+            busy: IdMap::default(),
+            busy_since: IdMap::default(),
+            queues: IdMap::default(),
+            memory: IdMap::default(),
             cfg,
             stats: Stats::default(),
             coverage: CoverageSet::new(),

@@ -12,6 +12,9 @@
 //! * [`SetAssocCache`] — a set-associative tag/data array with pluggable
 //!   replacement policy, used by every cache controller.
 //! * [`Mshr`] — a bounded miss-status holding register / transaction table.
+//! * [`IdMap`] / [`IdSet`] — `std` hash tables over [`IdHasher`], for the
+//!   per-block (page, word, op id, core index) bookkeeping every controller
+//!   keeps on its message path.
 //!
 //! ```rust
 //! use xg_mem::{Addr, DataBlock};
@@ -30,11 +33,13 @@
 mod addr;
 mod cache;
 mod data;
+mod idmap;
 mod mshr;
 mod perms;
 
 pub use addr::{Addr, BlockAddr, PageAddr, BLOCK_BYTES, PAGE_BYTES};
 pub use cache::{Replacement, SetAssocCache};
 pub use data::DataBlock;
+pub use idmap::{IdHasher, IdMap, IdSet};
 pub use mshr::{Mshr, MshrFullError};
 pub use perms::{PagePerm, PermissionTable};

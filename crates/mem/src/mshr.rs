@@ -1,10 +1,10 @@
 //! Miss-status holding registers / transaction buffers.
 
-use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
 use crate::addr::BlockAddr;
+use crate::idmap::IdMap;
 
 /// Returned by [`Mshr::alloc`] when all entries are in use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,7 +36,7 @@ impl Error for MshrFullError {}
 /// ```
 #[derive(Debug, Clone)]
 pub struct Mshr<V> {
-    entries: HashMap<BlockAddr, V>,
+    entries: IdMap<BlockAddr, V>,
     capacity: usize,
 }
 
@@ -48,7 +48,7 @@ impl<V> Mshr<V> {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "MSHR capacity must be nonzero");
         Mshr {
-            entries: HashMap::new(),
+            entries: IdMap::default(),
             capacity,
         }
     }

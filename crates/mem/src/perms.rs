@@ -1,6 +1,6 @@
 //! Page permissions (Guarantee 0).
 
-use std::collections::HashMap;
+use crate::idmap::IdMap;
 
 use crate::addr::PageAddr;
 
@@ -49,7 +49,7 @@ impl PagePerm {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct PermissionTable {
-    pages: HashMap<PageAddr, PagePerm>,
+    pages: IdMap<PageAddr, PagePerm>,
     default: PagePerm,
 }
 
@@ -63,7 +63,7 @@ impl PermissionTable {
     /// A table whose unset pages have permission `default`.
     pub fn with_default(default: PagePerm) -> Self {
         PermissionTable {
-            pages: HashMap::new(),
+            pages: IdMap::default(),
             default,
         }
     }
