@@ -16,8 +16,6 @@
 //! | `Reduction` | kmeans | scans plus hot accumulator writes |
 //! | `ProducerConsumer` | host-fed kernels | fine-grained host↔accel sharing |
 
-use std::collections::HashMap;
-
 use xg_mem::Addr;
 use xg_proto::{CoreKind, CoreMsg, Ctx, Message};
 use xg_sim::{Component, Cycle, NodeId, Report};
@@ -154,11 +152,12 @@ pub struct WorkloadCore {
     ops_target: u64,
     issued: u64,
     completed: u64,
-    in_flight: HashMap<u64, ()>,
+    /// Outstanding accesses as `(id, issued_at)` in issue order, at most
+    /// `pattern.max_in_flight()`.
+    in_flight: Vec<(u64, u64)>,
     next_id: u64,
     done_at: Option<Cycle>,
     latency_sum: u64,
-    issue_times: HashMap<u64, u64>,
 }
 
 impl WorkloadCore {
@@ -180,11 +179,10 @@ impl WorkloadCore {
             ops_target,
             issued: 0,
             completed: 0,
-            in_flight: HashMap::new(),
+            in_flight: Vec::with_capacity(pattern.max_in_flight()),
             next_id: 0,
             done_at: None,
             latency_sum: 0,
-            issue_times: HashMap::new(),
         }
     }
 
@@ -210,8 +208,7 @@ impl WorkloadCore {
             let id = self.next_id;
             self.next_id += 1;
             self.issued += 1;
-            self.in_flight.insert(id, ());
-            self.issue_times.insert(id, ctx.now().as_u64());
+            self.in_flight.push((id, ctx.now().as_u64()));
             let kind = if store {
                 CoreKind::Store { value: self.issued }
             } else {
@@ -237,12 +234,11 @@ impl Component<Message> for WorkloadCore {
 
     fn handle(&mut self, _from: NodeId, msg: Message, ctx: &mut Ctx<'_>) {
         let Message::Core(c) = msg else { return };
-        if self.in_flight.remove(&c.id).is_none() {
+        let Some(slot) = self.in_flight.iter().position(|&(id, _)| id == c.id) else {
             return;
-        }
-        if let Some(t0) = self.issue_times.remove(&c.id) {
-            self.latency_sum += ctx.now().as_u64() - t0;
-        }
+        };
+        let (_, issued_at) = self.in_flight.remove(slot);
+        self.latency_sum += ctx.now().as_u64() - issued_at;
         self.completed += 1;
         ctx.note_progress();
         if self.completed >= self.ops_target {
@@ -341,6 +337,57 @@ mod tests {
             .count();
         assert!(stores > 0 && stores < 500);
         assert!((0..1000).all(|n| !Pattern::GraphWalk.access(n, 256).1));
+    }
+
+    /// Swallows every request: the test plays the cache's answers itself.
+    struct SinkCache;
+
+    impl Component<Message> for SinkCache {
+        fn name(&self) -> &str {
+            "sink_cache"
+        }
+        fn handle(&mut self, _from: NodeId, _msg: Message, _ctx: &mut Ctx<'_>) {}
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+    }
+
+    #[test]
+    fn a_response_that_is_not_in_flight_is_ignored() {
+        let mut b = xg_sim::SimBuilder::new(1);
+        let cache = b.add(Box::new(SinkCache));
+        // GraphWalk keeps one access outstanding: ids go 0, 1, 2.
+        let core = b.add(Box::new(WorkloadCore::new(
+            "wl",
+            cache,
+            Pattern::GraphWalk,
+            0x1000,
+            64,
+            3,
+        )));
+        let mut sim = b.build();
+        let answer = |id: u64, sim: &mut xg_sim::Simulator<Message>| {
+            let resp = CoreMsg {
+                id,
+                addr: Addr::new(0x1000),
+                kind: CoreKind::LoadResp { value: 0 },
+            };
+            sim.post(cache, core, resp.into());
+            sim.run_to_quiescence(1_000);
+            sim.get::<WorkloadCore>(core).unwrap().completed()
+        };
+        sim.post_wake(core, 1, 0);
+        assert_eq!(answer(99, &mut sim), 0, "unknown id completes nothing");
+        assert_eq!(answer(0, &mut sim), 1);
+        assert_eq!(answer(0, &mut sim), 1, "a duplicate answer is unknown too");
+        assert_eq!(answer(1, &mut sim), 2);
+        assert_eq!(answer(2, &mut sim), 3);
+        let wl = sim.get::<WorkloadCore>(core).unwrap();
+        assert!(wl.done_at().is_some());
+        assert!(wl.in_flight.is_empty());
     }
 
     #[test]
