@@ -37,7 +37,7 @@ use xg_sim::{FaultSpec, Report, TransitionCoverage};
 use crate::config::{AccelOrg, AccelSlot, HostProtocol, SystemConfig};
 use crate::fuzz::{FuzzOpts, FuzzStep, InvPolicy, Schedule, FUZZ_KIND_CODES, INV_RESPONSE_CODES};
 pub use crate::runner::FailureKind;
-use crate::runner::{run_fuzz, run_fuzz_with, FuzzOutcome, Instrumentation};
+use crate::runner::{run_fuzz_with, FuzzOutcome, Instrumentation};
 use crate::sweep::{resolve_jobs, sweep};
 
 /// First block of the CPU testers' working set (`word_pool(0x100_0000, ..)`
@@ -225,7 +225,7 @@ pub fn guarantee_probe() -> Schedule {
 /// Builds the attacked configuration for one campaign run: slot 0 is the
 /// fuzzed organization from `base`, and `opts.num_accels - 1` correct
 /// guarded siblings (same variant, one-level) ride along. Sibling page
-/// tables and tester cores are assigned by [`run_fuzz`].
+/// tables and tester cores are assigned by [`run_fuzz_with`].
 fn attack_config(base: &SystemConfig, opts: &CampaignOpts, seed: u64) -> SystemConfig {
     let mut cfg = base.clone();
     if opts.shrink_caches {
@@ -511,7 +511,7 @@ pub fn run_blind(base: &SystemConfig, opts: &CampaignOpts, budget: u64) -> Blind
             pool_blocks: opts.pool_blocks,
             ..FuzzOpts::default()
         };
-        run_fuzz(&cfg, &fuzz, opts.cpu_ops)
+        run_fuzz_with(&cfg, &fuzz, opts.cpu_ops, &Instrumentation::off())
     });
     let mut coverage: BTreeMap<String, TransitionCoverage> = BTreeMap::new();
     let mut injected = 0u64;

@@ -27,7 +27,7 @@ const MUL: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// Multiply–xorshift hasher for integer-like keys.
 ///
-/// Each word is xored into the folded state and multiplied by [`MUL`].
+/// Each word is xored into the folded state and multiplied by 2^64 / φ.
 /// A multiply only carries entropy upwards — the low *k* bits of
 /// `(i << k) * MUL` are zero — and hashbrown picks the bucket from the low
 /// bits of the hash (the control byte from the top seven), so
