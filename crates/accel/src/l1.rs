@@ -260,15 +260,7 @@ impl AccelL1 {
                         self.stats.prefetch_hits += 1;
                     }
                     let value = line.data[sub].read_u64(offset);
-                    ctx.send(
-                        from,
-                        CoreMsg {
-                            id: msg.id,
-                            addr: msg.addr,
-                            kind: CoreKind::LoadResp { value },
-                        }
-                        .into(),
-                    );
+                    ctx.send(from, msg.reply(CoreKind::LoadResp { value }).into());
                 } else {
                     self.stats.misses += 1;
                     let req = match self.cfg.mode {
@@ -283,56 +275,30 @@ impl AccelL1 {
                     // Push the block down through the ordinary Put path;
                     // answer once the WbAck lands (the flush op rides the
                     // pending list and is re-handled on an absent line).
-                    self.start_put(la, line, ctx);
-                    self.pending
-                        .get_mut(&la)
-                        .expect("start_put pends")
-                        .waiting
-                        .push((from, msg));
+                    self.start_put(la, line, vec![(from, msg)], ctx);
                 } else {
-                    ctx.send(
-                        from,
-                        CoreMsg {
-                            id: msg.id,
-                            addr: msg.addr,
-                            kind: CoreKind::FlushResp,
-                        }
-                        .into(),
-                    );
+                    ctx.send(from, msg.reply(CoreKind::FlushResp).into());
                 }
             }
-            CoreKind::Store { value } => match self.cache.get(la).map(|l| l.state) {
-                Some(AState::M) | Some(AState::E) => {
+            CoreKind::Store { value } => match self.cache.get_mut(la) {
+                Some(line) if matches!(line.state, AState::M | AState::E) => {
                     self.stats.hits += 1;
-                    let line = self.cache.get_mut(la).expect("present");
                     if std::mem::take(&mut line.prefetched) {
                         self.stats.prefetch_hits += 1;
                     }
                     line.data[sub].write_u64(offset, value);
                     line.state = AState::M; // Table 1: E + Store → hit / M
-                    ctx.send(
-                        from,
-                        CoreMsg {
-                            id: msg.id,
-                            addr: msg.addr,
-                            kind: CoreKind::StoreResp,
-                        }
-                        .into(),
-                    );
+                    ctx.send(from, msg.reply(CoreKind::StoreResp).into());
                 }
-                Some(AState::S) => {
-                    // Table 1: S + Store → issue GetM / B (copy dropped;
-                    // DataM will carry fresh data).
+                _ => {
+                    // Table 1: I/S + Store → issue GetM / B (an S copy is
+                    // dropped; DataM will carry fresh data).
                     self.stats.misses += 1;
                     self.cache.remove(la);
                     self.start_get(la, XgiKind::GetM, (from, msg), ctx);
                 }
-                None => {
-                    self.stats.misses += 1;
-                    self.start_get(la, XgiKind::GetM, (from, msg), ctx);
-                }
             },
-            _ => unreachable!("filtered above"),
+            _ => self.violation(),
         }
     }
 
@@ -477,7 +443,7 @@ impl AccelL1 {
             .cache
             .take_victim_where(la, |a, _| !self.pending.contains_key(&a))
         {
-            self.start_put(victim_addr, victim, ctx);
+            self.start_put(victim_addr, victim, Vec::new(), ctx);
         }
         if self.cache.needs_eviction(la) {
             // Every way is mid-transaction; extremely small caches only.
@@ -490,7 +456,13 @@ impl AccelL1 {
         debug_assert!(evicted.is_none());
     }
 
-    fn start_put(&mut self, la: BlockAddr, line: Line, ctx: &mut Ctx<'_>) {
+    fn start_put(
+        &mut self,
+        la: BlockAddr,
+        line: Line,
+        waiting: Vec<(NodeId, CoreMsg)>,
+        ctx: &mut Ctx<'_>,
+    ) {
         // The victim was already pulled out of the array; record the
         // replacement against its true stable state.
         self.coverage.visit(line.state.name(), "Repl");
@@ -506,7 +478,7 @@ impl AccelL1 {
             Pending {
                 is_put: true,
                 is_prefetch: false,
-                waiting: Vec::new(),
+                waiting,
                 started: ctx.now(),
             },
         );

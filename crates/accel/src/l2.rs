@@ -98,6 +98,17 @@ enum Busy {
     EvictPut,
 }
 
+/// Everything open on one block: the transaction holding it busy (if any)
+/// and the requests parked behind it. A record exists only while one of the
+/// two does; `drain` removes it.
+#[derive(Debug, Default)]
+struct Block {
+    busy: Option<Busy>,
+    /// Cycle `busy` was last opened; times `lat.up_get` for a `Fetch`.
+    since: Cycle,
+    queue: VecDeque<(NodeId, XgiKind)>,
+}
+
 #[derive(Debug, Default)]
 struct Stats {
     l1_gets: u64,
@@ -121,10 +132,7 @@ pub struct AccelL2 {
     below: NodeId,
     cfg: AccelL2Config,
     array: SetAssocCache<L2Line>,
-    busy: IdMap<BlockAddr, Busy>,
-    /// Issue times of in-flight upward Gets, for the `lat.up_get` histogram.
-    fetch_started: IdMap<BlockAddr, Cycle>,
-    queues: IdMap<BlockAddr, VecDeque<(NodeId, XgiKind)>>,
+    blocks: IdMap<BlockAddr, Block>,
     stats: Stats,
     coverage: CoverageSet,
 }
@@ -140,9 +148,7 @@ impl AccelL2 {
             name: name.into(),
             below,
             array: SetAssocCache::new(cfg.sets, cfg.ways, cfg.replacement, cfg.seed),
-            busy: IdMap::default(),
-            fetch_started: IdMap::default(),
-            queues: IdMap::default(),
+            blocks: IdMap::default(),
             cfg,
             stats: Stats::default(),
             coverage: CoverageSet::new(),
@@ -158,8 +164,31 @@ impl AccelL2 {
         self.stats.protocol_violation += 1;
     }
 
+    fn busy(&self, addr: BlockAddr) -> Option<&Busy> {
+        self.blocks.get(&addr).and_then(|b| b.busy.as_ref())
+    }
+
+    /// Opens a busy episode on `addr`.
+    fn set_busy(&mut self, addr: BlockAddr, busy: Busy, ctx: &Ctx<'_>) {
+        let block = self.blocks.entry(addr).or_default();
+        block.busy = Some(busy);
+        block.since = ctx.now();
+    }
+
+    /// Issues an upward Get on behalf of `requestor` and holds `addr` busy
+    /// until the grant arrives.
+    fn start_fetch(&mut self, addr: BlockAddr, requestor: NodeId, want_m: bool, ctx: &mut Ctx<'_>) {
+        self.stats.up_gets += 1;
+        self.set_busy(addr, Busy::Fetch { requestor, want_m }, ctx);
+        // Between handlers every record is busy, and `addr`'s just became so.
+        debug_assert!(self.blocks.values().all(|b| b.busy.is_some()));
+        self.stats.mshr_occupancy.record(self.blocks.len() as u64);
+        let req = if want_m { XgiKind::GetM } else { XgiKind::GetS };
+        ctx.send(self.below, XgiMsg::new(addr, req).into());
+    }
+
     fn state_name(&self, addr: BlockAddr) -> &'static str {
-        if let Some(b) = self.busy.get(&addr) {
+        if let Some(b) = self.busy(addr) {
             match b {
                 Busy::Fetch { .. } => "Busy_Fetch",
                 Busy::InstallWait { .. } => "Busy_Install",
@@ -204,7 +233,7 @@ impl AccelL2 {
             format!(
                 "{} from {side} (busy={})",
                 msg.kind,
-                self.busy.contains_key(&addr)
+                self.busy(addr).is_some()
             )
         });
         self.cover(addr, kind_event(&msg.kind));
@@ -217,13 +246,10 @@ impl AccelL2 {
 
     fn handle_from_l1(&mut self, from: NodeId, addr: BlockAddr, kind: XgiKind, ctx: &mut Ctx<'_>) {
         match kind {
-            XgiKind::GetS | XgiKind::GetM => {
-                if self.busy.contains_key(&addr) {
-                    self.queues.entry(addr).or_default().push_back((from, kind));
-                    return;
-                }
-                self.process_l1_get(from, addr, matches!(kind, XgiKind::GetM), ctx);
-            }
+            XgiKind::GetS | XgiKind::GetM => match self.blocks.get_mut(&addr) {
+                Some(block) if block.busy.is_some() => block.queue.push_back((from, kind)),
+                _ => self.process_l1_get(from, addr, matches!(kind, XgiKind::GetM), ctx),
+            },
             XgiKind::PutS => self.process_l1_put(from, addr, None, false, ctx),
             XgiKind::PutE { data } => {
                 let d = self.xg_data(&data);
@@ -252,73 +278,57 @@ impl AccelL2 {
             XgiKind::DataS { data } => self.up_grant(addr, data, Host::S, ctx),
             XgiKind::DataE { data } => self.up_grant(addr, data, Host::E, ctx),
             XgiKind::DataM { data } => self.up_grant(addr, data, Host::M, ctx),
-            XgiKind::WbAck => {
-                if matches!(self.busy.get(&addr), Some(Busy::EvictPut)) {
-                    self.busy.remove(&addr);
+            XgiKind::WbAck => match self.blocks.get_mut(&addr) {
+                Some(block) if matches!(block.busy, Some(Busy::EvictPut)) => {
+                    block.busy = None;
                     self.drain(addr, ctx);
-                } else {
-                    self.violation();
                 }
-            }
+                _ => self.violation(),
+            },
             XgiKind::Inv => {
                 // Invariant: a guard Inv must never end up waiting on a
                 // transaction that itself waits on the guard — that is a
                 // deadlock cycle (our request parks at the guard behind its
-                // own inv_pending). Transactions that depend on the guard
+                // own pending Inv). Transactions that depend on the guard
                 // are answered immediately; only guard-independent internal
                 // recalls may briefly queue the Inv (and the drain pulls
                 // guard Invs out with priority).
-                match self.busy.get(&addr) {
+                let below = self.below;
+                let Some(block) = self.blocks.get_mut(&addr) else {
+                    return self.process_host_inv(addr, ctx);
+                };
+                match &mut block.busy {
                     // Our own Get crossed this Inv on the ordered link: we
                     // hold nothing yet (the Table 1 `B + Inv → InvAck` rule
-                    // lifted to the L2).
-                    Some(Busy::Fetch { .. }) => {
-                        ctx.send(self.below, XgiMsg::new(addr, XgiKind::InvAck).into());
-                    }
-                    // Our eviction's Put crossed this Inv: the guard will
-                    // consume the Put's data (the interface's one legal
-                    // race) and the ordered link guarantees it sees the Put
-                    // before this ack.
-                    Some(Busy::EvictPut) => {
-                        ctx.send(self.below, XgiMsg::new(addr, XgiKind::InvAck).into());
+                    // lifted to the L2). Or our eviction's Put crossed it:
+                    // the guard will consume the Put's data (the interface's
+                    // one legal race) and the ordered link guarantees it
+                    // sees the Put before this ack.
+                    Some(Busy::Fetch { .. } | Busy::EvictPut) => {
+                        ctx.send(below, XgiMsg::new(addr, XgiKind::InvAck).into());
                     }
                     // A grant arrived but is parked waiting for a way: the
                     // Inv outranks it. Surrender the parked data and
                     // re-fetch for the waiting L1.
-                    Some(Busy::InstallWait { .. }) => {
-                        let Some(Busy::InstallWait {
-                            requestor,
-                            want_m,
-                            data,
-                            host,
-                        }) = self.busy.remove(&addr)
-                        else {
-                            unreachable!("checked above")
-                        };
+                    Some(Busy::InstallWait {
+                        requestor,
+                        want_m,
+                        data,
+                        host,
+                    }) => {
+                        let (requestor, want_m) = (*requestor, *want_m);
+                        let data = XgData::from_blocks(std::mem::take(data));
                         let resp = match host {
-                            Host::M => XgiKind::DirtyWb {
-                                data: XgData::from_blocks(data),
-                            },
-                            Host::E => XgiKind::CleanWb {
-                                data: XgData::from_blocks(data),
-                            },
+                            Host::M => XgiKind::DirtyWb { data },
+                            Host::E => XgiKind::CleanWb { data },
                             Host::S => XgiKind::InvAck,
                         };
-                        ctx.send(self.below, XgiMsg::new(addr, resp).into());
-                        self.stats.up_gets += 1;
-                        self.fetch_started.insert(addr, ctx.now());
-                        self.busy.insert(addr, Busy::Fetch { requestor, want_m });
-                        self.stats.mshr_occupancy.record(self.busy.len() as u64);
-                        let req = if want_m { XgiKind::GetM } else { XgiKind::GetS };
-                        ctx.send(self.below, XgiMsg::new(addr, req).into());
+                        ctx.send(below, XgiMsg::new(addr, resp).into());
+                        self.start_fetch(addr, requestor, want_m, ctx);
                     }
-                    Some(_) => {
-                        // Internal recalls resolve without the guard.
-                        self.queues
-                            .entry(addr)
-                            .or_default()
-                            .push_back((self.below, XgiKind::Inv));
-                    }
+                    // Internal recalls resolve without the guard.
+                    Some(_) => block.queue.push_back((below, XgiKind::Inv)),
+                    // Mid-drain: the block just stopped being busy.
                     None => self.process_host_inv(addr, ctx),
                 }
             }
@@ -335,19 +345,7 @@ impl AccelL2 {
             self.stats.l1_gets += 1;
         }
         let Some(line) = self.array.get(addr) else {
-            self.stats.up_gets += 1;
-            self.fetch_started.insert(addr, ctx.now());
-            self.busy.insert(
-                addr,
-                Busy::Fetch {
-                    requestor: from,
-                    want_m,
-                },
-            );
-            self.stats.mshr_occupancy.record(self.busy.len() as u64);
-            let req = if want_m { XgiKind::GetM } else { XgiKind::GetS };
-            ctx.send(self.below, XgiMsg::new(addr, req).into());
-            return;
+            return self.start_fetch(addr, from, want_m, ctx);
         };
 
         // Who has to give the block up before we can grant?
@@ -373,15 +371,12 @@ impl AccelL2 {
             for l1 in recall {
                 ctx.send(l1, XgiMsg::new(addr, XgiKind::Inv).into());
             }
-            self.busy.insert(
-                addr,
-                Busy::RecallForGrant {
-                    requestor: from,
-                    want_m,
-                    pending,
-                },
-            );
-            return;
+            let busy = Busy::RecallForGrant {
+                requestor: from,
+                want_m,
+                pending,
+            };
+            return self.set_busy(addr, busy, ctx);
         }
         self.grant_l1(from, addr, want_m, false, ctx);
     }
@@ -398,25 +393,13 @@ impl AccelL2 {
         prefer_shared: bool,
         ctx: &mut Ctx<'_>,
     ) {
-        let below = self.below;
         let Some(line) = self.array.get_mut(addr) else {
             self.violation();
             return;
         };
         if want_m && line.host == Host::S {
             // Upgrade needed from the host before we can grant M.
-            self.stats.up_gets += 1;
-            self.fetch_started.insert(addr, ctx.now());
-            self.busy.insert(
-                addr,
-                Busy::Fetch {
-                    requestor: from,
-                    want_m: true,
-                },
-            );
-            self.stats.mshr_occupancy.record(self.busy.len() as u64);
-            ctx.send(below, XgiMsg::new(addr, XgiKind::GetM).into());
-            return;
+            return self.start_fetch(addr, from, true, ctx);
         }
         let data = XgData::from_blocks(line.data.clone());
         let kind = if want_m {
@@ -482,6 +465,7 @@ impl AccelL2 {
         dirty: bool,
         ctx: &mut Ctx<'_>,
     ) {
+        let mut block = self.blocks.get_mut(&addr);
         // Absorb returned data into wherever the line currently lives.
         if let Some(d) = data {
             if let Some(line) = self.array.get_mut(addr) {
@@ -489,7 +473,9 @@ impl AccelL2 {
                 line.dirty |= dirty;
                 line.owner = None;
                 line.sharers.remove(&from);
-            } else if let Some(Busy::EvictRecall { line, .. }) = self.busy.get_mut(&addr) {
+            } else if let Some(Busy::EvictRecall { line, .. }) =
+                block.as_mut().and_then(|b| b.busy.as_mut())
+            {
                 line.data = d;
                 line.dirty |= dirty;
             }
@@ -500,24 +486,22 @@ impl AccelL2 {
             }
         }
 
-        let done = match self.busy.get_mut(&addr) {
-            Some(
-                Busy::RecallForGrant { pending, .. }
-                | Busy::HostInv { pending }
-                | Busy::EvictRecall { pending, .. },
-            ) => {
-                *pending -= 1;
-                *pending == 0
-            }
-            _ => {
-                self.violation();
-                false
-            }
+        let Some(block) = block else {
+            return self.violation();
         };
-        if !done {
+        let Some(
+            Busy::RecallForGrant { pending, .. }
+            | Busy::HostInv { pending }
+            | Busy::EvictRecall { pending, .. },
+        ) = &mut block.busy
+        else {
+            return self.violation();
+        };
+        *pending -= 1;
+        if *pending > 0 {
             return;
         }
-        match self.busy.remove(&addr) {
+        match block.busy.take() {
             Some(Busy::RecallForGrant {
                 requestor, want_m, ..
             }) => {
@@ -532,7 +516,7 @@ impl AccelL2 {
             Some(Busy::EvictRecall { line, .. }) => {
                 self.start_evict_put(addr, line, ctx);
             }
-            _ => unreachable!("checked above"),
+            _ => self.violation(),
         }
     }
 
@@ -542,47 +526,43 @@ impl AccelL2 {
         let Some(data) = self.xg_data(&data) else {
             return;
         };
-        if !matches!(self.busy.get(&addr), Some(Busy::Fetch { .. })) {
-            self.violation();
-            return;
-        }
-        let Some(Busy::Fetch { requestor, want_m }) = self.busy.remove(&addr) else {
-            unreachable!("checked above")
+        let Some(block) = self.blocks.get_mut(&addr) else {
+            return self.violation();
         };
-        if let Some(started) = self.fetch_started.remove(&addr) {
-            self.stats
-                .lat_up_get
-                .record(ctx.now().saturating_since(started));
-        }
+        let Some(Busy::Fetch { requestor, want_m }) = block.busy else {
+            return self.violation();
+        };
+        self.stats
+            .lat_up_get
+            .record(ctx.now().saturating_since(block.since));
         if let Some(line) = self.array.get_mut(addr) {
             // Upgrade completion for a resident S line.
+            block.busy = None;
             line.host = host.max(Host::E);
             line.data = data;
             self.grant_l1(requestor, addr, want_m, false, ctx);
             self.drain(addr, ctx);
             return;
         }
-        self.busy.insert(
-            addr,
-            Busy::InstallWait {
-                requestor,
-                want_m,
-                data,
-                host,
-            },
-        );
+        block.busy = Some(Busy::InstallWait {
+            requestor,
+            want_m,
+            data,
+            host,
+        });
         self.try_install(addr, ctx);
     }
 
     fn try_install(&mut self, addr: BlockAddr, ctx: &mut Ctx<'_>) {
-        if !matches!(self.busy.get(&addr), Some(Busy::InstallWait { .. })) {
+        if !matches!(self.busy(addr), Some(Busy::InstallWait { .. })) {
             return;
         }
         if self.array.needs_eviction(addr) {
-            let busy = &self.busy;
+            // A block with a record is mid-transaction: not a victim.
+            let blocks = &self.blocks;
             match self
                 .array
-                .take_victim_where(addr, |a, _| !busy.contains_key(&a))
+                .take_victim_where(addr, |a, _| !blocks.contains_key(&a))
             {
                 Some((victim_addr, line)) => self.start_eviction(victim_addr, line, ctx),
                 None => {
@@ -592,30 +572,32 @@ impl AccelL2 {
                 }
             }
         }
-        if !matches!(self.busy.get(&addr), Some(Busy::InstallWait { .. })) {
+        // Evicting the victim never touches this block's own record.
+        let Some(block) = self.blocks.get_mut(&addr) else {
             return;
-        }
-        let Some(Busy::InstallWait {
-            requestor,
-            want_m,
-            data,
-            host,
-        }) = self.busy.remove(&addr)
-        else {
-            unreachable!("checked above")
         };
-        self.array.insert(
-            addr,
-            L2Line {
+        match block.busy.take() {
+            Some(Busy::InstallWait {
+                requestor,
+                want_m,
                 data,
-                dirty: false,
                 host,
-                sharers: BTreeSet::new(),
-                owner: None,
-            },
-        );
-        self.grant_l1(requestor, addr, want_m, false, ctx);
-        self.drain(addr, ctx);
+            }) => {
+                self.array.insert(
+                    addr,
+                    L2Line {
+                        data,
+                        dirty: false,
+                        host,
+                        sharers: BTreeSet::new(),
+                        owner: None,
+                    },
+                );
+                self.grant_l1(requestor, addr, want_m, false, ctx);
+                self.drain(addr, ctx);
+            }
+            other => block.busy = other,
+        }
     }
 
     fn process_host_inv(&mut self, addr: BlockAddr, ctx: &mut Ctx<'_>) {
@@ -636,12 +618,8 @@ impl AccelL2 {
             return;
         }
         self.stats.recalls += 1;
-        self.busy.insert(
-            addr,
-            Busy::HostInv {
-                pending: holders.len() as u32,
-            },
-        );
+        let pending = holders.len() as u32;
+        self.set_busy(addr, Busy::HostInv { pending }, ctx);
         for l1 in holders {
             ctx.send(l1, XgiMsg::new(addr, XgiKind::Inv).into());
         }
@@ -679,13 +657,8 @@ impl AccelL2 {
         for &l1 in &holders {
             ctx.send(l1, XgiMsg::new(addr, XgiKind::Inv).into());
         }
-        self.busy.insert(
-            addr,
-            Busy::EvictRecall {
-                pending: holders.len() as u32,
-                line,
-            },
-        );
+        let pending = holders.len() as u32;
+        self.set_busy(addr, Busy::EvictRecall { pending, line }, ctx);
     }
 
     fn start_evict_put(&mut self, addr: BlockAddr, line: L2Line, ctx: &mut Ctx<'_>) {
@@ -696,44 +669,37 @@ impl AccelL2 {
             (Host::E, false) => XgiKind::PutE { data },
             (Host::S, false) => XgiKind::PutS,
         };
-        self.busy.insert(addr, Busy::EvictPut);
+        self.set_busy(addr, Busy::EvictPut, ctx);
         ctx.send(self.below, XgiMsg::new(addr, req).into());
     }
 
     fn drain(&mut self, addr: BlockAddr, ctx: &mut Ctx<'_>) {
+        let below = self.below;
         loop {
-            // Guard Invs drain with priority even when a new busy state has
-            // started, so they can never be trapped behind an L1 request
-            // that turned into an upward fetch (see handle_from_xg::Inv).
-            if let Some(busy) = self.busy.get(&addr) {
+            let Some(block) = self.blocks.get_mut(&addr) else {
+                return;
+            };
+            let next = match block.busy {
+                None => block.queue.pop_front(),
+                // Guard Invs drain with priority even when a new busy state
+                // has started, so they can never be trapped behind an L1
+                // request that turned into an upward fetch (see
+                // handle_from_xg::Inv).
+                Some(Busy::Fetch { .. } | Busy::InstallWait { .. } | Busy::EvictPut) => block
+                    .queue
+                    .iter()
+                    .position(|(from, kind)| *from == below && matches!(kind, XgiKind::Inv))
+                    .and_then(|i| block.queue.remove(i)),
                 // Only the guard-dependent states answer a guard Inv at
                 // once. An internal recall re-queues it, so pulling it out
                 // here would spin inside this call forever; it drains when
                 // the recall resolves.
-                if !matches!(
-                    busy,
-                    Busy::Fetch { .. } | Busy::InstallWait { .. } | Busy::EvictPut
-                ) {
-                    return;
-                }
-                let below = self.below;
-                let pending_inv = self.queues.get_mut(&addr).and_then(|q| {
-                    q.iter()
-                        .position(|(from, kind)| *from == below && matches!(kind, XgiKind::Inv))
-                        .and_then(|i| q.remove(i))
-                });
-                if let Some((_, kind)) = pending_inv {
-                    self.cover(addr, kind_event(&kind));
-                    self.handle_from_xg(addr, kind, ctx);
-                    continue;
-                }
-                return;
-            }
-            let Some(queue) = self.queues.get_mut(&addr) else {
-                return;
+                Some(_) => return,
             };
-            let Some((from, kind)) = queue.pop_front() else {
-                self.queues.remove(&addr);
+            let Some((from, kind)) = next else {
+                if block.busy.is_none() {
+                    self.blocks.remove(&addr);
+                }
                 return;
             };
             self.cover(addr, kind_event(&kind));

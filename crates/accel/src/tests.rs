@@ -814,3 +814,84 @@ fn two_level_heavy_interleaving_converges() {
     }
     tl.assert_clean();
 }
+
+/// Three requests parked behind a busy block are served in arrival order,
+/// across transactions that hand the block from one busy state straight to
+/// the next; the upward Get is timed from the cycle it was issued; and once
+/// the queue is empty the L2 holds nothing for the block.
+#[test]
+fn l2_queue_drains_fifo_across_busy_handovers() {
+    // Unscripted `MockGuard`s only record: four stand in for the L1s.
+    let mut b = SimBuilder::new(12);
+    let l1s: Vec<NodeId> = ["a", "b", "c", "d"]
+        .iter()
+        .map(|n| {
+            b.add(Box::new(MockGuard {
+                name: format!("l1_{n}"),
+                ..MockGuard::new(false, false, 1)
+            }))
+        })
+        .collect();
+    let (a, bb, c, d) = (l1s[0], l1s[1], l1s[2], l1s[3]);
+    let xg = b.add(Box::new(MockGuard::new(false, false, 1)));
+    let l2 = b.add(Box::new(AccelL2::new("al2", xg, AccelL2Config::default())));
+    b.default_link(Link::ordered(1, 1));
+    let mut sim = b.build();
+    let x = BlockAddr::new(0x30);
+    let send = |sim: &mut xg_proto::Sim, from: NodeId, kind: XgiKind| {
+        sim.post(from, l2, XgiMsg::new(x, kind).into());
+        assert!(sim.run_to_quiescence(10_000).quiescent);
+    };
+    let received = |sim: &xg_proto::Sim, node: NodeId| sim.get::<MockGuard>(node).unwrap().kinds();
+
+    // A's GetM misses: the block goes busy fetching from the guard.
+    sim.post(a, l2, XgiMsg::new(x, XgiKind::GetM).into());
+    assert!(sim.step());
+    let fetch_from = sim.now();
+    // B, C and D arrive while it is busy and park in that order.
+    send(&mut sim, bb, XgiKind::GetS);
+    send(&mut sim, c, XgiKind::GetM);
+    send(&mut sim, d, XgiKind::GetS);
+    assert_eq!(received(&sim, xg), ["GetM"]);
+    // The grant lands: A gets M, and B's GetS turns the block busy again at
+    // once, recalling A.
+    sim.post(
+        xg,
+        l2,
+        XgiMsg::new(x, XgiKind::DataM { data: one_block() }).into(),
+    );
+    assert!(sim.step());
+    let fetch_until = sim.now();
+    assert!(sim.run_to_quiescence(10_000).quiescent);
+    assert_eq!(received(&sim, a), ["DataM", "Inv"]);
+    // A gives the block up, B reads; C's GetM recalls B; D's GetS recalls C.
+    send(&mut sim, a, XgiKind::DirtyWb { data: one_block() });
+    assert_eq!(received(&sim, bb), ["DataS", "Inv"]);
+    send(&mut sim, bb, XgiKind::InvAck);
+    assert_eq!(received(&sim, c), ["DataM", "Inv"]);
+    send(&mut sim, c, XgiKind::DirtyWb { data: one_block() });
+    assert_eq!(received(&sim, d), ["DataS"]);
+    assert_eq!(received(&sim, a), ["DataM", "Inv"]);
+    assert_eq!(
+        received(&sim, xg),
+        ["GetM"],
+        "all served inside the accelerator"
+    );
+
+    // Another block's fetch samples the busy population: X left nothing.
+    sim.post(
+        a,
+        l2,
+        XgiMsg::new(BlockAddr::new(0x40), XgiKind::GetS).into(),
+    );
+    assert!(sim.run_to_quiescence(10_000).quiescent);
+    let report = sim.report();
+    assert_eq!(report.get("al2.protocol_violation"), 0);
+    let occupancy = report.hist("al2.mshr_occupancy").unwrap();
+    assert_eq!((occupancy.count(), occupancy.max()), (2, 1));
+    let up_get = report.hist("al2.lat.up_get").unwrap();
+    assert_eq!(
+        (up_get.count(), up_get.sum()),
+        (1, fetch_until - fetch_from)
+    );
+}

@@ -23,10 +23,8 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use xg_mem::{BlockAddr, DataBlock, IdMap, IdSet, PagePerm};
-use xg_proto::{
-    Ctx, HammerKind, HomeMap, Message, OsMsg, XgData, XgError, XgErrorKind, XgiKind, XgiMsg,
-};
+use xg_mem::{BlockAddr, DataBlock, IdMap, PagePerm};
+use xg_proto::{Ctx, HomeMap, Message, OsMsg, XgData, XgError, XgErrorKind, XgiKind, XgiMsg};
 use xg_sim::{CheckDigest, Component, Cycle, FsmRows, Histogram, NodeId, Report};
 
 use crate::config::{XgConfig, XgVariant};
@@ -78,8 +76,24 @@ struct InvPending {
     /// The accelerator's block was already consumed by a racing Put; the
     /// InvAck it sends from state B is absorbed silently.
     race_consumed: bool,
-    epoch: u64,
+    /// Cycle the `Inv` was forwarded; the Guarantee 2c deadline is
+    /// `inv_timeout` cycles later.
     started: Cycle,
+}
+
+/// Everything open on one accelerator block. A record exists only while
+/// one of its fields is non-empty; `drain_queue` removes it.
+#[derive(Debug, Default, Clone)]
+struct OpenBlock {
+    /// The accelerator's own transaction (Guarantee 1b: at most one).
+    req: Option<AccelReq>,
+    /// The `Inv` outstanding at the accelerator.
+    inv: Option<InvPending>,
+    /// Requests parked behind `req`, `inv` or `relinquishing`.
+    queue: VecDeque<XgiKind>,
+    /// Sub-block mask of internal relinquish puts (shadow flushes,
+    /// post-demand leftovers) still in flight at the persona.
+    relinquishing: u64,
 }
 
 #[derive(Debug, Default, Clone)]
@@ -119,12 +133,12 @@ pub struct CrossingGuard {
     /// Full State table (None for Transactional).
     table: Option<IdMap<BlockAddr, Entry>>,
     shadow_blocks: u64,
-    reqs: IdMap<BlockAddr, AccelReq>,
-    queued: IdMap<BlockAddr, VecDeque<XgiKind>>,
-    inv_pending: IdMap<BlockAddr, InvPending>,
-    wake_epochs: IdMap<u64, BlockAddr>,
-    next_epoch: u64,
-    internal_puts: IdSet<BlockAddr>,
+    /// Open transactions, keyed by accelerator block.
+    open: IdMap<BlockAddr, OpenBlock>,
+    /// How many records hold a `req` / an `inv` (the 24-byte transaction
+    /// records `storage_bytes` charges for).
+    open_reqs: usize,
+    open_invs: usize,
     rate: Option<TokenBucket>,
     disabled: bool,
     stats: Stats,
@@ -193,12 +207,9 @@ impl CrossingGuard {
             persona,
             table,
             shadow_blocks: 0,
-            reqs: IdMap::default(),
-            queued: IdMap::default(),
-            inv_pending: IdMap::default(),
-            wake_epochs: IdMap::default(),
-            next_epoch: 0,
-            internal_puts: IdSet::default(),
+            open: IdMap::default(),
+            open_reqs: 0,
+            open_invs: 0,
             rate,
             disabled: false,
             cfg,
@@ -219,8 +230,7 @@ impl CrossingGuard {
             .map(|t| t.len() as u64 * 10)
             .unwrap_or(0);
         let shadows = self.shadow_blocks * xg_mem::BLOCK_BYTES;
-        let txns =
-            (self.reqs.len() + self.inv_pending.len() + self.persona.open_txns()) as u64 * 24;
+        let txns = (self.open_reqs + self.open_invs + self.persona.open_txns()) as u64 * 24;
         table + shadows + txns
     }
 
@@ -259,13 +269,13 @@ impl CrossingGuard {
 
     /// Open accelerator-initiated transactions (Gets and Puts in flight).
     pub fn open_accel_reqs(&self) -> usize {
-        self.reqs.len()
+        self.open_reqs
     }
 
     /// Forwarded invalidations still awaiting an accelerator response (or
     /// the Guarantee 2c timeout).
     pub fn open_invs(&self) -> usize {
-        self.inv_pending.len()
+        self.open_invs
     }
 
     fn report_error(&mut self, addr: Option<BlockAddr>, kind: XgErrorKind, ctx: &mut Ctx<'_>) {
@@ -301,11 +311,12 @@ impl CrossingGuard {
 
     fn handle_accel(&mut self, msg: XgiMsg, ctx: &mut Ctx<'_>) {
         ctx.trace(msg.addr.as_u64(), "guard", "RecvAccel", || {
+            let open = self.open.get(&self.align(msg.addr));
             format!(
                 "{} (req={} inv={})",
                 msg.kind,
-                self.reqs.contains_key(&self.align(msg.addr)),
-                self.inv_pending.contains_key(&self.align(msg.addr)),
+                open.is_some_and(|o| o.req.is_some()),
+                open.is_some_and(|o| o.inv.is_some()),
             )
         });
         self.stats.accel_received += 1;
@@ -351,29 +362,30 @@ impl CrossingGuard {
                 return;
             }
         }
-        // The one legal interface race: a Put crossing our Inv.
-        if self.inv_pending.contains_key(&a) {
-            if matches!(
-                kind,
-                XgiKind::PutS | XgiKind::PutE { .. } | XgiKind::PutM { .. }
-            ) {
-                self.resolve_race_put(a, kind, ctx);
-            } else {
-                self.queued.entry(a).or_default().push_back(kind);
+        if let Some(open) = self.open.get_mut(&a) {
+            // The one legal interface race: a Put crossing our Inv.
+            if open.inv.is_some() {
+                if matches!(
+                    kind,
+                    XgiKind::PutS | XgiKind::PutE { .. } | XgiKind::PutM { .. }
+                ) {
+                    self.resolve_race_put(a, kind, ctx);
+                } else {
+                    open.queue.push_back(kind);
+                }
+                return;
             }
-            return;
-        }
-        // Internal relinquish puts (shadow flushes, post-demand leftovers)
-        // still own persona transactions on this block's sub-blocks; a new
-        // request must wait for them.
-        if self.has_internal_puts(a) {
-            self.queued.entry(a).or_default().push_back(kind);
-            return;
-        }
-        // Guarantee 1b: one transaction per block.
-        if self.reqs.contains_key(&a) {
-            self.report_error(Some(a), XgErrorKind::DuplicateRequest, ctx);
-            return;
+            // Internal relinquish puts still own persona transactions on
+            // this block's sub-blocks; a new request must wait for them.
+            if open.relinquishing != 0 {
+                open.queue.push_back(kind);
+                return;
+            }
+            // Guarantee 1b: one transaction per block.
+            if open.req.is_some() {
+                self.report_error(Some(a), XgErrorKind::DuplicateRequest, ctx);
+                return;
+            }
         }
         // Guarantee 0: page permissions.
         let perm = self.perm(a);
@@ -429,7 +441,7 @@ impl CrossingGuard {
                 } else {
                     GetReq::S
                 };
-                self.reqs.insert(
+                self.open_req(
                     a,
                     AccelReq::Get {
                         m: false,
@@ -462,7 +474,7 @@ impl CrossingGuard {
                         }
                     }
                 }
-                self.reqs.insert(
+                self.open_req(
                     a,
                     AccelReq::Get {
                         m: true,
@@ -483,7 +495,7 @@ impl CrossingGuard {
                 if let Some(table) = self.table.as_mut() {
                     table.remove(&a);
                 }
-                self.reqs.insert(
+                self.open_req(
                     a,
                     AccelReq::Put {
                         pending: self.k as u32,
@@ -535,7 +547,7 @@ impl CrossingGuard {
             self.send_accel(a, XgiKind::WbAck, ctx);
             return;
         }
-        self.reqs.insert(
+        self.open_req(
             a,
             AccelReq::Put {
                 pending: self.k as u32,
@@ -547,8 +559,14 @@ impl CrossingGuard {
         }
     }
 
+    fn open_req(&mut self, a: BlockAddr, req: AccelReq) {
+        self.open.entry(a).or_default().req = Some(req);
+        self.open_reqs += 1;
+    }
+
     fn internal_put(&mut self, h: BlockAddr, data: DataBlock, dirty: bool, ctx: &mut Ctx<'_>) {
-        self.internal_puts.insert(h);
+        let a = self.align(h);
+        self.open.entry(a).or_default().relinquishing |= 1 << (h.as_u64() - a.as_u64());
         self.persona
             .issue_put(h, PutReq::Owned { data, dirty }, ctx);
     }
@@ -578,7 +596,7 @@ impl CrossingGuard {
         // The Put's own (single) response.
         self.send_accel(a, XgiKind::WbAck, ctx);
         self.stats.wbacks += 1;
-        if let Some(ip) = self.inv_pending.get_mut(&a) {
+        if let Some(ip) = self.open.get_mut(&a).and_then(|o| o.inv.as_mut()) {
             ip.race_consumed = true;
         }
         if let Some(table) = self.table.as_mut() {
@@ -593,7 +611,7 @@ impl CrossingGuard {
     // -----------------------------------------------------------------------
 
     fn handle_accel_response(&mut self, a: BlockAddr, kind: XgiKind, ctx: &mut Ctx<'_>) {
-        let Some(ip) = self.inv_pending.get(&a) else {
+        let Some(ip) = self.open.get(&a).and_then(|o| o.inv.as_ref()) else {
             // Guarantee 2b: no corresponding host request.
             self.report_error(Some(a), XgErrorKind::UnsolicitedResponse, ctx);
             return;
@@ -732,12 +750,12 @@ impl CrossingGuard {
         fabricated_by_timeout: bool,
         ctx: &mut Ctx<'_>,
     ) {
-        let reasons = self
-            .inv_pending
-            .get_mut(&a)
+        let open = self.open.get_mut(&a);
+        let relinquishing = open.as_ref().map_or(0, |o| o.relinquishing);
+        let reasons = open
+            .and_then(|o| o.inv.as_mut())
             .map(|ip| std::mem::take(&mut ip.reasons))
             .unwrap_or_default();
-        let mut consumed: IdSet<BlockAddr> = IdSet::default();
         for (h, kind) in &reasons {
             let idx = (h.as_u64() - a.as_u64()) as usize;
             let resp = match &resolution {
@@ -748,8 +766,6 @@ impl CrossingGuard {
                         // the Hammer side; flush through an internal put so
                         // memory converges and the host forgets us.
                         self.internal_put(*h, data[idx], *dirty, ctx);
-                    } else {
-                        consumed.insert(*h);
                     }
                     DemandResponse::Data {
                         data: data[idx],
@@ -801,10 +817,7 @@ impl CrossingGuard {
             if entry_owned_at_host || self.table.is_none() {
                 for i in 0..self.k {
                     let h = a.offset(i);
-                    if !consumed.contains(&h)
-                        && !reasons.iter().any(|(rh, _)| *rh == h)
-                        && !self.internal_puts.contains(&h)
-                    {
+                    if !reasons.iter().any(|(rh, _)| *rh == h) && relinquishing & (1 << i) == 0 {
                         self.internal_put(h, data[i as usize], *dirty, ctx);
                     }
                 }
@@ -816,8 +829,8 @@ impl CrossingGuard {
     }
 
     fn close_inv(&mut self, a: BlockAddr, ctx: &mut Ctx<'_>) {
-        if let Some(ip) = self.inv_pending.remove(&a) {
-            self.wake_epochs.remove(&ip.epoch);
+        if let Some(ip) = self.open.get_mut(&a).and_then(|o| o.inv.take()) {
+            self.open_invs -= 1;
             self.stats
                 .lat_inv_resp
                 .record(ctx.now().saturating_since(ip.started));
@@ -826,23 +839,16 @@ impl CrossingGuard {
         self.drain_queue(a, ctx);
     }
 
-    fn has_internal_puts(&self, a: BlockAddr) -> bool {
-        (0..self.k).any(|i| self.internal_puts.contains(&a.offset(i)))
-    }
-
     fn drain_queue(&mut self, a: BlockAddr, ctx: &mut Ctx<'_>) {
         loop {
-            if self.inv_pending.contains_key(&a)
-                || self.reqs.contains_key(&a)
-                || self.has_internal_puts(a)
-            {
-                return;
-            }
-            let Some(q) = self.queued.get_mut(&a) else {
+            let Some(open) = self.open.get_mut(&a) else {
                 return;
             };
-            let Some(kind) = q.pop_front() else {
-                self.queued.remove(&a);
+            if open.inv.is_some() || open.req.is_some() || open.relinquishing != 0 {
+                return;
+            }
+            let Some(kind) = open.queue.pop_front() else {
+                self.open.remove(&a);
                 return;
             };
             self.admit_request(a, kind, ctx);
@@ -877,20 +883,15 @@ impl CrossingGuard {
         ctx: &mut Ctx<'_>,
     ) {
         let a = self.align(h);
-        let complete = match self.reqs.get_mut(&a) {
-            Some(AccelReq::Get { grants, .. }) => {
-                grants.insert(h.as_u64() - a.as_u64(), (state, data, dirty));
-                Some(grants.len() as u64 == self.k)
-            }
-            _ => None,
-        };
-        let Some(complete) = complete else {
+        let Some(AccelReq::Get { grants, .. }) = self.open.get_mut(&a).and_then(|o| o.req.as_mut())
+        else {
             // A grant with no open request is a persona-to-guard desync;
             // count it instead of panicking on a protocol path.
             self.report_error(Some(h), XgErrorKind::UnsolicitedResponse, ctx);
             return;
         };
-        if complete {
+        grants.insert(h.as_u64() - a.as_u64(), (state, data, dirty));
+        if grants.len() as u64 == self.k {
             self.finalize_grant(a, ctx);
         }
     }
@@ -906,7 +907,7 @@ impl CrossingGuard {
             grants,
             req_kind,
             ..
-        }) = self.reqs.get_mut(&a)
+        }) = self.open.get_mut(&a).and_then(|o| o.req.as_mut())
         {
             *poisoned = false;
             let became_owner = grants
@@ -928,7 +929,7 @@ impl CrossingGuard {
             grants,
             started,
             ..
-        }) = self.reqs.remove(&a)
+        }) = self.close_req(a)
         else {
             // Both callers verified the open Get; count rather than panic.
             self.report_error(Some(a), XgErrorKind::UnsolicitedResponse, ctx);
@@ -994,31 +995,37 @@ impl CrossingGuard {
         self.drain_queue(a, ctx);
     }
 
+    /// Closes the accelerator's transaction on `a`, if one is open.
+    fn close_req(&mut self, a: BlockAddr) -> Option<AccelReq> {
+        let req = self.open.get_mut(&a)?.req.take()?;
+        self.open_reqs -= 1;
+        Some(req)
+    }
+
     fn on_put_done(&mut self, h: BlockAddr, ctx: &mut Ctx<'_>) {
-        if self.internal_puts.remove(&h) {
-            self.drain_queue(self.align(h), ctx);
-            return;
-        }
         let a = self.align(h);
-        let complete = match self.reqs.get_mut(&a) {
-            Some(AccelReq::Put { pending, .. }) => {
-                *pending = pending.saturating_sub(1);
-                Some(*pending == 0)
+        let bit = 1 << (h.as_u64() - a.as_u64());
+        let put = match self.open.get_mut(&a) {
+            Some(open) if open.relinquishing & bit != 0 => {
+                open.relinquishing &= !bit;
+                return self.drain_queue(a, ctx);
             }
-            _ => None,
+            Some(open) => open.req.as_mut(),
+            None => None,
         };
-        let Some(complete) = complete else {
+        let Some(AccelReq::Put { pending, started }) = put else {
             // A Put completion with no open request: count, don't panic.
             self.report_error(Some(h), XgErrorKind::UnsolicitedResponse, ctx);
             return;
         };
-        if complete {
-            if let Some(AccelReq::Put { started, .. }) = self.reqs.remove(&a) {
-                self.stats
-                    .lat_wback
-                    .record(ctx.now().saturating_since(started));
-                ctx.span(a.as_u64(), "wback", started);
-            }
+        *pending = pending.saturating_sub(1);
+        if *pending == 0 {
+            let started = *started;
+            self.close_req(a);
+            self.stats
+                .lat_wback
+                .record(ctx.now().saturating_since(started));
+            ctx.span(a.as_u64(), "wback", started);
             self.stats.wbacks += 1;
             self.send_accel(a, XgiKind::WbAck, ctx);
             ctx.note_progress();
@@ -1046,7 +1053,16 @@ impl CrossingGuard {
         // (Guarantee 1a). The demand belongs to an older epoch and is
         // answerable right here — forwarding an Inv now would interleave
         // with the upcoming grant on the ordered link.
-        if matches!(self.reqs.get(&a), Some(AccelReq::Get { .. })) {
+        if let Some(AccelReq::Get { m, poisoned, .. }) =
+            self.open.get_mut(&a).and_then(|o| o.req.as_mut())
+        {
+            // A write-class demand may target the very grant in flight to
+            // us (an Inv can overtake owner-forwarded data on the unordered
+            // host network). Acking it promises the copy dies — so a read
+            // grant, if one arrives, is stale and must be refetched.
+            if !*m && matches!(kind, DemandKind::Write { .. } | DemandKind::Recall) {
+                *poisoned = true;
+            }
             self.stats.demands_answered_locally += 1;
             let resp = if kind.expects_data() {
                 // The host believing we own while our own Get is open means
@@ -1063,18 +1079,6 @@ impl CrossingGuard {
             } else {
                 DemandResponse::SharedCopy
             };
-            // A write-class demand may target the very grant in flight to
-            // us (an Inv can overtake owner-forwarded data on the unordered
-            // host network). Acking it promises the copy dies — so a read
-            // grant, if one arrives, is stale and must be refetched.
-            if matches!(kind, DemandKind::Write { .. } | DemandKind::Recall) {
-                if let Some(AccelReq::Get {
-                    m: false, poisoned, ..
-                }) = self.reqs.get_mut(&a)
-                {
-                    *poisoned = true;
-                }
-            }
             self.persona.respond_demand(h, resp, ctx);
             return;
         }
@@ -1148,39 +1152,33 @@ impl CrossingGuard {
             // hangs — the defect the campaign's minimizer demo hunts.
             return;
         }
-        if let Some(ip) = self.inv_pending.get_mut(&a) {
+        let open = self.open.entry(a).or_default();
+        if let Some(ip) = &mut open.inv {
             ip.reasons.push((h, kind));
             return;
         }
-        let epoch = self.next_epoch;
-        self.next_epoch += 1;
-        self.inv_pending.insert(
-            a,
-            InvPending {
-                reasons: vec![(h, kind)],
-                race_consumed: false,
-                epoch,
-                started: ctx.now(),
-            },
-        );
+        open.inv = Some(InvPending {
+            reasons: vec![(h, kind)],
+            race_consumed: false,
+            started: ctx.now(),
+        });
+        self.open_invs += 1;
         self.stats.invs_forwarded += 1;
         self.send_accel(a, XgiKind::Inv, ctx);
         if self.cfg.inv_timeout > 0 {
-            self.wake_epochs.insert(epoch, a);
-            ctx.wake_in(self.cfg.inv_timeout, epoch);
+            ctx.wake_in(self.cfg.inv_timeout, a.as_u64());
         }
     }
 
-    fn on_timeout(&mut self, epoch: u64, ctx: &mut Ctx<'_>) {
-        let Some(a) = self.wake_epochs.remove(&epoch) else {
-            return;
-        };
-        let still_pending = self
-            .inv_pending
+    fn on_timeout(&mut self, a: BlockAddr, ctx: &mut Ctx<'_>) {
+        // A stale timer finds its Inv answered — no Inv pending, or a later
+        // one whose own deadline is still ahead.
+        let due = self
+            .open
             .get(&a)
-            .map(|ip| ip.epoch == epoch)
-            .unwrap_or(false);
-        if !still_pending {
+            .and_then(|o| o.inv.as_ref())
+            .is_some_and(|ip| ip.started + self.cfg.inv_timeout == ctx.now());
+        if !due {
             return;
         }
         // Guarantee 2c: the accelerator went silent. Fabricate the safest
@@ -1286,16 +1284,15 @@ impl Component<Message> for CrossingGuard {
     }
 
     fn wake(&mut self, token: u64, ctx: &mut Ctx<'_>) {
-        self.on_timeout(token, ctx);
+        self.on_timeout(BlockAddr::new(token), ctx);
     }
 
     fn check_state(&self, out: &mut CheckDigest) {
         out.write_str("guard");
         out.write_u64(u64::from(self.disabled));
-        // Full State table, sorted by address role. (Epochs, wake tokens,
-        // rate-limiter fill, timestamps, and stats are excluded: none of
-        // them changes future protocol-visible behavior at a drained
-        // point.)
+        // Full State table, sorted by address role. (Rate-limiter fill,
+        // timestamps, and stats are excluded: none of them changes future
+        // protocol-visible behavior at a drained point.)
         if let Some(table) = &self.table {
             let mut addrs: Vec<_> = table.keys().copied().collect();
             addrs.sort_by_key(|a| out.addr_role(a.as_u64()));
@@ -1318,13 +1315,14 @@ impl Component<Message> for CrossingGuard {
         } else {
             out.write_str("transactional");
         }
+        // Open blocks, sorted by address role, one section per field.
+        let mut open: Vec<_> = self.open.iter().collect();
+        open.sort_by_key(|(a, _)| out.addr_role(a.as_u64()));
         // Open accelerator transactions.
-        let mut reqs: Vec<_> = self.reqs.keys().copied().collect();
-        reqs.sort_by_key(|a| out.addr_role(a.as_u64()));
-        out.write_u64(reqs.len() as u64);
-        for a in reqs {
+        out.write_u64(self.open_reqs as u64);
+        for (a, req) in open.iter().filter_map(|(a, o)| Some((a, o.req.as_ref()?))) {
             out.write_addr(a.as_u64());
-            match &self.reqs[&a] {
+            match req {
                 AccelReq::Get {
                     m,
                     read_only,
@@ -1356,18 +1354,12 @@ impl Component<Message> for CrossingGuard {
             }
         }
         // Requests parked behind an open transaction or pending Inv.
-        let mut queued: Vec<_> = self
-            .queued
-            .iter()
-            .filter(|(_, q)| !q.is_empty())
-            .map(|(a, _)| *a)
-            .collect();
-        queued.sort_by_key(|a| out.addr_role(a.as_u64()));
-        out.write_u64(queued.len() as u64);
+        let queued = open.iter().filter(|(_, o)| !o.queue.is_empty());
+        out.write_u64(queued.clone().count() as u64);
         let mut queued_msgs = 0u64;
-        for a in queued {
+        for (a, o) in queued {
             out.write_addr(a.as_u64());
-            let q = &self.queued[&a];
+            let q = &o.queue;
             out.write_u64(q.len() as u64);
             queued_msgs += q.len() as u64;
             for kind in q {
@@ -1375,11 +1367,8 @@ impl Component<Message> for CrossingGuard {
             }
         }
         // Forwarded invalidations still open at the accelerator.
-        let mut invs: Vec<_> = self.inv_pending.keys().copied().collect();
-        invs.sort_by_key(|a| out.addr_role(a.as_u64()));
-        out.write_u64(invs.len() as u64);
-        for a in invs {
-            let ip = &self.inv_pending[&a];
+        out.write_u64(self.open_invs as u64);
+        for (a, ip) in open.iter().filter_map(|(a, o)| Some((a, o.inv.as_ref()?))) {
             out.write_addr(a.as_u64());
             out.write_u64(u64::from(ip.race_consumed));
             out.write_u64(ip.reasons.len() as u64);
@@ -1388,17 +1377,21 @@ impl Component<Message> for CrossingGuard {
                 kind.digest(out);
             }
         }
-        // Internal relinquish puts in flight.
-        let mut internal: Vec<_> = self.internal_puts.iter().copied().collect();
-        internal.sort_by_key(|a| out.addr_role(a.as_u64()));
+        // Internal relinquish puts in flight, as host blocks.
+        let mut internal: Vec<_> = open
+            .iter()
+            .flat_map(|(a, o)| {
+                (0..self.k)
+                    .filter(|i| o.relinquishing & (1 << i) != 0)
+                    .map(|i| a.offset(i))
+            })
+            .collect();
+        internal.sort_by_key(|h| out.addr_role(h.as_u64()));
         out.write_u64(internal.len() as u64);
-        for h in internal {
+        for h in &internal {
             out.write_addr(h.as_u64());
         }
-        out.obligation(
-            (self.reqs.len() + self.inv_pending.len() + self.internal_puts.len()) as u64
-                + queued_msgs,
-        );
+        out.obligation((self.open_reqs + self.open_invs + internal.len()) as u64 + queued_msgs);
         self.persona.check_state(out);
     }
 
@@ -1459,7 +1452,3 @@ impl Component<Message> for CrossingGuard {
         self
     }
 }
-
-// Keep HammerKind referenced for rustdoc links in module docs.
-#[allow(unused)]
-fn _doc_anchor(_: HammerKind) {}

@@ -728,6 +728,79 @@ fn guarantee_2c_timeout_recovery() {
 }
 
 #[test]
+fn answered_inv_leaves_a_stale_timer_that_never_fires() {
+    // The Guarantee 2c timer carries only the block address. An Inv the
+    // accelerator answers in time leaves its timer queued; when that timer
+    // wakes it finds a *later* Inv on the same block, whose own deadline is
+    // still ahead, and must stand down.
+    const TIMEOUT: u64 = 2_000;
+    let xg_cfg = XgConfig {
+        inv_timeout: TIMEOUT,
+        ..cfg(XgVariant::FullState)
+    };
+    let mut rig = build(
+        HostKind::Hammer,
+        1,
+        AccelKind::Raw(InvBehavior::DirtyZero),
+        xg_cfg,
+        OsPolicy::ReportOnly,
+        31,
+    );
+    let post_cpu_store = |rig: &mut Rig, value: u64| {
+        let msg = CoreMsg {
+            id: value,
+            addr: Addr::new(0x400),
+            kind: CoreKind::Store { value },
+        };
+        rig.sim.post(rig.cores[0], rig.host_caches[0], msg.into());
+    };
+    let step_until_open_invs = |rig: &mut Rig, n: usize| {
+        while rig.sim.get::<CrossingGuard>(rig.xg).unwrap().open_invs() != n {
+            assert!(rig.sim.step(), "ran dry waiting for {n} open Invs");
+        }
+        rig.sim.now()
+    };
+    let accel = rig.accel_frontends[0];
+
+    rig.raw_send(0x400, XgiKind::GetM); // accel owns 0x400
+    post_cpu_store(&mut rig, 1); // host demands it back ...
+    let first_inv = step_until_open_invs(&mut rig, 1);
+    step_until_open_invs(&mut rig, 0); // ... and gets it, well in time
+
+    // The accelerator takes the block again and then goes silent.
+    rig.sim.post(
+        accel,
+        rig.xg,
+        XgiMsg::new(Addr::new(0x400).block(), XgiKind::GetM).into(),
+    );
+    let grants = |rig: &Rig| {
+        let received = &rig.sim.get::<RawAccel>(accel).unwrap().received;
+        let granted = |m: &&XgiMsg| matches!(m.kind, XgiKind::DataE { .. } | XgiKind::DataM { .. });
+        received.iter().filter(granted).count()
+    };
+    while grants(&rig) < 2 {
+        assert!(rig.sim.step(), "second GetM never granted");
+    }
+    rig.sim.get_mut::<RawAccel>(accel).unwrap().inv_response = InvBehavior::Silent;
+    post_cpu_store(&mut rig, 2);
+    let second_inv = step_until_open_invs(&mut rig, 1);
+    assert!(
+        second_inv > first_inv && second_inv < first_inv + TIMEOUT,
+        "the second Inv must be open when the first timer wakes"
+    );
+    assert!(rig.sim.run_to_quiescence(500_000).quiescent);
+
+    // One timeout, and it ran the second Inv's full course.
+    assert_eq!(rig.os_count(XgErrorKind::ResponseTimeout), 1);
+    let report = rig.sim.report();
+    assert_eq!(report.get("xg.timeouts"), 1);
+    let inv_resp = report.hist("xg.lat.inv_resp").unwrap();
+    assert_eq!((inv_resp.count(), inv_resp.max()), (2, TIMEOUT));
+    assert_eq!(rig.cpu_load(0, 0x400), 2);
+    rig.assert_host_clean();
+}
+
+#[test]
 fn buggy_writeback_on_shared_block() {
     // Accelerator holds S but answers Inv with a dirty writeback. Full
     // State corrects it; the modified MESI host also survives the

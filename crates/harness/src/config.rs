@@ -276,11 +276,6 @@ impl SystemConfig {
         }
         out
     }
-
-    /// Fresh permission table accessor (all pages read-write by default).
-    pub fn permissive() -> PermissionTable {
-        PermissionTable::new()
-    }
 }
 
 #[cfg(test)]

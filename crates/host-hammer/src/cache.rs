@@ -17,8 +17,8 @@
 //! | S     | hit  | GetM/SM | silent/I | Ack(had)/S | Ack(had)/I | —        | —     | —      |
 //! | I     | GetS/IS | GetM/IM | — | Ack/I        | Ack/I    | —             | —     | —      |
 //! | IS,ISO,IM | queue | queue | — | Ack/·        | Ack/·    | collect; done→stable | — | — |
-//! | SM    | hit  | queue | —   | Ack(had)/SM    | Ack(had)/IM | collect    | —     | —      |
-//! | OM    | hit  | queue | —   | Data(keep)/OM  | Data(xfer)/IM | collect | —     | —      |
+//! | SM    | queue | queue | —  | Ack(had)/SM    | Ack(had)/IM | collect    | —     | —      |
+//! | OM    | queue | queue | —  | Data(keep)/OM  | Data(xfer)/IM | collect | —     | —      |
 //! | WB    | queue | queue | —  | Data(keep)/WB or Data(xfer)/WB_I | Data(xfer)/WB_I | — | WbData/I | sink†/I |
 //! | WB_I  | queue | queue | —  | Ack/WB_I       | Ack/WB_I | —             | —     | /I     |
 //!
@@ -33,28 +33,9 @@
 //! bookkeeping with dirty bits and response counters — against which the
 //! five-state accelerator cache of Table 1 is compared.
 
-use xg_mem::{BlockAddr, DataBlock, IdMap, Mshr, Replacement, SetAssocCache};
+use xg_mem::{BlockAddr, DataBlock, Mshr, Replacement, SetAssocCache};
 use xg_proto::{CoreKind, CoreMsg, Ctx, HammerKind, HammerMsg, HomeMap, Message};
 use xg_sim::{CheckDigest, Component, CoverageSet, Cycle, Histogram, NodeId, Report};
-
-/// Folds a parked core operation into a state digest. The request id is
-/// excluded: it is echoed verbatim in the response and never branches
-/// protocol behavior, so digesting it would fracture the checker's state
-/// space.
-pub(crate) fn digest_core_op(from: NodeId, msg: &CoreMsg, out: &mut CheckDigest) {
-    out.write_node(from);
-    out.write_addr(msg.addr.block().as_u64());
-    out.write_u64(msg.addr.block_offset() as u64);
-    match msg.kind {
-        CoreKind::Load => out.write_str("Load"),
-        CoreKind::Store { value } => {
-            out.write_str("Store");
-            out.write_u64(value);
-        }
-        CoreKind::Flush => out.write_str("Flush"),
-        _ => out.write_str("Resp"),
-    }
-}
 
 /// Configuration for a [`HammerCache`].
 #[derive(Debug, Clone)]
@@ -152,23 +133,24 @@ enum Txn {
         had_copy: bool,
         local: Option<LocalCopy>,
         lost_local: bool,
-        waiting: Vec<(NodeId, CoreMsg)>,
     },
     Wb {
         data: DataBlock,
         dirty: bool,
         invalidated: bool,
-        waiting: Vec<(NodeId, CoreMsg)>,
     },
 }
 
-impl Txn {
-    fn waiting_mut(&mut self) -> &mut Vec<(NodeId, CoreMsg)> {
-        match self {
-            Txn::Get { waiting, .. } | Txn::Wb { waiting, .. } => waiting,
-        }
-    }
+/// Everything open on one block — the MSHR entry: the transaction, the
+/// cycle it opened (for `lat.miss`), and the core ops parked behind it.
+#[derive(Debug, Clone)]
+struct Open {
+    txn: Txn,
+    started: Cycle,
+    waiting: Vec<(NodeId, CoreMsg)>,
+}
 
+impl Txn {
     fn state_name(&self) -> &'static str {
         match self {
             Txn::Get {
@@ -225,9 +207,7 @@ pub struct HammerCache {
     dir: HomeMap,
     cfg: HammerConfig,
     cache: SetAssocCache<Line>,
-    mshr: Mshr<Txn>,
-    /// Open times of in-flight MSHR transactions, for latency histograms.
-    txn_started: IdMap<BlockAddr, Cycle>,
+    mshr: Mshr<Open>,
     stats: Stats,
     coverage: CoverageSet,
 }
@@ -241,7 +221,6 @@ impl HammerCache {
             dir: dir.into(),
             cache: SetAssocCache::new(cfg.sets, cfg.ways, cfg.replacement, cfg.seed),
             mshr: Mshr::new(cfg.mshr_entries),
-            txn_started: IdMap::default(),
             cfg,
             stats: Stats::default(),
             coverage: CoverageSet::new(),
@@ -276,11 +255,15 @@ impl HammerCache {
     fn state_name(&self, addr: BlockAddr) -> &'static str {
         if let Some(line) = self.cache.get(addr) {
             line.state.name()
-        } else if let Some(txn) = self.mshr.get(addr) {
-            txn.state_name()
+        } else if let Some(open) = self.mshr.get(addr) {
+            open.txn.state_name()
         } else {
             "I"
         }
+    }
+
+    fn txn_mut(&mut self, addr: BlockAddr) -> Option<&mut Txn> {
+        self.mshr.get_mut(addr).map(|open| &mut open.txn)
     }
 
     fn cover(&mut self, addr: BlockAddr, event: &'static str) {
@@ -310,15 +293,7 @@ impl HammerCache {
             CoreKind::Flush => {
                 // Hardware coherence makes flushes unnecessary on the host
                 // side; acknowledge immediately.
-                ctx.send(
-                    from,
-                    CoreMsg {
-                        id: msg.id,
-                        addr: msg.addr,
-                        kind: CoreKind::FlushResp,
-                    }
-                    .into(),
-                );
+                ctx.send(from, msg.reply(CoreKind::FlushResp).into());
                 return;
             }
             _ => {
@@ -327,8 +302,8 @@ impl HammerCache {
             }
         }
 
-        if let Some(txn) = self.mshr.get_mut(addr) {
-            txn.waiting_mut().push((from, msg));
+        if let Some(open) = self.mshr.get_mut(addr) {
+            open.waiting.push((from, msg));
             return;
         }
 
@@ -337,57 +312,33 @@ impl HammerCache {
                 if let Some(line) = self.cache.get_mut(addr) {
                     self.stats.hits += 1;
                     let value = line.data.read_u64(offset);
-                    ctx.send(
-                        from,
-                        CoreMsg {
-                            id: msg.id,
-                            addr: msg.addr,
-                            kind: CoreKind::LoadResp { value },
-                        }
-                        .into(),
-                    );
+                    ctx.send(from, msg.reply(CoreKind::LoadResp { value }).into());
                 } else {
                     self.stats.misses += 1;
                     self.start_get(GetKind::S, addr, None, (from, msg), ctx);
                 }
             }
-            CoreKind::Store { value } => {
-                let line_state = self.cache.get(addr).map(|l| l.state);
-                match line_state {
-                    Some(HState::M) | Some(HState::E) => {
-                        self.stats.hits += 1;
-                        let line = self.cache.get_mut(addr).expect("line present");
-                        line.data.write_u64(offset, value);
-                        line.dirty = true;
-                        line.state = HState::M; // silent E→M upgrade
-                        ctx.send(
-                            from,
-                            CoreMsg {
-                                id: msg.id,
-                                addr: msg.addr,
-                                kind: CoreKind::StoreResp,
-                            }
-                            .into(),
-                        );
-                    }
-                    Some(HState::O) | Some(HState::S) => {
-                        // Upgrade required; keep the copy in the transaction.
-                        self.stats.misses += 1;
-                        let line = self.cache.remove(addr).expect("line present");
-                        let local = LocalCopy {
-                            state: line.state,
-                            dirty: line.dirty,
-                            data: line.data,
-                        };
-                        self.start_get(GetKind::M, addr, Some(local), (from, msg), ctx);
-                    }
-                    None => {
-                        self.stats.misses += 1;
-                        self.start_get(GetKind::M, addr, None, (from, msg), ctx);
-                    }
+            CoreKind::Store { value } => match self.cache.get_mut(addr) {
+                Some(line) if matches!(line.state, HState::M | HState::E) => {
+                    self.stats.hits += 1;
+                    line.data.write_u64(offset, value);
+                    line.dirty = true;
+                    line.state = HState::M; // silent E→M upgrade
+                    ctx.send(from, msg.reply(CoreKind::StoreResp).into());
                 }
-            }
-            _ => unreachable!("filtered above"),
+                _ => {
+                    // Miss, or an upgrade from O/S: a resident copy rides
+                    // along in the transaction.
+                    self.stats.misses += 1;
+                    let local = self.cache.remove(addr).map(|line| LocalCopy {
+                        state: line.state,
+                        dirty: line.dirty,
+                        data: line.data,
+                    });
+                    self.start_get(GetKind::M, addr, local, (from, msg), ctx);
+                }
+            },
+            _ => self.violation("core sent a response kind"),
         }
     }
 
@@ -427,10 +378,13 @@ impl HammerCache {
             had_copy: false,
             local,
             lost_local: false,
+        };
+        let open = Open {
+            txn,
+            started: ctx.now(),
             waiting: vec![op],
         };
-        self.mshr.alloc(addr, txn).expect("capacity checked above");
-        self.txn_started.insert(addr, ctx.now());
+        self.mshr.alloc(addr, open).expect("capacity checked above");
         self.stats.mshr_occupancy.record(self.mshr.len() as u64);
         let req = match kind {
             GetKind::S => HammerKind::GetS,
@@ -459,23 +413,17 @@ impl HammerCache {
             }
             HammerKind::MemData { data, peers } => {
                 self.cover(addr, "MemData");
-                let done = match self.mshr.get_mut(addr) {
-                    Some(Txn::Get {
-                        peers_expected,
-                        mem_data,
-                        ..
-                    }) => {
-                        *peers_expected = Some(peers);
-                        *mem_data = Some(data);
-                        true
-                    }
-                    _ => false,
+                let Some(Txn::Get {
+                    peers_expected,
+                    mem_data,
+                    ..
+                }) = self.txn_mut(addr)
+                else {
+                    return self.violation("MemData without transaction");
                 };
-                if done {
-                    self.try_complete_get(addr, ctx);
-                } else {
-                    self.violation("MemData without transaction");
-                }
+                *peers_expected = Some(peers);
+                *mem_data = Some(data);
+                self.try_complete_get(addr, ctx);
             }
             HammerKind::RespData {
                 data,
@@ -483,69 +431,53 @@ impl HammerCache {
                 owner_keeps_copy,
             } => {
                 self.cover(addr, "RespData");
-                let mut ok = false;
-                if let Some(Txn::Get {
+                let Some(Txn::Get {
                     resps,
                     peer_data,
                     data_msgs,
                     ..
-                }) = self.mshr.get_mut(addr)
-                {
-                    *resps += 1;
-                    *data_msgs += 1;
-                    let multiple = peer_data.is_some();
-                    if multiple {
-                        self.stats.multi_data += 1;
-                        if self.cfg.strict_data {
-                            self.stats.protocol_violation += 1;
-                            *self
-                                .stats
-                                .violation_reasons
-                                .entry("multiple data responses")
-                                .or_insert(0) += 1;
-                        }
-                    }
-                    // Prefer dirty data; otherwise first writer wins.
-                    let replace = match peer_data {
-                        None => true,
-                        Some((_, old_dirty, _)) => dirty && !*old_dirty,
-                    };
-                    if replace {
-                        *peer_data = Some((data, dirty, owner_keeps_copy));
-                    }
-                    ok = true;
+                }) = self.txn_mut(addr)
+                else {
+                    return self.violation("RespData without transaction");
+                };
+                *resps += 1;
+                *data_msgs += 1;
+                let multiple = peer_data.is_some();
+                // Prefer dirty data; otherwise first writer wins.
+                let replace = match peer_data {
+                    None => true,
+                    Some((_, old_dirty, _)) => dirty && !*old_dirty,
+                };
+                if replace {
+                    *peer_data = Some((data, dirty, owner_keeps_copy));
                 }
-                if ok {
-                    self.try_complete_get(addr, ctx);
-                } else {
-                    self.violation("RespData without transaction");
+                if multiple {
+                    self.stats.multi_data += 1;
+                    if self.cfg.strict_data {
+                        self.violation("multiple data responses");
+                    }
                 }
+                self.try_complete_get(addr, ctx);
             }
             HammerKind::RespAck { had_copy } => {
                 self.cover(addr, "RespAck");
-                let mut ok = false;
-                if let Some(Txn::Get {
+                let Some(Txn::Get {
                     resps,
                     had_copy: hc,
                     ..
-                }) = self.mshr.get_mut(addr)
-                {
-                    *resps += 1;
-                    *hc |= had_copy;
-                    ok = true;
-                }
-                if ok {
-                    self.try_complete_get(addr, ctx);
-                } else {
-                    self.violation("RespAck without transaction");
-                }
+                }) = self.txn_mut(addr)
+                else {
+                    return self.violation("RespAck without transaction");
+                };
+                *resps += 1;
+                *hc |= had_copy;
+                self.try_complete_get(addr, ctx);
             }
             HammerKind::WbAck => {
                 self.cover(addr, "WbAck");
                 match self.mshr.remove(addr) {
-                    Some(Txn::Wb {
-                        data,
-                        dirty,
+                    Some(Open {
+                        txn: Txn::Wb { data, dirty, .. },
                         waiting,
                         ..
                     }) => {
@@ -557,7 +489,7 @@ impl HammerCache {
                         self.drain_waiting(waiting, ctx);
                     }
                     other => {
-                        self.restore_txn(addr, other);
+                        self.restore(addr, other);
                         self.violation("WbAck without writeback");
                     }
                 }
@@ -565,8 +497,8 @@ impl HammerCache {
             HammerKind::WbNack => {
                 self.cover(addr, "WbNack");
                 match self.mshr.remove(addr) {
-                    Some(Txn::Wb {
-                        invalidated,
+                    Some(Open {
+                        txn: Txn::Wb { invalidated, .. },
                         waiting,
                         ..
                     }) => {
@@ -574,18 +506,13 @@ impl HammerCache {
                             if self.cfg.sink_nacks {
                                 self.stats.unexpected_nack += 1;
                             } else {
-                                self.stats.protocol_violation += 1;
-                                *self
-                                    .stats
-                                    .violation_reasons
-                                    .entry("unexpected WbNack")
-                                    .or_insert(0) += 1;
+                                self.violation("unexpected WbNack");
                             }
                         }
                         self.drain_waiting(waiting, ctx);
                     }
                     other => {
-                        self.restore_txn(addr, other);
+                        self.restore(addr, other);
                         self.violation("WbNack without writeback");
                     }
                 }
@@ -603,9 +530,10 @@ impl HammerCache {
         let _ = from;
     }
 
-    fn restore_txn(&mut self, addr: BlockAddr, txn: Option<Txn>) {
-        if let Some(txn) = txn {
-            self.mshr.alloc(addr, txn).expect("slot was just freed");
+    /// Puts back a record a handler removed and found was not its own.
+    fn restore(&mut self, addr: BlockAddr, open: Option<Open>) {
+        if let Some(open) = open {
+            self.mshr.alloc(addr, open).expect("slot was just freed");
         }
     }
 
@@ -627,8 +555,11 @@ impl HammerCache {
                         )
                         .into(),
                     );
-                    let line = self.cache.get_mut(addr).expect("line present");
-                    line.state = HState::O;
+                    // Serving a read is a use of the line: downgrade through
+                    // the recency-marking lookup.
+                    if let Some(line) = self.cache.get_mut(addr) {
+                        line.state = HState::O;
+                    }
                 }
                 (HState::M | HState::O | HState::E, FwdKind::GetM) => {
                     ctx.send(
@@ -658,7 +589,7 @@ impl HammerCache {
         // In-flight transaction?
         let mut ack_had_copy: Option<bool> = None;
         let mut resp_data: Option<(DataBlock, bool, bool)> = None;
-        match self.mshr.get_mut(addr) {
+        match self.txn_mut(addr) {
             Some(Txn::Get {
                 local, lost_local, ..
             }) => match local {
@@ -731,39 +662,41 @@ impl HammerCache {
     }
 
     fn try_complete_get(&mut self, addr: BlockAddr, ctx: &mut Ctx<'_>) {
-        let ready = matches!(
-            self.mshr.get(addr),
-            Some(Txn::Get {
-                peers_expected: Some(p),
-                resps,
-                mem_data: Some(_),
-                ..
-            }) if resps >= p
-        );
-        if !ready {
+        // Complete once memory has answered and every peer has responded.
+        let Some(Txn::Get {
+            peers_expected: Some(peers),
+            resps,
+            mem_data: Some(_),
+            ..
+        }) = self.mshr.get(addr).map(|open| &open.txn)
+        else {
+            return;
+        };
+        if resps < peers {
             return;
         }
-        let Some(Txn::Get {
-            kind,
-            mem_data,
-            peer_data,
-            had_copy,
-            local,
-            lost_local,
+        let Some(Open {
+            txn:
+                Txn::Get {
+                    kind,
+                    mem_data: Some(mem),
+                    peer_data,
+                    had_copy,
+                    local,
+                    lost_local,
+                    ..
+                },
+            started,
             waiting,
-            ..
         }) = self.mshr.remove(addr)
         else {
-            unreachable!("checked above");
+            return self.violation("completing Get changed underfoot");
         };
-        if let Some(started) = self.txn_started.remove(&addr) {
-            self.stats
-                .lat_miss
-                .record(ctx.now().saturating_since(started));
-            ctx.span(addr.as_u64(), "miss", started);
-        }
+        self.stats
+            .lat_miss
+            .record(ctx.now().saturating_since(started));
+        ctx.span(addr.as_u64(), "miss", started);
 
-        let mem = mem_data.expect("checked above");
         let (state, dirty, data) = match kind {
             GetKind::M => {
                 let (data, dirty) = if let Some((d, dirty, _)) = peer_data {
@@ -821,14 +754,16 @@ impl HammerCache {
                 self.stats.silent_drops += 1;
             }
             HState::M | HState::O | HState::E => {
-                let txn = Txn::Wb {
-                    data: line.data,
-                    dirty: line.dirty,
-                    invalidated: false,
+                let open = Open {
+                    txn: Txn::Wb {
+                        data: line.data,
+                        dirty: line.dirty,
+                        invalidated: false,
+                    },
+                    started: ctx.now(),
                     waiting: Vec::new(),
                 };
-                if self.mshr.alloc(addr, txn).is_ok() {
-                    self.txn_started.insert(addr, ctx.now());
+                if self.mshr.alloc(addr, open).is_ok() {
                     self.stats.mshr_occupancy.record(self.mshr.len() as u64);
                     ctx.send(
                         self.dir.for_block(addr),
@@ -897,13 +832,12 @@ impl Component<Message> for HammerCache {
             out.write_bytes(line.data.as_bytes());
         }
         // Open MSHR transactions (each one an obligation).
-        let mut txns: Vec<_> = self.mshr.iter().map(|(a, _)| a).collect();
-        txns.sort_by_key(|a| out.addr_role(a.as_u64()));
+        let mut txns: Vec<_> = self.mshr.iter().collect();
+        txns.sort_by_key(|(a, _)| out.addr_role(a.as_u64()));
         out.write_u64(txns.len() as u64);
-        for a in txns {
-            let txn = self.mshr.get(a).expect("iterated address is open");
+        for (a, open) in txns {
             out.write_addr(a.as_u64());
-            match txn {
+            match &open.txn {
                 Txn::Get {
                     kind,
                     peers_expected,
@@ -914,7 +848,6 @@ impl Component<Message> for HammerCache {
                     had_copy,
                     local,
                     lost_local,
-                    waiting,
                 } => {
                     out.write_str("get");
                     out.write_str(match kind {
@@ -947,29 +880,24 @@ impl Component<Message> for HammerCache {
                         None => out.write_str("no-local"),
                     }
                     out.write_u64(u64::from(*lost_local));
-                    out.write_u64(waiting.len() as u64);
-                    for (from, msg) in waiting {
-                        digest_core_op(*from, msg, out);
-                    }
-                    out.obligation(waiting.len() as u64);
                 }
                 Txn::Wb {
                     data,
                     dirty,
                     invalidated,
-                    waiting,
                 } => {
                     out.write_str("wb");
                     out.write_bytes(data.as_bytes());
                     out.write_u64(u64::from(*dirty));
                     out.write_u64(u64::from(*invalidated));
-                    out.write_u64(waiting.len() as u64);
-                    for (from, msg) in waiting {
-                        digest_core_op(*from, msg, out);
-                    }
-                    out.obligation(waiting.len() as u64);
                 }
             }
+            // `started` is a timestamp and excluded.
+            out.write_u64(open.waiting.len() as u64);
+            for (from, msg) in &open.waiting {
+                msg.digest(*from, out);
+            }
+            out.obligation(open.waiting.len() as u64);
         }
         out.obligation(self.mshr.len() as u64);
     }

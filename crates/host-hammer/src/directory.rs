@@ -64,7 +64,7 @@ alphabet! {
 alphabet! {
     /// Symbolic directory actions, interpreted against concrete state.
     pub enum DirAction {
-        /// Mark the block busy on a Get and stamp `busy_since`.
+        /// Mark the block busy on a Get and stamp `since`.
         SetBusyGet,
         /// Count the Get (gets/getms) and the memory read it triggers.
         CountGet,
@@ -138,7 +138,7 @@ pub fn table() -> &'static Table<DirState, DirEvent, DirAction> {
 struct DirBlock {
     owner: Option<NodeId>,
     busy: Option<Busy>,
-    busy_since: Option<Cycle>,
+    since: Option<Cycle>,
     queue: VecDeque<(NodeId, HammerKind)>,
 }
 
@@ -340,7 +340,7 @@ impl<'a, 'b> Controller<DirState, DirEvent, DirAction, DirCx<'a, 'b>> for Hammer
             DirAction::SetBusyGet => {
                 let block = self.blocks.entry(cx.addr).or_default();
                 block.busy = Some(Busy::Get { requestor: cx.from });
-                block.busy_since = Some(cx.ctx.now());
+                block.since = Some(cx.ctx.now());
             }
             DirAction::CountGet => {
                 if matches!(cx.kind, HammerKind::GetM) {
@@ -397,7 +397,7 @@ impl<'a, 'b> Controller<DirState, DirEvent, DirAction, DirCx<'a, 'b>> for Hammer
             DirAction::AckWb => {
                 let block = self.blocks.entry(cx.addr).or_default();
                 block.busy = Some(Busy::Wb { putter: cx.from });
-                block.busy_since = Some(cx.ctx.now());
+                block.since = Some(cx.ctx.now());
                 cx.ctx
                     .send(cx.from, HammerMsg::new(cx.addr, HammerKind::WbAck).into());
             }
@@ -427,7 +427,7 @@ impl<'a, 'b> Controller<DirState, DirEvent, DirAction, DirCx<'a, 'b>> for Hammer
                 let now = cx.ctx.now();
                 let block = self.blocks.entry(cx.addr).or_default();
                 block.busy = None;
-                if let Some(since) = block.busy_since.take() {
+                if let Some(since) = block.since.take() {
                     self.stats.lat_busy.record(now.saturating_since(since));
                 }
             }

@@ -1,7 +1,7 @@
 //! Directed end-to-end tests of the Hammer protocol (cache + directory).
 
 use xg_mem::Addr;
-use xg_proto::{CoreKind, CoreMsg, Ctx, Message};
+use xg_proto::{CoreKind, CoreMsg, Ctx, HammerKind, HammerMsg, Message};
 use xg_sim::{Component, Link, NodeId, SimBuilder};
 
 use crate::{HammerCache, HammerConfig, HammerDirectory};
@@ -87,35 +87,25 @@ impl System {
         }
     }
 
-    fn store(&mut self, core: usize, addr: u64, value: u64) {
+    /// Posts one core op without running the simulation.
+    fn post(&mut self, core: usize, addr: u64, kind: CoreKind) {
         let id = self.next_id;
         self.next_id += 1;
+        let addr = Addr::new(addr);
         self.sim.post(
             self.cores[core],
             self.caches[core],
-            CoreMsg {
-                id,
-                addr: Addr::new(addr),
-                kind: CoreKind::Store { value },
-            }
-            .into(),
+            CoreMsg { id, addr, kind }.into(),
         );
+    }
+
+    fn store(&mut self, core: usize, addr: u64, value: u64) {
+        self.post(core, addr, CoreKind::Store { value });
         assert!(self.sim.run_to_quiescence(100_000).quiescent);
     }
 
     fn load(&mut self, core: usize, addr: u64) -> u64 {
-        let id = self.next_id;
-        self.next_id += 1;
-        self.sim.post(
-            self.cores[core],
-            self.caches[core],
-            CoreMsg {
-                id,
-                addr: Addr::new(addr),
-                kind: CoreKind::Load,
-            }
-            .into(),
-        );
+        self.post(core, addr, CoreKind::Load);
         assert!(self.sim.run_to_quiescence(100_000).quiescent);
         self.sim
             .get::<TestCore>(self.cores[core])
@@ -301,22 +291,74 @@ fn mshr_pressure_stalls_but_completes() {
     let mut sys = System::new(1, cfg, 11);
     // Issue many concurrent misses to force MSHR stalls.
     for i in 0..8u64 {
-        let id = sys.next_id;
-        sys.next_id += 1;
-        sys.sim.post(
-            sys.cores[0],
-            sys.caches[0],
-            CoreMsg {
-                id,
-                addr: Addr::new(0x1000 + i * 64),
-                kind: CoreKind::Store { value: i },
-            }
-            .into(),
-        );
+        sys.post(0, 0x1000 + i * 64, CoreKind::Store { value: i });
     }
     assert!(sys.sim.run_to_quiescence(1_000_000).quiescent);
     for i in 0..8u64 {
         assert_eq!(sys.load(0, 0x1000 + i * 64), i);
     }
     sys.assert_clean();
+}
+
+/// A stray `WbAck` / `WbNack` landing while a Get is open is counted and
+/// changes nothing: the handler takes the record out of the MSHR, sees it is
+/// not a writeback and puts it back whole — transaction, start cycle and
+/// parked core ops.
+#[test]
+fn stray_writeback_answers_leave_an_open_get_intact() {
+    let mut sys = System::new(1, HammerConfig::default(), 12);
+    let block = Addr::new(0x2000).block();
+    let state = |sys: &System| {
+        let cache = sys.sim.get::<HammerCache>(sys.caches[0]).unwrap();
+        cache.probe_state(block)
+    };
+    // One miss and two ops parked behind it.
+    sys.post(0, 0x2000, CoreKind::Load);
+    sys.post(0, 0x2000, CoreKind::Store { value: 7 });
+    sys.post(0, 0x2000, CoreKind::Load);
+    assert!(sys.sim.step());
+    let opened = sys.sim.now();
+    assert_eq!(state(&sys), "IS");
+    while sys.sim.report().get("l2_0.loads") + sys.sim.report().get("l2_0.stores") < 3 {
+        assert!(sys.sim.step());
+    }
+    // Memory alone takes 20 cycles; the strays are there within 12.
+    for kind in [HammerKind::WbAck, HammerKind::WbNack] {
+        let stray = HammerMsg::new(block, kind);
+        sys.sim.post(sys.dir, sys.caches[0], stray.into());
+    }
+    while sys.sim.report().get("l2_0.protocol_violation") < 2 {
+        assert!(sys.sim.step());
+    }
+    assert_eq!(state(&sys), "IS", "the Get must still be open");
+    while state(&sys) == "IS" {
+        assert!(sys.sim.step());
+    }
+    let completed = sys.sim.now();
+    assert!(sys.sim.run_to_quiescence(100_000).quiescent);
+
+    let report = sys.sim.report();
+    assert_eq!(report.get("l2_0.violation[WbAck without writeback]"), 1);
+    assert_eq!(report.get("l2_0.violation[WbNack without writeback]"), 1);
+    assert_eq!(report.get("l2_0.unexpected_nack"), 0);
+    // The missing Load is re-handled with the two parked ops; all three hit.
+    assert_eq!((report.get("l2_0.misses"), report.get("l2_0.hits")), (1, 3));
+    let miss = report.hist("l2_0.lat.miss").unwrap();
+    assert_eq!((miss.count(), miss.sum()), (1, completed - opened));
+    let answers: Vec<_> = sys
+        .sim
+        .get::<TestCore>(sys.cores[0])
+        .unwrap()
+        .responses
+        .iter()
+        .map(|m| (m.id, m.kind))
+        .collect();
+    assert_eq!(
+        answers,
+        [
+            (0, CoreKind::LoadResp { value: 0 }),
+            (1, CoreKind::StoreResp),
+            (2, CoreKind::LoadResp { value: 7 }),
+        ]
+    );
 }

@@ -7,7 +7,8 @@
 //! miss, waiting data + acks), `IM_A` (data arrived, still counting acks),
 //! `SM_AD` (upgrade in flight, shared copy retained), `WB` (writeback
 //! pending), `WB_I` (writeback pending, copy already surrendered to a
-//! racing request).
+//! racing request), `WB_N` (writeback nacked before the demand that
+//! explains the nack arrived; the data is held to serve that demand).
 //!
 //! | state | Load | Store | Repl | Inv | FwdGetS | FwdGetM | Recall | grant/acks | WbAck | WbNack |
 //! |-------|------|-------|------|-----|---------|---------|--------|------------|-------|--------|
@@ -21,35 +22,19 @@
 //! | SM_AD | hit  | queue | — | ack, drop copy → IM_AD | — | — | — | collect → M | — | — |
 //! | WB    | queue | queue | — | ack → WB_I (PutS) | data+OwnerWb, Put demotes to PutS | data → WB_I | data → WB_I | — | → I | sink → I |
 //! | WB_I  | queue | queue | — | ack | — | — | — | — | → I† | → I |
+//! | WB_N  | queue | queue | — | ack → I (PutS) | data+OwnerWb, Put demotes to PutS | data → I | data → I | — | → I† | stays |
 //!
-//! † Impossible among trusted controllers; counted as a violation.
+//! † Impossible among trusted controllers (the L2 nacks a Put whose copy
+//! it already took back); the L1 completes the writeback all the same.
 //!
 //! "defer" queues the forward until the write completes — the requestor is
 //! already the owner from the L2's point of view before it has data, a
 //! textbook MESI race that the accelerator protocols behind Crossing Guard
 //! never see.
 
-use xg_mem::{BlockAddr, DataBlock, IdMap, Mshr, Replacement, SetAssocCache};
+use xg_mem::{BlockAddr, DataBlock, Mshr, Replacement, SetAssocCache};
 use xg_proto::{CoreKind, CoreMsg, Ctx, HomeMap, MesiKind, MesiMsg, Message};
 use xg_sim::{CheckDigest, Component, CoverageSet, Cycle, Histogram, NodeId, Report};
-
-/// Folds a parked core operation into a state digest. The request id is
-/// excluded: it is echoed verbatim in the response and never branches
-/// protocol behavior.
-pub(crate) fn digest_core_op(from: NodeId, msg: &CoreMsg, out: &mut CheckDigest) {
-    out.write_node(from);
-    out.write_addr(msg.addr.block().as_u64());
-    out.write_u64(msg.addr.block_offset() as u64);
-    match msg.kind {
-        CoreKind::Load => out.write_str("Load"),
-        CoreKind::Store { value } => {
-            out.write_str("Store");
-            out.write_u64(value);
-        }
-        CoreKind::Flush => out.write_str("Flush"),
-        _ => out.write_str("Resp"),
-    }
-}
 
 /// Configuration for a [`MesiL1`].
 #[derive(Debug, Clone)]
@@ -137,7 +122,6 @@ enum Txn {
         /// An invalidation hit us mid-flight (ISI): use data once, then I.
         poisoned: bool,
         deferred: Vec<Deferred>,
-        waiting: Vec<(NodeId, CoreMsg)>,
     },
     Wb {
         kind: PutKind,
@@ -147,17 +131,19 @@ enum Txn {
         /// A WbNack overtook the demand that explains it on the unordered
         /// network; hold the data until that demand arrives and serve it.
         nacked: bool,
-        waiting: Vec<(NodeId, CoreMsg)>,
     },
 }
 
-impl Txn {
-    fn waiting_mut(&mut self) -> &mut Vec<(NodeId, CoreMsg)> {
-        match self {
-            Txn::Get { waiting, .. } | Txn::Wb { waiting, .. } => waiting,
-        }
-    }
+/// Everything open on one block — the MSHR entry: the transaction, the
+/// cycle it opened (for `lat.miss`), and the core ops parked behind it.
+#[derive(Debug, Clone)]
+struct Open {
+    txn: Txn,
+    started: Cycle,
+    waiting: Vec<(NodeId, CoreMsg)>,
+}
 
+impl Txn {
     fn state_name(&self) -> &'static str {
         match self {
             Txn::Get {
@@ -200,11 +186,8 @@ struct Stats {
 pub struct MesiL1 {
     name: String,
     l2: HomeMap,
-    cfg: MesiL1Config,
     cache: SetAssocCache<Line>,
-    mshr: Mshr<Txn>,
-    /// Open times of in-flight MSHR transactions, for latency histograms.
-    txn_started: IdMap<BlockAddr, Cycle>,
+    mshr: Mshr<Open>,
     stats: Stats,
     coverage: CoverageSet,
 }
@@ -218,8 +201,6 @@ impl MesiL1 {
             l2: l2.into(),
             cache: SetAssocCache::new(cfg.sets, cfg.ways, cfg.replacement, cfg.seed),
             mshr: Mshr::new(cfg.mshr_entries),
-            txn_started: IdMap::default(),
-            cfg,
             stats: Stats::default(),
             coverage: CoverageSet::new(),
         }
@@ -251,11 +232,15 @@ impl MesiL1 {
     fn state_name(&self, addr: BlockAddr) -> &'static str {
         if let Some(line) = self.cache.get(addr) {
             line.state.name()
-        } else if let Some(txn) = self.mshr.get(addr) {
-            txn.state_name()
+        } else if let Some(open) = self.mshr.get(addr) {
+            open.txn.state_name()
         } else {
             "I"
         }
+    }
+
+    fn txn_mut(&mut self, addr: BlockAddr) -> Option<&mut Txn> {
+        self.mshr.get_mut(addr).map(|open| &mut open.txn)
     }
 
     fn cover(&mut self, addr: BlockAddr, event: &'static str) {
@@ -285,15 +270,7 @@ impl MesiL1 {
             CoreKind::Flush => {
                 // Hardware coherence makes flushes unnecessary on the host
                 // side; acknowledge immediately.
-                ctx.send(
-                    from,
-                    CoreMsg {
-                        id: msg.id,
-                        addr: msg.addr,
-                        kind: CoreKind::FlushResp,
-                    }
-                    .into(),
-                );
+                ctx.send(from, msg.reply(CoreKind::FlushResp).into());
                 return;
             }
             _ => {
@@ -302,23 +279,15 @@ impl MesiL1 {
             }
         }
 
-        if let Some(txn) = self.mshr.get_mut(addr) {
+        if let Some(open) = self.mshr.get_mut(addr) {
             // One special case keeps SM_AD useful: loads still hit on the
             // retained shared copy.
-            if let (CoreKind::Load, Txn::Get { local: Some(d), .. }) = (&msg.kind, &*txn) {
+            if let (CoreKind::Load, Txn::Get { local: Some(d), .. }) = (&msg.kind, &open.txn) {
                 let value = d.read_u64(offset);
-                ctx.send(
-                    from,
-                    CoreMsg {
-                        id: msg.id,
-                        addr: msg.addr,
-                        kind: CoreKind::LoadResp { value },
-                    }
-                    .into(),
-                );
+                ctx.send(from, msg.reply(CoreKind::LoadResp { value }).into());
                 return;
             }
-            txn.waiting_mut().push((from, msg));
+            open.waiting.push((from, msg));
             return;
         }
 
@@ -327,48 +296,29 @@ impl MesiL1 {
                 if let Some(line) = self.cache.get_mut(addr) {
                     self.stats.hits += 1;
                     let value = line.data.read_u64(offset);
-                    ctx.send(
-                        from,
-                        CoreMsg {
-                            id: msg.id,
-                            addr: msg.addr,
-                            kind: CoreKind::LoadResp { value },
-                        }
-                        .into(),
-                    );
+                    ctx.send(from, msg.reply(CoreKind::LoadResp { value }).into());
                 } else {
                     self.stats.misses += 1;
                     self.start_get(GetKind::S, addr, None, (from, msg), ctx);
                 }
             }
-            CoreKind::Store { value } => match self.cache.get(addr).map(|l| l.state) {
-                Some(L1State::M) | Some(L1State::E) => {
+            CoreKind::Store { value } => match self.cache.get_mut(addr) {
+                Some(line) if matches!(line.state, L1State::M | L1State::E) => {
                     self.stats.hits += 1;
-                    let line = self.cache.get_mut(addr).expect("present");
                     line.data.write_u64(offset, value);
                     line.dirty = true;
                     line.state = L1State::M;
-                    ctx.send(
-                        from,
-                        CoreMsg {
-                            id: msg.id,
-                            addr: msg.addr,
-                            kind: CoreKind::StoreResp,
-                        }
-                        .into(),
-                    );
+                    ctx.send(from, msg.reply(CoreKind::StoreResp).into());
                 }
-                Some(L1State::S) => {
+                _ => {
+                    // Miss, or an upgrade from S: the shared copy rides
+                    // along in the transaction.
                     self.stats.misses += 1;
-                    let line = self.cache.remove(addr).expect("present");
-                    self.start_get(GetKind::M, addr, Some(line.data), (from, msg), ctx);
-                }
-                None => {
-                    self.stats.misses += 1;
-                    self.start_get(GetKind::M, addr, None, (from, msg), ctx);
+                    let local = self.cache.remove(addr).map(|line| line.data);
+                    self.start_get(GetKind::M, addr, local, (from, msg), ctx);
                 }
             },
-            _ => unreachable!("filtered above"),
+            _ => self.violation("core sent a response kind"),
         }
     }
 
@@ -396,22 +346,20 @@ impl MesiL1 {
             ctx.redeliver(from, msg.into(), 8);
             return;
         }
-        self.mshr
-            .alloc(
-                addr,
-                Txn::Get {
-                    kind,
-                    grant: None,
-                    acks_expected: None,
-                    acks_got: 0,
-                    local,
-                    poisoned: false,
-                    deferred: Vec::new(),
-                    waiting: vec![op],
-                },
-            )
-            .expect("capacity checked");
-        self.txn_started.insert(addr, ctx.now());
+        let open = Open {
+            txn: Txn::Get {
+                kind,
+                grant: None,
+                acks_expected: None,
+                acks_got: 0,
+                local,
+                poisoned: false,
+                deferred: Vec::new(),
+            },
+            started: ctx.now(),
+            waiting: vec![op],
+        };
+        self.mshr.alloc(addr, open).expect("capacity checked");
         self.stats.mshr_occupancy.record(self.mshr.len() as u64);
         let req = match kind {
             GetKind::S => MesiKind::GetS,
@@ -455,16 +403,11 @@ impl MesiL1 {
             }
             MesiKind::InvAck => {
                 self.cover(addr, "InvAck");
-                let mut ok = false;
-                if let Some(Txn::Get { acks_got, .. }) = self.mshr.get_mut(addr) {
-                    *acks_got += 1;
-                    ok = true;
-                }
-                if ok {
-                    self.try_complete_get(addr, ctx);
-                } else {
-                    self.violation("InvAck without transaction");
-                }
+                let Some(Txn::Get { acks_got, .. }) = self.txn_mut(addr) else {
+                    return self.violation("InvAck without transaction");
+                };
+                *acks_got += 1;
+                self.try_complete_get(addr, ctx);
             }
             MesiKind::Inv { requestor } => {
                 self.cover(addr, "Inv");
@@ -484,69 +427,31 @@ impl MesiL1 {
             }
             MesiKind::WbAck => {
                 self.cover(addr, "WbAck");
-                match self.mshr.remove(addr) {
-                    Some(Txn::Wb { waiting, .. }) => {
+                match self.txn_mut(addr) {
+                    Some(Txn::Wb { .. }) => {
                         self.stats.writebacks += 1;
-                        self.drain_waiting(waiting, ctx);
+                        self.close_writeback(addr, ctx);
                     }
-                    other => {
-                        self.restore(addr, other);
-                        self.violation("WbAck without writeback");
-                    }
+                    _ => self.violation("WbAck without writeback"),
                 }
             }
             MesiKind::WbNack => {
                 self.cover(addr, "WbNack");
-                match self.mshr.remove(addr) {
+                match self.txn_mut(addr) {
                     Some(Txn::Wb {
-                        invalidated: true,
-                        waiting,
-                        ..
-                    }) => {
-                        self.drain_waiting(waiting, ctx);
-                    }
-                    Some(txn @ Txn::Wb { .. }) => {
-                        // The Nack overtook the demand that explains it
-                        // (an Inv, FwdGetM, or Recall already in flight on
-                        // the unordered network). Hold the data in WB_N and
-                        // serve that demand when it lands.
-                        let Txn::Wb {
-                            kind,
-                            data,
-                            dirty,
-                            waiting,
-                            ..
-                        } = txn
-                        else {
-                            unreachable!()
-                        };
-                        self.restore(
-                            addr,
-                            Some(Txn::Wb {
-                                kind,
-                                data,
-                                dirty,
-                                invalidated: false,
-                                nacked: true,
-                                waiting,
-                            }),
-                        );
-                    }
-                    other => {
-                        self.restore(addr, other);
-                        self.violation("WbNack without writeback");
-                    }
+                        invalidated: true, ..
+                    }) => self.close_writeback(addr, ctx),
+                    // The Nack overtook the demand that explains it (an
+                    // Inv, FwdGetM, or Recall already in flight on the
+                    // unordered network). Hold the data in WB_N and serve
+                    // that demand when it lands.
+                    Some(Txn::Wb { nacked, .. }) => *nacked = true,
+                    _ => self.violation("WbNack without writeback"),
                 }
             }
             _ => self.violation("request kind delivered to an L1"),
         }
         let _ = from;
-    }
-
-    fn restore(&mut self, addr: BlockAddr, txn: Option<Txn>) {
-        if let Some(txn) = txn {
-            self.mshr.alloc(addr, txn).expect("slot just freed");
-        }
     }
 
     fn grant(
@@ -558,23 +463,17 @@ impl MesiL1 {
         acks: u32,
         ctx: &mut Ctx<'_>,
     ) {
-        let ok = match self.mshr.get_mut(addr) {
-            Some(Txn::Get {
-                grant,
-                acks_expected,
-                ..
-            }) if grant.is_none() => {
-                *grant = Some((data, state, dirty));
-                *acks_expected = Some(acks);
-                true
-            }
-            _ => false,
+        let Some(Txn::Get {
+            grant: grant @ None,
+            acks_expected,
+            ..
+        }) = self.txn_mut(addr)
+        else {
+            return self.violation("grant without matching transaction");
         };
-        if ok {
-            self.try_complete_get(addr, ctx);
-        } else {
-            self.violation("grant without matching transaction");
-        }
+        *grant = Some((data, state, dirty));
+        *acks_expected = Some(acks);
+        self.try_complete_get(addr, ctx);
     }
 
     fn handle_inv(&mut self, addr: BlockAddr, requestor: NodeId, ctx: &mut Ctx<'_>) {
@@ -588,7 +487,7 @@ impl MesiL1 {
             }
             return;
         }
-        match self.mshr.get_mut(addr) {
+        match self.txn_mut(addr) {
             Some(Txn::Get {
                 kind: GetKind::S,
                 poisoned,
@@ -612,9 +511,7 @@ impl MesiL1 {
                 if *nacked {
                     // The explaining demand arrived; the transaction is
                     // fully resolved.
-                    if let Some(Txn::Wb { waiting, .. }) = self.mshr.remove(addr) {
-                        self.drain_waiting(waiting, ctx);
-                    }
+                    self.close_writeback(addr, ctx);
                 } else {
                     *invalidated = true;
                 }
@@ -649,9 +546,12 @@ impl MesiL1 {
                         self.l2.for_block(addr),
                         MesiMsg::new(addr, MesiKind::OwnerWb { data, dirty }).into(),
                     );
-                    let line = self.cache.get_mut(addr).expect("present");
-                    line.state = L1State::S;
-                    line.dirty = false;
+                    // Serving a read is a use of the line: downgrade through
+                    // the recency-marking lookup.
+                    if let Some(line) = self.cache.get_mut(addr) {
+                        line.state = L1State::S;
+                        line.dirty = false;
+                    }
                 }
                 Deferred::FwdGetM(requestor) => {
                     ctx.send(
@@ -678,19 +578,18 @@ impl MesiL1 {
             }
             return;
         }
-        match self.mshr.get_mut(addr) {
+        match self.mshr.get_mut(addr).map(|open| &mut open.txn) {
             Some(Txn::Get { deferred, .. }) => {
                 // We are the owner-to-be but have no data yet: defer.
                 self.stats.deferred_fwds += 1;
                 deferred.push(demand);
             }
             Some(Txn::Wb {
-                kind: PutKind::E | PutKind::M,
+                kind: kind @ (PutKind::E | PutKind::M),
                 data,
                 dirty,
                 invalidated: invalidated @ false,
                 nacked,
-                ..
             }) => {
                 let was_nacked = *nacked;
                 let (data, dirty) = (*data, *dirty);
@@ -716,9 +615,7 @@ impl MesiL1 {
                             self.l2.for_block(addr),
                             MesiMsg::new(addr, MesiKind::OwnerWb { data, dirty }).into(),
                         );
-                        if let Some(Txn::Wb { kind, .. }) = self.mshr.get_mut(addr) {
-                            *kind = PutKind::S;
-                        }
+                        *kind = PutKind::S;
                         return;
                     }
                     Deferred::FwdGetM(requestor) => {
@@ -746,9 +643,7 @@ impl MesiL1 {
                 }
                 if was_nacked {
                     // This demand explains the earlier Nack; all done.
-                    if let Some(Txn::Wb { waiting, .. }) = self.mshr.remove(addr) {
-                        self.drain_waiting(waiting, ctx);
-                    }
+                    self.close_writeback(addr, ctx);
                 }
             }
             _ => {
@@ -771,36 +666,45 @@ impl MesiL1 {
         }
     }
 
+    /// Closes a finished writeback and re-handles the ops parked behind it.
+    fn close_writeback(&mut self, addr: BlockAddr, ctx: &mut Ctx<'_>) {
+        if let Some(open) = self.mshr.remove(addr) {
+            self.drain_waiting(open.waiting, ctx);
+        }
+    }
+
     fn try_complete_get(&mut self, addr: BlockAddr, ctx: &mut Ctx<'_>) {
-        let ready = matches!(
-            self.mshr.get(addr),
-            Some(Txn::Get {
-                grant: Some(_),
-                acks_expected: Some(n),
-                acks_got,
-                ..
-            }) if acks_got >= n
-        );
-        if !ready {
+        // Complete once the grant is in and every ack it announced arrived.
+        let Some(Txn::Get {
+            grant: Some(_),
+            acks_expected: Some(acks),
+            acks_got,
+            ..
+        }) = self.mshr.get(addr).map(|open| &open.txn)
+        else {
+            return;
+        };
+        if acks_got < acks {
             return;
         }
-        let Some(Txn::Get {
-            grant,
-            poisoned,
-            deferred,
+        let Some(Open {
+            txn:
+                Txn::Get {
+                    grant: Some((data, state, dirty)),
+                    poisoned,
+                    deferred,
+                    ..
+                },
+            started,
             waiting,
-            ..
         }) = self.mshr.remove(addr)
         else {
-            unreachable!("checked above")
+            return self.violation("completing Get changed underfoot");
         };
-        if let Some(started) = self.txn_started.remove(&addr) {
-            self.stats
-                .lat_miss
-                .record(ctx.now().saturating_since(started));
-            ctx.span(addr.as_u64(), "miss", started);
-        }
-        let (data, state, dirty) = grant.expect("checked above");
+        self.stats
+            .lat_miss
+            .record(ctx.now().saturating_since(started));
+        ctx.span(addr.as_u64(), "miss", started);
 
         if poisoned {
             // ISI: satisfy the loads that were already waiting with the
@@ -810,17 +714,8 @@ impl MesiL1 {
                 match msg.kind {
                     CoreKind::Load => {
                         let offset = msg.addr.block_offset() & !7;
-                        ctx.send(
-                            from,
-                            CoreMsg {
-                                id: msg.id,
-                                addr: msg.addr,
-                                kind: CoreKind::LoadResp {
-                                    value: data.read_u64(offset),
-                                },
-                            }
-                            .into(),
-                        );
+                        let value = data.read_u64(offset);
+                        ctx.send(from, msg.reply(CoreKind::LoadResp { value }).into());
                     }
                     _ => rest.push((from, msg)),
                 }
@@ -854,16 +749,18 @@ impl MesiL1 {
             L1State::E => (PutKind::E, MesiKind::PutE { data: line.data }),
             L1State::M => (PutKind::M, MesiKind::PutM { data: line.data }),
         };
-        let txn = Txn::Wb {
-            kind,
-            data: line.data,
-            dirty: line.dirty,
-            invalidated: false,
-            nacked: false,
+        let open = Open {
+            txn: Txn::Wb {
+                kind,
+                data: line.data,
+                dirty: line.dirty,
+                invalidated: false,
+                nacked: false,
+            },
+            started: ctx.now(),
             waiting: Vec::new(),
         };
-        if self.mshr.alloc(addr, txn).is_ok() {
-            self.txn_started.insert(addr, ctx.now());
+        if self.mshr.alloc(addr, open).is_ok() {
             self.stats.mshr_occupancy.record(self.mshr.len() as u64);
             ctx.send(self.l2.for_block(addr), MesiMsg::new(addr, req).into());
         } else {
@@ -912,13 +809,12 @@ impl Component<Message> for MesiL1 {
             out.write_u64(u64::from(line.dirty));
             out.write_bytes(line.data.as_bytes());
         }
-        let mut txns: Vec<_> = self.mshr.iter().map(|(a, _)| a).collect();
-        txns.sort_by_key(|a| out.addr_role(a.as_u64()));
+        let mut txns: Vec<_> = self.mshr.iter().collect();
+        txns.sort_by_key(|(a, _)| out.addr_role(a.as_u64()));
         out.write_u64(txns.len() as u64);
-        for a in txns {
-            let txn = self.mshr.get(a).expect("iterated address is open");
+        for (a, open) in txns {
             out.write_addr(a.as_u64());
-            match txn {
+            match &open.txn {
                 Txn::Get {
                     kind,
                     grant,
@@ -927,7 +823,6 @@ impl Component<Message> for MesiL1 {
                     local,
                     poisoned,
                     deferred,
-                    waiting,
                 } => {
                     out.write_str("get");
                     out.write_str(match kind {
@@ -963,11 +858,7 @@ impl Component<Message> for MesiL1 {
                             Deferred::Recall => out.write_str("Recall"),
                         }
                     }
-                    out.write_u64(waiting.len() as u64);
-                    for (from, msg) in waiting {
-                        digest_core_op(*from, msg, out);
-                    }
-                    out.obligation((deferred.len() + waiting.len()) as u64);
+                    out.obligation(deferred.len() as u64);
                 }
                 Txn::Wb {
                     kind,
@@ -975,7 +866,6 @@ impl Component<Message> for MesiL1 {
                     dirty,
                     invalidated,
                     nacked,
-                    waiting,
                 } => {
                     out.write_str("wb");
                     out.write_str(match kind {
@@ -987,13 +877,14 @@ impl Component<Message> for MesiL1 {
                     out.write_u64(u64::from(*dirty));
                     out.write_u64(u64::from(*invalidated));
                     out.write_u64(u64::from(*nacked));
-                    out.write_u64(waiting.len() as u64);
-                    for (from, msg) in waiting {
-                        digest_core_op(*from, msg, out);
-                    }
-                    out.obligation(waiting.len() as u64);
                 }
             }
+            // `started` is a timestamp and excluded.
+            out.write_u64(open.waiting.len() as u64);
+            for (from, msg) in &open.waiting {
+                msg.digest(*from, out);
+            }
+            out.obligation(open.waiting.len() as u64);
         }
         out.obligation(self.mshr.len() as u64);
     }
@@ -1029,14 +920,5 @@ impl Component<Message> for MesiL1 {
     }
     fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
         self
-    }
-}
-
-// The config is currently all plumbed through the constructor; keep a
-// reference to silence dead-code warnings if fields go unused on some paths.
-impl MesiL1 {
-    /// The configuration this L1 was built with.
-    pub fn config(&self) -> &MesiL1Config {
-        &self.cfg
     }
 }

@@ -271,6 +271,33 @@ enum Busy {
     Recall { pending: u32, line: L2Line },
 }
 
+/// Everything open on one block: the transient holding it busy (if any)
+/// and the requests stalled behind it. A record exists only while one of
+/// the two does; `drain` removes it.
+#[derive(Debug, Default, Clone)]
+struct Block {
+    busy: Option<Busy>,
+    /// Cycle the current busy episode opened (a `Fetch` and the
+    /// `InstallWait` it turns into are one episode); times `lat.busy`.
+    since: Cycle,
+    queue: VecDeque<(NodeId, MesiKind)>,
+}
+
+impl Block {
+    /// Ends the busy episode, recording how long it lasted.
+    fn close(
+        &mut self,
+        addr: BlockAddr,
+        lat_busy: &mut Histogram,
+        ctx: &mut Ctx<'_>,
+    ) -> Option<Busy> {
+        let busy = self.busy.take()?;
+        lat_busy.record(ctx.now().saturating_since(self.since));
+        ctx.span(addr.as_u64(), "l2_busy", self.since);
+        Some(busy)
+    }
+}
+
 #[derive(Debug, Default, Clone)]
 struct Stats {
     violation_reasons: std::collections::BTreeMap<&'static str, u64>,
@@ -311,10 +338,7 @@ pub struct MesiL2 {
     name: String,
     cfg: MesiL2Config,
     array: SetAssocCache<L2Line>,
-    busy: IdMap<BlockAddr, Busy>,
-    /// Open times of busy entries, for the `lat.busy` histogram.
-    busy_since: IdMap<BlockAddr, Cycle>,
-    queues: IdMap<BlockAddr, VecDeque<(NodeId, MesiKind)>>,
+    blocks: IdMap<BlockAddr, Block>,
     memory: IdMap<BlockAddr, DataBlock>,
     stats: Stats,
     coverage: CoverageSet,
@@ -327,9 +351,7 @@ impl MesiL2 {
         MesiL2 {
             name: name.into(),
             array: SetAssocCache::new(cfg.sets, cfg.ways, cfg.replacement, cfg.seed),
-            busy: IdMap::default(),
-            busy_since: IdMap::default(),
-            queues: IdMap::default(),
+            blocks: IdMap::default(),
             memory: IdMap::default(),
             cfg,
             stats: Stats::default(),
@@ -364,7 +386,7 @@ impl MesiL2 {
     /// Directory view of `addr` for invariant oracles: `(owner, sharers)`
     /// for a resident line, `None` if absent or mid-transaction.
     pub fn probe_dir(&self, addr: BlockAddr) -> Option<(Option<NodeId>, Vec<NodeId>)> {
-        if self.busy.contains_key(&addr) {
+        if self.busy(addr).is_some() {
             return None;
         }
         self.array
@@ -378,9 +400,13 @@ impl MesiL2 {
         self.array.get(addr).map(|l| (l.data, l.dirty))
     }
 
+    fn busy(&self, addr: BlockAddr) -> Option<&Busy> {
+        self.blocks.get(&addr).and_then(|b| b.busy.as_ref())
+    }
+
     /// Abstract state of `addr` for table dispatch and coverage.
     fn l2_state(&self, addr: BlockAddr) -> L2State {
-        if let Some(b) = self.busy.get(&addr) {
+        if let Some(b) = self.busy(addr) {
             match b {
                 Busy::Fetch { .. } => L2State::BusyFetch,
                 Busy::InstallWait { .. } => L2State::BusyInstall,
@@ -426,7 +452,7 @@ impl MesiL2 {
                     _ => L2Event::PutForeign,
                 }
             }
-            MesiKind::OwnerWb { .. } => match self.busy.get(&addr) {
+            MesiKind::OwnerWb { .. } => match self.busy(addr) {
                 Some(Busy::FwdS { owner, .. }) if *owner == from => L2Event::OwnerWbFwd,
                 _ => match self.array.get(addr) {
                     Some(l) if l.owner.is_none() && l.sharers.contains(&from) => {
@@ -458,20 +484,14 @@ impl MesiL2 {
         *self.stats.violation_reasons.entry(why).or_insert(0) += 1;
     }
 
-    /// Marks the start of a transient (busy) episode for `addr`.
-    fn busy_opened(&mut self, addr: BlockAddr, now: Cycle) {
-        self.busy_since.entry(addr).or_insert(now);
-        self.stats.mshr_occupancy.record(self.busy.len() as u64);
-    }
-
-    /// Marks the end of a transient episode, recording its duration.
-    fn busy_closed(&mut self, addr: BlockAddr, ctx: &mut Ctx<'_>) {
-        if let Some(since) = self.busy_since.remove(&addr) {
-            self.stats
-                .lat_busy
-                .record(ctx.now().saturating_since(since));
-            ctx.span(addr.as_u64(), "l2_busy", since);
-        }
+    /// Opens a busy episode on `addr`.
+    fn set_busy(&mut self, addr: BlockAddr, busy: Busy, now: Cycle) {
+        let block = self.blocks.entry(addr).or_default();
+        block.busy = Some(busy);
+        block.since = now;
+        // Between handlers every record is busy, and `addr`'s just became so.
+        debug_assert!(self.blocks.values().all(|b| b.busy.is_some()));
+        self.stats.mshr_occupancy.record(self.blocks.len() as u64);
     }
 
     fn handle_mesi(&mut self, from: NodeId, addr: BlockAddr, kind: MesiKind, ctx: &mut Ctx<'_>) {
@@ -503,10 +523,12 @@ impl MesiL2 {
         data: Option<(DataBlock, bool)>,
         ctx: &mut Ctx<'_>,
     ) {
-        let Some(Busy::Recall { pending, line }) = self.busy.get_mut(&addr) else {
-            // The table only routes recall responses here in Busy_Recall.
-            self.violation("recall response without recall");
-            return;
+        // The table only routes recall responses here in Busy_Recall.
+        let Some(block) = self.blocks.get_mut(&addr) else {
+            return self.violation("recall response without recall");
+        };
+        let Some(Busy::Recall { pending, line }) = &mut block.busy else {
+            return self.violation("recall response without recall");
         };
         if let Some((d, dirty)) = data {
             line.data = d;
@@ -514,10 +536,10 @@ impl MesiL2 {
         }
         *pending -= 1;
         if *pending == 0 {
-            let Some(Busy::Recall { line, .. }) = self.busy.remove(&addr) else {
+            let Some(Busy::Recall { line, .. }) = block.close(addr, &mut self.stats.lat_busy, ctx)
+            else {
                 return;
             };
-            self.busy_closed(addr, ctx);
             self.finish_eviction(addr, line, ctx);
         }
     }
@@ -531,9 +553,9 @@ impl MesiL2 {
         self.drain(addr, ctx);
         // Retry any fill that was waiting for this set.
         let waiting: Vec<BlockAddr> = self
-            .busy
+            .blocks
             .iter()
-            .filter(|(_, b)| matches!(b, Busy::InstallWait { .. }))
+            .filter(|(_, b)| matches!(b.busy, Some(Busy::InstallWait { .. })))
             .map(|(&a, _)| a)
             .collect();
         for a in waiting {
@@ -542,14 +564,15 @@ impl MesiL2 {
     }
 
     fn try_install(&mut self, addr: BlockAddr, ctx: &mut Ctx<'_>) {
-        let Some(Busy::InstallWait { .. }) = self.busy.get(&addr) else {
+        let Some(Busy::InstallWait { .. }) = self.busy(addr) else {
             return;
         };
         if self.array.needs_eviction(addr) {
-            let busy = &self.busy;
+            // A block with a record is mid-transaction: not a victim.
+            let blocks = &self.blocks;
             let victim = self
                 .array
-                .take_victim_where(addr, |a, _| !busy.contains_key(&a));
+                .take_victim_where(addr, |a, _| !blocks.contains_key(&a));
             match victim {
                 Some((victim_addr, line)) => {
                     self.start_recall(victim_addr, line, ctx);
@@ -571,18 +594,18 @@ impl MesiL2 {
         // happened and the busy entry is gone — or even replaced by a new
         // transaction the re-entrant install started. Never remove anything
         // that is not our own InstallWait.
-        if !matches!(self.busy.get(&addr), Some(Busy::InstallWait { .. })) {
+        let Some(block) = self.blocks.get_mut(&addr) else {
             return;
-        }
+        };
         let Some(Busy::InstallWait {
             requestor,
             kind,
             data,
-        }) = self.busy.remove(&addr)
+        }) = block.busy
         else {
             return;
         };
-        self.busy_closed(addr, ctx);
+        block.close(addr, &mut self.stats.lat_busy, ctx);
         self.array.insert(addr, L2Line::fresh(data));
         // Grant through the normal path (line now resident, not busy).
         let get = match kind {
@@ -621,21 +644,20 @@ impl MesiL2 {
         if pending == 0 {
             self.finish_eviction(addr, line, ctx);
         } else {
-            self.busy.insert(addr, Busy::Recall { pending, line });
-            self.busy_opened(addr, ctx.now());
+            self.set_busy(addr, Busy::Recall { pending, line }, ctx.now());
         }
     }
 
     fn drain(&mut self, addr: BlockAddr, ctx: &mut Ctx<'_>) {
         loop {
-            if self.busy.contains_key(&addr) {
-                return;
-            }
-            let Some(queue) = self.queues.get_mut(&addr) else {
+            let Some(block) = self.blocks.get_mut(&addr) else {
                 return;
             };
-            let Some((from, kind)) = queue.pop_front() else {
-                self.queues.remove(&addr);
+            if block.busy.is_some() {
+                return;
+            }
+            let Some((from, kind)) = block.queue.pop_front() else {
+                self.blocks.remove(&addr);
                 return;
             };
             self.cover(addr, event_name(&kind));
@@ -666,14 +688,11 @@ impl<'a, 'b> Controller<L2State, L2Event, L2Action, L2Cx<'a, 'b>> for MesiL2 {
                     _ => GetKind::M,
                 };
                 self.stats.mem_reads += 1;
-                self.busy.insert(
-                    addr,
-                    Busy::Fetch {
-                        requestor: from,
-                        kind,
-                    },
-                );
-                self.busy_opened(addr, cx.ctx.now());
+                let busy = Busy::Fetch {
+                    requestor: from,
+                    kind,
+                };
+                self.set_busy(addr, busy, cx.ctx.now());
                 cx.ctx.wake_in(self.cfg.mem_latency.max(1), addr.as_u64());
             }
             L2Action::GrantE => {
@@ -697,14 +716,11 @@ impl<'a, 'b> Controller<L2State, L2Event, L2Action, L2Cx<'a, 'b>> for MesiL2 {
                     return;
                 };
                 self.stats.fwd_gets += 1;
-                self.busy.insert(
-                    addr,
-                    Busy::FwdS {
-                        owner,
-                        requestor: from,
-                    },
-                );
-                self.busy_opened(addr, cx.ctx.now());
+                let busy = Busy::FwdS {
+                    owner,
+                    requestor: from,
+                };
+                self.set_busy(addr, busy, cx.ctx.now());
                 cx.ctx.send(
                     owner,
                     MesiMsg::new(addr, MesiKind::FwdGetS { requestor: from }).into(),
@@ -756,7 +772,6 @@ impl<'a, 'b> Controller<L2State, L2Event, L2Action, L2Cx<'a, 'b>> for MesiL2 {
                         MesiMsg::new(addr, MesiKind::Inv { requestor: from }).into(),
                     );
                 }
-                let line = self.array.get_mut(addr).expect("line resident");
                 line.sharers.clear();
                 line.owner = Some(from);
                 line.inv_debt = Some(from);
@@ -809,10 +824,13 @@ impl<'a, 'b> Controller<L2State, L2Event, L2Action, L2Cx<'a, 'b>> for MesiL2 {
                     .send(from, MesiMsg::new(addr, MesiKind::WbNack).into());
             }
             L2Action::FinishFwdS => {
-                let Some(Busy::FwdS { requestor, .. }) = self.busy.remove(&addr) else {
+                let Some(block) = self.blocks.get_mut(&addr) else {
                     return;
                 };
-                self.busy_closed(addr, cx.ctx);
+                let Some(Busy::FwdS { requestor, .. }) = block.busy else {
+                    return;
+                };
+                block.close(addr, &mut self.stats.lat_busy, cx.ctx);
                 let (data, dirty) = put_payload(&cx.kind);
                 if let Some(line) = self.array.get_mut(addr) {
                     if let Some(d) = data {
@@ -856,18 +874,19 @@ impl<'a, 'b> Controller<L2State, L2Event, L2Action, L2Cx<'a, 'b>> for MesiL2 {
                 self.recall_response(addr, data, cx.ctx);
             }
             L2Action::CompleteFetch => {
-                let Some(Busy::Fetch { requestor, kind }) = self.busy.remove(&addr) else {
+                let Some(block) = self.blocks.get_mut(&addr) else {
+                    return;
+                };
+                let Some(Busy::Fetch { requestor, kind }) = block.busy else {
                     return;
                 };
                 let data = self.memory.get(&addr).copied().unwrap_or_default();
-                self.busy.insert(
-                    addr,
-                    Busy::InstallWait {
-                        requestor,
-                        kind,
-                        data,
-                    },
-                );
+                // Same busy episode: `since` keeps timing from the fetch.
+                block.busy = Some(Busy::InstallWait {
+                    requestor,
+                    kind,
+                    data,
+                });
                 self.try_install(addr, cx.ctx);
             }
             L2Action::TryInstall => {
@@ -878,10 +897,8 @@ impl<'a, 'b> Controller<L2State, L2Event, L2Action, L2Cx<'a, 'b>> for MesiL2 {
 
     fn stalled(&mut self, _step: Step<L2State, L2Event>, cx: &mut L2Cx<'a, 'b>) {
         if let Some(kind) = cx.kind {
-            self.queues
-                .entry(cx.addr)
-                .or_default()
-                .push_back((cx.from, kind));
+            let block = self.blocks.entry(cx.addr).or_default();
+            block.queue.push_back((cx.from, kind));
         }
     }
 
@@ -1037,15 +1054,17 @@ impl Component<Message> for MesiL2 {
             out.write_addr(a.as_u64());
             digest_line(line, out);
         }
-        // Busy (transient) entries: one obligation each. `busy_since` is a
-        // timestamp and excluded.
-        let mut busy: Vec<_> = self.busy.keys().copied().collect();
-        busy.sort_by_key(|a| out.addr_role(a.as_u64()));
-        out.write_u64(busy.len() as u64);
-        for a in busy {
+        // Open blocks, sorted by address role: first the busy (transient)
+        // entries, one obligation each (`since` is a timestamp and
+        // excluded), then the stall queues.
+        let mut open: Vec<_> = self.blocks.iter().collect();
+        open.sort_by_key(|(a, _)| out.addr_role(a.as_u64()));
+        let busy = open.iter().filter_map(|(a, b)| Some((a, b.busy.as_ref()?)));
+        out.write_u64(busy.clone().count() as u64);
+        for (a, busy) in busy {
             out.write_addr(a.as_u64());
             out.obligation(1);
-            match &self.busy[&a] {
+            match busy {
                 Busy::Fetch { requestor, kind } => {
                     out.write_str("fetch");
                     out.write_node(*requestor);
@@ -1074,17 +1093,11 @@ impl Component<Message> for MesiL2 {
             }
         }
         // Per-block stall queues: each queued stimulus is an obligation.
-        let mut queued: Vec<_> = self
-            .queues
-            .iter()
-            .filter(|(_, q)| !q.is_empty())
-            .map(|(&a, _)| a)
-            .collect();
-        queued.sort_by_key(|a| out.addr_role(a.as_u64()));
-        out.write_u64(queued.len() as u64);
-        for a in queued {
+        let queued = open.iter().filter(|(_, b)| !b.queue.is_empty());
+        out.write_u64(queued.clone().count() as u64);
+        for (a, block) in queued {
             out.write_addr(a.as_u64());
-            let q = &self.queues[&a];
+            let q = &block.queue;
             out.write_u64(q.len() as u64);
             out.obligation(q.len() as u64);
             for (from, kind) in q {

@@ -1,7 +1,8 @@
 //! Directed end-to-end tests of the MESI protocol (L1s + inclusive L2).
 
 use xg_mem::Addr;
-use xg_proto::{CoreKind, CoreMsg, Ctx, Message};
+use xg_mem::DataBlock;
+use xg_proto::{CoreKind, CoreMsg, Ctx, MesiKind, MesiMsg, Message};
 use xg_sim::{Component, Link, NodeId, SimBuilder};
 
 use crate::{MesiL1, MesiL1Config, MesiL2, MesiL2Config};
@@ -72,19 +73,20 @@ impl System {
         }
     }
 
-    fn post_store(&mut self, core: usize, addr: u64, value: u64) {
+    /// Posts one core op without running the simulation.
+    fn post(&mut self, core: usize, addr: u64, kind: CoreKind) {
         let id = self.next_id;
         self.next_id += 1;
+        let addr = Addr::new(addr);
         self.sim.post(
             self.cores[core],
             self.l1s[core],
-            CoreMsg {
-                id,
-                addr: Addr::new(addr),
-                kind: CoreKind::Store { value },
-            }
-            .into(),
+            CoreMsg { id, addr, kind }.into(),
         );
+    }
+
+    fn post_store(&mut self, core: usize, addr: u64, value: u64) {
+        self.post(core, addr, CoreKind::Store { value });
     }
 
     fn store(&mut self, core: usize, addr: u64, value: u64) {
@@ -94,17 +96,7 @@ impl System {
 
     fn load(&mut self, core: usize, addr: u64) -> u64 {
         let id = self.next_id;
-        self.next_id += 1;
-        self.sim.post(
-            self.cores[core],
-            self.l1s[core],
-            CoreMsg {
-                id,
-                addr: Addr::new(addr),
-                kind: CoreKind::Load,
-            }
-            .into(),
-        );
+        self.post(core, addr, CoreKind::Load);
         assert!(self.sim.run_to_quiescence(200_000).quiescent);
         self.sim
             .get::<TestCore>(self.cores[core])
@@ -336,4 +328,212 @@ fn coverage_is_collected() {
     let cov = report.coverage("mesi_l1/l1_0").unwrap();
     assert!(cov.len() > 3);
     assert!(report.coverage("mesi_l2/l2").unwrap().len() > 3);
+}
+
+#[test]
+fn mshr_pressure_stalls_but_completes() {
+    let l1cfg = MesiL1Config {
+        sets: 2,
+        ways: 1,
+        mshr_entries: 1,
+        ..MesiL1Config::default()
+    };
+    let mut sys = System::new(2, l1cfg, MesiL2Config::default(), 11);
+    // Both cores read 0x1000, so core 0 holds it in S: its store is an
+    // upgrade, which pulls the copy out of the array before it learns that
+    // the one MSHR is taken — and must put it back.
+    assert_eq!(sys.load(0, 0x1000), 0);
+    assert_eq!(sys.load(1, 0x1000), 0);
+    // Concurrent misses on the other set take the MSHR first and keep it
+    // contended; nothing but the upgrade touches 0x1000's set.
+    let others: Vec<u64> = (0..7).map(|j| 0x1040 + j * 128).collect();
+    sys.post_store(0, others[0], 100);
+    sys.post_store(0, 0x1000, 99);
+    for (j, &addr) in others.iter().enumerate().skip(1) {
+        sys.post_store(0, addr, 100 + j as u64);
+    }
+    let block = Addr::new(0x1000).block();
+    let mut states = vec!["S"];
+    while sys.sim.step() {
+        let state = sys
+            .sim
+            .get::<MesiL1>(sys.l1s[0])
+            .unwrap()
+            .probe_state(block);
+        if states.last() != Some(&state) {
+            states.push(state);
+        }
+    }
+    // Never `I`: the stalled upgrade kept its shared copy resident.
+    assert_eq!(states, ["S", "SM_AD", "M"]);
+    assert!(sys.sim.report().get("l1_0.mshr_stalls") > 0);
+    assert_eq!(sys.load(1, 0x1000), 99);
+    for (j, &addr) in others.iter().enumerate() {
+        assert_eq!(sys.load(0, addr), 100 + j as u64);
+    }
+    sys.assert_clean();
+}
+
+/// A stray `WbAck` / `WbNack` landing while a Get is open is counted and
+/// changes nothing: the record stays whole — transaction, start cycle and
+/// parked core ops.
+#[test]
+fn stray_writeback_answers_leave_an_open_get_intact() {
+    let mut sys = default_sys(1, 13);
+    let block = Addr::new(0x2000).block();
+    let state = |sys: &System| {
+        let l1 = sys.sim.get::<MesiL1>(sys.l1s[0]).unwrap();
+        l1.probe_state(block)
+    };
+    // One miss and two ops parked behind it.
+    sys.post(0, 0x2000, CoreKind::Load);
+    sys.post(0, 0x2000, CoreKind::Store { value: 7 });
+    sys.post(0, 0x2000, CoreKind::Load);
+    assert!(sys.sim.step());
+    let opened = sys.sim.now();
+    assert_eq!(state(&sys), "IS_D");
+    while sys.sim.report().get("l1_0.loads") + sys.sim.report().get("l1_0.stores") < 3 {
+        assert!(sys.sim.step());
+    }
+    // Memory alone takes 80 cycles; the strays are there within 12.
+    for kind in [MesiKind::WbAck, MesiKind::WbNack] {
+        let stray = MesiMsg::new(block, kind);
+        sys.sim.post(sys.l2, sys.l1s[0], stray.into());
+    }
+    while sys.sim.report().get("l1_0.protocol_violation") < 2 {
+        assert!(sys.sim.step());
+    }
+    assert_eq!(state(&sys), "IS_D", "the Get must still be open");
+    while state(&sys) == "IS_D" {
+        assert!(sys.sim.step());
+    }
+    let completed = sys.sim.now();
+    assert!(sys.sim.run_to_quiescence(200_000).quiescent);
+
+    let report = sys.sim.report();
+    assert_eq!(report.get("l1_0.violation[WbAck without writeback]"), 1);
+    assert_eq!(report.get("l1_0.violation[WbNack without writeback]"), 1);
+    // The missing Load is re-handled with the two parked ops; all three hit.
+    assert_eq!((report.get("l1_0.misses"), report.get("l1_0.hits")), (1, 3));
+    let miss = report.hist("l1_0.lat.miss").unwrap();
+    assert_eq!((miss.count(), miss.sum()), (1, completed - opened));
+    let core = sys.sim.get::<TestCore>(sys.cores[0]).unwrap();
+    let answers: Vec<_> = core.responses.iter().map(|m| (m.id, m.kind)).collect();
+    assert_eq!(
+        answers,
+        [
+            (0, CoreKind::LoadResp { value: 0 }),
+            (1, CoreKind::StoreResp),
+            (2, CoreKind::LoadResp { value: 7 }),
+        ]
+    );
+}
+
+/// A scripted L1 for driving the L2 alone: records what the L2 sends it.
+struct ScriptedL1 {
+    name: String,
+    received: Vec<MesiKind>,
+}
+
+impl Component<Message> for ScriptedL1 {
+    fn name(&self) -> &str {
+        &self.name
+    }
+    fn handle(&mut self, _from: NodeId, msg: Message, _ctx: &mut Ctx<'_>) {
+        if let Message::Mesi(m) = msg {
+            self.received.push(m.kind);
+        }
+    }
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+        self
+    }
+}
+
+/// Three requests parked behind a busy block are served in arrival order,
+/// across transactions that hand the block from one busy state straight to
+/// the next; every busy episode is timed from its own first cycle; and once
+/// the queue is empty the L2 holds nothing for the block.
+#[test]
+fn l2_queue_drains_fifo_across_busy_handovers() {
+    let mut b = SimBuilder::new(14);
+    let l1s: Vec<NodeId> = ["a", "b", "c", "d"]
+        .iter()
+        .map(|n| {
+            b.add(Box::new(ScriptedL1 {
+                name: format!("l1_{n}"),
+                received: Vec::new(),
+            }))
+        })
+        .collect();
+    let (a, bb, c, d) = (l1s[0], l1s[1], l1s[2], l1s[3]);
+    let l2 = b.add(Box::new(MesiL2::new("l2", MesiL2Config::default())));
+    b.default_link(Link::ordered(1, 1));
+    let mut sim = b.build();
+    let x = Addr::new(0x3000).block();
+    let send = |sim: &mut xg_proto::Sim, from: NodeId, kind: MesiKind| {
+        sim.post(from, l2, MesiMsg::new(x, kind).into());
+    };
+    let received =
+        |sim: &xg_proto::Sim, l1: NodeId| sim.get::<ScriptedL1>(l1).unwrap().received.clone();
+    let data = DataBlock::zeroed();
+    let owner_wb = MesiKind::OwnerWb { data, dirty: true };
+
+    // A's GetM misses: the block goes busy fetching from memory.
+    send(&mut sim, a, MesiKind::GetM);
+    assert!(sim.step());
+    let busy_from = sim.now();
+    // B, C and D arrive while it is busy and park in that order.
+    send(&mut sim, bb, MesiKind::GetS);
+    send(&mut sim, c, MesiKind::GetM);
+    send(&mut sim, d, MesiKind::GetS);
+    // The fetch completes, A is granted M, and B's GetS turns the block
+    // busy again at once (a forward to the new owner).
+    assert!(sim.run_to_quiescence(10_000).quiescent);
+    assert_eq!(
+        received(&sim, a),
+        [
+            MesiKind::DataM { data, acks: 0 },
+            MesiKind::FwdGetS { requestor: bb }
+        ]
+    );
+    // A's writeback ends that; C's GetM invalidates both sharers and is
+    // granted without going busy; D's GetS goes busy forwarding to C.
+    send(&mut sim, a, owner_wb);
+    assert!(sim.run_to_quiescence(10_000).quiescent);
+    send(&mut sim, c, owner_wb);
+    assert!(sim.run_to_quiescence(10_000).quiescent);
+    let busy_until = sim.now();
+
+    assert_eq!(received(&sim, a)[2..], [MesiKind::Inv { requestor: c }]);
+    assert_eq!(received(&sim, bb), [MesiKind::Inv { requestor: c }]);
+    assert_eq!(
+        received(&sim, c),
+        [
+            MesiKind::DataM { data, acks: 2 },
+            MesiKind::FwdGetS { requestor: d }
+        ]
+    );
+    assert_eq!(received(&sim, d), []);
+
+    // Another block's fetch samples the busy population: X left nothing.
+    sim.post(
+        a,
+        l2,
+        MesiMsg::new(Addr::new(0x4000).block(), MesiKind::GetS).into(),
+    );
+    assert!(sim.run_to_quiescence(10_000).quiescent);
+    let report = sim.report();
+    assert_eq!(report.get("l2.protocol_violation"), 0);
+    let occupancy = report.hist("l2.mshr_occupancy").unwrap();
+    assert_eq!((occupancy.count(), occupancy.max()), (4, 1));
+    // X was busy without a gap from A's GetM to C's writeback: three
+    // episodes (fetch + install, then two short forwards) that tile the
+    // interval exactly. The fourth sample is the other block's fetch.
+    let busy = report.hist("l2.lat.busy").unwrap();
+    let mem = MesiL2Config::default().mem_latency;
+    assert_eq!((busy.count(), busy.max()), (4, mem));
+    assert_eq!(busy.sum(), (busy_until - busy_from) + mem);
 }

@@ -3,7 +3,7 @@
 use std::fmt;
 
 use xg_mem::{Addr, BlockAddr, DataBlock};
-use xg_sim::NodeId;
+use xg_sim::{CheckDigest, NodeId};
 
 use crate::error::XgError;
 
@@ -152,6 +152,32 @@ pub struct CoreMsg {
     pub addr: Addr,
     /// Operation.
     pub kind: CoreKind,
+}
+
+impl CoreMsg {
+    /// The response to this request: same id and address, `kind` as given.
+    pub fn reply(&self, kind: CoreKind) -> CoreMsg {
+        CoreMsg { kind, ..*self }
+    }
+
+    /// Folds this operation, parked at a cache by core `from`, into a state
+    /// digest. The request id is excluded: it is echoed verbatim in the
+    /// response and never branches protocol behavior, so digesting it would
+    /// fracture the checker's state space.
+    pub fn digest(&self, from: NodeId, out: &mut CheckDigest) {
+        out.write_node(from);
+        out.write_addr(self.addr.block().as_u64());
+        out.write_u64(self.addr.block_offset() as u64);
+        match self.kind {
+            CoreKind::Load => out.write_str("Load"),
+            CoreKind::Store { value } => {
+                out.write_str("Store");
+                out.write_u64(value);
+            }
+            CoreKind::Flush => out.write_str("Flush"),
+            _ => out.write_str("Resp"),
+        }
+    }
 }
 
 /// Kinds of core-level operations.

@@ -67,17 +67,6 @@ mod trace;
 
 pub use check::CheckDigest;
 pub use component::{Component, NodeId};
-
-/// Whether `XG_TRACE` message tracing is enabled (checked once per process).
-///
-/// Retained for callers that trace outside a simulation context; inside a
-/// component prefer [`Ctx::trace`], which respects the per-simulation
-/// [`TraceConfig`] (whose [`TraceConfig::from_env`] honors the same
-/// variable) and records into the post-mortem ring.
-pub fn trace_enabled() -> bool {
-    static FLAG: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *FLAG.get_or_init(|| std::env::var_os("XG_TRACE").is_some())
-}
 pub use hist::Histogram;
 pub use json::{JsonError, JsonValue};
 pub use link::{FaultSpec, Link};
