@@ -16,9 +16,11 @@
 //! from `B` and awaiting the guaranteed `WbAck`). The `tests` module holds
 //! a conformance test that walks this table entry by entry.
 
-use xg_mem::{BlockAddr, DataBlock, IdMap, Replacement, SetAssocCache};
+use xg_mem::{BlockAddr, IdMap, Replacement, SetAssocCache, Spares};
 use xg_proto::{CoreKind, CoreMsg, Ctx, Message, XgData, XgiKind, XgiMsg};
-use xg_sim::{Component, CoverageSet, Cycle, Histogram, NodeId, Report};
+use xg_sim::{
+    alphabet, Alphabet, Component, CoverageGrid, CoverageSet, Cycle, Histogram, NodeId, Report,
+};
 
 /// Coherence sophistication of an [`AccelL1`] (paper §2.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -83,6 +85,33 @@ impl Default for AccelL1Config {
     }
 }
 
+alphabet! {
+    /// Table 1's rows: the state coverage is keyed by and
+    /// [`AccelL1::state_of`] reports.
+    enum CState {
+        M,
+        E,
+        S,
+        I,
+        B,
+    }
+}
+
+alphabet! {
+    /// Table 1's columns, plus the flush this cache also accepts.
+    enum CEvent {
+        Load,
+        Store,
+        Flush,
+        Repl,
+        Inv,
+        DataS,
+        DataE,
+        DataM,
+        WbAck,
+    }
+}
+
 /// Stable states of the Table 1 protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum AState {
@@ -91,12 +120,12 @@ enum AState {
     S,
 }
 
-impl AState {
-    fn name(self) -> &'static str {
-        match self {
-            AState::M => "M",
-            AState::E => "E",
-            AState::S => "S",
+impl From<AState> for CState {
+    fn from(state: AState) -> CState {
+        match state {
+            AState::M => CState::M,
+            AState::E => CState::E,
+            AState::S => CState::S,
         }
     }
 }
@@ -104,7 +133,7 @@ impl AState {
 #[derive(Debug, Clone)]
 struct Line {
     state: AState,
-    data: Vec<DataBlock>,
+    data: XgData,
     /// Brought in by the prefetcher and not yet demanded.
     prefetched: bool,
 }
@@ -145,8 +174,11 @@ pub struct AccelL1 {
     cfg: AccelL1Config,
     cache: SetAssocCache<Line>,
     pending: IdMap<BlockAddr, Pending>,
+    /// Emptied `Pending::waiting` buffers, reused by the next request.
+    spare_waiting: Spares<Vec<(NodeId, CoreMsg)>>,
     stats: Stats,
-    coverage: CoverageSet,
+    /// `(state, event)` pairs visited, by index; named in `report`.
+    seen: CoverageGrid<CState, CEvent>,
 }
 
 impl AccelL1 {
@@ -163,8 +195,9 @@ impl AccelL1 {
             cache: SetAssocCache::new(cfg.sets, cfg.ways, cfg.replacement, cfg.seed),
             pending: IdMap::default(),
             cfg,
+            spare_waiting: Spares::default(),
             stats: Stats::default(),
-            coverage: CoverageSet::new(),
+            seen: CoverageGrid::new(),
         }
     }
 
@@ -179,40 +212,41 @@ impl AccelL1 {
     /// is unreachable here by construction (victims are only ever chosen
     /// among stable lines), so it is excluded. The §4.1 methodology
     /// compares stress-test coverage against exactly this set.
-    pub fn table1_expected() -> xg_sim::CoverageSet {
-        let mut set = xg_sim::CoverageSet::new();
-        for state in ["M", "E", "S"] {
-            for event in ["Load", "Store", "Repl", "Inv"] {
-                set.visit(state, event);
+    pub fn table1_expected() -> CoverageSet {
+        use {CEvent::*, CState::*};
+        let mut table = CoverageGrid::new();
+        for state in [M, E, S] {
+            for event in [Load, Store, Repl, Inv] {
+                table.visit(state, event);
             }
         }
-        for event in ["Load", "Store", "Inv"] {
-            set.visit("I", event);
+        for event in [Load, Store, Inv] {
+            table.visit(I, event);
         }
-        for event in ["Load", "Store", "Inv", "DataS", "DataE", "DataM", "WbAck"] {
-            set.visit("B", event);
+        for event in [Load, Store, Inv, DataS, DataE, DataM, WbAck] {
+            table.visit(B, event);
         }
-        set
+        table.to_set()
     }
 
     /// The state name for `line_addr` (Table 1 vocabulary: M/E/S/I/B).
     pub fn state_of(&self, line_addr: BlockAddr) -> &'static str {
-        if self.pending.contains_key(&line_addr) {
-            "B"
-        } else if let Some(line) = self.cache.get(line_addr) {
-            line.state.name()
+        self.state(line_addr).label()
+    }
+
+    /// Table 1 state of `la`. A block is never both pending and resident,
+    /// so handlers name the state from whichever of the two lookups they
+    /// make anyway and only come here on a violation.
+    fn state(&self, la: BlockAddr) -> CState {
+        if self.pending.contains_key(&la) {
+            CState::B
         } else {
-            "I"
+            self.cache.get(la).map_or(CState::I, |l| l.state.into())
         }
     }
 
     fn line_addr(&self, block: BlockAddr) -> BlockAddr {
         block.align_down(self.cfg.block_blocks as u64)
-    }
-
-    fn cover(&mut self, line_addr: BlockAddr, event: &'static str) {
-        let state = self.state_of(line_addr);
-        self.coverage.visit(state, event);
     }
 
     fn violation(&mut self) {
@@ -227,88 +261,97 @@ impl AccelL1 {
 
     fn handle_core(&mut self, from: NodeId, msg: CoreMsg, ctx: &mut Ctx<'_>) {
         let la = self.line_addr(msg.addr.block());
-        match msg.kind {
+        let event = match msg.kind {
             CoreKind::Load => {
-                self.cover(la, "Load");
                 self.stats.loads += 1;
+                CEvent::Load
             }
             CoreKind::Store { .. } => {
-                self.cover(la, "Store");
                 self.stats.stores += 1;
+                CEvent::Store
             }
-            CoreKind::Flush => {
-                self.cover(la, "Flush");
-            }
+            CoreKind::Flush => CEvent::Flush,
             _ => {
                 self.violation();
                 return;
             }
-        }
-        if let Some(p) = self.pending.get_mut(&la) {
-            // Table 1: B + Load/Store → stall.
-            self.stats.stalls += 1;
-            p.waiting.push((from, msg));
-            return;
-        }
+        };
         let sub = (msg.addr.block().as_u64() - la.as_u64()) as usize;
         let offset = msg.addr.block_offset() & !7;
+        // A block is resident or pending, never both: a hit needs the tag
+        // scan alone, and only an absent block goes on to probe `pending`.
+        let Some(mut line) = self.cache.lookup(la) else {
+            if let Some(p) = self.pending.get_mut(&la) {
+                // Table 1: B + Load/Store → stall.
+                self.seen.visit(CState::B, event);
+                self.stats.stalls += 1;
+                p.waiting.push((from, msg));
+                return;
+            }
+            self.seen.visit(CState::I, event);
+            let req = match (msg.kind, self.cfg.mode) {
+                (CoreKind::Flush, _) => {
+                    return ctx.send(from, msg.reply(CoreKind::FlushResp).into());
+                }
+                // Table 1: I + Load → issue GetS / B; I + Store → GetM / B.
+                (CoreKind::Load, AccelMode::Mesi | AccelMode::Msi) => XgiKind::GetS,
+                _ => XgiKind::GetM,
+            };
+            self.stats.misses += 1;
+            return self.start_get(la, req, (from, msg), ctx);
+        };
+        debug_assert!(!self.pending.contains_key(&la), "resident and pending");
+        let state = line.get().state;
+        self.seen.visit(state.into(), event);
+        let writable = matches!(state, AState::M | AState::E);
         match msg.kind {
-            CoreKind::Load => {
-                if let Some(line) = self.cache.get_mut(la) {
-                    self.stats.hits += 1;
-                    if std::mem::take(&mut line.prefetched) {
-                        self.stats.prefetch_hits += 1;
-                    }
-                    let value = line.data[sub].read_u64(offset);
-                    ctx.send(from, msg.reply(CoreKind::LoadResp { value }).into());
-                } else {
-                    self.stats.misses += 1;
-                    let req = match self.cfg.mode {
-                        AccelMode::Vi => XgiKind::GetM,
-                        _ => XgiKind::GetS,
-                    };
-                    self.start_get(la, req, (from, msg), ctx);
-                }
-            }
             CoreKind::Flush => {
-                if let Some(line) = self.cache.remove(la) {
-                    // Push the block down through the ordinary Put path;
-                    // answer once the WbAck lands (the flush op rides the
-                    // pending list and is re-handled on an absent line).
-                    self.start_put(la, line, vec![(from, msg)], ctx);
-                } else {
-                    ctx.send(from, msg.reply(CoreKind::FlushResp).into());
-                }
+                // Push the block down through the ordinary Put path;
+                // answer once the WbAck lands (the flush op rides the
+                // pending list and is re-handled on an absent line).
+                let line = line.remove();
+                self.start_put(la, line, Some((from, msg)), ctx);
             }
-            CoreKind::Store { value } => match self.cache.get_mut(la) {
-                Some(line) if matches!(line.state, AState::M | AState::E) => {
-                    self.stats.hits += 1;
-                    if std::mem::take(&mut line.prefetched) {
-                        self.stats.prefetch_hits += 1;
-                    }
-                    line.data[sub].write_u64(offset, value);
-                    line.state = AState::M; // Table 1: E + Store → hit / M
-                    ctx.send(from, msg.reply(CoreKind::StoreResp).into());
+            CoreKind::Store { .. } if !writable => {
+                // Table 1: S + Store → issue GetM / B (the S copy is
+                // dropped; DataM will carry fresh data).
+                self.stats.misses += 1;
+                line.remove();
+                self.start_get(la, XgiKind::GetM, (from, msg), ctx);
+            }
+            CoreKind::Store { value } => {
+                self.stats.hits += 1;
+                line.touch();
+                let line = line.get_mut();
+                if std::mem::take(&mut line.prefetched) {
+                    self.stats.prefetch_hits += 1;
                 }
-                _ => {
-                    // Table 1: I/S + Store → issue GetM / B (an S copy is
-                    // dropped; DataM will carry fresh data).
-                    self.stats.misses += 1;
-                    self.cache.remove(la);
-                    self.start_get(la, XgiKind::GetM, (from, msg), ctx);
+                line.data.blocks_mut()[sub].write_u64(offset, value);
+                line.state = AState::M; // Table 1: E + Store → hit / M
+                ctx.send(from, msg.reply(CoreKind::StoreResp).into());
+            }
+            _ => {
+                self.stats.hits += 1;
+                line.touch();
+                let line = line.get_mut();
+                if std::mem::take(&mut line.prefetched) {
+                    self.stats.prefetch_hits += 1;
                 }
-            },
-            _ => self.violation(),
+                let value = line.data.blocks()[sub].read_u64(offset);
+                ctx.send(from, msg.reply(CoreKind::LoadResp { value }).into());
+            }
         }
     }
 
     fn start_get(&mut self, la: BlockAddr, req: XgiKind, op: (NodeId, CoreMsg), ctx: &mut Ctx<'_>) {
+        let mut waiting = self.spare_waiting.take();
+        waiting.push(op);
         self.pending.insert(
             la,
             Pending {
                 is_put: false,
                 is_prefetch: false,
-                waiting: vec![op],
+                waiting,
                 started: ctx.now(),
             },
         );
@@ -326,7 +369,7 @@ impl AccelL1 {
                     Pending {
                         is_put: false,
                         is_prefetch: true,
-                        waiting: Vec::new(),
+                        waiting: self.spare_waiting.take(),
                         started: ctx.now(),
                     },
                 );
@@ -345,41 +388,34 @@ impl AccelL1 {
         });
         match msg.kind {
             XgiKind::DataS { data } => {
-                self.cover(la, "DataS");
                 let state = match self.cfg.mode {
                     AccelMode::Vi => AState::M,
                     _ => AState::S,
                 };
-                self.grant(la, data, state, ctx);
+                self.grant(la, CEvent::DataS, data, state, ctx);
             }
             XgiKind::DataE { data } => {
-                self.cover(la, "DataE");
                 let state = match self.cfg.mode {
                     AccelMode::Mesi => AState::E,
                     AccelMode::Msi | AccelMode::Vi => AState::M,
                 };
-                self.grant(la, data, state, ctx);
+                self.grant(la, CEvent::DataE, data, state, ctx);
             }
             XgiKind::DataM { data } => {
-                self.cover(la, "DataM");
-                self.grant(la, data, AState::M, ctx);
+                self.grant(la, CEvent::DataM, data, AState::M, ctx);
             }
-            XgiKind::WbAck => {
-                self.cover(la, "WbAck");
-                match self.pending.remove(&la) {
-                    Some(p) if p.is_put => {
-                        self.stats.writebacks += 1;
-                        self.drain(p.waiting, ctx);
-                    }
-                    Some(p) => {
-                        self.pending.insert(la, p);
-                        self.violation();
-                    }
-                    None => self.violation(),
+            XgiKind::WbAck => match self.take_pending(la, CEvent::WbAck) {
+                Some(p) if p.is_put => {
+                    self.stats.writebacks += 1;
+                    self.drain(p.waiting, ctx);
                 }
-            }
+                Some(p) => {
+                    self.pending.insert(la, p);
+                    self.violation();
+                }
+                None => self.violation(),
+            },
             XgiKind::Inv => {
-                self.cover(la, "Inv");
                 self.stats.invalidations += 1;
                 self.handle_inv(la, ctx);
             }
@@ -387,27 +423,43 @@ impl AccelL1 {
         }
     }
 
-    fn grant(&mut self, la: BlockAddr, data: XgData, state: AState, ctx: &mut Ctx<'_>) {
+    /// Takes the request a response to `la` answers out of the pending
+    /// table, recording `event` against the block's state on the way.
+    fn take_pending(&mut self, la: BlockAddr, event: CEvent) -> Option<Pending> {
+        let pending = self.pending.remove(&la);
+        let state = match pending {
+            Some(_) => CState::B,
+            None => self.cache.get(la).map_or(CState::I, |l| l.state.into()),
+        };
+        self.seen.visit(state, event);
+        pending
+    }
+
+    fn grant(
+        &mut self,
+        la: BlockAddr,
+        event: CEvent,
+        data: XgData,
+        state: AState,
+        ctx: &mut Ctx<'_>,
+    ) {
         if data.len() != self.cfg.block_blocks {
+            self.seen.visit(self.state(la), event);
             self.violation();
             return;
         }
-        match self.pending.remove(&la) {
+        match self.take_pending(la, event) {
             Some(p) if !p.is_put => {
                 self.stats
                     .lat_miss
                     .record(ctx.now().saturating_since(p.started));
                 ctx.span(la.as_u64(), "miss", p.started);
-                let is_prefetch = p.is_prefetch;
-                self.install(
-                    la,
-                    Line {
-                        state,
-                        data: data.blocks().to_vec(),
-                        prefetched: is_prefetch,
-                    },
-                    ctx,
-                );
+                let line = Line {
+                    state,
+                    data,
+                    prefetched: p.is_prefetch,
+                };
+                self.install(la, line, ctx);
                 ctx.note_progress();
                 self.drain(p.waiting, ctx);
             }
@@ -421,7 +473,8 @@ impl AccelL1 {
 
     fn handle_inv(&mut self, la: BlockAddr, ctx: &mut Ctx<'_>) {
         if let Some(line) = self.cache.remove(la) {
-            let data = XgData::from_blocks(line.data);
+            self.seen.visit(line.state.into(), CEvent::Inv);
+            let data = line.data;
             let resp = match (line.state, self.cfg.mode) {
                 // MSI/VI modes hold no clean-exclusive state; everything
                 // owned is written back dirty.
@@ -434,6 +487,9 @@ impl AccelL1 {
         } else {
             // I or B: Table 1 says InvAck, no further action. A pending
             // request stays pending — its one response is still owed.
+            let pending = self.pending.contains_key(&la);
+            let state = if pending { CState::B } else { CState::I };
+            self.seen.visit(state, CEvent::Inv);
             self.send_below(la, XgiKind::InvAck, ctx);
         }
     }
@@ -443,7 +499,7 @@ impl AccelL1 {
             .cache
             .take_victim_where(la, |a, _| !self.pending.contains_key(&a))
         {
-            self.start_put(victim_addr, victim, Vec::new(), ctx);
+            self.start_put(victim_addr, victim, None, ctx);
         }
         if self.cache.needs_eviction(la) {
             // Every way is mid-transaction; extremely small caches only.
@@ -456,23 +512,26 @@ impl AccelL1 {
         debug_assert!(evicted.is_none());
     }
 
+    /// Opens a Put for a line already pulled out of the array; `flush` is
+    /// the core op that asked for it, answered once the `WbAck` lands.
     fn start_put(
         &mut self,
         la: BlockAddr,
         line: Line,
-        waiting: Vec<(NodeId, CoreMsg)>,
+        flush: Option<(NodeId, CoreMsg)>,
         ctx: &mut Ctx<'_>,
     ) {
-        // The victim was already pulled out of the array; record the
-        // replacement against its true stable state.
-        self.coverage.visit(line.state.name(), "Repl");
-        let data = XgData::from_blocks(line.data);
+        // Record the replacement against the victim's true stable state.
+        self.seen.visit(line.state.into(), CEvent::Repl);
+        let data = line.data;
         let req = match (line.state, self.cfg.mode) {
             (AState::M, _) => XgiKind::PutM { data },
             (AState::E, AccelMode::Mesi) => XgiKind::PutE { data },
             (AState::E, _) => XgiKind::PutM { data },
             (AState::S, _) => XgiKind::PutS,
         };
+        let mut waiting = self.spare_waiting.take();
+        waiting.extend(flush);
         self.pending.insert(
             la,
             Pending {
@@ -486,10 +545,11 @@ impl AccelL1 {
         self.send_below(la, req, ctx);
     }
 
-    fn drain(&mut self, waiting: Vec<(NodeId, CoreMsg)>, ctx: &mut Ctx<'_>) {
-        for (from, msg) in waiting {
+    fn drain(&mut self, mut waiting: Vec<(NodeId, CoreMsg)>, ctx: &mut Ctx<'_>) {
+        for (from, msg) in waiting.drain(..) {
             self.handle_core(from, msg, ctx);
         }
+        self.spare_waiting.put(waiting);
     }
 }
 
@@ -530,7 +590,7 @@ impl Component<Message> for AccelL1 {
             format!("{n}.protocol_violation"),
             self.stats.protocol_violation,
         );
-        out.record_coverage(format!("accel_l1/{n}"), &self.coverage);
+        out.record_grid(format!("accel_l1/{n}"), &self.seen);
         out.record_hist(format!("{n}.lat.miss"), &self.stats.lat_miss);
         out.record_hist(format!("{n}.mshr_occupancy"), &self.stats.mshr_occupancy);
     }

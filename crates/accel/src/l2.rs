@@ -15,11 +15,11 @@
 //! sharer set, and the owning L1. Multi-step flows (recalls before grants,
 //! host invalidations, inclusive evictions) serialize per block.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
-use xg_mem::{BlockAddr, DataBlock, IdMap, Replacement, SetAssocCache};
+use xg_mem::{BlockAddr, IdMap, Replacement, SetAssocCache, SortedSet, Spares};
 use xg_proto::{Ctx, Message, XgData, XgiKind, XgiMsg};
-use xg_sim::{Component, CoverageSet, Cycle, Histogram, NodeId, Report};
+use xg_sim::{alphabet, Component, CoverageGrid, Cycle, Histogram, NodeId, Report};
 
 /// Configuration for an [`AccelL2`].
 #[derive(Debug, Clone)]
@@ -55,6 +55,60 @@ impl Default for AccelL2Config {
     }
 }
 
+alphabet! {
+    /// Per-block state coverage is keyed by: what the array holds, or the
+    /// transaction holding the block busy.
+    enum L2State {
+        NP = "NP",
+        Present,
+        Shared,
+        Owned,
+        BusyFetch = "Busy_Fetch",
+        BusyInstall = "Busy_Install",
+        BusyRecall = "Busy_Recall",
+        BusyHostInv = "Busy_HostInv",
+        BusyEvictRecall = "Busy_EvictRecall",
+        BusyEvictPut = "Busy_EvictPut",
+    }
+}
+
+alphabet! {
+    /// Interface message kinds, labelled as [`XgiKind::mnemonic`].
+    enum L2Msg {
+        GetS,
+        GetM,
+        PutS,
+        PutE,
+        PutM,
+        DataS,
+        DataE,
+        DataM,
+        WbAck,
+        Inv,
+        InvAck,
+        CleanWb,
+        DirtyWb,
+    }
+}
+
+fn msg_kind(kind: &XgiKind) -> L2Msg {
+    match kind {
+        XgiKind::GetS => L2Msg::GetS,
+        XgiKind::GetM => L2Msg::GetM,
+        XgiKind::PutS => L2Msg::PutS,
+        XgiKind::PutE { .. } => L2Msg::PutE,
+        XgiKind::PutM { .. } => L2Msg::PutM,
+        XgiKind::DataS { .. } => L2Msg::DataS,
+        XgiKind::DataE { .. } => L2Msg::DataE,
+        XgiKind::DataM { .. } => L2Msg::DataM,
+        XgiKind::WbAck => L2Msg::WbAck,
+        XgiKind::Inv => L2Msg::Inv,
+        XgiKind::InvAck => L2Msg::InvAck,
+        XgiKind::CleanWb { .. } => L2Msg::CleanWb,
+        XgiKind::DirtyWb { .. } => L2Msg::DirtyWb,
+    }
+}
+
 /// Host-granted state of a resident block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Host {
@@ -65,11 +119,28 @@ enum Host {
 
 #[derive(Debug, Clone)]
 struct L2Line {
-    data: Vec<DataBlock>,
+    data: XgData,
     dirty: bool,
     host: Host,
-    sharers: BTreeSet<NodeId>,
+    sharers: SortedSet<NodeId>,
     owner: Option<NodeId>,
+}
+
+impl L2Line {
+    /// The L1s holding a copy: the owner first, then the sharers.
+    fn holders(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.owner.into_iter().chain(self.sharers.iter().copied())
+    }
+}
+
+/// Coverage state of a block nothing holds busy.
+fn line_state(line: Option<&L2Line>) -> L2State {
+    match line {
+        None => L2State::NP,
+        Some(line) if line.owner.is_some() => L2State::Owned,
+        Some(line) if line.sharers.is_empty() => L2State::Present,
+        Some(_) => L2State::Shared,
+    }
 }
 
 #[derive(Debug)]
@@ -80,7 +151,7 @@ enum Busy {
     InstallWait {
         requestor: NodeId,
         want_m: bool,
-        data: Vec<DataBlock>,
+        data: XgData,
         host: Host,
     },
     /// Invalidating L1 holders before granting to `requestor`.
@@ -98,6 +169,19 @@ enum Busy {
     EvictPut,
 }
 
+impl Busy {
+    fn state(&self) -> L2State {
+        match self {
+            Busy::Fetch { .. } => L2State::BusyFetch,
+            Busy::InstallWait { .. } => L2State::BusyInstall,
+            Busy::RecallForGrant { .. } => L2State::BusyRecall,
+            Busy::HostInv { .. } => L2State::BusyHostInv,
+            Busy::EvictRecall { .. } => L2State::BusyEvictRecall,
+            Busy::EvictPut => L2State::BusyEvictPut,
+        }
+    }
+}
+
 /// Everything open on one block: the transaction holding it busy (if any)
 /// and the requests parked behind it. A record exists only while one of the
 /// two does; `drain` removes it.
@@ -106,7 +190,15 @@ struct Block {
     busy: Option<Busy>,
     /// Cycle `busy` was last opened; times `lat.up_get` for a `Fetch`.
     since: Cycle,
-    queue: VecDeque<(NodeId, XgiKind)>,
+    queue: Queue,
+}
+
+type Queue = VecDeque<(NodeId, XgiKind)>;
+
+/// Parks a request in the queue of a busy block.
+fn park(queue: &mut Queue, spares: &mut Spares<Queue>, from: NodeId, kind: XgiKind) {
+    spares.equip(queue);
+    queue.push_back((from, kind));
 }
 
 #[derive(Debug, Default)]
@@ -133,8 +225,11 @@ pub struct AccelL2 {
     cfg: AccelL2Config,
     array: SetAssocCache<L2Line>,
     blocks: IdMap<BlockAddr, Block>,
+    /// Emptied `Block::queue` buffers, reused by the next parked request.
+    spare_queues: Spares<Queue>,
     stats: Stats,
-    coverage: CoverageSet,
+    /// `(state, event)` pairs visited, by index; named in `report`.
+    seen: CoverageGrid<L2State, L2Msg>,
 }
 
 impl AccelL2 {
@@ -150,8 +245,9 @@ impl AccelL2 {
             array: SetAssocCache::new(cfg.sets, cfg.ways, cfg.replacement, cfg.seed),
             blocks: IdMap::default(),
             cfg,
+            spare_queues: Spares::default(),
             stats: Stats::default(),
-            coverage: CoverageSet::new(),
+            seen: CoverageGrid::new(),
         }
     }
 
@@ -187,37 +283,32 @@ impl AccelL2 {
         ctx.send(self.below, XgiMsg::new(addr, req).into());
     }
 
-    fn state_name(&self, addr: BlockAddr) -> &'static str {
-        if let Some(b) = self.busy(addr) {
-            match b {
-                Busy::Fetch { .. } => "Busy_Fetch",
-                Busy::InstallWait { .. } => "Busy_Install",
-                Busy::RecallForGrant { .. } => "Busy_Recall",
-                Busy::HostInv { .. } => "Busy_HostInv",
-                Busy::EvictRecall { .. } => "Busy_EvictRecall",
-                Busy::EvictPut => "Busy_EvictPut",
-            }
-        } else if let Some(line) = self.array.get(addr) {
-            if line.owner.is_some() {
-                "Owned"
-            } else if line.sharers.is_empty() {
-                "Present"
-            } else {
-                "Shared"
-            }
-        } else {
-            "NP"
+    /// Coverage state of `addr` given its record: the transaction holding
+    /// it busy, else what the array holds. Handlers name the state from the
+    /// record or line they look up anyway; this is for the paths (a
+    /// violation, mostly) that have neither in hand.
+    fn state_given(
+        array: &SetAssocCache<L2Line>,
+        addr: BlockAddr,
+        block: Option<&Block>,
+    ) -> L2State {
+        match block.and_then(|b| b.busy.as_ref()) {
+            Some(busy) => busy.state(),
+            None => line_state(array.get(addr)),
         }
     }
 
-    fn cover(&mut self, addr: BlockAddr, event: &'static str) {
-        let state = self.state_name(addr);
-        self.coverage.visit(state, event);
+    /// Counts a message no handler has a use for, against the block's state.
+    fn stray(&mut self, addr: BlockAddr, event: L2Msg) {
+        let state = Self::state_given(&self.array, addr, self.blocks.get(&addr));
+        self.seen.visit(state, event);
+        self.violation();
     }
 
-    fn xg_data(&mut self, data: &XgData) -> Option<Vec<DataBlock>> {
+    /// The payload of a data message, if it has the configured size.
+    fn xg_data(&mut self, data: XgData) -> Option<XgData> {
         if data.len() == self.cfg.block_blocks {
-            Some(data.blocks().to_vec())
+            Some(data)
         } else {
             self.violation();
             None
@@ -236,7 +327,6 @@ impl AccelL2 {
                 self.busy(addr).is_some()
             )
         });
-        self.cover(addr, kind_event(&msg.kind));
         if from == self.below {
             self.handle_from_xg(addr, msg.kind, ctx);
         } else {
@@ -245,45 +335,55 @@ impl AccelL2 {
     }
 
     fn handle_from_l1(&mut self, from: NodeId, addr: BlockAddr, kind: XgiKind, ctx: &mut Ctx<'_>) {
+        let event = msg_kind(&kind);
         match kind {
             XgiKind::GetS | XgiKind::GetM => match self.blocks.get_mut(&addr) {
-                Some(block) if block.busy.is_some() => block.queue.push_back((from, kind)),
+                Some(Block {
+                    busy: Some(busy),
+                    queue,
+                    ..
+                }) => {
+                    self.seen.visit(busy.state(), event);
+                    park(queue, &mut self.spare_queues, from, kind);
+                }
                 _ => self.process_l1_get(from, addr, matches!(kind, XgiKind::GetM), ctx),
             },
-            XgiKind::PutS => self.process_l1_put(from, addr, None, false, ctx),
+            XgiKind::PutS => self.process_l1_put(from, addr, event, None, false, ctx),
             XgiKind::PutE { data } => {
-                let d = self.xg_data(&data);
-                self.process_l1_put(from, addr, d, false, ctx);
+                let d = self.xg_data(data);
+                self.process_l1_put(from, addr, event, d, false, ctx);
             }
             XgiKind::PutM { data } => {
-                let d = self.xg_data(&data);
-                self.process_l1_put(from, addr, d, true, ctx);
+                let d = self.xg_data(data);
+                self.process_l1_put(from, addr, event, d, true, ctx);
             }
             // Responses to our own recalls.
-            XgiKind::InvAck => self.recall_response(from, addr, None, false, ctx),
+            XgiKind::InvAck => self.recall_response(from, addr, event, None, false, ctx),
             XgiKind::CleanWb { data } => {
-                let d = self.xg_data(&data);
-                self.recall_response(from, addr, d, false, ctx);
+                let d = self.xg_data(data);
+                self.recall_response(from, addr, event, d, false, ctx);
             }
             XgiKind::DirtyWb { data } => {
-                let d = self.xg_data(&data);
-                self.recall_response(from, addr, d, true, ctx);
+                let d = self.xg_data(data);
+                self.recall_response(from, addr, event, d, true, ctx);
             }
-            _ => self.violation(),
+            _ => self.stray(addr, event),
         }
     }
 
     fn handle_from_xg(&mut self, addr: BlockAddr, kind: XgiKind, ctx: &mut Ctx<'_>) {
+        let event = msg_kind(&kind);
         match kind {
-            XgiKind::DataS { data } => self.up_grant(addr, data, Host::S, ctx),
-            XgiKind::DataE { data } => self.up_grant(addr, data, Host::E, ctx),
-            XgiKind::DataM { data } => self.up_grant(addr, data, Host::M, ctx),
+            XgiKind::DataS { data } => self.up_grant(addr, event, data, Host::S, ctx),
+            XgiKind::DataE { data } => self.up_grant(addr, event, data, Host::E, ctx),
+            XgiKind::DataM { data } => self.up_grant(addr, event, data, Host::M, ctx),
             XgiKind::WbAck => match self.blocks.get_mut(&addr) {
                 Some(block) if matches!(block.busy, Some(Busy::EvictPut)) => {
+                    self.seen.visit(L2State::BusyEvictPut, event);
                     block.busy = None;
                     self.drain(addr, ctx);
                 }
-                _ => self.violation(),
+                _ => self.stray(addr, event),
             },
             XgiKind::Inv => {
                 // Invariant: a guard Inv must never end up waiting on a
@@ -294,30 +394,37 @@ impl AccelL2 {
                 // recalls may briefly queue the Inv (and the drain pulls
                 // guard Invs out with priority).
                 let below = self.below;
-                let Some(block) = self.blocks.get_mut(&addr) else {
+                let Some(Block {
+                    busy: Some(busy),
+                    queue,
+                    ..
+                }) = self.blocks.get_mut(&addr)
+                else {
+                    // No record, or mid-drain with the block no longer busy.
                     return self.process_host_inv(addr, ctx);
                 };
-                match &mut block.busy {
+                self.seen.visit(busy.state(), event);
+                match busy {
                     // Our own Get crossed this Inv on the ordered link: we
                     // hold nothing yet (the Table 1 `B + Inv → InvAck` rule
                     // lifted to the L2). Or our eviction's Put crossed it:
                     // the guard will consume the Put's data (the interface's
                     // one legal race) and the ordered link guarantees it
                     // sees the Put before this ack.
-                    Some(Busy::Fetch { .. } | Busy::EvictPut) => {
+                    Busy::Fetch { .. } | Busy::EvictPut => {
                         ctx.send(below, XgiMsg::new(addr, XgiKind::InvAck).into());
                     }
                     // A grant arrived but is parked waiting for a way: the
                     // Inv outranks it. Surrender the parked data and
                     // re-fetch for the waiting L1.
-                    Some(Busy::InstallWait {
+                    Busy::InstallWait {
                         requestor,
                         want_m,
                         data,
                         host,
-                    }) => {
+                    } => {
                         let (requestor, want_m) = (*requestor, *want_m);
-                        let data = XgData::from_blocks(std::mem::take(data));
+                        let data = std::mem::take(data);
                         let resp = match host {
                             Host::M => XgiKind::DirtyWb { data },
                             Host::E => XgiKind::CleanWb { data },
@@ -327,50 +434,49 @@ impl AccelL2 {
                         self.start_fetch(addr, requestor, want_m, ctx);
                     }
                     // Internal recalls resolve without the guard.
-                    Some(_) => block.queue.push_back((below, XgiKind::Inv)),
-                    // Mid-drain: the block just stopped being busy.
-                    None => self.process_host_inv(addr, ctx),
+                    _ => park(queue, &mut self.spare_queues, below, XgiKind::Inv),
                 }
             }
-            _ => self.violation(),
+            _ => self.stray(addr, event),
         }
     }
 
     // ----- L1-side flows ----------------------------------------------------
 
+    /// An L1 Get on a block nothing holds busy.
     fn process_l1_get(&mut self, from: NodeId, addr: BlockAddr, want_m: bool, ctx: &mut Ctx<'_>) {
-        if want_m {
+        let event = if want_m {
             self.stats.l1_getms += 1;
+            L2Msg::GetM
         } else {
             self.stats.l1_gets += 1;
-        }
-        let Some(line) = self.array.get(addr) else {
+            L2Msg::GetS
+        };
+        let line = self.array.get(addr);
+        self.seen.visit(line_state(line), event);
+        let Some(line) = line else {
             return self.start_fetch(addr, from, want_m, ctx);
         };
 
-        // Who has to give the block up before we can grant?
-        let mut recall: Vec<NodeId> = Vec::new();
-        let mut owner_rerequest = false;
-        if let Some(owner) = line.owner {
-            if owner != from {
-                recall.push(owner);
-            } else {
-                // An owner re-requesting is a confused L1.
-                owner_rerequest = true;
-            }
-        }
-        if want_m && !self.cfg.weak_sharing {
-            recall.extend(line.sharers.iter().copied().filter(|&s| s != from));
+        // Who has to give the block up before we can grant? The owner,
+        // unless it is the requestor itself (a confused L1), and for a
+        // write every other sharer.
+        let owner_rerequest = line.owner == Some(from);
+        let recall_sharers = want_m && !self.cfg.weak_sharing;
+        let sharers = line.sharers.iter().copied();
+        let recall = (line.owner.into_iter())
+            .chain(sharers.filter(|_| recall_sharers))
+            .filter(|&l1| l1 != from);
+        let mut pending = 0;
+        for l1 in recall {
+            ctx.send(l1, XgiMsg::new(addr, XgiKind::Inv).into());
+            pending += 1;
         }
         if owner_rerequest {
             self.violation();
         }
-        if !recall.is_empty() {
+        if pending > 0 {
             self.stats.recalls += 1;
-            let pending = recall.len() as u32;
-            for l1 in recall {
-                ctx.send(l1, XgiMsg::new(addr, XgiKind::Inv).into());
-            }
             let busy = Busy::RecallForGrant {
                 requestor: from,
                 want_m,
@@ -401,7 +507,7 @@ impl AccelL2 {
             // Upgrade needed from the host before we can grant M.
             return self.start_fetch(addr, from, true, ctx);
         }
-        let data = XgData::from_blocks(line.data.clone());
+        let data = line.data.clone();
         let kind = if want_m {
             if !self.cfg.weak_sharing {
                 line.sharers.clear();
@@ -435,15 +541,20 @@ impl AccelL2 {
         &mut self,
         from: NodeId,
         addr: BlockAddr,
-        data: Option<Vec<DataBlock>>,
+        event: L2Msg,
+        data: Option<XgData>,
         dirty: bool,
         ctx: &mut Ctx<'_>,
     ) {
         self.stats.l1_puts += 1;
+        let busy = self.busy(addr).map(Busy::state);
+        let line = self.array.get_mut(addr);
+        self.seen
+            .visit(busy.unwrap_or_else(|| line_state(line.as_deref())), event);
         // Puts are never queued: the interface promises exactly one
         // response, and the only race (our Inv crossing this Put) is
         // resolved by absorbing or discarding the data.
-        if let Some(line) = self.array.get_mut(addr) {
+        if let Some(line) = line {
             if line.owner == Some(from) {
                 if let Some(d) = data {
                     line.data = d;
@@ -461,29 +572,38 @@ impl AccelL2 {
         &mut self,
         from: NodeId,
         addr: BlockAddr,
-        data: Option<Vec<DataBlock>>,
+        event: L2Msg,
+        data: Option<XgData>,
         dirty: bool,
         ctx: &mut Ctx<'_>,
     ) {
         let mut block = self.blocks.get_mut(&addr);
+        let busy = block.as_mut().and_then(|b| b.busy.as_mut());
+        let line = self.array.get_mut(addr);
+        let state = match &busy {
+            Some(busy) => busy.state(),
+            None => line_state(line.as_deref()),
+        };
+        self.seen.visit(state, event);
         // Absorb returned data into wherever the line currently lives.
-        if let Some(d) = data {
-            if let Some(line) = self.array.get_mut(addr) {
+        match (data, line, busy) {
+            (Some(d), Some(line), _) => {
                 line.data = d;
                 line.dirty |= dirty;
                 line.owner = None;
                 line.sharers.remove(&from);
-            } else if let Some(Busy::EvictRecall { line, .. }) =
-                block.as_mut().and_then(|b| b.busy.as_mut())
-            {
+            }
+            (Some(d), None, Some(Busy::EvictRecall { line, .. })) => {
                 line.data = d;
                 line.dirty |= dirty;
             }
-        } else if let Some(line) = self.array.get_mut(addr) {
-            line.sharers.remove(&from);
-            if line.owner == Some(from) {
-                line.owner = None;
+            (None, Some(line), _) => {
+                line.sharers.remove(&from);
+                if line.owner == Some(from) {
+                    line.owner = None;
+                }
             }
+            _ => {}
         }
 
         let Some(block) = block else {
@@ -522,11 +642,21 @@ impl AccelL2 {
 
     // ----- XG-side flows ----------------------------------------------------
 
-    fn up_grant(&mut self, addr: BlockAddr, data: XgData, host: Host, ctx: &mut Ctx<'_>) {
-        let Some(data) = self.xg_data(&data) else {
-            return;
-        };
-        let Some(block) = self.blocks.get_mut(&addr) else {
+    fn up_grant(
+        &mut self,
+        addr: BlockAddr,
+        event: L2Msg,
+        data: XgData,
+        host: Host,
+        ctx: &mut Ctx<'_>,
+    ) {
+        let block = self.blocks.get_mut(&addr);
+        let state = Self::state_given(&self.array, addr, block.as_deref());
+        self.seen.visit(state, event);
+        if data.len() != self.cfg.block_blocks {
+            return self.violation();
+        }
+        let Some(block) = block else {
             return self.violation();
         };
         let Some(Busy::Fetch { requestor, want_m }) = block.busy else {
@@ -589,7 +719,7 @@ impl AccelL2 {
                         data,
                         dirty: false,
                         host,
-                        sharers: BTreeSet::new(),
+                        sharers: SortedSet::new(),
                         owner: None,
                     },
                 );
@@ -600,29 +730,27 @@ impl AccelL2 {
         }
     }
 
+    /// A guard Inv on a block nothing holds busy.
     fn process_host_inv(&mut self, addr: BlockAddr, ctx: &mut Ctx<'_>) {
         self.stats.host_invs += 1;
-        let Some(line) = self.array.get(addr) else {
+        let line = self.array.get(addr);
+        self.seen.visit(line_state(line), L2Msg::Inv);
+        let Some(line) = line else {
             // Nothing held (e.g. our Put crossed this Inv).
             ctx.send(self.below, XgiMsg::new(addr, XgiKind::InvAck).into());
             return;
         };
-        let holders: Vec<NodeId> = line
-            .owner
-            .iter()
-            .copied()
-            .chain(line.sharers.iter().copied())
-            .collect();
-        if holders.is_empty() {
+        let mut pending = 0;
+        for l1 in line.holders() {
+            ctx.send(l1, XgiMsg::new(addr, XgiKind::Inv).into());
+            pending += 1;
+        }
+        if pending == 0 {
             self.respond_host_inv(addr, ctx);
             return;
         }
         self.stats.recalls += 1;
-        let pending = holders.len() as u32;
         self.set_busy(addr, Busy::HostInv { pending }, ctx);
-        for l1 in holders {
-            ctx.send(l1, XgiMsg::new(addr, XgiKind::Inv).into());
-        }
     }
 
     fn respond_host_inv(&mut self, addr: BlockAddr, ctx: &mut Ctx<'_>) {
@@ -630,7 +758,7 @@ impl AccelL2 {
             self.violation();
             return;
         };
-        let data = XgData::from_blocks(line.data);
+        let data = line.data;
         let resp = match (line.host, line.dirty) {
             (Host::M, _) | (_, true) => XgiKind::DirtyWb { data },
             (Host::E, false) => XgiKind::CleanWb { data },
@@ -643,27 +771,22 @@ impl AccelL2 {
     // ----- inclusive evictions ----------------------------------------------
 
     fn start_eviction(&mut self, addr: BlockAddr, line: L2Line, ctx: &mut Ctx<'_>) {
-        let holders: Vec<NodeId> = line
-            .owner
-            .iter()
-            .copied()
-            .chain(line.sharers.iter().copied())
-            .collect();
-        if holders.is_empty() {
+        let mut pending = 0;
+        for l1 in line.holders() {
+            ctx.send(l1, XgiMsg::new(addr, XgiKind::Inv).into());
+            pending += 1;
+        }
+        if pending == 0 {
             self.start_evict_put(addr, line, ctx);
             return;
         }
         self.stats.recalls += 1;
-        for &l1 in &holders {
-            ctx.send(l1, XgiMsg::new(addr, XgiKind::Inv).into());
-        }
-        let pending = holders.len() as u32;
         self.set_busy(addr, Busy::EvictRecall { pending, line }, ctx);
     }
 
     fn start_evict_put(&mut self, addr: BlockAddr, line: L2Line, ctx: &mut Ctx<'_>) {
         self.stats.up_puts += 1;
-        let data = XgData::from_blocks(line.data);
+        let data = line.data;
         let req = match (line.host, line.dirty) {
             (Host::M, _) | (_, true) => XgiKind::PutM { data },
             (Host::E, false) => XgiKind::PutE { data },
@@ -698,11 +821,12 @@ impl AccelL2 {
             };
             let Some((from, kind)) = next else {
                 if block.busy.is_none() {
-                    self.blocks.remove(&addr);
+                    if let Some(block) = self.blocks.remove(&addr) {
+                        self.spare_queues.put(block.queue);
+                    }
                 }
                 return;
             };
-            self.cover(addr, kind_event(&kind));
             if from == self.below {
                 self.handle_from_xg(addr, kind, ctx);
             } else {
@@ -710,15 +834,11 @@ impl AccelL2 {
                     XgiKind::GetS | XgiKind::GetM => {
                         self.process_l1_get(from, addr, matches!(kind, XgiKind::GetM), ctx)
                     }
-                    _ => self.violation(),
+                    _ => self.stray(addr, msg_kind(&kind)),
                 }
             }
         }
     }
-}
-
-fn kind_event(kind: &XgiKind) -> &'static str {
-    kind.mnemonic()
 }
 
 impl Component<Message> for AccelL2 {
@@ -751,7 +871,7 @@ impl Component<Message> for AccelL2 {
             format!("{n}.protocol_violation"),
             self.stats.protocol_violation,
         );
-        out.record_coverage(format!("accel_l2/{n}"), &self.coverage);
+        out.record_grid(format!("accel_l2/{n}"), &self.seen);
         out.record_hist(format!("{n}.lat.up_get"), &self.stats.lat_up_get);
         out.record_hist(format!("{n}.mshr_occupancy"), &self.stats.mshr_occupancy);
     }
@@ -761,5 +881,36 @@ impl Component<Message> for AccelL2 {
     }
     fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
         self
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use xg_sim::Alphabet;
+
+    /// Coverage keys are the interface mnemonics reports have always used.
+    #[test]
+    fn coverage_events_are_labelled_as_the_interface_mnemonics() {
+        let data = || XgData::zeroed(1);
+        let kinds = [
+            XgiKind::GetS,
+            XgiKind::GetM,
+            XgiKind::PutS,
+            XgiKind::PutE { data: data() },
+            XgiKind::PutM { data: data() },
+            XgiKind::DataS { data: data() },
+            XgiKind::DataE { data: data() },
+            XgiKind::DataM { data: data() },
+            XgiKind::WbAck,
+            XgiKind::Inv,
+            XgiKind::InvAck,
+            XgiKind::CleanWb { data: data() },
+            XgiKind::DirtyWb { data: data() },
+        ];
+        assert_eq!(kinds.len(), L2Msg::ALL.len());
+        for kind in &kinds {
+            assert_eq!(msg_kind(kind).label(), kind.mnemonic());
+        }
     }
 }

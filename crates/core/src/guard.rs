@@ -23,7 +23,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use xg_mem::{BlockAddr, DataBlock, IdMap, PagePerm};
+use xg_mem::{BlockAddr, DataBlock, IdMap, PagePerm, Spares};
 use xg_proto::{Ctx, HomeMap, Message, OsMsg, XgData, XgError, XgErrorKind, XgiKind, XgiMsg};
 use xg_sim::{CheckDigest, Component, Cycle, FsmRows, Histogram, NodeId, Report};
 
@@ -44,8 +44,9 @@ struct Entry {
     dirty: bool,
     /// Shadow copy kept because the page is read-only for the accelerator
     /// but the host granted exclusively (paper §2.3.1); the accelerator
-    /// itself only received `DataS`.
-    shadow: Option<Vec<DataBlock>>,
+    /// itself only received `DataS`. Boxed: shadows are rare, table entries
+    /// are not.
+    shadow: Option<Box<XgData>>,
 }
 
 /// An open accelerator-initiated transaction.
@@ -60,13 +61,74 @@ enum AccelReq {
         /// of Sorin et al., hidden from the accelerator here) and must be
         /// refetched.
         poisoned: bool,
-        grants: BTreeMap<u64, (GrantState, DataBlock, bool)>,
+        grants: Grants,
         started: Cycle,
     },
     Put {
         pending: u32,
         started: Cycle,
     },
+}
+
+/// The host grants collected so far for one accelerator Get, by sub-block:
+/// the payload being assembled plus one bit per sub-block and property, so
+/// the common single-block Get keeps nothing on the heap.
+#[derive(Debug, Clone)]
+struct Grants {
+    data: XgData,
+    /// Sub-blocks granted so far.
+    got: u64,
+    /// Of those, granted E or M / granted M / granted dirty.
+    owned: u64,
+    m: u64,
+    dirty: u64,
+}
+
+impl Grants {
+    fn new(k: u64) -> Self {
+        Grants {
+            data: XgData::zeroed(k as usize),
+            got: 0,
+            owned: 0,
+            m: 0,
+            dirty: 0,
+        }
+    }
+
+    /// Records the grant for sub-block `sub` (one per sub-block and round:
+    /// the persona completes each Get it was asked for exactly once).
+    fn insert(&mut self, sub: u64, state: GrantState, data: DataBlock, dirty: bool) {
+        let bit = 1 << sub;
+        self.data.blocks_mut()[sub as usize] = data;
+        self.got |= bit;
+        self.owned |= u64::from(state != GrantState::S) << sub;
+        self.m |= u64::from(state == GrantState::M) << sub;
+        self.dirty |= u64::from(dirty) << sub;
+    }
+
+    /// How many sub-blocks have been granted so far.
+    fn len(&self) -> u64 {
+        u64::from(self.got.count_ones())
+    }
+
+    /// Every sub-block granted so far came with ownership.
+    fn all_owned(&self) -> bool {
+        self.owned == self.got
+    }
+
+    /// Granted sub-blocks in ascending order: `(sub, state, data, dirty)`.
+    fn iter(&self) -> impl Iterator<Item = (u64, GrantState, DataBlock, bool)> + '_ {
+        let subs = (0..self.data.len() as u64).filter(|sub| self.got >> sub & 1 == 1);
+        subs.map(|sub| {
+            let state = match (self.owned >> sub & 1, self.m >> sub & 1) {
+                (0, _) => GrantState::S,
+                (_, 0) => GrantState::E,
+                _ => GrantState::M,
+            };
+            let data = self.data.blocks()[sub as usize];
+            (sub, state, data, self.dirty >> sub & 1 == 1)
+        })
+    }
 }
 
 /// Why an `Inv` is outstanding at the accelerator.
@@ -141,6 +203,11 @@ pub struct CrossingGuard {
     open_invs: usize,
     rate: Option<TokenBucket>,
     disabled: bool,
+    /// The persona's events for the host message being handled; empty
+    /// between messages, kept for its capacity.
+    events: Vec<PersonaEvent>,
+    /// Emptied `InvPending::reasons` buffers, reused by the next `Inv`.
+    spare_reasons: Spares<Vec<(BlockAddr, DemandKind)>>,
     stats: Stats,
     errors: BTreeMap<XgErrorKind, u64>,
     peak_storage: u64,
@@ -212,6 +279,8 @@ impl CrossingGuard {
             open_invs: 0,
             rate,
             disabled: false,
+            events: Vec::new(),
+            spare_reasons: Spares::default(),
             cfg,
             stats: Stats::default(),
             errors: BTreeMap::new(),
@@ -448,7 +517,7 @@ impl CrossingGuard {
                         read_only,
                         req_kind: req,
                         poisoned: false,
-                        grants: BTreeMap::new(),
+                        grants: Grants::new(self.k),
                         started: ctx.now(),
                     },
                 );
@@ -469,7 +538,8 @@ impl CrossingGuard {
                         // simplest correct course is a fresh GetM.
                         if let Some(shadow) = &e.shadow {
                             for i in 0..self.k {
-                                self.internal_put(a.offset(i), shadow[i as usize], e.dirty, ctx);
+                                let block = shadow.blocks()[i as usize];
+                                self.internal_put(a.offset(i), block, e.dirty, ctx);
                             }
                         }
                     }
@@ -481,7 +551,7 @@ impl CrossingGuard {
                         read_only: false,
                         req_kind: GetReq::M,
                         poisoned: false,
-                        grants: BTreeMap::new(),
+                        grants: Grants::new(self.k),
                         started: ctx.now(),
                     },
                 );
@@ -534,7 +604,7 @@ impl CrossingGuard {
             });
         if let Some((shadow, dirty)) = shadow {
             for i in 0..self.k {
-                self.internal_put(a.offset(i), shadow[i as usize], dirty, ctx);
+                self.internal_put(a.offset(i), shadow.blocks()[i as usize], dirty, ctx);
             }
             self.send_accel(a, XgiKind::WbAck, ctx);
             return;
@@ -585,7 +655,7 @@ impl CrossingGuard {
                     Resolution::None
                 } else {
                     Resolution::Owned {
-                        data: data.blocks().to_vec(),
+                        data: data.clone(),
                         dirty: matches!(kind, XgiKind::PutM { .. }),
                     }
                 }
@@ -651,7 +721,7 @@ impl CrossingGuard {
                     self.report_error(Some(a), XgErrorKind::InconsistentResponse, ctx);
                     self.stats.fabricated_responses += 1;
                     Resolution::Owned {
-                        data: vec![DataBlock::zeroed(); self.k as usize],
+                        data: XgData::zeroed(self.k as usize),
                         dirty: true,
                     }
                 } else if entry.is_some() || self.table.is_none() {
@@ -687,7 +757,7 @@ impl CrossingGuard {
                     if expects_owned {
                         self.stats.fabricated_responses += 1;
                         Resolution::Owned {
-                            data: vec![DataBlock::zeroed(); self.k as usize],
+                            data: XgData::zeroed(self.k as usize),
                             dirty: true,
                         }
                     } else {
@@ -703,13 +773,13 @@ impl CrossingGuard {
                         Resolution::Shared
                     } else {
                         Resolution::Owned {
-                            data: data.blocks().to_vec(),
+                            data: data.clone(),
                             dirty,
                         }
                     }
                 } else {
                     Resolution::Owned {
-                        data: data.blocks().to_vec(),
+                        data: data.clone(),
                         dirty,
                     }
                 }
@@ -726,7 +796,7 @@ impl CrossingGuard {
         if let Some(e) = &entry {
             if let Some(shadow) = &e.shadow {
                 resolution = Resolution::Owned {
-                    data: shadow.clone(),
+                    data: XgData::clone(shadow),
                     dirty: e.dirty,
                 };
             }
@@ -760,15 +830,16 @@ impl CrossingGuard {
             let idx = (h.as_u64() - a.as_u64()) as usize;
             let resp = match &resolution {
                 Resolution::Owned { data, dirty } => {
+                    let data = data.blocks()[idx];
                     let keep = matches!(kind, DemandKind::ReadOnly { .. });
                     if keep {
                         // Ownership must survive a non-upgradable read on
                         // the Hammer side; flush through an internal put so
                         // memory converges and the host forgets us.
-                        self.internal_put(*h, data[idx], *dirty, ctx);
+                        self.internal_put(*h, data, *dirty, ctx);
                     }
                     DemandResponse::Data {
-                        data: data[idx],
+                        data,
                         dirty: *dirty,
                         keep_shared: keep,
                     }
@@ -818,11 +889,12 @@ impl CrossingGuard {
                 for i in 0..self.k {
                     let h = a.offset(i);
                     if !reasons.iter().any(|(rh, _)| *rh == h) && relinquishing & (1 << i) == 0 {
-                        self.internal_put(h, data[i as usize], *dirty, ctx);
+                        self.internal_put(h, data.blocks()[i as usize], *dirty, ctx);
                     }
                 }
             }
         }
+        self.spare_reasons.put(reasons);
         if fabricated_by_timeout {
             self.stats.fabricated_responses += 1;
         }
@@ -859,8 +931,8 @@ impl CrossingGuard {
     // Persona events
     // =======================================================================
 
-    fn process_events(&mut self, events: Vec<PersonaEvent>, ctx: &mut Ctx<'_>) {
-        for ev in events {
+    fn process_events(&mut self, events: &mut Vec<PersonaEvent>, ctx: &mut Ctx<'_>) {
+        for ev in events.drain(..) {
             match ev {
                 PersonaEvent::Granted {
                     h,
@@ -890,8 +962,8 @@ impl CrossingGuard {
             self.report_error(Some(h), XgErrorKind::UnsolicitedResponse, ctx);
             return;
         };
-        grants.insert(h.as_u64() - a.as_u64(), (state, data, dirty));
-        if grants.len() as u64 == self.k {
+        grants.insert(h.as_u64() - a.as_u64(), state, data, dirty);
+        if grants.len() == self.k {
             self.finalize_grant(a, ctx);
         }
     }
@@ -910,11 +982,8 @@ impl CrossingGuard {
         }) = self.open.get_mut(&a).and_then(|o| o.req.as_mut())
         {
             *poisoned = false;
-            let became_owner = grants
-                .values()
-                .all(|(state, _, _)| matches!(state, GrantState::E | GrantState::M));
-            if !became_owner {
-                grants.clear();
+            if !grants.all_owned() {
+                *grants = Grants::new(self.k);
                 let req = *req_kind;
                 self.stats.poisoned_refetches += 1;
                 for i in 0..self.k {
@@ -939,20 +1008,11 @@ impl CrossingGuard {
             .lat_grant
             .record(ctx.now().saturating_since(started));
         ctx.span(a.as_u64(), "grant", started);
-        let mut blocks = Vec::with_capacity(self.k as usize);
-        let mut all_owned = true;
-        let mut any_m = false;
-        let mut any_dirty = false;
-        for i in 0..self.k {
-            let (state, data, dirty) = grants[&i];
-            blocks.push(data);
-            all_owned &= matches!(state, GrantState::E | GrantState::M);
-            any_m |= matches!(state, GrantState::M);
-            any_dirty |= dirty;
-        }
+        let all_owned = grants.all_owned();
+        let (any_m, any_dirty) = (grants.m != 0, grants.dirty != 0);
+        let payload = grants.data;
         self.stats.grants += 1;
 
-        let payload = XgData::from_blocks(blocks.clone());
         if read_only && all_owned {
             // Host granted exclusively for a read-only page: keep a shadow,
             // hand the accelerator a shared copy (Guarantee 0b, §2.3.1).
@@ -962,7 +1022,7 @@ impl CrossingGuard {
                     Entry {
                         owned: true,
                         dirty: any_m && any_dirty,
-                        shadow: Some(blocks),
+                        shadow: Some(Box::new(payload.clone())),
                     },
                 );
                 self.shadow_blocks += self.k;
@@ -1097,7 +1157,7 @@ impl CrossingGuard {
                                 Some(shadow) => {
                                     let idx = (h.as_u64() - a.as_u64()) as usize;
                                     DemandResponse::Data {
-                                        data: shadow[idx],
+                                        data: shadow.blocks()[idx],
                                         dirty: e.dirty,
                                         keep_shared: true,
                                     }
@@ -1157,8 +1217,10 @@ impl CrossingGuard {
             ip.reasons.push((h, kind));
             return;
         }
+        let mut reasons = self.spare_reasons.take();
+        reasons.push((h, kind));
         open.inv = Some(InvPending {
-            reasons: vec![(h, kind)],
+            reasons,
             race_consumed: false,
             started: ctx.now(),
         });
@@ -1188,10 +1250,10 @@ impl CrossingGuard {
         let entry = self.table.as_ref().and_then(|t| t.get(&a).cloned());
         let resolution = match &entry {
             Some(e) if e.owned => Resolution::Owned {
-                data: e
-                    .shadow
-                    .clone()
-                    .unwrap_or_else(|| vec![DataBlock::zeroed(); self.k as usize]),
+                data: match &e.shadow {
+                    Some(shadow) => XgData::clone(shadow),
+                    None => XgData::zeroed(self.k as usize),
+                },
                 dirty: true,
             },
             Some(_) => Resolution::Shared,
@@ -1239,7 +1301,7 @@ fn digest_xgi_kind(kind: &XgiKind, out: &mut CheckDigest) {
 #[derive(Debug)]
 enum Resolution {
     /// Owned data (real, shadow, or fabricated zeroes).
-    Owned { data: Vec<DataBlock>, dirty: bool },
+    Owned { data: XgData, dirty: bool },
     /// At most a shared copy existed.
     Shared,
     /// Nothing was held.
@@ -1265,18 +1327,20 @@ impl Component<Message> for CrossingGuard {
                 self.disabled = true;
             }
             Message::Hammer(h) => {
-                let mut events = Vec::new();
+                let mut events = std::mem::take(&mut self.events);
                 if !self.persona.handle_hammer(&h, &mut events, ctx) {
                     self.report_error(Some(h.addr), XgErrorKind::Malformed, ctx);
                 }
-                self.process_events(events, ctx);
+                self.process_events(&mut events, ctx);
+                self.events = events;
             }
             Message::Mesi(m) => {
-                let mut events = Vec::new();
+                let mut events = std::mem::take(&mut self.events);
                 if !self.persona.handle_mesi(&m, &mut events, ctx) {
                     self.report_error(Some(m.addr), XgErrorKind::Malformed, ctx);
                 }
-                self.process_events(events, ctx);
+                self.process_events(&mut events, ctx);
+                self.events = events;
             }
             _ => {}
         }
@@ -1303,9 +1367,9 @@ impl Component<Message> for CrossingGuard {
                 out.write_u64(u64::from(e.owned));
                 out.write_u64(u64::from(e.dirty));
                 match &e.shadow {
-                    Some(blocks) => {
-                        out.write_u64(blocks.len() as u64);
-                        for b in blocks {
+                    Some(shadow) => {
+                        out.write_u64(shadow.len() as u64);
+                        for b in shadow.blocks() {
                             out.write_bytes(b.as_bytes());
                         }
                     }
@@ -1336,12 +1400,12 @@ impl Component<Message> for CrossingGuard {
                     out.write_u64(u64::from(*read_only));
                     out.write_u64(req_kind.digest_tag());
                     out.write_u64(u64::from(*poisoned));
-                    out.write_u64(grants.len() as u64);
-                    for (off, (state, data, dirty)) in grants {
-                        out.write_u64(*off);
+                    out.write_u64(grants.len());
+                    for (sub, state, data, dirty) in grants.iter() {
+                        out.write_u64(sub);
                         out.write_u64(state.digest_tag());
                         out.write_bytes(data.as_bytes());
-                        out.write_u64(u64::from(*dirty));
+                        out.write_u64(u64::from(dirty));
                     }
                 }
                 AccelReq::Put {

@@ -80,80 +80,6 @@ pub use controller::{Controller, Step};
 pub use machine::{Machine, Resolution};
 pub use table::{NextState, RowKind, RowOutcome, Table, TableBuilder, TableError};
 
-/// A finite, labeled vocabulary: the state, event, or action set of one
-/// machine. Implemented via the [`alphabet!`] macro.
-pub trait Alphabet: Copy + Eq + std::fmt::Debug + Send + Sync + 'static {
-    /// Every member, in declaration order.
-    const ALL: &'static [Self];
-
-    /// Stable display label (used in dumps, coverage keys, golden files).
-    fn label(self) -> &'static str;
-
-    /// Dense index into [`Alphabet::ALL`].
-    fn index(self) -> usize;
-}
-
-/// Declares a fieldless enum implementing [`Alphabet`].
-///
-/// Variants label themselves with their own name unless an explicit label
-/// is given (useful for labels that are not valid identifiers):
-///
-/// ```rust
-/// xg_fsm::alphabet! {
-///     /// Directory states.
-///     pub enum DirState {
-///         /// Memory owns the block.
-///         Omem = "O_mem",
-///         Owned,
-///     }
-/// }
-/// assert_eq!(xg_fsm::Alphabet::label(DirState::Omem), "O_mem");
-/// assert_eq!(xg_fsm::Alphabet::label(DirState::Owned), "Owned");
-/// ```
-#[macro_export]
-macro_rules! alphabet {
-    (
-        $(#[$meta:meta])*
-        $vis:vis enum $Name:ident {
-            $(
-                $(#[$vmeta:meta])*
-                $Var:ident $(= $label:literal)?
-            ),+ $(,)?
-        }
-    ) => {
-        $(#[$meta])*
-        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-        $vis enum $Name {
-            $(
-                $(#[$vmeta])*
-                $Var
-            ),+
-        }
-
-        impl $crate::Alphabet for $Name {
-            const ALL: &'static [Self] = &[$(Self::$Var),+];
-
-            fn label(self) -> &'static str {
-                match self {
-                    $(Self::$Var => $crate::alphabet_label!($Var $(, $label)?)),+
-                }
-            }
-
-            fn index(self) -> usize {
-                self as usize
-            }
-        }
-    };
-}
-
-/// Helper for [`alphabet!`]: picks the explicit label or the variant name.
-#[doc(hidden)]
-#[macro_export]
-macro_rules! alphabet_label {
-    ($Var:ident) => {
-        stringify!($Var)
-    };
-    ($Var:ident, $label:literal) => {
-        $label
-    };
-}
+// The vocabulary idiom lives in `xg-sim` so that controllers without a
+// table (the accelerator caches) can key their coverage the same way.
+pub use xg_sim::{alphabet, Alphabet};

@@ -33,9 +33,11 @@
 //! bookkeeping with dirty bits and response counters — against which the
 //! five-state accelerator cache of Table 1 is compared.
 
-use xg_mem::{BlockAddr, DataBlock, Mshr, Replacement, SetAssocCache};
+use xg_mem::{BlockAddr, DataBlock, Mshr, Replacement, SetAssocCache, Spares};
 use xg_proto::{CoreKind, CoreMsg, Ctx, HammerKind, HammerMsg, HomeMap, Message};
-use xg_sim::{CheckDigest, Component, CoverageSet, Cycle, Histogram, NodeId, Report};
+use xg_sim::{
+    alphabet, Alphabet, CheckDigest, Component, CoverageGrid, Cycle, Histogram, NodeId, Report,
+};
 
 /// Configuration for a [`HammerCache`].
 #[derive(Debug, Clone)]
@@ -74,6 +76,43 @@ impl Default for HammerConfig {
     }
 }
 
+alphabet! {
+    /// Protocol state of one block, as the module table's rows name it:
+    /// the state coverage is keyed by and [`HammerCache::probe_state`]
+    /// reports.
+    enum CState {
+        M,
+        O,
+        E,
+        S,
+        I,
+        Is = "IS",
+        Iso = "ISO",
+        Im = "IM",
+        Sm = "SM",
+        Om = "OM",
+        Wb = "WB",
+        WbI = "WB_I",
+    }
+}
+
+alphabet! {
+    /// The module table's columns.
+    enum CEvent {
+        Load,
+        Store,
+        Repl,
+        FwdGetS,
+        FwdGetSOnly,
+        FwdGetM,
+        MemData,
+        RespData,
+        RespAck,
+        WbAck,
+        WbNack,
+    }
+}
+
 /// Stable states of a resident line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum HState {
@@ -84,21 +123,23 @@ enum HState {
 }
 
 impl HState {
-    fn name(self) -> &'static str {
-        match self {
-            HState::M => "M",
-            HState::O => "O",
-            HState::E => "E",
-            HState::S => "S",
-        }
-    }
-
     fn is_owner(self) -> bool {
         matches!(self, HState::M | HState::O | HState::E)
     }
 }
 
-#[derive(Debug, Clone)]
+impl From<HState> for CState {
+    fn from(state: HState) -> CState {
+        match state {
+            HState::M => CState::M,
+            HState::O => CState::O,
+            HState::E => CState::E,
+            HState::S => CState::S,
+        }
+    }
+}
+
+#[derive(Debug, Clone, Copy)]
 struct Line {
     state: HState,
     dirty: bool,
@@ -113,32 +154,36 @@ enum GetKind {
     M,
 }
 
-/// A copy retained while upgrading (SM/OM states).
-#[derive(Debug, Clone)]
-struct LocalCopy {
-    state: HState,
-    dirty: bool,
-    data: DataBlock,
-}
-
 #[derive(Debug, Clone)]
 enum Txn {
-    Get {
-        kind: GetKind,
-        peers_expected: Option<u32>,
-        resps: u32,
-        mem_data: Option<DataBlock>,
-        peer_data: Option<(DataBlock, bool, bool)>, // (data, dirty, owner_keeps_copy)
-        data_msgs: u32,
-        had_copy: bool,
-        local: Option<LocalCopy>,
-        lost_local: bool,
-    },
+    Get(Get),
     Wb {
         data: DataBlock,
         dirty: bool,
         invalidated: bool,
     },
+}
+
+/// An open Get: what has been collected so far.
+#[derive(Debug, Clone)]
+struct Get {
+    kind: GetKind,
+    peers_expected: Option<u32>,
+    resps: u32,
+    mem_data: Option<DataBlock>,
+    peer_data: Option<(DataBlock, bool, bool)>, // (data, dirty, owner_keeps_copy)
+    data_msgs: u32,
+    had_copy: bool,
+    /// The copy retained while upgrading (SM/OM states).
+    local: Option<Line>,
+    lost_local: bool,
+}
+
+impl Get {
+    /// Memory has answered and every peer it announced has responded.
+    fn complete(&self) -> bool {
+        self.mem_data.is_some() && self.peers_expected.is_some_and(|peers| self.resps >= peers)
+    }
 }
 
 /// Everything open on one block — the MSHR entry: the transaction, the
@@ -151,28 +196,28 @@ struct Open {
 }
 
 impl Txn {
-    fn state_name(&self) -> &'static str {
+    fn state(&self) -> CState {
         match self {
-            Txn::Get {
+            Txn::Get(Get {
                 kind, local: None, ..
-            } => match kind {
-                GetKind::S => "IS",
-                GetKind::SOnly => "ISO",
-                GetKind::M => "IM",
+            }) => match kind {
+                GetKind::S => CState::Is,
+                GetKind::SOnly => CState::Iso,
+                GetKind::M => CState::Im,
             },
-            Txn::Get { local: Some(l), .. } => {
+            Txn::Get(Get { local: Some(l), .. }) => {
                 if l.state.is_owner() {
-                    "OM"
+                    CState::Om
                 } else {
-                    "SM"
+                    CState::Sm
                 }
             }
             Txn::Wb {
                 invalidated: false, ..
-            } => "WB",
+            } => CState::Wb,
             Txn::Wb {
                 invalidated: true, ..
-            } => "WB_I",
+            } => CState::WbI,
         }
     }
 }
@@ -208,8 +253,11 @@ pub struct HammerCache {
     cfg: HammerConfig,
     cache: SetAssocCache<Line>,
     mshr: Mshr<Open>,
+    /// Emptied `Open::waiting` buffers, reused by the next transaction.
+    spare_waiting: Spares<Vec<(NodeId, CoreMsg)>>,
     stats: Stats,
-    coverage: CoverageSet,
+    /// `(state, event)` pairs visited, by index; named in `report`.
+    seen: CoverageGrid<CState, CEvent>,
 }
 
 impl HammerCache {
@@ -222,8 +270,9 @@ impl HammerCache {
             cache: SetAssocCache::new(cfg.sets, cfg.ways, cfg.replacement, cfg.seed),
             mshr: Mshr::new(cfg.mshr_entries),
             cfg,
+            spare_waiting: Spares::default(),
             stats: Stats::default(),
-            coverage: CoverageSet::new(),
+            seen: CoverageGrid::new(),
         }
     }
 
@@ -244,7 +293,7 @@ impl HammerCache {
     /// `xg-check` small-model checker at quiescent points for Guarantee 0
     /// cross-checks.
     pub fn probe_state(&self, addr: BlockAddr) -> &'static str {
-        self.state_name(addr)
+        Self::state_given(&self.cache, addr, self.mshr.get(addr)).label()
     }
 
     /// Resident stable-line view of `addr`: `(data, dirty)`.
@@ -252,23 +301,24 @@ impl HammerCache {
         self.cache.get(addr).map(|l| (l.data, l.dirty))
     }
 
-    fn state_name(&self, addr: BlockAddr) -> &'static str {
-        if let Some(line) = self.cache.get(addr) {
-            line.state.name()
-        } else if let Some(open) = self.mshr.get(addr) {
-            open.txn.state_name()
-        } else {
-            "I"
+    /// State of `addr` given its MSHR record, if it has one. A block is
+    /// never both resident and in flight, so handlers name the state from
+    /// whichever of the two lookups they make anyway; the tag scan here is
+    /// for a message that found no transaction to land on.
+    fn state_given(cache: &SetAssocCache<Line>, addr: BlockAddr, open: Option<&Open>) -> CState {
+        match open {
+            Some(open) => open.txn.state(),
+            None => cache.get(addr).map_or(CState::I, |line| line.state.into()),
         }
     }
 
-    fn txn_mut(&mut self, addr: BlockAddr) -> Option<&mut Txn> {
-        self.mshr.get_mut(addr).map(|open| &mut open.txn)
-    }
-
-    fn cover(&mut self, addr: BlockAddr, event: &'static str) {
-        let state = self.state_name(addr);
-        self.coverage.visit(state, event);
+    /// The transaction a response to `addr` lands on, recording `event`
+    /// against the block's state from that one lookup.
+    fn txn_for(&mut self, addr: BlockAddr, event: CEvent) -> Option<&mut Txn> {
+        let open = self.mshr.get_mut(addr);
+        let state = Self::state_given(&self.cache, addr, open.as_deref());
+        self.seen.visit(state, event);
+        open.map(|open| &mut open.txn)
     }
 
     fn violation(&mut self, why: &'static str) {
@@ -281,14 +331,14 @@ impl HammerCache {
     fn handle_core(&mut self, from: NodeId, msg: CoreMsg, ctx: &mut Ctx<'_>) {
         let addr = msg.addr.block();
         let offset = msg.addr.block_offset() & !7;
-        match msg.kind {
+        let (event, store) = match msg.kind {
             CoreKind::Load => {
-                self.cover(addr, "Load");
                 self.stats.loads += 1;
+                (CEvent::Load, None)
             }
-            CoreKind::Store { .. } => {
-                self.cover(addr, "Store");
+            CoreKind::Store { value } => {
                 self.stats.stores += 1;
+                (CEvent::Store, Some(value))
             }
             CoreKind::Flush => {
                 // Hardware coherence makes flushes unnecessary on the host
@@ -300,45 +350,51 @@ impl HammerCache {
                 self.violation("core sent a response kind");
                 return;
             }
-        }
+        };
 
-        if let Some(open) = self.mshr.get_mut(addr) {
-            open.waiting.push((from, msg));
-            return;
-        }
-
-        match msg.kind {
-            CoreKind::Load => {
-                if let Some(line) = self.cache.get_mut(addr) {
-                    self.stats.hits += 1;
-                    let value = line.data.read_u64(offset);
-                    ctx.send(from, msg.reply(CoreKind::LoadResp { value }).into());
-                } else {
-                    self.stats.misses += 1;
-                    self.start_get(GetKind::S, addr, None, (from, msg), ctx);
-                }
+        // A block is resident or in flight, never both: a hit needs the
+        // tag scan alone, and only a miss goes on to probe the MSHR.
+        let Some(mut line) = self.cache.lookup(addr) else {
+            if let Some(open) = self.mshr.get_mut(addr) {
+                self.seen.visit(open.txn.state(), event);
+                open.waiting.push((from, msg));
+                return;
             }
-            CoreKind::Store { value } => match self.cache.get_mut(addr) {
-                Some(line) if matches!(line.state, HState::M | HState::E) => {
-                    self.stats.hits += 1;
-                    line.data.write_u64(offset, value);
-                    line.dirty = true;
-                    line.state = HState::M; // silent E→M upgrade
-                    ctx.send(from, msg.reply(CoreKind::StoreResp).into());
-                }
-                _ => {
-                    // Miss, or an upgrade from O/S: a resident copy rides
-                    // along in the transaction.
-                    self.stats.misses += 1;
-                    let local = self.cache.remove(addr).map(|line| LocalCopy {
-                        state: line.state,
-                        dirty: line.dirty,
-                        data: line.data,
-                    });
-                    self.start_get(GetKind::M, addr, local, (from, msg), ctx);
-                }
-            },
-            _ => self.violation("core sent a response kind"),
+            self.seen.visit(CState::I, event);
+            self.stats.misses += 1;
+            let kind = if store.is_some() {
+                GetKind::M
+            } else {
+                GetKind::S
+            };
+            return self.start_get(kind, addr, None, (from, msg), ctx);
+        };
+        debug_assert!(self.mshr.get(addr).is_none(), "resident and in flight");
+        let state = line.get().state;
+        self.seen.visit(state.into(), event);
+        match store {
+            None => {
+                self.stats.hits += 1;
+                line.touch();
+                let value = line.get().data.read_u64(offset);
+                ctx.send(from, msg.reply(CoreKind::LoadResp { value }).into());
+            }
+            Some(value) if matches!(state, HState::M | HState::E) => {
+                self.stats.hits += 1;
+                line.touch();
+                let line = line.get_mut();
+                line.data.write_u64(offset, value);
+                line.dirty = true;
+                line.state = HState::M; // silent E→M upgrade
+                ctx.send(from, msg.reply(CoreKind::StoreResp).into());
+            }
+            Some(_) => {
+                // An upgrade from O/S: the resident copy rides along in
+                // the transaction.
+                self.stats.misses += 1;
+                let local = Some(line.remove());
+                self.start_get(GetKind::M, addr, local, (from, msg), ctx);
+            }
         }
     }
 
@@ -346,7 +402,7 @@ impl HammerCache {
         &mut self,
         kind: GetKind,
         addr: BlockAddr,
-        local: Option<LocalCopy>,
+        local: Option<Line>,
         op: (NodeId, CoreMsg),
         ctx: &mut Ctx<'_>,
     ) {
@@ -355,20 +411,13 @@ impl HammerCache {
             // the core op a little later.
             self.stats.mshr_stalls += 1;
             if let Some(copy) = local {
-                self.cache.insert(
-                    addr,
-                    Line {
-                        state: copy.state,
-                        dirty: copy.dirty,
-                        data: copy.data,
-                    },
-                );
+                self.cache.insert(addr, copy);
             }
             let (from, msg) = op;
             ctx.redeliver(from, msg.into(), 8);
             return;
         }
-        let txn = Txn::Get {
+        let txn = Txn::Get(Get {
             kind,
             peers_expected: None,
             resps: 0,
@@ -378,11 +427,13 @@ impl HammerCache {
             had_copy: false,
             local,
             lost_local: false,
-        };
+        });
+        let mut waiting = self.spare_waiting.take();
+        waiting.push(op);
         let open = Open {
             txn,
             started: ctx.now(),
-            waiting: vec![op],
+            waiting,
         };
         self.mshr.alloc(addr, open).expect("capacity checked above");
         self.stats.mshr_occupancy.record(self.mshr.len() as u64);
@@ -396,86 +447,73 @@ impl HammerCache {
 
     // ----- network-side ---------------------------------------------------
 
-    fn handle_hammer(&mut self, from: NodeId, msg: HammerMsg, ctx: &mut Ctx<'_>) {
+    fn handle_hammer(&mut self, msg: HammerMsg, ctx: &mut Ctx<'_>) {
         let addr = msg.addr;
         match msg.kind {
             HammerKind::FwdGetS { requestor, .. } => {
-                self.cover(addr, "FwdGetS");
                 self.handle_fwd(addr, requestor, FwdKind::GetS, ctx);
             }
             HammerKind::FwdGetSOnly { requestor, .. } => {
-                self.cover(addr, "FwdGetSOnly");
                 self.handle_fwd(addr, requestor, FwdKind::GetSOnly, ctx);
             }
             HammerKind::FwdGetM { requestor, .. } => {
-                self.cover(addr, "FwdGetM");
                 self.handle_fwd(addr, requestor, FwdKind::GetM, ctx);
             }
             HammerKind::MemData { data, peers } => {
-                self.cover(addr, "MemData");
-                let Some(Txn::Get {
-                    peers_expected,
-                    mem_data,
-                    ..
-                }) = self.txn_mut(addr)
-                else {
+                let Some(Txn::Get(get)) = self.txn_for(addr, CEvent::MemData) else {
                     return self.violation("MemData without transaction");
                 };
-                *peers_expected = Some(peers);
-                *mem_data = Some(data);
-                self.try_complete_get(addr, ctx);
+                get.peers_expected = Some(peers);
+                get.mem_data = Some(data);
+                if get.complete() {
+                    self.complete_get(addr, ctx);
+                }
             }
             HammerKind::RespData {
                 data,
                 dirty,
                 owner_keeps_copy,
             } => {
-                self.cover(addr, "RespData");
-                let Some(Txn::Get {
-                    resps,
-                    peer_data,
-                    data_msgs,
-                    ..
-                }) = self.txn_mut(addr)
-                else {
+                let Some(Txn::Get(get)) = self.txn_for(addr, CEvent::RespData) else {
                     return self.violation("RespData without transaction");
                 };
-                *resps += 1;
-                *data_msgs += 1;
-                let multiple = peer_data.is_some();
+                get.resps += 1;
+                get.data_msgs += 1;
+                let multiple = get.peer_data.is_some();
                 // Prefer dirty data; otherwise first writer wins.
-                let replace = match peer_data {
+                let replace = match get.peer_data {
                     None => true,
-                    Some((_, old_dirty, _)) => dirty && !*old_dirty,
+                    Some((_, old_dirty, _)) => dirty && !old_dirty,
                 };
                 if replace {
-                    *peer_data = Some((data, dirty, owner_keeps_copy));
+                    get.peer_data = Some((data, dirty, owner_keeps_copy));
                 }
+                let complete = get.complete();
                 if multiple {
                     self.stats.multi_data += 1;
                     if self.cfg.strict_data {
                         self.violation("multiple data responses");
                     }
                 }
-                self.try_complete_get(addr, ctx);
+                if complete {
+                    self.complete_get(addr, ctx);
+                }
             }
             HammerKind::RespAck { had_copy } => {
-                self.cover(addr, "RespAck");
-                let Some(Txn::Get {
-                    resps,
-                    had_copy: hc,
-                    ..
-                }) = self.txn_mut(addr)
-                else {
+                let Some(Txn::Get(get)) = self.txn_for(addr, CEvent::RespAck) else {
                     return self.violation("RespAck without transaction");
                 };
-                *resps += 1;
-                *hc |= had_copy;
-                self.try_complete_get(addr, ctx);
+                get.resps += 1;
+                get.had_copy |= had_copy;
+                if get.complete() {
+                    self.complete_get(addr, ctx);
+                }
             }
             HammerKind::WbAck => {
-                self.cover(addr, "WbAck");
-                match self.mshr.remove(addr) {
+                let open = self.mshr.remove(addr);
+                let state = Self::state_given(&self.cache, addr, open.as_ref());
+                self.seen.visit(state, CEvent::WbAck);
+                match open {
                     Some(Open {
                         txn: Txn::Wb { data, dirty, .. },
                         waiting,
@@ -495,8 +533,10 @@ impl HammerCache {
                 }
             }
             HammerKind::WbNack => {
-                self.cover(addr, "WbNack");
-                match self.mshr.remove(addr) {
+                let open = self.mshr.remove(addr);
+                let state = Self::state_given(&self.cache, addr, open.as_ref());
+                self.seen.visit(state, CEvent::WbNack);
+                match open {
                     Some(Open {
                         txn: Txn::Wb { invalidated, .. },
                         waiting,
@@ -527,7 +567,6 @@ impl HammerCache {
                 self.violation("request kind delivered to a cache");
             }
         }
-        let _ = from;
     }
 
     /// Puts back a record a handler removed and found was not its own.
@@ -538,146 +577,93 @@ impl HammerCache {
     }
 
     fn handle_fwd(&mut self, addr: BlockAddr, requestor: NodeId, fwd: FwdKind, ctx: &mut Ctx<'_>) {
+        let event = match fwd {
+            FwdKind::GetS => CEvent::FwdGetS,
+            FwdKind::GetSOnly => CEvent::FwdGetSOnly,
+            FwdKind::GetM => CEvent::FwdGetM,
+        };
+        let resp_data = |data, dirty, owner_keeps_copy| {
+            let kind = HammerKind::RespData {
+                data,
+                dirty,
+                owner_keeps_copy,
+            };
+            HammerMsg::new(addr, kind).into()
+        };
+        let resp_ack = |had_copy| HammerMsg::new(addr, HammerKind::RespAck { had_copy }).into();
         // Resident stable line?
-        if let Some(line) = self.cache.get(addr) {
-            let (state, dirty, data) = (line.state, line.dirty, line.data);
+        if let Some(mut line) = self.cache.lookup(addr) {
+            let Line { state, dirty, data } = *line.get();
+            self.seen.visit(state.into(), event);
             match (state, fwd) {
                 (HState::M | HState::O | HState::E, FwdKind::GetS | FwdKind::GetSOnly) => {
-                    ctx.send(
-                        requestor,
-                        HammerMsg::new(
-                            addr,
-                            HammerKind::RespData {
-                                data,
-                                dirty,
-                                owner_keeps_copy: true,
-                            },
-                        )
-                        .into(),
-                    );
-                    // Serving a read is a use of the line: downgrade through
-                    // the recency-marking lookup.
-                    if let Some(line) = self.cache.get_mut(addr) {
-                        line.state = HState::O;
-                    }
+                    ctx.send(requestor, resp_data(data, dirty, true));
+                    // Serving a read is a use of the line.
+                    line.touch();
+                    line.get_mut().state = HState::O;
                 }
                 (HState::M | HState::O | HState::E, FwdKind::GetM) => {
-                    ctx.send(
-                        requestor,
-                        HammerMsg::new(
-                            addr,
-                            HammerKind::RespData {
-                                data,
-                                dirty,
-                                owner_keeps_copy: false,
-                            },
-                        )
-                        .into(),
-                    );
-                    self.cache.remove(addr);
+                    ctx.send(requestor, resp_data(data, dirty, false));
+                    line.remove();
                 }
                 (HState::S, FwdKind::GetS | FwdKind::GetSOnly) => {
-                    self.send_ack(requestor, addr, true, ctx);
+                    ctx.send(requestor, resp_ack(true));
                 }
                 (HState::S, FwdKind::GetM) => {
-                    self.send_ack(requestor, addr, true, ctx);
-                    self.cache.remove(addr);
+                    ctx.send(requestor, resp_ack(true));
+                    line.remove();
                 }
             }
             return;
         }
         // In-flight transaction?
-        let mut ack_had_copy: Option<bool> = None;
-        let mut resp_data: Option<(DataBlock, bool, bool)> = None;
-        match self.txn_mut(addr) {
-            Some(Txn::Get {
-                local, lost_local, ..
-            }) => match local {
-                Some(copy) if copy.state.is_owner() => match fwd {
-                    FwdKind::GetS | FwdKind::GetSOnly => {
-                        resp_data = Some((copy.data, copy.dirty, true));
+        let Some(open) = self.mshr.get_mut(addr) else {
+            self.seen.visit(CState::I, event);
+            return ctx.send(requestor, resp_ack(false));
+        };
+        self.seen.visit(open.txn.state(), event);
+        let resp = match &mut open.txn {
+            Txn::Get(get) => match &get.local {
+                Some(copy) if copy.state.is_owner() => {
+                    let resp = resp_data(copy.data, copy.dirty, fwd != FwdKind::GetM);
+                    if fwd == FwdKind::GetM {
+                        get.local = None;
+                        get.lost_local = true;
                     }
-                    FwdKind::GetM => {
-                        resp_data = Some((copy.data, copy.dirty, false));
-                        *local = None;
-                        *lost_local = true;
-                    }
-                },
+                    resp
+                }
                 Some(_) => {
                     // Shared copy retained during an upgrade (SM).
-                    ack_had_copy = Some(true);
                     if fwd == FwdKind::GetM {
-                        *local = None;
-                        *lost_local = true;
+                        get.local = None;
+                        get.lost_local = true;
                     }
+                    resp_ack(true)
                 }
-                None => ack_had_copy = Some(false),
+                None => resp_ack(false),
             },
-            Some(Txn::Wb {
+            Txn::Wb {
+                invalidated: true, ..
+            } => resp_ack(false),
+            Txn::Wb {
                 data,
                 dirty,
                 invalidated,
-                ..
-            }) => {
-                if *invalidated {
-                    ack_had_copy = Some(false);
-                } else {
-                    match fwd {
-                        FwdKind::GetSOnly => {
-                            // Keep ownership so memory still gets our data.
-                            resp_data = Some((*data, *dirty, true));
-                        }
-                        FwdKind::GetS | FwdKind::GetM => {
-                            resp_data = Some((*data, *dirty, false));
-                            *invalidated = true;
-                        }
-                    }
-                }
+            } => {
+                // A non-upgradable read leaves us the owner, so memory
+                // still gets our data; any other forward takes the block.
+                *invalidated = fwd != FwdKind::GetSOnly;
+                resp_data(*data, *dirty, !*invalidated)
             }
-            None => ack_had_copy = Some(false),
-        }
-        if let Some((data, dirty, owner_keeps_copy)) = resp_data {
-            ctx.send(
-                requestor,
-                HammerMsg::new(
-                    addr,
-                    HammerKind::RespData {
-                        data,
-                        dirty,
-                        owner_keeps_copy,
-                    },
-                )
-                .into(),
-            );
-        } else if let Some(had_copy) = ack_had_copy {
-            self.send_ack(requestor, addr, had_copy, ctx);
-        }
-    }
-
-    fn send_ack(&mut self, requestor: NodeId, addr: BlockAddr, had_copy: bool, ctx: &mut Ctx<'_>) {
-        ctx.send(
-            requestor,
-            HammerMsg::new(addr, HammerKind::RespAck { had_copy }).into(),
-        );
-    }
-
-    fn try_complete_get(&mut self, addr: BlockAddr, ctx: &mut Ctx<'_>) {
-        // Complete once memory has answered and every peer has responded.
-        let Some(Txn::Get {
-            peers_expected: Some(peers),
-            resps,
-            mem_data: Some(_),
-            ..
-        }) = self.mshr.get(addr).map(|open| &open.txn)
-        else {
-            return;
         };
-        if resps < peers {
-            return;
-        }
+        ctx.send(requestor, resp);
+    }
+
+    /// Closes a Get that memory and every peer have answered.
+    fn complete_get(&mut self, addr: BlockAddr, ctx: &mut Ctx<'_>) {
         let Some(Open {
             txn:
-                Txn::Get {
+                Txn::Get(Get {
                     kind,
                     mem_data: Some(mem),
                     peer_data,
@@ -685,7 +671,7 @@ impl HammerCache {
                     local,
                     lost_local,
                     ..
-                },
+                }),
             started,
             waiting,
         }) = self.mshr.remove(addr)
@@ -742,12 +728,17 @@ impl HammerCache {
         if let Some((victim_addr, victim)) = self.cache.take_victim(addr) {
             self.start_writeback(victim_addr, victim, ctx);
         }
-        let evicted = self.cache.insert(addr, line);
-        debug_assert!(evicted.is_none(), "victim should have been taken first");
+        // Only `start_writeback`'s no-MSHR fallback refills the set, and a
+        // fill always follows the close of its own Get, which freed a slot.
+        if self.cache.insert(addr, line).is_some() {
+            self.violation("fill evicted a line without a writeback");
+        }
     }
 
     fn start_writeback(&mut self, addr: BlockAddr, line: Line, ctx: &mut Ctx<'_>) {
-        self.cover(addr, "Repl");
+        // The victim has left the array and has no transaction yet, which
+        // is the state this event has always been recorded against.
+        self.seen.visit(CState::I, CEvent::Repl);
         match line.state {
             HState::S => {
                 // Hammer evicts shared blocks silently.
@@ -761,7 +752,7 @@ impl HammerCache {
                         invalidated: false,
                     },
                     started: ctx.now(),
-                    waiting: Vec::new(),
+                    waiting: self.spare_waiting.take(),
                 };
                 if self.mshr.alloc(addr, open).is_ok() {
                     self.stats.mshr_occupancy.record(self.mshr.len() as u64);
@@ -779,10 +770,11 @@ impl HammerCache {
         }
     }
 
-    fn drain_waiting(&mut self, waiting: Vec<(NodeId, CoreMsg)>, ctx: &mut Ctx<'_>) {
-        for (from, msg) in waiting {
+    fn drain_waiting(&mut self, mut waiting: Vec<(NodeId, CoreMsg)>, ctx: &mut Ctx<'_>) {
+        for (from, msg) in waiting.drain(..) {
             self.handle_core(from, msg, ctx);
         }
+        self.spare_waiting.put(waiting);
     }
 }
 
@@ -806,7 +798,7 @@ impl Component<Message> for HammerCache {
         };
         match msg {
             Message::Core(c) => self.handle_core(from, c, ctx),
-            Message::Hammer(h) => self.handle_hammer(from, h, ctx),
+            Message::Hammer(h) => self.handle_hammer(h, ctx),
             _ => self.violation("foreign protocol message"),
         }
         // The first impossible event is the symptom worth dissecting; flag
@@ -827,7 +819,7 @@ impl Component<Message> for HammerCache {
         for a in lines {
             let line = self.cache.get(a).expect("iterated address is resident");
             out.write_addr(a.as_u64());
-            out.write_str(line.state.name());
+            out.write_str(CState::from(line.state).label());
             out.write_u64(u64::from(line.dirty));
             out.write_bytes(line.data.as_bytes());
         }
@@ -838,7 +830,7 @@ impl Component<Message> for HammerCache {
         for (a, open) in txns {
             out.write_addr(a.as_u64());
             match &open.txn {
-                Txn::Get {
+                Txn::Get(Get {
                     kind,
                     peers_expected,
                     resps,
@@ -848,7 +840,7 @@ impl Component<Message> for HammerCache {
                     had_copy,
                     local,
                     lost_local,
-                } => {
+                }) => {
                     out.write_str("get");
                     out.write_str(match kind {
                         GetKind::S => "S",
@@ -873,7 +865,7 @@ impl Component<Message> for HammerCache {
                     out.write_u64(u64::from(*had_copy));
                     match local {
                         Some(copy) => {
-                            out.write_str(copy.state.name());
+                            out.write_str(CState::from(copy.state).label());
                             out.write_u64(u64::from(copy.dirty));
                             out.write_bytes(copy.data.as_bytes());
                         }
@@ -920,7 +912,7 @@ impl Component<Message> for HammerCache {
             out.add(format!("{n}.violation[{why}]"), *count);
         }
         out.add(format!("{n}.multi_data"), self.stats.multi_data);
-        out.record_coverage(format!("hammer_cache/{n}"), &self.coverage);
+        out.record_grid(format!("hammer_cache/{n}"), &self.seen);
         out.record_hist(format!("{n}.lat.miss"), &self.stats.lat_miss);
         out.record_hist(format!("{n}.mshr_occupancy"), &self.stats.mshr_occupancy);
     }

@@ -17,7 +17,7 @@ use std::collections::VecDeque;
 use xg_fsm::{alphabet, Alphabet, Controller, Machine, Step, Table, TableBuilder};
 use xg_mem::{BlockAddr, DataBlock, IdMap};
 use xg_proto::{Ctx, HammerKind, HammerMsg, Message};
-use xg_sim::{CheckDigest, Component, CoverageSet, Cycle, FsmRows, Histogram, NodeId, Report};
+use xg_sim::{CheckDigest, Component, CoverageGrid, Cycle, FsmRows, Histogram, NodeId, Report};
 
 alphabet! {
     /// Abstract per-block directory states (paper §2.3 naming).
@@ -58,6 +58,27 @@ alphabet! {
         /// A message kind the directory never receives (forwards, data
         /// responses, wb acks).
         Stray,
+    }
+}
+
+alphabet! {
+    /// Wire message kinds: the events coverage is keyed by. ([`DirEvent`]
+    /// refines them by sender for the table.)
+    pub enum DirMsg {
+        GetS,
+        GetSOnly,
+        GetM,
+        Put,
+        WbData,
+        Unblock,
+        FwdGetS,
+        FwdGetSOnly,
+        FwdGetM,
+        MemData,
+        RespData,
+        RespAck,
+        WbAck,
+        WbNack,
     }
 }
 
@@ -150,6 +171,46 @@ enum Busy {
     Wb { putter: NodeId },
 }
 
+impl DirBlock {
+    /// Abstract state for table dispatch and coverage. A block the
+    /// directory has never seen is a default record: memory owns it.
+    fn state(&self) -> DirState {
+        match (self.busy, self.owner) {
+            (Some(Busy::Get { .. }), _) => DirState::BusyGet,
+            (Some(Busy::Wb { .. }), _) => DirState::BusyWb,
+            (None, Some(_)) => DirState::NO,
+            (None, None) => DirState::Omem,
+        }
+    }
+
+    /// Refines a message kind into a table event using sender identity and
+    /// the in-flight transaction bookkeeping.
+    fn classify(&self, from: NodeId, kind: &HammerKind) -> DirEvent {
+        match kind {
+            HammerKind::GetS => DirEvent::GetS,
+            HammerKind::GetSOnly => DirEvent::GetSOnly,
+            HammerKind::GetM => DirEvent::GetM,
+            HammerKind::Put if self.owner == Some(from) => DirEvent::PutOwner,
+            HammerKind::Put => DirEvent::PutForeign,
+            HammerKind::WbData { .. } if self.busy == Some(Busy::Wb { putter: from }) => {
+                DirEvent::WbDataPutter
+            }
+            HammerKind::WbData { .. } => DirEvent::WbDataStray,
+            HammerKind::Unblock { new_owner }
+                if self.busy == Some(Busy::Get { requestor: from }) =>
+            {
+                if *new_owner {
+                    DirEvent::UnblockOwn
+                } else {
+                    DirEvent::UnblockShare
+                }
+            }
+            HammerKind::Unblock { .. } => DirEvent::UnblockStray,
+            _ => DirEvent::Stray,
+        }
+    }
+}
+
 #[derive(Debug, Default, Clone)]
 struct Stats {
     gets: u64,
@@ -169,6 +230,11 @@ pub struct DirCx<'a, 'b> {
     from: NodeId,
     addr: BlockAddr,
     kind: HammerKind,
+    /// The block's owner when the message was classified.
+    owner: Option<NodeId>,
+    /// How many peers `Broadcast` forwarded to: the response count
+    /// `SendMemData` announces.
+    peers: u32,
 }
 
 /// The directory/memory controller of the Hammer-like protocol.
@@ -180,7 +246,8 @@ pub struct HammerDirectory {
     blocks: IdMap<BlockAddr, DirBlock>,
     mem_latency: u64,
     stats: Stats,
-    coverage: CoverageSet,
+    /// `(state, message kind)` pairs visited, by index; named in `report`.
+    seen: CoverageGrid<DirState, DirMsg>,
     machine: Machine<DirState, DirEvent, DirAction>,
 }
 
@@ -197,7 +264,7 @@ impl HammerDirectory {
             blocks: IdMap::default(),
             mem_latency,
             stats: Stats::default(),
-            coverage: CoverageSet::new(),
+            seen: CoverageGrid::new(),
             machine: Machine::new(table()),
         }
     }
@@ -222,61 +289,8 @@ impl HammerDirectory {
         self.stats.protocol_violation
     }
 
-    /// Abstract state of `addr` for table dispatch and coverage.
-    fn dir_state(&self, addr: BlockAddr) -> DirState {
-        match self.blocks.get(&addr) {
-            None => DirState::Omem,
-            Some(b) => match (&b.busy, b.owner) {
-                (Some(Busy::Get { .. }), _) => DirState::BusyGet,
-                (Some(Busy::Wb { .. }), _) => DirState::BusyWb,
-                (None, Some(_)) => DirState::NO,
-                (None, None) => DirState::Omem,
-            },
-        }
-    }
-
-    /// Refines a message kind into a table event using sender identity and
-    /// the in-flight transaction bookkeeping.
-    fn classify(&self, from: NodeId, addr: BlockAddr, kind: &HammerKind) -> DirEvent {
-        let block = self.blocks.get(&addr);
-        match kind {
-            HammerKind::GetS => DirEvent::GetS,
-            HammerKind::GetSOnly => DirEvent::GetSOnly,
-            HammerKind::GetM => DirEvent::GetM,
-            HammerKind::Put => {
-                if block.and_then(|b| b.owner) == Some(from) {
-                    DirEvent::PutOwner
-                } else {
-                    DirEvent::PutForeign
-                }
-            }
-            HammerKind::WbData { .. } => {
-                if block.is_some_and(|b| b.busy == Some(Busy::Wb { putter: from })) {
-                    DirEvent::WbDataPutter
-                } else {
-                    DirEvent::WbDataStray
-                }
-            }
-            HammerKind::Unblock { new_owner } => {
-                if block.is_some_and(|b| b.busy == Some(Busy::Get { requestor: from })) {
-                    if *new_owner {
-                        DirEvent::UnblockOwn
-                    } else {
-                        DirEvent::UnblockShare
-                    }
-                } else {
-                    DirEvent::UnblockStray
-                }
-            }
-            _ => DirEvent::Stray,
-        }
-    }
-
-    fn cover(&mut self, addr: BlockAddr, event: &'static str) {
-        let state = self.dir_state(addr).label();
-        self.coverage.visit(state, event);
-    }
-
+    /// Classifies one request against its block — the one lookup the
+    /// recorder and the table share — and dispatches it.
     fn handle_request(
         &mut self,
         from: NodeId,
@@ -295,13 +309,17 @@ impl HammerDirectory {
             );
             ctx.trace(addr.as_u64(), "hammer-dir", "Recv", || detail);
         }
-        let state = self.dir_state(addr);
-        let event = self.classify(from, addr, &kind);
+        let state = block.state();
+        let event = block.classify(from, &kind);
+        let owner = block.owner;
+        self.seen.visit(state, msg_kind(&kind));
         let mut cx = DirCx {
             ctx,
             from,
             addr,
             kind,
+            owner,
+            peers: 0,
         };
         self.dispatch(state, event, &mut cx);
     }
@@ -318,8 +336,6 @@ impl HammerDirectory {
             let Some((from, kind)) = block.queue.pop_front() else {
                 return;
             };
-            let event = event_name(&kind);
-            self.cover(addr, event);
             self.handle_request(from, addr, kind, ctx);
         }
     }
@@ -351,15 +367,8 @@ impl<'a, 'b> Controller<DirState, DirEvent, DirAction, DirCx<'a, 'b>> for Hammer
                 self.stats.mem_reads += 1;
             }
             DirAction::Broadcast => {
-                let owner = self.blocks.get(&cx.addr).and_then(|b| b.owner);
-                let peers: Vec<NodeId> = self
-                    .caches
-                    .iter()
-                    .copied()
-                    .filter(|&c| c != cx.from)
-                    .collect();
-                for &peer in &peers {
-                    let to_owner = owner == Some(peer);
+                for &peer in self.caches.iter().filter(|&&c| c != cx.from) {
+                    let to_owner = cx.owner == Some(peer);
                     let fwd = match cx.kind {
                         HammerKind::GetS => HammerKind::FwdGetS {
                             requestor: cx.from,
@@ -380,11 +389,12 @@ impl<'a, 'b> Controller<DirState, DirEvent, DirAction, DirCx<'a, 'b>> for Hammer
                         }
                     };
                     cx.ctx.send(peer, HammerMsg::new(cx.addr, fwd).into());
+                    cx.peers += 1;
                 }
             }
             DirAction::SendMemData => {
-                let peers = self.caches.iter().filter(|&&c| c != cx.from).count() as u32;
                 let data = self.memory.get(&cx.addr).copied().unwrap_or_default();
+                let peers = cx.peers;
                 cx.ctx.send_after(
                     cx.from,
                     HammerMsg::new(cx.addr, HammerKind::MemData { data, peers }).into(),
@@ -455,29 +465,29 @@ impl<'a, 'b> Controller<DirState, DirEvent, DirAction, DirCx<'a, 'b>> for Hammer
 /// alone is complete).
 fn digest_queued(from: NodeId, kind: &HammerKind, out: &mut CheckDigest) {
     out.write_node(from);
-    out.write_str(event_name(kind));
+    out.write_str(msg_kind(kind).label());
     if let HammerKind::WbData { data, dirty } = kind {
         out.write_bytes(data.as_bytes());
         out.write_u64(u64::from(*dirty));
     }
 }
 
-fn event_name(kind: &HammerKind) -> &'static str {
+fn msg_kind(kind: &HammerKind) -> DirMsg {
     match kind {
-        HammerKind::GetS => "GetS",
-        HammerKind::GetSOnly => "GetSOnly",
-        HammerKind::GetM => "GetM",
-        HammerKind::Put => "Put",
-        HammerKind::WbData { .. } => "WbData",
-        HammerKind::Unblock { .. } => "Unblock",
-        HammerKind::FwdGetS { .. } => "FwdGetS",
-        HammerKind::FwdGetSOnly { .. } => "FwdGetSOnly",
-        HammerKind::FwdGetM { .. } => "FwdGetM",
-        HammerKind::MemData { .. } => "MemData",
-        HammerKind::RespData { .. } => "RespData",
-        HammerKind::RespAck { .. } => "RespAck",
-        HammerKind::WbAck => "WbAck",
-        HammerKind::WbNack => "WbNack",
+        HammerKind::GetS => DirMsg::GetS,
+        HammerKind::GetSOnly => DirMsg::GetSOnly,
+        HammerKind::GetM => DirMsg::GetM,
+        HammerKind::Put => DirMsg::Put,
+        HammerKind::WbData { .. } => DirMsg::WbData,
+        HammerKind::Unblock { .. } => DirMsg::Unblock,
+        HammerKind::FwdGetS { .. } => DirMsg::FwdGetS,
+        HammerKind::FwdGetSOnly { .. } => DirMsg::FwdGetSOnly,
+        HammerKind::FwdGetM { .. } => DirMsg::FwdGetM,
+        HammerKind::MemData { .. } => DirMsg::MemData,
+        HammerKind::RespData { .. } => DirMsg::RespData,
+        HammerKind::RespAck { .. } => DirMsg::RespAck,
+        HammerKind::WbAck => DirMsg::WbAck,
+        HammerKind::WbNack => DirMsg::WbNack,
     }
 }
 
@@ -493,10 +503,7 @@ impl Component<Message> for HammerDirectory {
             _ => u64::MAX,
         };
         match msg {
-            Message::Hammer(h) => {
-                self.cover(h.addr, event_name(&h.kind));
-                self.handle_request(from, h.addr, h.kind, ctx);
-            }
+            Message::Hammer(h) => self.handle_request(from, h.addr, h.kind, ctx),
             _ => {
                 self.stats.protocol_violation += 1;
             }
@@ -575,7 +582,7 @@ impl Component<Message> for HammerDirectory {
             format!("{n}.protocol_violation"),
             self.stats.protocol_violation,
         );
-        out.record_coverage(format!("hammer_dir/{n}"), &self.coverage);
+        out.record_grid(format!("hammer_dir/{n}"), &self.seen);
         out.record_hist(format!("{n}.lat.busy"), &self.stats.lat_busy);
         self.machine.record_into(out);
     }

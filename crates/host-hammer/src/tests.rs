@@ -362,3 +362,81 @@ fn stray_writeback_answers_leave_an_open_get_intact() {
         ]
     );
 }
+
+/// `probe_state` speaks the module table's vocabulary — stable and
+/// transient names alike — now that the state behind it is an enum.
+#[test]
+fn probe_state_names_follow_the_module_table() {
+    let cfg = HammerConfig {
+        sets: 1,
+        ways: 1,
+        ..HammerConfig::default()
+    };
+    let mut sys = System::new(2, cfg, 21);
+    let block = Addr::new(0x100).block();
+    let mut seen = [vec!["I"], vec!["I"]];
+    let mut run = |sys: &mut System, core: usize, addr: u64, kind: CoreKind| {
+        sys.post(core, addr, kind);
+        while sys.sim.step() {
+            for (cache, seen) in sys.caches.iter().zip(&mut seen) {
+                let state = sys
+                    .sim
+                    .get::<HammerCache>(*cache)
+                    .unwrap()
+                    .probe_state(block);
+                if seen.last() != Some(&state) {
+                    seen.push(state);
+                }
+            }
+        }
+    };
+    run(&mut sys, 0, 0x100, CoreKind::Store { value: 1 });
+    run(&mut sys, 1, 0x100, CoreKind::Load);
+    run(&mut sys, 0, 0x100, CoreKind::Store { value: 2 });
+    run(&mut sys, 1, 0x100, CoreKind::Load);
+    run(&mut sys, 1, 0x100, CoreKind::Store { value: 3 });
+    // Another block in the only set: the dirty line is written back.
+    run(&mut sys, 1, 0x140, CoreKind::Store { value: 4 });
+    assert_eq!(seen[0], ["I", "IM", "M", "O", "OM", "M", "O", "I"]);
+    assert_eq!(
+        seen[1],
+        ["I", "IS", "S", "I", "IS", "S", "SM", "M", "WB", "I"]
+    );
+    sys.assert_clean();
+}
+
+/// A fill that evicts an owner writes it back even when every MSHR is in
+/// use while Gets are open: closing the Get frees the slot its victim's
+/// writeback takes, so the no-MSHR fallback in `start_writeback` (reinstall
+/// the victim, after which the fill would push out another line) never
+/// runs, and no line leaves the array without a Put.
+#[test]
+fn a_fill_with_every_mshr_taken_still_writes_its_victim_back() {
+    let cfg = HammerConfig {
+        sets: 1,
+        ways: 2,
+        mshr_entries: 1,
+        ..HammerConfig::default()
+    };
+    let mut sys = System::new(1, cfg, 22);
+    // Six dirty blocks through two ways and one MSHR: four owner evictions.
+    for i in 0..6u64 {
+        sys.store(0, 0x1000 + i * 64, 100 + i);
+    }
+    let report = sys.sim.report();
+    assert_eq!(report.get("l2_0.mshr_stalls"), 0);
+    assert_eq!(
+        report.get("l2_0.violation[fill evicted a line without a writeback]"),
+        0
+    );
+    assert_eq!(report.get("l2_0.writebacks"), 4);
+    let dir = sys.sim.get::<HammerDirectory>(sys.dir).unwrap();
+    for i in 0..4u64 {
+        let block = Addr::new(0x1000 + i * 64).block();
+        assert_eq!(dir.read_memory(block).read_u64(0), 100 + i);
+    }
+    for i in 0..6u64 {
+        assert_eq!(sys.load(0, 0x1000 + i * 64), 100 + i);
+    }
+    sys.assert_clean();
+}

@@ -32,9 +32,11 @@
 //! textbook MESI race that the accelerator protocols behind Crossing Guard
 //! never see.
 
-use xg_mem::{BlockAddr, DataBlock, Mshr, Replacement, SetAssocCache};
+use xg_mem::{BlockAddr, DataBlock, Mshr, Replacement, SetAssocCache, Spares};
 use xg_proto::{CoreKind, CoreMsg, Ctx, HomeMap, MesiKind, MesiMsg, Message};
-use xg_sim::{CheckDigest, Component, CoverageSet, Cycle, Histogram, NodeId, Report};
+use xg_sim::{
+    alphabet, Alphabet, CheckDigest, Component, CoverageGrid, Cycle, Histogram, NodeId, Report,
+};
 
 /// Configuration for a [`MesiL1`].
 #[derive(Debug, Clone)]
@@ -63,6 +65,44 @@ impl Default for MesiL1Config {
     }
 }
 
+alphabet! {
+    /// Protocol state of one block, as the module table's rows name it:
+    /// the state coverage is keyed by and [`MesiL1::probe_state`] reports.
+    enum CState {
+        M,
+        E,
+        S,
+        I,
+        IsD = "IS_D",
+        ImAd = "IM_AD",
+        ImA = "IM_A",
+        SmAd = "SM_AD",
+        Wb = "WB",
+        WbI = "WB_I",
+        WbN = "WB_N",
+    }
+}
+
+alphabet! {
+    /// The module table's columns.
+    enum CEvent {
+        Load,
+        Store,
+        Repl,
+        DataS,
+        DataE,
+        DataM,
+        FwdData,
+        InvAck,
+        Inv,
+        FwdGetS,
+        FwdGetM,
+        Recall,
+        WbAck,
+        WbNack,
+    }
+}
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum L1State {
     M,
@@ -70,17 +110,17 @@ enum L1State {
     S,
 }
 
-impl L1State {
-    fn name(self) -> &'static str {
-        match self {
-            L1State::M => "M",
-            L1State::E => "E",
-            L1State::S => "S",
+impl From<L1State> for CState {
+    fn from(state: L1State) -> CState {
+        match state {
+            L1State::M => CState::M,
+            L1State::E => CState::E,
+            L1State::S => CState::S,
         }
     }
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct Line {
     state: L1State,
     dirty: bool,
@@ -108,21 +148,19 @@ enum Deferred {
     Recall,
 }
 
+impl Deferred {
+    fn event(self) -> CEvent {
+        match self {
+            Deferred::FwdGetS(_) => CEvent::FwdGetS,
+            Deferred::FwdGetM(_) => CEvent::FwdGetM,
+            Deferred::Recall => CEvent::Recall,
+        }
+    }
+}
+
 #[derive(Debug, Clone)]
 enum Txn {
-    Get {
-        kind: GetKind,
-        /// Grant received (data plus the state it grants).
-        grant: Option<(DataBlock, L1State, bool)>, // (data, state, dirty)
-        /// Acks still outstanding (`None` until the grant tells us).
-        acks_expected: Option<u32>,
-        acks_got: u32,
-        /// Shared copy retained during an SM_AD upgrade.
-        local: Option<DataBlock>,
-        /// An invalidation hit us mid-flight (ISI): use data once, then I.
-        poisoned: bool,
-        deferred: Vec<Deferred>,
-    },
+    Get(Get),
     Wb {
         kind: PutKind,
         data: DataBlock,
@@ -132,6 +170,29 @@ enum Txn {
         /// network; hold the data until that demand arrives and serve it.
         nacked: bool,
     },
+}
+
+/// An open Get: what has been collected so far.
+#[derive(Debug, Clone)]
+struct Get {
+    kind: GetKind,
+    /// Grant received (data plus the state it grants).
+    grant: Option<(DataBlock, L1State, bool)>, // (data, state, dirty)
+    /// Acks still outstanding (`None` until the grant tells us).
+    acks_expected: Option<u32>,
+    acks_got: u32,
+    /// Shared copy retained during an SM_AD upgrade.
+    local: Option<DataBlock>,
+    /// An invalidation hit us mid-flight (ISI): use data once, then I.
+    poisoned: bool,
+    deferred: Vec<Deferred>,
+}
+
+impl Get {
+    /// The grant is in and every ack it announced has arrived.
+    fn complete(&self) -> bool {
+        self.grant.is_some() && self.acks_expected.is_some_and(|acks| self.acks_got >= acks)
+    }
 }
 
 /// Everything open on one block — the MSHR entry: the transaction, the
@@ -144,21 +205,21 @@ struct Open {
 }
 
 impl Txn {
-    fn state_name(&self) -> &'static str {
+    fn state(&self) -> CState {
         match self {
-            Txn::Get {
+            Txn::Get(Get {
                 kind: GetKind::S, ..
-            } => "IS_D",
-            Txn::Get { local: Some(_), .. } => "SM_AD",
-            Txn::Get { grant: None, .. } => "IM_AD",
-            Txn::Get { .. } => "IM_A",
-            Txn::Wb { nacked: true, .. } => "WB_N",
+            }) => CState::IsD,
+            Txn::Get(Get { local: Some(_), .. }) => CState::SmAd,
+            Txn::Get(Get { grant: None, .. }) => CState::ImAd,
+            Txn::Get(_) => CState::ImA,
+            Txn::Wb { nacked: true, .. } => CState::WbN,
             Txn::Wb {
                 invalidated: false, ..
-            } => "WB",
+            } => CState::Wb,
             Txn::Wb {
                 invalidated: true, ..
-            } => "WB_I",
+            } => CState::WbI,
         }
     }
 }
@@ -188,8 +249,13 @@ pub struct MesiL1 {
     l2: HomeMap,
     cache: SetAssocCache<Line>,
     mshr: Mshr<Open>,
+    /// Emptied `Open::waiting` and `Get::deferred` buffers, reused by the
+    /// next transaction.
+    spare_waiting: Spares<Vec<(NodeId, CoreMsg)>>,
+    spare_deferred: Spares<Vec<Deferred>>,
     stats: Stats,
-    coverage: CoverageSet,
+    /// `(state, event)` pairs visited, by index; named in `report`.
+    seen: CoverageGrid<CState, CEvent>,
 }
 
 impl MesiL1 {
@@ -201,8 +267,10 @@ impl MesiL1 {
             l2: l2.into(),
             cache: SetAssocCache::new(cfg.sets, cfg.ways, cfg.replacement, cfg.seed),
             mshr: Mshr::new(cfg.mshr_entries),
+            spare_waiting: Spares::default(),
+            spare_deferred: Spares::default(),
             stats: Stats::default(),
-            coverage: CoverageSet::new(),
+            seen: CoverageGrid::new(),
         }
     }
 
@@ -221,7 +289,7 @@ impl MesiL1 {
     /// `xg-check` small-model checker at quiescent points for Guarantee 0
     /// cross-checks.
     pub fn probe_state(&self, addr: BlockAddr) -> &'static str {
-        self.state_name(addr)
+        Self::state_given(&self.cache, addr, self.mshr.get(addr)).label()
     }
 
     /// Resident stable-line view of `addr`: `(data, dirty)`.
@@ -229,23 +297,24 @@ impl MesiL1 {
         self.cache.get(addr).map(|l| (l.data, l.dirty))
     }
 
-    fn state_name(&self, addr: BlockAddr) -> &'static str {
-        if let Some(line) = self.cache.get(addr) {
-            line.state.name()
-        } else if let Some(open) = self.mshr.get(addr) {
-            open.txn.state_name()
-        } else {
-            "I"
+    /// State of `addr` given its MSHR record, if it has one. A block is
+    /// never both resident and in flight, so handlers name the state from
+    /// whichever of the two lookups they make anyway; the tag scan here is
+    /// for a response that found no transaction to land on.
+    fn state_given(cache: &SetAssocCache<Line>, addr: BlockAddr, open: Option<&Open>) -> CState {
+        match open {
+            Some(open) => open.txn.state(),
+            None => cache.get(addr).map_or(CState::I, |line| line.state.into()),
         }
     }
 
-    fn txn_mut(&mut self, addr: BlockAddr) -> Option<&mut Txn> {
-        self.mshr.get_mut(addr).map(|open| &mut open.txn)
-    }
-
-    fn cover(&mut self, addr: BlockAddr, event: &'static str) {
-        let state = self.state_name(addr);
-        self.coverage.visit(state, event);
+    /// The transaction a response to `addr` lands on, recording `event`
+    /// against the block's state from that one lookup.
+    fn txn_for(&mut self, addr: BlockAddr, event: CEvent) -> Option<&mut Txn> {
+        let open = self.mshr.get_mut(addr);
+        let state = Self::state_given(&self.cache, addr, open.as_deref());
+        self.seen.visit(state, event);
+        open.map(|open| &mut open.txn)
     }
 
     fn violation(&mut self, why: &'static str) {
@@ -258,14 +327,14 @@ impl MesiL1 {
     fn handle_core(&mut self, from: NodeId, msg: CoreMsg, ctx: &mut Ctx<'_>) {
         let addr = msg.addr.block();
         let offset = msg.addr.block_offset() & !7;
-        match msg.kind {
+        let (event, store) = match msg.kind {
             CoreKind::Load => {
-                self.cover(addr, "Load");
                 self.stats.loads += 1;
+                (CEvent::Load, None)
             }
-            CoreKind::Store { .. } => {
-                self.cover(addr, "Store");
+            CoreKind::Store { value } => {
                 self.stats.stores += 1;
+                (CEvent::Store, Some(value))
             }
             CoreKind::Flush => {
                 // Hardware coherence makes flushes unnecessary on the host
@@ -277,48 +346,58 @@ impl MesiL1 {
                 self.violation("core sent a response kind");
                 return;
             }
-        }
+        };
 
-        if let Some(open) = self.mshr.get_mut(addr) {
-            // One special case keeps SM_AD useful: loads still hit on the
-            // retained shared copy.
-            if let (CoreKind::Load, Txn::Get { local: Some(d), .. }) = (&msg.kind, &open.txn) {
-                let value = d.read_u64(offset);
-                ctx.send(from, msg.reply(CoreKind::LoadResp { value }).into());
+        // A block is resident or in flight, never both: a hit needs the
+        // tag scan alone, and only a miss goes on to probe the MSHR.
+        let Some(mut line) = self.cache.lookup(addr) else {
+            if let Some(open) = self.mshr.get_mut(addr) {
+                self.seen.visit(open.txn.state(), event);
+                // One special case keeps SM_AD useful: loads still hit on
+                // the retained shared copy.
+                if let (None, Txn::Get(Get { local: Some(d), .. })) = (store, &open.txn) {
+                    let value = d.read_u64(offset);
+                    ctx.send(from, msg.reply(CoreKind::LoadResp { value }).into());
+                    return;
+                }
+                open.waiting.push((from, msg));
                 return;
             }
-            open.waiting.push((from, msg));
-            return;
-        }
-
-        match msg.kind {
-            CoreKind::Load => {
-                if let Some(line) = self.cache.get_mut(addr) {
-                    self.stats.hits += 1;
-                    let value = line.data.read_u64(offset);
-                    ctx.send(from, msg.reply(CoreKind::LoadResp { value }).into());
-                } else {
-                    self.stats.misses += 1;
-                    self.start_get(GetKind::S, addr, None, (from, msg), ctx);
-                }
+            self.seen.visit(CState::I, event);
+            self.stats.misses += 1;
+            let kind = if store.is_some() {
+                GetKind::M
+            } else {
+                GetKind::S
+            };
+            return self.start_get(kind, addr, None, (from, msg), ctx);
+        };
+        debug_assert!(self.mshr.get(addr).is_none(), "resident and in flight");
+        let state = line.get().state;
+        self.seen.visit(state.into(), event);
+        match store {
+            None => {
+                self.stats.hits += 1;
+                line.touch();
+                let value = line.get().data.read_u64(offset);
+                ctx.send(from, msg.reply(CoreKind::LoadResp { value }).into());
             }
-            CoreKind::Store { value } => match self.cache.get_mut(addr) {
-                Some(line) if matches!(line.state, L1State::M | L1State::E) => {
-                    self.stats.hits += 1;
-                    line.data.write_u64(offset, value);
-                    line.dirty = true;
-                    line.state = L1State::M;
-                    ctx.send(from, msg.reply(CoreKind::StoreResp).into());
-                }
-                _ => {
-                    // Miss, or an upgrade from S: the shared copy rides
-                    // along in the transaction.
-                    self.stats.misses += 1;
-                    let local = self.cache.remove(addr).map(|line| line.data);
-                    self.start_get(GetKind::M, addr, local, (from, msg), ctx);
-                }
-            },
-            _ => self.violation("core sent a response kind"),
+            Some(value) if matches!(state, L1State::M | L1State::E) => {
+                self.stats.hits += 1;
+                line.touch();
+                let line = line.get_mut();
+                line.data.write_u64(offset, value);
+                line.dirty = true;
+                line.state = L1State::M;
+                ctx.send(from, msg.reply(CoreKind::StoreResp).into());
+            }
+            Some(_) => {
+                // An upgrade from S: the shared copy rides along in the
+                // transaction.
+                self.stats.misses += 1;
+                let local = Some(line.remove().data);
+                self.start_get(GetKind::M, addr, local, (from, msg), ctx);
+            }
         }
     }
 
@@ -346,18 +425,20 @@ impl MesiL1 {
             ctx.redeliver(from, msg.into(), 8);
             return;
         }
+        let mut waiting = self.spare_waiting.take();
+        waiting.push(op);
         let open = Open {
-            txn: Txn::Get {
+            txn: Txn::Get(Get {
                 kind,
                 grant: None,
                 acks_expected: None,
                 acks_got: 0,
                 local,
                 poisoned: false,
-                deferred: Vec::new(),
-            },
+                deferred: self.spare_deferred.take(),
+            }),
             started: ctx.now(),
-            waiting: vec![op],
+            waiting,
         };
         self.mshr.alloc(addr, open).expect("capacity checked");
         self.stats.mshr_occupancy.record(self.mshr.len() as u64);
@@ -376,104 +457,88 @@ impl MesiL1 {
             format!(
                 "{:?} from {from} (state {})",
                 msg.kind,
-                self.state_name(addr)
+                self.probe_state(addr)
             )
         });
         match msg.kind {
             MesiKind::DataS { data } => {
-                self.cover(addr, "DataS");
-                self.grant(addr, data, L1State::S, false, 0, ctx);
+                self.grant(addr, CEvent::DataS, (data, L1State::S, false), 0, ctx);
             }
             MesiKind::DataE { data } => {
-                self.cover(addr, "DataE");
-                self.grant(addr, data, L1State::E, false, 0, ctx);
+                self.grant(addr, CEvent::DataE, (data, L1State::E, false), 0, ctx);
             }
             MesiKind::DataM { data, acks } => {
-                self.cover(addr, "DataM");
-                self.grant(addr, data, L1State::M, false, acks, ctx);
+                self.grant(addr, CEvent::DataM, (data, L1State::M, false), acks, ctx);
             }
             MesiKind::FwdData {
                 data,
                 dirty,
                 exclusive,
             } => {
-                self.cover(addr, "FwdData");
                 let state = if exclusive { L1State::M } else { L1State::S };
-                self.grant(addr, data, state, dirty, 0, ctx);
+                self.grant(addr, CEvent::FwdData, (data, state, dirty), 0, ctx);
             }
             MesiKind::InvAck => {
-                self.cover(addr, "InvAck");
-                let Some(Txn::Get { acks_got, .. }) = self.txn_mut(addr) else {
+                let Some(Txn::Get(get)) = self.txn_for(addr, CEvent::InvAck) else {
                     return self.violation("InvAck without transaction");
                 };
-                *acks_got += 1;
-                self.try_complete_get(addr, ctx);
+                get.acks_got += 1;
+                if get.complete() {
+                    self.complete_get(addr, ctx);
+                }
             }
             MesiKind::Inv { requestor } => {
-                self.cover(addr, "Inv");
                 self.handle_inv(addr, requestor, ctx);
             }
             MesiKind::FwdGetS { requestor } => {
-                self.cover(addr, "FwdGetS");
-                self.handle_demand(addr, Deferred::FwdGetS(requestor), ctx);
+                self.handle_demand(addr, Deferred::FwdGetS(requestor), false, ctx);
             }
             MesiKind::FwdGetM { requestor } => {
-                self.cover(addr, "FwdGetM");
-                self.handle_demand(addr, Deferred::FwdGetM(requestor), ctx);
+                self.handle_demand(addr, Deferred::FwdGetM(requestor), false, ctx);
             }
             MesiKind::Recall => {
-                self.cover(addr, "Recall");
-                self.handle_demand(addr, Deferred::Recall, ctx);
+                self.handle_demand(addr, Deferred::Recall, false, ctx);
             }
-            MesiKind::WbAck => {
-                self.cover(addr, "WbAck");
-                match self.txn_mut(addr) {
-                    Some(Txn::Wb { .. }) => {
-                        self.stats.writebacks += 1;
-                        self.close_writeback(addr, ctx);
-                    }
-                    _ => self.violation("WbAck without writeback"),
+            MesiKind::WbAck => match self.txn_for(addr, CEvent::WbAck) {
+                Some(Txn::Wb { .. }) => {
+                    self.stats.writebacks += 1;
+                    self.close_writeback(addr, ctx);
                 }
-            }
-            MesiKind::WbNack => {
-                self.cover(addr, "WbNack");
-                match self.txn_mut(addr) {
-                    Some(Txn::Wb {
-                        invalidated: true, ..
-                    }) => self.close_writeback(addr, ctx),
-                    // The Nack overtook the demand that explains it (an
-                    // Inv, FwdGetM, or Recall already in flight on the
-                    // unordered network). Hold the data in WB_N and serve
-                    // that demand when it lands.
-                    Some(Txn::Wb { nacked, .. }) => *nacked = true,
-                    _ => self.violation("WbNack without writeback"),
-                }
-            }
+                _ => self.violation("WbAck without writeback"),
+            },
+            MesiKind::WbNack => match self.txn_for(addr, CEvent::WbNack) {
+                Some(Txn::Wb {
+                    invalidated: true, ..
+                }) => self.close_writeback(addr, ctx),
+                // The Nack overtook the demand that explains it (an
+                // Inv, FwdGetM, or Recall already in flight on the
+                // unordered network). Hold the data in WB_N and serve
+                // that demand when it lands.
+                Some(Txn::Wb { nacked, .. }) => *nacked = true,
+                _ => self.violation("WbNack without writeback"),
+            },
             _ => self.violation("request kind delivered to an L1"),
         }
-        let _ = from;
     }
 
+    /// A data response: `grant` is the `(data, state, dirty)` it confers,
+    /// `acks` how many invalidation acks the requestor must still collect.
     fn grant(
         &mut self,
         addr: BlockAddr,
-        data: DataBlock,
-        state: L1State,
-        dirty: bool,
+        event: CEvent,
+        grant: (DataBlock, L1State, bool),
         acks: u32,
         ctx: &mut Ctx<'_>,
     ) {
-        let Some(Txn::Get {
-            grant: grant @ None,
-            acks_expected,
-            ..
-        }) = self.txn_mut(addr)
-        else {
+        let Some(Txn::Get(get @ Get { grant: None, .. })) = self.txn_for(addr, event) else {
             return self.violation("grant without matching transaction");
         };
-        *grant = Some((data, state, dirty));
-        *acks_expected = Some(acks);
-        self.try_complete_get(addr, ctx);
+        get.grant = Some(grant);
+        get.acks_expected = Some(acks);
+        if get.complete() {
+            self.complete_get(addr, ctx);
+        }
     }
 
     fn handle_inv(&mut self, addr: BlockAddr, requestor: NodeId, ctx: &mut Ctx<'_>) {
@@ -481,14 +546,20 @@ impl MesiL1 {
         // copy we hold. An Inv can be stale (sent at our old S copy and
         // reordered past its own epoch); acking is correct in every case.
         ctx.send(requestor, MesiMsg::new(addr, MesiKind::InvAck).into());
-        if let Some(line) = self.cache.get(addr) {
-            if line.state == L1State::S {
-                self.cache.remove(addr);
+        if let Some(line) = self.cache.lookup(addr) {
+            let state = line.get().state;
+            self.seen.visit(state.into(), CEvent::Inv);
+            if state == L1State::S {
+                line.remove();
             }
             return;
         }
-        match self.txn_mut(addr) {
-            Some(Txn::Get {
+        let Some(open) = self.mshr.get_mut(addr) else {
+            return self.seen.visit(CState::I, CEvent::Inv);
+        };
+        self.seen.visit(open.txn.state(), CEvent::Inv);
+        match &mut open.txn {
+            Txn::Get(Get {
                 kind: GetKind::S,
                 poisoned,
                 ..
@@ -497,17 +568,17 @@ impl MesiL1 {
                 *poisoned = true;
                 self.stats.isi_races += 1;
             }
-            Some(Txn::Get { local, .. }) if local.is_some() => {
+            Txn::Get(Get { local, .. }) if local.is_some() => {
                 // SM_AD loses its shared copy → IM_AD.
                 *local = None;
                 self.stats.isi_races += 1;
             }
-            Some(Txn::Wb {
+            Txn::Wb {
                 kind: PutKind::S,
                 invalidated,
                 nacked,
                 ..
-            }) => {
+            } => {
                 if *nacked {
                     // The explaining demand arrived; the transaction is
                     // fully resolved.
@@ -521,68 +592,68 @@ impl MesiL1 {
     }
 
     /// FwdGetS / FwdGetM / Recall: demands that only an owner receives.
-    fn handle_demand(&mut self, addr: BlockAddr, demand: Deferred, ctx: &mut Ctx<'_>) {
-        if let Some(line) = self.cache.get(addr) {
-            if line.state == L1State::S {
+    /// `replayed` marks a demand deferred behind our own write and served
+    /// now that it completed; its arrival was already recorded.
+    fn handle_demand(
+        &mut self,
+        addr: BlockAddr,
+        demand: Deferred,
+        replayed: bool,
+        ctx: &mut Ctx<'_>,
+    ) {
+        let l2 = self.l2.for_block(addr);
+        let fwd_data = |data, dirty, exclusive| {
+            let kind = MesiKind::FwdData {
+                data,
+                dirty,
+                exclusive,
+            };
+            MesiMsg::new(addr, kind).into()
+        };
+        let owner_wb = |data, dirty| MesiMsg::new(addr, MesiKind::OwnerWb { data, dirty }).into();
+        let recall_data =
+            |data, dirty| MesiMsg::new(addr, MesiKind::RecallData { data, dirty }).into();
+        let mut cover = |state: CState| {
+            if !replayed {
+                self.seen.visit(state, demand.event());
+            }
+        };
+
+        if let Some(mut line) = self.cache.lookup(addr) {
+            let Line { state, dirty, data } = *line.get();
+            cover(state.into());
+            if state == L1State::S {
                 self.violation("owner demand while in S");
                 return;
             }
-            let (data, dirty) = (line.data, line.dirty);
             match demand {
                 Deferred::FwdGetS(requestor) => {
-                    ctx.send(
-                        requestor,
-                        MesiMsg::new(
-                            addr,
-                            MesiKind::FwdData {
-                                data,
-                                dirty,
-                                exclusive: false,
-                            },
-                        )
-                        .into(),
-                    );
-                    ctx.send(
-                        self.l2.for_block(addr),
-                        MesiMsg::new(addr, MesiKind::OwnerWb { data, dirty }).into(),
-                    );
-                    // Serving a read is a use of the line: downgrade through
-                    // the recency-marking lookup.
-                    if let Some(line) = self.cache.get_mut(addr) {
-                        line.state = L1State::S;
-                        line.dirty = false;
-                    }
+                    ctx.send(requestor, fwd_data(data, dirty, false));
+                    ctx.send(l2, owner_wb(data, dirty));
+                    // Serving a read is a use of the line.
+                    line.touch();
+                    let line = line.get_mut();
+                    line.state = L1State::S;
+                    line.dirty = false;
                 }
                 Deferred::FwdGetM(requestor) => {
-                    ctx.send(
-                        requestor,
-                        MesiMsg::new(
-                            addr,
-                            MesiKind::FwdData {
-                                data,
-                                dirty,
-                                exclusive: true,
-                            },
-                        )
-                        .into(),
-                    );
-                    self.cache.remove(addr);
+                    ctx.send(requestor, fwd_data(data, dirty, true));
+                    line.remove();
                 }
                 Deferred::Recall => {
-                    ctx.send(
-                        self.l2.for_block(addr),
-                        MesiMsg::new(addr, MesiKind::RecallData { data, dirty }).into(),
-                    );
-                    self.cache.remove(addr);
+                    ctx.send(l2, recall_data(data, dirty));
+                    line.remove();
                 }
             }
             return;
         }
-        match self.mshr.get_mut(addr).map(|open| &mut open.txn) {
-            Some(Txn::Get { deferred, .. }) => {
+        let open = self.mshr.get_mut(addr);
+        cover(open.as_ref().map_or(CState::I, |open| open.txn.state()));
+        match open.map(|open| &mut open.txn) {
+            Some(Txn::Get(get)) => {
                 // We are the owner-to-be but have no data yet: defer.
                 self.stats.deferred_fwds += 1;
-                deferred.push(demand);
+                get.deferred.push(demand);
             }
             Some(Txn::Wb {
                 kind: kind @ (PutKind::E | PutKind::M),
@@ -591,7 +662,6 @@ impl MesiL1 {
                 invalidated: invalidated @ false,
                 nacked,
             }) => {
-                let was_nacked = *nacked;
                 let (data, dirty) = (*data, *dirty);
                 match demand {
                     Deferred::FwdGetS(requestor) => {
@@ -599,49 +669,18 @@ impl MesiL1 {
                         // PutS at the L2 (it will see a non-owner sharer).
                         // Record the demotion so a later Inv treats the
                         // writeback as a shared-copy eviction.
-                        ctx.send(
-                            requestor,
-                            MesiMsg::new(
-                                addr,
-                                MesiKind::FwdData {
-                                    data,
-                                    dirty,
-                                    exclusive: false,
-                                },
-                            )
-                            .into(),
-                        );
-                        ctx.send(
-                            self.l2.for_block(addr),
-                            MesiMsg::new(addr, MesiKind::OwnerWb { data, dirty }).into(),
-                        );
+                        ctx.send(requestor, fwd_data(data, dirty, false));
+                        ctx.send(l2, owner_wb(data, dirty));
                         *kind = PutKind::S;
                         return;
                     }
                     Deferred::FwdGetM(requestor) => {
-                        ctx.send(
-                            requestor,
-                            MesiMsg::new(
-                                addr,
-                                MesiKind::FwdData {
-                                    data,
-                                    dirty,
-                                    exclusive: true,
-                                },
-                            )
-                            .into(),
-                        );
-                        *invalidated = true;
+                        ctx.send(requestor, fwd_data(data, dirty, true));
                     }
-                    Deferred::Recall => {
-                        ctx.send(
-                            self.l2.for_block(addr),
-                            MesiMsg::new(addr, MesiKind::RecallData { data, dirty }).into(),
-                        );
-                        *invalidated = true;
-                    }
+                    Deferred::Recall => ctx.send(l2, recall_data(data, dirty)),
                 }
-                if was_nacked {
+                *invalidated = true;
+                if *nacked {
                     // This demand explains the earlier Nack; all done.
                     self.close_writeback(addr, ctx);
                 }
@@ -650,17 +689,7 @@ impl MesiL1 {
                 // Nothing held: only reachable with a misbehaving peer.
                 self.violation("owner demand without a copy");
                 if let Deferred::Recall = demand {
-                    ctx.send(
-                        self.l2.for_block(addr),
-                        MesiMsg::new(
-                            addr,
-                            MesiKind::RecallData {
-                                data: DataBlock::zeroed(),
-                                dirty: false,
-                            },
-                        )
-                        .into(),
-                    );
+                    ctx.send(l2, recall_data(DataBlock::zeroed(), false));
                 }
             }
         }
@@ -673,30 +702,18 @@ impl MesiL1 {
         }
     }
 
-    fn try_complete_get(&mut self, addr: BlockAddr, ctx: &mut Ctx<'_>) {
-        // Complete once the grant is in and every ack it announced arrived.
-        let Some(Txn::Get {
-            grant: Some(_),
-            acks_expected: Some(acks),
-            acks_got,
-            ..
-        }) = self.mshr.get(addr).map(|open| &open.txn)
-        else {
-            return;
-        };
-        if acks_got < acks {
-            return;
-        }
+    /// Closes a Get whose grant and acks are all in.
+    fn complete_get(&mut self, addr: BlockAddr, ctx: &mut Ctx<'_>) {
         let Some(Open {
             txn:
-                Txn::Get {
+                Txn::Get(Get {
                     grant: Some((data, state, dirty)),
                     poisoned,
-                    deferred,
+                    mut deferred,
                     ..
-                },
+                }),
             started,
-            waiting,
+            mut waiting,
         }) = self.mshr.remove(addr)
         else {
             return self.violation("completing Get changed underfoot");
@@ -709,28 +726,26 @@ impl MesiL1 {
         if poisoned {
             // ISI: satisfy the loads that were already waiting with the
             // granted (coherent-at-grant-time) data, then drop the block.
-            let mut rest = Vec::new();
-            for (from, msg) in waiting {
-                match msg.kind {
-                    CoreKind::Load => {
-                        let offset = msg.addr.block_offset() & !7;
-                        let value = data.read_u64(offset);
-                        ctx.send(from, msg.reply(CoreKind::LoadResp { value }).into());
-                    }
-                    _ => rest.push((from, msg)),
-                }
-            }
+            waiting.retain(|&(from, msg)| {
+                let CoreKind::Load = msg.kind else {
+                    return true;
+                };
+                let value = data.read_u64(msg.addr.block_offset() & !7);
+                ctx.send(from, msg.reply(CoreKind::LoadResp { value }).into());
+                false
+            });
             ctx.note_progress();
-            self.drain_waiting(rest, ctx);
+            self.drain_waiting(waiting, ctx);
             return;
         }
 
         self.install_line(addr, Line { state, dirty, data }, ctx);
         ctx.note_progress();
         // Serve demands that raced ahead of our own completion.
-        for demand in deferred {
-            self.handle_demand(addr, demand, ctx);
+        for demand in deferred.drain(..) {
+            self.handle_demand(addr, demand, true, ctx);
         }
+        self.spare_deferred.put(deferred);
         self.drain_waiting(waiting, ctx);
     }
 
@@ -738,12 +753,17 @@ impl MesiL1 {
         if let Some((victim_addr, victim)) = self.cache.take_victim(addr) {
             self.start_writeback(victim_addr, victim, ctx);
         }
-        let evicted = self.cache.insert(addr, line);
-        debug_assert!(evicted.is_none(), "victim was taken first");
+        // Only `start_writeback`'s no-MSHR fallback refills the set, and a
+        // fill always follows the close of its own Get, which freed a slot.
+        if self.cache.insert(addr, line).is_some() {
+            self.violation("fill evicted a line without a writeback");
+        }
     }
 
     fn start_writeback(&mut self, addr: BlockAddr, line: Line, ctx: &mut Ctx<'_>) {
-        self.cover(addr, "Repl");
+        // The victim has left the array and has no transaction yet, which
+        // is the state this event has always been recorded against.
+        self.seen.visit(CState::I, CEvent::Repl);
         let (kind, req) = match line.state {
             L1State::S => (PutKind::S, MesiKind::PutS),
             L1State::E => (PutKind::E, MesiKind::PutE { data: line.data }),
@@ -758,7 +778,7 @@ impl MesiL1 {
                 nacked: false,
             },
             started: ctx.now(),
-            waiting: Vec::new(),
+            waiting: self.spare_waiting.take(),
         };
         if self.mshr.alloc(addr, open).is_ok() {
             self.stats.mshr_occupancy.record(self.mshr.len() as u64);
@@ -769,10 +789,11 @@ impl MesiL1 {
         }
     }
 
-    fn drain_waiting(&mut self, waiting: Vec<(NodeId, CoreMsg)>, ctx: &mut Ctx<'_>) {
-        for (from, msg) in waiting {
+    fn drain_waiting(&mut self, mut waiting: Vec<(NodeId, CoreMsg)>, ctx: &mut Ctx<'_>) {
+        for (from, msg) in waiting.drain(..) {
             self.handle_core(from, msg, ctx);
         }
+        self.spare_waiting.put(waiting);
     }
 }
 
@@ -805,7 +826,7 @@ impl Component<Message> for MesiL1 {
         for a in lines {
             let line = self.cache.get(a).expect("iterated address is resident");
             out.write_addr(a.as_u64());
-            out.write_str(line.state.name());
+            out.write_str(CState::from(line.state).label());
             out.write_u64(u64::from(line.dirty));
             out.write_bytes(line.data.as_bytes());
         }
@@ -815,7 +836,7 @@ impl Component<Message> for MesiL1 {
         for (a, open) in txns {
             out.write_addr(a.as_u64());
             match &open.txn {
-                Txn::Get {
+                Txn::Get(Get {
                     kind,
                     grant,
                     acks_expected,
@@ -823,7 +844,7 @@ impl Component<Message> for MesiL1 {
                     local,
                     poisoned,
                     deferred,
-                } => {
+                }) => {
                     out.write_str("get");
                     out.write_str(match kind {
                         GetKind::S => "S",
@@ -832,7 +853,7 @@ impl Component<Message> for MesiL1 {
                     match grant {
                         Some((data, state, dirty)) => {
                             out.write_bytes(data.as_bytes());
-                            out.write_str(state.name());
+                            out.write_str(CState::from(*state).label());
                             out.write_u64(u64::from(*dirty));
                         }
                         None => out.write_str("no-grant"),
@@ -906,7 +927,7 @@ impl Component<Message> for MesiL1 {
         for (why, count) in &self.stats.violation_reasons {
             out.add(format!("{n}.violation[{why}]"), *count);
         }
-        out.record_coverage(format!("mesi_l1/{n}"), &self.coverage);
+        out.record_grid(format!("mesi_l1/{n}"), &self.seen);
         out.record_hist(format!("{n}.lat.miss"), &self.stats.lat_miss);
         out.record_hist(format!("{n}.mshr_occupancy"), &self.stats.mshr_occupancy);
     }

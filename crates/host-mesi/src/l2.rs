@@ -27,12 +27,12 @@
 //! `xg-fsm` table maps `(state, event)` to transition, stall (queue), or
 //! violation. Data movement lives in the symbolic [`L2Action`]s.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 use xg_fsm::{alphabet, Alphabet, Controller, Machine, Step, Table, TableBuilder};
-use xg_mem::{BlockAddr, DataBlock, IdMap, Replacement, SetAssocCache};
+use xg_mem::{BlockAddr, DataBlock, IdMap, Replacement, SetAssocCache, SortedSet, Spares};
 use xg_proto::{Ctx, MesiKind, MesiMsg, Message};
-use xg_sim::{CheckDigest, Component, CoverageSet, Cycle, FsmRows, Histogram, NodeId, Report};
+use xg_sim::{CheckDigest, Component, CoverageGrid, Cycle, FsmRows, Histogram, NodeId, Report};
 
 alphabet! {
     /// Abstract per-block L2 states (stable + transient).
@@ -91,6 +91,32 @@ alphabet! {
         InstallRetry,
         /// A message kind the L2 never receives.
         Stray,
+    }
+}
+
+alphabet! {
+    /// Wire message kinds: the events coverage is keyed by. ([`L2Event`]
+    /// refines them by sender and bookkeeping for the table.)
+    pub enum L2Msg {
+        GetS,
+        GetSOnly,
+        GetM,
+        PutS,
+        PutE,
+        PutM,
+        DataS,
+        DataE,
+        DataM,
+        WbAck,
+        WbNack,
+        Inv,
+        FwdGetS,
+        FwdGetM,
+        Recall,
+        InvAck,
+        FwdData,
+        OwnerWb,
+        RecallData,
     }
 }
 
@@ -228,7 +254,7 @@ impl Default for MesiL2Config {
 struct L2Line {
     data: DataBlock,
     dirty: bool,
-    sharers: BTreeSet<NodeId>,
+    sharers: SortedSet<NodeId>,
     owner: Option<NodeId>,
     /// Requestor of the most recent sharer-invalidation round, kept so the
     /// modified L2 can ack on behalf of a misbehaving responder (§3.2.2).
@@ -240,7 +266,7 @@ impl L2Line {
         L2Line {
             data,
             dirty: false,
-            sharers: BTreeSet::new(),
+            sharers: SortedSet::new(),
             owner: None,
             inv_debt: None,
         }
@@ -252,6 +278,17 @@ enum GetKind {
     S,
     SOnly,
     M,
+}
+
+impl GetKind {
+    /// The request a fetch was opened for, as message and as table event.
+    fn request(self) -> (MesiKind, L2Event) {
+        match self {
+            GetKind::S => (MesiKind::GetS, L2Event::GetS),
+            GetKind::SOnly => (MesiKind::GetSOnly, L2Event::GetSOnly),
+            GetKind::M => (MesiKind::GetM, L2Event::GetM),
+        }
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -340,8 +377,11 @@ pub struct MesiL2 {
     array: SetAssocCache<L2Line>,
     blocks: IdMap<BlockAddr, Block>,
     memory: IdMap<BlockAddr, DataBlock>,
+    /// Emptied `Block::queue` buffers, reused by the next stall.
+    spare_queues: Spares<VecDeque<(NodeId, MesiKind)>>,
     stats: Stats,
-    coverage: CoverageSet,
+    /// `(state, message kind)` pairs visited, by index; named in `report`.
+    seen: CoverageGrid<L2State, L2Msg>,
     machine: Machine<L2State, L2Event, L2Action>,
 }
 
@@ -354,8 +394,9 @@ impl MesiL2 {
             blocks: IdMap::default(),
             memory: IdMap::default(),
             cfg,
+            spare_queues: Spares::default(),
             stats: Stats::default(),
-            coverage: CoverageSet::new(),
+            seen: CoverageGrid::new(),
             machine: Machine::new(table()),
         }
     }
@@ -404,79 +445,65 @@ impl MesiL2 {
         self.blocks.get(&addr).and_then(|b| b.busy.as_ref())
     }
 
-    /// Abstract state of `addr` for table dispatch and coverage.
-    fn l2_state(&self, addr: BlockAddr) -> L2State {
-        if let Some(b) = self.busy(addr) {
-            match b {
-                Busy::Fetch { .. } => L2State::BusyFetch,
-                Busy::InstallWait { .. } => L2State::BusyInstall,
-                Busy::FwdS { .. } => L2State::BusyFwdS,
-                Busy::Recall { .. } => L2State::BusyRecall,
-            }
-        } else if let Some(line) = self.array.get(addr) {
-            if line.owner.is_some() {
-                L2State::Owned
-            } else if line.sharers.is_empty() {
-                L2State::Present
-            } else {
-                L2State::Shared
-            }
-        } else {
-            L2State::NP
+    /// Abstract state of a block given its busy transient and its line.
+    fn state_given(busy: Option<&Busy>, line: Option<&L2Line>) -> L2State {
+        match (busy, line) {
+            (Some(Busy::Fetch { .. }), _) => L2State::BusyFetch,
+            (Some(Busy::InstallWait { .. }), _) => L2State::BusyInstall,
+            (Some(Busy::FwdS { .. }), _) => L2State::BusyFwdS,
+            (Some(Busy::Recall { .. }), _) => L2State::BusyRecall,
+            (None, Some(line)) if line.owner.is_some() => L2State::Owned,
+            (None, Some(line)) if line.sharers.is_empty() => L2State::Present,
+            (None, Some(_)) => L2State::Shared,
+            (None, None) => L2State::NP,
         }
     }
 
-    fn state_name(&self, addr: BlockAddr) -> &'static str {
-        self.l2_state(addr).label()
+    /// Abstract state of `addr` (timer wakes and trace lines; a message is
+    /// classified by [`classify`](Self::classify)).
+    fn l2_state(&self, addr: BlockAddr) -> L2State {
+        Self::state_given(self.busy(addr), self.array.get(addr))
     }
 
-    /// Refines a message kind into a table event. Guards mirror the
-    /// dispatch conditions exactly: sender identity against the directory
-    /// entry, busy-entry match for responses, and the §3.2.2 configuration
-    /// for debt settlement.
-    fn classify(&self, from: NodeId, addr: BlockAddr, kind: &MesiKind) -> L2Event {
-        match kind {
+    /// Classifies one message against its block with one record probe and
+    /// one tag scan: the abstract state, and the kind refined into a table
+    /// event. Guards mirror the dispatch conditions exactly: sender
+    /// identity against the directory entry, busy-entry match for
+    /// responses, and the §3.2.2 configuration for debt settlement.
+    fn classify(&self, from: NodeId, addr: BlockAddr, kind: &MesiKind) -> (L2State, L2Event) {
+        let busy = self.busy(addr);
+        let line = self.array.get(addr);
+        let event = match kind {
             MesiKind::GetS => L2Event::GetS,
             MesiKind::GetSOnly => L2Event::GetSOnly,
-            MesiKind::GetM => {
-                if self.array.get(addr).is_some_and(|l| l.owner == Some(from)) {
-                    L2Event::GetMOwner
-                } else {
-                    L2Event::GetM
+            MesiKind::GetM => match line {
+                Some(l) if l.owner == Some(from) => L2Event::GetMOwner,
+                _ => L2Event::GetM,
+            },
+            MesiKind::PutS | MesiKind::PutE { .. } | MesiKind::PutM { .. } => match line {
+                Some(l) if l.owner == Some(from) => L2Event::PutOwner,
+                Some(l) if l.sharers.contains(&from) => L2Event::PutSharer,
+                _ => L2Event::PutForeign,
+            },
+            MesiKind::OwnerWb { .. } => match (busy, line) {
+                (Some(Busy::FwdS { owner, .. }), _) if *owner == from => L2Event::OwnerWbFwd,
+                (_, Some(l)) if l.owner.is_none() && l.sharers.contains(&from) => {
+                    L2Event::OwnerWbDemote
                 }
-            }
-            MesiKind::PutS | MesiKind::PutE { .. } | MesiKind::PutM { .. } => {
-                match self.array.get(addr) {
-                    Some(l) if l.owner == Some(from) => L2Event::PutOwner,
-                    Some(l) if l.sharers.contains(&from) => L2Event::PutSharer,
-                    _ => L2Event::PutForeign,
+                (_, Some(l))
+                    if l.inv_debt.is_some()
+                        && l.owner != Some(from)
+                        && self.cfg.ack_data_interchange =>
+                {
+                    L2Event::OwnerWbDebt
                 }
-            }
-            MesiKind::OwnerWb { .. } => match self.busy(addr) {
-                Some(Busy::FwdS { owner, .. }) if *owner == from => L2Event::OwnerWbFwd,
-                _ => match self.array.get(addr) {
-                    Some(l) if l.owner.is_none() && l.sharers.contains(&from) => {
-                        L2Event::OwnerWbDemote
-                    }
-                    Some(l)
-                        if l.inv_debt.is_some()
-                            && l.owner != Some(from)
-                            && self.cfg.ack_data_interchange =>
-                    {
-                        L2Event::OwnerWbDebt
-                    }
-                    _ => L2Event::OwnerWbStray,
-                },
+                _ => L2Event::OwnerWbStray,
             },
             MesiKind::RecallData { .. } => L2Event::RecallData,
             MesiKind::InvAck => L2Event::RecallAck,
             _ => L2Event::Stray,
-        }
-    }
-
-    fn cover(&mut self, addr: BlockAddr, event: &'static str) {
-        let state = self.state_name(addr);
-        self.coverage.visit(state, event);
+        };
+        (Self::state_given(busy, line), event)
     }
 
     fn violation(&mut self, why: &'static str) {
@@ -496,18 +523,21 @@ impl MesiL2 {
 
     fn handle_mesi(&mut self, from: NodeId, addr: BlockAddr, kind: MesiKind, ctx: &mut Ctx<'_>) {
         ctx.trace(addr.as_u64(), "mesi-l2", "Recv", || {
-            format!("{kind:?} from {from} (state {})", self.state_name(addr))
+            format!(
+                "{kind:?} from {from} (state {})",
+                self.l2_state(addr).label()
+            )
         });
         self.process(from, addr, kind, ctx);
     }
 
-    /// Classifies and dispatches one stimulus through the table. Busy
-    /// states stall request-shaped events into the per-block queue;
-    /// responses (`OwnerWb*`, recall responses) have explicit rows and
-    /// bypass the queue.
+    /// Classifies one message — once, for the recorder and the table alike
+    /// — and dispatches it. Busy states stall request-shaped events into
+    /// the per-block queue; responses (`OwnerWb*`, recall responses) have
+    /// explicit rows and bypass the queue.
     fn process(&mut self, from: NodeId, addr: BlockAddr, kind: MesiKind, ctx: &mut Ctx<'_>) {
-        let state = self.l2_state(addr);
-        let event = self.classify(from, addr, &kind);
+        let (state, event) = self.classify(from, addr, &kind);
+        self.seen.visit(state, msg_kind(&kind));
         let mut cx = L2Cx {
             ctx,
             from,
@@ -607,12 +637,6 @@ impl MesiL2 {
         };
         block.close(addr, &mut self.stats.lat_busy, ctx);
         self.array.insert(addr, L2Line::fresh(data));
-        // Grant through the normal path (line now resident, not busy).
-        let get = match kind {
-            GetKind::S => MesiKind::GetS,
-            GetKind::SOnly => MesiKind::GetSOnly,
-            GetKind::M => MesiKind::GetM,
-        };
         // Don't double-count the request statistics for the replay.
         self.stats.gets = self
             .stats
@@ -622,7 +646,16 @@ impl MesiL2 {
             .stats
             .getms
             .saturating_sub(u64::from(kind == GetKind::M));
-        self.process(requestor, addr, get, ctx);
+        // Grant through the table: the request was recorded when it
+        // arrived, and its block is now a fresh line nobody holds.
+        let (get, event) = kind.request();
+        let mut cx = L2Cx {
+            ctx,
+            from: requestor,
+            addr,
+            kind: Some(get),
+        };
+        self.dispatch(L2State::Present, event, &mut cx);
         self.drain(addr, ctx);
     }
 
@@ -657,10 +690,11 @@ impl MesiL2 {
                 return;
             }
             let Some((from, kind)) = block.queue.pop_front() else {
-                self.blocks.remove(&addr);
+                if let Some(block) = self.blocks.remove(&addr) {
+                    self.spare_queues.put(block.queue);
+                }
                 return;
             };
-            self.cover(addr, event_name(&kind));
             self.process(from, addr, kind, ctx);
         }
     }
@@ -757,35 +791,22 @@ impl<'a, 'b> Controller<L2State, L2Event, L2Action, L2Cx<'a, 'b>> for MesiL2 {
                 let Some(line) = self.array.get_mut(addr) else {
                     return;
                 };
-                let acks: Vec<NodeId> = line
-                    .sharers
-                    .iter()
-                    .copied()
-                    .filter(|&s| s != from)
-                    .collect();
-                if !acks.is_empty() {
-                    self.stats.inv_rounds += 1;
-                }
-                for &sharer in &acks {
+                let mut acks = 0;
+                for &sharer in line.sharers.iter().filter(|&&s| s != from) {
                     cx.ctx.send(
                         sharer,
                         MesiMsg::new(addr, MesiKind::Inv { requestor: from }).into(),
                     );
+                    acks += 1;
                 }
+                self.stats.inv_rounds += u64::from(acks > 0);
                 line.sharers.clear();
                 line.owner = Some(from);
                 line.inv_debt = Some(from);
                 let data = line.data;
                 cx.ctx.send(
                     from,
-                    MesiMsg::new(
-                        addr,
-                        MesiKind::DataM {
-                            data,
-                            acks: acks.len() as u32,
-                        },
-                    )
-                    .into(),
+                    MesiMsg::new(addr, MesiKind::DataM { data, acks }).into(),
                 );
             }
             L2Action::CountPut => {
@@ -898,6 +919,7 @@ impl<'a, 'b> Controller<L2State, L2Event, L2Action, L2Cx<'a, 'b>> for MesiL2 {
     fn stalled(&mut self, _step: Step<L2State, L2Event>, cx: &mut L2Cx<'a, 'b>) {
         if let Some(kind) = cx.kind {
             let block = self.blocks.entry(cx.addr).or_default();
+            self.spare_queues.equip(&mut block.queue);
             block.queue.push_back((cx.from, kind));
         }
     }
@@ -944,27 +966,27 @@ fn put_payload(kind: &Option<MesiKind>) -> (Option<DataBlock>, bool) {
 /// High bit of the wake token distinguishes install retries from fetches.
 const INSTALL_RETRY_BIT: u64 = 1 << 63;
 
-fn event_name(kind: &MesiKind) -> &'static str {
+fn msg_kind(kind: &MesiKind) -> L2Msg {
     match kind {
-        MesiKind::GetS => "GetS",
-        MesiKind::GetSOnly => "GetSOnly",
-        MesiKind::GetM => "GetM",
-        MesiKind::PutS => "PutS",
-        MesiKind::PutE { .. } => "PutE",
-        MesiKind::PutM { .. } => "PutM",
-        MesiKind::DataS { .. } => "DataS",
-        MesiKind::DataE { .. } => "DataE",
-        MesiKind::DataM { .. } => "DataM",
-        MesiKind::WbAck => "WbAck",
-        MesiKind::WbNack => "WbNack",
-        MesiKind::Inv { .. } => "Inv",
-        MesiKind::FwdGetS { .. } => "FwdGetS",
-        MesiKind::FwdGetM { .. } => "FwdGetM",
-        MesiKind::Recall => "Recall",
-        MesiKind::InvAck => "InvAck",
-        MesiKind::FwdData { .. } => "FwdData",
-        MesiKind::OwnerWb { .. } => "OwnerWb",
-        MesiKind::RecallData { .. } => "RecallData",
+        MesiKind::GetS => L2Msg::GetS,
+        MesiKind::GetSOnly => L2Msg::GetSOnly,
+        MesiKind::GetM => L2Msg::GetM,
+        MesiKind::PutS => L2Msg::PutS,
+        MesiKind::PutE { .. } => L2Msg::PutE,
+        MesiKind::PutM { .. } => L2Msg::PutM,
+        MesiKind::DataS { .. } => L2Msg::DataS,
+        MesiKind::DataE { .. } => L2Msg::DataE,
+        MesiKind::DataM { .. } => L2Msg::DataM,
+        MesiKind::WbAck => L2Msg::WbAck,
+        MesiKind::WbNack => L2Msg::WbNack,
+        MesiKind::Inv { .. } => L2Msg::Inv,
+        MesiKind::FwdGetS { .. } => L2Msg::FwdGetS,
+        MesiKind::FwdGetM { .. } => L2Msg::FwdGetM,
+        MesiKind::Recall => L2Msg::Recall,
+        MesiKind::InvAck => L2Msg::InvAck,
+        MesiKind::FwdData { .. } => L2Msg::FwdData,
+        MesiKind::OwnerWb { .. } => L2Msg::OwnerWb,
+        MesiKind::RecallData { .. } => L2Msg::RecallData,
     }
 }
 
@@ -980,10 +1002,7 @@ impl Component<Message> for MesiL2 {
             _ => u64::MAX,
         };
         match msg {
-            Message::Mesi(m) => {
-                self.cover(m.addr, event_name(&m.kind));
-                self.handle_mesi(from, m.addr, m.kind, ctx);
-            }
+            Message::Mesi(m) => self.handle_mesi(from, m.addr, m.kind, ctx),
             _ => self.violation("foreign protocol message"),
         }
         if violations_before == 0 && self.stats.protocol_violation > 0 {
@@ -997,7 +1016,7 @@ impl Component<Message> for MesiL2 {
             format!(
                 "retry={} (state {})",
                 token & INSTALL_RETRY_BIT != 0,
-                self.state_name(addr)
+                self.l2_state(addr).label()
             )
         });
         let event = if token & INSTALL_RETRY_BIT != 0 {
@@ -1102,7 +1121,7 @@ impl Component<Message> for MesiL2 {
             out.obligation(q.len() as u64);
             for (from, kind) in q {
                 out.write_node(*from);
-                out.write_str(event_name(kind));
+                out.write_str(msg_kind(kind).label());
             }
         }
         // Memory: entries holding zeroed data are indistinguishable from
@@ -1146,7 +1165,7 @@ impl Component<Message> for MesiL2 {
         for (why, count) in &self.stats.violation_reasons {
             out.add(format!("{n}.violation[{why}]"), *count);
         }
-        out.record_coverage(format!("mesi_l2/{n}"), &self.coverage);
+        out.record_grid(format!("mesi_l2/{n}"), &self.seen);
         self.machine.record_into(out);
     }
 

@@ -537,3 +537,42 @@ fn l2_queue_drains_fifo_across_busy_handovers() {
     assert_eq!((busy.count(), busy.max()), (4, mem));
     assert_eq!(busy.sum(), (busy_until - busy_from) + mem);
 }
+
+/// `probe_state` speaks the module table's vocabulary — stable and
+/// transient names alike — now that the state behind it is an enum.
+#[test]
+fn probe_state_names_follow_the_module_table() {
+    let l1cfg = MesiL1Config {
+        sets: 1,
+        ways: 1,
+        ..MesiL1Config::default()
+    };
+    let mut sys = System::new(3, l1cfg, MesiL2Config::default(), 21);
+    let block = Addr::new(0x100).block();
+    let mut seen = [vec!["I"], vec!["I"], vec!["I"]];
+    let mut run = |sys: &mut System, core: usize, addr: u64, kind: CoreKind| {
+        sys.post(core, addr, kind);
+        while sys.sim.step() {
+            for (l1, seen) in sys.l1s.iter().zip(&mut seen) {
+                let state = sys.sim.get::<MesiL1>(*l1).unwrap().probe_state(block);
+                if seen.last() != Some(&state) {
+                    seen.push(state);
+                }
+            }
+        }
+    };
+    run(&mut sys, 0, 0x100, CoreKind::Load);
+    run(&mut sys, 0, 0x100, CoreKind::Store { value: 1 });
+    run(&mut sys, 1, 0x100, CoreKind::Load);
+    run(&mut sys, 2, 0x100, CoreKind::Load);
+    // An upgrade that has to collect two invalidation acks.
+    run(&mut sys, 0, 0x100, CoreKind::Store { value: 2 });
+    // A write miss that does: the block is handed over owner to owner.
+    run(&mut sys, 1, 0x100, CoreKind::Store { value: 3 });
+    // Another block in the only set: the dirty line is written back.
+    run(&mut sys, 1, 0x140, CoreKind::Store { value: 4 });
+    assert_eq!(seen[0], ["I", "IS_D", "E", "M", "S", "SM_AD", "M", "I"]);
+    assert_eq!(seen[1], ["I", "IS_D", "S", "I", "IM_AD", "M", "WB", "I"]);
+    assert_eq!(seen[2], ["I", "IS_D", "S", "I"]);
+    sys.assert_clean();
+}

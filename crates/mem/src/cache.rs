@@ -55,9 +55,11 @@ impl<E> SetAssocCache<E> {
     /// [`Replacement::Random`].
     ///
     /// # Panics
-    /// Panics if `sets` or `ways` is zero.
+    /// Panics if `sets` or `ways` is zero, or `ways` exceeds 64 (victim
+    /// selection keeps one eligibility bit per way in a machine word).
     pub fn new(sets: usize, ways: usize, policy: Replacement, seed: u64) -> Self {
         assert!(sets > 0 && ways > 0, "cache must have at least one line");
+        assert!(ways <= 64, "at most 64 ways per set");
         SetAssocCache {
             sets: (0..sets).map(|_| Vec::with_capacity(ways)).collect(),
             ways,
@@ -109,6 +111,20 @@ impl<E> SetAssocCache<E> {
         })
     }
 
+    /// Finds the line for `addr` with one scan of its set and hands back a
+    /// handle on it, for handlers that must look at the entry before they
+    /// know whether to use it, change it or drop it. Recency is untouched
+    /// until [`Resident::touch`].
+    pub fn lookup(&mut self, addr: BlockAddr) -> Option<Resident<'_, E>> {
+        let set = self.set_index(addr);
+        let way = self.sets[set].iter().position(|l| l.addr == addr)?;
+        Some(Resident {
+            cache: self,
+            set,
+            way,
+        })
+    }
+
     /// Marks `addr` most-recently-used if resident.
     pub fn touch(&mut self, addr: BlockAddr) {
         let _ = self.get_mut(addr);
@@ -131,40 +147,60 @@ impl<E> SetAssocCache<E> {
     /// Like [`take_victim`](Self::take_victim), but only lines for which
     /// `eligible` returns true may be chosen (e.g. an inclusive L2 must not
     /// evict a line with a recall already in flight). Returns `None` either
-    /// if no eviction is needed or if no line is eligible.
+    /// if no eviction is needed or if no line is eligible. `eligible` is
+    /// called once per line of the set, in way order.
     pub fn take_victim_where(
         &mut self,
         addr: BlockAddr,
-        mut eligible: impl FnMut(BlockAddr, &E) -> bool,
+        eligible: impl FnMut(BlockAddr, &E) -> bool,
     ) -> Option<(BlockAddr, E)> {
         if !self.needs_eviction(addr) {
             return None;
         }
         let idx = self.set_index(addr);
-        let set = &mut self.sets[idx];
-        let candidates: Vec<usize> = set
-            .iter()
-            .enumerate()
-            .filter(|(_, l)| eligible(l.addr, &l.entry))
-            .map(|(i, _)| i)
-            .collect();
-        if candidates.is_empty() {
-            return None;
-        }
-        let way = match self.policy {
-            Replacement::Lru => candidates.iter().copied().min_by_key(|&i| set[i].last_used),
-            Replacement::Fifo => candidates.iter().copied().min_by_key(|&i| set[i].inserted),
-            Replacement::Random => {
-                let pick = self.rng.gen_range(0..candidates.len());
-                candidates.get(pick).copied()
-            }
-        };
-        // `candidates` is non-empty here, so the fallback never fires; it
-        // exists so an eviction (a protocol-visible path in every
-        // controller) can never panic.
-        let way = way.or_else(|| candidates.first().copied())?;
-        let line = set.swap_remove(way);
+        self.evict(idx, eligible)
+    }
+
+    /// Removes and returns the eligible line of set `idx` the policy picks.
+    fn evict(
+        &mut self,
+        idx: usize,
+        eligible: impl FnMut(BlockAddr, &E) -> bool,
+    ) -> Option<(BlockAddr, E)> {
+        let way = self.choose_victim(idx, eligible)?;
+        let line = self.sets[idx].swap_remove(way);
         Some((line.addr, line.entry))
+    }
+
+    /// The way of set `idx` the policy evicts among the eligible ones: the
+    /// first minimum in way order for LRU/FIFO, one uniform draw over the
+    /// eligible ways for Random.
+    fn choose_victim(
+        &mut self,
+        idx: usize,
+        mut eligible: impl FnMut(BlockAddr, &E) -> bool,
+    ) -> Option<usize> {
+        let mut oldest: Option<(u64, usize)> = None;
+        let mut mask = 0u64;
+        for (way, l) in self.sets[idx].iter().enumerate() {
+            if !eligible(l.addr, &l.entry) {
+                continue;
+            }
+            mask |= 1 << way;
+            let age = match self.policy {
+                Replacement::Lru => l.last_used,
+                Replacement::Fifo => l.inserted,
+                Replacement::Random => continue,
+            };
+            if oldest.is_none_or(|(min, _)| age < min) {
+                oldest = Some((age, way));
+            }
+        }
+        if self.policy != Replacement::Random || mask == 0 {
+            return oldest.map(|(_, way)| way);
+        }
+        let pick = self.rng.gen_range(0..mask.count_ones() as usize);
+        (0..self.ways).filter(|way| mask >> way & 1 == 1).nth(pick)
     }
 
     /// Inserts (or replaces) the entry for `addr`, evicting and returning a
@@ -179,8 +215,11 @@ impl<E> SetAssocCache<E> {
             line.last_used = clock;
             return None;
         }
-        let victim = self.take_victim(addr);
-        let idx = self.set_index(addr);
+        let victim = if self.sets[idx].len() >= self.ways {
+            self.evict(idx, |_, _| true)
+        } else {
+            None
+        };
         self.sets[idx].push(Line {
             addr,
             entry,
@@ -204,6 +243,39 @@ impl<E> SetAssocCache<E> {
         self.sets
             .iter()
             .flat_map(|set| set.iter().map(|l| (l.addr, &l.entry)))
+    }
+}
+
+/// A resident line found by [`SetAssocCache::lookup`]. The handle borrows
+/// the cache, so the way it names cannot go stale.
+#[derive(Debug)]
+pub struct Resident<'a, E> {
+    cache: &'a mut SetAssocCache<E>,
+    set: usize,
+    way: usize,
+}
+
+impl<E> Resident<'_, E> {
+    /// The entry.
+    pub fn get(&self) -> &E {
+        &self.cache.sets[self.set][self.way].entry
+    }
+
+    /// The entry, mutably, without marking it used.
+    pub fn get_mut(&mut self) -> &mut E {
+        &mut self.cache.sets[self.set][self.way].entry
+    }
+
+    /// Marks the line most-recently-used, as [`SetAssocCache::get_mut`]
+    /// does.
+    pub fn touch(&mut self) {
+        self.cache.clock += 1;
+        self.cache.sets[self.set][self.way].last_used = self.cache.clock;
+    }
+
+    /// Removes the line, returning its entry.
+    pub fn remove(self) -> E {
+        self.cache.sets[self.set].swap_remove(self.way).entry
     }
 }
 
@@ -308,6 +380,84 @@ mod tests {
         c.insert(same_set(1), 2);
         assert!(c.take_victim_where(same_set(2), |_, _| false).is_none());
         assert!(c.needs_eviction(same_set(2)));
+    }
+
+    /// The selection this file used before it became one pass: collect the
+    /// eligible ways, then pick among them.
+    fn reference_victim(
+        c: &mut SetAssocCache<u64>,
+        addr: BlockAddr,
+        eligible: impl Fn(BlockAddr) -> bool,
+    ) -> Option<BlockAddr> {
+        if !c.needs_eviction(addr) {
+            return None;
+        }
+        let set = &c.sets[c.set_index(addr)];
+        let candidates: Vec<usize> = (0..set.len()).filter(|&i| eligible(set[i].addr)).collect();
+        if candidates.is_empty() {
+            return None;
+        }
+        let way = match c.policy {
+            Replacement::Lru => candidates.iter().copied().min_by_key(|&i| set[i].last_used),
+            Replacement::Fifo => candidates.iter().copied().min_by_key(|&i| set[i].inserted),
+            Replacement::Random => Some(candidates[c.rng.gen_range(0..candidates.len())]),
+        };
+        way.map(|w| set[w].addr)
+    }
+
+    #[test]
+    fn one_pass_selection_picks_the_reference_victim() {
+        for policy in [Replacement::Lru, Replacement::Fifo, Replacement::Random] {
+            let mut c: SetAssocCache<u64> = SetAssocCache::new(2, 4, policy, 5);
+            let mut ops = SmallRng::seed_from_u64(11);
+            for step in 0..4_000u64 {
+                let addr = BlockAddr::new(ops.gen_range(0..24));
+                let pinned = BlockAddr::new(ops.gen_range(0..24));
+                match ops.gen_range(0..4) {
+                    0 => c.touch(addr),
+                    1 => {
+                        c.remove(addr);
+                    }
+                    _ => {
+                        let expected = reference_victim(&mut c.clone(), addr, |a| a != pinned);
+                        let way_order: Vec<_> = match c.needs_eviction(addr) {
+                            true => c.sets[c.set_index(addr)].iter().map(|l| l.addr).collect(),
+                            false => Vec::new(),
+                        };
+                        let mut asked = Vec::new();
+                        let got = c.take_victim_where(addr, |a, _| {
+                            asked.push(a);
+                            a != pinned
+                        });
+                        assert_eq!(got.map(|(a, _)| a), expected, "{policy:?} step {step}");
+                        assert_eq!(asked, way_order, "once per line, in way order");
+                        if !c.needs_eviction(addr) {
+                            c.insert(addr, step);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lookup_scans_once_and_touches_on_request() {
+        let mut c = cache(Replacement::Lru);
+        c.insert(same_set(0), 1);
+        c.insert(same_set(1), 2);
+        assert!(c.lookup(same_set(2)).is_none());
+        // Mutating through the handle leaves recency alone: block 0 is
+        // still the LRU victim.
+        *c.lookup(same_set(0)).unwrap().get_mut() = 10;
+        assert_eq!(c.clone().take_victim(same_set(2)).unwrap().0, same_set(0));
+        // `touch` is `get_mut`'s recency update.
+        let mut line = c.lookup(same_set(0)).unwrap();
+        assert_eq!(*line.get(), 10);
+        line.touch();
+        assert_eq!(c.clone().take_victim(same_set(2)).unwrap().0, same_set(1));
+        assert_eq!(c.lookup(same_set(0)).unwrap().remove(), 10);
+        assert!(!c.contains(same_set(0)));
+        assert_eq!(c.len(), 1);
     }
 
     #[test]

@@ -15,6 +15,9 @@
 //! * [`IdMap`] / [`IdSet`] — `std` hash tables over [`IdHasher`], for the
 //!   per-block (page, word, op id, core index) bookkeeping every controller
 //!   keeps on its message path.
+//! * [`Spares`] — recycled queue buffers, so opening a transaction does not
+//!   allocate once a controller is warm — and [`SortedSet`], the sharer list
+//!   that survives an invalidation round with its allocation.
 //!
 //! ```rust
 //! use xg_mem::{Addr, DataBlock};
@@ -36,10 +39,14 @@ mod data;
 mod idmap;
 mod mshr;
 mod perms;
+mod sorted;
+mod spares;
 
 pub use addr::{Addr, BlockAddr, PageAddr, BLOCK_BYTES, PAGE_BYTES};
-pub use cache::{Replacement, SetAssocCache};
+pub use cache::{Replacement, Resident, SetAssocCache};
 pub use data::DataBlock;
 pub use idmap::{IdHasher, IdMap, IdSet};
 pub use mshr::{Mshr, MshrFullError};
 pub use perms::{PagePerm, PermissionTable};
+pub use sorted::SortedSet;
+pub use spares::{Recycle, Spares};

@@ -431,18 +431,37 @@ pub enum MesiKind {
 /// Data payload on the Crossing Guard interface: one or more host-sized
 /// blocks, so that an accelerator whose block size is a multiple of the
 /// host's 64 B can move a whole accelerator block per message (paper §2.5).
+///
+/// A single block — every payload unless block-size translation is on — is
+/// held inline, so data messages cost no heap traffic on the common path.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct XgData(Vec<DataBlock>);
+pub struct XgData(Payload);
+
+/// `Many` never holds exactly one block, so derived equality is exact.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Payload {
+    One([DataBlock; 1]),
+    Many(Vec<DataBlock>),
+}
+
+impl Default for Payload {
+    fn default() -> Self {
+        Payload::Many(Vec::new())
+    }
+}
 
 impl XgData {
     /// A payload of exactly one host block (the common case).
     pub fn single(block: DataBlock) -> Self {
-        XgData(vec![block])
+        XgData(Payload::One([block]))
     }
 
     /// A payload of `n` zeroed host blocks.
     pub fn zeroed(n: usize) -> Self {
-        XgData(vec![DataBlock::zeroed(); n])
+        if n == 1 {
+            return XgData::single(DataBlock::zeroed());
+        }
+        XgData(Payload::Many(vec![DataBlock::zeroed(); n]))
     }
 
     /// A payload from a vector of host blocks.
@@ -451,28 +470,37 @@ impl XgData {
     /// Panics if `blocks` is empty — every data message carries data.
     pub fn from_blocks(blocks: Vec<DataBlock>) -> Self {
         assert!(!blocks.is_empty(), "XgData must carry at least one block");
-        XgData(blocks)
+        match blocks[..] {
+            [block] => XgData::single(block),
+            _ => XgData(Payload::Many(blocks)),
+        }
     }
 
     /// The constituent host blocks.
     pub fn blocks(&self) -> &[DataBlock] {
-        &self.0
+        match &self.0 {
+            Payload::One(block) => block,
+            Payload::Many(blocks) => blocks,
+        }
     }
 
     /// Mutable access to the constituent host blocks.
     pub fn blocks_mut(&mut self) -> &mut [DataBlock] {
-        &mut self.0
+        match &mut self.0 {
+            Payload::One(block) => block,
+            Payload::Many(blocks) => blocks,
+        }
     }
 
     /// Number of host blocks (the accelerator/host block-size ratio).
     pub fn len(&self) -> usize {
-        self.0.len()
+        self.blocks().len()
     }
 
     /// Whether the payload is empty (never true for well-formed messages,
     /// but the fuzzer can construct it).
     pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
+        self.blocks().is_empty()
     }
 
     /// The single block of a size-1 payload.
@@ -480,8 +508,8 @@ impl XgData {
     /// # Panics
     /// Panics if the payload does not contain exactly one block.
     pub fn expect_single(&self) -> DataBlock {
-        assert_eq!(self.0.len(), 1, "expected single-block payload");
-        self.0[0]
+        assert_eq!(self.len(), 1, "expected single-block payload");
+        self.blocks()[0]
     }
 }
 
@@ -700,6 +728,13 @@ mod tests {
         assert!(!d.is_empty());
         let from: XgData = DataBlock::splat(9).into();
         assert_eq!(from.blocks()[0], DataBlock::splat(9));
+        // One block compares equal however the payload was built.
+        assert_eq!(XgData::from_blocks(vec![DataBlock::splat(9)]), from);
+        assert_eq!(XgData::zeroed(1), XgData::single(DataBlock::zeroed()));
+        assert!(XgData::default().is_empty() && XgData::zeroed(0).is_empty());
+        let mut two = XgData::from_blocks(vec![DataBlock::splat(1); 2]);
+        two.blocks_mut()[1] = DataBlock::splat(2);
+        assert_eq!(two.blocks(), [DataBlock::splat(1), DataBlock::splat(2)]);
     }
 
     #[test]

@@ -52,6 +52,7 @@
 
 #![forbid(unsafe_code)]
 
+mod alphabet;
 mod check;
 mod component;
 mod event;
@@ -65,13 +66,14 @@ pub mod slab;
 mod time;
 mod trace;
 
+pub use alphabet::Alphabet;
 pub use check::CheckDigest;
 pub use component::{Component, NodeId};
 pub use hist::Histogram;
 pub use json::{JsonError, JsonValue};
 pub use link::{FaultSpec, Link};
 pub use queue::{CalendarQueue, QueueStats};
-pub use report::{CoverageSet, FsmRows, Report, TransitionCoverage};
+pub use report::{CoverageGrid, CoverageSet, FsmRows, Report, TransitionCoverage};
 pub use simulator::{
     Checkpoint, CheckpointError, Ctx, LinkFaultCounts, RunOutcome, SimBuilder, Simulator,
 };

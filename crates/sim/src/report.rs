@@ -2,7 +2,9 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::marker::PhantomData;
 
+use crate::alphabet::{labels_distinct, Alphabet};
 use crate::hist::Histogram;
 use crate::json::{JsonError, JsonValue};
 
@@ -12,10 +14,13 @@ use crate::json::{JsonError, JsonValue};
 /// tester counts the state/event pairs visited at each cache controller and
 /// compares against the set believed possible.
 ///
+/// This is the report, merge and JSON form. Controllers do not visit it
+/// per message: they record by index into a [`CoverageGrid`] and name the
+/// pairs once, when they report.
+///
 /// Pairs are stored keyed by state (`state → {events}`), so
 /// [`contains`](CoverageSet::contains) is a pair of tree lookups rather than
-/// a scan of every visited pair, and re-visiting an already-seen pair — the
-/// steady state of a long stress run — allocates nothing.
+/// a scan of every visited pair.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CoverageSet {
     by_state: BTreeMap<String, BTreeSet<String>>,
@@ -74,6 +79,79 @@ impl CoverageSet {
         for (state, event) in other.iter() {
             self.visit(state, event);
         }
+    }
+}
+
+/// The message-path recorder behind a [`CoverageSet`]: one *bit* per
+/// `(state, event)` cell of two [`Alphabet`]s, held inline in four machine
+/// words. [`visit`](CoverageGrid::visit) is one or-into-word — no strings,
+/// no heap, no tree walk — and the pairs are named from the labels once,
+/// when a controller reports ([`Report::record_grid`]).
+///
+/// Bits, not counters: the paper's coverage figure (§4.1) is the number of
+/// *distinct* pairs visited, per-row fire counts already live in
+/// `xg_fsm::Machine` for the table-driven machines, and the `xg-check`
+/// explorer clones every controller per stored state, so the recorder has
+/// to stay a few inline words.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CoverageGrid<S, E> {
+    bits: [u64; GRID_WORDS],
+    _cells: PhantomData<fn(S, E)>,
+}
+
+const GRID_WORDS: usize = 4;
+
+impl<S: Alphabet, E: Alphabet> CoverageGrid<S, E> {
+    /// A pair of alphabets with more cells than the grid has bits fails to
+    /// compile where its grid is created.
+    const FITS: () = assert!(
+        S::ALL.len() * E::ALL.len() <= GRID_WORDS * 64,
+        "coverage grid too small for these alphabets"
+    );
+
+    /// Creates a recorder with no pair visited.
+    pub fn new() -> Self {
+        let () = Self::FITS;
+        debug_assert!(
+            labels_distinct::<S>() && labels_distinct::<E>(),
+            "two cells of a coverage grid share a label"
+        );
+        CoverageGrid {
+            bits: [0; GRID_WORDS],
+            _cells: PhantomData,
+        }
+    }
+
+    /// Records that `event` was observed while in `state`.
+    #[inline]
+    pub fn visit(&mut self, state: S, event: E) {
+        let cell = state.index() * E::ALL.len() + event.index();
+        self.bits[cell / 64] |= 1 << (cell % 64);
+    }
+
+    /// Visits every recorded pair, under its labels, in `set`.
+    pub fn name_into(&self, set: &mut CoverageSet) {
+        for (s, state) in S::ALL.iter().enumerate() {
+            for (e, event) in E::ALL.iter().enumerate() {
+                let cell = s * E::ALL.len() + e;
+                if self.bits[cell / 64] >> (cell % 64) & 1 == 1 {
+                    set.visit(state.label(), event.label());
+                }
+            }
+        }
+    }
+
+    /// The visited pairs under their labels, as reports carry them.
+    pub fn to_set(&self) -> CoverageSet {
+        let mut set = CoverageSet::new();
+        self.name_into(&mut set);
+        set
+    }
+}
+
+impl<S: Alphabet, E: Alphabet> Default for CoverageGrid<S, E> {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
@@ -298,6 +376,17 @@ impl Report {
             .entry(controller.into())
             .or_default()
             .merge(set);
+    }
+
+    /// Records (merges) a controller's dense recorder under `controller`:
+    /// [`record_coverage`](Report::record_coverage) without building the
+    /// intermediate set.
+    pub fn record_grid<S: Alphabet, E: Alphabet>(
+        &mut self,
+        controller: impl Into<String>,
+        grid: &CoverageGrid<S, E>,
+    ) {
+        grid.name_into(self.coverage.entry(controller.into()).or_default());
     }
 
     /// Looks up the coverage set for a controller.

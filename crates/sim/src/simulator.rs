@@ -740,13 +740,6 @@ impl<M: Clone + 'static> Simulator<M> {
             let Some(comp) = components.get_mut(idx) else {
                 panic!("message delivered to unregistered node {}", ev.target)
             };
-            // A delivery reclaims its payload (and slab slot) before the
-            // handler runs; the handler receives the message by value,
-            // exactly as if it had been carried inline.
-            let payload = match ev.kind {
-                EventKind::Deliver { msg, .. } => Some(msgs.take(msg)),
-                EventKind::Wake { .. } => None,
-            };
             let mut ctx = Ctx {
                 now: time,
                 self_id: ev.target,
@@ -758,8 +751,12 @@ impl<M: Clone + 'static> Simulator<M> {
                 tracer,
             };
             match ev.kind {
-                EventKind::Deliver { from, .. } => {
-                    comp.handle(from, payload.expect("deliver has payload"), &mut ctx)
+                // A delivery reclaims its payload (and slab slot) before the
+                // handler runs; the handler receives the message by value,
+                // exactly as if it had been carried inline.
+                EventKind::Deliver { from, msg } => {
+                    let payload = ctx.msgs.take(msg);
+                    comp.handle(from, payload, &mut ctx)
                 }
                 EventKind::Wake { token } => comp.wake(token, &mut ctx),
             }
@@ -827,13 +824,13 @@ impl<M: Clone + 'static> Simulator<M> {
         // Latency draws charge the sender's stream: during effect drain the
         // sender is the component whose event was just dispatched.
         let rng = rng.stream(from.index());
-        if links.pair_mut(from, to).is_none() {
+        let default_link = links.default_link;
+        let Some(state) = links.pair_mut(from, to) else {
             // A fabricated endpoint: route statelessly over the default
             // link (delivery will panic, as NodeId documents).
-            let latency = draw_latency(rng, links.default_link);
+            let latency = draw_latency(rng, default_link);
             return Route::One(now + latency.max(1) + extra);
-        }
-        let state = links.pair_mut(from, to).expect("checked above");
+        };
         let link = state.link;
         let spec = link.faults();
         let mut latency = draw_latency(rng, link);
