@@ -202,6 +202,19 @@ fn main() {
         None => xg_harness::resolve_jobs(None),
     };
 
+    // Read the committed file before the sweep: an unreadable or malformed
+    // one is reported at once, not after a minute of simulation.
+    let committed = check.then(|| {
+        let text = std::fs::read_to_string(&out_path).unwrap_or_else(|e| {
+            eprintln!("--check: failed to read {out_path}: {e}");
+            std::process::exit(1);
+        });
+        JsonValue::parse(&text).unwrap_or_else(|e| {
+            eprintln!("--check: failed to parse {out_path}: {e}");
+            std::process::exit(1);
+        })
+    });
+
     let mut shards: Vec<(SystemConfig, u64)> = Vec::new();
     for seed in SEEDS {
         for cfg in SystemConfig::matrix(seed) {
@@ -246,15 +259,7 @@ fn main() {
     );
     let doc = bench_json(shards.len(), profile_section(&serial_report, total_ops));
 
-    if check {
-        let committed_text = std::fs::read_to_string(&out_path).unwrap_or_else(|e| {
-            eprintln!("--check: failed to read {out_path}: {e}");
-            std::process::exit(1);
-        });
-        let committed = JsonValue::parse(&committed_text).unwrap_or_else(|e| {
-            eprintln!("--check: failed to parse {out_path}: {e}");
-            std::process::exit(1);
-        });
+    if let Some(committed) = committed {
         let drifts = check_drift(&committed, &doc);
         if drifts.is_empty() {
             println!("{out_path} is fresh: every field within {DRIFT_PCT}%");

@@ -180,4 +180,21 @@ fn lost_response_deadlock_names_the_outstanding_words() {
         )),
         "dump section for the stuck block\n{pm}"
     );
+    // The default host is Hammer. Its caches trace their own state changes
+    // with the words they hold, so the timeline is not the directory's
+    // alone, and the directory says who sent each Put and Unblock.
+    assert!(
+        pm.lines().any(|l| l.contains("] cpu_cache")
+            && l.contains("] MemData -> ")
+            && l.contains(" words=[")),
+        "a HammerCache fill with its word values\n{pm}"
+    );
+    let from_dir: Vec<&str> = pm
+        .lines()
+        .filter(|l| l.contains("[hammer-dir] Recv Put") || l.contains("[hammer-dir] Recv Unblock"))
+        .collect();
+    assert!(!from_dir.is_empty(), "directory Put/Unblock lines\n{pm}");
+    for line in from_dir {
+        assert!(line.contains(" from n"), "sender not named: {line}");
+    }
 }

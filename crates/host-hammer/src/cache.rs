@@ -33,7 +33,7 @@
 //! bookkeeping with dirty bits and response counters — against which the
 //! five-state accelerator cache of Table 1 is compared.
 
-use xg_mem::{BlockAddr, DataBlock, Mshr, Replacement, SetAssocCache, Spares};
+use xg_mem::{BlockAddr, DataBlock, Mshr, Replacement, SetAssocCache, Spares, BLOCK_BYTES};
 use xg_proto::{CoreKind, CoreMsg, Ctx, HammerKind, HammerMsg, HomeMap, Message};
 use xg_sim::{
     alphabet, Alphabet, CheckDigest, Component, CoverageGrid, Cycle, Histogram, NodeId, Report,
@@ -326,6 +326,28 @@ impl HammerCache {
         *self.stats.violation_reasons.entry(why).or_insert(0) += 1;
     }
 
+    /// Traces one state change of `addr`: the state before, the event that
+    /// moved it, the state after, and the words now held — the line's, or
+    /// the in-flight data's. With tracing off this is `Ctx::trace`'s one
+    /// branch: everything that formats sits in the `detail` closure.
+    #[inline]
+    fn trace_change(
+        ctx: &mut Ctx<'_>,
+        addr: BlockAddr,
+        (before, event, after): (CState, CEvent, CState),
+        data: Option<&DataBlock>,
+    ) {
+        ctx.trace(addr.as_u64(), before.label(), event.label(), || {
+            let words = data.map_or_else(String::new, |data| {
+                let words: Vec<String> = (0..BLOCK_BYTES as usize / 8)
+                    .map(|w| data.read_u64(w * 8).to_string())
+                    .collect();
+                format!(" words=[{}]", words.join(" "))
+            });
+            format!("-> {}{words}", after.label())
+        });
+    }
+
     // ----- core-side ------------------------------------------------------
 
     fn handle_core(&mut self, from: NodeId, msg: CoreMsg, ctx: &mut Ctx<'_>) {
@@ -386,6 +408,8 @@ impl HammerCache {
                 line.data.write_u64(offset, value);
                 line.dirty = true;
                 line.state = HState::M; // silent E→M upgrade
+                let change = (state.into(), event, CState::M);
+                Self::trace_change(ctx, addr, change, Some(&line.data));
                 ctx.send(from, msg.reply(CoreKind::StoreResp).into());
             }
             Some(_) => {
@@ -428,6 +452,13 @@ impl HammerCache {
             local,
             lost_local: false,
         });
+        let before = local.map_or(CState::I, |copy| copy.state.into());
+        let event = match kind {
+            GetKind::M => CEvent::Store,
+            GetKind::S | GetKind::SOnly => CEvent::Load,
+        };
+        let held = local.as_ref().map(|copy| &copy.data);
+        Self::trace_change(ctx, addr, (before, event, txn.state()), held);
         let mut waiting = self.spare_waiting.take();
         waiting.push(op);
         let open = Open {
@@ -466,7 +497,7 @@ impl HammerCache {
                 get.peers_expected = Some(peers);
                 get.mem_data = Some(data);
                 if get.complete() {
-                    self.complete_get(addr, ctx);
+                    self.complete_get(addr, CEvent::MemData, ctx);
                 }
             }
             HammerKind::RespData {
@@ -496,7 +527,7 @@ impl HammerCache {
                     }
                 }
                 if complete {
-                    self.complete_get(addr, ctx);
+                    self.complete_get(addr, CEvent::RespData, ctx);
                 }
             }
             HammerKind::RespAck { had_copy } => {
@@ -506,7 +537,7 @@ impl HammerCache {
                 get.resps += 1;
                 get.had_copy |= had_copy;
                 if get.complete() {
-                    self.complete_get(addr, ctx);
+                    self.complete_get(addr, CEvent::RespAck, ctx);
                 }
             }
             HammerKind::WbAck => {
@@ -520,6 +551,8 @@ impl HammerCache {
                         ..
                     }) => {
                         self.stats.writebacks += 1;
+                        let change = (state, CEvent::WbAck, CState::I);
+                        Self::trace_change(ctx, addr, change, Some(&data));
                         ctx.send(
                             self.dir.for_block(addr),
                             HammerMsg::new(addr, HammerKind::WbData { data, dirty }).into(),
@@ -542,6 +575,7 @@ impl HammerCache {
                         waiting,
                         ..
                     }) => {
+                        Self::trace_change(ctx, addr, (state, CEvent::WbNack, CState::I), None);
                         if !invalidated {
                             if self.cfg.sink_nacks {
                                 self.stats.unexpected_nack += 1;
@@ -595,24 +629,31 @@ impl HammerCache {
         if let Some(mut line) = self.cache.lookup(addr) {
             let Line { state, dirty, data } = *line.get();
             self.seen.visit(state.into(), event);
-            match (state, fwd) {
+            let after = match (state, fwd) {
                 (HState::M | HState::O | HState::E, FwdKind::GetS | FwdKind::GetSOnly) => {
                     ctx.send(requestor, resp_data(data, dirty, true));
                     // Serving a read is a use of the line.
                     line.touch();
                     line.get_mut().state = HState::O;
+                    CState::O
                 }
                 (HState::M | HState::O | HState::E, FwdKind::GetM) => {
                     ctx.send(requestor, resp_data(data, dirty, false));
                     line.remove();
+                    CState::I
                 }
                 (HState::S, FwdKind::GetS | FwdKind::GetSOnly) => {
                     ctx.send(requestor, resp_ack(true));
+                    CState::S
                 }
                 (HState::S, FwdKind::GetM) => {
                     ctx.send(requestor, resp_ack(true));
                     line.remove();
+                    CState::I
                 }
+            };
+            if after != state.into() {
+                Self::trace_change(ctx, addr, (state.into(), event, after), Some(&data));
             }
             return;
         }
@@ -621,7 +662,8 @@ impl HammerCache {
             self.seen.visit(CState::I, event);
             return ctx.send(requestor, resp_ack(false));
         };
-        self.seen.visit(open.txn.state(), event);
+        let before = open.txn.state();
+        self.seen.visit(before, event);
         let resp = match &mut open.txn {
             Txn::Get(get) => match &get.local {
                 Some(copy) if copy.state.is_owner() => {
@@ -656,11 +698,18 @@ impl HammerCache {
                 resp_data(*data, *dirty, !*invalidated)
             }
         };
+        let after = open.txn.state();
+        if after != before {
+            Self::trace_change(ctx, addr, (before, event, after), None);
+        }
         ctx.send(requestor, resp);
     }
 
     /// Closes a Get that memory and every peer have answered.
-    fn complete_get(&mut self, addr: BlockAddr, ctx: &mut Ctx<'_>) {
+    /// `event` is the response that completed it.
+    fn complete_get(&mut self, addr: BlockAddr, event: CEvent, ctx: &mut Ctx<'_>) {
+        let open = self.mshr.remove(addr);
+        let before = open.as_ref().map_or(CState::I, |open| open.txn.state());
         let Some(Open {
             txn:
                 Txn::Get(Get {
@@ -674,7 +723,7 @@ impl HammerCache {
                 }),
             started,
             waiting,
-        }) = self.mshr.remove(addr)
+        }) = open
         else {
             return self.violation("completing Get changed underfoot");
         };
@@ -712,6 +761,7 @@ impl HammerCache {
         };
 
         let new_owner = state.is_owner();
+        Self::trace_change(ctx, addr, (before, event, state.into()), Some(&data));
         self.install_line(addr, Line { state, dirty, data }, ctx);
         ctx.send(
             self.dir.for_block(addr),
@@ -739,10 +789,13 @@ impl HammerCache {
         // The victim has left the array and has no transaction yet, which
         // is the state this event has always been recorded against.
         self.seen.visit(CState::I, CEvent::Repl);
+        let before = line.state.into();
         match line.state {
             HState::S => {
                 // Hammer evicts shared blocks silently.
                 self.stats.silent_drops += 1;
+                let change = (before, CEvent::Repl, CState::I);
+                Self::trace_change(ctx, addr, change, Some(&line.data));
             }
             HState::M | HState::O | HState::E => {
                 let open = Open {
@@ -756,6 +809,8 @@ impl HammerCache {
                 };
                 if self.mshr.alloc(addr, open).is_ok() {
                     self.stats.mshr_occupancy.record(self.mshr.len() as u64);
+                    let change = (before, CEvent::Repl, CState::Wb);
+                    Self::trace_change(ctx, addr, change, Some(&line.data));
                     ctx.send(
                         self.dir.for_block(addr),
                         HammerMsg::new(addr, HammerKind::Put).into(),

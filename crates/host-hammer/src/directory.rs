@@ -301,7 +301,7 @@ impl HammerDirectory {
         let block = self.blocks.entry(addr).or_default();
         if ctx.trace_active() {
             let detail = format!(
-                "{:?} (owner={:?} busy={:?} qlen={})",
+                "{:?} from {from} (owner={:?} busy={:?} qlen={})",
                 kind,
                 block.owner,
                 block.busy,

@@ -662,6 +662,15 @@ pub enum OsMsg {
 mod tests {
     use super::*;
 
+    /// The kernel copies a `Message` into its slab slot and out again for
+    /// every hop, so its size is a cost every event pays; a new field must
+    /// fit the 88 bytes (box it, as the multi-block payload is) or move
+    /// this number knowingly.
+    #[test]
+    fn message_layout_is_pinned() {
+        assert_eq!(std::mem::size_of::<Message>(), 88);
+    }
+
     #[test]
     fn block_addr_extraction() {
         let m: Message = CoreMsg {

@@ -9,8 +9,7 @@
 //! This keeps the scheduled event small and constant-sized regardless of
 //! the protocol's message type, so the wheel slots move a few dozen bytes
 //! per event instead of a max-variant-sized protocol enum — and timer
-//! wake-ups (the overwhelming majority of traffic in a polling workload)
-//! never pay for a payload they don't have.
+//! wake-ups never pay for a payload they don't have.
 
 use crate::component::NodeId;
 use crate::slab::SlabId;
@@ -30,4 +29,17 @@ pub(crate) enum EventKind {
 pub(crate) struct Pending {
     pub target: NodeId,
     pub kind: EventKind,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every queued event is one wheel node; what it carries beyond
+    /// `(time, seq, next)` is this.
+    #[test]
+    fn pending_layout_is_pinned() {
+        assert!(std::mem::size_of::<Pending>() <= 24);
+        assert!(std::mem::size_of::<Option<Pending>>() <= 24, "no niche");
+    }
 }

@@ -43,11 +43,20 @@ impl fmt::Display for JsonError {
 impl std::error::Error for JsonError {}
 
 impl JsonValue {
+    /// Deepest nesting of arrays and objects [`parse`](Self::parse) accepts.
+    /// A report nests four levels; the cap exists because the parser (and
+    /// the drop of what it built) recurses once per level, and the input is
+    /// a file somebody else wrote.
+    pub const MAX_DEPTH: usize = 128;
+
     /// Parses `input` into a value, requiring the whole input be consumed.
+    /// Nesting beyond [`MAX_DEPTH`](Self::MAX_DEPTH) is an error, not a
+    /// stack overflow.
     pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
         let mut p = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -142,6 +151,8 @@ fn write_json_string(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -173,8 +184,22 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<JsonValue, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == JsonValue::MAX_DEPTH {
+                    return Err(self.err(&format!(
+                        "nested deeper than {} levels",
+                        JsonValue::MAX_DEPTH
+                    )));
+                }
+                self.depth += 1;
+                let nested = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                nested
+            }
             Some(b'"') => Ok(JsonValue::Str(self.string()?)),
             Some(b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a value")),
@@ -342,6 +367,19 @@ mod tests {
         ] {
             assert!(JsonValue::parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_with_an_offset() {
+        const MAX_DEPTH: usize = JsonValue::MAX_DEPTH;
+        let at_cap = "[".repeat(MAX_DEPTH) + &"]".repeat(MAX_DEPTH);
+        assert!(JsonValue::parse(&at_cap).is_ok());
+        let over = "[".repeat(MAX_DEPTH + 1) + &"]".repeat(MAX_DEPTH + 1);
+        let err = JsonValue::parse(&over).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH);
+        assert!(err.message.contains("nested deeper"), "{err}");
+        let err = JsonValue::parse(&"{\"k\":".repeat(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH * 5);
     }
 
     #[test]

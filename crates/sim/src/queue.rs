@@ -3,13 +3,15 @@
 //!
 //! # Why not a `BinaryHeap`?
 //!
-//! A binary heap pays `O(log n)` *moves of the whole event* on every push
-//! and pop. Simulation events carry their message payload inline (~100
-//! bytes for the coherence `Message` enum), so at the queue depths a stress
-//! sweep reaches (hundreds of events) each heap operation memcpy's a
-//! kilobyte of event bodies across cache lines. The calendar queue moves
-//! each event exactly twice — once into its slot, once out — and finds the
-//! next event with a bitmap scan instead of a pointer chase.
+//! A binary heap pays `O(log n)` compare-and-swap steps on every push and
+//! pop, each one a data-dependent branch and a move of the whole entry, and
+//! at the queue depths a stress sweep reaches (hundreds of events) those
+//! steps wander over several cache lines. The queued event itself is small
+//! — a [`crate::slab::SlabId`] stands in for the message payload, so an
+//! entry is `(time, seq)` plus two dozen bytes — which is what makes a
+//! wheel of fixed-size nodes practical: the calendar queue writes each
+//! event once into its slot and reads it once out, and finds the next
+//! event with a bitmap scan instead of a pointer chase.
 //!
 //! # Structure
 //!
@@ -25,6 +27,19 @@
 //! * An **overflow heap** for events scheduled at or beyond the window
 //!   horizon (invalidation timeouts, delay-spike victims). Overflow events
 //!   **migrate** into the wheel as the window slides over them.
+//!
+//! # The hot path
+//!
+//! The simulator runs one `pop_until` and a few `push`es per event, so both
+//! inline into its run loop whole (`#[inline(always)]`), an event's fields
+//! go from the caller's registers into the node and back without a stop on
+//! the stack, and everything that is not the common case — the overflow
+//! heap, a rebase, the migration loop — sits behind one branch in a
+//! function of its own. Two things keep that true and are easy to undo by
+//! accident: no out-of-line function on the wheel path may take the item
+//! by value (its address would escape, and the compiler would then build
+//! the item in memory on the hot path too), and `pop_until` answers "when
+//! is the next event" and "take it" with a single bitmap scan.
 //!
 //! # Determinism
 //!
@@ -109,6 +124,18 @@ pub struct QueueStats {
     pub rebases: u64,
 }
 
+/// What [`CalendarQueue::pop_until`] found at the head of the queue.
+#[derive(Debug, PartialEq, Eq)]
+pub enum Head<T> {
+    /// Nothing is scheduled.
+    Empty,
+    /// The earliest event is scheduled after the limit, at this time; it
+    /// stays queued.
+    Later(Cycle),
+    /// The earliest event and its time, removed from the queue.
+    Due(Cycle, T),
+}
+
 /// Sentinel "no node" index for the intrusive slot lists.
 const NIL: u32 = u32::MAX;
 
@@ -149,11 +176,6 @@ pub struct CalendarQueue<T> {
     overflow: BinaryHeap<Entry<T>>,
     /// Global push counter (the FIFO tie-break).
     seq: u64,
-    /// Memoized earliest scheduled time, if known. Pushes keep it exact
-    /// (the minimum can only decrease), pops invalidate it — so the
-    /// peek-then-pop cycle the simulator's run loop drives costs one
-    /// bitmap scan per event, not two.
-    cached_next: Option<u64>,
     stats: QueueStats,
 }
 
@@ -176,7 +198,6 @@ impl<T> CalendarQueue<T> {
             cursor: 0,
             overflow: BinaryHeap::new(),
             seq: 0,
-            cached_next: None,
             stats: QueueStats::default(),
         }
     }
@@ -207,31 +228,32 @@ impl<T> CalendarQueue<T> {
             self.stats = stats;
         }
         self.cursor = cursor.as_u64();
-        self.cached_next = None;
     }
 
     /// Schedules `item` at `time`, after everything already scheduled at
     /// the same time (FIFO tie-break).
+    #[inline(always)]
     pub fn push(&mut self, time: Cycle, item: T) {
         let time = time.as_u64();
         let seq = self.seq;
         self.seq += 1;
         self.stats.pushes += 1;
-        // The minimum can only decrease on a push, so the memo stays
-        // exact; an empty queue's new minimum is this event.
-        match self.cached_next {
-            Some(t) if time < t => self.cached_next = Some(time),
-            None if self.is_empty() => self.cached_next = Some(time),
-            _ => {}
+        // One test for "inside the window": a time before the cursor wraps
+        // to a huge distance.
+        if time.wrapping_sub(self.cursor) < WHEEL_SLOTS as u64 {
+            self.slot_push(time, seq, item);
+        } else {
+            self.push_outside(Entry { time, seq, item });
         }
-        let entry = Entry { time, seq, item };
-        if time < self.cursor {
-            // Push into the past: spill the wheel and restart the window
-            // at the new minimum. Cold by construction (the simulator only
-            // schedules strictly-future events).
+    }
+
+    /// A push the window does not cover: beyond the horizon it waits in the
+    /// overflow heap; before the cursor (cold by construction — the
+    /// simulator only schedules strictly-future events) it rebases.
+    #[inline(never)]
+    fn push_outside(&mut self, entry: Entry<T>) {
+        if entry.time < self.cursor {
             self.rebase(entry);
-        } else if time < self.cursor + WHEEL_SLOTS as u64 {
-            self.slot_push(entry);
         } else {
             self.stats.overflow_pushes += 1;
             self.overflow.push(entry);
@@ -239,36 +261,35 @@ impl<T> CalendarQueue<T> {
     }
 
     /// Time of the earliest scheduled event, if any.
-    pub fn peek_time(&mut self) -> Option<Cycle> {
-        if let Some(t) = self.cached_next {
-            return Some(Cycle::new(t));
-        }
-        self.migrate();
-        let next = if self.wheel_len > 0 {
-            Some(self.next_wheel_time())
-        } else {
-            self.overflow.peek().map(|e| e.time)
-        };
-        self.cached_next = next;
-        next.map(Cycle::new)
+    pub fn peek_time(&self) -> Option<Cycle> {
+        self.next_time().map(Cycle::new)
     }
 
     /// Removes and returns the earliest scheduled event (lowest time,
     /// lowest push sequence among ties).
+    #[inline(always)]
     pub fn pop(&mut self) -> Option<(Cycle, T)> {
-        self.migrate();
-        if self.wheel_len == 0 {
-            // Jump the window to the next far-future event.
-            self.cursor = self.overflow.peek()?.time;
-            self.migrate();
+        match self.pop_until(Cycle::new(u64::MAX)) {
+            Head::Due(time, item) => Some((time, item)),
+            Head::Later(_) | Head::Empty => None,
         }
-        let time = match self.cached_next.take() {
-            Some(t) => t,
-            None => self.next_wheel_time(),
+    }
+
+    /// [`pop`](Self::pop) if the earliest event is scheduled at or before
+    /// `limit`; otherwise reports its time and leaves it queued. One probe
+    /// of the wheel answers both "when is the next event" and "take it",
+    /// which is all a run loop with a deadline asks per event.
+    #[inline(always)]
+    pub fn pop_until(&mut self, limit: Cycle) -> Head<T> {
+        let Some(time) = self.next_time() else {
+            return Head::Empty;
         };
-        debug_assert_eq!(time, self.next_wheel_time(), "stale next-time memo");
+        if time > limit.as_u64() {
+            return Head::Later(Cycle::new(time));
+        }
         if time != self.cursor {
-            // The window's lower edge advanced: newly covered overflow
+            // The window's lower edge advances (or, with the wheel empty,
+            // jumps to the next far-future event): newly covered overflow
             // events must land in their slots before this pop returns, so
             // that the caller's subsequent pushes queue up behind them.
             self.cursor = time;
@@ -290,13 +311,32 @@ impl<T> CalendarQueue<T> {
         }
         self.wheel_len -= 1;
         self.stats.pops += 1;
-        self.cached_next = None;
-        Some((Cycle::new(time), item))
+        Head::Due(Cycle::new(time), item)
     }
 
-    /// Appends `entry` to its slot's FIFO (must be inside the window).
-    fn slot_push(&mut self, entry: Entry<T>) {
-        let Entry { time, seq, item } = entry;
+    /// Absolute time of the earliest scheduled event. Every overflow event
+    /// lies at or beyond the horizon (pushes test against the cursor, and
+    /// every cursor move migrates), so a non-empty wheel holds the minimum.
+    #[inline(always)]
+    fn next_time(&self) -> Option<u64> {
+        debug_assert!(
+            self.overflow
+                .peek()
+                .is_none_or(|e| e.time >= self.cursor + WHEEL_SLOTS as u64),
+            "overflow event inside the window"
+        );
+        if self.wheel_len > 0 {
+            Some(self.next_wheel_time())
+        } else {
+            self.overflow.peek().map(|e| e.time)
+        }
+    }
+
+    /// Appends an event to its slot's FIFO (`time` must be inside the
+    /// window). Takes the fields, not an [`Entry`], so the node is written
+    /// in place from the caller's registers.
+    #[inline(always)]
+    fn slot_push(&mut self, time: u64, seq: u64, item: T) {
         let idx = (time & WHEEL_MASK) as usize;
         // Claim a node from the free list, growing the arena only when the
         // live count exceeds its high-water mark.
@@ -305,14 +345,14 @@ impl<T> CalendarQueue<T> {
             let slot = &mut self.arena[i as usize];
             debug_assert!(slot.item.is_none(), "free node holds an item");
             self.free_head = slot.next;
-            *slot = Node {
-                time,
-                seq,
-                next: NIL,
-                item: Some(item),
-            };
+            slot.time = time;
+            slot.seq = seq;
+            slot.next = NIL;
+            slot.item = Some(item);
             i
         } else {
+            // Not a function of its own: handing `item` to a call would pin
+            // it to the stack on the recycling path above as well.
             let i = u32::try_from(self.arena.len()).expect("queue arena exhausted u32 ids");
             assert_ne!(i, NIL, "queue arena exhausted u32 ids");
             self.arena.push(Node {
@@ -340,13 +380,22 @@ impl<T> CalendarQueue<T> {
     }
 
     /// Moves every overflow event the window now covers into its slot, in
-    /// `(time, seq)` order.
+    /// `(time, seq)` order. The heap is empty for all but far-future events
+    /// (timeouts), so only that test is inlined into the callers.
+    #[inline(always)]
     fn migrate(&mut self) {
+        if !self.overflow.is_empty() {
+            self.migrate_overflow();
+        }
+    }
+
+    #[inline(never)]
+    fn migrate_overflow(&mut self) {
         let horizon = self.cursor + WHEEL_SLOTS as u64;
         while self.overflow.peek().is_some_and(|e| e.time < horizon) {
-            let entry = self.overflow.pop().expect("peeked");
+            let Entry { time, seq, item } = self.overflow.pop().expect("peeked");
             self.stats.migrated += 1;
-            self.slot_push(entry);
+            self.slot_push(time, seq, item);
         }
     }
 
@@ -526,6 +575,30 @@ mod tests {
         }
         assert!(q.is_empty());
         assert_eq!(q.peek_time(), None);
+    }
+
+    #[test]
+    fn pop_until_takes_the_head_only_up_to_the_limit() {
+        let mut q = CalendarQueue::new();
+        assert_eq!(q.pop_until(Cycle::new(u64::MAX)), Head::Empty);
+        let far = WHEEL_SLOTS as u64 + 40;
+        q.push(Cycle::new(7), 1);
+        q.push(Cycle::new(far), 2);
+        assert_eq!(q.pop_until(Cycle::new(6)), Head::Later(Cycle::new(7)));
+        assert_eq!(q.len(), 2, "a later head stays queued");
+        assert_eq!(q.pop_until(Cycle::new(7)), Head::Due(Cycle::new(7), 1));
+        // The wheel is empty and the next event waits in the overflow heap:
+        // probing short of it must not move the window.
+        assert_eq!(
+            q.pop_until(Cycle::new(far - 1)),
+            Head::Later(Cycle::new(far))
+        );
+        q.push(Cycle::new(8), 3);
+        assert_eq!(q.stats().rebases, 0);
+        assert_eq!(q.pop_until(Cycle::new(far)), Head::Due(Cycle::new(8), 3));
+        assert_eq!(q.pop_until(Cycle::new(far)), Head::Due(Cycle::new(far), 2));
+        assert_eq!(q.stats().migrated, 1);
+        assert_eq!(q.pop_until(Cycle::new(far)), Head::Empty);
     }
 
     #[test]

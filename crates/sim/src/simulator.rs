@@ -10,7 +10,7 @@ use xg_prof::{ProfileConfig, Profiler, Timeline, TimelineConfig, PID_ADDRESSES, 
 use crate::component::{Component, NodeId};
 use crate::event::{EventKind, Pending};
 use crate::link::Link;
-use crate::queue::{CalendarQueue, QueueStats};
+use crate::queue::{CalendarQueue, Head, QueueStats};
 use crate::report::{FsmRows, Report};
 use crate::slab::{Slab, SlabId};
 use crate::time::Cycle;
@@ -357,9 +357,86 @@ impl<M: 'static> SimBuilder<M> {
 #[derive(Clone, Copy)]
 struct PairState {
     link: Link,
+    /// Whether `link` carries a non-empty [`crate::FaultSpec`], decided
+    /// once at configuration so a fault-free route never reads the spec.
+    faulty: bool,
     last_delivery: Cycle,
     /// Remaining messages to fast-track past an open reorder burst.
     burst: u8,
+}
+
+impl PairState {
+    fn new(link: Link) -> PairState {
+        PairState {
+            link,
+            faulty: !link.faults().is_none(),
+            last_delivery: Cycle::ZERO,
+            burst: 0,
+        }
+    }
+
+    /// Delivery time of a message sent at `now` that spends `latency` on
+    /// the wire; an ordered link pushes it behind the previous delivery.
+    #[inline(always)]
+    fn arrival(&mut self, now: Cycle, latency: u64, extra: u64) -> Cycle {
+        let mut time = now + latency.max(1) + extra;
+        if self.link.is_ordered() {
+            if time <= self.last_delivery {
+                time = self.last_delivery + 1;
+            }
+            self.last_delivery = time;
+        }
+        time
+    }
+
+    /// Classifies a message against the link's fault plan: one uniform roll
+    /// (none while a reorder burst is open) after the latency draw, and a
+    /// second latency draw for a duplicate.
+    #[inline(never)]
+    fn route_faulty(
+        &mut self,
+        rng: &mut SmallRng,
+        faults: &mut LinkFaultCounts,
+        now: Cycle,
+        extra: u64,
+    ) -> Route {
+        let link = self.link;
+        let spec = link.faults();
+        let mut latency = draw_latency(rng, link);
+        let mut duplicate = false;
+        if self.burst > 0 {
+            self.burst -= 1;
+            latency = link.min_latency();
+            faults.burst_overtakes += 1;
+        } else {
+            let roll = rng.gen_range(0u32..100);
+            let drop_at = spec.drop_pct as u32;
+            let dup_at = drop_at + spec.dup_pct as u32;
+            let spike_at = dup_at + spec.delay_spike_pct as u32;
+            let reorder_at = spike_at + spec.reorder_pct as u32;
+            if roll < drop_at {
+                faults.dropped += 1;
+                return Route::Drop;
+            } else if roll < dup_at {
+                duplicate = true;
+                faults.duplicated += 1;
+            } else if roll < spike_at {
+                latency += spec.spike_cycles;
+                faults.delay_spikes += 1;
+            } else if roll < reorder_at {
+                latency = link.max_latency() + spec.spike_cycles;
+                self.burst = spec.burst_len;
+                faults.reorder_bursts += 1;
+            }
+        }
+        let time = self.arrival(now, latency, extra);
+        if duplicate {
+            let lat2 = draw_latency(rng, link);
+            Route::Two(time, now + lat2.max(1) + extra)
+        } else {
+            Route::One(time)
+        }
+    }
 }
 
 /// Dense `n × n` table of directed link state, indexed by
@@ -368,10 +445,10 @@ struct PairState {
 /// This replaces the two parallel `HashMap<(NodeId, NodeId), _>` maps the
 /// simulator used to keep (configured links and lazily-materialized
 /// default-link ordering state), which could drift apart: every pair now
-/// has exactly one `PairState`, created by one constructor and cleared by
-/// one reset path. Component counts are small (a simulated system is tens
-/// of controllers), so the quadratic table is a few KiB and a route lookup
-/// is one multiply-add instead of a hash.
+/// has exactly one `PairState`, created by one constructor. Component
+/// counts are small (a simulated system is tens of controllers), so the
+/// quadratic table is a few KiB and a route lookup is one multiply-add
+/// instead of a hash.
 #[derive(Clone)]
 struct LinkTable {
     n: usize,
@@ -384,21 +461,11 @@ struct LinkTable {
 impl LinkTable {
     /// A table over `n` registered components, every pair on `default`.
     fn new(n: usize, default: Link) -> LinkTable {
-        let mut table = LinkTable {
+        LinkTable {
             n,
-            pairs: vec![
-                PairState {
-                    link: default,
-                    last_delivery: Cycle::ZERO,
-                    burst: 0,
-                };
-                n * n
-            ]
-            .into_boxed_slice(),
+            pairs: vec![PairState::new(default); n * n].into_boxed_slice(),
             default_link: default,
-        };
-        table.reset_dynamic();
-        table
+        }
     }
 
     /// Installs a configured link for `from → to`.
@@ -408,15 +475,7 @@ impl LinkTable {
             f < self.n && t < self.n,
             "link endpoints must be registered"
         );
-        self.pairs[f * self.n + t].link = link;
-    }
-
-    /// The single reset path for all dynamic routing state.
-    fn reset_dynamic(&mut self) {
-        for pair in self.pairs.iter_mut() {
-            pair.last_delivery = Cycle::ZERO;
-            pair.burst = 0;
-        }
+        self.pairs[f * self.n + t] = PairState::new(link);
     }
 
     /// The dynamic routing state of every pair, for a checkpoint.
@@ -451,6 +510,35 @@ impl LinkTable {
             None
         }
     }
+
+    /// Delivery time(s) of a message `from` sends `to` at `now`, drawing
+    /// from `rng` — the sender's stream. A link without a
+    /// [`crate::FaultSpec`] draws only its latency (nothing at all when its
+    /// range is a point), so fault-free simulations consume exactly the
+    /// random stream they always did.
+    #[inline(always)]
+    fn route(
+        &mut self,
+        rng: &mut SmallRng,
+        faults: &mut LinkFaultCounts,
+        now: Cycle,
+        from: NodeId,
+        to: NodeId,
+        extra: u64,
+    ) -> Route {
+        let default_link = self.default_link;
+        let Some(state) = self.pair_mut(from, to) else {
+            // A fabricated endpoint: route statelessly over the default
+            // link (delivery will panic, as NodeId documents).
+            let latency = draw_latency(rng, default_link);
+            return Route::One(now + latency.max(1) + extra);
+        };
+        if state.faulty {
+            return state.route_faulty(rng, faults, now, extra);
+        }
+        let latency = draw_latency(rng, state.link);
+        Route::One(state.arrival(now, latency, extra))
+    }
 }
 
 /// Where a routed message ends up: dropped, delivered once, or delivered
@@ -463,6 +551,7 @@ enum Route {
 
 /// Draws a delivery latency from `link`'s range; fixed-latency links
 /// consume no randomness.
+#[inline(always)]
 fn draw_latency(rng: &mut SmallRng, link: Link) -> u64 {
     if link.min_latency() == link.max_latency() {
         link.min_latency()
@@ -618,7 +707,11 @@ impl<M: Clone + 'static> Simulator<M> {
     /// Injects a message from outside the simulation, as if `from` had sent
     /// it to `to` at the current time (link latency applies).
     pub fn post(&mut self, from: NodeId, to: NodeId, msg: M) {
-        match self.route(from, to, 0) {
+        let rng = self.rng.stream(from.index());
+        match self
+            .links
+            .route(rng, &mut self.faults, self.now, from, to, 0)
+        {
             Route::Drop => {}
             Route::One(time) => {
                 let msg = self.msgs.insert(msg);
@@ -656,90 +749,86 @@ impl<M: Clone + 'static> Simulator<M> {
     fn run_inner(&mut self, deadline: Cycle, stall_bound: Option<u64>) -> RunOutcome {
         let mut events = 0u64;
         loop {
-            let Some(head_time) = self.queue.peek_time() else {
-                return RunOutcome {
-                    quiescent: true,
-                    stalled: false,
-                    now: self.now,
-                    events,
-                };
+            // The head is dispatched only if it is due by the deadline and
+            // inside the watchdog's bound, so one probe with the nearer of
+            // the two as its limit decides.
+            let limit = match stall_bound {
+                Some(bound) => deadline.min(Cycle::new(
+                    self.last_progress_at.as_u64().saturating_add(bound),
+                )),
+                None => deadline,
             };
-            if head_time > deadline {
-                return RunOutcome {
-                    quiescent: false,
-                    stalled: false,
-                    now: deadline,
-                    events,
-                };
-            }
-            if let Some(bound) = stall_bound {
-                if head_time.saturating_since(self.last_progress_at) > bound {
-                    return RunOutcome {
-                        quiescent: false,
-                        stalled: true,
-                        now: self.now,
-                        events,
-                    };
+            let (quiescent, stalled, now) = match self.queue.pop_until(limit) {
+                Head::Due(time, ev) => {
+                    self.dispatch(time, ev);
+                    events += 1;
+                    continue;
                 }
-            }
-            self.step_one();
-            events += 1;
+                Head::Empty => (true, false, self.now),
+                Head::Later(head_time) if head_time > deadline => (false, false, deadline),
+                Head::Later(_) => (false, true, self.now),
+            };
+            return RunOutcome {
+                quiescent,
+                stalled,
+                now,
+                events,
+            };
         }
     }
 
     /// Processes exactly one event if any is pending; returns whether an
     /// event was processed.
     pub fn step(&mut self) -> bool {
-        if self.queue.is_empty() {
-            return false;
+        match self.queue.pop() {
+            Some((time, ev)) => {
+                self.dispatch(time, ev);
+                true
+            }
+            None => false,
         }
-        self.step_one();
-        true
     }
 
-    fn step_one(&mut self) {
-        // One branch when profiling is off; the profiler is never touched.
-        let profiling = self.profiler.enabled();
-        let depth_before = if profiling { self.queue.len() } else { 0 };
-        let (time, ev) = self.queue.pop().expect("step_one called on empty queue");
+    /// Runs the handler of the just-popped event `ev` and applies the
+    /// effects it produced.
+    #[inline(always)]
+    fn dispatch(&mut self, time: Cycle, ev: Pending) {
         debug_assert!(time >= self.now, "event queue went backwards");
         self.now = time;
-        let mut class: &'static str = "event";
-        let mut timer: Option<Instant> = None;
-        if profiling {
-            self.profiler.note_pop(ev.target.index());
-            class = match ev.kind {
-                EventKind::Deliver { msg, .. } => self
-                    .event_label
-                    .map_or("event", |label| label(self.msgs.get(msg))),
-                EventKind::Wake { .. } => "Wake",
-            };
-            if self.profiler.begin_event(depth_before) {
-                timer = Some(Instant::now());
-            }
-            self.profiler
-                .epoch_tick(self.now.as_u64(), self.progress, self.queue.len());
-        }
+        // One branch when profiling is off; the profiler is never touched.
+        let profiling = self.profiler.enabled();
+        let profiled = if profiling {
+            Some(self.profile_begin(ev.target, ev.kind))
+        } else {
+            None
+        };
         let idx = ev.target.index();
-        let progress_before = self.progress;
+        // Destructure so the handler's borrow of its component is disjoint
+        // from the context's borrows of the kernel state — no per-event
+        // move of the component box in and out of the slot.
+        let Simulator {
+            components,
+            names,
+            queue,
+            effects,
+            msgs,
+            links,
+            rng,
+            progress,
+            last_progress_at,
+            tracer,
+            faults,
+            profiler,
+            ..
+        } = self;
+        // The dispatched component's stream serves its handler's draws and,
+        // during effect drain, the latency draws of what it sent.
+        let rng = rng.stream(idx);
+        let Some(comp) = components.get_mut(idx) else {
+            panic!("message delivered to unregistered node {}", ev.target)
+        };
+        let progress_before = *progress;
         {
-            // Destructure so the handler's borrow of its component is
-            // disjoint from the context's borrows of the kernel state — no
-            // per-event move of the component box in and out of the slot.
-            let Simulator {
-                components,
-                names,
-                effects,
-                msgs,
-                rng,
-                progress,
-                tracer,
-                ..
-            } = self;
-            let rng = rng.stream(idx);
-            let Some(comp) = components.get_mut(idx) else {
-                panic!("message delivered to unregistered node {}", ev.target)
-            };
             let mut ctx = Ctx {
                 now: time,
                 self_id: ev.target,
@@ -754,57 +843,62 @@ impl<M: Clone + 'static> Simulator<M> {
                 // A delivery reclaims its payload (and slab slot) before the
                 // handler runs; the handler receives the message by value,
                 // exactly as if it had been carried inline.
-                EventKind::Deliver { from, msg } => {
-                    let payload = ctx.msgs.take(msg);
-                    comp.handle(from, payload, &mut ctx)
-                }
+                EventKind::Deliver { from, msg } => comp.handle(from, ctx.msgs.take(msg), &mut ctx),
                 EventKind::Wake { token } => comp.wake(token, &mut ctx),
             }
         }
-        if self.progress > progress_before {
-            self.last_progress_at = self.now;
+        if *progress > progress_before {
+            *last_progress_at = time;
         }
 
-        // Drain into a local so the simulator's buffer (and its capacity)
-        // survives for the next event — no per-event Vec alloc/free.
-        let mut effects = std::mem::take(&mut self.effects);
+        let sender = ev.target;
+        let mut push = |time: Cycle, target: NodeId, kind: EventKind| {
+            if profiling {
+                profiler.note_push(target.index());
+            }
+            queue.push(time, Pending { target, kind });
+        };
         for effect in effects.drain(..) {
             match effect {
                 Effect::Send {
                     to,
                     msg,
                     extra_delay,
-                } => match self.route(ev.target, to, extra_delay) {
+                } => match links.route(rng, faults, time, sender, to, extra_delay) {
                     Route::Drop => {
                         // Dropped by fault injection: reclaim the parked
                         // payload's slot.
-                        drop(self.msgs.take(msg));
+                        drop(msgs.take(msg));
                     }
-                    Route::One(time) => self.deliver(time, to, ev.target, msg),
+                    Route::One(at) => push(at, to, EventKind::Deliver { from: sender, msg }),
                     Route::Two(t1, t2) => {
                         // Duplicate delivery: the second copy gets its own
                         // slab slot.
-                        let copy = self.msgs.insert(self.msgs.get(msg).clone());
-                        self.deliver(t1, to, ev.target, copy);
-                        self.deliver(t2, to, ev.target, msg);
+                        let copy = msgs.insert(msgs.get(msg).clone());
+                        push(
+                            t1,
+                            to,
+                            EventKind::Deliver {
+                                from: sender,
+                                msg: copy,
+                            },
+                        );
+                        push(t2, to, EventKind::Deliver { from: sender, msg });
                     }
                 },
                 Effect::Wake { delay, token } => {
-                    let time = self.now + delay.max(1);
-                    self.push_event(time, ev.target, EventKind::Wake { token });
+                    push(time + delay.max(1), sender, EventKind::Wake { token });
                 }
                 Effect::Redeliver { from, msg, delay } => {
-                    let time = self.now + delay.max(1);
-                    self.push_event(time, ev.target, EventKind::Deliver { from, msg });
+                    push(
+                        time + delay.max(1),
+                        sender,
+                        EventKind::Deliver { from, msg },
+                    );
                 }
             }
         }
-        debug_assert!(
-            self.effects.is_empty(),
-            "effects produced outside a handler"
-        );
-        self.effects = effects;
-        if profiling {
+        if let Some((class, timer)) = profiled {
             // The measured window covers the handler plus effect
             // application — the full kernel cost of the event.
             let elapsed = timer.map(|t| t.elapsed().as_nanos() as u64);
@@ -812,70 +906,29 @@ impl<M: Clone + 'static> Simulator<M> {
         }
     }
 
-    /// Classifies a message against the link's fault plan and returns its
-    /// delivery time(s). The fault path draws RNG only when a non-empty
-    /// [`crate::FaultSpec`] is attached, so fault-free simulations consume
-    /// exactly the random stream they always did.
-    fn route(&mut self, from: NodeId, to: NodeId, extra: u64) -> Route {
-        let now = self.now;
-        let Simulator {
-            links, rng, faults, ..
-        } = self;
-        // Latency draws charge the sender's stream: during effect drain the
-        // sender is the component whose event was just dispatched.
-        let rng = rng.stream(from.index());
-        let default_link = links.default_link;
-        let Some(state) = links.pair_mut(from, to) else {
-            // A fabricated endpoint: route statelessly over the default
-            // link (delivery will panic, as NodeId documents).
-            let latency = draw_latency(rng, default_link);
-            return Route::One(now + latency.max(1) + extra);
+    /// The profiler's view of a just-popped event: its class label, and a
+    /// running timer if this event is one of the sampled ones.
+    #[cold]
+    fn profile_begin(
+        &mut self,
+        target: NodeId,
+        kind: EventKind,
+    ) -> (&'static str, Option<Instant>) {
+        self.profiler.note_pop(target.index());
+        let class = match kind {
+            EventKind::Deliver { msg, .. } => self
+                .event_label
+                .map_or("event", |label| label(self.msgs.get(msg))),
+            EventKind::Wake { .. } => "Wake",
         };
-        let link = state.link;
-        let spec = link.faults();
-        let mut latency = draw_latency(rng, link);
-        let mut duplicate = false;
-        if !spec.is_none() {
-            if state.burst > 0 {
-                state.burst -= 1;
-                latency = link.min_latency();
-                faults.burst_overtakes += 1;
-            } else {
-                let roll = rng.gen_range(0u32..100);
-                let drop_at = spec.drop_pct as u32;
-                let dup_at = drop_at + spec.dup_pct as u32;
-                let spike_at = dup_at + spec.delay_spike_pct as u32;
-                let reorder_at = spike_at + spec.reorder_pct as u32;
-                if roll < drop_at {
-                    faults.dropped += 1;
-                    return Route::Drop;
-                } else if roll < dup_at {
-                    duplicate = true;
-                    faults.duplicated += 1;
-                } else if roll < spike_at {
-                    latency += spec.spike_cycles;
-                    faults.delay_spikes += 1;
-                } else if roll < reorder_at {
-                    latency = link.max_latency() + spec.spike_cycles;
-                    state.burst = spec.burst_len;
-                    faults.reorder_bursts += 1;
-                }
-            }
-        }
-        let mut time = now + latency.max(1) + extra;
-        if link.is_ordered() {
-            if time <= state.last_delivery {
-                time = state.last_delivery + 1;
-            }
-            state.last_delivery = time;
-        }
-        if duplicate {
-            let lat2 = draw_latency(rng, link);
-            let t2 = now + lat2.max(1) + extra;
-            Route::Two(time, t2)
-        } else {
-            Route::One(time)
-        }
+        // Queue depth as the pop found it.
+        let timer = self
+            .profiler
+            .begin_event(self.queue.len() + 1)
+            .then(Instant::now);
+        self.profiler
+            .epoch_tick(self.now.as_u64(), self.progress, self.queue.len());
+        (class, timer)
     }
 
     fn push_event(&mut self, time: Cycle, target: NodeId, kind: EventKind) {
@@ -1762,6 +1815,153 @@ mod tests {
         assert!(sim.run_to_quiescence(1_000).quiescent);
         assert_eq!(sim.get::<Tape>(tape).unwrap().0.len(), 1);
         assert!(sim.checkpoint().is_ok());
+    }
+
+    /// One `Effect` is written and read back per send, wake and redelivery.
+    #[test]
+    fn effect_layout_is_pinned() {
+        assert!(std::mem::size_of::<Effect>() <= 32);
+    }
+
+    /// How often each payload ever made — constructed or cloned — has been
+    /// dropped so far, by creation order.
+    type Tally = std::sync::Arc<std::sync::Mutex<Vec<u32>>>;
+
+    /// A payload with a hop budget that reports its own drop to a [`Tally`].
+    struct Counted {
+        hops: u32,
+        id: usize,
+        tally: Tally,
+    }
+    impl Counted {
+        fn new(hops: u32, tally: &Tally) -> Counted {
+            let mut drops = tally.lock().unwrap();
+            drops.push(0);
+            Counted {
+                hops,
+                id: drops.len() - 1,
+                tally: tally.clone(),
+            }
+        }
+    }
+    impl Clone for Counted {
+        fn clone(&self) -> Counted {
+            Counted::new(self.hops, &self.tally)
+        }
+    }
+    impl Drop for Counted {
+        fn drop(&mut self) {
+            self.tally.lock().unwrap()[self.id] += 1;
+        }
+    }
+
+    /// Spends a payload's hop budget on sends to its peer, fan-out and
+    /// redeliveries to itself; every payload it is handed dies with the
+    /// handler.
+    #[derive(Clone)]
+    struct Relay {
+        peer: NodeId,
+    }
+    impl Component<Counted> for Relay {
+        fn name(&self) -> &str {
+            "relay"
+        }
+        fn handle(&mut self, from: NodeId, msg: Counted, ctx: &mut Ctx<'_, Counted>) {
+            let Some(hops) = msg.hops.checked_sub(1) else {
+                return;
+            };
+            let next = || Counted::new(hops, &msg.tally);
+            match hops % 4 {
+                0 => ctx.redeliver(from, next(), 3),
+                1 => {
+                    ctx.send(self.peer, next());
+                    ctx.send_after(self.peer, Counted::new(0, &msg.tally), 7);
+                }
+                _ => ctx.send(self.peer, next()),
+            }
+        }
+        fn box_clone(&self) -> Option<Box<dyn Component<Counted>>> {
+            Some(Box::new(self.clone()))
+        }
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+    }
+
+    fn relay_sim(link: Link) -> (Simulator<Counted>, NodeId, NodeId) {
+        let mut b = SimBuilder::new(11);
+        let a = b.add(Box::new(Relay {
+            peer: NodeId::from_index(1),
+        }));
+        let c = b.add(Box::new(Relay { peer: a }));
+        b.default_link(link);
+        (b.build(), a, c)
+    }
+
+    #[track_caller]
+    fn assert_each_dropped_once(tally: &Tally) {
+        let drops = tally.lock().unwrap();
+        assert!(!drops.is_empty());
+        for (id, &n) in drops.iter().enumerate() {
+            assert_eq!(n, 1, "payload {id} of {} dropped {n} times", drops.len());
+        }
+    }
+
+    #[test]
+    fn payload_lifetime_every_payload_is_dropped_exactly_once() {
+        // Delivered, fanned out and redelivered over a clean link.
+        let tally = Tally::default();
+        let (mut sim, a, c) = relay_sim(Link::unordered(1, 9));
+        for hops in [5, 12, 30] {
+            sim.post(a, c, Counted::new(hops, &tally));
+        }
+        assert!(sim.run_to_quiescence(100_000).quiescent);
+        assert!(
+            sim.msgs.is_empty(),
+            "{} payloads still parked",
+            sim.msgs.len()
+        );
+        assert_each_dropped_once(&tally);
+        let clean = tally.lock().unwrap().len();
+
+        // Dropped and duplicated (one clone each) by a fault plan, from
+        // inside a run and from `post`.
+        let tally = Tally::default();
+        let faults = FaultSpec {
+            drop_pct: 20,
+            dup_pct: 30,
+            ..FaultSpec::NONE
+        };
+        let (mut sim, a, c) = relay_sim(Link::unordered(1, 9).with_faults(faults));
+        for _ in 0..8 {
+            sim.post(a, c, Counted::new(30, &tally));
+        }
+        assert!(sim.run_to_quiescence(100_000).quiescent);
+        let counts = sim.link_fault_counts();
+        assert!(counts.dropped > 0 && counts.duplicated > 0, "{counts:?}");
+        assert!(
+            sim.msgs.is_empty(),
+            "{} payloads still parked",
+            sim.msgs.len()
+        );
+        assert_each_dropped_once(&tally);
+        assert_ne!(tally.lock().unwrap().len(), clean);
+
+        // Discarded by a restore over a run that has not drained.
+        let tally = Tally::default();
+        let (mut sim, a, c) = relay_sim(Link::unordered(1, 9));
+        let cp = sim.checkpoint().expect("nothing in flight yet");
+        for hops in [40, 41, 42] {
+            sim.post(a, c, Counted::new(hops, &tally));
+        }
+        assert!(!sim.run_to_quiescence(20).quiescent);
+        assert!(!sim.msgs.is_empty() && !sim.queue.is_empty());
+        sim.restore(&cp);
+        assert!(sim.msgs.is_empty() && sim.queue.is_empty());
+        assert_each_dropped_once(&tally);
     }
 
     #[test]

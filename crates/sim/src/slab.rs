@@ -85,11 +85,12 @@ impl<T> Slab<T> {
     /// Panics if `id` is vacant (double-take) or out of range.
     #[inline]
     pub fn take(&mut self, id: SlabId) -> T {
-        let value = self.slots[id.0 as usize]
-            .take()
-            .expect("slab id taken twice");
+        let slot = &mut self.slots[id.0 as usize];
+        assert!(slot.is_some(), "slab id taken twice");
+        // Free the id first: nothing may sit between moving the value out
+        // and handing it to the caller, or it is staged on the stack twice.
         self.free.push(id.0);
-        value
+        slot.take().expect("occupied, checked above")
     }
 
     /// Reads the value at `id` without freeing it (used to clone a payload

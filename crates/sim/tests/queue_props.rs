@@ -13,46 +13,101 @@
 //!   function of the alloc/free history.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{BTreeSet, BinaryHeap, HashMap};
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use xg_sim::queue::WHEEL_SLOTS;
+use xg_sim::queue::{Head, QueueStats, WHEEL_SLOTS};
 use xg_sim::{CalendarQueue, Cycle, Slab};
 
-/// Reference scheduler: a binary heap popping ascending `(time, seq)`.
+const WINDOW: u64 = WHEEL_SLOTS as u64;
+
+/// Reference scheduler: a binary heap popping ascending `(time, seq)`,
+/// plus a model of the calendar queue's window — just enough of it to say
+/// what the operation counters must read: where the lower edge stands, and
+/// which events wait beyond the horizon.
 #[derive(Default)]
 struct OracleQueue {
     heap: BinaryHeap<Reverse<(u64, u64, u32)>>,
     seq: u64,
+    cursor: u64,
+    beyond: BTreeSet<(u64, u64)>,
+    stats: QueueStats,
 }
 
 impl OracleQueue {
     fn push(&mut self, time: u64, item: u32) {
+        self.stats.pushes += 1;
         self.heap.push(Reverse((time, self.seq, item)));
+        if time < self.cursor {
+            // A push into the past restarts the window there: every event
+            // spills beyond the horizon and the covered ones come back.
+            self.stats.rebases += 1;
+            self.cursor = time;
+            self.beyond = self.heap.iter().map(|&Reverse((t, s, _))| (t, s)).collect();
+            self.migrate();
+        } else if time - self.cursor >= WINDOW {
+            self.stats.overflow_pushes += 1;
+            self.beyond.insert((time, self.seq));
+        }
         self.seq += 1;
     }
 
+    fn peek_time(&self) -> Option<u64> {
+        self.heap.peek().map(|&Reverse((t, _, _))| t)
+    }
+
     fn pop(&mut self) -> Option<(u64, u32)> {
-        self.heap.pop().map(|Reverse((t, _, v))| (t, v))
+        let Reverse((time, _, item)) = self.heap.pop()?;
+        self.stats.pops += 1;
+        // The window's lower edge follows the popped time.
+        self.cursor = time;
+        self.migrate();
+        Some((time, item))
+    }
+
+    /// Events the window has come to cover leave `beyond`, each counted.
+    fn migrate(&mut self) {
+        while self
+            .beyond
+            .first()
+            .is_some_and(|&(t, _)| t - self.cursor < WINDOW)
+        {
+            self.beyond.pop_first();
+            self.stats.migrated += 1;
+        }
     }
 }
 
-/// One step of a schedule: push at an absolute time, or pop.
+/// One step of a schedule.
 #[derive(Debug, Clone, Copy)]
 enum Op {
+    /// Push at an absolute time.
     Push(u64),
+    /// Push this far after the last popped time.
+    PushAhead(u64),
+    /// Peek, then pop; the two must agree.
     Pop,
+    /// Peek alone: must not disturb anything.
+    Peek,
+    /// `pop_until` with its limit this far after the last popped time.
+    PopUntil(u64),
 }
 
-/// Runs `ops` through both queues, checking each pop and every peek.
+/// Runs `ops` through both queues, checking each pop, every peek, and the
+/// operation counters after every step.
 fn check_schedule(ops: &[Op]) -> Result<(), TestCaseError> {
     let mut cal = CalendarQueue::new();
     let mut oracle = OracleQueue::default();
     let mut item = 0u32;
+    let mut now = 0u64;
     for &op in ops {
         match op {
-            Op::Push(time) => {
+            Op::Push(time) | Op::PushAhead(time) => {
+                let time = match op {
+                    Op::PushAhead(ahead) => now + ahead,
+                    _ => time,
+                };
                 cal.push(Cycle::new(time), item);
                 oracle.push(time, item);
                 item += 1;
@@ -71,9 +126,27 @@ fn check_schedule(ops: &[Op]) -> Result<(), TestCaseError> {
                     got.map(|(t, _)| t),
                     "peek_time disagreed with the following pop"
                 );
+                now = expect.map_or(now, |(t, _)| t);
+            }
+            Op::Peek => {
+                prop_assert_eq!(cal.peek_time().map(Cycle::as_u64), oracle.peek_time());
+            }
+            Op::PopUntil(ahead) => {
+                let limit = now + ahead;
+                let expect = match oracle.peek_time() {
+                    None => Head::Empty,
+                    Some(t) if t > limit => Head::Later(Cycle::new(t)),
+                    Some(_) => {
+                        let (t, v) = oracle.pop().expect("peeked");
+                        now = t;
+                        Head::Due(Cycle::new(t), v)
+                    }
+                };
+                prop_assert_eq!(cal.pop_until(Cycle::new(limit)), expect);
             }
         }
         prop_assert_eq!(cal.len(), oracle.heap.len());
+        prop_assert_eq!(cal.stats(), oracle.stats, "operation counters diverged");
     }
     // Drain whatever is left: the tails must agree too.
     while let Some(expect) = oracle.pop() {
@@ -82,6 +155,7 @@ fn check_schedule(ops: &[Op]) -> Result<(), TestCaseError> {
     }
     prop_assert!(cal.is_empty());
     prop_assert_eq!(cal.pop(), None);
+    prop_assert_eq!(cal.stats(), oracle.stats);
     Ok(())
 }
 
@@ -142,6 +216,37 @@ proptest! {
                 ops.push(Op::Push(raw % (WHEEL_SLOTS as u64 * 4)));
             }
         }
+        check_schedule(&ops)?;
+    }
+
+    /// The schedules a run loop with a deadline and far-future timers
+    /// produces, concentrated on the window's edge: pushes a hair short of,
+    /// exactly at and just past the horizon (and one and two windows
+    /// further), between peeks, pops and `pop_until` probes whose limit
+    /// falls short of, on or beyond the head. Whether the head is taken,
+    /// the cursor moves or an overflow event migrates is decided by
+    /// comparisons against `cursor + WHEEL_SLOTS`, and every one of them has
+    /// its off-by-one covered here; the counters must track the model's at
+    /// each step, not only at the end.
+    #[test]
+    fn horizon_schedules_match_oracle(
+        steps in vec((0u8..8, 0u64..7, 0u64..3), 1..300),
+    ) {
+        let ops: Vec<Op> = steps
+            .iter()
+            .map(|&(kind, jitter, windows)| match kind {
+                // Near the horizon of this or a later window.
+                0 | 1 => Op::PushAhead((windows + 1) * WINDOW + jitter - 3),
+                // The near future, where a timer's neighbours live.
+                2 | 3 => Op::PushAhead(jitter),
+                4 => Op::Pop,
+                5 => Op::Peek,
+                // Short of the head, or far enough to reach an overflow
+                // event with the wheel empty.
+                6 => Op::PopUntil(jitter),
+                _ => Op::PopUntil(windows * WINDOW + jitter),
+            })
+            .collect();
         check_schedule(&ops)?;
     }
 
