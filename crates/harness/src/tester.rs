@@ -91,8 +91,17 @@ pub struct TesterShared {
     error_log: Vec<String>,
     /// Word addresses whose value checks failed, in detection order.
     corrupted: Vec<u64>,
-    issued: IdMap<u64, u64>,
+    issued: IdMap<u64, WordLog>,
     last_seen: IdMap<(usize, u64), u64>,
+}
+
+/// What the run knows of one word's writes.
+#[derive(Debug, Clone, Copy, Default)]
+struct WordLog {
+    /// The largest value the word's writer has issued.
+    issued: u64,
+    /// The cycle the writer's latest `StoreResp` arrived, once one has.
+    stored_at: Option<u64>,
 }
 
 impl TesterShared {
@@ -165,25 +174,37 @@ impl TesterShared {
         }
     }
 
+    /// Who writes `word_addr` and when its last store completed: the other
+    /// half of a value-check failure.
+    fn last_store(&self, word_addr: u64) -> String {
+        let writer = self.writer_of(word_addr);
+        match self.issued.get(&word_addr).and_then(|log| log.stored_at) {
+            Some(cycle) => format!("last store by core {writer} at cycle {cycle}"),
+            None => format!("no store by core {writer} has completed"),
+        }
+    }
+
     fn check_load(&mut self, core: usize, word_addr: u64, value: u64) {
-        let issued = self.issued.get(&word_addr).copied().unwrap_or(0);
+        let issued = self.issued.get(&word_addr).map_or(0, |log| log.issued);
         if value > issued {
+            let writer = self.last_store(word_addr);
             self.record_error(
                 core,
                 word_addr,
                 format!(
-                    "core {core} read {value} at {word_addr:#x} but only {issued} were written"
+                    "core {core} read {value} at {word_addr:#x} but only {issued} were written; {writer}"
                 ),
             );
         }
         let key = (core, word_addr);
         let prev = self.last_seen.get(&key).copied().unwrap_or(0);
         if value < prev {
+            let writer = self.last_store(word_addr);
             self.record_error(
                 core,
                 word_addr,
                 format!(
-                    "core {core} read {value} at {word_addr:#x} after having read {prev} (went backwards)"
+                    "core {core} read {value} at {word_addr:#x} after having read {prev} (went backwards); {writer}"
                 ),
             );
         }
@@ -310,9 +331,9 @@ impl TesterCore {
         let id = self.next_id;
         self.next_id += 1;
         let kind = if store {
-            let next = shared.issued.get(&word_addr).copied().unwrap_or(0) + 1;
-            shared.issued.insert(word_addr, next);
-            CoreKind::Store { value: next }
+            let log = shared.issued.entry(word_addr).or_default();
+            log.issued += 1;
+            CoreKind::Store { value: log.issued }
         } else {
             CoreKind::Load
         };
@@ -356,17 +377,24 @@ impl Component<Message> for TesterCore {
                 let before = shared.data_errors();
                 shared.check_load(self.core_index, word_addr, value);
                 if shared.data_errors() > before {
+                    // The reader's half and the writer's, on the one block.
+                    let block = Addr::new(word_addr).block().as_u64();
                     ctx.flag_post_mortem(
-                        Addr::new(word_addr).block().as_u64(),
+                        block,
                         format!(
                             "{}: value check failed at word {word_addr:#x} (read {value})",
                             self.name
                         ),
                     );
+                    let writer = shared.last_store(word_addr);
+                    ctx.flag_post_mortem(block, format!("word {word_addr:#x}: {writer}"));
                 }
             }
             CoreKind::StoreResp => {
                 debug_assert!(op.store);
+                if let Some(log) = shared.issued.get_mut(&op.word_addr) {
+                    log.stored_at = Some(ctx.now().as_u64());
+                }
             }
             _ => return,
         }
@@ -439,17 +467,36 @@ mod tests {
     fn check_load_flags_future_and_backwards_values() {
         let shared = TesterShared::new(2, 100);
         let mut s = shared.lock().unwrap();
-        s.issued.insert(0x100, 5);
+        let mut log = WordLog {
+            issued: 5,
+            stored_at: None,
+        };
+        s.issued.insert(0x100, log);
         s.check_load(0, 0x100, 3);
         assert_eq!(s.data_errors(), 0);
         s.check_load(0, 0x100, 6); // beyond issued
         assert_eq!(s.data_errors(), 1);
-        s.check_load(0, 0x100, 2); // went backwards (saw 3 before)
+        log.stored_at = Some(77);
+        s.issued.insert(0x100, log);
+        s.check_load(0, 0x100, 2); // went backwards (saw 6 before)
         assert_eq!(s.data_errors(), 2);
         assert_eq!(s.data_errors_of(0), 2, "both failures blame core 0");
         assert_eq!(s.data_errors_of(1), 0, "core 1 saw nothing");
-        assert!(
-            s.error_log()[1].contains("went backwards") || s.error_log()[0].contains("written")
+        // Each message names the reader first, then the word's writer.
+        let writer = s.writer_of(0x100);
+        assert_eq!(
+            s.error_log()[0],
+            format!(
+                "core 0 read 6 at 0x100 but only 5 were written; \
+                 no store by core {writer} has completed"
+            )
+        );
+        assert_eq!(
+            s.error_log()[1],
+            format!(
+                "core 0 read 2 at 0x100 after having read 6 (went backwards); \
+                 last store by core {writer} at cycle 77"
+            )
         );
     }
 

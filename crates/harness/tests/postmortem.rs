@@ -155,13 +155,16 @@ fn clean_runs_attach_no_post_mortem() {
     assert_eq!(out.post_mortem, None, "{:?}", out.post_mortem);
 }
 
-#[test]
-fn lost_response_deadlock_names_the_outstanding_words() {
-    // The planted guard bug drops forwarded invalidations, so the host
-    // requester never answers its core. Testers hold no idle timers: the
-    // queue drains with operations hanging instead of tripping the stall
-    // watchdog, and the dump must still name the stuck words.
-    let mut cfg = SystemConfig::default();
+/// Runs the default stress on `host` with the planted guard bug that drops
+/// forwarded invalidations, so a host requester never answers its core.
+/// Testers hold no idle timers: the queue drains with operations hanging
+/// instead of tripping the stall watchdog, and the dump must still name
+/// the stuck words and carry the stuck block's section.
+fn swallowed_inv_post_mortem(host: HostProtocol) -> String {
+    let mut cfg = SystemConfig {
+        host,
+        ..SystemConfig::default()
+    };
     cfg.xg.test_swallow_invs = true;
     let opts = StressOpts::default();
     let out = run_stress(&cfg, &opts);
@@ -170,19 +173,24 @@ fn lost_response_deadlock_names_the_outstanding_words() {
     assert!(out.report.sum_suffix(".outstanding") > 0);
     let pm = out
         .post_mortem
-        .as_deref()
         .expect("a deadlocked run must attach a post-mortem");
     assert!(pm.contains("outstanding at deadlock"), "{pm}");
     assert!(
         pm.contains(&format!(
             "--- trace for addr {} ---",
-            first_flagged_addr(pm)
+            first_flagged_addr(&pm)
         )),
         "dump section for the stuck block\n{pm}"
     );
-    // The default host is Hammer. Its caches trace their own state changes
-    // with the words they hold, so the timeline is not the directory's
-    // alone, and the directory says who sent each Put and Unblock.
+    pm
+}
+
+#[test]
+fn lost_response_deadlock_names_the_outstanding_words() {
+    let pm = swallowed_inv_post_mortem(HostProtocol::Hammer);
+    // A Hammer cache traces its own state changes with the words it holds,
+    // so the timeline is not the directory's alone, and the directory says
+    // who sent each Put and Unblock.
     assert!(
         pm.lines().any(|l| l.contains("] cpu_cache")
             && l.contains("] MemData -> ")
@@ -197,4 +205,23 @@ fn lost_response_deadlock_names_the_outstanding_words() {
     for line in from_dir {
         assert!(line.contains(" from n"), "sender not named: {line}");
     }
+}
+
+/// The state-change trace comes from the shell both host L1s share, so a
+/// MESI L1 names its fills and the words they brought like a Hammer cache.
+#[test]
+fn lost_response_deadlock_on_mesi_traces_the_l1_fills_too() {
+    let pm = swallowed_inv_post_mortem(HostProtocol::Mesi);
+    assert!(
+        pm.lines().any(|l| l.contains("] cpu_cache")
+            && l.contains("[IS_D] Data")
+            && l.contains(" -> ")
+            && l.contains(" words=[")),
+        "a MesiL1 fill with its word values\n{pm}"
+    );
+    assert!(
+        pm.lines()
+            .any(|l| l.contains("] cpu_cache") && l.contains("[mesi-l1] Recv")),
+        "beside the line for the message that caused it\n{pm}"
+    );
 }

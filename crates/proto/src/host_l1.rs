@@ -1,0 +1,532 @@
+//! The host private cache both host protocols share.
+//!
+//! Toward its core a Hammer cache and a MESI L1 are the same machine: a
+//! set-associative array of stable lines, one [`Open`] record per block in
+//! flight, loads and stores that hit, miss, upgrade, park behind an open
+//! block or are redelivered when every MSHR is taken, fills that write
+//! their victim back, and a digest, a report and probes over all of it.
+//! [`HostL1`] is that machine, written once. What a protocol says to the
+//! network — its states, its transactions, its requests and the handler of
+//! everything that is not a core op — it supplies as an [`L1Protocol`];
+//! the shell is generic over it, so nothing on the message path is `dyn`.
+//!
+//! A block is resident or in flight, never both. The shell keeps that on
+//! the core side; a protocol's network handler keeps it by moving a line
+//! out of [`HostL1::cache`] before it opens a record in [`HostL1::mshr`],
+//! and by filling through [`HostL1::install_line`] only after it closed one.
+
+use xg_mem::{BlockAddr, DataBlock, Mshr, SetAssocCache, Spares, BLOCK_BYTES};
+use xg_sim::{Alphabet, CheckDigest, Component, CoverageGrid, Cycle, Histogram, NodeId, Report};
+
+use crate::{CoreKind, CoreMsg, Ctx, HomeMap, Message};
+
+/// A resident line in stable state `S`.
+#[derive(Debug, Clone, Copy)]
+pub struct Line<S> {
+    /// The protocol's stable state.
+    pub state: S,
+    /// Whether the data differs from the home node's copy.
+    pub dirty: bool,
+    /// The block's bytes.
+    pub data: DataBlock,
+}
+
+/// Core ops parked behind an open block, in arrival order.
+pub type Parked = Vec<(NodeId, CoreMsg)>;
+
+/// Everything open on one block — the MSHR entry: the transaction, the
+/// cycle it opened (for `lat.miss`), and the core ops parked behind it.
+#[derive(Debug, Clone)]
+pub struct Open<T> {
+    /// The protocol's transaction.
+    pub txn: T,
+    /// The cycle the record opened.
+    pub started: Cycle,
+    /// Core ops that arrived while the block was in flight.
+    pub waiting: Parked,
+}
+
+/// What differs between the host L1s: the network side of one protocol.
+pub trait L1Protocol: Clone + Send + Sized + 'static {
+    /// The public configuration [`HostL1::new`] takes.
+    type Config;
+    /// Stable states of a resident line.
+    type Stable: Copy + Send + Into<Self::State> + 'static;
+    /// Every state of a block, stable and transient: the coverage rows and
+    /// the vocabulary of [`HostL1::probe_state`].
+    type State: Alphabet;
+    /// The coverage columns.
+    type Event: Alphabet;
+    /// An open transaction.
+    type Txn: Clone + Send;
+
+    /// Tag of the state digest and family of the coverage key.
+    const FAMILY: &'static str;
+    /// The state of a block that is neither resident nor in flight.
+    const INVALID: Self::State;
+    /// A core load.
+    const LOAD: Self::Event;
+    /// A core store.
+    const STORE: Self::Event;
+    /// A line chosen as the victim of a fill.
+    const REPL: Self::Event;
+
+    /// The array and MSHR capacity `cfg` asks for, and the protocol's own
+    /// part of it.
+    fn build(cfg: Self::Config) -> (SetAssocCache<Line<Self::Stable>>, usize, Self);
+
+    /// The transient state `txn` puts its block in.
+    fn txn_state(txn: &Self::Txn) -> Self::State;
+
+    /// The state a store leaves a line of `state` in when it may hit
+    /// there; `None` where the store has to upgrade first.
+    fn store_hit(state: Self::Stable) -> Option<Self::Stable>;
+
+    /// The copy `txn` retained and still serves loads from, if the
+    /// protocol allows that.
+    fn readable_copy(_txn: &Self::Txn) -> Option<&DataBlock> {
+        None
+    }
+
+    /// Opens a Get for a store (or a load) to `addr`: the transaction and
+    /// the request that goes to the home node. `copy` is the resident line
+    /// an upgrade pulled out of the array to ride along.
+    fn open_get(
+        &mut self,
+        addr: BlockAddr,
+        store: bool,
+        copy: Option<Line<Self::Stable>>,
+    ) -> (Self::Txn, Message);
+
+    /// Evicts the victim `line` of a fill: the writeback transaction and
+    /// the request that announces it, or `None` for a silent drop.
+    fn evict(&mut self, addr: BlockAddr, line: &Line<Self::Stable>)
+        -> Option<(Self::Txn, Message)>;
+
+    /// Handles a message that is not a core op. Returns the block it
+    /// concerned (`u64::MAX` for a message of another protocol): the one a
+    /// first violation flags for the post-mortem.
+    fn handle_net(l1: &mut HostL1<Self>, from: NodeId, msg: Message, ctx: &mut Ctx<'_>) -> u64;
+
+    /// Folds `txn` into the state digest.
+    fn digest_txn(txn: &Self::Txn, out: &mut CheckDigest);
+
+    /// Reports the protocol's own counters under the cache's `name`.
+    fn report(&self, name: &str, out: &mut Report);
+}
+
+#[derive(Debug, Default, Clone)]
+struct Stats {
+    violation_reasons: std::collections::BTreeMap<&'static str, u64>,
+    loads: u64,
+    stores: u64,
+    hits: u64,
+    misses: u64,
+    writebacks: u64,
+    mshr_stalls: u64,
+    protocol_violation: u64,
+    /// Cycles a Get transaction stayed open in the MSHR.
+    lat_miss: Histogram,
+    /// MSHR population, sampled at each new allocation.
+    mshr_occupancy: Histogram,
+}
+
+/// A private host cache serving one core's loads and stores, speaking
+/// protocol `P` to the network.
+#[derive(Clone)]
+pub struct HostL1<P: L1Protocol> {
+    name: String,
+    home: HomeMap,
+    /// Resident stable lines.
+    pub cache: SetAssocCache<Line<P::Stable>>,
+    /// One record per block in flight.
+    pub mshr: Mshr<Open<P::Txn>>,
+    /// Emptied `Open::waiting` buffers, reused by the next transaction.
+    spare_waiting: Spares<Parked>,
+    stats: Stats,
+    /// `(state, event)` pairs visited, by index; named in `report`.
+    pub seen: CoverageGrid<P::State, P::Event>,
+    /// The protocol's configuration, buffers and counters.
+    pub proto: P,
+}
+
+impl<P: L1Protocol> HostL1<P> {
+    /// Creates a cache that sends its protocol requests to `home` (a
+    /// single node, or a [`HomeMap`] of address-interleaved banks).
+    pub fn new(name: impl Into<String>, home: impl Into<HomeMap>, cfg: P::Config) -> Self {
+        let (cache, mshr_entries, proto) = P::build(cfg);
+        HostL1 {
+            name: name.into(),
+            home: home.into(),
+            cache,
+            mshr: Mshr::new(mshr_entries),
+            spare_waiting: Spares::default(),
+            stats: Stats::default(),
+            seen: CoverageGrid::new(),
+            proto,
+        }
+    }
+
+    /// Number of protocol violations observed (impossible events). Zero in
+    /// any correctly-assembled system; nonzero when an unmodified host
+    /// faces a misbehaving accelerator.
+    pub fn protocol_violations(&self) -> u64 {
+        self.stats.protocol_violation
+    }
+
+    /// Protocol state name of `addr`, stable or transient, in the
+    /// vocabulary of the protocol's module table. Read by the `xg-check`
+    /// small-model checker at quiescent points for Guarantee 0
+    /// cross-checks.
+    pub fn probe_state(&self, addr: BlockAddr) -> &'static str {
+        Self::state_given(&self.cache, addr, self.mshr.get(addr)).label()
+    }
+
+    /// Resident stable-line view of `addr`: `(data, dirty)`.
+    pub fn probe_data(&self, addr: BlockAddr) -> Option<(DataBlock, bool)> {
+        self.cache.get(addr).map(|l| (l.data, l.dirty))
+    }
+
+    /// The home node of `addr`.
+    pub fn home(&self, addr: BlockAddr) -> NodeId {
+        self.home.for_block(addr)
+    }
+
+    /// State of `addr` given its MSHR record, if it has one. A block is
+    /// never both resident and in flight, so handlers name the state from
+    /// whichever of the two lookups they make anyway; the tag scan here is
+    /// for a message that found no transaction to land on.
+    pub fn state_given(
+        cache: &SetAssocCache<Line<P::Stable>>,
+        addr: BlockAddr,
+        open: Option<&Open<P::Txn>>,
+    ) -> P::State {
+        match open {
+            Some(open) => P::txn_state(&open.txn),
+            None => cache.get(addr).map_or(P::INVALID, |line| line.state.into()),
+        }
+    }
+
+    /// The transaction a response to `addr` lands on, recording `event`
+    /// against the block's state from that one lookup.
+    pub fn txn_for(&mut self, addr: BlockAddr, event: P::Event) -> Option<&mut P::Txn> {
+        let open = self.mshr.get_mut(addr);
+        let state = Self::state_given(&self.cache, addr, open.as_deref());
+        self.seen.visit(state, event);
+        open.map(|open| &mut open.txn)
+    }
+
+    /// Counts an impossible event under the reason `why`.
+    pub fn violation(&mut self, why: &'static str) {
+        self.stats.protocol_violation += 1;
+        *self.stats.violation_reasons.entry(why).or_insert(0) += 1;
+    }
+
+    /// Traces one state change of `addr`: the state before, the event that
+    /// moved it, the state after, and the words now held — the line's, or
+    /// the in-flight data's. With tracing off this is `Ctx::trace`'s one
+    /// branch: everything that formats sits in the `detail` closure.
+    #[inline]
+    pub fn trace_change(
+        ctx: &mut Ctx<'_>,
+        addr: BlockAddr,
+        (before, event, after): (P::State, P::Event, P::State),
+        data: Option<&DataBlock>,
+    ) {
+        ctx.trace(addr.as_u64(), before.label(), event.label(), || {
+            let words = data.map_or_else(String::new, |data| {
+                let words: Vec<String> = (0..BLOCK_BYTES as usize / 8)
+                    .map(|w| data.read_u64(w * 8).to_string())
+                    .collect();
+                format!(" words=[{}]", words.join(" "))
+            });
+            format!("-> {}{words}", after.label())
+        });
+    }
+
+    fn handle_core(&mut self, from: NodeId, msg: CoreMsg, ctx: &mut Ctx<'_>) {
+        let addr = msg.addr.block();
+        let offset = msg.addr.block_offset() & !7;
+        let (event, store) = match msg.kind {
+            CoreKind::Load => {
+                self.stats.loads += 1;
+                (P::LOAD, None)
+            }
+            CoreKind::Store { value } => {
+                self.stats.stores += 1;
+                (P::STORE, Some(value))
+            }
+            CoreKind::Flush => {
+                // Hardware coherence makes flushes unnecessary on the host
+                // side; acknowledge immediately.
+                return ctx.send(from, msg.reply(CoreKind::FlushResp).into());
+            }
+            _ => return self.violation("core sent a response kind"),
+        };
+
+        // A block is resident or in flight, never both: a hit needs the
+        // tag scan alone, and only a miss goes on to probe the MSHR.
+        let Some(mut line) = self.cache.lookup(addr) else {
+            if let Some(open) = self.mshr.get_mut(addr) {
+                self.seen.visit(P::txn_state(&open.txn), event);
+                match (store, P::readable_copy(&open.txn)) {
+                    (None, Some(copy)) => {
+                        let value = copy.read_u64(offset);
+                        ctx.send(from, msg.reply(CoreKind::LoadResp { value }).into());
+                    }
+                    _ => open.waiting.push((from, msg)),
+                }
+                return;
+            }
+            self.seen.visit(P::INVALID, event);
+            self.stats.misses += 1;
+            return self.start_get(store.is_some(), addr, None, (from, msg), ctx);
+        };
+        debug_assert!(self.mshr.get(addr).is_none(), "resident and in flight");
+        let state = line.get().state;
+        self.seen.visit(state.into(), event);
+        match (store, P::store_hit(state)) {
+            (None, _) => {
+                self.stats.hits += 1;
+                line.touch();
+                let value = line.get().data.read_u64(offset);
+                ctx.send(from, msg.reply(CoreKind::LoadResp { value }).into());
+            }
+            (Some(value), Some(after)) => {
+                self.stats.hits += 1;
+                line.touch();
+                let line = line.get_mut();
+                line.data.write_u64(offset, value);
+                line.dirty = true;
+                line.state = after; // a silent upgrade where it differs
+                let change = (state.into(), event, after.into());
+                Self::trace_change(ctx, addr, change, Some(&line.data));
+                ctx.send(from, msg.reply(CoreKind::StoreResp).into());
+            }
+            (Some(_), None) => {
+                // An upgrade: the resident copy rides along in the
+                // transaction.
+                self.stats.misses += 1;
+                let copy = Some(line.remove());
+                self.start_get(true, addr, copy, (from, msg), ctx);
+            }
+        }
+    }
+
+    fn start_get(
+        &mut self,
+        store: bool,
+        addr: BlockAddr,
+        copy: Option<Line<P::Stable>>,
+        op: (NodeId, CoreMsg),
+        ctx: &mut Ctx<'_>,
+    ) {
+        if self.mshr.len() >= self.mshr.capacity() {
+            // All MSHRs busy: reinstall any copy we pulled out, and retry
+            // the core op a little later.
+            self.stats.mshr_stalls += 1;
+            if let Some(copy) = copy {
+                self.cache.insert(addr, copy);
+            }
+            let (from, msg) = op;
+            ctx.redeliver(from, msg.into(), 8);
+            return;
+        }
+        let (txn, request) = self.proto.open_get(addr, store, copy);
+        let before = copy.map_or(P::INVALID, |copy| copy.state.into());
+        let event = if store { P::STORE } else { P::LOAD };
+        let held = copy.as_ref().map(|copy| &copy.data);
+        Self::trace_change(ctx, addr, (before, event, P::txn_state(&txn)), held);
+        let mut waiting = self.spare_waiting.take();
+        waiting.push(op);
+        let open = Open {
+            txn,
+            started: ctx.now(),
+            waiting,
+        };
+        if self.open_record(addr, open, "Get opened past the MSHR's capacity") {
+            self.stats.mshr_occupancy.record(self.mshr.len() as u64);
+            ctx.send(self.home(addr), request);
+        }
+    }
+
+    /// Allocates the record of a block whose slot the caller knows to be
+    /// free; finding it taken is the violation `why`, and drops the record.
+    fn open_record(&mut self, addr: BlockAddr, open: Open<P::Txn>, why: &'static str) -> bool {
+        let opened = self.mshr.alloc(addr, open).is_ok();
+        if !opened {
+            self.violation(why);
+        }
+        opened
+    }
+
+    /// Puts back a record a handler removed and found was not its own.
+    pub fn restore(&mut self, addr: BlockAddr, open: Option<Open<P::Txn>>) {
+        if let Some(open) = open {
+            self.open_record(addr, open, "restored record found its slot taken");
+        }
+    }
+
+    /// Closes the record open on `addr` as a finished Get: the state it
+    /// left the block in, its transaction and the ops parked behind it.
+    pub fn close_get(
+        &mut self,
+        addr: BlockAddr,
+        ctx: &mut Ctx<'_>,
+    ) -> Option<(P::State, P::Txn, Parked)> {
+        let open = self.mshr.remove(addr)?;
+        let waited = ctx.now().saturating_since(open.started);
+        self.stats.lat_miss.record(waited);
+        ctx.span(addr.as_u64(), "miss", open.started);
+        Some((P::txn_state(&open.txn), open.txn, open.waiting))
+    }
+
+    /// Counts a writeback the home node accepted.
+    pub fn wrote_back(&mut self) {
+        self.stats.writebacks += 1;
+    }
+
+    /// Inserts a finished line, evicting (and writing back) a victim if the
+    /// set is full. Capacity is reclaimed at fill time, which is when the
+    /// conflict actually materializes. `(before, event)` is the transient
+    /// state the fill closes and the response that completed it.
+    pub fn install_line(
+        &mut self,
+        addr: BlockAddr,
+        line: Line<P::Stable>,
+        (before, event): (P::State, P::Event),
+        ctx: &mut Ctx<'_>,
+    ) {
+        let change = (before, event, line.state.into());
+        Self::trace_change(ctx, addr, change, Some(&line.data));
+        if let Some((victim_addr, victim)) = self.cache.take_victim(addr) {
+            self.start_writeback(victim_addr, victim, ctx);
+        }
+        // Only `start_writeback`'s no-MSHR fallback refills the set, and a
+        // fill always follows the close of its own Get, which freed a slot.
+        if self.cache.insert(addr, line).is_some() {
+            self.violation("fill evicted a line without a writeback");
+        }
+    }
+
+    fn start_writeback(&mut self, addr: BlockAddr, line: Line<P::Stable>, ctx: &mut Ctx<'_>) {
+        // The victim has left the array and has no transaction yet, which
+        // is the state this event has always been recorded against.
+        self.seen.visit(P::INVALID, P::REPL);
+        let before = line.state.into();
+        let Some((txn, put)) = self.proto.evict(addr, &line) else {
+            let change = (before, P::REPL, P::INVALID);
+            return Self::trace_change(ctx, addr, change, Some(&line.data));
+        };
+        let change = (before, P::REPL, P::txn_state(&txn));
+        let open = Open {
+            txn,
+            started: ctx.now(),
+            waiting: self.spare_waiting.take(),
+        };
+        if self.mshr.alloc(addr, open).is_ok() {
+            self.stats.mshr_occupancy.record(self.mshr.len() as u64);
+            Self::trace_change(ctx, addr, change, Some(&line.data));
+            ctx.send(self.home(addr), put);
+        } else {
+            // No MSHR for the victim: reinstall it and evict nothing.
+            // The fill below will replace a different way next time.
+            self.stats.mshr_stalls += 1;
+            self.cache.insert(addr, line);
+        }
+    }
+
+    /// Re-handles the core ops that were parked behind a record now closed.
+    pub fn drain_waiting(&mut self, mut waiting: Parked, ctx: &mut Ctx<'_>) {
+        for (from, msg) in waiting.drain(..) {
+            self.handle_core(from, msg, ctx);
+        }
+        self.spare_waiting.put(waiting);
+    }
+}
+
+impl<P: L1Protocol> Component<Message> for HostL1<P> {
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn handle(&mut self, from: NodeId, msg: Message, ctx: &mut Ctx<'_>) {
+        let violations_before = self.stats.protocol_violation;
+        let addr = match msg {
+            Message::Core(c) => {
+                self.handle_core(from, c, ctx);
+                u64::MAX
+            }
+            other => P::handle_net(self, from, other, ctx),
+        };
+        // The first impossible event is the symptom worth dissecting; flag
+        // it so a traced replay dumps this block's history.
+        if violations_before == 0 && self.stats.protocol_violation > 0 {
+            ctx.flag_post_mortem(addr, format!("{}: first protocol violation", self.name));
+        }
+    }
+
+    fn check_state(&self, out: &mut CheckDigest) {
+        out.write_str(P::FAMILY);
+        // Stable lines, sorted by address role. Replacement/recency
+        // metadata is excluded: in the checker's direct-mapped small-model
+        // configuration it never branches behavior.
+        let mut lines: Vec<_> = self.cache.iter().map(|(a, _)| a).collect();
+        lines.sort_by_key(|a| out.addr_role(a.as_u64()));
+        out.write_u64(lines.len() as u64);
+        for a in lines {
+            let line = self.cache.get(a).expect("iterated address is resident");
+            out.write_addr(a.as_u64());
+            out.write_str(line.state.into().label());
+            out.write_u64(u64::from(line.dirty));
+            out.write_bytes(line.data.as_bytes());
+        }
+        // Open MSHR transactions (each one an obligation).
+        let mut txns: Vec<_> = self.mshr.iter().collect();
+        txns.sort_by_key(|(a, _)| out.addr_role(a.as_u64()));
+        out.write_u64(txns.len() as u64);
+        for (a, open) in txns {
+            out.write_addr(a.as_u64());
+            P::digest_txn(&open.txn, out);
+            // `started` is a timestamp and excluded.
+            out.write_u64(open.waiting.len() as u64);
+            for (from, msg) in &open.waiting {
+                msg.digest(*from, out);
+            }
+            out.obligation(open.waiting.len() as u64);
+        }
+        out.obligation(self.mshr.len() as u64);
+    }
+
+    fn report(&self, out: &mut Report) {
+        let (n, stats) = (&self.name, &self.stats);
+        out.add(format!("{n}.loads"), stats.loads);
+        out.add(format!("{n}.stores"), stats.stores);
+        out.add(format!("{n}.hits"), stats.hits);
+        out.add(format!("{n}.misses"), stats.misses);
+        out.add(format!("{n}.writebacks"), stats.writebacks);
+        out.add(format!("{n}.mshr_stalls"), stats.mshr_stalls);
+        out.add(format!("{n}.protocol_violation"), stats.protocol_violation);
+        for (why, count) in &stats.violation_reasons {
+            out.add(format!("{n}.violation[{why}]"), *count);
+        }
+        self.proto.report(n, out);
+        out.record_grid(format!("{}/{n}", P::FAMILY), &self.seen);
+        out.record_hist(format!("{n}.lat.miss"), &stats.lat_miss);
+        out.record_hist(format!("{n}.mshr_occupancy"), &stats.mshr_occupancy);
+    }
+
+    fn box_clone(&self) -> Option<Box<dyn Component<Message>>> {
+        Some(Box::new(self.clone()))
+    }
+
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+        self
+    }
+}
+
+#[cfg(test)]
+mod tests;

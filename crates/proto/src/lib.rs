@@ -13,6 +13,10 @@
 //!   four responses, one host-initiated request, three responses to it.
 //! * [`OsMsg`] — error reports Crossing Guard raises to the OS (paper §2.2).
 //!
+//! [`host_l1`] sits beside the vocabulary because it needs all of it: the
+//! host private cache both host protocols build on (core side, array,
+//! MSHR), generic over what a protocol says to the network.
+//!
 //! Keeping all message types in one enum lets heterogeneous controllers
 //! share one simulator instantiation, and — crucially for the safety story —
 //! lets the fuzzer hand *any* message to *any* controller, so we can test
@@ -22,6 +26,7 @@
 #![forbid(unsafe_code)]
 
 mod error;
+pub mod host_l1;
 mod messages;
 
 pub use error::{XgError, XgErrorKind};
