@@ -11,7 +11,9 @@
 //! (writing the shrunk counterexample transcript and a regression-test
 //! source into `--emit-dir`, if given). `--baseline` compares the final
 //! state counts and fingerprints against a committed baseline file and
-//! fails on drift; `--write-baseline` regenerates that file.
+//! fails on drift — the file is read and validated before anything is
+//! explored, so a bad path or a malformed line costs no fixpoint run;
+//! `--write-baseline` regenerates that file.
 
 use std::collections::BTreeMap;
 use std::process::ExitCode;
@@ -104,13 +106,65 @@ fn parse_args() -> Args {
     if args.personas.is_empty() {
         args.personas = Persona::ALL.to_vec();
     }
+    if let Err(why) = WorldSpec::new(args.personas[0])
+        .with_attack_blocks(args.addrs)
+        .check()
+    {
+        eprintln!("--addrs {}: {why}", args.addrs);
+        std::process::exit(2);
+    }
     args
+}
+
+/// `(states, fingerprint)` per persona name.
+type Baseline = BTreeMap<String, (usize, u64)>;
+
+/// Parses a baseline file: `persona states fingerprint` per line, `#`
+/// comments and blank lines aside. Every other line must parse.
+fn parse_baseline(text: &str) -> Result<Baseline, String> {
+    let mut rows = Baseline::new();
+    for (i, line) in text.lines().enumerate() {
+        if line.starts_with('#') || line.trim().is_empty() {
+            continue;
+        }
+        let bad = |what: &str| format!("line {}: {what} in {line:?}", i + 1);
+        let fields: Vec<&str> = line.split_whitespace().collect();
+        let [persona, states, fp] = fields.as_slice() else {
+            return Err(bad("expected `persona states fingerprint`"));
+        };
+        let persona = Persona::parse(persona).ok_or_else(|| bad("unknown persona"))?;
+        let states = states.parse().map_err(|_| bad("unparsable state count"))?;
+        let fp = u64::from_str_radix(fp.trim_start_matches("0x"), 16)
+            .map_err(|_| bad("unparsable fingerprint"))?;
+        if rows
+            .insert(persona.name().to_string(), (states, fp))
+            .is_some()
+        {
+            return Err(bad("second row for this persona"));
+        }
+    }
+    Ok(rows)
 }
 
 fn main() -> ExitCode {
     let args = parse_args();
+    let baseline = match &args.baseline {
+        Some(path) => {
+            let parsed = std::fs::read_to_string(path)
+                .map_err(|e| e.to_string())
+                .and_then(|text| parse_baseline(&text));
+            match parsed {
+                Ok(rows) => rows,
+                Err(why) => {
+                    eprintln!("bad baseline {path}: {why}");
+                    return ExitCode::FAILURE;
+                }
+            }
+        }
+        None => Baseline::new(),
+    };
     let mut failed = false;
-    let mut measured: BTreeMap<String, (usize, u64)> = BTreeMap::new();
+    let mut measured = Baseline::new();
 
     for &persona in &args.personas {
         let mut spec = WorldSpec::new(persona).with_attack_blocks(args.addrs);
@@ -209,38 +263,17 @@ fn main() -> ExitCode {
         println!("baseline written to {path}");
     }
 
-    if let Some(path) = &args.baseline {
-        match std::fs::read_to_string(path) {
-            Ok(text) => {
-                for line in text
-                    .lines()
-                    .filter(|l| !l.starts_with('#') && !l.trim().is_empty())
-                {
-                    let fields: Vec<&str> = line.split_whitespace().collect();
-                    let [persona, states, fp] = fields.as_slice() else {
-                        eprintln!("bad baseline line {line:?}");
-                        failed = true;
-                        continue;
-                    };
-                    let Some(&(got_states, got_fp)) = measured.get(*persona) else {
-                        continue; // persona not explored this run
-                    };
-                    let want_states: usize = states.parse().unwrap_or(0);
-                    let want_fp = u64::from_str_radix(fp.trim_start_matches("0x"), 16).unwrap_or(0);
-                    if got_states != want_states || got_fp != want_fp {
-                        eprintln!(
-                            "STATE DRIFT ({persona}): baseline {want_states} states \
-                             {want_fp:#018x}, measured {got_states} states {got_fp:#018x} — \
-                             re-run with --write-baseline if the protocol change is intended"
-                        );
-                        failed = true;
-                    }
-                }
-            }
-            Err(e) => {
-                eprintln!("failed to read baseline {path}: {e}");
-                failed = true;
-            }
+    for (persona, &(want_states, want_fp)) in &baseline {
+        let Some(&(got_states, got_fp)) = measured.get(persona) else {
+            continue; // persona not explored this run
+        };
+        if got_states != want_states || got_fp != want_fp {
+            eprintln!(
+                "STATE DRIFT ({persona}): baseline {want_states} states \
+                 {want_fp:#018x}, measured {got_states} states {got_fp:#018x} — \
+                 re-run with --write-baseline if the protocol change is intended"
+            );
+            failed = true;
         }
     }
 

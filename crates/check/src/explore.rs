@@ -6,7 +6,11 @@
 //! and fault counters), so a frontier state is expanded by restoring its
 //! checkpoint into a scratch world, running one step to quiescence, and
 //! digesting the result — no world is rebuilt, no script prefix is re-run
-//! and no string-keyed report is produced per successor. Drained states are
+//! and no string-keyed report is produced per successor. The restore
+//! overwrites the scratch world's components in place and the digest is the
+//! worker's own, reset between states, so an expansion that finds nothing
+//! new allocates only its successor's choice list
+//! (`tests/alloc_budget.rs`). Drained states are
 //! deduplicated by canonical digest; the first script to reach a digest (in
 //! frontier × alphabet × choice order) is its representative, and its
 //! checkpoint is what the next level expands. Because exploration is
@@ -41,7 +45,7 @@ use std::sync::Mutex;
 
 use xg_harness::{resolve_jobs, sweep};
 use xg_proto::{Message, Sim};
-use xg_sim::{Checkpoint, FsmRows, TransitionCoverage};
+use xg_sim::{CheckDigest, Checkpoint, FsmRows, TransitionCoverage};
 
 use crate::replay::{assess, replay, run_script, run_step, ReplayOutcome, Verdict};
 use crate::script::{CpuOp, Script, Step, ACCEL_KIND_CODES, INV_CHOICE_CODES};
@@ -171,9 +175,16 @@ impl ExploreResult {
 /// The stimulus alphabet for `spec`: every accelerator kind × accelerator
 /// address, every CPU op × CPU address, and (optionally) a reduced set of
 /// overlapping race steps.
+///
+/// # Panics
+/// If `spec` fails [`WorldSpec::check`]: a step could not name every
+/// address.
 pub fn step_alphabet(spec: &WorldSpec, race_steps: bool) -> Vec<Step> {
-    let accel_addrs = spec.accel_blocks().len() as u8;
-    let cpu_addrs = spec.cpu_words().len() as u8;
+    let index_bound = |addrs: usize| {
+        u8::try_from(addrs).unwrap_or_else(|_| panic!("{addrs} addresses do not fit a step's u8"))
+    };
+    let accel_addrs = index_bound(spec.accel_blocks().len());
+    let cpu_addrs = index_bound(spec.cpu_words().len());
     let mut steps = Vec::new();
     for kind in 0..ACCEL_KIND_CODES {
         for addr in 0..accel_addrs {
@@ -263,10 +274,22 @@ impl FiredSums {
     }
 }
 
-/// A worker's reusable world and its share of the coverage sums.
+/// A worker's reusable world, the digest that carries its roles, and its
+/// share of the coverage sums.
 struct Scratch {
     world: World,
+    digest: CheckDigest,
     fired: FiredSums,
+}
+
+impl Scratch {
+    fn new(spec: &WorldSpec, world: World) -> Scratch {
+        Scratch {
+            digest: spec.digest_for(&world.ids),
+            world,
+            fired: FiredSums::default(),
+        }
+    }
 }
 
 /// The read-only context of one level's sweep.
@@ -286,10 +309,7 @@ impl Expander<'_> {
     fn expand(&self, node: Node) -> Expanded {
         let spec = self.spec;
         let pooled = self.scratch.lock().expect("scratch pool").pop();
-        let mut scratch = pooled.unwrap_or_else(|| Scratch {
-            world: build_world(spec, &[]),
-            fired: FiredSums::default(),
-        });
+        let mut scratch = pooled.unwrap_or_else(|| Scratch::new(spec, build_world(spec, &[])));
         let mut replays = 0;
         let parent = node.state.unwrap_or_else(|| {
             replays += 1;
@@ -303,11 +323,12 @@ impl Expander<'_> {
 
         let mut successors: Vec<Successor> = Vec::with_capacity(self.alphabet.len());
         let mut expansions = 0;
+        // Choice suffixes still to try, depth-first; the empty suffix is
+        // the step as the parent's own choice list scripts it.
+        let mut pending: Vec<Vec<u8>> = Vec::new();
         for &step in self.alphabet {
             let first = successors.len();
-            // Choice suffixes still to try, depth-first; the empty suffix is
-            // the step as the parent's own choice list scripts it.
-            let mut pending: Vec<Vec<u8>> = vec![Vec::new()];
+            pending.push(Vec::new());
             while let Some(extra) = pending.pop() {
                 let world = &mut scratch.world;
                 world.sim.restore(&parent);
@@ -320,15 +341,13 @@ impl Expander<'_> {
                 }
                 let divergence = !run_step(world, step);
                 expansions += 1;
-                let drained = assess(spec, world, divergence);
+                let drained = assess(spec, world, divergence, &mut scratch.digest);
                 if drained.unscripted_invs > 0 && scripted + extra.len() < self.choice_cap {
                     // Branch on the first unscripted invalidation. The
                     // appended silence branch reproduces this run with the
                     // choice made explicit, so this run is not recorded.
                     for choice in 0..INV_CHOICE_CODES {
-                        let mut longer = extra.clone();
-                        longer.push(choice);
-                        pending.push(longer);
+                        pending.push([&extra[..], &[choice]].concat());
                     }
                     continue;
                 }
@@ -339,11 +358,9 @@ impl Expander<'_> {
                     && !successors[..first]
                         .iter()
                         .any(|s| s.digest == drained.digest);
-                let mut choices = node.script.choices.clone();
-                choices.extend_from_slice(&extra);
                 successors.push(Successor {
                     step,
-                    choices,
+                    choices: [&node.script.choices[..], &extra[..]].concat(),
                     digest: drained.digest,
                     verdict: drained.verdict,
                     state: keep.then(|| {
@@ -455,11 +472,11 @@ fn explore_within(
         let script = Script::empty();
         let (world, divergence) = run_script(spec, &script);
         found.replays += 1;
-        let drained = assess(spec, &world, divergence);
-        let mut fired = FiredSums::default();
-        fired.add_world(&world.sim);
+        let mut root = Scratch::new(spec, world);
+        let drained = assess(spec, &root.world, divergence, &mut root.digest);
+        root.fired.add_world(&root.world.sim);
         seen.insert(drained.digest);
-        let state = world.sim.checkpoint().ok();
+        let state = root.world.sim.checkpoint().ok();
         found.record(
             script,
             drained.digest,
@@ -467,7 +484,7 @@ fn explore_within(
             state,
             &mut frontier,
         );
-        Scratch { world, fired }
+        root
     };
     let scratch = Mutex::new(vec![root]);
 
@@ -592,8 +609,69 @@ pub fn unreachable_rows(
 
 #[cfg(test)]
 mod tests {
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+
     use super::*;
+    use crate::script::INV_CHOICE_CODES;
     use crate::world::Persona;
+
+    /// Digest and JSON report of `world` as it stands.
+    fn observe(spec: &WorldSpec, world: &World) -> (u128, String) {
+        let drained = assess(spec, world, false, &mut spec.digest_for(&world.ids));
+        (drained.digest, world.sim.report().to_json())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 24 })]
+
+        /// In-place restore is a deep copy. A world that ran script `ours`
+        /// and is then restored from the checkpoint of a world that ran
+        /// `theirs` is that second world: same digest, same report, and the
+        /// same again after one more step — whether `theirs` left more in
+        /// the tables than `ours` did (they grow) or less (they shrink,
+        /// and nothing of `ours` may show through). A freshly built world
+        /// restored from the same checkpoint agrees too.
+        #[test]
+        fn a_restored_world_is_the_checkpointed_one_whatever_it_held_before(
+            persona in 0usize..2,
+            picks in vec(0usize..1_000, 0..7),
+            other_picks in vec(0usize..1_000, 0..7),
+            choices in vec(0..INV_CHOICE_CODES, 0..4),
+            other_choices in vec(0..INV_CHOICE_CODES, 0..4),
+            next in 0usize..1_000,
+        ) {
+            // Two attack blocks in one set: evictions and recalls happen.
+            let spec = WorldSpec::new(Persona::ALL[persona]).with_attack_blocks(2);
+            let alphabet = step_alphabet(&spec, true);
+            let script = |picks: &[usize], choices: Vec<u8>| Script {
+                steps: picks.iter().map(|&i| alphabet[i % alphabet.len()]).collect(),
+                choices,
+            };
+            let a = script(&picks, choices);
+            let b = script(&other_picks, other_choices);
+            let next = alphabet[next % alphabet.len()];
+            for (ours, theirs) in [(&a, &b), (&b, &a)] {
+                let (mut original, _) = run_script(&spec, theirs);
+                // A world that failed to drain has no checkpoint to take.
+                let Ok(saved) = original.sim.checkpoint() else { continue };
+                let (mut used, _) = run_script(&spec, ours);
+                used.sim.restore(&saved);
+                let mut fresh = build_world(&spec, &[]);
+                fresh.sim.restore(&saved);
+
+                let want = observe(&spec, &original);
+                prop_assert_eq!(&observe(&spec, &used), &want, "{:?} over {:?}", theirs, ours);
+                prop_assert_eq!(&observe(&spec, &fresh), &want, "{:?} over new", theirs);
+                let drained = run_step(&mut original, next);
+                prop_assert_eq!(run_step(&mut used, next), drained);
+                prop_assert_eq!(run_step(&mut fresh, next), drained);
+                let want = observe(&spec, &original);
+                prop_assert_eq!(&observe(&spec, &used), &want, "{:?} over {:?}, stepped", theirs, ours);
+                prop_assert_eq!(&observe(&spec, &fresh), &want, "{:?} over new, stepped", theirs);
+            }
+        }
+    }
 
     #[test]
     fn alphabet_has_expected_shape() {
@@ -603,6 +681,29 @@ mod tests {
         assert_eq!(no_race.len(), 14 * 3 + 6);
         let with_race = step_alphabet(&spec, true);
         assert_eq!(with_race.len(), no_race.len() + 3 * 3 * 2 * 2);
+    }
+
+    #[test]
+    fn the_address_count_is_bounded_by_what_a_step_can_index() {
+        let widest =
+            WorldSpec::new(Persona::Hammer).with_attack_blocks(WorldSpec::MAX_ATTACK_BLOCKS);
+        assert_eq!(widest.check(), Ok(()));
+        // Every accelerator address is named: none was lost to a wrapped
+        // index (300 addresses used to be explored as 300 % 256 = 44).
+        let steps = step_alphabet(&widest, false);
+        let named = steps.iter().filter_map(|s| match s {
+            Step::Accel { kind: 0, addr } => Some(*addr),
+            _ => None,
+        });
+        assert!(named.eq(0..=u8::MAX - 1));
+
+        let mut too_wide = widest.clone();
+        too_wide.attack_blocks += 1;
+        assert!(too_wide.check().is_err());
+        let alphabet = std::panic::catch_unwind(|| step_alphabet(&too_wide, false));
+        assert!(alphabet.is_err(), "256 addresses do not fit a step's u8");
+        too_wide.attack_blocks = 0;
+        assert!(too_wide.check().is_err());
     }
 
     #[test]

@@ -171,7 +171,7 @@ pub fn classify(spec: &WorldSpec, world: &World, divergence: bool) -> ReplayOutc
         obligations,
         unscripted_invs,
         verdict,
-    } = assess(spec, world, divergence);
+    } = assess(spec, world, divergence, &mut spec.digest_for(&world.ids));
     ReplayOutcome {
         digest,
         obligations,
@@ -181,13 +181,18 @@ pub fn classify(spec: &WorldSpec, world: &World, divergence: bool) -> ReplayOutc
     }
 }
 
-/// Digest and property evaluation of an already-run world.
-pub(crate) fn assess(spec: &WorldSpec, world: &World, divergence: bool) -> Drained {
+/// Digest and property evaluation of an already-run world. `d` carries the
+/// world's roles ([`WorldSpec::digest_for`]) and is reset here, so a caller
+/// with many states of one world to assess builds it once.
+pub(crate) fn assess(
+    spec: &WorldSpec,
+    world: &World,
+    divergence: bool,
+    d: &mut CheckDigest,
+) -> Drained {
     let ids = &world.ids;
-    let mut d = CheckDigest::new();
-    spec.assign_roles(&mut d, ids);
-    let order: Vec<_> = Role::ALL.iter().map(|&r| ids.of(r)).collect();
-    world.sim.fold_check_state(&order, &mut d);
+    d.reset();
+    world.sim.fold_check_state(&Role::ALL.map(|r| ids.of(r)), d);
     let obligations = d.obligations();
 
     let chaos = world

@@ -5,7 +5,9 @@
 //! [`crate::replay`] builds a world from scratch and runs the script. The
 //! explorer builds one world per worker and moves it between states with
 //! [`xg_sim::Simulator::restore`], so every component here and in the host
-//! and guard crates implements `Component::box_clone`, and the chaos
+//! and guard crates implements `Component::box_clone` (what a kept state
+//! is made of) and `Component::restore_from` (how the worker's world is
+//! overwritten with it, in place, before every step), and the chaos
 //! accelerator's choice list can be extended in place
 //! ([`ChaosAccel::extend_choices`]) to stand for the longer list a child
 //! script would have been built with. Two knobs exist purely for the
@@ -137,10 +139,29 @@ impl WorldSpec {
         }
     }
 
+    /// The most attack blocks a spec may have: together with the window
+    /// and the forbidden block they make the accelerator's address list,
+    /// which a [`crate::Step`] indexes with a `u8`.
+    pub const MAX_ATTACK_BLOCKS: u64 = u8::MAX as u64 - 2;
+
     /// The same spec with `n` attack blocks.
     pub fn with_attack_blocks(mut self, n: u64) -> Self {
         self.attack_blocks = n.max(1);
         self
+    }
+
+    /// Whether this spec's address count is one a [`crate::Step`] can
+    /// index; the error says what is wrong. [`build_world`] and
+    /// [`crate::step_alphabet`] panic on a spec that fails this.
+    pub fn check(&self) -> Result<(), String> {
+        if !(1..=Self::MAX_ATTACK_BLOCKS).contains(&self.attack_blocks) {
+            return Err(format!(
+                "{} attack blocks: a world has 1 to {} (a step names an address with a u8)",
+                self.attack_blocks,
+                Self::MAX_ATTACK_BLOCKS
+            ));
+        }
+        Ok(())
     }
 
     /// Accelerator-visible block addresses: attack blocks, then the
@@ -183,6 +204,14 @@ impl WorldSpec {
         for (i, &role) in Role::ALL.iter().enumerate() {
             d.assign_node_role(ids.of(role), i as u64);
         }
+    }
+
+    /// A digest carrying the roles of a world built from this spec, to be
+    /// [`reset`](CheckDigest::reset) and reused for every state of it.
+    pub fn digest_for(&self, ids: &RoleIds) -> CheckDigest {
+        let mut d = CheckDigest::new();
+        self.assign_roles(&mut d, ids);
+        d
     }
 }
 
@@ -228,6 +257,9 @@ pub struct World {
 /// Builds the world for `spec` with the given invalidation choices baked
 /// into the chaos accelerator.
 pub fn build_world(spec: &WorldSpec, choices: &[u8]) -> World {
+    if let Err(why) = spec.check() {
+        panic!("invalid WorldSpec: {why}");
+    }
     // Plan every id up front from the (permutable) registration order, so
     // constructors can reference peers that are registered after them.
     let pos = |role: Role| {
@@ -340,7 +372,6 @@ pub fn build_world(spec: &WorldSpec, choices: &[u8]) -> World {
 /// replay driver. Host-initiated invalidations consume the scripted choice
 /// list in arrival order; invalidations past the end of the list stay
 /// silent and are counted, so the explorer can lazily branch on them.
-#[derive(Clone)]
 pub struct ChaosAccel {
     name: String,
     xg: NodeId,
@@ -351,6 +382,17 @@ pub struct ChaosAccel {
     forbidden_data: u64,
     ro_exclusive: u64,
 }
+
+xg_sim::clone_in_place!(impl[] for ChaosAccel {
+    name,
+    xg,
+    blocks,
+    choices,
+    consumed,
+    unscripted,
+    forbidden_data,
+    ro_exclusive,
+});
 
 impl ChaosAccel {
     /// Creates the injector with its scripted invalidation choices.
@@ -398,7 +440,10 @@ impl ChaosAccel {
     }
 
     fn payload(blocks: usize) -> XgData {
-        XgData::from_blocks(vec![DataBlock::splat(STEP_FILL); blocks])
+        match blocks {
+            1 => XgData::single(DataBlock::splat(STEP_FILL)),
+            n => XgData::from_blocks(vec![DataBlock::splat(STEP_FILL); n]),
+        }
     }
 }
 
@@ -455,18 +500,20 @@ impl Component<Message> for ChaosAccel {
                 if self.consumed < self.choices.len() {
                     let choice = self.choices[self.consumed] % INV_CHOICE_CODES;
                     self.consumed += 1;
-                    let replies: Vec<XgiKind> = match choice {
-                        0 => vec![],
-                        1 => vec![XgiKind::InvAck],
-                        2 => vec![XgiKind::CleanWb { data: inv_data() }],
-                        3 => vec![XgiKind::DirtyWb { data: inv_data() }],
-                        4 => vec![XgiKind::GetM],
+                    let xg = self.xg;
+                    let mut reply = |kind| ctx.send(xg, XgiMsg::new(m.addr, kind).into());
+                    match choice {
+                        0 => {}
+                        1 => reply(XgiKind::InvAck),
+                        2 => reply(XgiKind::CleanWb { data: inv_data() }),
+                        3 => reply(XgiKind::DirtyWb { data: inv_data() }),
+                        4 => reply(XgiKind::GetM),
                         // The Put-vs-Inv race: an eviction already in
                         // flight when the invalidation arrives.
-                        _ => vec![XgiKind::PutS, XgiKind::DirtyWb { data: inv_data() }],
-                    };
-                    for kind in replies {
-                        ctx.send(self.xg, XgiMsg::new(m.addr, kind).into());
+                        _ => {
+                            reply(XgiKind::PutS);
+                            reply(XgiKind::DirtyWb { data: inv_data() });
+                        }
                     }
                 } else {
                     self.unscripted += 1;
@@ -507,6 +554,10 @@ impl Component<Message> for ChaosAccel {
         Some(Box::new(self.clone()))
     }
 
+    fn restore_from(&mut self, saved: &dyn Component<Message>) -> bool {
+        xg_sim::restore_in_place(self, saved)
+    }
+
     fn as_any(&self) -> &dyn std::any::Any {
         self
     }
@@ -523,7 +574,6 @@ impl Component<Message> for ChaosAccel {
 /// probe's own store (or zero before it). Attack blocks are
 /// accelerator-writable, so their loads only check membership in the legal
 /// value set (probe constant, chaos fills, fabricated zero).
-#[derive(Clone)]
 pub struct ProbeCore {
     name: String,
     cache: NodeId,
@@ -536,6 +586,19 @@ pub struct ProbeCore {
     data_errors: u64,
     error_log: Vec<String>,
 }
+
+xg_sim::clone_in_place!(impl[] for ProbeCore {
+    name,
+    cache,
+    words,
+    window_word,
+    in_flight,
+    next_id,
+    window_stored,
+    completed,
+    data_errors,
+    error_log,
+});
 
 impl ProbeCore {
     /// Creates the probe issuing to `cache` over the given word pool.
@@ -712,6 +775,10 @@ impl Component<Message> for ProbeCore {
         Some(Box::new(self.clone()))
     }
 
+    fn restore_from(&mut self, saved: &dyn Component<Message>) -> bool {
+        xg_sim::restore_in_place(self, saved)
+    }
+
     fn as_any(&self) -> &dyn std::any::Any {
         self
     }
@@ -741,6 +808,39 @@ mod tests {
         assert!(!perms
             .get(BlockAddr::new(FORBIDDEN_BLOCK).page())
             .allows_read());
+    }
+
+    /// `Simulator::restore` falls back to `box_clone` for a component that
+    /// does not restore in place; none of the checker's may take that path.
+    #[test]
+    fn every_component_of_both_worlds_restores_in_place() {
+        fn in_place<T: Component<Message> + 'static>(world: &mut World, role: Role) -> bool {
+            let id = world.ids.of(role);
+            let component = world.sim.get_mut::<T>(id).expect("role has this type");
+            let saved = component.box_clone().expect("checkpointable");
+            component.restore_from(&*saved)
+        }
+        for persona in Persona::ALL {
+            let w = &mut build_world(&WorldSpec::new(persona), &[]);
+            let by_role = [
+                (Role::Probe, in_place::<ProbeCore>(w, Role::Probe)),
+                (Role::Os, in_place::<Os>(w, Role::Os)),
+                (Role::Guard, in_place::<CrossingGuard>(w, Role::Guard)),
+                (Role::Chaos, in_place::<ChaosAccel>(w, Role::Chaos)),
+                match persona {
+                    Persona::Hammer => (Role::CpuCache, in_place::<HammerCache>(w, Role::CpuCache)),
+                    Persona::Mesi => (Role::CpuCache, in_place::<MesiL1>(w, Role::CpuCache)),
+                },
+                match persona {
+                    Persona::Hammer => (Role::Home, in_place::<HammerDirectory>(w, Role::Home)),
+                    Persona::Mesi => (Role::Home, in_place::<MesiL2>(w, Role::Home)),
+                },
+            ];
+            for (role, restored) in by_role {
+                assert!(restored, "{persona:?} {role:?} fell back to box_clone");
+            }
+            assert_eq!(by_role.len(), Role::ALL.len());
+        }
     }
 
     #[test]

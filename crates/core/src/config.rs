@@ -41,7 +41,7 @@ pub enum OsPolicy {
 }
 
 /// Configuration for a [`crate::CrossingGuard`].
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct XgConfig {
     /// Which tracking strategy to use.
     pub variant: XgVariant,
@@ -75,6 +75,17 @@ pub struct XgConfig {
     /// against a known defect; never set outside tests.
     pub test_swallow_invs: bool,
 }
+
+xg_sim::clone_in_place!(impl[] for XgConfig {
+    variant,
+    block_blocks,
+    inv_timeout,
+    rate_limit,
+    suppress_put_s,
+    use_gets_only,
+    perms,
+    test_swallow_invs,
+});
 
 impl Default for XgConfig {
     fn default() -> Self {

@@ -21,7 +21,7 @@
 //!   gets its `WbAck`, and the `InvAck` the accelerator sends from state
 //!   `B` is absorbed.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use xg_mem::{BlockAddr, DataBlock, IdMap, PagePerm, Spares};
 use xg_proto::{Ctx, HomeMap, Message, OsMsg, XgData, XgError, XgErrorKind, XgiKind, XgiMsg};
@@ -158,7 +158,7 @@ struct OpenBlock {
     relinquishing: u64,
 }
 
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default)]
 struct Stats {
     accel_received: u64,
     accel_sent: u64,
@@ -182,9 +182,27 @@ struct Stats {
     lat_inv_resp: Histogram,
 }
 
+xg_sim::clone_in_place!(impl[] for Stats {
+    accel_received,
+    accel_sent,
+    grants,
+    wbacks,
+    invs_forwarded,
+    demands_answered_locally,
+    puts_suppressed,
+    throttled,
+    timeouts,
+    race_puts,
+    dropped_disabled,
+    fabricated_responses,
+    poisoned_refetches,
+    lat_grant,
+    lat_wback,
+    lat_inv_resp,
+});
+
 /// The Crossing Guard component. See the [crate docs](crate) and the
 /// [module docs](self).
-#[derive(Clone)]
 pub struct CrossingGuard {
     name: String,
     accel: NodeId,
@@ -209,9 +227,31 @@ pub struct CrossingGuard {
     /// Emptied `InvPending::reasons` buffers, reused by the next `Inv`.
     spare_reasons: Spares<Vec<(BlockAddr, DemandKind)>>,
     stats: Stats,
-    errors: BTreeMap<XgErrorKind, u64>,
+    /// Errors reported, indexed by `XgErrorKind as usize`.
+    errors: [u64; XgErrorKind::ALL.len()],
     peak_storage: u64,
 }
+
+xg_sim::clone_in_place!(impl[] for CrossingGuard {
+    name,
+    accel,
+    os,
+    cfg,
+    k,
+    persona,
+    table,
+    shadow_blocks,
+    open,
+    open_reqs,
+    open_invs,
+    rate,
+    disabled,
+    events,
+    spare_reasons,
+    stats,
+    errors,
+    peak_storage,
+});
 
 impl CrossingGuard {
     /// Creates a guard for a Hammer-protocol host; `dir` is the host
@@ -283,7 +323,7 @@ impl CrossingGuard {
             spare_reasons: Spares::default(),
             cfg,
             stats: Stats::default(),
-            errors: BTreeMap::new(),
+            errors: [0; XgErrorKind::ALL.len()],
             peak_storage: 0,
         }
     }
@@ -310,12 +350,12 @@ impl CrossingGuard {
 
     /// Total errors reported, by kind.
     pub fn error_count(&self, kind: XgErrorKind) -> u64 {
-        self.errors.get(&kind).copied().unwrap_or(0)
+        self.errors[kind as usize]
     }
 
     /// Total errors reported across all kinds.
     pub fn errors_total(&self) -> u64 {
-        self.errors.values().sum()
+        self.errors.iter().sum()
     }
 
     /// Whether the OS disabled this guard's accelerator.
@@ -350,7 +390,7 @@ impl CrossingGuard {
     fn report_error(&mut self, addr: Option<BlockAddr>, kind: XgErrorKind, ctx: &mut Ctx<'_>) {
         let raw = addr.map_or(u64::MAX, |a| a.as_u64());
         ctx.trace(raw, "guard", "Error", || format!("{kind}"));
-        *self.errors.entry(kind).or_insert(0) += 1;
+        self.errors[kind as usize] += 1;
         if self.errors_total() == 1 {
             // Flag only the first error: later ones are usually cascade
             // noise, and the post-mortem dump stays focused.
@@ -1358,12 +1398,11 @@ impl Component<Message> for CrossingGuard {
         // timestamps, and stats are excluded: none of them changes future
         // protocol-visible behavior at a drained point.)
         if let Some(table) = &self.table {
-            let mut addrs: Vec<_> = table.keys().copied().collect();
-            addrs.sort_by_key(|a| out.addr_role(a.as_u64()));
+            let addrs = out.sorted_by_addr_role(table.keys().map(|a| a.as_u64()));
             out.write_u64(addrs.len() as u64);
-            for a in addrs {
-                let e = &table[&a];
-                out.write_addr(a.as_u64());
+            for &a in &addrs {
+                let e = &table[&BlockAddr::new(a)];
+                out.write_addr(a);
                 out.write_u64(u64::from(e.owned));
                 out.write_u64(u64::from(e.dirty));
                 match &e.shadow {
@@ -1376,6 +1415,7 @@ impl Component<Message> for CrossingGuard {
                     None => out.write_str("no-shadow"),
                 }
             }
+            out.recycle(addrs);
         } else {
             out.write_str("transactional");
         }
@@ -1486,8 +1526,11 @@ impl Component<Message> for CrossingGuard {
         out.set(format!("{n}.storage_bytes"), self.storage_bytes());
         out.set(format!("{n}.peak_storage_bytes"), self.peak_storage);
         out.add(format!("{n}.errors_total"), self.errors_total());
-        for (kind, count) in &self.errors {
-            out.add(format!("{n}.errors.{kind}"), *count);
+        for kind in XgErrorKind::ALL {
+            let count = self.error_count(kind);
+            if count > 0 {
+                out.add(format!("{n}.errors.{kind}"), count);
+            }
         }
         let pstats = self.persona.stats();
         out.add(format!("{n}.host_sent"), pstats.sent);
@@ -1503,6 +1546,10 @@ impl Component<Message> for CrossingGuard {
 
     fn box_clone(&self) -> Option<Box<dyn Component<Message>>> {
         Some(Box::new(self.clone()))
+    }
+
+    fn restore_from(&mut self, saved: &dyn Component<Message>) -> bool {
+        xg_sim::restore_in_place(self, saved)
     }
 
     fn visit_fired(&self, visit: &mut dyn FnMut(&'static dyn FsmRows, &[u64])) {

@@ -19,8 +19,8 @@ use xg_proto::{Ctx, HammerKind, HammerMsg, HomeMap};
 use xg_sim::{CheckDigest, Cycle, FsmRows, NodeId, Report};
 
 use crate::persona::{
-    DemandKind, DemandResponse, GetReq, GrantState, HostPersona, PersonaEvent, PersonaStats,
-    PutReq, Requestor,
+    restore_in_place, DemandKind, DemandResponse, GetReq, GrantState, HostPersona, PersonaEvent,
+    PersonaStats, PutReq, Requestor,
 };
 
 alphabet! {
@@ -161,7 +161,6 @@ pub struct PCx<'a, 'b, 'e> {
 }
 
 /// Crossing Guard's Hammer-protocol half.
-#[derive(Clone)]
 pub(crate) struct HammerPersona {
     dir: HomeMap,
     txns: IdMap<BlockAddr, Txn>,
@@ -169,6 +168,8 @@ pub(crate) struct HammerPersona {
     pub(crate) stats: PersonaStats,
     machine: Machine<PState, PEvent, PAction>,
 }
+
+xg_sim::clone_in_place!(impl[] for HammerPersona { dir, txns, demands, stats, machine });
 
 impl HammerPersona {
     pub(crate) fn new(dir: HomeMap) -> Self {
@@ -610,6 +611,14 @@ impl HostPersona for HammerPersona {
     }
     fn box_clone(&self) -> Box<dyn HostPersona> {
         Box::new(self.clone())
+    }
+
+    fn restore_from(&mut self, saved: &dyn HostPersona) -> bool {
+        restore_in_place(self, saved)
+    }
+
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
     }
     fn check_state(&self, out: &mut CheckDigest) {
         out.write_str("hammer_persona");

@@ -19,8 +19,8 @@ use xg_proto::{Ctx, HomeMap, MesiKind, MesiMsg};
 use xg_sim::{CheckDigest, Cycle, FsmRows, NodeId, Report};
 
 use crate::persona::{
-    DemandKind, DemandResponse, GetReq, GrantState, HostPersona, PersonaEvent, PersonaStats,
-    PutReq, Requestor,
+    restore_in_place, DemandKind, DemandResponse, GetReq, GrantState, HostPersona, PersonaEvent,
+    PersonaStats, PutReq, Requestor,
 };
 
 alphabet! {
@@ -200,7 +200,6 @@ pub struct PCx<'a, 'b, 'e> {
 }
 
 /// Crossing Guard's MESI-protocol half.
-#[derive(Clone)]
 pub(crate) struct MesiPersona {
     l2: HomeMap,
     txns: IdMap<BlockAddr, Txn>,
@@ -208,6 +207,8 @@ pub(crate) struct MesiPersona {
     pub(crate) stats: PersonaStats,
     machine: Machine<PState, PEvent, PAction>,
 }
+
+xg_sim::clone_in_place!(impl[] for MesiPersona { l2, txns, demands, stats, machine });
 
 impl MesiPersona {
     pub(crate) fn new(l2: HomeMap) -> Self {
@@ -789,6 +790,14 @@ impl HostPersona for MesiPersona {
     }
     fn box_clone(&self) -> Box<dyn HostPersona> {
         Box::new(self.clone())
+    }
+
+    fn restore_from(&mut self, saved: &dyn HostPersona) -> bool {
+        restore_in_place(self, saved)
+    }
+
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
     }
     fn check_state(&self, out: &mut CheckDigest) {
         out.write_str("mesi_persona");

@@ -1,7 +1,5 @@
 //! The OS model: error sink and policy engine (paper §2.2).
 
-use std::collections::BTreeMap;
-
 use xg_proto::{Ctx, Message, OsMsg, XgError, XgErrorKind};
 use xg_sim::{CheckDigest, Component, NodeId, Report};
 
@@ -16,18 +14,17 @@ use crate::config::OsPolicy;
 /// answering host demands safely) — the containment action the paper
 /// suggests ("disable the accelerator to prevent it from making further
 /// accesses").
-#[derive(Clone)]
 pub struct Os {
     name: String,
     policy: OsPolicy,
+    /// Every report, in arrival order. The per-kind and per-guard counts
+    /// below are read off it on demand: they are asked for a few times per
+    /// run, the log is copied at every checkpoint restore.
     errors: Vec<XgError>,
-    by_kind: BTreeMap<XgErrorKind, u64>,
-    /// Per-guard-instance attribution: which guard reported how many errors
-    /// of each kind. Keyed by the reporting node so a multi-accelerator OS
-    /// can blame the *offending* guard, not the fleet.
-    by_source: BTreeMap<NodeId, BTreeMap<XgErrorKind, u64>>,
     disabled: Vec<NodeId>,
 }
+
+xg_sim::clone_in_place!(impl[] for Os { name, policy, errors, disabled });
 
 impl Os {
     /// Creates an OS model with the given policy.
@@ -36,8 +33,6 @@ impl Os {
             name: name.into(),
             policy,
             errors: Vec::new(),
-            by_kind: BTreeMap::new(),
-            by_source: BTreeMap::new(),
             disabled: Vec::new(),
         }
     }
@@ -49,7 +44,7 @@ impl Os {
 
     /// Number of errors of a given kind.
     pub fn count(&self, kind: XgErrorKind) -> u64 {
-        self.by_kind.get(&kind).copied().unwrap_or(0)
+        self.errors.iter().filter(|e| e.kind == kind).count() as u64
     }
 
     /// Total errors received.
@@ -57,28 +52,26 @@ impl Os {
         self.errors.len() as u64
     }
 
-    /// Total errors attributed to one guard instance.
+    /// Total errors attributed to one guard instance (the guard a report
+    /// names, so a multi-accelerator OS can blame the *offending* guard,
+    /// not the fleet).
     pub fn errors_from(&self, guard: NodeId) -> u64 {
-        self.by_source
-            .get(&guard)
-            .map_or(0, |kinds| kinds.values().sum())
+        self.errors.iter().filter(|e| e.guard == guard).count() as u64
     }
 
     /// Errors of one kind attributed to one guard instance.
     pub fn count_from(&self, guard: NodeId, kind: XgErrorKind) -> u64 {
-        self.by_source
-            .get(&guard)
-            .and_then(|kinds| kinds.get(&kind))
-            .copied()
-            .unwrap_or(0)
+        let from_guard = self.errors.iter().filter(|e| e.guard == guard);
+        from_guard.filter(|e| e.kind == kind).count() as u64
     }
 
-    /// Iterates `(kind, count)` for one guard in deterministic order.
+    /// Iterates `(kind, count)` over the kinds one guard reported, in
+    /// [`XgErrorKind`] order.
     pub fn kinds_from(&self, guard: NodeId) -> impl Iterator<Item = (XgErrorKind, u64)> + '_ {
-        self.by_source
-            .get(&guard)
+        XgErrorKind::ALL
             .into_iter()
-            .flat_map(|kinds| kinds.iter().map(|(&k, &n)| (k, n)))
+            .map(move |kind| (kind, self.count_from(guard, kind)))
+            .filter(|&(_, n)| n > 0)
     }
 
     /// Guards this OS has disabled.
@@ -96,13 +89,6 @@ impl Component<Message> for Os {
         let Message::Os(OsMsg::Error(err)) = msg else {
             return;
         };
-        *self.by_kind.entry(err.kind).or_insert(0) += 1;
-        *self
-            .by_source
-            .entry(err.guard)
-            .or_default()
-            .entry(err.kind)
-            .or_insert(0) += 1;
         let addr = err.addr.map_or(u64::MAX, |a| a.as_u64());
         ctx.trace(addr, "os", "Error", || format!("{} from {from}", err.kind));
         self.errors.push(err);
@@ -130,14 +116,21 @@ impl Component<Message> for Os {
     fn report(&self, out: &mut Report) {
         let n = &self.name;
         out.set(format!("{n}.errors_total"), self.total());
-        for (kind, count) in &self.by_kind {
-            out.add(format!("{n}.errors.{kind}"), *count);
+        for kind in XgErrorKind::ALL {
+            let count = self.count(kind);
+            if count > 0 {
+                out.add(format!("{n}.errors.{kind}"), count);
+            }
         }
         out.set(format!("{n}.guards_disabled"), self.disabled.len() as u64);
     }
 
     fn box_clone(&self) -> Option<Box<dyn Component<Message>>> {
         Some(Box::new(self.clone()))
+    }
+
+    fn restore_from(&mut self, saved: &dyn Component<Message>) -> bool {
+        xg_sim::restore_in_place(self, saved)
     }
 
     fn as_any(&self) -> &dyn std::any::Any {

@@ -136,7 +136,7 @@ pub(crate) enum PersonaEvent {
 }
 
 /// Per-persona statistics the guard folds into its report.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default)]
 pub(crate) struct PersonaStats {
     /// Messages sent to the host network.
     pub sent: u64,
@@ -151,6 +151,8 @@ pub(crate) struct PersonaStats {
     /// the host network to its completion at the persona.
     pub host_rtt: Histogram,
 }
+
+xg_sim::clone_in_place!(impl[] for PersonaStats { sent, puts_sent, received, violations, host_rtt });
 
 /// Node id placeholder used in demand contexts that answer to the host
 /// controller itself rather than a sibling cache.
@@ -202,6 +204,11 @@ pub(crate) trait HostPersona: Send {
     fn visit_fired(&self, visit: &mut dyn FnMut(&'static dyn FsmRows, &[u64]));
     /// A deep copy, so the guard that owns this persona can be cloned.
     fn box_clone(&self) -> Box<dyn HostPersona>;
+    /// Overwrites this persona with `saved` in place (field-wise
+    /// `clone_from`) if `saved` is the same persona; `false` otherwise.
+    fn restore_from(&mut self, saved: &dyn HostPersona) -> bool;
+    /// Upcast, so `restore_from` can recognise its own type.
+    fn as_any(&self) -> &dyn std::any::Any;
     /// Folds the persona's protocol-relevant state into a canonical digest
     /// (see [`CheckDigest`]): open transactions and pending demands, sorted
     /// by address role, timestamps excluded; each open item also counts as
@@ -209,8 +216,26 @@ pub(crate) trait HostPersona: Send {
     fn check_state(&self, out: &mut CheckDigest);
 }
 
+/// [`HostPersona::restore_from`] for a persona that is `Clone`:
+/// `dst.clone_from(saved)` if `saved` is a `T`, else `false`.
+pub(crate) fn restore_in_place<T: Clone + 'static>(dst: &mut T, saved: &dyn HostPersona) -> bool {
+    match saved.as_any().downcast_ref::<T>() {
+        Some(saved) => {
+            dst.clone_from(saved);
+            true
+        }
+        None => false,
+    }
+}
+
 impl Clone for Box<dyn HostPersona> {
     fn clone(&self) -> Self {
         self.box_clone()
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        if !self.restore_from(&**source) {
+            *self = source.box_clone();
+        }
     }
 }

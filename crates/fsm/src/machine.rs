@@ -30,11 +30,12 @@ pub enum Resolution<S: Alphabet, A: Alphabet> {
 /// per-row fired counters. Cheap to create per controller (or per
 /// controller *instance* — counters from many instances of the same table
 /// merge under the table name in [`xg_sim::Report`]).
-#[derive(Clone)]
 pub struct Machine<S: Alphabet, E: Alphabet, A: Alphabet> {
     table: &'static Table<S, E, A>,
     fired: Vec<u64>,
 }
+
+xg_sim::clone_in_place!(impl[S: Alphabet, E: Alphabet, A: Alphabet] for Machine<S, E, A> { table, fired });
 
 impl<S: Alphabet, E: Alphabet, A: Alphabet> Machine<S, E, A> {
     /// Wraps a validated table with zeroed fired counters.

@@ -211,7 +211,7 @@ impl DirBlock {
     }
 }
 
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default)]
 struct Stats {
     gets: u64,
     getms: u64,
@@ -223,6 +223,17 @@ struct Stats {
     /// Cycles each directory transaction held its block busy.
     lat_busy: Histogram,
 }
+
+xg_sim::clone_in_place!(impl[] for Stats {
+    gets,
+    getms,
+    puts,
+    nacks,
+    mem_reads,
+    mem_writes,
+    protocol_violation,
+    lat_busy,
+});
 
 /// Per-dispatch context for [`DirAction`] interpretation.
 pub struct DirCx<'a, 'b> {
@@ -238,7 +249,6 @@ pub struct DirCx<'a, 'b> {
 }
 
 /// The directory/memory controller of the Hammer-like protocol.
-#[derive(Clone)]
 pub struct HammerDirectory {
     name: String,
     caches: Vec<NodeId>,
@@ -250,6 +260,17 @@ pub struct HammerDirectory {
     seen: CoverageGrid<DirState, DirMsg>,
     machine: Machine<DirState, DirEvent, DirAction>,
 }
+
+xg_sim::clone_in_place!(impl[] for HammerDirectory {
+    name,
+    caches,
+    memory,
+    blocks,
+    mem_latency,
+    stats,
+    seen,
+    machine,
+});
 
 impl HammerDirectory {
     /// Creates a directory serving the given set of peer caches (every
@@ -520,31 +541,25 @@ impl Component<Message> for HammerDirectory {
         // must be skipped — otherwise "wrote zeroes" and "never wrote"
         // would digest as different states with identical behavior.
         let zero = DataBlock::default();
-        let mut mem: Vec<_> = self
-            .memory
-            .iter()
-            .filter(|(_, d)| **d != zero)
-            .map(|(a, _)| *a)
-            .collect();
-        mem.sort_by_key(|a| out.addr_role(a.as_u64()));
+        let written = self.memory.iter().filter(|(_, d)| **d != zero);
+        let mem = out.sorted_by_addr_role(written.map(|(a, _)| a.as_u64()));
         out.write_u64(mem.len() as u64);
-        for a in mem {
-            out.write_addr(a.as_u64());
-            out.write_bytes(self.memory[&a].as_bytes());
+        for &a in &mem {
+            out.write_addr(a);
+            out.write_bytes(self.memory[&BlockAddr::new(a)].as_bytes());
         }
+        out.recycle(mem);
         // Per-block directory state. Entries that drained back to the
         // default (no owner, not busy, empty queue) equal absent ones.
-        let mut blocks: Vec<_> = self
+        let live = self
             .blocks
             .iter()
-            .filter(|(_, b)| b.owner.is_some() || b.busy.is_some() || !b.queue.is_empty())
-            .map(|(a, _)| *a)
-            .collect();
-        blocks.sort_by_key(|a| out.addr_role(a.as_u64()));
+            .filter(|(_, b)| b.owner.is_some() || b.busy.is_some() || !b.queue.is_empty());
+        let blocks = out.sorted_by_addr_role(live.map(|(a, _)| a.as_u64()));
         out.write_u64(blocks.len() as u64);
-        for a in blocks {
-            let b = &self.blocks[&a];
-            out.write_addr(a.as_u64());
+        for &a in &blocks {
+            let b = &self.blocks[&BlockAddr::new(a)];
+            out.write_addr(a);
             match b.owner {
                 Some(owner) => out.write_node(owner),
                 None => out.write_str("mem"),
@@ -568,6 +583,7 @@ impl Component<Message> for HammerDirectory {
             }
             out.obligation(b.queue.len() as u64);
         }
+        out.recycle(blocks);
     }
 
     fn report(&self, out: &mut Report) {
@@ -589,6 +605,10 @@ impl Component<Message> for HammerDirectory {
 
     fn box_clone(&self) -> Option<Box<dyn Component<Message>>> {
         Some(Box::new(self.clone()))
+    }
+
+    fn restore_from(&mut self, saved: &dyn Component<Message>) -> bool {
+        xg_sim::restore_in_place(self, saved)
     }
 
     fn visit_fired(&self, visit: &mut dyn FnMut(&'static dyn FsmRows, &[u64])) {

@@ -192,12 +192,14 @@ impl Get {
 
 /// The MESI side of a [`HostL1`]: recycled `Get::deferred` buffers and the
 /// counters only this protocol has.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct Mesi {
     spare_deferred: Spares<Vec<Deferred>>,
     isi_races: u64,
     deferred_fwds: u64,
 }
+
+xg_sim::clone_in_place!(impl[] for Mesi { spare_deferred, isi_races, deferred_fwds });
 
 impl Mesi {
     /// Number of ISI races survived (invalidation overtook a grant).

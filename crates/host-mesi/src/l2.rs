@@ -250,7 +250,7 @@ impl Default for MesiL2Config {
 }
 
 /// Directory + data state for one resident block.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct L2Line {
     data: DataBlock,
     dirty: bool,
@@ -260,6 +260,8 @@ struct L2Line {
     /// modified L2 can ack on behalf of a misbehaving responder (§3.2.2).
     inv_debt: Option<NodeId>,
 }
+
+xg_sim::clone_in_place!(impl[] for L2Line { data, dirty, sharers, owner, inv_debt });
 
 impl L2Line {
     fn fresh(data: DataBlock) -> Self {
@@ -335,7 +337,7 @@ impl Block {
     }
 }
 
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default)]
 struct Stats {
     violation_reasons: std::collections::BTreeMap<&'static str, u64>,
     redundant_getms: u64,
@@ -359,6 +361,27 @@ struct Stats {
     mshr_occupancy: Histogram,
 }
 
+xg_sim::clone_in_place!(impl[] for Stats {
+    violation_reasons,
+    redundant_getms,
+    gets,
+    getms,
+    puts,
+    put_s,
+    nacks,
+    mem_reads,
+    mem_writes,
+    recalls,
+    fwd_gets,
+    inv_rounds,
+    mod_acks_on_behalf,
+    demoted_puts,
+    install_retries,
+    protocol_violation,
+    lat_busy,
+    mshr_occupancy,
+});
+
 /// Per-dispatch context for [`L2Action`] interpretation. Timer-driven
 /// events (`FetchDone`, `InstallRetry`) carry no message; their `kind` is
 /// `None` and `from` is the L2 itself.
@@ -370,7 +393,6 @@ pub struct L2Cx<'a, 'b> {
 }
 
 /// The shared inclusive L2 + directory + memory controller.
-#[derive(Clone)]
 pub struct MesiL2 {
     name: String,
     cfg: MesiL2Config,
@@ -384,6 +406,18 @@ pub struct MesiL2 {
     seen: CoverageGrid<L2State, L2Msg>,
     machine: Machine<L2State, L2Event, L2Action>,
 }
+
+xg_sim::clone_in_place!(impl[] for MesiL2 {
+    name,
+    cfg,
+    array,
+    blocks,
+    memory,
+    spare_queues,
+    stats,
+    seen,
+    machine,
+});
 
 impl MesiL2 {
     /// Creates the shared L2.
@@ -1039,12 +1073,12 @@ impl Component<Message> for MesiL2 {
         fn digest_line(line: &L2Line, out: &mut CheckDigest) {
             out.write_bytes(line.data.as_bytes());
             out.write_u64(u64::from(line.dirty));
-            let mut sharers: Vec<_> = line.sharers.iter().copied().collect();
-            sharers.sort_by_key(|n| out.node_role(*n));
+            let sharers = out.sorted_node_roles(line.sharers.iter().copied());
             out.write_u64(sharers.len() as u64);
-            for s in sharers {
-                out.write_node(s);
+            for &role in &sharers {
+                out.write_u64(role);
             }
+            out.recycle(sharers);
             match line.owner {
                 Some(o) => out.write_node(o),
                 None => out.write_str("no-owner"),
@@ -1065,14 +1099,14 @@ impl Component<Message> for MesiL2 {
         // Resident lines, sorted by address role. Replacement recency is
         // excluded: the checker's small-model configuration is effectively
         // direct-mapped, so it never branches behavior.
-        let mut lines: Vec<_> = self.array.iter().map(|(a, _)| a).collect();
-        lines.sort_by_key(|a| out.addr_role(a.as_u64()));
+        let lines = out.sorted_by_addr_role(self.array.iter().map(|(a, _)| a.as_u64()));
         out.write_u64(lines.len() as u64);
-        for a in lines {
-            let line = self.array.get(a).expect("iterated address is resident");
-            out.write_addr(a.as_u64());
-            digest_line(line, out);
+        for &a in &lines {
+            let line = self.array.get(BlockAddr::new(a));
+            out.write_addr(a);
+            digest_line(line.expect("iterated address is resident"), out);
         }
+        out.recycle(lines);
         // Open blocks, sorted by address role: first the busy (transient)
         // entries, one obligation each (`since` is a timestamp and
         // excluded), then the stall queues.
@@ -1126,18 +1160,17 @@ impl Component<Message> for MesiL2 {
         }
         // Memory: entries holding zeroed data are indistinguishable from
         // absent ones (`read_memory` defaults to zero), so filter them.
-        let mut mem: Vec<_> = self
+        let written = self
             .memory
             .iter()
-            .filter(|(_, d)| **d != DataBlock::default())
-            .map(|(&a, _)| a)
-            .collect();
-        mem.sort_by_key(|a| out.addr_role(a.as_u64()));
+            .filter(|(_, d)| **d != DataBlock::default());
+        let mem = out.sorted_by_addr_role(written.map(|(a, _)| a.as_u64()));
         out.write_u64(mem.len() as u64);
-        for a in mem {
-            out.write_addr(a.as_u64());
-            out.write_bytes(self.memory[&a].as_bytes());
+        for &a in &mem {
+            out.write_addr(a);
+            out.write_bytes(self.memory[&BlockAddr::new(a)].as_bytes());
         }
+        out.recycle(mem);
     }
 
     fn report(&self, out: &mut Report) {
@@ -1171,6 +1204,10 @@ impl Component<Message> for MesiL2 {
 
     fn box_clone(&self) -> Option<Box<dyn Component<Message>>> {
         Some(Box::new(self.clone()))
+    }
+
+    fn restore_from(&mut self, saved: &dyn Component<Message>) -> bool {
+        xg_sim::restore_in_place(self, saved)
     }
 
     fn visit_fired(&self, visit: &mut dyn FnMut(&'static dyn FsmRows, &[u64])) {

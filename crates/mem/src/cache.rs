@@ -17,12 +17,42 @@ pub enum Replacement {
     Random,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Line<E> {
     addr: BlockAddr,
     entry: E,
     last_used: u64,
     inserted: u64,
+}
+
+// `Clone` by hand so that `clone_from` goes field by field, down to the
+// entry: restoring a checkpoint into a live cache (`Component::restore_from`)
+// reuses the sets and whatever the entries own. Each `clone_from` below
+// destructures exhaustively — a new field does not compile until it is
+// copied too. (`xg_sim::clone_in_place!` is this pattern as a macro; this
+// crate sits beside `xg-sim`, not above it.)
+impl<E: Clone> Clone for Line<E> {
+    fn clone(&self) -> Self {
+        Line {
+            addr: self.addr,
+            entry: self.entry.clone(),
+            last_used: self.last_used,
+            inserted: self.inserted,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let Line {
+            addr,
+            entry,
+            last_used,
+            inserted,
+        } = source;
+        self.addr = *addr;
+        self.entry.clone_from(entry);
+        self.last_used = *last_used;
+        self.inserted = *inserted;
+    }
 }
 
 /// A set-associative cache array mapping [`BlockAddr`]s to entries of type
@@ -41,13 +71,40 @@ struct Line<E> {
 /// let (victim, entry) = c.insert(BlockAddr::new(4), 30).unwrap();
 /// assert_eq!((victim, entry), (BlockAddr::new(2), 20));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct SetAssocCache<E> {
     sets: Vec<Vec<Line<E>>>,
     ways: usize,
     policy: Replacement,
     clock: u64,
     rng: SmallRng,
+}
+
+impl<E: Clone> Clone for SetAssocCache<E> {
+    fn clone(&self) -> Self {
+        SetAssocCache {
+            sets: self.sets.clone(),
+            ways: self.ways,
+            policy: self.policy,
+            clock: self.clock,
+            rng: self.rng.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let SetAssocCache {
+            sets,
+            ways,
+            policy,
+            clock,
+            rng,
+        } = source;
+        self.sets.clone_from(sets);
+        self.ways = *ways;
+        self.policy = *policy;
+        self.clock = *clock;
+        self.rng.clone_from(rng);
+    }
 }
 
 impl<E> SetAssocCache<E> {
@@ -290,6 +347,27 @@ mod tests {
     /// Addresses 0, 4, 8, ... all map to set 0 of a 4-set cache.
     fn same_set(i: u64) -> BlockAddr {
         BlockAddr::new(i * 4)
+    }
+
+    #[test]
+    fn clone_from_is_clone_whatever_the_destination_held() {
+        let mut source = cache(Replacement::Lru);
+        source.insert(same_set(0), 10);
+        source.insert(same_set(1), 11);
+        source.insert(BlockAddr::new(1), 12);
+        source.touch(same_set(0));
+        let mut fuller = cache(Replacement::Lru);
+        for i in 0..8 {
+            fuller.insert(BlockAddr::new(i), 100 + i);
+        }
+        for mut copy in [cache(Replacement::Lru), fuller] {
+            copy.clone_from(&source);
+            assert!(copy.iter().eq(source.iter()));
+            // Recency came along: both evict the line `touch` passed over.
+            let evicted = copy.insert(same_set(2), 13);
+            assert_eq!(evicted, source.clone().insert(same_set(2), 13));
+            assert_eq!(evicted, Some((same_set(1), 11)));
+        }
     }
 
     #[test]

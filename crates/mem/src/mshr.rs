@@ -34,10 +34,28 @@ impl Error for MshrFullError {}
 /// assert!(m.contains(BlockAddr::new(1)));
 /// assert_eq!(m.remove(BlockAddr::new(1)), Some("getS"));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Mshr<V> {
     entries: IdMap<BlockAddr, V>,
     capacity: usize,
+}
+
+// By hand for a field-wise `clone_from` (see `SetAssocCache`): the table
+// keeps its allocation, and `HashMap::clone_from` gives it the source's
+// slot layout, so the copy iterates exactly as a `clone` would.
+impl<V: Clone> Clone for Mshr<V> {
+    fn clone(&self) -> Self {
+        Mshr {
+            entries: self.entries.clone(),
+            capacity: self.capacity,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let Mshr { entries, capacity } = source;
+        self.entries.clone_from(entries);
+        self.capacity = *capacity;
+    }
 }
 
 impl<V> Mshr<V> {

@@ -47,10 +47,28 @@ impl PagePerm {
 /// assert!(!t.get(PageAddr::new(3)).allows_write());
 /// assert!(t.get(PageAddr::new(4)).allows_write());
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct PermissionTable {
     pages: IdMap<PageAddr, PagePerm>,
     default: PagePerm,
+}
+
+// By hand for a field-wise `clone_from` (see `SetAssocCache`): a guard
+// restored from a checkpoint carries its permissions along and should not
+// reallocate them.
+impl Clone for PermissionTable {
+    fn clone(&self) -> Self {
+        PermissionTable {
+            pages: self.pages.clone(),
+            default: self.default,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let PermissionTable { pages, default } = source;
+        self.pages.clone_from(pages);
+        self.default = *default;
+    }
 }
 
 impl PermissionTable {

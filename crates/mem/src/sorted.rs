@@ -12,8 +12,18 @@
 /// assert_eq!(s.iter().copied().collect::<Vec<_>>(), [3, 7]);
 /// assert!(s.remove(&3) && !s.contains(&3) && s.len() == 1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct SortedSet<T>(Vec<T>);
+
+impl<T: Clone> Clone for SortedSet<T> {
+    fn clone(&self) -> Self {
+        SortedSet(self.0.clone())
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.0.clone_from(&source.0);
+    }
+}
 
 impl<T: Ord> SortedSet<T> {
     /// An empty set (allocates nothing).

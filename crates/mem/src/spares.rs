@@ -34,7 +34,9 @@ impl<T> Recycle for VecDeque<T> {
 /// the controller's working set of open transactions.
 ///
 /// Spares are capacity, not state: a clone starts with none, so checkpoint
-/// copies of a controller carry nothing for them.
+/// copies of a controller carry nothing for them, and `clone_from` leaves
+/// the destination's own pool alone, so a controller overwritten from a
+/// checkpoint keeps the buffers it has grown.
 ///
 /// ```rust
 /// use xg_mem::Spares;
@@ -87,5 +89,21 @@ impl<B> Default for Spares<B> {
 impl<B> Clone for Spares<B> {
     fn clone(&self) -> Self {
         Self::default()
+    }
+
+    fn clone_from(&mut self, _source: &Self) {}
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_clone_has_no_spares_and_clone_from_keeps_its_own() {
+        let mut pool: Spares<Vec<u8>> = Spares::default();
+        pool.put(Vec::with_capacity(16));
+        assert_eq!(pool.clone().take().capacity(), 0);
+        pool.clone_from(&Spares::default());
+        assert_eq!(pool.take().capacity(), 16);
     }
 }

@@ -115,7 +115,7 @@ pub trait L1Protocol: Clone + Send + Sized + 'static {
     fn report(&self, name: &str, out: &mut Report);
 }
 
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default)]
 struct Stats {
     violation_reasons: std::collections::BTreeMap<&'static str, u64>,
     loads: u64,
@@ -131,9 +131,21 @@ struct Stats {
     mshr_occupancy: Histogram,
 }
 
+xg_sim::clone_in_place!(impl[] for Stats {
+    violation_reasons,
+    loads,
+    stores,
+    hits,
+    misses,
+    writebacks,
+    mshr_stalls,
+    protocol_violation,
+    lat_miss,
+    mshr_occupancy,
+});
+
 /// A private host cache serving one core's loads and stores, speaking
 /// protocol `P` to the network.
-#[derive(Clone)]
 pub struct HostL1<P: L1Protocol> {
     name: String,
     home: HomeMap,
@@ -149,6 +161,17 @@ pub struct HostL1<P: L1Protocol> {
     /// The protocol's configuration, buffers and counters.
     pub proto: P,
 }
+
+xg_sim::clone_in_place!(impl[P: L1Protocol] for HostL1<P> {
+    name,
+    home,
+    cache,
+    mshr,
+    spare_waiting,
+    stats,
+    seen,
+    proto,
+});
 
 impl<P: L1Protocol> HostL1<P> {
     /// Creates a cache that sends its protocol requests to `home` (a
@@ -471,16 +494,17 @@ impl<P: L1Protocol> Component<Message> for HostL1<P> {
         // Stable lines, sorted by address role. Replacement/recency
         // metadata is excluded: in the checker's direct-mapped small-model
         // configuration it never branches behavior.
-        let mut lines: Vec<_> = self.cache.iter().map(|(a, _)| a).collect();
-        lines.sort_by_key(|a| out.addr_role(a.as_u64()));
+        let lines = out.sorted_by_addr_role(self.cache.iter().map(|(a, _)| a.as_u64()));
         out.write_u64(lines.len() as u64);
-        for a in lines {
-            let line = self.cache.get(a).expect("iterated address is resident");
-            out.write_addr(a.as_u64());
+        for &a in &lines {
+            let line = self.cache.get(BlockAddr::new(a));
+            let line = line.expect("iterated address is resident");
+            out.write_addr(a);
             out.write_str(line.state.into().label());
             out.write_u64(u64::from(line.dirty));
             out.write_bytes(line.data.as_bytes());
         }
+        out.recycle(lines);
         // Open MSHR transactions (each one an obligation).
         let mut txns: Vec<_> = self.mshr.iter().collect();
         txns.sort_by_key(|(a, _)| out.addr_role(a.as_u64()));
@@ -518,6 +542,10 @@ impl<P: L1Protocol> Component<Message> for HostL1<P> {
 
     fn box_clone(&self) -> Option<Box<dyn Component<Message>>> {
         Some(Box::new(self.clone()))
+    }
+
+    fn restore_from(&mut self, saved: &dyn Component<Message>) -> bool {
+        xg_sim::restore_in_place(self, saved)
     }
 
     fn as_any(&self) -> &dyn std::any::Any {

@@ -45,10 +45,12 @@ pub use messages::{
 /// always agree on which bank homes a block. A single-bank map routes every
 /// block to its one node, which keeps the M=1 system identical to the
 /// pre-banking layout.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct HomeMap {
     banks: Vec<xg_sim::NodeId>,
 }
+
+xg_sim::clone_in_place!(impl[] for HomeMap { banks });
 
 impl HomeMap {
     /// Creates a map over the given bank nodes, in bank order.

@@ -94,6 +94,22 @@ pub trait Component<M>: Send {
         None
     }
 
+    /// Overwrites this component with `saved`, a [`box_clone`] of a
+    /// component of the same concrete type, keeping the allocations it
+    /// already owns — what [`crate::Simulator::restore`] does to every
+    /// component of a scratch world, a hundred times per parent state.
+    /// Implement it as `xg_sim::restore_in_place(self, saved)` over a
+    /// `Clone` written with [`clone_in_place!`](crate::clone_in_place), so
+    /// every field is copied and none is forgotten. `false` — the default,
+    /// and the answer to a `saved` of another type — leaves `self` as it
+    /// was; `restore` then replaces it by a fresh `box_clone`.
+    ///
+    /// [`box_clone`]: Component::box_clone
+    fn restore_from(&mut self, saved: &dyn Component<M>) -> bool {
+        let _ = saved;
+        false
+    }
+
     /// Hands each table-driven machine of this component — its row
     /// universe and its dense per-cell fired counters — to `visit`, without
     /// building the string-keyed coverage [`report`](Component::report)
@@ -106,4 +122,55 @@ pub trait Component<M>: Send {
     fn as_any(&self) -> &dyn Any;
     /// Upcast for mutable downcasting in harnesses.
     fn as_any_mut(&mut self) -> &mut dyn Any;
+}
+
+/// [`Component::restore_from`] for a component that is `Clone`:
+/// `dst.clone_from(saved)` if `saved` is a `T`, else `false`.
+pub fn restore_in_place<T: Clone + 'static, M>(dst: &mut T, saved: &dyn Component<M>) -> bool {
+    match saved.as_any().downcast_ref::<T>() {
+        Some(src) => {
+            dst.clone_from(src);
+            true
+        }
+        None => false,
+    }
+}
+
+/// Implements `Clone` for a struct from the list of its fields, `clone` and
+/// `clone_from` both field by field.
+///
+/// `#[derive(Clone)]` leaves `clone_from` at its default, `*self =
+/// source.clone()`: every `Vec`, table and string of the destination is
+/// freed and allocated again. Field-wise `clone_from` keeps them, which is
+/// what makes restoring a checkpoint into a live world cheap. Both methods
+/// destructure the struct exhaustively, so a field missing from the list —
+/// one added later, say — does not compile, where a hand-written
+/// `clone_from` would silently keep its stale value.
+///
+/// ```rust
+/// struct Tally<T> { name: String, seen: Vec<T>, total: u64 }
+/// xg_sim::clone_in_place!(impl[T: Clone] for Tally<T> { name, seen, total });
+///
+/// let a = Tally { name: "a".into(), seen: vec![1, 2, 3], total: 6 };
+/// let mut b = Tally { name: "b".into(), seen: Vec::with_capacity(8), total: 0 };
+/// let kept = b.seen.as_ptr();
+/// b.clone_from(&a);
+/// assert_eq!((b.name.as_str(), &b.seen[..], b.total), ("a", &[1, 2, 3][..], 6));
+/// assert_eq!(b.seen.as_ptr(), kept, "the buffer was reused");
+/// ```
+#[macro_export]
+macro_rules! clone_in_place {
+    (impl[$($generics:tt)*] for $ty:ty { $($field:ident),+ $(,)? }) => {
+        impl<$($generics)*> ::core::clone::Clone for $ty {
+            fn clone(&self) -> Self {
+                let Self { $($field),+ } = self;
+                Self { $($field: ::core::clone::Clone::clone($field)),+ }
+            }
+
+            fn clone_from(&mut self, source: &Self) {
+                let Self { $($field),+ } = source;
+                $(::core::clone::Clone::clone_from(&mut self.$field, $field);)+
+            }
+        }
+    };
 }

@@ -14,7 +14,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 /// A mergeable histogram with logarithmic (power-of-two) buckets.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Default, PartialEq, Eq)]
 pub struct Histogram {
     /// Sparse bucket population, keyed by [`Histogram::bucket_index`].
     buckets: BTreeMap<u32, u64>,
@@ -22,6 +22,41 @@ pub struct Histogram {
     sum: u64,
     min: u64,
     max: u64,
+}
+
+impl Clone for Histogram {
+    fn clone(&self) -> Self {
+        Histogram {
+            buckets: self.buckets.clone(),
+            count: self.count,
+            sum: self.sum,
+            min: self.min,
+            max: self.max,
+        }
+    }
+
+    /// Overwrites in place. `BTreeMap` has no `clone_from` of its own, but
+    /// a histogram's few buckets sit in one tree node, which `retain` and
+    /// `insert` keep — so a component restored from a checkpoint
+    /// ([`crate::Component::restore_from`]) does not pay an allocation per
+    /// histogram.
+    fn clone_from(&mut self, source: &Self) {
+        let Histogram {
+            buckets,
+            count,
+            sum,
+            min,
+            max,
+        } = source;
+        self.buckets.retain(|index, _| buckets.contains_key(index));
+        for (&index, &n) in buckets {
+            self.buckets.insert(index, n);
+        }
+        self.count = *count;
+        self.sum = *sum;
+        self.min = *min;
+        self.max = *max;
+    }
 }
 
 impl Histogram {
@@ -197,6 +232,23 @@ impl fmt::Display for Histogram {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn clone_from_overwrites_whatever_was_there() {
+        let of = |values: &[u64]| {
+            let mut h = Histogram::new();
+            values.iter().for_each(|&v| h.record(v));
+            h
+        };
+        let shapes: [&[u64]; 4] = [&[], &[5], &[0, 5, 9, 70_000], &[3, 3, 1 << 40]];
+        for from in shapes {
+            for into in shapes {
+                let mut h = of(into);
+                h.clone_from(&of(from));
+                assert_eq!(h, of(from), "{from:?} over {into:?}");
+            }
+        }
+    }
 
     #[test]
     fn bucket_index_boundaries() {

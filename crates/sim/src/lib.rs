@@ -68,7 +68,7 @@ mod trace;
 
 pub use alphabet::Alphabet;
 pub use check::CheckDigest;
-pub use component::{Component, NodeId};
+pub use component::{restore_in_place, Component, NodeId};
 pub use hist::Histogram;
 pub use json::{JsonError, JsonValue};
 pub use link::{FaultSpec, Link};

@@ -1062,6 +1062,14 @@ impl<M: Clone + 'static> Simulator<M> {
     /// that failed to drain is how a scratch world is reused). The
     /// simulator then behaves exactly as the checkpointed one would have.
     ///
+    /// Nothing is rebuilt that can be overwritten: each component is handed
+    /// its saved peer ([`Component::restore_from`]) and copies it field by
+    /// field into the tables and buffers it already owns — only one that
+    /// declines is replaced by a fresh [`Component::box_clone`] — and the
+    /// RNG streams and link floors are copied into place. Restoring the
+    /// same simulator over and over, as a model checker does once per
+    /// successor, therefore stays off the allocator.
+    ///
     /// # Panics
     /// If `checkpoint` came from a simulator with a different component
     /// list or topology.
@@ -1073,15 +1081,17 @@ impl<M: Clone + 'static> Simulator<M> {
         );
         for (slot, saved) in self.components.iter_mut().zip(&checkpoint.components) {
             debug_assert_eq!(slot.name(), saved.name(), "checkpoint of another simulator");
-            *slot = saved
-                .box_clone()
-                .expect("a checkpointed component clones again");
+            if !slot.restore_from(&**saved) {
+                *slot = saved
+                    .box_clone()
+                    .expect("a checkpointed component clones again");
+            }
         }
         self.queue.reset_at(checkpoint.now);
         self.msgs.clear();
         self.effects.clear();
         self.now = checkpoint.now;
-        self.rng = checkpoint.rng.clone();
+        self.rng.0.clone_from(&checkpoint.rng.0);
         self.links.set_dynamic(&checkpoint.links);
         self.progress = checkpoint.progress;
         self.last_progress_at = checkpoint.last_progress_at;
@@ -1737,7 +1747,9 @@ mod tests {
         );
     }
 
-    /// A [`Recorder`] that can be checkpointed.
+    /// A [`Recorder`] that can be checkpointed, and restored in place (the
+    /// `Relay` of the payload-lifetime test below only clones, so `restore`
+    /// replaces it: between them the tests take both paths).
     #[derive(Clone)]
     struct Tape(Vec<(u64, u64)>);
     impl Component<u64> for Tape {
@@ -1757,12 +1769,24 @@ mod tests {
         fn box_clone(&self) -> Option<Box<dyn Component<u64>>> {
             Some(Box::new(self.clone()))
         }
+        fn restore_from(&mut self, saved: &dyn Component<u64>) -> bool {
+            crate::restore_in_place(self, saved)
+        }
         fn as_any(&self) -> &dyn std::any::Any {
             self
         }
         fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
             self
         }
+    }
+
+    #[test]
+    fn restore_from_refuses_a_component_of_another_type() {
+        let mut tape = Tape(vec![(1, 2)]);
+        assert!(!tape.restore_from(&Recorder::new()));
+        assert_eq!(tape.0, [(1, 2)], "left as it was");
+        assert!(tape.restore_from(&Tape(vec![(3, 4), (5, 6)])));
+        assert_eq!(tape.0, [(3, 4), (5, 6)]);
     }
 
     fn tape_sim() -> (Simulator<u64>, NodeId) {
