@@ -18,7 +18,7 @@
 use std::collections::VecDeque;
 
 use xg_mem::{BlockAddr, IdMap, Replacement, SetAssocCache, SortedSet, Spares};
-use xg_proto::{Ctx, Message, XgData, XgiKind, XgiMsg};
+use xg_proto::{Ctx, Message, XgData, XgiKind, XgiMsg, XgiTag};
 use xg_sim::{alphabet, Component, CoverageGrid, Cycle, Histogram, NodeId, Report};
 
 /// Configuration for an [`AccelL2`].
@@ -69,43 +69,6 @@ alphabet! {
         BusyHostInv = "Busy_HostInv",
         BusyEvictRecall = "Busy_EvictRecall",
         BusyEvictPut = "Busy_EvictPut",
-    }
-}
-
-alphabet! {
-    /// Interface message kinds, labelled as [`XgiKind::mnemonic`].
-    enum L2Msg {
-        GetS,
-        GetM,
-        PutS,
-        PutE,
-        PutM,
-        DataS,
-        DataE,
-        DataM,
-        WbAck,
-        Inv,
-        InvAck,
-        CleanWb,
-        DirtyWb,
-    }
-}
-
-fn msg_kind(kind: &XgiKind) -> L2Msg {
-    match kind {
-        XgiKind::GetS => L2Msg::GetS,
-        XgiKind::GetM => L2Msg::GetM,
-        XgiKind::PutS => L2Msg::PutS,
-        XgiKind::PutE { .. } => L2Msg::PutE,
-        XgiKind::PutM { .. } => L2Msg::PutM,
-        XgiKind::DataS { .. } => L2Msg::DataS,
-        XgiKind::DataE { .. } => L2Msg::DataE,
-        XgiKind::DataM { .. } => L2Msg::DataM,
-        XgiKind::WbAck => L2Msg::WbAck,
-        XgiKind::Inv => L2Msg::Inv,
-        XgiKind::InvAck => L2Msg::InvAck,
-        XgiKind::CleanWb { .. } => L2Msg::CleanWb,
-        XgiKind::DirtyWb { .. } => L2Msg::DirtyWb,
     }
 }
 
@@ -229,7 +192,7 @@ pub struct AccelL2 {
     spare_queues: Spares<Queue>,
     stats: Stats,
     /// `(state, event)` pairs visited, by index; named in `report`.
-    seen: CoverageGrid<L2State, L2Msg>,
+    seen: CoverageGrid<L2State, XgiTag>,
 }
 
 impl AccelL2 {
@@ -299,7 +262,7 @@ impl AccelL2 {
     }
 
     /// Counts a message no handler has a use for, against the block's state.
-    fn stray(&mut self, addr: BlockAddr, event: L2Msg) {
+    fn stray(&mut self, addr: BlockAddr, event: XgiTag) {
         let state = Self::state_given(&self.array, addr, self.blocks.get(&addr));
         self.seen.visit(state, event);
         self.violation();
@@ -335,7 +298,7 @@ impl AccelL2 {
     }
 
     fn handle_from_l1(&mut self, from: NodeId, addr: BlockAddr, kind: XgiKind, ctx: &mut Ctx<'_>) {
-        let event = msg_kind(&kind);
+        let event = kind.tag();
         match kind {
             XgiKind::GetS | XgiKind::GetM => match self.blocks.get_mut(&addr) {
                 Some(Block {
@@ -372,7 +335,7 @@ impl AccelL2 {
     }
 
     fn handle_from_xg(&mut self, addr: BlockAddr, kind: XgiKind, ctx: &mut Ctx<'_>) {
-        let event = msg_kind(&kind);
+        let event = kind.tag();
         match kind {
             XgiKind::DataS { data } => self.up_grant(addr, event, data, Host::S, ctx),
             XgiKind::DataE { data } => self.up_grant(addr, event, data, Host::E, ctx),
@@ -447,10 +410,10 @@ impl AccelL2 {
     fn process_l1_get(&mut self, from: NodeId, addr: BlockAddr, want_m: bool, ctx: &mut Ctx<'_>) {
         let event = if want_m {
             self.stats.l1_getms += 1;
-            L2Msg::GetM
+            XgiTag::GetM
         } else {
             self.stats.l1_gets += 1;
-            L2Msg::GetS
+            XgiTag::GetS
         };
         let line = self.array.get(addr);
         self.seen.visit(line_state(line), event);
@@ -541,7 +504,7 @@ impl AccelL2 {
         &mut self,
         from: NodeId,
         addr: BlockAddr,
-        event: L2Msg,
+        event: XgiTag,
         data: Option<XgData>,
         dirty: bool,
         ctx: &mut Ctx<'_>,
@@ -572,7 +535,7 @@ impl AccelL2 {
         &mut self,
         from: NodeId,
         addr: BlockAddr,
-        event: L2Msg,
+        event: XgiTag,
         data: Option<XgData>,
         dirty: bool,
         ctx: &mut Ctx<'_>,
@@ -645,7 +608,7 @@ impl AccelL2 {
     fn up_grant(
         &mut self,
         addr: BlockAddr,
-        event: L2Msg,
+        event: XgiTag,
         data: XgData,
         host: Host,
         ctx: &mut Ctx<'_>,
@@ -734,7 +697,7 @@ impl AccelL2 {
     fn process_host_inv(&mut self, addr: BlockAddr, ctx: &mut Ctx<'_>) {
         self.stats.host_invs += 1;
         let line = self.array.get(addr);
-        self.seen.visit(line_state(line), L2Msg::Inv);
+        self.seen.visit(line_state(line), XgiTag::Inv);
         let Some(line) = line else {
             // Nothing held (e.g. our Put crossed this Inv).
             ctx.send(self.below, XgiMsg::new(addr, XgiKind::InvAck).into());
@@ -834,7 +797,7 @@ impl AccelL2 {
                     XgiKind::GetS | XgiKind::GetM => {
                         self.process_l1_get(from, addr, matches!(kind, XgiKind::GetM), ctx)
                     }
-                    _ => self.stray(addr, msg_kind(&kind)),
+                    _ => self.stray(addr, kind.tag()),
                 }
             }
         }
@@ -881,36 +844,5 @@ impl Component<Message> for AccelL2 {
     }
     fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
         self
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use xg_sim::Alphabet;
-
-    /// Coverage keys are the interface mnemonics reports have always used.
-    #[test]
-    fn coverage_events_are_labelled_as_the_interface_mnemonics() {
-        let data = || XgData::zeroed(1);
-        let kinds = [
-            XgiKind::GetS,
-            XgiKind::GetM,
-            XgiKind::PutS,
-            XgiKind::PutE { data: data() },
-            XgiKind::PutM { data: data() },
-            XgiKind::DataS { data: data() },
-            XgiKind::DataE { data: data() },
-            XgiKind::DataM { data: data() },
-            XgiKind::WbAck,
-            XgiKind::Inv,
-            XgiKind::InvAck,
-            XgiKind::CleanWb { data: data() },
-            XgiKind::DirtyWb { data: data() },
-        ];
-        assert_eq!(kinds.len(), L2Msg::ALL.len());
-        for kind in &kinds {
-            assert_eq!(msg_kind(kind).label(), kind.mnemonic());
-        }
     }
 }

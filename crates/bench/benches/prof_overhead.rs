@@ -1,25 +1,22 @@
 //! Profiling-overhead micro-benchmark, with an optional CI gate.
 //!
-//! Times the E1 stress configuration (hammer/xg_full_l1) three ways:
+//! Times the E1 stress configuration (hammer/xg_full_l1) two ways:
 //!
-//! * `baseline` — the legacy [`run_stress`] entry point;
-//! * `disabled` — [`run_stress_with`] carrying [`Instrumentation::off`],
-//!   i.e. the new plumbing with every probe dark (one branch per event);
+//! * `disabled` — [`run_stress_with`] carrying [`Instrumentation::off`]:
+//!   every probe dark, one branch per event. This is also what
+//!   `run_stress` runs (it forwards here), so there is no third variant to
+//!   compare it with;
 //! * `profiled` — the same run with kernel profiling on (dispatch
 //!   counters, sampled host-time attribution, epoch series).
 //!
 //! With `XG_PROF_GATE=1` in the environment, the bench *asserts* the
-//! overhead contract the observability subsystem makes: disabled
-//! instrumentation costs at most 5% over baseline (on a passing run the
-//! two entry points execute the *same* code — `run_stress` forwards to
-//! `run_stress_with(off)` — so this bound is really a sanity check that
-//! the dark-probe path hasn't forked; the measured delta is runner
-//! noise), and enabled profiling costs at most 25% over disabled — the
-//! probe-cost contract proper. (The bounds were 1%/10% against the
-//! pre-overhaul kernel; the hot-path rework cut the per-event baseline
-//! ~2.5x, so the profiler's unchanged absolute cost — a few ns per
-//! sampled event — is a larger *fraction* of a much cheaper event, and
-//! the shorter wall times leave less room under scheduler noise.)
+//! probe-cost contract the observability subsystem makes: enabled
+//! profiling costs at most 25% over disabled instrumentation. (The bound
+//! was 10% against the pre-overhaul kernel; the hot-path rework cut the
+//! per-event baseline ~2.5x, so the profiler's unchanged absolute cost —
+//! a few ns per sampled event — is a larger *fraction* of a much cheaper
+//! event, and the shorter wall times leave less room under scheduler
+//! noise.)
 //! Minimum-of-N wall times over interleaved sampling rounds are compared
 //! (the minimum is the estimator least sensitive to scheduler noise), with
 //! a small absolute slack so sub-millisecond timer jitter cannot trip the
@@ -28,15 +25,12 @@
 use std::time::Instant;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use xg_harness::{run_stress, run_stress_with, Instrumentation, StressOpts, SystemConfig};
+use xg_harness::{run_stress_with, Instrumentation, StressOpts, SystemConfig};
 
 /// Ops per timed run: long enough that per-event overhead dominates setup.
 const OPS: u64 = 2000;
 /// Timed samples per variant when gating.
 const GATE_SAMPLES: usize = 15;
-/// Disabled-instrumentation limit over baseline (same code path on a
-/// passing run, so this absorbs runner noise, not probe cost).
-const DISABLED_LIMIT: f64 = 1.05;
 /// Enabled-profiling limit over disabled instrumentation.
 const PROFILED_LIMIT: f64 = 1.25;
 /// Absolute slack absorbing timer jitter, in seconds (0.5 ms).
@@ -80,9 +74,6 @@ fn min_secs_interleaved<const N: usize>(
 
 fn bench(c: &mut Criterion) {
     let cfg = e1_cfg();
-    c.bench_function("prof_overhead/baseline_2000ops", |b| {
-        b.iter(|| run_stress(&cfg, &opts()).cycles)
-    });
     c.bench_function("prof_overhead/disabled_2000ops", |b| {
         b.iter(|| run_stress_with(&cfg, &opts(), &Instrumentation::off()).cycles)
     });
@@ -91,11 +82,8 @@ fn bench(c: &mut Criterion) {
     });
 
     if std::env::var("XG_PROF_GATE").as_deref() == Ok("1") {
-        let [baseline, disabled, profiled] = min_secs_interleaved(
+        let [disabled, profiled] = min_secs_interleaved(
             &mut [
-                &mut || {
-                    black_box(run_stress(&cfg, &opts()).cycles);
-                },
                 &mut || {
                     black_box(run_stress_with(&cfg, &opts(), &Instrumentation::off()).cycles);
                 },
@@ -106,18 +94,10 @@ fn bench(c: &mut Criterion) {
             GATE_SAMPLES,
         );
         println!(
-            "gate: baseline {:.3} ms, disabled {:.3} ms ({:+.2}%), profiled {:.3} ms ({:+.2}% over disabled)",
-            baseline * 1e3,
+            "gate: disabled {:.3} ms, profiled {:.3} ms ({:+.2}% over disabled)",
             disabled * 1e3,
-            (disabled / baseline - 1.0) * 100.0,
             profiled * 1e3,
             (profiled / disabled - 1.0) * 100.0,
-        );
-        assert!(
-            disabled <= baseline * DISABLED_LIMIT + GATE_SLACK,
-            "disabled-instrumentation overhead gate failed: {:.3} ms vs baseline {:.3} ms (limit 5%)",
-            disabled * 1e3,
-            baseline * 1e3,
         );
         assert!(
             profiled <= disabled * PROFILED_LIMIT + GATE_SLACK,
@@ -125,7 +105,7 @@ fn bench(c: &mut Criterion) {
             profiled * 1e3,
             disabled * 1e3,
         );
-        println!("gate: overhead within limits (disabled <= 5%, profiled <= 25%)");
+        println!("gate: overhead within limits (profiled <= 25% over disabled)");
     }
 }
 

@@ -34,6 +34,7 @@
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
+use xg_bench::cli::{self, arg_value};
 use xg_bench::experiments::e2_campaign;
 use xg_bench::Scale;
 use xg_core::XgVariant;
@@ -42,17 +43,6 @@ use xg_harness::campaign::{
     CampaignOpts, CampaignOutcome, FailureKind,
 };
 use xg_harness::{run_campaign, AccelOrg, HostProtocol, Instrumentation, Schedule, SystemConfig};
-
-fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter().position(|a| a == flag).map(|i| {
-        args.get(i + 1)
-            .unwrap_or_else(|| {
-                eprintln!("{flag} requires a value argument");
-                std::process::exit(2);
-            })
-            .clone()
-    })
-}
 
 fn parse_seed(raw: &str) -> u64 {
     let parsed = match raw.strip_prefix("0x").or_else(|| raw.strip_prefix("0X")) {
@@ -190,10 +180,7 @@ fn campaign_mode(args: &[String]) -> i32 {
         Scale::Full
     };
     let seed = arg_value(args, "--seed").map_or(0xC4A55, |s| parse_seed(&s));
-    let jobs = match arg_value(args, "--jobs") {
-        Some(raw) => xg_harness::resolve_jobs(Some(xg_harness::sweep::parse_jobs(&raw))),
-        None => xg_harness::resolve_jobs(None),
-    };
+    let jobs = cli::jobs(args);
     let corpus_dir = arg_value(args, "--corpus").map(PathBuf::from);
     let num_accels = arg_value(args, "--accels").map_or(1, |raw| {
         raw.parse().unwrap_or_else(|_| {

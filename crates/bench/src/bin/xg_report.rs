@@ -38,19 +38,9 @@
 //! stress cells, protected-configuration fuzz violations, incomplete
 //! timeout recoveries, or nonzero error counters exit `1` so CI fails.
 
+use xg_bench::cli::{self, arg_value};
 use xg_bench::experiments::*;
 use xg_bench::Scale;
-
-fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter().position(|a| a == flag).map(|i| {
-        args.get(i + 1)
-            .unwrap_or_else(|| {
-                eprintln!("{flag} requires a value argument");
-                std::process::exit(2);
-            })
-            .clone()
-    })
-}
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -60,10 +50,7 @@ fn main() {
         Scale::Full
     };
     let json_path = arg_value(&args, "--json");
-    let jobs = match arg_value(&args, "--jobs") {
-        Some(raw) => xg_harness::resolve_jobs(Some(xg_harness::sweep::parse_jobs(&raw))),
-        None => xg_harness::resolve_jobs(None),
-    };
+    let jobs = cli::jobs(&args);
     if args.iter().any(|a| a == "--profile") {
         let report = xg_bench::profile::collect_profile_jobs(scale, jobs);
         print!("{}", xg_bench::profile::profile_table(&report, 12));

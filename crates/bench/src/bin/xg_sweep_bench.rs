@@ -34,6 +34,7 @@
 use std::collections::BTreeMap;
 use std::time::Instant;
 
+use xg_bench::cli::{self, arg_value};
 use xg_harness::{run_stress_with, sweep, Instrumentation, StressOpts, SystemConfig};
 use xg_sim::{JsonValue, Report};
 
@@ -45,17 +46,6 @@ const SEEDS: [u64; 4] = [1, 2, 3, 4];
 const TOP_EVENTS: usize = 8;
 /// Relative drift tolerance of `--check`, in percent.
 const DRIFT_PCT: u64 = 20;
-
-fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter().position(|a| a == flag).map(|i| {
-        args.get(i + 1)
-            .unwrap_or_else(|| {
-                eprintln!("{flag} requires a value argument");
-                std::process::exit(2);
-            })
-            .clone()
-    })
-}
 
 /// Runs the whole sweep at one worker count with kernel profiling on,
 /// returning the merged report and the wall-clock milliseconds it took.
@@ -197,10 +187,7 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     let out_path = arg_value(&args, "--out").unwrap_or_else(|| "BENCH_sweep.json".into());
     let check = args.iter().any(|a| a == "--check");
-    let jobs = match arg_value(&args, "--jobs") {
-        Some(raw) => xg_harness::resolve_jobs(Some(xg_harness::sweep::parse_jobs(&raw))),
-        None => xg_harness::resolve_jobs(None),
-    };
+    let jobs = cli::jobs(&args);
 
     // Read the committed file before the sweep: an unreadable or malformed
     // one is reported at once, not after a minute of simulation.

@@ -1,0 +1,28 @@
+//! Argument handling the `xg-bench` binaries share. Bad input exits 2
+//! with a message naming it, before anything runs.
+
+/// The value following `flag`, if `flag` is given.
+pub fn arg_value(args: &[String], flag: &str) -> Option<String> {
+    args.iter().position(|a| a == flag).map(|i| {
+        args.get(i + 1)
+            .unwrap_or_else(|| {
+                eprintln!("{flag} requires a value argument");
+                std::process::exit(2);
+            })
+            .clone()
+    })
+}
+
+/// The worker count of this run: `--jobs N`, else `XG_JOBS`, else one per
+/// core (`0` means that too).
+pub fn jobs(args: &[String]) -> usize {
+    let (source, raw) = match (arg_value(args, "--jobs"), std::env::var("XG_JOBS")) {
+        (Some(raw), _) => ("--jobs", raw),
+        (None, Ok(raw)) => ("XG_JOBS", raw),
+        (None, Err(_)) => return xg_harness::available_jobs(),
+    };
+    xg_harness::sweep::parse_jobs(&raw).unwrap_or_else(|why| {
+        eprintln!("{source}: {why}");
+        std::process::exit(2);
+    })
+}

@@ -15,6 +15,7 @@
 
 #![forbid(unsafe_code)]
 
+pub mod cli;
 pub mod experiments;
 pub mod profile;
 pub mod table;

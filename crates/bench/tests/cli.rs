@@ -1,0 +1,80 @@
+//! The `xg-bench` binaries refuse a bad worker count before they run
+//! anything: exit 2, naming the flag or variable and the value.
+//!
+//! Each of them would otherwise start a sweep (seconds to minutes), so an
+//! empty stdout is the evidence that the refusal came first.
+
+use std::process::{Command, Output};
+
+/// The binaries that take `--jobs` / `XG_JOBS`, each with the arguments
+/// that put it on its sweep path.
+const BINARIES: [(&str, &str, &[&str]); 3] = [
+    ("xg-report", env!("CARGO_BIN_EXE_xg-report"), &["quick"]),
+    (
+        "xg-fuzz",
+        env!("CARGO_BIN_EXE_xg-fuzz"),
+        &["--campaign", "quick"],
+    ),
+    (
+        "xg-sweep-bench",
+        env!("CARGO_BIN_EXE_xg-sweep-bench"),
+        &["--check", "--out", "/nonexistent/BENCH_sweep.json"],
+    ),
+];
+
+fn run(exe: &str, args: &[&str], more: &[&str], xg_jobs: Option<&str>) -> Output {
+    let mut cmd = Command::new(exe);
+    cmd.args(args).args(more).env_remove("XG_JOBS");
+    if let Some(value) = xg_jobs {
+        cmd.env("XG_JOBS", value);
+    }
+    cmd.output().expect("binary runs")
+}
+
+/// Checks that `out` is a refusal (exit 2, nothing on stdout) and returns
+/// what it said.
+fn refusal(name: &str, out: &Output) -> String {
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert_eq!(out.status.code(), Some(2), "{name}: {stderr}");
+    assert!(out.stdout.is_empty(), "{name} ran before refusing");
+    stderr
+}
+
+#[test]
+fn a_jobs_flag_that_is_not_a_count_is_refused_by_name() {
+    for (name, exe, args) in BINARIES {
+        let said = refusal(name, &run(exe, args, &["--jobs", "banana"], None));
+        assert!(said.contains("--jobs") && said.contains("banana"), "{said}");
+    }
+}
+
+#[test]
+fn an_xg_jobs_variable_that_is_not_a_count_is_refused_by_name() {
+    for (name, exe, args) in BINARIES {
+        let said = refusal(name, &run(exe, args, &[], Some("banana")));
+        assert!(
+            said.contains("XG_JOBS") && said.contains("banana"),
+            "{said}"
+        );
+    }
+}
+
+#[test]
+fn a_jobs_flag_without_a_value_is_refused() {
+    for (name, exe, args) in BINARIES {
+        let said = refusal(name, &run(exe, args, &["--jobs"], None));
+        assert!(said.contains("--jobs requires a value"), "{said}");
+    }
+}
+
+/// The flag wins over the variable, so a good flag is not held up by a
+/// bad variable (`xg-sweep-bench --check` then fails on its missing
+/// baseline: exit 1, past argument handling).
+#[test]
+fn a_good_jobs_flag_is_accepted_whatever_the_variable_says() {
+    let (_, exe, args) = BINARIES[2];
+    let out = run(exe, args, &["--jobs", "1"], Some("banana"));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("--check: failed to read"), "{stderr}");
+}

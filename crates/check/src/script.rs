@@ -10,6 +10,9 @@
 
 use std::fmt;
 
+use xg_proto::XgiTag;
+use xg_sim::Alphabet;
+
 /// Number of accelerator step codes: the fuzzer's 13 XGI kind codes plus
 /// one deliberately malformed two-block `PutM` (the configured block size
 /// is one host block, so the guard must reject it).
@@ -214,22 +217,8 @@ impl fmt::Display for Step {
 
 /// Human-readable name for an accelerator step code.
 pub fn kind_name(kind: u8) -> &'static str {
-    match kind % ACCEL_KIND_CODES {
-        0 => "GetS",
-        1 => "GetM",
-        2 => "PutS",
-        3 => "PutE",
-        4 => "PutM",
-        5 => "InvAck",
-        6 => "CleanWb",
-        7 => "DirtyWb",
-        8 => "DataS",
-        9 => "DataE",
-        10 => "DataM",
-        11 => "WbAck",
-        12 => "Inv",
-        _ => "PutM[2-block]",
-    }
+    let tag = XgiTag::BY_CODE.get(usize::from(kind % ACCEL_KIND_CODES));
+    tag.map_or("PutM[2-block]", |tag| tag.label())
 }
 
 /// Human-readable name for an invalidation-choice code.

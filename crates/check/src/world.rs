@@ -456,39 +456,12 @@ impl Component<Message> for ChaosAccel {
         let kind_code = (token & 0xFF) as u8 % ACCEL_KIND_CODES;
         let addr_idx = ((token >> 8) & 0xFF) as usize % self.blocks.len();
         let block = BlockAddr::new(self.blocks[addr_idx]);
-        let kind = match kind_code {
-            0 => XgiKind::GetS,
-            1 => XgiKind::GetM,
-            2 => XgiKind::PutS,
-            3 => XgiKind::PutE {
-                data: Self::payload(1),
-            },
-            4 => XgiKind::PutM {
-                data: Self::payload(1),
-            },
-            5 => XgiKind::InvAck,
-            6 => XgiKind::CleanWb {
-                data: Self::payload(1),
-            },
-            7 => XgiKind::DirtyWb {
-                data: Self::payload(1),
-            },
-            8 => XgiKind::DataS {
-                data: Self::payload(1),
-            },
-            9 => XgiKind::DataE {
-                data: Self::payload(1),
-            },
-            10 => XgiKind::DataM {
-                data: Self::payload(1),
-            },
-            11 => XgiKind::WbAck,
-            12 => XgiKind::Inv,
-            // Malformed: a two-block payload in a one-block world.
-            _ => XgiKind::PutM {
+        // Past the interface's own kinds, the malformed step: a two-block
+        // payload in a one-block world.
+        let kind =
+            XgiKind::from_code(kind_code, || Self::payload(1)).unwrap_or_else(|| XgiKind::PutM {
                 data: Self::payload(2),
-            },
-        };
+            });
         ctx.send(self.xg, XgiMsg::new(block, kind).into());
     }
 
@@ -840,6 +813,44 @@ mod tests {
                 assert!(restored, "{persona:?} {role:?} fell back to box_clone");
             }
             assert_eq!(by_role.len(), Role::ALL.len());
+        }
+    }
+
+    /// Which persona a guard holds is part of what a checkpoint restores: a
+    /// guard restored from a checkpoint of the *other* persona takes that
+    /// persona whole — its open transaction included — and digests as the
+    /// guard that was saved.
+    #[test]
+    fn a_guard_restored_across_personas_is_replaced_not_half_copied() {
+        fn guard(w: &World) -> &CrossingGuard {
+            w.sim.get::<CrossingGuard>(w.ids.xg).expect("guard")
+        }
+        let digest_of = |w: &World, spec: &WorldSpec| {
+            let mut d = spec.digest_for(&w.ids);
+            guard(w).check_state(&mut d);
+            (d.finish(), guard(w).storage_bytes())
+        };
+        for (saved, live) in [
+            (Persona::Mesi, Persona::Hammer),
+            (Persona::Hammer, Persona::Mesi),
+        ] {
+            let (saved_spec, live_spec) = (WorldSpec::new(saved), WorldSpec::new(live));
+            // Step the saved world until its guard holds an open host Get.
+            let mut from = build_world(&saved_spec, &[]);
+            let get_s = ChaosAccel::token(0, 0);
+            from.sim.post_wake(from.ids.chaos, 1, get_s);
+            while guard(&from).storage_bytes() == 0 {
+                assert!(from.sim.step(), "{saved:?}: GetS never reached the guard");
+            }
+            let want = digest_of(&from, &saved_spec);
+            let mut into = build_world(&live_spec, &[]);
+            assert_ne!(digest_of(&into, &live_spec), want);
+
+            let checkpoint = guard(&from).box_clone().expect("checkpointable");
+            let live_guard = into.sim.get_mut::<CrossingGuard>(into.ids.xg);
+            assert!(live_guard.expect("guard").restore_from(&*checkpoint));
+            let got = digest_of(&into, &live_spec);
+            assert_eq!(got, want, "{saved:?} into {live:?}");
         }
     }
 

@@ -28,10 +28,8 @@ use xg_proto::{Ctx, HomeMap, Message, OsMsg, XgData, XgError, XgErrorKind, XgiKi
 use xg_sim::{CheckDigest, Component, Cycle, FsmRows, Histogram, NodeId, Report};
 
 use crate::config::{XgConfig, XgVariant};
-use crate::hammer_side::HammerPersona;
-use crate::mesi_side::MesiPersona;
 use crate::persona::{
-    DemandKind, DemandResponse, GetReq, GrantState, HostPersona, PersonaEvent, PutReq,
+    DemandKind, DemandResponse, GetReq, GrantState, HostSide, Persona, PersonaEvent, PutReq,
 };
 use crate::rate_limit::TokenBucket;
 
@@ -209,7 +207,7 @@ pub struct CrossingGuard {
     os: NodeId,
     cfg: XgConfig,
     k: u64,
-    persona: Box<dyn HostPersona>,
+    persona: Persona,
     /// Full State table (None for Transactional).
     table: Option<IdMap<BlockAddr, Entry>>,
     shadow_blocks: u64,
@@ -264,13 +262,8 @@ impl CrossingGuard {
         os: NodeId,
         cfg: XgConfig,
     ) -> Self {
-        Self::new(
-            name,
-            accel,
-            os,
-            Box::new(HammerPersona::new(dir.into())),
-            cfg,
-        )
+        let persona = Persona::Hammer(HostSide::new(dir.into()));
+        Self::new(name, accel, os, persona, cfg)
     }
 
     /// Creates a guard for an inclusive-MESI host; `l2` is the shared host
@@ -282,14 +275,15 @@ impl CrossingGuard {
         os: NodeId,
         cfg: XgConfig,
     ) -> Self {
-        Self::new(name, accel, os, Box::new(MesiPersona::new(l2.into())), cfg)
+        let persona = Persona::Mesi(HostSide::new(l2.into()));
+        Self::new(name, accel, os, persona, cfg)
     }
 
     fn new(
         name: impl Into<String>,
         accel: NodeId,
         os: NodeId,
-        persona: Box<dyn HostPersona>,
+        persona: Persona,
         cfg: XgConfig,
     ) -> Self {
         assert!(cfg.block_blocks >= 1, "block_blocks must be at least 1");
@@ -1313,23 +1307,8 @@ impl CrossingGuard {
 /// Folds a queued accelerator request kind into a state digest (data
 /// payloads included: they become grant/writeback contents later).
 fn digest_xgi_kind(kind: &XgiKind, out: &mut CheckDigest) {
-    let (tag, data) = match kind {
-        XgiKind::GetS => ("GetS", None),
-        XgiKind::GetM => ("GetM", None),
-        XgiKind::PutS => ("PutS", None),
-        XgiKind::PutE { data } => ("PutE", Some(data)),
-        XgiKind::PutM { data } => ("PutM", Some(data)),
-        XgiKind::DataS { data } => ("DataS", Some(data)),
-        XgiKind::DataE { data } => ("DataE", Some(data)),
-        XgiKind::DataM { data } => ("DataM", Some(data)),
-        XgiKind::WbAck => ("WbAck", None),
-        XgiKind::Inv => ("Inv", None),
-        XgiKind::InvAck => ("InvAck", None),
-        XgiKind::CleanWb { data } => ("CleanWb", Some(data)),
-        XgiKind::DirtyWb { data } => ("DirtyWb", Some(data)),
-    };
-    out.write_str(tag);
-    if let Some(data) = data {
+    out.write_str(kind.mnemonic());
+    if let Some(data) = kind.data() {
         out.write_u64(data.len() as u64);
         for b in data.blocks() {
             out.write_bytes(b.as_bytes());
@@ -1366,18 +1345,10 @@ impl Component<Message> for CrossingGuard {
                 ctx.flag_post_mortem(u64::MAX, format!("{} disabled by OS", self.name));
                 self.disabled = true;
             }
-            Message::Hammer(h) => {
+            Message::Hammer(_) | Message::Mesi(_) => {
                 let mut events = std::mem::take(&mut self.events);
-                if !self.persona.handle_hammer(&h, &mut events, ctx) {
-                    self.report_error(Some(h.addr), XgErrorKind::Malformed, ctx);
-                }
-                self.process_events(&mut events, ctx);
-                self.events = events;
-            }
-            Message::Mesi(m) => {
-                let mut events = std::mem::take(&mut self.events);
-                if !self.persona.handle_mesi(&m, &mut events, ctx) {
-                    self.report_error(Some(m.addr), XgErrorKind::Malformed, ctx);
+                if !self.persona.handle(&msg, &mut events, ctx) {
+                    self.report_error(msg.block_addr(), XgErrorKind::Malformed, ctx);
                 }
                 self.process_events(&mut events, ctx);
                 self.events = events;

@@ -13,14 +13,14 @@
 //! to a [`PEvent`] (a forward racing our writeback is a different event
 //! than one opening a demand), and the `xg-fsm` table decides legality.
 
-use xg_fsm::{alphabet, Controller, Machine, Step, Table, TableBuilder};
-use xg_mem::{BlockAddr, DataBlock, IdMap};
-use xg_proto::{Ctx, HammerKind, HammerMsg, HomeMap};
-use xg_sim::{CheckDigest, Cycle, FsmRows, NodeId, Report};
+use xg_fsm::{alphabet, Table, TableBuilder};
+use xg_mem::{BlockAddr, DataBlock};
+use xg_proto::{Ctx, HammerKind, HammerMsg, Message};
+use xg_sim::{CheckDigest, Cycle, NodeId};
 
 use crate::persona::{
-    restore_in_place, DemandKind, DemandResponse, GetReq, GrantState, HostPersona, PersonaEvent,
-    PersonaStats, PutReq, Requestor,
+    Cx, DemandKind, DemandResponse, GetReq, GrantState, HostSide, PersonaEvent, Protocol, PutReq,
+    Requestor,
 };
 
 alphabet! {
@@ -129,7 +129,7 @@ pub fn table() -> &'static Table<PState, PEvent, PAction> {
 }
 
 #[derive(Debug, Clone)]
-enum Txn {
+pub(crate) enum Txn {
     Get {
         kind: GetReq,
         peers_expected: Option<u32>,
@@ -148,54 +148,59 @@ enum Txn {
 }
 
 #[derive(Debug, Clone)]
-struct DemandCtx {
+pub(crate) struct DemandCtx {
     requestor: Requestor,
 }
 
-/// Per-dispatch context for [`PAction`] interpretation.
-pub struct PCx<'a, 'b, 'e> {
-    ctx: &'a mut Ctx<'b>,
-    events: &'e mut Vec<PersonaEvent>,
-    h: BlockAddr,
-    kind: HammerKind,
+/// The Hammer protocol, as the guard's host side speaks it: Crossing Guard
+/// is a `HostSide<Hammer>`.
+pub(crate) struct Hammer;
+
+type PCx<'a, 'b, 'e> = Cx<'a, 'b, 'e, HammerKind>;
+
+/// `(requestor, demand kind)` of a forward message.
+fn fwd_parts(kind: &HammerKind) -> Option<(NodeId, DemandKind)> {
+    match *kind {
+        HammerKind::FwdGetS {
+            requestor,
+            to_owner,
+        } => Some((requestor, DemandKind::Read { to_owner })),
+        HammerKind::FwdGetSOnly {
+            requestor,
+            to_owner,
+        } => Some((requestor, DemandKind::ReadOnly { to_owner })),
+        HammerKind::FwdGetM {
+            requestor,
+            to_owner,
+        } => Some((requestor, DemandKind::Write { to_owner })),
+        _ => None,
+    }
 }
 
-/// Crossing Guard's Hammer-protocol half.
-pub(crate) struct HammerPersona {
-    dir: HomeMap,
-    txns: IdMap<BlockAddr, Txn>,
-    demands: IdMap<BlockAddr, DemandCtx>,
-    pub(crate) stats: PersonaStats,
-    machine: Machine<PState, PEvent, PAction>,
-}
+impl Protocol for Hammer {
+    type State = PState;
+    type Event = PEvent;
+    type Action = PAction;
+    type Kind = HammerKind;
+    type Txn = Txn;
+    type Demand = DemandCtx;
 
-xg_sim::clone_in_place!(impl[] for HammerPersona { dir, txns, demands, stats, machine });
+    const TRACE: &'static str = "hammer-persona";
 
-impl HammerPersona {
-    pub(crate) fn new(dir: HomeMap) -> Self {
-        HammerPersona {
-            dir,
-            txns: IdMap::default(),
-            demands: IdMap::default(),
-            stats: PersonaStats::default(),
-            machine: Machine::new(table()),
-        }
+    fn table() -> &'static Table<PState, PEvent, PAction> {
+        table()
     }
 
-    fn send(&mut self, to: NodeId, addr: BlockAddr, kind: HammerKind, ctx: &mut Ctx<'_>) {
-        ctx.trace(addr.as_u64(), "hammer-persona", "Send", || {
-            format!("{kind:?} -> {to}")
-        });
-        self.stats.sent += 1;
-        if matches!(kind, HammerKind::Put | HammerKind::WbData { .. }) {
-            self.stats.puts_sent += 1;
-        }
-        ctx.send(to, HammerMsg::new(addr, kind).into());
+    fn wire(addr: BlockAddr, kind: HammerKind) -> Message {
+        HammerMsg::new(addr, kind).into()
     }
 
-    /// Abstract state of `h` for table dispatch.
-    fn p_state(&self, h: BlockAddr) -> PState {
-        match self.txns.get(&h) {
+    fn is_put(kind: &HammerKind) -> bool {
+        matches!(kind, HammerKind::Put | HammerKind::WbData { .. })
+    }
+
+    fn p_state(side: &HostSide<Self>, h: BlockAddr) -> PState {
+        match side.txns.get(&h) {
             Some(Txn::Get { .. }) => PState::Get,
             Some(Txn::Put {
                 invalidated: false, ..
@@ -207,16 +212,15 @@ impl HammerPersona {
         }
     }
 
-    /// Refines a wire message into a table event.
-    fn classify(&self, h: BlockAddr, kind: &HammerKind) -> PEvent {
+    fn classify(side: &HostSide<Self>, h: BlockAddr, kind: &HammerKind) -> PEvent {
         match kind {
             HammerKind::FwdGetS { .. }
             | HammerKind::FwdGetSOnly { .. }
             | HammerKind::FwdGetM { .. } => {
                 // A racing Put answers the forward itself; otherwise a
                 // second forward while one demand is open means desync.
-                if !matches!(self.txns.get(&h), Some(Txn::Put { .. }))
-                    && self.demands.contains_key(&h)
+                if !matches!(side.txns.get(&h), Some(Txn::Put { .. }))
+                    && side.demands.contains_key(&h)
                 {
                     return PEvent::FwdDesync;
                 }
@@ -235,8 +239,190 @@ impl HammerPersona {
         }
     }
 
-    // ----- guard-facing API -------------------------------------------------
+    fn apply(side: &mut HostSide<Self>, action: PAction, cx: &mut PCx<'_, '_, '_>) {
+        let h = cx.h;
+        match action {
+            PAction::OpenDemand => {
+                let Some((requestor, kind)) = fwd_parts(&cx.kind) else {
+                    side.stats.violations += 1;
+                    return;
+                };
+                side.demands.insert(h, DemandCtx { requestor });
+                cx.events.push(PersonaEvent::Demand { h, kind });
+            }
+            PAction::AnswerFromWb => {
+                let Some(Txn::Put { data, dirty, .. }) = side.txns.get(&h) else {
+                    side.stats.violations += 1;
+                    return;
+                };
+                let (data, dirty) = (*data, *dirty);
+                let Some((requestor, kind)) = fwd_parts(&cx.kind) else {
+                    side.stats.violations += 1;
+                    return;
+                };
+                let keeps_copy = matches!(kind, DemandKind::ReadOnly { .. });
+                side.send(
+                    requestor,
+                    h,
+                    HammerKind::RespData {
+                        data,
+                        dirty,
+                        owner_keeps_copy: keeps_copy,
+                    },
+                    cx.ctx,
+                );
+                if !keeps_copy {
+                    if let Some(Txn::Put { invalidated, .. }) = side.txns.get_mut(&h) {
+                        *invalidated = true;
+                    }
+                }
+            }
+            PAction::AnswerNoCopy => {
+                let Some((requestor, _)) = fwd_parts(&cx.kind) else {
+                    side.stats.violations += 1;
+                    return;
+                };
+                side.send(
+                    requestor,
+                    h,
+                    HammerKind::RespAck { had_copy: false },
+                    cx.ctx,
+                );
+            }
+            PAction::RecordMemData => {
+                if let (
+                    HammerKind::MemData { data, peers },
+                    Some(Txn::Get {
+                        peers_expected,
+                        mem,
+                        ..
+                    }),
+                ) = (cx.kind, side.txns.get_mut(&h))
+                {
+                    *peers_expected = Some(peers);
+                    *mem = Some(data);
+                }
+            }
+            PAction::RecordPeerData => {
+                if let (
+                    HammerKind::RespData {
+                        data,
+                        dirty,
+                        owner_keeps_copy,
+                    },
+                    Some(Txn::Get { resps, peer, .. }),
+                ) = (cx.kind, side.txns.get_mut(&h))
+                {
+                    *resps += 1;
+                    let replace = match peer {
+                        None => true,
+                        Some((_, old_dirty, _)) => dirty && !*old_dirty,
+                    };
+                    if replace {
+                        *peer = Some((data, dirty, owner_keeps_copy));
+                    }
+                }
+            }
+            PAction::RecordPeerAck => {
+                if let (
+                    HammerKind::RespAck { had_copy },
+                    Some(Txn::Get {
+                        resps,
+                        had_copy: hc,
+                        ..
+                    }),
+                ) = (cx.kind, side.txns.get_mut(&h))
+                {
+                    *resps += 1;
+                    *hc |= had_copy;
+                }
+            }
+            PAction::TryComplete => side.try_complete(h, cx.events, cx.ctx),
+            PAction::CompletePutAck | PAction::CompletePutNack => {
+                let Some(Txn::Put {
+                    data,
+                    dirty,
+                    started,
+                    ..
+                }) = side.txns.remove(&h)
+                else {
+                    side.stats.violations += 1;
+                    return;
+                };
+                if action == PAction::CompletePutAck {
+                    side.send_home(h, HammerKind::WbData { data, dirty }, cx.ctx);
+                }
+                side.closed(h, started, cx.ctx);
+                cx.events.push(PersonaEvent::PutDone { h });
+            }
+            PAction::NoteUnexpectedNack => side.stats.violations += 1,
+        }
+    }
 
+    fn violated(side: &mut HostSide<Self>, event: PEvent, cx: &mut PCx<'_, '_, '_>) {
+        if event == PEvent::FwdDesync {
+            // Two live demands for one block mean desync; answer safely so
+            // the requestor is never left hanging.
+            if let Some((requestor, _)) = fwd_parts(&cx.kind) {
+                side.send(
+                    requestor,
+                    cx.h,
+                    HammerKind::RespAck { had_copy: false },
+                    cx.ctx,
+                );
+            }
+        }
+    }
+
+    fn digest_txn(txn: &Txn, out: &mut CheckDigest) {
+        match txn {
+            Txn::Get {
+                kind,
+                peers_expected,
+                resps,
+                mem,
+                peer,
+                had_copy,
+                started: _,
+            } => {
+                out.write_str("get");
+                out.write_u64(kind.digest_tag());
+                out.write_u64(peers_expected.map_or(u64::MAX, u64::from));
+                out.write_u64(u64::from(*resps));
+                match mem {
+                    Some(d) => out.write_bytes(d.as_bytes()),
+                    None => out.write_str("no-mem"),
+                }
+                match peer {
+                    Some((d, dirty, keeps)) => {
+                        out.write_bytes(d.as_bytes());
+                        out.write_u64(u64::from(*dirty));
+                        out.write_u64(u64::from(*keeps));
+                    }
+                    None => out.write_str("no-peer"),
+                }
+                out.write_u64(u64::from(*had_copy));
+            }
+            Txn::Put {
+                data,
+                dirty,
+                invalidated,
+                started: _,
+            } => {
+                out.write_str("put");
+                out.write_bytes(data.as_bytes());
+                out.write_u64(u64::from(*dirty));
+                out.write_u64(u64::from(*invalidated));
+            }
+        }
+    }
+
+    fn digest_demand(demand: &DemandCtx, out: &mut CheckDigest) {
+        out.write_node(demand.requestor);
+    }
+}
+
+impl HostSide<Hammer> {
     pub(crate) fn issue_get(&mut self, h: BlockAddr, kind: GetReq, ctx: &mut Ctx<'_>) {
         self.txns.insert(
             h,
@@ -255,7 +441,7 @@ impl HammerPersona {
             GetReq::SOnly => HammerKind::GetSOnly,
             GetReq::M => HammerKind::GetM,
         };
-        self.send(self.dir.for_block(h), h, req, ctx);
+        self.send_home(h, req, ctx);
     }
 
     pub(crate) fn issue_put(&mut self, h: BlockAddr, put: PutReq, ctx: &mut Ctx<'_>) {
@@ -275,7 +461,7 @@ impl HammerPersona {
                         started: ctx.now(),
                     },
                 );
-                self.send(self.dir.for_block(h), h, HammerKind::Put, ctx);
+                self.send_home(h, HammerKind::Put, ctx);
             }
         }
     }
@@ -299,49 +485,6 @@ impl HammerPersona {
             },
         };
         self.send(requestor, h, kind, ctx);
-    }
-
-    // ----- host-facing FSM ----------------------------------------------------
-
-    pub(crate) fn handle_host(
-        &mut self,
-        msg: &HammerMsg,
-        events: &mut Vec<PersonaEvent>,
-        ctx: &mut Ctx<'_>,
-    ) {
-        self.stats.received += 1;
-        let h = msg.addr;
-        ctx.trace(h.as_u64(), "hammer-persona", "Recv", || {
-            format!("{:?}", msg.kind)
-        });
-        let state = self.p_state(h);
-        let event = self.classify(h, &msg.kind);
-        let mut cx = PCx {
-            ctx,
-            events,
-            h,
-            kind: msg.kind,
-        };
-        self.dispatch(state, event, &mut cx);
-    }
-
-    /// `(requestor, demand kind)` of a forward message.
-    fn fwd_parts(kind: &HammerKind) -> Option<(NodeId, DemandKind)> {
-        match *kind {
-            HammerKind::FwdGetS {
-                requestor,
-                to_owner,
-            } => Some((requestor, DemandKind::Read { to_owner })),
-            HammerKind::FwdGetSOnly {
-                requestor,
-                to_owner,
-            } => Some((requestor, DemandKind::ReadOnly { to_owner })),
-            HammerKind::FwdGetM {
-                requestor,
-                to_owner,
-            } => Some((requestor, DemandKind::Write { to_owner })),
-            _ => None,
-        }
     }
 
     fn try_complete(&mut self, h: BlockAddr, events: &mut Vec<PersonaEvent>, ctx: &mut Ctx<'_>) {
@@ -371,10 +514,7 @@ impl HammerPersona {
             self.stats.violations += 1;
             return;
         };
-        self.stats
-            .host_rtt
-            .record(ctx.now().saturating_since(started));
-        ctx.span(h.as_u64(), "host_rtt", started);
+        self.closed(h, started, ctx);
         let (state, dirty, data) = match kind {
             GetReq::M => {
                 let (data, dirty) = peer.map(|(d, dy, _)| (d, dy)).unwrap_or((mem, false));
@@ -397,284 +537,12 @@ impl HammerPersona {
             }
         };
         let new_owner = matches!(state, GrantState::E | GrantState::M);
-        self.send(
-            self.dir.for_block(h),
-            h,
-            HammerKind::Unblock { new_owner },
-            ctx,
-        );
+        self.send_home(h, HammerKind::Unblock { new_owner }, ctx);
         events.push(PersonaEvent::Granted {
             h,
             state,
             data,
             dirty,
         });
-    }
-}
-
-impl<'a, 'b, 'e> Controller<PState, PEvent, PAction, PCx<'a, 'b, 'e>> for HammerPersona {
-    fn machine(&mut self) -> &mut Machine<PState, PEvent, PAction> {
-        &mut self.machine
-    }
-
-    fn apply(&mut self, action: PAction, _step: Step<PState, PEvent>, cx: &mut PCx<'a, 'b, 'e>) {
-        let h = cx.h;
-        match action {
-            PAction::OpenDemand => {
-                let Some((requestor, kind)) = Self::fwd_parts(&cx.kind) else {
-                    self.stats.violations += 1;
-                    return;
-                };
-                self.demands.insert(h, DemandCtx { requestor });
-                cx.events.push(PersonaEvent::Demand { h, kind });
-            }
-            PAction::AnswerFromWb => {
-                let Some(Txn::Put { data, dirty, .. }) = self.txns.get(&h) else {
-                    self.stats.violations += 1;
-                    return;
-                };
-                let (data, dirty) = (*data, *dirty);
-                let Some((requestor, kind)) = Self::fwd_parts(&cx.kind) else {
-                    self.stats.violations += 1;
-                    return;
-                };
-                let keeps_copy = matches!(kind, DemandKind::ReadOnly { .. });
-                self.send(
-                    requestor,
-                    h,
-                    HammerKind::RespData {
-                        data,
-                        dirty,
-                        owner_keeps_copy: keeps_copy,
-                    },
-                    cx.ctx,
-                );
-                if !keeps_copy {
-                    if let Some(Txn::Put { invalidated, .. }) = self.txns.get_mut(&h) {
-                        *invalidated = true;
-                    }
-                }
-            }
-            PAction::AnswerNoCopy => {
-                let Some((requestor, _)) = Self::fwd_parts(&cx.kind) else {
-                    self.stats.violations += 1;
-                    return;
-                };
-                self.send(
-                    requestor,
-                    h,
-                    HammerKind::RespAck { had_copy: false },
-                    cx.ctx,
-                );
-            }
-            PAction::RecordMemData => {
-                if let (
-                    HammerKind::MemData { data, peers },
-                    Some(Txn::Get {
-                        peers_expected,
-                        mem,
-                        ..
-                    }),
-                ) = (cx.kind, self.txns.get_mut(&h))
-                {
-                    *peers_expected = Some(peers);
-                    *mem = Some(data);
-                }
-            }
-            PAction::RecordPeerData => {
-                if let (
-                    HammerKind::RespData {
-                        data,
-                        dirty,
-                        owner_keeps_copy,
-                    },
-                    Some(Txn::Get { resps, peer, .. }),
-                ) = (cx.kind, self.txns.get_mut(&h))
-                {
-                    *resps += 1;
-                    let replace = match peer {
-                        None => true,
-                        Some((_, old_dirty, _)) => dirty && !*old_dirty,
-                    };
-                    if replace {
-                        *peer = Some((data, dirty, owner_keeps_copy));
-                    }
-                }
-            }
-            PAction::RecordPeerAck => {
-                if let (
-                    HammerKind::RespAck { had_copy },
-                    Some(Txn::Get {
-                        resps,
-                        had_copy: hc,
-                        ..
-                    }),
-                ) = (cx.kind, self.txns.get_mut(&h))
-                {
-                    *resps += 1;
-                    *hc |= had_copy;
-                }
-            }
-            PAction::TryComplete => self.try_complete(h, cx.events, cx.ctx),
-            PAction::CompletePutAck => {
-                let Some(Txn::Put {
-                    data,
-                    dirty,
-                    started,
-                    ..
-                }) = self.txns.remove(&h)
-                else {
-                    self.stats.violations += 1;
-                    return;
-                };
-                self.send(
-                    self.dir.for_block(h),
-                    h,
-                    HammerKind::WbData { data, dirty },
-                    cx.ctx,
-                );
-                self.stats
-                    .host_rtt
-                    .record(cx.ctx.now().saturating_since(started));
-                cx.ctx.span(h.as_u64(), "host_rtt", started);
-                cx.events.push(PersonaEvent::PutDone { h });
-            }
-            PAction::CompletePutNack => {
-                let Some(Txn::Put { started, .. }) = self.txns.remove(&h) else {
-                    self.stats.violations += 1;
-                    return;
-                };
-                self.stats
-                    .host_rtt
-                    .record(cx.ctx.now().saturating_since(started));
-                cx.ctx.span(h.as_u64(), "host_rtt", started);
-                cx.events.push(PersonaEvent::PutDone { h });
-            }
-            PAction::NoteUnexpectedNack => self.stats.violations += 1,
-        }
-    }
-
-    fn stalled(&mut self, _step: Step<PState, PEvent>, _cx: &mut PCx<'a, 'b, 'e>) {
-        // The persona never stalls: the directory serializes per block.
-    }
-
-    fn violated(&mut self, step: Step<PState, PEvent>, cx: &mut PCx<'a, 'b, 'e>) {
-        self.stats.violations += 1;
-        if step.event == PEvent::FwdDesync {
-            // Two live demands for one block mean desync; answer safely so
-            // the requestor is never left hanging.
-            if let Some((requestor, _)) = Self::fwd_parts(&cx.kind) {
-                self.send(
-                    requestor,
-                    cx.h,
-                    HammerKind::RespAck { had_copy: false },
-                    cx.ctx,
-                );
-            }
-        }
-    }
-}
-
-impl HostPersona for HammerPersona {
-    fn issue_get(&mut self, h: BlockAddr, kind: GetReq, ctx: &mut Ctx<'_>) {
-        HammerPersona::issue_get(self, h, kind, ctx);
-    }
-    fn issue_put(&mut self, h: BlockAddr, put: PutReq, ctx: &mut Ctx<'_>) {
-        HammerPersona::issue_put(self, h, put, ctx);
-    }
-    fn respond_demand(&mut self, h: BlockAddr, resp: DemandResponse, ctx: &mut Ctx<'_>) {
-        HammerPersona::respond_demand(self, h, resp, ctx);
-    }
-    fn open_txns(&self) -> usize {
-        self.txns.len() + self.demands.len()
-    }
-    fn is_mesi(&self) -> bool {
-        false
-    }
-    fn stats(&self) -> &PersonaStats {
-        &self.stats
-    }
-    fn handle_hammer(
-        &mut self,
-        msg: &HammerMsg,
-        events: &mut Vec<PersonaEvent>,
-        ctx: &mut Ctx<'_>,
-    ) -> bool {
-        self.handle_host(msg, events, ctx);
-        true
-    }
-    fn record_machine(&self, out: &mut Report) {
-        self.machine.record_into(out);
-    }
-    fn visit_fired(&self, visit: &mut dyn FnMut(&'static dyn FsmRows, &[u64])) {
-        self.machine.visit_fired(visit);
-    }
-    fn box_clone(&self) -> Box<dyn HostPersona> {
-        Box::new(self.clone())
-    }
-
-    fn restore_from(&mut self, saved: &dyn HostPersona) -> bool {
-        restore_in_place(self, saved)
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn check_state(&self, out: &mut CheckDigest) {
-        out.write_str("hammer_persona");
-        let mut txns: Vec<_> = self.txns.keys().copied().collect();
-        txns.sort_by_key(|a| out.addr_role(a.as_u64()));
-        out.write_u64(txns.len() as u64);
-        for a in txns {
-            out.write_addr(a.as_u64());
-            match &self.txns[&a] {
-                Txn::Get {
-                    kind,
-                    peers_expected,
-                    resps,
-                    mem,
-                    peer,
-                    had_copy,
-                    started: _,
-                } => {
-                    out.write_str("get");
-                    out.write_u64(kind.digest_tag());
-                    out.write_u64(peers_expected.map_or(u64::MAX, u64::from));
-                    out.write_u64(u64::from(*resps));
-                    match mem {
-                        Some(d) => out.write_bytes(d.as_bytes()),
-                        None => out.write_str("no-mem"),
-                    }
-                    match peer {
-                        Some((d, dirty, keeps)) => {
-                            out.write_bytes(d.as_bytes());
-                            out.write_u64(u64::from(*dirty));
-                            out.write_u64(u64::from(*keeps));
-                        }
-                        None => out.write_str("no-peer"),
-                    }
-                    out.write_u64(u64::from(*had_copy));
-                }
-                Txn::Put {
-                    data,
-                    dirty,
-                    invalidated,
-                    started: _,
-                } => {
-                    out.write_str("put");
-                    out.write_bytes(data.as_bytes());
-                    out.write_u64(u64::from(*dirty));
-                    out.write_u64(u64::from(*invalidated));
-                }
-            }
-        }
-        let mut demands: Vec<_> = self.demands.keys().copied().collect();
-        demands.sort_by_key(|a| out.addr_role(a.as_u64()));
-        out.write_u64(demands.len() as u64);
-        for a in demands {
-            out.write_addr(a.as_u64());
-            out.write_node(self.demands[&a].requestor);
-        }
-        out.obligation((self.txns.len() + self.demands.len()) as u64);
     }
 }

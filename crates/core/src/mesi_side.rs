@@ -13,14 +13,14 @@
 //! cross to the accelerator. The `xg-fsm` table decides legality; the
 //! symbolic [`PAction`]s move the data.
 
-use xg_fsm::{alphabet, Controller, Machine, Step, Table, TableBuilder};
-use xg_mem::{BlockAddr, DataBlock, IdMap};
-use xg_proto::{Ctx, HomeMap, MesiKind, MesiMsg};
-use xg_sim::{CheckDigest, Cycle, FsmRows, NodeId, Report};
+use xg_fsm::{alphabet, Table, TableBuilder};
+use xg_mem::{BlockAddr, DataBlock};
+use xg_proto::{Ctx, MesiKind, MesiMsg, Message};
+use xg_sim::{CheckDigest, Cycle};
 
 use crate::persona::{
-    restore_in_place, DemandKind, DemandResponse, GetReq, GrantState, HostPersona, PersonaEvent,
-    PersonaStats, PutReq, Requestor,
+    Cx, DemandKind, DemandResponse, GetReq, GrantState, HostSide, PersonaEvent, Protocol, PutReq,
+    Requestor,
 };
 
 alphabet! {
@@ -163,13 +163,13 @@ pub fn table() -> &'static Table<PState, PEvent, PAction> {
 }
 
 #[derive(Debug, Clone)]
-enum Txn {
+pub(crate) enum Txn {
     Get {
         grant: Option<(GrantState, DataBlock, bool)>,
         acks_expected: Option<u32>,
         acks_got: u32,
         /// Owner-demands that raced ahead of our own grant.
-        deferred: Vec<(Option<Requestor>, DemandKind)>,
+        deferred: Vec<DemandCtx>,
         started: Cycle,
     },
     Put {
@@ -184,60 +184,72 @@ enum Txn {
 }
 
 #[derive(Debug, Clone)]
-struct DemandCtx {
+pub(crate) struct DemandCtx {
     /// Who to answer: a sibling L1 for `Inv`/forwards, or `None` for a
     /// Recall (answered to the L2).
     requestor: Option<Requestor>,
     kind: DemandKind,
 }
 
-/// Per-dispatch context for [`PAction`] interpretation.
-pub struct PCx<'a, 'b, 'e> {
-    ctx: &'a mut Ctx<'b>,
-    events: &'e mut Vec<PersonaEvent>,
-    h: BlockAddr,
-    kind: MesiKind,
-}
-
-/// Crossing Guard's MESI-protocol half.
-pub(crate) struct MesiPersona {
-    l2: HomeMap,
-    txns: IdMap<BlockAddr, Txn>,
-    demands: IdMap<BlockAddr, DemandCtx>,
-    pub(crate) stats: PersonaStats,
-    machine: Machine<PState, PEvent, PAction>,
-}
-
-xg_sim::clone_in_place!(impl[] for MesiPersona { l2, txns, demands, stats, machine });
-
-impl MesiPersona {
-    pub(crate) fn new(l2: HomeMap) -> Self {
-        MesiPersona {
-            l2,
-            txns: IdMap::default(),
-            demands: IdMap::default(),
-            stats: PersonaStats::default(),
-            machine: Machine::new(table()),
-        }
+impl DemandCtx {
+    /// The demand a demand-bearing message carries.
+    fn of(kind: &MesiKind) -> Option<DemandCtx> {
+        let (requestor, kind) = match *kind {
+            MesiKind::Inv { requestor } => (Some(requestor), DemandKind::Write { to_owner: false }),
+            MesiKind::FwdGetS { requestor } => {
+                (Some(requestor), DemandKind::Read { to_owner: true })
+            }
+            MesiKind::FwdGetM { requestor } => {
+                (Some(requestor), DemandKind::Write { to_owner: true })
+            }
+            MesiKind::Recall => (None, DemandKind::Recall),
+            _ => return None,
+        };
+        Some(DemandCtx { requestor, kind })
     }
 
-    fn send(&mut self, to: NodeId, addr: BlockAddr, kind: MesiKind, ctx: &mut Ctx<'_>) {
-        ctx.trace(addr.as_u64(), "mesi-persona", "Send", || {
-            format!("{kind:?} -> {to}")
-        });
-        self.stats.sent += 1;
-        if matches!(
+    fn digest(&self, out: &mut CheckDigest) {
+        match self.requestor {
+            Some(r) => out.write_node(r),
+            None => out.write_str("l2"),
+        }
+        self.kind.digest(out);
+    }
+}
+
+/// The inclusive MESI protocol, as the guard's host side speaks it:
+/// Crossing Guard is a `HostSide<Mesi>`.
+pub(crate) struct Mesi;
+
+type PCx<'a, 'b, 'e> = Cx<'a, 'b, 'e, MesiKind>;
+
+impl Protocol for Mesi {
+    type State = PState;
+    type Event = PEvent;
+    type Action = PAction;
+    type Kind = MesiKind;
+    type Txn = Txn;
+    type Demand = DemandCtx;
+
+    const TRACE: &'static str = "mesi-persona";
+
+    fn table() -> &'static Table<PState, PEvent, PAction> {
+        table()
+    }
+
+    fn wire(addr: BlockAddr, kind: MesiKind) -> Message {
+        MesiMsg::new(addr, kind).into()
+    }
+
+    fn is_put(kind: &MesiKind) -> bool {
+        matches!(
             kind,
             MesiKind::PutS | MesiKind::PutE { .. } | MesiKind::PutM { .. }
-        ) {
-            self.stats.puts_sent += 1;
-        }
-        ctx.send(to, MesiMsg::new(addr, kind).into());
+        )
     }
 
-    /// Abstract state of `h` for table dispatch.
-    fn p_state(&self, h: BlockAddr) -> PState {
-        match self.txns.get(&h) {
+    fn p_state(side: &HostSide<Self>, h: BlockAddr) -> PState {
+        match side.txns.get(&h) {
             Some(Txn::Get { grant: None, .. }) => PState::Get,
             Some(Txn::Get { grant: Some(_), .. }) => PState::GetAcks,
             Some(Txn::Put {
@@ -249,10 +261,10 @@ impl MesiPersona {
         }
     }
 
-    /// Refines a wire message into a table event. Guards mirror the old
-    /// dispatch conditions exactly: racing Puts by `is_s`, desync by the
-    /// demand bookkeeping, grants by their wire identity.
-    fn classify(&self, h: BlockAddr, kind: &MesiKind) -> PEvent {
+    /// Guards mirror the pre-table dispatch conditions exactly: racing Puts
+    /// by `is_s`, desync by the demand bookkeeping, grants by their wire
+    /// identity.
+    fn classify(side: &HostSide<Self>, h: BlockAddr, kind: &MesiKind) -> PEvent {
         match kind {
             MesiKind::DataS { .. } => PEvent::DataS,
             MesiKind::DataE { .. } => PEvent::DataE,
@@ -265,11 +277,11 @@ impl MesiPersona {
                 }
             }
             MesiKind::InvAck => PEvent::AckIn,
-            MesiKind::Inv { .. } => match self.txns.get(&h) {
+            MesiKind::Inv { .. } => match side.txns.get(&h) {
                 Some(Txn::Put { is_s: true, .. }) => PEvent::InvPutS,
                 Some(Txn::Put { .. }) => PEvent::InvPutOwned,
                 _ => {
-                    if self.demands.contains_key(&h) {
+                    if side.demands.contains_key(&h) {
                         PEvent::InvDesync
                     } else {
                         PEvent::Inv
@@ -287,11 +299,11 @@ impl MesiPersona {
                     MesiKind::FwdGetM { .. } => PEvent::OwnerWrite,
                     _ => PEvent::OwnerRecall,
                 };
-                match self.txns.get(&h) {
+                match side.txns.get(&h) {
                     Some(Txn::Put { is_s: false, .. }) => put,
                     Some(Txn::Get { .. }) => plain,
                     _ => {
-                        if self.demands.contains_key(&h) {
+                        if side.demands.contains_key(&h) {
                             PEvent::OwnerDesync
                         } else {
                             plain
@@ -305,8 +317,224 @@ impl MesiPersona {
         }
     }
 
-    // ----- guard-facing API -------------------------------------------------
+    fn apply(side: &mut HostSide<Self>, action: PAction, cx: &mut PCx<'_, '_, '_>) {
+        let h = cx.h;
+        match action {
+            PAction::RecordGrant => {
+                let (state, data, dirty, acks) = match cx.kind {
+                    MesiKind::DataS { data } => (GrantState::S, data, false, 0),
+                    MesiKind::DataE { data } => (GrantState::E, data, false, 0),
+                    MesiKind::DataM { data, acks } => (GrantState::M, data, false, acks),
+                    MesiKind::FwdData {
+                        data,
+                        dirty,
+                        exclusive,
+                    } => {
+                        let s = if exclusive {
+                            GrantState::M
+                        } else {
+                            GrantState::S
+                        };
+                        (s, data, dirty, 0)
+                    }
+                    _ => {
+                        side.stats.violations += 1;
+                        return;
+                    }
+                };
+                if let Some(Txn::Get {
+                    grant: grant @ None,
+                    acks_expected,
+                    ..
+                }) = side.txns.get_mut(&h)
+                {
+                    *grant = Some((state, data, dirty));
+                    *acks_expected = Some(acks);
+                } else {
+                    side.stats.violations += 1;
+                }
+            }
+            PAction::RecordAck => {
+                if let Some(Txn::Get { acks_got, .. }) = side.txns.get_mut(&h) {
+                    *acks_got += 1;
+                }
+            }
+            PAction::TryComplete => side.try_complete(h, cx.events, cx.ctx),
+            PAction::OpenDemand => {
+                let Some(demand) = DemandCtx::of(&cx.kind) else {
+                    side.stats.violations += 1;
+                    return;
+                };
+                side.open_demand(h, demand, cx.events);
+            }
+            PAction::DeferDemand => {
+                let Some(demand) = DemandCtx::of(&cx.kind) else {
+                    side.stats.violations += 1;
+                    return;
+                };
+                if let Some(Txn::Get { deferred, .. }) = side.txns.get_mut(&h) {
+                    deferred.push(demand);
+                }
+            }
+            PAction::AckInvalidatePut => {
+                // Our PutS raced the invalidation: ack, then either await
+                // the Nack or (if it already overtook us) finish now.
+                let MesiKind::Inv { requestor } = cx.kind else {
+                    side.stats.violations += 1;
+                    return;
+                };
+                let mut finished = false;
+                if let Some(Txn::Put {
+                    invalidated,
+                    nacked,
+                    ..
+                }) = side.txns.get_mut(&h)
+                {
+                    finished = *nacked;
+                    *invalidated = true;
+                }
+                side.send(requestor, h, MesiKind::InvAck, cx.ctx);
+                if finished {
+                    side.finish_put(h, cx.events, cx.ctx);
+                }
+            }
+            PAction::AckStaleInv => {
+                // Inv at an owner-putter is stale; ack and carry on.
+                let MesiKind::Inv { requestor } = cx.kind else {
+                    side.stats.violations += 1;
+                    return;
+                };
+                side.send(requestor, h, MesiKind::InvAck, cx.ctx);
+            }
+            PAction::ServeReadFromPut => {
+                // Serve the read; our Put demotes to a PutS at the L2 (it
+                // will see a non-owner sharer). Mark the demotion so a later
+                // Inv is treated as hitting a shared-copy eviction.
+                let Some(Txn::Put { data, dirty, .. }) = side.txns.get(&h) else {
+                    side.stats.violations += 1;
+                    return;
+                };
+                let (data, dirty) = (*data, *dirty);
+                if let MesiKind::FwdGetS { requestor } = cx.kind {
+                    side.send(
+                        requestor,
+                        h,
+                        MesiKind::FwdData {
+                            data,
+                            dirty,
+                            exclusive: false,
+                        },
+                        cx.ctx,
+                    );
+                }
+                side.send_home(h, MesiKind::OwnerWb { data, dirty }, cx.ctx);
+                if let Some(Txn::Put { is_s, .. }) = side.txns.get_mut(&h) {
+                    *is_s = true;
+                }
+            }
+            PAction::ServeWriteFromPut | PAction::ServeRecallFromPut => {
+                let Some(Txn::Put {
+                    data,
+                    dirty,
+                    nacked,
+                    ..
+                }) = side.txns.get(&h)
+                else {
+                    side.stats.violations += 1;
+                    return;
+                };
+                let (data, dirty, was_nacked) = (*data, *dirty, *nacked);
+                match (action, cx.kind) {
+                    (PAction::ServeWriteFromPut, MesiKind::FwdGetM { requestor }) => side.send(
+                        requestor,
+                        h,
+                        MesiKind::FwdData {
+                            data,
+                            dirty,
+                            exclusive: true,
+                        },
+                        cx.ctx,
+                    ),
+                    (PAction::ServeRecallFromPut, _) => {
+                        side.send_home(h, MesiKind::RecallData { data, dirty }, cx.ctx)
+                    }
+                    _ => {}
+                }
+                if was_nacked {
+                    // The demand explains the earlier Nack; all done.
+                    side.finish_put(h, cx.events, cx.ctx);
+                } else if let Some(Txn::Put { invalidated, .. }) = side.txns.get_mut(&h) {
+                    *invalidated = true;
+                }
+            }
+            PAction::CompletePut => side.finish_put(h, cx.events, cx.ctx),
+            PAction::MarkNacked => {
+                if let Some(Txn::Put { nacked, .. }) = side.txns.get_mut(&h) {
+                    *nacked = true;
+                }
+            }
+        }
+    }
 
+    fn violated(side: &mut HostSide<Self>, event: PEvent, cx: &mut PCx<'_, '_, '_>) {
+        if event == PEvent::InvDesync {
+            // Two live demands for one block mean desync; ack so the
+            // requestor's count still converges.
+            if let MesiKind::Inv { requestor } = cx.kind {
+                side.send(requestor, cx.h, MesiKind::InvAck, cx.ctx);
+            }
+        }
+    }
+
+    fn digest_txn(txn: &Txn, out: &mut CheckDigest) {
+        match txn {
+            Txn::Get {
+                grant,
+                acks_expected,
+                acks_got,
+                deferred,
+                started: _,
+            } => {
+                out.write_str("get");
+                match grant {
+                    Some((state, data, dirty)) => {
+                        out.write_u64(state.digest_tag());
+                        out.write_bytes(data.as_bytes());
+                        out.write_u64(u64::from(*dirty));
+                    }
+                    None => out.write_str("no-grant"),
+                }
+                out.write_u64(acks_expected.map_or(u64::MAX, u64::from));
+                out.write_u64(u64::from(*acks_got));
+                out.write_u64(deferred.len() as u64);
+                for demand in deferred {
+                    demand.digest(out);
+                }
+            }
+            Txn::Put {
+                is_s,
+                data,
+                dirty,
+                invalidated,
+                nacked,
+                started: _,
+            } => {
+                out.write_str("put");
+                out.write_u64(u64::from(*is_s));
+                out.write_bytes(data.as_bytes());
+                out.write_u64(u64::from(*dirty));
+                out.write_u64(u64::from(*invalidated));
+                out.write_u64(u64::from(*nacked));
+            }
+        }
+    }
+
+    fn digest_demand(demand: &DemandCtx, out: &mut CheckDigest) {
+        demand.digest(out);
+    }
+}
+
+impl HostSide<Mesi> {
     pub(crate) fn issue_get(&mut self, h: BlockAddr, kind: GetReq, ctx: &mut Ctx<'_>) {
         self.txns.insert(
             h,
@@ -323,7 +551,7 @@ impl MesiPersona {
             GetReq::SOnly => MesiKind::GetSOnly,
             GetReq::M => MesiKind::GetM,
         };
-        self.send(self.l2.for_block(h), h, req, ctx);
+        self.send_home(h, req, ctx);
     }
 
     pub(crate) fn issue_put(&mut self, h: BlockAddr, put: PutReq, ctx: &mut Ctx<'_>) {
@@ -349,7 +577,7 @@ impl MesiPersona {
                 started: ctx.now(),
             },
         );
-        self.send(self.l2.for_block(h), h, req, ctx);
+        self.send_home(h, req, ctx);
     }
 
     pub(crate) fn respond_demand(&mut self, h: BlockAddr, resp: DemandResponse, ctx: &mut Ctx<'_>) {
@@ -370,26 +598,14 @@ impl MesiPersona {
                         // §3.2.2: the accelerator answered an Inv with data.
                         // Forward it to the L2, whose host modification acks
                         // the requestor on our behalf.
-                        self.send(
-                            self.l2.for_block(h),
-                            h,
-                            MesiKind::OwnerWb { data, dirty },
-                            ctx,
-                        );
+                        self.send_home(h, MesiKind::OwnerWb { data, dirty }, ctx);
                     }
                 }
             }
             DemandKind::Read { .. } | DemandKind::ReadOnly { .. } => {
                 // FwdGetS while we own: requestor gets shared data, L2 gets
-                // a refresh copy. The guard fabricates data if the
-                // accelerator failed, so NoCopy/SharedCopy are fallbacks.
-                let (data, dirty) = match resp {
-                    DemandResponse::Data { data, dirty, .. } => (data, dirty),
-                    _ => {
-                        self.stats.violations += 1;
-                        (DataBlock::zeroed(), true)
-                    }
-                };
+                // a refresh copy.
+                let (data, dirty) = self.owner_data(resp);
                 if let Some(r) = requestor {
                     self.send(
                         r,
@@ -402,21 +618,10 @@ impl MesiPersona {
                         ctx,
                     );
                 }
-                self.send(
-                    self.l2.for_block(h),
-                    h,
-                    MesiKind::OwnerWb { data, dirty },
-                    ctx,
-                );
+                self.send_home(h, MesiKind::OwnerWb { data, dirty }, ctx);
             }
             DemandKind::Write { to_owner: true } => {
-                let (data, dirty) = match resp {
-                    DemandResponse::Data { data, dirty, .. } => (data, dirty),
-                    _ => {
-                        self.stats.violations += 1;
-                        (DataBlock::zeroed(), true)
-                    }
-                };
+                let (data, dirty) = self.owner_data(resp);
                 if let Some(r) = requestor {
                     self.send(
                         r,
@@ -437,65 +642,35 @@ impl MesiPersona {
                         (DataBlock::zeroed(), false)
                     }
                 };
-                self.send(
-                    self.l2.for_block(h),
-                    h,
-                    MesiKind::RecallData { data, dirty },
-                    ctx,
-                );
+                self.send_home(h, MesiKind::RecallData { data, dirty }, ctx);
             }
         }
     }
 
-    // ----- host-facing FSM ----------------------------------------------------
-
-    pub(crate) fn handle_host(
-        &mut self,
-        msg: &MesiMsg,
-        events: &mut Vec<PersonaEvent>,
-        ctx: &mut Ctx<'_>,
-    ) {
-        self.stats.received += 1;
-        let h = msg.addr;
-        ctx.trace(h.as_u64(), "mesi-persona", "Recv", || {
-            format!("{:?} (txn {:?})", msg.kind, self.txns.get(&h))
-        });
-        let state = self.p_state(h);
-        let event = self.classify(h, &msg.kind);
-        let mut cx = PCx {
-            ctx,
-            events,
-            h,
-            kind: msg.kind,
-        };
-        self.dispatch(state, event, &mut cx);
+    /// The data an owner demand is answered with. The guard fabricates data
+    /// if the accelerator failed, so NoCopy/SharedCopy are fallbacks.
+    fn owner_data(&mut self, resp: DemandResponse) -> (DataBlock, bool) {
+        match resp {
+            DemandResponse::Data { data, dirty, .. } => (data, dirty),
+            _ => {
+                self.stats.violations += 1;
+                (DataBlock::zeroed(), true)
+            }
+        }
     }
 
-    /// `(requestor, demand kind)` of a demand-bearing message.
-    fn demand_parts(kind: &MesiKind) -> Option<(Option<NodeId>, DemandKind)> {
-        match *kind {
-            MesiKind::Inv { requestor } => {
-                Some((Some(requestor), DemandKind::Write { to_owner: false }))
-            }
-            MesiKind::FwdGetS { requestor } => {
-                Some((Some(requestor), DemandKind::Read { to_owner: true }))
-            }
-            MesiKind::FwdGetM { requestor } => {
-                Some((Some(requestor), DemandKind::Write { to_owner: true }))
-            }
-            MesiKind::Recall => Some((None, DemandKind::Recall)),
-            _ => None,
-        }
+    /// Records `demand` on `h` and surfaces it to the guard.
+    fn open_demand(&mut self, h: BlockAddr, demand: DemandCtx, events: &mut Vec<PersonaEvent>) {
+        let kind = demand.kind;
+        self.demands.insert(h, demand);
+        events.push(PersonaEvent::Demand { h, kind });
     }
 
     /// Finishes a Put transaction: records its round trip and tells the
     /// guard.
     fn finish_put(&mut self, h: BlockAddr, events: &mut Vec<PersonaEvent>, ctx: &mut Ctx<'_>) {
         if let Some(Txn::Put { started, .. }) = self.txns.remove(&h) {
-            self.stats
-                .host_rtt
-                .record(ctx.now().saturating_since(started));
-            ctx.span(h.as_u64(), "host_rtt", started);
+            self.closed(h, started, ctx);
         }
         events.push(PersonaEvent::PutDone { h });
     }
@@ -525,10 +700,7 @@ impl MesiPersona {
             self.stats.violations += 1;
             return;
         };
-        self.stats
-            .host_rtt
-            .record(ctx.now().saturating_since(started));
-        ctx.span(h.as_u64(), "host_rtt", started);
+        self.closed(h, started, ctx);
         events.push(PersonaEvent::Granted {
             h,
             state,
@@ -537,332 +709,12 @@ impl MesiPersona {
         });
         // Demands that raced ahead of our grant surface now; the guard will
         // see them *after* the grant event, in order.
-        for (requestor, kind) in deferred {
+        for demand in deferred {
             if self.demands.contains_key(&h) {
                 self.stats.violations += 1;
                 continue;
             }
-            self.demands.insert(h, DemandCtx { requestor, kind });
-            events.push(PersonaEvent::Demand { h, kind });
+            self.open_demand(h, demand, events);
         }
-    }
-}
-
-impl<'a, 'b, 'e> Controller<PState, PEvent, PAction, PCx<'a, 'b, 'e>> for MesiPersona {
-    fn machine(&mut self) -> &mut Machine<PState, PEvent, PAction> {
-        &mut self.machine
-    }
-
-    fn apply(&mut self, action: PAction, _step: Step<PState, PEvent>, cx: &mut PCx<'a, 'b, 'e>) {
-        let h = cx.h;
-        match action {
-            PAction::RecordGrant => {
-                let (state, data, dirty, acks) = match cx.kind {
-                    MesiKind::DataS { data } => (GrantState::S, data, false, 0),
-                    MesiKind::DataE { data } => (GrantState::E, data, false, 0),
-                    MesiKind::DataM { data, acks } => (GrantState::M, data, false, acks),
-                    MesiKind::FwdData {
-                        data,
-                        dirty,
-                        exclusive,
-                    } => {
-                        let s = if exclusive {
-                            GrantState::M
-                        } else {
-                            GrantState::S
-                        };
-                        (s, data, dirty, 0)
-                    }
-                    _ => {
-                        self.stats.violations += 1;
-                        return;
-                    }
-                };
-                if let Some(Txn::Get {
-                    grant: grant @ None,
-                    acks_expected,
-                    ..
-                }) = self.txns.get_mut(&h)
-                {
-                    *grant = Some((state, data, dirty));
-                    *acks_expected = Some(acks);
-                } else {
-                    self.stats.violations += 1;
-                }
-            }
-            PAction::RecordAck => {
-                if let Some(Txn::Get { acks_got, .. }) = self.txns.get_mut(&h) {
-                    *acks_got += 1;
-                }
-            }
-            PAction::TryComplete => self.try_complete(h, cx.events, cx.ctx),
-            PAction::OpenDemand => {
-                let Some((requestor, kind)) = Self::demand_parts(&cx.kind) else {
-                    self.stats.violations += 1;
-                    return;
-                };
-                self.demands.insert(h, DemandCtx { requestor, kind });
-                cx.events.push(PersonaEvent::Demand { h, kind });
-            }
-            PAction::DeferDemand => {
-                let Some((requestor, kind)) = Self::demand_parts(&cx.kind) else {
-                    self.stats.violations += 1;
-                    return;
-                };
-                if let Some(Txn::Get { deferred, .. }) = self.txns.get_mut(&h) {
-                    deferred.push((requestor, kind));
-                }
-            }
-            PAction::AckInvalidatePut => {
-                // Our PutS raced the invalidation: ack, then either await
-                // the Nack or (if it already overtook us) finish now.
-                let MesiKind::Inv { requestor } = cx.kind else {
-                    self.stats.violations += 1;
-                    return;
-                };
-                let mut finished = false;
-                if let Some(Txn::Put {
-                    invalidated,
-                    nacked,
-                    ..
-                }) = self.txns.get_mut(&h)
-                {
-                    finished = *nacked;
-                    *invalidated = true;
-                }
-                self.send(requestor, h, MesiKind::InvAck, cx.ctx);
-                if finished {
-                    self.finish_put(h, cx.events, cx.ctx);
-                }
-            }
-            PAction::AckStaleInv => {
-                // Inv at an owner-putter is stale; ack and carry on.
-                let MesiKind::Inv { requestor } = cx.kind else {
-                    self.stats.violations += 1;
-                    return;
-                };
-                self.send(requestor, h, MesiKind::InvAck, cx.ctx);
-            }
-            PAction::ServeReadFromPut => {
-                // Serve the read; our Put demotes to a PutS at the L2 (it
-                // will see a non-owner sharer). Mark the demotion so a later
-                // Inv is treated as hitting a shared-copy eviction.
-                let Some(Txn::Put { data, dirty, .. }) = self.txns.get(&h) else {
-                    self.stats.violations += 1;
-                    return;
-                };
-                let (data, dirty) = (*data, *dirty);
-                if let MesiKind::FwdGetS { requestor } = cx.kind {
-                    self.send(
-                        requestor,
-                        h,
-                        MesiKind::FwdData {
-                            data,
-                            dirty,
-                            exclusive: false,
-                        },
-                        cx.ctx,
-                    );
-                }
-                self.send(
-                    self.l2.for_block(h),
-                    h,
-                    MesiKind::OwnerWb { data, dirty },
-                    cx.ctx,
-                );
-                if let Some(Txn::Put { is_s, .. }) = self.txns.get_mut(&h) {
-                    *is_s = true;
-                }
-            }
-            PAction::ServeWriteFromPut => {
-                let Some(Txn::Put {
-                    data,
-                    dirty,
-                    nacked,
-                    ..
-                }) = self.txns.get(&h)
-                else {
-                    self.stats.violations += 1;
-                    return;
-                };
-                let (data, dirty, was_nacked) = (*data, *dirty, *nacked);
-                if let MesiKind::FwdGetM { requestor } = cx.kind {
-                    self.send(
-                        requestor,
-                        h,
-                        MesiKind::FwdData {
-                            data,
-                            dirty,
-                            exclusive: true,
-                        },
-                        cx.ctx,
-                    );
-                }
-                if was_nacked {
-                    // The demand explains the earlier Nack; all done.
-                    self.finish_put(h, cx.events, cx.ctx);
-                } else if let Some(Txn::Put { invalidated, .. }) = self.txns.get_mut(&h) {
-                    *invalidated = true;
-                }
-            }
-            PAction::ServeRecallFromPut => {
-                let Some(Txn::Put {
-                    data,
-                    dirty,
-                    nacked,
-                    ..
-                }) = self.txns.get(&h)
-                else {
-                    self.stats.violations += 1;
-                    return;
-                };
-                let (data, dirty, was_nacked) = (*data, *dirty, *nacked);
-                self.send(
-                    self.l2.for_block(h),
-                    h,
-                    MesiKind::RecallData { data, dirty },
-                    cx.ctx,
-                );
-                if was_nacked {
-                    self.finish_put(h, cx.events, cx.ctx);
-                } else if let Some(Txn::Put { invalidated, .. }) = self.txns.get_mut(&h) {
-                    *invalidated = true;
-                }
-            }
-            PAction::CompletePut => self.finish_put(h, cx.events, cx.ctx),
-            PAction::MarkNacked => {
-                if let Some(Txn::Put { nacked, .. }) = self.txns.get_mut(&h) {
-                    *nacked = true;
-                }
-            }
-        }
-    }
-
-    fn stalled(&mut self, _step: Step<PState, PEvent>, _cx: &mut PCx<'a, 'b, 'e>) {
-        // The persona never stalls: races are resolved, not deferred.
-    }
-
-    fn violated(&mut self, step: Step<PState, PEvent>, cx: &mut PCx<'a, 'b, 'e>) {
-        self.stats.violations += 1;
-        if step.event == PEvent::InvDesync {
-            // Two live demands for one block mean desync; ack so the
-            // requestor's count still converges.
-            if let MesiKind::Inv { requestor } = cx.kind {
-                self.send(requestor, cx.h, MesiKind::InvAck, cx.ctx);
-            }
-        }
-    }
-}
-
-impl HostPersona for MesiPersona {
-    fn issue_get(&mut self, h: BlockAddr, kind: GetReq, ctx: &mut Ctx<'_>) {
-        MesiPersona::issue_get(self, h, kind, ctx);
-    }
-    fn issue_put(&mut self, h: BlockAddr, put: PutReq, ctx: &mut Ctx<'_>) {
-        MesiPersona::issue_put(self, h, put, ctx);
-    }
-    fn respond_demand(&mut self, h: BlockAddr, resp: DemandResponse, ctx: &mut Ctx<'_>) {
-        MesiPersona::respond_demand(self, h, resp, ctx);
-    }
-    fn open_txns(&self) -> usize {
-        self.txns.len() + self.demands.len()
-    }
-    fn is_mesi(&self) -> bool {
-        true
-    }
-    fn stats(&self) -> &PersonaStats {
-        &self.stats
-    }
-    fn handle_mesi(
-        &mut self,
-        msg: &MesiMsg,
-        events: &mut Vec<PersonaEvent>,
-        ctx: &mut Ctx<'_>,
-    ) -> bool {
-        self.handle_host(msg, events, ctx);
-        true
-    }
-    fn record_machine(&self, out: &mut Report) {
-        self.machine.record_into(out);
-    }
-    fn visit_fired(&self, visit: &mut dyn FnMut(&'static dyn FsmRows, &[u64])) {
-        self.machine.visit_fired(visit);
-    }
-    fn box_clone(&self) -> Box<dyn HostPersona> {
-        Box::new(self.clone())
-    }
-
-    fn restore_from(&mut self, saved: &dyn HostPersona) -> bool {
-        restore_in_place(self, saved)
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn check_state(&self, out: &mut CheckDigest) {
-        out.write_str("mesi_persona");
-        let mut txns: Vec<_> = self.txns.keys().copied().collect();
-        txns.sort_by_key(|a| out.addr_role(a.as_u64()));
-        out.write_u64(txns.len() as u64);
-        for a in txns {
-            out.write_addr(a.as_u64());
-            match &self.txns[&a] {
-                Txn::Get {
-                    grant,
-                    acks_expected,
-                    acks_got,
-                    deferred,
-                    started: _,
-                } => {
-                    out.write_str("get");
-                    match grant {
-                        Some((state, data, dirty)) => {
-                            out.write_u64(state.digest_tag());
-                            out.write_bytes(data.as_bytes());
-                            out.write_u64(u64::from(*dirty));
-                        }
-                        None => out.write_str("no-grant"),
-                    }
-                    out.write_u64(acks_expected.map_or(u64::MAX, u64::from));
-                    out.write_u64(u64::from(*acks_got));
-                    out.write_u64(deferred.len() as u64);
-                    for (requestor, kind) in deferred {
-                        match requestor {
-                            Some(r) => out.write_node(*r),
-                            None => out.write_str("l2"),
-                        }
-                        kind.digest(out);
-                    }
-                }
-                Txn::Put {
-                    is_s,
-                    data,
-                    dirty,
-                    invalidated,
-                    nacked,
-                    started: _,
-                } => {
-                    out.write_str("put");
-                    out.write_u64(u64::from(*is_s));
-                    out.write_bytes(data.as_bytes());
-                    out.write_u64(u64::from(*dirty));
-                    out.write_u64(u64::from(*invalidated));
-                    out.write_u64(u64::from(*nacked));
-                }
-            }
-        }
-        let mut demands: Vec<_> = self.demands.keys().copied().collect();
-        demands.sort_by_key(|a| out.addr_role(a.as_u64()));
-        out.write_u64(demands.len() as u64);
-        for a in demands {
-            out.write_addr(a.as_u64());
-            let DemandCtx { requestor, kind } = &self.demands[&a];
-            match requestor {
-                Some(r) => out.write_node(*r),
-                None => out.write_str("l2"),
-            }
-            kind.digest(out);
-        }
-        out.obligation((self.txns.len() + self.demands.len()) as u64);
     }
 }

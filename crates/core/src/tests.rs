@@ -1062,3 +1062,62 @@ fn read_only_shadow_serves_host_reads_without_accel() {
     rig.assert_no_errors();
     rig.assert_host_clean();
 }
+
+/// A host message of the protocol the guard's persona does not speak is a
+/// malformed message: one report for its block, and nothing else moves.
+#[test]
+fn wrong_protocol_host_message_is_malformed_and_inert() {
+    use xg_proto::{HammerKind, HammerMsg, MesiKind, MesiMsg};
+    for host in [HostKind::Hammer, HostKind::Mesi] {
+        let mut rig = build(
+            host,
+            1,
+            AccelKind::Raw(InvBehavior::InvAck),
+            cfg(XgVariant::FullState),
+            OsPolicy::ReportOnly,
+            52,
+        );
+        let home = NodeId::from_index(2);
+        let block = Addr::new(0x4000).block();
+        // A demand in the other protocol: its own persona would open a
+        // demand record and surface it to the guard.
+        let stray: Message = match host {
+            HostKind::Hammer => MesiMsg::new(block, MesiKind::Inv { requestor: home }).into(),
+            HostKind::Mesi => {
+                let kind = HammerKind::FwdGetM {
+                    requestor: home,
+                    to_owner: true,
+                };
+                HammerMsg::new(block, kind).into()
+            }
+        };
+        let before = rig.sim.report();
+        rig.sim.post(home, rig.xg, stray);
+        assert!(rig.sim.run_to_quiescence(500_000).quiescent);
+
+        let os = rig.sim.get::<Os>(rig.os).unwrap();
+        assert_eq!(os.total(), 1, "exactly one report");
+        let err = &os.errors()[0];
+        assert_eq!((err.kind, err.addr), (XgErrorKind::Malformed, Some(block)));
+        let guard = rig.sim.get::<CrossingGuard>(rig.xg).unwrap();
+        assert_eq!(guard.storage_bytes(), 0, "no transaction opened");
+        assert_eq!(guard.peak_storage_bytes(), 0);
+        let after = rig.sim.report();
+        for key in [
+            "xg.host_sent",
+            "xg.host_received",
+            "xg.persona_violations",
+            "xg.accel_sent",
+            "xg.invs_forwarded",
+            "xg.demands_answered_locally",
+        ] {
+            assert_eq!(after.get(key), before.get(key), "{key} moved");
+        }
+        let raw = rig.sim.get::<RawAccel>(rig.accel_frontends[0]).unwrap();
+        assert!(
+            raw.received.is_empty(),
+            "no persona event reached the guard"
+        );
+        rig.assert_host_clean();
+    }
+}

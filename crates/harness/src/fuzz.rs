@@ -17,15 +17,16 @@ use rand::Rng;
 use xg_mem::{BlockAddr, DataBlock};
 use xg_proto::{
     Ctx, HammerKind, HammerMsg, HomeMap, MesiKind, MesiMsg, Message, XgData, XgiKind, XgiMsg,
+    XgiTag,
 };
 use xg_sim::{Component, NodeId, Report};
 
 use crate::config::HostProtocol;
 
 /// Number of distinct interface-kind codes a fuzz step can carry (the eight
-/// accelerator-legal kinds plus the five guard-only kinds, mirrored from
-/// [`XgiKind`]).
-pub const FUZZ_KIND_CODES: u8 = 13;
+/// accelerator-legal kinds plus the five guard-only kinds): the codes
+/// [`XgiKind::from_code`] decodes.
+pub const FUZZ_KIND_CODES: u8 = XgiTag::BY_CODE.len() as u8;
 
 /// Number of distinct invalidation-response codes: `InvAck`, `CleanWb`,
 /// `DirtyWb`, a non-response `GetM`, and a `PutS` race immediately chased
@@ -205,37 +206,12 @@ fn random_payload(ctx: &mut Ctx<'_>) -> XgData {
     XgData::from_blocks(blocks)
 }
 
+/// A uniformly drawn kind — the guard-only ones (`Data*`, `WbAck`, `Inv`)
+/// included: pure garbage from us.
 fn random_xgi_kind(ctx: &mut Ctx<'_>) -> XgiKind {
-    match ctx.rng().gen_range(0..13) {
-        0 => XgiKind::GetS,
-        1 => XgiKind::GetM,
-        2 => XgiKind::PutS,
-        3 => XgiKind::PutE {
-            data: random_payload(ctx),
-        },
-        4 => XgiKind::PutM {
-            data: random_payload(ctx),
-        },
-        5 => XgiKind::InvAck,
-        6 => XgiKind::CleanWb {
-            data: random_payload(ctx),
-        },
-        7 => XgiKind::DirtyWb {
-            data: random_payload(ctx),
-        },
-        // Kinds only the guard may legally send — pure garbage from us.
-        8 => XgiKind::DataS {
-            data: random_payload(ctx),
-        },
-        9 => XgiKind::DataE {
-            data: random_payload(ctx),
-        },
-        10 => XgiKind::DataM {
-            data: random_payload(ctx),
-        },
-        11 => XgiKind::WbAck,
-        _ => XgiKind::Inv,
-    }
+    let code = ctx.rng().gen_range(0..FUZZ_KIND_CODES);
+    XgiKind::from_code(code, || random_payload(ctx))
+        .expect("every code below FUZZ_KIND_CODES names a kind")
 }
 
 /// Deterministic payload for scripted steps: `blocks` copies of `fill`.
@@ -247,21 +223,8 @@ fn scripted_payload(blocks: u8, fill: u8) -> XgData {
 /// [`random_xgi_kind`], but with a deterministic payload).
 fn scripted_kind(step: FuzzStep) -> XgiKind {
     let data = || scripted_payload(step.payload_blocks, step.fill);
-    match step.kind % FUZZ_KIND_CODES {
-        0 => XgiKind::GetS,
-        1 => XgiKind::GetM,
-        2 => XgiKind::PutS,
-        3 => XgiKind::PutE { data: data() },
-        4 => XgiKind::PutM { data: data() },
-        5 => XgiKind::InvAck,
-        6 => XgiKind::CleanWb { data: data() },
-        7 => XgiKind::DirtyWb { data: data() },
-        8 => XgiKind::DataS { data: data() },
-        9 => XgiKind::DataE { data: data() },
-        10 => XgiKind::DataM { data: data() },
-        11 => XgiKind::WbAck,
-        _ => XgiKind::Inv,
-    }
+    XgiKind::from_code(step.kind % FUZZ_KIND_CODES, data)
+        .expect("every code below FUZZ_KIND_CODES names a kind")
 }
 
 /// Decodes a scripted invalidation-response policy into the message

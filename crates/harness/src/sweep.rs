@@ -30,12 +30,16 @@ use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
 
-/// Parses a jobs knob value: `0` (or unparsable) means "auto" — one worker
-/// per available core.
-pub fn parse_jobs(raw: &str) -> usize {
+/// Parses a jobs knob value: a worker count, `0` meaning "auto" — one
+/// worker per available core. Anything else is an error that quotes the
+/// value, for the caller to prefix with the flag or variable it came from.
+pub fn parse_jobs(raw: &str) -> Result<usize, String> {
     match raw.trim().parse::<usize>() {
-        Ok(0) | Err(_) => available_jobs(),
-        Ok(n) => n,
+        Ok(0) => Ok(available_jobs()),
+        Ok(n) => Ok(n),
+        Err(_) => Err(format!(
+            "{raw:?} is not a worker count (a number; 0 = one per core)"
+        )),
     }
 }
 
@@ -48,13 +52,15 @@ pub fn available_jobs() -> usize {
 
 /// Resolves the effective worker count: an explicit request (CLI `--jobs`)
 /// wins, then the `XG_JOBS` environment variable, then one per core.
-/// `Some(0)` and `XG_JOBS=0` both mean "auto".
+/// `Some(0)` and `XG_JOBS=0` both mean "auto". This is the library's
+/// fallback and never fails: an `XG_JOBS` that is not a worker count also
+/// means "auto" here — the binaries refuse it first, by name.
 pub fn resolve_jobs(requested: Option<usize>) -> usize {
     match requested {
         Some(0) => available_jobs(),
         Some(n) => n,
         None => match std::env::var("XG_JOBS") {
-            Ok(v) => parse_jobs(&v),
+            Ok(v) => parse_jobs(&v).unwrap_or_else(|_| available_jobs()),
             Err(_) => available_jobs(),
         },
     }
@@ -216,10 +222,13 @@ mod tests {
 
     #[test]
     fn jobs_parsing() {
-        assert_eq!(parse_jobs("3"), 3);
-        assert_eq!(parse_jobs(" 12 "), 12);
-        assert_eq!(parse_jobs("0"), available_jobs());
-        assert_eq!(parse_jobs("auto"), available_jobs());
+        assert_eq!(parse_jobs("3"), Ok(3));
+        assert_eq!(parse_jobs(" 12 "), Ok(12));
+        assert_eq!(parse_jobs("0"), Ok(available_jobs()));
+        for bad in ["banana", "", "-1", "2.5"] {
+            let why = parse_jobs(bad).expect_err(bad);
+            assert!(why.contains(&format!("{bad:?}")), "{why}");
+        }
         assert_eq!(resolve_jobs(Some(5)), 5);
         assert_eq!(resolve_jobs(Some(0)), available_jobs());
         assert!(available_jobs() >= 1);

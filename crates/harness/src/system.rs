@@ -173,33 +173,36 @@ pub fn build_system(
     let home_map = HomeMap::new(homes.clone());
 
     // ---- host caches (ids 0..n) ----
-    let hammer_cfg = HammerConfig {
-        sets: cfg.cpu_cache.0,
-        ways: cfg.cpu_cache.1,
-        strict_data: cfg.strict_host,
-        sink_nacks: !cfg.strict_host,
-        ..HammerConfig::default()
-    };
-    let mesi_l1_cfg = MesiL1Config {
-        sets: cfg.cpu_cache.0,
-        ways: cfg.cpu_cache.1,
-        ..MesiL1Config::default()
+    // A private cache of the host's protocol, wherever one sits: a CPU's,
+    // an accelerator-side cache, a host-side cache.
+    let host_cache = |name: String, (sets, ways): (usize, usize)| -> Box<dyn Component<Message>> {
+        match cfg.host {
+            HostProtocol::Hammer => Box::new(HammerCache::new(
+                name,
+                home_map.clone(),
+                HammerConfig {
+                    sets,
+                    ways,
+                    strict_data: cfg.strict_host,
+                    sink_nacks: !cfg.strict_host,
+                    ..HammerConfig::default()
+                },
+            )),
+            HostProtocol::Mesi => Box::new(MesiL1::new(
+                name,
+                home_map.clone(),
+                MesiL1Config {
+                    sets,
+                    ways,
+                    ..MesiL1Config::default()
+                },
+            )),
+        }
     };
     let mut cpu_caches = Vec::new();
     for i in 0..n {
-        let cache: Box<dyn Component<Message>> = match cfg.host {
-            HostProtocol::Hammer => Box::new(HammerCache::new(
-                format!("cpu_cache{i}"),
-                home_map.clone(), // home banks, added next
-                hammer_cfg.clone(),
-            )),
-            HostProtocol::Mesi => Box::new(MesiL1::new(
-                format!("cpu_cache{i}"),
-                home_map.clone(),
-                mesi_l1_cfg.clone(),
-            )),
-        };
-        cpu_caches.push(b.add(cache));
+        // The home banks it routes to are added next.
+        cpu_caches.push(b.add(host_cache(format!("cpu_cache{i}"), cfg.cpu_cache)));
     }
 
     // ---- layout bookkeeping for nodes added after the home banks ----
@@ -307,15 +310,21 @@ pub fn build_system(
         prefetch: cfg.prefetch,
         ..AccelL1Config::default()
     };
-    let xg_config = |variant, slot: &AccelSlot| {
-        let mut c = XgConfig {
+    // The guard of one hierarchy; `accel_side` is the node above it.
+    let guard = |name: String, accel_side: NodeId, variant, slot: &AccelSlot| {
+        let mut xg_cfg = XgConfig {
             variant,
             ..cfg.xg.clone()
         };
         if let Some(perms) = &slot.perms {
-            c.perms = perms.clone();
+            xg_cfg.perms = perms.clone();
         }
-        c
+        let home = home_map.clone();
+        let new_guard = match cfg.host {
+            HostProtocol::Hammer => CrossingGuard::new_hammer,
+            HostProtocol::Mesi => CrossingGuard::new_mesi,
+        };
+        Box::new(new_guard(name, accel_side, home, os_id, xg_cfg))
     };
 
     let mut instances: Vec<GuardInstance> = Vec::new();
@@ -339,26 +348,7 @@ pub fn build_system(
         match (&slot.org, infra) {
             (AccelOrg::AccelSide, AccelInfra::AccelSide { cache }) => {
                 let name = format!("{prefix}accel_cache");
-                let c: Box<dyn Component<Message>> = match cfg.host {
-                    HostProtocol::Hammer => Box::new(HammerCache::new(
-                        name.clone(),
-                        home_map.clone(),
-                        HammerConfig {
-                            sets: cfg.accel_cache.0,
-                            ways: cfg.accel_cache.1,
-                            ..hammer_cfg.clone()
-                        },
-                    )),
-                    HostProtocol::Mesi => Box::new(MesiL1::new(
-                        name.clone(),
-                        home_map.clone(),
-                        MesiL1Config {
-                            sets: cfg.accel_cache.0,
-                            ways: cfg.accel_cache.1,
-                            ..MesiL1Config::default()
-                        },
-                    )),
-                };
+                let c = host_cache(name.clone(), cfg.accel_cache);
                 let id = b.add(c);
                 assert_eq!(id, *cache);
                 // The accelerator-side cache reaches the host over the chip
@@ -375,18 +365,17 @@ pub fn build_system(
             }
             (AccelOrg::HostSide, AccelInfra::HostSide { cache }) => {
                 let name = format!("{prefix}hostside_cache");
-                let c: Box<dyn Component<Message>> = match cfg.host {
-                    HostProtocol::Hammer => Box::new(HammerCache::new(
-                        name.clone(),
-                        home_map.clone(),
-                        hammer_cfg.clone(),
-                    )),
-                    HostProtocol::Mesi => Box::new(MesiL1::new(
-                        name.clone(),
-                        home_map.clone(),
-                        MesiL1Config::default(),
-                    )),
+                // Sized as a CPU's cache under Hammer, as a default L1
+                // under MESI whatever `cpu_cache` says: an old asymmetry
+                // the goldens pin.
+                let geometry = match cfg.host {
+                    HostProtocol::Hammer => cfg.cpu_cache,
+                    HostProtocol::Mesi => {
+                        let l1 = MesiL1Config::default();
+                        (l1.sets, l1.ways)
+                    }
                 };
+                let c = host_cache(name.clone(), geometry);
                 let id = b.add(c);
                 assert_eq!(id, *cache);
                 inst.label = name;
@@ -396,23 +385,7 @@ pub fn build_system(
             }
             (AccelOrg::Xg { variant, .. }, AccelInfra::Xg { xg, top, two_level }) => {
                 let name = format!("{prefix}xg");
-                let guard: Box<dyn Component<Message>> = match cfg.host {
-                    HostProtocol::Hammer => Box::new(CrossingGuard::new_hammer(
-                        name.clone(),
-                        *top,
-                        home_map.clone(),
-                        os_id,
-                        xg_config(*variant, slot),
-                    )),
-                    HostProtocol::Mesi => Box::new(CrossingGuard::new_mesi(
-                        name.clone(),
-                        *top,
-                        home_map.clone(),
-                        os_id,
-                        xg_config(*variant, slot),
-                    )),
-                };
-                let id = b.add(guard);
+                let id = b.add(guard(name.clone(), *top, *variant, slot));
                 assert_eq!(id, *xg);
                 inst.label = name;
                 inst.xg = Some(*xg);
@@ -452,23 +425,7 @@ pub fn build_system(
             }
             (AccelOrg::FuzzXg { variant }, AccelInfra::FuzzXg { xg, fuzzer }) => {
                 let name = format!("{prefix}xg");
-                let guard: Box<dyn Component<Message>> = match cfg.host {
-                    HostProtocol::Hammer => Box::new(CrossingGuard::new_hammer(
-                        name.clone(),
-                        *fuzzer,
-                        home_map.clone(),
-                        os_id,
-                        xg_config(*variant, slot),
-                    )),
-                    HostProtocol::Mesi => Box::new(CrossingGuard::new_mesi(
-                        name.clone(),
-                        *fuzzer,
-                        home_map.clone(),
-                        os_id,
-                        xg_config(*variant, slot),
-                    )),
-                };
-                let id = b.add(guard);
+                let id = b.add(guard(name.clone(), *fuzzer, *variant, slot));
                 assert_eq!(id, *xg);
                 inst.label = name;
                 inst.xg = Some(*xg);

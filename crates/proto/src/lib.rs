@@ -32,7 +32,7 @@ mod messages;
 pub use error::{XgError, XgErrorKind};
 pub use messages::{
     CoreKind, CoreMsg, HammerKind, HammerMsg, MesiKind, MesiMsg, Message, OsMsg, XgData, XgiKind,
-    XgiMsg,
+    XgiMsg, XgiTag,
 };
 
 /// The set of home-node banks a client routes coherence requests over.

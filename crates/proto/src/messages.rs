@@ -3,7 +3,7 @@
 use std::fmt;
 
 use xg_mem::{Addr, BlockAddr, DataBlock};
-use xg_sim::{CheckDigest, NodeId};
+use xg_sim::{Alphabet, CheckDigest, NodeId};
 
 use crate::error::XgError;
 
@@ -618,24 +618,108 @@ impl XgiKind {
         )
     }
 
-    /// Short mnemonic for coverage and traces.
-    pub fn mnemonic(&self) -> &'static str {
+    /// This kind without its payload.
+    pub fn tag(&self) -> XgiTag {
         match self {
-            XgiKind::GetS => "GetS",
-            XgiKind::GetM => "GetM",
-            XgiKind::PutS => "PutS",
-            XgiKind::PutE { .. } => "PutE",
-            XgiKind::PutM { .. } => "PutM",
-            XgiKind::DataS { .. } => "DataS",
-            XgiKind::DataE { .. } => "DataE",
-            XgiKind::DataM { .. } => "DataM",
-            XgiKind::WbAck => "WbAck",
-            XgiKind::Inv => "Inv",
-            XgiKind::InvAck => "InvAck",
-            XgiKind::CleanWb { .. } => "CleanWb",
-            XgiKind::DirtyWb { .. } => "DirtyWb",
+            XgiKind::GetS => XgiTag::GetS,
+            XgiKind::GetM => XgiTag::GetM,
+            XgiKind::PutS => XgiTag::PutS,
+            XgiKind::PutE { .. } => XgiTag::PutE,
+            XgiKind::PutM { .. } => XgiTag::PutM,
+            XgiKind::DataS { .. } => XgiTag::DataS,
+            XgiKind::DataE { .. } => XgiTag::DataE,
+            XgiKind::DataM { .. } => XgiTag::DataM,
+            XgiKind::WbAck => XgiTag::WbAck,
+            XgiKind::Inv => XgiTag::Inv,
+            XgiKind::InvAck => XgiTag::InvAck,
+            XgiKind::CleanWb { .. } => XgiTag::CleanWb,
+            XgiKind::DirtyWb { .. } => XgiTag::DirtyWb,
         }
     }
+
+    /// The payload, for the kinds that carry one.
+    pub fn data(&self) -> Option<&XgData> {
+        match self {
+            XgiKind::PutE { data }
+            | XgiKind::PutM { data }
+            | XgiKind::DataS { data }
+            | XgiKind::DataE { data }
+            | XgiKind::DataM { data }
+            | XgiKind::CleanWb { data }
+            | XgiKind::DirtyWb { data } => Some(data),
+            _ => None,
+        }
+    }
+
+    /// Short mnemonic for coverage and traces.
+    pub fn mnemonic(&self) -> &'static str {
+        self.tag().label()
+    }
+
+    /// The kind a stimulus code names (see [`XgiTag::BY_CODE`]); `None`
+    /// past the last code. `payload` is called only for a kind that carries
+    /// data, so a decoder drawing payloads from an RNG draws exactly when
+    /// one is needed.
+    pub fn from_code(code: u8, payload: impl FnOnce() -> XgData) -> Option<XgiKind> {
+        Some(match *XgiTag::BY_CODE.get(usize::from(code))? {
+            XgiTag::GetS => XgiKind::GetS,
+            XgiTag::GetM => XgiKind::GetM,
+            XgiTag::PutS => XgiKind::PutS,
+            XgiTag::PutE => XgiKind::PutE { data: payload() },
+            XgiTag::PutM => XgiKind::PutM { data: payload() },
+            XgiTag::DataS => XgiKind::DataS { data: payload() },
+            XgiTag::DataE => XgiKind::DataE { data: payload() },
+            XgiTag::DataM => XgiKind::DataM { data: payload() },
+            XgiTag::WbAck => XgiKind::WbAck,
+            XgiTag::Inv => XgiKind::Inv,
+            XgiTag::InvAck => XgiKind::InvAck,
+            XgiTag::CleanWb => XgiKind::CleanWb { data: payload() },
+            XgiTag::DirtyWb => XgiKind::DirtyWb { data: payload() },
+        })
+    }
+}
+
+xg_sim::alphabet! {
+    /// The interface message kinds without their payloads, labelled as
+    /// [`XgiKind::mnemonic`]: the column vocabulary of coverage grids over
+    /// interface traffic.
+    pub enum XgiTag {
+        GetS,
+        GetM,
+        PutS,
+        PutE,
+        PutM,
+        DataS,
+        DataE,
+        DataM,
+        WbAck,
+        Inv,
+        InvAck,
+        CleanWb,
+        DirtyWb,
+    }
+}
+
+impl XgiTag {
+    /// The kinds in stimulus-code order: what an accelerator may request,
+    /// what it may answer an `Inv` with, then the kinds only a guard may
+    /// legally send. Fuzz schedules (`xg-schedule v1`), corpus files and
+    /// checker scripts store these codes, so the order is frozen.
+    pub const BY_CODE: [XgiTag; 13] = [
+        XgiTag::GetS,
+        XgiTag::GetM,
+        XgiTag::PutS,
+        XgiTag::PutE,
+        XgiTag::PutM,
+        XgiTag::InvAck,
+        XgiTag::CleanWb,
+        XgiTag::DirtyWb,
+        XgiTag::DataS,
+        XgiTag::DataE,
+        XgiTag::DataM,
+        XgiTag::WbAck,
+        XgiTag::Inv,
+    ];
 }
 
 impl fmt::Display for XgiKind {
@@ -779,5 +863,31 @@ mod tests {
             .to_string(),
             "DirtyWb"
         );
+    }
+
+    /// The thirteen codes name the thirteen kinds, once each, and only the
+    /// data-carrying ones ask for a payload.
+    #[test]
+    fn codes_decode_to_every_kind_once() {
+        let mut seen = Vec::new();
+        for code in 0..13u8 {
+            let mut asked = false;
+            let kind = XgiKind::from_code(code, || {
+                asked = true;
+                XgData::zeroed(2)
+            });
+            let kind = kind.expect("a code below 13 names a kind");
+            assert_eq!(kind.tag(), XgiTag::BY_CODE[usize::from(code)]);
+            assert_eq!(kind.data().map(XgData::len), asked.then_some(2), "{kind}");
+            assert!(!seen.contains(&kind.tag()), "{kind} has two codes");
+            seen.push(kind.tag());
+        }
+        assert_eq!(seen.len(), XgiTag::ALL.len());
+        let (first, inv_ack, last) = (XgiTag::BY_CODE[0], XgiTag::BY_CODE[5], XgiTag::BY_CODE[12]);
+        assert_eq!(
+            (first, inv_ack, last),
+            (XgiTag::GetS, XgiTag::InvAck, XgiTag::Inv)
+        );
+        assert_eq!(XgiKind::from_code(13, || XgData::zeroed(1)), None);
     }
 }
