@@ -305,6 +305,7 @@ fn minimize_mode(args: &[String], path: &str) -> i32 {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    cli::trace_switch();
     let code = if let Some(path) = arg_value(&args, "--minimize") {
         minimize_mode(&args, &path)
     } else if args.iter().any(|a| a == "--campaign") {

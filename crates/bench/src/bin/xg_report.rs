@@ -44,6 +44,7 @@ use xg_bench::Scale;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    cli::trace_switch();
     let scale = if args.iter().any(|a| a == "quick") {
         Scale::Quick
     } else {

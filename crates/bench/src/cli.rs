@@ -13,6 +13,15 @@ pub fn arg_value(args: &[String], flag: &str) -> Option<String> {
     })
 }
 
+/// Refuses an `XG_TRACE` that is not `0` or `1` (the simulator library
+/// would quietly treat it as off).
+pub fn trace_switch() {
+    if let Err(why) = xg_sim::TraceConfig::try_from_env() {
+        eprintln!("{why}");
+        std::process::exit(2);
+    }
+}
+
 /// The worker count of this run: `--jobs N`, else `XG_JOBS`, else one per
 /// core (`0` means that too).
 pub fn jobs(args: &[String]) -> usize {

@@ -169,6 +169,7 @@ pub fn table(rows: &[Row]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xg_harness::{run_fuzz_with, Instrumentation};
 
     #[test]
     fn guarded_modified_hosts_are_safe_and_unprotected_is_not() {
@@ -188,5 +189,15 @@ mod tests {
             .iter()
             .any(|r| r.host_violations > 0 || r.deadlocked || r.cpu_errors > 0);
         assert!(pierced, "unguarded strict hosts should be disturbed");
+        // The failure-replay instrumentation (ring tracing plus a timeline)
+        // only observes: the traced attack stays just as safe.
+        let (label, cfg) = campaign(5).swap_remove(3);
+        assert_eq!(label, "mesi/fuzz_xg_tx");
+        let fuzz = FuzzOpts {
+            messages: 300,
+            ..FuzzOpts::default()
+        };
+        let out = run_fuzz_with(&cfg, &fuzz, 500, &Instrumentation::replay());
+        assert_eq!(out.host_violations, 0, "{label} traced");
     }
 }

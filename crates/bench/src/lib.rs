@@ -2,13 +2,13 @@
 //!
 //! One module per experiment in `DESIGN.md`'s experiment index; each
 //! regenerates a table or figure of the Crossing Guard evaluation. The
-//! same code backs three entry points:
+//! same code backs two entry points:
 //!
 //! * `cargo run -p xg-bench --bin xg-report` — regenerate everything at
-//!   full scale (feeds `EXPERIMENTS.md`).
-//! * `cargo bench -p xg-bench` — print each table at bench scale and
-//!   time a representative simulation with Criterion.
+//!   full scale (feeds `EXPERIMENTS.md`); `-- quick` at CI scale.
 //! * Unit tests asserting the *shape* claims (who wins, what stays zero).
+//!
+//! Timing a run is the `benchmark/` package's job, not this crate's.
 //!
 //! Scale is a knob, not a fork: [`Scale::Quick`] for CI, [`Scale::Full`]
 //! for the report.
@@ -98,7 +98,7 @@ pub fn coverage_tables(report: &xg_sim::Report) -> String {
 /// How much work to spend per experiment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
-    /// Seconds per experiment (CI, criterion preamble).
+    /// Seconds per experiment (CI, `xg-report quick`, unit tests).
     Quick,
     /// Tens of seconds per experiment (the shipped report).
     Full,

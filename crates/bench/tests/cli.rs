@@ -1,13 +1,14 @@
-//! The `xg-bench` binaries refuse a bad worker count before they run
-//! anything: exit 2, naming the flag or variable and the value.
+//! The `xg-bench` binaries refuse a bad worker count or trace switch
+//! before they run anything: exit 2, naming the flag or variable and the
+//! value.
 //!
 //! Each of them would otherwise start a sweep (seconds to minutes), so an
 //! empty stdout is the evidence that the refusal came first.
 
 use std::process::{Command, Output};
 
-/// The binaries that take `--jobs` / `XG_JOBS`, each with the arguments
-/// that put it on its sweep path.
+/// The binaries that take `--jobs` / `XG_JOBS` / `XG_TRACE`, each with the
+/// arguments that put it on its sweep path.
 const BINARIES: [(&str, &str, &[&str]); 3] = [
     ("xg-report", env!("CARGO_BIN_EXE_xg-report"), &["quick"]),
     (
@@ -22,13 +23,17 @@ const BINARIES: [(&str, &str, &[&str]); 3] = [
     ),
 ];
 
-fn run(exe: &str, args: &[&str], more: &[&str], xg_jobs: Option<&str>) -> Output {
-    let mut cmd = Command::new(exe);
-    cmd.args(args).args(more).env_remove("XG_JOBS");
-    if let Some(value) = xg_jobs {
-        cmd.env("XG_JOBS", value);
-    }
-    cmd.output().expect("binary runs")
+/// Runs `exe` with `XG_JOBS` and `XG_TRACE` as `env` sets them (unset
+/// otherwise).
+fn run(exe: &str, args: &[&str], more: &[&str], env: &[(&str, &str)]) -> Output {
+    Command::new(exe)
+        .args(args)
+        .args(more)
+        .env_remove("XG_JOBS")
+        .env_remove("XG_TRACE")
+        .envs(env.iter().copied())
+        .output()
+        .expect("binary runs")
 }
 
 /// Checks that `out` is a refusal (exit 2, nothing on stdout) and returns
@@ -43,7 +48,7 @@ fn refusal(name: &str, out: &Output) -> String {
 #[test]
 fn a_jobs_flag_that_is_not_a_count_is_refused_by_name() {
     for (name, exe, args) in BINARIES {
-        let said = refusal(name, &run(exe, args, &["--jobs", "banana"], None));
+        let said = refusal(name, &run(exe, args, &["--jobs", "banana"], &[]));
         assert!(said.contains("--jobs") && said.contains("banana"), "{said}");
     }
 }
@@ -51,7 +56,7 @@ fn a_jobs_flag_that_is_not_a_count_is_refused_by_name() {
 #[test]
 fn an_xg_jobs_variable_that_is_not_a_count_is_refused_by_name() {
     for (name, exe, args) in BINARIES {
-        let said = refusal(name, &run(exe, args, &[], Some("banana")));
+        let said = refusal(name, &run(exe, args, &[], &[("XG_JOBS", "banana")]));
         assert!(
             said.contains("XG_JOBS") && said.contains("banana"),
             "{said}"
@@ -60,9 +65,20 @@ fn an_xg_jobs_variable_that_is_not_a_count_is_refused_by_name() {
 }
 
 #[test]
+fn an_xg_trace_that_is_not_a_switch_is_refused_by_name() {
+    for (name, exe, args) in BINARIES {
+        let said = refusal(name, &run(exe, args, &[], &[("XG_TRACE", "banana")]));
+        assert!(
+            said.contains("XG_TRACE") && said.contains("banana"),
+            "{said}"
+        );
+    }
+}
+
+#[test]
 fn a_jobs_flag_without_a_value_is_refused() {
     for (name, exe, args) in BINARIES {
-        let said = refusal(name, &run(exe, args, &["--jobs"], None));
+        let said = refusal(name, &run(exe, args, &["--jobs"], &[]));
         assert!(said.contains("--jobs requires a value"), "{said}");
     }
 }
@@ -73,7 +89,7 @@ fn a_jobs_flag_without_a_value_is_refused() {
 #[test]
 fn a_good_jobs_flag_is_accepted_whatever_the_variable_says() {
     let (_, exe, args) = BINARIES[2];
-    let out = run(exe, args, &["--jobs", "1"], Some("banana"));
+    let out = run(exe, args, &["--jobs", "1"], &[("XG_JOBS", "banana")]);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(1), "{stderr}");
     assert!(stderr.contains("--check: failed to read"), "{stderr}");

@@ -113,6 +113,10 @@ fn parse_args() -> Args {
         eprintln!("--addrs {}: {why}", args.addrs);
         std::process::exit(2);
     }
+    if let Err(why) = xg_sim::TraceConfig::try_from_env() {
+        eprintln!("{why}");
+        std::process::exit(2);
+    }
     args
 }
 

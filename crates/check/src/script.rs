@@ -23,7 +23,7 @@ pub const MALFORMED_PUTM: u8 = 13;
 
 /// Number of scripted invalidation-choice codes: silence, then the
 /// fuzzer's five response codes.
-pub const INV_CHOICE_CODES: u8 = 6;
+pub const INV_CHOICE_CODES: u8 = 1 + xg_harness::fuzz::INV_RESPONSE_CODES;
 
 /// A CPU operation the probe core can issue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

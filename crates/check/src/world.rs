@@ -21,6 +21,7 @@
 //! digest set closes and exhaustive exploration terminates.
 
 use xg_core::{CrossingGuard, Os, OsPolicy, XgConfig};
+use xg_harness::fuzz::inv_response;
 use xg_host_hammer::{HammerCache, HammerConfig, HammerDirectory};
 use xg_host_mesi::{MesiL1, MesiL1Config, MesiL2, MesiL2Config};
 use xg_mem::{BlockAddr, DataBlock, PagePerm, PermissionTable, BLOCK_BYTES};
@@ -473,19 +474,10 @@ impl Component<Message> for ChaosAccel {
                 if self.consumed < self.choices.len() {
                     let choice = self.choices[self.consumed] % INV_CHOICE_CODES;
                     self.consumed += 1;
-                    let xg = self.xg;
-                    let mut reply = |kind| ctx.send(xg, XgiMsg::new(m.addr, kind).into());
-                    match choice {
-                        0 => {}
-                        1 => reply(XgiKind::InvAck),
-                        2 => reply(XgiKind::CleanWb { data: inv_data() }),
-                        3 => reply(XgiKind::DirtyWb { data: inv_data() }),
-                        4 => reply(XgiKind::GetM),
-                        // The Put-vs-Inv race: an eviction already in
-                        // flight when the invalidation arrives.
-                        _ => {
-                            reply(XgiKind::PutS);
-                            reply(XgiKind::DirtyWb { data: inv_data() });
+                    // 0 is silence; past it, the fuzzer's response codes.
+                    if choice > 0 {
+                        for kind in inv_response(choice - 1, inv_data) {
+                            ctx.send(self.xg, XgiMsg::new(m.addr, kind).into());
                         }
                     }
                 } else {

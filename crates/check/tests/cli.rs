@@ -121,3 +121,19 @@ fn an_address_count_a_step_cannot_index_is_refused() {
     assert!(stderr.contains("--addrs 300"), "{stderr}");
     assert!(out.stdout.is_empty(), "explored anyway");
 }
+
+#[test]
+fn an_xg_trace_that_is_not_a_switch_is_refused_by_name() {
+    let out = Command::new(env!("CARGO_BIN_EXE_xg-check"))
+        .args(["--persona", "hammer", "--depth", "1"])
+        .env("XG_TRACE", "banana")
+        .output()
+        .expect("xg-check runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.contains("XG_TRACE") && stderr.contains("banana"),
+        "{stderr}"
+    );
+    assert!(out.stdout.is_empty(), "explored anyway");
+}

@@ -47,6 +47,13 @@ struct Entry {
     shadow: Option<Box<XgData>>,
 }
 
+impl Entry {
+    /// Host blocks of shadow data held (what `storage_bytes` charges).
+    fn shadow_len(&self) -> u64 {
+        self.shadow.as_ref().map_or(0, |s| s.len() as u64)
+    }
+}
+
 /// An open accelerator-initiated transaction.
 #[derive(Debug, Clone)]
 enum AccelReq {
@@ -210,6 +217,8 @@ pub struct CrossingGuard {
     persona: Persona,
     /// Full State table (None for Transactional).
     table: Option<IdMap<BlockAddr, Entry>>,
+    /// Shadow blocks held across `table`; only `forget` and `unshadow`
+    /// take them down.
     shadow_blocks: u64,
     /// Open transactions, keyed by accelerator block.
     open: IdMap<BlockAddr, OpenBlock>,
@@ -562,19 +571,15 @@ impl CrossingGuard {
             XgiKind::GetM => {
                 // An upgrade from S: the accelerator's old copy is implicitly
                 // dead; the grant carries fresh data.
-                if let Some(table) = self.table.as_mut() {
-                    if let Some(e) = table.remove(&a) {
-                        self.shadow_blocks -=
-                            e.shadow.as_ref().map(|s| s.len() as u64).unwrap_or(0);
-                        // A shadowed upgrade means the host already granted
-                        // us ownership exclusively for a read-only page and
-                        // the write permission has since been granted; the
-                        // simplest correct course is a fresh GetM.
-                        if let Some(shadow) = &e.shadow {
-                            for i in 0..self.k {
-                                let block = shadow.blocks()[i as usize];
-                                self.internal_put(a.offset(i), block, e.dirty, ctx);
-                            }
+                if let Some(e) = self.forget(a) {
+                    // A shadowed upgrade means the host already granted
+                    // us ownership exclusively for a read-only page and
+                    // the write permission has since been granted; the
+                    // simplest correct course is a fresh GetM.
+                    if let Some(shadow) = &e.shadow {
+                        for i in 0..self.k {
+                            let block = shadow.blocks()[i as usize];
+                            self.internal_put(a.offset(i), block, e.dirty, ctx);
                         }
                     }
                 }
@@ -596,9 +601,7 @@ impl CrossingGuard {
             XgiKind::PutS => self.execute_put_s(a, ctx),
             XgiKind::PutE { ref data } | XgiKind::PutM { ref data } => {
                 let dirty = matches!(kind, XgiKind::PutM { .. });
-                if let Some(table) = self.table.as_mut() {
-                    table.remove(&a);
-                }
+                self.forget(a);
                 self.open_req(
                     a,
                     AccelReq::Put {
@@ -628,14 +631,7 @@ impl CrossingGuard {
     fn execute_put_s(&mut self, a: BlockAddr, ctx: &mut Ctx<'_>) {
         // Shadowed blocks: the accelerator held S but the host granted us
         // ownership; relinquish it with the trusted shadow data.
-        let shadow = self
-            .table
-            .as_mut()
-            .and_then(|t| t.remove(&a))
-            .and_then(|e| {
-                self.shadow_blocks -= e.shadow.as_ref().map(|s| s.len() as u64).unwrap_or(0);
-                e.shadow.map(|s| (s, e.dirty))
-            });
+        let shadow = self.forget(a).and_then(|e| e.shadow.map(|s| (s, e.dirty)));
         if let Some((shadow, dirty)) = shadow {
             for i in 0..self.k {
                 self.internal_put(a.offset(i), shadow.blocks()[i as usize], dirty, ctx);
@@ -660,6 +656,23 @@ impl CrossingGuard {
         );
         for i in 0..self.k {
             self.persona.issue_put(a.offset(i), PutReq::S, ctx);
+        }
+    }
+
+    /// Removes `a`'s Full State entry, if any. Every removal goes through
+    /// here, so `shadow_blocks` stays the sum of the table's shadows.
+    fn forget(&mut self, a: BlockAddr) -> Option<Entry> {
+        let e = self.table.as_mut()?.remove(&a)?;
+        self.shadow_blocks -= e.shadow_len();
+        Some(e)
+    }
+
+    /// Demotes `a`'s shadowed entry to a plain sharer, dropping the shadow.
+    fn unshadow(&mut self, a: BlockAddr) {
+        if let Some(e) = self.table.as_mut().and_then(|t| t.get_mut(&a)) {
+            self.shadow_blocks -= e.shadow_len();
+            e.shadow = None;
+            e.owned = false;
         }
     }
 
@@ -703,11 +716,7 @@ impl CrossingGuard {
         if let Some(ip) = self.open.get_mut(&a).and_then(|o| o.inv.as_mut()) {
             ip.race_consumed = true;
         }
-        if let Some(table) = self.table.as_mut() {
-            if let Some(e) = table.remove(&a) {
-                self.shadow_blocks -= e.shadow.as_ref().map(|s| s.len() as u64).unwrap_or(0);
-            }
-        }
+        self.forget(a);
     }
 
     // -----------------------------------------------------------------------
@@ -837,11 +846,7 @@ impl CrossingGuard {
         }
 
         self.apply_resolution(a, resolution, false, ctx);
-        if let Some(table) = self.table.as_mut() {
-            if let Some(e) = table.remove(&a) {
-                self.shadow_blocks -= e.shadow.as_ref().map(|s| s.len() as u64).unwrap_or(0);
-            }
-        }
+        self.forget(a);
         self.close_inv(a, ctx);
     }
 
@@ -1204,14 +1209,7 @@ impl CrossingGuard {
                             // track the downgrade so the shadow is not
                             // double-flushed later.
                             if was_shadow && self.persona.is_mesi() {
-                                if let Some(t) = self.table.as_mut() {
-                                    if let Some(e) = t.get_mut(&a) {
-                                        if let Some(s) = e.shadow.take() {
-                                            self.shadow_blocks -= s.len() as u64;
-                                        }
-                                        e.owned = false;
-                                    }
-                                }
+                                self.unshadow(a);
                             }
                         }
                         DemandKind::Write { .. } | DemandKind::Recall => {
@@ -1295,11 +1293,7 @@ impl CrossingGuard {
             None => Resolution::Shared,
         };
         self.apply_resolution(a, resolution, true, ctx);
-        if let Some(table) = self.table.as_mut() {
-            if let Some(e) = table.remove(&a) {
-                self.shadow_blocks -= e.shadow.as_ref().map(|s| s.len() as u64).unwrap_or(0);
-            }
-        }
+        self.forget(a);
         self.close_inv(a, ctx);
     }
 }

@@ -227,20 +227,22 @@ fn scripted_kind(step: FuzzStep) -> XgiKind {
         .expect("every code below FUZZ_KIND_CODES names a kind")
 }
 
-/// Decodes a scripted invalidation-response policy into the message
-/// sequence to send (the guard↔accelerator link is ordered, so multi-step
-/// sequences arrive in script order).
-fn scripted_response(policy: InvPolicy) -> Vec<XgiKind> {
-    let data = || scripted_payload(policy.payload_blocks, 0xA5);
-    match policy.kind % INV_RESPONSE_CODES {
-        0 => vec![XgiKind::InvAck],
-        1 => vec![XgiKind::CleanWb { data: data() }],
-        2 => vec![XgiKind::DirtyWb { data: data() }],
-        3 => vec![XgiKind::GetM],
+/// Decodes an invalidation-response code (`0..INV_RESPONSE_CODES`) into the
+/// one or two messages to send back, in order (the guard↔accelerator link
+/// is ordered, so a pair arrives in script order). `data` builds each
+/// writeback payload. The scripted fuzzer and the `xg-check` chaos
+/// accelerator share this decoding.
+pub fn inv_response(code: u8, mut data: impl FnMut() -> XgData) -> impl Iterator<Item = XgiKind> {
+    let (first, then) = match code % INV_RESPONSE_CODES {
+        0 => (XgiKind::InvAck, None),
+        1 => (XgiKind::CleanWb { data: data() }, None),
+        2 => (XgiKind::DirtyWb { data: data() }, None),
+        3 => (XgiKind::GetM, None),
         // The Put-vs-Inv race, then a writeback where only the trailing
         // InvAck is legal.
-        _ => vec![XgiKind::PutS, XgiKind::DirtyWb { data: data() }],
-    }
+        _ => (XgiKind::PutS, Some(XgiKind::DirtyWb { data: data() })),
+    };
+    std::iter::once(first).chain(then)
 }
 
 /// A pathologically buggy accelerator attached to a Crossing Guard.
@@ -304,7 +306,8 @@ impl Component<Message> for FuzzAccel {
                     if let Some(p) = policy {
                         if p.respond {
                             self.inv_responses += 1;
-                            for kind in scripted_response(p) {
+                            let data = || scripted_payload(p.payload_blocks, 0xA5);
+                            for kind in inv_response(p.kind, data) {
                                 ctx.send(self.xg, XgiMsg::new(m.addr, kind).into());
                             }
                         }
@@ -313,19 +316,12 @@ impl Component<Message> for FuzzAccel {
                 }
                 if ctx.rng().gen_range(0u32..100) < self.opts.respond_percent {
                     self.inv_responses += 1;
-                    // Respond with a random (often wrong) response kind.
-                    let kind = match ctx.rng().gen_range(0..4) {
-                        0 => XgiKind::InvAck,
-                        1 => XgiKind::CleanWb {
-                            data: random_payload(ctx),
-                        },
-                        2 => XgiKind::DirtyWb {
-                            data: random_payload(ctx),
-                        },
-                        // Or answer with something that is not a response
-                        // at all.
-                        _ => XgiKind::GetM,
-                    };
+                    // Respond with a random (often wrong) response kind, or
+                    // with a `GetM`, which is not a response at all: the
+                    // four single-message codes.
+                    let code = ctx.rng().gen_range(0..4);
+                    let kind = inv_response(code, || random_payload(ctx)).next();
+                    let kind = kind.expect("every code yields a first message");
                     ctx.send(self.xg, XgiMsg::new(m.addr, kind).into());
                 }
                 // Otherwise: silence → the guard's 2c timeout must cover.

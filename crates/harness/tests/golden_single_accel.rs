@@ -48,7 +48,7 @@ fn strip_guards(json: &str) -> String {
 
 #[test]
 fn num_accels_1_reports_are_byte_identical_to_single_accel_goldens() {
-    let bless = std::env::var("XG_BLESS").is_ok_and(|v| v == "1");
+    let bless = xg_sim::env_switch("XG_BLESS").unwrap_or_else(|why| panic!("{why}"));
     if bless {
         fs::create_dir_all(golden_dir()).unwrap();
     }

@@ -79,7 +79,7 @@ pub use simulator::{
 };
 pub use slab::{Slab, SlabId};
 pub use time::Cycle;
-pub use trace::{PostMortemFlag, TraceConfig, TraceEvent, TraceLevel, Tracer};
+pub use trace::{env_switch, PostMortemFlag, TraceConfig, TraceEvent, TraceLevel, Tracer};
 pub use xg_prof::{
     EpochSample, ProfileConfig, Profiler, Timeline, TimelineConfig, PID_ADDRESSES, PID_COMPONENTS,
 };

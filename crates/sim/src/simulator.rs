@@ -268,7 +268,7 @@ impl<M: 'static> SimBuilder<M> {
     }
 
     /// Sets the tracing configuration (defaults to
-    /// [`TraceConfig::from_env`]: off unless `XG_TRACE` is set).
+    /// [`TraceConfig::from_env`]: off unless `XG_TRACE=1`).
     pub fn trace(&mut self, config: TraceConfig) -> &mut Self {
         self.trace = config;
         self
@@ -1393,7 +1393,7 @@ mod tests {
         let mut sim = b.build();
         sim.post(rec, rec, 1);
         assert!(sim.run_to_quiescence(1_000).quiescent);
-        if std::env::var_os("XG_TRACE").is_none() {
+        if crate::trace::env_switch("XG_TRACE") != Ok(true) {
             assert!(!sim.tracer().enabled());
         }
         assert!(sim.post_mortem().is_none());

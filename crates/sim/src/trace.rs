@@ -70,15 +70,41 @@ impl TraceConfig {
         }
     }
 
-    /// Honors the `XG_TRACE` environment variable: set → [`TraceLevel::Echo`]
-    /// (the historical behavior of this workspace), unset → off.
+    /// Honors the `XG_TRACE` environment variable: `1` →
+    /// [`TraceLevel::Echo`], unset or `0` → off. A malformed value is off
+    /// too: the library never panics or prints over it — the binaries
+    /// refuse it by name first, through [`try_from_env`](Self::try_from_env).
     pub fn from_env() -> Self {
-        if std::env::var_os("XG_TRACE").is_some() {
+        Self::try_from_env().unwrap_or_else(|_| Self::off())
+    }
+
+    /// [`from_env`](Self::from_env), with an `XG_TRACE` that is not a
+    /// switch reported as an error naming the variable and its value.
+    pub fn try_from_env() -> Result<Self, String> {
+        Ok(if env_switch("XG_TRACE")? {
             Self::echo()
         } else {
             Self::off()
-        }
+        })
     }
+}
+
+/// Parses an on/off switch variable `name` whose value is `value` (`None`
+/// = unset): unset or `0` is off, `1` is on, anything else is an error
+/// naming the variable and the value.
+fn parse_switch(name: &str, value: Option<&str>) -> Result<bool, String> {
+    match value {
+        None | Some("0") => Ok(false),
+        Some("1") => Ok(true),
+        Some(other) => Err(format!("{name}={other:?} is not a switch (0 or 1)")),
+    }
+}
+
+/// Reads the on/off switch variable `name` from the environment: unset or
+/// `0` is off, `1` is on, anything else is an error naming it and its value.
+pub fn env_switch(name: &str) -> Result<bool, String> {
+    let value = std::env::var_os(name);
+    parse_switch(name, value.as_ref().map(|v| v.to_string_lossy()).as_deref())
 }
 
 impl Default for TraceConfig {
@@ -355,6 +381,20 @@ mod tests {
         // XG_TRACE is not set in the test environment.
         if std::env::var_os("XG_TRACE").is_none() {
             assert_eq!(TraceConfig::from_env().level, TraceLevel::Off);
+        }
+    }
+
+    #[test]
+    fn a_switch_is_unset_zero_or_one_and_nothing_else() {
+        assert_eq!(parse_switch("XG_TRACE", None), Ok(false));
+        assert_eq!(parse_switch("XG_TRACE", Some("0")), Ok(false));
+        assert_eq!(parse_switch("XG_TRACE", Some("1")), Ok(true));
+        for bad in ["", "true", "yes", "01", " 1", "banana"] {
+            let why = parse_switch("XG_BLESS", Some(bad)).unwrap_err();
+            assert!(
+                why.contains("XG_BLESS") && why.contains(&format!("{bad:?}")),
+                "{why}"
+            );
         }
     }
 }
