@@ -22,6 +22,18 @@ const HAMMER_PERSONA_BASELINE: &[(&str, &str)] = &[
     ("Put_Clean", "WbAck"),
 ];
 
+/// Baseline rows the quick stress sweep is not held to; the checker still
+/// is. `(Put_Clean, WbAck)` is a guard writeback the directory accepts
+/// with no forward in between. It fired once in the quick Hammer run under
+/// the migrate-on-read owner rule, on the run's only accelerator writeback:
+/// an accelerator L1 capacity eviction of a dirty line (block 0x100, cycle
+/// 39 960). Under the current rule a reader of a pending writeback installs
+/// `S`, the run interleaves differently, and it holds no accelerator
+/// writeback at all. The xg-core test
+/// `hammer_persona_answers_a_read_from_its_pending_writeback_and_stays_owner`
+/// fires the row directly.
+const SWEEP_EXEMPT: &[(&str, &str)] = &[("Put_Clean", "WbAck")];
+
 const MESI_PERSONA_BASELINE: &[(&str, &str)] = &[
     ("Get", "AckIn"),
     ("Get", "DataE"),
@@ -136,6 +148,7 @@ fn stress_sweep_reaches_persona_coverage_baseline() {
             .unwrap_or_else(|| panic!("{machine} coverage missing from report"));
         let missing: Vec<_> = baseline
             .iter()
+            .filter(|row| !SWEEP_EXEMPT.contains(row))
             .filter(|(s, e)| cov.count(s, e) == 0)
             .collect();
         assert!(

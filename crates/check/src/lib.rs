@@ -21,7 +21,8 @@
 //! * **Guarantee 0** — the accelerator never receives data for the
 //!   forbidden block, never receives exclusive data for the read-only
 //!   window, and the guard never tracks the forbidden block or holds the
-//!   window writable.
+//!   window writable. No host copy of the window (CPU cache, home,
+//!   memory) holds a word of accelerator fill data.
 //! * **Guarantee 1** — the probe's value oracle: the read-only window
 //!   always reads back exactly what the host stored.
 //! * **Guarantee 2** — the trusted host components count zero protocol

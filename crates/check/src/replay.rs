@@ -18,12 +18,13 @@
 use xg_core::CrossingGuard;
 use xg_host_hammer::{HammerCache, HammerDirectory};
 use xg_host_mesi::{MesiL1, MesiL2};
+use xg_mem::{BlockAddr, DataBlock, BLOCK_BYTES};
 use xg_sim::CheckDigest;
 
 use crate::script::{Script, Step};
 use crate::world::{
-    build_world, ChaosAccel, Persona, ProbeCore, Role, World, WorldSpec, FORBIDDEN_BLOCK,
-    WINDOW_BLOCK,
+    build_world, ChaosAccel, Persona, ProbeCore, Role, World, WorldSpec, FORBIDDEN_BLOCK, INV_FILL,
+    STEP_FILL, WINDOW_BLOCK,
 };
 
 /// Per-step drain budget in cycles. Generous: the guard's invalidation
@@ -52,6 +53,11 @@ pub struct Verdict {
     pub guard_tracks_forbidden: bool,
     /// The guard holds the read-only window owned or dirty (Guarantee 0b).
     pub guard_window_writable: bool,
+    /// A host copy of the read-only window — the CPU cache's, the home's
+    /// or memory's — holds a word of accelerator fill data (Guarantee 0b).
+    /// The probe's value oracle reads one window word and overwrites it
+    /// with its own store, so it cannot see this.
+    pub host_window_chaos: bool,
     /// Probe value-oracle failures (Guarantee 1).
     pub cpu_data_errors: u64,
     /// Errors the OS logged (informational — expected under attack).
@@ -75,6 +81,8 @@ impl Verdict {
             Some("guard tracks the forbidden block (Guarantee 0a)")
         } else if self.guard_window_writable {
             Some("guard holds the read-only window writable (Guarantee 0b)")
+        } else if self.host_window_chaos {
+            Some("accelerator data reached a host copy of the read-only window (Guarantee 0b)")
         } else if self.cpu_data_errors > 0 {
             Some("CPU value oracle failed (Guarantee 1)")
         } else {
@@ -212,30 +220,36 @@ pub(crate) fn assess(
         .get::<xg_core::Os>(ids.os)
         .expect("os node is an Os");
 
-    let host_violations = match spec.persona {
+    // Every host copy of the window: the CPU cache's, the home's (MESI
+    // L2 only), and memory's.
+    let window = BlockAddr::new(WINDOW_BLOCK);
+    let data = |copy: Option<(DataBlock, bool)>| copy.map(|(data, _)| data);
+    let (host_violations, window_copies) = match spec.persona {
         Persona::Hammer => {
-            world
-                .sim
-                .get::<HammerCache>(ids.cpu_cache)
-                .expect("hammer cpu cache")
-                .protocol_violations()
-                + world
-                    .sim
-                    .get::<HammerDirectory>(ids.home)
-                    .expect("hammer directory")
-                    .protocol_violations()
+            let cache = world.sim.get::<HammerCache>(ids.cpu_cache);
+            let cache = cache.expect("hammer cpu cache");
+            let dir = world.sim.get::<HammerDirectory>(ids.home);
+            let dir = dir.expect("hammer directory");
+            (
+                cache.protocol_violations() + dir.protocol_violations(),
+                [
+                    data(cache.probe_data(window)),
+                    None,
+                    Some(dir.read_memory(window)),
+                ],
+            )
         }
         Persona::Mesi => {
-            world
-                .sim
-                .get::<MesiL1>(ids.cpu_cache)
-                .expect("mesi l1")
-                .protocol_violations()
-                + world
-                    .sim
-                    .get::<MesiL2>(ids.home)
-                    .expect("mesi l2")
-                    .protocol_violations()
+            let l1 = world.sim.get::<MesiL1>(ids.cpu_cache).expect("mesi l1");
+            let l2 = world.sim.get::<MesiL2>(ids.home).expect("mesi l2");
+            (
+                l1.protocol_violations() + l2.protocol_violations(),
+                [
+                    data(l1.probe_data(window)),
+                    data(l2.probe_data(window)),
+                    Some(l2.read_memory(window)),
+                ],
+            )
         }
     };
 
@@ -253,6 +267,7 @@ pub(crate) fn assess(
             .table_entry(xg_mem::BlockAddr::new(FORBIDDEN_BLOCK))
             .is_some(),
         guard_window_writable,
+        host_window_chaos: window_copies.iter().flatten().any(holds_chaos_fill),
         cpu_data_errors: probe.data_errors(),
         os_errors: os.total(),
     };
@@ -263,6 +278,12 @@ pub(crate) fn assess(
         unscripted_invs: chaos.unscripted_invs(),
         verdict,
     }
+}
+
+/// Whether any word of `data` is a chaos accelerator fill.
+fn holds_chaos_fill(data: &DataBlock) -> bool {
+    let fills = [STEP_FILL, INV_FILL].map(|b| u64::from_le_bytes([b; 8]));
+    (0..BLOCK_BYTES as usize / 8).any(|w| fills.contains(&data.read_u64(w * 8)))
 }
 
 #[cfg(test)]

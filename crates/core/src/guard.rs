@@ -697,7 +697,14 @@ impl CrossingGuard {
         let resolution = match &kind {
             XgiKind::PutS => Resolution::Shared,
             XgiKind::PutE { data } | XgiKind::PutM { data } => {
-                if data.len() != self.k as usize {
+                if !self.perm(a).allows_write() {
+                    // Guarantee 0b, as for an invalidation's writeback: the
+                    // race branch runs before `admit_request`'s permission
+                    // check, and the accelerator can have held at most a
+                    // shared copy of a read-only block.
+                    self.report_error(Some(a), XgErrorKind::PermissionWrite, ctx);
+                    Resolution::Shared
+                } else if data.len() != self.k as usize {
                     self.report_error(Some(a), XgErrorKind::Malformed, ctx);
                     Resolution::None
                 } else {
@@ -709,6 +716,7 @@ impl CrossingGuard {
             }
             _ => Resolution::None,
         };
+        let resolution = self.shadow_resolution(a).unwrap_or(resolution);
         self.apply_resolution(a, resolution, false, ctx);
         // The Put's own (single) response.
         self.send_accel(a, XgiKind::WbAck, ctx);
@@ -756,7 +764,7 @@ impl CrossingGuard {
         };
 
         let read_only = !self.perm(a).allows_write();
-        let mut resolution = match kind {
+        let resolution = match kind {
             XgiKind::InvAck => {
                 if expects_owned {
                     // 2a: owner answered with a bare ack — fabricate a zero
@@ -835,19 +843,22 @@ impl CrossingGuard {
             }
         };
 
-        // Shadowed read-only blocks answer from the trusted shadow.
-        if let Some(e) = &entry {
-            if let Some(shadow) = &e.shadow {
-                resolution = Resolution::Owned {
-                    data: XgData::clone(shadow),
-                    dirty: e.dirty,
-                };
-            }
-        }
-
+        let resolution = self.shadow_resolution(a).unwrap_or(resolution);
         self.apply_resolution(a, resolution, false, ctx);
         self.forget(a);
         self.close_inv(a, ctx);
+    }
+
+    /// A shadowed read-only block answers the host from the trusted shadow,
+    /// whatever the accelerator sent: the host granted the guard ownership,
+    /// and the accelerator only ever held a shared copy.
+    fn shadow_resolution(&self, a: BlockAddr) -> Option<Resolution> {
+        let e = self.table.as_ref()?.get(&a)?;
+        let shadow = e.shadow.as_deref()?;
+        Some(Resolution::Owned {
+            data: shadow.clone(),
+            dirty: e.dirty,
+        })
     }
 
     /// Answers every pending host demand on `a` from a resolution, then

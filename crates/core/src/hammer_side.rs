@@ -6,7 +6,9 @@
 //! owner data / multiple data copies, two-phase writebacks racing against
 //! forwards, and answering the forward broadcast for every transaction in
 //! the system — including blocks neither the guard nor the accelerator has
-//! ever touched.
+//! ever touched. The rules themselves are [`xg_proto::hammer`]'s, the
+//! same ones the host's own Hammer caches follow; this module maps the
+//! guard's vocabulary onto them.
 //!
 //! The host-facing dispatch is table-driven (see [`table`]): per-block
 //! transaction state abstracts to a [`PState`], each wire message refines
@@ -15,6 +17,7 @@
 
 use xg_fsm::{alphabet, Table, TableBuilder};
 use xg_mem::{BlockAddr, DataBlock};
+use xg_proto::hammer::{self, Collect, GetKind, Grant, Held};
 use xg_proto::{Ctx, HammerKind, HammerMsg, Message};
 use xg_sim::{CheckDigest, Cycle, NodeId};
 
@@ -70,12 +73,9 @@ alphabet! {
         AnswerFromWb,
         /// Answer a forward with "no copy" (writeback already consumed).
         AnswerNoCopy,
-        /// Record the directory's data + peer-response expectation.
-        RecordMemData,
-        /// Record a peer data response (keep the best copy).
-        RecordPeerData,
-        /// Record a peer ack.
-        RecordPeerAck,
+        /// Record a response: the directory's data and peer-response
+        /// expectation, or a peer's data or ack.
+        Record,
         /// Complete the Get if all responses are in.
         TryComplete,
         /// `WbAck` arrived: send the writeback data, finish the Put.
@@ -103,16 +103,18 @@ pub fn table() -> &'static Table<PState, PEvent, PAction> {
             }
         }
         // A forward racing our writeback is resolved here, from the
-        // writeback data — the accelerator already gave the block up.
-        b.on(PutClean, FwdRead, &[AnswerFromWb], PutInvd);
+        // writeback data — the accelerator already gave the block up. We
+        // are still the owner: a read leaves the writeback pending, and
+        // only a write consumes it.
+        b.on(PutClean, FwdRead, &[AnswerFromWb], PutClean);
         b.on(PutClean, FwdReadOnly, &[AnswerFromWb], PutClean);
         b.on(PutClean, FwdWrite, &[AnswerFromWb], PutInvd);
         for e in [FwdRead, FwdReadOnly, FwdWrite] {
             b.on(PutInvd, e, &[AnswerNoCopy], PutInvd);
         }
-        b.on_dyn(Get, MemData, &[RecordMemData, TryComplete]);
-        b.on_dyn(Get, RespData, &[RecordPeerData, TryComplete]);
-        b.on_dyn(Get, RespAck, &[RecordPeerAck, TryComplete]);
+        for e in [MemData, RespData, RespAck] {
+            b.on_dyn(Get, e, &[Record, TryComplete]);
+        }
         b.on(PutClean, WbAck, &[CompletePutAck], Idle);
         b.on(PutInvd, WbAck, &[CompletePutAck], Idle);
         b.on(
@@ -131,12 +133,8 @@ pub fn table() -> &'static Table<PState, PEvent, PAction> {
 #[derive(Debug, Clone)]
 pub(crate) enum Txn {
     Get {
-        kind: GetReq,
-        peers_expected: Option<u32>,
-        resps: u32,
-        mem: Option<DataBlock>,
-        peer: Option<(DataBlock, bool, bool)>, // (data, dirty, owner_keeps_copy)
-        had_copy: bool,
+        kind: GetKind,
+        got: Collect,
         started: Cycle,
     },
     Put {
@@ -251,90 +249,51 @@ impl Protocol for Hammer {
                 cx.events.push(PersonaEvent::Demand { h, kind });
             }
             PAction::AnswerFromWb => {
-                let Some(Txn::Put { data, dirty, .. }) = side.txns.get(&h) else {
-                    side.stats.violations += 1;
-                    return;
-                };
-                let (data, dirty) = (*data, *dirty);
                 let Some((requestor, kind)) = fwd_parts(&cx.kind) else {
                     side.stats.violations += 1;
                     return;
                 };
-                let keeps_copy = matches!(kind, DemandKind::ReadOnly { .. });
-                side.send(
-                    requestor,
-                    h,
-                    HammerKind::RespData {
-                        data,
-                        dirty,
-                        owner_keeps_copy: keeps_copy,
-                    },
-                    cx.ctx,
-                );
-                if !keeps_copy {
-                    if let Some(Txn::Put { invalidated, .. }) = side.txns.get_mut(&h) {
-                        *invalidated = true;
-                    }
-                }
+                let takes = matches!(kind, DemandKind::Write { .. });
+                let Some(Txn::Put {
+                    data,
+                    dirty,
+                    invalidated,
+                    ..
+                }) = side.txns.get_mut(&h)
+                else {
+                    side.stats.violations += 1;
+                    return;
+                };
+                *invalidated = takes;
+                let owned = Held::Owned {
+                    data: *data,
+                    dirty: *dirty,
+                };
+                side.send(requestor, h, hammer::answer(owned, takes), cx.ctx);
             }
             PAction::AnswerNoCopy => {
                 let Some((requestor, _)) = fwd_parts(&cx.kind) else {
                     side.stats.violations += 1;
                     return;
                 };
-                side.send(
-                    requestor,
-                    h,
-                    HammerKind::RespAck { had_copy: false },
-                    cx.ctx,
-                );
+                side.send(requestor, h, hammer::answer(Held::Nothing, false), cx.ctx);
             }
-            PAction::RecordMemData => {
-                if let (
-                    HammerKind::MemData { data, peers },
-                    Some(Txn::Get {
-                        peers_expected,
-                        mem,
-                        ..
-                    }),
-                ) = (cx.kind, side.txns.get_mut(&h))
-                {
-                    *peers_expected = Some(peers);
-                    *mem = Some(data);
-                }
-            }
-            PAction::RecordPeerData => {
-                if let (
+            PAction::Record => {
+                let Some(Txn::Get { got, .. }) = side.txns.get_mut(&h) else {
+                    return;
+                };
+                match cx.kind {
+                    HammerKind::MemData { data, peers } => got.mem_data(data, peers),
                     HammerKind::RespData {
                         data,
                         dirty,
                         owner_keeps_copy,
-                    },
-                    Some(Txn::Get { resps, peer, .. }),
-                ) = (cx.kind, side.txns.get_mut(&h))
-                {
-                    *resps += 1;
-                    let replace = match peer {
-                        None => true,
-                        Some((_, old_dirty, _)) => dirty && !*old_dirty,
-                    };
-                    if replace {
-                        *peer = Some((data, dirty, owner_keeps_copy));
+                    } => {
+                        // Extra copies are tolerated: the best one is kept.
+                        got.resp_data(data, dirty, owner_keeps_copy);
                     }
-                }
-            }
-            PAction::RecordPeerAck => {
-                if let (
-                    HammerKind::RespAck { had_copy },
-                    Some(Txn::Get {
-                        resps,
-                        had_copy: hc,
-                        ..
-                    }),
-                ) = (cx.kind, side.txns.get_mut(&h))
-                {
-                    *resps += 1;
-                    *hc |= had_copy;
+                    HammerKind::RespAck { had_copy } => got.resp_ack(had_copy),
+                    _ => {}
                 }
             }
             PAction::TryComplete => side.try_complete(h, cx.events, cx.ctx),
@@ -367,7 +326,7 @@ impl Protocol for Hammer {
                 side.send(
                     requestor,
                     cx.h,
-                    HammerKind::RespAck { had_copy: false },
+                    hammer::answer(Held::Nothing, false),
                     cx.ctx,
                 );
             }
@@ -378,30 +337,12 @@ impl Protocol for Hammer {
         match txn {
             Txn::Get {
                 kind,
-                peers_expected,
-                resps,
-                mem,
-                peer,
-                had_copy,
+                got,
                 started: _,
             } => {
                 out.write_str("get");
-                out.write_u64(kind.digest_tag());
-                out.write_u64(peers_expected.map_or(u64::MAX, u64::from));
-                out.write_u64(u64::from(*resps));
-                match mem {
-                    Some(d) => out.write_bytes(d.as_bytes()),
-                    None => out.write_str("no-mem"),
-                }
-                match peer {
-                    Some((d, dirty, keeps)) => {
-                        out.write_bytes(d.as_bytes());
-                        out.write_u64(u64::from(*dirty));
-                        out.write_u64(u64::from(*keeps));
-                    }
-                    None => out.write_str("no-peer"),
-                }
-                out.write_u64(u64::from(*had_copy));
+                out.write_u64(*kind as u64);
+                got.digest(out);
             }
             Txn::Put {
                 data,
@@ -423,25 +364,16 @@ impl Protocol for Hammer {
 }
 
 impl HostSide<Hammer> {
-    pub(crate) fn issue_get(&mut self, h: BlockAddr, kind: GetReq, ctx: &mut Ctx<'_>) {
-        self.txns.insert(
-            h,
-            Txn::Get {
-                kind,
-                peers_expected: None,
-                resps: 0,
-                mem: None,
-                peer: None,
-                had_copy: false,
-                started: ctx.now(),
-            },
-        );
-        let req = match kind {
-            GetReq::S => HammerKind::GetS,
-            GetReq::SOnly => HammerKind::GetSOnly,
-            GetReq::M => HammerKind::GetM,
+    pub(crate) fn issue_get(&mut self, h: BlockAddr, req: GetReq, ctx: &mut Ctx<'_>) {
+        let kind = match req {
+            GetReq::S => GetKind::S,
+            GetReq::SOnly => GetKind::SOnly,
+            GetReq::M => GetKind::M,
         };
-        self.send_home(h, req, ctx);
+        let got = Collect::default();
+        let started = ctx.now();
+        self.txns.insert(h, Txn::Get { kind, got, started });
+        self.send_home(h, kind.request(), ctx);
     }
 
     pub(crate) fn issue_put(&mut self, h: BlockAddr, put: PutReq, ctx: &mut Ctx<'_>) {
@@ -471,73 +403,37 @@ impl HostSide<Hammer> {
             self.stats.violations += 1;
             return;
         };
-        let kind = match resp {
-            DemandResponse::NoCopy => HammerKind::RespAck { had_copy: false },
-            DemandResponse::SharedCopy => HammerKind::RespAck { had_copy: true },
+        let (held, takes) = match resp {
+            DemandResponse::NoCopy => (Held::Nothing, false),
+            DemandResponse::SharedCopy => (Held::Shared, false),
             DemandResponse::Data {
                 data,
                 dirty,
                 keep_shared,
-            } => HammerKind::RespData {
-                data,
-                dirty,
-                owner_keeps_copy: keep_shared,
-            },
+            } => (Held::Owned { data, dirty }, !keep_shared),
         };
-        self.send(requestor, h, kind, ctx);
+        self.send(requestor, h, hammer::answer(held, takes), ctx);
     }
 
     fn try_complete(&mut self, h: BlockAddr, events: &mut Vec<PersonaEvent>, ctx: &mut Ctx<'_>) {
-        let ready = matches!(
-            self.txns.get(&h),
-            Some(Txn::Get {
-                peers_expected: Some(p),
-                resps,
-                mem: Some(_),
-                ..
-            }) if resps >= p
-        );
-        if !ready {
-            return;
-        }
-        let Some(Txn::Get {
-            kind,
-            mem: Some(mem),
-            peer,
-            had_copy,
-            started,
-            ..
-        }) = self.txns.remove(&h)
-        else {
-            // `ready` above guarantees the shape; never panic on a protocol
-            // path.
-            self.stats.violations += 1;
+        let granted = match self.txns.get(&h) {
+            Some(Txn::Get { kind, got, started }) => {
+                hammer::grant(*kind, got, None).map(|grant| (grant, *started))
+            }
+            _ => None,
+        };
+        // Responses are still outstanding.
+        let Some(((grant, dirty, data), started)) = granted else {
             return;
         };
+        self.txns.remove(&h);
         self.closed(h, started, ctx);
-        let (state, dirty, data) = match kind {
-            GetReq::M => {
-                let (data, dirty) = peer.map(|(d, dy, _)| (d, dy)).unwrap_or((mem, false));
-                (GrantState::M, dirty, data)
-            }
-            GetReq::S | GetReq::SOnly => {
-                if let Some((d, dirty, keeps)) = peer {
-                    if keeps || kind == GetReq::SOnly {
-                        (GrantState::S, false, d)
-                    } else if dirty {
-                        (GrantState::M, true, d)
-                    } else {
-                        (GrantState::E, false, d)
-                    }
-                } else if had_copy || kind == GetReq::SOnly {
-                    (GrantState::S, false, mem)
-                } else {
-                    (GrantState::E, false, mem)
-                }
-            }
+        self.send_home(h, grant.unblock(), ctx);
+        let state = match grant {
+            Grant::S => GrantState::S,
+            Grant::E => GrantState::E,
+            Grant::M => GrantState::M,
         };
-        let new_owner = matches!(state, GrantState::E | GrantState::M);
-        self.send_home(h, HammerKind::Unblock { new_owner }, ctx);
         events.push(PersonaEvent::Granted {
             h,
             state,

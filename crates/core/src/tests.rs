@@ -126,6 +126,20 @@ fn build(
     policy: OsPolicy,
     seed: u64,
 ) -> Rig {
+    build_with(host, n_cpu, accel, cfg, policy, seed, None)
+}
+
+/// [`build`], with `guard_to_home` as the link the guard's host requests
+/// take (the default host network otherwise).
+fn build_with(
+    host: HostKind,
+    n_cpu: usize,
+    accel: AccelKind,
+    cfg: XgConfig,
+    policy: OsPolicy,
+    seed: u64,
+    guard_to_home: Option<Link>,
+) -> Rig {
     let mut b = SimBuilder::new(seed);
     let mut cores = Vec::new();
     for i in 0..n_cpu {
@@ -229,6 +243,9 @@ fn build(
     }
 
     b.default_link(Link::unordered(1, 12));
+    if let Some(link) = guard_to_home {
+        b.link(xg_id, home, link);
+    }
     for i in 0..n_cpu {
         b.link_bidi(cores[i], host_caches[i], Link::ordered(1, 1));
     }
@@ -249,19 +266,19 @@ fn build(
 }
 
 impl Rig {
-    fn cpu_store(&mut self, core: usize, addr: u64, value: u64) {
+    /// Posts one CPU op without running the simulation; returns its id.
+    fn post_cpu(&mut self, core: usize, addr: u64, kind: CoreKind) -> u64 {
         let id = self.next_id;
         self.next_id += 1;
-        self.sim.post(
-            self.cores[core],
-            self.host_caches[core],
-            CoreMsg {
-                id,
-                addr: Addr::new(addr),
-                kind: CoreKind::Store { value },
-            }
-            .into(),
-        );
+        let addr = Addr::new(addr);
+        let msg = CoreMsg { id, addr, kind };
+        self.sim
+            .post(self.cores[core], self.host_caches[core], msg.into());
+        id
+    }
+
+    fn cpu_store(&mut self, core: usize, addr: u64, value: u64) {
+        self.post_cpu(core, addr, CoreKind::Store { value });
         assert!(
             self.sim.run_to_quiescence(500_000).quiescent,
             "cpu store hung"
@@ -269,18 +286,7 @@ impl Rig {
     }
 
     fn cpu_load(&mut self, core: usize, addr: u64) -> u64 {
-        let id = self.next_id;
-        self.next_id += 1;
-        self.sim.post(
-            self.cores[core],
-            self.host_caches[core],
-            CoreMsg {
-                id,
-                addr: Addr::new(addr),
-                kind: CoreKind::Load,
-            }
-            .into(),
-        );
+        let id = self.post_cpu(core, addr, CoreKind::Load);
         assert!(
             self.sim.run_to_quiescence(500_000).quiescent,
             "cpu load hung"
@@ -747,12 +753,7 @@ fn answered_inv_leaves_a_stale_timer_that_never_fires() {
         31,
     );
     let post_cpu_store = |rig: &mut Rig, value: u64| {
-        let msg = CoreMsg {
-            id: value,
-            addr: Addr::new(0x400),
-            kind: CoreKind::Store { value },
-        };
-        rig.sim.post(rig.cores[0], rig.host_caches[0], msg.into());
+        rig.post_cpu(0, 0x400, CoreKind::Store { value });
     };
     let step_until_open_invs = |rig: &mut Rig, n: usize| {
         while rig.sim.get::<CrossingGuard>(rig.xg).unwrap().open_invs() != n {
@@ -992,6 +993,139 @@ fn interface_race_put_crossing_inv() {
         rig.assert_host_clean();
     }
     assert!(any_race, "Put-vs-Inv race never exercised in 16 seeds");
+}
+
+/// Guarantee 0b across the Put-vs-Inv race: a `PutM` for a read-only block
+/// that crosses the guard's invalidation is refused as an invalidation's
+/// writeback would be. The guard reports it and resolves the race as a
+/// shared copy, or from its shadow when the host granted it ownership
+/// (`use_gets_only: false`). The host keeps its own data: neither the
+/// accelerator's fill nor a fabricated zero block reaches it.
+#[test]
+fn race_put_on_a_read_only_page_never_reaches_the_host() {
+    let (addr, fill) = (0x100000, DataBlock::splat(0x11));
+    let block = Addr::new(addr).block();
+    let mut memory = DataBlock::zeroed();
+    memory.write_u64(8, 77);
+    let hosts = [
+        (HostKind::Hammer, "hammer", 60),
+        (HostKind::Mesi, "mesi", 61),
+    ];
+    let guards = [
+        (XgVariant::FullState, true),
+        (XgVariant::FullState, false),
+        (XgVariant::Transactional, true),
+    ];
+    for (host, host_name, seed) in hosts {
+        for (variant, use_gets_only) in guards {
+            let name = format!("{host_name} {variant:?} use_gets_only {use_gets_only}");
+            let mut perms = PermissionTable::new();
+            perms.set(Addr::new(addr).page(), PagePerm::Read);
+            let xg_cfg = XgConfig {
+                perms,
+                use_gets_only,
+                ..cfg(variant)
+            };
+            let behavior = AccelKind::Raw(InvBehavior::Silent);
+            let mut rig = build(host, 1, behavior, xg_cfg, OsPolicy::ReportOnly, seed);
+            let home = NodeId::from_index(2);
+            match host {
+                HostKind::Hammer => {
+                    let dir = rig.sim.get_mut::<HammerDirectory>(home).unwrap();
+                    dir.write_memory(block, memory);
+                }
+                HostKind::Mesi => {
+                    let l2 = rig.sim.get_mut::<MesiL2>(home).unwrap();
+                    l2.write_memory(block, memory);
+                }
+            }
+            // The accelerator shares the block. A CPU store: the guard's
+            // Inv stays open, the accelerator is silent ...
+            rig.raw_send(addr, XgiKind::GetS);
+            rig.post_cpu(0, addr, CoreKind::Store { value: 8 });
+            while rig.sim.get::<CrossingGuard>(rig.xg).unwrap().open_invs() == 0 {
+                assert!(
+                    rig.sim.step(),
+                    "{name}: the CPU store never reached the guard"
+                );
+            }
+            // ... until its PutM crosses the Inv, and it acks the Inv from
+            // state B as Table 1 prescribes.
+            let data = XgData::single(fill);
+            for kind in [XgiKind::PutM { data }, XgiKind::InvAck] {
+                let msg = XgiMsg::new(block, kind);
+                rig.sim.post(rig.accel_frontends[0], rig.xg, msg.into());
+            }
+            assert!(rig.sim.run_to_quiescence(500_000).quiescent);
+
+            assert_eq!(rig.sim.report().get("xg.race_puts"), 1, "{name}");
+            assert_eq!(rig.os_count(XgErrorKind::PermissionWrite), 1, "{name}");
+            assert_eq!(rig.os_count(XgErrorKind::ResponseTimeout), 0, "{name}");
+            assert_eq!(rig.cpu_load(0, addr), 8, "{name}");
+            assert_eq!(rig.cpu_load(0, addr + 8), 77, "{name}: host data lost");
+            rig.assert_host_clean();
+        }
+    }
+}
+
+/// The persona's half of the Hammer owner rule. A read forwarded to the
+/// guard while its writeback is pending (`Put_Clean`) is answered from the
+/// writeback, and the guard stays the owner: the reader installs `S`, and
+/// the writeback, still the owner's, is accepted (`Put_Clean`, `WbAck`).
+#[test]
+fn hammer_persona_answers_a_read_from_its_pending_writeback_and_stays_owner() {
+    let (addr, fill) = (0xC000, DataBlock::splat(0x33));
+    // Slow guard-to-home requests: the CPU's read is served before the
+    // guard's Put reaches the directory.
+    let mut rig = build_with(
+        HostKind::Hammer,
+        1,
+        AccelKind::Raw(InvBehavior::InvAck),
+        cfg(XgVariant::FullState),
+        OsPolicy::ReportOnly,
+        62,
+        Some(Link::ordered(300, 300)),
+    );
+    let block = Addr::new(addr).block();
+    rig.raw_send(addr, XgiKind::GetM); // the accelerator owns the block
+    let put = XgiKind::PutM {
+        data: XgData::single(fill),
+    };
+    rig.sim.post(
+        rig.accel_frontends[0],
+        rig.xg,
+        XgiMsg::new(block, put).into(),
+    );
+    while rig
+        .sim
+        .get::<CrossingGuard>(rig.xg)
+        .unwrap()
+        .table_entry(block)
+        .is_some()
+    {
+        assert!(rig.sim.step(), "the PutM never reached the guard");
+    }
+    assert_eq!(rig.cpu_load(0, addr), fill.read_u64(0));
+
+    let cache = rig.sim.get::<HammerCache>(rig.host_caches[0]).unwrap();
+    assert_eq!(
+        cache.probe_state(block),
+        "S",
+        "a read never takes ownership"
+    );
+    let report = rig.sim.report();
+    let persona = report.fsm("hammer_persona").unwrap();
+    assert_eq!(persona.count("Put_Clean", "FwdRead"), 1);
+    assert_eq!(persona.count("Put_Clean", "WbAck"), 1);
+    assert_eq!(persona.count("Put_Invd", "WbNack"), 0);
+    let dir = rig
+        .sim
+        .get::<HammerDirectory>(NodeId::from_index(2))
+        .unwrap();
+    assert_eq!(dir.nacks(), 0, "the owner's writeback is accepted");
+    assert_eq!(dir.read_memory(block), fill);
+    rig.assert_no_errors();
+    rig.assert_host_clean();
 }
 
 #[test]

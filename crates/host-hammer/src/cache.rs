@@ -3,7 +3,8 @@
 //! and keeps the array and the open records for it. Of the matrix below the
 //! shell runs the `Load`, `Store` and `Repl` columns — asking this module
 //! which request opens a Get and what an eviction sends — and everything
-//! else is handled here.
+//! else is handled here, by the rules of [`xg_proto::hammer`]: what a Get
+//! collects and installs, and what an owner answers a forward with.
 //!
 //! ## Transition matrix
 //!
@@ -24,8 +25,12 @@
 //! | IS,ISO,IM | queue | queue | — | Ack/·        | Ack/·    | collect; done→stable | — | — |
 //! | SM    | queue | queue | —  | Ack(had)/SM    | Ack(had)/IM | collect    | —     | —      |
 //! | OM    | queue | queue | —  | Data(keep)/OM  | Data(xfer)/IM | collect | —     | —      |
-//! | WB    | queue | queue | —  | Data(keep)/WB or Data(xfer)/WB_I | Data(xfer)/WB_I | — | WbData/I | sink†/I |
+//! | WB    | queue | queue | —  | Data(keep)/WB  | Data(xfer)/WB_I | —      | WbData/I | sink†/I |
 //! | WB_I  | queue | queue | —  | Ack/WB_I       | Ack/WB_I | —             | —     | /I     |
+//!
+//! Every owner — stable, `OM` or `WB` — keeps its copy on a read, so the
+//! reader installs `S`: an `O` owner may have sharers, and an exclusive
+//! copy beside them would break single-writer-or-multiple-readers.
 //!
 //! † An unexpected `WbNack` in `WB` is impossible among trusted caches; it
 //! can be provoked by an erroneous accelerator `Put` reaching the directory
@@ -39,6 +44,7 @@
 //! five-state accelerator cache of Table 1 is compared.
 
 use xg_mem::{BlockAddr, DataBlock, Replacement, SetAssocCache};
+use xg_proto::hammer::{self, Collect, GetKind, Grant, Held};
 use xg_proto::host_l1::{self, HostL1, L1Protocol, Open};
 use xg_proto::{Ctx, HammerKind, HammerMsg, Message};
 use xg_sim::{alphabet, Alphabet, CheckDigest, NodeId, Report};
@@ -132,6 +138,16 @@ impl HState {
     }
 }
 
+impl From<Grant> for HState {
+    fn from(grant: Grant) -> HState {
+        match grant {
+            Grant::S => HState::S,
+            Grant::E => HState::E,
+            Grant::M => HState::M,
+        }
+    }
+}
+
 impl From<HState> for CState {
     fn from(state: HState) -> CState {
         match state {
@@ -145,13 +161,16 @@ impl From<HState> for CState {
 
 type Line = host_l1::Line<HState>;
 
-/// What kind of Get a transaction is performing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-enum GetKind {
-    #[default]
-    S,
-    SOnly,
-    M,
+/// What a forward finds in a resident or retained `line`.
+fn held_by(line: &Line) -> Held {
+    if line.state.is_owner() {
+        Held::Owned {
+            data: line.data,
+            dirty: line.dirty,
+        }
+    } else {
+        Held::Shared
+    }
 }
 
 /// An open Hammer transaction.
@@ -165,26 +184,13 @@ pub enum Txn {
     },
 }
 
-/// An open Get: what has been collected so far (nothing, by default).
-#[derive(Debug, Clone, Default)]
+/// An open Get: its kind, what it has collected, and the copy it retained
+/// while upgrading (`SM`/`OM`) until a `FwdGetM` takes it.
+#[derive(Debug, Clone)]
 pub struct Get {
     kind: GetKind,
-    peers_expected: Option<u32>,
-    resps: u32,
-    mem_data: Option<DataBlock>,
-    peer_data: Option<(DataBlock, bool, bool)>, // (data, dirty, owner_keeps_copy)
-    data_msgs: u32,
-    had_copy: bool,
-    /// The copy retained while upgrading (SM/OM states).
+    got: Collect,
     local: Option<Line>,
-    lost_local: bool,
-}
-
-impl Get {
-    /// Memory has answered and every peer it announced has responded.
-    fn complete(&self) -> bool {
-        self.mem_data.is_some() && self.peers_expected.is_some_and(|peers| self.resps >= peers)
-    }
 }
 
 /// The Hammer side of a [`HostL1`]: the two host-modification switches of
@@ -196,13 +202,6 @@ pub struct Hammer {
     silent_drops: u64,
     unexpected_nack: u64,
     multi_data: u64,
-}
-
-impl Hammer {
-    /// Number of unexpected `WbNack`s sunk (the §3.2.1 host-mod counter).
-    pub fn unexpected_nacks(&self) -> u64 {
-        self.unexpected_nack
-    }
 }
 
 /// A private Hammer-protocol cache serving one core's loads and stores.
@@ -260,17 +259,13 @@ impl L1Protocol for Hammer {
 
     #[inline]
     fn open_get(&mut self, addr: BlockAddr, store: bool, local: Option<Line>) -> (Txn, Message) {
-        let (kind, req) = if store {
-            (GetKind::M, HammerKind::GetM)
-        } else {
-            (GetKind::S, HammerKind::GetS)
-        };
+        let kind = if store { GetKind::M } else { GetKind::S };
         let txn = Txn::Get(Get {
             kind,
+            got: Collect::default(),
             local,
-            ..Get::default()
         });
-        (txn, HammerMsg::new(addr, req).into())
+        (txn, HammerMsg::new(addr, kind.request()).into())
     }
 
     #[inline]
@@ -301,39 +296,10 @@ impl L1Protocol for Hammer {
 
     fn digest_txn(txn: &Txn, out: &mut CheckDigest) {
         match txn {
-            Txn::Get(Get {
-                kind,
-                peers_expected,
-                resps,
-                mem_data,
-                peer_data,
-                data_msgs,
-                had_copy,
-                local,
-                lost_local,
-            }) => {
+            Txn::Get(Get { kind, got, local }) => {
                 out.write_str("get");
-                out.write_str(match kind {
-                    GetKind::S => "S",
-                    GetKind::SOnly => "SOnly",
-                    GetKind::M => "M",
-                });
-                out.write_u64(peers_expected.map_or(u64::MAX, u64::from));
-                out.write_u64(u64::from(*resps));
-                match mem_data {
-                    Some(d) => out.write_bytes(d.as_bytes()),
-                    None => out.write_str("no-mem"),
-                }
-                match peer_data {
-                    Some((d, dirty, keeps)) => {
-                        out.write_bytes(d.as_bytes());
-                        out.write_u64(u64::from(*dirty));
-                        out.write_u64(u64::from(*keeps));
-                    }
-                    None => out.write_str("no-peer"),
-                }
-                out.write_u64(u64::from(*data_msgs));
-                out.write_u64(u64::from(*had_copy));
+                out.write_u64(*kind as u64);
+                got.digest(out);
                 match local {
                     Some(copy) => {
                         out.write_str(CState::from(copy.state).label());
@@ -342,7 +308,6 @@ impl L1Protocol for Hammer {
                     }
                     None => out.write_str("no-local"),
                 }
-                out.write_u64(u64::from(*lost_local));
             }
             Txn::Wb {
                 data,
@@ -380,9 +345,8 @@ fn handle_hammer(l1: &mut HammerCache, msg: HammerMsg, ctx: &mut Ctx<'_>) {
             let Some(Txn::Get(get)) = l1.txn_for(addr, CEvent::MemData) else {
                 return l1.violation("MemData without transaction");
             };
-            get.peers_expected = Some(peers);
-            get.mem_data = Some(data);
-            if get.complete() {
+            get.got.mem_data(data, peers);
+            if get.got.complete() {
                 complete_get(l1, addr, CEvent::MemData, ctx);
             }
         }
@@ -394,18 +358,9 @@ fn handle_hammer(l1: &mut HammerCache, msg: HammerMsg, ctx: &mut Ctx<'_>) {
             let Some(Txn::Get(get)) = l1.txn_for(addr, CEvent::RespData) else {
                 return l1.violation("RespData without transaction");
             };
-            get.resps += 1;
-            get.data_msgs += 1;
-            let multiple = get.peer_data.is_some();
-            // Prefer dirty data; otherwise first writer wins.
-            if get
-                .peer_data
-                .is_none_or(|(_, old_dirty, _)| dirty && !old_dirty)
-            {
-                get.peer_data = Some((data, dirty, owner_keeps_copy));
-            }
-            let complete = get.complete();
-            if multiple {
+            let second = get.got.resp_data(data, dirty, owner_keeps_copy);
+            let complete = get.got.complete();
+            if second {
                 l1.proto.multi_data += 1;
                 if l1.proto.strict_data {
                     l1.violation("multiple data responses");
@@ -419,9 +374,8 @@ fn handle_hammer(l1: &mut HammerCache, msg: HammerMsg, ctx: &mut Ctx<'_>) {
             let Some(Txn::Get(get)) = l1.txn_for(addr, CEvent::RespAck) else {
                 return l1.violation("RespAck without transaction");
             };
-            get.resps += 1;
-            get.had_copy |= had_copy;
-            if get.complete() {
+            get.got.resp_ack(had_copy);
+            if get.got.complete() {
                 complete_get(l1, addr, CEvent::RespAck, ctx);
             }
         }
@@ -488,25 +442,12 @@ fn handle_fwd(
 ) {
     // A `FwdGetM` takes the block; the two reads leave an owner its copy.
     let takes = event == CEvent::FwdGetM;
-    let resp_data = |data, dirty, owner_keeps_copy| {
-        let kind = HammerKind::RespData {
-            data,
-            dirty,
-            owner_keeps_copy,
-        };
-        HammerMsg::new(addr, kind).into()
-    };
-    let resp_ack = |had_copy| HammerMsg::new(addr, HammerKind::RespAck { had_copy }).into();
+    let reply = |held| HammerMsg::new(addr, hammer::answer(held, takes)).into();
     // Resident stable line?
     if let Some(mut line) = l1.cache.lookup(addr) {
-        let Line { state, dirty, data } = *line.get();
+        let Line { state, data, .. } = *line.get();
         l1.seen.visit(state.into(), event);
-        let resp = if state.is_owner() {
-            resp_data(data, dirty, !takes)
-        } else {
-            resp_ack(true)
-        };
-        ctx.send(requestor, resp);
+        ctx.send(requestor, reply(held_by(line.get())));
         let after = if takes {
             line.remove();
             CState::I
@@ -526,42 +467,38 @@ fn handle_fwd(
     // In-flight transaction?
     let Some(open) = l1.mshr.get_mut(addr) else {
         l1.seen.visit(CState::I, event);
-        return ctx.send(requestor, resp_ack(false));
+        return ctx.send(requestor, reply(Held::Nothing));
     };
     let before = Hammer::txn_state(&open.txn);
     l1.seen.visit(before, event);
-    let resp = match &mut open.txn {
+    let held = match &mut open.txn {
         Txn::Get(get) => {
-            let resp = match &get.local {
-                Some(copy) if copy.state.is_owner() => resp_data(copy.data, copy.dirty, !takes),
-                // Shared copy retained during an upgrade (SM).
-                Some(_) => resp_ack(true),
-                None => resp_ack(false),
-            };
-            if takes && get.local.take().is_some() {
-                get.lost_local = true;
+            let held = get.local.as_ref().map_or(Held::Nothing, held_by);
+            if takes {
+                get.local = None;
             }
-            resp
+            held
         }
         Txn::Wb {
             invalidated: true, ..
-        } => resp_ack(false),
+        } => Held::Nothing,
         Txn::Wb {
             data,
             dirty,
             invalidated,
         } => {
-            // A non-upgradable read leaves us the owner, so memory
-            // still gets our data; any other forward takes the block.
-            *invalidated = event != CEvent::FwdGetSOnly;
-            resp_data(*data, *dirty, !*invalidated)
+            *invalidated = takes;
+            Held::Owned {
+                data: *data,
+                dirty: *dirty,
+            }
         }
     };
     let after = Hammer::txn_state(&open.txn);
     if after != before {
         HammerCache::trace_change(ctx, addr, (before, event, after), None);
     }
-    ctx.send(requestor, resp);
+    ctx.send(requestor, reply(held));
 }
 
 /// Closes a Get that memory and every peer have answered.
@@ -570,43 +507,17 @@ fn complete_get(l1: &mut HammerCache, addr: BlockAddr, event: CEvent, ctx: &mut 
     let Some((before, Txn::Get(get), waiting)) = l1.close_get(addr, ctx) else {
         return l1.violation("completing Get changed underfoot");
     };
-    let Some(mem) = get.mem_data else {
+    let retained = get.local.map(|copy| (copy.data, copy.dirty));
+    let Some((grant, dirty, data)) = hammer::grant(get.kind, &get.got, retained) else {
         return l1.violation("completing Get changed underfoot");
     };
-
-    let (state, dirty, data) = match get.kind {
-        GetKind::M => {
-            let (data, dirty) = if let Some((d, dirty, _)) = get.peer_data {
-                (d, dirty)
-            } else if let (Some(copy), false) = (&get.local, get.lost_local) {
-                (copy.data, copy.dirty)
-            } else {
-                (mem, false)
-            };
-            (HState::M, dirty, data)
-        }
-        GetKind::S | GetKind::SOnly => {
-            if let Some((d, dirty, keeps)) = get.peer_data {
-                if keeps || get.kind == GetKind::SOnly {
-                    (HState::S, false, d)
-                } else if dirty {
-                    (HState::M, true, d)
-                } else {
-                    (HState::E, false, d)
-                }
-            } else if get.had_copy || get.kind == GetKind::SOnly {
-                (HState::S, false, mem)
-            } else {
-                (HState::E, false, mem)
-            }
-        }
+    let line = Line {
+        state: grant.into(),
+        dirty,
+        data,
     };
-
-    l1.install_line(addr, Line { state, dirty, data }, (before, event), ctx);
-    let unblock = HammerKind::Unblock {
-        new_owner: state.is_owner(),
-    };
-    ctx.send(l1.home(addr), HammerMsg::new(addr, unblock).into());
+    l1.install_line(addr, line, (before, event), ctx);
+    ctx.send(l1.home(addr), HammerMsg::new(addr, grant.unblock()).into());
     ctx.note_progress();
     l1.drain_waiting(waiting, ctx);
 }

@@ -56,6 +56,12 @@ struct System {
 
 impl System {
     fn new(n: usize, cfg: HammerConfig, seed: u64) -> Self {
+        System::with_slow_requests(n, cfg, seed, &[])
+    }
+
+    /// [`System::new`], with the requests of the caches in `slow` taking
+    /// 300 cycles to reach the directory.
+    fn with_slow_requests(n: usize, cfg: HammerConfig, seed: u64, slow: &[usize]) -> Self {
         let mut b = SimBuilder::new(seed);
         // Directory id is assigned after caches, so pre-compute it:
         // nodes are cores (0..n), caches (n..2n), dir (2n).
@@ -75,6 +81,9 @@ impl System {
         let dir = b.add(Box::new(HammerDirectory::new("dir", caches.clone(), 20)));
         assert_eq!(dir, dir_id);
         b.default_link(Link::unordered(1, 12));
+        for &i in slow {
+            b.link(caches[i], dir, Link::ordered(300, 300));
+        }
         for i in 0..n {
             b.link_bidi(cores[i], caches[i], Link::ordered(1, 1));
         }
@@ -438,5 +447,63 @@ fn a_fill_with_every_mshr_taken_still_writes_its_victim_back() {
     for i in 0..6u64 {
         assert_eq!(sys.load(0, 0x1000 + i * 64), 100 + i);
     }
+    sys.assert_clean();
+}
+
+/// The owner rule for a writeback-pending owner. Cache 0 holds `O` dirty
+/// beside cache 1's `S`, and evicts it; while its `Put` is still on the
+/// way, cache 2's read is served. The pending writeback answers with its
+/// data and stays the owner, so cache 2 installs `S`: at no step does an
+/// `M`/`E` copy sit beside a sharer, and the directory accepts the
+/// writeback.
+#[test]
+fn a_read_served_by_a_pending_writeback_installs_shared() {
+    let cfg = HammerConfig {
+        sets: 1,
+        ways: 1,
+        ..HammerConfig::default()
+    };
+    let mut sys = System::with_slow_requests(3, cfg, 23, &[0]);
+    let block = Addr::new(0x100).block();
+    let states = |sys: &System| -> Vec<&'static str> {
+        let cache = |id| sys.sim.get::<HammerCache>(id).unwrap();
+        sys.caches
+            .iter()
+            .map(|&id| cache(id).probe_state(block))
+            .collect()
+    };
+    sys.store(0, 0x100, 41);
+    assert_eq!(sys.load(1, 0x100), 41);
+    assert_eq!(states(&sys), ["O", "S", "I"]);
+
+    // Cache 0 fills another block of its only set and evicts the owner.
+    sys.post(0, 0x140, CoreKind::Load);
+    while states(&sys)[0] != "WB" {
+        assert!(sys.sim.step(), "the owner never started its writeback");
+    }
+    sys.post(2, 0x100, CoreKind::Load);
+    while sys.sim.step() {
+        let now = states(&sys);
+        let exclusive = now.iter().filter(|s| matches!(**s, "M" | "E")).count();
+        let copies = now
+            .iter()
+            .filter(|s| matches!(**s, "M" | "O" | "E" | "S"))
+            .count();
+        assert!(exclusive == 0 || copies == 1, "SWMR broken: {now:?}");
+    }
+    assert_eq!(states(&sys), ["I", "S", "S"]);
+    assert_eq!(
+        sys.sim
+            .get::<TestCore>(sys.cores[2])
+            .unwrap()
+            .last_load_value(),
+        Some(41)
+    );
+    let dir = sys.sim.get::<HammerDirectory>(sys.dir).unwrap();
+    assert_eq!(dir.nacks(), 0, "the owner's writeback is accepted");
+    assert_eq!(dir.read_memory(block).read_u64(0), 41);
+    let report = sys.sim.report();
+    let cov = report.coverage("hammer_cache/l2_0").unwrap();
+    assert!(cov.contains("WB", "FwdGetS"), "the read met the writeback");
     sys.assert_clean();
 }

@@ -15,7 +15,9 @@
 //!
 //! [`host_l1`] sits beside the vocabulary because it needs all of it: the
 //! host private cache both host protocols build on (core side, array,
-//! MSHR), generic over what a protocol says to the network.
+//! MSHR), generic over what a protocol says to the network. [`hammer`]
+//! holds the Hammer requestor and owner rules, shared by the Hammer host
+//! cache and Crossing Guard's Hammer persona.
 //!
 //! Keeping all message types in one enum lets heterogeneous controllers
 //! share one simulator instantiation, and — crucially for the safety story —
@@ -26,6 +28,7 @@
 #![forbid(unsafe_code)]
 
 mod error;
+pub mod hammer;
 pub mod host_l1;
 mod messages;
 
