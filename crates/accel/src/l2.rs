@@ -173,6 +173,7 @@ struct Stats {
     up_puts: u64,
     recalls: u64,
     host_invs: u64,
+    /// Grants that found every way of their set mid-transaction and parked.
     install_retries: u64,
     protocol_violation: u64,
     /// Cycles from issuing an upward Get to its grant arriving.
@@ -643,31 +644,33 @@ impl AccelL2 {
             data,
             host,
         });
-        self.try_install(addr, ctx);
+        if !self.try_install(addr, ctx) {
+            self.stats.install_retries += 1;
+        }
     }
 
-    fn try_install(&mut self, addr: BlockAddr, ctx: &mut Ctx<'_>) {
+    /// Installs `addr`'s parked grant, evicting a victim first if the set is
+    /// full. `false` when every candidate way is mid-transaction: the grant
+    /// stays parked, and [`retry_installs`](Self::retry_installs) tries
+    /// again when a record closes.
+    fn try_install(&mut self, addr: BlockAddr, ctx: &mut Ctx<'_>) -> bool {
         if !matches!(self.busy(addr), Some(Busy::InstallWait { .. })) {
-            return;
+            return true;
         }
         if self.array.needs_eviction(addr) {
             // A block with a record is mid-transaction: not a victim.
             let blocks = &self.blocks;
-            match self
+            let victim = self
                 .array
-                .take_victim_where(addr, |a, _| !blocks.contains_key(&a))
-            {
-                Some((victim_addr, line)) => self.start_eviction(victim_addr, line, ctx),
-                None => {
-                    self.stats.install_retries += 1;
-                    ctx.wake_in(4, addr.as_u64());
-                    return;
-                }
-            }
+                .take_victim_where(addr, |a, _| !blocks.contains_key(&a));
+            let Some((victim_addr, line)) = victim else {
+                return false;
+            };
+            self.start_eviction(victim_addr, line, ctx);
         }
         // Evicting the victim never touches this block's own record.
         let Some(block) = self.blocks.get_mut(&addr) else {
-            return;
+            return true;
         };
         match block.busy.take() {
             Some(Busy::InstallWait {
@@ -690,6 +693,23 @@ impl AccelL2 {
                 self.drain(addr, ctx);
             }
             other => block.busy = other,
+        }
+        true
+    }
+
+    /// Retries every parked grant, in `blocks` order. Called where a record
+    /// closes: a way is a victim candidate only while its block has no
+    /// record, so that is the one event that can unblock a parked grant.
+    fn retry_installs(&mut self, ctx: &mut Ctx<'_>) {
+        // Empty, and so not allocated, unless a fill is parked.
+        let waiting: Vec<BlockAddr> = self
+            .blocks
+            .iter()
+            .filter(|(_, b)| matches!(b.busy, Some(Busy::InstallWait { .. })))
+            .map(|(&a, _)| a)
+            .collect();
+        for addr in waiting {
+            self.try_install(addr, ctx);
         }
     }
 
@@ -787,6 +807,7 @@ impl AccelL2 {
                     if let Some(block) = self.blocks.remove(&addr) {
                         self.spare_queues.put(block.queue);
                     }
+                    self.retry_installs(ctx);
                 }
                 return;
             };
@@ -814,10 +835,6 @@ impl Component<Message> for AccelL2 {
             Message::Xgi(x) => self.handle_xgi(from, x, ctx),
             _ => self.violation(),
         }
-    }
-
-    fn wake(&mut self, token: u64, ctx: &mut Ctx<'_>) {
-        self.try_install(BlockAddr::new(token), ctx);
     }
 
     fn report(&self, out: &mut Report) {

@@ -895,3 +895,72 @@ fn l2_queue_drains_fifo_across_busy_handovers() {
         (1, fetch_until - fetch_from)
     );
 }
+
+/// A grant that finds the only way of its set mid-transaction parks in
+/// `Busy_Install` and arms no timer: the kernel queue drains empty. It is
+/// retried where the blocking record closes, and installs in that cycle.
+#[test]
+fn l2_parked_grant_installs_when_the_blocking_record_closes() {
+    // Unscripted `MockGuard`s only record: three stand in for the L1s.
+    let mut b = SimBuilder::new(13);
+    let l1s: Vec<NodeId> = ["a", "b", "c"]
+        .iter()
+        .map(|n| {
+            b.add(Box::new(MockGuard {
+                name: format!("l1_{n}"),
+                ..MockGuard::new(false, false, 1)
+            }))
+        })
+        .collect();
+    let (a, bb, c) = (l1s[0], l1s[1], l1s[2]);
+    let xg = b.add(Box::new(MockGuard::new(false, false, 1)));
+    let cfg = AccelL2Config {
+        sets: 1,
+        ways: 1,
+        ..AccelL2Config::default()
+    };
+    let l2 = b.add(Box::new(AccelL2::new("al2", xg, cfg)));
+    b.default_link(Link::ordered(1, 1));
+    let mut sim = b.build();
+    let (x, y) = (BlockAddr::new(0x30), BlockAddr::new(0x31));
+    let send = |sim: &mut xg_proto::Sim, from: NodeId, addr, kind: XgiKind| {
+        sim.post(from, l2, XgiMsg::new(addr, kind).into());
+        assert!(sim.run_to_quiescence(10_000).quiescent);
+    };
+    let received = |sim: &xg_proto::Sim, node: NodeId| sim.get::<MockGuard>(node).unwrap().kinds();
+
+    // A owns X; B's read recalls it from A, so X holds the only way with
+    // its record open (Busy_Recall).
+    send(&mut sim, a, x, XgiKind::GetM);
+    send(&mut sim, xg, x, XgiKind::DataM { data: one_block() });
+    send(&mut sim, bb, x, XgiKind::GetS);
+    assert_eq!(received(&sim, a), ["DataM", "Inv"]);
+    // C's read of Y is granted by the guard and finds no victim: parked.
+    send(&mut sim, c, y, XgiKind::GetS);
+    send(&mut sim, xg, y, XgiKind::DataS { data: one_block() });
+    let queue = sim.queue_stats();
+    assert_eq!(queue.pushes, queue.pops, "no timer is left in the queue");
+    assert_eq!(sim.report().get("al2.install_retries"), 1);
+    assert!(received(&sim, c).is_empty());
+
+    // A's writeback closes X's record; Y installs in the same cycle: C's
+    // grant is sent then, and arrives one link hop later.
+    sim.post(
+        a,
+        l2,
+        XgiMsg::new(x, XgiKind::DirtyWb { data: one_block() }).into(),
+    );
+    assert!(sim.step());
+    let closed = sim.now();
+    while received(&sim, c).is_empty() {
+        assert!(sim.step());
+    }
+    assert_eq!(sim.now() - closed, 1);
+    assert!(sim.run_to_quiescence(10_000).quiescent);
+    assert_eq!(received(&sim, c), ["DataS"]);
+    // B was granted X, then asked for it back: X is Y's victim.
+    assert_eq!(received(&sim, bb), ["DataS", "Inv"]);
+    let report = sim.report();
+    assert_eq!(report.get("al2.install_retries"), 1);
+    assert_eq!(report.get("al2.protocol_violation"), 0);
+}

@@ -50,7 +50,7 @@ const MESI_PERSONA_BASELINE: &[(&str, &str)] = &[
 ];
 
 /// Fired-row floors for the model checker's bounded exploration (depth 2
-/// with race steps, plus the pinned mesi `Get`/`OwnerRead` script below).
+/// with race steps, plus the pinned mesi scripts below).
 /// Measured at the configuration this test runs; drift below a floor
 /// means the checker's alphabet or world stopped driving part of a
 /// machine.
@@ -65,6 +65,15 @@ const CHECKER_FIRED_FLOORS: &[(&str, usize)] = &[
 /// `Get`/`OwnerRead` row — the one fuzz-baseline row that needs depth 3
 /// to appear in plain exploration. Pinning it keeps this test at depth 2.
 const MESI_OWNER_READ_SCRIPT: &str = "xg-check v1\ns a 0 0\ns r 0 1 l 0\ns r 0 0 l 0\n";
+
+/// Three-step script that drives the mesi persona's `Get_Acks`/`OwnerRecall`
+/// row: the accelerator's `GetM` of the attack block is still waiting for
+/// the CPU sharer's ack when a racing CPU load of the window block, which
+/// shares the host L2's one way, recalls the attack block. Plain
+/// exploration reaches the row at depth 3. Within depth 2 it fired only
+/// while the L2 polled every four cycles for a free way; the L2 now retries
+/// a parked fill when a record closes, and that timing is gone.
+const MESI_OWNER_RECALL_SCRIPT: &str = "xg-check v1\ns a 0 0\ns c l 0\ns r 1 0 l 1\nc 2\n";
 
 /// Coverage closure: every persona row the fuzz campaign's baseline
 /// exercises is also reachable by the model checker's exploration, so the
@@ -95,14 +104,27 @@ fn checker_exploration_covers_fuzz_baseline() {
                 .merge(cov);
         }
         if persona == Persona::Mesi {
-            let script = Script::from_text(MESI_OWNER_READ_SCRIPT).expect("pinned script parses");
-            let out = replay(&spec, &script);
-            assert!(out.verdict.is_clean(), "{:?}", out.verdict);
-            for (machine, cov) in out.report.fsms() {
-                coverage
-                    .entry(machine.to_string())
-                    .or_insert_with(xg_sim::TransitionCoverage::default)
-                    .merge(cov);
+            for (text, (state, event)) in [
+                (MESI_OWNER_READ_SCRIPT, ("Get", "OwnerRead")),
+                (MESI_OWNER_RECALL_SCRIPT, ("Get_Acks", "OwnerRecall")),
+            ] {
+                let script = Script::from_text(text).expect("pinned script parses");
+                let out = replay(&spec, &script);
+                assert!(out.verdict.is_clean(), "{:?}", out.verdict);
+                let fired = out
+                    .report
+                    .fsm("mesi_persona")
+                    .map(|c| c.count(state, event));
+                assert!(
+                    fired > Some(0),
+                    "{text:?} no longer fires ({state}, {event})"
+                );
+                for (machine, cov) in out.report.fsms() {
+                    coverage
+                        .entry(machine.to_string())
+                        .or_insert_with(xg_sim::TransitionCoverage::default)
+                        .merge(cov);
+                }
             }
         }
     }

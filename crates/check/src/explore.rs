@@ -125,6 +125,10 @@ pub struct ExploreResult {
     pub replays: u64,
     /// Steps run from a restored checkpoint (including choice re-runs).
     pub expansions: u64,
+    /// Kernel events (queue pops) those expansions dispatched, summed: a
+    /// controller that polls shows up here before it shows up in states/s.
+    /// Deterministic, and the same for any worker count.
+    pub events: u64,
     /// Largest frontier (states awaiting expansion) of any level.
     pub peak_frontier: usize,
     /// Fully-scripted successors whose digest had already been seen.
@@ -160,6 +164,15 @@ impl ExploreResult {
         match self.dedup_hits + fresh {
             0 => 0.0,
             successors => self.dedup_hits as f64 / successors as f64,
+        }
+    }
+
+    /// Mean kernel events dispatched per expansion (0 when nothing was
+    /// expanded).
+    pub fn events_per_expansion(&self) -> f64 {
+        match self.expansions {
+            0 => 0.0,
+            n => self.events as f64 / n as f64,
         }
     }
 
@@ -241,6 +254,7 @@ struct Expanded {
     parent: Script,
     successors: Vec<Successor>,
     expansions: u64,
+    events: u64,
     replays: u64,
 }
 
@@ -323,6 +337,7 @@ impl Expander<'_> {
 
         let mut successors: Vec<Successor> = Vec::with_capacity(self.alphabet.len());
         let mut expansions = 0;
+        let mut events = 0;
         // Choice suffixes still to try, depth-first; the empty suffix is
         // the step as the parent's own choice list scripts it.
         let mut pending: Vec<Vec<u8>> = Vec::new();
@@ -339,8 +354,10 @@ impl Expander<'_> {
                         .expect("chaos node is a ChaosAccel")
                         .extend_choices(&extra);
                 }
+                let popped = world.sim.queue_stats().pops;
                 let divergence = !run_step(world, step);
                 expansions += 1;
+                events += world.sim.queue_stats().pops - popped;
                 let drained = assess(spec, world, divergence, &mut scratch.digest);
                 if drained.unscripted_invs > 0 && scripted + extra.len() < self.choice_cap {
                     // Branch on the first unscripted invalidation. The
@@ -387,6 +404,7 @@ impl Expander<'_> {
             parent: node.script,
             successors,
             expansions,
+            events,
             replays,
         }
     }
@@ -460,6 +478,7 @@ fn explore_within(
         replays: 0,
     };
     let mut expansions = 0u64;
+    let mut events = 0u64;
     let mut dedup_hits = 0u64;
     let mut checkpoints = 0u64;
     let mut checkpoint_bytes = 0u64;
@@ -522,6 +541,7 @@ fn explore_within(
             let batches = sweep(chunk, jobs, |node, _| expander.expand(node));
             for batch in batches {
                 expansions += batch.expansions;
+                events += batch.events;
                 found.replays += batch.replays;
                 for succ in batch.successors {
                     if !seen.insert(succ.digest) {
@@ -578,6 +598,7 @@ fn explore_within(
         levels,
         replays,
         expansions,
+        events,
         peak_frontier,
         dedup_hits,
         checkpoints,
@@ -730,6 +751,7 @@ mod tests {
             assert_eq!(spilled.states, kept.states, "{persona:?}");
             assert_eq!(spilled.fingerprint, kept.fingerprint, "{persona:?}");
             assert_eq!(spilled.expansions, kept.expansions, "{persona:?}");
+            assert_eq!(spilled.events, kept.events, "{persona:?}");
             assert_eq!(spilled.coverage, kept.coverage, "{persona:?}");
         }
     }

@@ -5,7 +5,9 @@
 //!
 //! * **Fetch**: miss → memory read (latency via timer) → grant. If the fill
 //!   needs a way, a *recall* of an unpinned victim runs first, pulling the
-//!   block back from every L1 above (inclusivity).
+//!   block back from every L1 above (inclusivity). If every way of the set
+//!   is mid-transaction, the fill parks until a record closes; no timer
+//!   polls for it.
 //! * **FwdGetS**: owner downgrades and supplies data; the L2 stays busy
 //!   until the owner's `OwnerWb` refreshes its copy.
 //! * **GetM with sharers**: the L2 replies `DataM { acks }` and sends each
@@ -87,7 +89,8 @@ alphabet! {
         RecallAck,
         /// Memory-fetch completion timer.
         FetchDone,
-        /// Install retry timer (benign no-op if the install already ran).
+        /// Retry of a fill parked for a way, dispatched when a record
+        /// closes (`MesiL2::retry_installs`).
         InstallRetry,
         /// A message kind the L2 never receives.
         Stray,
@@ -208,8 +211,10 @@ pub fn table() -> &'static Table<L2State, L2Event, L2Action> {
         b.on_dyn(BusyRecall, RecallData, &[ApplyRecallResponse]);
         b.on_dyn(BusyRecall, RecallAck, &[ApplyRecallResponse]);
         b.on_dyn(BusyFetch, FetchDone, &[CompleteFetch]);
-        // A retry timer may outlive the install it was armed for; it is a
-        // benign no-op in every state.
+        // Only `Busy_Install` ever sees a retry: it is dispatched to parked
+        // fills, never armed as a timer. The other rows date from a polling
+        // timer that could outlive its install; they stay declared (no-ops)
+        // because the golden reports list every declared row.
         for s in L2State::ALL {
             b.on_dyn(*s, InstallRetry, &[TryInstall]);
         }
@@ -353,6 +358,7 @@ struct Stats {
     inv_rounds: u64,
     mod_acks_on_behalf: u64,
     demoted_puts: u64,
+    /// Fills that found every way of their set mid-transaction and parked.
     install_retries: u64,
     protocol_violation: u64,
     /// Cycles each busy (transient) entry stayed open.
@@ -382,7 +388,7 @@ xg_sim::clone_in_place!(impl[] for Stats {
     mshr_occupancy,
 });
 
-/// Per-dispatch context for [`L2Action`] interpretation. Timer-driven
+/// Per-dispatch context for [`L2Action`] interpretation. The L2's own
 /// events (`FetchDone`, `InstallRetry`) carry no message; their `kind` is
 /// `None` and `from` is the L2 itself.
 pub struct L2Cx<'a, 'b> {
@@ -615,21 +621,42 @@ impl MesiL2 {
         }
         // Anything queued behind the eviction restarts from scratch.
         self.drain(addr, ctx);
-        // Retry any fill that was waiting for this set.
+    }
+
+    /// Retries every parked fill, in `blocks` order. Called where a record
+    /// closes: a way is a victim candidate only while its block has no
+    /// record, so that is the one event that can unblock a parked fill.
+    fn retry_installs(&mut self, ctx: &mut Ctx<'_>) {
+        // Empty, and so not allocated, unless a fill is parked.
         let waiting: Vec<BlockAddr> = self
             .blocks
             .iter()
             .filter(|(_, b)| matches!(b.busy, Some(Busy::InstallWait { .. })))
             .map(|(&a, _)| a)
             .collect();
-        for a in waiting {
-            self.try_install(a, ctx);
+        for addr in waiting {
+            // An earlier retry of this walk may have installed it already.
+            if !matches!(self.busy(addr), Some(Busy::InstallWait { .. })) {
+                continue;
+            }
+            let me = ctx.self_id();
+            let mut cx = L2Cx {
+                ctx,
+                from: me,
+                addr,
+                kind: None,
+            };
+            self.dispatch(L2State::BusyInstall, L2Event::InstallRetry, &mut cx);
         }
     }
 
-    fn try_install(&mut self, addr: BlockAddr, ctx: &mut Ctx<'_>) {
+    /// Installs `addr`'s fetched fill, recalling a victim first if the set
+    /// is full. `false` when every candidate way is mid-transaction: the
+    /// fill stays parked, and [`retry_installs`](Self::retry_installs)
+    /// tries again when a record closes.
+    fn try_install(&mut self, addr: BlockAddr, ctx: &mut Ctx<'_>) -> bool {
         let Some(Busy::InstallWait { .. }) = self.busy(addr) else {
-            return;
+            return true;
         };
         if self.array.needs_eviction(addr) {
             // A block with a record is mid-transaction: not a victim.
@@ -637,29 +664,15 @@ impl MesiL2 {
             let victim = self
                 .array
                 .take_victim_where(addr, |a, _| !blocks.contains_key(&a));
-            match victim {
-                Some((victim_addr, line)) => {
-                    self.start_recall(victim_addr, line, ctx);
-                }
-                None => {
-                    // Every candidate way is mid-transaction; retry soon.
-                    self.stats.install_retries += 1;
-                    ctx.wake_in(4, addr.as_u64() | INSTALL_RETRY_BIT);
-                    return;
-                }
-            }
-            if self.array.needs_eviction(addr) {
-                // Recall is asynchronous; wait for it.
-                return;
-            }
+            let Some((victim_addr, line)) = victim else {
+                return false;
+            };
+            self.start_recall(victim_addr, line, ctx);
         }
-        // A zero-pending recall completes synchronously and re-enters this
-        // function via finish_eviction; in that case our install already
-        // happened and the busy entry is gone — or even replaced by a new
-        // transaction the re-entrant install started. Never remove anything
-        // that is not our own InstallWait.
+        // The victim had no record, so even a recall that completes at once
+        // drains nothing and leaves this block's record alone.
         let Some(block) = self.blocks.get_mut(&addr) else {
-            return;
+            return true;
         };
         let Some(Busy::InstallWait {
             requestor,
@@ -667,7 +680,7 @@ impl MesiL2 {
             data,
         }) = block.busy
         else {
-            return;
+            return true;
         };
         block.close(addr, &mut self.stats.lat_busy, ctx);
         self.array.insert(addr, L2Line::fresh(data));
@@ -691,6 +704,7 @@ impl MesiL2 {
         };
         self.dispatch(L2State::Present, event, &mut cx);
         self.drain(addr, ctx);
+        true
     }
 
     fn start_recall(&mut self, addr: BlockAddr, line: L2Line, ctx: &mut Ctx<'_>) {
@@ -727,7 +741,7 @@ impl MesiL2 {
                 if let Some(block) = self.blocks.remove(&addr) {
                     self.spare_queues.put(block.queue);
                 }
-                return;
+                return self.retry_installs(ctx);
             };
             self.process(from, addr, kind, ctx);
         }
@@ -942,7 +956,9 @@ impl<'a, 'b> Controller<L2State, L2Event, L2Action, L2Cx<'a, 'b>> for MesiL2 {
                     kind,
                     data,
                 });
-                self.try_install(addr, cx.ctx);
+                if !self.try_install(addr, cx.ctx) {
+                    self.stats.install_retries += 1;
+                }
             }
             L2Action::TryInstall => {
                 self.try_install(addr, cx.ctx);
@@ -997,9 +1013,6 @@ fn put_payload(kind: &Option<MesiKind>) -> (Option<DataBlock>, bool) {
     }
 }
 
-/// High bit of the wake token distinguishes install retries from fetches.
-const INSTALL_RETRY_BIT: u64 = 1 << 63;
-
 fn msg_kind(kind: &MesiKind) -> L2Msg {
     match kind {
         MesiKind::GetS => L2Msg::GetS,
@@ -1044,21 +1057,13 @@ impl Component<Message> for MesiL2 {
         }
     }
 
+    /// The one timer: a memory fetch's latency.
     fn wake(&mut self, token: u64, ctx: &mut Ctx<'_>) {
-        let addr = BlockAddr::new(token & !INSTALL_RETRY_BIT);
-        ctx.trace(addr.as_u64(), "mesi-l2", "Wake", || {
-            format!(
-                "retry={} (state {})",
-                token & INSTALL_RETRY_BIT != 0,
-                self.l2_state(addr).label()
-            )
-        });
-        let event = if token & INSTALL_RETRY_BIT != 0 {
-            L2Event::InstallRetry
-        } else {
-            L2Event::FetchDone
-        };
+        let addr = BlockAddr::new(token);
         let state = self.l2_state(addr);
+        ctx.trace(addr.as_u64(), "mesi-l2", "Wake", || {
+            format!("fetch done (state {})", state.label())
+        });
         let me = ctx.self_id();
         let mut cx = L2Cx {
             ctx,
@@ -1066,7 +1071,7 @@ impl Component<Message> for MesiL2 {
             addr,
             kind: None,
         };
-        self.dispatch(state, event, &mut cx);
+        self.dispatch(state, L2Event::FetchDone, &mut cx);
     }
 
     fn check_state(&self, out: &mut CheckDigest) {

@@ -576,3 +576,69 @@ fn probe_state_names_follow_the_module_table() {
     assert_eq!(seen[2], ["I", "IS_D", "S", "I"]);
     sys.assert_clean();
 }
+
+/// A fill that finds the only way of its set mid-transaction parks in
+/// `Busy_Install` and arms no timer: the kernel queue drains empty. It is
+/// retried where the blocking record closes, and installs in that cycle.
+#[test]
+fn l2_parked_fill_installs_when_the_blocking_record_closes() {
+    let mut b = SimBuilder::new(15);
+    let l1s: Vec<NodeId> = ["a", "b", "c"]
+        .iter()
+        .map(|n| {
+            b.add(Box::new(ScriptedL1 {
+                name: format!("l1_{n}"),
+                received: Vec::new(),
+            }))
+        })
+        .collect();
+    let (a, bb, c) = (l1s[0], l1s[1], l1s[2]);
+    let l2cfg = MesiL2Config {
+        sets: 1,
+        ways: 1,
+        ..MesiL2Config::default()
+    };
+    let l2 = b.add(Box::new(MesiL2::new("l2", l2cfg)));
+    b.default_link(Link::ordered(1, 1));
+    let mut sim = b.build();
+    let (x, y) = (Addr::new(0x3000).block(), Addr::new(0x3040).block());
+    let send = |sim: &mut xg_proto::Sim, from: NodeId, addr, kind: MesiKind| {
+        sim.post(from, l2, MesiMsg::new(addr, kind).into());
+        assert!(sim.run_to_quiescence(10_000).quiescent);
+    };
+    let data = DataBlock::zeroed();
+
+    // A owns X; B's read forwards to A, so X holds the only way with its
+    // record open (Busy_FwdS).
+    send(&mut sim, a, x, MesiKind::GetM);
+    send(&mut sim, bb, x, MesiKind::GetS);
+    // C's read of Y fetches from memory and finds no victim: parked.
+    send(&mut sim, c, y, MesiKind::GetS);
+    let queue = sim.queue_stats();
+    assert_eq!(queue.pushes, queue.pops, "no timer is left in the queue");
+    let l2_of = |sim: &xg_proto::Sim| sim.get::<MesiL2>(l2).unwrap().probe_data(y);
+    assert_eq!(l2_of(&sim), None);
+    let report = sim.report();
+    assert_eq!(report.get("l2.install_retries"), 1);
+    let rows = report.fsm("mesi_l2").unwrap();
+    assert_eq!(rows.count("Busy_Install", "InstallRetry"), 0);
+    assert!(sim.get::<ScriptedL1>(c).unwrap().received.is_empty());
+
+    // A's writeback closes X's record; Y installs in the same cycle,
+    // recalling X from its two sharers.
+    sim.post(
+        a,
+        l2,
+        MesiMsg::new(x, MesiKind::OwnerWb { data, dirty: false }).into(),
+    );
+    assert!(sim.step());
+    assert_eq!(l2_of(&sim), Some((data, false)));
+    assert!(sim.run_to_quiescence(10_000).quiescent);
+    let c_got = &sim.get::<ScriptedL1>(c).unwrap().received;
+    assert_eq!(c_got[..], [MesiKind::DataE { data }]);
+    let report = sim.report();
+    assert_eq!(report.get("l2.install_retries"), 1);
+    assert_eq!(report.get("l2.recalls"), 1);
+    let rows = report.fsm("mesi_l2").unwrap();
+    assert_eq!(rows.count("Busy_Install", "InstallRetry"), 1);
+}

@@ -4,11 +4,14 @@
 //! hit is a handful of cycles, a guard inv-timeout recovery is tens of
 //! thousands), so fixed-width buckets are useless. A [`Histogram`] buckets
 //! values by their bit length: bucket 0 holds exactly the value 0, and bucket
-//! `b ≥ 1` holds `[2^(b-1), 2^b)`. Buckets are stored sparsely, so an idle
-//! counter costs nothing, and two histograms from different runs or different
-//! controllers [`merge`](Histogram::merge) losslessly — the property the
-//! report pipeline relies on when it folds per-component stats into one
-//! run-level [`crate::Report`].
+//! `b ≥ 1` holds `[2^(b-1), 2^b)`. Buckets are stored densely, in a `Vec`
+//! indexed by bucket and grown to the highest bucket ever hit (65 entries at
+//! most): recording is an index increment, and restoring a checkpoint
+//! ([`crate::Component::restore_from`]) is a `Vec::clone_from`, which
+//! allocates nothing once the buffer has grown. Two histograms from
+//! different runs or different controllers [`merge`](Histogram::merge)
+//! losslessly — the property the report pipeline relies on when it folds
+//! per-component stats into one run-level [`crate::Report`].
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -16,48 +19,17 @@ use std::fmt;
 /// A mergeable histogram with logarithmic (power-of-two) buckets.
 #[derive(Debug, Default, PartialEq, Eq)]
 pub struct Histogram {
-    /// Sparse bucket population, keyed by [`Histogram::bucket_index`].
-    buckets: BTreeMap<u32, u64>,
+    /// Population by [`Histogram::bucket_index`]. The last entry is the
+    /// highest non-empty bucket (no entry when nothing was recorded), so
+    /// equal observations give equal vectors.
+    buckets: Vec<u64>,
     count: u64,
     sum: u64,
     min: u64,
     max: u64,
 }
 
-impl Clone for Histogram {
-    fn clone(&self) -> Self {
-        Histogram {
-            buckets: self.buckets.clone(),
-            count: self.count,
-            sum: self.sum,
-            min: self.min,
-            max: self.max,
-        }
-    }
-
-    /// Overwrites in place. `BTreeMap` has no `clone_from` of its own, but
-    /// a histogram's few buckets sit in one tree node, which `retain` and
-    /// `insert` keep — so a component restored from a checkpoint
-    /// ([`crate::Component::restore_from`]) does not pay an allocation per
-    /// histogram.
-    fn clone_from(&mut self, source: &Self) {
-        let Histogram {
-            buckets,
-            count,
-            sum,
-            min,
-            max,
-        } = source;
-        self.buckets.retain(|index, _| buckets.contains_key(index));
-        for (&index, &n) in buckets {
-            self.buckets.insert(index, n);
-        }
-        self.count = *count;
-        self.sum = *sum;
-        self.min = *min;
-        self.max = *max;
-    }
-}
+crate::clone_in_place!(impl[] for Histogram { buckets, count, sum, min, max });
 
 impl Histogram {
     /// Creates an empty histogram.
@@ -92,7 +64,11 @@ impl Histogram {
         }
         self.count += 1;
         self.sum = self.sum.saturating_add(value);
-        *self.buckets.entry(Self::bucket_index(value)).or_insert(0) += 1;
+        let index = Self::bucket_index(value) as usize;
+        if index >= self.buckets.len() {
+            self.buckets.resize(index + 1, 0);
+        }
+        self.buckets[index] += 1;
     }
 
     /// Number of observations.
@@ -135,7 +111,7 @@ impl Histogram {
         }
         let rank = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
         let mut seen = 0u64;
-        for (&idx, &n) in &self.buckets {
+        for (idx, n) in self.buckets() {
             seen += n;
             if seen >= rank {
                 let (_, high) = Self::bucket_bounds(idx);
@@ -145,13 +121,17 @@ impl Histogram {
         self.max
     }
 
-    /// Iterates `(bucket_index, population)` over non-empty buckets.
+    /// Iterates `(bucket_index, population)` over non-empty buckets, in
+    /// ascending bucket order.
     pub fn buckets(&self) -> impl Iterator<Item = (u32, u64)> + '_ {
-        self.buckets.iter().map(|(&i, &n)| (i, n))
+        (0u32..)
+            .zip(self.buckets.iter().copied())
+            .filter(|&(_, n)| n > 0)
     }
 
     /// Reassembles a histogram from serialized parts, validating internal
-    /// consistency (used by [`crate::Report::from_json`]).
+    /// consistency (used by [`crate::Report::from_json`]). A bucket listed
+    /// with population 0 holds no observation and is dropped.
     pub fn from_parts(
         buckets: BTreeMap<u32, u64>,
         count: u64,
@@ -162,29 +142,40 @@ impl Histogram {
         if buckets.keys().any(|&i| i > 64) {
             return Err("bucket index out of range");
         }
-        let total: u64 = buckets.values().sum();
+        let mut total = 0u64;
+        for &n in buckets.values() {
+            total = total
+                .checked_add(n)
+                .ok_or("bucket populations do not sum to count")?;
+        }
         if total != count {
             return Err("bucket populations do not sum to count");
         }
-        if count == 0 {
-            if min != 0 || max != 0 || sum != 0 {
-                return Err("empty histogram with nonzero stats");
+        let mut filled = buckets.iter().filter(|&(_, &n)| n > 0).map(|(&i, _)| i);
+        let lowest = filled.next();
+        let highest = filled.next_back().or(lowest);
+        let mut dense = Vec::new();
+        match (lowest, highest) {
+            (Some(lowest), Some(highest)) => {
+                if min > max {
+                    return Err("min exceeds max");
+                }
+                if Self::bucket_index(min) != lowest || Self::bucket_index(max) != highest {
+                    return Err("min/max inconsistent with buckets");
+                }
+                dense.resize(highest as usize + 1, 0);
+                for (&i, &n) in buckets.range(..=highest) {
+                    dense[i as usize] = n;
+                }
             }
-        } else {
-            if min > max {
-                return Err("min exceeds max");
-            }
-            let lowest = *buckets.keys().next().expect("count > 0 implies a bucket");
-            let highest = *buckets
-                .keys()
-                .next_back()
-                .expect("count > 0 implies a bucket");
-            if Self::bucket_index(min) != lowest || Self::bucket_index(max) != highest {
-                return Err("min/max inconsistent with buckets");
+            _ => {
+                if min != 0 || max != 0 || sum != 0 {
+                    return Err("empty histogram with nonzero stats");
+                }
             }
         }
         Ok(Histogram {
-            buckets,
+            buckets: dense,
             count,
             sum,
             min,
@@ -208,8 +199,11 @@ impl Histogram {
         }
         self.count += other.count;
         self.sum = self.sum.saturating_add(other.sum);
-        for (idx, n) in other.buckets() {
-            *self.buckets.entry(idx).or_insert(0) += n;
+        if other.buckets.len() > self.buckets.len() {
+            self.buckets.resize(other.buckets.len(), 0);
+        }
+        for (mine, theirs) in self.buckets.iter_mut().zip(&other.buckets) {
+            *mine += theirs;
         }
     }
 }

@@ -572,26 +572,31 @@ impl Report {
     /// shards can therefore be merged as they arrive or in canonical
     /// submission order with identical output; keys are `BTreeMap`-ordered,
     /// never insertion-ordered.
+    ///
+    /// Keys are looked up by `&str` first: only a key this report does not
+    /// hold yet costs a `String`.
     pub fn merge(&mut self, other: &Report) {
-        for (k, v) in other.scalars() {
-            self.add(k, v);
+        for (k, &v) in &other.scalars {
+            upsert(&mut self.scalars, k, |n| *n += v);
         }
-        for (k, v) in other.coverages() {
-            self.record_coverage(k, v);
+        for (k, v) in &other.coverage {
+            upsert(&mut self.coverage, k, |set| set.merge(v));
         }
-        for (k, v) in other.fsms() {
-            self.record_fsm(k, v);
+        for (k, v) in &other.fsm {
+            upsert(&mut self.fsm, k, |cov| cov.merge(v));
         }
-        for (k, v) in other.hists() {
-            self.record_hist(k, v);
+        for (k, v) in other.hists.iter().filter(|(_, h)| !h.is_empty()) {
+            upsert(&mut self.hists, k, |h| h.merge(v));
         }
-        for (k, v) in other.fuzz_entries() {
-            self.fuzz_add(k, v);
+        for (k, &v) in &other.fuzz {
+            upsert(&mut self.fuzz, k, |n| *n += v);
         }
-        for (guard, counters) in &other.guards {
-            for (k, &v) in counters {
-                self.guard_add(guard.clone(), k.clone(), v);
-            }
+        for (guard, counters) in other.guards.iter().filter(|(_, c)| !c.is_empty()) {
+            upsert(&mut self.guards, guard, |mine| {
+                for (k, &v) in counters {
+                    upsert(mine, k, |n| *n += v);
+                }
+            });
         }
         for (k, &v) in &other.profile {
             // High-water marks combine with max (the deepest any shard got),
@@ -599,9 +604,9 @@ impl Report {
             // commutative and associative, preserving permutation-invariant
             // shard merging.
             if k.ends_with(".hwm") {
-                self.profile_max(k.clone(), v);
+                upsert(&mut self.profile, k, |n| *n = (*n).max(v));
             } else {
-                self.profile_add(k.clone(), v);
+                upsert(&mut self.profile, k, |n| *n += v);
             }
         }
     }
@@ -889,6 +894,16 @@ impl Report {
             }
         }
         Ok(report)
+    }
+}
+
+/// Applies `update` to the value of `key`, which starts at `V::default()`
+/// if absent. A present key is found by `&str`; only a new one is copied
+/// into a `String`.
+fn upsert<V: Default>(map: &mut BTreeMap<String, V>, key: &str, update: impl FnOnce(&mut V)) {
+    match map.get_mut(key) {
+        Some(value) => update(value),
+        None => update(map.entry(key.to_owned()).or_default()),
     }
 }
 
