@@ -49,8 +49,7 @@ fn flood_once(limit: Option<RateLimit>, cpu_ops: u64, seed: u64, label: &str) ->
         seed,
         ..SystemConfig::default()
     };
-    let shared = TesterShared::new(cfg.cpu_cores, cpu_ops);
-    let pool = word_pool(0x40_0000, 8, 2);
+    let shared = TesterShared::new(cfg.cpu_cores, cpu_ops, word_pool(0x40_0000, 8, 2));
     let mut system = build_system(&cfg, OsPolicy::ReportOnly, None, |slot, cache, index| {
         match slot {
             CoreSlot::Cpu(i) => Box::new(TesterCore::new(
@@ -58,7 +57,6 @@ fn flood_once(limit: Option<RateLimit>, cpu_ops: u64, seed: u64, label: &str) ->
                 cache,
                 index,
                 shared.clone(),
-                pool.clone(),
                 TesterCfg::default(),
             )),
             CoreSlot::Accel(_) => Box::new(WorkloadCore::new(
@@ -73,10 +71,7 @@ fn flood_once(limit: Option<RateLimit>, cpu_ops: u64, seed: u64, label: &str) ->
     });
     system.start_cores();
     let out = system.sim.run_with_watchdog(80_000_000, 500_000);
-    assert!(
-        shared.lock().unwrap().done(),
-        "{label}: CPUs starved entirely"
-    );
+    assert!(shared.done(), "{label}: CPUs starved entirely");
     let report = system.sim.report();
     let cpu_completed = report.sum_suffix(".ops_completed") - report.get("flooder.ops_completed");
     let latency_sum = report.get("tester_cpu0.latency_sum") + report.get("tester_cpu1.latency_sum");

@@ -181,7 +181,6 @@ fn artefacts(system: &BuiltSystem) -> (Option<String>, Option<String>) {
 /// byte-identical to their historical form once the section is stripped.
 fn fill_guard_section(report: &mut Report, system: &BuiltSystem, shared: &SharedTester) {
     let os = system.sim.get::<Os>(system.os);
-    let shared = shared.lock().unwrap();
     for inst in &system.accels {
         let label = inst.label.as_str();
         if let Some(xg) = inst.xg {
@@ -231,8 +230,8 @@ pub fn run_stress_with(
         .map(|slot| accel_core_count(&slot.org, cfg.accel_cores))
         .sum();
     let total_cores = cfg.cpu_cores + accel_cores;
-    let shared = TesterShared::new(total_cores, opts.ops);
     let pool = word_pool(0x4000, opts.blocks, opts.words_per_block);
+    let shared = TesterShared::new(total_cores, opts.ops, pool);
     let mut system = build_system(&cfg, OsPolicy::ReportOnly, None, |slot, cache, index| {
         let name = match slot {
             CoreSlot::Cpu(i) => format!("tester_cpu{i}"),
@@ -243,7 +242,6 @@ pub fn run_stress_with(
             cache,
             index,
             shared.clone(),
-            pool.clone(),
             opts.tester.clone(),
         ))
     });
@@ -256,14 +254,13 @@ pub fn run_stress_with(
     let mut report = system.sim.report();
     fill_guard_section(&mut report, &system, &shared);
     let (post_mortem, timeline) = artefacts(&system);
-    let shared = shared.lock().unwrap();
     let hung_ops = report.sum_suffix(".outstanding") > 0;
     let transitions: usize = report.coverages().map(|(_, c)| c.len()).sum();
     StressOutcome {
         cycles: out.now.as_u64(),
         completed: shared.completed(),
         data_errors: shared.data_errors(),
-        error_log: shared.error_log().to_vec(),
+        error_log: shared.error_log(),
         deadlocked: out.stalled || (!shared.done() && !out.quiescent) || hung_ops,
         transitions,
         post_mortem,
@@ -436,7 +433,6 @@ pub fn run_fuzz_with(
         .iter()
         .map(|slot| accel_core_count(&slot.org, cfg.accel_cores))
         .sum();
-    let shared = TesterShared::new(cfg.cpu_cores + sibling_cores, cpu_ops);
     // CPU testers use a pool *disjoint* from the fuzzer's attack range:
     // the fuzzer has read-write permission on its own pages, so corrupting
     // those is explicitly outside Crossing Guard's threat model (paper
@@ -444,6 +440,7 @@ pub fn run_fuzz_with(
     // — including everything the CPUs work on here — stay intact, and
     // that the host keeps making progress.
     let pool = word_pool(0x100_0000, fuzz.pool_blocks.max(4), 2);
+    let shared = TesterShared::new(cfg.cpu_cores + sibling_cores, cpu_ops, pool);
     let mut system = build_system(
         cfg,
         OsPolicy::ReportOnly,
@@ -458,7 +455,6 @@ pub fn run_fuzz_with(
                 cache,
                 index,
                 shared.clone(),
-                pool.clone(),
                 TesterCfg::default(),
             ))
         },
@@ -470,7 +466,6 @@ pub fn run_fuzz_with(
     let mut report = system.sim.report();
     fill_guard_section(&mut report, &system, &shared);
     let (post_mortem, timeline) = artefacts(&system);
-    let shared = shared.lock().unwrap();
     let hung_ops = report.sum_suffix(".outstanding") > 0;
     FuzzOutcome {
         cycles: out.now.as_u64(),

@@ -14,7 +14,7 @@
 //! Combined with the shrunken caches and randomized message latencies of
 //! the stress configuration, this is the same methodology the paper used
 //! for 22 compute-years (scaled down to CI budgets; crank
-//! [`TesterShared::target_ops`] to scale up).
+//! [`TesterHub::target_ops`] to scale up).
 //!
 //! Cores are event-driven: each holds at most one pending issue timer,
 //! armed `think` cycles out only while it has a free issue slot and the run
@@ -23,106 +23,124 @@
 //! operations (a handful per op), and a lost response drains the queue
 //! instead of idling it.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Mutex};
 
-use rand::Rng;
-use xg_mem::{Addr, IdMap};
+use rand::Uniform;
+use xg_mem::Addr;
 use xg_proto::{CoreKind, CoreMsg, Ctx, Message};
 use xg_sim::{Component, NodeId, Report};
 
 /// Handle to the state shared by every tester core in one run.
-///
-/// A `Mutex` (not `RefCell`) so tester cores — and the systems containing
-/// them — are [`Send`] and whole simulations can be fanned across worker
-/// threads by [`crate::sweep`]. One simulation runs on one thread, so the
-/// lock is always uncontended; a core takes it once per issue and once per
-/// completion, and the done-check every wake and every arming decision
-/// makes reads an atomic mirror ([`TesterHub::done_fast`]) instead.
 pub type SharedTester = Arc<TesterHub>;
 
-/// [`TesterShared`] behind its lock, plus the atomic mirror of its done
-/// flag that cores poll.
+/// The state shared by every tester core in one run: the word pool, what
+/// the run knows of each word's writes, the completion count, and the
+/// failure log.
 ///
-/// Derefs to the inner `Mutex`, so `shared.lock().unwrap()` works for
-/// everything else.
+/// Shared cells are atomics, not `RefCell`s, so tester cores — and the
+/// systems containing them — are [`Send`] and whole simulations can be
+/// fanned across worker threads by [`crate::sweep`]. One simulation runs on
+/// one thread, and each cell is a standalone value that publishes no other
+/// data, so every access is a `Relaxed` load or store (an increment is a
+/// load then a store, not a locked read-modify-write).
+/// Nothing a core does per operation takes a lock, probes a hash table or
+/// divides: per-word state is dense by pool slot, and the one `Mutex` holds
+/// the failure log, taken only when a value check fails and by readers
+/// after the run.
 #[derive(Debug)]
 pub struct TesterHub {
-    inner: Mutex<TesterShared>,
-    /// Mirror of [`TesterShared::done`], refreshed by the single code path
-    /// that bumps `completed` (and therefore exact, not approximate —
+    total_cores: usize,
+    target_ops: u64,
+    /// The word addresses every core draws from.
+    pool: Box<[u64]>,
+    /// What the run knows of each pool word's writes, by pool slot.
+    words: Box<[WordLog]>,
+    completed: AtomicU64,
+    /// Set by the completion that reaches `target_ops` (exact, since
     /// `target_ops` is fixed at construction).
     done: AtomicBool,
+    failures: Mutex<TesterShared>,
 }
 
-impl TesterHub {
-    /// Lock-free equivalent of `lock().unwrap().done()`.
-    #[inline]
-    pub fn done_fast(&self) -> bool {
-        self.done.load(Ordering::Relaxed)
+/// What the run knows of one word's writes.
+#[derive(Debug)]
+struct WordLog {
+    /// The largest value the word's writer has issued.
+    issued: AtomicU64,
+    /// The cycle the writer's latest `StoreResp` arrived, or [`NO_STORE`].
+    stored_at: AtomicU64,
+}
+
+/// `WordLog::stored_at` before any store to the word completed.
+const NO_STORE: u64 = u64::MAX;
+
+/// The failure log of one run: value-check failures per observing core,
+/// their descriptions and the words they hit. Built by
+/// [`TesterShared::new`], read through [`TesterHub`].
+#[derive(Debug, Default)]
+pub struct TesterShared {
+    /// Value-check failures per observing core index, for multi-accelerator
+    /// blast-radius attribution (which hierarchy saw corrupted data).
+    errors_by_core: Vec<u64>,
+    error_log: Vec<String>,
+    /// Word addresses whose value checks failed, in detection order.
+    corrupted: Vec<u64>,
+}
+
+impl TesterShared {
+    /// Creates shared state for `total_cores` testers drawing word
+    /// addresses from `pool` and aiming for `target_ops` completed
+    /// operations.
+    ///
+    /// # Panics
+    /// Panics if the pool is empty or names a word twice.
+    #[allow(clippy::new_ret_no_self)] // returns the hub, by design
+    pub fn new(total_cores: usize, target_ops: u64, pool: Vec<u64>) -> SharedTester {
+        assert!(!pool.is_empty(), "tester needs a nonempty address pool");
+        let mut distinct = pool.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(distinct.len(), pool.len(), "tester pool names a word twice");
+        let words = pool.iter().map(|_| WordLog::new()).collect();
+        Arc::new(TesterHub {
+            total_cores,
+            target_ops,
+            pool: pool.into_boxed_slice(),
+            words,
+            completed: AtomicU64::new(0),
+            done: AtomicBool::new(target_ops == 0),
+            failures: Mutex::default(),
+        })
     }
 
-    /// Refreshes the lock-free done mirror; call after bumping `completed`.
-    fn publish_done(&self, done: bool) {
-        if done {
-            self.done.store(true, Ordering::Relaxed);
+    fn record_error(&mut self, core: usize, word_addr: u64, msg: String) {
+        if core >= self.errors_by_core.len() {
+            self.errors_by_core.resize(core + 1, 0);
+        }
+        self.errors_by_core[core] += 1;
+        if self.error_log.len() < 16 {
+            self.error_log.push(msg);
+        }
+        if self.corrupted.len() < 16 {
+            self.corrupted.push(word_addr);
         }
     }
 }
 
-impl std::ops::Deref for TesterHub {
-    type Target = Mutex<TesterShared>;
-    fn deref(&self) -> &Mutex<TesterShared> {
-        &self.inner
+impl WordLog {
+    fn new() -> WordLog {
+        WordLog {
+            issued: AtomicU64::new(0),
+            stored_at: AtomicU64::new(NO_STORE),
+        }
     }
 }
 
-/// State shared by every tester core in one run.
-#[derive(Debug)]
-pub struct TesterShared {
-    total_cores: usize,
+impl TesterHub {
     /// Stop issuing once this many operations completed system-wide.
-    pub target_ops: u64,
-    completed: u64,
-    data_errors: u64,
-    /// Value-check failures per observing core index, for multi-accelerator
-    /// blast-radius attribution (which hierarchy saw corrupted data).
-    errors_by_core: IdMap<usize, u64>,
-    error_log: Vec<String>,
-    /// Word addresses whose value checks failed, in detection order.
-    corrupted: Vec<u64>,
-    issued: IdMap<u64, WordLog>,
-    last_seen: IdMap<(usize, u64), u64>,
-}
-
-/// What the run knows of one word's writes.
-#[derive(Debug, Clone, Copy, Default)]
-struct WordLog {
-    /// The largest value the word's writer has issued.
-    issued: u64,
-    /// The cycle the writer's latest `StoreResp` arrived, once one has.
-    stored_at: Option<u64>,
-}
-
-impl TesterShared {
-    /// Creates shared state for `total_cores` testers aiming for
-    /// `target_ops` completed operations.
-    #[allow(clippy::new_ret_no_self)] // returns the hub wrapper, by design
-    pub fn new(total_cores: usize, target_ops: u64) -> SharedTester {
-        Arc::new(TesterHub {
-            inner: Mutex::new(TesterShared {
-                total_cores,
-                target_ops,
-                completed: 0,
-                data_errors: 0,
-                errors_by_core: IdMap::default(),
-                error_log: Vec::new(),
-                corrupted: Vec::new(),
-                issued: IdMap::default(),
-                last_seen: IdMap::default(),
-            }),
-            done: AtomicBool::new(target_ops == 0),
-        })
+    pub fn target_ops(&self) -> u64 {
+        self.target_ops
     }
 
     /// The unique writer core for a word address.
@@ -134,61 +152,96 @@ impl TesterShared {
     }
 
     /// Whether the run completed its operation budget.
+    #[inline]
     pub fn done(&self) -> bool {
-        self.completed >= self.target_ops
+        self.done.load(Relaxed)
     }
 
     /// Operations completed so far.
     pub fn completed(&self) -> u64 {
-        self.completed
+        self.completed.load(Relaxed)
     }
 
     /// Value-check failures observed (must be zero for a correct protocol).
     pub fn data_errors(&self) -> u64 {
-        self.data_errors
+        self.failures().errors_by_core.iter().sum()
     }
 
     /// Value-check failures observed by one core (by global core index).
     pub fn data_errors_of(&self, core: usize) -> u64 {
-        self.errors_by_core.get(&core).copied().unwrap_or(0)
+        self.failures()
+            .errors_by_core
+            .get(core)
+            .copied()
+            .unwrap_or(0)
     }
 
     /// Human-readable description of the first few failures.
-    pub fn error_log(&self) -> &[String] {
-        &self.error_log
+    pub fn error_log(&self) -> Vec<String> {
+        self.failures().error_log.clone()
     }
 
     /// Word addresses whose value checks failed, in detection order.
-    pub fn corrupted_addrs(&self) -> &[u64] {
-        &self.corrupted
+    pub fn corrupted_addrs(&self) -> Vec<u64> {
+        self.failures().corrupted.clone()
     }
 
-    fn record_error(&mut self, core: usize, word_addr: u64, msg: String) {
-        self.data_errors += 1;
-        *self.errors_by_core.entry(core).or_insert(0) += 1;
-        if self.error_log.len() < 16 {
-            self.error_log.push(msg);
-        }
-        if self.corrupted.len() < 16 {
-            self.corrupted.push(word_addr);
-        }
+    fn failures(&self) -> std::sync::MutexGuard<'_, TesterShared> {
+        self.failures
+            .lock()
+            .expect("a tester core panicked while logging a failure")
     }
 
-    /// Who writes `word_addr` and when its last store completed: the other
-    /// half of a value-check failure.
-    fn last_store(&self, word_addr: u64) -> String {
-        let writer = self.writer_of(word_addr);
-        match self.issued.get(&word_addr).and_then(|log| log.stored_at) {
-            Some(cycle) => format!("last store by core {writer} at cycle {cycle}"),
-            None => format!("no store by core {writer} has completed"),
+    /// Counts one completed operation, and the run as done once the budget
+    /// is reached.
+    #[inline]
+    fn complete_one(&self) {
+        let completed = self.completed.load(Relaxed) + 1;
+        self.completed.store(completed, Relaxed);
+        if completed >= self.target_ops {
+            self.done.store(true, Relaxed);
         }
     }
 
-    fn check_load(&mut self, core: usize, word_addr: u64, value: u64) {
-        let issued = self.issued.get(&word_addr).map_or(0, |log| log.issued);
+    /// The next value the writer of pool slot `slot` stores.
+    #[inline]
+    fn issue_store(&self, slot: usize) -> u64 {
+        let issued = &self.words[slot].issued;
+        let value = issued.load(Relaxed) + 1;
+        issued.store(value, Relaxed);
+        value
+    }
+
+    /// Notes that the latest store to pool slot `slot` completed at `cycle`.
+    #[inline]
+    fn store_completed(&self, slot: usize, cycle: u64) {
+        self.words[slot].stored_at.store(cycle, Relaxed);
+    }
+
+    /// Checks a value core `core` loaded from pool slot `slot` against the
+    /// two coherence properties, given the largest value the core read
+    /// there before (`last_seen`, raised to `value`). Returns whether the
+    /// check failed; a failure is logged.
+    #[inline]
+    fn check_load(&self, core: usize, slot: usize, last_seen: &mut u64, value: u64) -> bool {
+        let issued = self.words[slot].issued.load(Relaxed);
+        let prev = *last_seen;
+        *last_seen = prev.max(value);
+        if value <= issued && value >= prev {
+            return false;
+        }
+        self.load_failed(core, slot, value, issued, prev);
+        true
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn load_failed(&self, core: usize, slot: usize, value: u64, issued: u64, prev: u64) {
+        let word_addr = self.pool[slot];
+        let mut failures = self.failures();
         if value > issued {
-            let writer = self.last_store(word_addr);
-            self.record_error(
+            let writer = self.last_store(slot);
+            failures.record_error(
                 core,
                 word_addr,
                 format!(
@@ -196,11 +249,9 @@ impl TesterShared {
                 ),
             );
         }
-        let key = (core, word_addr);
-        let prev = self.last_seen.get(&key).copied().unwrap_or(0);
         if value < prev {
-            let writer = self.last_store(word_addr);
-            self.record_error(
+            let writer = self.last_store(slot);
+            failures.record_error(
                 core,
                 word_addr,
                 format!(
@@ -208,7 +259,16 @@ impl TesterShared {
                 ),
             );
         }
-        self.last_seen.insert(key, value.max(prev));
+    }
+
+    /// Who writes pool slot `slot`'s word and when its last store
+    /// completed: the other half of a value-check failure.
+    fn last_store(&self, slot: usize) -> String {
+        let writer = self.writer_of(self.pool[slot]);
+        match self.words[slot].stored_at.load(Relaxed) {
+            NO_STORE => format!("no store by core {writer} has completed"),
+            cycle => format!("last store by core {writer} at cycle {cycle}"),
+        }
     }
 }
 
@@ -239,8 +299,14 @@ pub struct TesterCore {
     cache: NodeId,
     core_index: usize,
     shared: SharedTester,
-    pool: Vec<u64>,
     cfg: TesterCfg,
+    /// This core's view of each pool slot. No other core reads it.
+    slots: Box<[SlotView]>,
+    /// `gen_range` draws fixed at construction: the think time, the pool
+    /// slot, and a writer's percent roll.
+    think: Uniform<u64>,
+    pick: Uniform<usize>,
+    roll: Uniform<u32>,
     /// Outstanding operations in issue order, at most `max_in_flight`.
     in_flight: Vec<InFlight>,
     next_id: u64,
@@ -251,36 +317,52 @@ pub struct TesterCore {
     armed: bool,
 }
 
+/// One core's view of one pool slot.
+#[derive(Clone, Copy)]
+struct SlotView {
+    /// The largest value this core has read from the word.
+    last_seen: u64,
+    /// Whether this core is the word's writer.
+    writer: bool,
+}
+
 /// One outstanding tester operation.
 struct InFlight {
     id: u64,
-    word_addr: u64,
+    /// Pool slot of the word.
+    slot: usize,
     store: bool,
     issued_at: u64,
 }
 
 impl TesterCore {
     /// Creates a tester core issuing to `cache`, drawing word addresses
-    /// from `pool`.
-    ///
-    /// # Panics
-    /// Panics if the pool is empty.
+    /// from the hub's pool.
     pub fn new(
         name: impl Into<String>,
         cache: NodeId,
         core_index: usize,
         shared: SharedTester,
-        pool: Vec<u64>,
         cfg: TesterCfg,
     ) -> Self {
-        assert!(!pool.is_empty(), "tester needs a nonempty address pool");
+        let slots = shared
+            .pool
+            .iter()
+            .map(|&word_addr| SlotView {
+                last_seen: 0,
+                writer: shared.writer_of(word_addr) == core_index,
+            })
+            .collect();
         TesterCore {
             name: name.into(),
             cache,
             core_index,
+            think: Uniform::from(cfg.think.0..=cfg.think.1),
+            pick: Uniform::from(0..shared.pool.len()),
+            roll: Uniform::from(0..100),
             shared,
-            pool,
             cfg,
+            slots,
             in_flight: Vec::new(),
             next_id: 0,
             issued_ops: 0,
@@ -306,7 +388,7 @@ impl TesterCore {
     pub fn outstanding_ops(&self) -> Vec<(u64, bool)> {
         self.in_flight
             .iter()
-            .map(|op| (op.word_addr, op.store))
+            .map(|op| (self.shared.pool[op.slot], op.store))
             .collect()
     }
 
@@ -314,33 +396,29 @@ impl TesterCore {
     /// pending, a slot is free and the run is not done. The only place a
     /// tester schedules a wake: a full or finished core holds no timer.
     fn arm_if_free(&mut self, ctx: &mut Ctx<'_>) {
-        if self.armed || self.in_flight.len() >= self.cfg.max_in_flight || self.shared.done_fast() {
+        if self.armed || self.in_flight.len() >= self.cfg.max_in_flight || self.shared.done() {
             return;
         }
-        let delay = ctx.rng().gen_range(self.cfg.think.0..=self.cfg.think.1);
+        let delay = self.think.sample(ctx.rng());
         ctx.wake_in(delay, 0);
         self.armed = true;
     }
 
     fn issue_one(&mut self, ctx: &mut Ctx<'_>) {
-        let pick = ctx.rng().gen_range(0..self.pool.len());
-        let word_addr = self.pool[pick];
-        let mut shared = self.shared.lock().unwrap();
-        let is_writer = shared.writer_of(word_addr) == self.core_index;
-        let store = is_writer && ctx.rng().gen_range(0u32..100) < self.cfg.store_percent;
+        let slot = self.pick.sample(ctx.rng());
+        let store = self.slots[slot].writer && self.roll.sample(ctx.rng()) < self.cfg.store_percent;
         let id = self.next_id;
         self.next_id += 1;
         let kind = if store {
-            let log = shared.issued.entry(word_addr).or_default();
-            log.issued += 1;
-            CoreKind::Store { value: log.issued }
+            CoreKind::Store {
+                value: self.shared.issue_store(slot),
+            }
         } else {
             CoreKind::Load
         };
-        drop(shared);
         self.in_flight.push(InFlight {
             id,
-            word_addr,
+            slot,
             store,
             issued_at: ctx.now().as_u64(),
         });
@@ -349,11 +427,29 @@ impl TesterCore {
             self.cache,
             CoreMsg {
                 id,
-                addr: Addr::new(word_addr),
+                addr: Addr::new(self.shared.pool[slot]),
                 kind,
             }
             .into(),
         );
+    }
+
+    /// Flags a failed value check for the post-mortem dump: the reader's
+    /// half and the writer's, on the one block.
+    #[cold]
+    #[inline(never)]
+    fn flag_failed_load(&self, slot: usize, value: u64, ctx: &mut Ctx<'_>) {
+        let word_addr = self.shared.pool[slot];
+        let block = Addr::new(word_addr).block().as_u64();
+        ctx.flag_post_mortem(
+            block,
+            format!(
+                "{}: value check failed at word {word_addr:#x} (read {value})",
+                self.name
+            ),
+        );
+        let writer = self.shared.last_store(slot);
+        ctx.flag_post_mortem(block, format!("word {word_addr:#x}: {writer}"));
     }
 }
 
@@ -364,44 +460,29 @@ impl Component<Message> for TesterCore {
 
     fn handle(&mut self, _from: NodeId, msg: Message, ctx: &mut Ctx<'_>) {
         let Message::Core(c) = msg else { return };
-        let Some(slot) = self.in_flight.iter().position(|op| op.id == c.id) else {
+        let Some(pos) = self.in_flight.iter().position(|op| op.id == c.id) else {
             return;
         };
-        let op = self.in_flight.remove(slot);
+        let op = self.in_flight.remove(pos);
         self.latency_sum += ctx.now().as_u64() - op.issued_at;
-        let mut shared = self.shared.lock().unwrap();
         match c.kind {
             CoreKind::LoadResp { value } => {
                 debug_assert!(!op.store);
-                let word_addr = op.word_addr;
-                let before = shared.data_errors();
-                shared.check_load(self.core_index, word_addr, value);
-                if shared.data_errors() > before {
-                    // The reader's half and the writer's, on the one block.
-                    let block = Addr::new(word_addr).block().as_u64();
-                    ctx.flag_post_mortem(
-                        block,
-                        format!(
-                            "{}: value check failed at word {word_addr:#x} (read {value})",
-                            self.name
-                        ),
-                    );
-                    let writer = shared.last_store(word_addr);
-                    ctx.flag_post_mortem(block, format!("word {word_addr:#x}: {writer}"));
+                let last_seen = &mut self.slots[op.slot].last_seen;
+                if self
+                    .shared
+                    .check_load(self.core_index, op.slot, last_seen, value)
+                {
+                    self.flag_failed_load(op.slot, value, ctx);
                 }
             }
             CoreKind::StoreResp => {
                 debug_assert!(op.store);
-                if let Some(log) = shared.issued.get_mut(&op.word_addr) {
-                    log.stored_at = Some(ctx.now().as_u64());
-                }
+                self.shared.store_completed(op.slot, ctx.now().as_u64());
             }
             _ => return,
         }
-        shared.completed += 1;
-        let done = shared.done();
-        drop(shared);
-        self.shared.publish_done(done);
+        self.shared.complete_one();
         self.completed_ops += 1;
         ctx.note_progress();
         self.arm_if_free(ctx);
@@ -409,7 +490,7 @@ impl Component<Message> for TesterCore {
 
     fn wake(&mut self, _token: u64, ctx: &mut Ctx<'_>) {
         self.armed = false;
-        if self.shared.done_fast() {
+        if self.shared.done() {
             return;
         }
         if self.in_flight.len() < self.cfg.max_in_flight {
@@ -449,15 +530,22 @@ pub fn word_pool(base: u64, blocks: u64, words_per_block: u64) -> Vec<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::Rng;
+
+    const _: () = {
+        const fn send_sync<T: Send + Sync>() {}
+        const fn send<T: Send>() {}
+        send_sync::<TesterHub>();
+        send::<TesterCore>();
+    };
 
     #[test]
     fn writer_assignment_is_stable_and_spread() {
-        let shared = TesterShared::new(4, 100);
-        let s = shared.lock().unwrap();
+        let shared = TesterShared::new(4, 100, word_pool(0, 1, 1));
         let mut seen = std::collections::HashSet::new();
         for w in 0..64u64 {
-            let writer = s.writer_of(w * 8);
-            assert_eq!(writer, s.writer_of(w * 8), "stable");
+            let writer = shared.writer_of(w * 8);
+            assert_eq!(writer, shared.writer_of(w * 8), "stable");
             seen.insert(writer);
         }
         assert_eq!(seen.len(), 4, "all cores get to write something");
@@ -465,38 +553,115 @@ mod tests {
 
     #[test]
     fn check_load_flags_future_and_backwards_values() {
-        let shared = TesterShared::new(2, 100);
-        let mut s = shared.lock().unwrap();
-        let mut log = WordLog {
-            issued: 5,
-            stored_at: None,
-        };
-        s.issued.insert(0x100, log);
-        s.check_load(0, 0x100, 3);
-        assert_eq!(s.data_errors(), 0);
-        s.check_load(0, 0x100, 6); // beyond issued
-        assert_eq!(s.data_errors(), 1);
-        log.stored_at = Some(77);
-        s.issued.insert(0x100, log);
-        s.check_load(0, 0x100, 2); // went backwards (saw 6 before)
-        assert_eq!(s.data_errors(), 2);
-        assert_eq!(s.data_errors_of(0), 2, "both failures blame core 0");
-        assert_eq!(s.data_errors_of(1), 0, "core 1 saw nothing");
+        let shared = TesterShared::new(2, 100, vec![0x40, 0x100]);
+        for _ in 0..5 {
+            shared.issue_store(1);
+        }
+        let mut seen = 0;
+        assert!(!shared.check_load(0, 1, &mut seen, 3));
+        assert_eq!(shared.data_errors(), 0);
+        assert!(shared.check_load(0, 1, &mut seen, 6)); // beyond issued
+        assert_eq!(shared.data_errors(), 1);
+        shared.store_completed(1, 77);
+        assert!(shared.check_load(0, 1, &mut seen, 2)); // went backwards (saw 6 before)
+        assert_eq!(seen, 6);
+        assert_eq!(shared.data_errors(), 2);
+        assert_eq!(shared.data_errors_of(0), 2, "both failures blame core 0");
+        assert_eq!(shared.data_errors_of(1), 0, "core 1 saw nothing");
+        assert_eq!(shared.data_errors_of(7), 0, "no such core");
+        assert_eq!(shared.corrupted_addrs(), vec![0x100, 0x100]);
         // Each message names the reader first, then the word's writer.
-        let writer = s.writer_of(0x100);
+        let writer = shared.writer_of(0x100);
         assert_eq!(
-            s.error_log()[0],
-            format!(
-                "core 0 read 6 at 0x100 but only 5 were written; \
-                 no store by core {writer} has completed"
-            )
+            shared.error_log(),
+            vec![
+                format!(
+                    "core 0 read 6 at 0x100 but only 5 were written; \
+                     no store by core {writer} has completed"
+                ),
+                format!(
+                    "core 0 read 2 at 0x100 after having read 6 (went backwards); \
+                     last store by core {writer} at cycle 77"
+                ),
+            ]
         );
+    }
+
+    /// Answers every load with a value no one wrote, after a fixed delay.
+    struct LyingCache;
+
+    impl Component<Message> for LyingCache {
+        fn name(&self) -> &str {
+            "lying_cache"
+        }
+        fn handle(&mut self, from: NodeId, msg: Message, ctx: &mut Ctx<'_>) {
+            let Message::Core(c) = msg else { return };
+            let kind = match c.kind {
+                CoreKind::Load => CoreKind::LoadResp { value: 1_000 },
+                _ => CoreKind::StoreResp,
+            };
+            ctx.send_after(from, CoreMsg { kind, ..c }.into(), 5);
+        }
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+    }
+
+    /// A failed check seen through a running simulation: the error text,
+    /// the core it is charged to, and the two post-mortem flags on the
+    /// word's block, reader's half first.
+    #[test]
+    fn a_failed_value_check_is_logged_attributed_and_flagged() {
+        let shared = TesterShared::new(2, 1, word_pool(0x1000, 1, 1));
+        let writer = shared.writer_of(0x1000);
+        let reader = 1 - writer;
+        let mut b = xg_sim::SimBuilder::new(3);
+        let cache = b.add(Box::new(LyingCache));
+        let core = b.add(Box::new(TesterCore::new(
+            "tester",
+            cache,
+            reader,
+            shared.clone(),
+            TesterCfg {
+                max_in_flight: 1,
+                ..TesterCfg::default()
+            },
+        )));
+        let mut sim = b.build();
+        sim.post_wake(core, 1, 0);
+        sim.run_to_quiescence(10_000);
+        assert!(shared.done());
+        assert_eq!(shared.completed(), 1);
+        assert_eq!(shared.data_errors(), 1);
+        assert_eq!(shared.data_errors_of(reader), 1);
+        assert_eq!(shared.data_errors_of(writer), 0);
+        assert_eq!(shared.corrupted_addrs(), vec![0x1000]);
+        let no_store = format!("no store by core {writer} has completed");
         assert_eq!(
-            s.error_log()[1],
-            format!(
-                "core 0 read 2 at 0x100 after having read 6 (went backwards); \
-                 last store by core {writer} at cycle 77"
-            )
+            shared.error_log(),
+            vec![format!(
+                "core {reader} read 1000 at 0x1000 but only 0 were written; {no_store}"
+            )]
+        );
+        let block = Addr::new(0x1000).block().as_u64();
+        let flags: Vec<(u64, &str)> = sim
+            .tracer()
+            .flags()
+            .iter()
+            .map(|f| (f.addr, f.reason.as_str()))
+            .collect();
+        assert_eq!(
+            flags,
+            vec![
+                (
+                    block,
+                    "tester: value check failed at word 0x1000 (read 1000)"
+                ),
+                (block, format!("word 0x1000: {no_store}").as_str()),
+            ]
         );
     }
 
@@ -534,7 +699,7 @@ mod tests {
     #[test]
     fn one_timer_per_core_and_only_with_a_free_slot() {
         for (seed, max_in_flight) in [(1, 1), (2, 2), (3, 3)] {
-            let shared = TesterShared::new(1, 300);
+            let shared = TesterShared::new(1, 300, word_pool(0x1000, 2, 2));
             let cfg = TesterCfg {
                 max_in_flight,
                 ..TesterCfg::default()
@@ -546,7 +711,6 @@ mod tests {
                 cache,
                 0,
                 shared.clone(),
-                word_pool(0x1000, 2, 2),
                 cfg,
             )));
             let mut sim = b.build();
@@ -558,7 +722,7 @@ mod tests {
                 let in_flight = sim.get::<TesterCore>(core).unwrap().outstanding();
                 assert!(in_flight <= max_in_flight);
                 let timers = queued - in_flight;
-                if shared.done_fast() {
+                if shared.done() {
                     let before = timers_after_done.replace(timers).unwrap_or(timers);
                     assert!(timers <= before, "timer armed after done");
                 } else {
@@ -572,7 +736,7 @@ mod tests {
                     break;
                 }
             }
-            assert!(shared.lock().unwrap().done());
+            assert!(shared.done());
             assert_eq!(sim.get::<TesterCore>(core).unwrap().outstanding(), 0);
         }
     }

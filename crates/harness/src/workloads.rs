@@ -16,6 +16,7 @@
 //! | `Reduction` | kmeans | scans plus hot accumulator writes |
 //! | `ProducerConsumer` | host-fed kernels | fine-grained host↔accel sharing |
 
+use rand::Divisor;
 use xg_mem::Addr;
 use xg_proto::{CoreKind, CoreMsg, Ctx, Message};
 use xg_sim::{Component, Cycle, NodeId, Report};
@@ -87,7 +88,11 @@ impl Pattern {
     }
 
     /// The `n`-th access: `(word_offset, is_store)` within a footprint of
-    /// `footprint_words` 8-byte words.
+    /// `footprint_words` 8-byte words (at least one block: a smaller
+    /// footprint is rounded up to 8), so `word_offset < footprint_words.max(8)`.
+    ///
+    /// The reference definition; a [`WorkloadCore`] computes the same
+    /// accesses without dividing.
     pub fn access(self, n: u64, footprint_words: u64) -> (u64, bool) {
         let fp = footprint_words.max(8);
         match self {
@@ -103,16 +108,18 @@ impl Pattern {
                 }
             }
             Pattern::Blocked => {
+                // A footprint under one tile wraps within itself.
                 let tile = (n / 16) % (fp / 16).max(1);
                 let word = n % 16;
-                (tile * 16 + word, word >= 8)
+                ((tile * 16 + word) % fp, word >= 8)
             }
             Pattern::GraphWalk => (scramble(n) % fp, false),
             Pattern::Reduction => {
                 if n % 8 == 7 {
                     (scramble(n) % 4, true) // hot accumulators
                 } else {
-                    (8 + n % (fp - 8), false)
+                    let first = reduction_reads_from(fp);
+                    (first + n % (fp - first), false)
                 }
             }
             Pattern::ProducerConsumer => {
@@ -127,6 +134,88 @@ impl Pattern {
             // 8 words = one 64-byte block: both sharing patterns confine
             // all traffic to a single line so it has to migrate between
             // hierarchies.
+            Pattern::PingPong => ((n / 2) % 2, n.is_multiple_of(2)),
+            Pattern::FalseSharing => (scramble(n) % 8, n.is_multiple_of(2)),
+        }
+    }
+}
+
+/// The first word `Reduction` scans: the block after the accumulators', or
+/// in a one-block footprint the word after them.
+fn reduction_reads_from(fp: u64) -> u64 {
+    if fp > 8 {
+        8
+    } else {
+        4
+    }
+}
+
+/// The divisors [`Pattern::access`] takes remainders by, for one
+/// footprint, precomputed so a [`WorkloadCore`]'s per-op path does no
+/// `div`. [`Footprint::access`] is `Pattern::access` term for term.
+struct Footprint {
+    /// `fp`: the footprint in words, at least one block.
+    words: Divisor,
+    /// `(fp / 16).max(1)`: `Blocked`'s tile count.
+    tiles: Divisor,
+    /// `fp - first`: the words `Reduction` scans, from `reads_from`.
+    reads: Divisor,
+    reads_from: u64,
+    /// `fp / 2`: `ProducerConsumer`'s private half.
+    half: Divisor,
+    /// `(fp / 2).min(32)`: its hot shared words.
+    shared: Divisor,
+}
+
+impl Footprint {
+    fn new(footprint_words: u64) -> Footprint {
+        let fp = footprint_words.max(8);
+        let reads_from = reduction_reads_from(fp);
+        Footprint {
+            words: Divisor::new(fp),
+            tiles: Divisor::new((fp / 16).max(1)),
+            reads: Divisor::new(fp - reads_from),
+            reads_from,
+            half: Divisor::new(fp / 2),
+            shared: Divisor::new((fp / 2).min(32)),
+        }
+    }
+
+    /// `pattern.access(n, footprint_words)`.
+    #[inline]
+    fn access(&self, pattern: Pattern, n: u64) -> (u64, bool) {
+        match pattern {
+            Pattern::Streaming => (self.words.rem(n), n % 4 == 3),
+            Pattern::Stencil => {
+                let p = self.words.rem(n / 4);
+                match n % 4 {
+                    0 => (p.saturating_sub(1), false),
+                    1 => (p, false),
+                    2 => (self.words.rem(p + 1), false),
+                    _ => (p, true),
+                }
+            }
+            Pattern::Blocked => {
+                let tile = self.tiles.rem(n / 16);
+                let word = n % 16;
+                (self.words.rem(tile * 16 + word), word >= 8)
+            }
+            Pattern::GraphWalk => (self.words.rem(scramble(n)), false),
+            Pattern::Reduction => {
+                if n % 8 == 7 {
+                    (scramble(n) % 4, true)
+                } else {
+                    (self.reads_from + self.reads.rem(n), false)
+                }
+            }
+            Pattern::ProducerConsumer => {
+                if n.is_multiple_of(2) {
+                    (self.half.rem(n), n.is_multiple_of(3))
+                } else {
+                    let shared = self.shared.rem(scramble(n));
+                    (self.half.get() + shared, n.is_multiple_of(3))
+                }
+            }
             Pattern::PingPong => ((n / 2) % 2, n.is_multiple_of(2)),
             Pattern::FalseSharing => (scramble(n) % 8, n.is_multiple_of(2)),
         }
@@ -148,7 +237,7 @@ pub struct WorkloadCore {
     cache: NodeId,
     pattern: Pattern,
     base: u64,
-    footprint_words: u64,
+    footprint: Footprint,
     ops_target: u64,
     issued: u64,
     completed: u64,
@@ -175,7 +264,7 @@ impl WorkloadCore {
             cache,
             pattern,
             base,
-            footprint_words,
+            footprint: Footprint::new(footprint_words),
             ops_target,
             issued: 0,
             completed: 0,
@@ -203,7 +292,7 @@ impl WorkloadCore {
 
     fn issue(&mut self, ctx: &mut Ctx<'_>) {
         while self.issued < self.ops_target && self.in_flight.len() < self.pattern.max_in_flight() {
-            let (word, store) = self.pattern.access(self.issued, self.footprint_words);
+            let (word, store) = self.footprint.access(self.pattern, self.issued);
             let addr = self.base + word * 8;
             let id = self.next_id;
             self.next_id += 1;
@@ -273,12 +362,35 @@ impl Component<Message> for WorkloadCore {
 mod tests {
     use super::*;
 
+    fn all_patterns() -> impl Iterator<Item = Pattern> {
+        Pattern::ALL.into_iter().chain(Pattern::SHARING)
+    }
+
     #[test]
     fn patterns_stay_in_footprint() {
-        for p in Pattern::ALL.iter().chain(&Pattern::SHARING) {
-            for n in 0..10_000u64 {
-                let (word, _) = p.access(n, 256);
-                assert!(word < 256, "{p:?} escaped at n={n}: {word}");
+        for footprint in (1..=64).chain([256, 2048]) {
+            let bound = footprint.max(8);
+            for p in all_patterns() {
+                for n in 0..10_000u64 {
+                    let (word, _) = p.access(n, footprint);
+                    assert!(word < bound, "{p:?} escaped {footprint} at n={n}: {word}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn workload_cores_issue_what_the_patterns_define() {
+        for footprint in [1, 8, 9, 16, 256, 2048] {
+            let divisors = Footprint::new(footprint);
+            for p in all_patterns() {
+                for n in 0..100_000u64 {
+                    assert_eq!(
+                        divisors.access(p, n),
+                        p.access(n, footprint),
+                        "{p:?} at footprint {footprint}, n={n}"
+                    );
+                }
             }
         }
     }

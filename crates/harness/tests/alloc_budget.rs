@@ -1,28 +1,53 @@
-//! Allocation budget of the message path: once caches, queues and tables
-//! have reached their working size, completing one more core op must not
-//! cost heap traffic. Measured as the *marginal* allocation count between
-//! a short and a long run of the same system, so build, report and
-//! warm-up allocations cancel.
+//! Allocation budgets, counted by a global allocator that tallies calls
+//! per thread (so tests running side by side are not charged for each
+//! other).
 //!
-//! This file is its own test binary with exactly one `#[test]` because the
-//! counter is process-global: a second test running on another thread
-//! would be charged to this one.
+//! - The message path: once caches, queues and tables have reached their
+//!   working size, completing one more core op must not cost heap traffic.
+//!   Measured as the *marginal* allocation count between a short and a
+//!   long run of the same system, so build, report and warm-up allocations
+//!   cancel.
+//! - The per-run report: `Simulator::report` of a finished stress system
+//!   allocates a small constant per scalar key it writes — the key itself
+//!   and its tree slot. Coverage and FSM labels come from `'static` tables
+//!   and are borrowed, so they must not add a `String` each.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-use xg_core::XgVariant;
-use xg_harness::{run_workload, AccelOrg, HostProtocol, Pattern, SystemConfig};
+use xg_core::{OsPolicy, XgVariant};
+use xg_harness::system::{accel_core_count, CoreSlot};
+use xg_harness::tester::word_pool;
+use xg_harness::{
+    build_system, run_workload, AccelOrg, HostProtocol, Pattern, SystemConfig, TesterCfg,
+    TesterCore, TesterShared,
+};
 
 struct Counting;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocator calls made by this thread.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Counts one allocator call on the calling thread. A const-initialised
+/// `Cell` needs no lazy set-up and no destructor, so this never allocates
+/// and never fails; `try_with` keeps it quiet during thread teardown all
+/// the same.
+fn count() {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
 
 // SAFETY: every method forwards to `System` unchanged; the only addition
-// is a relaxed counter bump, which allocates nothing and publishes no data.
+// is a thread-local counter bump, which allocates nothing and publishes no
+// data.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         // SAFETY: same contract as the caller's.
         unsafe { System.alloc(layout) }
     }
@@ -33,7 +58,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         // SAFETY: same contract as the caller's.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -44,9 +69,9 @@ static GLOBAL: Counting = Counting;
 
 /// `(allocations, completed core ops)` of one `run_workload`.
 fn measure(cfg: &SystemConfig, pattern: Pattern, accel_ops: u64) -> (u64, u64) {
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocs();
     let out = run_workload(cfg, pattern, accel_ops);
-    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    let allocs = allocs() - before;
     assert!(!out.incomplete, "{} {pattern:?} did not finish", cfg.name());
     // CPU cores run `accel_ops / 4` each alongside the accelerator.
     let ops = accel_ops + cfg.cpu_cores as u64 * (accel_ops / 4);
@@ -87,5 +112,58 @@ fn steady_state_handlers_do_not_allocate() {
     assert!(
         over.is_empty(),
         "marginal allocations per completed op over {BUDGET}: {over:?}"
+    );
+}
+
+/// `(allocations, scalar keys)` of `Simulator::report` on one finished
+/// stress system, built and run as `run_stress` does.
+fn measure_report(cfg: &SystemConfig, ops: u64) -> (u64, usize) {
+    let cfg = cfg.clone().shrink_caches();
+    let accel_cores: usize = cfg
+        .accel_slots()
+        .iter()
+        .map(|slot| accel_core_count(&slot.org, cfg.accel_cores))
+        .sum();
+    let shared = TesterShared::new(cfg.cpu_cores + accel_cores, ops, word_pool(0x4000, 4, 2));
+    let mut system = build_system(&cfg, OsPolicy::ReportOnly, None, |slot, cache, index| {
+        let name = match slot {
+            CoreSlot::Cpu(i) => format!("tester_cpu{i}"),
+            CoreSlot::Accel(i) => format!("tester_acc{i}"),
+        };
+        Box::new(TesterCore::new(
+            name,
+            cache,
+            index,
+            shared.clone(),
+            TesterCfg::default(),
+        ))
+    });
+    system.start_cores();
+    let out = system.sim.run_with_watchdog(50_000_000, 100_000);
+    assert!(shared.done() && !out.stalled, "{}", cfg.exec_name());
+    let before = allocs();
+    let report = system.sim.report();
+    let allocs = allocs() - before;
+    (allocs, report.scalars().count())
+}
+
+#[test]
+fn reports_allocate_per_scalar_key_not_per_label() {
+    const BUDGET: f64 = 4.0;
+    let mut over = Vec::new();
+    for cfg in SystemConfig::matrix(3) {
+        let (allocs, keys) = measure_report(&cfg, 800);
+        let per_key = allocs as f64 / keys as f64;
+        eprintln!(
+            "{}: report() made {allocs} allocations for {keys} scalar keys ({per_key:.2} per key)",
+            cfg.exec_name()
+        );
+        if per_key > BUDGET {
+            over.push(format!("{}: {per_key:.2}", cfg.exec_name()));
+        }
+    }
+    assert!(
+        over.is_empty(),
+        "report() allocations per scalar key over {BUDGET}: {over:?}"
     );
 }

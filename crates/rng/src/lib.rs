@@ -7,6 +7,9 @@
 //! [`rngs::SmallRng`] — on top of xoshiro256++ (the same family rand's
 //! `small_rng` feature uses). The workspace `Cargo.toml` aliases it as
 //! `rand`, so downstream code keeps the idiomatic `use rand::Rng;` imports.
+//! Two additions have no `rand` counterpart of the same behaviour:
+//! [`Uniform`], a range fixed at construction that draws exactly what
+//! `gen_range` draws without dividing, and the [`Divisor`] behind it.
 //!
 //! Determinism matters more than statistical perfection here: every stress
 //! and fuzz run must be replayable from a seed. The generator and all
@@ -182,20 +185,145 @@ impl Standard for bool {
     }
 }
 
-/// Uniform draw from `[0, bound)` by Lemire-style widening multiply with a
-/// rejection step (unbiased).
+/// Uniform draw from `[0, bound)`: rejection sampling over the largest
+/// multiple of `bound` that fits in 64 bits, then the remainder (unbiased).
 #[inline]
 fn uniform_below<R: RngCore>(rng: &mut R, bound: u64) -> u64 {
     debug_assert!(bound > 0);
-    // Rejection sampling over the largest multiple of `bound` that fits.
-    let zone = u64::MAX - (u64::MAX - bound + 1) % bound;
     loop {
         let v = rng.next_u64();
-        if v <= zone {
+        // The zone `u64::MAX - 2⁶⁴ mod bound` is never below `2⁶⁴ - bound`,
+        // so only the top `bound - 1` draws pay for computing it.
+        if v <= u64::MAX - bound + 1 || v <= rejection_zone(bound) {
             return v % bound;
         }
     }
 }
+
+/// The largest draw [`uniform_below`] accepts for `bound`.
+#[inline]
+fn rejection_zone(bound: u64) -> u64 {
+    u64::MAX - (u64::MAX - bound + 1) % bound
+}
+
+/// A divisor fixed at construction: [`rem`](Divisor::rem) is `n % d`,
+/// exact for every 64-bit `n`, computed with widening multiplies instead of
+/// a `div` (Lemire, Kaser & Kurz, "Faster Remainder by Direct Computation",
+/// with a 128-bit fraction `M = ⌈2¹²⁸ / d⌉`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Divisor {
+    d: u64,
+    /// `M` as two words, so the struct stays 8-byte aligned inside the
+    /// tables that hold it. `d = 1` wraps `M` to 0, which still yields 0.
+    m: [u64; 2],
+}
+
+impl Divisor {
+    /// Precomputes the fraction for dividing by `d`.
+    ///
+    /// # Panics
+    /// Panics if `d` is zero.
+    pub fn new(d: u64) -> Divisor {
+        assert!(d > 0, "division by zero");
+        let m = (u128::MAX / d as u128).wrapping_add(1);
+        Divisor {
+            d,
+            m: [m as u64, (m >> 64) as u64],
+        }
+    }
+
+    /// The divisor.
+    #[inline]
+    pub fn get(&self) -> u64 {
+        self.d
+    }
+
+    /// `n % d`.
+    #[inline]
+    pub fn rem(&self, n: u64) -> u64 {
+        let m = (self.m[1] as u128) << 64 | self.m[0] as u128;
+        // The fractional part of n / d, as a 128-bit fixed-point value …
+        let frac = m.wrapping_mul(n as u128);
+        // … times d, keeping the integer part: the high 64 bits of a
+        // 128 × 64-bit product.
+        let d = self.d as u128;
+        let low = (frac as u64 as u128) * d;
+        let high = (frac >> 64) * d;
+        ((high + (low >> 64)) >> 64) as u64
+    }
+}
+
+/// A range fixed at construction (`Uniform::from(a..b)` or
+/// `Uniform::from(a..=b)`), sampled without dividing.
+///
+/// [`sample`](Uniform::sample) draws exactly what
+/// [`Rng::gen_range`] draws for the same range — the same words from the
+/// generator, the same rejections, the same value — because it runs the
+/// same rejection test against a zone computed once here and takes the
+/// remainder through a [`Divisor`]. That is this crate's stream contract,
+/// not upstream `rand`'s: `rand`'s `Uniform` samples by a different method
+/// and so differs from both.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Uniform<T> {
+    low: T,
+    /// Largest accepted draw, or `None` for a range covering all 2⁶⁴
+    /// values (every draw is the value).
+    zone: Option<u64>,
+    span: Divisor,
+}
+
+macro_rules! impl_uniform {
+    ($($t:ty),*) => {$(
+        impl Uniform<$t> {
+            fn with_span(low: $t, span: u64) -> Self {
+                Uniform {
+                    low,
+                    zone: Some(rejection_zone(span)),
+                    span: Divisor::new(span),
+                }
+            }
+
+            /// One value, as `gen_range` over the same range would draw it.
+            #[inline]
+            pub fn sample<R: RngCore>(&self, rng: &mut R) -> $t {
+                let Some(zone) = self.zone else {
+                    return rng.next_u64() as $t;
+                };
+                loop {
+                    let v = rng.next_u64();
+                    if v <= zone {
+                        return (self.low as i128 + self.span.rem(v) as i128) as $t;
+                    }
+                }
+            }
+        }
+
+        /// # Panics
+        /// Panics if the range is empty.
+        impl From<core::ops::Range<$t>> for Uniform<$t> {
+            fn from(range: core::ops::Range<$t>) -> Self {
+                assert!(range.start < range.end, "cannot sample empty range");
+                let span = (range.end as i128 - range.start as i128) as u64;
+                Uniform::<$t>::with_span(range.start, span)
+            }
+        }
+
+        /// # Panics
+        /// Panics if the range is empty.
+        impl From<core::ops::RangeInclusive<$t>> for Uniform<$t> {
+            fn from(range: core::ops::RangeInclusive<$t>) -> Self {
+                let (low, high) = (*range.start(), *range.end());
+                assert!(low <= high, "cannot sample empty range");
+                let span = (high as i128 - low as i128) as u64;
+                if span == u64::MAX {
+                    return Uniform { low, zone: None, span: Divisor::new(1) };
+                }
+                Uniform::<$t>::with_span(low, span + 1)
+            }
+        }
+    )*};
+}
+impl_uniform!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
 
 macro_rules! impl_sample_range {
     ($($t:ty),*) => {$(
@@ -276,6 +404,154 @@ mod tests {
         let _: u32 = rng.gen();
         let _: u64 = rng.gen();
         let _: usize = rng.gen();
+    }
+
+    /// Hands out chosen words, then zeros (which every bound accepts).
+    struct Words(Vec<u64>, usize);
+
+    impl super::RngCore for Words {
+        fn next_u64(&mut self) -> u64 {
+            self.1 += 1;
+            self.0.get(self.1 - 1).copied().unwrap_or(0)
+        }
+    }
+
+    /// `uniform_below` as it was before its fast path: the zone on every
+    /// draw. The reference the current one must match bit for bit.
+    fn reference_below<R: super::RngCore>(rng: &mut R, bound: u64) -> u64 {
+        let zone = u64::MAX - (u64::MAX - bound + 1) % bound;
+        loop {
+            let v = rng.next_u64();
+            if v <= zone {
+                return v % bound;
+            }
+        }
+    }
+
+    /// Bounds worth checking by hand: the smallest, powers of two, both
+    /// sides of 2⁶³ and the largest.
+    fn edge_bounds() -> Vec<u64> {
+        let mut bounds = vec![1, 2, 3, 1 << 63, (1 << 63) - 1, (1 << 63) + 1, u64::MAX];
+        bounds.extend((1..64).map(|k| 1u64 << k));
+        bounds
+    }
+
+    #[test]
+    fn uniform_below_matches_the_reference() {
+        use super::{rejection_zone, uniform_below};
+        let mut bounds = SmallRng::seed_from_u64(11);
+        let random: Vec<u64> = (0..2_000)
+            .map(|i| {
+                let v: u64 = bounds.gen();
+                // Every magnitude, not only bounds near 2⁶⁴.
+                (v >> (i % 64)).max(1)
+            })
+            .collect();
+        for bound in edge_bounds().into_iter().chain(random) {
+            let mut a = SmallRng::seed_from_u64(bound);
+            let mut b = a.clone();
+            for _ in 0..16 {
+                assert_eq!(uniform_below(&mut a, bound), reference_below(&mut b, bound));
+            }
+            assert_eq!(a, b, "bound {bound}: draws consumed differ");
+            // Chosen words at both edges of the fast test and of the zone.
+            let fast = u64::MAX - bound + 1;
+            let zone = rejection_zone(bound);
+            for word in [0, 1, fast - 1, fast, fast.saturating_add(1)]
+                .into_iter()
+                .chain([
+                    zone - 1,
+                    zone,
+                    zone.saturating_add(1),
+                    u64::MAX - 1,
+                    u64::MAX,
+                ])
+            {
+                let mut a = Words(vec![word, word], 0);
+                let mut b = Words(vec![word, word], 0);
+                assert_eq!(
+                    uniform_below(&mut a, bound),
+                    reference_below(&mut b, bound),
+                    "bound {bound}, word {word}"
+                );
+                assert_eq!(a.1, b.1, "bound {bound}, word {word}: draws consumed");
+            }
+        }
+    }
+
+    #[test]
+    fn divisor_remainders_are_exact() {
+        use super::Divisor;
+        let mut rng = SmallRng::seed_from_u64(12);
+        let mut divisors = edge_bounds();
+        divisors.extend((0..500).map(|i| (rng.gen::<u64>() >> (i % 64)).max(1)));
+        for d in divisors {
+            let div = Divisor::new(d);
+            assert_eq!(div.get(), d);
+            let mut numerators = vec![0, 1, d - 1, d, d.saturating_add(1), u64::MAX - 1, u64::MAX];
+            numerators.extend((0..200).map(|_| rng.gen::<u64>()));
+            numerators.extend((0..200).map(|i| rng.gen::<u64>() >> (i % 64)));
+            for n in numerators {
+                assert_eq!(div.rem(n), n % d, "{n} % {d}");
+            }
+        }
+    }
+
+    #[test]
+    fn uniform_draws_what_gen_range_draws() {
+        use super::Uniform;
+        // Each pair samples one range both ways from one seed, 200 draws;
+        // the streams must agree value for value and end in the same state.
+        fn same<T: PartialEq + core::fmt::Debug>(
+            seed: u64,
+            uniform: Uniform<T>,
+            reference: impl Fn(&mut SmallRng) -> T,
+            sample: impl Fn(&Uniform<T>, &mut SmallRng) -> T,
+        ) {
+            let mut a = SmallRng::seed_from_u64(seed);
+            let mut b = a.clone();
+            for _ in 0..200 {
+                assert_eq!(sample(&uniform, &mut a), reference(&mut b), "seed {seed}");
+            }
+            assert_eq!(a, b, "seed {seed}: draws consumed differ");
+        }
+        macro_rules! check {
+            ($seed:expr, $t:ty, $lo:expr, $hi:expr) => {{
+                let (lo, hi): ($t, $t) = ($lo, $hi);
+                if lo < hi {
+                    same(
+                        $seed,
+                        Uniform::<$t>::from(lo..hi),
+                        |r| r.gen_range(lo..hi),
+                        |u, r| u.sample(r),
+                    );
+                }
+                same(
+                    $seed,
+                    Uniform::<$t>::from(lo..=hi),
+                    |r| r.gen_range(lo..=hi),
+                    |u, r| u.sample(r),
+                );
+            }};
+        }
+        for seed in 0..20u64 {
+            // One value, small, odd, near-full and full-width ranges.
+            check!(seed, u64, 7, 7);
+            check!(seed, u64, 7, 8);
+            check!(seed, u64, 1, 20);
+            check!(seed, u64, 0, 100);
+            check!(seed, u64, 3, 1 << 40);
+            check!(seed, u64, 0, (1 << 63) + 1);
+            check!(seed, u64, 1, u64::MAX);
+            check!(seed, u64, 0, u64::MAX);
+            check!(seed, u32, 0, 100);
+            check!(seed, u32, 0, u32::MAX);
+            check!(seed, u8, 0, u8::MAX);
+            check!(seed, usize, 0, 13);
+            check!(seed, i32, -5, 5);
+            check!(seed, i64, i64::MIN, i64::MAX);
+            check!(seed, i64, -3, i64::MAX);
+        }
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Post-run statistics, coverage, and machine-readable reporting.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::marker::PhantomData;
@@ -21,10 +22,24 @@ use crate::json::{JsonError, JsonValue};
 /// Pairs are stored keyed by state (`state → {events}`), so
 /// [`contains`](CoverageSet::contains) is a pair of tree lookups rather than
 /// a scan of every visited pair.
+///
+/// A label named from a `'static` table ([`CoverageGrid::name_into`]) is
+/// held borrowed, and stays borrowed through [`merge`](CoverageSet::merge);
+/// only a label from a `&str` of unknown lifetime is copied.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CoverageSet {
-    by_state: BTreeMap<String, BTreeSet<String>>,
+    by_state: BTreeMap<Label, BTreeSet<Label>>,
     len: usize,
+}
+
+/// A state or event name in a coverage table: borrowed from a `'static`
+/// label table, or owned when it came from anywhere else. Ordered and
+/// compared by its text either way.
+type Label = Cow<'static, str>;
+
+/// A label of unknown lifetime, copied.
+fn owned(label: &str) -> Label {
+    Cow::Owned(label.to_owned())
 }
 
 impl CoverageSet {
@@ -35,16 +50,28 @@ impl CoverageSet {
 
     /// Records that `event` was observed while in `state`.
     pub fn visit(&mut self, state: &str, event: &str) {
+        self.insert(state, event, || owned(state), || owned(event));
+    }
+
+    /// Records a pair, looked up by text; the two closures make the key of
+    /// a state or an event the set does not hold yet.
+    fn insert(
+        &mut self,
+        state: &str,
+        event: &str,
+        state_label: impl FnOnce() -> Label,
+        event_label: impl FnOnce() -> Label,
+    ) {
         match self.by_state.get_mut(state) {
             Some(events) => {
                 if !events.contains(event) {
-                    events.insert(event.to_owned());
+                    events.insert(event_label());
                     self.len += 1;
                 }
             }
             None => {
                 self.by_state
-                    .insert(state.to_owned(), BTreeSet::from([event.to_owned()]));
+                    .insert(state_label(), BTreeSet::from([event_label()]));
                 self.len += 1;
             }
         }
@@ -71,13 +98,16 @@ impl CoverageSet {
     pub fn iter(&self) -> impl Iterator<Item = (&str, &str)> + '_ {
         self.by_state
             .iter()
-            .flat_map(|(s, evs)| evs.iter().map(move |e| (s.as_str(), e.as_str())))
+            .flat_map(|(s, evs)| evs.iter().map(move |e| (&**s, &**e)))
     }
 
-    /// Merges another coverage set into this one.
+    /// Merges another coverage set into this one. A label this set lacks is
+    /// cloned from `other`, so a borrowed one stays borrowed.
     pub fn merge(&mut self, other: &CoverageSet) {
-        for (state, event) in other.iter() {
-            self.visit(state, event);
+        for (state, events) in &other.by_state {
+            for event in events {
+                self.insert(state, event, || state.clone(), || event.clone());
+            }
         }
     }
 }
@@ -135,7 +165,8 @@ impl<S: Alphabet, E: Alphabet> CoverageGrid<S, E> {
             for (e, event) in E::ALL.iter().enumerate() {
                 let cell = s * E::ALL.len() + e;
                 if self.bits[cell / 64] >> (cell % 64) & 1 == 1 {
-                    set.visit(state.label(), event.label());
+                    let (state, event) = (state.label(), event.label());
+                    set.insert(state, event, || state.into(), || event.into());
                 }
             }
         }
@@ -182,10 +213,13 @@ pub trait FsmRows: Sync {
 ///
 /// Merging sums per-row counts and unions row universes, so shard merges
 /// are commutative and associative like every other [`Report`] section.
+/// Labels are held as [`CoverageSet`] holds them: borrowed when they come
+/// from a `'static` row table ([`add_fired`](TransitionCoverage::add_fired))
+/// and through merges, copied otherwise.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TransitionCoverage {
     /// state → event → times fired (0 = declared, never fired).
-    rows: BTreeMap<String, BTreeMap<String, u64>>,
+    rows: BTreeMap<Label, BTreeMap<Label, u64>>,
 }
 
 impl TransitionCoverage {
@@ -195,29 +229,36 @@ impl TransitionCoverage {
     }
 
     /// Adds `count` to a row, declaring it on first sight. A row already
-    /// present — every call but a machine's first — is found by borrowed
-    /// key, so only a new row allocates its labels.
-    fn bump(&mut self, state: &str, event: &str, count: u64) {
+    /// present — every call but a machine's first — is found by text; the
+    /// two closures make the labels of a new one.
+    fn bump(
+        &mut self,
+        state: &str,
+        event: &str,
+        count: u64,
+        state_label: impl FnOnce() -> Label,
+        event_label: impl FnOnce() -> Label,
+    ) {
         let events = match self.rows.get_mut(state) {
             Some(events) => events,
-            None => self.rows.entry(state.to_owned()).or_default(),
+            None => self.rows.entry(state_label()).or_default(),
         };
         match events.get_mut(event) {
             Some(n) => *n += count,
             None => {
-                events.insert(event.to_owned(), count);
+                events.insert(event_label(), count);
             }
         }
     }
 
     /// Declares a row of the machine's table without firing it.
     pub fn declare(&mut self, state: &str, event: &str) {
-        self.bump(state, event, 0);
+        self.fire(state, event, 0);
     }
 
     /// Records `count` firings of a row (declaring it if needed).
     pub fn fire(&mut self, state: &str, event: &str, count: u64) {
-        self.bump(state, event, count);
+        self.bump(state, event, count, || owned(state), || owned(event));
     }
 
     /// Adds one machine instance's dense per-cell fired counters: every
@@ -227,7 +268,7 @@ impl TransitionCoverage {
     pub fn add_fired(&mut self, rows: &dyn FsmRows, fired: &[u64]) {
         for (index, &n) in fired.iter().enumerate() {
             if let Some((state, event)) = rows.legal_row(index) {
-                self.bump(state, event, n);
+                self.bump(state, event, n, || state.into(), || event.into());
             }
         }
     }
@@ -266,7 +307,7 @@ impl TransitionCoverage {
     pub fn iter(&self) -> impl Iterator<Item = (&str, &str, u64)> + '_ {
         self.rows
             .iter()
-            .flat_map(|(s, evs)| evs.iter().map(move |(e, &n)| (s.as_str(), e.as_str(), n)))
+            .flat_map(|(s, evs)| evs.iter().map(move |(e, &n)| (&**s, &**e, n)))
     }
 
     /// Iterates the declared rows that never fired.
@@ -276,10 +317,14 @@ impl TransitionCoverage {
             .map(|(s, e, _)| (s, e))
     }
 
-    /// Merges another coverage table (sums counts, unions universes).
+    /// Merges another coverage table (sums counts, unions universes). A
+    /// label this table lacks is cloned from `other`, so a borrowed one
+    /// stays borrowed.
     pub fn merge(&mut self, other: &TransitionCoverage) {
-        for (s, e, n) in other.iter() {
-            self.fire(s, e, n);
+        for (state, events) in &other.rows {
+            for (event, &n) in events {
+                self.bump(state, event, n, || state.clone(), || event.clone());
+            }
         }
     }
 
@@ -292,9 +337,11 @@ impl TransitionCoverage {
     /// fuzz campaign uses to discard uninteresting inputs.
     pub fn diff(&self, other: &TransitionCoverage) -> TransitionCoverage {
         let mut out = TransitionCoverage::new();
-        for (s, e, n) in self.iter() {
-            if n > 0 && other.count(s, e) == 0 {
-                out.fire(s, e, n);
+        for (state, events) in &self.rows {
+            for (event, &n) in events {
+                if n > 0 && other.count(state, event) == 0 {
+                    out.bump(state, event, n, || state.clone(), || event.clone());
+                }
             }
         }
         out
@@ -314,7 +361,9 @@ impl TransitionCoverage {
 pub struct Report {
     scalars: BTreeMap<String, u64>,
     coverage: BTreeMap<String, CoverageSet>,
-    fsm: BTreeMap<String, TransitionCoverage>,
+    /// Keyed by machine name, borrowed from its row table when recorded
+    /// by [`record_fired`](Report::record_fired).
+    fsm: BTreeMap<Label, TransitionCoverage>,
     hists: BTreeMap<String, Histogram>,
     /// Fuzz-campaign metrics (corpus size, frontier pairs, budgets). Kept
     /// separate from `scalars` so campaign tooling can enumerate them
@@ -405,7 +454,10 @@ impl Report {
     /// that sweeps over many instances of the same controller merge into
     /// one per-machine table.
     pub fn record_fsm(&mut self, machine: impl Into<String>, cov: &TransitionCoverage) {
-        self.fsm.entry(machine.into()).or_default().merge(cov);
+        self.fsm
+            .entry(Cow::Owned(machine.into()))
+            .or_default()
+            .merge(cov);
     }
 
     /// Records a machine instance straight from its dense fired counters
@@ -414,7 +466,7 @@ impl Report {
     pub fn record_fired(&mut self, rows: &dyn FsmRows, fired: &[u64]) {
         let cov = match self.fsm.get_mut(rows.machine()) {
             Some(cov) => cov,
-            None => self.fsm.entry(rows.machine().to_owned()).or_default(),
+            None => self.fsm.entry(rows.machine().into()).or_default(),
         };
         cov.add_fired(rows, fired);
     }
@@ -426,7 +478,7 @@ impl Report {
 
     /// Iterates over all `(machine, transition coverage)` entries.
     pub fn fsms(&self) -> impl Iterator<Item = (&str, &TransitionCoverage)> + '_ {
-        self.fsm.iter().map(|(k, v)| (k.as_str(), v))
+        self.fsm.iter().map(|(k, v)| (&**k, v))
     }
 
     /// Adds `value` to the fuzz-section counter `key` (creating it at zero).
@@ -650,9 +702,9 @@ impl Report {
                             .map(|(state, events)| {
                                 let evs = events
                                     .iter()
-                                    .map(|e| JsonValue::Str(e.clone()))
+                                    .map(|e| JsonValue::Str(e.to_string()))
                                     .collect::<Vec<_>>();
-                                (state.clone(), JsonValue::Arr(evs))
+                                (state.to_string(), JsonValue::Arr(evs))
                             })
                             .collect();
                         (ctrl.clone(), JsonValue::Obj(states))
@@ -672,12 +724,12 @@ impl Report {
                             .map(|(state, events)| {
                                 let evs = events
                                     .iter()
-                                    .map(|(e, &n)| (e.clone(), JsonValue::Num(n)))
+                                    .map(|(e, &n)| (e.to_string(), JsonValue::Num(n)))
                                     .collect();
-                                (state.clone(), JsonValue::Obj(evs))
+                                (state.to_string(), JsonValue::Obj(evs))
                             })
                             .collect();
-                        (machine.clone(), JsonValue::Obj(states))
+                        (machine.to_string(), JsonValue::Obj(states))
                     })
                     .collect(),
             ),
@@ -804,7 +856,7 @@ impl Report {
                 let states = states
                     .as_obj()
                     .ok_or_else(|| bad("fsm entries must be objects"))?;
-                let cov = report.fsm.entry(machine.clone()).or_default();
+                let cov = report.fsm.entry(Cow::Owned(machine.clone())).or_default();
                 for (state, events) in states {
                     let events = events
                         .as_obj()
@@ -898,12 +950,16 @@ impl Report {
 }
 
 /// Applies `update` to the value of `key`, which starts at `V::default()`
-/// if absent. A present key is found by `&str`; only a new one is copied
-/// into a `String`.
-fn upsert<V: Default>(map: &mut BTreeMap<String, V>, key: &str, update: impl FnOnce(&mut V)) {
-    match map.get_mut(key) {
+/// if absent. A present key is found by `&str`; only a new one is cloned
+/// (a `String` copied, a borrowed [`Label`] not).
+fn upsert<K, V>(map: &mut BTreeMap<K, V>, key: &K, update: impl FnOnce(&mut V))
+where
+    K: Ord + Clone + std::borrow::Borrow<str>,
+    V: Default,
+{
+    match map.get_mut(key.borrow()) {
         Some(value) => update(value),
-        None => update(map.entry(key.to_owned()).or_default()),
+        None => update(map.entry(key.clone()).or_default()),
     }
 }
 
@@ -1311,6 +1367,120 @@ mod tests {
         let r = Report::new();
         let back = Report::from_json(&r.to_json()).unwrap();
         assert_eq!(back, r);
+    }
+
+    crate::alphabet! {
+        enum ToyState { I, S, M = "M_dirty" }
+    }
+    crate::alphabet! {
+        enum ToyEvent { Load, Store, Inv }
+    }
+
+    /// Whether every label of a coverage table is held borrowed.
+    fn all_borrowed<'a>(
+        labels: impl IntoIterator<Item = (&'a Label, impl IntoIterator<Item = &'a Label>)>,
+    ) -> bool {
+        labels.into_iter().all(|(state, events)| {
+            matches!(state, Cow::Borrowed(_))
+                && events.into_iter().all(|e| matches!(e, Cow::Borrowed(_)))
+        })
+    }
+
+    #[test]
+    fn borrowed_and_owned_coverage_labels_are_the_same_set() {
+        let mut grid = CoverageGrid::<ToyState, ToyEvent>::new();
+        grid.visit(ToyState::I, ToyEvent::Load);
+        grid.visit(ToyState::M, ToyEvent::Inv);
+        grid.visit(ToyState::M, ToyEvent::Store);
+        let borrowed = grid.to_set();
+        assert!(all_borrowed(&borrowed.by_state));
+        let mut owned = CoverageSet::new();
+        for (state, event) in [("I", "Load"), ("M_dirty", "Inv"), ("M_dirty", "Store")] {
+            owned.visit(state, event);
+        }
+        assert_eq!(borrowed, owned);
+        assert_eq!(borrowed.len(), 3);
+
+        // Equal reports, equal bytes, and the bytes parse back to both.
+        let report = |set: &CoverageSet| {
+            let mut r = Report::new();
+            r.record_coverage("l1", set);
+            r
+        };
+        let (from_borrowed, from_owned) = (report(&borrowed), report(&owned));
+        assert_eq!(from_borrowed.to_json(), from_owned.to_json());
+        let back = Report::from_json(&from_borrowed.to_json()).unwrap();
+        assert_eq!(back, from_borrowed);
+        assert_eq!(back.to_json(), from_borrowed.to_json());
+
+        // Merging either way round gives one set; a label merged into an
+        // empty set stays borrowed.
+        let mut other = CoverageSet::new();
+        other.visit("S", "Load");
+        other.visit("I", "Load");
+        let mut borrowed_into_owned = other.clone();
+        borrowed_into_owned.merge(&borrowed);
+        let mut owned_into_borrowed = borrowed.clone();
+        owned_into_borrowed.merge(&other);
+        assert_eq!(borrowed_into_owned, owned_into_borrowed);
+        assert_eq!(borrowed_into_owned.len(), 4);
+        let mut copy = CoverageSet::new();
+        copy.merge(&borrowed);
+        assert!(all_borrowed(&copy.by_state));
+        assert_eq!(copy, borrowed);
+    }
+
+    #[test]
+    fn borrowed_and_owned_fsm_labels_are_the_same_table() {
+        struct Rows;
+        impl FsmRows for Rows {
+            fn machine(&self) -> &'static str {
+                "toy"
+            }
+            fn legal_row(&self, index: usize) -> Option<(&'static str, &'static str)> {
+                [
+                    Some(("I", "Load")),
+                    None,
+                    Some(("S", "Inv")),
+                    Some(("S", "Load")),
+                ][index]
+            }
+        }
+        let mut borrowed = TransitionCoverage::new();
+        borrowed.add_fired(&Rows, &[2, 5, 0, 1]);
+        let by_state = borrowed.rows.iter().map(|(s, evs)| (s, evs.keys()));
+        assert!(all_borrowed(by_state));
+        let mut owned = TransitionCoverage::new();
+        owned.fire("I", "Load", 2);
+        owned.declare("S", "Inv");
+        owned.fire("S", "Load", 1);
+        assert_eq!(borrowed, owned);
+
+        let mut r = Report::new();
+        r.record_fired(&Rows, &[2, 5, 0, 1]);
+        assert!(matches!(r.fsm.keys().next(), Some(Cow::Borrowed("toy"))));
+        let mut o = Report::new();
+        o.record_fsm("toy", &owned);
+        assert_eq!(r, o);
+        assert_eq!(r.to_json(), o.to_json());
+        let back = Report::from_json(&r.to_json()).unwrap();
+        assert_eq!(back, r);
+        assert_eq!(back.to_json(), r.to_json());
+
+        let mut other = TransitionCoverage::new();
+        other.fire("S", "Inv", 3);
+        other.declare("M", "Store");
+        let mut borrowed_into_owned = other.clone();
+        borrowed_into_owned.merge(&borrowed);
+        let mut owned_into_borrowed = borrowed.clone();
+        owned_into_borrowed.merge(&other);
+        assert_eq!(borrowed_into_owned, owned_into_borrowed);
+        assert_eq!(borrowed_into_owned.count("S", "Inv"), 3);
+        assert_eq!(borrowed_into_owned.total_rows(), 4);
+        let mut copy = TransitionCoverage::new();
+        copy.merge(&borrowed);
+        let by_state = copy.rows.iter().map(|(s, evs)| (s, evs.keys()));
+        assert!(all_borrowed(by_state));
     }
 
     #[test]

@@ -4,7 +4,7 @@ use std::collections::HashMap;
 use std::time::Instant;
 
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, SeedableRng, Uniform};
 use xg_prof::{ProfileConfig, Profiler, Timeline, TimelineConfig, PID_ADDRESSES, PID_COMPONENTS};
 
 use crate::component::{Component, NodeId};
@@ -357,6 +357,9 @@ impl<M: 'static> SimBuilder<M> {
 #[derive(Clone, Copy)]
 struct PairState {
     link: Link,
+    /// The link's latency range, precomputed for division-free draws;
+    /// `None` for a fixed latency, which draws nothing.
+    latency: Option<Uniform<u64>>,
     /// Whether `link` carries a non-empty [`crate::FaultSpec`], decided
     /// once at configuration so a fault-free route never reads the spec.
     faulty: bool,
@@ -367,11 +370,24 @@ struct PairState {
 
 impl PairState {
     fn new(link: Link) -> PairState {
+        let (min, max) = (link.min_latency(), link.max_latency());
         PairState {
             link,
+            latency: (min < max).then(|| Uniform::from(min..=max)),
             faulty: !link.faults().is_none(),
             last_delivery: Cycle::ZERO,
             burst: 0,
+        }
+    }
+
+    /// Draws a delivery latency from the link's range — what
+    /// `gen_range(min..=max)` would draw; a fixed-latency link consumes no
+    /// randomness.
+    #[inline(always)]
+    fn draw_latency(&self, rng: &mut SmallRng) -> u64 {
+        match &self.latency {
+            Some(range) => range.sample(rng),
+            None => self.link.min_latency(),
         }
     }
 
@@ -402,7 +418,7 @@ impl PairState {
     ) -> Route {
         let link = self.link;
         let spec = link.faults();
-        let mut latency = draw_latency(rng, link);
+        let mut latency = self.draw_latency(rng);
         let mut duplicate = false;
         if self.burst > 0 {
             self.burst -= 1;
@@ -431,7 +447,7 @@ impl PairState {
         }
         let time = self.arrival(now, latency, extra);
         if duplicate {
-            let lat2 = draw_latency(rng, link);
+            let lat2 = self.draw_latency(rng);
             Route::Two(time, now + lat2.max(1) + extra)
         } else {
             Route::One(time)
@@ -453,18 +469,20 @@ impl PairState {
 struct LinkTable {
     n: usize,
     pairs: Box<[PairState]>,
-    /// Link used when routing between fabricated (unregistered) ids; such
-    /// messages still panic at delivery, as [`NodeId`] documents.
-    default_link: Link,
+    /// The default link's state, which every pair starts as; its latency
+    /// also routes between fabricated (unregistered) ids, whose messages
+    /// still panic at delivery, as [`NodeId`] documents.
+    default: PairState,
 }
 
 impl LinkTable {
     /// A table over `n` registered components, every pair on `default`.
     fn new(n: usize, default: Link) -> LinkTable {
+        let default = PairState::new(default);
         LinkTable {
             n,
-            pairs: vec![PairState::new(default); n * n].into_boxed_slice(),
-            default_link: default,
+            pairs: vec![default; n * n].into_boxed_slice(),
+            default,
         }
     }
 
@@ -526,17 +544,17 @@ impl LinkTable {
         to: NodeId,
         extra: u64,
     ) -> Route {
-        let default_link = self.default_link;
+        let default = self.default;
         let Some(state) = self.pair_mut(from, to) else {
             // A fabricated endpoint: route statelessly over the default
             // link (delivery will panic, as NodeId documents).
-            let latency = draw_latency(rng, default_link);
+            let latency = default.draw_latency(rng);
             return Route::One(now + latency.max(1) + extra);
         };
         if state.faulty {
             return state.route_faulty(rng, faults, now, extra);
         }
-        let latency = draw_latency(rng, state.link);
+        let latency = state.draw_latency(rng);
         Route::One(state.arrival(now, latency, extra))
     }
 }
@@ -547,17 +565,6 @@ enum Route {
     Drop,
     One(Cycle),
     Two(Cycle, Cycle),
-}
-
-/// Draws a delivery latency from `link`'s range; fixed-latency links
-/// consume no randomness.
-#[inline(always)]
-fn draw_latency(rng: &mut SmallRng, link: Link) -> u64 {
-    if link.min_latency() == link.max_latency() {
-        link.min_latency()
-    } else {
-        rng.gen_range(link.min_latency()..=link.max_latency())
-    }
 }
 
 /// Source of simulation randomness: one stream per registered component,

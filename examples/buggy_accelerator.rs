@@ -40,8 +40,7 @@ fn main() {
         ..FuzzOpts::default()
     };
     // CPUs work on their own pages (the fuzzer has no permission there).
-    let shared = TesterShared::new(cfg.cpu_cores, 4_000);
-    let pool = word_pool(0x200_0000, 8, 2);
+    let shared = TesterShared::new(cfg.cpu_cores, 4_000, word_pool(0x200_0000, 8, 2));
     let mut system = build_system(
         &cfg,
         OsPolicy::DisableAccelerator,
@@ -56,7 +55,6 @@ fn main() {
                 cache,
                 index,
                 shared.clone(),
-                pool.clone(),
                 TesterCfg::default(),
             ))
         },
@@ -65,7 +63,6 @@ fn main() {
     let out = system.sim.run_with_watchdog(100_000_000, 500_000);
 
     let report = system.sim.report();
-    let shared = shared.lock().unwrap();
     println!("\nwhile being bombarded:");
     println!("  CPU operations completed : {}", shared.completed());
     println!("  CPU value-check failures : {}", shared.data_errors());

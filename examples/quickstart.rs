@@ -31,8 +31,7 @@ fn main() {
 
     // Three cores (two CPU, one accelerator) share a small pool of hot
     // words; every value is checked against the single-writer discipline.
-    let shared = TesterShared::new(3, 5_000);
-    let pool = word_pool(0x4000, 8, 2);
+    let shared = TesterShared::new(3, 5_000, word_pool(0x4000, 8, 2));
     let mut system = build_system(&cfg, OsPolicy::ReportOnly, None, |slot, cache, index| {
         let name = match slot {
             CoreSlot::Cpu(i) => format!("cpu{i}"),
@@ -43,14 +42,12 @@ fn main() {
             cache,
             index,
             shared.clone(),
-            pool.clone(),
             TesterCfg::default(),
         ))
     });
     system.start_cores();
     let outcome = system.sim.run_with_watchdog(50_000_000, 200_000);
 
-    let shared = shared.lock().unwrap();
     println!(
         "\nran {} operations in {} simulated cycles (deadlock: {})",
         shared.completed(),

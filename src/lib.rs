@@ -38,20 +38,18 @@
 //!     seed: 42,
 //!     ..SystemConfig::default()
 //! };
-//! let shared = TesterShared::new(3, 200);
-//! let pool = word_pool(0x4000, 4, 2);
+//! let shared = TesterShared::new(3, 200, word_pool(0x4000, 4, 2));
 //! let mut system = build_system(&cfg, OsPolicy::ReportOnly, None, |slot, cache, index| {
 //!     let name = match slot {
 //!         CoreSlot::Cpu(i) => format!("cpu{i}"),
 //!         CoreSlot::Accel(i) => format!("acc{i}"),
 //!     };
-//!     Box::new(TesterCore::new(name, cache, index, shared.clone(), pool.clone(),
-//!                              TesterCfg::default()))
+//!     Box::new(TesterCore::new(name, cache, index, shared.clone(), TesterCfg::default()))
 //! });
 //! system.start_cores();
 //! let outcome = system.sim.run_with_watchdog(10_000_000, 100_000);
 //! assert!(!outcome.stalled);
-//! assert_eq!(shared.lock().unwrap().data_errors(), 0);
+//! assert_eq!(shared.data_errors(), 0);
 //! ```
 //!
 //! See `examples/` for domain scenarios (video decoding with 256 B

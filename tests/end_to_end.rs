@@ -24,8 +24,7 @@ fn guarded(host: HostProtocol, variant: XgVariant, two_level: bool, seed: u64) -
 #[test]
 fn facade_quickstart_compiles_and_runs() {
     let cfg = guarded(HostProtocol::Hammer, XgVariant::FullState, false, 42);
-    let shared = TesterShared::new(3, 300);
-    let pool = word_pool(0x4000, 4, 2);
+    let shared = TesterShared::new(3, 300, word_pool(0x4000, 4, 2));
     let mut system = build_system(&cfg, OsPolicy::ReportOnly, None, |slot, cache, index| {
         let name = match slot {
             CoreSlot::Cpu(i) => format!("cpu{i}"),
@@ -36,15 +35,14 @@ fn facade_quickstart_compiles_and_runs() {
             cache,
             index,
             shared.clone(),
-            pool.clone(),
             TesterCfg::default(),
         ))
     });
     system.start_cores();
     let outcome = system.sim.run_with_watchdog(10_000_000, 100_000);
     assert!(!outcome.stalled);
-    assert_eq!(shared.lock().unwrap().data_errors(), 0);
-    assert!(shared.lock().unwrap().done());
+    assert_eq!(shared.data_errors(), 0);
+    assert!(shared.done());
 }
 
 #[test]
