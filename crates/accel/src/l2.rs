@@ -805,7 +805,7 @@ impl AccelL2 {
             let Some((from, kind)) = next else {
                 if block.busy.is_none() {
                     if let Some(block) = self.blocks.remove(&addr) {
-                        self.spare_queues.put(block.queue);
+                        self.spare_queues.unequip(block.queue);
                     }
                     self.retry_installs(ctx);
                 }

@@ -9,8 +9,8 @@
 //! and no string-keyed report is produced per successor. The restore
 //! overwrites the scratch world's components in place and the digest is the
 //! worker's own, reset between states, so an expansion that finds nothing
-//! new allocates only its successor's choice list
-//! (`tests/alloc_budget.rs`). Drained states are
+//! new allocates little beyond choice lists — its successor's, and each
+//! reply branch's at a fork (below; `tests/alloc_budget.rs`). Drained states are
 //! deduplicated by canonical digest; the first script to reach a digest (in
 //! frontier × alphabet × choice order) is its representative, and its
 //! checkpoint is what the next level expands. Because exploration is
@@ -26,12 +26,19 @@
 //! initial state and each violation — and where a frontier state's
 //! checkpoint was not kept (see [`FRONTIER_BUDGET_BYTES`]).
 //!
-//! Invalidation choices are expanded lazily: an expansion whose chaos
-//! accelerator saw an invalidation past its scripted choice list is re-run
-//! from the same checkpoint once per choice code with the list extended,
-//! until every invalidation is scripted (or the per-script choice cap is
-//! hit, at which point the remaining invalidations deterministically stay
-//! silent).
+//! Invalidation choices are branched on where they arise. A step runs
+//! ([`xg_sim::Simulator::run_until`]) until an invalidation past the chaos
+//! accelerator's scripted choice list is due there; the world is then
+//! checkpointed with that delivery still in flight — a *fork* — and each
+//! reply choice resumes from the fork with the list extended by it, against
+//! the step's own deadline, until every invalidation is scripted (or the
+//! per-script choice cap is hit, at which point the remaining invalidations
+//! deterministically stay silent). Up to that delivery the run does not
+//! depend on the choice, so a branch ends exactly where restoring the parent
+//! and running the step with the longer list would; no run is discarded
+//! and none re-made from the parent. Fork checkpoints are kept per worker
+//! and written over in place ([`xg_sim::Simulator::checkpoint_into`]) once
+//! all of a fork's branches have started.
 //!
 //! Each level's frontier runs through [`xg_harness::sweep`], one item per
 //! parent state (the item owns the parent's checkpoint), whose results
@@ -45,9 +52,9 @@ use std::sync::Mutex;
 
 use xg_harness::{resolve_jobs, sweep};
 use xg_proto::{Message, Sim};
-use xg_sim::{CheckDigest, Checkpoint, FsmRows, TransitionCoverage};
+use xg_sim::{CheckDigest, Checkpoint, Cycle, FsmRows, NodeId, TransitionCoverage};
 
-use crate::replay::{assess, replay, run_script, run_step, ReplayOutcome, Verdict};
+use crate::replay::{assess, inject, replay, run_script, ReplayOutcome, Verdict, DRAIN_MAX};
 use crate::script::{CpuOp, Script, Step, ACCEL_KIND_CODES, INV_CHOICE_CODES};
 use crate::world::{build_world, ChaosAccel, World, WorldSpec};
 
@@ -123,12 +130,17 @@ pub struct ExploreResult {
     /// (for its full outcome), and one per frontier state whose checkpoint
     /// was not kept.
     pub replays: u64,
-    /// Steps run from a restored checkpoint (including choice re-runs).
+    /// Runs from a restored checkpoint: one per step from its parent state,
+    /// plus one per reply branch resumed from a fork.
     pub expansions: u64,
     /// Kernel events (queue pops) those expansions dispatched, summed: a
     /// controller that polls shows up here before it shows up in states/s.
     /// Deterministic, and the same for any worker count.
     pub events: u64,
+    /// Fork points taken mid-step: an unscripted invalidation reached the
+    /// chaos accelerator, the world was checkpointed in front of it, and
+    /// each reply choice ran on from there.
+    pub forks: u64,
     /// Largest frontier (states awaiting expansion) of any level.
     pub peak_frontier: usize,
     /// Fully-scripted successors whose digest had already been seen.
@@ -255,6 +267,7 @@ struct Expanded {
     successors: Vec<Successor>,
     expansions: u64,
     events: u64,
+    forks: u64,
     replays: u64,
 }
 
@@ -288,11 +301,47 @@ impl FiredSums {
     }
 }
 
-/// A worker's reusable world, the digest that carries its roles, and its
-/// share of the coverage sums.
+/// Checkpoints taken in the middle of a step, where an unscripted
+/// invalidation reached the chaos accelerator: one per fork with branches
+/// still to run. Branches run depth-first, so forks close innermost first
+/// and the open ones are a stack; the next fork at a depth is written over
+/// the closed one's slot ([`Sim::checkpoint_into`]), so a worker holds as
+/// many as its deepest nesting, however many forks it takes.
+#[derive(Default)]
+struct Forks {
+    slots: Vec<Checkpoint<Message>>,
+    open: usize,
+}
+
+impl Forks {
+    /// Checkpoints `sim` into the next free slot, and names the slot.
+    fn open(&mut self, sim: &Sim) -> usize {
+        let slot = self.open;
+        match self.slots.get_mut(slot) {
+            Some(saved) => sim
+                .checkpoint_into(saved)
+                .expect("checker components clone"),
+            None => self
+                .slots
+                .push(sim.checkpoint().expect("checker components clone")),
+        }
+        self.open += 1;
+        slot
+    }
+
+    /// Frees `slot`, whose last branch has been restored from it.
+    fn close(&mut self, slot: usize) {
+        debug_assert_eq!(slot + 1, self.open, "forks close innermost first");
+        self.open = slot;
+    }
+}
+
+/// A worker's reusable world, the digest that carries its roles, its fork
+/// slots, and its share of the coverage sums.
 struct Scratch {
     world: World,
     digest: CheckDigest,
+    forks: Forks,
     fired: FiredSums,
 }
 
@@ -301,9 +350,35 @@ impl Scratch {
         Scratch {
             digest: spec.digest_for(&world.ids),
             world,
+            forks: Forks::default(),
             fired: FiredSums::default(),
         }
     }
+}
+
+/// Runs the step `world` holds on to `deadline` — or, when `may_fork`,
+/// until the first invalidation the chaos accelerator's script does not
+/// answer is due there: `None`, with that delivery still queued. Otherwise
+/// whether the world drained.
+fn run_to_fork(world: &mut World, deadline: Cycle, may_fork: bool) -> Option<bool> {
+    let chaos = world.ids.chaos;
+    let mut scripted = world
+        .sim
+        .get::<ChaosAccel>(chaos)
+        .expect("chaos node is a ChaosAccel")
+        .remaining_choices();
+    let unscripted = |to: NodeId, msg: &Message| {
+        if !may_fork || to != chaos || !ChaosAccel::consumes_choice(msg) {
+            return false;
+        }
+        let past_script = scripted == 0;
+        scripted = scripted.saturating_sub(1);
+        past_script
+    };
+    world
+        .sim
+        .run_until(deadline, unscripted)
+        .map(|out| out.quiescent)
 }
 
 /// The read-only context of one level's sweep.
@@ -327,66 +402,77 @@ impl Expander<'_> {
         let mut replays = 0;
         let parent = node.state.unwrap_or_else(|| {
             replays += 1;
-            let (world, _) = run_script(spec, &node.script);
-            world
-                .sim
-                .checkpoint()
-                .expect("a frontier state is drained and clean")
+            let (world, divergence) = run_script(spec, &node.script);
+            assert!(!divergence, "a frontier state is drained");
+            world.sim.checkpoint().expect("checker components clone")
         });
         let scripted = node.script.choices.len();
 
         let mut successors: Vec<Successor> = Vec::with_capacity(self.alphabet.len());
         let mut expansions = 0;
         let mut events = 0;
-        // Choice suffixes still to try, depth-first; the empty suffix is
-        // the step as the parent's own choice list scripts it.
-        let mut pending: Vec<Vec<u8>> = Vec::new();
+        let mut forks = 0;
+        // Branches still to run, depth-first: the fork slot each resumes
+        // from, and the choices the step has appended so far — the
+        // branch's own reply last.
+        let mut pending: Vec<(usize, Vec<u8>)> = Vec::new();
         for &step in self.alphabet {
             let first = successors.len();
-            pending.push(Vec::new());
-            while let Some(extra) = pending.pop() {
-                let world = &mut scratch.world;
-                world.sim.restore(&parent);
-                if !extra.is_empty() {
-                    world
-                        .sim
-                        .get_mut::<ChaosAccel>(world.ids.chaos)
-                        .expect("chaos node is a ChaosAccel")
-                        .extend_choices(&extra);
-                }
+            let world = &mut scratch.world;
+            world.sim.restore(&parent);
+            inject(world, step);
+            // Every branch of the step drains against the step's deadline.
+            let deadline = world.sim.now() + DRAIN_MAX;
+            let mut extra = Vec::new();
+            loop {
+                let may_fork = scripted + extra.len() < self.choice_cap;
                 let popped = world.sim.queue_stats().pops;
-                let divergence = !run_step(world, step);
+                let ran = run_to_fork(world, deadline, may_fork);
                 expansions += 1;
                 events += world.sim.queue_stats().pops - popped;
-                let drained = assess(spec, world, divergence, &mut scratch.digest);
-                if drained.unscripted_invs > 0 && scripted + extra.len() < self.choice_cap {
-                    // Branch on the first unscripted invalidation. The
-                    // appended silence branch reproduces this run with the
-                    // choice made explicit, so this run is not recorded.
-                    for choice in 0..INV_CHOICE_CODES {
-                        pending.push([&extra[..], &[choice]].concat());
+                match ran {
+                    // An unscripted invalidation waits at the chaos
+                    // accelerator: each reply to it is a branch from here.
+                    None => {
+                        forks += 1;
+                        let slot = scratch.forks.open(&world.sim);
+                        for choice in 0..INV_CHOICE_CODES {
+                            pending.push((slot, [&extra[..], &[choice]].concat()));
+                        }
                     }
-                    continue;
+                    Some(quiescent) => {
+                        let drained = assess(spec, world, !quiescent, &mut scratch.digest);
+                        scratch.fired.add_world(&world.sim);
+                        let keep = self.keep_states
+                            && drained.verdict.is_clean()
+                            && !self.seen.contains(&drained.digest)
+                            && !successors[..first]
+                                .iter()
+                                .any(|s| s.digest == drained.digest);
+                        successors.push(Successor {
+                            step,
+                            choices: [&node.script.choices[..], &extra[..]].concat(),
+                            digest: drained.digest,
+                            verdict: drained.verdict,
+                            state: keep
+                                .then(|| world.sim.checkpoint().expect("checker components clone")),
+                        });
+                    }
                 }
-                scratch.fired.add_world(&world.sim);
-                let keep = self.keep_states
-                    && drained.verdict.is_clean()
-                    && !self.seen.contains(&drained.digest)
-                    && !successors[..first]
-                        .iter()
-                        .any(|s| s.digest == drained.digest);
-                successors.push(Successor {
-                    step,
-                    choices: [&node.script.choices[..], &extra[..]].concat(),
-                    digest: drained.digest,
-                    verdict: drained.verdict,
-                    state: keep.then(|| {
-                        world
-                            .sim
-                            .checkpoint()
-                            .expect("a clean drained world is quiescent")
-                    }),
-                });
+                let Some((slot, branch)) = pending.pop() else {
+                    break;
+                };
+                world.sim.restore(&scratch.forks.slots[slot]);
+                // Choice 0 was pushed first, so its branch is the fork's last.
+                if branch.last() == Some(&0) {
+                    scratch.forks.close(slot);
+                }
+                world
+                    .sim
+                    .get_mut::<ChaosAccel>(world.ids.chaos)
+                    .expect("chaos node is a ChaosAccel")
+                    .extend_choices(&branch[branch.len() - 1..]);
+                extra = branch;
             }
             // `pending.pop()` explored depth-first; restore a deterministic
             // order independent of expansion history, then keep only the
@@ -405,6 +491,7 @@ impl Expander<'_> {
             successors,
             expansions,
             events,
+            forks,
             replays,
         }
     }
@@ -479,6 +566,7 @@ fn explore_within(
     };
     let mut expansions = 0u64;
     let mut events = 0u64;
+    let mut forks = 0u64;
     let mut dedup_hits = 0u64;
     let mut checkpoints = 0u64;
     let mut checkpoint_bytes = 0u64;
@@ -495,7 +583,14 @@ fn explore_within(
         let drained = assess(spec, &root.world, divergence, &mut root.digest);
         root.fired.add_world(&root.world.sim);
         seen.insert(drained.digest);
-        let state = root.world.sim.checkpoint().ok();
+        // A checkpoint is taken of any world, drained or not: only a
+        // drained one is a state to expand.
+        let state = (!divergence).then(|| {
+            root.world
+                .sim
+                .checkpoint()
+                .expect("checker components clone")
+        });
         found.record(
             script,
             drained.digest,
@@ -542,6 +637,7 @@ fn explore_within(
             for batch in batches {
                 expansions += batch.expansions;
                 events += batch.events;
+                forks += batch.forks;
                 found.replays += batch.replays;
                 for succ in batch.successors {
                     if !seen.insert(succ.digest) {
@@ -599,6 +695,7 @@ fn explore_within(
         replays,
         expansions,
         events,
+        forks,
         peak_frontier,
         dedup_hits,
         checkpoints,
@@ -649,10 +746,12 @@ mod tests {
         /// In-place restore is a deep copy. A world that ran script `ours`
         /// and is then restored from the checkpoint of a world that ran
         /// `theirs` is that second world: same digest, same report, and the
-        /// same again after one more step — whether `theirs` left more in
-        /// the tables than `ours` did (they grow) or less (they shrink,
-        /// and nothing of `ours` may show through). A freshly built world
-        /// restored from the same checkpoint agrees too.
+        /// same again once one more step has drained — whether `theirs`
+        /// left more in the tables than `ours` did (they grow) or less
+        /// (they shrink, and nothing of `ours` may show through). A freshly
+        /// built world restored from the same checkpoint agrees too. The
+        /// checkpoint is taken `into` events into that step (0: before it
+        /// is injected), so it holds whatever the step has in flight then.
         #[test]
         fn a_restored_world_is_the_checkpointed_one_whatever_it_held_before(
             persona in 0usize..2,
@@ -661,6 +760,7 @@ mod tests {
             choices in vec(0..INV_CHOICE_CODES, 0..4),
             other_choices in vec(0..INV_CHOICE_CODES, 0..4),
             next in 0usize..1_000,
+            into in 0usize..24,
         ) {
             // Two attack blocks in one set: evictions and recalls happen.
             let spec = WorldSpec::new(Persona::ALL[persona]).with_attack_blocks(2);
@@ -673,9 +773,18 @@ mod tests {
             let b = script(&other_picks, other_choices);
             let next = alphabet[next % alphabet.len()];
             for (ours, theirs) in [(&a, &b), (&b, &a)] {
-                let (mut original, _) = run_script(&spec, theirs);
-                // A world that failed to drain has no checkpoint to take.
-                let Ok(saved) = original.sim.checkpoint() else { continue };
+                let (mut original, divergence) = run_script(&spec, theirs);
+                // A world that failed to drain is no state to checkpoint.
+                if divergence {
+                    continue;
+                }
+                if into > 0 {
+                    inject(&mut original, next);
+                    for _ in 1..into {
+                        original.sim.step();
+                    }
+                }
+                let saved = original.sim.checkpoint().expect("checker components clone");
                 let (mut used, _) = run_script(&spec, ours);
                 used.sim.restore(&saved);
                 let mut fresh = build_world(&spec, &[]);
@@ -684,9 +793,15 @@ mod tests {
                 let want = observe(&spec, &original);
                 prop_assert_eq!(&observe(&spec, &used), &want, "{:?} over {:?}", theirs, ours);
                 prop_assert_eq!(&observe(&spec, &fresh), &want, "{:?} over new", theirs);
-                let drained = run_step(&mut original, next);
-                prop_assert_eq!(run_step(&mut used, next), drained);
-                prop_assert_eq!(run_step(&mut fresh, next), drained);
+                let finish = |world: &mut World| {
+                    if into == 0 {
+                        inject(world, next);
+                    }
+                    world.sim.run_to_quiescence(DRAIN_MAX).quiescent
+                };
+                let drained = finish(&mut original);
+                prop_assert_eq!(finish(&mut used), drained);
+                prop_assert_eq!(finish(&mut fresh), drained);
                 let want = observe(&spec, &original);
                 prop_assert_eq!(&observe(&spec, &used), &want, "{:?} over {:?}, stepped", theirs, ours);
                 prop_assert_eq!(&observe(&spec, &fresh), &want, "{:?} over new, stepped", theirs);

@@ -423,6 +423,18 @@ impl ChaosAccel {
         self.unscripted
     }
 
+    /// Scripted choices not yet consumed: how many more invalidations the
+    /// script answers before one arrives unscripted.
+    pub fn remaining_choices(&self) -> usize {
+        self.choices.len() - self.consumed
+    }
+
+    /// Whether `msg`, delivered to the injector, is an invalidation — one
+    /// that consumes a scripted choice, or arrives unscripted.
+    pub fn consumes_choice(msg: &Message) -> bool {
+        matches!(msg, Message::Xgi(m) if matches!(m.kind, XgiKind::Inv))
+    }
+
     /// Data responses received for the forbidden block (must stay zero:
     /// Guarantee 0a).
     pub fn forbidden_data(&self) -> u64 {

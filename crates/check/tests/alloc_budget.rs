@@ -1,18 +1,22 @@
-//! Allocation budget of one checker expansion: restore the parent into the
-//! worker's scratch world, run one step, digest the result. Measured as the
-//! *marginal* allocator calls per expansion between a depth-2 and a depth-3
-//! exploration of the same world, so building the world, the level-0 replay
-//! and the end-of-run coverage report cancel.
+//! Allocation budget of one checker expansion: restore the parent (or a
+//! fork inside the step) into the worker's scratch world, run the step on,
+//! digest the result. Measured as the *marginal* allocator calls per
+//! expansion between a depth-2 and a depth-3 exploration of the same world,
+//! so building the world, the level-0 replay and the end-of-run coverage
+//! report cancel.
 //!
 //! The restore copies in place, the step runs on tables and spare pools
 //! that kept their capacity, and the digest reuses its role tables and sort
 //! buffer — so what is left to allocate per expansion is the successor's
-//! own `choices` list (one call when the list is non-empty) and, for the
-//! one successor in fifty that is a new state, the `checkpoint()` that
+//! own `choices` list (one call when the list is non-empty), the choice
+//! list of each reply branch at a fork, the tables a fork checkpoint
+//! written over an older one re-shapes to match the live world, and, for
+//! the one successor in fifty that is a new state, the `checkpoint()` that
 //! keeps it (a `box_clone` of six components, some forty calls spread over
-//! the expansions that found nothing new). Anything else is a regression:
-//! before the in-place restore an expansion made 56 (Hammer) and 63 (MESI)
-//! calls.
+//! the expansions that found nothing new). That is 3.45 (Hammer) and 4.65
+//! (MESI) calls; 2.92 and 4.12 while every reply choice re-ran the step
+//! from its parent. Anything past the gate is a regression: before the
+//! in-place restore an expansion made 56 and 63 calls.
 //!
 //! This file is its own test binary with exactly one `#[test]` because the
 //! counter is process-global: a second test running on another thread

@@ -739,7 +739,7 @@ impl MesiL2 {
             }
             let Some((from, kind)) = block.queue.pop_front() else {
                 if let Some(block) = self.blocks.remove(&addr) {
-                    self.spare_queues.put(block.queue);
+                    self.spare_queues.unequip(block.queue);
                 }
                 return self.retry_installs(ctx);
             };

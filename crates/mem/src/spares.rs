@@ -38,6 +38,14 @@ impl<T> Recycle for VecDeque<T> {
 /// the destination's own pool alone, so a controller overwritten from a
 /// checkpoint keeps the buffers it has grown.
 ///
+/// The pool takes back only as many buffers as it has lent. A controller
+/// restored from a checkpoint taken in the middle of a transaction holds a
+/// buffer the pool never lent (the restore cloned it into the open
+/// record); keeping that one too when the transaction closes would grow
+/// the pool by a buffer per restore, without bound, in a model checker
+/// that forks mid-step. So the pool plus its buffers on loan never
+/// outnumber the most the controller ever had open at once.
+///
 /// ```rust
 /// use xg_mem::Spares;
 /// let mut spares: Spares<Vec<u32>> = Spares::default();
@@ -51,28 +59,47 @@ impl<T> Recycle for VecDeque<T> {
 #[derive(Debug)]
 pub struct Spares<B> {
     bufs: Vec<B>,
+    /// Buffers handed out by [`take`](Spares::take) and not yet
+    /// [`put`](Spares::put) back.
+    lent: usize,
 }
 
 impl<B: Recycle> Spares<B> {
     /// An empty buffer: a recycled one if any is kept, else a fresh one
     /// (which allocates nothing until something is pushed).
     pub fn take(&mut self) -> B {
+        self.lent += 1;
         self.bufs.pop().unwrap_or_default()
     }
 
     /// Gives `buf` a recycled allocation if it has none of its own — for a
     /// queue that is created empty with its record and only sometimes used.
+    /// Hand it back with [`unequip`](Spares::unequip).
     pub fn equip(&mut self, buf: &mut B) {
         if buf.capacity() == 0 {
             *buf = self.take();
         }
     }
 
-    /// Empties `buf` and keeps it for a later [`take`](Spares::take) — if
-    /// it owns an allocation; a buffer nothing was ever pushed into is
-    /// worth no more than a fresh one, and records that open and close
-    /// without queueing anything must not grow the pool.
+    /// [`put`](Spares::put) for a queue [`equip`](Spares::equip) may have
+    /// served: one without an allocation was never equipped (an equipped
+    /// queue is pushed into at once), so it was never lent either.
+    pub fn unequip(&mut self, buf: B) {
+        if buf.capacity() > 0 {
+            self.put(buf);
+        }
+    }
+
+    /// Returns a buffer [`take`](Spares::take) lent, emptied, for a later
+    /// `take` — if it owns an allocation; a buffer nothing was ever pushed
+    /// into is worth no more than a fresh one, and records that open and
+    /// close without queueing anything must not grow the pool. With nothing
+    /// on loan, `buf` is not one of the pool's (see above) and is dropped.
     pub fn put(&mut self, mut buf: B) {
+        let Some(lent) = self.lent.checked_sub(1) else {
+            return;
+        };
+        self.lent = lent;
         if buf.capacity() > 0 {
             buf.clear();
             self.bufs.push(buf);
@@ -82,7 +109,10 @@ impl<B: Recycle> Spares<B> {
 
 impl<B> Default for Spares<B> {
     fn default() -> Self {
-        Spares { bufs: Vec::new() }
+        Spares {
+            bufs: Vec::new(),
+            lent: 0,
+        }
     }
 }
 
@@ -101,9 +131,44 @@ mod tests {
     #[test]
     fn a_clone_has_no_spares_and_clone_from_keeps_its_own() {
         let mut pool: Spares<Vec<u8>> = Spares::default();
-        pool.put(Vec::with_capacity(16));
+        let mut lent = pool.take();
+        lent.reserve_exact(16);
+        pool.put(lent);
         assert_eq!(pool.clone().take().capacity(), 0);
         pool.clone_from(&Spares::default());
         assert_eq!(pool.take().capacity(), 16);
+    }
+
+    #[test]
+    fn a_queue_that_was_never_equipped_returns_no_loan() {
+        let mut pool: Spares<Vec<u8>> = Spares::default();
+        let mut used = Vec::new();
+        pool.equip(&mut used);
+        used.push(1);
+        // Another record's queue, never used: not a return of `used`'s loan.
+        pool.unequip(Vec::new());
+        pool.unequip(used);
+        assert!(pool.take().capacity() > 0, "the equipped queue came back");
+    }
+
+    #[test]
+    fn the_pool_keeps_no_more_than_it_lent() {
+        let mut pool: Spares<Vec<u8>> = Spares::default();
+        // A buffer the pool never lent (a checkpoint restore cloned it into
+        // an open record) is dropped when its record closes.
+        pool.put(vec![1, 2, 3]);
+        let fresh = pool.take();
+        assert_eq!(fresh.capacity(), 0);
+        pool.put(fresh);
+        // Three on loan, returned with two strangers among them: the pool
+        // keeps three, and a fourth take starts from nothing.
+        let mut out: Vec<Vec<u8>> = (0..3).map(|_| pool.take()).collect();
+        out.iter_mut().for_each(|b| b.push(7));
+        for buf in out.into_iter().chain([vec![8], vec![9]]) {
+            pool.put(buf);
+        }
+        let again: Vec<Vec<u8>> = (0..4).map(|_| pool.take()).collect();
+        let kept = again.iter().filter(|b| b.capacity() > 0).count();
+        assert_eq!(kept, 3);
     }
 }

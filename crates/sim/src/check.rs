@@ -198,10 +198,15 @@ impl CheckDigest {
     /// zero byte from no byte).
     pub fn write_bytes(&mut self, bytes: &[u8]) {
         self.write_u64(bytes.len() as u64);
-        for chunk in bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.write_u64(u64::from_le_bytes(word));
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.write_u64(u64::from_le_bytes(word.try_into().expect("eight bytes")));
+        }
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            // Little-endian, built by shifts: no copy into a padded buffer.
+            let word = tail.iter().rev().fold(0, |w, &b| (w << 8) | u64::from(b));
+            self.write_u64(word);
         }
     }
 
@@ -314,6 +319,26 @@ mod tests {
             let short = of(&bytes);
             bytes.push(0);
             assert_ne!(short, of(&bytes), "trailing zero after {n} bytes");
+        }
+    }
+
+    /// `write_bytes` folds exactly the words it always did — the padded
+    /// copy it used to make of every chunk is the reference — so no
+    /// committed fingerprint moves.
+    #[test]
+    fn write_bytes_folds_zero_padded_little_endian_words() {
+        let bytes: Vec<u8> = (1..=40u8).map(|b| b.wrapping_mul(37)).collect();
+        for n in 0..=40 {
+            let mut reference = CheckDigest::new();
+            reference.write_u64(n as u64);
+            for chunk in bytes[..n].chunks(8) {
+                let mut word = [0u8; 8];
+                word[..chunk.len()].copy_from_slice(chunk);
+                reference.write_u64(u64::from_le_bytes(word));
+            }
+            let mut d = CheckDigest::new();
+            d.write_bytes(&bytes[..n]);
+            assert_eq!(d.finish(), reference.finish(), "{n} bytes");
         }
     }
 

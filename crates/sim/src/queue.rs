@@ -65,6 +65,11 @@
 //! client) triggers a **rebase**: every live event is spilled into the
 //! overflow heap and re-migrated, restoring the invariants at `O(n log n)`
 //! cost for that one operation.
+//!
+//! Only relative order matters, never a `seq` value: a simulator checkpoint
+//! lists the queue in pop order ([`CalendarQueue::for_each_in_order`]) and
+//! its restore pushes the list into a reset queue in that order, which
+//! hands out fresh sequence numbers in the same relative order.
 
 use std::collections::BinaryHeap;
 
@@ -218,16 +223,62 @@ impl<T> CalendarQueue<T> {
     }
 
     /// Drops every scheduled event and restarts the window at `cursor`, so
-    /// that pushes at or after it take the ordinary path. Emptying a
-    /// non-empty queue rebuilds it (cold: only a simulator restored over an
-    /// undrained run does that); the operation counters carry on.
+    /// that pushes at or after it take the ordinary path. Live wheel nodes
+    /// go back on the free list and the overflow heap is cleared in place,
+    /// so a reset allocates nothing — a model checker restores a mid-step
+    /// checkpoint over an undrained world for every branch it forks. The
+    /// operation counters carry on.
     pub fn reset_at(&mut self, cursor: Cycle) {
-        if !self.is_empty() {
-            let stats = self.stats;
-            *self = CalendarQueue::new();
-            self.stats = stats;
+        if self.wheel_len > 0 {
+            self.drain_wheel(drop);
         }
+        self.overflow.clear();
         self.cursor = cursor.as_u64();
+    }
+
+    /// Calls `f` with every scheduled event, in pop order: ascending
+    /// `(time, seq)`. The wheel is walked from the cursor an occupancy
+    /// word at a time and only as far as its last event, so a sparse
+    /// window with one far timer costs a few dozen word tests, not a probe
+    /// per slot; overflow events, rare, are sorted on the way out.
+    pub fn for_each_in_order(&self, mut f: impl FnMut(Cycle, &T)) {
+        let start = (self.cursor & WHEEL_MASK) as usize;
+        let (sw, sb) = (start / 64, start % 64);
+        let mut left = self.wheel_len;
+        // Bits at or after `start` in its word, the other words in ring
+        // order, then the bits before `start` in its word.
+        for step in 0..=WORDS {
+            if left == 0 {
+                break;
+            }
+            let w = (sw + step) % WORDS;
+            let mut bits = match step {
+                0 => self.occupied[sw] & (u64::MAX << sb),
+                WORDS => self.occupied[sw] & !(u64::MAX << sb),
+                _ => self.occupied[w],
+            };
+            while bits != 0 {
+                let idx = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let mut i = self.heads[idx];
+                while i != NIL {
+                    let node = &self.arena[i as usize];
+                    f(
+                        Cycle::new(node.time),
+                        node.item.as_ref().expect("live node has an item"),
+                    );
+                    left -= 1;
+                    i = node.next;
+                }
+            }
+        }
+        if !self.overflow.is_empty() {
+            let mut beyond: Vec<&Entry<T>> = self.overflow.iter().collect();
+            beyond.sort_unstable_by_key(|e| (e.time, e.seq));
+            for e in beyond {
+                f(Cycle::new(e.time), &e.item);
+            }
+        }
     }
 
     /// Schedules `item` at `time`, after everything already scheduled at
@@ -287,6 +338,42 @@ impl<T> CalendarQueue<T> {
         if time > limit.as_u64() {
             return Head::Later(Cycle::new(time));
         }
+        self.take_head(time)
+    }
+
+    /// [`pop_until`](Self::pop_until), except that a due head `stop`
+    /// accepts is not taken either: it is reported as
+    /// [`Head::Later`] with its time — at or before `limit`, which is how
+    /// the caller tells it from a head past the limit — and stays queued,
+    /// with the window where it was. Still one probe per call.
+    #[inline]
+    pub fn pop_until_unless(&mut self, limit: Cycle, stop: impl FnOnce(&T) -> bool) -> Head<T> {
+        let Some(time) = self.next_time() else {
+            return Head::Empty;
+        };
+        if time > limit.as_u64() || stop(self.head_item(time)) {
+            return Head::Later(Cycle::new(time));
+        }
+        self.take_head(time)
+    }
+
+    /// The earliest event, due at `time` (`next_time`): the front of its
+    /// wheel slot, or, with the wheel empty, the overflow heap's top. A
+    /// cursor move would migrate only events at or past the old horizon,
+    /// which is beyond `time`, so the head is the same before and after.
+    fn head_item(&self, time: u64) -> &T {
+        if self.wheel_len > 0 {
+            let head = self.heads[(time & WHEEL_MASK) as usize];
+            let node = &self.arena[head as usize];
+            node.item.as_ref().expect("live node has an item")
+        } else {
+            &self.overflow.peek().expect("a due head exists").item
+        }
+    }
+
+    /// Removes the earliest event, due at `time` (`next_time`).
+    #[inline(always)]
+    fn take_head(&mut self, time: u64) -> Head<T> {
         if time != self.cursor {
             // The window's lower edge advances (or, with the wheel empty,
             // jumps to the next far-future event): newly covered overflow
@@ -405,29 +492,39 @@ impl<T> CalendarQueue<T> {
     fn rebase(&mut self, entry: Entry<T>) {
         self.stats.rebases += 1;
         self.cursor = entry.time;
-        self.overflow.push(entry);
-        for idx in 0..WHEEL_SLOTS {
-            if self.occupied[idx / 64] & (1u64 << (idx % 64)) == 0 {
-                continue;
-            }
-            let mut i = self.heads[idx];
-            while i != NIL {
-                let node = &mut self.arena[i as usize];
-                let item = node.item.take().expect("live node has an item");
-                self.overflow.push(Entry {
-                    time: node.time,
-                    seq: node.seq,
-                    item,
-                });
-                let next = node.next;
-                node.next = self.free_head;
-                self.free_head = i;
-                i = next;
+        let mut spilled = std::mem::take(&mut self.overflow);
+        spilled.push(entry);
+        self.drain_wheel(|e| spilled.push(e));
+        self.overflow = spilled;
+        self.migrate();
+    }
+
+    /// Unlinks every wheel event (in slot-index order, not pop order),
+    /// hands it to `f`, and returns its node to the free list.
+    fn drain_wheel(&mut self, mut f: impl FnMut(Entry<T>)) {
+        for w in 0..WORDS {
+            let mut bits = self.occupied[w];
+            while bits != 0 {
+                let idx = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let mut i = self.heads[idx];
+                while i != NIL {
+                    let node = &mut self.arena[i as usize];
+                    let item = node.item.take().expect("live node has an item");
+                    f(Entry {
+                        time: node.time,
+                        seq: node.seq,
+                        item,
+                    });
+                    let next = node.next;
+                    node.next = self.free_head;
+                    self.free_head = i;
+                    i = next;
+                }
             }
         }
         self.occupied = [0; WORDS];
         self.wheel_len = 0;
-        self.migrate();
     }
 
     /// Absolute time of the lowest-time occupied slot. Requires

@@ -496,15 +496,14 @@ impl LinkTable {
         self.pairs[f * self.n + t] = PairState::new(link);
     }
 
-    /// The dynamic routing state of every pair, for a checkpoint.
-    fn dynamic(&self) -> Vec<(Cycle, u8)> {
-        self.pairs
-            .iter()
-            .map(|p| (p.last_delivery, p.burst))
-            .collect()
+    /// Writes the dynamic routing state of every pair into `out`, for a
+    /// checkpoint.
+    fn dynamic_into(&self, out: &mut Vec<(Cycle, u8)>) {
+        out.clear();
+        out.extend(self.pairs.iter().map(|p| (p.last_delivery, p.burst)));
     }
 
-    /// Reinstates what [`LinkTable::dynamic`] captured.
+    /// Reinstates what [`LinkTable::dynamic_into`] captured.
     fn set_dynamic(&mut self, saved: &[(Cycle, u8)]) {
         assert_eq!(
             saved.len(),
@@ -594,20 +593,23 @@ impl RngBank {
     }
 }
 
-/// A quiescent simulator's state as a value: everything that decides what
-/// the simulation does next, and everything its components would report.
+/// A simulator's state as a value, between any two events: everything that
+/// decides what the simulation does next, and everything its components
+/// would report.
 ///
-/// Taken by [`Simulator::checkpoint`], reinstated — any number of times,
-/// into the simulator it came from or any other built from the same
+/// Taken by [`Simulator::checkpoint`] (or written over an older one by
+/// [`Simulator::checkpoint_into`]), reinstated — any number of times, into
+/// the simulator it came from or any other built from the same
 /// construction sequence — by [`Simulator::restore`]. It holds a deep copy
 /// of every component ([`Component::box_clone`]), simulated time, the RNG
 /// streams, each link's ordered-delivery floor and reorder-burst countdown,
-/// and the progress and link-fault counters. Because a checkpoint is only
-/// taken with nothing in flight it carries no events or payloads; because
-/// event order is relative (`(time, push sequence)`), the scheduler's push
-/// counter and the slab's free list need no copy either. The tracer ring,
-/// the timeline and the profiler are host-side observers and stay with the
-/// simulator.
+/// the progress and link-fault counters, and every event still in flight,
+/// in pop order, each delivery with a copy of its payload. Because event
+/// order is relative (`(time, push sequence)`), the scheduler's push counter
+/// and the slab's free list need no copy: re-pushing the list in order
+/// reproduces it. Effects never outlive the handler that made them, so
+/// there are none to keep. The tracer ring, the timeline and the profiler
+/// are host-side observers and stay with the simulator.
 pub struct Checkpoint<M> {
     components: Vec<Box<dyn Component<M>>>,
     now: Cycle,
@@ -616,13 +618,28 @@ pub struct Checkpoint<M> {
     progress: u64,
     last_progress_at: Cycle,
     faults: LinkFaultCounts,
+    pending: Vec<InFlight<M>>,
+}
+
+/// An event a [`Checkpoint`] caught in flight.
+struct InFlight<M> {
+    time: Cycle,
+    target: NodeId,
+    kind: SavedKind<M>,
+}
+
+/// [`EventKind`] with the payload itself in place of its slab handle.
+enum SavedKind<M> {
+    Deliver { from: NodeId, msg: M },
+    Wake { token: u64 },
 }
 
 impl<M> Checkpoint<M> {
     /// Bytes the checkpoint holds inline: the components' own structs plus
-    /// the kernel state. Tables the components own on the heap (cache
-    /// arrays, transaction maps, fired counters) are not visible from here
-    /// and are not counted.
+    /// the kernel state, in-flight events and their payloads included.
+    /// Tables the components (or payloads) own on the heap — cache arrays,
+    /// transaction maps, fired counters — are not visible from here and are
+    /// not counted.
     pub fn inline_bytes(&self) -> usize {
         let components: usize = self
             .components
@@ -630,21 +647,17 @@ impl<M> Checkpoint<M> {
             .map(|c| std::mem::size_of_val(&**c) + std::mem::size_of::<Box<dyn Component<M>>>())
             .sum();
         let streams = std::mem::size_of_val(&self.rng.0[..]);
-        std::mem::size_of::<Self>() + components + streams + std::mem::size_of_val(&self.links[..])
+        std::mem::size_of::<Self>()
+            + components
+            + streams
+            + std::mem::size_of_val(&self.links[..])
+            + std::mem::size_of_val(&self.pending[..])
     }
 }
 
 /// Why [`Simulator::checkpoint`] refused.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CheckpointError {
-    /// Work is still in flight: queued events, parked message payloads or
-    /// unapplied effects. A checkpoint would silently drop them.
-    NotQuiescent {
-        /// Events in the queue.
-        queued: usize,
-        /// Message payloads parked in the slab.
-        parked: usize,
-    },
     /// The named component does not implement [`Component::box_clone`].
     NotCloneable {
         /// The component's name.
@@ -655,10 +668,6 @@ pub enum CheckpointError {
 impl std::fmt::Display for CheckpointError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            CheckpointError::NotQuiescent { queued, parked } => write!(
-                f,
-                "simulator is not quiescent: {queued} queued event(s), {parked} parked payload(s)"
-            ),
             CheckpointError::NotCloneable { component } => {
                 write!(f, "component {component:?} does not implement box_clone")
             }
@@ -667,6 +676,17 @@ impl std::fmt::Display for CheckpointError {
 }
 
 impl std::error::Error for CheckpointError {}
+
+/// A deep copy of `component`, or the error naming it.
+fn clone_component<M>(
+    component: &dyn Component<M>,
+) -> Result<Box<dyn Component<M>>, CheckpointError> {
+    component
+        .box_clone()
+        .ok_or_else(|| CheckpointError::NotCloneable {
+            component: component.name().to_owned(),
+        })
+}
 
 /// A deterministic discrete-event simulator over message type `M`.
 ///
@@ -793,6 +813,47 @@ impl<M: Clone + 'static> Simulator<M> {
                 true
             }
             None => false,
+        }
+    }
+
+    /// Runs like [`run_to_quiescence`](Self::run_to_quiescence) up to the
+    /// absolute `deadline`, but stops *before* dispatching a delivery that
+    /// `stop(target, message)` accepts, and leaves that delivery queued —
+    /// `None` says so. The caller can then [`checkpoint`](Self::checkpoint)
+    /// the world in front of it, change a component, and resume with
+    /// another call. `stop` sees each due delivery once, just before it is
+    /// dispatched; wake-ups are not offered to it.
+    ///
+    /// A loop of its own, so the run loop every simulation spends its time
+    /// in carries no predicate.
+    pub fn run_until(
+        &mut self,
+        deadline: Cycle,
+        mut stop: impl FnMut(NodeId, &M) -> bool,
+    ) -> Option<RunOutcome> {
+        let mut events = 0u64;
+        loop {
+            let msgs = &self.msgs;
+            let head = self.queue.pop_until_unless(deadline, |ev| match ev.kind {
+                EventKind::Deliver { msg, .. } => stop(ev.target, msgs.get(msg)),
+                EventKind::Wake { .. } => false,
+            });
+            let (quiescent, now) = match head {
+                Head::Due(time, ev) => {
+                    self.dispatch(time, ev);
+                    events += 1;
+                    continue;
+                }
+                Head::Empty => (true, self.now),
+                Head::Later(head_time) if head_time > deadline => (false, deadline),
+                Head::Later(_) => return None,
+            };
+            return Some(RunOutcome {
+                quiescent,
+                stalled: false,
+                now,
+                events,
+            });
         }
     }
 
@@ -1033,47 +1094,98 @@ impl<M: Clone + 'static> Simulator<M> {
         }
     }
 
-    /// Captures this simulator's state as a [`Checkpoint`]. Valid only at
-    /// quiescence — empty queue, no parked payloads, no pending effects —
-    /// on a simulator whose components all implement
-    /// [`Component::box_clone`]; anything else is refused with the reason.
+    /// Captures this simulator's state as a [`Checkpoint`], events in
+    /// flight included — at quiescence or in the middle of a run, say where
+    /// [`run_until`](Self::run_until) stopped. Refused, by name, only for a
+    /// component that does not implement [`Component::box_clone`].
     pub fn checkpoint(&self) -> Result<Checkpoint<M>, CheckpointError> {
-        if !self.queue.is_empty() || !self.msgs.is_empty() || !self.effects.is_empty() {
-            return Err(CheckpointError::NotQuiescent {
-                queued: self.queue.len(),
-                parked: self.msgs.len(),
-            });
-        }
         let components = self
             .components
             .iter()
-            .map(|c| {
-                c.box_clone().ok_or_else(|| CheckpointError::NotCloneable {
-                    component: c.name().to_owned(),
-                })
-            })
+            .map(|c| clone_component(&**c))
             .collect::<Result<Vec<_>, _>>()?;
-        Ok(Checkpoint {
+        let mut checkpoint = Checkpoint {
             components,
-            now: self.now,
-            rng: self.rng.clone(),
-            links: self.links.dynamic(),
-            progress: self.progress,
-            last_progress_at: self.last_progress_at,
-            faults: self.faults,
-        })
+            now: Cycle::ZERO,
+            rng: RngBank(Vec::new()),
+            links: Vec::new(),
+            progress: 0,
+            last_progress_at: Cycle::ZERO,
+            faults: LinkFaultCounts::default(),
+            pending: Vec::new(),
+        };
+        self.capture_kernel(&mut checkpoint);
+        Ok(checkpoint)
+    }
+
+    /// [`checkpoint`](Self::checkpoint), written over `checkpoint` — one
+    /// taken earlier from this simulator or one built the same way — the
+    /// way [`restore`](Self::restore) writes a checkpoint over the
+    /// simulator: each saved component copies its live peer in place
+    /// ([`Component::restore_from`]), and the kernel state and in-flight
+    /// list reuse the buffers they have. A reused checkpoint therefore
+    /// stays off the allocator. On an error `checkpoint` is left partly
+    /// written and must not be restored.
+    ///
+    /// # Panics
+    /// If `checkpoint` came from a simulator with a different component
+    /// list.
+    pub fn checkpoint_into(&self, checkpoint: &mut Checkpoint<M>) -> Result<(), CheckpointError> {
+        assert_eq!(
+            checkpoint.components.len(),
+            self.components.len(),
+            "checkpoint of another simulator"
+        );
+        for (saved, live) in checkpoint.components.iter_mut().zip(&self.components) {
+            debug_assert_eq!(saved.name(), live.name(), "checkpoint of another simulator");
+            if !saved.restore_from(&**live) {
+                *saved = clone_component(&**live)?;
+            }
+        }
+        self.capture_kernel(checkpoint);
+        Ok(())
+    }
+
+    /// Copies everything but the components into `checkpoint`.
+    fn capture_kernel(&self, checkpoint: &mut Checkpoint<M>) {
+        checkpoint.now = self.now;
+        checkpoint.rng.0.clone_from(&self.rng.0);
+        self.links.dynamic_into(&mut checkpoint.links);
+        checkpoint.progress = self.progress;
+        checkpoint.last_progress_at = self.last_progress_at;
+        checkpoint.faults = self.faults;
+        debug_assert!(self.effects.is_empty(), "effects outlived their handler");
+        let pending = &mut checkpoint.pending;
+        pending.clear();
+        self.queue.for_each_in_order(|time, ev| {
+            let kind = match ev.kind {
+                EventKind::Deliver { from, msg } => SavedKind::Deliver {
+                    from,
+                    msg: self.msgs.get(msg).clone(),
+                },
+                EventKind::Wake { token } => SavedKind::Wake { token },
+            };
+            pending.push(InFlight {
+                time,
+                target: ev.target,
+                kind,
+            });
+        });
     }
 
     /// Reinstates `checkpoint`, discarding whatever this simulator was
     /// doing (pending events and payloads included — restoring over a run
     /// that failed to drain is how a scratch world is reused). The
-    /// simulator then behaves exactly as the checkpointed one would have.
+    /// simulator then behaves exactly as the checkpointed one would have:
+    /// the checkpoint's in-flight events are pushed back in the order they
+    /// would have popped, each delivery's payload parked again.
     ///
     /// Nothing is rebuilt that can be overwritten: each component is handed
     /// its saved peer ([`Component::restore_from`]) and copies it field by
     /// field into the tables and buffers it already owns — only one that
-    /// declines is replaced by a fresh [`Component::box_clone`] — and the
-    /// RNG streams and link floors are copied into place. Restoring the
+    /// declines is replaced by a fresh [`Component::box_clone`] — the RNG
+    /// streams and link floors are copied into place, and the queue and
+    /// the payload slab are emptied in place. Restoring the
     /// same simulator over and over, as a model checker does once per
     /// successor, therefore stays off the allocator.
     ///
@@ -1097,6 +1209,22 @@ impl<M: Clone + 'static> Simulator<M> {
         self.queue.reset_at(checkpoint.now);
         self.msgs.clear();
         self.effects.clear();
+        for ev in &checkpoint.pending {
+            let kind = match &ev.kind {
+                SavedKind::Deliver { from, msg } => EventKind::Deliver {
+                    from: *from,
+                    msg: self.msgs.insert(msg.clone()),
+                },
+                SavedKind::Wake { token } => EventKind::Wake { token: *token },
+            };
+            self.queue.push(
+                ev.time,
+                Pending {
+                    target: ev.target,
+                    kind,
+                },
+            );
+        }
         self.now = checkpoint.now;
         self.rng.0.clone_from(&checkpoint.rng.0);
         self.links.set_dynamic(&checkpoint.links);
@@ -1165,6 +1293,7 @@ impl<M: Clone + 'static> Simulator<M> {
 mod tests {
     use super::*;
     use crate::link::FaultSpec;
+    use crate::queue::WHEEL_SLOTS;
 
     /// Records every delivery (time, from, payload) it sees.
     struct Recorder {
@@ -1773,6 +1902,12 @@ mod tests {
                 ctx.send(me, next);
             }
         }
+        fn wake(&mut self, token: u64, ctx: &mut Ctx<'_, u64>) {
+            self.0.push((ctx.now().as_u64(), token));
+        }
+        fn report(&self, out: &mut Report) {
+            out.add("tape.seen", self.0.len() as u64);
+        }
         fn box_clone(&self) -> Option<Box<dyn Component<u64>>> {
             Some(Box::new(self.clone()))
         }
@@ -1832,20 +1967,120 @@ mod tests {
         assert_eq!(future(&mut other), first, "fresh simulator, restored");
     }
 
+    /// Two tapes on unordered links: deliveries race and fan out on both.
+    fn two_tape_sim() -> (Simulator<u64>, NodeId, NodeId) {
+        let mut b = SimBuilder::new(9);
+        let a = b.add(Box::new(Tape(Vec::new())));
+        let c = b.add(Box::new(Tape(Vec::new())));
+        b.default_link(Link::unordered(1, 30));
+        (b.build(), a, c)
+    }
+
+    /// Both tapes — what each target saw, when, in order — plus the
+    /// simulator's time and report.
+    type Ending = (Vec<(u64, u64)>, Vec<(u64, u64)>, Cycle, String);
+
+    fn run_out(sim: &mut Simulator<u64>, a: NodeId, c: NodeId) -> Ending {
+        assert!(sim.run_to_quiescence(1_000_000).quiescent);
+        let tape = |id| sim.get::<Tape>(id).unwrap().0.clone();
+        (tape(a), tape(c), sim.now(), sim.report().to_json())
+    }
+
     #[test]
-    fn checkpoint_refuses_a_non_quiescent_simulator() {
-        let (mut sim, tape) = tape_sim();
-        sim.post(tape, tape, 3);
-        match sim.checkpoint() {
-            Err(CheckpointError::NotQuiescent { queued, parked }) => {
-                assert_eq!((queued, parked), (1, 1));
-            }
-            other => panic!("expected NotQuiescent, got {:?}", other.err()),
+    fn a_checkpoint_with_events_in_flight_resumes_exactly() {
+        let (mut sim, a, c) = two_tape_sim();
+        // Parked payloads, a same-cycle tie of wakes on each node, and
+        // wakes beyond the wheel's horizon (the overflow heap).
+        for payload in [0, 1, 2, 5] {
+            sim.post(a, c, payload);
+            sim.post(c, a, payload + 8);
         }
-        // The refusal dropped nothing: the message still arrives.
-        assert!(sim.run_to_quiescence(1_000).quiescent);
-        assert_eq!(sim.get::<Tape>(tape).unwrap().0.len(), 1);
-        assert!(sim.checkpoint().is_ok());
+        for token in [100, 101] {
+            sim.post_wake(a, 40, token);
+            sim.post_wake(c, 40, token + 10);
+        }
+        let far = WHEEL_SLOTS as u64 + 500;
+        sim.post_wake(c, far, 102);
+        sim.post_wake(a, 3 * far, 103);
+        for _ in 0..5 {
+            assert!(sim.step());
+        }
+        let cp = sim.checkpoint().expect("tapes clone");
+        let parked = cp
+            .pending
+            .iter()
+            .filter(|ev| matches!(ev.kind, SavedKind::Deliver { .. }))
+            .count();
+        assert!(
+            parked > 0 && cp.pending.len() > parked,
+            "payloads and wakes"
+        );
+        let horizon = sim.now() + WHEEL_SLOTS as u64;
+        assert!(cp.pending.iter().any(|ev| ev.time >= horizon));
+        assert!(cp.pending.windows(2).any(|w| w[0].time == w[1].time));
+        assert!(cp.pending.windows(2).all(|w| w[0].time <= w[1].time));
+        assert!(cp.inline_bytes() >= cp.pending.len() * std::mem::size_of::<InFlight<u64>>());
+
+        let first = run_out(&mut sim, a, c);
+        sim.restore(&cp);
+        assert_eq!(run_out(&mut sim, a, c), first, "restored after it ran on");
+
+        let (mut fresh, ..) = two_tape_sim();
+        fresh.post(a, a, 1);
+        fresh.post_wake(c, 9_000, 7);
+        fresh.restore(&cp);
+        assert_eq!(run_out(&mut fresh, a, c), first, "fresh simulator");
+
+        // Written over a checkpoint of another (drained) state.
+        let mut slot = fresh.checkpoint().expect("tapes clone");
+        sim.restore(&cp);
+        sim.checkpoint_into(&mut slot).expect("tapes clone");
+        assert_eq!(slot.pending.len(), cp.pending.len());
+        assert_eq!(slot.inline_bytes(), cp.inline_bytes());
+        fresh.restore(&slot);
+        assert_eq!(run_out(&mut fresh, a, c), first, "checkpoint_into");
+    }
+
+    #[test]
+    fn run_until_stops_in_front_of_an_accepted_delivery_and_resumes() {
+        let (mut sim, a, c) = two_tape_sim();
+        let (mut twin, ..) = two_tape_sim();
+        for s in [&mut sim, &mut twin] {
+            s.post(a, c, 6);
+            s.post(c, a, 4);
+            s.post_wake(a, 2, 5);
+        }
+        let deadline = Cycle::new(100_000);
+        let mut offered = Vec::new();
+        let stopped = sim.run_until(deadline, |to, &msg| {
+            offered.push((to, msg));
+            to == c && msg % 2 == 1
+        });
+        assert_eq!(stopped, None);
+        assert!(!offered.contains(&(a, 5)), "a wake is never offered");
+        let &(to, msg) = offered.last().expect("stopped at a delivery");
+        // Still queued: a checkpoint carries it, and the run resumes with it.
+        let cp = sim.checkpoint().expect("tapes clone");
+        assert!(cp.pending.iter().any(|ev| ev.target == to
+            && matches!(ev.kind, SavedKind::Deliver { msg: m, .. } if m == msg)));
+        let done = sim.run_until(deadline, |_, _| false).expect("never stops");
+        assert!(done.quiescent);
+        let resumed = run_out(&mut sim, a, c);
+        assert_eq!(resumed, run_out(&mut twin, a, c), "as if never stopped");
+
+        // A head past the deadline is not a stop.
+        let (mut late, ..) = two_tape_sim();
+        late.post_wake(a, 500, 1);
+        let out = late.run_until(Cycle::new(100), |_, _| true);
+        assert_eq!(
+            out,
+            Some(RunOutcome {
+                quiescent: false,
+                stalled: false,
+                now: Cycle::new(100),
+                events: 0,
+            })
+        );
     }
 
     /// One `Effect` is written and read back per send, wake and redelivery.
@@ -1992,6 +2227,24 @@ mod tests {
         assert!(!sim.msgs.is_empty() && !sim.queue.is_empty());
         sim.restore(&cp);
         assert!(sim.msgs.is_empty() && sim.queue.is_empty());
+        assert_each_dropped_once(&tally);
+
+        // Copied into a checkpoint taken mid-run and parked again by every
+        // restore of it: each copy still dies exactly once.
+        let tally = Tally::default();
+        let (mut sim, a, c) = relay_sim(Link::unordered(1, 9));
+        for hops in [7, 8, 9] {
+            sim.post(a, c, Counted::new(hops, &tally));
+        }
+        assert!(!sim.run_to_quiescence(5).quiescent);
+        let cp = sim.checkpoint().expect("relays clone");
+        assert!(!cp.pending.is_empty());
+        for _ in 0..2 {
+            sim.restore(&cp);
+            assert!(sim.run_to_quiescence(100_000).quiescent);
+        }
+        drop(cp);
+        assert!(sim.msgs.is_empty());
         assert_each_dropped_once(&tally);
     }
 

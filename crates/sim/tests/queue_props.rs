@@ -6,7 +6,8 @@
 //!   schedule (random and adversarial) must pop in the identical order,
 //!   including same-cycle FIFO ties, across the wheel/overflow boundary,
 //!   across window wraps, and through rebase-triggering pushes into the
-//!   past.
+//!   past. Resets with events still queued, ordered walks and refused
+//!   heads (what a simulator checkpoint uses) are checked the same way.
 //! * [`Slab`] is checked against a `HashMap` model under random alloc/free
 //!   interleavings: every live handle reads back its value, freed slots are
 //!   recycled before the arena grows, and the id sequence is a pure
@@ -66,6 +67,21 @@ impl OracleQueue {
         Some((time, item))
     }
 
+    /// Everything queued, in pop order.
+    fn in_order(&self) -> Vec<(u64, u32)> {
+        let mut all: Vec<(u64, u64, u32)> = self.heap.iter().map(|&Reverse(e)| e).collect();
+        all.sort_unstable();
+        all.into_iter().map(|(t, _, item)| (t, item)).collect()
+    }
+
+    /// Drops everything and restarts the window at `cursor`; the counters
+    /// and the push sequence carry on.
+    fn reset_at(&mut self, cursor: u64) {
+        self.heap.clear();
+        self.beyond.clear();
+        self.cursor = cursor;
+    }
+
     /// Events the window has come to cover leave `beyond`, each counted.
     fn migrate(&mut self) {
         while self
@@ -92,6 +108,14 @@ enum Op {
     Peek,
     /// `pop_until` with its limit this far after the last popped time.
     PopUntil(u64),
+    /// `pop_until_unless` with its limit this far after the last popped
+    /// time, refusing items that are multiples of three.
+    PopUnless(u64),
+    /// `reset_at` this far from the last popped time (either way): what a
+    /// simulator restoring a checkpoint does to its queue.
+    Reset(i64),
+    /// `for_each_in_order` must list exactly what would pop, in order.
+    Walk,
 }
 
 /// Runs `ops` through both queues, checking each pop, every peek, and the
@@ -143,6 +167,30 @@ fn check_schedule(ops: &[Op]) -> Result<(), TestCaseError> {
                     }
                 };
                 prop_assert_eq!(cal.pop_until(Cycle::new(limit)), expect);
+            }
+            Op::PopUnless(ahead) => {
+                let limit = now + ahead;
+                let refused = |item: &u32| item.is_multiple_of(3);
+                let expect = match oracle.in_order().first() {
+                    None => Head::Empty,
+                    Some(&(t, v)) if t > limit || refused(&v) => Head::Later(Cycle::new(t)),
+                    Some(_) => {
+                        let (t, v) = oracle.pop().expect("peeked");
+                        now = t;
+                        Head::Due(Cycle::new(t), v)
+                    }
+                };
+                prop_assert_eq!(cal.pop_until_unless(Cycle::new(limit), refused), expect);
+            }
+            Op::Reset(delta) => {
+                now = now.saturating_add_signed(delta);
+                cal.reset_at(Cycle::new(now));
+                oracle.reset_at(now);
+            }
+            Op::Walk => {
+                let mut walked = Vec::new();
+                cal.for_each_in_order(|t, &v| walked.push((t.as_u64(), v)));
+                prop_assert_eq!(walked, oracle.in_order());
             }
         }
         prop_assert_eq!(cal.len(), oracle.heap.len());
@@ -245,6 +293,33 @@ proptest! {
                 // event with the wheel empty.
                 6 => Op::PopUntil(jitter),
                 _ => Op::PopUntil(windows * WINDOW + jitter),
+            })
+            .collect();
+        check_schedule(&ops)?;
+    }
+
+    /// What a simulator checkpoint asks of its queue: resets (forwards and
+    /// backwards) while events sit both in the wheel and beyond the
+    /// horizon, ordered walks of whatever is queued, and stops in front of
+    /// a due head — each followed by more pushes and pops, so a reset that
+    /// left a node linked or a bit set, or a stop that moved the window,
+    /// shows up as a wrong pop or a wrong counter later.
+    #[test]
+    fn resets_walks_and_stops_match_oracle(
+        steps in vec((0u8..10, 0u64..9, 0u64..3), 1..300),
+    ) {
+        let ops: Vec<Op> = steps
+            .iter()
+            .map(|&(kind, jitter, windows)| match kind {
+                0 => Op::PushAhead((windows + 1) * WINDOW + jitter - 4),
+                1 | 2 => Op::PushAhead(jitter),
+                3 => Op::PushAhead(jitter * 97),
+                4 => Op::Pop,
+                5 => Op::PopUnless(windows * WINDOW + jitter),
+                6 => Op::Walk,
+                7 => Op::Reset(jitter as i64 - 4),
+                8 => Op::PopUntil(jitter),
+                _ => Op::Peek,
             })
             .collect();
         check_schedule(&ops)?;
