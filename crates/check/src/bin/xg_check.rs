@@ -191,18 +191,19 @@ fn main() -> ExitCode {
         let wall_s = started.elapsed().as_secs_f64();
         // Result first, then the explorer's own health: work done
         // (expansions from restored states, the kernel events each one
-        // dispatched, the mid-step forks they branched at, from-scratch
-        // replays), how wide the search got, how much of the work
-        // rediscovered known states, what a kept state costs, and the rate
-        // it all ran at.
+        // dispatched, the components each restore copied back, the
+        // mid-step forks they branched at, from-scratch replays), how wide
+        // the search got, how much of the work rediscovered known states,
+        // what a kept state costs, and the rate it all ran at.
         println!(
-            "states {}  levels {}  expansions {}  events/exp {:.1}  forks {}  replays {}  \
-             fingerprint {:#018x}  peak-frontier {}  dedup {:.1}%  checkpoint {} B/state  \
-             {:.0} states/s{}{}",
+            "states {}  levels {}  expansions {}  events/exp {:.1}  restored/exp {:.2}  \
+             forks {}  replays {}  fingerprint {:#018x}  peak-frontier {}  dedup {:.1}%  \
+             checkpoint {} B/state  {:.0} states/s{}{}",
             result.states,
             result.levels,
             result.expansions,
             result.events_per_expansion(),
+            result.restored_per_expansion(),
             result.forks,
             result.replays,
             result.fingerprint,

@@ -7,15 +7,22 @@
 //! checkpoint into a scratch world, running one step to quiescence, and
 //! digesting the result — no world is rebuilt, no script prefix is re-run
 //! and no string-keyed report is produced per successor. The restore
-//! overwrites the scratch world's components in place and the digest is the
-//! worker's own, reset between states, so an expansion that finds nothing
-//! new allocates little beyond choice lists — its successor's, and each
-//! reply branch's at a fork (below; `tests/alloc_budget.rs`). Drained states are
-//! deduplicated by canonical digest; the first script to reach a digest (in
-//! frontier × alphabet × choice order) is its representative, and its
-//! checkpoint is what the next level expands. Because exploration is
-//! breadth-first and a violating state is never expanded, the first
-//! violation found is a shortest counterexample (in steps).
+//! overwrites the scratch world's components in place, and only those the
+//! previous run from the same checkpoint touched
+//! ([`xg_sim::Simulator::restore`]); the digest is the worker's own, reset
+//! between states; and choice lists live in arenas, one per worker for
+//! pending reply branches and one per parent for its successors' suffixes,
+//! so an expansion that finds nothing new barely allocates
+//! (`tests/alloc_budget.rs`). Drained states are deduplicated by canonical
+//! digest, computed first: a successor whose digest an earlier level, an
+//! earlier chunk or an earlier step of the same parent already reached is
+//! dropped at the worker, unjudged — only a new digest has its properties
+//! evaluated, and only a new state gets a full choice list. The first
+//! script to reach a digest (in frontier × alphabet × choice order) is its
+//! representative, and its checkpoint is what the next level expands.
+//! Because exploration is breadth-first and a violating state is never
+//! expanded, the first violation found is a shortest counterexample (in
+//! steps).
 //!
 //! [`crate::replay`] stays the reference semantics: restoring a
 //! representative's checkpoint and running a step yields exactly the state
@@ -48,13 +55,17 @@
 //! turned into string-keyed [`TransitionCoverage`] once, at the end.
 
 use std::collections::{BTreeMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::Range;
 use std::sync::Mutex;
 
 use xg_harness::{resolve_jobs, sweep};
 use xg_proto::{Message, Sim};
 use xg_sim::{CheckDigest, Checkpoint, Cycle, FsmRows, NodeId, TransitionCoverage};
 
-use crate::replay::{assess, inject, replay, run_script, ReplayOutcome, Verdict, DRAIN_MAX};
+use crate::replay::{
+    assess, inject, judge, replay, run_script, state_digest, ReplayOutcome, Verdict, DRAIN_MAX,
+};
 use crate::script::{CpuOp, Script, Step, ACCEL_KIND_CODES, INV_CHOICE_CODES};
 use crate::world::{build_world, ChaosAccel, World, WorldSpec};
 
@@ -77,6 +88,29 @@ const FRONTIER_BUDGET_BYTES: usize = 512 << 20;
 /// checkpoints are ever alive (a parent yields a few dozen distinct
 /// successors), while keeping thread start-up per chunk near 1% of its work.
 const PARENTS_PER_WORKER: usize = 8;
+
+/// The set of state digests seen. A digest is already a 128-bit hash
+/// ([`CheckDigest`]), so the table folds its two halves into its hash
+/// instead of running SipHash over it.
+type DigestSet = HashSet<u128, BuildHasherDefault<DigestHasher>>;
+
+/// [`DigestSet`]'s hasher: the xor of a digest's two 64-bit halves.
+#[derive(Default)]
+struct DigestHasher(u64);
+
+impl Hasher for DigestHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write_u128(&mut self, digest: u128) {
+        self.0 = digest as u64 ^ (digest >> 64) as u64;
+    }
+
+    fn write(&mut self, _bytes: &[u8]) {
+        unreachable!("a DigestSet hashes u128 digests only");
+    }
+}
 
 /// Exploration limits and knobs.
 #[derive(Debug, Clone)]
@@ -141,6 +175,12 @@ pub struct ExploreResult {
     /// chaos accelerator, the world was checkpointed in front of it, and
     /// each reply choice ran on from there.
     pub forks: u64,
+    /// Components the expansions' restores copied back into the scratch
+    /// world: six for a restore that copies everything, fewer for one that
+    /// reinstates the checkpoint it reinstated last and copies only what
+    /// the run since touched ([`xg_sim::Simulator::restore`]).
+    /// Deterministic, and the same for any worker count.
+    pub restored: u64,
     /// Largest frontier (states awaiting expansion) of any level.
     pub peak_frontier: usize,
     /// Fully-scripted successors whose digest had already been seen.
@@ -185,6 +225,15 @@ impl ExploreResult {
         match self.expansions {
             0 => 0.0,
             n => self.events as f64 / n as f64,
+        }
+    }
+
+    /// Mean components copied back per expansion (0 when nothing was
+    /// expanded).
+    pub fn restored_per_expansion(&self) -> f64 {
+        match self.expansions {
+            0 => 0.0,
+            n => self.restored as f64 / n as f64,
         }
     }
 
@@ -249,15 +298,18 @@ struct Node {
     state: Option<Checkpoint<Message>>,
 }
 
-/// One fully-scripted result of running a step from a parent state.
+/// One fully-scripted result of running a step from a parent state whose
+/// digest the worker had not seen: not in an earlier level or chunk, not
+/// reached by an earlier step of the same parent.
 struct Successor {
     step: Step,
-    /// The full choice list (the parent's, extended by any re-runs).
-    choices: Vec<u8>,
+    /// The choices the step's forks appended to the parent's, as a range of
+    /// [`Expanded::suffixes`].
+    suffix: Range<usize>,
     digest: u128,
     verdict: Verdict,
-    /// Present when the successor is clean, will be expanded, and was not
-    /// already seen when the worker reached it.
+    /// Present when the successor is clean, will be expanded, and is the
+    /// first of its step's branches (in choice order) to reach its digest.
     state: Option<Checkpoint<Message>>,
 }
 
@@ -265,9 +317,15 @@ struct Successor {
 struct Expanded {
     parent: Script,
     successors: Vec<Successor>,
+    /// The successors' choice suffixes, end to end: one buffer per parent,
+    /// not one list per successor.
+    suffixes: Vec<u8>,
+    /// Successors dropped at the worker as already seen.
+    duplicates: u64,
     expansions: u64,
     events: u64,
     forks: u64,
+    restored: u64,
     replays: u64,
 }
 
@@ -336,12 +394,49 @@ impl Forks {
     }
 }
 
+/// Reply branches still to run, depth-first: the fork slot each resumes
+/// from, and the choices its step has appended so far — the branch's own
+/// reply last — as a range of one arena. Branches pop in the reverse of
+/// their push order, so a popped branch's choices are the arena's tail and
+/// go with it.
+#[derive(Default)]
+struct Branches {
+    stack: Vec<(usize, Range<usize>)>,
+    choices: Vec<u8>,
+}
+
+impl Branches {
+    /// Pushes one branch per reply choice from fork `slot`, each `extra`
+    /// followed by its reply.
+    fn fork(&mut self, slot: usize, extra: &[u8]) {
+        for choice in 0..INV_CHOICE_CODES {
+            let start = self.choices.len();
+            self.choices.extend_from_slice(extra);
+            self.choices.push(choice);
+            self.stack.push((slot, start..self.choices.len()));
+        }
+    }
+
+    /// Pops the next branch: its fork slot, with its choices written over
+    /// `extra`.
+    fn pop(&mut self, extra: &mut Vec<u8>) -> Option<usize> {
+        let (slot, range) = self.stack.pop()?;
+        extra.clear();
+        extra.extend_from_slice(&self.choices[range.clone()]);
+        self.choices.truncate(range.start);
+        Some(slot)
+    }
+}
+
 /// A worker's reusable world, the digest that carries its roles, its fork
-/// slots, and its share of the coverage sums.
+/// slots and pending branches, and its share of the coverage sums.
 struct Scratch {
     world: World,
     digest: CheckDigest,
     forks: Forks,
+    branches: Branches,
+    /// The choices the running branch has appended to its parent's.
+    extra: Vec<u8>,
     fired: FiredSums,
 }
 
@@ -351,6 +446,8 @@ impl Scratch {
             digest: spec.digest_for(&world.ids),
             world,
             forks: Forks::default(),
+            branches: Branches::default(),
+            extra: Vec::new(),
             fired: FiredSums::default(),
         }
     }
@@ -387,7 +484,7 @@ struct Expander<'a> {
     alphabet: &'a [Step],
     choice_cap: usize,
     /// Digests of earlier levels and earlier chunks of this level.
-    seen: &'a HashSet<u128>,
+    seen: &'a DigestSet,
     /// Whether this level's successors will themselves be expanded.
     keep_states: bool,
     scratch: &'a Mutex<Vec<Scratch>>,
@@ -409,21 +506,27 @@ impl Expander<'_> {
         let scripted = node.script.choices.len();
 
         let mut successors: Vec<Successor> = Vec::with_capacity(self.alphabet.len());
+        let mut suffixes = Vec::new();
+        let mut duplicates = 0;
         let mut expansions = 0;
         let mut events = 0;
         let mut forks = 0;
-        // Branches still to run, depth-first: the fork slot each resumes
-        // from, and the choices the step has appended so far — the
-        // branch's own reply last.
-        let mut pending: Vec<(usize, Vec<u8>)> = Vec::new();
+        let mut restored = 0;
+        let Scratch {
+            world,
+            digest: d,
+            forks: fork_slots,
+            branches,
+            extra,
+            fired,
+        } = &mut scratch;
         for &step in self.alphabet {
             let first = successors.len();
-            let world = &mut scratch.world;
-            world.sim.restore(&parent);
+            restored += world.sim.restore(&parent) as u64;
             inject(world, step);
             // Every branch of the step drains against the step's deadline.
             let deadline = world.sim.now() + DRAIN_MAX;
-            let mut extra = Vec::new();
+            extra.clear();
             loop {
                 let may_fork = scripted + extra.len() < self.choice_cap;
                 let popped = world.sim.queue_stats().pops;
@@ -435,49 +538,56 @@ impl Expander<'_> {
                     // accelerator: each reply to it is a branch from here.
                     None => {
                         forks += 1;
-                        let slot = scratch.forks.open(&world.sim);
-                        for choice in 0..INV_CHOICE_CODES {
-                            pending.push((slot, [&extra[..], &[choice]].concat()));
-                        }
+                        branches.fork(fork_slots.open(&world.sim), extra);
                     }
                     Some(quiescent) => {
-                        let drained = assess(spec, world, !quiescent, &mut scratch.digest);
-                        scratch.fired.add_world(&world.sim);
-                        let keep = self.keep_states
-                            && drained.verdict.is_clean()
-                            && !self.seen.contains(&drained.digest)
-                            && !successors[..first]
-                                .iter()
-                                .any(|s| s.digest == drained.digest);
-                        successors.push(Successor {
-                            step,
-                            choices: [&node.script.choices[..], &extra[..]].concat(),
-                            digest: drained.digest,
-                            verdict: drained.verdict,
-                            state: keep
-                                .then(|| world.sim.checkpoint().expect("checker components clone")),
-                        });
+                        let digest = state_digest(world, d);
+                        fired.add_world(&world.sim);
+                        // Only a new digest is judged: a known one is
+                        // dropped, and its verdict would never be read.
+                        if self.seen.contains(&digest)
+                            || successors[..first].iter().any(|s| s.digest == digest)
+                        {
+                            duplicates += 1;
+                        } else {
+                            let verdict = judge(spec, world, !quiescent, d.obligations());
+                            let keep = self.keep_states && verdict.is_clean();
+                            let start = suffixes.len();
+                            suffixes.extend_from_slice(extra);
+                            successors.push(Successor {
+                                step,
+                                suffix: start..suffixes.len(),
+                                digest,
+                                verdict,
+                                state: keep.then(|| {
+                                    world.sim.checkpoint().expect("checker components clone")
+                                }),
+                            });
+                        }
                     }
                 }
-                let Some((slot, branch)) = pending.pop() else {
+                let Some(slot) = branches.pop(extra) else {
                     break;
                 };
-                world.sim.restore(&scratch.forks.slots[slot]);
+                restored += world.sim.restore(&fork_slots.slots[slot]) as u64;
+                let reply = *extra.last().expect("a branch ends with its reply");
                 // Choice 0 was pushed first, so its branch is the fork's last.
-                if branch.last() == Some(&0) {
-                    scratch.forks.close(slot);
+                if reply == 0 {
+                    fork_slots.close(slot);
                 }
                 world
                     .sim
                     .get_mut::<ChaosAccel>(world.ids.chaos)
                     .expect("chaos node is a ChaosAccel")
-                    .extend_choices(&branch[branch.len() - 1..]);
-                extra = branch;
+                    .extend_choices(&[reply]);
             }
-            // `pending.pop()` explored depth-first; restore a deterministic
-            // order independent of expansion history, then keep only the
-            // first checkpoint of each digest this step's branches share.
-            successors[first..].sort_by(|a, b| a.choices.cmp(&b.choices));
+            // Branches ran depth-first; restore a deterministic order
+            // independent of expansion history (every suffix extends the
+            // same parent list, so suffix order is choice order), then keep
+            // only the first checkpoint of each digest this step's
+            // branches share.
+            successors[first..]
+                .sort_by(|a, b| suffixes[a.suffix.clone()].cmp(&suffixes[b.suffix.clone()]));
             for i in first + 1..successors.len() {
                 let (earlier, rest) = successors.split_at_mut(i);
                 if earlier[first..].iter().any(|s| s.digest == rest[0].digest) {
@@ -489,9 +599,12 @@ impl Expander<'_> {
         Expanded {
             parent: node.script,
             successors,
+            suffixes,
+            duplicates,
             expansions,
             events,
             forks,
+            restored,
             replays,
         }
     }
@@ -544,20 +657,21 @@ pub fn explore_with(
     opts: &ExploreOpts,
     on_state: &mut dyn FnMut(&Script, u128, &Verdict),
 ) -> ExploreResult {
-    explore_within(spec, opts, on_state, FRONTIER_BUDGET_BYTES)
+    explore_within(spec, opts, on_state, FRONTIER_BUDGET_BYTES).0
 }
 
-/// [`explore_with`] under an explicit frontier checkpoint budget.
+/// [`explore_with`] under an explicit frontier checkpoint budget; also
+/// hands back the workers' scratch, as the last expansion left it.
 fn explore_within(
     spec: &WorldSpec,
     opts: &ExploreOpts,
     on_state: &mut dyn FnMut(&Script, u128, &Verdict),
     frontier_budget: usize,
-) -> ExploreResult {
+) -> (ExploreResult, Vec<Scratch>) {
     let alphabet = step_alphabet(spec, opts.race_steps);
     let jobs = resolve_jobs(opts.jobs);
 
-    let mut seen: HashSet<u128> = HashSet::new();
+    let mut seen = DigestSet::default();
     let mut found = Discovered {
         spec,
         on_state,
@@ -567,6 +681,7 @@ fn explore_within(
     let mut expansions = 0u64;
     let mut events = 0u64;
     let mut forks = 0u64;
+    let mut restored = 0u64;
     let mut dedup_hits = 0u64;
     let mut checkpoints = 0u64;
     let mut checkpoint_bytes = 0u64;
@@ -638,8 +753,11 @@ fn explore_within(
                 expansions += batch.expansions;
                 events += batch.events;
                 forks += batch.forks;
+                restored += batch.restored;
                 found.replays += batch.replays;
+                dedup_hits += batch.duplicates;
                 for succ in batch.successors {
+                    // A digest an earlier parent of this chunk reached.
                     if !seen.insert(succ.digest) {
                         dedup_hits += 1;
                         continue;
@@ -656,9 +774,10 @@ fn explore_within(
                     });
                     let mut steps = batch.parent.steps.clone();
                     steps.push(succ.step);
+                    let suffix = &batch.suffixes[succ.suffix];
                     let script = Script {
                         steps,
-                        choices: succ.choices,
+                        choices: [&batch.parent.choices[..], suffix].concat(),
                     };
                     found.record(script, succ.digest, &succ.verdict, state, &mut next);
                 }
@@ -671,7 +790,8 @@ fn explore_within(
     }
 
     let mut coverage: BTreeMap<String, TransitionCoverage> = BTreeMap::new();
-    for worker in scratch.into_inner().expect("scratch pool") {
+    let workers = scratch.into_inner().expect("scratch pool");
+    for worker in &workers {
         worker.fired.merge_into(&mut coverage);
     }
 
@@ -689,13 +809,14 @@ fn explore_within(
     }
     fingerprint ^= seen.len() as u64;
 
-    ExploreResult {
+    let result = ExploreResult {
         states: seen.len(),
         levels,
         replays,
         expansions,
         events,
         forks,
+        restored,
         peak_frontier,
         dedup_hits,
         checkpoints,
@@ -705,7 +826,8 @@ fn explore_within(
         coverage,
         hit_state_cap,
         fixpoint,
-    }
+    };
+    (result, workers)
 }
 
 /// Rows declared by a machine's table but never fired during exploration,
@@ -734,10 +856,14 @@ mod tests {
     use crate::script::INV_CHOICE_CODES;
     use crate::world::Persona;
 
-    /// Digest and JSON report of `world` as it stands.
-    fn observe(spec: &WorldSpec, world: &World) -> (u128, String) {
+    /// Digest and JSON report of `world` as it stands, and how many more
+    /// invalidations its chaos accelerator's script answers (script
+    /// progress, which neither of the first two shows).
+    fn observe(spec: &WorldSpec, world: &World) -> (u128, String, usize) {
         let drained = assess(spec, world, false, &mut spec.digest_for(&world.ids));
-        (drained.digest, world.sim.report().to_json())
+        let chaos = world.sim.get::<ChaosAccel>(world.ids.chaos);
+        let scripted = chaos.expect("chaos node").remaining_choices();
+        (drained.digest, world.sim.report().to_json(), scripted)
     }
 
     proptest! {
@@ -807,6 +933,88 @@ mod tests {
                 prop_assert_eq!(&observe(&spec, &fresh), &want, "{:?} over new, stepped", theirs);
             }
         }
+
+        /// An incremental restore is a full one. One world is restored from
+        /// one checkpoint again and again, and between restores it is moved
+        /// on by `moves`: a step drained to quiescence (kind 0), a step's
+        /// first few events (1), a step run to its first unscripted
+        /// invalidation, forked there with `checkpoint_into` and resumed
+        /// with a reply (2), or only a reply appended to the chaos
+        /// accelerator's list through `get_mut` (3). After every restore it
+        /// is what a freshly built world restored from the same checkpoint
+        /// is: the same digest, report and script progress, and the same
+        /// digest once one more step has drained.
+        #[test]
+        fn a_world_restored_from_one_checkpoint_again_and_again_is_a_fresh_restore(
+            persona in 0usize..2,
+            picks in vec(0usize..1_000, 0..6),
+            choices in vec(0..INV_CHOICE_CODES, 0..3),
+            moves in vec((0usize..4, 0usize..1_000, 0..INV_CHOICE_CODES), 1..7),
+            next in 0usize..1_000,
+        ) {
+            let spec = WorldSpec::new(Persona::ALL[persona]).with_attack_blocks(2);
+            let alphabet = step_alphabet(&spec, true);
+            let pick = |i: usize| alphabet[i % alphabet.len()];
+            let script = Script {
+                steps: picks.iter().map(|&i| pick(i)).collect(),
+                choices,
+            };
+            let (original, divergence) = run_script(&spec, &script);
+            if divergence {
+                return Ok(());
+            }
+            let saved = original.sim.checkpoint().expect("checker components clone");
+            let finish = |world: &mut World| {
+                let now = observe(&spec, world);
+                inject(world, pick(next));
+                let drained = world.sim.run_to_quiescence(DRAIN_MAX).quiescent;
+                (now, drained, observe(&spec, world).0)
+            };
+            let mut fresh = build_world(&spec, &[]);
+            fresh.sim.restore(&saved);
+            let want = finish(&mut fresh);
+
+            let mut world = build_world(&spec, &[]);
+            let mut fork = world.sim.checkpoint().expect("checker components clone");
+            let chaos = world.ids.chaos;
+            for (i, &(kind, step, reply)) in moves.iter().enumerate() {
+                // Copies back what move `i - 1` touched; then all of it,
+                // since `finish` ran the world on.
+                world.sim.restore(&saved);
+                prop_assert_eq!(finish(&mut world), want.clone(), "after {:?}", &moves[..i]);
+                world.sim.restore(&saved);
+                let step = pick(step);
+                match kind {
+                    0 => {
+                        inject(&mut world, step);
+                        world.sim.run_to_quiescence(DRAIN_MAX);
+                    }
+                    1 => {
+                        inject(&mut world, step);
+                        for _ in 0..3 {
+                            world.sim.step();
+                        }
+                    }
+                    2 => {
+                        inject(&mut world, step);
+                        let deadline = world.sim.now() + DRAIN_MAX;
+                        if run_to_fork(&mut world, deadline, true).is_none() {
+                            world.sim.checkpoint_into(&mut fork).expect("checker components clone");
+                            world.sim.restore(&fork);
+                            let accel = world.sim.get_mut::<ChaosAccel>(chaos);
+                            accel.expect("chaos node").extend_choices(&[reply]);
+                            run_to_fork(&mut world, deadline, false);
+                        }
+                    }
+                    _ => {
+                        let accel = world.sim.get_mut::<ChaosAccel>(chaos);
+                        accel.expect("chaos node").extend_choices(&[reply]);
+                    }
+                }
+            }
+            world.sim.restore(&saved);
+            prop_assert_eq!(finish(&mut world), want, "after {:?}", moves);
+        }
     }
 
     #[test]
@@ -857,7 +1065,7 @@ mod tests {
             assert!(kept.checkpoints > 0);
             // Room for two checkpoints per level; the rest keep scripts.
             let budget = 2 * kept.checkpoint_bytes_per_state() as usize;
-            let spilled = explore_within(&spec, &opts, &mut |_, _, _| {}, budget);
+            let (spilled, _) = explore_within(&spec, &opts, &mut |_, _, _| {}, budget);
             assert_eq!(spilled.checkpoints, 2, "{persona:?}");
             assert!(
                 spilled.replays > 1,
@@ -869,6 +1077,28 @@ mod tests {
             assert_eq!(spilled.events, kept.events, "{persona:?}");
             assert_eq!(spilled.coverage, kept.coverage, "{persona:?}");
         }
+    }
+
+    /// A restore drops the post-mortem flags of the run it discards, so a
+    /// scratch world holds only its last run's: at most the guard's first
+    /// error, since a clean exploration trips no host violation and the
+    /// checker's OS only reports. Before, the flags of every run piled up —
+    /// 7 763 of them after this exploration.
+    #[test]
+    fn a_scratch_world_keeps_only_its_last_runs_flags() {
+        let opts = ExploreOpts {
+            depth: Some(3),
+            jobs: Some(1),
+            ..ExploreOpts::default()
+        };
+        let spec = WorldSpec::new(Persona::Mesi);
+        let (out, workers) = explore_within(&spec, &opts, &mut |_, _, _| {}, FRONTIER_BUDGET_BYTES);
+        assert!(out.is_clean());
+        let [worker] = &workers[..] else {
+            panic!("one worker, {} scratch worlds", workers.len());
+        };
+        let flags = worker.world.sim.tracer().flags();
+        assert!(flags.len() <= 1, "{} flags: {:?}", flags.len(), &flags[..2]);
     }
 
     #[test]

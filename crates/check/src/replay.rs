@@ -198,15 +198,42 @@ pub(crate) fn assess(
     divergence: bool,
     d: &mut CheckDigest,
 ) -> Drained {
+    let digest = state_digest(world, d);
+    let obligations = d.obligations();
+    Drained {
+        digest,
+        obligations,
+        unscripted_invs: chaos_of(world).unscripted_invs(),
+        verdict: judge(spec, world, divergence, obligations),
+    }
+}
+
+/// The first half of [`assess`]: the canonical digest of `world`, with
+/// its obligations left in `d`.
+pub(crate) fn state_digest(world: &World, d: &mut CheckDigest) -> u128 {
     let ids = &world.ids;
     d.reset();
     world.sim.fold_check_state(&Role::ALL.map(|r| ids.of(r)), d);
-    let obligations = d.obligations();
+    d.finish()
+}
 
-    let chaos = world
+fn chaos_of(world: &World) -> &ChaosAccel {
+    world
         .sim
-        .get::<ChaosAccel>(ids.chaos)
-        .expect("chaos node is a ChaosAccel");
+        .get::<ChaosAccel>(world.ids.chaos)
+        .expect("chaos node is a ChaosAccel")
+}
+
+/// The second half of [`assess`]: the properties of `world`, whose
+/// [`state_digest`] counted `obligations`.
+pub(crate) fn judge(
+    spec: &WorldSpec,
+    world: &World,
+    divergence: bool,
+    obligations: u64,
+) -> Verdict {
+    let ids = &world.ids;
+    let chaos = chaos_of(world);
     let probe = world
         .sim
         .get::<ProbeCore>(ids.probe)
@@ -257,7 +284,7 @@ pub(crate) fn assess(
         .table_entry(xg_mem::BlockAddr::new(WINDOW_BLOCK))
         .is_some_and(|(owned, dirty, _)| owned || dirty);
 
-    let verdict = Verdict {
+    Verdict {
         divergence,
         deadlock: !divergence && obligations > 0,
         host_violations,
@@ -270,13 +297,6 @@ pub(crate) fn assess(
         host_window_chaos: window_copies.iter().flatten().any(holds_chaos_fill),
         cpu_data_errors: probe.data_errors(),
         os_errors: os.total(),
-    };
-
-    Drained {
-        digest: d.finish(),
-        obligations,
-        unscripted_invs: chaos.unscripted_invs(),
-        verdict,
     }
 }
 

@@ -5,18 +5,29 @@
 //! so building the world, the level-0 replay and the end-of-run coverage
 //! report cancel.
 //!
-//! The restore copies in place, the step runs on tables and spare pools
-//! that kept their capacity, and the digest reuses its role tables and sort
-//! buffer — so what is left to allocate per expansion is the successor's
-//! own `choices` list (one call when the list is non-empty), the choice
-//! list of each reply branch at a fork, the tables a fork checkpoint
-//! written over an older one re-shapes to match the live world, and, for
-//! the one successor in fifty that is a new state, the `checkpoint()` that
-//! keeps it (a `box_clone` of six components, some forty calls spread over
-//! the expansions that found nothing new). That is 3.45 (Hammer) and 4.65
-//! (MESI) calls; 2.92 and 4.12 while every reply choice re-ran the step
-//! from its parent. Anything past the gate is a regression: before the
-//! in-place restore an expansion made 56 and 63 calls.
+//! The restore copies in place (and only what the step touched), the step
+//! runs on tables and spare pools that kept their capacity, the digest
+//! reuses its role tables and sort buffer, choice lists live in per-worker
+//! and per-parent arenas, and the guard's first-error post-mortem flag is a
+//! `'static` string pushed into a buffer the restore empties but keeps. What
+//! is left, measured by call site at depth 3:
+//!
+//! - restores from a fork, which holds the step's open records: the
+//!   `HashMap::clone_from` that copies them clones each afresh — the
+//!   guard's `InvPending::reasons`, the host L1's `Open::waiting`, and
+//!   (MESI) the L2's sharer sets in its busy lines — about 1 call per
+//!   Hammer expansion and 1.6 per MESI one;
+//! - allocations inside handlers (the Hammer directory's table, the guard's
+//!   admission, the MESI L2's eviction), 0.2–0.3 per expansion;
+//! - for the one successor in fifty that is a new state, the `checkpoint()`
+//!   that keeps it (a `box_clone` of six components, some forty calls
+//!   spread over the expansions that found nothing new).
+//!
+//! That is 1.79 (Hammer) and 2.84 (MESI) calls; 3.45 and 4.65 while every
+//! restore copied all six components, every successor and reply branch
+//! carried its own choice list and every first guard error formatted its
+//! flag. Anything past the gate is a regression: before the in-place
+//! restore an expansion made 56 and 63 calls.
 //!
 //! This file is its own test binary with exactly one `#[test]` because the
 //! counter is process-global: a second test running on another thread
@@ -71,7 +82,7 @@ fn measure(spec: &WorldSpec, depth: usize) -> (u64, u64) {
 
 #[test]
 fn an_expansion_stays_off_the_allocator() {
-    const BUDGET: f64 = 8.0;
+    const BUDGET: f64 = 4.0;
     let mut over = Vec::new();
     for persona in Persona::ALL {
         let spec = WorldSpec::new(persona);

@@ -397,7 +397,7 @@ impl CrossingGuard {
         if self.errors_total() == 1 {
             // Flag only the first error: later ones are usually cascade
             // noise, and the post-mortem dump stays focused.
-            ctx.flag_post_mortem(raw, format!("guard error: {kind}"));
+            ctx.flag_post_mortem(raw, kind.flag_reason());
         }
         let err = XgError::new(ctx.self_id(), addr, kind);
         ctx.send(self.os, OsMsg::Error(err).into());

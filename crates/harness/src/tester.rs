@@ -651,7 +651,7 @@ mod tests {
             .tracer()
             .flags()
             .iter()
-            .map(|f| (f.addr, f.reason.as_str()))
+            .map(|f| (f.addr, &*f.reason))
             .collect();
         assert_eq!(
             flags,

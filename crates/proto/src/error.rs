@@ -47,6 +47,22 @@ impl XgErrorKind {
         }
     }
 
+    /// The post-mortem reason a guard flags its first error with:
+    /// `"guard error: "` and the mnemonic, as a `'static` string so raising
+    /// the flag formats nothing.
+    pub fn flag_reason(self) -> &'static str {
+        match self {
+            XgErrorKind::PermissionRead => "guard error: perm_read",
+            XgErrorKind::PermissionWrite => "guard error: perm_write",
+            XgErrorKind::InconsistentRequest => "guard error: inconsistent_req",
+            XgErrorKind::DuplicateRequest => "guard error: duplicate_req",
+            XgErrorKind::InconsistentResponse => "guard error: inconsistent_resp",
+            XgErrorKind::UnsolicitedResponse => "guard error: unsolicited_resp",
+            XgErrorKind::ResponseTimeout => "guard error: timeout",
+            XgErrorKind::Malformed => "guard error: malformed",
+        }
+    }
+
     /// All variants, for exhaustive reporting.
     pub const ALL: [XgErrorKind; 8] = [
         XgErrorKind::PermissionRead,
@@ -128,5 +144,12 @@ mod tests {
             assert!(seen.insert(k.mnemonic()), "duplicate mnemonic {k}");
         }
         assert_eq!(seen.len(), 8);
+    }
+
+    #[test]
+    fn flag_reasons_are_the_prefixed_mnemonics() {
+        for k in XgErrorKind::ALL {
+            assert_eq!(k.flag_reason(), format!("guard error: {k}"));
+        }
     }
 }

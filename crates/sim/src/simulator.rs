@@ -1,6 +1,8 @@
 //! The simulator proper: builder, event loop, and component context.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use rand::rngs::SmallRng;
@@ -234,7 +236,7 @@ impl<M> Ctx<'_, M> {
     /// killing the accelerator, a safety invariant tripping, a corruption
     /// check failing — and the harness can render
     /// [`Simulator::post_mortem`] afterwards.
-    pub fn flag_post_mortem(&mut self, addr: u64, reason: impl Into<String>) {
+    pub fn flag_post_mortem(&mut self, addr: u64, reason: impl Into<Cow<'static, str>>) {
         self.tracer.flag(self.now.as_u64(), addr, reason);
     }
 }
@@ -347,6 +349,8 @@ impl<M: 'static> SimBuilder<M> {
             faults: LinkFaultCounts::default(),
             profiler: Profiler::new(self.profile),
             event_label: self.event_label,
+            touched: 0,
+            restored: None,
         }
     }
 }
@@ -610,7 +614,13 @@ impl RngBank {
 /// reproduces it. Effects never outlive the handler that made them, so
 /// there are none to keep. The tracer ring, the timeline and the profiler
 /// are host-side observers and stay with the simulator.
+///
+/// Every capture — [`Simulator::checkpoint`] and each
+/// [`Simulator::checkpoint_into`] — stamps the checkpoint with an id no
+/// other capture ever had, which is how [`Simulator::restore`] knows it is
+/// reinstating the same contents it reinstated last time.
 pub struct Checkpoint<M> {
+    id: u64,
     components: Vec<Box<dyn Component<M>>>,
     now: Cycle,
     rng: RngBank,
@@ -677,6 +687,24 @@ impl std::fmt::Display for CheckpointError {
 
 impl std::error::Error for CheckpointError {}
 
+/// A [`Checkpoint`] id no capture has had before: the counter is
+/// process-wide, so ids are unique whichever simulator or thread takes them.
+fn next_checkpoint_id() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    NEXT.fetch_add(1, Ordering::Relaxed)
+}
+
+/// Component `idx`'s bit in [`Simulator`]'s `touched` mask; none past the
+/// 64th component, whose simulator always restores in full.
+#[inline]
+fn touch_bit(idx: usize) -> u64 {
+    if idx < 64 {
+        1 << idx
+    } else {
+        0
+    }
+}
+
 /// A deep copy of `component`, or the error naming it.
 fn clone_component<M>(
     component: &dyn Component<M>,
@@ -708,6 +736,12 @@ pub struct Simulator<M> {
     faults: LinkFaultCounts,
     profiler: Profiler,
     event_label: Option<fn(&M) -> &'static str>,
+    /// Components that may differ from the checkpoint last restored, one
+    /// bit per registration index (see [`Simulator::restore`]).
+    touched: u64,
+    /// The id of the checkpoint last restored; `None` before the first
+    /// restore.
+    restored: Option<u64>,
 }
 
 impl<M: Clone + 'static> Simulator<M> {
@@ -762,6 +796,8 @@ impl<M: Clone + 'static> Simulator<M> {
     /// Runs until the event queue is empty or `max_cycles` of simulated time
     /// elapse.
     pub fn run_to_quiescence(&mut self, max_cycles: u64) -> RunOutcome {
+        // The run loop stays free of bookkeeping: any component may change.
+        self.touched = u64::MAX;
         self.run_inner(self.now + max_cycles, None)
     }
 
@@ -770,6 +806,7 @@ impl<M: Clone + 'static> Simulator<M> {
     /// `stall_bound` consecutive cycles while events remain, or when
     /// `max_cycles` elapse.
     pub fn run_with_watchdog(&mut self, max_cycles: u64, stall_bound: u64) -> RunOutcome {
+        self.touched = u64::MAX;
         self.run_inner(self.now + max_cycles, Some(stall_bound))
     }
 
@@ -807,6 +844,7 @@ impl<M: Clone + 'static> Simulator<M> {
     /// Processes exactly one event if any is pending; returns whether an
     /// event was processed.
     pub fn step(&mut self) -> bool {
+        self.touched = u64::MAX;
         match self.queue.pop() {
             Some((time, ev)) => {
                 self.dispatch(time, ev);
@@ -825,7 +863,9 @@ impl<M: Clone + 'static> Simulator<M> {
     /// dispatched; wake-ups are not offered to it.
     ///
     /// A loop of its own, so the run loop every simulation spends its time
-    /// in carries no predicate.
+    /// in carries no predicate; it also marks each component it dispatches
+    /// to as touched, so a [`restore`](Self::restore) after it copies back
+    /// only those.
     pub fn run_until(
         &mut self,
         deadline: Cycle,
@@ -840,6 +880,7 @@ impl<M: Clone + 'static> Simulator<M> {
             });
             let (quiescent, now) = match head {
                 Head::Due(time, ev) => {
+                    self.touched |= touch_bit(ev.target.index());
                     self.dispatch(time, ev);
                     events += 1;
                     continue;
@@ -1023,8 +1064,10 @@ impl<M: Clone + 'static> Simulator<M> {
         self.components[id.index()].as_any().downcast_ref::<T>()
     }
 
-    /// Downcasts a registered component to a concrete type, mutably.
+    /// Downcasts a registered component to a concrete type, mutably (and
+    /// marks it touched: the next [`restore`](Self::restore) copies it back).
     pub fn get_mut<T: 'static>(&mut self, id: NodeId) -> Option<&mut T> {
+        self.touched |= touch_bit(id.index());
         self.components[id.index()].as_any_mut().downcast_mut::<T>()
     }
 
@@ -1105,6 +1148,7 @@ impl<M: Clone + 'static> Simulator<M> {
             .map(|c| clone_component(&**c))
             .collect::<Result<Vec<_>, _>>()?;
         let mut checkpoint = Checkpoint {
+            id: next_checkpoint_id(),
             components,
             now: Cycle::ZERO,
             rng: RngBank(Vec::new()),
@@ -1136,6 +1180,9 @@ impl<M: Clone + 'static> Simulator<M> {
             self.components.len(),
             "checkpoint of another simulator"
         );
+        // New contents, new id — before the copy, so even a partly
+        // written checkpoint is never mistaken for the one it was.
+        checkpoint.id = next_checkpoint_id();
         for (saved, live) in checkpoint.components.iter_mut().zip(&self.components) {
             debug_assert_eq!(saved.name(), live.name(), "checkpoint of another simulator");
             if !saved.restore_from(&**live) {
@@ -1189,23 +1236,54 @@ impl<M: Clone + 'static> Simulator<M> {
     /// same simulator over and over, as a model checker does once per
     /// successor, therefore stays off the allocator.
     ///
+    /// Nor is anything copied that cannot have changed. When this simulator
+    /// last restored this very checkpoint (same id: no capture since
+    /// rewrote it), only the components touched since are copied back.
+    /// Touched means dispatched to by [`run_until`](Self::run_until) or
+    /// handed out by [`get_mut`](Self::get_mut) — the only two ways to
+    /// mutate one component — or any component at all after
+    /// [`run_to_quiescence`](Self::run_to_quiescence),
+    /// [`run_with_watchdog`](Self::run_with_watchdog) or
+    /// [`step`](Self::step). Any other restore — another checkpoint, the
+    /// first, or a simulator of more than 64 components — copies every
+    /// component. The kernel state is always copied. Returns how many
+    /// components were copied back.
+    ///
+    /// Post-mortem flags record the run the restore discards, so they are
+    /// dropped with it: after a restore the tracer holds only the flags
+    /// raised since.
+    ///
     /// # Panics
     /// If `checkpoint` came from a simulator with a different component
     /// list or topology.
-    pub fn restore(&mut self, checkpoint: &Checkpoint<M>) {
+    pub fn restore(&mut self, checkpoint: &Checkpoint<M>) -> usize {
         assert_eq!(
             checkpoint.components.len(),
             self.components.len(),
             "checkpoint of another simulator"
         );
-        for (slot, saved) in self.components.iter_mut().zip(&checkpoint.components) {
+        let full = self.restored != Some(checkpoint.id) || self.components.len() > 64;
+        let mut copied = 0;
+        for (idx, (slot, saved)) in self
+            .components
+            .iter_mut()
+            .zip(&checkpoint.components)
+            .enumerate()
+        {
+            if !full && self.touched & touch_bit(idx) == 0 {
+                continue;
+            }
             debug_assert_eq!(slot.name(), saved.name(), "checkpoint of another simulator");
             if !slot.restore_from(&**saved) {
                 *slot = saved
                     .box_clone()
                     .expect("a checkpointed component clones again");
             }
+            copied += 1;
         }
+        self.touched = 0;
+        self.restored = Some(checkpoint.id);
+        self.tracer.clear_flags();
         self.queue.reset_at(checkpoint.now);
         self.msgs.clear();
         self.effects.clear();
@@ -1231,6 +1309,7 @@ impl<M: Clone + 'static> Simulator<M> {
         self.progress = checkpoint.progress;
         self.last_progress_at = checkpoint.last_progress_at;
         self.faults = checkpoint.faults;
+        copied
     }
 
     /// Names of all registered components, for diagnostics.
@@ -1245,7 +1324,8 @@ impl<M: Clone + 'static> Simulator<M> {
 
     /// The protocol tracer, mutably — lets a harness flag addresses for
     /// post-mortem from outside any component (e.g. after an end-of-run
-    /// memory consistency sweep).
+    /// memory consistency sweep). Flags raised here are dropped by the next
+    /// [`restore`](Self::restore), like those components raise.
     pub fn tracer_mut(&mut self) -> &mut Tracer {
         &mut self.tracer
     }
@@ -2039,6 +2119,130 @@ mod tests {
         assert_eq!(slot.inline_bytes(), cp.inline_bytes());
         fresh.restore(&slot);
         assert_eq!(run_out(&mut fresh, a, c), first, "checkpoint_into");
+    }
+
+    /// Restoring the checkpoint a simulator restored last copies back only
+    /// the components touched since — and a component is restored however
+    /// it was changed: by a dispatch in `run_until`, `step`,
+    /// `run_to_quiescence` or `run_with_watchdog`, or through `get_mut`.
+    #[test]
+    fn a_restore_copies_back_what_was_touched_however_it_was_touched() {
+        let (mut sim, a, c) = two_tape_sim();
+        for payload in [0, 1, 2] {
+            sim.post(a, c, payload);
+            sim.post(c, a, payload + 8);
+        }
+        let cp = sim.checkpoint().expect("tapes clone");
+        let tapes = |sim: &Simulator<u64>| {
+            let tape = |id| sim.get::<Tape>(id).unwrap().0.clone();
+            (tape(a), tape(c))
+        };
+        let want = tapes(&sim);
+        let first = run_out(&mut sim, a, c);
+        assert_eq!(sim.restore(&cp), 2, "a first restore copies everything");
+        assert_eq!(sim.restore(&cp), 0, "nothing touched, nothing copied");
+        let _ = tapes(&sim);
+        assert_eq!(sim.restore(&cp), 0, "reading touches nothing");
+
+        type Change = fn(&mut Simulator<u64>, NodeId);
+        let changes: [(&str, Change, usize); 5] = [
+            (
+                "get_mut",
+                |sim, a| sim.get_mut::<Tape>(a).unwrap().0.push((0, 99)),
+                1,
+            ),
+            (
+                "run_until",
+                |sim, _| {
+                    sim.run_until(Cycle::new(1_000_000), |_, _| false);
+                },
+                2,
+            ),
+            (
+                "step",
+                |sim, _| {
+                    sim.step();
+                },
+                2,
+            ),
+            (
+                "run_to_quiescence",
+                |sim, _| {
+                    sim.run_to_quiescence(1_000_000);
+                },
+                2,
+            ),
+            (
+                "run_with_watchdog",
+                |sim, _| {
+                    sim.run_with_watchdog(1_000_000, 1_000_000);
+                },
+                2,
+            ),
+        ];
+        for (how, change, copied) in changes {
+            change(&mut sim, a);
+            assert_ne!(tapes(&sim), want, "{how} changed nothing");
+            assert_eq!(sim.restore(&cp), copied, "{how}");
+            assert_eq!(tapes(&sim), want, "{how}");
+            assert_eq!(run_out(&mut sim, a, c), first, "{how}");
+            assert_eq!(sim.restore(&cp), 2, "{how}: run out");
+        }
+
+        // A checkpoint written over is another checkpoint: the next restore
+        // of it copies everything, as does one of a different checkpoint.
+        let mut slot = sim.checkpoint().expect("tapes clone");
+        assert_eq!(sim.restore(&slot), 2);
+        sim.checkpoint_into(&mut slot).expect("tapes clone");
+        assert_eq!(sim.restore(&slot), 2, "rewritten");
+        assert_eq!(sim.restore(&cp), 2, "another checkpoint");
+        assert_eq!(run_out(&mut sim, a, c), first);
+    }
+
+    /// Flags `addr` on every delivery.
+    #[derive(Clone)]
+    struct Alarm;
+    impl Component<u64> for Alarm {
+        fn name(&self) -> &str {
+            "alarm"
+        }
+        fn handle(&mut self, _from: NodeId, addr: u64, ctx: &mut Ctx<'_, u64>) {
+            ctx.flag_post_mortem(addr, "alarm");
+        }
+        fn box_clone(&self) -> Option<Box<dyn Component<u64>>> {
+            Some(Box::new(self.clone()))
+        }
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+    }
+
+    /// A run's post-mortem flags stay until a restore discards the run: a
+    /// run never restored over keeps every one of them (which is what the
+    /// stress and fuzz post-mortems read), and a restored simulator holds
+    /// only the flags raised since.
+    #[test]
+    fn post_mortem_flags_last_until_a_restore_discards_their_run() {
+        let mut b = SimBuilder::new(1);
+        let alarm = b.add(Box::new(Alarm));
+        let mut sim = b.build();
+        let cp = sim.checkpoint().expect("alarm clones");
+        let flagged = |sim: &Simulator<u64>| -> Vec<u64> {
+            sim.tracer().flags().iter().map(|f| f.addr).collect()
+        };
+        for run in 0..3 {
+            sim.post(alarm, alarm, 0x40 + run);
+            assert!(sim.run_to_quiescence(1_000).quiescent);
+        }
+        assert_eq!(flagged(&sim), [0x40, 0x41, 0x42], "never restored: kept");
+        sim.restore(&cp);
+        assert!(sim.post_mortem().is_none(), "discarded with their run");
+        sim.post(alarm, alarm, 0x80);
+        assert!(sim.run_to_quiescence(1_000).quiescent);
+        assert_eq!(flagged(&sim), [0x80]);
     }
 
     #[test]

@@ -16,6 +16,7 @@
 //! unconditional lets a harness notice a failure in a fast untraced run and
 //! then deterministically replay the same seed with tracing enabled.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
 
@@ -137,8 +138,9 @@ pub struct PostMortemFlag {
     pub tick: u64,
     /// The suspicious address.
     pub addr: u64,
-    /// Why it was flagged (e.g. `"guard killed accelerator: DataRace"`).
-    pub reason: String,
+    /// Why it was flagged (e.g. `"guard killed accelerator: DataRace"`);
+    /// borrowed when the caller has a `'static` reason.
+    pub reason: Cow<'static, str>,
 }
 
 /// Bounded per-address event recorder shared by all components of a
@@ -253,12 +255,19 @@ impl Tracer {
 
     /// Marks `addr` for post-mortem dumping (always recorded, even with
     /// tracing off — see the module docs for why).
-    pub fn flag(&mut self, tick: u64, addr: u64, reason: impl Into<String>) {
+    pub fn flag(&mut self, tick: u64, addr: u64, reason: impl Into<Cow<'static, str>>) {
         self.flags.push(PostMortemFlag {
             tick,
             addr,
             reason: reason.into(),
         });
+    }
+
+    /// Drops every flag, keeping the buffer: what
+    /// [`crate::Simulator::restore`] does to the flags of the run it
+    /// discards.
+    pub(crate) fn clear_flags(&mut self) {
+        self.flags.clear();
     }
 
     /// All post-mortem flags raised so far, in raise order.
