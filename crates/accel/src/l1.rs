@@ -460,7 +460,6 @@ impl AccelL1 {
                     prefetched: p.is_prefetch,
                 };
                 self.install(la, line, ctx);
-                ctx.note_progress();
                 self.drain(p.waiting, ctx);
             }
             Some(p) => {

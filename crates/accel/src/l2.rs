@@ -748,7 +748,6 @@ impl AccelL2 {
             (Host::S, false) => XgiKind::InvAck,
         };
         ctx.send(self.below, XgiMsg::new(addr, resp).into());
-        ctx.note_progress();
     }
 
     // ----- inclusive evictions ----------------------------------------------

@@ -1101,7 +1101,6 @@ impl CrossingGuard {
             let _ = m;
             self.send_accel(a, kind, ctx);
         }
-        ctx.note_progress();
         self.drain_queue(a, ctx);
     }
 
@@ -1138,7 +1137,6 @@ impl CrossingGuard {
             ctx.span(a.as_u64(), "wback", started);
             self.stats.wbacks += 1;
             self.send_accel(a, XgiKind::WbAck, ctx);
-            ctx.note_progress();
             self.drain_queue(a, ctx);
         }
     }

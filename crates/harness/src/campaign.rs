@@ -404,7 +404,7 @@ pub fn run_campaign(base: &SystemConfig, opts: &CampaignOpts) -> CampaignOutcome
     let mut report = Report::new();
     let mut failures = Vec::new();
     let (mut runs, mut injected) = (0u64, 0u64);
-    let (mut violations, mut data_errors, mut deadlocks) = (0u64, 0u64, 0u64);
+    let (mut violations, mut data_errors, mut deadlocks, mut cut_live) = (0, 0, 0, 0);
 
     for generation in 0..opts.generations {
         let batch: Vec<(Schedule, u64)> = (0..opts.batch)
@@ -429,6 +429,7 @@ pub fn run_campaign(base: &SystemConfig, opts: &CampaignOpts) -> CampaignOutcome
         for ((schedule, seed), out) in batch.into_iter().zip(outcomes) {
             runs += 1;
             injected += out.injected;
+            cut_live += u64::from(out.cut_live);
             if let Some(kind) = FailureKind::of(&out) {
                 match kind {
                     FailureKind::HostViolation => violations += 1,
@@ -468,6 +469,10 @@ pub fn run_campaign(base: &SystemConfig, opts: &CampaignOpts) -> CampaignOutcome
     report.fuzz_set("campaign_violations", violations);
     report.fuzz_set("campaign_data_errors", data_errors);
     report.fuzz_set("campaign_deadlocks", deadlocks);
+    // Only when non-zero: a campaign whose executions all quiesce keeps its report.
+    if cut_live > 0 {
+        report.fuzz_set("campaign_cut_live", cut_live);
+    }
     CampaignOutcome {
         runs,
         injected,

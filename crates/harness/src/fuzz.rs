@@ -343,6 +343,7 @@ impl Component<Message> for FuzzAccel {
             };
             self.next_step += 1;
             self.sent += 1;
+            ctx.note_progress();
             let now = ctx.now().as_u64();
             self.first_inject.get_or_insert(now);
             self.last_inject = now;
@@ -371,6 +372,7 @@ impl Component<Message> for FuzzAccel {
         let kind = random_xgi_kind(ctx);
         ctx.send(self.xg, XgiMsg::new(BlockAddr::new(block), kind).into());
         self.sent += 1;
+        ctx.note_progress();
         let now = ctx.now().as_u64();
         self.first_inject.get_or_insert(now);
         self.last_inject = now;
@@ -533,6 +535,7 @@ impl Component<Message> for FuzzHostCache {
         }
         ctx.send(to, msg);
         self.sent += 1;
+        ctx.note_progress();
         let delay = ctx.rng().gen_range(self.opts.gap.0..=self.opts.gap.1);
         ctx.wake_in(delay, 0);
     }

@@ -5,7 +5,7 @@
 //! *detected*, never hung on), and returns a structured outcome.
 
 use xg_core::{Os, OsPolicy};
-use xg_sim::{ProfileConfig, Report, TimelineConfig, TraceConfig};
+use xg_sim::{ProfileConfig, Report, RunOutcome, TimelineConfig, TraceConfig};
 
 use crate::config::{AccelOrg, SystemConfig};
 use crate::fuzz::FuzzOpts;
@@ -52,14 +52,6 @@ impl Instrumentation {
             ..Instrumentation::default()
         }
     }
-
-    fn apply(&self, system: &mut BuiltSystem) {
-        system.sim.tracer_mut().set_config(self.trace);
-        system.sim.set_profile_config(self.profile);
-        if let Some(tl) = self.timeline {
-            system.sim.enable_timeline(tl);
-        }
-    }
 }
 
 /// Options for a stress run (paper §4.1 methodology).
@@ -73,11 +65,6 @@ pub struct StressOpts {
     pub words_per_block: u64,
     /// Tester knobs.
     pub tester: TesterCfg,
-    /// Watchdog: max cycles with no completed operation before declaring
-    /// deadlock.
-    pub stall_bound: u64,
-    /// Absolute simulation budget.
-    pub max_cycles: u64,
 }
 
 impl Default for StressOpts {
@@ -87,8 +74,6 @@ impl Default for StressOpts {
             blocks: 4,
             words_per_block: 2,
             tester: TesterCfg::default(),
-            stall_bound: 100_000,
-            max_cycles: 50_000_000,
         }
     }
 }
@@ -124,23 +109,19 @@ pub struct StressOutcome {
 /// timers, so a lost response usually drains the queue instead of stalling
 /// it. Flags nothing when nothing is outstanding.
 fn flag_outstanding(system: &mut BuiltSystem, now: u64) {
-    let mut stuck = Vec::new();
     for &core in system.cpu_cores.iter().chain(&system.accel_cores) {
         let Some(t) = system.sim.get::<TesterCore>(core) else {
             continue;
         };
         let name = xg_sim::Component::name(t).to_owned();
         for (word_addr, is_store) in t.outstanding_ops() {
-            stuck.push((name.clone(), word_addr, is_store));
+            let op = if is_store { "store" } else { "load" };
+            system.sim.tracer_mut().flag(
+                now,
+                xg_mem::Addr::new(word_addr).block().as_u64(),
+                format!("{name}: {op} at word {word_addr:#x} outstanding at deadlock"),
+            );
         }
-    }
-    for (name, word_addr, is_store) in stuck {
-        let op = if is_store { "store" } else { "load" };
-        system.sim.tracer_mut().flag(
-            now,
-            xg_mem::Addr::new(word_addr).block().as_u64(),
-            format!("{name}: {op} at word {word_addr:#x} outstanding at deadlock"),
-        );
     }
 }
 
@@ -158,19 +139,6 @@ pub fn run_stress(cfg: &SystemConfig, opts: &StressOpts) -> StressOutcome {
         out.timeline = replay.timeline;
     }
     out
-}
-
-/// What a finished run hands back beside its report: the post-mortem dump
-/// and the timeline JSON. Flags are collected even with tracing off, but a
-/// dump of flags over empty rings explains nothing, so only a run whose
-/// rings were recording carries a post-mortem.
-fn artefacts(system: &BuiltSystem) -> (Option<String>, Option<String>) {
-    let post_mortem = if system.sim.tracer().enabled() {
-        system.sim.post_mortem()
-    } else {
-        None
-    };
-    (post_mortem, system.sim.timeline_json())
 }
 
 /// Fills the report's per-guard section from a finished run: OS error
@@ -215,6 +183,74 @@ fn fill_guard_section(report: &mut Report, system: &BuiltSystem, shared: &Shared
     }
 }
 
+/// Longest any stress or fuzz run may simulate.
+const MAX_CYCLES: u64 = 50_000_000;
+
+/// Watchdog bounds: cycles without progress (a completed tester operation,
+/// or an injection) before a stress or a fuzz run is stopped.
+const STRESS_STALL_BOUND: u64 = 100_000;
+const FUZZ_STALL_BOUND: u64 = 200_000;
+
+/// A tester-driven run taken to its stop, before the caller's verdict.
+struct Driven {
+    end: RunOutcome,
+    shared: SharedTester,
+    report: Report,
+    post_mortem: Option<String>,
+    timeline: Option<String>,
+    hung_ops: bool,
+}
+
+/// What stress and fuzz runs share: builds `cfg` with a tester core in
+/// every core slot, running `load` over the word pool at `pool_base`, runs
+/// it under the progress watchdog, and collects the report, its guard
+/// section and the artefacts.
+fn drive(
+    cfg: &SystemConfig,
+    fuzz: Option<FuzzOpts>,
+    pool_base: u64,
+    load: &StressOpts,
+    instr: &Instrumentation,
+    stall_bound: u64,
+) -> Driven {
+    let accel_cores: usize = cfg
+        .accel_slots()
+        .iter()
+        .map(|slot| accel_core_count(&slot.org, cfg.accel_cores))
+        .sum();
+    let pool = word_pool(pool_base, load.blocks, load.words_per_block);
+    let shared = TesterShared::new(cfg.cpu_cores + accel_cores, load.ops, pool);
+    let mut system = build_system(cfg, OsPolicy::ReportOnly, fuzz, |slot, cache, index| {
+        let name = match slot {
+            CoreSlot::Cpu(i) => format!("tester_cpu{i}"),
+            CoreSlot::Accel(i) => format!("tester_acc{i}"),
+        };
+        let tester = load.tester.clone();
+        Box::new(TesterCore::new(name, cache, index, shared.clone(), tester))
+    });
+    system.sim.tracer_mut().set_config(instr.trace);
+    system.sim.set_profile_config(instr.profile);
+    if let Some(tl) = instr.timeline {
+        system.sim.enable_timeline(tl);
+    }
+    system.start_cores();
+    let end = system.sim.run_with_watchdog(MAX_CYCLES, stall_bound);
+    flag_outstanding(&mut system, end.now.as_u64());
+    let mut report = system.sim.report();
+    fill_guard_section(&mut report, &system, &shared);
+    // Flags are collected even with tracing off, but a dump of flags over
+    // empty rings explains nothing: only recorded rings give a post-mortem.
+    let rings = system.sim.tracer().enabled();
+    Driven {
+        end,
+        shared,
+        hung_ops: report.sum_suffix(".outstanding") > 0,
+        report,
+        post_mortem: rings.then(|| system.sim.post_mortem()).flatten(),
+        timeline: system.sim.timeline_json(),
+    }
+}
+
 /// Runs the stress test once with explicit [`Instrumentation`] — no
 /// automatic failure replay. This is the entry point for profiled runs
 /// (`xg-report --profile`) and timeline captures (`--timeline`).
@@ -224,48 +260,20 @@ pub fn run_stress_with(
     instr: &Instrumentation,
 ) -> StressOutcome {
     let cfg = cfg.clone().shrink_caches();
-    let accel_cores: usize = cfg
-        .accel_slots()
-        .iter()
-        .map(|slot| accel_core_count(&slot.org, cfg.accel_cores))
-        .sum();
-    let total_cores = cfg.cpu_cores + accel_cores;
-    let pool = word_pool(0x4000, opts.blocks, opts.words_per_block);
-    let shared = TesterShared::new(total_cores, opts.ops, pool);
-    let mut system = build_system(&cfg, OsPolicy::ReportOnly, None, |slot, cache, index| {
-        let name = match slot {
-            CoreSlot::Cpu(i) => format!("tester_cpu{i}"),
-            CoreSlot::Accel(i) => format!("tester_acc{i}"),
-        };
-        Box::new(TesterCore::new(
-            name,
-            cache,
-            index,
-            shared.clone(),
-            opts.tester.clone(),
-        ))
-    });
-    instr.apply(&mut system);
-    system.start_cores();
-    let out = system
-        .sim
-        .run_with_watchdog(opts.max_cycles, opts.stall_bound);
-    flag_outstanding(&mut system, out.now.as_u64());
-    let mut report = system.sim.report();
-    fill_guard_section(&mut report, &system, &shared);
-    let (post_mortem, timeline) = artefacts(&system);
-    let hung_ops = report.sum_suffix(".outstanding") > 0;
-    let transitions: usize = report.coverages().map(|(_, c)| c.len()).sum();
+    let run = drive(&cfg, None, 0x4000, opts, instr, STRESS_STALL_BOUND);
+    let (end, shared) = (run.end, run.shared);
     StressOutcome {
-        cycles: out.now.as_u64(),
+        cycles: end.now.as_u64(),
         completed: shared.completed(),
         data_errors: shared.data_errors(),
         error_log: shared.error_log(),
-        deadlocked: out.stalled || (!shared.done() && !out.quiescent) || hung_ops,
-        transitions,
-        post_mortem,
-        timeline,
-        report,
+        // Every agent of a stress run is correct, so churning on after the
+        // work is done is a failure too.
+        deadlocked: end.stalled || (!shared.done() && !end.quiescent) || run.hung_ops,
+        transitions: run.report.coverages().map(|(_, c)| c.len()).sum(),
+        post_mortem: run.post_mortem,
+        timeline: run.timeline,
+        report: run.report,
     }
 }
 
@@ -281,9 +289,13 @@ pub struct FuzzOutcome {
     pub host_violations: u64,
     /// Errors the guard reported to the OS, total.
     pub os_errors: u64,
-    /// True if the host stopped making progress (CPU testers starved) or
+    /// True if the host's work did not finish (CPU testers starved) or
     /// ops were left permanently outstanding.
     pub deadlocked: bool,
+    /// Stopped with events still queued after the work was done: the
+    /// attacker, or the guard answering it, was still busy. A cut, not a
+    /// deadlock: an accelerator may pay for its own loops (paper §2.2).
+    pub cut_live: bool,
     /// CPU tester operations that completed *while being bombarded* —
     /// evidence the host stayed alive.
     pub cpu_ops_completed: u64,
@@ -427,56 +439,34 @@ pub fn run_fuzz_with(
             })
             .collect();
     }
-    let cfg = &cfg;
-    let sibling_cores: usize = cfg
-        .accel_slots()
-        .iter()
-        .map(|slot| accel_core_count(&slot.org, cfg.accel_cores))
-        .sum();
     // CPU testers use a pool *disjoint* from the fuzzer's attack range:
     // the fuzzer has read-write permission on its own pages, so corrupting
     // those is explicitly outside Crossing Guard's threat model (paper
     // §2.2.1). What must hold is that pages the accelerator cannot write
     // — including everything the CPUs work on here — stay intact, and
     // that the host keeps making progress.
-    let pool = word_pool(0x100_0000, fuzz.pool_blocks.max(4), 2);
-    let shared = TesterShared::new(cfg.cpu_cores + sibling_cores, cpu_ops, pool);
-    let mut system = build_system(
-        cfg,
-        OsPolicy::ReportOnly,
-        Some(fuzz.clone()),
-        |slot, cache, index| {
-            let name = match slot {
-                CoreSlot::Cpu(i) => format!("tester_cpu{i}"),
-                CoreSlot::Accel(i) => format!("tester_acc{i}"),
-            };
-            Box::new(TesterCore::new(
-                name,
-                cache,
-                index,
-                shared.clone(),
-                TesterCfg::default(),
-            ))
-        },
-    );
-    instr.apply(&mut system);
-    system.start_cores();
-    let out = system.sim.run_with_watchdog(50_000_000, 200_000);
-    flag_outstanding(&mut system, out.now.as_u64());
-    let mut report = system.sim.report();
-    fill_guard_section(&mut report, &system, &shared);
-    let (post_mortem, timeline) = artefacts(&system);
-    let hung_ops = report.sum_suffix(".outstanding") > 0;
+    let load = StressOpts {
+        ops: cpu_ops,
+        blocks: fuzz.pool_blocks.max(4),
+        words_per_block: 2,
+        tester: TesterCfg::default(),
+    };
+    let fuzz = Some(fuzz.clone());
+    let run = drive(&cfg, fuzz, 0x100_0000, &load, instr, FUZZ_STALL_BOUND);
+    let (report, shared) = (run.report, run.shared);
+    // A stop after the work is done is a cut, not a deadlock.
+    let deadlocked = !shared.done() || run.hung_ops;
     FuzzOutcome {
-        cycles: out.now.as_u64(),
+        cycles: run.end.now.as_u64(),
         injected: report.sum_suffix("fuzz_accel.sent") + report.sum_suffix("fuzz_host.sent"),
         host_violations: report.sum_suffix(".protocol_violation"),
         os_errors: report.get("os.errors_total"),
-        deadlocked: out.stalled || !shared.done() || hung_ops,
+        deadlocked,
+        cut_live: !run.end.quiescent && !deadlocked,
         cpu_ops_completed: shared.completed(),
         cpu_data_errors: shared.data_errors(),
-        post_mortem,
-        timeline,
+        post_mortem: run.post_mortem,
+        timeline: run.timeline,
         report,
     }
 }
@@ -568,6 +558,7 @@ mod tests {
             host_violations: 2,
             os_errors: 7,
             deadlocked: true,
+            cut_live: false,
             cpu_ops_completed: 0,
             cpu_data_errors: 3,
             post_mortem: None,
@@ -582,6 +573,9 @@ mod tests {
         assert_eq!(FailureKind::of(&out), Some(FailureKind::Deadlock));
         out.deadlocked = false;
         // Guard-reported OS errors alone are not a failure.
+        assert_eq!(FailureKind::of(&out), None);
+        // Nor is a cut with the attacker still busy after the work is done.
+        out.cut_live = true;
         assert_eq!(FailureKind::of(&out), None);
     }
 }

@@ -61,7 +61,6 @@ proptest! {
                     store_percent: 60,
                     ..TesterCfg::default()
                 },
-                ..StressOpts::default()
             },
         );
         prop_assert!(!out.deadlocked, "{} seed {seed} deadlocked", cfg.name());

@@ -518,6 +518,5 @@ fn complete_get(l1: &mut HammerCache, addr: BlockAddr, event: CEvent, ctx: &mut 
     };
     l1.install_line(addr, line, (before, event), ctx);
     ctx.send(l1.home(addr), HammerMsg::new(addr, grant.unblock()).into());
-    ctx.note_progress();
     l1.drain_waiting(waiting, ctx);
 }

@@ -636,13 +636,11 @@ fn complete_get(l1: &mut MesiL1, addr: BlockAddr, event: CEvent, ctx: &mut Ctx<'
             ctx.send(from, msg.reply(CoreKind::LoadResp { value }).into());
             false
         });
-        ctx.note_progress();
         l1.drain_waiting(waiting, ctx);
         return;
     }
 
     l1.install_line(addr, Line { state, dirty, data }, (before, event), ctx);
-    ctx.note_progress();
     // Serve demands that raced ahead of our own completion.
     let mut deferred = get.deferred;
     for demand in deferred.drain(..) {

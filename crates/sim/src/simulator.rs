@@ -45,10 +45,12 @@ impl LinkFaultCounts {
 pub struct RunOutcome {
     /// True if the event queue drained completely (no work left).
     pub quiescent: bool,
-    /// True if the run was stopped by the progress watchdog: the queue was
-    /// still churning but no component reported forward progress for the
-    /// configured bound. This is how the harness detects protocol deadlock
-    /// and livelock without hanging the host process.
+    /// True if the run was stopped by the progress watchdog: events were
+    /// still queued but no source of stimulus finished a unit of work (a
+    /// core op or an injection, see [`Ctx::note_progress`]) for the
+    /// configured bound. Either the system is deadlocked or livelocked, or
+    /// the stimulus is spent and the controllers are still busy; the caller
+    /// tells the two apart by whether the work is done.
     pub stalled: bool,
     /// Simulated time when the run stopped.
     pub now: Cycle,
@@ -152,10 +154,11 @@ impl<M> Ctx<'_, M> {
         self.rng
     }
 
-    /// Records one unit of forward progress (e.g. a completed memory
-    /// operation). The progress watchdog in
-    /// [`Simulator::run_with_watchdog`] uses this to distinguish a busy
-    /// system from a deadlocked or livelocked one.
+    /// Records one unit of forward progress: a source of stimulus finished
+    /// a unit of its work — a core completed an operation, or a fuzzer sent
+    /// an injection. Controllers never call it; a cache or guard that is
+    /// busy is not progress. The watchdog in
+    /// [`Simulator::run_with_watchdog`] counts cycles since the last call.
     pub fn note_progress(&mut self) {
         *self.progress += 1;
     }
@@ -748,11 +751,6 @@ impl<M: Clone + 'static> Simulator<M> {
     /// Current simulated time.
     pub fn now(&self) -> Cycle {
         self.now
-    }
-
-    /// Total forward-progress units reported by all components so far.
-    pub fn progress(&self) -> u64 {
-        self.progress
     }
 
     /// Number of registered components.
