@@ -573,25 +573,28 @@ impl Component<Message> for AccelL1 {
 
     fn report(&self, out: &mut Report) {
         let n = &self.name;
-        out.add(format!("{n}.loads"), self.stats.loads);
-        out.add(format!("{n}.stores"), self.stats.stores);
-        out.add(format!("{n}.hits"), self.stats.hits);
-        out.add(format!("{n}.misses"), self.stats.misses);
-        out.add(format!("{n}.writebacks"), self.stats.writebacks);
-        out.add(format!("{n}.invalidations"), self.stats.invalidations);
-        out.add(format!("{n}.stalls"), self.stats.stalls);
+        out.add(format_args!("{n}.loads"), self.stats.loads);
+        out.add(format_args!("{n}.stores"), self.stats.stores);
+        out.add(format_args!("{n}.hits"), self.stats.hits);
+        out.add(format_args!("{n}.misses"), self.stats.misses);
+        out.add(format_args!("{n}.writebacks"), self.stats.writebacks);
+        out.add(format_args!("{n}.invalidations"), self.stats.invalidations);
+        out.add(format_args!("{n}.stalls"), self.stats.stalls);
         out.add(
-            format!("{n}.prefetches_issued"),
+            format_args!("{n}.prefetches_issued"),
             self.stats.prefetches_issued,
         );
-        out.add(format!("{n}.prefetch_hits"), self.stats.prefetch_hits);
+        out.add(format_args!("{n}.prefetch_hits"), self.stats.prefetch_hits);
         out.add(
-            format!("{n}.protocol_violation"),
+            format_args!("{n}.protocol_violation"),
             self.stats.protocol_violation,
         );
-        out.record_grid(format!("accel_l1/{n}"), &self.seen);
-        out.record_hist(format!("{n}.lat.miss"), &self.stats.lat_miss);
-        out.record_hist(format!("{n}.mshr_occupancy"), &self.stats.mshr_occupancy);
+        out.record_grid(format_args!("accel_l1/{n}"), &self.seen);
+        out.record_hist(format_args!("{n}.lat.miss"), &self.stats.lat_miss);
+        out.record_hist(
+            format_args!("{n}.mshr_occupancy"),
+            &self.stats.mshr_occupancy,
+        );
     }
 
     fn as_any(&self) -> &dyn std::any::Any {

@@ -838,21 +838,27 @@ impl Component<Message> for AccelL2 {
 
     fn report(&self, out: &mut Report) {
         let n = &self.name;
-        out.add(format!("{n}.l1_gets"), self.stats.l1_gets);
-        out.add(format!("{n}.l1_getms"), self.stats.l1_getms);
-        out.add(format!("{n}.l1_puts"), self.stats.l1_puts);
-        out.add(format!("{n}.up_gets"), self.stats.up_gets);
-        out.add(format!("{n}.up_puts"), self.stats.up_puts);
-        out.add(format!("{n}.recalls"), self.stats.recalls);
-        out.add(format!("{n}.host_invs"), self.stats.host_invs);
-        out.add(format!("{n}.install_retries"), self.stats.install_retries);
+        out.add(format_args!("{n}.l1_gets"), self.stats.l1_gets);
+        out.add(format_args!("{n}.l1_getms"), self.stats.l1_getms);
+        out.add(format_args!("{n}.l1_puts"), self.stats.l1_puts);
+        out.add(format_args!("{n}.up_gets"), self.stats.up_gets);
+        out.add(format_args!("{n}.up_puts"), self.stats.up_puts);
+        out.add(format_args!("{n}.recalls"), self.stats.recalls);
+        out.add(format_args!("{n}.host_invs"), self.stats.host_invs);
         out.add(
-            format!("{n}.protocol_violation"),
+            format_args!("{n}.install_retries"),
+            self.stats.install_retries,
+        );
+        out.add(
+            format_args!("{n}.protocol_violation"),
             self.stats.protocol_violation,
         );
-        out.record_grid(format!("accel_l2/{n}"), &self.seen);
-        out.record_hist(format!("{n}.lat.up_get"), &self.stats.lat_up_get);
-        out.record_hist(format!("{n}.mshr_occupancy"), &self.stats.mshr_occupancy);
+        out.record_grid(format_args!("accel_l2/{n}"), &self.seen);
+        out.record_hist(format_args!("{n}.lat.up_get"), &self.stats.lat_up_get);
+        out.record_hist(
+            format_args!("{n}.mshr_occupancy"),
+            &self.stats.mshr_occupancy,
+        );
     }
 
     fn as_any(&self) -> &dyn std::any::Any {

@@ -219,11 +219,12 @@ fn campaign_mode(args: &[String]) -> i32 {
         let wall = started.elapsed().as_secs_f64();
         // Campaign health goes to stderr; stdout is deterministic and diffed.
         eprintln!(
-            "{label}: {} executions in {:.0} ms, {:.0} execs/s, {} cut live",
+            "{label}: {} executions in {:.0} ms, {:.0} execs/s, {} cut live, {} capped",
             out.runs,
             wall * 1e3,
             out.runs as f64 / wall.max(1e-9),
-            out.report.fuzz_get("campaign_cut_live")
+            out.report.fuzz_get("campaign_cut_live"),
+            out.report.fuzz_get("campaign_capped")
         );
         println!(
             "{label}: {} runs, {} messages injected, {} distinct (state, event) pairs, \

@@ -36,7 +36,10 @@
 //!
 //! Exit status: `0` only if every regression gate passes. Deadlocked
 //! stress cells, protected-configuration fuzz violations, incomplete
-//! timeout recoveries, or nonzero error counters exit `1` so CI fails.
+//! timeout recoveries, or nonzero error counters exit `1` so CI fails. So
+//! does a data error, deadlock or host protocol violation in any stress
+//! run behind `--json`, `--coverage` or `--profile`, named by
+//! configuration and seed.
 
 use xg_bench::cli::{self, arg_value};
 use xg_bench::experiments::*;
@@ -53,15 +56,12 @@ fn main() {
     let json_path = arg_value(&args, "--json");
     let jobs = cli::jobs(&args);
     if args.iter().any(|a| a == "--profile") {
-        let report = xg_bench::profile::collect_profile_jobs(scale, jobs);
+        let (report, findings) = xg_bench::profile::collect_profile_jobs(scale, jobs);
         print!("{}", xg_bench::profile::profile_table(&report, 12));
         if let Some(path) = json_path {
-            if let Err(e) = std::fs::write(&path, report.to_json()) {
-                eprintln!("failed to write {path}: {e}");
-                std::process::exit(1);
-            }
-            println!("machine-readable report written to {path}");
+            write_json(&path, &report);
         }
+        exit_on(&findings);
         return;
     }
     if let Some(path) = arg_value(&args, "--timeline") {
@@ -74,15 +74,12 @@ fn main() {
         return;
     }
     if args.iter().any(|a| a == "--coverage") {
-        let report = xg_bench::collect_report_jobs(scale, jobs);
+        let (report, findings) = xg_bench::collect_report_jobs(scale, jobs);
         print!("{}", xg_bench::coverage_tables(&report));
         if let Some(path) = json_path {
-            if let Err(e) = std::fs::write(&path, report.to_json()) {
-                eprintln!("failed to write {path}: {e}");
-                std::process::exit(1);
-            }
-            println!("machine-readable report written to {path}");
+            write_json(&path, &report);
         }
+        exit_on(&findings);
         return;
     }
     println!("Crossing Guard evaluation report (scale: {scale:?}, jobs: {jobs})");
@@ -135,20 +132,31 @@ fn main() {
     gate_failures.extend(e13_scaling::failures(&rows));
 
     if let Some(path) = json_path {
-        let mut report = xg_bench::collect_report_jobs(scale, jobs);
+        let (mut report, findings) = xg_bench::collect_report_jobs(scale, jobs);
         report.merge(&campaign_summary);
         report.merge(&blast_summary);
         report.merge(&scaling_summary);
-        if let Err(e) = std::fs::write(&path, report.to_json()) {
-            eprintln!("failed to write {path}: {e}");
-            std::process::exit(1);
-        }
-        println!("machine-readable report written to {path}");
+        write_json(&path, &report);
+        gate_failures.extend(findings);
     }
 
+    exit_on(&gate_failures);
+}
+
+/// Writes the machine-readable report to `path`; exits 1 if it cannot.
+fn write_json(path: &str, report: &xg_sim::Report) {
+    if let Err(e) = std::fs::write(path, report.to_json()) {
+        eprintln!("failed to write {path}: {e}");
+        std::process::exit(1);
+    }
+    println!("machine-readable report written to {path}");
+}
+
+/// Exits 1, naming each one, if any regression gate failed.
+fn exit_on(gate_failures: &[String]) {
     if !gate_failures.is_empty() {
         eprintln!("\nREGRESSION GATES FAILED ({}):", gate_failures.len());
-        for f in &gate_failures {
+        for f in gate_failures {
             eprintln!("  {f}");
         }
         std::process::exit(1);

@@ -143,15 +143,18 @@ pub fn run_jobs(scale: Scale, seed: u64, jobs: usize) -> (Vec<Row>, Report) {
             baseline_cycles: baseline.cycles,
         };
         summary.fuzz_set(
-            format!("{label}.sibling_data_errors"),
+            format_args!("{label}.sibling_data_errors"),
             row.sibling_data_errors,
         );
-        summary.fuzz_set(format!("{label}.sibling_os_errors"), row.sibling_os_errors);
         summary.fuzz_set(
-            format!("{label}.attacked_os_errors"),
+            format_args!("{label}.sibling_os_errors"),
+            row.sibling_os_errors,
+        );
+        summary.fuzz_set(
+            format_args!("{label}.attacked_os_errors"),
             row.attacked_os_errors,
         );
-        summary.fuzz_set(format!("{label}.slowdown_pct"), row.slowdown_pct());
+        summary.fuzz_set(format_args!("{label}.slowdown_pct"), row.slowdown_pct());
         rows.push(row);
     }
     (rows, summary)

@@ -115,10 +115,10 @@ pub fn run_jobs(scale: Scale, seed: u64, jobs: usize) -> (Vec<Row>, Report) {
             deadlocked: out.deadlocked,
         };
         summary.set(
-            format!("e13.{}.ops_per_kcycle", row.config),
+            format_args!("e13.{}.ops_per_kcycle", row.config),
             row.ops_per_kcycle(),
         );
-        summary.set(format!("e13.{}.cycles", row.config), row.cycles);
+        summary.set(format_args!("e13.{}.cycles", row.config), row.cycles);
         rows.push(row);
     }
     (rows, summary)

@@ -98,10 +98,13 @@ pub fn run_jobs(scale: Scale, seed: u64, jobs: usize) -> (Vec<Row>, Report) {
                 xg_harness::FailureKind::Deadlock => deadlocks += 1,
             }
         }
-        summary.fuzz_set(format!("{label}.budget"), guided.injected);
-        summary.fuzz_set(format!("{label}.guided_pairs"), guided.distinct_pairs());
-        summary.fuzz_set(format!("{label}.blind_injected"), blind.injected);
-        summary.fuzz_set(format!("{label}.blind_pairs"), blind.distinct_pairs());
+        summary.fuzz_set(format_args!("{label}.budget"), guided.injected);
+        summary.fuzz_set(
+            format_args!("{label}.guided_pairs"),
+            guided.distinct_pairs(),
+        );
+        summary.fuzz_set(format_args!("{label}.blind_injected"), blind.injected);
+        summary.fuzz_set(format_args!("{label}.blind_pairs"), blind.distinct_pairs());
         rows.push(Row {
             config: label,
             runs: guided.runs,

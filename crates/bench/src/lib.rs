@@ -24,8 +24,9 @@ pub mod table;
 /// merges the full per-component statistics into a single machine-readable
 /// [`xg_sim::Report`] — scalars, coverage, and the latency histograms from
 /// the guard, the host controllers, and the accelerator hierarchy. This is
-/// what `xg-report --json` serializes.
-pub fn collect_report(scale: Scale) -> xg_sim::Report {
+/// what `xg-report --json` serializes. Beside it come the runs'
+/// [`stress_findings`].
+pub fn collect_report(scale: Scale) -> (xg_sim::Report, Vec<String>) {
     collect_report_jobs(scale, xg_harness::resolve_jobs(None))
 }
 
@@ -33,26 +34,43 @@ pub fn collect_report(scale: Scale) -> xg_sim::Report {
 /// independent shard and the shard reports are merged in submission order.
 /// [`xg_sim::Report::merge`] is commutative, so the merged JSON is
 /// byte-identical at any worker count.
-pub fn collect_report_jobs(scale: Scale, jobs: usize) -> xg_sim::Report {
+pub fn collect_report_jobs(scale: Scale, jobs: usize) -> (xg_sim::Report, Vec<String>) {
     use xg_harness::{run_stress, sweep, HostProtocol, StressOpts, SystemConfig};
     let ops = scale.ops(4_000, 10_000);
     let shards = vec![(HostProtocol::Hammer, 11), (HostProtocol::Mesi, 12)];
-    let reports = sweep(shards, jobs, |(host, seed), _| {
+    let runs = sweep(shards, jobs, |(host, seed), _| {
         let cfg = SystemConfig {
             host,
             seed,
             ..SystemConfig::default()
         };
-        run_stress(
+        let out = run_stress(
             &cfg,
             &StressOpts {
                 ops,
                 ..StressOpts::default()
             },
-        )
-        .report
+        );
+        let findings = stress_findings(&format!("{} seed {seed}", cfg.name()), &out);
+        (out.report, findings)
     });
-    xg_sim::Report::merge_shards(&reports)
+    let (reports, findings): (Vec<_>, Vec<_>) = runs.into_iter().unzip();
+    (xg_sim::Report::merge_shards(&reports), findings.concat())
+}
+
+/// What a stress run found that must fail the build, one line each naming
+/// `run`: tester data errors, a deadlock, host protocol violations (the
+/// `*.protocol_violation` counters). Empty for a clean run.
+pub fn stress_findings(run: &str, out: &xg_harness::StressOutcome) -> Vec<String> {
+    let violations = out.report.sum_suffix(".protocol_violation");
+    [
+        (out.data_errors > 0).then(|| format!("{run}: {} data errors", out.data_errors)),
+        out.deadlocked.then(|| format!("{run}: deadlocked")),
+        (violations > 0).then(|| format!("{run}: {violations} host protocol violations")),
+    ]
+    .into_iter()
+    .flatten()
+    .collect()
 }
 
 /// Renders the per-machine transition-coverage sections of a merged
@@ -111,5 +129,43 @@ impl Scale {
             Scale::Quick => quick,
             Scale::Full => full,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use xg_harness::StressOutcome;
+
+    #[test]
+    fn stress_findings_name_the_run_and_every_broken_claim() {
+        let mut out = StressOutcome {
+            cycles: 0,
+            completed: 0,
+            data_errors: 0,
+            error_log: Vec::new(),
+            deadlocked: false,
+            transitions: 0,
+            post_mortem: None,
+            timeline: None,
+            report: xg_sim::Report::new(),
+        };
+        // Counters that are only named like a finding are not one.
+        out.report.add("cpu0.protocol_violations_seen", 5);
+        out.report.add("cpu0.protocol_violation", 0);
+        assert!(stress_findings("hammer/x seed 1", &out).is_empty());
+
+        out.data_errors = 3;
+        out.deadlocked = true;
+        out.report.add("cpu1.protocol_violation", 2);
+        out.report.add("host_l2.protocol_violation", 1);
+        assert_eq!(
+            stress_findings("hammer/x seed 1", &out),
+            [
+                "hammer/x seed 1: 3 data errors",
+                "hammer/x seed 1: deadlocked",
+                "hammer/x seed 1: 3 host protocol violations",
+            ]
+        );
     }
 }

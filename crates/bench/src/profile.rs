@@ -13,31 +13,34 @@ use xg_harness::{run_stress_with, sweep, Instrumentation, StressOpts, SystemConf
 use xg_sim::{Report, TimelineConfig};
 
 use crate::table::{percent, Table};
-use crate::Scale;
+use crate::{stress_findings, Scale};
 
 /// Runs the full 12-configuration stress matrix with kernel profiling
 /// enabled and merges the shard reports. Dispatch counters and host-time
 /// samples sum across shards; `.hwm` keys take the max (see
 /// [`Report::merge`]), so the merged attribution covers every host
-/// protocol and accelerator organization at once.
-pub fn collect_profile_jobs(scale: Scale, jobs: usize) -> Report {
+/// protocol and accelerator organization at once. Beside the report come
+/// the runs' [`stress_findings`].
+pub fn collect_profile_jobs(scale: Scale, jobs: usize) -> (Report, Vec<String>) {
     let ops = scale.ops(400, 4_000);
     let shards: Vec<(SystemConfig, u64)> = SystemConfig::matrix(13)
         .into_iter()
         .map(|cfg| (cfg, 13))
         .collect();
-    let reports = sweep(shards, jobs, |(cfg, _), _| {
-        run_stress_with(
+    let runs = sweep(shards, jobs, |(cfg, seed), _| {
+        let out = run_stress_with(
             &cfg,
             &StressOpts {
                 ops,
                 ..StressOpts::default()
             },
             &Instrumentation::profiled(),
-        )
-        .report
+        );
+        let findings = stress_findings(&format!("{} seed {seed}", cfg.name()), &out);
+        (out.report, findings)
     });
-    Report::merge_shards(&reports)
+    let (reports, findings): (Vec<_>, Vec<_>) = runs.into_iter().unzip();
+    (Report::merge_shards(&reports), findings.concat())
 }
 
 /// Captures one transaction timeline: a representative guarded stress run
@@ -147,7 +150,8 @@ mod tests {
 
     #[test]
     fn quick_profile_run_attributes_protocol_classes() {
-        let report = collect_profile_jobs(Scale::Quick, xg_harness::resolve_jobs(None));
+        let (report, findings) = collect_profile_jobs(Scale::Quick, xg_harness::resolve_jobs(None));
+        assert!(findings.is_empty(), "{findings:?}");
         assert!(report.profile_get("events.total") > 0);
         // Both host protocols ran, so both protocol families must appear.
         let has = |p: &str| report.profile_entries().any(|(k, _)| k.contains(p));

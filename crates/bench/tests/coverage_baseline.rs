@@ -160,7 +160,8 @@ fn checker_exploration_covers_fuzz_baseline() {
 
 #[test]
 fn stress_sweep_reaches_persona_coverage_baseline() {
-    let report = collect_report_jobs(Scale::Quick, 1);
+    let (report, findings) = collect_report_jobs(Scale::Quick, 1);
+    assert!(findings.is_empty(), "{findings:?}");
     for (machine, baseline) in [
         ("hammer_persona", HAMMER_PERSONA_BASELINE),
         ("mesi_persona", MESI_PERSONA_BASELINE),

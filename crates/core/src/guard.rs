@@ -1475,46 +1475,61 @@ impl Component<Message> for CrossingGuard {
 
     fn report(&self, out: &mut Report) {
         let n = &self.name;
-        out.add(format!("{n}.accel_received"), self.stats.accel_received);
-        out.add(format!("{n}.accel_sent"), self.stats.accel_sent);
-        out.add(format!("{n}.grants"), self.stats.grants);
-        out.add(format!("{n}.wbacks"), self.stats.wbacks);
-        out.add(format!("{n}.invs_forwarded"), self.stats.invs_forwarded);
         out.add(
-            format!("{n}.demands_answered_locally"),
+            format_args!("{n}.accel_received"),
+            self.stats.accel_received,
+        );
+        out.add(format_args!("{n}.accel_sent"), self.stats.accel_sent);
+        out.add(format_args!("{n}.grants"), self.stats.grants);
+        out.add(format_args!("{n}.wbacks"), self.stats.wbacks);
+        out.add(
+            format_args!("{n}.invs_forwarded"),
+            self.stats.invs_forwarded,
+        );
+        out.add(
+            format_args!("{n}.demands_answered_locally"),
             self.stats.demands_answered_locally,
         );
-        out.add(format!("{n}.puts_suppressed"), self.stats.puts_suppressed);
-        out.add(format!("{n}.throttled"), self.stats.throttled);
-        out.add(format!("{n}.timeouts"), self.stats.timeouts);
-        out.add(format!("{n}.race_puts"), self.stats.race_puts);
-        out.add(format!("{n}.dropped_disabled"), self.stats.dropped_disabled);
         out.add(
-            format!("{n}.fabricated_responses"),
+            format_args!("{n}.puts_suppressed"),
+            self.stats.puts_suppressed,
+        );
+        out.add(format_args!("{n}.throttled"), self.stats.throttled);
+        out.add(format_args!("{n}.timeouts"), self.stats.timeouts);
+        out.add(format_args!("{n}.race_puts"), self.stats.race_puts);
+        out.add(
+            format_args!("{n}.dropped_disabled"),
+            self.stats.dropped_disabled,
+        );
+        out.add(
+            format_args!("{n}.fabricated_responses"),
             self.stats.fabricated_responses,
         );
         out.add(
-            format!("{n}.poisoned_refetches"),
+            format_args!("{n}.poisoned_refetches"),
             self.stats.poisoned_refetches,
         );
-        out.set(format!("{n}.storage_bytes"), self.storage_bytes());
-        out.set(format!("{n}.peak_storage_bytes"), self.peak_storage);
-        out.add(format!("{n}.errors_total"), self.errors_total());
+        out.set(format_args!("{n}.storage_bytes"), self.storage_bytes());
+        out.set(format_args!("{n}.peak_storage_bytes"), self.peak_storage);
+        out.add(format_args!("{n}.errors_total"), self.errors_total());
         for kind in XgErrorKind::ALL {
             let count = self.error_count(kind);
             if count > 0 {
-                out.add(format!("{n}.errors.{kind}"), count);
+                out.add(format_args!("{n}.errors.{kind}"), count);
             }
         }
         let pstats = self.persona.stats();
-        out.add(format!("{n}.host_sent"), pstats.sent);
-        out.add(format!("{n}.host_puts_sent"), pstats.puts_sent);
-        out.add(format!("{n}.host_received"), pstats.received);
-        out.add(format!("{n}.persona_violations"), pstats.violations);
-        out.record_hist(format!("{n}.lat.grant"), &self.stats.lat_grant);
-        out.record_hist(format!("{n}.lat.wback"), &self.stats.lat_wback);
-        out.record_hist(format!("{n}.lat.inv_resp"), &self.stats.lat_inv_resp);
-        out.record_hist(format!("{n}.lat.host_rtt"), &self.persona.stats().host_rtt);
+        out.add(format_args!("{n}.host_sent"), pstats.sent);
+        out.add(format_args!("{n}.host_puts_sent"), pstats.puts_sent);
+        out.add(format_args!("{n}.host_received"), pstats.received);
+        out.add(format_args!("{n}.persona_violations"), pstats.violations);
+        out.record_hist(format_args!("{n}.lat.grant"), &self.stats.lat_grant);
+        out.record_hist(format_args!("{n}.lat.wback"), &self.stats.lat_wback);
+        out.record_hist(format_args!("{n}.lat.inv_resp"), &self.stats.lat_inv_resp);
+        out.record_hist(
+            format_args!("{n}.lat.host_rtt"),
+            &self.persona.stats().host_rtt,
+        );
         self.persona.record_machine(out);
     }
 

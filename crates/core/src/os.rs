@@ -115,14 +115,17 @@ impl Component<Message> for Os {
 
     fn report(&self, out: &mut Report) {
         let n = &self.name;
-        out.set(format!("{n}.errors_total"), self.total());
+        out.set(format_args!("{n}.errors_total"), self.total());
         for kind in XgErrorKind::ALL {
             let count = self.count(kind);
             if count > 0 {
-                out.add(format!("{n}.errors.{kind}"), count);
+                out.add(format_args!("{n}.errors.{kind}"), count);
             }
         }
-        out.set(format!("{n}.guards_disabled"), self.disabled.len() as u64);
+        out.set(
+            format_args!("{n}.guards_disabled"),
+            self.disabled.len() as u64,
+        );
     }
 
     fn box_clone(&self) -> Option<Box<dyn Component<Message>>> {

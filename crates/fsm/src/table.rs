@@ -248,9 +248,16 @@ impl<S: Alphabet, E: Alphabet, A: Alphabet> TableBuilder<S, E, A> {
             };
             rows.push(row);
         }
+        let by_label = S::BY_LABEL
+            .iter()
+            .flat_map(|&s| E::BY_LABEL.iter().map(move |&e| (s, e)))
+            .map(|(s, e)| (s.label(), e.label(), Table::<S, E, A>::cell_index(s, e)))
+            .filter(|&(_, _, cell)| rows[cell].kind != KIND_VIOLATION)
+            .collect();
         Ok(Table {
             name: self.name,
             rows: rows.into_boxed_slice(),
+            by_label,
             actions: pool.into_boxed_slice(),
             _marker: std::marker::PhantomData,
         })
@@ -287,6 +294,9 @@ pub(crate) struct PackedRow {
 pub struct Table<S: Alphabet, E: Alphabet, A: Alphabet> {
     name: &'static str,
     rows: Box<[PackedRow]>,
+    /// The legal cells as `(state label, event label, cell)`, in label
+    /// order: the coverage universe as reports list it.
+    by_label: Box<[(&'static str, &'static str, usize)]>,
     /// Concatenated action lists of every transition row.
     actions: Box<[A]>,
     _marker: std::marker::PhantomData<fn() -> (S, E)>,
@@ -412,12 +422,8 @@ impl<S: Alphabet, E: Alphabet, A: Alphabet> xg_sim::FsmRows for Table<S, E, A> {
         self.name
     }
 
-    fn legal_row(&self, index: usize) -> Option<(&'static str, &'static str)> {
-        if self.is_violation(index) {
-            return None;
-        }
-        let (s, e) = Self::cell_coords(index);
-        Some((s.label(), e.label()))
+    fn rows_by_label(&self) -> &[(&'static str, &'static str, usize)] {
+        &self.by_label
     }
 }
 

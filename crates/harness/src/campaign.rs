@@ -404,7 +404,8 @@ pub fn run_campaign(base: &SystemConfig, opts: &CampaignOpts) -> CampaignOutcome
     let mut report = Report::new();
     let mut failures = Vec::new();
     let (mut runs, mut injected) = (0u64, 0u64);
-    let (mut violations, mut data_errors, mut deadlocks, mut cut_live) = (0, 0, 0, 0);
+    let (mut violations, mut data_errors, mut deadlocks) = (0, 0, 0);
+    let (mut cut_live, mut capped) = (0, 0);
 
     for generation in 0..opts.generations {
         let batch: Vec<(Schedule, u64)> = (0..opts.batch)
@@ -430,6 +431,7 @@ pub fn run_campaign(base: &SystemConfig, opts: &CampaignOpts) -> CampaignOutcome
             runs += 1;
             injected += out.injected;
             cut_live += u64::from(out.cut_live);
+            capped += u64::from(out.capped);
             if let Some(kind) = FailureKind::of(&out) {
                 match kind {
                     FailureKind::HostViolation => violations += 1,
@@ -443,13 +445,16 @@ pub fn run_campaign(base: &SystemConfig, opts: &CampaignOpts) -> CampaignOutcome
                     summary: failure_summary(kind, &out),
                 });
             }
+            // Rows the union gains are the rows this run fired first.
             let mut new_pairs = 0u64;
             for (machine, cov) in out.report.fsms() {
-                new_pairs += match coverage.get(machine) {
-                    Some(seen) => cov.diff(seen).fired_rows() as u64,
-                    None => cov.fired_rows() as u64,
+                let seen = match coverage.get_mut(machine) {
+                    Some(seen) => seen,
+                    None => coverage.entry(machine.to_owned()).or_default(),
                 };
-                coverage.entry(machine.to_string()).or_default().merge(cov);
+                let before = seen.fired_rows();
+                seen.merge(cov);
+                new_pairs += (seen.fired_rows() - before) as u64;
             }
             if new_pairs > 0 {
                 corpus.push(CorpusEntry {
@@ -472,6 +477,9 @@ pub fn run_campaign(base: &SystemConfig, opts: &CampaignOpts) -> CampaignOutcome
     // Only when non-zero: a campaign whose executions all quiesce keeps its report.
     if cut_live > 0 {
         report.fuzz_set("campaign_cut_live", cut_live);
+    }
+    if capped > 0 {
+        report.fuzz_set("campaign_capped", capped);
     }
     CampaignOutcome {
         runs,

@@ -382,12 +382,15 @@ impl Component<Message> for FuzzAccel {
 
     fn report(&self, out: &mut Report) {
         let n = &self.name;
-        out.add(format!("{n}.sent"), self.sent);
-        out.add(format!("{n}.invs_seen"), self.invs_seen);
-        out.add(format!("{n}.inv_responses"), self.inv_responses);
-        out.add(format!("{n}.grants_seen"), self.grants_seen);
-        out.add(format!("{n}.first_inject"), self.first_inject.unwrap_or(0));
-        out.add(format!("{n}.last_inject"), self.last_inject);
+        out.add(format_args!("{n}.sent"), self.sent);
+        out.add(format_args!("{n}.invs_seen"), self.invs_seen);
+        out.add(format_args!("{n}.inv_responses"), self.inv_responses);
+        out.add(format_args!("{n}.grants_seen"), self.grants_seen);
+        out.add(
+            format_args!("{n}.first_inject"),
+            self.first_inject.unwrap_or(0),
+        );
+        out.add(format_args!("{n}.last_inject"), self.last_inject);
     }
 
     fn as_any(&self) -> &dyn std::any::Any {
@@ -541,7 +544,7 @@ impl Component<Message> for FuzzHostCache {
     }
 
     fn report(&self, out: &mut Report) {
-        out.add(format!("{}.sent", self.name), self.sent);
+        out.add(format_args!("{}.sent", self.name), self.sent);
     }
 
     fn as_any(&self) -> &dyn std::any::Any {

@@ -107,8 +107,10 @@ pub struct StressOutcome {
 /// post-mortem dump of a deadlocked run names the stuck addresses. Called
 /// after every run, not only at a watchdog stop: testers hold no idle
 /// timers, so a lost response usually drains the queue instead of stalling
-/// it. Flags nothing when nothing is outstanding.
-fn flag_outstanding(system: &mut BuiltSystem, now: u64) {
+/// it. Flags nothing when nothing is outstanding. Returns whether any
+/// tester op was left hanging.
+fn flag_outstanding(system: &mut BuiltSystem, now: u64) -> bool {
+    let mut hung = false;
     for &core in system.cpu_cores.iter().chain(&system.accel_cores) {
         let Some(t) = system.sim.get::<TesterCore>(core) else {
             continue;
@@ -121,8 +123,10 @@ fn flag_outstanding(system: &mut BuiltSystem, now: u64) {
                 xg_mem::Addr::new(word_addr).block().as_u64(),
                 format!("{name}: {op} at word {word_addr:#x} outstanding at deadlock"),
             );
+            hung = true;
         }
     }
+    hung
 }
 
 /// Runs the §4.1 random coherence stress test on `cfg`.
@@ -155,7 +159,7 @@ fn fill_guard_section(report: &mut Report, system: &BuiltSystem, shared: &Shared
             let Some(os) = os else { continue };
             report.guard_set(label, "os_errors", os.errors_from(xg));
             for (kind, count) in os.kinds_from(xg) {
-                report.guard_set(label, format!("os.{kind}"), count);
+                report.guard_set(label, format_args!("os.{kind}"), count);
             }
             report.guard_set(
                 label,
@@ -235,7 +239,7 @@ fn drive(
     }
     system.start_cores();
     let end = system.sim.run_with_watchdog(MAX_CYCLES, stall_bound);
-    flag_outstanding(&mut system, end.now.as_u64());
+    let hung_ops = flag_outstanding(&mut system, end.now.as_u64());
     let mut report = system.sim.report();
     fill_guard_section(&mut report, &system, &shared);
     // Flags are collected even with tracing off, but a dump of flags over
@@ -244,7 +248,7 @@ fn drive(
     Driven {
         end,
         shared,
-        hung_ops: report.sum_suffix(".outstanding") > 0,
+        hung_ops,
         report,
         post_mortem: rings.then(|| system.sim.post_mortem()).flatten(),
         timeline: system.sim.timeline_json(),
@@ -296,6 +300,11 @@ pub struct FuzzOutcome {
     /// attacker, or the guard answering it, was still busy. A cut, not a
     /// deadlock: an accelerator may pay for its own loops (paper §2.2).
     pub cut_live: bool,
+    /// Stopped neither quiescent nor by the progress watchdog: the run
+    /// simulated the full cycle cap. An execution should end within the
+    /// watchdog bound of its last stimulus, so this is counted, and the
+    /// seed scan requires it to stay zero.
+    pub capped: bool,
     /// CPU tester operations that completed *while being bombarded* —
     /// evidence the host stayed alive.
     pub cpu_ops_completed: u64,
@@ -463,6 +472,7 @@ pub fn run_fuzz_with(
         os_errors: report.get("os.errors_total"),
         deadlocked,
         cut_live: !run.end.quiescent && !deadlocked,
+        capped: !run.end.quiescent && !run.end.stalled,
         cpu_ops_completed: shared.completed(),
         cpu_data_errors: shared.data_errors(),
         post_mortem: run.post_mortem,
@@ -559,6 +569,7 @@ mod tests {
             os_errors: 7,
             deadlocked: true,
             cut_live: false,
+            capped: false,
             cpu_ops_completed: 0,
             cpu_data_errors: 3,
             post_mortem: None,

@@ -501,10 +501,10 @@ impl Component<Message> for TesterCore {
 
     fn report(&self, out: &mut Report) {
         let n = &self.name;
-        out.add(format!("{n}.ops_completed"), self.completed_ops);
-        out.add(format!("{n}.ops_issued"), self.issued_ops);
-        out.add(format!("{n}.latency_sum"), self.latency_sum);
-        out.add(format!("{n}.outstanding"), self.in_flight.len() as u64);
+        out.add(format_args!("{n}.ops_completed"), self.completed_ops);
+        out.add(format_args!("{n}.ops_issued"), self.issued_ops);
+        out.add(format_args!("{n}.latency_sum"), self.latency_sum);
+        out.add(format_args!("{n}.outstanding"), self.in_flight.len() as u64);
     }
 
     fn as_any(&self) -> &dyn std::any::Any {

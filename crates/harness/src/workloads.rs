@@ -343,10 +343,10 @@ impl Component<Message> for WorkloadCore {
 
     fn report(&self, out: &mut Report) {
         let n = &self.name;
-        out.add(format!("{n}.ops_completed"), self.completed);
-        out.add(format!("{n}.latency_sum"), self.latency_sum);
+        out.add(format_args!("{n}.ops_completed"), self.completed);
+        out.add(format_args!("{n}.latency_sum"), self.latency_sum);
         if let Some(done) = self.done_at {
-            out.set(format!("{n}.done_at"), done.as_u64());
+            out.set(format_args!("{n}.done_at"), done.as_u64());
         }
     }
 

@@ -8,9 +8,13 @@
 //!   long run of the same system, so build, report and warm-up allocations
 //!   cancel.
 //! - The per-run report: `Simulator::report` of a finished stress system
-//!   allocates a small constant per scalar key it writes — the key itself
-//!   and its tree slot. Coverage and FSM labels come from `'static` tables
-//!   and are borrowed, so they must not add a `String` each.
+//!   allocates a small constant per scalar key it writes — the key itself,
+//!   copied at its length, and its share of the section vector's growth.
+//!   Coverage and FSM labels come from `'static` tables and are borrowed,
+//!   so they must not add a `String` each.
+//! - The fold: merging a run's report into an accumulator that already
+//!   holds every one of its keys updates it in place and allocates
+//!   nothing.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -22,6 +26,7 @@ use xg_harness::{
     build_system, run_workload, AccelOrg, HostProtocol, Pattern, SystemConfig, TesterCfg,
     TesterCore, TesterShared,
 };
+use xg_sim::Report;
 
 struct Counting;
 
@@ -115,9 +120,9 @@ fn steady_state_handlers_do_not_allocate() {
     );
 }
 
-/// `(allocations, scalar keys)` of `Simulator::report` on one finished
-/// stress system, built and run as `run_stress` does.
-fn measure_report(cfg: &SystemConfig, ops: u64) -> (u64, usize) {
+/// `Simulator::report` of one finished stress system, built and run as
+/// `run_stress` does, and the allocations that call made.
+fn measure_report(cfg: &SystemConfig, ops: u64) -> (u64, Report) {
     let cfg = cfg.clone().shrink_caches();
     let accel_cores: usize = cfg
         .accel_slots()
@@ -143,16 +148,16 @@ fn measure_report(cfg: &SystemConfig, ops: u64) -> (u64, usize) {
     assert!(shared.done() && !out.stalled, "{}", cfg.exec_name());
     let before = allocs();
     let report = system.sim.report();
-    let allocs = allocs() - before;
-    (allocs, report.scalars().count())
+    (allocs() - before, report)
 }
 
 #[test]
 fn reports_allocate_per_scalar_key_not_per_label() {
-    const BUDGET: f64 = 4.0;
+    const BUDGET: f64 = 2.5;
     let mut over = Vec::new();
     for cfg in SystemConfig::matrix(3) {
-        let (allocs, keys) = measure_report(&cfg, 800);
+        let (allocs, report) = measure_report(&cfg, 800);
+        let keys = report.scalars().count();
         let per_key = allocs as f64 / keys as f64;
         eprintln!(
             "{}: report() made {allocs} allocations for {keys} scalar keys ({per_key:.2} per key)",
@@ -165,5 +170,32 @@ fn reports_allocate_per_scalar_key_not_per_label() {
     assert!(
         over.is_empty(),
         "report() allocations per scalar key over {BUDGET}: {over:?}"
+    );
+}
+
+#[test]
+fn reports_merge_into_an_accumulator_holding_their_keys_without_allocating() {
+    let matrix = SystemConfig::matrix(3);
+    let reports: Vec<Report> = matrix
+        .iter()
+        .map(|cfg| measure_report(cfg, 800).1)
+        .collect();
+    let mut acc = Report::merge_shards(&reports);
+    let mut over = Vec::new();
+    for (cfg, report) in matrix.iter().zip(&reports) {
+        let before = allocs();
+        acc.merge(report);
+        let allocs = allocs() - before;
+        eprintln!(
+            "{}: merge into a key-complete accumulator made {allocs} allocations",
+            cfg.exec_name()
+        );
+        if allocs > 0 {
+            over.push(format!("{}: {allocs}", cfg.exec_name()));
+        }
+    }
+    assert!(
+        over.is_empty(),
+        "merges into an accumulator that holds every key allocated: {over:?}"
     );
 }

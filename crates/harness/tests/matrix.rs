@@ -309,7 +309,8 @@ fn known_hammer_stale_read_seeds_run_clean() {
 /// The nightly seed scan: every `SystemConfig::matrix` entry on 4000 seeds
 /// for 800 ops, and 100 coverage-guided campaigns on each guarded fuzz
 /// configuration in the benchmark's campaign shape (3 generations of 3,
-/// 40-step schedules, 300 CPU ops). A hundred matrix seeds are not enough:
+/// 40-step schedules, 300 CPU ops), none of whose executions may run to the
+/// cycle cap (`fuzz.campaign_capped`). A hundred matrix seeds are not enough:
 /// the Hammer stale read failed 15 of these 48 000 runs, and none of the
 /// first 1 800. Run with `cargo test --release -p xg-harness --test
 /// matrix -- --ignored seed_scan`.
@@ -356,6 +357,7 @@ fn seed_scan_reports_zero_findings() {
         };
         let out = run_campaign(&base, &opts);
         let name = base.name();
+        let capped = out.report.fuzz_get("campaign_capped");
         out.failures
             .iter()
             .map(|f| {
@@ -364,6 +366,9 @@ fn seed_scan_reports_zero_findings() {
                     f.summary, f.seed
                 )
             })
+            .chain((capped > 0).then(|| {
+                format!("{name} campaign seed {seed}: {capped} executions ran to the cycle cap")
+            }))
             .collect::<Vec<_>>()
     });
     let findings: Vec<String> = stress.into_iter().chain(campaign).flatten().collect();

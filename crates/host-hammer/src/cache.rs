@@ -323,9 +323,9 @@ impl L1Protocol for Hammer {
     }
 
     fn report(&self, n: &str, out: &mut Report) {
-        out.add(format!("{n}.silent_drops"), self.silent_drops);
-        out.add(format!("{n}.unexpected_nack"), self.unexpected_nack);
-        out.add(format!("{n}.multi_data"), self.multi_data);
+        out.add(format_args!("{n}.silent_drops"), self.silent_drops);
+        out.add(format_args!("{n}.unexpected_nack"), self.unexpected_nack);
+        out.add(format_args!("{n}.multi_data"), self.multi_data);
     }
 }
 

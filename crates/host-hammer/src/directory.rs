@@ -588,18 +588,18 @@ impl Component<Message> for HammerDirectory {
 
     fn report(&self, out: &mut Report) {
         let n = &self.name;
-        out.add(format!("{n}.gets"), self.stats.gets);
-        out.add(format!("{n}.getms"), self.stats.getms);
-        out.add(format!("{n}.puts"), self.stats.puts);
-        out.add(format!("{n}.nacks"), self.stats.nacks);
-        out.add(format!("{n}.mem_reads"), self.stats.mem_reads);
-        out.add(format!("{n}.mem_writes"), self.stats.mem_writes);
+        out.add(format_args!("{n}.gets"), self.stats.gets);
+        out.add(format_args!("{n}.getms"), self.stats.getms);
+        out.add(format_args!("{n}.puts"), self.stats.puts);
+        out.add(format_args!("{n}.nacks"), self.stats.nacks);
+        out.add(format_args!("{n}.mem_reads"), self.stats.mem_reads);
+        out.add(format_args!("{n}.mem_writes"), self.stats.mem_writes);
         out.add(
-            format!("{n}.protocol_violation"),
+            format_args!("{n}.protocol_violation"),
             self.stats.protocol_violation,
         );
-        out.record_grid(format!("hammer_dir/{n}"), &self.seen);
-        out.record_hist(format!("{n}.lat.busy"), &self.stats.lat_busy);
+        out.record_grid(format_args!("hammer_dir/{n}"), &self.seen);
+        out.record_hist(format_args!("{n}.lat.busy"), &self.stats.lat_busy);
         self.machine.record_into(out);
     }
 

@@ -361,8 +361,8 @@ impl L1Protocol for Mesi {
     }
 
     fn report(&self, n: &str, out: &mut Report) {
-        out.add(format!("{n}.isi_races"), self.isi_races);
-        out.add(format!("{n}.deferred_fwds"), self.deferred_fwds);
+        out.add(format_args!("{n}.isi_races"), self.isi_races);
+        out.add(format_args!("{n}.deferred_fwds"), self.deferred_fwds);
     }
 }
 

@@ -1180,30 +1180,42 @@ impl Component<Message> for MesiL2 {
 
     fn report(&self, out: &mut Report) {
         let n = &self.name;
-        out.add(format!("{n}.gets"), self.stats.gets);
-        out.add(format!("{n}.getms"), self.stats.getms);
-        out.add(format!("{n}.puts"), self.stats.puts);
-        out.add(format!("{n}.put_s"), self.stats.put_s);
-        out.add(format!("{n}.nacks"), self.stats.nacks);
-        out.add(format!("{n}.mem_reads"), self.stats.mem_reads);
-        out.add(format!("{n}.mem_writes"), self.stats.mem_writes);
-        out.add(format!("{n}.recalls"), self.stats.recalls);
-        out.add(format!("{n}.fwd_gets"), self.stats.fwd_gets);
-        out.add(format!("{n}.inv_rounds"), self.stats.inv_rounds);
-        out.add(format!("{n}.redundant_getms"), self.stats.redundant_getms);
-        out.add(format!("{n}.acks_on_behalf"), self.stats.mod_acks_on_behalf);
-        out.add(format!("{n}.demoted_puts"), self.stats.demoted_puts);
-        out.add(format!("{n}.install_retries"), self.stats.install_retries);
-        out.record_hist(format!("{n}.lat.busy"), &self.stats.lat_busy);
-        out.record_hist(format!("{n}.mshr_occupancy"), &self.stats.mshr_occupancy);
+        out.add(format_args!("{n}.gets"), self.stats.gets);
+        out.add(format_args!("{n}.getms"), self.stats.getms);
+        out.add(format_args!("{n}.puts"), self.stats.puts);
+        out.add(format_args!("{n}.put_s"), self.stats.put_s);
+        out.add(format_args!("{n}.nacks"), self.stats.nacks);
+        out.add(format_args!("{n}.mem_reads"), self.stats.mem_reads);
+        out.add(format_args!("{n}.mem_writes"), self.stats.mem_writes);
+        out.add(format_args!("{n}.recalls"), self.stats.recalls);
+        out.add(format_args!("{n}.fwd_gets"), self.stats.fwd_gets);
+        out.add(format_args!("{n}.inv_rounds"), self.stats.inv_rounds);
         out.add(
-            format!("{n}.protocol_violation"),
+            format_args!("{n}.redundant_getms"),
+            self.stats.redundant_getms,
+        );
+        out.add(
+            format_args!("{n}.acks_on_behalf"),
+            self.stats.mod_acks_on_behalf,
+        );
+        out.add(format_args!("{n}.demoted_puts"), self.stats.demoted_puts);
+        out.add(
+            format_args!("{n}.install_retries"),
+            self.stats.install_retries,
+        );
+        out.record_hist(format_args!("{n}.lat.busy"), &self.stats.lat_busy);
+        out.record_hist(
+            format_args!("{n}.mshr_occupancy"),
+            &self.stats.mshr_occupancy,
+        );
+        out.add(
+            format_args!("{n}.protocol_violation"),
             self.stats.protocol_violation,
         );
         for (why, count) in &self.stats.violation_reasons {
-            out.add(format!("{n}.violation[{why}]"), *count);
+            out.add(format_args!("{n}.violation[{why}]"), *count);
         }
-        out.record_grid(format!("mesi_l2/{n}"), &self.seen);
+        out.record_grid(format_args!("mesi_l2/{n}"), &self.seen);
         self.machine.record_into(out);
     }
 

@@ -524,20 +524,23 @@ impl<P: L1Protocol> Component<Message> for HostL1<P> {
 
     fn report(&self, out: &mut Report) {
         let (n, stats) = (&self.name, &self.stats);
-        out.add(format!("{n}.loads"), stats.loads);
-        out.add(format!("{n}.stores"), stats.stores);
-        out.add(format!("{n}.hits"), stats.hits);
-        out.add(format!("{n}.misses"), stats.misses);
-        out.add(format!("{n}.writebacks"), stats.writebacks);
-        out.add(format!("{n}.mshr_stalls"), stats.mshr_stalls);
-        out.add(format!("{n}.protocol_violation"), stats.protocol_violation);
+        out.add(format_args!("{n}.loads"), stats.loads);
+        out.add(format_args!("{n}.stores"), stats.stores);
+        out.add(format_args!("{n}.hits"), stats.hits);
+        out.add(format_args!("{n}.misses"), stats.misses);
+        out.add(format_args!("{n}.writebacks"), stats.writebacks);
+        out.add(format_args!("{n}.mshr_stalls"), stats.mshr_stalls);
+        out.add(
+            format_args!("{n}.protocol_violation"),
+            stats.protocol_violation,
+        );
         for (why, count) in &stats.violation_reasons {
-            out.add(format!("{n}.violation[{why}]"), *count);
+            out.add(format_args!("{n}.violation[{why}]"), *count);
         }
         self.proto.report(n, out);
-        out.record_grid(format!("{}/{n}", P::FAMILY), &self.seen);
-        out.record_hist(format!("{n}.lat.miss"), &stats.lat_miss);
-        out.record_hist(format!("{n}.mshr_occupancy"), &stats.mshr_occupancy);
+        out.record_grid(format_args!("{}/{n}", P::FAMILY), &self.seen);
+        out.record_hist(format_args!("{n}.lat.miss"), &stats.lat_miss);
+        out.record_hist(format_args!("{n}.mshr_occupancy"), &stats.mshr_occupancy);
     }
 
     fn box_clone(&self) -> Option<Box<dyn Component<Message>>> {

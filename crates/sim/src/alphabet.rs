@@ -7,6 +7,10 @@ pub trait Alphabet: Copy + Eq + std::fmt::Debug + Send + Sync + 'static {
     /// Every member, in declaration order.
     const ALL: &'static [Self];
 
+    /// Every member, in the byte order of its label: the order reports
+    /// list coverage in, computed once, when the alphabet is compiled.
+    const BY_LABEL: &'static [Self];
+
     /// Stable display label (used in dumps, coverage keys, golden files).
     fn label(self) -> &'static str;
 
@@ -21,6 +25,42 @@ pub(crate) fn labels_distinct<A: Alphabet>() -> bool {
     labels
         .enumerate()
         .all(|(i, label)| A::ALL[..i].iter().all(|a| a.label() != label))
+}
+
+/// `items` reordered by the bytes of `labels` (`labels[i]` labels
+/// `items[i]`); what [`alphabet!`](crate::alphabet) computes
+/// [`Alphabet::BY_LABEL`] with. An insertion sort, since it runs in a
+/// `const` and alphabets are a few dozen members.
+#[doc(hidden)]
+pub const fn sort_by_label<T: Copy, const N: usize>(
+    mut items: [T; N],
+    mut labels: [&str; N],
+) -> [T; N] {
+    const fn less(a: &str, b: &str) -> bool {
+        let (a, b) = (a.as_bytes(), b.as_bytes());
+        let mut i = 0;
+        while i < a.len() && i < b.len() {
+            if a[i] != b[i] {
+                return a[i] < b[i];
+            }
+            i += 1;
+        }
+        a.len() < b.len()
+    }
+    let mut i = 1;
+    while i < N {
+        let mut j = i;
+        while j > 0 && less(labels[j], labels[j - 1]) {
+            let (item, label) = (items[j], labels[j]);
+            items[j] = items[j - 1];
+            labels[j] = labels[j - 1];
+            items[j - 1] = item;
+            labels[j - 1] = label;
+            j -= 1;
+        }
+        i += 1;
+    }
+    items
 }
 
 /// Declares a fieldless enum implementing [`Alphabet`].
@@ -63,6 +103,11 @@ macro_rules! alphabet {
         impl $crate::Alphabet for $Name {
             const ALL: &'static [Self] = &[$(Self::$Var),+];
 
+            const BY_LABEL: &'static [Self] = &$crate::sort_by_label(
+                [$(Self::$Var),+],
+                [$($crate::alphabet_label!($Var $(, $label)?)),+],
+            );
+
             fn label(self) -> &'static str {
                 match self {
                     $(Self::$Var => $crate::alphabet_label!($Var $(, $label)?)),+
@@ -102,6 +147,14 @@ mod tests {
         assert_eq!(labels, ["A", "b", "A_"]);
         let indices: Vec<_> = Fine::ALL.iter().map(|a| a.index()).collect();
         assert_eq!(indices, [0, 1, 2]);
+    }
+
+    #[test]
+    fn by_label_is_every_member_in_label_byte_order() {
+        crate::alphabet! { enum Mixed { Z, M = "M_dirty", I, S = "I.S", Is = "IS", Lower = "a", Last = "M" } }
+        let labels: Vec<_> = Mixed::BY_LABEL.iter().map(|a| a.label()).collect();
+        assert_eq!(labels, ["I", "I.S", "IS", "M", "M_dirty", "Z", "a"]);
+        assert_eq!(Fine::BY_LABEL, [Fine::A, Fine::C, Fine::B]);
     }
 
     #[test]

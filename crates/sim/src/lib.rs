@@ -66,6 +66,8 @@ pub mod slab;
 mod time;
 mod trace;
 
+#[doc(hidden)]
+pub use alphabet::sort_by_label;
 pub use alphabet::Alphabet;
 pub use check::CheckDigest;
 pub use component::{restore_in_place, Component, NodeId};

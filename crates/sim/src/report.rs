@@ -1,13 +1,285 @@
 //! Post-run statistics, coverage, and machine-readable reporting.
+//!
+//! Every section of a [`Report`] — and the pairs of a [`CoverageSet`], the
+//! rows of a [`TransitionCoverage`] — is one vector of entries kept sorted
+//! by key ([`SortedMap`]). A run's report is built once and then folded into
+//! an accumulator, so the two costs that matter are naming a key and
+//! merging: a key is found by binary search and copied only when it is
+//! new, and a merge is one merge-join per section that allocates nothing
+//! when every incoming key is already held.
 
 use std::borrow::Cow;
-use std::collections::{BTreeMap, BTreeSet};
-use std::fmt;
+use std::cell::RefCell;
+use std::cmp::Ordering;
+use std::collections::BTreeMap;
+use std::fmt::{self, Write as _};
 use std::marker::PhantomData;
 
 use crate::alphabet::{labels_distinct, Alphabet};
 use crate::hist::Histogram;
 use crate::json::{JsonError, JsonValue};
+
+/// A state or event name in a coverage table, or the key of a report
+/// entry: borrowed from a `'static` label table, or owned when it came
+/// from anywhere else. Ordered and compared by its text either way.
+#[derive(Debug, Clone)]
+struct Label(Cow<'static, str>);
+
+/// A label of unknown lifetime, copied at its exact length.
+fn owned(label: &str) -> Label {
+    Label(Cow::Owned(label.to_owned()))
+}
+
+impl From<&'static str> for Label {
+    fn from(label: &'static str) -> Self {
+        Label(Cow::Borrowed(label))
+    }
+}
+
+impl std::ops::Deref for Label {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        &self.0
+    }
+}
+
+impl PartialEq for Label {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Label {}
+
+impl PartialOrd for Label {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Label {
+    fn cmp(&self, other: &Self) -> Ordering {
+        text_order(self, other)
+    }
+}
+
+/// The byte order of two texts — `str::cmp` — compared eight bytes at a
+/// time. Report keys share long prefixes (`tester_cpu0.`), and a binary
+/// search over them spends its time here: this is about twice as fast as
+/// a call to `memcmp` for keys of a few dozen bytes.
+#[inline]
+fn text_order(a: &str, b: &str) -> Ordering {
+    let (mut a, mut b) = (a.as_bytes(), b.as_bytes());
+    while let (Some((x, rest_a)), Some((y, rest_b))) =
+        (a.split_first_chunk(), b.split_first_chunk())
+    {
+        let (x, y) = (u64::from_be_bytes(*x), u64::from_be_bytes(*y));
+        if x != y {
+            return x.cmp(&y);
+        }
+        (a, b) = (rest_a, rest_b);
+    }
+    a.iter().cmp(b)
+}
+
+/// A map held as one vector of entries sorted by key: lookups are a binary
+/// search, and iteration is in key order, which for text keys is the byte
+/// order `BTreeMap<String, _>` iterates in.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct SortedMap<K, V> {
+    entries: Vec<(K, V)>,
+}
+
+impl<K, V> Default for SortedMap<K, V> {
+    fn default() -> Self {
+        SortedMap {
+            entries: Vec::new(),
+        }
+    }
+}
+
+impl<K: Ord + Clone, V> SortedMap<K, V> {
+    fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    fn iter(&self) -> std::slice::Iter<'_, (K, V)> {
+        self.entries.iter()
+    }
+
+    /// Where the key `probe` orders against sits: `Ok` at a held entry,
+    /// `Err` where a new one would go.
+    fn search(&self, mut probe: impl FnMut(&K) -> Ordering) -> Result<usize, usize> {
+        self.entries.binary_search_by(|(k, _)| probe(k))
+    }
+
+    fn get_by(&self, probe: impl FnMut(&K) -> Ordering) -> Option<&V> {
+        self.search(probe).ok().map(|i| &self.entries[i].1)
+    }
+
+    /// The value `probe` finds, inserted at `V::default()` under `key()`
+    /// when absent.
+    fn slot_by(&mut self, probe: impl FnMut(&K) -> Ordering, key: impl FnOnce() -> K) -> &mut V
+    where
+        V: Default,
+    {
+        let i = match self.search(probe) {
+            Ok(i) => i,
+            Err(i) => {
+                self.entries.insert(i, (key(), V::default()));
+                i
+            }
+        };
+        &mut self.entries[i].1
+    }
+
+    /// A map of entries given in strictly increasing key order.
+    fn from_sorted(entries: impl Iterator<Item = (K, V)>) -> Self {
+        let map = SortedMap {
+            entries: entries.collect(),
+        };
+        debug_assert!(map.entries.windows(2).all(|w| w[0].0 < w[1].0));
+        map
+    }
+
+    /// Folds in `run`: moved in whole when this map is empty (a report
+    /// names each controller once), merged otherwise.
+    fn merge_run(&mut self, run: Self, combine: impl FnMut(&K, &mut V, &V))
+    where
+        V: Clone,
+    {
+        if self.is_empty() {
+            *self = run;
+        } else {
+            self.merge(&run, all, combine);
+        }
+    }
+
+    /// Folds `other` in with one merge-join: `combine` updates an entry
+    /// both hold, and an entry only `other` holds is cloned in, unless
+    /// `keep` drops it. Into an empty map this is a clone. When `self`
+    /// already holds every key of `other` — an accumulator's steady state —
+    /// the entries are updated in place and nothing is allocated;
+    /// otherwise one vector is built with room for the new keys.
+    fn merge(
+        &mut self,
+        other: &Self,
+        keep: impl Fn(&V) -> bool,
+        mut combine: impl FnMut(&K, &mut V, &V),
+    ) where
+        V: Clone,
+    {
+        let theirs = || other.entries.iter().filter(|(_, v)| keep(v));
+        if self.entries.is_empty() {
+            self.entries.reserve_exact(other.len());
+            self.entries.extend(theirs().cloned());
+            return;
+        }
+        let mut new = 0;
+        let mut at = 0;
+        for (key, value) in theirs() {
+            loop {
+                match self.entries.get_mut(at) {
+                    Some((k, mine)) => match (*k).cmp(key) {
+                        Ordering::Less => at += 1,
+                        Ordering::Equal => {
+                            combine(key, mine, value);
+                            at += 1;
+                            break;
+                        }
+                        Ordering::Greater => {
+                            new += 1;
+                            break;
+                        }
+                    },
+                    None => {
+                        new += 1;
+                        break;
+                    }
+                }
+            }
+        }
+        if new == 0 {
+            return;
+        }
+        let len = self.entries.len() + new;
+        let mine = std::mem::replace(&mut self.entries, Vec::with_capacity(len));
+        let mut theirs = theirs().peekable();
+        for entry in mine {
+            while let Some((k, v)) = theirs.next_if(|(k, _)| *k < entry.0) {
+                self.entries.push((k.clone(), v.clone()));
+            }
+            // Held by both: already combined above.
+            theirs.next_if(|(k, _)| *k == entry.0);
+            self.entries.push(entry);
+        }
+        self.entries.extend(theirs.cloned());
+    }
+}
+
+/// A report section: entries keyed by text.
+type Section<V> = SortedMap<Label, V>;
+
+impl<V> Section<V> {
+    fn get(&self, key: &str) -> Option<&V> {
+        self.get_by(|k| text_order(k, key))
+    }
+
+    /// The value under `key`, inserted at `V::default()` (the key copied)
+    /// when absent.
+    fn slot(&mut self, key: &str) -> &mut V
+    where
+        V: Default,
+    {
+        self.slot_by(|k| text_order(k, key), || owned(key))
+    }
+
+    /// `(key, value)` pairs in key order.
+    fn pairs(&self) -> impl Iterator<Item = (&str, &V)> + '_ {
+        self.iter().map(|(k, v)| (&**k, v))
+    }
+}
+
+/// Every entry of a section is merged (see [`SortedMap::merge`]).
+fn all<V>(_: &V) -> bool {
+    true
+}
+
+/// Counter sections merge by addition.
+fn sum(_: &Label, n: &mut u64, v: &u64) {
+    *n += v;
+}
+
+thread_local! {
+    /// Where a key given as `impl Display` is written before it is looked
+    /// up; reused by every call on the thread, so a key that is already
+    /// held costs no allocation at all.
+    static KEY: RefCell<String> = const { RefCell::new(String::new()) };
+}
+
+/// Calls `f` with the text of `keys`, written one after the other into the
+/// reused key buffer; `f` gets the whole text and the end of each key.
+fn with_keys<R>(keys: &[&dyn fmt::Display], f: impl FnOnce(&str, &[usize]) -> R) -> R {
+    KEY.with_borrow_mut(|buf| {
+        buf.clear();
+        let mut ends = [0; 2];
+        for (end, key) in ends.iter_mut().zip(keys) {
+            write!(buf, "{key}").expect("writing a key into a String cannot fail");
+            *end = buf.len();
+        }
+        f(buf, &ends[..keys.len()])
+    })
+}
+
+/// Calls `f` with the text of `key` (see [`with_keys`]).
+fn with_key<R>(key: impl fmt::Display, f: impl FnOnce(&str) -> R) -> R {
+    with_keys(&[&key], |text, _| f(text))
+}
 
 /// A set of `(state, event)` pairs visited by a protocol controller.
 ///
@@ -19,27 +291,21 @@ use crate::json::{JsonError, JsonValue};
 /// per message: they record by index into a [`CoverageGrid`] and name the
 /// pairs once, when they report.
 ///
-/// Pairs are stored keyed by state (`state → {events}`), so
-/// [`contains`](CoverageSet::contains) is a pair of tree lookups rather than
-/// a scan of every visited pair.
+/// Pairs are held sorted by `(state, event)`, so
+/// [`contains`](CoverageSet::contains) is one binary search rather than a
+/// scan of every visited pair.
 ///
 /// A label named from a `'static` table ([`CoverageGrid::name_into`]) is
 /// held borrowed, and stays borrowed through [`merge`](CoverageSet::merge);
 /// only a label from a `&str` of unknown lifetime is copied.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CoverageSet {
-    by_state: BTreeMap<Label, BTreeSet<Label>>,
-    len: usize,
+    pairs: SortedMap<(Label, Label), ()>,
 }
 
-/// A state or event name in a coverage table: borrowed from a `'static`
-/// label table, or owned when it came from anywhere else. Ordered and
-/// compared by its text either way.
-type Label = Cow<'static, str>;
-
-/// A label of unknown lifetime, copied.
-fn owned(label: &str) -> Label {
-    Cow::Owned(label.to_owned())
+/// Orders a held `(state, event)` pair against one given by text.
+fn pair_order(held: &(Label, Label), state: &str, event: &str) -> Ordering {
+    text_order(&held.0, state).then_with(|| text_order(&held.1, event))
 }
 
 impl CoverageSet {
@@ -50,65 +316,38 @@ impl CoverageSet {
 
     /// Records that `event` was observed while in `state`.
     pub fn visit(&mut self, state: &str, event: &str) {
-        self.insert(state, event, || owned(state), || owned(event));
-    }
-
-    /// Records a pair, looked up by text; the two closures make the key of
-    /// a state or an event the set does not hold yet.
-    fn insert(
-        &mut self,
-        state: &str,
-        event: &str,
-        state_label: impl FnOnce() -> Label,
-        event_label: impl FnOnce() -> Label,
-    ) {
-        match self.by_state.get_mut(state) {
-            Some(events) => {
-                if !events.contains(event) {
-                    events.insert(event_label());
-                    self.len += 1;
-                }
-            }
-            None => {
-                self.by_state
-                    .insert(state_label(), BTreeSet::from([event_label()]));
-                self.len += 1;
-            }
-        }
+        self.pairs.slot_by(
+            |held| pair_order(held, state, event),
+            || (owned(state), owned(event)),
+        );
     }
 
     /// Number of distinct `(state, event)` pairs visited.
     pub fn len(&self) -> usize {
-        self.len
+        self.pairs.len()
     }
 
     /// Whether nothing has been visited.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.pairs.is_empty()
     }
 
     /// Whether a particular pair was visited.
     pub fn contains(&self, state: &str, event: &str) -> bool {
-        self.by_state
-            .get(state)
-            .is_some_and(|events| events.contains(event))
+        self.pairs
+            .get_by(|held| pair_order(held, state, event))
+            .is_some()
     }
 
     /// Iterates over visited pairs in deterministic `(state, event)` order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &str)> + '_ {
-        self.by_state
-            .iter()
-            .flat_map(|(s, evs)| evs.iter().map(move |e| (&**s, &**e)))
+        self.pairs.iter().map(|((s, e), ())| (&**s, &**e))
     }
 
     /// Merges another coverage set into this one. A label this set lacks is
     /// cloned from `other`, so a borrowed one stays borrowed.
     pub fn merge(&mut self, other: &CoverageSet) {
-        for (state, events) in &other.by_state {
-            for event in events {
-                self.insert(state, event, || state.clone(), || event.clone());
-            }
-        }
+        self.pairs.merge(&other.pairs, all, |_, _, _| {});
     }
 }
 
@@ -159,17 +398,19 @@ impl<S: Alphabet, E: Alphabet> CoverageGrid<S, E> {
         self.bits[cell / 64] |= 1 << (cell % 64);
     }
 
-    /// Visits every recorded pair, under its labels, in `set`.
+    /// Visits every recorded pair, under its labels, in `set`. The cells
+    /// are read in label order ([`Alphabet::BY_LABEL`]), so the pairs come
+    /// out sorted: nothing is sorted or inserted one at a time.
     pub fn name_into(&self, set: &mut CoverageSet) {
-        for (s, state) in S::ALL.iter().enumerate() {
-            for (e, event) in E::ALL.iter().enumerate() {
-                let cell = s * E::ALL.len() + e;
-                if self.bits[cell / 64] >> (cell % 64) & 1 == 1 {
-                    let (state, event) = (state.label(), event.label());
-                    set.insert(state, event, || state.into(), || event.into());
-                }
-            }
-        }
+        let visited = S::BY_LABEL.iter().flat_map(|&state| {
+            E::BY_LABEL.iter().filter_map(move |&event| {
+                let cell = state.index() * E::ALL.len() + event.index();
+                let hit = self.bits[cell / 64] >> (cell % 64) & 1 == 1;
+                hit.then(|| ((state.label().into(), event.label().into()), ()))
+            })
+        });
+        set.pairs
+            .merge_run(SortedMap::from_sorted(visited), |_, _, _| {});
     }
 
     /// The visited pairs under their labels, as reports carry them.
@@ -195,9 +436,11 @@ pub trait FsmRows: Sync {
     /// The machine (table) name coverage is reported under.
     fn machine(&self) -> &'static str;
 
-    /// `(state, event)` labels of cell `index` when it is a legal row
-    /// (transition or stall); `None` for violation cells.
-    fn legal_row(&self, index: usize) -> Option<(&'static str, &'static str)>;
+    /// The legal rows (transitions and stalls; violation cells are not
+    /// rows), as `(state label, event label, cell index)`, in label order —
+    /// the order a [`TransitionCoverage`] holds them in. Each `(state,
+    /// event)` pair appears once.
+    fn rows_by_label(&self) -> &[(&'static str, &'static str, usize)];
 }
 
 /// Per-machine transition coverage against a *declared* row universe.
@@ -218,37 +461,14 @@ pub trait FsmRows: Sync {
 /// and through merges, copied otherwise.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TransitionCoverage {
-    /// state → event → times fired (0 = declared, never fired).
-    rows: BTreeMap<Label, BTreeMap<Label, u64>>,
+    /// `(state, event)` → times fired (0 = declared, never fired), sorted.
+    rows: SortedMap<(Label, Label), u64>,
 }
 
 impl TransitionCoverage {
     /// Creates an empty coverage table.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Adds `count` to a row, declaring it on first sight. A row already
-    /// present — every call but a machine's first — is found by text; the
-    /// two closures make the labels of a new one.
-    fn bump(
-        &mut self,
-        state: &str,
-        event: &str,
-        count: u64,
-        state_label: impl FnOnce() -> Label,
-        event_label: impl FnOnce() -> Label,
-    ) {
-        let events = match self.rows.get_mut(state) {
-            Some(events) => events,
-            None => self.rows.entry(state_label()).or_default(),
-        };
-        match events.get_mut(event) {
-            Some(n) => *n += count,
-            None => {
-                events.insert(event_label(), count);
-            }
-        }
     }
 
     /// Declares a row of the machine's table without firing it.
@@ -258,40 +478,42 @@ impl TransitionCoverage {
 
     /// Records `count` firings of a row (declaring it if needed).
     pub fn fire(&mut self, state: &str, event: &str, count: u64) {
-        self.bump(state, event, count, || owned(state), || owned(event));
+        *self.rows.slot_by(
+            |held| pair_order(held, state, event),
+            || (owned(state), owned(event)),
+        ) += count;
     }
 
     /// Adds one machine instance's dense per-cell fired counters: every
     /// legal cell of `rows` is declared, fired ones counted. Violation
     /// cells are excluded — firing one is a protocol bug, not a coverage
-    /// goal.
+    /// goal. The rows come in label order, so nothing is sorted.
     pub fn add_fired(&mut self, rows: &dyn FsmRows, fired: &[u64]) {
-        for (index, &n) in fired.iter().enumerate() {
-            if let Some((state, event)) = rows.legal_row(index) {
-                self.bump(state, event, n, || state.into(), || event.into());
-            }
-        }
+        let legal = rows
+            .rows_by_label()
+            .iter()
+            .filter_map(|&(state, event, cell)| {
+                let &n = fired.get(cell)?;
+                Some(((state.into(), event.into()), n))
+            });
+        self.rows
+            .merge_run(SortedMap::from_sorted(legal), |_, count, n| *count += n);
     }
 
     /// Number of declared rows.
     pub fn total_rows(&self) -> usize {
-        self.rows.values().map(BTreeMap::len).sum()
+        self.rows.len()
     }
 
     /// Number of declared rows that fired at least once.
     pub fn fired_rows(&self) -> usize {
-        self.rows
-            .values()
-            .flat_map(BTreeMap::values)
-            .filter(|&&n| n > 0)
-            .count()
+        self.rows.iter().filter(|&&(_, n)| n > 0).count()
     }
 
     /// Times a particular row fired (0 if never or undeclared).
     pub fn count(&self, state: &str, event: &str) -> u64 {
         self.rows
-            .get(state)
-            .and_then(|evs| evs.get(event))
+            .get_by(|held| pair_order(held, state, event))
             .copied()
             .unwrap_or(0)
     }
@@ -299,15 +521,13 @@ impl TransitionCoverage {
     /// Whether a row is declared.
     pub fn is_declared(&self, state: &str, event: &str) -> bool {
         self.rows
-            .get(state)
-            .is_some_and(|evs| evs.contains_key(event))
+            .get_by(|held| pair_order(held, state, event))
+            .is_some()
     }
 
     /// Iterates `(state, event, fired)` in deterministic order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &str, u64)> + '_ {
-        self.rows
-            .iter()
-            .flat_map(|(s, evs)| evs.iter().map(move |(e, &n)| (&**s, &**e, n)))
+        self.rows.iter().map(|((s, e), n)| (&**s, &**e, *n))
     }
 
     /// Iterates the declared rows that never fired.
@@ -321,11 +541,7 @@ impl TransitionCoverage {
     /// label this table lacks is cloned from `other`, so a borrowed one
     /// stays borrowed.
     pub fn merge(&mut self, other: &TransitionCoverage) {
-        for (state, events) in &other.rows {
-            for (event, &n) in events {
-                self.bump(state, event, n, || state.clone(), || event.clone());
-            }
-        }
+        self.rows.merge(&other.rows, all, |_, n, v| *n += v);
     }
 
     /// Rows fired in `self` that never fired in `other` — the coverage
@@ -336,15 +552,14 @@ impl TransitionCoverage {
     /// discovered nothing, which is exactly the signal the coverage-guided
     /// fuzz campaign uses to discard uninteresting inputs.
     pub fn diff(&self, other: &TransitionCoverage) -> TransitionCoverage {
-        let mut out = TransitionCoverage::new();
-        for (state, events) in &self.rows {
-            for (event, &n) in events {
-                if n > 0 && other.count(state, event) == 0 {
-                    out.bump(state, event, n, || state.clone(), || event.clone());
-                }
-            }
+        let rows = self
+            .rows
+            .iter()
+            .filter(|((s, e), n)| *n > 0 && other.count(s, e) == 0)
+            .cloned();
+        TransitionCoverage {
+            rows: SortedMap::from_sorted(rows),
         }
-        out
     }
 }
 
@@ -353,35 +568,38 @@ impl TransitionCoverage {
 /// Components contribute to a `Report` via [`crate::Component::report`]:
 /// scalar counters (message counts, hits, errors, ...), per-controller
 /// coverage sets, and log₂-bucketed latency [`Histogram`]s. Keys are
-/// free-form strings, conventionally `"<component>.<counter>"`.
+/// free-form text, conventionally `"<component>.<counter>"`, given as
+/// anything that implements [`Display`](fmt::Display) — a `&str`, or
+/// `format_args!("{name}.hits")`, which is written into a reused buffer
+/// and copied into the report only when the key is new.
 ///
 /// A report serializes to JSON with [`to_json`](Report::to_json) and parses
 /// back with [`from_json`](Report::from_json); the round trip is lossless.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Report {
-    scalars: BTreeMap<String, u64>,
-    coverage: BTreeMap<String, CoverageSet>,
+    scalars: Section<u64>,
+    coverage: Section<CoverageSet>,
     /// Keyed by machine name, borrowed from its row table when recorded
     /// by [`record_fired`](Report::record_fired).
-    fsm: BTreeMap<Label, TransitionCoverage>,
-    hists: BTreeMap<String, Histogram>,
+    fsm: Section<TransitionCoverage>,
+    hists: Section<Histogram>,
     /// Fuzz-campaign metrics (corpus size, frontier pairs, budgets). Kept
     /// separate from `scalars` so campaign tooling can enumerate them
     /// without namespace conventions.
-    fuzz: BTreeMap<String, u64>,
+    fuzz: Section<u64>,
     /// Per-guard-instance metrics (`guard label → counter → value`), the
     /// multi-accelerator attribution section: which guard instance the OS
     /// blamed for each error, per-instance tester results, and so on. Kept
     /// out of `scalars` so single-accelerator reports stay byte-identical
     /// to their pre-multi-accelerator form once this section is stripped.
-    guards: BTreeMap<String, BTreeMap<String, u64>>,
+    guards: Section<Section<u64>>,
     /// Kernel-profiling metrics (`xg-prof`): dispatch counters, host-time
     /// attribution, queue high-water marks, and the epoch time series. Kept
     /// out of `scalars` so profiling-off reports keep their exact
     /// serialized form, and merged with section-specific rules — keys
     /// ending in `.hwm` take the max across shards, everything else sums —
     /// so shard merges stay permutation-invariant.
-    profile: BTreeMap<String, u64>,
+    profile: Section<u64>,
 }
 
 impl Report {
@@ -391,13 +609,13 @@ impl Report {
     }
 
     /// Adds `value` to the scalar counter `key` (creating it at zero).
-    pub fn add(&mut self, key: impl Into<String>, value: u64) {
-        *self.scalars.entry(key.into()).or_insert(0) += value;
+    pub fn add(&mut self, key: impl fmt::Display, value: u64) {
+        with_key(key, |key| *self.scalars.slot(key) += value);
     }
 
     /// Sets the scalar counter `key`, replacing any prior value.
-    pub fn set(&mut self, key: impl Into<String>, value: u64) {
-        self.scalars.insert(key.into(), value);
+    pub fn set(&mut self, key: impl fmt::Display, value: u64) {
+        with_key(key, |key| *self.scalars.slot(key) = value);
     }
 
     /// Reads a scalar counter, returning 0 if absent.
@@ -408,7 +626,7 @@ impl Report {
     /// Sums every scalar counter whose key ends with `suffix`.
     pub fn sum_suffix(&self, suffix: &str) -> u64 {
         self.scalars
-            .iter()
+            .pairs()
             .filter(|(k, _)| k.ends_with(suffix))
             .map(|(_, v)| *v)
             .sum()
@@ -416,15 +634,12 @@ impl Report {
 
     /// Iterates over `(key, value)` scalars in deterministic order.
     pub fn scalars(&self) -> impl Iterator<Item = (&str, u64)> + '_ {
-        self.scalars.iter().map(|(k, v)| (k.as_str(), *v))
+        self.scalars.pairs().map(|(k, v)| (k, *v))
     }
 
     /// Records (merges) a coverage set under `controller`.
-    pub fn record_coverage(&mut self, controller: impl Into<String>, set: &CoverageSet) {
-        self.coverage
-            .entry(controller.into())
-            .or_default()
-            .merge(set);
+    pub fn record_coverage(&mut self, controller: impl fmt::Display, set: &CoverageSet) {
+        with_key(controller, |c| self.coverage.slot(c).merge(set));
     }
 
     /// Records (merges) a controller's dense recorder under `controller`:
@@ -432,10 +647,10 @@ impl Report {
     /// intermediate set.
     pub fn record_grid<S: Alphabet, E: Alphabet>(
         &mut self,
-        controller: impl Into<String>,
+        controller: impl fmt::Display,
         grid: &CoverageGrid<S, E>,
     ) {
-        grid.name_into(self.coverage.entry(controller.into()).or_default());
+        with_key(controller, |c| grid.name_into(self.coverage.slot(c)));
     }
 
     /// Looks up the coverage set for a controller.
@@ -445,7 +660,7 @@ impl Report {
 
     /// Iterates over all `(controller, coverage)` entries.
     pub fn coverages(&self) -> impl Iterator<Item = (&str, &CoverageSet)> + '_ {
-        self.coverage.iter().map(|(k, v)| (k.as_str(), v))
+        self.coverage.pairs()
     }
 
     /// Records (merges) a machine's transition coverage under `machine`.
@@ -453,22 +668,18 @@ impl Report {
     /// Keyed by machine (table) name rather than component instance name so
     /// that sweeps over many instances of the same controller merge into
     /// one per-machine table.
-    pub fn record_fsm(&mut self, machine: impl Into<String>, cov: &TransitionCoverage) {
-        self.fsm
-            .entry(Cow::Owned(machine.into()))
-            .or_default()
-            .merge(cov);
+    pub fn record_fsm(&mut self, machine: impl fmt::Display, cov: &TransitionCoverage) {
+        with_key(machine, |m| self.fsm.slot(m).merge(cov));
     }
 
     /// Records a machine instance straight from its dense fired counters
     /// (see [`TransitionCoverage::add_fired`]), under `rows.machine()` —
     /// [`record_fsm`](Report::record_fsm) without the intermediate table.
     pub fn record_fired(&mut self, rows: &dyn FsmRows, fired: &[u64]) {
-        let cov = match self.fsm.get_mut(rows.machine()) {
-            Some(cov) => cov,
-            None => self.fsm.entry(rows.machine().into()).or_default(),
-        };
-        cov.add_fired(rows, fired);
+        let machine = rows.machine();
+        self.fsm
+            .slot_by(|k| text_order(k, machine), || machine.into())
+            .add_fired(rows, fired);
     }
 
     /// Looks up the transition coverage for a machine.
@@ -478,17 +689,17 @@ impl Report {
 
     /// Iterates over all `(machine, transition coverage)` entries.
     pub fn fsms(&self) -> impl Iterator<Item = (&str, &TransitionCoverage)> + '_ {
-        self.fsm.iter().map(|(k, v)| (&**k, v))
+        self.fsm.pairs()
     }
 
     /// Adds `value` to the fuzz-section counter `key` (creating it at zero).
-    pub fn fuzz_add(&mut self, key: impl Into<String>, value: u64) {
-        *self.fuzz.entry(key.into()).or_insert(0) += value;
+    pub fn fuzz_add(&mut self, key: impl fmt::Display, value: u64) {
+        with_key(key, |key| *self.fuzz.slot(key) += value);
     }
 
     /// Sets the fuzz-section counter `key`, replacing any prior value.
-    pub fn fuzz_set(&mut self, key: impl Into<String>, value: u64) {
-        self.fuzz.insert(key.into(), value);
+    pub fn fuzz_set(&mut self, key: impl fmt::Display, value: u64) {
+        with_key(key, |key| *self.fuzz.slot(key) = value);
     }
 
     /// Reads a fuzz-section counter, returning 0 if absent.
@@ -498,27 +709,32 @@ impl Report {
 
     /// Iterates `(key, value)` fuzz-section entries in deterministic order.
     pub fn fuzz_entries(&self) -> impl Iterator<Item = (&str, u64)> + '_ {
-        self.fuzz.iter().map(|(k, v)| (k.as_str(), *v))
+        self.fuzz.pairs().map(|(k, v)| (k, *v))
+    }
+
+    /// The counter `key` of guard instance `guard`, created at zero.
+    fn guard_slot(
+        &mut self,
+        guard: impl fmt::Display,
+        key: impl fmt::Display,
+        update: impl FnOnce(&mut u64),
+    ) {
+        with_keys(&[&guard, &key], |text, ends| {
+            let (guard, key) = text.split_at(ends[0]);
+            update(self.guards.slot(guard).slot(key));
+        });
     }
 
     /// Adds `value` to counter `key` of guard instance `guard` (creating
     /// it at zero).
-    pub fn guard_add(&mut self, guard: impl Into<String>, key: impl Into<String>, value: u64) {
-        *self
-            .guards
-            .entry(guard.into())
-            .or_default()
-            .entry(key.into())
-            .or_insert(0) += value;
+    pub fn guard_add(&mut self, guard: impl fmt::Display, key: impl fmt::Display, value: u64) {
+        self.guard_slot(guard, key, |n| *n += value);
     }
 
     /// Sets counter `key` of guard instance `guard`, replacing any prior
     /// value.
-    pub fn guard_set(&mut self, guard: impl Into<String>, key: impl Into<String>, value: u64) {
-        self.guards
-            .entry(guard.into())
-            .or_default()
-            .insert(key.into(), value);
+    pub fn guard_set(&mut self, guard: impl fmt::Display, key: impl fmt::Display, value: u64) {
+        self.guard_slot(guard, key, |n| *n = value);
     }
 
     /// Reads a per-guard counter, returning 0 if the guard or key is absent.
@@ -532,7 +748,7 @@ impl Report {
 
     /// Iterates guard instance labels in deterministic order.
     pub fn guard_names(&self) -> impl Iterator<Item = &str> + '_ {
-        self.guards.keys().map(String::as_str)
+        self.guards.pairs().map(|(k, _)| k)
     }
 
     /// Iterates `(key, value)` counters of one guard in deterministic order.
@@ -540,36 +756,37 @@ impl Report {
         self.guards
             .get(guard)
             .into_iter()
-            .flat_map(|m| m.iter().map(|(k, v)| (k.as_str(), *v)))
+            .flat_map(|m| m.pairs().map(|(k, v)| (k, *v)))
     }
 
     /// A copy of this report with the per-guard section removed — the
     /// single-accelerator differential shape (see the harness golden test).
     pub fn without_guards(&self) -> Report {
-        let mut out = self.clone();
-        out.guards.clear();
-        out
+        Report {
+            guards: Section::default(),
+            ..self.clone()
+        }
     }
 
     /// Adds `value` to the profile-section counter `key` (creating it at
     /// zero). Note that merges treat `.hwm`-suffixed keys specially — use
     /// [`profile_max`](Report::profile_max) to combine high-water marks.
-    pub fn profile_add(&mut self, key: impl Into<String>, value: u64) {
-        *self.profile.entry(key.into()).or_insert(0) += value;
+    pub fn profile_add(&mut self, key: impl fmt::Display, value: u64) {
+        with_key(key, |key| *self.profile.slot(key) += value);
     }
 
     /// Raises the profile-section counter `key` to at least `value` — the
     /// combine rule for `.hwm` high-water-mark keys.
-    pub fn profile_max(&mut self, key: impl Into<String>, value: u64) {
-        let slot = self.profile.entry(key.into()).or_insert(0);
-        if value > *slot {
-            *slot = value;
-        }
+    pub fn profile_max(&mut self, key: impl fmt::Display, value: u64) {
+        with_key(key, |key| {
+            let slot = self.profile.slot(key);
+            *slot = (*slot).max(value);
+        });
     }
 
     /// Sets the profile-section counter `key`, replacing any prior value.
-    pub fn profile_set(&mut self, key: impl Into<String>, value: u64) {
-        self.profile.insert(key.into(), value);
+    pub fn profile_set(&mut self, key: impl fmt::Display, value: u64) {
+        with_key(key, |key| *self.profile.slot(key) = value);
     }
 
     /// Reads a profile-section counter, returning 0 if absent.
@@ -579,29 +796,30 @@ impl Report {
 
     /// Iterates `(key, value)` profile entries in deterministic order.
     pub fn profile_entries(&self) -> impl Iterator<Item = (&str, u64)> + '_ {
-        self.profile.iter().map(|(k, v)| (k.as_str(), *v))
+        self.profile.pairs().map(|(k, v)| (k, *v))
     }
 
     /// A copy of this report with the profile section removed — the shape
     /// determinism comparisons use, since host-time attribution is
     /// wall-clock data and legitimately differs between identical runs.
     pub fn without_profile(&self) -> Report {
-        let mut out = self.clone();
-        out.profile.clear();
-        out
+        Report {
+            profile: Section::default(),
+            ..self.clone()
+        }
     }
 
     /// Records one observation into the histogram `key` (creating it empty).
-    pub fn observe(&mut self, key: impl Into<String>, value: u64) {
-        self.hists.entry(key.into()).or_default().record(value);
+    pub fn observe(&mut self, key: impl fmt::Display, value: u64) {
+        with_key(key, |key| self.hists.slot(key).record(value));
     }
 
     /// Merges a component-owned histogram into the histogram `key`.
-    pub fn record_hist(&mut self, key: impl Into<String>, hist: &Histogram) {
+    pub fn record_hist(&mut self, key: impl fmt::Display, hist: &Histogram) {
         if hist.is_empty() {
             return;
         }
-        self.hists.entry(key.into()).or_default().merge(hist);
+        with_key(key, |key| self.hists.slot(key).merge(hist));
     }
 
     /// Looks up a histogram.
@@ -611,7 +829,7 @@ impl Report {
 
     /// Iterates over all `(key, histogram)` entries in deterministic order.
     pub fn hists(&self) -> impl Iterator<Item = (&str, &Histogram)> + '_ {
-        self.hists.iter().map(|(k, v)| (k.as_str(), v))
+        self.hists.pairs()
     }
 
     /// Merges another report into this one (scalars are summed, coverage
@@ -622,45 +840,39 @@ impl Report {
     /// fixed set of reports yields the same result (and the same
     /// [`to_json`](Report::to_json) bytes) in *any* order. Parallel sweep
     /// shards can therefore be merged as they arrive or in canonical
-    /// submission order with identical output; keys are `BTreeMap`-ordered,
-    /// never insertion-ordered.
+    /// submission order with identical output; keys are held in the byte
+    /// order of their text, never in insertion order.
     ///
-    /// Keys are looked up by `&str` first: only a key this report does not
-    /// hold yet costs a `String`.
+    /// Each section is one merge-join. A key this report does not hold yet
+    /// is cloned (a borrowed label stays borrowed); when it holds every key
+    /// of `other`, as an accumulator soon does, the merge allocates nothing.
     pub fn merge(&mut self, other: &Report) {
-        for (k, &v) in &other.scalars {
-            upsert(&mut self.scalars, k, |n| *n += v);
-        }
-        for (k, v) in &other.coverage {
-            upsert(&mut self.coverage, k, |set| set.merge(v));
-        }
-        for (k, v) in &other.fsm {
-            upsert(&mut self.fsm, k, |cov| cov.merge(v));
-        }
-        for (k, v) in other.hists.iter().filter(|(_, h)| !h.is_empty()) {
-            upsert(&mut self.hists, k, |h| h.merge(v));
-        }
-        for (k, &v) in &other.fuzz {
-            upsert(&mut self.fuzz, k, |n| *n += v);
-        }
-        for (guard, counters) in other.guards.iter().filter(|(_, c)| !c.is_empty()) {
-            upsert(&mut self.guards, guard, |mine| {
-                for (k, &v) in counters {
-                    upsert(mine, k, |n| *n += v);
-                }
-            });
-        }
-        for (k, &v) in &other.profile {
-            // High-water marks combine with max (the deepest any shard got),
-            // counters and time estimates with sum. Both rules are
-            // commutative and associative, preserving permutation-invariant
-            // shard merging.
+        self.scalars.merge(&other.scalars, all, sum);
+        self.coverage
+            .merge(&other.coverage, all, |_, set, theirs| set.merge(theirs));
+        self.fsm
+            .merge(&other.fsm, all, |_, cov, theirs| cov.merge(theirs));
+        self.hists.merge(
+            &other.hists,
+            |h| !h.is_empty(),
+            |_, h, theirs| h.merge(theirs),
+        );
+        self.fuzz.merge(&other.fuzz, all, sum);
+        self.guards.merge(
+            &other.guards,
+            |counters| !counters.is_empty(),
+            |_, mine, theirs| mine.merge(theirs, all, sum),
+        );
+        // High-water marks combine with max (the deepest any shard got),
+        // counters and time estimates with sum. Both rules are commutative
+        // and associative, preserving permutation-invariant shard merging.
+        self.profile.merge(&other.profile, all, |k, n, &v| {
             if k.ends_with(".hwm") {
-                upsert(&mut self.profile, k, |n| *n = (*n).max(v));
+                *n = (*n).max(v);
             } else {
-                upsert(&mut self.profile, k, |n| *n += v);
+                *n += v;
             }
-        }
+        });
     }
 
     /// Merges a sequence of per-shard reports into one.
@@ -680,34 +892,39 @@ impl Report {
     /// Serializes the report as a compact JSON object with `scalars`,
     /// `coverage`, `fsm`, `hists`, and `fuzz` sections.
     pub fn to_json(&self) -> String {
-        let mut root = BTreeMap::new();
-        root.insert(
-            "scalars".to_owned(),
+        fn counters(section: &Section<u64>) -> JsonValue {
             JsonValue::Obj(
-                self.scalars
-                    .iter()
-                    .map(|(k, &v)| (k.clone(), JsonValue::Num(v)))
+                section
+                    .pairs()
+                    .map(|(k, &v)| (k.to_owned(), JsonValue::Num(v)))
                     .collect(),
-            ),
-        );
+            )
+        }
+        /// Rows grouped by state: `state → group(its rows)`.
+        fn by_state<V>(
+            rows: &[((Label, Label), V)],
+            group: impl Fn(&[((Label, Label), V)]) -> JsonValue,
+        ) -> JsonValue {
+            JsonValue::Obj(
+                rows.chunk_by(|a, b| a.0 .0 == b.0 .0)
+                    .map(|run| (run[0].0 .0.to_string(), group(run)))
+                    .collect(),
+            )
+        }
+        let mut root = BTreeMap::new();
+        root.insert("scalars".to_owned(), counters(&self.scalars));
         root.insert(
             "coverage".to_owned(),
             JsonValue::Obj(
                 self.coverage
-                    .iter()
+                    .pairs()
                     .map(|(ctrl, set)| {
-                        let states = set
-                            .by_state
-                            .iter()
-                            .map(|(state, events)| {
-                                let evs = events
-                                    .iter()
-                                    .map(|e| JsonValue::Str(e.to_string()))
-                                    .collect::<Vec<_>>();
-                                (state.to_string(), JsonValue::Arr(evs))
-                            })
-                            .collect();
-                        (ctrl.clone(), JsonValue::Obj(states))
+                        let states = by_state(&set.pairs.entries, |run| {
+                            let events =
+                                run.iter().map(|((_, e), ())| JsonValue::Str(e.to_string()));
+                            JsonValue::Arr(events.collect())
+                        });
+                        (ctrl.to_owned(), states)
                     })
                     .collect(),
             ),
@@ -716,20 +933,15 @@ impl Report {
             "fsm".to_owned(),
             JsonValue::Obj(
                 self.fsm
-                    .iter()
+                    .pairs()
                     .map(|(machine, cov)| {
-                        let states = cov
-                            .rows
-                            .iter()
-                            .map(|(state, events)| {
-                                let evs = events
-                                    .iter()
-                                    .map(|(e, &n)| (e.to_string(), JsonValue::Num(n)))
-                                    .collect();
-                                (state.to_string(), JsonValue::Obj(evs))
-                            })
-                            .collect();
-                        (machine.to_string(), JsonValue::Obj(states))
+                        let states = by_state(&cov.rows.entries, |run| {
+                            let events = run
+                                .iter()
+                                .map(|((_, e), n)| (e.to_string(), JsonValue::Num(*n)));
+                            JsonValue::Obj(events.collect())
+                        });
+                        (machine.to_owned(), states)
                     })
                     .collect(),
             ),
@@ -738,7 +950,7 @@ impl Report {
             "hists".to_owned(),
             JsonValue::Obj(
                 self.hists
-                    .iter()
+                    .pairs()
                     .map(|(k, h)| {
                         let mut o = BTreeMap::new();
                         o.insert("count".to_owned(), JsonValue::Num(h.count()));
@@ -753,33 +965,17 @@ impl Report {
                                     .collect(),
                             ),
                         );
-                        (k.clone(), JsonValue::Obj(o))
+                        (k.to_owned(), JsonValue::Obj(o))
                     })
                     .collect(),
             ),
         );
-        root.insert(
-            "fuzz".to_owned(),
-            JsonValue::Obj(
-                self.fuzz
-                    .iter()
-                    .map(|(k, &v)| (k.clone(), JsonValue::Num(v)))
-                    .collect(),
-            ),
-        );
+        root.insert("fuzz".to_owned(), counters(&self.fuzz));
         // Only present when profiling recorded something, so profiling-off
         // runs keep their exact serialized form (the golden-fixture
         // byte-identity guarantee).
         if !self.profile.is_empty() {
-            root.insert(
-                "profile".to_owned(),
-                JsonValue::Obj(
-                    self.profile
-                        .iter()
-                        .map(|(k, &v)| (k.clone(), JsonValue::Num(v)))
-                        .collect(),
-                ),
-            );
+            root.insert("profile".to_owned(), counters(&self.profile));
         }
         // Only present when a guard instance reported something, so reports
         // from single-section-era runs keep their exact serialized form.
@@ -788,21 +984,14 @@ impl Report {
                 "guards".to_owned(),
                 JsonValue::Obj(
                     self.guards
-                        .iter()
-                        .map(|(guard, counters)| {
-                            let m = counters
-                                .iter()
-                                .map(|(k, &v)| (k.clone(), JsonValue::Num(v)))
-                                .collect();
-                            (guard.clone(), JsonValue::Obj(m))
-                        })
+                        .pairs()
+                        .map(|(guard, section)| (guard.to_owned(), counters(section)))
                         .collect(),
                 ),
             );
         }
         JsonValue::Obj(root).to_string()
     }
-
     /// Parses a report serialized by [`to_json`](Report::to_json).
     pub fn from_json(input: &str) -> Result<Report, JsonError> {
         fn bad(message: &str) -> JsonError {
@@ -825,7 +1014,7 @@ impl Report {
                 let v = v
                     .as_num()
                     .ok_or_else(|| bad("scalar values must be numbers"))?;
-                report.set(k.clone(), v);
+                report.set(k, v);
             }
         }
         if let Some(coverage) = root.get("coverage") {
@@ -836,7 +1025,7 @@ impl Report {
                 let states = states
                     .as_obj()
                     .ok_or_else(|| bad("coverage entries must be objects"))?;
-                let set = report.coverage.entry(ctrl.clone()).or_default();
+                let set = report.coverage.slot(ctrl);
                 for (state, events) in states {
                     let events = events
                         .as_arr()
@@ -856,7 +1045,7 @@ impl Report {
                 let states = states
                     .as_obj()
                     .ok_or_else(|| bad("fsm entries must be objects"))?;
-                let cov = report.fsm.entry(Cow::Owned(machine.clone())).or_default();
+                let cov = report.fsm.slot(machine);
                 for (state, events) in states {
                     let events = events
                         .as_obj()
@@ -876,7 +1065,7 @@ impl Report {
                 let v = v
                     .as_num()
                     .ok_or_else(|| bad("fuzz values must be numbers"))?;
-                report.fuzz_set(k.clone(), v);
+                report.fuzz_set(k, v);
             }
         }
         if let Some(profile) = root.get("profile") {
@@ -887,7 +1076,7 @@ impl Report {
                 let v = v
                     .as_num()
                     .ok_or_else(|| bad("profile values must be numbers"))?;
-                report.profile_set(k.clone(), v);
+                report.profile_set(k, v);
             }
         }
         if let Some(guards) = root.get("guards") {
@@ -898,11 +1087,11 @@ impl Report {
                 let counters = counters
                     .as_obj()
                     .ok_or_else(|| bad("guard entries must be objects"))?;
-                for (k, v) in counters {
+                for (k, v) in counters.iter() {
                     let v = v
                         .as_num()
                         .ok_or_else(|| bad("guard counters must be numbers"))?;
-                    report.guard_set(guard.clone(), k.clone(), v);
+                    report.guard_set(guard, k, v);
                 }
             }
         }
@@ -942,36 +1131,22 @@ impl Report {
                     field("max")?,
                 )
                 .map_err(bad)?;
-                report.hists.insert(key.clone(), hist);
+                *report.hists.slot(key) = hist;
             }
         }
         Ok(report)
     }
 }
 
-/// Applies `update` to the value of `key`, which starts at `V::default()`
-/// if absent. A present key is found by `&str`; only a new one is cloned
-/// (a `String` copied, a borrowed [`Label`] not).
-fn upsert<K, V>(map: &mut BTreeMap<K, V>, key: &K, update: impl FnOnce(&mut V))
-where
-    K: Ord + Clone + std::borrow::Borrow<str>,
-    V: Default,
-{
-    match map.get_mut(key.borrow()) {
-        Some(value) => update(value),
-        None => update(map.entry(key.clone()).or_default()),
-    }
-}
-
 impl fmt::Display for Report {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for (k, v) in &self.scalars {
+        for (k, v) in self.scalars.pairs() {
             writeln!(f, "{k} = {v}")?;
         }
-        for (k, v) in &self.coverage {
+        for (k, v) in self.coverage.pairs() {
             writeln!(f, "{k}: {} state/event pairs", v.len())?;
         }
-        for (k, v) in &self.fsm {
+        for (k, v) in self.fsm.pairs() {
             writeln!(
                 f,
                 "{k}: {}/{} transition rows fired",
@@ -979,18 +1154,18 @@ impl fmt::Display for Report {
                 v.total_rows()
             )?;
         }
-        for (k, h) in &self.hists {
+        for (k, h) in self.hists.pairs() {
             writeln!(f, "{k}: {h}")?;
         }
-        for (k, v) in &self.fuzz {
+        for (k, v) in self.fuzz.pairs() {
             writeln!(f, "fuzz.{k} = {v}")?;
         }
-        for (guard, counters) in &self.guards {
-            for (k, v) in counters {
+        for (guard, counters) in self.guards.pairs() {
+            for (k, v) in counters.pairs() {
                 writeln!(f, "guard.{guard}.{k} = {v}")?;
             }
         }
-        for (k, v) in &self.profile {
+        for (k, v) in self.profile.pairs() {
             writeln!(f, "profile.{k} = {v}")?;
         }
         Ok(())
@@ -1146,8 +1321,9 @@ mod tests {
             fn machine(&self) -> &'static str {
                 "toy"
             }
-            fn legal_row(&self, index: usize) -> Option<(&'static str, &'static str)> {
-                [Some(("I", "Load")), None, Some(("S", "Inv"))][index]
+            fn rows_by_label(&self) -> &[(&'static str, &'static str, usize)] {
+                // Cell 1 is a violation cell: not a row.
+                &[("I", "Load", 0), ("S", "Inv", 2)]
             }
         }
         let mut cov = TransitionCoverage::new();
@@ -1377,12 +1553,9 @@ mod tests {
     }
 
     /// Whether every label of a coverage table is held borrowed.
-    fn all_borrowed<'a>(
-        labels: impl IntoIterator<Item = (&'a Label, impl IntoIterator<Item = &'a Label>)>,
-    ) -> bool {
-        labels.into_iter().all(|(state, events)| {
-            matches!(state, Cow::Borrowed(_))
-                && events.into_iter().all(|e| matches!(e, Cow::Borrowed(_)))
+    fn all_borrowed<V>(rows: &SortedMap<(Label, Label), V>) -> bool {
+        rows.iter().all(|((state, event), _)| {
+            matches!(state.0, Cow::Borrowed(_)) && matches!(event.0, Cow::Borrowed(_))
         })
     }
 
@@ -1393,7 +1566,7 @@ mod tests {
         grid.visit(ToyState::M, ToyEvent::Inv);
         grid.visit(ToyState::M, ToyEvent::Store);
         let borrowed = grid.to_set();
-        assert!(all_borrowed(&borrowed.by_state));
+        assert!(all_borrowed(&borrowed.pairs));
         let mut owned = CoverageSet::new();
         for (state, event) in [("I", "Load"), ("M_dirty", "Inv"), ("M_dirty", "Store")] {
             owned.visit(state, event);
@@ -1426,7 +1599,7 @@ mod tests {
         assert_eq!(borrowed_into_owned.len(), 4);
         let mut copy = CoverageSet::new();
         copy.merge(&borrowed);
-        assert!(all_borrowed(&copy.by_state));
+        assert!(all_borrowed(&copy.pairs));
         assert_eq!(copy, borrowed);
     }
 
@@ -1437,19 +1610,13 @@ mod tests {
             fn machine(&self) -> &'static str {
                 "toy"
             }
-            fn legal_row(&self, index: usize) -> Option<(&'static str, &'static str)> {
-                [
-                    Some(("I", "Load")),
-                    None,
-                    Some(("S", "Inv")),
-                    Some(("S", "Load")),
-                ][index]
+            fn rows_by_label(&self) -> &[(&'static str, &'static str, usize)] {
+                &[("I", "Load", 0), ("S", "Inv", 2), ("S", "Load", 3)]
             }
         }
         let mut borrowed = TransitionCoverage::new();
         borrowed.add_fired(&Rows, &[2, 5, 0, 1]);
-        let by_state = borrowed.rows.iter().map(|(s, evs)| (s, evs.keys()));
-        assert!(all_borrowed(by_state));
+        assert!(all_borrowed(&borrowed.rows));
         let mut owned = TransitionCoverage::new();
         owned.fire("I", "Load", 2);
         owned.declare("S", "Inv");
@@ -1458,7 +1625,10 @@ mod tests {
 
         let mut r = Report::new();
         r.record_fired(&Rows, &[2, 5, 0, 1]);
-        assert!(matches!(r.fsm.keys().next(), Some(Cow::Borrowed("toy"))));
+        assert!(matches!(
+            r.fsm.iter().next(),
+            Some((Label(Cow::Borrowed("toy")), _))
+        ));
         let mut o = Report::new();
         o.record_fsm("toy", &owned);
         assert_eq!(r, o);
@@ -1479,8 +1649,7 @@ mod tests {
         assert_eq!(borrowed_into_owned.total_rows(), 4);
         let mut copy = TransitionCoverage::new();
         copy.merge(&borrowed);
-        let by_state = copy.rows.iter().map(|(s, evs)| (s, evs.keys()));
-        assert!(all_borrowed(by_state));
+        assert!(all_borrowed(&copy.rows));
     }
 
     #[test]

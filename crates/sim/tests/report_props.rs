@@ -1,0 +1,272 @@
+//! The merge algebra of [`Report`], against a reference written with
+//! `BTreeMap`s: random reports over all seven sections, with keys that
+//! share prefixes and contain the characters report keys are made of.
+//!
+//! - `merge` is commutative and associative, in `to_json` bytes;
+//! - merging into an empty report gives a clone;
+//! - `from_json(to_json(r)) == r`;
+//! - every merge — into an empty report, into one that holds all of the
+//!   incoming keys, into one that lacks some — equals the reference fold.
+
+use std::collections::{BTreeMap, BTreeSet};
+
+use proptest::collection::vec;
+use proptest::prelude::*;
+use xg_sim::{CoverageSet, Histogram, Report, TransitionCoverage};
+
+/// Keys sharing prefixes, and ordered differently by byte than by any
+/// reading of their parts (`.` < `/` < `[` < `_`, `-` < `.`).
+const KEYS: &[&str] = &[
+    "a",
+    "a.b",
+    "a.b.c",
+    "a-b",
+    "a_b",
+    "a/b",
+    "a[0]",
+    "a[0].b",
+    "a[1]",
+    "ab",
+    "b",
+    "xg.lat.grant",
+    "xg.lat",
+    "xg-1.hits",
+    "queue.hwm",
+    "a.hwm",
+];
+
+/// Coverage and FSM labels, also sharing prefixes.
+const LABELS: &[&str] = &["I", "IS", "IS_D", "I.S", "M", "M_dirty", "S", "S[0]"];
+
+/// One write into a report: `(section, (key, second key), (state, event,
+/// value))`.
+type Op = (u8, (usize, usize), (usize, usize, u64));
+
+fn ops() -> impl Strategy<Value = Vec<Op>> {
+    vec(
+        (
+            0..9u8,
+            (0..KEYS.len(), 0..KEYS.len()),
+            (0..LABELS.len(), 0..LABELS.len(), 0..4u64),
+        ),
+        0..24,
+    )
+}
+
+/// A report built through the public API.
+fn build(ops: &[Op]) -> Report {
+    let mut r = Report::new();
+    for &(section, (k, k2), (s, e, v)) in ops {
+        let (key, key2, state, event) = (KEYS[k], KEYS[k2], LABELS[s], LABELS[e]);
+        match section {
+            0 => r.add(key, v),
+            1 => r.set(format_args!("{key}/{key2}"), v),
+            2 => {
+                let mut set = CoverageSet::new();
+                set.visit(state, event);
+                set.visit(event, state);
+                r.record_coverage(key, &set);
+            }
+            3 => {
+                let mut cov = TransitionCoverage::new();
+                cov.fire(state, event, v);
+                cov.declare(event, state);
+                r.record_fsm(key, &cov);
+            }
+            4 => r.observe(key, v * v * 1000 + v),
+            5 => r.fuzz_add(key, v),
+            6 => r.guard_add(key, key2, v),
+            7 => r.profile_add(key, v),
+            _ => r.profile_max(key, v * 7),
+        }
+    }
+    r
+}
+
+/// The reference: the same data in `BTreeMap`s, merged by the same rules.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct Model {
+    scalars: BTreeMap<String, u64>,
+    coverage: BTreeMap<String, BTreeSet<(String, String)>>,
+    fsm: BTreeMap<String, BTreeMap<(String, String), u64>>,
+    hists: BTreeMap<String, Histogram>,
+    fuzz: BTreeMap<String, u64>,
+    guards: BTreeMap<String, BTreeMap<String, u64>>,
+    profile: BTreeMap<String, u64>,
+}
+
+fn sum_into(mine: &mut BTreeMap<String, u64>, theirs: &BTreeMap<String, u64>) {
+    for (k, v) in theirs {
+        *mine.entry(k.clone()).or_default() += v;
+    }
+}
+
+impl Model {
+    /// What `r` holds, read through its public iterators.
+    fn of(r: &Report) -> Model {
+        let owned = |(k, v): (&str, u64)| (k.to_owned(), v);
+        Model {
+            scalars: r.scalars().map(owned).collect(),
+            coverage: r
+                .coverages()
+                .map(|(c, set)| {
+                    let pairs = set.iter().map(|(s, e)| (s.to_owned(), e.to_owned()));
+                    (c.to_owned(), pairs.collect())
+                })
+                .collect(),
+            fsm: r
+                .fsms()
+                .map(|(m, cov)| {
+                    let rows = cov
+                        .iter()
+                        .map(|(s, e, n)| ((s.to_owned(), e.to_owned()), n));
+                    (m.to_owned(), rows.collect())
+                })
+                .collect(),
+            hists: r.hists().map(|(k, h)| (k.to_owned(), h.clone())).collect(),
+            fuzz: r.fuzz_entries().map(owned).collect(),
+            guards: r
+                .guard_names()
+                .map(|g| (g.to_owned(), r.guard_entries(g).map(owned).collect()))
+                .collect(),
+            profile: r.profile_entries().map(owned).collect(),
+        }
+    }
+
+    /// The reference fold of `other` into `self`.
+    fn merge(&mut self, other: &Model) {
+        sum_into(&mut self.scalars, &other.scalars);
+        for (c, pairs) in &other.coverage {
+            let mine = self.coverage.entry(c.clone()).or_default();
+            mine.extend(pairs.iter().cloned());
+        }
+        for (m, rows) in &other.fsm {
+            let mine = self.fsm.entry(m.clone()).or_default();
+            for (row, n) in rows {
+                *mine.entry(row.clone()).or_default() += n;
+            }
+        }
+        for (k, h) in other.hists.iter().filter(|(_, h)| !h.is_empty()) {
+            self.hists.entry(k.clone()).or_default().merge(h);
+        }
+        sum_into(&mut self.fuzz, &other.fuzz);
+        for (g, counters) in other.guards.iter().filter(|(_, c)| !c.is_empty()) {
+            sum_into(self.guards.entry(g.clone()).or_default(), counters);
+        }
+        for (k, &v) in &other.profile {
+            let mine = self.profile.entry(k.clone()).or_default();
+            *mine = if k.ends_with(".hwm") {
+                (*mine).max(v)
+            } else {
+                *mine + v
+            };
+        }
+    }
+}
+
+/// Whether every section of `r` iterates in strictly increasing byte order
+/// of its keys, as `BTreeMap<String, _>` does.
+fn in_key_order(r: &Report) -> bool {
+    fn increasing<'a>(keys: impl Iterator<Item = &'a str>) -> bool {
+        let keys: Vec<&str> = keys.collect();
+        keys.windows(2).all(|w| w[0].as_bytes() < w[1].as_bytes())
+    }
+    increasing(r.scalars().map(|(k, _)| k))
+        && increasing(r.coverages().map(|(k, _)| k))
+        && r.coverages().all(|(_, set)| {
+            let pairs: Vec<_> = set.iter().collect();
+            pairs.windows(2).all(|w| w[0] < w[1])
+        })
+        && increasing(r.fsms().map(|(k, _)| k))
+        && r.fsms().all(|(_, cov)| {
+            let rows: Vec<_> = cov.iter().map(|(s, e, _)| (s, e)).collect();
+            rows.windows(2).all(|w| w[0] < w[1])
+        })
+        && increasing(r.hists().map(|(k, _)| k))
+        && increasing(r.fuzz_entries().map(|(k, _)| k))
+        && increasing(r.guard_names())
+        && r.guard_names()
+            .all(|g| increasing(r.guard_entries(g).map(|(k, _)| k)))
+        && increasing(r.profile_entries().map(|(k, _)| k))
+}
+
+fn merged(a: &Report, b: &Report) -> Report {
+    let mut out = a.clone();
+    out.merge(b);
+    out
+}
+
+fn reference(a: &Model, b: &Model) -> Model {
+    let mut out = a.clone();
+    out.merge(b);
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 256 })]
+
+    #[test]
+    fn merge_is_commutative_and_associative_in_bytes(a in ops(), b in ops(), c in ops()) {
+        let (a, b, c) = (build(&a), build(&b), build(&c));
+        prop_assert_eq!(merged(&a, &b).to_json(), merged(&b, &a).to_json());
+        prop_assert_eq!(merged(&a, &b), merged(&b, &a));
+        prop_assert!(in_key_order(&merged(&a, &b)));
+        let left = merged(&merged(&a, &b), &c);
+        let right = merged(&a, &merged(&b, &c));
+        prop_assert_eq!(left.to_json(), right.to_json());
+        prop_assert_eq!(Report::merge_shards([&c, &a, &b]).to_json(), left.to_json());
+    }
+
+    #[test]
+    fn merging_into_an_empty_report_is_a_clone(a in ops()) {
+        let a = build(&a);
+        let mut empty = Report::new();
+        empty.merge(&a);
+        prop_assert_eq!(&empty, &a);
+        prop_assert_eq!(empty.to_json(), a.to_json());
+    }
+
+    #[test]
+    fn json_round_trips(a in ops()) {
+        let a = build(&a);
+        prop_assert!(in_key_order(&a));
+        let json = a.to_json();
+        let back = Report::from_json(&json).expect("a report's own JSON parses");
+        prop_assert_eq!(&back, &a);
+        prop_assert_eq!(back.to_json(), json);
+    }
+
+    #[test]
+    fn every_merge_equals_the_btreemap_fold(a in ops(), b in ops()) {
+        let (a, b) = (build(&a), build(&b));
+        let (ma, mb) = (Model::of(&a), Model::of(&b));
+        // Into an accumulator that lacks some keys.
+        let ab = merged(&a, &b);
+        prop_assert_eq!(Model::of(&ab), reference(&ma, &mb));
+        // Into one that holds every incoming key: updated in place.
+        let mab = Model::of(&ab);
+        prop_assert_eq!(Model::of(&merged(&ab, &a)), reference(&mab, &ma));
+        prop_assert_eq!(Model::of(&merged(&a, &a)), reference(&ma, &ma));
+        // Into an empty one.
+        prop_assert_eq!(Model::of(&merged(&Report::new(), &b)), mb);
+    }
+}
+
+#[test]
+fn keys_given_as_text_or_format_args_are_one_key() {
+    let mut r = Report::new();
+    let name = "xg";
+    r.add(format_args!("{name}.grants"), 2);
+    r.add("xg.grants", 3);
+    r.add(String::from("xg.grants"), 4);
+    r.guard_add(
+        format_args!("a{}_xg", 1),
+        format_args!("os.{}", "Malformed"),
+        1,
+    );
+    r.guard_add("a1_xg", "os.Malformed", 1);
+    assert_eq!(r.get("xg.grants"), 9);
+    assert_eq!(r.scalars().count(), 1);
+    assert_eq!(r.guard_get("a1_xg", "os.Malformed"), 2);
+    assert_eq!(r.guard_names().collect::<Vec<_>>(), ["a1_xg"]);
+}
