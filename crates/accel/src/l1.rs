@@ -1,26 +1,23 @@
 //! The single-level accelerator L1 of the paper's Table 1.
 //!
-//! ## Transition matrix (Table 1, reproduced by this implementation)
-//!
-//! | state | Load | Store | Replacement | Invalidate | DataM | DataE | DataS | WbAck |
-//! |-------|------|-------|-------------|------------|-------|-------|-------|-------|
-//! | M     | hit  | hit   | issue PutM / B | send DirtyWb / I | — | — | — | — |
-//! | E     | hit  | hit / M | issue PutE / B | send CleanWb / I | — | — | — | — |
-//! | S     | hit  | issue GetM / B | issue PutS / B | send InvAck / I | — | — | — | — |
-//! | I     | issue GetS / B | issue GetM / B | — | send InvAck | — | — | — | — |
-//! | B     | stall | stall | stall | send InvAck | / M | / E | / S | / I |
-//!
-//! Four stable states and **one** transient state; the accelerator never
-//! counts acks, never sees another cache, and never handles a race other
-//! than its own Put crossing an Invalidate (resolved by answering `InvAck`
-//! from `B` and awaiting the guaranteed `WbAck`). The `tests` module holds
-//! a conformance test that walks this table entry by entry.
+//! Dispatch is table-driven, and the table is Table 1 (see [`table`],
+//! dumped to `docs/tables/accel_l1.md`): each core op, interface message
+//! and replacement is classified into an `(L1State, L1Event)` pair from the
+//! one array or `pending` lookup its handler makes, and the `xg-fsm` table
+//! decides transition, stall or violation. Four stable states and **one**
+//! transient state, `B`: the accelerator never counts acks, never sees
+//! another cache, and never handles a race other than its own request
+//! crossing an Invalidate (answered with `InvAck` from `B` while the
+//! request's one response is still owed). Messages of another family, or
+//! from anyone but `below`, are no Table 1 stimulus and count as violations
+//! before classification.
 
+use std::sync::OnceLock;
+
+use xg_fsm::{alphabet, Alphabet, Controller, Machine, Step, Table, TableBuilder};
 use xg_mem::{BlockAddr, IdMap, Replacement, SetAssocCache, Spares};
 use xg_proto::{CoreKind, CoreMsg, Ctx, Message, XgData, XgiKind, XgiMsg};
-use xg_sim::{
-    alphabet, Alphabet, Component, CoverageGrid, CoverageSet, Cycle, Histogram, NodeId, Report,
-};
+use xg_sim::{Component, CoverageGrid, Cycle, FsmRows, Histogram, NodeId, Report};
 
 /// Coherence sophistication of an [`AccelL1`] (paper §2.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -86,59 +83,132 @@ impl Default for AccelL1Config {
 }
 
 alphabet! {
-    /// Table 1's rows: the state coverage is keyed by and
-    /// [`AccelL1::state_of`] reports.
-    enum CState {
-        M,
-        E,
-        S,
-        I,
-        B,
+    /// Table 1's rows: the states the table and the coverage grid are keyed
+    /// by and [`AccelL1::state_of`] reports. `B`, the one transient state,
+    /// is a block with a request outstanding; only MESI mode holds `E`.
+    pub enum L1State { M, E, S, I, B }
+}
+
+alphabet! {
+    /// Table 1's columns, then the flush this cache also accepts and the
+    /// one refinement a block's outstanding request decides.
+    pub enum L1Event {
+        Load, Store,
+        /// Replacement: a line leaves the array as a victim or for a flush.
+        Repl,
+        Inv, DataM, DataE, DataS, WbAck,
+        /// A core flush: not a Table 1 column.
+        Flush,
+        /// A response the block's outstanding request does not expect: a
+        /// grant while it is a Put or whose payload is not one accelerator
+        /// block, a `WbAck` while it is a Get. The coverage grid records
+        /// the message's own column.
+        Unasked,
     }
 }
 
 alphabet! {
-    /// Table 1's columns, plus the flush this cache also accepts.
-    enum CEvent {
-        Load,
-        Store,
-        Flush,
-        Repl,
-        Inv,
-        DataS,
-        DataE,
-        DataM,
-        WbAck,
+    /// Symbolic actions, interpreted against the array, `pending` and the
+    /// stimulus in [`L1Cx`].
+    pub enum L1Action {
+        /// Load hit: answer from the line.
+        Read,
+        /// Store hit: write the line, which becomes M.
+        Write,
+        /// Take the line out of the array.
+        Remove,
+        /// Open a `GetS` (a `GetM` in VI mode) for the op, and prefetch.
+        IssueGetS,
+        /// Open a `GetM` for the op, and prefetch.
+        IssueGetM,
+        /// Open a Put of the removed line; a flush waits for its `WbAck`.
+        IssuePutM, IssuePutE, IssuePutS,
+        /// Run the state's `Repl` row on the removed line.
+        Replace,
+        /// Answer the flush of a block the cache does not hold.
+        AckFlush,
+        /// Answer an `Inv` with the removed line's data, or with a bare ack.
+        SendDirtyWb, SendCleanWb, SendInvAck,
+        /// Complete the Get: install the grant as S (M in VI mode), as E (M
+        /// in MSI and VI mode), as M. A victim runs its `Repl` row first.
+        FillS, FillE, FillM,
+        /// Complete the Put: count the writeback.
+        Retire,
+        /// Re-handle the core ops that waited for the completed request.
+        Drain,
     }
 }
 
-/// Stable states of the Table 1 protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum AState {
-    M,
-    E,
-    S,
-}
-
-impl From<AState> for CState {
-    fn from(state: AState) -> CState {
-        match state {
-            AState::M => CState::M,
-            AState::E => CState::E,
-            AState::S => CState::S,
+/// The validated `accel_l1` table: the paper's Table 1, row for row.
+pub fn table() -> &'static Table<L1State, L1Event, L1Action> {
+    static T: OnceLock<Table<L1State, L1Event, L1Action>> = OnceLock::new();
+    T.get_or_init(|| {
+        use L1Action::*;
+        use L1Event::*;
+        use L1State::*;
+        let mut b = TableBuilder::new("accel_l1");
+        b.note(
+            "The paper's Table 1 (§2.1): four stable states and one transient \
+             state, `B`, a block with exactly one request outstanding. The \
+             successors are the MESI mode's; MSI mode installs `DataE` as M \
+             and VI mode installs every grant as M, so those rows are dynamic.",
+        );
+        b.note(
+            "Outside Table 1: the `Flush` column, a core flush, which writes \
+             a held line back through its `Repl` row, and `Unasked`, a \
+             response the block's request does not expect, which is always a \
+             violation. `(B, Repl)` is Table 1's stall but unreachable: victims \
+             are resident lines, and a resident block is never in `B`.",
+        );
+        for s in [M, E, S] {
+            b.on(s, Load, &[Read], s);
         }
-    }
+        b.on(M, Store, &[Write], M);
+        b.on(E, Store, &[Write], M);
+        // The S copy is dropped; `DataM` brings the data back.
+        b.on(S, Store, &[Remove, IssueGetM], B);
+        b.on(I, Load, &[IssueGetS], B);
+        b.on(I, Store, &[IssueGetM], B);
+        // A victim is already out of the array when its row runs.
+        b.on(M, Repl, &[IssuePutM], B);
+        b.on(E, Repl, &[IssuePutE], B);
+        b.on(S, Repl, &[IssuePutS], B);
+        b.on(M, Inv, &[Remove, SendDirtyWb], I);
+        b.on(E, Inv, &[Remove, SendCleanWb], I);
+        b.on(S, Inv, &[Remove, SendInvAck], I);
+        b.on(I, Inv, &[SendInvAck], I);
+        // The one race: our request crossed the Inv. It stays open; its one
+        // response is still owed.
+        b.on(B, Inv, &[SendInvAck], B);
+        for e in [Load, Store, Repl, Flush] {
+            b.stall(B, e);
+        }
+        b.on(B, DataM, &[FillM, Drain], M);
+        b.on_dyn(B, DataE, &[FillE, Drain]);
+        b.on_dyn(B, DataS, &[FillS, Drain]);
+        b.on(B, WbAck, &[Retire, Drain], I);
+        for s in [M, E, S] {
+            b.on(s, Flush, &[Remove, Replace], B);
+        }
+        b.on(I, Flush, &[AckFlush], I);
+        b.violation_rest();
+        b.build()
+            .expect("accel_l1 table is deterministic and total")
+    })
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Line {
-    state: AState,
+    /// M, E or S: the array holds stable lines only.
+    state: L1State,
     data: XgData,
     /// Brought in by the prefetcher and not yet demanded.
     prefetched: bool,
 }
 
-/// The single transient state `B`: exactly one request outstanding.
+xg_sim::clone_in_place!(impl[] for Line { state, data, prefetched });
+
+/// A block's one outstanding request: what `B` is.
 #[derive(Debug)]
 struct Pending {
     is_put: bool,
@@ -146,6 +216,8 @@ struct Pending {
     waiting: Vec<(NodeId, CoreMsg)>,
     started: Cycle,
 }
+
+xg_sim::clone_in_place!(impl[] for Pending { is_put, is_prefetch, waiting, started });
 
 #[derive(Debug, Default)]
 struct Stats {
@@ -165,6 +237,42 @@ struct Stats {
     mshr_occupancy: Histogram,
 }
 
+xg_sim::clone_in_place!(impl[] for Stats {
+    loads, stores, hits, misses, writebacks, invalidations, stalls, prefetches_issued,
+    prefetch_hits, protocol_violation, lat_miss, mshr_occupancy,
+});
+
+/// Per-dispatch context for [`L1Action`] interpretation.
+pub struct L1Cx<'a, 'b> {
+    ctx: &'a mut Ctx<'b>,
+    la: BlockAddr,
+    /// The core op the row serves: answered, parked, or waiting on the
+    /// request the row opens.
+    op: Option<(NodeId, CoreMsg)>,
+    /// A grant's payload, or the data of the line `Remove` took out of the
+    /// array or of the victim a `Repl` row writes back.
+    data: Option<XgData>,
+    /// The core ops that waited for the request a response completed.
+    waiting: Vec<(NodeId, CoreMsg)>,
+}
+
+impl<'a, 'b> L1Cx<'a, 'b> {
+    fn new(
+        ctx: &'a mut Ctx<'b>,
+        la: BlockAddr,
+        op: Option<(NodeId, CoreMsg)>,
+        data: Option<XgData>,
+    ) -> Self {
+        L1Cx {
+            ctx,
+            la,
+            op,
+            data,
+            waiting: Vec::new(),
+        }
+    }
+}
+
 /// The Table 1 accelerator cache. `below` is its Crossing Guard — or, in
 /// the two-level organization, the shared accelerator L2, which exposes the
 /// same interface.
@@ -177,9 +285,14 @@ pub struct AccelL1 {
     /// Emptied `Pending::waiting` buffers, reused by the next request.
     spare_waiting: Spares<Vec<(NodeId, CoreMsg)>>,
     stats: Stats,
-    /// `(state, event)` pairs visited, by index; named in `report`.
-    seen: CoverageGrid<CState, CEvent>,
+    /// `(state, column)` pairs visited, by index; named in `report`.
+    seen: CoverageGrid<L1State, L1Event>,
+    machine: Machine<L1State, L1Event, L1Action>,
 }
+
+xg_sim::clone_in_place!(impl[] for AccelL1 {
+    name, below, cfg, cache, pending, spare_waiting, stats, seen, machine,
+});
 
 impl AccelL1 {
     /// Creates an accelerator L1 above `below` (a Crossing Guard or an
@@ -198,6 +311,7 @@ impl AccelL1 {
             spare_waiting: Spares::default(),
             stats: Stats::default(),
             seen: CoverageGrid::new(),
+            machine: Machine::new(table()),
         }
     }
 
@@ -206,42 +320,18 @@ impl AccelL1 {
         self.stats.protocol_violation
     }
 
-    /// Every `(state, event)` pair the paper's Table 1 defines as
-    /// reachable for the full-MESI mode, in the coverage vocabulary used
-    /// by this controller. `(B, Repl)` is listed as "stall" in Table 1 but
-    /// is unreachable here by construction (victims are only ever chosen
-    /// among stable lines), so it is excluded. The §4.1 methodology
-    /// compares stress-test coverage against exactly this set.
-    pub fn table1_expected() -> CoverageSet {
-        use {CEvent::*, CState::*};
-        let mut table = CoverageGrid::new();
-        for state in [M, E, S] {
-            for event in [Load, Store, Repl, Inv] {
-                table.visit(state, event);
-            }
-        }
-        for event in [Load, Store, Inv] {
-            table.visit(I, event);
-        }
-        for event in [Load, Store, Inv, DataS, DataE, DataM, WbAck] {
-            table.visit(B, event);
-        }
-        table.to_set()
-    }
-
     /// The state name for `line_addr` (Table 1 vocabulary: M/E/S/I/B).
     pub fn state_of(&self, line_addr: BlockAddr) -> &'static str {
         self.state(line_addr).label()
     }
 
-    /// Table 1 state of `la`. A block is never both pending and resident,
-    /// so handlers name the state from whichever of the two lookups they
-    /// make anyway and only come here on a violation.
-    fn state(&self, la: BlockAddr) -> CState {
-        if self.pending.contains_key(&la) {
-            CState::B
-        } else {
-            self.cache.get(la).map_or(CState::I, |l| l.state.into())
+    /// Table 1 state of `la`. A block is resident or pending, never both,
+    /// so a hit needs the tag scan alone.
+    fn state(&self, la: BlockAddr) -> L1State {
+        match self.cache.get(la) {
+            Some(line) => line.state,
+            None if self.pending.contains_key(&la) => L1State::B,
+            None => L1State::I,
         }
     }
 
@@ -257,291 +347,117 @@ impl AccelL1 {
         ctx.send(self.below, XgiMsg::new(addr, kind).into());
     }
 
-    // ----- core side -------------------------------------------------------
+    /// Records `(state, column)` in the coverage grid and runs the table's
+    /// `(state, event)` row: the one path of every core op, interface
+    /// message and replacement. `event` differs from `column` only when it
+    /// is [`L1Event::Unasked`].
+    fn run(&mut self, state: L1State, column: L1Event, event: L1Event, cx: &mut L1Cx<'_, '_>) {
+        self.seen.visit(state, column);
+        self.dispatch(state, event, cx);
+    }
 
     fn handle_core(&mut self, from: NodeId, msg: CoreMsg, ctx: &mut Ctx<'_>) {
-        let la = self.line_addr(msg.addr.block());
         let event = match msg.kind {
             CoreKind::Load => {
                 self.stats.loads += 1;
-                CEvent::Load
+                L1Event::Load
             }
             CoreKind::Store { .. } => {
                 self.stats.stores += 1;
-                CEvent::Store
+                L1Event::Store
             }
-            CoreKind::Flush => CEvent::Flush,
-            _ => {
-                self.violation();
-                return;
-            }
+            CoreKind::Flush => L1Event::Flush,
+            _ => return self.violation(),
         };
-        let sub = (msg.addr.block().as_u64() - la.as_u64()) as usize;
-        let offset = msg.addr.block_offset() & !7;
-        // A block is resident or pending, never both: a hit needs the tag
-        // scan alone, and only an absent block goes on to probe `pending`.
-        let Some(mut line) = self.cache.lookup(la) else {
-            if let Some(p) = self.pending.get_mut(&la) {
-                // Table 1: B + Load/Store → stall.
-                self.seen.visit(CState::B, event);
-                self.stats.stalls += 1;
-                p.waiting.push((from, msg));
-                return;
-            }
-            self.seen.visit(CState::I, event);
-            let req = match (msg.kind, self.cfg.mode) {
-                (CoreKind::Flush, _) => {
-                    return ctx.send(from, msg.reply(CoreKind::FlushResp).into());
-                }
-                // Table 1: I + Load → issue GetS / B; I + Store → GetM / B.
-                (CoreKind::Load, AccelMode::Mesi | AccelMode::Msi) => XgiKind::GetS,
-                _ => XgiKind::GetM,
-            };
-            self.stats.misses += 1;
-            return self.start_get(la, req, (from, msg), ctx);
-        };
-        debug_assert!(!self.pending.contains_key(&la), "resident and pending");
-        let state = line.get().state;
-        self.seen.visit(state.into(), event);
-        let writable = matches!(state, AState::M | AState::E);
-        match msg.kind {
-            CoreKind::Flush => {
-                // Push the block down through the ordinary Put path;
-                // answer once the WbAck lands (the flush op rides the
-                // pending list and is re-handled on an absent line).
-                let line = line.remove();
-                self.start_put(la, line, Some((from, msg)), ctx);
-            }
-            CoreKind::Store { .. } if !writable => {
-                // Table 1: S + Store → issue GetM / B (the S copy is
-                // dropped; DataM will carry fresh data).
-                self.stats.misses += 1;
-                line.remove();
-                self.start_get(la, XgiKind::GetM, (from, msg), ctx);
-            }
-            CoreKind::Store { value } => {
-                self.stats.hits += 1;
-                line.touch();
-                let line = line.get_mut();
-                if std::mem::take(&mut line.prefetched) {
-                    self.stats.prefetch_hits += 1;
-                }
-                line.data.blocks_mut()[sub].write_u64(offset, value);
-                line.state = AState::M; // Table 1: E + Store → hit / M
-                ctx.send(from, msg.reply(CoreKind::StoreResp).into());
-            }
-            _ => {
-                self.stats.hits += 1;
-                line.touch();
-                let line = line.get_mut();
-                if std::mem::take(&mut line.prefetched) {
-                    self.stats.prefetch_hits += 1;
-                }
-                let value = line.data.blocks()[sub].read_u64(offset);
-                ctx.send(from, msg.reply(CoreKind::LoadResp { value }).into());
-            }
-        }
+        let la = self.line_addr(msg.addr.block());
+        let state = self.state(la);
+        let mut cx = L1Cx::new(ctx, la, Some((from, msg)), None);
+        self.run(state, event, event, &mut cx);
     }
-
-    fn start_get(&mut self, la: BlockAddr, req: XgiKind, op: (NodeId, CoreMsg), ctx: &mut Ctx<'_>) {
-        let mut waiting = self.spare_waiting.take();
-        waiting.push(op);
-        self.pending.insert(
-            la,
-            Pending {
-                is_put: false,
-                is_prefetch: false,
-                waiting,
-                started: ctx.now(),
-            },
-        );
-        self.stats.mshr_occupancy.record(self.pending.len() as u64);
-        self.send_below(la, req.clone(), ctx);
-        // A demand miss trains the next-line prefetcher.
-        if let Prefetch::NextLine { degree } = self.cfg.prefetch {
-            for i in 1..=degree as u64 {
-                let next = la.offset(i * self.cfg.block_blocks as u64);
-                if self.cache.contains(next) || self.pending.contains_key(&next) {
-                    continue;
-                }
-                self.pending.insert(
-                    next,
-                    Pending {
-                        is_put: false,
-                        is_prefetch: true,
-                        waiting: self.spare_waiting.take(),
-                        started: ctx.now(),
-                    },
-                );
-                self.stats.prefetches_issued += 1;
-                self.send_below(next, req.clone(), ctx);
-            }
-        }
-    }
-
-    // ----- interface side ---------------------------------------------------
 
     fn handle_xgi(&mut self, msg: XgiMsg, ctx: &mut Ctx<'_>) {
         let la = msg.addr;
         ctx.trace(la.as_u64(), "accel-l1", "RecvXg", || {
             format!("{} (state {})", msg.kind, self.state_of(la))
         });
-        match msg.kind {
-            XgiKind::DataS { data } => {
-                let state = match self.cfg.mode {
-                    AccelMode::Vi => AState::M,
-                    _ => AState::S,
-                };
-                self.grant(la, CEvent::DataS, data, state, ctx);
-            }
-            XgiKind::DataE { data } => {
-                let state = match self.cfg.mode {
-                    AccelMode::Mesi => AState::E,
-                    AccelMode::Msi | AccelMode::Vi => AState::M,
-                };
-                self.grant(la, CEvent::DataE, data, state, ctx);
-            }
-            XgiKind::DataM { data } => {
-                self.grant(la, CEvent::DataM, data, AState::M, ctx);
-            }
-            XgiKind::WbAck => match self.take_pending(la, CEvent::WbAck) {
-                Some(p) if p.is_put => {
-                    self.stats.writebacks += 1;
-                    self.drain(p.waiting, ctx);
-                }
-                Some(p) => {
-                    self.pending.insert(la, p);
-                    self.violation();
-                }
-                None => self.violation(),
-            },
+        let (event, data) = match msg.kind {
+            XgiKind::DataS { data } => (L1Event::DataS, Some(data)),
+            XgiKind::DataE { data } => (L1Event::DataE, Some(data)),
+            XgiKind::DataM { data } => (L1Event::DataM, Some(data)),
+            XgiKind::WbAck => (L1Event::WbAck, None),
             XgiKind::Inv => {
                 self.stats.invalidations += 1;
-                self.handle_inv(la, ctx);
+                (L1Event::Inv, None)
             }
-            _ => self.violation(),
-        }
-    }
-
-    /// Takes the request a response to `la` answers out of the pending
-    /// table, recording `event` against the block's state on the way.
-    fn take_pending(&mut self, la: BlockAddr, event: CEvent) -> Option<Pending> {
-        let pending = self.pending.remove(&la);
-        let state = match pending {
-            Some(_) => CState::B,
-            None => self.cache.get(la).map_or(CState::I, |l| l.state.into()),
+            _ => return self.violation(),
         };
-        self.seen.visit(state, event);
-        pending
-    }
-
-    fn grant(
-        &mut self,
-        la: BlockAddr,
-        event: CEvent,
-        data: XgData,
-        state: AState,
-        ctx: &mut Ctx<'_>,
-    ) {
-        if data.len() != self.cfg.block_blocks {
-            self.seen.visit(self.state(la), event);
-            self.violation();
-            return;
-        }
-        match self.take_pending(la, event) {
-            Some(p) if !p.is_put => {
-                self.stats
-                    .lat_miss
-                    .record(ctx.now().saturating_since(p.started));
-                ctx.span(la.as_u64(), "miss", p.started);
-                let line = Line {
-                    state,
-                    data,
-                    prefetched: p.is_prefetch,
-                };
-                self.install(la, line, ctx);
-                self.drain(p.waiting, ctx);
+        // A response must answer the block's one request, and a grant must
+        // carry one accelerator block.
+        let fits = data
+            .as_ref()
+            .is_none_or(|d| d.len() == self.cfg.block_blocks);
+        let (state, row) = match self.pending.get(&la) {
+            Some(p) if event == L1Event::Inv || (p.is_put == (event == L1Event::WbAck) && fits) => {
+                (L1State::B, event)
             }
-            Some(p) => {
-                self.pending.insert(la, p);
-                self.violation();
-            }
-            None => self.violation(),
-        }
-    }
-
-    fn handle_inv(&mut self, la: BlockAddr, ctx: &mut Ctx<'_>) {
-        if let Some(line) = self.cache.remove(la) {
-            self.seen.visit(line.state.into(), CEvent::Inv);
-            let data = line.data;
-            let resp = match (line.state, self.cfg.mode) {
-                // MSI/VI modes hold no clean-exclusive state; everything
-                // owned is written back dirty.
-                (AState::M, _) => XgiKind::DirtyWb { data },
-                (AState::E, AccelMode::Mesi) => XgiKind::CleanWb { data },
-                (AState::E, _) => XgiKind::DirtyWb { data },
-                (AState::S, _) => XgiKind::InvAck,
-            };
-            self.send_below(la, resp, ctx);
-        } else {
-            // I or B: Table 1 says InvAck, no further action. A pending
-            // request stays pending — its one response is still owed.
-            let pending = self.pending.contains_key(&la);
-            let state = if pending { CState::B } else { CState::I };
-            self.seen.visit(state, CEvent::Inv);
-            self.send_below(la, XgiKind::InvAck, ctx);
-        }
-    }
-
-    fn install(&mut self, la: BlockAddr, line: Line, ctx: &mut Ctx<'_>) {
-        if let Some((victim_addr, victim)) = self
-            .cache
-            .take_victim_where(la, |a, _| !self.pending.contains_key(&a))
-        {
-            self.start_put(victim_addr, victim, None, ctx);
-        }
-        if self.cache.needs_eviction(la) {
-            // Every way is mid-transaction; extremely small caches only.
-            // Forward progress is preserved by serving the request straight
-            // from the in-flight data without caching it.
-            self.stats.stalls += 1;
-            return;
-        }
-        let evicted = self.cache.insert(la, line);
-        debug_assert!(evicted.is_none());
-    }
-
-    /// Opens a Put for a line already pulled out of the array; `flush` is
-    /// the core op that asked for it, answered once the `WbAck` lands.
-    fn start_put(
-        &mut self,
-        la: BlockAddr,
-        line: Line,
-        flush: Option<(NodeId, CoreMsg)>,
-        ctx: &mut Ctx<'_>,
-    ) {
-        // Record the replacement against the victim's true stable state.
-        self.seen.visit(line.state.into(), CEvent::Repl);
-        let data = line.data;
-        let req = match (line.state, self.cfg.mode) {
-            (AState::M, _) => XgiKind::PutM { data },
-            (AState::E, AccelMode::Mesi) => XgiKind::PutE { data },
-            (AState::E, _) => XgiKind::PutM { data },
-            (AState::S, _) => XgiKind::PutS,
+            Some(_) => (L1State::B, L1Event::Unasked),
+            None => (self.state(la), event),
         };
+        let mut cx = L1Cx::new(ctx, la, None, data);
+        self.run(state, event, row, &mut cx);
+    }
+
+    /// Opens `la`'s one outstanding request, `op` waiting for it.
+    fn open(&mut self, la: BlockAddr, is_put: bool, op: Option<(NodeId, CoreMsg)>, now: Cycle) {
         let mut waiting = self.spare_waiting.take();
-        waiting.extend(flush);
+        waiting.extend(op);
         self.pending.insert(
             la,
             Pending {
-                is_put: true,
+                is_put,
                 is_prefetch: false,
                 waiting,
-                started: ctx.now(),
+                started: now,
             },
         );
         self.stats.mshr_occupancy.record(self.pending.len() as u64);
-        self.send_below(la, req, ctx);
+    }
+
+    /// A demand miss trains the next-line prefetcher: the following blocks
+    /// the cache neither holds nor awaits are requested with `req` too.
+    fn prefetch(&mut self, la: BlockAddr, req: XgiKind, ctx: &mut Ctx<'_>) {
+        let Prefetch::NextLine { degree } = self.cfg.prefetch else {
+            return;
+        };
+        for i in 1..=degree as u64 {
+            let next = la.offset(i * self.cfg.block_blocks as u64);
+            if self.cache.contains(next) || self.pending.contains_key(&next) {
+                continue;
+            }
+            self.pending.insert(
+                next,
+                Pending {
+                    is_put: false,
+                    is_prefetch: true,
+                    waiting: self.spare_waiting.take(),
+                    started: ctx.now(),
+                },
+            );
+            self.stats.prefetches_issued += 1;
+            self.send_below(next, req.clone(), ctx);
+        }
+    }
+
+    /// Puts a granted line in the array. Lines in the array are never
+    /// pending, so any of them may be the victim; it runs its `Repl` row
+    /// before the grant takes its way.
+    fn install(&mut self, la: BlockAddr, line: Line, ctx: &mut Ctx<'_>) {
+        if let Some((victim_addr, victim)) = self.cache.take_victim(la) {
+            let mut cx = L1Cx::new(ctx, victim_addr, None, Some(victim.data));
+            self.run(victim.state, L1Event::Repl, L1Event::Repl, &mut cx);
+        }
+        let evicted = self.cache.insert(la, line);
+        debug_assert!(evicted.is_none(), "the victim left first");
     }
 
     fn drain(&mut self, mut waiting: Vec<(NodeId, CoreMsg)>, ctx: &mut Ctx<'_>) {
@@ -549,6 +465,130 @@ impl AccelL1 {
             self.handle_core(from, msg, ctx);
         }
         self.spare_waiting.put(waiting);
+    }
+}
+
+impl<'a, 'b> Controller<L1State, L1Event, L1Action, L1Cx<'a, 'b>> for AccelL1 {
+    fn machine(&mut self) -> &mut Machine<L1State, L1Event, L1Action> {
+        &mut self.machine
+    }
+
+    fn apply(&mut self, action: L1Action, step: Step<L1State, L1Event>, cx: &mut L1Cx<'a, 'b>) {
+        let la = cx.la;
+        match action {
+            L1Action::Read | L1Action::Write => {
+                let (Some((from, msg)), Some(line)) = (cx.op.take(), self.cache.get_mut(la)) else {
+                    return self.violation();
+                };
+                self.stats.hits += 1;
+                if std::mem::take(&mut line.prefetched) {
+                    self.stats.prefetch_hits += 1;
+                }
+                let sub = (msg.addr.block().as_u64() - la.as_u64()) as usize;
+                let offset = msg.addr.block_offset() & !7;
+                let block = &mut line.data.blocks_mut()[sub];
+                let reply = match (action, msg.kind) {
+                    (L1Action::Write, CoreKind::Store { value }) => {
+                        block.write_u64(offset, value);
+                        line.state = L1State::M;
+                        CoreKind::StoreResp
+                    }
+                    _ => CoreKind::LoadResp {
+                        value: block.read_u64(offset),
+                    },
+                };
+                cx.ctx.send(from, msg.reply(reply).into());
+            }
+            L1Action::Remove => cx.data = self.cache.remove(la).map(|line| line.data),
+            L1Action::IssueGetS | L1Action::IssueGetM => {
+                let req = match (action, self.cfg.mode) {
+                    (L1Action::IssueGetS, AccelMode::Mesi | AccelMode::Msi) => XgiKind::GetS,
+                    _ => XgiKind::GetM,
+                };
+                self.stats.misses += 1;
+                self.open(la, false, cx.op.take(), cx.ctx.now());
+                self.send_below(la, req.clone(), cx.ctx);
+                self.prefetch(la, req, cx.ctx);
+            }
+            L1Action::IssuePutM | L1Action::IssuePutE | L1Action::IssuePutS => {
+                let Some(data) = cx.data.take() else {
+                    return self.violation();
+                };
+                let req = match action {
+                    L1Action::IssuePutM => XgiKind::PutM { data },
+                    L1Action::IssuePutE => XgiKind::PutE { data },
+                    _ => XgiKind::PutS,
+                };
+                self.open(la, true, cx.op.take(), cx.ctx.now());
+                self.send_below(la, req, cx.ctx);
+            }
+            L1Action::Replace => self.run(step.state, L1Event::Repl, L1Event::Repl, cx),
+            L1Action::AckFlush => {
+                let Some((from, msg)) = cx.op.take() else {
+                    return self.violation();
+                };
+                cx.ctx.send(from, msg.reply(CoreKind::FlushResp).into());
+            }
+            L1Action::SendDirtyWb | L1Action::SendCleanWb => {
+                let Some(data) = cx.data.take() else {
+                    return self.violation();
+                };
+                let resp = match action {
+                    L1Action::SendDirtyWb => XgiKind::DirtyWb { data },
+                    _ => XgiKind::CleanWb { data },
+                };
+                self.send_below(la, resp, cx.ctx);
+            }
+            L1Action::SendInvAck => self.send_below(la, XgiKind::InvAck, cx.ctx),
+            L1Action::FillS | L1Action::FillE | L1Action::FillM => {
+                let (Some(data), Some(p)) = (cx.data.take(), self.pending.remove(&la)) else {
+                    return self.violation();
+                };
+                let now = cx.ctx.now();
+                self.stats.lat_miss.record(now.saturating_since(p.started));
+                cx.ctx.span(la.as_u64(), "miss", p.started);
+                let state = match (action, self.cfg.mode) {
+                    (L1Action::FillM, _) | (_, AccelMode::Vi) => L1State::M,
+                    (L1Action::FillE, AccelMode::Msi) => L1State::M,
+                    (L1Action::FillE, _) => L1State::E,
+                    _ => L1State::S,
+                };
+                let line = Line {
+                    state,
+                    data,
+                    prefetched: p.is_prefetch,
+                };
+                self.install(la, line, cx.ctx);
+                cx.waiting = p.waiting;
+            }
+            L1Action::Retire => {
+                let Some(p) = self.pending.remove(&la) else {
+                    return self.violation();
+                };
+                self.stats.writebacks += 1;
+                cx.waiting = p.waiting;
+            }
+            L1Action::Drain => {
+                let waiting = std::mem::take(&mut cx.waiting);
+                self.drain(waiting, cx.ctx);
+            }
+        }
+    }
+
+    fn stalled(&mut self, _step: Step<L1State, L1Event>, cx: &mut L1Cx<'a, 'b>) {
+        // Only core ops stall: `(B, Repl)` never runs, as victims are
+        // resident and a resident block is never pending.
+        match (cx.op.take(), self.pending.get_mut(&cx.la)) {
+            (Some(op), Some(p)) => {
+                self.stats.stalls += 1;
+                p.waiting.push(op);
+            }
+            _ => self.violation(),
+        }
+    }
+
+    fn violated(&mut self, _step: Step<L1State, L1Event>, _cx: &mut L1Cx<'a, 'b>) {
+        self.violation();
     }
 }
 
@@ -595,6 +635,19 @@ impl Component<Message> for AccelL1 {
             format_args!("{n}.mshr_occupancy"),
             &self.stats.mshr_occupancy,
         );
+        self.machine.record_into(out);
+    }
+
+    fn box_clone(&self) -> Option<Box<dyn Component<Message>>> {
+        Some(Box::new(self.clone()))
+    }
+
+    fn restore_from(&mut self, saved: &dyn Component<Message>) -> bool {
+        xg_sim::restore_in_place(self, saved)
+    }
+
+    fn visit_fired(&self, visit: &mut dyn FnMut(&'static dyn FsmRows, &[u64])) {
+        self.machine.visit_fired(visit);
     }
 
     fn as_any(&self) -> &dyn std::any::Any {

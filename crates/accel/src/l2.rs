@@ -80,7 +80,7 @@ enum Host {
     M,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct L2Line {
     data: XgData,
     dirty: bool,
@@ -88,6 +88,8 @@ struct L2Line {
     sharers: SortedSet<NodeId>,
     owner: Option<NodeId>,
 }
+
+xg_sim::clone_in_place!(impl[] for L2Line { data, dirty, host, sharers, owner });
 
 impl L2Line {
     /// The L1s holding a copy: the owner first, then the sharers.
@@ -106,7 +108,7 @@ fn line_state(line: Option<&L2Line>) -> L2State {
     }
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum Busy {
     /// Upward Get in flight.
     Fetch { requestor: NodeId, want_m: bool },
@@ -156,6 +158,8 @@ struct Block {
     queue: Queue,
 }
 
+xg_sim::clone_in_place!(impl[] for Block { busy, since, queue });
+
 type Queue = VecDeque<(NodeId, XgiKind)>;
 
 /// Parks a request in the queue of a busy block.
@@ -182,6 +186,11 @@ struct Stats {
     mshr_occupancy: Histogram,
 }
 
+xg_sim::clone_in_place!(impl[] for Stats {
+    l1_gets, l1_getms, l1_puts, up_gets, up_puts, recalls, host_invs, install_retries,
+    protocol_violation, lat_up_get, mshr_occupancy,
+});
+
 /// The shared inclusive accelerator L2.
 pub struct AccelL2 {
     name: String,
@@ -195,6 +204,10 @@ pub struct AccelL2 {
     /// `(state, event)` pairs visited, by index; named in `report`.
     seen: CoverageGrid<L2State, XgiTag>,
 }
+
+xg_sim::clone_in_place!(impl[] for AccelL2 {
+    name, below, cfg, array, blocks, spare_queues, stats, seen,
+});
 
 impl AccelL2 {
     /// Creates a shared accelerator L2 above `below` (its Crossing Guard).
@@ -859,6 +872,14 @@ impl Component<Message> for AccelL2 {
             format_args!("{n}.mshr_occupancy"),
             &self.stats.mshr_occupancy,
         );
+    }
+
+    fn box_clone(&self) -> Option<Box<dyn Component<Message>>> {
+        Some(Box::new(self.clone()))
+    }
+
+    fn restore_from(&mut self, saved: &dyn Component<Message>) -> bool {
+        xg_sim::restore_in_place(self, saved)
     }
 
     fn as_any(&self) -> &dyn std::any::Any {

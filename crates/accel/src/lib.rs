@@ -7,8 +7,9 @@
 //! * [`AccelL1`] — the **single-level MESI cache of Table 1**: four stable
 //!   states (`M E S I`) plus a *single* transient state `B`. Compare with
 //!   the host protocols' half-dozen transients and response counting — that
-//!   gap is the paper's simplicity argument, and the conformance test in
-//!   this crate checks the implementation against Table 1 entry by entry.
+//!   gap is the paper's simplicity argument. Its dispatch is Table 1 as an
+//!   `xg-fsm` table ([`l1::table`]), and the conformance test in this crate
+//!   walks it entry by entry.
 //! * [`AccelL2`] — a shared, inclusive accelerator L2 that coordinates
 //!   sharing among several per-core [`AccelL1`]s and presents a single
 //!   cache to Crossing Guard (the two-level organization of Figure 2(d)).

@@ -8,6 +8,7 @@ use crate::{AccelL1, AccelL1Config, AccelL2, AccelL2Config, AccelMode, Prefetch}
 
 /// A scripted stand-in for Crossing Guard: records every interface message
 /// and can answer requests from a trivial memory model.
+#[derive(Clone)]
 struct MockGuard {
     name: String,
     /// Everything received, in order.
@@ -82,6 +83,9 @@ impl Component<Message> for MockGuard {
             _ => {}
         }
     }
+    fn box_clone(&self) -> Option<Box<dyn Component<Message>>> {
+        Some(Box::new(self.clone()))
+    }
     fn as_any(&self) -> &dyn std::any::Any {
         self
     }
@@ -91,6 +95,7 @@ impl Component<Message> for MockGuard {
 }
 
 /// Core probe recording responses.
+#[derive(Clone)]
 struct Probe {
     name: String,
     responses: Vec<CoreMsg>,
@@ -105,6 +110,9 @@ impl Component<Message> for Probe {
             self.responses.push(c);
             ctx.note_progress();
         }
+    }
+    fn box_clone(&self) -> Option<Box<dyn Component<Message>>> {
+        Some(Box::new(self.clone()))
     }
     fn as_any(&self) -> &dyn std::any::Any {
         self
@@ -606,7 +614,8 @@ impl TwoLevel {
         }
     }
 
-    fn store(&mut self, core: usize, addr: u64, value: u64) {
+    /// Sends `core` an op without running the simulation; returns its id.
+    fn post(&mut self, core: usize, addr: u64, kind: CoreKind) -> u64 {
         let id = self.next_id;
         self.next_id += 1;
         self.sim.post(
@@ -615,26 +624,20 @@ impl TwoLevel {
             CoreMsg {
                 id,
                 addr: Addr::new(addr),
-                kind: CoreKind::Store { value },
+                kind,
             }
             .into(),
         );
+        id
+    }
+
+    fn store(&mut self, core: usize, addr: u64, value: u64) {
+        self.post(core, addr, CoreKind::Store { value });
         assert!(self.sim.run_to_quiescence(50_000).quiescent);
     }
 
     fn load(&mut self, core: usize, addr: u64) -> u64 {
-        let id = self.next_id;
-        self.next_id += 1;
-        self.sim.post(
-            self.cores[core],
-            self.l1s[core],
-            CoreMsg {
-                id,
-                addr: Addr::new(addr),
-                kind: CoreKind::Load,
-            }
-            .into(),
-        );
+        let id = self.post(core, addr, CoreKind::Load);
         assert!(self.sim.run_to_quiescence(50_000).quiescent);
         self.sim
             .get::<Probe>(self.cores[core])
@@ -652,6 +655,70 @@ impl TwoLevel {
         let report = self.sim.report();
         assert_eq!(report.sum_suffix(".protocol_violation"), 0);
     }
+
+    /// Runs to quiescence and returns what the run leaves to compare: the
+    /// report, the cores' responses and the guard's log.
+    fn outcome(&mut self) -> String {
+        assert!(self.sim.run_to_quiescence(50_000).quiescent);
+        let responses: Vec<_> = self
+            .cores
+            .iter()
+            .map(|&core| &self.sim.get::<Probe>(core).unwrap().responses)
+            .collect();
+        let log = &self.sim.get::<MockGuard>(self.xg).unwrap().log;
+        format!("{}\n{responses:?}\n{log:?}", self.sim.report().to_json())
+    }
+}
+
+/// Both accelerator caches checkpoint: a world saved mid-transaction (an
+/// L1 in `B`, the L2's fetch at the guard) and restored over the run that
+/// went on from there — each cache copied back in place — finishes exactly
+/// as the run that was never interrupted.
+#[test]
+fn caches_restored_in_place_mid_transaction_resume_the_same_run() {
+    // Five blocks of one L1 set (four ways): evictions and Puts as well.
+    let ops = |tl: &mut TwoLevel| {
+        for (i, addr) in [0x500, 0x1500, 0x2500, 0x3500, 0x4500, 0x500]
+            .into_iter()
+            .enumerate()
+        {
+            tl.post(i % 2, addr, CoreKind::Store { value: i as u64 });
+            tl.post((i + 1) % 2, addr, CoreKind::Load);
+        }
+        tl.post(0, 0x500, CoreKind::Flush);
+    };
+    let mut straight = TwoLevel::new(2);
+    ops(&mut straight);
+    let expected = straight.outcome();
+
+    let mut tl = TwoLevel::new(2);
+    ops(&mut tl);
+    while tl.sim.get::<MockGuard>(tl.xg).unwrap().log.is_empty() {
+        assert!(tl.sim.step());
+    }
+    let l1 = tl.l1s[0];
+    let block = Addr::new(0x500).block();
+    assert_eq!(tl.sim.get::<AccelL1>(l1).unwrap().state_of(block), "B");
+    let checkpoint = tl.sim.checkpoint().expect("every component checkpoints");
+    let saved_l1 = tl.sim.get::<AccelL1>(l1).unwrap().box_clone().unwrap();
+    let saved_l2 = tl.sim.get::<AccelL2>(tl.l2).unwrap().box_clone().unwrap();
+    for _ in 0..20 {
+        assert!(tl.sim.step(), "the run is still in flight");
+    }
+    let l1_in_place = tl
+        .sim
+        .get_mut::<AccelL1>(l1)
+        .unwrap()
+        .restore_from(&*saved_l1);
+    let l2_in_place = tl
+        .sim
+        .get_mut::<AccelL2>(tl.l2)
+        .unwrap()
+        .restore_from(&*saved_l2);
+    assert!(l1_in_place && l2_in_place);
+    tl.sim.restore(&checkpoint);
+    assert_eq!(tl.sim.get::<AccelL1>(l1).unwrap().state_of(block), "B");
+    assert_eq!(tl.outcome(), expected);
 }
 
 #[test]

@@ -1,7 +1,7 @@
 //! Transition-coverage regression baseline: the seed stress configurations
 //! (the shards behind `xg-report --json` / `--coverage`) must keep
 //! exercising at least the recorded `(state, event)` rows of both guard
-//! personas. Coverage regressing below this baseline means a table
+//! personas and of the Table 1 accelerator L1. Coverage regressing below this baseline means a table
 //! migration or workload change silently stopped driving part of the
 //! protocol — exactly the drift these counters exist to catch.
 //!
@@ -47,6 +47,35 @@ const MESI_PERSONA_BASELINE: &[(&str, &str)] = &[
     ("Idle", "OwnerRead"),
     ("Idle", "OwnerWrite"),
     ("Put_Shared", "WbAck"),
+];
+
+/// The `accel_l1` rows the quick sweep fires: 21 of 28. Not fired: the
+/// flush column (the tester issues no flushes), `(B, Repl)` (unreachable)
+/// and `(I, Inv)`, an invalidation of a block the L1 does not hold, which
+/// the Transactional guard's stress runs in `crates/harness/tests/coverage.rs`
+/// reach.
+const ACCEL_L1_BASELINE: &[(&str, &str)] = &[
+    ("B", "DataE"),
+    ("B", "DataM"),
+    ("B", "DataS"),
+    ("B", "Inv"),
+    ("B", "Load"),
+    ("B", "Store"),
+    ("B", "WbAck"),
+    ("E", "Inv"),
+    ("E", "Load"),
+    ("E", "Repl"),
+    ("E", "Store"),
+    ("I", "Load"),
+    ("I", "Store"),
+    ("M", "Inv"),
+    ("M", "Load"),
+    ("M", "Repl"),
+    ("M", "Store"),
+    ("S", "Inv"),
+    ("S", "Load"),
+    ("S", "Repl"),
+    ("S", "Store"),
 ];
 
 /// Fired-row floors for the model checker's bounded exploration (depth 2
@@ -159,12 +188,13 @@ fn checker_exploration_covers_fuzz_baseline() {
 }
 
 #[test]
-fn stress_sweep_reaches_persona_coverage_baseline() {
+fn stress_sweep_reaches_coverage_baseline() {
     let (report, findings) = collect_report_jobs(Scale::Quick, 1);
     assert!(findings.is_empty(), "{findings:?}");
     for (machine, baseline) in [
         ("hammer_persona", HAMMER_PERSONA_BASELINE),
         ("mesi_persona", MESI_PERSONA_BASELINE),
+        ("accel_l1", ACCEL_L1_BASELINE),
     ] {
         let cov = report
             .fsm(machine)

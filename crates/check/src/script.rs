@@ -112,20 +112,6 @@ impl Script {
         Script::default()
     }
 
-    /// This script plus one appended step.
-    pub fn with_step(&self, step: Step) -> Script {
-        let mut s = self.clone();
-        s.steps.push(step);
-        s
-    }
-
-    /// This script plus one appended invalidation choice.
-    pub fn with_choice(&self, choice: u8) -> Script {
-        let mut s = self.clone();
-        s.choices.push(choice);
-        s
-    }
-
     /// Serializes to the `xg-check v1` text format.
     pub fn to_text(&self) -> String {
         let mut out = String::from("xg-check v1\n");

@@ -379,11 +379,6 @@ impl CrossingGuard {
             .map(|e| (e.owned, e.dirty, e.shadow.is_some()))
     }
 
-    /// Open accelerator-initiated transactions (Gets and Puts in flight).
-    pub fn open_accel_reqs(&self) -> usize {
-        self.open_reqs
-    }
-
     /// Forwarded invalidations still awaiting an accelerator response (or
     /// the Guarantee 2c timeout).
     pub fn open_invs(&self) -> usize {

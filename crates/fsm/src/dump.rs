@@ -5,9 +5,10 @@ use crate::Alphabet;
 
 impl<S: Alphabet, E: Alphabet, A: Alphabet> Table<S, E, A> {
     /// Renders the table's legal rows as a GitHub-flavored markdown table,
-    /// state-major, with a trailing summary of the (explicit) violation
-    /// rows. Output is deterministic, so it doubles as a golden file: any
-    /// change to the protocol tables shows up as a diff here.
+    /// state-major, after the table's notes and with a trailing summary of
+    /// the (explicit) violation rows. Output is deterministic, so it doubles
+    /// as a golden file: any change to the protocol tables shows up as a
+    /// diff here.
     pub fn to_markdown(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
@@ -18,6 +19,10 @@ impl<S: Alphabet, E: Alphabet, A: Alphabet> Table<S, E, A> {
             self.legal_rows(),
             self.len() - self.legal_rows(),
         ));
+        for note in &self.notes {
+            out.push_str(note);
+            out.push_str("\n\n");
+        }
         out.push_str("| State | Event | Outcome | Actions | Next |\n");
         out.push_str("|---|---|---|---|---|\n");
         for (s, e, row) in self.rows() {

@@ -22,7 +22,8 @@
 //!   measurable coverage instrument ("which rows did we actually
 //!   exercise?").
 //! * [`Table::to_markdown`] and [`Table::to_dot`] dump the implemented
-//!   tables for DESIGN.md and CI golden-file diffs.
+//!   tables for DESIGN.md and CI golden-file diffs, the markdown headed by
+//!   the table's [`TableBuilder::note`]s.
 //!
 //! ## Division of labor
 //!
@@ -81,5 +82,5 @@ pub use machine::{Machine, Resolution};
 pub use table::{NextState, RowKind, RowOutcome, Table, TableBuilder, TableError};
 
 // The vocabulary idiom lives in `xg-sim` so that controllers without a
-// table (the accelerator caches) can key their coverage the same way.
+// table (the accelerator L2, the host L1s) can key their coverage the same way.
 pub use xg_sim::{alphabet, Alphabet};

@@ -107,6 +107,7 @@ impl std::error::Error for TableError {}
 /// tables can be assembled with loops over state/event subsets.
 pub struct TableBuilder<S: Alphabet, E: Alphabet, A: Alphabet> {
     name: &'static str,
+    notes: Vec<&'static str>,
     cells: Vec<Option<RowKind<S, A>>>,
     duplicates: Vec<(S, E)>,
 }
@@ -117,6 +118,7 @@ impl<S: Alphabet, E: Alphabet, A: Alphabet> TableBuilder<S, E, A> {
     pub fn new(name: &'static str) -> Self {
         TableBuilder {
             name,
+            notes: Vec::new(),
             cells: vec![None; S::ALL.len() * E::ALL.len()],
             duplicates: Vec::new(),
         }
@@ -166,6 +168,13 @@ impl<S: Alphabet, E: Alphabet, A: Alphabet> TableBuilder<S, E, A> {
     /// Declares that `event` in `state` is a protocol violation.
     pub fn violation(&mut self, state: S, event: E) -> &mut Self {
         self.set(state, event, RowKind::Violation);
+        self
+    }
+
+    /// Adds a paragraph the markdown dump prints under the heading: what a
+    /// reader comparing the rows with the paper needs to know about them.
+    pub fn note(&mut self, text: &'static str) -> &mut Self {
+        self.notes.push(text);
         self
     }
 
@@ -256,6 +265,7 @@ impl<S: Alphabet, E: Alphabet, A: Alphabet> TableBuilder<S, E, A> {
             .collect();
         Ok(Table {
             name: self.name,
+            notes: self.notes.clone().into_boxed_slice(),
             rows: rows.into_boxed_slice(),
             by_label,
             actions: pool.into_boxed_slice(),
@@ -293,6 +303,8 @@ pub(crate) struct PackedRow {
 /// counters live in [`Machine`](crate::Machine).
 pub struct Table<S: Alphabet, E: Alphabet, A: Alphabet> {
     name: &'static str,
+    /// Paragraphs for the markdown dump ([`TableBuilder::note`]).
+    pub(crate) notes: Box<[&'static str]>,
     rows: Box<[PackedRow]>,
     /// The legal cells as `(state label, event label, cell)`, in label
     /// order: the coverage universe as reports list it.

@@ -1,7 +1,9 @@
-//! Unit tests for [`TransitionCoverage::diff`] — the campaign's feedback
-//! signal. `a.diff(b)` must return exactly the `(state, event)` pairs that
-//! fired in `a` but never in `b`: an empty diff is the "nothing new here"
-//! signal that makes the coverage-guided fuzzer discard an input.
+//! Unit tests for the campaign's feedback signal: a run's new rows are the
+//! growth of the campaign's union in `fired_rows()` when the run's
+//! [`TransitionCoverage`] is merged in. Growth must count exactly the
+//! `(state, event)` pairs that fired in the run but never in the union: no
+//! growth is the "nothing new here" signal that makes the coverage-guided
+//! fuzzer discard an input.
 
 use xg_sim::TransitionCoverage;
 
@@ -13,77 +15,75 @@ fn cov(rows: &[(&str, &str, u64)]) -> TransitionCoverage {
     c
 }
 
-fn pairs(c: &TransitionCoverage) -> Vec<(String, String, u64)> {
-    c.iter()
-        .filter(|&(_, _, n)| n > 0)
-        .map(|(s, e, n)| (s.to_owned(), e.to_owned(), n))
-        .collect()
+/// Merges `run` into `seen` and returns the rows it fired first, as
+/// `run_campaign` does per execution.
+fn fold(seen: &mut TransitionCoverage, run: &TransitionCoverage) -> usize {
+    let before = seen.fired_rows();
+    seen.merge(run);
+    seen.fired_rows() - before
 }
 
 #[test]
-fn empty_vs_empty_is_empty() {
-    let a = TransitionCoverage::new();
-    let b = TransitionCoverage::new();
-    assert_eq!(a.diff(&b).fired_rows(), 0);
-    assert_eq!(b.diff(&a).fired_rows(), 0);
+fn empty_into_empty_grows_nothing() {
+    let mut seen = TransitionCoverage::new();
+    assert_eq!(fold(&mut seen, &TransitionCoverage::new()), 0);
+    assert_eq!(seen.fired_rows(), 0);
 }
 
 #[test]
-fn diff_against_empty_returns_everything_fired() {
+fn a_run_into_an_empty_union_counts_everything_it_fired() {
     let a = cov(&[("I", "GetS", 3), ("S", "Inv", 1)]);
-    let d = a.diff(&TransitionCoverage::new());
-    assert_eq!(d.fired_rows(), 2);
-    assert_eq!(pairs(&d), pairs(&a));
-    // And the other direction: an empty table discovers nothing.
-    assert_eq!(TransitionCoverage::new().diff(&a).fired_rows(), 0);
+    let mut seen = TransitionCoverage::new();
+    assert_eq!(fold(&mut seen, &a), 2);
+    assert_eq!(seen, a);
+    // And the other direction: an empty run discovers nothing.
+    assert_eq!(fold(&mut seen, &TransitionCoverage::new()), 0);
 }
 
 #[test]
-fn disjoint_tables_diff_to_self() {
+fn disjoint_runs_count_all_their_rows() {
     let a = cov(&[("I", "GetS", 2), ("M", "PutM", 1)]);
     let b = cov(&[("S", "Inv", 5), ("E", "GetM", 4)]);
-    assert_eq!(pairs(&a.diff(&b)), pairs(&a));
-    assert_eq!(pairs(&b.diff(&a)), pairs(&b));
+    assert_eq!(fold(&mut a.clone(), &b), 2);
+    assert_eq!(fold(&mut b.clone(), &a), 2);
 }
 
 #[test]
-fn subset_diffs_to_empty_superset_to_the_new_rows() {
+fn a_subset_grows_nothing_a_superset_its_new_rows() {
     let small = cov(&[("I", "GetS", 1)]);
     let big = cov(&[("I", "GetS", 7), ("I", "GetM", 2), ("S", "Inv", 1)]);
     // Counts do not matter, only whether a pair ever fired.
-    assert_eq!(small.diff(&big).fired_rows(), 0);
-    let novel = big.diff(&small);
-    assert_eq!(novel.fired_rows(), 2);
-    assert_eq!(novel.count("I", "GetM"), 2);
-    assert_eq!(novel.count("S", "Inv"), 1);
-    assert_eq!(novel.count("I", "GetS"), 0);
+    assert_eq!(fold(&mut big.clone(), &small), 0);
+    let mut seen = small.clone();
+    assert_eq!(fold(&mut seen, &big), 2);
+    assert_eq!(seen.count("I", "GetM"), 2);
+    assert_eq!(seen.count("S", "Inv"), 1);
+    assert_eq!(seen.count("I", "GetS"), 8);
 }
 
 #[test]
 fn declared_but_unfired_rows_do_not_count_as_discoveries() {
-    // `declare` adds a row to the universe without firing it; diff must
-    // ignore it in both operands.
-    let mut a = TransitionCoverage::new();
-    a.declare("I", "GetS");
-    a.fire("S", "Inv", 1);
-    let mut b = TransitionCoverage::new();
-    b.declare("S", "Inv");
-    let d = a.diff(&b);
-    // "S"/"Inv" fired in a and never fired in b (only declared), so it is
-    // genuinely new; the merely-declared "I"/"GetS" is not.
-    assert_eq!(pairs(&d), vec![("S".to_owned(), "Inv".to_owned(), 1)]);
+    // `declare` adds a row to the universe without firing it; growth must
+    // ignore it on both sides.
+    let mut run = TransitionCoverage::new();
+    run.declare("I", "GetS");
+    run.fire("S", "Inv", 1);
+    let mut seen = TransitionCoverage::new();
+    seen.declare("S", "Inv");
+    // "S"/"Inv" fired in the run and was only declared in the union, so it
+    // is genuinely new; the merely-declared "I"/"GetS" is not.
+    assert_eq!(fold(&mut seen, &run), 1);
+    assert_eq!(seen.total_rows(), 2);
 }
 
 #[test]
-fn merge_then_diff_partitions_discoveries() {
+fn a_repeated_run_discovers_nothing() {
     // The campaign's exact usage: fold each run's coverage into a global
-    // frontier, score the run by what it added. After merging, a repeat of
-    // the same run must diff to empty.
+    // frontier, score the run by what it added. A repeat of the same run
+    // must add nothing.
     let mut frontier = cov(&[("I", "GetS", 1)]);
     let run = cov(&[("I", "GetS", 4), ("S", "Inv", 2)]);
-    let new_pairs = run.diff(&frontier).fired_rows();
-    assert_eq!(new_pairs, 1);
-    frontier.merge(&run);
-    assert_eq!(run.diff(&frontier).fired_rows(), 0);
-    assert_eq!(frontier.count("I", "GetS"), 5);
+    assert_eq!(fold(&mut frontier, &run), 1);
+    assert_eq!(fold(&mut frontier, &run), 0);
+    assert_eq!(frontier.count("I", "GetS"), 9);
 }

@@ -211,13 +211,8 @@ pub fn table() -> &'static Table<L2State, L2Event, L2Action> {
         b.on_dyn(BusyRecall, RecallData, &[ApplyRecallResponse]);
         b.on_dyn(BusyRecall, RecallAck, &[ApplyRecallResponse]);
         b.on_dyn(BusyFetch, FetchDone, &[CompleteFetch]);
-        // Only `Busy_Install` ever sees a retry: it is dispatched to parked
-        // fills, never armed as a timer. The other rows date from a polling
-        // timer that could outlive its install; they stay declared (no-ops)
-        // because the golden reports list every declared row.
-        for s in L2State::ALL {
-            b.on_dyn(*s, InstallRetry, &[TryInstall]);
-        }
+        // A retry is dispatched to parked fills only, never armed as a timer.
+        b.on_dyn(BusyInstall, InstallRetry, &[TryInstall]);
         b.violation_rest();
         b.build().expect("mesi_l2 table is deterministic and total")
     })
@@ -462,17 +457,6 @@ impl MesiL2 {
     /// behalf (the §3.2.2 counter).
     pub fn acks_on_behalf(&self) -> u64 {
         self.stats.mod_acks_on_behalf
-    }
-
-    /// Directory view of `addr` for invariant oracles: `(owner, sharers)`
-    /// for a resident line, `None` if absent or mid-transaction.
-    pub fn probe_dir(&self, addr: BlockAddr) -> Option<(Option<NodeId>, Vec<NodeId>)> {
-        if self.busy(addr).is_some() {
-            return None;
-        }
-        self.array
-            .get(addr)
-            .map(|l| (l.owner, l.sharers.iter().copied().collect()))
     }
 
     /// Data + dirty view of `addr` for invariant oracles (resident lines

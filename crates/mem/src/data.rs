@@ -77,11 +77,6 @@ impl DataBlock {
     pub fn as_bytes(&self) -> &[u8] {
         &self.bytes
     }
-
-    /// Mutably borrows the raw bytes.
-    pub fn as_bytes_mut(&mut self) -> &mut [u8] {
-        &mut self.bytes
-    }
 }
 
 impl Default for DataBlock {

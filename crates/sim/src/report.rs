@@ -543,24 +543,6 @@ impl TransitionCoverage {
     pub fn merge(&mut self, other: &TransitionCoverage) {
         self.rows.merge(&other.rows, all, |_, n, v| *n += v);
     }
-
-    /// Rows fired in `self` that never fired in `other` — the coverage
-    /// *frontier* a new run pushed past a baseline. The result contains only
-    /// the newly-fired rows (with their fire counts from `self`); declared
-    /// universes are not copied, so `diff(...).fired_rows()` is the number
-    /// of new `(state, event)` pairs. An empty diff means the run
-    /// discovered nothing, which is exactly the signal the coverage-guided
-    /// fuzz campaign uses to discard uninteresting inputs.
-    pub fn diff(&self, other: &TransitionCoverage) -> TransitionCoverage {
-        let rows = self
-            .rows
-            .iter()
-            .filter(|((s, e), n)| *n > 0 && other.count(s, e) == 0)
-            .cloned();
-        TransitionCoverage {
-            rows: SortedMap::from_sorted(rows),
-        }
-    }
 }
 
 /// Aggregated statistics from a simulation run.
@@ -1362,29 +1344,6 @@ mod tests {
         r.merge(&other);
         assert_eq!(r.fsm("hammer_dir").unwrap().count("O_mem", "GetS"), 14);
         assert_eq!(r.fsm("hammer_dir").unwrap().total_rows(), 2);
-    }
-
-    #[test]
-    fn transition_coverage_diff_finds_the_frontier() {
-        let mut base = TransitionCoverage::new();
-        base.fire("I", "Load", 5);
-        base.declare("S", "Inv");
-        let mut run = TransitionCoverage::new();
-        run.fire("I", "Load", 2); // already known
-        run.fire("S", "Inv", 1); // declared but never fired in base → new
-        run.fire("M", "Store", 4); // entirely new
-        run.declare("M", "Evict"); // declared-only rows never count
-
-        let d = run.diff(&base);
-        assert_eq!(d.fired_rows(), 2);
-        assert_eq!(d.count("S", "Inv"), 1);
-        assert_eq!(d.count("M", "Store"), 4);
-        assert_eq!(d.count("I", "Load"), 0);
-        assert!(base.diff(&base).fired_rows() == 0, "self-diff is empty");
-        assert_eq!(
-            TransitionCoverage::new().diff(&TransitionCoverage::new()),
-            TransitionCoverage::new()
-        );
     }
 
     #[test]

@@ -189,11 +189,6 @@ impl Tracer {
         self.timeline.as_mut()
     }
 
-    /// Removes and returns the timeline recorder.
-    pub fn take_timeline(&mut self) -> Option<Timeline> {
-        self.timeline.take()
-    }
-
     /// The active configuration.
     pub fn config(&self) -> TraceConfig {
         self.config
