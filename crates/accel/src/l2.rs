@@ -13,13 +13,18 @@
 //!
 //! Per block it tracks the host-granted state (S/E/M), a dirty bit, the L1
 //! sharer set, and the owning L1. Multi-step flows (recalls before grants,
-//! host invalidations, inclusive evictions) serialize per block.
+//! host invalidations, inclusive evictions) serialize per block. Every
+//! message, on arrival or drained from a block's queue, runs its row of the
+//! `accel_l2` table ([`table`], dumped to `docs/tables/accel_l2.md`) in the
+//! state one lookup gives: the block's record, else its array line.
 
 use std::collections::VecDeque;
+use std::sync::OnceLock;
 
+use xg_fsm::{alphabet, Alphabet, Controller, Machine, Step, Table, TableBuilder};
 use xg_mem::{BlockAddr, IdMap, Replacement, SetAssocCache, SortedSet, Spares};
 use xg_proto::{Ctx, Message, XgData, XgiKind, XgiMsg, XgiTag};
-use xg_sim::{alphabet, Component, CoverageGrid, Cycle, Histogram, NodeId, Report};
+use xg_sim::{Component, Cycle, FsmRows, Histogram, NodeId, Report};
 
 /// Configuration for an [`AccelL2`].
 #[derive(Debug, Clone)]
@@ -56,9 +61,10 @@ impl Default for AccelL2Config {
 }
 
 alphabet! {
-    /// Per-block state coverage is keyed by: what the array holds, or the
-    /// transaction holding the block busy.
-    enum L2State {
+    /// The `accel_l2` table's rows: what the array holds (`NP`, `Present`,
+    /// `Shared`, `Owned`), or the transaction holding the block busy (the
+    /// six `Busy_` states, one per `Busy` kind).
+    pub enum L2State {
         NP = "NP",
         Present,
         Shared,
@@ -70,6 +76,95 @@ alphabet! {
         BusyEvictRecall = "Busy_EvictRecall",
         BusyEvictPut = "Busy_EvictPut",
     }
+}
+
+alphabet! {
+    /// Symbolic actions, one flow each, interpreted against the array, the
+    /// block's record and the message in [`L2Cx`].
+    pub enum L2Action {
+        /// An L1 Get: grant, recall the other holders first, or fetch.
+        Get,
+        /// An L1 Put: take the owner's data, drop the L1, ack.
+        TakePut,
+        /// An L1's answer to a recall; the last one finishes the recall.
+        Recalled,
+        /// The guard's grant for the block's fetch: upgrade or install.
+        Fill,
+        /// The guard's `WbAck` for an eviction's Put: the block is free.
+        Retire,
+        /// A guard `Inv`: recall the L1 holders, then answer.
+        Invalidate,
+        /// Answer a guard `Inv` with `InvAck`.
+        AckInv,
+        /// Answer a guard `Inv` with the parked grant, and fetch again.
+        Surrender,
+    }
+}
+
+/// The validated `accel_l2` table.
+pub fn table() -> &'static Table<L2State, XgiTag, L2Action> {
+    static T: OnceLock<Table<L2State, XgiTag, L2Action>> = OnceLock::new();
+    T.get_or_init(|| {
+        use L2Action::*;
+        use L2State::*;
+        use XgiTag::*;
+        let mut b = TableBuilder::new("accel_l2");
+        b.note(
+            "The shared inclusive accelerator L2 of the two-level organization \
+             (§2.4, Figure 2(d)): four stable states, what the array holds, and \
+             six busy states, the transaction a block's record holds. Requests \
+             and `Inv` answers come from the L1s, grants, `WbAck` and `Inv` from \
+             the guard; a kind from the wrong side, or a payload of the wrong \
+             size, is a violation before any row.",
+        );
+        b.note(
+            "A stall parks the message in the block's queue, to run again when \
+             the record closes (a guard `Inv` also while the block waits on the \
+             guard). A Put never parks, and is a violation where no L1 can hold \
+             a copy. Two-level stress fires every legal row but Gets parked in \
+             `Busy_Install` or `Busy_Recall`, a second `Inv` in `Busy_HostInv`, \
+             a Put in `Busy_Fetch`, `PutS` in `Owned` and `PutE`/`PutM` in `Shared`.",
+        );
+        let busy = &L2State::ALL[4..]; // the six `Busy_` states
+        for e in [GetS, GetM] {
+            b.on(NP, e, &[Get], BusyFetch);
+            for s in [Present, Shared, Owned] {
+                b.on_dyn(s, e, &[Get]);
+            }
+            for &s in busy {
+                b.stall(s, e);
+            }
+        }
+        for e in [PutS, PutE, PutM] {
+            b.on_dyn(Shared, e, &[TakePut]);
+            b.on_dyn(Owned, e, &[TakePut]);
+            for s in [BusyFetch, BusyRecall, BusyHostInv, BusyEvictRecall] {
+                b.on(s, e, &[TakePut], s);
+            }
+        }
+        for s in [BusyRecall, BusyHostInv, BusyEvictRecall] {
+            for e in [InvAck, CleanWb, DirtyWb] {
+                b.on_dyn(s, e, &[Recalled]);
+            }
+            b.stall(s, Inv);
+        }
+        for e in [DataS, DataE, DataM] {
+            b.on_dyn(BusyFetch, e, &[Fill]);
+        }
+        b.on(BusyEvictPut, WbAck, &[Retire], NP);
+        b.on(NP, Inv, &[Invalidate], NP);
+        b.on(Present, Inv, &[Invalidate], NP);
+        b.on(Shared, Inv, &[Invalidate], BusyHostInv);
+        b.on(Owned, Inv, &[Invalidate], BusyHostInv);
+        // Our Get, or our eviction's Put, crossed the Inv: nothing is held
+        // for the guard yet, or any more.
+        b.on(BusyFetch, Inv, &[AckInv], BusyFetch);
+        b.on(BusyEvictPut, Inv, &[AckInv], BusyEvictPut);
+        b.on(BusyInstall, Inv, &[Surrender], BusyFetch);
+        b.violation_rest();
+        b.build()
+            .expect("accel_l2 table is deterministic and total")
+    })
 }
 
 /// Host-granted state of a resident block.
@@ -98,14 +193,14 @@ impl L2Line {
     }
 }
 
-/// Coverage state of a block nothing holds busy.
-fn line_state(line: Option<&L2Line>) -> L2State {
-    match line {
-        None => L2State::NP,
-        Some(line) if line.owner.is_some() => L2State::Owned,
-        Some(line) if line.sharers.is_empty() => L2State::Present,
-        Some(_) => L2State::Shared,
+/// Sends `addr`'s `Inv` to each of `l1s`; returns how many were sent.
+fn recall(l1s: impl Iterator<Item = NodeId>, addr: BlockAddr, ctx: &mut Ctx<'_>) -> u32 {
+    let mut sent = 0;
+    for l1 in l1s {
+        ctx.send(l1, XgiMsg::new(addr, XgiKind::Inv).into());
+        sent += 1;
     }
+    sent
 }
 
 #[derive(Debug, Clone)]
@@ -134,21 +229,8 @@ enum Busy {
     EvictPut,
 }
 
-impl Busy {
-    fn state(&self) -> L2State {
-        match self {
-            Busy::Fetch { .. } => L2State::BusyFetch,
-            Busy::InstallWait { .. } => L2State::BusyInstall,
-            Busy::RecallForGrant { .. } => L2State::BusyRecall,
-            Busy::HostInv { .. } => L2State::BusyHostInv,
-            Busy::EvictRecall { .. } => L2State::BusyEvictRecall,
-            Busy::EvictPut => L2State::BusyEvictPut,
-        }
-    }
-}
-
 /// Everything open on one block: the transaction holding it busy (if any)
-/// and the requests parked behind it. A record exists only while one of the
+/// and the messages parked behind it. A record exists only while one of the
 /// two does; `drain` removes it.
 #[derive(Debug, Default)]
 struct Block {
@@ -160,13 +242,8 @@ struct Block {
 
 xg_sim::clone_in_place!(impl[] for Block { busy, since, queue });
 
-type Queue = VecDeque<(NodeId, XgiKind)>;
-
-/// Parks a request in the queue of a busy block.
-fn park(queue: &mut Queue, spares: &mut Spares<Queue>, from: NodeId, kind: XgiKind) {
-    spares.equip(queue);
-    queue.push_back((from, kind));
-}
+/// Parked messages: L1 Gets and guard `Inv`s, which carry no data.
+type Queue = VecDeque<(NodeId, XgiTag)>;
 
 #[derive(Debug, Default)]
 struct Stats {
@@ -201,13 +278,21 @@ pub struct AccelL2 {
     /// Emptied `Block::queue` buffers, reused by the next parked request.
     spare_queues: Spares<Queue>,
     stats: Stats,
-    /// `(state, event)` pairs visited, by index; named in `report`.
-    seen: CoverageGrid<L2State, XgiTag>,
+    machine: Machine<L2State, XgiTag, L2Action>,
 }
 
 xg_sim::clone_in_place!(impl[] for AccelL2 {
-    name, below, cfg, array, blocks, spare_queues, stats, seen,
+    name, below, cfg, array, blocks, spare_queues, stats, machine,
 });
+
+/// Per-dispatch context for [`L2Action`] interpretation.
+pub struct L2Cx<'a, 'b> {
+    ctx: &'a mut Ctx<'b>,
+    from: NodeId,
+    addr: BlockAddr,
+    /// The payload of a data-carrying kind.
+    data: Option<XgData>,
+}
 
 impl AccelL2 {
     /// Creates a shared accelerator L2 above `below` (its Crossing Guard).
@@ -224,7 +309,7 @@ impl AccelL2 {
             cfg,
             spare_queues: Spares::default(),
             stats: Stats::default(),
-            seen: CoverageGrid::new(),
+            machine: Machine::new(table()),
         }
     }
 
@@ -239,6 +324,44 @@ impl AccelL2 {
 
     fn busy(&self, addr: BlockAddr) -> Option<&Busy> {
         self.blocks.get(&addr).and_then(|b| b.busy.as_ref())
+    }
+
+    /// Table state of `addr`: the transaction holding it busy, else what
+    /// the array holds.
+    fn state(&self, addr: BlockAddr) -> L2State {
+        match self.busy(addr) {
+            Some(Busy::Fetch { .. }) => L2State::BusyFetch,
+            Some(Busy::InstallWait { .. }) => L2State::BusyInstall,
+            Some(Busy::RecallForGrant { .. }) => L2State::BusyRecall,
+            Some(Busy::HostInv { .. }) => L2State::BusyHostInv,
+            Some(Busy::EvictRecall { .. }) => L2State::BusyEvictRecall,
+            Some(Busy::EvictPut) => L2State::BusyEvictPut,
+            None => match self.array.get(addr) {
+                None => L2State::NP,
+                Some(line) if line.owner.is_some() => L2State::Owned,
+                Some(line) if line.sharers.is_empty() => L2State::Present,
+                Some(_) => L2State::Shared,
+            },
+        }
+    }
+
+    /// Runs the table's row for `event` in `addr`'s state: the one path of
+    /// every message, on arrival or drained from the block's queue.
+    fn run(
+        &mut self,
+        from: NodeId,
+        addr: BlockAddr,
+        event: XgiTag,
+        data: Option<XgData>,
+        ctx: &mut Ctx<'_>,
+    ) {
+        let mut cx = L2Cx {
+            ctx,
+            from,
+            addr,
+            data,
+        };
+        self.dispatch(self.state(addr), event, &mut cx);
     }
 
     /// Opens a busy episode on `addr`.
@@ -260,179 +383,18 @@ impl AccelL2 {
         ctx.send(self.below, XgiMsg::new(addr, req).into());
     }
 
-    /// Coverage state of `addr` given its record: the transaction holding
-    /// it busy, else what the array holds. Handlers name the state from the
-    /// record or line they look up anyway; this is for the paths (a
-    /// violation, mostly) that have neither in hand.
-    fn state_given(
-        array: &SetAssocCache<L2Line>,
-        addr: BlockAddr,
-        block: Option<&Block>,
-    ) -> L2State {
-        match block.and_then(|b| b.busy.as_ref()) {
-            Some(busy) => busy.state(),
-            None => line_state(array.get(addr)),
-        }
-    }
-
-    /// Counts a message no handler has a use for, against the block's state.
-    fn stray(&mut self, addr: BlockAddr, event: XgiTag) {
-        let state = Self::state_given(&self.array, addr, self.blocks.get(&addr));
-        self.seen.visit(state, event);
-        self.violation();
-    }
-
-    /// The payload of a data message, if it has the configured size.
-    fn xg_data(&mut self, data: XgData) -> Option<XgData> {
-        if data.len() == self.cfg.block_blocks {
-            Some(data)
-        } else {
-            self.violation();
-            None
-        }
-    }
-
-    // ----- dispatch ---------------------------------------------------------
-
-    fn handle_xgi(&mut self, from: NodeId, msg: XgiMsg, ctx: &mut Ctx<'_>) {
-        let addr = msg.addr;
-        ctx.trace(addr.as_u64(), "accel-l2", "Recv", || {
-            let side = if from == self.below { "xg" } else { "l1" };
-            format!(
-                "{} from {side} (busy={})",
-                msg.kind,
-                self.busy(addr).is_some()
-            )
-        });
-        if from == self.below {
-            self.handle_from_xg(addr, msg.kind, ctx);
-        } else {
-            self.handle_from_l1(from, addr, msg.kind, ctx);
-        }
-    }
-
-    fn handle_from_l1(&mut self, from: NodeId, addr: BlockAddr, kind: XgiKind, ctx: &mut Ctx<'_>) {
-        let event = kind.tag();
-        match kind {
-            XgiKind::GetS | XgiKind::GetM => match self.blocks.get_mut(&addr) {
-                Some(Block {
-                    busy: Some(busy),
-                    queue,
-                    ..
-                }) => {
-                    self.seen.visit(busy.state(), event);
-                    park(queue, &mut self.spare_queues, from, kind);
-                }
-                _ => self.process_l1_get(from, addr, matches!(kind, XgiKind::GetM), ctx),
-            },
-            XgiKind::PutS => self.process_l1_put(from, addr, event, None, false, ctx),
-            XgiKind::PutE { data } => {
-                let d = self.xg_data(data);
-                self.process_l1_put(from, addr, event, d, false, ctx);
-            }
-            XgiKind::PutM { data } => {
-                let d = self.xg_data(data);
-                self.process_l1_put(from, addr, event, d, true, ctx);
-            }
-            // Responses to our own recalls.
-            XgiKind::InvAck => self.recall_response(from, addr, event, None, false, ctx),
-            XgiKind::CleanWb { data } => {
-                let d = self.xg_data(data);
-                self.recall_response(from, addr, event, d, false, ctx);
-            }
-            XgiKind::DirtyWb { data } => {
-                let d = self.xg_data(data);
-                self.recall_response(from, addr, event, d, true, ctx);
-            }
-            _ => self.stray(addr, event),
-        }
-    }
-
-    fn handle_from_xg(&mut self, addr: BlockAddr, kind: XgiKind, ctx: &mut Ctx<'_>) {
-        let event = kind.tag();
-        match kind {
-            XgiKind::DataS { data } => self.up_grant(addr, event, data, Host::S, ctx),
-            XgiKind::DataE { data } => self.up_grant(addr, event, data, Host::E, ctx),
-            XgiKind::DataM { data } => self.up_grant(addr, event, data, Host::M, ctx),
-            XgiKind::WbAck => match self.blocks.get_mut(&addr) {
-                Some(block) if matches!(block.busy, Some(Busy::EvictPut)) => {
-                    self.seen.visit(L2State::BusyEvictPut, event);
-                    block.busy = None;
-                    self.drain(addr, ctx);
-                }
-                _ => self.stray(addr, event),
-            },
-            XgiKind::Inv => {
-                // Invariant: a guard Inv must never end up waiting on a
-                // transaction that itself waits on the guard — that is a
-                // deadlock cycle (our request parks at the guard behind its
-                // own pending Inv). Transactions that depend on the guard
-                // are answered immediately; only guard-independent internal
-                // recalls may briefly queue the Inv (and the drain pulls
-                // guard Invs out with priority).
-                let below = self.below;
-                let Some(Block {
-                    busy: Some(busy),
-                    queue,
-                    ..
-                }) = self.blocks.get_mut(&addr)
-                else {
-                    // No record, or mid-drain with the block no longer busy.
-                    return self.process_host_inv(addr, ctx);
-                };
-                self.seen.visit(busy.state(), event);
-                match busy {
-                    // Our own Get crossed this Inv on the ordered link: we
-                    // hold nothing yet (the Table 1 `B + Inv → InvAck` rule
-                    // lifted to the L2). Or our eviction's Put crossed it:
-                    // the guard will consume the Put's data (the interface's
-                    // one legal race) and the ordered link guarantees it
-                    // sees the Put before this ack.
-                    Busy::Fetch { .. } | Busy::EvictPut => {
-                        ctx.send(below, XgiMsg::new(addr, XgiKind::InvAck).into());
-                    }
-                    // A grant arrived but is parked waiting for a way: the
-                    // Inv outranks it. Surrender the parked data and
-                    // re-fetch for the waiting L1.
-                    Busy::InstallWait {
-                        requestor,
-                        want_m,
-                        data,
-                        host,
-                    } => {
-                        let (requestor, want_m) = (*requestor, *want_m);
-                        let data = std::mem::take(data);
-                        let resp = match host {
-                            Host::M => XgiKind::DirtyWb { data },
-                            Host::E => XgiKind::CleanWb { data },
-                            Host::S => XgiKind::InvAck,
-                        };
-                        ctx.send(below, XgiMsg::new(addr, resp).into());
-                        self.start_fetch(addr, requestor, want_m, ctx);
-                    }
-                    // Internal recalls resolve without the guard.
-                    _ => park(queue, &mut self.spare_queues, below, XgiKind::Inv),
-                }
-            }
-            _ => self.stray(addr, event),
-        }
-    }
-
     // ----- L1-side flows ----------------------------------------------------
 
     /// An L1 Get on a block nothing holds busy.
-    fn process_l1_get(&mut self, from: NodeId, addr: BlockAddr, want_m: bool, ctx: &mut Ctx<'_>) {
-        let event = if want_m {
+    fn process_l1_get(&mut self, want_m: bool, cx: &mut L2Cx<'_, '_>) {
+        let (from, addr) = (cx.from, cx.addr);
+        if want_m {
             self.stats.l1_getms += 1;
-            XgiTag::GetM
         } else {
             self.stats.l1_gets += 1;
-            XgiTag::GetS
-        };
-        let line = self.array.get(addr);
-        self.seen.visit(line_state(line), event);
-        let Some(line) = line else {
-            return self.start_fetch(addr, from, want_m, ctx);
+        }
+        let Some(line) = self.array.get(addr) else {
+            return self.start_fetch(addr, from, want_m, cx.ctx);
         };
 
         // Who has to give the block up before we can grant? The owner,
@@ -441,14 +403,10 @@ impl AccelL2 {
         let owner_rerequest = line.owner == Some(from);
         let recall_sharers = want_m && !self.cfg.weak_sharing;
         let sharers = line.sharers.iter().copied();
-        let recall = (line.owner.into_iter())
+        let holders = (line.owner.into_iter())
             .chain(sharers.filter(|_| recall_sharers))
             .filter(|&l1| l1 != from);
-        let mut pending = 0;
-        for l1 in recall {
-            ctx.send(l1, XgiMsg::new(addr, XgiKind::Inv).into());
-            pending += 1;
-        }
+        let pending = recall(holders, addr, cx.ctx);
         if owner_rerequest {
             self.violation();
         }
@@ -459,9 +417,9 @@ impl AccelL2 {
                 want_m,
                 pending,
             };
-            return self.set_busy(addr, busy, ctx);
+            return self.set_busy(addr, busy, cx.ctx);
         }
-        self.grant_l1(from, addr, want_m, false, ctx);
+        self.grant_l1(from, addr, want_m, false, cx.ctx);
     }
 
     /// Grants to an L1 once no conflicting holder remains. `prefer_shared`
@@ -514,26 +472,20 @@ impl AccelL2 {
         ctx.send(from, XgiMsg::new(addr, kind).into());
     }
 
-    fn process_l1_put(
-        &mut self,
-        from: NodeId,
-        addr: BlockAddr,
-        event: XgiTag,
-        data: Option<XgData>,
-        dirty: bool,
-        ctx: &mut Ctx<'_>,
-    ) {
+    fn process_l1_put(&mut self, dirty: bool, cx: &mut L2Cx<'_, '_>) {
+        let (from, addr) = (cx.from, cx.addr);
         self.stats.l1_puts += 1;
-        let busy = self.busy(addr).map(Busy::state);
-        let line = self.array.get_mut(addr);
-        self.seen
-            .visit(busy.unwrap_or_else(|| line_state(line.as_deref())), event);
         // Puts are never queued: the interface promises exactly one
         // response, and the only race (our Inv crossing this Put) is
-        // resolved by absorbing or discarding the data.
-        if let Some(line) = line {
+        // resolved by absorbing or discarding the data. An eviction's line
+        // waits out its recall in the record, and takes the data there.
+        let evicted = match self.blocks.get_mut(&addr).and_then(|b| b.busy.as_mut()) {
+            Some(Busy::EvictRecall { line, .. }) => Some(line),
+            _ => None,
+        };
+        if let Some(line) = evicted.or_else(|| self.array.get_mut(addr)) {
             if line.owner == Some(from) {
-                if let Some(d) = data {
+                if let Some(d) = cx.data.take() {
                     line.data = d;
                     line.dirty |= dirty;
                 }
@@ -542,28 +494,16 @@ impl AccelL2 {
                 line.sharers.remove(&from);
             }
         }
-        ctx.send(from, XgiMsg::new(addr, XgiKind::WbAck).into());
+        cx.ctx.send(from, XgiMsg::new(addr, XgiKind::WbAck).into());
     }
 
-    fn recall_response(
-        &mut self,
-        from: NodeId,
-        addr: BlockAddr,
-        event: XgiTag,
-        data: Option<XgData>,
-        dirty: bool,
-        ctx: &mut Ctx<'_>,
-    ) {
+    fn recall_response(&mut self, dirty: bool, cx: &mut L2Cx<'_, '_>) {
+        let (from, addr) = (cx.from, cx.addr);
         let mut block = self.blocks.get_mut(&addr);
         let busy = block.as_mut().and_then(|b| b.busy.as_mut());
         let line = self.array.get_mut(addr);
-        let state = match &busy {
-            Some(busy) => busy.state(),
-            None => line_state(line.as_deref()),
-        };
-        self.seen.visit(state, event);
         // Absorb returned data into wherever the line currently lives.
-        match (data, line, busy) {
+        match (cx.data.take(), line, busy) {
             (Some(d), Some(line), _) => {
                 line.data = d;
                 line.dirty |= dirty;
@@ -602,16 +542,16 @@ impl AccelL2 {
             Some(Busy::RecallForGrant {
                 requestor, want_m, ..
             }) => {
-                self.grant_l1(requestor, addr, want_m, !want_m, ctx);
+                self.grant_l1(requestor, addr, want_m, !want_m, cx.ctx);
                 // grant_l1 may have started an upgrade (busy again).
-                self.drain(addr, ctx);
+                self.drain(addr, cx.ctx);
             }
             Some(Busy::HostInv { .. }) => {
-                self.respond_host_inv(addr, ctx);
-                self.drain(addr, ctx);
+                self.respond_host_inv(addr, cx.ctx);
+                self.drain(addr, cx.ctx);
             }
             Some(Busy::EvictRecall { line, .. }) => {
-                self.start_evict_put(addr, line, ctx);
+                self.start_evict_put(addr, line, cx.ctx);
             }
             _ => self.violation(),
         }
@@ -619,36 +559,23 @@ impl AccelL2 {
 
     // ----- XG-side flows ----------------------------------------------------
 
-    fn up_grant(
-        &mut self,
-        addr: BlockAddr,
-        event: XgiTag,
-        data: XgData,
-        host: Host,
-        ctx: &mut Ctx<'_>,
-    ) {
-        let block = self.blocks.get_mut(&addr);
-        let state = Self::state_given(&self.array, addr, block.as_deref());
-        self.seen.visit(state, event);
-        if data.len() != self.cfg.block_blocks {
-            return self.violation();
-        }
-        let Some(block) = block else {
+    fn up_grant(&mut self, host: Host, cx: &mut L2Cx<'_, '_>) {
+        let addr = cx.addr;
+        let (Some(data), Some(block)) = (cx.data.take(), self.blocks.get_mut(&addr)) else {
             return self.violation();
         };
         let Some(Busy::Fetch { requestor, want_m }) = block.busy else {
             return self.violation();
         };
-        self.stats
-            .lat_up_get
-            .record(ctx.now().saturating_since(block.since));
+        let waited = cx.ctx.now().saturating_since(block.since);
+        self.stats.lat_up_get.record(waited);
         if let Some(line) = self.array.get_mut(addr) {
             // Upgrade completion for a resident S line.
             block.busy = None;
             line.host = host.max(Host::E);
             line.data = data;
-            self.grant_l1(requestor, addr, want_m, false, ctx);
-            self.drain(addr, ctx);
+            self.grant_l1(requestor, addr, want_m, false, cx.ctx);
+            self.drain(addr, cx.ctx);
             return;
         }
         block.busy = Some(Busy::InstallWait {
@@ -657,7 +584,7 @@ impl AccelL2 {
             data,
             host,
         });
-        if !self.try_install(addr, ctx) {
+        if !self.try_install(addr, cx.ctx) {
             self.stats.install_retries += 1;
         }
     }
@@ -727,26 +654,44 @@ impl AccelL2 {
     }
 
     /// A guard Inv on a block nothing holds busy.
-    fn process_host_inv(&mut self, addr: BlockAddr, ctx: &mut Ctx<'_>) {
+    fn process_host_inv(&mut self, cx: &mut L2Cx<'_, '_>) {
+        let addr = cx.addr;
         self.stats.host_invs += 1;
-        let line = self.array.get(addr);
-        self.seen.visit(line_state(line), XgiTag::Inv);
-        let Some(line) = line else {
+        let Some(line) = self.array.get(addr) else {
             // Nothing held (e.g. our Put crossed this Inv).
-            ctx.send(self.below, XgiMsg::new(addr, XgiKind::InvAck).into());
-            return;
+            return cx
+                .ctx
+                .send(self.below, XgiMsg::new(addr, XgiKind::InvAck).into());
         };
-        let mut pending = 0;
-        for l1 in line.holders() {
-            ctx.send(l1, XgiMsg::new(addr, XgiKind::Inv).into());
-            pending += 1;
-        }
+        let pending = recall(line.holders(), addr, cx.ctx);
         if pending == 0 {
-            self.respond_host_inv(addr, ctx);
-            return;
+            return self.respond_host_inv(addr, cx.ctx);
         }
         self.stats.recalls += 1;
-        self.set_busy(addr, Busy::HostInv { pending }, ctx);
+        self.set_busy(addr, Busy::HostInv { pending }, cx.ctx);
+    }
+
+    /// A guard Inv on a grant parked waiting for a way outranks it: the data
+    /// goes back, and the waiting L1's Get is fetched again.
+    fn surrender(&mut self, cx: &mut L2Cx<'_, '_>) {
+        let addr = cx.addr;
+        let busy = self.blocks.get_mut(&addr).and_then(|b| b.busy.take());
+        let Some(Busy::InstallWait {
+            requestor,
+            want_m,
+            data,
+            host,
+        }) = busy
+        else {
+            return self.violation();
+        };
+        let resp = match host {
+            Host::M => XgiKind::DirtyWb { data },
+            Host::E => XgiKind::CleanWb { data },
+            Host::S => XgiKind::InvAck,
+        };
+        cx.ctx.send(self.below, XgiMsg::new(addr, resp).into());
+        self.start_fetch(addr, requestor, want_m, cx.ctx);
     }
 
     fn respond_host_inv(&mut self, addr: BlockAddr, ctx: &mut Ctx<'_>) {
@@ -766,11 +711,7 @@ impl AccelL2 {
     // ----- inclusive evictions ----------------------------------------------
 
     fn start_eviction(&mut self, addr: BlockAddr, line: L2Line, ctx: &mut Ctx<'_>) {
-        let mut pending = 0;
-        for l1 in line.holders() {
-            ctx.send(l1, XgiMsg::new(addr, XgiKind::Inv).into());
-            pending += 1;
-        }
+        let pending = recall(line.holders(), addr, ctx);
         if pending == 0 {
             self.start_evict_put(addr, line, ctx);
             return;
@@ -791,6 +732,9 @@ impl AccelL2 {
         ctx.send(self.below, XgiMsg::new(addr, req).into());
     }
 
+    /// Runs the messages parked on `addr` while it is free, and a guard
+    /// `Inv` also while the block is busy on the guard; drops the record
+    /// once it is free and empty.
     fn drain(&mut self, addr: BlockAddr, ctx: &mut Ctx<'_>) {
         let below = self.below;
         loop {
@@ -799,22 +743,21 @@ impl AccelL2 {
             };
             let next = match block.busy {
                 None => block.queue.pop_front(),
-                // Guard Invs drain with priority even when a new busy state
-                // has started, so they can never be trapped behind an L1
-                // request that turned into an upward fetch (see
-                // handle_from_xg::Inv).
+                // A guard Inv must never wait on a transaction that itself
+                // waits on the guard: our request would park at the guard
+                // behind its own pending Inv. So it drains with priority
+                // even when a new busy state has started.
                 Some(Busy::Fetch { .. } | Busy::InstallWait { .. } | Busy::EvictPut) => block
                     .queue
                     .iter()
-                    .position(|(from, kind)| *from == below && matches!(kind, XgiKind::Inv))
+                    .position(|&entry| entry == (below, XgiTag::Inv))
                     .and_then(|i| block.queue.remove(i)),
-                // Only the guard-dependent states answer a guard Inv at
-                // once. An internal recall re-queues it, so pulling it out
-                // here would spin inside this call forever; it drains when
-                // the recall resolves.
+                // An internal recall stalls a guard Inv again, so pulling it
+                // out here would spin inside this call forever; it drains
+                // when the recall resolves.
                 Some(_) => return,
             };
-            let Some((from, kind)) = next else {
+            let Some((from, event)) = next else {
                 if block.busy.is_none() {
                     if let Some(block) = self.blocks.remove(&addr) {
                         self.spare_queues.unequip(block.queue);
@@ -823,17 +766,57 @@ impl AccelL2 {
                 }
                 return;
             };
-            if from == self.below {
-                self.handle_from_xg(addr, kind, ctx);
-            } else {
-                match kind {
-                    XgiKind::GetS | XgiKind::GetM => {
-                        self.process_l1_get(from, addr, matches!(kind, XgiKind::GetM), ctx)
-                    }
-                    _ => self.stray(addr, kind.tag()),
-                }
-            }
+            self.run(from, addr, event, None, ctx);
         }
+    }
+}
+
+impl<'a, 'b> Controller<L2State, XgiTag, L2Action, L2Cx<'a, 'b>> for AccelL2 {
+    fn machine(&mut self) -> &mut Machine<L2State, XgiTag, L2Action> {
+        &mut self.machine
+    }
+
+    fn apply(&mut self, action: L2Action, step: Step<L2State, XgiTag>, cx: &mut L2Cx<'a, 'b>) {
+        match action {
+            L2Action::Get => self.process_l1_get(step.event == XgiTag::GetM, cx),
+            L2Action::TakePut => self.process_l1_put(step.event == XgiTag::PutM, cx),
+            L2Action::Recalled => self.recall_response(step.event == XgiTag::DirtyWb, cx),
+            L2Action::Fill => {
+                let host = match step.event {
+                    XgiTag::DataM => Host::M,
+                    XgiTag::DataE => Host::E,
+                    _ => Host::S,
+                };
+                self.up_grant(host, cx);
+            }
+            L2Action::Retire => {
+                if let Some(block) = self.blocks.get_mut(&cx.addr) {
+                    block.busy = None;
+                }
+                self.drain(cx.addr, cx.ctx);
+            }
+            L2Action::Invalidate => self.process_host_inv(cx),
+            L2Action::AckInv => {
+                let ack = XgiMsg::new(cx.addr, XgiKind::InvAck);
+                cx.ctx.send(self.below, ack.into());
+            }
+            L2Action::Surrender => self.surrender(cx),
+        }
+    }
+
+    fn stalled(&mut self, step: Step<L2State, XgiTag>, cx: &mut L2Cx<'a, 'b>) {
+        // Only busy blocks stall, and a busy block has a record.
+        match self.blocks.get_mut(&cx.addr) {
+            Some(block) => {
+                self.spare_queues.equip(&mut block.queue);
+                block.queue.push_back((cx.from, step.event));
+            }
+            None => self.violation(),
+        }
+    }
+
+    fn violated(&mut self, _step: Step<L2State, XgiTag>, _cx: &mut L2Cx<'a, 'b>) {
+        self.violation();
     }
 }
 
@@ -843,10 +826,28 @@ impl Component<Message> for AccelL2 {
     }
 
     fn handle(&mut self, from: NodeId, msg: Message, ctx: &mut Ctx<'_>) {
-        match msg {
-            Message::Xgi(x) => self.handle_xgi(from, x, ctx),
-            _ => self.violation(),
+        let Message::Xgi(msg) = msg else {
+            return self.violation();
+        };
+        let addr = msg.addr;
+        ctx.trace(addr.as_u64(), "accel-l2", "Recv", || {
+            let side = if from == self.below { "xg" } else { "l1" };
+            format!(
+                "{} from {side} (busy={})",
+                msg.kind,
+                self.busy(addr).is_some()
+            )
+        });
+        let from_l1 = msg.kind.is_accel_request() || msg.kind.is_accel_response();
+        let event = msg.kind.tag();
+        let data = msg.kind.into_data();
+        let sized = data
+            .as_ref()
+            .is_none_or(|d| d.len() == self.cfg.block_blocks);
+        if from_l1 == (from == self.below) || !sized {
+            return self.violation();
         }
+        self.run(from, addr, event, data, ctx);
     }
 
     fn report(&self, out: &mut Report) {
@@ -866,12 +867,12 @@ impl Component<Message> for AccelL2 {
             format_args!("{n}.protocol_violation"),
             self.stats.protocol_violation,
         );
-        out.record_grid(format_args!("accel_l2/{n}"), &self.seen);
         out.record_hist(format_args!("{n}.lat.up_get"), &self.stats.lat_up_get);
         out.record_hist(
             format_args!("{n}.mshr_occupancy"),
             &self.stats.mshr_occupancy,
         );
+        self.machine.record_into(out);
     }
 
     fn box_clone(&self) -> Option<Box<dyn Component<Message>>> {
@@ -880,6 +881,10 @@ impl Component<Message> for AccelL2 {
 
     fn restore_from(&mut self, saved: &dyn Component<Message>) -> bool {
         xg_sim::restore_in_place(self, saved)
+    }
+
+    fn visit_fired(&self, visit: &mut dyn FnMut(&'static dyn FsmRows, &[u64])) {
+        self.machine.visit_fired(visit);
     }
 
     fn as_any(&self) -> &dyn std::any::Any {

@@ -571,10 +571,10 @@ struct TwoLevel {
 
 impl TwoLevel {
     fn new(n: usize) -> Self {
-        Self::new_with(n, false)
+        Self::with_l2(n, AccelL2Config::default())
     }
 
-    fn new_with(n: usize, weak_sharing: bool) -> Self {
+    fn with_l2(n: usize, l2: AccelL2Config) -> Self {
         let mut b = SimBuilder::new(11);
         let mut cores = Vec::new();
         let mut l1s = Vec::new();
@@ -593,14 +593,7 @@ impl TwoLevel {
                 AccelL1Config::default(),
             ))));
         }
-        let l2 = b.add(Box::new(AccelL2::new(
-            "al2",
-            xg_id,
-            AccelL2Config {
-                weak_sharing,
-                ..AccelL2Config::default()
-            },
-        )));
+        let l2 = b.add(Box::new(AccelL2::new("al2", xg_id, l2)));
         let xg = b.add(Box::new(MockGuard::new(true, true, 1)));
         assert_eq!((l2, xg), (l2_id, xg_id));
         b.default_link(Link::ordered(1, 2));
@@ -770,6 +763,43 @@ fn two_level_host_inv_collects_dirty_data() {
     tl.assert_clean();
 }
 
+/// An owner L1's `PutM` that crosses the `Inv` of the L2's inclusive
+/// eviction of the same block carries the newest data: the eviction's Put
+/// must take it to the guard, or the core loses its own store.
+#[test]
+fn l2_eviction_keeps_the_data_of_a_put_that_crossed_its_recall() {
+    let one_way = AccelL2Config {
+        sets: 1,
+        ways: 1,
+        ..AccelL2Config::default()
+    };
+    let mut tl = TwoLevel::with_l2(2, one_way);
+    let x = Addr::new(0x500);
+    tl.store(0, x.as_u64(), 42);
+    // Core 1's read of another block evicts X from the one-way L2, and core
+    // 0's flush of X sends its `PutM` while the eviction's `Inv` is on the way.
+    tl.post(1, 0x600, CoreKind::Load);
+    for _ in 0..3 {
+        assert!(tl.sim.step());
+    }
+    tl.post(0, x.as_u64(), CoreKind::Flush);
+    assert!(tl.sim.run_to_quiescence(50_000).quiescent);
+    let guard = tl.sim.get::<MockGuard>(tl.xg).unwrap();
+    assert_eq!(guard.memory[&x.block()][0].read_u64(0), 42);
+    assert_eq!(tl.load(0, x.as_u64()), 42);
+    let report = tl.sim.report();
+    let rows = report.fsm("accel_l2").expect("accel_l2 rows reported");
+    let crossed = rows
+        .iter()
+        .find(|&(s, e, _)| (s, e) == ("Busy_EvictRecall", "PutM"));
+    assert_eq!(
+        crossed.map(|row| row.2),
+        Some(1),
+        "the Put crossed the recall"
+    );
+    tl.assert_clean();
+}
+
 #[test]
 fn flush_writes_back_and_invalidates_locally() {
     let cfg = AccelL1Config {
@@ -832,7 +862,11 @@ struct TwoLevelWeak(TwoLevel);
 
 impl TwoLevelWeak {
     fn new(n: usize) -> Self {
-        TwoLevelWeak(TwoLevel::new_with(n, true))
+        let weak = AccelL2Config {
+            weak_sharing: true,
+            ..AccelL2Config::default()
+        };
+        TwoLevelWeak(TwoLevel::with_l2(n, weak))
     }
     fn load(&mut self, core: usize, addr: u64) -> u64 {
         self.0.load(core, addr)

@@ -1,6 +1,7 @@
 //! Dumps the validated transition tables of every table-driven coherence
-//! machine (guard personas, modified host controllers and the Table 1
-//! accelerator L1) as markdown and Graphviz DOT.
+//! machine (guard personas, modified host controllers, the Table 1
+//! accelerator L1 and the shared accelerator L2) as markdown and Graphviz
+//! DOT.
 //!
 //! ```text
 //! cargo run -p xg-bench --bin xg-tables -- --out docs/tables    # regenerate goldens
@@ -22,6 +23,7 @@ fn dumps() -> Vec<(&'static str, String, String)> {
     let hammer_dir = xg_host_hammer::directory::table();
     let mesi_l2 = xg_host_mesi::l2::table();
     let accel_l1 = xg_accel::l1::table();
+    let accel_l2 = xg_accel::l2::table();
     vec![
         (
             "hammer_persona",
@@ -36,6 +38,7 @@ fn dumps() -> Vec<(&'static str, String, String)> {
         ("hammer_dir", hammer_dir.to_markdown(), hammer_dir.to_dot()),
         ("mesi_l2", mesi_l2.to_markdown(), mesi_l2.to_dot()),
         ("accel_l1", accel_l1.to_markdown(), accel_l1.to_dot()),
+        ("accel_l2", accel_l2.to_markdown(), accel_l2.to_dot()),
     ]
 }
 

@@ -92,4 +92,6 @@ fn row_labels_match_golden_dumps() {
     check_table("mesi_persona", xg_core::tables::mesi_persona());
     check_table("hammer_dir", xg_host_hammer::directory::table());
     check_table("mesi_l2", xg_host_mesi::l2::table());
+    check_table("accel_l1", xg_accel::l1::table());
+    check_table("accel_l2", xg_accel::l2::table());
 }

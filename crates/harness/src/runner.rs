@@ -91,7 +91,9 @@ pub struct StressOutcome {
     pub error_log: Vec<String>,
     /// True if the watchdog fired or operations were left hanging.
     pub deadlocked: bool,
-    /// Distinct (state, event) pairs visited across all controllers.
+    /// Distinct (state, event) pairs in the controllers' coverage grids. A
+    /// controller recorded by its table's rows alone (the guard personas,
+    /// the accelerator L2) counts in `report.fsms()` instead.
     pub transitions: usize,
     /// Post-mortem trace dump from a deterministic replay of a failed run
     /// (None when the run passed).
@@ -195,6 +197,33 @@ const MAX_CYCLES: u64 = 50_000_000;
 const STRESS_STALL_BOUND: u64 = 100_000;
 const FUZZ_STALL_BOUND: u64 = 200_000;
 
+/// First word of the stress testers' pool, and of the CPU testers' pool in a
+/// fuzz run (disjoint from the fuzzer's attack range).
+const STRESS_POOL: u64 = 0x4000;
+const FUZZ_CPU_POOL: u64 = 0x100_0000;
+
+/// The tester hub of `cfg` running `load` over the word pool at
+/// `pool_base`: one core per CPU and per accelerator tester slot.
+fn tester_hub(cfg: &SystemConfig, load: &StressOpts, pool_base: u64) -> SharedTester {
+    let accel_cores: usize = cfg
+        .accel_slots()
+        .iter()
+        .map(|slot| accel_core_count(&slot.org, cfg.accel_cores))
+        .sum();
+    let pool = word_pool(pool_base, load.blocks, load.words_per_block);
+    TesterShared::new(cfg.cpu_cores + accel_cores, load.ops, pool)
+}
+
+/// The CPU testers' load in a fuzz run.
+fn fuzz_load(fuzz: &FuzzOpts, cpu_ops: u64) -> StressOpts {
+    StressOpts {
+        ops: cpu_ops,
+        blocks: fuzz.pool_blocks.max(4),
+        words_per_block: 2,
+        tester: TesterCfg::default(),
+    }
+}
+
 /// A tester-driven run taken to its stop, before the caller's verdict.
 struct Driven {
     end: RunOutcome,
@@ -217,13 +246,7 @@ fn drive(
     instr: &Instrumentation,
     stall_bound: u64,
 ) -> Driven {
-    let accel_cores: usize = cfg
-        .accel_slots()
-        .iter()
-        .map(|slot| accel_core_count(&slot.org, cfg.accel_cores))
-        .sum();
-    let pool = word_pool(pool_base, load.blocks, load.words_per_block);
-    let shared = TesterShared::new(cfg.cpu_cores + accel_cores, load.ops, pool);
+    let shared = tester_hub(cfg, load, pool_base);
     let mut system = build_system(cfg, OsPolicy::ReportOnly, fuzz, |slot, cache, index| {
         let name = match slot {
             CoreSlot::Cpu(i) => format!("tester_cpu{i}"),
@@ -264,7 +287,7 @@ pub fn run_stress_with(
     instr: &Instrumentation,
 ) -> StressOutcome {
     let cfg = cfg.clone().shrink_caches();
-    let run = drive(&cfg, None, 0x4000, opts, instr, STRESS_STALL_BOUND);
+    let run = drive(&cfg, None, STRESS_POOL, opts, instr, STRESS_STALL_BOUND);
     let (end, shared) = (run.end, run.shared);
     StressOutcome {
         cycles: end.now.as_u64(),
@@ -430,7 +453,7 @@ pub fn run_fuzz_with(
     // never legal traffic.
     let slots = cfg.accel_slots();
     if slots.iter().any(|s| matches!(s.org, AccelOrg::Xg { .. })) {
-        let cpu_pool_base = 0x100_0000 / xg_mem::BLOCK_BYTES;
+        let cpu_pool_base = FUZZ_CPU_POOL / xg_mem::BLOCK_BYTES;
         let mut sibling_perms = xg_mem::PermissionTable::with_default(xg_mem::PagePerm::None);
         for blk in 0..fuzz.pool_blocks.max(4) {
             sibling_perms.set(
@@ -454,14 +477,9 @@ pub fn run_fuzz_with(
     // §2.2.1). What must hold is that pages the accelerator cannot write
     // — including everything the CPUs work on here — stay intact, and
     // that the host keeps making progress.
-    let load = StressOpts {
-        ops: cpu_ops,
-        blocks: fuzz.pool_blocks.max(4),
-        words_per_block: 2,
-        tester: TesterCfg::default(),
-    };
+    let load = fuzz_load(fuzz, cpu_ops);
     let fuzz = Some(fuzz.clone());
-    let run = drive(&cfg, fuzz, 0x100_0000, &load, instr, FUZZ_STALL_BOUND);
+    let run = drive(&cfg, fuzz, FUZZ_CPU_POOL, &load, instr, FUZZ_STALL_BOUND);
     let (report, shared) = (run.report, run.shared);
     // A stop after the work is done is a cut, not a deadlock.
     let deadlocked = !shared.done() || run.hung_ops;
@@ -588,5 +606,53 @@ mod tests {
         // Nor is a cut with the attacker still busy after the work is done.
         out.cut_live = true;
         assert_eq!(FailureKind::of(&out), None);
+    }
+
+    /// On the pools stress and fuzz runs build, every tester core writes a
+    /// word, and where accelerator cores test, some block is written both
+    /// by a CPU core and by an accelerator core: from both sides of a guard.
+    #[test]
+    fn every_tester_core_writes_and_a_block_is_written_from_both_sides() {
+        let stress = SystemConfig::matrix(1)
+            .into_iter()
+            .map(|cfg| (cfg, StressOpts::default(), STRESS_POOL));
+        // A fuzzed guard alone, and with one and two correct siblings.
+        use crate::config::AccelSlot;
+        let fuzzed = AccelSlot::from(AccelOrg::FuzzXg {
+            variant: xg_core::XgVariant::FullState,
+        });
+        let sibling = AccelSlot::from(AccelOrg::Xg {
+            variant: xg_core::XgVariant::FullState,
+            two_level: false,
+        });
+        let fuzz = (0..3).map(|siblings| {
+            let mut accels = vec![fuzzed.clone()];
+            accels.resize(1 + siblings, sibling.clone());
+            let cfg = SystemConfig {
+                accels,
+                ..SystemConfig::default()
+            };
+            (cfg, fuzz_load(&FuzzOpts::default(), 100), FUZZ_CPU_POOL)
+        });
+        for (cfg, load, base) in stress.chain(fuzz) {
+            let hub = tester_hub(&cfg, &load, base);
+            let words = (load.blocks * load.words_per_block) as usize;
+            let writers: Vec<usize> = (0..words).map(|slot| hub.writer_of(slot)).collect();
+            let accel: usize = (cfg.accel_slots().iter())
+                .map(|slot| accel_core_count(&slot.org, cfg.accel_cores))
+                .sum();
+            let name = cfg.name();
+            for core in 0..cfg.cpu_cores + accel {
+                assert!(writers.contains(&core), "{name}: core {core} never writes");
+            }
+            let mixed = (writers.chunks(load.words_per_block as usize)).any(|block| {
+                let cpu = block.iter().filter(|&&w| w < cfg.cpu_cores).count();
+                0 < cpu && cpu < block.len()
+            });
+            assert!(
+                mixed || accel == 0,
+                "{name}: no block has both a CPU and an accelerator writer"
+            );
+        }
     }
 }

@@ -2,9 +2,9 @@
 //!
 //! Each [`TesterCore`] fires rapid loads and stores at a small pool of word
 //! addresses. Values are checkable because exactly one core is the *writer*
-//! of each word (chosen by hashing the address) and writes strictly
-//! increasing values. Every reader then checks two properties that together
-//! witness per-location coherence:
+//! of each word (chosen by its place in the pool, [`TesterHub::writer_of`])
+//! and writes strictly increasing values. Every reader then checks two
+//! properties that together witness per-location coherence:
 //!
 //! 1. **Bounded**: a read never returns a value larger than the writer has
 //!    issued (no values from the future, no corrupted data).
@@ -50,7 +50,6 @@ pub type SharedTester = Arc<TesterHub>;
 /// after the run.
 #[derive(Debug)]
 pub struct TesterHub {
-    total_cores: usize,
     target_ops: u64,
     /// The word addresses every core draws from.
     pool: Box<[u64]>,
@@ -66,6 +65,8 @@ pub struct TesterHub {
 /// What the run knows of one word's writes.
 #[derive(Debug)]
 struct WordLog {
+    /// The word's one writer core.
+    writer: usize,
     /// The largest value the word's writer has issued.
     issued: AtomicU64,
     /// The cycle the writer's latest `StoreResp` arrived, or [`NO_STORE`].
@@ -102,9 +103,20 @@ impl TesterShared {
         distinct.sort_unstable();
         distinct.dedup();
         assert_eq!(distinct.len(), pool.len(), "tester pool names a word twice");
-        let words = pool.iter().map(|_| WordLog::new()).collect();
+        // Block `b` and word `w` of a pool word, counted from the pool's
+        // lowest address; `per_block` is the pool's words per block.
+        let base = distinct[0];
+        let place = |addr: u64| ((addr - base) / 64, (addr - base) % 64 / 8);
+        let per_block = pool.iter().filter(|&&a| place(a).0 == 0).count();
+        let stride = (total_cores / per_block).max(1) as u64;
+        let words = pool
+            .iter()
+            .map(|&addr| {
+                let (b, w) = place(addr);
+                WordLog::new(((b + w * stride) % total_cores as u64) as usize)
+            })
+            .collect();
         Arc::new(TesterHub {
-            total_cores,
             target_ops,
             pool: pool.into_boxed_slice(),
             words,
@@ -129,8 +141,9 @@ impl TesterShared {
 }
 
 impl WordLog {
-    fn new() -> WordLog {
+    fn new(writer: usize) -> WordLog {
         WordLog {
+            writer,
             issued: AtomicU64::new(0),
             stored_at: AtomicU64::new(NO_STORE),
         }
@@ -143,12 +156,15 @@ impl TesterHub {
         self.target_ops
     }
 
-    /// The unique writer core for a word address.
-    pub fn writer_of(&self, word_addr: u64) -> usize {
-        // SplitMix-style scramble so neighboring words get different writers.
-        let mut x = word_addr.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        x ^= x >> 31;
-        (x % self.total_cores as u64) as usize
+    /// The unique writer core of pool slot `slot`:
+    /// `(b + w · max(1, cores / k)) mod cores`, with `b` the word's block
+    /// and `w` its word in the block, both counted from the start of the
+    /// pool, and `k` the pool's words per block. On every pool the harness
+    /// builds, each core writes, and with at least `k` cores the words of
+    /// one block go to cores `cores / k` apart: as CPU cores come first, a
+    /// block of a guarded system is written from both sides of the guard.
+    pub fn writer_of(&self, slot: usize) -> usize {
+        self.words[slot].writer
     }
 
     /// Whether the run completed its operation budget.
@@ -264,7 +280,7 @@ impl TesterHub {
     /// Who writes pool slot `slot`'s word and when its last store
     /// completed: the other half of a value-check failure.
     fn last_store(&self, slot: usize) -> String {
-        let writer = self.writer_of(self.pool[slot]);
+        let writer = self.writer_of(slot);
         match self.words[slot].stored_at.load(Relaxed) {
             NO_STORE => format!("no store by core {writer} has completed"),
             cycle => format!("last store by core {writer} at cycle {cycle}"),
@@ -345,12 +361,10 @@ impl TesterCore {
         shared: SharedTester,
         cfg: TesterCfg,
     ) -> Self {
-        let slots = shared
-            .pool
-            .iter()
-            .map(|&word_addr| SlotView {
+        let slots = (0..shared.pool.len())
+            .map(|slot| SlotView {
                 last_seen: 0,
-                writer: shared.writer_of(word_addr) == core_index,
+                writer: shared.writer_of(slot) == core_index,
             })
             .collect();
         TesterCore {
@@ -539,16 +553,21 @@ mod tests {
         send::<TesterCore>();
     };
 
+    /// Writers by pool slot, block-major: `(b + w · max(1, cores / 2))`.
     #[test]
-    fn writer_assignment_is_stable_and_spread() {
-        let shared = TesterShared::new(4, 100, word_pool(0, 1, 1));
-        let mut seen = std::collections::HashSet::new();
-        for w in 0..64u64 {
-            let writer = shared.writer_of(w * 8);
-            assert_eq!(writer, shared.writer_of(w * 8), "stable");
-            seen.insert(writer);
-        }
-        assert_eq!(seen.len(), 4, "all cores get to write something");
+    fn writers_follow_block_and_word_from_the_pool_start() {
+        let writers = |cores, pool| {
+            let shared = TesterShared::new(cores, 100, pool);
+            (0..shared.pool.len())
+                .map(|slot| shared.writer_of(slot))
+                .collect::<Vec<_>>()
+        };
+        let pool = || word_pool(0x4008, 4, 2);
+        assert_eq!(writers(3, pool()), [0, 1, 1, 2, 2, 0, 0, 1]);
+        assert_eq!(writers(4, pool()), [0, 2, 1, 3, 2, 0, 3, 1]);
+        assert_eq!(writers(6, pool()), [0, 3, 1, 4, 2, 5, 3, 0]);
+        // One word a block: the block alone decides.
+        assert_eq!(writers(2, vec![0x40, 0x100, 0x80]), [0, 1, 1]);
     }
 
     #[test]
@@ -571,7 +590,7 @@ mod tests {
         assert_eq!(shared.data_errors_of(7), 0, "no such core");
         assert_eq!(shared.corrupted_addrs(), vec![0x100, 0x100]);
         // Each message names the reader first, then the word's writer.
-        let writer = shared.writer_of(0x100);
+        let writer = shared.writer_of(1);
         assert_eq!(
             shared.error_log(),
             vec![
@@ -616,7 +635,7 @@ mod tests {
     #[test]
     fn a_failed_value_check_is_logged_attributed_and_flagged() {
         let shared = TesterShared::new(2, 1, word_pool(0x1000, 1, 1));
-        let writer = shared.writer_of(0x1000);
+        let writer = shared.writer_of(0);
         let reader = 1 - writer;
         let mut b = xg_sim::SimBuilder::new(3);
         let cache = b.add(Box::new(LyingCache));

@@ -91,3 +91,108 @@ fn accel_l1_visits_exactly_the_table1_matrix() {
         expected.len()
     );
 }
+
+/// The `accel_l2` rows two-level stress fires on 8 blocks (see
+/// `accel_l2_fires_its_eviction_rows_and_no_violation`): 50 of the 61 legal
+/// rows, the inclusive eviction's among them. The legal rows it misses are
+/// named in the table's notes.
+const ACCEL_L2_BASELINE: &[(&str, &str)] = &[
+    ("Busy_EvictPut", "GetM"),
+    ("Busy_EvictPut", "GetS"),
+    ("Busy_EvictPut", "Inv"),
+    ("Busy_EvictPut", "WbAck"),
+    ("Busy_EvictRecall", "CleanWb"),
+    ("Busy_EvictRecall", "DirtyWb"),
+    ("Busy_EvictRecall", "GetM"),
+    ("Busy_EvictRecall", "GetS"),
+    ("Busy_EvictRecall", "Inv"),
+    ("Busy_EvictRecall", "InvAck"),
+    ("Busy_EvictRecall", "PutE"),
+    ("Busy_EvictRecall", "PutM"),
+    ("Busy_EvictRecall", "PutS"),
+    ("Busy_Fetch", "DataE"),
+    ("Busy_Fetch", "DataM"),
+    ("Busy_Fetch", "DataS"),
+    ("Busy_Fetch", "GetM"),
+    ("Busy_Fetch", "GetS"),
+    ("Busy_Fetch", "Inv"),
+    ("Busy_HostInv", "CleanWb"),
+    ("Busy_HostInv", "DirtyWb"),
+    ("Busy_HostInv", "GetM"),
+    ("Busy_HostInv", "GetS"),
+    ("Busy_HostInv", "InvAck"),
+    ("Busy_HostInv", "PutE"),
+    ("Busy_HostInv", "PutM"),
+    ("Busy_HostInv", "PutS"),
+    ("Busy_Install", "Inv"),
+    ("Busy_Recall", "CleanWb"),
+    ("Busy_Recall", "DirtyWb"),
+    ("Busy_Recall", "Inv"),
+    ("Busy_Recall", "InvAck"),
+    ("Busy_Recall", "PutE"),
+    ("Busy_Recall", "PutM"),
+    ("Busy_Recall", "PutS"),
+    ("NP", "GetM"),
+    ("NP", "GetS"),
+    ("NP", "Inv"),
+    ("Owned", "GetM"),
+    ("Owned", "GetS"),
+    ("Owned", "Inv"),
+    ("Owned", "PutE"),
+    ("Owned", "PutM"),
+    ("Present", "GetM"),
+    ("Present", "GetS"),
+    ("Present", "Inv"),
+    ("Shared", "GetM"),
+    ("Shared", "GetS"),
+    ("Shared", "Inv"),
+    ("Shared", "PutS"),
+];
+
+/// Two-level stress over both hosts and both guard variants, on 8 blocks so
+/// the shrunk accelerator L2 evicts: no `accel_l2` violation row fires (each
+/// would count a `protocol_violation`), and the fired rows cover the
+/// baseline, the eviction's rows and an owner's Put crossing its recall
+/// included.
+#[test]
+fn accel_l2_fires_its_eviction_rows_and_no_violation() {
+    let mut fired = std::collections::BTreeSet::new();
+    for host in [HostProtocol::Hammer, HostProtocol::Mesi] {
+        for variant in [XgVariant::FullState, XgVariant::Transactional] {
+            for seed in 1..=6 {
+                let cfg = SystemConfig {
+                    host,
+                    accel: AccelOrg::Xg {
+                        variant,
+                        two_level: true,
+                    },
+                    accel_cores: 2,
+                    seed,
+                    ..SystemConfig::default()
+                };
+                let opts = StressOpts {
+                    ops: 3_000,
+                    blocks: 8,
+                    ..StressOpts::default()
+                };
+                let out = run_stress(&cfg, &opts);
+                let name = cfg.name();
+                assert!(!out.deadlocked, "{name} seed {seed}");
+                assert_eq!(out.data_errors, 0, "{name} seed {seed}");
+                assert_eq!(out.report.get("accel_l2.protocol_violation"), 0);
+                let rows = out.report.fsm("accel_l2").expect("accel_l2 rows reported");
+                fired.extend(
+                    rows.iter()
+                        .filter(|&(_, _, n)| n > 0)
+                        .map(|(s, e, _)| (s.to_owned(), e.to_owned())),
+                );
+            }
+        }
+    }
+    let missing: Vec<_> = (ACCEL_L2_BASELINE.iter())
+        .filter(|&&(s, e)| !fired.contains(&(s.to_owned(), e.to_owned())))
+        .collect();
+    assert!(missing.is_empty(), "baseline rows not fired: {missing:?}");
+    let legal = xg_accel::l2::table().legal_rows();
+    assert_eq!((fired.len(), legal), (ACCEL_L2_BASELINE.len(), 61));
+}

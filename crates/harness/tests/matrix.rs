@@ -306,6 +306,60 @@ fn known_hammer_stale_read_seeds_run_clean() {
     }
 }
 
+/// Two-level stress over 8 blocks, twice what the shrunk 2×2 accelerator L2
+/// holds, on the four two-level configs × 60 seeds: the L2 evicts and its
+/// cores store. An owner L1's `PutM` that crossed an inclusive eviction's
+/// `Inv` was once acked without its data reaching the evicted line, so the
+/// eviction's Put took the pre-store copy to the host and the accelerator
+/// core read its own write go missing (`mesi/xg_tx_l2` seed 25,
+/// `hammer/xg_tx_l2` seeds 28 and 40, `hammer/xg_full_l2` seed 57).
+#[test]
+fn two_level_stress_evicting_the_l2_loses_no_accelerator_write() {
+    let opts = StressOpts {
+        ops: 3_000,
+        blocks: 8,
+        ..StressOpts::default()
+    };
+    let runs = sweep((1..=60).collect(), resolve_jobs(None), |seed, _| {
+        let two_level = SystemConfig::matrix(seed).into_iter().filter(|cfg| {
+            matches!(
+                cfg.accel,
+                AccelOrg::Xg {
+                    two_level: true,
+                    ..
+                }
+            )
+        });
+        two_level
+            .map(|cfg| {
+                let out = run_stress(&cfg, &opts);
+                let clean = out.data_errors == 0
+                    && !out.deadlocked
+                    && out.report.sum_suffix(".protocol_violation") == 0;
+                let finding = (!clean).then(|| {
+                    let name = cfg.name();
+                    format!("{name} seed {seed}: {:?}", out.error_log)
+                });
+                let evictions = out.report.get("accel_l2.up_puts");
+                let stores = out.report.get("accel_l2.l1_getms");
+                (finding, evictions, stores)
+            })
+            .collect::<Vec<_>>()
+    });
+    let runs: Vec<_> = runs.into_iter().flatten().collect();
+    let findings: Vec<String> = runs.iter().filter_map(|r| r.0.clone()).collect();
+    assert!(
+        findings.is_empty(),
+        "{} of {} runs failed:\n{}",
+        findings.len(),
+        runs.len(),
+        findings.join("\n")
+    );
+    assert!(runs
+        .iter()
+        .all(|&(_, evictions, stores)| evictions > 0 && stores > 0));
+}
+
 /// The nightly seed scan: every `SystemConfig::matrix` entry on 4000 seeds
 /// for 800 ops, and 100 coverage-guided campaigns on each guarded fuzz
 /// configuration in the benchmark's campaign shape (3 generations of 3,

@@ -87,8 +87,9 @@ fn mesi_recall_storm_ends_when_the_host_work_is_done() {
 /// The two storm campaigns of the benchmark's "Known failures": one
 /// execution each fired tens of thousands of guard timeouts (63 826 and
 /// 31 876 over twelve executions). Cut once the host's work is done, each
-/// campaign stays within a few hundred, keeps its coverage and flags no
-/// failure.
+/// campaign stays within a few hundred, covers its pinned pairs and flags
+/// no failure. (Transactional went 43 → 44 pairs when tester writers came
+/// to be chosen by pool position.)
 #[test]
 fn mesi_storm_campaigns_stay_within_a_timeout_budget() {
     let campaigns = [
@@ -102,7 +103,7 @@ fn mesi_storm_campaigns_stay_within_a_timeout_budget() {
             XgVariant::Transactional,
             11_409_396_526_365_357_622,
             1_177_231_695_481_881_802,
-            43,
+            44,
         ),
     ];
     for (variant, base_seed, campaign_seed, pairs) in campaigns {

@@ -651,6 +651,20 @@ impl XgiKind {
         }
     }
 
+    /// The payload, taken out of the kinds that carry one.
+    pub fn into_data(self) -> Option<XgData> {
+        match self {
+            XgiKind::PutE { data }
+            | XgiKind::PutM { data }
+            | XgiKind::DataS { data }
+            | XgiKind::DataE { data }
+            | XgiKind::DataM { data }
+            | XgiKind::CleanWb { data }
+            | XgiKind::DirtyWb { data } => Some(data),
+            _ => None,
+        }
+    }
+
     /// Short mnemonic for coverage and traces.
     pub fn mnemonic(&self) -> &'static str {
         self.tag().label()

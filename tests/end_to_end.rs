@@ -161,10 +161,16 @@ fn coverage_report_names_all_controller_families() {
         .coverages()
         .map(|(name, _)| name.to_string())
         .collect();
-    for expected in ["mesi_l1/", "mesi_l2/", "accel_l1/", "accel_l2/"] {
+    for expected in ["mesi_l1/", "mesi_l2/", "accel_l1/"] {
         assert!(
             families.iter().any(|f| f.starts_with(expected)),
             "missing coverage family {expected}: {families:?}"
         );
     }
+    // The accelerator L2 is recorded by its table's rows alone.
+    let machines: Vec<&str> = out.report.fsms().map(|(name, _)| name).collect();
+    assert!(
+        machines.contains(&"accel_l2"),
+        "missing machine accel_l2: {machines:?}"
+    );
 }
