@@ -104,8 +104,8 @@ pub fn run(scale: Scale, seed: u64) -> (Vec<Row>, Report) {
 
 /// Runs every cell (4 configurations x {attacked, baseline}) on `jobs`
 /// workers. The returned [`Report`] carries the per-configuration numbers
-/// in its `fuzz` section under `<config>.{sibling_data_errors,
-/// sibling_os_errors, attacked_os_errors, slowdown_pct}` keys.
+/// as scalars under `fuzz.<config>.{sibling_data_errors, sibling_os_errors,
+/// attacked_os_errors, slowdown_pct}`.
 pub fn run_jobs(scale: Scale, seed: u64, jobs: usize) -> (Vec<Row>, Report) {
     let messages = scale.ops(300, 3_000);
     let cpu_ops = scale.ops(200, 2_000);
@@ -129,32 +129,28 @@ pub fn run_jobs(scale: Scale, seed: u64, jobs: usize) -> (Vec<Row>, Report) {
             unreachable!("cells come in attacked/baseline pairs");
         };
         let label = cfg.name();
+        let guard = |guard: &str, key: &str| attacked.report.get(&format!("guard.{guard}.{key}"));
         let row = Row {
             config: label.clone(),
             injected: attacked.injected,
-            attacked_os_errors: attacked.report.guard_get(ATTACKED_GUARD, "os_errors"),
-            sibling_os_errors: attacked.report.guard_get(SIBLING_GUARD, "os_errors"),
-            sibling_data_errors: attacked.report.guard_get(SIBLING_GUARD, "data_errors"),
-            sibling_ops: attacked.report.guard_get(SIBLING_GUARD, "ops_completed"),
+            attacked_os_errors: guard(ATTACKED_GUARD, "os_errors"),
+            sibling_os_errors: guard(SIBLING_GUARD, "os_errors"),
+            sibling_data_errors: guard(SIBLING_GUARD, "data_errors"),
+            sibling_ops: guard(SIBLING_GUARD, "ops_completed"),
             host_violations: attacked.host_violations,
             cpu_data_errors: attacked.cpu_data_errors,
             deadlocked: attacked.deadlocked || baseline.deadlocked,
             attacked_cycles: attacked.cycles,
             baseline_cycles: baseline.cycles,
         };
-        summary.fuzz_set(
-            format_args!("{label}.sibling_data_errors"),
-            row.sibling_data_errors,
-        );
-        summary.fuzz_set(
-            format_args!("{label}.sibling_os_errors"),
-            row.sibling_os_errors,
-        );
-        summary.fuzz_set(
-            format_args!("{label}.attacked_os_errors"),
-            row.attacked_os_errors,
-        );
-        summary.fuzz_set(format_args!("{label}.slowdown_pct"), row.slowdown_pct());
+        for (key, value) in [
+            ("sibling_data_errors", row.sibling_data_errors),
+            ("sibling_os_errors", row.sibling_os_errors),
+            ("attacked_os_errors", row.attacked_os_errors),
+            ("slowdown_pct", row.slowdown_pct()),
+        ] {
+            summary.set(format_args!("fuzz.{label}.{key}"), value);
+        }
         rows.push(row);
     }
     (rows, summary)
@@ -269,11 +265,11 @@ mod tests {
             assert_eq!(r.sibling_data_errors, 0, "{}", r.config);
             assert_eq!(r.sibling_os_errors, 0, "{}", r.config);
             assert_eq!(
-                summary.fuzz_get(&format!("{}.sibling_data_errors", r.config)),
+                summary.get(&format!("fuzz.{}.sibling_data_errors", r.config)),
                 0
             );
             assert_eq!(
-                summary.fuzz_get(&format!("{}.attacked_os_errors", r.config)),
+                summary.get(&format!("fuzz.{}.attacked_os_errors", r.config)),
                 r.attacked_os_errors
             );
         }

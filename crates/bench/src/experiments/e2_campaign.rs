@@ -78,9 +78,8 @@ pub fn run(scale: Scale, seed: u64) -> (Vec<Row>, Report) {
 
 /// Runs the comparison on `jobs` workers. Configurations run serially
 /// (each campaign parallelizes its own generation batches); the returned
-/// [`Report`] carries the per-configuration numbers in its `fuzz` section
-/// under `<config>.{budget, guided_pairs, blind_injected, blind_pairs}`
-/// keys.
+/// [`Report`] carries the per-configuration numbers as scalars under
+/// `fuzz.<config>.{budget, guided_pairs, blind_injected, blind_pairs}`.
 pub fn run_jobs(scale: Scale, seed: u64, jobs: usize) -> (Vec<Row>, Report) {
     let mut rows = Vec::new();
     let mut summary = Report::new();
@@ -98,13 +97,14 @@ pub fn run_jobs(scale: Scale, seed: u64, jobs: usize) -> (Vec<Row>, Report) {
                 xg_harness::FailureKind::Deadlock => deadlocks += 1,
             }
         }
-        summary.fuzz_set(format_args!("{label}.budget"), guided.injected);
-        summary.fuzz_set(
-            format_args!("{label}.guided_pairs"),
-            guided.distinct_pairs(),
-        );
-        summary.fuzz_set(format_args!("{label}.blind_injected"), blind.injected);
-        summary.fuzz_set(format_args!("{label}.blind_pairs"), blind.distinct_pairs());
+        for (key, value) in [
+            ("budget", guided.injected),
+            ("guided_pairs", guided.distinct_pairs()),
+            ("blind_injected", blind.injected),
+            ("blind_pairs", blind.distinct_pairs()),
+        ] {
+            summary.set(format_args!("fuzz.{label}.{key}"), value);
+        }
         rows.push(Row {
             config: label,
             runs: guided.runs,
@@ -194,7 +194,7 @@ mod tests {
 
     /// The acceptance claim: on all four guarded configurations the guided
     /// campaign beats blind fuzzing at an equal budget, with zero safety
-    /// breaks, and the numbers land in the Report `fuzz` section.
+    /// breaks, and the numbers land in the Report's `fuzz.*` scalars.
     #[test]
     fn guided_beats_blind_on_every_guarded_config() {
         let (rows, summary) = run(Scale::Quick, 0xC4A55);
@@ -215,11 +215,11 @@ mod tests {
                 r.config
             );
             assert_eq!(
-                summary.fuzz_get(&format!("{}.guided_pairs", r.config)),
+                summary.get(&format!("fuzz.{}.guided_pairs", r.config)),
                 r.guided_pairs
             );
             assert_eq!(
-                summary.fuzz_get(&format!("{}.blind_pairs", r.config)),
+                summary.get(&format!("fuzz.{}.blind_pairs", r.config)),
                 r.blind_pairs
             );
         }

@@ -91,13 +91,13 @@ fn assert_two_guard_attribution(host: HostProtocol, variant: XgVariant) {
     let mut offender_total = 0;
     for kind in CLASSES {
         let global = out.report.get(&format!("os.errors.{kind}"));
-        let offender = out.report.guard_get("xg", &format!("os.{kind}"));
+        let offender = out.report.get(&format!("guard.xg.os.{kind}"));
         assert_eq!(
             offender, global,
             "{host:?}/{variant:?}: class {kind} not fully attributed to the offending guard"
         );
         assert_eq!(
-            out.report.guard_get("a1_xg", &format!("os.{kind}")),
+            out.report.get(&format!("guard.a1_xg.os.{kind}")),
             0,
             "{host:?}/{variant:?}: sibling guard blamed for class {kind}"
         );
@@ -108,12 +108,12 @@ fn assert_two_guard_attribution(host: HostProtocol, variant: XgVariant) {
         "{host:?}/{variant:?}: probe fired nothing on the attacked guard"
     );
     assert_eq!(
-        out.report.guard_get("a1_xg", "os_errors"),
+        out.report.get("guard.a1_xg.os_errors"),
         0,
         "{host:?}/{variant:?}: sibling guard must report zero errors"
     );
     assert_eq!(
-        out.report.guard_get("xg", "os_errors"),
+        out.report.get("guard.xg.os_errors"),
         out.report.get("os.errors_total"),
         "{host:?}/{variant:?}: per-guard total must equal the global total"
     );

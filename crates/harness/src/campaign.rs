@@ -138,8 +138,8 @@ pub struct CampaignOutcome {
     pub corpus: Vec<CorpusEntry>,
     /// Safety-claim breaks (empty for a correct guard).
     pub failures: Vec<CampaignFailure>,
-    /// Merged statistics of every run, with a `fuzz` section summarizing
-    /// the campaign.
+    /// Merged statistics of every run, with `fuzz.campaign_*` scalars
+    /// summarizing the campaign.
     pub report: Report,
 }
 
@@ -467,19 +467,19 @@ pub fn run_campaign(base: &SystemConfig, opts: &CampaignOpts) -> CampaignOutcome
         }
     }
 
-    report.fuzz_set("campaign_runs", runs);
-    report.fuzz_set("campaign_injected", injected);
-    report.fuzz_set("campaign_distinct_pairs", distinct_pairs(&coverage));
-    report.fuzz_set("campaign_corpus", corpus.len() as u64);
-    report.fuzz_set("campaign_violations", violations);
-    report.fuzz_set("campaign_data_errors", data_errors);
-    report.fuzz_set("campaign_deadlocks", deadlocks);
+    report.set("fuzz.campaign_runs", runs);
+    report.set("fuzz.campaign_injected", injected);
+    report.set("fuzz.campaign_distinct_pairs", distinct_pairs(&coverage));
+    report.set("fuzz.campaign_corpus", corpus.len() as u64);
+    report.set("fuzz.campaign_violations", violations);
+    report.set("fuzz.campaign_data_errors", data_errors);
+    report.set("fuzz.campaign_deadlocks", deadlocks);
     // Only when non-zero: a campaign whose executions all quiesce keeps its report.
     if cut_live > 0 {
-        report.fuzz_set("campaign_cut_live", cut_live);
+        report.set("fuzz.campaign_cut_live", cut_live);
     }
     if capped > 0 {
-        report.fuzz_set("campaign_capped", capped);
+        report.set("fuzz.campaign_capped", capped);
     }
     CampaignOutcome {
         runs,

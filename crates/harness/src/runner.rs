@@ -147,27 +147,23 @@ pub fn run_stress(cfg: &SystemConfig, opts: &StressOpts) -> StressOutcome {
     out
 }
 
-/// Fills the report's per-guard section from a finished run: OS error
-/// attribution per guard instance (total, per kind, and whether the OS
-/// disabled it) plus per-hierarchy tester results (value-check failures,
-/// completed operations, operations left hanging). All new data lives in
-/// this section — never in `scalars` — so single-accelerator reports stay
-/// byte-identical to their historical form once the section is stripped.
-fn fill_guard_section(report: &mut Report, system: &BuiltSystem, shared: &SharedTester) {
+/// Writes the per-guard counters of a finished run, as scalars named
+/// `guard.<label>.<counter>`: OS error attribution per guard instance
+/// (total, per kind, and whether the OS disabled it) plus per-hierarchy
+/// tester results (value-check failures, completed operations, operations
+/// left hanging).
+fn fill_guard_counters(report: &mut Report, system: &BuiltSystem, shared: &SharedTester) {
     let os = system.sim.get::<Os>(system.os);
     for inst in &system.accels {
         let label = inst.label.as_str();
         if let Some(xg) = inst.xg {
             let Some(os) = os else { continue };
-            report.guard_set(label, "os_errors", os.errors_from(xg));
+            report.set(format_args!("guard.{label}.os_errors"), os.errors_from(xg));
             for (kind, count) in os.kinds_from(xg) {
-                report.guard_set(label, format_args!("os.{kind}"), count);
+                report.set(format_args!("guard.{label}.os.{kind}"), count);
             }
-            report.guard_set(
-                label,
-                "disabled",
-                u64::from(os.disabled_guards().contains(&xg)),
-            );
+            let disabled = os.disabled_guards().contains(&xg);
+            report.set(format_args!("guard.{label}.disabled"), u64::from(disabled));
         }
         if !inst.cores.is_empty() {
             let data_errors: u64 = inst
@@ -175,7 +171,7 @@ fn fill_guard_section(report: &mut Report, system: &BuiltSystem, shared: &Shared
                 .iter()
                 .map(|&i| shared.data_errors_of(i))
                 .sum();
-            report.guard_set(label, "data_errors", data_errors);
+            report.set(format_args!("guard.{label}.data_errors"), data_errors);
             let (mut completed, mut outstanding) = (0u64, 0u64);
             for &core in &inst.cores {
                 if let Some(t) = system.sim.get::<TesterCore>(core) {
@@ -183,8 +179,8 @@ fn fill_guard_section(report: &mut Report, system: &BuiltSystem, shared: &Shared
                     outstanding += t.outstanding() as u64;
                 }
             }
-            report.guard_set(label, "ops_completed", completed);
-            report.guard_set(label, "outstanding", outstanding);
+            report.set(format_args!("guard.{label}.ops_completed"), completed);
+            report.set(format_args!("guard.{label}.outstanding"), outstanding);
         }
     }
 }
@@ -264,7 +260,7 @@ fn drive(
     let end = system.sim.run_with_watchdog(MAX_CYCLES, stall_bound);
     let hung_ops = flag_outstanding(&mut system, end.now.as_u64());
     let mut report = system.sim.report();
-    fill_guard_section(&mut report, &system, &shared);
+    fill_guard_counters(&mut report, &system, &shared);
     // Flags are collected even with tracing off, but a dump of flags over
     // empty rings explains nothing: only recorded rings give a post-mortem.
     let rings = system.sim.tracer().enabled();

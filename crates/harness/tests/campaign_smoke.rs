@@ -43,18 +43,18 @@ fn tiny_campaign_runs_clean_and_builds_a_corpus() {
     assert!(out.report.get("os.errors_total") > 0);
 
     // The report's fuzz section carries the campaign summary.
-    assert_eq!(out.report.fuzz_get("campaign_runs"), out.runs);
-    assert_eq!(out.report.fuzz_get("campaign_injected"), out.injected);
+    assert_eq!(out.report.get("fuzz.campaign_runs"), out.runs);
+    assert_eq!(out.report.get("fuzz.campaign_injected"), out.injected);
     assert_eq!(
-        out.report.fuzz_get("campaign_distinct_pairs"),
+        out.report.get("fuzz.campaign_distinct_pairs"),
         out.distinct_pairs()
     );
-    assert_eq!(out.report.fuzz_get("campaign_violations"), 0);
-    assert_eq!(out.report.fuzz_get("campaign_deadlocks"), 0);
+    assert_eq!(out.report.get("fuzz.campaign_violations"), 0);
+    assert_eq!(out.report.get("fuzz.campaign_deadlocks"), 0);
 
     // And it survives the JSON round trip (what CI artifacts store).
     let back = xg_sim::Report::from_json(&out.report.to_json()).unwrap();
-    assert_eq!(back.fuzz_get("campaign_runs"), out.runs);
+    assert_eq!(back.get("fuzz.campaign_runs"), out.runs);
 
     // The campaign's feedback is exactly what one untraced run of each
     // schedule produces: runs that stayed out of the corpus added no row,
@@ -145,17 +145,14 @@ fn two_guard_campaign_contains_the_blast() {
     // Attribution: the attacked guard rejected the garbage; the sibling
     // guard had nothing to reject and its tester saw clean data while
     // still making progress.
-    assert!(
-        out.report.guard_get("xg", "os_errors") > 0,
-        "attack engaged"
-    );
-    assert_eq!(out.report.guard_get("a1_xg", "os_errors"), 0);
-    assert_eq!(out.report.guard_get("a1_xg", "data_errors"), 0);
-    assert!(out.report.guard_get("a1_xg", "ops_completed") > 0);
+    assert!(out.report.get("guard.xg.os_errors") > 0, "attack engaged");
+    assert_eq!(out.report.get("guard.a1_xg.os_errors"), 0);
+    assert_eq!(out.report.get("guard.a1_xg.data_errors"), 0);
+    assert!(out.report.get("guard.a1_xg.ops_completed") > 0);
     // Totals still line up with the single-guard bookkeeping.
-    assert_eq!(out.report.fuzz_get("campaign_runs"), out.runs);
-    assert_eq!(out.report.fuzz_get("campaign_violations"), 0);
-    assert_eq!(out.report.fuzz_get("campaign_deadlocks"), 0);
+    assert_eq!(out.report.get("fuzz.campaign_runs"), out.runs);
+    assert_eq!(out.report.get("fuzz.campaign_violations"), 0);
+    assert_eq!(out.report.get("fuzz.campaign_deadlocks"), 0);
 }
 
 #[test]

@@ -411,7 +411,7 @@ fn seed_scan_reports_zero_findings() {
         };
         let out = run_campaign(&base, &opts);
         let name = base.name();
-        let capped = out.report.fuzz_get("campaign_capped");
+        let capped = out.report.get("fuzz.campaign_capped");
         out.failures
             .iter()
             .map(|f| {

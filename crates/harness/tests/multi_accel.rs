@@ -74,11 +74,11 @@ proptest! {
         );
         prop_assert_eq!(out.report.sum_suffix(".protocol_violation"), 0);
         prop_assert_eq!(out.report.get("os.errors_total"), 0);
-        // Every guard instance shows up in the per-guard section, clean.
+        // Every guard instance reports its own counters, clean.
         for k in 0..num_accels {
             let label = if k == 0 { "xg".into() } else { format!("a{k}_xg") };
-            prop_assert_eq!(out.report.guard_get(&label, "data_errors"), 0);
-            prop_assert_eq!(out.report.guard_get(&label, "os_errors"), 0);
+            prop_assert_eq!(out.report.get(&format!("guard.{label}.data_errors")), 0);
+            prop_assert_eq!(out.report.get(&format!("guard.{label}.os_errors")), 0);
         }
     }
 }

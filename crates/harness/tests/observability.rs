@@ -32,16 +32,6 @@ fn fixture_path(cfg: &SystemConfig) -> PathBuf {
         .join(format!("{}.json", cfg.name().replace('/', "_")))
 }
 
-/// Drops the per-guard section, exactly as the golden fixture test does.
-fn strip_guards(json: &str) -> String {
-    let parsed = JsonValue::parse(json).expect("report JSON parses");
-    let JsonValue::Obj(mut root) = parsed else {
-        panic!("report JSON is an object");
-    };
-    root.remove("guards");
-    JsonValue::Obj(root).to_string()
-}
-
 /// With instrumentation at its default (everything off), the report of
 /// every matrix configuration carries no `profile` section at all — the
 /// serialized JSON is byte-identical to the pre-observability goldens.
@@ -76,7 +66,7 @@ fn profiled_reports_strip_back_to_the_golden_bytes() {
             "{}: timeline requested but not recorded",
             cfg.name()
         );
-        let stripped = strip_guards(&out.report.without_profile().to_json());
+        let stripped = out.report.without_profile().to_json();
         let want = fs::read_to_string(fixture_path(&cfg))
             .unwrap_or_else(|e| panic!("{}: missing golden fixture: {e}", cfg.name()));
         if stripped != want {

@@ -129,7 +129,7 @@ fn mesi_storm_campaigns_stay_within_a_timeout_budget() {
             out.runs
         );
         assert!(out.failures.is_empty(), "{variant:?}: {:?}", out.failures);
-        let capped = out.report.fuzz_get("campaign_capped");
+        let capped = out.report.get("fuzz.campaign_capped");
         assert_eq!(capped, 0, "{variant:?}: executions ran to the cycle cap");
         assert_eq!(out.distinct_pairs(), pairs, "{variant:?}: coverage moved");
     }

@@ -262,23 +262,13 @@ thread_local! {
     static KEY: RefCell<String> = const { RefCell::new(String::new()) };
 }
 
-/// Calls `f` with the text of `keys`, written one after the other into the
-/// reused key buffer; `f` gets the whole text and the end of each key.
-fn with_keys<R>(keys: &[&dyn fmt::Display], f: impl FnOnce(&str, &[usize]) -> R) -> R {
+/// Calls `f` with the text of `key`, written into the reused key buffer.
+fn with_key<R>(key: impl fmt::Display, f: impl FnOnce(&str) -> R) -> R {
     KEY.with_borrow_mut(|buf| {
         buf.clear();
-        let mut ends = [0; 2];
-        for (end, key) in ends.iter_mut().zip(keys) {
-            write!(buf, "{key}").expect("writing a key into a String cannot fail");
-            *end = buf.len();
-        }
-        f(buf, &ends[..keys.len()])
+        write!(buf, "{key}").expect("writing a key into a String cannot fail");
+        f(buf)
     })
-}
-
-/// Calls `f` with the text of `key` (see [`with_keys`]).
-fn with_key<R>(key: impl fmt::Display, f: impl FnOnce(&str) -> R) -> R {
-    with_keys(&[&key], |text, _| f(text))
 }
 
 /// A set of `(state, event)` pairs visited by a protocol controller.
@@ -550,10 +540,12 @@ impl TransitionCoverage {
 /// Components contribute to a `Report` via [`crate::Component::report`]:
 /// scalar counters (message counts, hits, errors, ...), per-controller
 /// coverage sets, and log₂-bucketed latency [`Histogram`]s. Keys are
-/// free-form text, conventionally `"<component>.<counter>"`, given as
-/// anything that implements [`Display`](fmt::Display) — a `&str`, or
-/// `format_args!("{name}.hits")`, which is written into a reused buffer
-/// and copied into the report only when the key is new.
+/// free-form text, conventionally `"<component>.<counter>"` (a guard
+/// instance's counters are `"guard.<label>.<counter>"`, a fuzz campaign's
+/// summary `"fuzz.<key>"`), given as anything that implements
+/// [`Display`](fmt::Display) — a `&str`, or `format_args!("{name}.hits")`,
+/// which is written into a reused buffer and copied into the report only
+/// when the key is new.
 ///
 /// A report serializes to JSON with [`to_json`](Report::to_json) and parses
 /// back with [`from_json`](Report::from_json); the round trip is lossless.
@@ -565,16 +557,6 @@ pub struct Report {
     /// by [`record_fired`](Report::record_fired).
     fsm: Section<TransitionCoverage>,
     hists: Section<Histogram>,
-    /// Fuzz-campaign metrics (corpus size, frontier pairs, budgets). Kept
-    /// separate from `scalars` so campaign tooling can enumerate them
-    /// without namespace conventions.
-    fuzz: Section<u64>,
-    /// Per-guard-instance metrics (`guard label → counter → value`), the
-    /// multi-accelerator attribution section: which guard instance the OS
-    /// blamed for each error, per-instance tester results, and so on. Kept
-    /// out of `scalars` so single-accelerator reports stay byte-identical
-    /// to their pre-multi-accelerator form once this section is stripped.
-    guards: Section<Section<u64>>,
     /// Kernel-profiling metrics (`xg-prof`): dispatch counters, host-time
     /// attribution, queue high-water marks, and the epoch time series. Kept
     /// out of `scalars` so profiling-off reports keep their exact
@@ -674,82 +656,6 @@ impl Report {
         self.fsm.pairs()
     }
 
-    /// Adds `value` to the fuzz-section counter `key` (creating it at zero).
-    pub fn fuzz_add(&mut self, key: impl fmt::Display, value: u64) {
-        with_key(key, |key| *self.fuzz.slot(key) += value);
-    }
-
-    /// Sets the fuzz-section counter `key`, replacing any prior value.
-    pub fn fuzz_set(&mut self, key: impl fmt::Display, value: u64) {
-        with_key(key, |key| *self.fuzz.slot(key) = value);
-    }
-
-    /// Reads a fuzz-section counter, returning 0 if absent.
-    pub fn fuzz_get(&self, key: &str) -> u64 {
-        self.fuzz.get(key).copied().unwrap_or(0)
-    }
-
-    /// Iterates `(key, value)` fuzz-section entries in deterministic order.
-    pub fn fuzz_entries(&self) -> impl Iterator<Item = (&str, u64)> + '_ {
-        self.fuzz.pairs().map(|(k, v)| (k, *v))
-    }
-
-    /// The counter `key` of guard instance `guard`, created at zero.
-    fn guard_slot(
-        &mut self,
-        guard: impl fmt::Display,
-        key: impl fmt::Display,
-        update: impl FnOnce(&mut u64),
-    ) {
-        with_keys(&[&guard, &key], |text, ends| {
-            let (guard, key) = text.split_at(ends[0]);
-            update(self.guards.slot(guard).slot(key));
-        });
-    }
-
-    /// Adds `value` to counter `key` of guard instance `guard` (creating
-    /// it at zero).
-    pub fn guard_add(&mut self, guard: impl fmt::Display, key: impl fmt::Display, value: u64) {
-        self.guard_slot(guard, key, |n| *n += value);
-    }
-
-    /// Sets counter `key` of guard instance `guard`, replacing any prior
-    /// value.
-    pub fn guard_set(&mut self, guard: impl fmt::Display, key: impl fmt::Display, value: u64) {
-        self.guard_slot(guard, key, |n| *n = value);
-    }
-
-    /// Reads a per-guard counter, returning 0 if the guard or key is absent.
-    pub fn guard_get(&self, guard: &str, key: &str) -> u64 {
-        self.guards
-            .get(guard)
-            .and_then(|m| m.get(key))
-            .copied()
-            .unwrap_or(0)
-    }
-
-    /// Iterates guard instance labels in deterministic order.
-    pub fn guard_names(&self) -> impl Iterator<Item = &str> + '_ {
-        self.guards.pairs().map(|(k, _)| k)
-    }
-
-    /// Iterates `(key, value)` counters of one guard in deterministic order.
-    pub fn guard_entries(&self, guard: &str) -> impl Iterator<Item = (&str, u64)> + '_ {
-        self.guards
-            .get(guard)
-            .into_iter()
-            .flat_map(|m| m.pairs().map(|(k, v)| (k, *v)))
-    }
-
-    /// A copy of this report with the per-guard section removed — the
-    /// single-accelerator differential shape (see the harness golden test).
-    pub fn without_guards(&self) -> Report {
-        Report {
-            guards: Section::default(),
-            ..self.clone()
-        }
-    }
-
     /// Adds `value` to the profile-section counter `key` (creating it at
     /// zero). Note that merges treat `.hwm`-suffixed keys specially — use
     /// [`profile_max`](Report::profile_max) to combine high-water marks.
@@ -839,12 +745,6 @@ impl Report {
             |h| !h.is_empty(),
             |_, h, theirs| h.merge(theirs),
         );
-        self.fuzz.merge(&other.fuzz, all, sum);
-        self.guards.merge(
-            &other.guards,
-            |counters| !counters.is_empty(),
-            |_, mine, theirs| mine.merge(theirs, all, sum),
-        );
         // High-water marks combine with max (the deepest any shard got),
         // counters and time estimates with sum. Both rules are commutative
         // and associative, preserving permutation-invariant shard merging.
@@ -872,7 +772,8 @@ impl Report {
     }
 
     /// Serializes the report as a compact JSON object with `scalars`,
-    /// `coverage`, `fsm`, `hists`, and `fuzz` sections.
+    /// `coverage`, `fsm` and `hists` sections, and `profile` when profiling
+    /// recorded something.
     pub fn to_json(&self) -> String {
         fn counters(section: &Section<u64>) -> JsonValue {
             JsonValue::Obj(
@@ -952,29 +853,17 @@ impl Report {
                     .collect(),
             ),
         );
-        root.insert("fuzz".to_owned(), counters(&self.fuzz));
         // Only present when profiling recorded something, so profiling-off
         // runs keep their exact serialized form (the golden-fixture
         // byte-identity guarantee).
         if !self.profile.is_empty() {
             root.insert("profile".to_owned(), counters(&self.profile));
         }
-        // Only present when a guard instance reported something, so reports
-        // from single-section-era runs keep their exact serialized form.
-        if !self.guards.is_empty() {
-            root.insert(
-                "guards".to_owned(),
-                JsonValue::Obj(
-                    self.guards
-                        .pairs()
-                        .map(|(guard, section)| (guard.to_owned(), counters(section)))
-                        .collect(),
-                ),
-            );
-        }
         JsonValue::Obj(root).to_string()
     }
-    /// Parses a report serialized by [`to_json`](Report::to_json).
+    /// Parses a report serialized by [`to_json`](Report::to_json). A
+    /// top-level key that is not one of the five sections is an error, so
+    /// a report of another shape is refused rather than read in part.
     pub fn from_json(input: &str) -> Result<Report, JsonError> {
         fn bad(message: &str) -> JsonError {
             JsonError {
@@ -982,138 +871,100 @@ impl Report {
                 offset: 0,
             }
         }
+        fn object<'a>(
+            value: &'a JsonValue,
+            what: &str,
+        ) -> Result<&'a BTreeMap<String, JsonValue>, JsonError> {
+            value
+                .as_obj()
+                .ok_or_else(|| bad(&format!("{what} must be an object")))
+        }
+        /// A counter section: each key's number into `section`.
+        fn counters(
+            value: &JsonValue,
+            name: &str,
+            section: &mut Section<u64>,
+        ) -> Result<(), JsonError> {
+            for (k, v) in object(value, name)? {
+                let v = v
+                    .as_num()
+                    .ok_or_else(|| bad(&format!("{name} values must be numbers")))?;
+                *section.slot(k) = v;
+            }
+            Ok(())
+        }
         let root = JsonValue::parse(input)?;
-        let root = root
-            .as_obj()
-            .ok_or_else(|| bad("report must be an object"))?;
+        let root = object(&root, "report")?;
         let mut report = Report::new();
-
-        if let Some(scalars) = root.get("scalars") {
-            let scalars = scalars
-                .as_obj()
-                .ok_or_else(|| bad("scalars must be an object"))?;
-            for (k, v) in scalars {
-                let v = v
-                    .as_num()
-                    .ok_or_else(|| bad("scalar values must be numbers"))?;
-                report.set(k, v);
-            }
-        }
-        if let Some(coverage) = root.get("coverage") {
-            let coverage = coverage
-                .as_obj()
-                .ok_or_else(|| bad("coverage must be an object"))?;
-            for (ctrl, states) in coverage {
-                let states = states
-                    .as_obj()
-                    .ok_or_else(|| bad("coverage entries must be objects"))?;
-                let set = report.coverage.slot(ctrl);
-                for (state, events) in states {
-                    let events = events
-                        .as_arr()
-                        .ok_or_else(|| bad("coverage events must be arrays"))?;
-                    for ev in events {
-                        let ev = ev
-                            .as_str()
-                            .ok_or_else(|| bad("coverage events must be strings"))?;
-                        set.visit(state, ev);
+        for (name, section) in root {
+            match name.as_str() {
+                "scalars" => counters(section, name, &mut report.scalars)?,
+                "profile" => counters(section, name, &mut report.profile)?,
+                "coverage" => {
+                    for (ctrl, states) in object(section, name)? {
+                        let set = report.coverage.slot(ctrl);
+                        for (state, events) in object(states, "coverage entries")? {
+                            let events = events
+                                .as_arr()
+                                .ok_or_else(|| bad("coverage events must be arrays"))?;
+                            for ev in events {
+                                let ev = ev
+                                    .as_str()
+                                    .ok_or_else(|| bad("coverage events must be strings"))?;
+                                set.visit(state, ev);
+                            }
+                        }
                     }
                 }
-            }
-        }
-        if let Some(fsm) = root.get("fsm") {
-            let fsm = fsm.as_obj().ok_or_else(|| bad("fsm must be an object"))?;
-            for (machine, states) in fsm {
-                let states = states
-                    .as_obj()
-                    .ok_or_else(|| bad("fsm entries must be objects"))?;
-                let cov = report.fsm.slot(machine);
-                for (state, events) in states {
-                    let events = events
-                        .as_obj()
-                        .ok_or_else(|| bad("fsm events must be objects"))?;
-                    for (ev, n) in events {
-                        let n = n
-                            .as_num()
-                            .ok_or_else(|| bad("fsm row counts must be numbers"))?;
-                        cov.fire(state, ev, n);
+                "fsm" => {
+                    for (machine, states) in object(section, name)? {
+                        let cov = report.fsm.slot(machine);
+                        for (state, events) in object(states, "fsm entries")? {
+                            for (ev, n) in object(events, "fsm events")? {
+                                let n = n
+                                    .as_num()
+                                    .ok_or_else(|| bad("fsm row counts must be numbers"))?;
+                                cov.fire(state, ev, n);
+                            }
+                        }
                     }
                 }
-            }
-        }
-        if let Some(fuzz) = root.get("fuzz") {
-            let fuzz = fuzz.as_obj().ok_or_else(|| bad("fuzz must be an object"))?;
-            for (k, v) in fuzz {
-                let v = v
-                    .as_num()
-                    .ok_or_else(|| bad("fuzz values must be numbers"))?;
-                report.fuzz_set(k, v);
-            }
-        }
-        if let Some(profile) = root.get("profile") {
-            let profile = profile
-                .as_obj()
-                .ok_or_else(|| bad("profile must be an object"))?;
-            for (k, v) in profile {
-                let v = v
-                    .as_num()
-                    .ok_or_else(|| bad("profile values must be numbers"))?;
-                report.profile_set(k, v);
-            }
-        }
-        if let Some(guards) = root.get("guards") {
-            let guards = guards
-                .as_obj()
-                .ok_or_else(|| bad("guards must be an object"))?;
-            for (guard, counters) in guards {
-                let counters = counters
-                    .as_obj()
-                    .ok_or_else(|| bad("guard entries must be objects"))?;
-                for (k, v) in counters.iter() {
-                    let v = v
-                        .as_num()
-                        .ok_or_else(|| bad("guard counters must be numbers"))?;
-                    report.guard_set(guard, k, v);
-                }
-            }
-        }
-        if let Some(hists) = root.get("hists") {
-            let hists = hists
-                .as_obj()
-                .ok_or_else(|| bad("hists must be an object"))?;
-            for (key, h) in hists {
-                let h = h
-                    .as_obj()
-                    .ok_or_else(|| bad("hist entries must be objects"))?;
-                let field = |name: &str| -> Result<u64, JsonError> {
-                    h.get(name)
-                        .and_then(JsonValue::as_num)
-                        .ok_or_else(|| bad(&format!("hist missing numeric '{name}'")))
-                };
-                let buckets = h
-                    .get("buckets")
-                    .and_then(JsonValue::as_obj)
-                    .ok_or_else(|| bad("hist missing 'buckets' object"))?;
-                let mut parsed = BTreeMap::new();
-                for (idx, n) in buckets {
-                    let idx: u32 = idx.parse().map_err(|_| bad("bucket keys must be u32"))?;
-                    if idx > 64 {
-                        return Err(bad("bucket index out of range"));
+                "hists" => {
+                    for (key, h) in object(section, name)? {
+                        let h = object(h, "hist entries")?;
+                        let field = |name: &str| -> Result<u64, JsonError> {
+                            h.get(name)
+                                .and_then(JsonValue::as_num)
+                                .ok_or_else(|| bad(&format!("hist missing numeric '{name}'")))
+                        };
+                        let buckets = h
+                            .get("buckets")
+                            .and_then(JsonValue::as_obj)
+                            .ok_or_else(|| bad("hist missing 'buckets' object"))?;
+                        let mut parsed = BTreeMap::new();
+                        for (idx, n) in buckets {
+                            let idx: u32 =
+                                idx.parse().map_err(|_| bad("bucket keys must be u32"))?;
+                            if idx > 64 {
+                                return Err(bad("bucket index out of range"));
+                            }
+                            let n = n
+                                .as_num()
+                                .ok_or_else(|| bad("bucket counts must be numbers"))?;
+                            parsed.insert(idx, n);
+                        }
+                        let hist = Histogram::from_parts(
+                            parsed,
+                            field("count")?,
+                            field("sum")?,
+                            field("min")?,
+                            field("max")?,
+                        )
+                        .map_err(bad)?;
+                        *report.hists.slot(key) = hist;
                     }
-                    let n = n
-                        .as_num()
-                        .ok_or_else(|| bad("bucket counts must be numbers"))?;
-                    parsed.insert(idx, n);
                 }
-                let hist = Histogram::from_parts(
-                    parsed,
-                    field("count")?,
-                    field("sum")?,
-                    field("min")?,
-                    field("max")?,
-                )
-                .map_err(bad)?;
-                *report.hists.slot(key) = hist;
+                unknown => return Err(bad(&format!("unknown report section '{unknown}'"))),
             }
         }
         Ok(report)
@@ -1138,14 +989,6 @@ impl fmt::Display for Report {
         }
         for (k, h) in self.hists.pairs() {
             writeln!(f, "{k}: {h}")?;
-        }
-        for (k, v) in self.fuzz.pairs() {
-            writeln!(f, "fuzz.{k} = {v}")?;
-        }
-        for (guard, counters) in self.guards.pairs() {
-            for (k, v) in counters.pairs() {
-                writeln!(f, "guard.{guard}.{k} = {v}")?;
-            }
         }
         for (k, v) in self.profile.pairs() {
             writeln!(f, "profile.{k} = {v}")?;
@@ -1347,63 +1190,23 @@ mod tests {
     }
 
     #[test]
-    fn fuzz_section_round_trips_and_merges() {
+    fn campaign_and_guard_counters_are_scalars() {
         let mut r = Report::new();
-        r.fuzz_set("campaign.pairs", 42);
-        r.fuzz_add("campaign.runs", 3);
-        r.fuzz_add("campaign.runs", 2);
-        assert_eq!(r.fuzz_get("campaign.runs"), 5);
-        assert_eq!(r.fuzz_get("absent"), 0);
-
-        let back = Report::from_json(&r.to_json()).unwrap();
-        assert_eq!(back, r);
-        assert_eq!(back.fuzz_get("campaign.pairs"), 42);
-
+        r.set("fuzz.campaign_runs", 3);
+        r.set("guard.xg.os_errors", 7);
+        r.set("guard.a1_xg.os_errors", 0);
         let mut other = Report::new();
-        other.fuzz_add("campaign.runs", 10);
+        other.set("fuzz.campaign_runs", 2);
+        other.set("guard.xg.os_errors", 3);
         r.merge(&other);
-        assert_eq!(r.fuzz_get("campaign.runs"), 15);
-        assert!(r.to_string().contains("fuzz.campaign.pairs = 42"));
-    }
-
-    #[test]
-    fn guard_section_round_trips_merges_and_strips() {
-        let mut r = Report::new();
-        r.guard_set("xg", "os_errors", 7);
-        r.guard_add("xg", "data_errors", 0);
-        r.guard_add("a1_xg", "os_errors", 0);
-        r.add("os.errors_total", 7);
-        assert_eq!(r.guard_get("xg", "os_errors"), 7);
-        assert_eq!(r.guard_get("a1_xg", "os_errors"), 0);
-        assert_eq!(r.guard_get("absent", "os_errors"), 0);
-        let names: Vec<&str> = r.guard_names().collect();
-        assert_eq!(names, vec!["a1_xg", "xg"]);
-
-        // JSON round trip is lossless and the section is present.
-        let json = r.to_json();
-        assert!(json.contains("\"guards\""));
-        let back = Report::from_json(&json).unwrap();
-        assert_eq!(back, r);
-        assert_eq!(back.to_json(), json);
-
-        // Merge sums per-guard counters commutatively.
-        let mut other = Report::new();
-        other.guard_add("xg", "os_errors", 3);
-        other.guard_add("a2_xg", "os_errors", 1);
-        let mut ab = r.clone();
-        ab.merge(&other);
-        let mut ba = other.clone();
-        ba.merge(&r);
-        assert_eq!(ab, ba);
-        assert_eq!(ab.guard_get("xg", "os_errors"), 10);
-        assert_eq!(ab.guard_get("a2_xg", "os_errors"), 1);
-
-        // Stripping restores the single-accelerator shape byte-for-byte.
-        let mut single = Report::new();
-        single.add("os.errors_total", 7);
-        assert_eq!(r.without_guards().to_json(), single.to_json());
-        assert!(!r.without_guards().to_json().contains("guards"));
-        assert!(r.to_string().contains("guard.xg.os_errors = 7"));
+        assert_eq!(r.get("fuzz.campaign_runs"), 5);
+        assert_eq!(r.get("guard.xg.os_errors"), 10);
+        assert_eq!(
+            r.to_json(),
+            "{\"coverage\":{},\"fsm\":{},\"hists\":{},\"scalars\":{\"fuzz.campaign_runs\":5,\
+             \"guard.a1_xg.os_errors\":0,\"guard.xg.os_errors\":10}}"
+        );
+        assert!(r.to_string().contains("guard.xg.os_errors = 10"));
     }
 
     #[test]
@@ -1463,14 +1266,6 @@ mod tests {
     }
 
     #[test]
-    fn empty_guard_section_is_not_serialized() {
-        let r = Report::new();
-        assert!(!r.to_json().contains("guards"));
-        let back = Report::from_json(&r.to_json()).unwrap();
-        assert_eq!(back, r);
-    }
-
-    #[test]
     fn json_round_trip_is_lossless() {
         let mut r = Report::new();
         r.add("guard.reqs", 42);
@@ -1488,7 +1283,7 @@ mod tests {
         r.observe("lat", 17);
         r.observe("lat", u64::MAX);
         r.observe("other", 3);
-        r.fuzz_set("campaign.budget", 12345);
+        r.set("fuzz.campaign.budget", 12345);
 
         let json = r.to_json();
         let back = Report::from_json(&json).unwrap();
@@ -1620,9 +1415,7 @@ mod tests {
             "{\"hists\": {\"h\": {\"count\": 1}}}",
             "{\"hists\": {\"h\": {\"count\":1,\"sum\":1,\"min\":1,\"max\":1,\"buckets\":{\"99\":1}}}}",
             "{\"hists\": {\"h\": {\"count\":2,\"sum\":1,\"min\":1,\"max\":1,\"buckets\":{\"1\":1}}}}",
-            "{\"guards\": 3}",
-            "{\"guards\": {\"g\": 3}}",
-            "{\"guards\": {\"g\": {\"k\": \"str\"}}}",
+            "{\"fsm\": {\"m\": {\"s\": {\"e\": \"str\"}}}}",
             "{\"profile\": 3}",
             "{\"profile\": {\"k\": \"str\"}}",
         ] {

@@ -1,6 +1,10 @@
 //! Never-panics properties for the two loaders that read files somebody
 //! else wrote: [`JsonValue::parse`] and [`Report::from_json`] answer any
-//! input with `Ok` or `Err` — no panic, no stack overflow.
+//! input with `Ok` or `Err` — no panic, no stack overflow. Also: a report
+//! with a section the loader does not know is refused, and strings are
+//! written exactly as a character-at-a-time writer writes them.
+
+use std::fmt::Write as _;
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -41,13 +45,70 @@ const TOKENS: &[&str] = &[
     "\"fsm\"",
     "\"hists\"",
     "\"profile\"",
+    "\"fuzz\"",
+    "\"guards\"",
     "-1",
     "1.5",
     "true",
     "null",
 ];
 
+/// The reference JSON string writer: one `write!` per character.
+fn per_character(s: &str) -> String {
+    let mut out = String::from("\"");
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32).unwrap(),
+            c => write!(out, "{c}").unwrap(),
+        }
+    }
+    out.push('"');
+    out
+}
+
+/// A character from `n`: quotes and backslashes, control characters,
+/// printable ASCII and any other scalar value, about equally often.
+fn character(n: u32) -> char {
+    match n % 4 {
+        0 => ['"', '\\', '/', 'é'][(n / 4 % 4) as usize],
+        1 => char::from_u32(n / 4 % 0x20).expect("a control character"),
+        2 => char::from_u32(0x20 + n / 4 % 0x5f).expect("printable ASCII"),
+        _ => char::from_u32(0x80 + n / 4 % 0x10_ff80).unwrap_or('\u{fffd}'),
+    }
+}
+
 proptest! {
+    #[test]
+    fn strings_are_written_as_the_per_character_writer_writes_them(
+        picks in vec(any::<u32>(), 0..48),
+    ) {
+        let text: String = picks.iter().map(|&n| character(n)).collect();
+        let written = JsonValue::Str(text.clone()).to_string();
+        prop_assert_eq!(&written, &per_character(&text));
+        prop_assert_eq!(JsonValue::parse(&written), Ok(JsonValue::Str(text)));
+    }
+
+    /// Any top-level key but the five sections is refused, by name.
+    #[test]
+    fn a_report_with_an_unknown_section_is_refused(picks in vec(any::<u32>(), 1..12)) {
+        let name: String = picks.iter().map(|&n| character(n)).collect();
+        let sections = ["scalars", "coverage", "fsm", "hists", "profile"];
+        let section = JsonValue::Str(name.clone()).to_string();
+        let input = format!("{{\"scalars\":{{\"x\":1}},{section}:{{}}}}");
+        let verdict = Report::from_json(&input);
+        if sections.contains(&name.as_str()) {
+            prop_assert!(verdict.is_ok());
+        } else {
+            let err = verdict.expect_err("an unknown section");
+            prop_assert!(err.message.contains(&format!("'{name}'")), "{}", err);
+        }
+    }
+
     #[test]
     fn arbitrary_bytes_never_panic(bytes in vec(any::<u8>(), 0..256)) {
         load(&String::from_utf8_lossy(&bytes));
@@ -93,5 +154,19 @@ fn two_hundred_thousand_brackets_are_an_error() {
             "error names where the cap was hit: {err}"
         );
         assert!(Report::from_json(&input).is_err());
+    }
+}
+
+/// A report written while campaign and per-guard counters were sections of
+/// their own would lose them silently if the loader skipped what it does not
+/// know; it names the section instead.
+#[test]
+fn reports_with_the_retired_fuzz_and_guards_sections_are_refused() {
+    for (input, section) in [
+        ("{\"fuzz\":{},\"scalars\":{}}", "fuzz"),
+        ("{\"guards\":{\"xg\":{\"os_errors\":2}}}", "guards"),
+    ] {
+        let err = Report::from_json(input).expect_err("an unknown section");
+        assert!(err.message.contains(&format!("'{section}'")), "{err}");
     }
 }

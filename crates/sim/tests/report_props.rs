@@ -1,5 +1,5 @@
 //! The merge algebra of [`Report`], against a reference written with
-//! `BTreeMap`s: random reports over all seven sections, with keys that
+//! `BTreeMap`s: random reports over all five sections, with keys that
 //! share prefixes and contain the characters report keys are made of.
 //!
 //! - `merge` is commutative and associative, in `to_json` bytes;
@@ -74,8 +74,8 @@ fn build(ops: &[Op]) -> Report {
                 r.record_fsm(key, &cov);
             }
             4 => r.observe(key, v * v * 1000 + v),
-            5 => r.fuzz_add(key, v),
-            6 => r.guard_add(key, key2, v),
+            5 => r.add(format_args!("fuzz.{key}"), v),
+            6 => r.add(format_args!("guard.{key}.{key2}"), v),
             7 => r.profile_add(key, v),
             _ => r.profile_max(key, v * 7),
         }
@@ -90,15 +90,7 @@ struct Model {
     coverage: BTreeMap<String, BTreeSet<(String, String)>>,
     fsm: BTreeMap<String, BTreeMap<(String, String), u64>>,
     hists: BTreeMap<String, Histogram>,
-    fuzz: BTreeMap<String, u64>,
-    guards: BTreeMap<String, BTreeMap<String, u64>>,
     profile: BTreeMap<String, u64>,
-}
-
-fn sum_into(mine: &mut BTreeMap<String, u64>, theirs: &BTreeMap<String, u64>) {
-    for (k, v) in theirs {
-        *mine.entry(k.clone()).or_default() += v;
-    }
 }
 
 impl Model {
@@ -124,18 +116,15 @@ impl Model {
                 })
                 .collect(),
             hists: r.hists().map(|(k, h)| (k.to_owned(), h.clone())).collect(),
-            fuzz: r.fuzz_entries().map(owned).collect(),
-            guards: r
-                .guard_names()
-                .map(|g| (g.to_owned(), r.guard_entries(g).map(owned).collect()))
-                .collect(),
             profile: r.profile_entries().map(owned).collect(),
         }
     }
 
     /// The reference fold of `other` into `self`.
     fn merge(&mut self, other: &Model) {
-        sum_into(&mut self.scalars, &other.scalars);
+        for (k, v) in &other.scalars {
+            *self.scalars.entry(k.clone()).or_default() += v;
+        }
         for (c, pairs) in &other.coverage {
             let mine = self.coverage.entry(c.clone()).or_default();
             mine.extend(pairs.iter().cloned());
@@ -148,10 +137,6 @@ impl Model {
         }
         for (k, h) in other.hists.iter().filter(|(_, h)| !h.is_empty()) {
             self.hists.entry(k.clone()).or_default().merge(h);
-        }
-        sum_into(&mut self.fuzz, &other.fuzz);
-        for (g, counters) in other.guards.iter().filter(|(_, c)| !c.is_empty()) {
-            sum_into(self.guards.entry(g.clone()).or_default(), counters);
         }
         for (k, &v) in &other.profile {
             let mine = self.profile.entry(k.clone()).or_default();
@@ -183,10 +168,6 @@ fn in_key_order(r: &Report) -> bool {
             rows.windows(2).all(|w| w[0] < w[1])
         })
         && increasing(r.hists().map(|(k, _)| k))
-        && increasing(r.fuzz_entries().map(|(k, _)| k))
-        && increasing(r.guard_names())
-        && r.guard_names()
-            .all(|g| increasing(r.guard_entries(g).map(|(k, _)| k)))
         && increasing(r.profile_entries().map(|(k, _)| k))
 }
 
@@ -259,14 +240,9 @@ fn keys_given_as_text_or_format_args_are_one_key() {
     r.add(format_args!("{name}.grants"), 2);
     r.add("xg.grants", 3);
     r.add(String::from("xg.grants"), 4);
-    r.guard_add(
-        format_args!("a{}_xg", 1),
-        format_args!("os.{}", "Malformed"),
-        1,
-    );
-    r.guard_add("a1_xg", "os.Malformed", 1);
+    r.add(format_args!("guard.a{}_xg.os.{}", 1, "Malformed"), 1);
+    r.add("guard.a1_xg.os.Malformed", 1);
     assert_eq!(r.get("xg.grants"), 9);
-    assert_eq!(r.scalars().count(), 1);
-    assert_eq!(r.guard_get("a1_xg", "os.Malformed"), 2);
-    assert_eq!(r.guard_names().collect::<Vec<_>>(), ["a1_xg"]);
+    assert_eq!(r.get("guard.a1_xg.os.Malformed"), 2);
+    assert_eq!(r.scalars().count(), 2);
 }
