@@ -1,7 +1,7 @@
 //! Dumps the validated transition tables of every table-driven coherence
-//! machine (guard personas, modified host controllers, the Table 1
-//! accelerator L1 and the shared accelerator L2) as markdown and Graphviz
-//! DOT.
+//! machine (the guard's two variants and two personas, modified host
+//! controllers, the Table 1 accelerator L1 and the shared accelerator L2)
+//! as markdown and Graphviz DOT.
 //!
 //! ```text
 //! cargo run -p xg-bench --bin xg-tables -- --out docs/tables    # regenerate goldens
@@ -18,6 +18,8 @@ use std::path::Path;
 
 /// `(file stem, markdown, dot)` for every table-driven machine.
 fn dumps() -> Vec<(&'static str, String, String)> {
+    let xg_full = xg_core::tables::xg_full();
+    let xg_tx = xg_core::tables::xg_tx();
     let hammer_persona = xg_core::tables::hammer_persona();
     let mesi_persona = xg_core::tables::mesi_persona();
     let hammer_dir = xg_host_hammer::directory::table();
@@ -25,6 +27,8 @@ fn dumps() -> Vec<(&'static str, String, String)> {
     let accel_l1 = xg_accel::l1::table();
     let accel_l2 = xg_accel::l2::table();
     vec![
+        ("xg_full", xg_full.to_markdown(), xg_full.to_dot()),
+        ("xg_tx", xg_tx.to_markdown(), xg_tx.to_dot()),
         (
             "hammer_persona",
             hammer_persona.to_markdown(),

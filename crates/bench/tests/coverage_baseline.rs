@@ -1,7 +1,8 @@
 //! Transition-coverage regression baseline: the seed stress configurations
 //! (the shards behind `xg-report --json` / `--coverage`) must keep
 //! exercising at least the recorded `(state, event)` rows of both guard
-//! personas and of the Table 1 accelerator L1. Coverage regressing below this baseline means a table
+//! personas, of the guard's `xg_full` table and of the Table 1 accelerator
+//! L1; the same shards with the Transactional guard, those of `xg_tx`. Coverage regressing below this baseline means a table
 //! migration or workload change silently stopped driving part of the
 //! protocol — exactly the drift these counters exist to catch.
 //!
@@ -76,6 +77,76 @@ const ACCEL_L1_BASELINE: &[(&str, &str)] = &[
     ("S", "Load"),
     ("S", "Repl"),
     ("S", "Store"),
+];
+
+/// The `xg_full` rows the quick sweep fires: 31 of 170. Its shards run
+/// the Full State guard behind a one-level accelerator, so none of the
+/// shadow (`Sh`) rows fire (the xg-core tests reach them), nor a partial
+/// grant or Put completion (those need block-size translation).
+const XG_FULL_BASELINE: &[(&str, &str)] = &[
+    ("E", "OwnerRead"),
+    ("E", "PutM"),
+    ("E", "Write"),
+    ("E_Inv", "CleanWb"),
+    ("E_Inv", "DirtyWb"),
+    ("E_Inv", "PutE"),
+    ("E_Inv", "PutM"),
+    ("I", "GetM"),
+    ("I", "GetS"),
+    ("I", "Read"),
+    ("I", "Write"),
+    ("I_Get", "LastGrantS"),
+    ("I_Get", "LastGrantX"),
+    ("I_Get", "Read"),
+    ("I_Get", "Write"),
+    ("I_PGet", "LastGrantS"),
+    ("I_Put", "PutDone"),
+    ("I_RInv", "InvAck"),
+    ("I_RInv", "Write"),
+    ("M", "OwnerRead"),
+    ("M", "PutM"),
+    ("M", "Write"),
+    ("M_Inv", "DirtyWb"),
+    ("M_Inv", "PutM"),
+    ("S", "GetM"),
+    ("S", "PutS"),
+    ("S", "Read"),
+    ("S", "Write"),
+    ("S_Inv", "GetM"),
+    ("S_Inv", "InvAck"),
+    ("S_Inv", "PutS"),
+];
+
+/// The `xg_tx` rows the quick sweep's two shards fire when run with the
+/// Transactional guard ([`transactional_sweep_reaches_coverage_baseline`]):
+/// 26 of 90.
+const XG_TX_BASELINE: &[(&str, &str)] = &[
+    ("Get", "LastGrantS"),
+    ("Get", "LastGrantX"),
+    ("Get", "Read"),
+    ("Get", "Write"),
+    ("Idle", "GetM"),
+    ("Idle", "GetS"),
+    ("Idle", "OwnerRead"),
+    ("Idle", "PutE"),
+    ("Idle", "PutM"),
+    ("Idle", "PutS"),
+    ("Idle", "Read"),
+    ("Idle", "Write"),
+    ("Inv", "CleanWb"),
+    ("Inv", "DirtyWb"),
+    ("Inv", "GetM"),
+    ("Inv", "GetS"),
+    ("Inv", "InvAck"),
+    ("Inv", "PutE"),
+    ("Inv", "PutM"),
+    ("Inv", "PutS"),
+    ("PGet", "LastGrantS"),
+    ("PGet", "Read"),
+    ("PGet", "Write"),
+    ("Put", "PutDone"),
+    ("RInv", "InvAck"),
+    ("RInv", "Write"),
 ];
 
 /// Fired-row floors for the model checker's bounded exploration (depth 2
@@ -195,6 +266,7 @@ fn stress_sweep_reaches_coverage_baseline() {
         ("hammer_persona", HAMMER_PERSONA_BASELINE),
         ("mesi_persona", MESI_PERSONA_BASELINE),
         ("accel_l1", ACCEL_L1_BASELINE),
+        ("xg_full", XG_FULL_BASELINE),
     ] {
         let cov = report
             .fsm(machine)
@@ -220,4 +292,43 @@ fn stress_sweep_reaches_coverage_baseline() {
             );
         }
     }
+}
+
+/// The quick sweep's shards run Full State only; the same two shards with
+/// the Transactional guard hold `xg_tx` to its floor.
+#[test]
+fn transactional_sweep_reaches_coverage_baseline() {
+    use xg_harness::{run_stress, AccelOrg, HostProtocol, StressOpts, SystemConfig};
+    let mut cov = xg_sim::TransitionCoverage::default();
+    for (host, seed) in [(HostProtocol::Hammer, 11), (HostProtocol::Mesi, 12)] {
+        let accel = AccelOrg::Xg {
+            variant: xg_core::XgVariant::Transactional,
+            two_level: false,
+        };
+        let cfg = SystemConfig {
+            host,
+            seed,
+            accel,
+            ..SystemConfig::default()
+        };
+        let opts = StressOpts {
+            ops: Scale::Quick.ops(4_000, 10_000),
+            ..StressOpts::default()
+        };
+        let out = run_stress(&cfg, &opts);
+        assert!(
+            !out.deadlocked && out.data_errors == 0,
+            "{}",
+            cfg.exec_name()
+        );
+        cov.merge(out.report.fsm("xg_tx").expect("xg_tx coverage"));
+    }
+    let missing: Vec<_> = XG_TX_BASELINE
+        .iter()
+        .filter(|(s, e)| cov.count(s, e) == 0)
+        .collect();
+    assert!(
+        missing.is_empty(),
+        "xg_tx rows no longer fired: {missing:?}"
+    );
 }

@@ -11,8 +11,9 @@
 //! ## What lives where
 //!
 //! * [`CrossingGuard`] — the component itself: guarantee enforcement
-//!   (Figure 1), grant/put bookkeeping, invalidation forwarding, timeout
-//!   recovery, rate limiting, and block-size translation.
+//!   (Figure 1, as the `xg_full` and `xg_tx` tables), grant/put
+//!   bookkeeping, invalidation forwarding, timeout recovery, rate limiting,
+//!   and block-size translation.
 //! * [`XgVariant::FullState`] — tracks the stable state of **every** block
 //!   the accelerator holds (a trusted inclusive directory, paper §2.3.1),
 //!   enabling Guarantees 1a/2a locally and letting many host demands be
@@ -62,6 +63,8 @@ pub use rate_limit::TokenBucket;
 /// The validated transition tables of this crate's table-driven machines,
 /// gathered for the table-dump and golden-table tooling.
 pub mod tables {
+    pub use crate::guard::full_table as xg_full;
+    pub use crate::guard::tx_table as xg_tx;
     pub use crate::hammer_side::table as hammer_persona;
     pub use crate::mesi_side::table as mesi_persona;
 }

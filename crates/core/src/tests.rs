@@ -384,6 +384,17 @@ impl Rig {
     }
 }
 
+/// Fires of the guard's rows where a Put crossed its `Inv` (§2.1's race).
+fn race_puts(report: &xg_sim::Report) -> u64 {
+    let rows = ["xg_full", "xg_tx"]
+        .into_iter()
+        .filter_map(|m| report.fsm(m));
+    rows.flat_map(|cov| cov.iter())
+        .filter(|(s, e, _)| s.ends_with("Inv") && e.starts_with("Put"))
+        .map(|(_, _, n)| n)
+        .sum()
+}
+
 fn cfg(variant: XgVariant) -> XgConfig {
     XgConfig {
         variant,
@@ -885,6 +896,65 @@ fn rate_limiting_throttles_but_preserves_correctness() {
     rig.assert_host_clean();
 }
 
+/// The rate limiter keeps the interface link's order (§2.1). A correct L1
+/// evicts an owned block and the guard holds its `PutM`; a CPU load of the
+/// block makes the guard forward an `Inv`, which the L1 answers with
+/// `InvAck` from `B`. That ack must not overtake the held `PutM`: the guard
+/// would hand the host zeros and, with Full State, never ack the Put.
+#[test]
+fn throttling_never_reorders_a_put_behind_its_inv_ack() {
+    let (victim, other) = (0x8000, 0x8040);
+    let block = Addr::new(victim).block();
+    for (host, host_name) in [(HostKind::Hammer, "hammer"), (HostKind::Mesi, "mesi")] {
+        for variant in [XgVariant::FullState, XgVariant::Transactional] {
+            let name = format!("{host_name} {variant:?}");
+            let rate_limit = Some(RateLimit {
+                tokens_per_kilocycle: 1,
+                burst: 1,
+            });
+            let xg_cfg = XgConfig {
+                rate_limit,
+                ..cfg(variant)
+            };
+            let l1 = AccelKind::L1(AccelL1Config {
+                sets: 1,
+                ways: 1,
+                ..AccelL1Config::default()
+            });
+            let mut rig = build(host, 1, l1, xg_cfg, OsPolicy::ReportOnly, 41);
+            rig.accel_store(0, victim, 5);
+            let l1_state = |rig: &Rig| {
+                let l1 = rig.sim.get::<AccelL1>(rig.accel_frontends[0]).unwrap();
+                l1.state_of(block)
+            };
+            let throttled = |rig: &Rig| rig.sim.report().get("xg.throttled");
+            // A load of another block evicts the victim: its PutM leaves ...
+            let load = CoreMsg {
+                id: 1_000,
+                addr: Addr::new(other),
+                kind: CoreKind::Load,
+            };
+            let (core, l1) = (rig.accel_cores[0], rig.accel_frontends[0]);
+            rig.sim.post(core, l1, load.into());
+            while l1_state(&rig) != "B" {
+                assert!(rig.sim.step(), "{name}: the victim never left");
+            }
+            // ... and the guard holds it.
+            let before = throttled(&rig);
+            while throttled(&rig) == before {
+                assert!(rig.sim.step(), "{name}: the PutM was never throttled");
+            }
+            let id = rig.post_cpu(0, victim, CoreKind::Load);
+            assert!(rig.sim.run_to_quiescence(500_000).quiescent, "{name}");
+            assert_eq!(rig.find_load(rig.cores[0], id), 5, "{name}: write lost");
+            rig.assert_no_errors();
+            assert_eq!(l1_state(&rig), "I", "{name}: the L1 stayed in B");
+            assert!(throttled(&rig) > 0, "{name}");
+            rig.assert_host_clean();
+        }
+    }
+}
+
 #[test]
 fn put_s_suppression_on_hammer() {
     let mut rig = build(
@@ -984,7 +1054,7 @@ fn interface_race_put_crossing_inv() {
             assert!(rig.sim.run_to_quiescence(500_000).quiescent, "seed {seed}");
         }
         let report = rig.sim.report();
-        any_race |= report.get("xg.race_puts") > 0;
+        any_race |= race_puts(&report) > 0;
         // Correctness regardless of interleaving: the CPU's store always
         // lands last in coherence order here, and nothing errored.
         let v = rig.cpu_load(0, 0xB000);
@@ -1058,7 +1128,7 @@ fn race_put_on_a_read_only_page_never_reaches_the_host() {
             }
             assert!(rig.sim.run_to_quiescence(500_000).quiescent);
 
-            assert_eq!(rig.sim.report().get("xg.race_puts"), 1, "{name}");
+            assert_eq!(race_puts(&rig.sim.report()), 1, "{name}");
             assert_eq!(rig.os_count(XgErrorKind::PermissionWrite), 1, "{name}");
             assert_eq!(rig.os_count(XgErrorKind::ResponseTimeout), 0, "{name}");
             assert_eq!(rig.cpu_load(0, addr), 8, "{name}");
@@ -1254,4 +1324,75 @@ fn wrong_protocol_host_message_is_malformed_and_inert() {
         );
         rig.assert_host_clean();
     }
+}
+
+// ---------------------------------------------------------------------------
+// Figure 1 checked on the tables.
+// ---------------------------------------------------------------------------
+
+use crate::guard::{full_table, tx_table, Rec, XgAction, XgEvent};
+use xg_fsm::{Alphabet, RowKind, Table};
+
+/// The states of `table` the guard builds: those with a legal row.
+fn built<S: Alphabet>(table: &Table<S, XgEvent, XgAction>) -> impl Iterator<Item = S> + '_ {
+    let legal = |s: S, e| !matches!(table.row(s, e), RowKind::Violation);
+    S::ALL
+        .iter()
+        .copied()
+        .filter(move |&s| XgEvent::ALL.iter().any(|&e| legal(s, e)))
+}
+
+/// Guarantee 2c: wherever the host waits on the accelerator (an `Inv` is
+/// open), a `Timeout` row answers the host and reports the timeout.
+#[test]
+fn every_state_the_host_waits_in_has_a_timeout_row_that_answers_it() {
+    fn check<S: Alphabet>(table: &Table<S, XgEvent, XgAction>, rec: impl Fn(S) -> Rec) {
+        let waits = built(table).filter(|&s| matches!(rec(s), Rec::Inv | Rec::RInv));
+        let mut n = 0;
+        for s in waits {
+            let row = table.row(s, XgEvent::Timeout);
+            let RowKind::Transition { actions, .. } = &row else {
+                panic!("{}: ({}, Timeout) is {row:?}", table.name(), s.label());
+            };
+            for action in [XgAction::TimedOut, XgAction::Answer, XgAction::CloseInv] {
+                assert!(actions.contains(&action), "{}: {}", table.name(), s.label());
+            }
+            assert_eq!(table.tag(s, XgEvent::Timeout), "2c");
+            n += 1;
+        }
+        assert!(
+            n >= 2,
+            "{}: only {n} states wait on the accelerator",
+            table.name()
+        );
+    }
+    check(full_table(), |s| Rec::ALL[s.index() % Rec::ALL.len()]);
+    check(tx_table(), |s| s);
+}
+
+/// Guarantee 0: every row that grants the accelerator a permission — opens
+/// a host Get or Put for it — checks the page permission first, and says
+/// so in its tag.
+#[test]
+fn every_row_that_grants_a_permission_checks_the_page_first() {
+    fn check<S: Alphabet>(table: &Table<S, XgEvent, XgAction>) {
+        use XgAction::*;
+        let mut n = 0;
+        for (s, e, row) in table.rows() {
+            let RowKind::Transition { actions, .. } = row else {
+                continue;
+            };
+            let grants = [IssueGetS, IssueGetM, IssuePutS, IssuePut];
+            let Some(grant) = actions.iter().position(|a| grants.contains(a)) else {
+                continue;
+            };
+            let at = format!("{}: ({}, {})", table.name(), s.label(), e.label());
+            assert!(actions[..grant].contains(&CheckPerm), "{at}");
+            assert!(table.tag(s, e).starts_with('0'), "{at}");
+            n += 1;
+        }
+        assert!(n >= 5, "{}: only {n} rows grant", table.name());
+    }
+    check(full_table());
+    check(tx_table());
 }

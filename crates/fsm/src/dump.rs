@@ -23,9 +23,23 @@ impl<S: Alphabet, E: Alphabet, A: Alphabet> Table<S, E, A> {
             out.push_str(note);
             out.push_str("\n\n");
         }
-        out.push_str("| State | Event | Outcome | Actions | Next |\n");
-        out.push_str("|---|---|---|---|---|\n");
+        // A tagged table gets a last column; the others print as before.
+        let tagged = self.tags.iter().any(|t| !t.is_empty());
+        let (head, rule) = if tagged {
+            (" Guarantee |", "---|")
+        } else {
+            ("", "")
+        };
+        out.push_str(&format!(
+            "| State | Event | Outcome | Actions | Next |{head}\n"
+        ));
+        out.push_str(&format!("|---|---|---|---|---|{rule}\n"));
         for (s, e, row) in self.rows() {
+            let tag = match self.tag(s, e) {
+                _ if !tagged => String::new(),
+                "" => " — |".to_string(),
+                t => format!(" {t} |"),
+            };
             match row {
                 RowKind::Transition { actions, next } => {
                     let acts = if actions.is_empty() {
@@ -42,7 +56,7 @@ impl<S: Alphabet, E: Alphabet, A: Alphabet> Table<S, E, A> {
                         NextState::Dynamic => "(dynamic)",
                     };
                     out.push_str(&format!(
-                        "| {} | {} | transition | {} | {} |\n",
+                        "| {} | {} | transition | {} | {} |{tag}\n",
                         s.label(),
                         e.label(),
                         acts,
@@ -51,7 +65,7 @@ impl<S: Alphabet, E: Alphabet, A: Alphabet> Table<S, E, A> {
                 }
                 RowKind::Stall => {
                     out.push_str(&format!(
-                        "| {} | {} | stall | — | — |\n",
+                        "| {} | {} | stall | — | — |{tag}\n",
                         s.label(),
                         e.label()
                     ));

@@ -27,9 +27,10 @@ pub enum Resolution<S: Alphabet, A: Alphabet> {
 }
 
 /// A live instance of a table-driven machine: a `'static` [`Table`] plus
-/// per-row fired counters. Cheap to create per controller (or per
-/// controller *instance* — counters from many instances of the same table
-/// merge under the table name in [`xg_sim::Report`]).
+/// fired counters, one per legal row and one for all violations. Cheap to
+/// create per controller (or per controller *instance* — counters from many
+/// instances of the same table merge under the table name in
+/// [`xg_sim::Report`]).
 pub struct Machine<S: Alphabet, E: Alphabet, A: Alphabet> {
     table: &'static Table<S, E, A>,
     fired: Vec<u64>,
@@ -42,7 +43,7 @@ impl<S: Alphabet, E: Alphabet, A: Alphabet> Machine<S, E, A> {
     pub fn new(table: &'static Table<S, E, A>) -> Self {
         Machine {
             table,
-            fired: vec![0; table.len()],
+            fired: vec![0; table.slots()],
         }
     }
 
@@ -57,9 +58,10 @@ impl<S: Alphabet, E: Alphabet, A: Alphabet> Machine<S, E, A> {
     /// the table's shared action pool — no match-tree dispatch, no heap.
     #[inline]
     pub fn resolve(&mut self, state: S, event: E) -> Resolution<S, A> {
-        let idx = Table::<S, E, A>::cell_index(state, event);
-        self.fired[idx] += 1;
-        let row = self.table.packed(idx);
+        let row = self
+            .table
+            .packed(Table::<S, E, A>::cell_index(state, event));
+        self.fired[usize::from(row.slot)] += 1;
         match row.kind {
             KIND_TRANSITION => Resolution::Transition {
                 actions: self.table.pool_actions(row),
@@ -70,19 +72,18 @@ impl<S: Alphabet, E: Alphabet, A: Alphabet> Machine<S, E, A> {
         }
     }
 
-    /// How many times `(state, event)` has fired on this instance.
+    /// How many times `(state, event)` has fired on this instance; for a
+    /// violation row, how many times any violation row has.
     pub fn fired(&self, state: S, event: E) -> u64 {
-        self.fired[Table::<S, E, A>::cell_index(state, event)]
+        let row = self
+            .table
+            .packed(Table::<S, E, A>::cell_index(state, event));
+        self.fired[usize::from(row.slot)]
     }
 
     /// Total fires of violation rows on this instance.
     pub fn violation_fires(&self) -> u64 {
-        self.fired
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| self.table.is_violation(i))
-            .map(|(_, &n)| n)
-            .sum()
+        self.fired[self.table.slots() - 1]
     }
 
     /// Transition coverage over the table's *legal* rows (transitions and
@@ -95,9 +96,9 @@ impl<S: Alphabet, E: Alphabet, A: Alphabet> Machine<S, E, A> {
         cov
     }
 
-    /// Hands the table and this instance's dense per-cell fired counters
-    /// to `visit` (the body of a controller's
-    /// [`xg_sim::Component::visit_fired`]).
+    /// Hands the table and this instance's fired counters (indexed as
+    /// [`FsmRows::rows_by_label`] says) to `visit` (the body of a
+    /// controller's [`xg_sim::Component::visit_fired`]).
     pub fn visit_fired(&self, visit: &mut dyn FnMut(&'static dyn FsmRows, &[u64])) {
         visit(self.table, &self.fired);
     }

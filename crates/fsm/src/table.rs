@@ -109,6 +109,9 @@ pub struct TableBuilder<S: Alphabet, E: Alphabet, A: Alphabet> {
     name: &'static str,
     notes: Vec<&'static str>,
     cells: Vec<Option<RowKind<S, A>>>,
+    tags: Vec<&'static str>,
+    /// The cell the last row declaration wrote ([`TableBuilder::tag`]).
+    last: usize,
     duplicates: Vec<(S, E)>,
 }
 
@@ -120,12 +123,15 @@ impl<S: Alphabet, E: Alphabet, A: Alphabet> TableBuilder<S, E, A> {
             name,
             notes: Vec::new(),
             cells: vec![None; S::ALL.len() * E::ALL.len()],
+            tags: vec![""; S::ALL.len() * E::ALL.len()],
+            last: 0,
             duplicates: Vec::new(),
         }
     }
 
     fn set(&mut self, state: S, event: E, row: RowKind<S, A>) {
-        let cell = &mut self.cells[state.index() * E::ALL.len() + event.index()];
+        self.last = state.index() * E::ALL.len() + event.index();
+        let cell = &mut self.cells[self.last];
         if cell.is_some() {
             self.duplicates.push((state, event));
         } else {
@@ -168,6 +174,13 @@ impl<S: Alphabet, E: Alphabet, A: Alphabet> TableBuilder<S, E, A> {
     /// Declares that `event` in `state` is a protocol violation.
     pub fn violation(&mut self, state: S, event: E) -> &mut Self {
         self.set(state, event, RowKind::Violation);
+        self
+    }
+
+    /// Tags the row declared last, e.g. with the guarantee it enforces. A
+    /// table with tags dumps them as a last markdown column.
+    pub fn tag(&mut self, tag: &'static str) -> &mut Self {
+        self.tags[self.last] = tag;
         self
     }
 
@@ -217,18 +230,25 @@ impl<S: Alphabet, E: Alphabet, A: Alphabet> TableBuilder<S, E, A> {
             });
         }
         // Compile the declared rows into the packed flat form: one 8-byte
-        // row per cell, all action lists concatenated into one pool.
+        // row per cell, all action lists concatenated into one pool. Legal
+        // rows count fires in their own slot, in cell order; every
+        // violation cell shares the slot after them.
         assert!(
             S::ALL.len() < usize::from(NEXT_DYNAMIC),
             "state alphabet too large for the packed row encoding"
         );
+        let legal = (self.cells.iter())
+            .filter(|c| !matches!(c, Some(RowKind::Violation)))
+            .count();
+        let violation_slot = u16::try_from(legal).expect("more legal rows than u16 slots");
         let mut rows = Vec::with_capacity(self.cells.len());
         let mut pool: Vec<A> = Vec::new();
+        let mut slot = 0;
         for cell in &self.cells {
             let row = match cell.as_ref().expect("checked total") {
                 RowKind::Transition { actions, next } => {
                     let act_off =
-                        u32::try_from(pool.len()).expect("action pool exceeds u32 offsets");
+                        u16::try_from(pool.len()).expect("action pool exceeds u16 offsets");
                     let act_len = u8::try_from(actions.len()).expect("action list longer than 255");
                     pool.extend(actions.iter().copied());
                     let next = match next {
@@ -240,6 +260,7 @@ impl<S: Alphabet, E: Alphabet, A: Alphabet> TableBuilder<S, E, A> {
                         act_len,
                         next,
                         act_off,
+                        slot,
                     }
                 }
                 RowKind::Stall => PackedRow {
@@ -247,14 +268,17 @@ impl<S: Alphabet, E: Alphabet, A: Alphabet> TableBuilder<S, E, A> {
                     act_len: 0,
                     next: NEXT_DYNAMIC,
                     act_off: 0,
+                    slot,
                 },
                 RowKind::Violation => PackedRow {
                     kind: KIND_VIOLATION,
                     act_len: 0,
                     next: NEXT_DYNAMIC,
                     act_off: 0,
+                    slot: violation_slot,
                 },
             };
+            slot += u16::from(row.kind != KIND_VIOLATION);
             rows.push(row);
         }
         let by_label = S::BY_LABEL
@@ -262,10 +286,12 @@ impl<S: Alphabet, E: Alphabet, A: Alphabet> TableBuilder<S, E, A> {
             .flat_map(|&s| E::BY_LABEL.iter().map(move |&e| (s, e)))
             .map(|(s, e)| (s.label(), e.label(), Table::<S, E, A>::cell_index(s, e)))
             .filter(|&(_, _, cell)| rows[cell].kind != KIND_VIOLATION)
+            .map(|(s, e, cell)| (s, e, usize::from(rows[cell].slot)))
             .collect();
         Ok(Table {
             name: self.name,
             notes: self.notes.clone().into_boxed_slice(),
+            tags: self.tags.clone().into_boxed_slice(),
             rows: rows.into_boxed_slice(),
             by_label,
             actions: pool.into_boxed_slice(),
@@ -290,7 +316,10 @@ pub(crate) struct PackedRow {
     pub(crate) act_len: u8,
     /// Successor state index, or [`NEXT_DYNAMIC`].
     pub(crate) next: u16,
-    pub(crate) act_off: u32,
+    pub(crate) act_off: u16,
+    /// The fired counter this cell bumps: its own for a legal row, the
+    /// shared violation counter otherwise.
+    pub(crate) slot: u16,
 }
 
 /// A validated, immutable `(State, Event) -> RowKind` transition table,
@@ -305,9 +334,11 @@ pub struct Table<S: Alphabet, E: Alphabet, A: Alphabet> {
     name: &'static str,
     /// Paragraphs for the markdown dump ([`TableBuilder::note`]).
     pub(crate) notes: Box<[&'static str]>,
+    /// Per-cell [`TableBuilder::tag`]s; `""` where none was given.
+    pub(crate) tags: Box<[&'static str]>,
     rows: Box<[PackedRow]>,
-    /// The legal cells as `(state label, event label, cell)`, in label
-    /// order: the coverage universe as reports list it.
+    /// The legal cells as `(state label, event label, fired slot)`, in
+    /// label order: the coverage universe as reports list it.
     by_label: Box<[(&'static str, &'static str, usize)]>,
     /// Concatenated action lists of every transition row.
     actions: Box<[A]>,
@@ -360,11 +391,10 @@ impl<S: Alphabet, E: Alphabet, A: Alphabet> Table<S, E, A> {
         }
     }
 
-    /// Whether the cell at `index` is a violation row (kind test only — no
-    /// row materialization).
-    #[inline]
-    pub(crate) fn is_violation(&self, index: usize) -> bool {
-        self.rows[index].kind == KIND_VIOLATION
+    /// Fired counters a machine keeps: one per legal row, then the one
+    /// every violation cell shares.
+    pub(crate) fn slots(&self) -> usize {
+        self.by_label.len() + 1
     }
 
     /// The resolved row for a `(state, event)` pair, materialized from the
@@ -384,6 +414,11 @@ impl<S: Alphabet, E: Alphabet, A: Alphabet> Table<S, E, A> {
             KIND_STALL => RowKind::Stall,
             _ => RowKind::Violation,
         }
+    }
+
+    /// The [`TableBuilder::tag`] of a cell; `""` where none was given.
+    pub fn tag(&self, state: S, event: E) -> &'static str {
+        self.tags[Self::cell_index(state, event)]
     }
 
     /// Iterates every cell as `(state, event, row)`, in state-major order.
@@ -422,10 +457,7 @@ impl<S: Alphabet, E: Alphabet, A: Alphabet> Table<S, E, A> {
 
     /// Number of legal rows (transitions + stalls): the coverage universe.
     pub fn legal_rows(&self) -> usize {
-        self.rows
-            .iter()
-            .filter(|r| r.kind != KIND_VIOLATION)
-            .count()
+        self.by_label.len()
     }
 }
 

@@ -427,7 +427,8 @@ pub trait FsmRows: Sync {
     fn machine(&self) -> &'static str;
 
     /// The legal rows (transitions and stalls; violation cells are not
-    /// rows), as `(state label, event label, cell index)`, in label order —
+    /// rows), as `(state label, event label, index of the row's fired
+    /// counter)`, in label order —
     /// the order a [`TransitionCoverage`] holds them in. Each `(state,
     /// event)` pair appears once.
     fn rows_by_label(&self) -> &[(&'static str, &'static str, usize)];
@@ -474,8 +475,9 @@ impl TransitionCoverage {
         ) += count;
     }
 
-    /// Adds one machine instance's dense per-cell fired counters: every
-    /// legal cell of `rows` is declared, fired ones counted. Violation
+    /// Adds one machine instance's fired counters, indexed as
+    /// [`FsmRows::rows_by_label`] says: every legal row is declared, fired
+    /// ones counted. Violation
     /// cells are excluded — firing one is a protocol bug, not a coverage
     /// goal. The rows come in label order, so nothing is sorted.
     pub fn add_fired(&mut self, rows: &dyn FsmRows, fired: &[u64]) {
