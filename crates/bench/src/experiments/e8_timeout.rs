@@ -84,8 +84,8 @@ const BLOCK: u64 = 0x9000;
 
 fn one(timeout: u64, host: HostProtocol, seed: u64) -> Row {
     // The fuzzing organization attaches a raw peer directly to the guard;
-    // with zero fuzz messages and `respond_percent: 0` it is a perfectly
-    // silent accelerator (the default 70 would answer most invalidations
+    // with an empty schedule (no steps, no responses) it is a perfectly
+    // silent accelerator (a blind schedule would answer most invalidations
     // with a random response and exercise Guarantee 2b instead). We post a
     // single GetM from it (taking ownership) and never respond to anything
     // again.
@@ -103,8 +103,7 @@ fn one(timeout: u64, host: HostProtocol, seed: u64) -> Row {
         ..SystemConfig::default()
     };
     let fuzz = xg_harness::FuzzOpts {
-        messages: 0,
-        respond_percent: 0,
+        schedule: Some(xg_harness::Schedule::default()),
         ..xg_harness::FuzzOpts::default()
     };
     let mut system = build_system(

@@ -1,7 +1,7 @@
 //! Coverage-guided adversarial fuzz campaign (paper §4.2, extended).
 //!
-//! The blind E2 fuzzer draws every message independently, so after the
-//! first few hundred injections it mostly re-fires the same guard
+//! The blind E2 fuzzer replays one schedule of independent draws, so
+//! after the first few hundred injections it mostly re-fires the same guard
 //! transitions. This module closes the loop AFL-style: deterministic
 //! injection [`Schedule`]s are the corpus unit, per-machine
 //! [`TransitionCoverage`] deltas are the feedback signal, and schedules
@@ -282,7 +282,6 @@ pub fn run_schedule_with(
         pool_blocks: opts.pool_blocks,
         schedule: Some(schedule.clone()),
         read_only_pages: vec![CPU_POOL_PAGE],
-        ..FuzzOpts::default()
     };
     run_fuzz_with(&cfg, &fuzz, opts.cpu_ops, instr)
 }
@@ -507,10 +506,11 @@ impl BlindOutcome {
     }
 }
 
-/// Runs the blind E2 fuzzer — independent random draws, default caches, no
-/// link faults, no read-only window — split over the same number of runs a
-/// campaign would make, at a total message budget of *at least* `budget`
-/// (rounded up, so the comparison never short-changes the baseline).
+/// Runs the blind E2 fuzzer — one schedule of independent random draws
+/// per run ([`FuzzOpts::schedule_for`]), default caches, no link faults,
+/// no read-only window — split over the same number of runs a campaign
+/// would make, at a total message budget of *at least* `budget` (rounded
+/// up, so the comparison never short-changes the baseline).
 pub fn run_blind(base: &SystemConfig, opts: &CampaignOpts, budget: u64) -> BlindOutcome {
     let runs = (opts.generations * opts.batch).max(1) as u64;
     let per_run = budget.div_ceil(runs).max(1);
@@ -574,30 +574,38 @@ pub fn ddmin_vec<T: Clone>(items: Vec<T>, fails: &mut dyn FnMut(&[T]) -> bool) -
     cur
 }
 
-/// Minimizes a failing schedule: ddmin over the injection steps, then over
-/// the response script, then per-field normalization (delay → 1, payload →
-/// 1, fill → 0) wherever the failure survives. `fails(schedule)` must
-/// return true when the candidate still reproduces the failure, and must
-/// hold for `schedule` itself.
+/// [`ddmin_vec`] over two lists that fail together: first `a` with `b`
+/// fixed, then `b` with the shrunk `a` fixed. A fuzz schedule's steps and
+/// responses ([`minimize`]) and a checker script's steps and invalidation
+/// choices (`xg-check`) both shrink this way.
+pub fn ddmin_pair<A: Clone, B: Clone>(
+    a: Vec<A>,
+    b: Vec<B>,
+    fails: &mut dyn FnMut(&[A], &[B]) -> bool,
+) -> (Vec<A>, Vec<B>) {
+    let a = ddmin_vec(a, &mut |a| fails(a, &b));
+    let b = ddmin_vec(b, &mut |b| fails(&a, b));
+    (a, b)
+}
+
+/// Minimizes a failing schedule: [`ddmin_pair`] over the injection steps
+/// and the response script, then per-field normalization (delay → 1,
+/// payload → 1, fill → 0) wherever the failure survives. `fails(schedule)`
+/// must return true when the candidate still reproduces the failure, and
+/// must hold for `schedule` itself.
 pub fn minimize(schedule: &Schedule, mut fails: impl FnMut(&Schedule) -> bool) -> Schedule {
     debug_assert!(fails(schedule), "minimize needs a failing starting point");
-    let mut best = schedule.clone();
-
-    let responses = best.responses.clone();
-    best.steps = ddmin_vec(best.steps, &mut |steps| {
-        fails(&Schedule {
-            steps: steps.to_vec(),
-            responses: responses.clone(),
-        })
-    });
-
-    let steps = best.steps.clone();
-    best.responses = ddmin_vec(best.responses, &mut |responses| {
-        fails(&Schedule {
-            steps: steps.clone(),
-            responses: responses.to_vec(),
-        })
-    });
+    let (steps, responses) = ddmin_pair(
+        schedule.steps.clone(),
+        schedule.responses.clone(),
+        &mut |steps, responses| {
+            fails(&Schedule {
+                steps: steps.to_vec(),
+                responses: responses.to_vec(),
+            })
+        },
+    );
+    let mut best = Schedule { steps, responses };
 
     let edits: [fn(&mut FuzzStep); 3] = [|s| s.delay = 1, |s| s.payload_blocks = 1, |s| s.fill = 0];
     for i in 0..best.steps.len() {
@@ -612,8 +620,9 @@ pub fn minimize(schedule: &Schedule, mut fails: impl FnMut(&Schedule) -> bool) -
     best
 }
 
-/// Escapes schedule text for embedding in a Rust string literal.
-fn escape_literal(text: &str) -> String {
+/// Escapes text (a schedule, a checker script) for embedding in a Rust
+/// string literal.
+pub fn escape_literal(text: &str) -> String {
     text.replace('\\', "\\\\")
         .replace('"', "\\\"")
         .replace('\n', "\\n")

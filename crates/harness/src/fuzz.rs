@@ -7,13 +7,18 @@
 //! to invalidations. A safe guard never crashes, never deadlocks the host,
 //! and reports errors to the OS.
 //!
+//! That stream is always a [`Schedule`]: a blind run draws one up front
+//! ([`FuzzOpts::schedule_for`]), the campaign mutates and minimizes them,
+//! and the fuzzer only replays. So every failing run, blind or guided, has
+//! a list of steps to shrink and emit as a regression test.
+//!
 //! [`FuzzHostCache`] is the control experiment: the same garbage aimed
 //! directly at an *unprotected* host protocol, as a buggy accelerator-side
 //! cache (Figure 2(a)) could do. The strict (unmodified) host counts
 //! protocol violations and can wedge — which is the point.
 
 use rand::rngs::SmallRng;
-use rand::Rng;
+use rand::{Rng, SeedableRng};
 use xg_mem::{BlockAddr, DataBlock};
 use xg_proto::{
     Ctx, HammerKind, HammerMsg, HomeMap, MesiKind, MesiMsg, Message, XgData, XgiKind, XgiMsg,
@@ -43,8 +48,7 @@ pub struct FuzzStep {
     pub delay: u64,
     /// Absolute block index (address is `block * 64`).
     pub block: u64,
-    /// Interface kind code, `0..FUZZ_KIND_CODES` (same decoding as the
-    /// random fuzzer).
+    /// Interface kind code, `0..FUZZ_KIND_CODES` ([`XgiKind::from_code`]).
     pub kind: u8,
     /// Payload size in blocks for data-carrying kinds (`1..=3`; sizes other
     /// than the guard's block size are deliberate `Malformed` probes).
@@ -163,18 +167,13 @@ impl Schedule {
 /// Fuzzing parameters.
 #[derive(Debug, Clone)]
 pub struct FuzzOpts {
-    /// Total messages to inject (random mode; scripted mode sends exactly
-    /// the schedule's steps).
+    /// Steps in a blind schedule (a given [`schedule`](FuzzOpts::schedule)
+    /// sends exactly its own steps); messages a [`FuzzHostCache`] sends.
     pub messages: u64,
     /// Address pool size in blocks (addresses are `0..blocks * 64`).
     pub pool_blocks: u64,
-    /// Cycles between injections (min, max).
-    pub gap: (u64, u64),
-    /// Percent of invalidations that get *some* response (the rest are
-    /// dropped to exercise the 2c timeout).
-    pub respond_percent: u32,
-    /// When set, the fuzz accelerator replays this exact schedule instead
-    /// of drawing randomly — the campaign/minimizer mode.
+    /// The schedule every fuzz accelerator replays. `None` gives each one
+    /// its own blind schedule, [`FuzzOpts::schedule_for`] its name.
     pub schedule: Option<Schedule>,
     /// Extra pages granted *read-only* permission (on top of the read-write
     /// attack pool). Lets a campaign legally take shared copies of
@@ -188,30 +187,30 @@ impl Default for FuzzOpts {
         FuzzOpts {
             messages: 500,
             pool_blocks: 16,
-            gap: (1, 30),
-            respond_percent: 70,
             schedule: None,
             read_only_pages: Vec::new(),
         }
     }
 }
 
-fn random_payload(ctx: &mut Ctx<'_>) -> XgData {
-    // Deliberately sometimes the wrong size.
-    let n = ctx.rng().gen_range(1..=3);
-    let mut blocks = Vec::with_capacity(n);
-    for _ in 0..n {
-        blocks.push(DataBlock::splat(ctx.rng().gen()));
+impl FuzzOpts {
+    /// The schedule the fuzz accelerator `name` replays in a run seeded
+    /// `seed`: the given one, else a blind [`Schedule::random`] of
+    /// `messages` steps over the attack pool and the first four blocks of
+    /// each read-only page, drawn from the fuzzer's own stream — a
+    /// function of `(seed, name, self)` alone.
+    pub fn schedule_for(&self, seed: u64, name: &str) -> Schedule {
+        if let Some(schedule) = &self.schedule {
+            return schedule.clone();
+        }
+        let per_page = xg_mem::PAGE_BYTES / xg_mem::BLOCK_BYTES;
+        let mut blocks: Vec<u64> = (0..self.pool_blocks).collect();
+        for &page in &self.read_only_pages {
+            blocks.extend(page * per_page..page * per_page + 4);
+        }
+        let mut rng = SmallRng::seed_from_u64(rand::stream_seed(seed, name));
+        Schedule::random(&mut rng, self.messages as usize, &blocks)
     }
-    XgData::from_blocks(blocks)
-}
-
-/// A uniformly drawn kind — the guard-only ones (`Data*`, `WbAck`, `Inv`)
-/// included: pure garbage from us.
-fn random_xgi_kind(ctx: &mut Ctx<'_>) -> XgiKind {
-    let code = ctx.rng().gen_range(0..FUZZ_KIND_CODES);
-    XgiKind::from_code(code, || random_payload(ctx))
-        .expect("every code below FUZZ_KIND_CODES names a kind")
 }
 
 /// Deterministic payload for scripted steps: `blocks` copies of `fill`.
@@ -219,8 +218,8 @@ fn scripted_payload(blocks: u8, fill: u8) -> XgData {
     XgData::from_blocks(vec![DataBlock::splat(fill); blocks.clamp(1, 3) as usize])
 }
 
-/// Decodes a scripted step's kind code (same code space as
-/// [`random_xgi_kind`], but with a deterministic payload).
+/// Decodes a step's kind code ([`XgiKind::from_code`]) with its
+/// deterministic payload.
 fn scripted_kind(step: FuzzStep) -> XgiKind {
     let data = || scripted_payload(step.payload_blocks, step.fill);
     XgiKind::from_code(step.kind % FUZZ_KIND_CODES, data)
@@ -230,7 +229,7 @@ fn scripted_kind(step: FuzzStep) -> XgiKind {
 /// Decodes an invalidation-response code (`0..INV_RESPONSE_CODES`) into the
 /// one or two messages to send back, in order (the guard↔accelerator link
 /// is ordered, so a pair arrives in script order). `data` builds each
-/// writeback payload. The scripted fuzzer and the `xg-check` chaos
+/// writeback payload. The fuzz accelerator and the `xg-check` chaos
 /// accelerator share this decoding.
 pub fn inv_response(code: u8, mut data: impl FnMut() -> XgData) -> impl Iterator<Item = XgiKind> {
     let (first, then) = match code % INV_RESPONSE_CODES {
@@ -245,11 +244,13 @@ pub fn inv_response(code: u8, mut data: impl FnMut() -> XgData) -> impl Iterator
     std::iter::once(first).chain(then)
 }
 
-/// A pathologically buggy accelerator attached to a Crossing Guard.
+/// A pathologically buggy accelerator attached to a Crossing Guard: it
+/// replays one [`Schedule`], blind or found, and draws nothing while it
+/// runs.
 pub struct FuzzAccel {
     name: String,
     xg: NodeId,
-    opts: FuzzOpts,
+    schedule: Schedule,
     sent: u64,
     invs_seen: u64,
     inv_responses: u64,
@@ -261,12 +262,12 @@ pub struct FuzzAccel {
 }
 
 impl FuzzAccel {
-    /// Creates a fuzzer aimed at `xg`.
-    pub fn new(name: impl Into<String>, xg: NodeId, opts: FuzzOpts) -> Self {
+    /// Creates a fuzzer aimed at `xg` that replays `schedule`.
+    pub fn new(name: impl Into<String>, xg: NodeId, schedule: Schedule) -> Self {
         FuzzAccel {
             name: name.into(),
             xg,
-            opts,
+            schedule,
             sent: 0,
             invs_seen: 0,
             inv_responses: 0,
@@ -282,6 +283,11 @@ impl FuzzAccel {
     pub fn sent(&self) -> u64 {
         self.sent
     }
+
+    /// The schedule this fuzzer replays.
+    pub fn schedule(&self) -> &Schedule {
+        &self.schedule
+    }
 }
 
 impl Component<Message> for FuzzAccel {
@@ -294,37 +300,19 @@ impl Component<Message> for FuzzAccel {
         match m.kind {
             XgiKind::Inv => {
                 self.invs_seen += 1;
-                if let Some(schedule) = &self.opts.schedule {
-                    // Scripted mode: consult the response script, cycling.
-                    let responses = &schedule.responses;
-                    let policy = if responses.is_empty() {
-                        None
-                    } else {
-                        Some(responses[self.resp_idx % responses.len()])
-                    };
-                    self.resp_idx += 1;
-                    if let Some(p) = policy {
-                        if p.respond {
-                            self.inv_responses += 1;
-                            let data = || scripted_payload(p.payload_blocks, 0xA5);
-                            for kind in inv_response(p.kind, data) {
-                                ctx.send(self.xg, XgiMsg::new(m.addr, kind).into());
-                            }
-                        }
-                    }
-                    return;
-                }
-                if ctx.rng().gen_range(0u32..100) < self.opts.respond_percent {
+                // Consult the response script, cycling; an empty one is
+                // silence, which the guard's 2c timeout must cover.
+                let responses = &self.schedule.responses;
+                let policy =
+                    (!responses.is_empty()).then(|| responses[self.resp_idx % responses.len()]);
+                self.resp_idx += 1;
+                if let Some(p) = policy.filter(|p| p.respond) {
                     self.inv_responses += 1;
-                    // Respond with a random (often wrong) response kind, or
-                    // with a `GetM`, which is not a response at all: the
-                    // four single-message codes.
-                    let code = ctx.rng().gen_range(0..4);
-                    let kind = inv_response(code, || random_payload(ctx)).next();
-                    let kind = kind.expect("every code yields a first message");
-                    ctx.send(self.xg, XgiMsg::new(m.addr, kind).into());
+                    let data = || scripted_payload(p.payload_blocks, 0xA5);
+                    for kind in inv_response(p.kind, data) {
+                        ctx.send(self.xg, XgiMsg::new(m.addr, kind).into());
+                    }
                 }
-                // Otherwise: silence → the guard's 2c timeout must cover.
             }
             XgiKind::DataS { .. } | XgiKind::DataE { .. } | XgiKind::DataM { .. } => {
                 self.grants_seen += 1;
@@ -334,50 +322,24 @@ impl Component<Message> for FuzzAccel {
     }
 
     fn wake(&mut self, _token: u64, ctx: &mut Ctx<'_>) {
-        if let Some(schedule) = &self.opts.schedule {
-            // Scripted mode: replay the schedule step by step.
-            let steps = &schedule.steps;
-            let (step, next_delay) = match steps.get(self.next_step) {
-                None => return,
-                Some(&s) => (s, steps.get(self.next_step + 1).map(|n| n.delay.max(1))),
-            };
-            self.next_step += 1;
-            self.sent += 1;
-            ctx.note_progress();
-            let now = ctx.now().as_u64();
-            self.first_inject.get_or_insert(now);
-            self.last_inject = now;
-            ctx.send(
-                self.xg,
-                XgiMsg::new(BlockAddr::new(step.block), scripted_kind(step)).into(),
-            );
-            if let Some(delay) = next_delay {
-                ctx.wake_in(delay, 0);
-            }
-            return;
-        }
-        if self.sent >= self.opts.messages {
-            return;
-        }
-        let block = if !self.opts.read_only_pages.is_empty() && ctx.rng().gen_range(0..4u32) == 0 {
-            // Spend a quarter of the budget on the read-only windows:
-            // legally taking shared copies of CPU-owned blocks is what
-            // draws host demand (invalidation) traffic through the guard.
-            let pages = &self.opts.read_only_pages;
-            let page = pages[ctx.rng().gen_range(0..pages.len())];
-            page * (xg_mem::PAGE_BYTES / xg_mem::BLOCK_BYTES) + ctx.rng().gen_range(0..4u64)
-        } else {
-            ctx.rng().gen_range(0..self.opts.pool_blocks)
+        let steps = &self.schedule.steps;
+        let (step, next_delay) = match steps.get(self.next_step) {
+            None => return,
+            Some(&s) => (s, steps.get(self.next_step + 1).map(|n| n.delay.max(1))),
         };
-        let kind = random_xgi_kind(ctx);
-        ctx.send(self.xg, XgiMsg::new(BlockAddr::new(block), kind).into());
+        self.next_step += 1;
         self.sent += 1;
         ctx.note_progress();
         let now = ctx.now().as_u64();
         self.first_inject.get_or_insert(now);
         self.last_inject = now;
-        let delay = ctx.rng().gen_range(self.opts.gap.0..=self.opts.gap.1);
-        ctx.wake_in(delay, 0);
+        ctx.send(
+            self.xg,
+            XgiMsg::new(BlockAddr::new(step.block), scripted_kind(step)).into(),
+        );
+        if let Some(delay) = next_delay {
+            ctx.wake_in(delay, 0);
+        }
     }
 
     fn report(&self, out: &mut Report) {
@@ -539,7 +501,7 @@ impl Component<Message> for FuzzHostCache {
         ctx.send(to, msg);
         self.sent += 1;
         ctx.note_progress();
-        let delay = ctx.rng().gen_range(self.opts.gap.0..=self.opts.gap.1);
+        let delay = ctx.rng().gen_range(1..=30u64);
         ctx.wake_in(delay, 0);
     }
 
@@ -558,7 +520,6 @@ impl Component<Message> for FuzzHostCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
 
     #[test]
     fn schedule_text_round_trips() {

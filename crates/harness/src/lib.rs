@@ -13,7 +13,8 @@
 //!   monotonicity checks, and state/event coverage counting.
 //! * [`FuzzAccel`] — the §4.2-style fuzzer: bombards the Crossing Guard
 //!   interface with random (including malformed) messages and responds to
-//!   invalidations randomly or not at all.
+//!   invalidations randomly or not at all, by replaying a [`Schedule`]
+//!   drawn up front (blind) or found by the campaign.
 //! * [`FuzzHostCache`] — the same bombardment aimed directly at the host
 //!   protocol, for the unsafe accelerator-side baseline.
 //! * [`campaign`] — the coverage-guided adversarial campaign: evolves
@@ -43,8 +44,9 @@ pub mod tester;
 pub mod workloads;
 
 pub use campaign::{
-    ddmin_vec, guarantee_probe, minimize, run_blind, run_campaign, run_schedule, run_schedule_with,
-    BlindOutcome, CampaignFailure, CampaignOpts, CampaignOutcome, CorpusEntry,
+    ddmin_pair, ddmin_vec, escape_literal, guarantee_probe, minimize, run_blind, run_campaign,
+    run_schedule, run_schedule_with, BlindOutcome, CampaignFailure, CampaignOpts, CampaignOutcome,
+    CorpusEntry,
 };
 pub use config::{AccelOrg, AccelSlot, HostProtocol, SystemConfig};
 pub use fuzz::{FuzzAccel, FuzzHostCache, FuzzOpts, Schedule};

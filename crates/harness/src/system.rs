@@ -149,7 +149,9 @@ impl BuiltSystem {
 /// every hierarchy in slot order).
 ///
 /// Fuzzing slots (`FuzzXg`, `FuzzAccelSide`) need [`FuzzOpts`]; pass
-/// `None` otherwise. Every fuzzing slot shares the same options.
+/// `None` otherwise. Every fuzzing slot shares the same options; without
+/// a schedule each fuzz accelerator draws its own blind one here, from a
+/// stream named after it ([`FuzzOpts::schedule_for`]).
 ///
 /// # Panics
 /// Panics if a fuzzing organization is selected without `fuzz` options.
@@ -430,12 +432,10 @@ pub fn build_system(
                 inst.label = name;
                 inst.xg = Some(*xg);
                 link_guard_to_home(&mut b, cfg, *xg, &homes);
-                let opts = fuzz.clone().expect("FuzzXg needs FuzzOpts");
-                let fz = b.add(Box::new(FuzzAccel::new(
-                    format!("{prefix}fuzz_accel"),
-                    *xg,
-                    opts,
-                )));
+                let fz_name = format!("{prefix}fuzz_accel");
+                let opts = fuzz.as_ref().expect("FuzzXg needs FuzzOpts");
+                let schedule = opts.schedule_for(cfg.seed, &fz_name);
+                let fz = b.add(Box::new(FuzzAccel::new(fz_name, *xg, schedule)));
                 assert_eq!(fz, *fuzzer);
                 inst.fuzzer = Some(fz);
                 b.link_bidi(*xg, fz, Link::ordered(cfg.crossing.0, cfg.crossing.1));

@@ -6,15 +6,16 @@
 //! ddmin the noisy failing schedule to a minimal reproducer of at most 10
 //! injected messages (it is 1 in practice), and (c) emit a self-contained
 //! regression test that *passes* on the fixed build. The committed output
-//! of this workflow lives in `tests/repro_swallowed_inv.rs`.
+//! of this workflow lives in `tests/repro_swallowed_inv.rs`. A blind run
+//! shrinks the same way: its input is the schedule it drew.
 
 use xg_core::XgVariant;
 use xg_harness::campaign::{
     guarantee_probe, minimize, repro_json, repro_test_source, run_schedule, CampaignFailure,
-    CampaignOpts, FailureKind, CPU_POOL_BLOCK,
+    CampaignOpts, FailureKind, CPU_POOL_BLOCK, CPU_POOL_PAGE,
 };
 use xg_harness::fuzz::{FuzzStep, Schedule};
-use xg_harness::{AccelOrg, HostProtocol, SystemConfig};
+use xg_harness::{run_fuzz_with, AccelOrg, FuzzOpts, HostProtocol, Instrumentation, SystemConfig};
 
 const SEED: u64 = 0x51AB;
 
@@ -106,4 +107,36 @@ fn planted_bug_minimizes_to_a_tiny_reproducer() {
     let json = repro_json(&fixed, &opts, &failure);
     assert!(json.contains("\"kind\": \"deadlock\""));
     assert!(json.contains("\"steps\": 1"));
+}
+
+#[test]
+fn a_blind_run_on_the_planted_bug_minimizes_too() {
+    let buggy = buggy_base();
+    let blind = FuzzOpts {
+        messages: 300,
+        read_only_pages: vec![CPU_POOL_PAGE],
+        ..FuzzOpts::default()
+    };
+    let run = |fuzz: &FuzzOpts| run_fuzz_with(&buggy, fuzz, 150, &Instrumentation::off());
+    assert!(
+        run(&blind).deadlocked,
+        "planted bug must deadlock a blind run"
+    );
+
+    let drawn = blind.schedule_for(buggy.seed, "fuzz_accel");
+    let fails = |s: &Schedule| {
+        run(&FuzzOpts {
+            schedule: Some(s.clone()),
+            ..blind.clone()
+        })
+        .deadlocked
+    };
+    let min = minimize(&drawn, fails);
+    assert!(
+        min.steps.len() <= 10,
+        "minimized blind input has {} steps, want <= 10:\n{}",
+        min.steps.len(),
+        min.to_text()
+    );
+    assert!(fails(&min), "minimized schedule still reproduces");
 }

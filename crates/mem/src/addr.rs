@@ -73,9 +73,10 @@ impl BlockAddr {
         Addr(self.0 * BLOCK_BYTES)
     }
 
-    /// The page containing this block.
+    /// The page containing this block. Divides the block index, so it is
+    /// exact for every index (a byte address past 2^64 would wrap).
     pub const fn page(self) -> PageAddr {
-        PageAddr(self.0 * BLOCK_BYTES / PAGE_BYTES)
+        PageAddr(self.0 / (PAGE_BYTES / BLOCK_BYTES))
     }
 
     /// The `i`-th block after this one.
@@ -167,6 +168,18 @@ mod tests {
         assert_eq!(a.block().base().as_u64(), PAGE_BYTES + 3 * BLOCK_BYTES);
         assert_eq!(a.block().page(), PageAddr::new(1));
         assert_eq!(a.page().base(), Addr::new(PAGE_BYTES));
+    }
+
+    #[test]
+    fn page_of_a_block_past_2_58_does_not_wrap() {
+        let per_page = PAGE_BYTES / BLOCK_BYTES;
+        let high = (1u64 << 58) + 3;
+        assert_eq!(BlockAddr::new(high).page(), PageAddr::new(high / per_page));
+        assert_ne!(BlockAddr::new(high).page(), PageAddr::new(0));
+        assert_eq!(
+            BlockAddr::new(u64::MAX).page(),
+            PageAddr::new(u64::MAX / per_page)
+        );
     }
 
     #[test]
