@@ -55,10 +55,6 @@ pub struct AccelL1Config {
     pub sets: usize,
     /// Associativity.
     pub ways: usize,
-    /// Replacement policy.
-    pub replacement: Replacement,
-    /// Seed for random replacement.
-    pub seed: u64,
     /// Accelerator block size in host (64 B) blocks; Crossing Guard
     /// translates when this is > 1 (paper §2.5).
     pub block_blocks: usize,
@@ -73,8 +69,6 @@ impl Default for AccelL1Config {
         AccelL1Config {
             sets: 64,
             ways: 4,
-            replacement: Replacement::Lru,
-            seed: 0,
             block_blocks: 1,
             mode: AccelMode::Mesi,
             prefetch: Prefetch::Off,
@@ -305,7 +299,7 @@ impl AccelL1 {
         AccelL1 {
             name: name.into(),
             below,
-            cache: SetAssocCache::new(cfg.sets, cfg.ways, cfg.replacement, cfg.seed),
+            cache: SetAssocCache::new(cfg.sets, cfg.ways, Replacement::Lru, 0),
             pending: IdMap::default(),
             cfg,
             spare_waiting: Spares::default(),

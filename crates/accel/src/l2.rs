@@ -33,10 +33,6 @@ pub struct AccelL2Config {
     pub sets: usize,
     /// Associativity.
     pub ways: usize,
-    /// Replacement policy.
-    pub replacement: Replacement,
-    /// Seed for random replacement.
-    pub seed: u64,
     /// Accelerator block size in host blocks (must match the L1s).
     pub block_blocks: usize,
     /// Weak internal sharing (paper §2.1): a writing L1 does **not**
@@ -52,8 +48,6 @@ impl Default for AccelL2Config {
         AccelL2Config {
             sets: 128,
             ways: 8,
-            replacement: Replacement::Lru,
-            seed: 0,
             block_blocks: 1,
             weak_sharing: false,
         }
@@ -304,7 +298,7 @@ impl AccelL2 {
         AccelL2 {
             name: name.into(),
             below,
-            array: SetAssocCache::new(cfg.sets, cfg.ways, cfg.replacement, cfg.seed),
+            array: SetAssocCache::new(cfg.sets, cfg.ways, Replacement::Lru, 0),
             blocks: IdMap::default(),
             cfg,
             spare_queues: Spares::default(),

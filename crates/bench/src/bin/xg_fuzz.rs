@@ -305,8 +305,22 @@ fn minimize_mode(args: &[String], path: &str) -> i32 {
     0
 }
 
+/// Every flag `xg-fuzz` takes, each with its value.
+const FLAGS: &[&str] = &[
+    "--minimize",
+    "--host",
+    "--variant",
+    "--seed",
+    "--jobs",
+    "--accels",
+    "--corpus",
+    "--out",
+    "--timeline",
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    cli::refuse_unknown(&args, FLAGS, &["--campaign", "quick"]);
     cli::trace_switch();
     let code = if let Some(path) = arg_value(&args, "--minimize") {
         minimize_mode(&args, &path)

@@ -47,6 +47,11 @@ use xg_bench::Scale;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    cli::refuse_unknown(
+        &args,
+        &["--json", "--jobs", "--timeline"],
+        &["quick", "--profile", "--coverage"],
+    );
     cli::trace_switch();
     let scale = if args.iter().any(|a| a == "quick") {
         Scale::Quick

@@ -185,6 +185,7 @@ fn check_drift(committed: &JsonValue, fresh: &JsonValue) -> Vec<String> {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    cli::refuse_unknown(&args, &["--out", "--jobs"], &["--check"]);
     cli::trace_switch();
     let out_path = arg_value(&args, "--out").unwrap_or_else(|| "BENCH_sweep.json".into());
     let check = args.iter().any(|a| a == "--check");

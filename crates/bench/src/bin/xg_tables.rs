@@ -16,6 +16,8 @@
 
 use std::path::Path;
 
+use xg_bench::cli::{self, arg_value};
+
 /// `(file stem, markdown, dot)` for every table-driven machine.
 fn dumps() -> Vec<(&'static str, String, String)> {
     let xg_full = xg_core::tables::xg_full();
@@ -72,15 +74,8 @@ fn check_all(dir: &Path) -> Vec<String> {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let value_of = |flag: &str| {
-        args.iter().position(|a| a == flag).map(|i| {
-            args.get(i + 1).cloned().unwrap_or_else(|| {
-                eprintln!("{flag} requires a directory argument");
-                std::process::exit(2);
-            })
-        })
-    };
-    if let Some(dir) = value_of("--check") {
+    cli::refuse_unknown(&args, &["--check", "--out"], &[]);
+    if let Some(dir) = arg_value(&args, "--check") {
         let drifted = check_all(Path::new(&dir));
         if drifted.is_empty() {
             println!("golden tables up to date in {dir}");
@@ -93,7 +88,7 @@ fn main() {
         eprintln!("regenerate with: cargo run -p xg-bench --bin xg-tables -- --out {dir}");
         std::process::exit(1);
     }
-    if let Some(dir) = value_of("--out") {
+    if let Some(dir) = arg_value(&args, "--out") {
         if let Err(e) = write_all(Path::new(&dir)) {
             eprintln!("failed to write tables to {dir}: {e}");
             std::process::exit(1);

@@ -1,6 +1,22 @@
 //! Argument handling the `xg-bench` binaries share. Bad input exits 2
 //! with a message naming it, before anything runs.
 
+/// Refuses every argument that is neither one of `flags` (each takes the
+/// argument after it as its value) nor one of `words` (which stand
+/// alone), naming it: a mistyped flag would otherwise be ignored and the
+/// run go ahead without it.
+pub fn refuse_unknown(args: &[String], flags: &[&str], words: &[&str]) {
+    let mut rest = args.iter().skip(1);
+    while let Some(arg) = rest.next() {
+        if flags.contains(&arg.as_str()) {
+            rest.next();
+        } else if !words.contains(&arg.as_str()) {
+            eprintln!("unknown argument {arg:?}");
+            std::process::exit(2);
+        }
+    }
+}
+
 /// The value following `flag`, if `flag` is given.
 pub fn arg_value(args: &[String], flag: &str) -> Option<String> {
     args.iter().position(|a| a == flag).map(|i| {

@@ -1,6 +1,6 @@
-//! The `xg-bench` binaries refuse a bad worker count or trace switch
-//! before they run anything: exit 2, naming the flag or variable and the
-//! value.
+//! The `xg-bench` binaries refuse a bad worker count, trace switch or
+//! unknown argument before they run anything: exit 2, naming the flag or
+//! variable and the value.
 //!
 //! Each of them would otherwise start a sweep (seconds to minutes), so an
 //! empty stdout is the evidence that the refusal came first.
@@ -93,4 +93,39 @@ fn a_good_jobs_flag_is_accepted_whatever_the_variable_says() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(1), "{stderr}");
     assert!(stderr.contains("--check: failed to read"), "{stderr}");
+}
+
+/// A mistyped flag is refused, not ignored: `xg-report --help` would
+/// otherwise start the full-scale report, and `xg-sweep-bench --chek`
+/// rewrite the file it was meant to gate.
+#[test]
+fn an_unknown_argument_is_refused_by_name() {
+    let sweep_out = std::env::temp_dir().join(format!(
+        "xg-bench-cli-{}-BENCH_sweep.json",
+        std::process::id()
+    ));
+    let sweep_out_path = sweep_out.to_str().expect("temp paths are UTF-8 here");
+    let cases: [(&str, &str, &[&str]); 4] = [
+        ("xg-report", env!("CARGO_BIN_EXE_xg-report"), &["--help"]),
+        (
+            "xg-fuzz",
+            env!("CARGO_BIN_EXE_xg-fuzz"),
+            &["--campaign", "quick", "--bogus"],
+        ),
+        (
+            "xg-sweep-bench",
+            env!("CARGO_BIN_EXE_xg-sweep-bench"),
+            &["--out", sweep_out_path, "--chek"],
+        ),
+        ("xg-tables", env!("CARGO_BIN_EXE_xg-tables"), &["--bogus"]),
+    ];
+    for (name, exe, args) in cases {
+        let said = refusal(name, &run(exe, args, &[], &[]));
+        let unknown = args.last().expect("each case names its typo");
+        assert!(
+            said.contains(&format!("unknown argument {unknown:?}")),
+            "{name}: {said}"
+        );
+    }
+    assert!(!sweep_out.exists(), "xg-sweep-bench wrote {sweep_out_path}");
 }

@@ -178,7 +178,6 @@ fn main() -> ExitCode {
             max_states: args.max_states,
             jobs: args.jobs,
             race_steps: args.races,
-            ..ExploreOpts::default()
         };
         let depth_label = args.depth.map_or("full".to_string(), |d| d.to_string());
         println!(

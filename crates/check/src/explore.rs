@@ -39,13 +39,14 @@
 //! checkpointed with that delivery still in flight — a *fork* — and each
 //! reply choice resumes from the fork with the list extended by it, against
 //! the step's own deadline, until every invalidation is scripted (or the
-//! per-script choice cap is hit, at which point the remaining invalidations
-//! deterministically stay silent). Up to that delivery the run does not
-//! depend on the choice, so a branch ends exactly where restoring the parent
-//! and running the step with the longer list would; no run is discarded
-//! and none re-made from the parent. Fork checkpoints are kept per worker
-//! and written over in place ([`xg_sim::Simulator::checkpoint_into`]) once
-//! all of a fork's branches have started.
+//! per-script [`CHOICE_CAP`] is hit, at which point the remaining
+//! invalidations deterministically stay silent). Up to that delivery the
+//! run does not depend on the choice, so a branch ends exactly where
+//! restoring the parent and running the step with the longer list would;
+//! no run is discarded and none re-made from the parent. Fork checkpoints
+//! are kept per worker and written over in place
+//! ([`xg_sim::Simulator::checkpoint_into`]) once all of a fork's branches
+//! have started.
 //!
 //! Each level's frontier runs through [`xg_harness::sweep`], one item per
 //! parent state (the item owns the parent's checkpoint), whose results
@@ -89,6 +90,9 @@ const FRONTIER_BUDGET_BYTES: usize = 512 << 20;
 /// successors), while keeping thread start-up per chunk near 1% of its work.
 const PARENTS_PER_WORKER: usize = 8;
 
+/// Maximum scripted invalidation choices per script.
+const CHOICE_CAP: usize = 8;
+
 /// The set of state digests seen. A digest is already a 128-bit hash
 /// ([`CheckDigest`]), so the table folds its two halves into its hash
 /// instead of running SipHash over it.
@@ -123,10 +127,6 @@ pub struct ExploreOpts {
     pub jobs: Option<usize>,
     /// Include overlapping accelerator/CPU race steps in the alphabet.
     pub race_steps: bool,
-    /// Maximum scripted invalidation choices per script.
-    pub choice_cap: usize,
-    /// Stop at the first violating level instead of exploring on.
-    pub stop_on_violation: bool,
 }
 
 impl Default for ExploreOpts {
@@ -136,8 +136,6 @@ impl Default for ExploreOpts {
             max_states: 2_000_000,
             jobs: None,
             race_steps: true,
-            choice_cap: 8,
-            stop_on_violation: true,
         }
     }
 }
@@ -482,7 +480,6 @@ fn run_to_fork(world: &mut World, deadline: Cycle, may_fork: bool) -> Option<boo
 struct Expander<'a> {
     spec: &'a WorldSpec,
     alphabet: &'a [Step],
-    choice_cap: usize,
     /// Digests of earlier levels and earlier chunks of this level.
     seen: &'a DigestSet,
     /// Whether this level's successors will themselves be expanded.
@@ -528,7 +525,7 @@ impl Expander<'_> {
             let deadline = world.sim.now() + DRAIN_MAX;
             extra.clear();
             loop {
-                let may_fork = scripted + extra.len() < self.choice_cap;
+                let may_fork = scripted + extra.len() < CHOICE_CAP;
                 let popped = world.sim.queue_stats().pops;
                 let ran = run_to_fork(world, deadline, may_fork);
                 expansions += 1;
@@ -728,7 +725,7 @@ fn explore_within(
             hit_state_cap = true;
             break;
         }
-        if opts.stop_on_violation && !found.violations.is_empty() {
+        if !found.violations.is_empty() {
             break;
         }
         let keep_states = opts.depth.is_none_or(|d| levels + 1 < d);
@@ -743,7 +740,6 @@ fn explore_within(
             let expander = Expander {
                 spec,
                 alphabet: &alphabet,
-                choice_cap: opts.choice_cap,
                 seen: &seen,
                 keep_states,
                 scratch: &scratch,

@@ -147,7 +147,7 @@ impl WorldSpec {
 
     /// The same spec with `n` attack blocks.
     pub fn with_attack_blocks(mut self, n: u64) -> Self {
-        self.attack_blocks = n.max(1);
+        self.attack_blocks = n;
         self
     }
 
@@ -302,7 +302,6 @@ pub fn build_world(spec: &WorldSpec, choices: &[u8]) -> World {
         sets: 2,
         ways: 1,
         mshr_entries: 4,
-        ..MesiL1Config::default()
     };
     let l2_cfg = MesiL2Config {
         sets: 2,

@@ -113,13 +113,17 @@ fn a_well_formed_baseline_still_gates_the_run() {
     assert!(stderr.contains("STATE DRIFT (hammer)"), "{stderr}");
 }
 
+/// Past 253 a step cannot index an address; `0` names none at all (and
+/// is not explored as a one-block world).
 #[test]
 fn an_address_count_a_step_cannot_index_is_refused() {
-    let out = xg_check(&["--addrs", "300", "--depth", "1", "--persona", "hammer"]);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(2), "{stderr}");
-    assert!(stderr.contains("--addrs 300"), "{stderr}");
-    assert!(out.stdout.is_empty(), "explored anyway");
+    for addrs in ["300", "0"] {
+        let out = xg_check(&["--addrs", addrs, "--depth", "1", "--persona", "hammer"]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{stderr}");
+        assert!(stderr.contains(&format!("--addrs {addrs}")), "{stderr}");
+        assert!(out.stdout.is_empty(), "explored anyway");
+    }
 }
 
 #[test]

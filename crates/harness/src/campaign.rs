@@ -20,7 +20,7 @@
 //! * **Link fault injection** ([`CampaignOpts::faults`]): delay spikes and
 //!   reorder bursts on the unordered guard↔home links stress the guard's
 //!   timeout and nack paths while preserving the host network's
-//!   reliable-delivery assumption (drops and duplicates stay opt-in).
+//!   reliable-delivery assumption: every message still arrives once.
 //!
 //! When a run breaks a safety claim (host protocol violation, CPU data
 //! corruption, or deadlock), [`minimize`] delta-debugs the schedule down to
@@ -71,8 +71,6 @@ pub struct CampaignOpts {
     pub jobs: Option<usize>,
     /// Fault plan for the unordered guard↔home links.
     pub faults: FaultSpec,
-    /// Shrink every cache (frequent replacements reach more states).
-    pub shrink_caches: bool,
     /// Total accelerator hierarchies in the attacked system. Slot 0 is the
     /// fuzzed one; slots 1.. are *correct* guarded siblings (same variant,
     /// one-level) sharing the host, so every campaign run doubles as a
@@ -92,7 +90,6 @@ impl Default for CampaignOpts {
             cpu_ops: 300,
             jobs: None,
             faults: FaultSpec::delay_only(25, 10, 800, 3),
-            shrink_caches: true,
             num_accels: 1,
         }
     }
@@ -223,14 +220,12 @@ pub fn guarantee_probe() -> Schedule {
 }
 
 /// Builds the attacked configuration for one campaign run: slot 0 is the
-/// fuzzed organization from `base`, and `opts.num_accels - 1` correct
+/// fuzzed organization from `base` with every cache shrunk (frequent
+/// replacements reach more states), and `opts.num_accels - 1` correct
 /// guarded siblings (same variant, one-level) ride along. Sibling page
 /// tables and tester cores are assigned by [`run_fuzz_with`].
 fn attack_config(base: &SystemConfig, opts: &CampaignOpts, seed: u64) -> SystemConfig {
-    let mut cfg = base.clone();
-    if opts.shrink_caches {
-        cfg = cfg.shrink_caches();
-    }
+    let mut cfg = base.clone().shrink_caches();
     cfg.host_faults = opts.faults;
     cfg.seed = seed;
     if opts.num_accels > 1 && cfg.accels.is_empty() {
@@ -671,11 +666,8 @@ pub fn repro_test_source(
          \x20   let opts = CampaignOpts {{\n\
          \x20       cpu_ops: {cpu_ops},\n\
          \x20       pool_blocks: {pool},\n\
-         \x20       shrink_caches: {shrink},\n\
          \x20       num_accels: {accels},\n\
          \x20       faults: FaultSpec {{\n\
-         \x20           drop_pct: {dp},\n\
-         \x20           dup_pct: {up},\n\
          \x20           delay_spike_pct: {sp},\n\
          \x20           reorder_pct: {rp},\n\
          \x20           spike_cycles: {sc},\n\
@@ -695,10 +687,7 @@ pub fn repro_test_source(
         strict = base.strict_host,
         cpu_ops = opts.cpu_ops,
         pool = opts.pool_blocks,
-        shrink = opts.shrink_caches,
         accels = opts.num_accels.max(1),
-        dp = f.drop_pct,
-        up = f.dup_pct,
         sp = f.delay_spike_pct,
         rp = f.reorder_pct,
         sc = f.spike_cycles,
@@ -714,7 +703,7 @@ pub fn repro_json(base: &SystemConfig, opts: &CampaignOpts, failure: &CampaignFa
          \"seed\": {seed},\n  \"summary\": \"{summary}\",\n  \
          \"steps\": {steps},\n  \"cpu_ops\": {cpu_ops},\n  \
          \"num_accels\": {accels},\n  \
-         \"faults\": [{dp}, {up}, {sp}, {rp}, {sc}, {bl}],\n  \
+         \"faults\": [{sp}, {rp}, {sc}, {bl}],\n  \
          \"schedule\": \"{sched}\"\n}}\n",
         config = base.name(),
         kind = failure.kind.tag(),
@@ -723,8 +712,6 @@ pub fn repro_json(base: &SystemConfig, opts: &CampaignOpts, failure: &CampaignFa
         steps = failure.schedule.steps.len(),
         cpu_ops = opts.cpu_ops,
         accels = opts.num_accels.max(1),
-        dp = f.drop_pct,
-        up = f.dup_pct,
         sp = f.delay_spike_pct,
         rp = f.reorder_pct,
         sc = f.spike_cycles,

@@ -119,8 +119,6 @@ pub struct SystemConfig {
     pub accel_cores: usize,
     /// Master seed.
     pub seed: u64,
-    /// Host on-chip network latency range (unordered).
-    pub host_link: (u64, u64),
     /// Host↔accelerator crossing latency range.
     pub crossing: (u64, u64),
     /// Memory latency in cycles.
@@ -168,7 +166,6 @@ impl Default for SystemConfig {
             accels: Vec::new(),
             accel_cores: 1,
             seed: 1,
-            host_link: (2, 10),
             crossing: (40, 60),
             mem_latency: 100,
             cpu_cache: (64, 8),

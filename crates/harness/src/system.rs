@@ -18,6 +18,10 @@ use xg_sim::{Component, Link, NodeId, ProfileConfig};
 use crate::config::{AccelOrg, AccelSlot, HostProtocol, SystemConfig};
 use crate::fuzz::{FuzzAccel, FuzzHostCache, FuzzOpts};
 
+/// Latency range of the host on-chip network (unordered), which also
+/// carries the guard ↔ home links.
+const HOST_LINK: (u64, u64) = (2, 10);
+
 /// Where a core sits, passed to the core factory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CoreSlot {
@@ -292,7 +296,6 @@ pub fn build_system(
                         ways: cfg.l2_cache.1,
                         mem_latency: cfg.mem_latency,
                         ack_data_interchange: !cfg.strict_host,
-                        ..MesiL2Config::default()
                     },
                 )));
                 assert_eq!(l2, home);
@@ -402,7 +405,6 @@ pub fn build_system(
                             ways: cfg.l2_cache.1,
                             block_blocks: cfg.xg.block_blocks,
                             weak_sharing: cfg.weak_accel_sharing,
-                            ..AccelL2Config::default()
                         },
                     )));
                     assert_eq!(l2, *top);
@@ -503,7 +505,7 @@ pub fn build_system(
         }
     }
 
-    b.default_link(Link::unordered(cfg.host_link.0, cfg.host_link.1));
+    b.default_link(Link::unordered(HOST_LINK.0, HOST_LINK.1));
 
     let sim = ExecSim::Serial(b.build());
 
@@ -533,7 +535,7 @@ fn link_guard_to_home(b: &mut SimBuilder, cfg: &SystemConfig, xg: NodeId, homes:
     if cfg.host_faults.is_none() {
         return;
     }
-    let link = Link::unordered(cfg.host_link.0, cfg.host_link.1).with_faults(cfg.host_faults);
+    let link = Link::unordered(HOST_LINK.0, HOST_LINK.1).with_faults(cfg.host_faults);
     for &home in homes {
         b.link_bidi(xg, home, link);
     }

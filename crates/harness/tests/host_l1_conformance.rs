@@ -93,7 +93,6 @@ impl World {
                             sets,
                             ways,
                             mshr_entries,
-                            ..MesiL1Config::default()
                         };
                         Box::new(MesiL1::new(name, home, cfg))
                     }

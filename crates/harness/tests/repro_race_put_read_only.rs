@@ -30,11 +30,8 @@ fn repro_race_put_read_only() {
     let opts = CampaignOpts {
         cpu_ops: 300,
         pool_blocks: 16,
-        shrink_caches: true,
         num_accels: 1,
         faults: FaultSpec {
-            drop_pct: 0,
-            dup_pct: 0,
             delay_spike_pct: 25,
             reorder_pct: 10,
             spike_cycles: 800,

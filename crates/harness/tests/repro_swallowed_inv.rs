@@ -28,10 +28,7 @@ fn repro_swallowed_inv() {
     let opts = CampaignOpts {
         cpu_ops: 150,
         pool_blocks: 16,
-        shrink_caches: true,
         faults: FaultSpec {
-            drop_pct: 0,
-            dup_pct: 0,
             delay_spike_pct: 25,
             reorder_pct: 10,
             spike_cycles: 800,

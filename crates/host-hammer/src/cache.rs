@@ -58,10 +58,6 @@ pub struct HammerConfig {
     pub ways: usize,
     /// Maximum simultaneous transactions.
     pub mshr_entries: usize,
-    /// Replacement policy.
-    pub replacement: Replacement,
-    /// Seed for random replacement.
-    pub seed: u64,
     /// Baseline ack-counting behavior: receiving more than one data
     /// response for a transaction is a protocol violation. Turn **off** for
     /// the Transactional-Crossing-Guard host modification that counts
@@ -78,8 +74,6 @@ impl Default for HammerConfig {
             sets: 64,
             ways: 8,
             mshr_entries: 16,
-            replacement: Replacement::Lru,
-            seed: 0,
             strict_data: false,
             sink_nacks: true,
         }
@@ -225,7 +219,7 @@ impl L1Protocol for Hammer {
     const REPL: CEvent = CEvent::Repl;
 
     fn build(cfg: HammerConfig) -> (SetAssocCache<Line>, usize, Self) {
-        let cache = SetAssocCache::new(cfg.sets, cfg.ways, cfg.replacement, cfg.seed);
+        let cache = SetAssocCache::new(cfg.sets, cfg.ways, Replacement::Lru, 0);
         let proto = Hammer {
             strict_data: cfg.strict_data,
             sink_nacks: cfg.sink_nacks,

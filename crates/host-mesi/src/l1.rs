@@ -51,10 +51,6 @@ pub struct MesiL1Config {
     pub ways: usize,
     /// Maximum simultaneous transactions.
     pub mshr_entries: usize,
-    /// Replacement policy.
-    pub replacement: Replacement,
-    /// Seed for random replacement.
-    pub seed: u64,
 }
 
 impl Default for MesiL1Config {
@@ -63,8 +59,6 @@ impl Default for MesiL1Config {
             sets: 64,
             ways: 8,
             mshr_entries: 16,
-            replacement: Replacement::Lru,
-            seed: 0,
         }
     }
 }
@@ -225,7 +219,7 @@ impl L1Protocol for Mesi {
     const REPL: CEvent = CEvent::Repl;
 
     fn build(cfg: MesiL1Config) -> (SetAssocCache<Line>, usize, Self) {
-        let cache = SetAssocCache::new(cfg.sets, cfg.ways, cfg.replacement, cfg.seed);
+        let cache = SetAssocCache::new(cfg.sets, cfg.ways, Replacement::Lru, 0);
         (cache, cfg.mshr_entries, Mesi::default())
     }
 

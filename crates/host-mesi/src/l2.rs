@@ -227,10 +227,6 @@ pub struct MesiL2Config {
     pub ways: usize,
     /// Cycles for a memory fetch.
     pub mem_latency: u64,
-    /// Replacement policy for L2 victims.
-    pub replacement: Replacement,
-    /// Seed for random replacement.
-    pub seed: u64,
     /// §3.2.2 host modification: treat data and acks as interchangeable
     /// responses to a forward, acking the requestor on the sender's behalf.
     pub ack_data_interchange: bool,
@@ -242,8 +238,6 @@ impl Default for MesiL2Config {
             sets: 256,
             ways: 8,
             mem_latency: 80,
-            replacement: Replacement::Lru,
-            seed: 0,
             ack_data_interchange: true,
         }
     }
@@ -425,7 +419,7 @@ impl MesiL2 {
     pub fn new(name: impl Into<String>, cfg: MesiL2Config) -> Self {
         MesiL2 {
             name: name.into(),
-            array: SetAssocCache::new(cfg.sets, cfg.ways, cfg.replacement, cfg.seed),
+            array: SetAssocCache::new(cfg.sets, cfg.ways, Replacement::Lru, 0),
             blocks: IdMap::default(),
             memory: IdMap::default(),
             cfg,

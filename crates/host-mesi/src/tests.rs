@@ -336,7 +336,6 @@ fn mshr_pressure_stalls_but_completes() {
         sets: 2,
         ways: 1,
         mshr_entries: 1,
-        ..MesiL1Config::default()
     };
     let mut sys = System::new(2, l1cfg, MesiL2Config::default(), 11);
     // Both cores read 0x1000, so core 0 holds it in S: its store is an

@@ -3,12 +3,10 @@
 /// Deterministic fault-injection plan for an **unordered** link.
 ///
 /// Percentages are per-message probabilities (drawn from the simulation RNG,
-/// so runs stay bit-reproducible for a fixed seed). The four fault kinds
-/// model distinct host-network pathologies:
+/// so runs stay bit-reproducible for a fixed seed). Every fault is a
+/// latency fault: a faulted link is still reliable, delivering each message
+/// exactly once. The two kinds model distinct host-network pathologies:
 ///
-/// * **drop** — the message silently disappears.
-/// * **duplicate** — the message is delivered twice, at independently drawn
-///   latencies.
 /// * **delay spike** — the message is delivered `spike_cycles` later than
 ///   its drawn latency (a congested switch, a retried NoC hop). This is what
 ///   drives the guard's invalidation-timeout machinery (paper guarantee 2c).
@@ -25,10 +23,6 @@
 /// exactly what the fault injector must not break.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct FaultSpec {
-    /// Percent of messages dropped (0-100).
-    pub drop_pct: u8,
-    /// Percent of messages delivered twice (0-100).
-    pub dup_pct: u8,
     /// Percent of messages delayed by an extra `spike_cycles` (0-100).
     pub delay_spike_pct: u8,
     /// Percent of messages that open a reorder burst (0-100).
@@ -42,23 +36,18 @@ pub struct FaultSpec {
 impl FaultSpec {
     /// The no-fault spec (also `Default`).
     pub const NONE: FaultSpec = FaultSpec {
-        drop_pct: 0,
-        dup_pct: 0,
         delay_spike_pct: 0,
         reorder_pct: 0,
         spike_cycles: 0,
         burst_len: 0,
     };
 
-    /// A latency-only plan (delay spikes + reorder bursts, no loss or
-    /// duplication). This is the plan a *reliable but congested* host
-    /// network exhibits, and the default adversary used by the fuzz
-    /// campaign: it never violates the host protocol's delivery
-    /// assumptions, only its timing assumptions.
+    /// A plan of delay spikes and reorder bursts. This is the plan a
+    /// *reliable but congested* host network exhibits, and the default
+    /// adversary used by the fuzz campaign: it never violates the host
+    /// protocol's delivery assumptions, only its timing assumptions.
     pub fn delay_only(spike_pct: u8, reorder_pct: u8, spike_cycles: u64, burst_len: u8) -> Self {
         FaultSpec {
-            drop_pct: 0,
-            dup_pct: 0,
             delay_spike_pct: spike_pct,
             reorder_pct,
             spike_cycles,
@@ -68,19 +57,13 @@ impl FaultSpec {
 
     /// Whether this spec injects no faults at all.
     pub fn is_none(&self) -> bool {
-        self.drop_pct == 0
-            && self.dup_pct == 0
-            && self.delay_spike_pct == 0
-            && self.reorder_pct == 0
+        self.delay_spike_pct == 0 && self.reorder_pct == 0
     }
 
     /// Sum of all trigger percentages (must stay ≤ 100 so a single uniform
     /// draw can classify each message).
     pub fn total_pct(&self) -> u32 {
-        self.drop_pct as u32
-            + self.dup_pct as u32
-            + self.delay_spike_pct as u32
-            + self.reorder_pct as u32
+        self.delay_spike_pct as u32 + self.reorder_pct as u32
     }
 }
 
@@ -216,8 +199,6 @@ mod tests {
     #[test]
     fn faults_attach_to_unordered() {
         let spec = FaultSpec {
-            drop_pct: 1,
-            dup_pct: 2,
             delay_spike_pct: 3,
             reorder_pct: 4,
             spike_cycles: 100,
@@ -225,7 +206,7 @@ mod tests {
         };
         let l = Link::unordered(1, 10).with_faults(spec);
         assert_eq!(l.faults(), spec);
-        assert_eq!(spec.total_pct(), 10);
+        assert_eq!(spec.total_pct(), 7);
         assert!(!spec.is_none());
         assert!(FaultSpec::NONE.is_none());
         assert!(FaultSpec::default().is_none());
@@ -247,8 +228,8 @@ mod tests {
     #[should_panic(expected = "sum past 100")]
     fn overcommitted_percentages_rejected() {
         let _ = Link::unordered(1, 4).with_faults(FaultSpec {
-            drop_pct: 60,
-            dup_pct: 60,
+            delay_spike_pct: 60,
+            reorder_pct: 60,
             ..FaultSpec::NONE
         });
     }

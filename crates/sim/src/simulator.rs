@@ -21,10 +21,6 @@ use crate::trace::{TraceConfig, Tracer};
 /// Tally of link faults injected during a run (see [`crate::FaultSpec`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LinkFaultCounts {
-    /// Messages silently discarded.
-    pub dropped: u64,
-    /// Messages delivered twice.
-    pub duplicated: u64,
     /// Messages delayed by a spike.
     pub delay_spikes: u64,
     /// Reorder bursts opened (the held victim message).
@@ -36,7 +32,7 @@ pub struct LinkFaultCounts {
 impl LinkFaultCounts {
     /// Total faults of any kind.
     pub fn total(&self) -> u64 {
-        self.dropped + self.duplicated + self.delay_spikes + self.reorder_bursts
+        self.delay_spikes + self.reorder_bursts
     }
 }
 
@@ -412,9 +408,8 @@ impl PairState {
         time
     }
 
-    /// Classifies a message against the link's fault plan: one uniform roll
-    /// (none while a reorder burst is open) after the latency draw, and a
-    /// second latency draw for a duplicate.
+    /// Delivery time of a message under the link's fault plan: one uniform
+    /// roll (none while a reorder burst is open) after the latency draw.
     #[inline(never)]
     fn route_faulty(
         &mut self,
@@ -422,28 +417,19 @@ impl PairState {
         faults: &mut LinkFaultCounts,
         now: Cycle,
         extra: u64,
-    ) -> Route {
+    ) -> Cycle {
         let link = self.link;
         let spec = link.faults();
         let mut latency = self.draw_latency(rng);
-        let mut duplicate = false;
         if self.burst > 0 {
             self.burst -= 1;
             latency = link.min_latency();
             faults.burst_overtakes += 1;
         } else {
             let roll = rng.gen_range(0u32..100);
-            let drop_at = spec.drop_pct as u32;
-            let dup_at = drop_at + spec.dup_pct as u32;
-            let spike_at = dup_at + spec.delay_spike_pct as u32;
+            let spike_at = spec.delay_spike_pct as u32;
             let reorder_at = spike_at + spec.reorder_pct as u32;
-            if roll < drop_at {
-                faults.dropped += 1;
-                return Route::Drop;
-            } else if roll < dup_at {
-                duplicate = true;
-                faults.duplicated += 1;
-            } else if roll < spike_at {
+            if roll < spike_at {
                 latency += spec.spike_cycles;
                 faults.delay_spikes += 1;
             } else if roll < reorder_at {
@@ -452,13 +438,7 @@ impl PairState {
                 faults.reorder_bursts += 1;
             }
         }
-        let time = self.arrival(now, latency, extra);
-        if duplicate {
-            let lat2 = self.draw_latency(rng);
-            Route::Two(time, now + lat2.max(1) + extra)
-        } else {
-            Route::One(time)
-        }
+        self.arrival(now, latency, extra)
     }
 }
 
@@ -535,7 +515,7 @@ impl LinkTable {
         }
     }
 
-    /// Delivery time(s) of a message `from` sends `to` at `now`, drawing
+    /// Delivery time of a message `from` sends `to` at `now`, drawing
     /// from `rng` — the sender's stream. A link without a
     /// [`crate::FaultSpec`] draws only its latency (nothing at all when its
     /// range is a point), so fault-free simulations consume exactly the
@@ -549,28 +529,20 @@ impl LinkTable {
         from: NodeId,
         to: NodeId,
         extra: u64,
-    ) -> Route {
+    ) -> Cycle {
         let default = self.default;
         let Some(state) = self.pair_mut(from, to) else {
             // A fabricated endpoint: route statelessly over the default
             // link (delivery will panic, as NodeId documents).
             let latency = default.draw_latency(rng);
-            return Route::One(now + latency.max(1) + extra);
+            return now + latency.max(1) + extra;
         };
         if state.faulty {
             return state.route_faulty(rng, faults, now, extra);
         }
         let latency = state.draw_latency(rng);
-        Route::One(state.arrival(now, latency, extra))
+        state.arrival(now, latency, extra)
     }
-}
-
-/// Where a routed message ends up: dropped, delivered once, or delivered
-/// twice (duplication faults draw an independent second latency).
-enum Route {
-    Drop,
-    One(Cycle),
-    Two(Cycle, Cycle),
 }
 
 /// Source of simulation randomness: one stream per registered component,
@@ -767,22 +739,11 @@ impl<M: Clone + 'static> Simulator<M> {
     /// it to `to` at the current time (link latency applies).
     pub fn post(&mut self, from: NodeId, to: NodeId, msg: M) {
         let rng = self.rng.stream(from.index());
-        match self
+        let time = self
             .links
-            .route(rng, &mut self.faults, self.now, from, to, 0)
-        {
-            Route::Drop => {}
-            Route::One(time) => {
-                let msg = self.msgs.insert(msg);
-                self.deliver(time, to, from, msg);
-            }
-            Route::Two(t1, t2) => {
-                let copy = self.msgs.insert(msg.clone());
-                let msg = self.msgs.insert(msg);
-                self.deliver(t1, to, from, copy);
-                self.deliver(t2, to, from, msg);
-            }
-        }
+            .route(rng, &mut self.faults, self.now, from, to, 0);
+        let msg = self.msgs.insert(msg);
+        self.deliver(time, to, from, msg);
     }
 
     /// Schedules a wake-up for `target` at `delay` cycles from now.
@@ -971,28 +932,10 @@ impl<M: Clone + 'static> Simulator<M> {
                     to,
                     msg,
                     extra_delay,
-                } => match links.route(rng, faults, time, sender, to, extra_delay) {
-                    Route::Drop => {
-                        // Dropped by fault injection: reclaim the parked
-                        // payload's slot.
-                        drop(msgs.take(msg));
-                    }
-                    Route::One(at) => push(at, to, EventKind::Deliver { from: sender, msg }),
-                    Route::Two(t1, t2) => {
-                        // Duplicate delivery: the second copy gets its own
-                        // slab slot.
-                        let copy = msgs.insert(msgs.get(msg).clone());
-                        push(
-                            t1,
-                            to,
-                            EventKind::Deliver {
-                                from: sender,
-                                msg: copy,
-                            },
-                        );
-                        push(t2, to, EventKind::Deliver { from: sender, msg });
-                    }
-                },
+                } => {
+                    let at = links.route(rng, faults, time, sender, to, extra_delay);
+                    push(at, to, EventKind::Deliver { from: sender, msg });
+                }
                 Effect::Wake { delay, token } => {
                     push(time + delay.max(1), sender, EventKind::Wake { token });
                 }
@@ -1084,8 +1027,6 @@ impl<M: Clone + 'static> Simulator<M> {
             comp.report(&mut out);
         }
         if self.faults.total() + self.faults.burst_overtakes > 0 {
-            out.add("sim.link_faults.dropped", self.faults.dropped);
-            out.add("sim.link_faults.duplicated", self.faults.duplicated);
             out.add("sim.link_faults.delay_spikes", self.faults.delay_spikes);
             out.add("sim.link_faults.reorder_bursts", self.faults.reorder_bursts);
             out.add(
@@ -1668,27 +1609,21 @@ mod tests {
         )
     }
 
+    /// A faulted link is still reliable: under the campaign's plan, every
+    /// payload sent is delivered exactly once, whatever the seed.
     #[test]
-    fn drop_faults_lose_messages_and_are_counted() {
-        let spec = FaultSpec {
-            drop_pct: 30,
-            ..FaultSpec::NONE
-        };
-        let (payloads, counts, report) = faulty_sim(spec, 200, 5);
-        assert_eq!(payloads.len() as u64 + counts.dropped, 200);
-        assert!(counts.dropped > 0, "30% drop over 200 messages never fired");
-        assert_eq!(report.get("sim.link_faults.dropped"), counts.dropped);
-    }
-
-    #[test]
-    fn duplicate_faults_deliver_twice() {
-        let spec = FaultSpec {
-            dup_pct: 30,
-            ..FaultSpec::NONE
-        };
-        let (payloads, counts, _) = faulty_sim(spec, 200, 5);
-        assert_eq!(payloads.len() as u64, 200 + counts.duplicated);
-        assert!(counts.duplicated > 0);
+    fn faulted_links_deliver_every_message_exactly_once() {
+        for seed in 1..=20 {
+            let (mut payloads, counts, report) =
+                faulty_sim(FaultSpec::delay_only(25, 10, 800, 3), 200, seed);
+            payloads.sort_unstable();
+            assert_eq!(payloads, (0..200).collect::<Vec<u64>>(), "seed {seed}");
+            assert!(counts.total() > 0, "seed {seed}: no fault fired");
+            assert_eq!(
+                report.get("sim.link_faults.delay_spikes"),
+                counts.delay_spikes
+            );
+        }
     }
 
     #[test]
@@ -1734,10 +1669,8 @@ mod tests {
     #[test]
     fn fault_injection_is_deterministic() {
         let spec = FaultSpec {
-            drop_pct: 10,
-            dup_pct: 10,
-            delay_spike_pct: 10,
-            reorder_pct: 10,
+            delay_spike_pct: 20,
+            reorder_pct: 20,
             spike_cycles: 777,
             burst_len: 3,
         };
@@ -1745,6 +1678,7 @@ mod tests {
         let b = faulty_sim(spec, 150, 42);
         assert_eq!(a.0, b.0);
         assert_eq!(a.1, b.1);
+        assert!(a.1.delay_spikes > 0 && a.1.reorder_bursts > 0, "{:?}", a.1);
     }
 
     #[test]
@@ -1871,7 +1805,7 @@ mod tests {
             sim.post(rec, src, 0);
             assert!(sim.run_to_quiescence(100_000).quiescent);
             assert_eq!(sim.link_fault_counts(), LinkFaultCounts::default());
-            assert_eq!(sim.report().get("sim.link_faults.dropped"), 0);
+            assert_eq!(sim.report().get("sim.link_faults.delay_spikes"), 0);
             sim.get::<Recorder>(rec).unwrap().seen.clone()
         };
         assert_eq!(
@@ -2395,21 +2329,20 @@ mod tests {
         assert_each_dropped_once(&tally);
         let clean = tally.lock().unwrap().len();
 
-        // Dropped and duplicated (one clone each) by a fault plan, from
-        // inside a run and from `post`.
+        // Held back by delay spikes and reorder bursts, from inside a run
+        // and from `post`.
         let tally = Tally::default();
-        let faults = FaultSpec {
-            drop_pct: 20,
-            dup_pct: 30,
-            ..FaultSpec::NONE
-        };
+        let faults = FaultSpec::delay_only(20, 30, 50, 2);
         let (mut sim, a, c) = relay_sim(Link::unordered(1, 9).with_faults(faults));
         for _ in 0..8 {
             sim.post(a, c, Counted::new(30, &tally));
         }
         assert!(sim.run_to_quiescence(100_000).quiescent);
         let counts = sim.link_fault_counts();
-        assert!(counts.dropped > 0 && counts.duplicated > 0, "{counts:?}");
+        assert!(
+            counts.delay_spikes > 0 && counts.reorder_bursts > 0,
+            "{counts:?}"
+        );
         assert!(
             sim.msgs.is_empty(),
             "{} payloads still parked",

@@ -93,8 +93,8 @@ impl<T> Slab<T> {
         slot.take().expect("occupied, checked above")
     }
 
-    /// Reads the value at `id` without freeing it (used to clone a payload
-    /// for duplicate delivery).
+    /// Reads the value at `id` without freeing it (a checkpoint clones the
+    /// payloads in flight; `run_until` shows one to its predicate).
     ///
     /// # Panics
     /// Panics if `id` is vacant or out of range.
