@@ -18,22 +18,27 @@
 //! leave less room under scheduler noise.)
 //! Minimum-of-N wall times over interleaved sampling rounds are compared
 //! (the minimum is the estimator least sensitive to scheduler noise), with
-//! a small absolute slack so sub-millisecond timer jitter cannot trip the
-//! gate on very fast runs.
+//! a small absolute slack for timer jitter. The slack must stay at most 2%
+//! of the disabled run, or it would stand in for part of the limit: the
+//! gate fails when a run is too short for that (raise `OPS`).
 
 use std::hint::black_box;
 use std::time::Instant;
 
 use xg_harness::{run_stress_with, Instrumentation, StressOpts, SystemConfig};
 
-/// Ops per timed run: long enough that per-event overhead dominates setup.
-const OPS: u64 = 2000;
+/// Ops per timed run: long enough that per-event overhead dominates setup
+/// and the slack is a small share of the run (about 40 ms disabled on a
+/// 2-core x86-64 container).
+const OPS: u64 = 50_000;
 /// Timed samples per variant.
-const GATE_SAMPLES: usize = 15;
+const GATE_SAMPLES: usize = 21;
 /// Enabled-profiling limit over disabled instrumentation.
 const PROFILED_LIMIT: f64 = 1.25;
-/// Absolute slack absorbing timer jitter, in seconds (0.5 ms).
-const GATE_SLACK: f64 = 0.0005;
+/// Absolute slack absorbing timer jitter, in seconds (0.2 ms).
+const GATE_SLACK: f64 = 0.0002;
+/// Largest share of the disabled run the slack may be.
+const SLACK_SHARE: f64 = 0.02;
 
 fn main() {
     let cfg = SystemConfig::matrix(1)[2].clone(); // hammer/xg_full_l1
@@ -63,10 +68,17 @@ fn main() {
     }
     let [disabled, profiled] = mins;
     println!(
-        "gate: disabled {:.3} ms, profiled {:.3} ms ({:+.2}% over disabled)",
+        "gate: disabled {:.3} ms, profiled {:.3} ms ({:+.2}% over disabled, slack {:.2}%)",
         disabled * 1e3,
         profiled * 1e3,
         (profiled / disabled - 1.0) * 100.0,
+        GATE_SLACK / disabled * 100.0,
+    );
+    assert!(
+        GATE_SLACK <= disabled * SLACK_SHARE,
+        "run too short to gate: the {:.1} ms slack is over 2% of {:.3} ms (raise OPS)",
+        GATE_SLACK * 1e3,
+        disabled * 1e3,
     );
     assert!(
         profiled <= disabled * PROFILED_LIMIT + GATE_SLACK,

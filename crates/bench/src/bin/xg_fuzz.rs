@@ -11,10 +11,11 @@
 //! (transition-coverage feedback, structural schedule mutation, link fault
 //! injection) on the guarded configurations — all four by default, or one
 //! selected with `--host hammer|mesi` and `--variant full|tx`. With
-//! `--accels N` (N ≥ 2) every run adds N−1 *correct* guarded sibling
+//! `--accels N` (2 ≤ N ≤ 64) every run adds N−1 *correct* guarded sibling
 //! hierarchies sharing the host, so the campaign simultaneously checks
 //! blast-radius containment: sibling corruption or starvation fails a run
-//! exactly like host corruption does. Every
+//! exactly like host corruption does. A count outside `1..=64` exits 2
+//! before anything runs. Every
 //! failure is automatically ddmin-minimized and emitted as a
 //! self-contained `#[test]` plus a JSON artifact; with `--corpus DIR` the
 //! interesting schedules, coverage summary, and repro artifacts are
@@ -43,6 +44,11 @@ use xg_harness::campaign::{
     CampaignOpts, CampaignOutcome, FailureKind,
 };
 use xg_harness::{run_campaign, AccelOrg, HostProtocol, Instrumentation, Schedule, SystemConfig};
+
+/// Most accelerator hierarchies `--accels` builds. The system's link table
+/// has one entry per pair of components, so memory grows with the square of
+/// the count; the experiments and CI use at most 2.
+const MAX_ACCELS: usize = 64;
 
 fn parse_seed(raw: &str) -> u64 {
     let parsed = match raw.strip_prefix("0x").or_else(|| raw.strip_prefix("0X")) {
@@ -184,12 +190,12 @@ fn campaign_mode(args: &[String]) -> i32 {
     let corpus_dir = arg_value(args, "--corpus").map(PathBuf::from);
     let num_accels = arg_value(args, "--accels").map_or(1, |raw| {
         raw.parse().unwrap_or_else(|_| {
-            eprintln!("unparseable --accels {raw} (want a count >= 1)");
+            eprintln!("unparseable --accels {raw} (want a count in 1..={MAX_ACCELS})");
             std::process::exit(2);
         })
     });
-    if num_accels == 0 {
-        eprintln!("--accels must be >= 1");
+    if !(1..=MAX_ACCELS).contains(&num_accels) {
+        eprintln!("--accels {num_accels} is out of range (want 1..={MAX_ACCELS})");
         return 2;
     }
     let configs = selected_configs(

@@ -10,7 +10,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write;
 
 use xg_harness::{run_stress_with, sweep, Instrumentation, StressOpts, SystemConfig};
-use xg_sim::{Report, TimelineConfig};
+use xg_sim::Report;
 
 use crate::table::{percent, Table};
 use crate::{stress_findings, Scale};
@@ -52,7 +52,7 @@ pub fn capture_timeline(scale: Scale, seed: u64) -> String {
         ..SystemConfig::default()
     };
     let instr = Instrumentation {
-        timeline: Some(TimelineConfig::default()),
+        timeline: true,
         ..Instrumentation::off()
     };
     let out = run_stress_with(

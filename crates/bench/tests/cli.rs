@@ -129,3 +129,51 @@ fn an_unknown_argument_is_refused_by_name() {
     }
     assert!(!sweep_out.exists(), "xg-sweep-bench wrote {sweep_out_path}");
 }
+
+/// `--accels` is bounded on both sides: the link table has a slot per pair
+/// of components, so a huge count would abort on allocation instead.
+#[test]
+fn an_accelerator_count_out_of_range_is_refused_by_name() {
+    let (_, exe, args) = BINARIES[1];
+    for count in ["0", "65", "99999"] {
+        let said = refusal("xg-fuzz", &run(exe, args, &["--accels", count], &[]));
+        assert!(
+            said.contains("--accels") && said.contains(count),
+            "{count}: {said}"
+        );
+    }
+}
+
+/// `XG_TRACE=1` streams a trace of any run, including the campaign's,
+/// whose runs ask for no tracing of their own. The first trace line is
+/// enough; the child is stopped there.
+#[test]
+fn xg_trace_streams_a_campaign_trace() {
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+
+    let (_, exe, args) = BINARIES[1];
+    let mut child = Command::new(exe)
+        .args(args)
+        .args(["--jobs", "1"])
+        .env_remove("XG_JOBS")
+        .env("XG_TRACE", "1")
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let stderr = BufReader::new(child.stderr.take().expect("stderr is piped"));
+    // `[cycle] component addr [state] event detail`
+    let is_trace = |line: &str| {
+        line.strip_prefix('[')
+            .and_then(|rest| rest.split_once("] "))
+            .is_some_and(|(cycle, rest)| cycle.parse::<u64>().is_ok() && rest.contains(" 0x"))
+    };
+    let found = stderr
+        .lines()
+        .map_while(Result::ok)
+        .find(|line| is_trace(line));
+    let _ = child.kill();
+    let _ = child.wait();
+    assert!(found.is_some(), "no trace line on stderr");
+}

@@ -860,6 +860,23 @@ mod tests {
         assert_eq!(one.accel_slots().len(), 1);
     }
 
+    /// A delay no parsed schedule may carry: the kernel holds the step
+    /// back to the end of time instead of wrapping it into the past.
+    #[test]
+    fn a_step_delayed_past_the_run_never_fires() {
+        let base = SystemConfig {
+            accel: AccelOrg::FuzzXg {
+                variant: XgVariant::FullState,
+            },
+            ..SystemConfig::default()
+        };
+        let mut schedule =
+            Schedule::from_text("xg-schedule v1\ns 1 2 0 1 0\ns 1 3 0 1 0\ns 1 4 0 1 0\n").unwrap();
+        schedule.steps[1].delay = u64::MAX;
+        let out = run_schedule(&base, &CampaignOpts::default(), &schedule, 0);
+        assert_eq!(out.injected, 1, "only the step before the delay fires");
+    }
+
     #[test]
     fn repro_sources_embed_the_schedule() {
         let base = SystemConfig {

@@ -27,6 +27,7 @@ use xg_proto::{
 use xg_sim::{Component, NodeId, Report};
 
 use crate::config::HostProtocol;
+use crate::runner::MAX_CYCLES;
 
 /// Number of distinct interface-kind codes a fuzz step can carry (the eight
 /// accelerator-legal kinds plus the five guard-only kinds): the codes
@@ -127,15 +128,18 @@ impl Schedule {
         out
     }
 
-    /// Parses the [`to_text`](Schedule::to_text) form.
+    /// Parses the [`to_text`](Schedule::to_text) form. A step delay longer
+    /// than a whole run ([`MAX_CYCLES`]) is refused with its line number.
     pub fn from_text(input: &str) -> Result<Schedule, String> {
-        let mut lines = input.lines().filter(|l| !l.trim().is_empty());
-        let header = lines.next().ok_or("empty schedule")?;
+        let mut lines = (1..)
+            .zip(input.lines())
+            .filter(|(_, l)| !l.trim().is_empty());
+        let (_, header) = lines.next().ok_or("empty schedule")?;
         if header.trim() != "xg-schedule v1" {
             return Err(format!("unknown schedule header: {header:?}"));
         }
         let mut sched = Schedule::default();
-        for line in lines {
+        for (number, line) in lines {
             let mut f = line.split_whitespace();
             let tag = f.next().ok_or("blank record")?;
             let mut num = |what: &str| -> Result<u64, String> {
@@ -145,13 +149,21 @@ impl Schedule {
                     .map_err(|e| format!("{what}: {e} in {line:?}"))
             };
             match tag {
-                "s" => sched.steps.push(FuzzStep {
-                    delay: num("delay")?,
-                    block: num("block")?,
-                    kind: num("kind")? as u8 % FUZZ_KIND_CODES,
-                    payload_blocks: (num("payload")? as u8).clamp(1, 3),
-                    fill: num("fill")? as u8,
-                }),
+                "s" => {
+                    let delay = num("delay")?;
+                    if delay > MAX_CYCLES {
+                        return Err(format!(
+                            "line {number}: delay {delay} exceeds the {MAX_CYCLES}-cycle run in {line:?}"
+                        ));
+                    }
+                    sched.steps.push(FuzzStep {
+                        delay,
+                        block: num("block")?,
+                        kind: num("kind")? as u8 % FUZZ_KIND_CODES,
+                        payload_blocks: (num("payload")? as u8).clamp(1, 3),
+                        fill: num("fill")? as u8,
+                    })
+                }
                 "r" => sched.responses.push(InvPolicy {
                     respond: num("respond")? != 0,
                     kind: num("kind")? as u8 % INV_RESPONSE_CODES,
@@ -538,6 +550,18 @@ mod tests {
         assert!(Schedule::from_text("xg-schedule v1\nq 1 2 3\n").is_err());
         assert!(Schedule::from_text("xg-schedule v1\ns 1 2\n").is_err());
         assert!(Schedule::from_text("xg-schedule v1\ns a b c d e\n").is_err());
+        let why =
+            Schedule::from_text("xg-schedule v1\ns 1 2 0 1 0\n\ns 18446744073709551615 1 0 1 0\n")
+                .unwrap_err();
+        assert!(
+            why.starts_with("line 4: delay 18446744073709551615"),
+            "{why}"
+        );
+        let cap = format!("xg-schedule v1\ns {MAX_CYCLES} 1 0 1 0\n");
+        assert_eq!(
+            Schedule::from_text(&cap).unwrap().steps[0].delay,
+            MAX_CYCLES
+        );
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! *detected*, never hung on), and returns a structured outcome.
 
 use xg_core::{Os, OsPolicy};
-use xg_sim::{ProfileConfig, Report, RunOutcome, TimelineConfig, TraceConfig};
+use xg_sim::{ProfileConfig, Report, RunOutcome, TraceConfig};
 
 use crate::config::{AccelOrg, SystemConfig};
 use crate::fuzz::FuzzOpts;
@@ -26,7 +26,7 @@ pub struct Instrumentation {
     /// `profile` section).
     pub profile: ProfileConfig,
     /// Transaction timeline recording (Chrome trace-event JSON).
-    pub timeline: Option<TimelineConfig>,
+    pub timeline: bool,
 }
 
 impl Instrumentation {
@@ -48,7 +48,7 @@ impl Instrumentation {
     pub fn replay() -> Self {
         Instrumentation {
             trace: TraceConfig::ring(),
-            timeline: Some(TimelineConfig::default()),
+            timeline: true,
             ..Instrumentation::default()
         }
     }
@@ -185,8 +185,9 @@ fn fill_guard_counters(report: &mut Report, system: &BuiltSystem, shared: &Share
     }
 }
 
-/// Longest any stress or fuzz run may simulate.
-const MAX_CYCLES: u64 = 50_000_000;
+/// Longest any stress or fuzz run may simulate; also the longest step
+/// delay a parsed schedule may carry.
+pub const MAX_CYCLES: u64 = 50_000_000;
 
 /// Watchdog bounds: cycles without progress (a completed tester operation,
 /// or an injection) before a stress or a fuzz run is stopped.
@@ -251,10 +252,14 @@ fn drive(
         let tester = load.tester.clone();
         Box::new(TesterCore::new(name, cache, index, shared.clone(), tester))
     });
-    system.sim.tracer_mut().set_config(instr.trace);
+    // `SimBuilder::new` read `XG_TRACE`; a caller asking for less keeps it.
+    let tracer = system.sim.tracer_mut();
+    if instr.trace.level > tracer.config().level {
+        tracer.set_config(instr.trace);
+    }
     system.sim.set_profile_config(instr.profile);
-    if let Some(tl) = instr.timeline {
-        system.sim.enable_timeline(tl);
+    if instr.timeline {
+        system.sim.enable_timeline();
     }
     system.start_cores();
     let end = system.sim.run_with_watchdog(MAX_CYCLES, stall_bound);

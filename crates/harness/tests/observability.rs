@@ -11,7 +11,7 @@ use xg_core::XgVariant;
 use xg_harness::{
     run_stress, run_stress_with, AccelOrg, HostProtocol, Instrumentation, StressOpts, SystemConfig,
 };
-use xg_sim::{JsonValue, ProfileConfig, TimelineConfig};
+use xg_sim::{JsonValue, ProfileConfig};
 
 /// Same sizing and seed as the golden fixtures in
 /// `tests/golden_single_accel.rs`, so profiled runs can be compared
@@ -44,7 +44,7 @@ fn profiled_reports_strip_back_to_the_golden_bytes() {
     for cfg in SystemConfig::matrix(GOLDEN_SEED) {
         let instr = Instrumentation {
             profile: ProfileConfig::on(),
-            timeline: Some(TimelineConfig::default()),
+            timeline: true,
             ..Instrumentation::off()
         };
         let out = run_stress_with(&cfg, &opts(), &instr);
@@ -152,7 +152,7 @@ fn emitted_timeline_conforms_to_the_chrome_trace_event_schema() {
         ..SystemConfig::default()
     };
     let instr = Instrumentation {
-        timeline: Some(TimelineConfig::default()),
+        timeline: true,
         ..Instrumentation::off()
     };
     let out = run_stress_with(&cfg, &opts(), &instr);

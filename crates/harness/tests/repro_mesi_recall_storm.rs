@@ -36,7 +36,7 @@ const STALL_BOUND: u64 = 200_000;
 
 /// The first cycle after the last epoch of the profile's time series in
 /// which some source of stimulus made progress.
-fn last_progress_epoch_end(report: &xg_sim::Report, epoch_cycles: u64) -> u64 {
+fn last_progress_epoch_end(report: &xg_sim::Report) -> u64 {
     let last = report
         .profile_entries()
         .filter_map(|(k, v)| {
@@ -45,7 +45,7 @@ fn last_progress_epoch_end(report: &xg_sim::Report, epoch_cycles: u64) -> u64 {
         })
         .max()
         .expect("the CPU testers made progress");
-    (last + 1) * epoch_cycles
+    (last + 1) * xg_sim::EPOCH_CYCLES
 }
 
 #[test]
@@ -59,8 +59,13 @@ fn mesi_recall_storm_ends_when_the_host_work_is_done() {
         strict_host: false,
         ..SystemConfig::default()
     };
-    let instr = Instrumentation::profiled();
-    let out = run_schedule_with(&base, &CampaignOpts::default(), &schedule, 0, &instr);
+    let out = run_schedule_with(
+        &base,
+        &CampaignOpts::default(),
+        &schedule,
+        0,
+        &Instrumentation::profiled(),
+    );
     assert_eq!(out.injected, 3);
     assert_eq!(out.host_violations, 0, "host protocol violations");
     assert_eq!(out.cpu_data_errors, 0, "cpu data corruption");
@@ -68,7 +73,7 @@ fn mesi_recall_storm_ends_when_the_host_work_is_done() {
     assert!(out.cut_live, "expected a cut with the loop still live");
     // The injections all land in the first epoch, so the last epoch with
     // progress holds the last CPU op.
-    let last_op_by = last_progress_epoch_end(&out.report, instr.profile.epoch_cycles);
+    let last_op_by = last_progress_epoch_end(&out.report);
     assert!(
         out.cycles <= last_op_by + STALL_BOUND,
         "run went on to cycle {}, last CPU op by {last_op_by}",

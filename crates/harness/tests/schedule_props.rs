@@ -1,10 +1,12 @@
 //! Never-panics properties for [`Schedule::from_text`], which reads corpus
 //! and reproducer files somebody else wrote: any input is answered with
-//! `Ok` or `Err`, and whatever it accepts is in range for the fuzzer.
+//! `Ok` or `Err`, and whatever it accepts is in range for the fuzzer (a
+//! step delay past the run cap, `MAX_CYCLES`, is an `Err`).
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 use xg_harness::fuzz::{FuzzStep, InvPolicy, FUZZ_KIND_CODES, INV_RESPONSE_CODES};
+use xg_harness::runner::MAX_CYCLES;
 use xg_harness::Schedule;
 
 /// Parses `input`; a schedule it accepts holds only codes the fuzzer can
@@ -86,7 +88,7 @@ proptest! {
     /// than the whole file had.
     #[test]
     fn truncated_files_never_panic(
-        steps in vec((any::<u64>(), any::<u64>(), 0..FUZZ_KIND_CODES, 1u8..4, any::<u8>()), 0..6),
+        steps in vec((0..MAX_CYCLES + 1, any::<u64>(), 0..FUZZ_KIND_CODES, 1u8..4, any::<u8>()), 0..6),
         responses in vec((any::<bool>(), 0..INV_RESPONSE_CODES, 1u8..4), 0..4),
         cut in 0usize..400,
     ) {
@@ -119,7 +121,8 @@ proptest! {
     }
 
     /// One record of arbitrary numbers: a value every field can parse as
-    /// `u64` is accepted and narrowed into range, anything else is an error.
+    /// `u64` is accepted and narrowed into range, except a step delay past
+    /// the run cap; anything else is an error.
     #[test]
     fn out_of_range_numbers_are_narrowed_or_refused(
         step in any::<bool>(),
@@ -130,7 +133,8 @@ proptest! {
         let input = format!("xg-schedule v1\n{tag} {}\n", fields.join(" "));
         let wanted = if step { 5 } else { 3 };
         let parsable = fields.len() >= wanted
-            && fields[..wanted].iter().all(|f| f.parse::<u64>().is_ok());
+            && fields[..wanted].iter().all(|f| f.parse::<u64>().is_ok())
+            && (!step || fields[0].parse::<u64>().unwrap() <= MAX_CYCLES);
         prop_assert_eq!(load(&input).is_some(), parsable, "{}", input);
     }
 }

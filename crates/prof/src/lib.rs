@@ -31,51 +31,34 @@
 // Profiler
 // ---------------------------------------------------------------------------
 
-/// Profiler configuration, applied at simulator build time (or by a harness
+/// One dispatched event in this many is wall-clock timed (coarse TSC-style
+/// sampling); `host_ns.*` scales the sampled time back up by it.
+pub const HOST_TIME_SAMPLE: u32 = 64;
+/// Simulated-cycle length of one epoch of the time series: short enough
+/// that even quick CI-scale stress runs (tens of thousands of simulated
+/// cycles) produce a usable series.
+pub const EPOCH_CYCLES: u64 = 2_000;
+/// Epoch samples retained; later epochs are counted in `epoch.dropped`
+/// rather than growing memory unboundedly.
+pub const MAX_EPOCHS: usize = 256;
+
+/// Profiler switch, applied at simulator build time (or by a harness
 /// immediately after build, before any event runs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ProfileConfig {
     /// Master switch. When false the kernel pays one branch per event.
     pub enabled: bool,
-    /// Wall-clock-time every Nth dispatched event (coarse TSC-style
-    /// sampling). 0 disables host-time attribution entirely; dispatch
-    /// counters are still kept.
-    pub host_time_sample: u32,
-    /// Simulated-cycle length of one epoch for the time-series sampler.
-    /// 0 disables the epoch series.
-    pub epoch_cycles: u64,
-    /// Maximum number of epoch samples retained; later epochs are counted
-    /// in `epoch.dropped` rather than growing memory unboundedly.
-    pub max_epochs: usize,
 }
 
 impl ProfileConfig {
     /// Profiling disabled — the default for every production run.
     pub fn off() -> Self {
-        ProfileConfig {
-            enabled: false,
-            host_time_sample: 64,
-            // Short enough that even quick CI-scale stress runs (tens of
-            // thousands of simulated cycles) produce a usable series;
-            // long runs hit `max_epochs` and count the rest in
-            // `epoch.dropped`.
-            epoch_cycles: 2_000,
-            max_epochs: 256,
-        }
+        ProfileConfig { enabled: false }
     }
 
-    /// Profiling enabled with default sampling bounds.
+    /// Profiling enabled.
     pub fn on() -> Self {
-        ProfileConfig {
-            enabled: true,
-            ..Self::off()
-        }
-    }
-}
-
-impl Default for ProfileConfig {
-    fn default() -> Self {
-        Self::off()
+        ProfileConfig { enabled: true }
     }
 }
 
@@ -109,11 +92,14 @@ pub struct EpochSample {
 #[derive(Debug)]
 pub struct Profiler {
     config: ProfileConfig,
-    /// Dispatch rows, indexed by component, each `(class, slot)` and
-    /// linear-scanned. A component dispatches a handful of classes and
-    /// consecutive events tend to repeat one, so a short scan with a
-    /// transpose heuristic beats a tree or hash lookup on the hot path
-    /// (this lookup runs once per dispatched event).
+    /// Dispatch rows, indexed by component, each `(class, slot)` in
+    /// first-seen order and linear-scanned by label address. A component
+    /// dispatches a handful of classes, and a row that never moves is found
+    /// at the same depth every time, so the scan's branches predict well;
+    /// moving hot rows forward costs more than it saves (this lookup runs
+    /// once per dispatched event). A label whose text lives at two
+    /// addresses gets two rows, which [`entries`](Profiler::entries)
+    /// merges by name.
     dispatch: Vec<Vec<(&'static str, DispatchSlot)>>,
     /// Deepest the central event queue ever got.
     queue_hwm: u64,
@@ -132,7 +118,7 @@ pub struct Profiler {
     epoch_events: u64,
     /// Progress total at the start of the current epoch.
     epoch_progress_base: u64,
-    /// Epoch samples dropped past `max_epochs`.
+    /// Epoch samples dropped past [`MAX_EPOCHS`].
     epoch_dropped: u64,
 }
 
@@ -146,7 +132,7 @@ impl Profiler {
             inflight: Vec::new(),
             inflight_hwm: Vec::new(),
             events_total: 0,
-            sample_countdown: config.host_time_sample,
+            sample_countdown: HOST_TIME_SAMPLE,
             epochs: Vec::new(),
             epoch_start: 0,
             epoch_events: 0,
@@ -155,17 +141,11 @@ impl Profiler {
         }
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> ProfileConfig {
-        self.config
-    }
-
     /// Replaces the configuration. Intended for harnesses that build a
     /// system through a shared constructor and then opt a specific run into
     /// profiling, before the first event is dispatched.
     pub fn set_config(&mut self, config: ProfileConfig) {
         self.config = config;
-        self.sample_countdown = config.host_time_sample;
     }
 
     /// Whether profiling is recording (the kernel's one-branch gate).
@@ -207,12 +187,9 @@ impl Profiler {
         if depth > self.queue_hwm {
             self.queue_hwm = depth;
         }
-        if self.config.host_time_sample == 0 {
-            return false;
-        }
         self.sample_countdown -= 1;
         if self.sample_countdown == 0 {
-            self.sample_countdown = self.config.host_time_sample;
+            self.sample_countdown = HOST_TIME_SAMPLE;
             true
         } else {
             false
@@ -228,12 +205,10 @@ impl Profiler {
             self.dispatch.resize_with(component + 1, Vec::new);
         }
         let rows = &mut self.dispatch[component];
-        // Pointer equality first: class labels are interned `&'static str`s
-        // from a fixed set, so repeats of the same label share an address.
-        let found = rows
-            .iter()
-            .position(|&(c, _)| std::ptr::eq(c, class) || c == class);
-        let at = match found {
+        // Address equality only: class labels are `&'static str`s from a
+        // fixed set, so repeats of a label share an address, and comparing
+        // text on every miss would cost more than the rare second row.
+        let at = match rows.iter().position(|&(c, _)| std::ptr::eq(c, class)) {
             Some(i) => i,
             None => {
                 rows.push((class, DispatchSlot::default()));
@@ -246,11 +221,6 @@ impl Profiler {
             slot.sampled_ns += ns;
             slot.samples += 1;
         }
-        // Transpose: hot classes bubble toward the front one step at a
-        // time, keeping the scan short without thrashing on alternation.
-        if at > 0 {
-            rows.swap(at, at - 1);
-        }
     }
 
     /// Advances the epoch sampler to simulated time `now`. `progress` is the
@@ -258,12 +228,8 @@ impl Profiler {
     /// current queue depth; both are snapshotted at each epoch boundary.
     #[inline]
     pub fn epoch_tick(&mut self, now: u64, progress: u64, queue_depth: usize) {
-        let len = self.config.epoch_cycles;
-        if len == 0 {
-            return;
-        }
-        while now >= self.epoch_start + len {
-            if self.epochs.len() < self.config.max_epochs {
+        while now >= self.epoch_start + EPOCH_CYCLES {
+            if self.epochs.len() < MAX_EPOCHS {
                 self.epochs.push(EpochSample {
                     events: self.epoch_events,
                     progress: progress - self.epoch_progress_base,
@@ -272,20 +238,10 @@ impl Profiler {
             } else {
                 self.epoch_dropped += 1;
             }
-            self.epoch_start += len;
+            self.epoch_start += EPOCH_CYCLES;
             self.epoch_events = 0;
             self.epoch_progress_base = progress;
         }
-    }
-
-    /// Total events dispatched while profiling was enabled.
-    pub fn events_total(&self) -> u64 {
-        self.events_total
-    }
-
-    /// Deepest the central event queue ever got.
-    pub fn queue_hwm(&self) -> u64 {
-        self.queue_hwm
     }
 
     /// The recorded epoch series.
@@ -308,7 +264,7 @@ impl Profiler {
     /// * `inflight.<component>.hwm` — queued-events high-water mark per
     ///   target component
     /// * `epoch.<i>.events` / `.progress` / `.qdepth` — time series
-    /// * `epoch.dropped` — epochs past the retention cap
+    /// * `epoch.dropped` — epochs past [`MAX_EPOCHS`]
     pub fn entries(&self, names: &[String]) -> Vec<(String, u64)> {
         let mut out = Vec::new();
         if self.events_total == 0 && self.dispatch.is_empty() && self.epochs.is_empty() {
@@ -325,12 +281,24 @@ impl Profiler {
         out.push(("queue.hwm".to_owned(), self.queue_hwm));
         for (idx, rows) in self.dispatch.iter().enumerate() {
             let comp = label(idx);
+            // One row per label text (see `dispatch`), in first-seen order.
+            let mut merged: Vec<(&str, DispatchSlot)> = Vec::with_capacity(rows.len());
             for &(class, slot) in rows {
+                match merged.iter_mut().find(|(c, _)| *c == class) {
+                    Some((_, into)) => {
+                        into.count += slot.count;
+                        into.sampled_ns += slot.sampled_ns;
+                        into.samples += slot.samples;
+                    }
+                    None => merged.push((class, slot)),
+                }
+            }
+            for (class, slot) in merged {
                 out.push((format!("dispatch.{comp}.{class}"), slot.count));
                 if slot.samples > 0 {
                     // Scale the sampled nanoseconds back up by the sampling
                     // interval to estimate the class's total host time.
-                    let est = slot.sampled_ns * u64::from(self.config.host_time_sample.max(1));
+                    let est = slot.sampled_ns * u64::from(HOST_TIME_SAMPLE);
                     out.push((format!("host_ns.{comp}.{class}"), est));
                 }
             }
@@ -361,28 +329,9 @@ pub const PID_COMPONENTS: u64 = 1;
 /// The process id timeline events use for per-address lifecycle span tracks.
 pub const PID_ADDRESSES: u64 = 2;
 
-/// Timeline configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TimelineConfig {
-    /// Maximum events retained; further events are counted in
-    /// [`Timeline::dropped`].
-    pub max_events: usize,
-}
-
-impl TimelineConfig {
-    /// Default bounds (plenty for a failure replay window).
-    pub fn new() -> Self {
-        TimelineConfig {
-            max_events: 200_000,
-        }
-    }
-}
-
-impl Default for TimelineConfig {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+/// Timeline events retained (plenty for a failure replay window); later
+/// events are counted in [`Timeline::dropped`].
+pub const MAX_TIMELINE_EVENTS: usize = 200_000;
 
 /// Phase of a timeline event, mirroring the Chrome trace-event `ph` field.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -419,9 +368,8 @@ struct TimelineEvent {
 ///
 /// Simulated cycles are emitted as microseconds (`ts`/`dur`), which Perfetto
 /// renders 1:1 — read "1 µs" as "1 cycle".
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Timeline {
-    config: TimelineConfig,
     /// `(pid, tid, name)` thread-name metadata, emitted first.
     tracks: Vec<(u64, u64, String)>,
     events: Vec<TimelineEvent>,
@@ -429,16 +377,6 @@ pub struct Timeline {
 }
 
 impl Timeline {
-    /// Creates an empty timeline.
-    pub fn new(config: TimelineConfig) -> Self {
-        Timeline {
-            config,
-            tracks: Vec::new(),
-            events: Vec::new(),
-            dropped: 0,
-        }
-    }
-
     /// Names a `(pid, tid)` track (rendered as a thread name in Perfetto).
     pub fn name_track(&mut self, pid: u64, tid: u64, name: impl Into<String>) {
         self.tracks.push((pid, tid, name.into()));
@@ -484,7 +422,7 @@ impl Timeline {
     }
 
     fn push(&mut self, ev: TimelineEvent) {
-        if self.events.len() >= self.config.max_events {
+        if self.events.len() >= MAX_TIMELINE_EVENTS {
             self.dropped += 1;
             return;
         }
@@ -604,10 +542,7 @@ mod tests {
 
     #[test]
     fn dispatch_counters_accumulate_per_component_and_class() {
-        let mut p = Profiler::new(ProfileConfig {
-            host_time_sample: 0,
-            ..ProfileConfig::on()
-        });
+        let mut p = Profiler::new(ProfileConfig::on());
         for _ in 0..3 {
             assert!(!p.begin_event(5));
             p.end_event(0, "GetS", None);
@@ -624,23 +559,38 @@ mod tests {
     }
 
     #[test]
+    fn one_label_at_two_addresses_is_one_row() {
+        let mut p = Profiler::new(ProfileConfig::on());
+        let owned = String::from("GetS");
+        let copy: &'static str = Box::leak(owned.into_boxed_str());
+        for class in ["GetS", copy, "GetS"] {
+            p.begin_event(0);
+            p.end_event(0, class, None);
+        }
+        let entries = p.entries(&["l1".to_owned()]);
+        let rows: Vec<_> = entries
+            .iter()
+            .filter(|(k, _)| k.starts_with("dispatch."))
+            .collect();
+        assert_eq!(rows, [&("dispatch.l1.GetS".to_owned(), 3)]);
+    }
+
+    #[test]
     fn host_time_sampling_fires_every_nth_event() {
-        let mut p = Profiler::new(ProfileConfig {
-            host_time_sample: 4,
-            ..ProfileConfig::on()
-        });
-        let sampled: Vec<bool> = (0..12).map(|_| p.begin_event(0)).collect();
+        let mut p = Profiler::new(ProfileConfig::on());
+        let n = HOST_TIME_SAMPLE as usize;
+        let sampled: Vec<bool> = (0..3 * n).map(|_| p.begin_event(0)).collect();
         let hits: Vec<usize> = sampled
             .iter()
             .enumerate()
             .filter(|(_, &s)| s)
             .map(|(i, _)| i)
             .collect();
-        assert_eq!(hits, vec![3, 7, 11]);
+        assert_eq!(hits, vec![n - 1, 2 * n - 1, 3 * n - 1]);
         p.end_event(0, "x", Some(100));
         let entries: BTreeMap<String, u64> = p.entries(&["c".to_owned()]).into_iter().collect();
-        // 100 ns sampled at 1-in-4 → estimated 400 ns.
-        assert_eq!(entries["host_ns.c.x"], 400);
+        // 100 ns sampled at 1-in-N → estimated N × 100 ns.
+        assert_eq!(entries["host_ns.c.x"], 100 * u64::from(HOST_TIME_SAMPLE));
     }
 
     #[test]
@@ -659,17 +609,13 @@ mod tests {
 
     #[test]
     fn epoch_sampler_emits_a_bounded_series() {
-        let mut p = Profiler::new(ProfileConfig {
-            epoch_cycles: 100,
-            max_epochs: 2,
-            host_time_sample: 0,
-            ..ProfileConfig::on()
-        });
+        const E: u64 = EPOCH_CYCLES;
+        let mut p = Profiler::new(ProfileConfig::on());
         p.begin_event(0);
-        p.epoch_tick(50, 1, 3);
+        p.epoch_tick(E / 2, 1, 3);
         assert!(p.epochs().is_empty(), "mid-epoch: nothing emitted");
         p.begin_event(0);
-        p.epoch_tick(120, 4, 7);
+        p.epoch_tick(E + E / 5, 4, 7);
         assert_eq!(
             p.epochs(),
             &[EpochSample {
@@ -678,22 +624,22 @@ mod tests {
                 queue_depth: 7
             }]
         );
-        p.epoch_tick(250, 9, 1);
+        p.epoch_tick(2 * E + E / 2, 9, 1);
         assert_eq!(p.epochs().len(), 2);
         assert_eq!(p.epochs()[1].events, 0);
         assert_eq!(p.epochs()[1].progress, 5);
         // Past the cap: dropped, not grown.
-        p.epoch_tick(1_000, 9, 0);
-        assert_eq!(p.epochs().len(), 2);
+        p.epoch_tick((MAX_EPOCHS as u64 + 3) * E, 9, 0);
+        assert_eq!(p.epochs().len(), MAX_EPOCHS);
         let entries: BTreeMap<String, u64> = p.entries(&[]).into_iter().collect();
         assert_eq!(entries["epoch.0000.events"], 2);
         assert_eq!(entries["epoch.0001.progress"], 5);
-        assert!(entries["epoch.dropped"] > 0);
+        assert_eq!(entries["epoch.dropped"], 3);
     }
 
     #[test]
     fn timeline_renders_sorted_chrome_trace_json() {
-        let mut tl = Timeline::new(TimelineConfig::new());
+        let mut tl = Timeline::default();
         tl.name_track(PID_COMPONENTS, 0, "guard");
         tl.complete(
             40,
@@ -719,11 +665,11 @@ mod tests {
 
     #[test]
     fn timeline_is_bounded() {
-        let mut tl = Timeline::new(TimelineConfig { max_events: 2 });
-        for i in 0..5 {
+        let mut tl = Timeline::default();
+        for i in 0..MAX_TIMELINE_EVENTS as u64 + 3 {
             tl.instant(i, PID_COMPONENTS, 0, "e", vec![]);
         }
-        assert_eq!(tl.len(), 2);
+        assert_eq!(tl.len(), MAX_TIMELINE_EVENTS);
         assert_eq!(tl.dropped(), 3);
     }
 

@@ -83,5 +83,5 @@ pub use slab::{Slab, SlabId};
 pub use time::Cycle;
 pub use trace::{env_switch, PostMortemFlag, TraceConfig, TraceEvent, TraceLevel, Tracer};
 pub use xg_prof::{
-    EpochSample, ProfileConfig, Profiler, Timeline, TimelineConfig, PID_ADDRESSES, PID_COMPONENTS,
+    EpochSample, ProfileConfig, Profiler, Timeline, EPOCH_CYCLES, PID_ADDRESSES, PID_COMPONENTS,
 };

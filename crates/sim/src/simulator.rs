@@ -7,7 +7,7 @@ use std::time::Instant;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng, Uniform};
-use xg_prof::{ProfileConfig, Profiler, Timeline, TimelineConfig, PID_ADDRESSES, PID_COMPONENTS};
+use xg_prof::{ProfileConfig, Profiler, Timeline, PID_ADDRESSES, PID_COMPONENTS};
 
 use crate::component::{Component, NodeId};
 use crate::event::{EventKind, Pending};
@@ -1275,11 +1275,6 @@ impl<M: Clone + 'static> Simulator<M> {
         self.tracer.post_mortem()
     }
 
-    /// The kernel profiler (read access: counters, epochs, config).
-    pub fn profiler(&self) -> &Profiler {
-        &self.profiler
-    }
-
     /// The kernel profiler, mutably — lets a harness that builds a system
     /// through a shared constructor opt a specific run into profiling
     /// before the first event is dispatched.
@@ -1291,8 +1286,8 @@ impl<M: Clone + 'static> Simulator<M> {
     /// registered component. From here on, [`Ctx::trace`] records land as
     /// instants and [`Ctx::span`] records as spans; retrieve the result
     /// with [`Simulator::timeline_json`].
-    pub fn enable_timeline(&mut self, config: TimelineConfig) {
-        let mut timeline = Timeline::new(config);
+    pub fn enable_timeline(&mut self) {
+        let mut timeline = Timeline::default();
         for (idx, name) in self.names.iter().enumerate() {
             if !name.is_empty() {
                 timeline.name_track(PID_COMPONENTS, idx as u64, name.clone());
@@ -1727,16 +1722,12 @@ mod tests {
     fn epoch_series_lands_in_the_report() {
         let mut b = SimBuilder::new(2);
         let rec = b.add(Box::new(Recorder::new()));
-        b.profile(xg_prof::ProfileConfig {
-            epoch_cycles: 10,
-            host_time_sample: 0,
-            ..xg_prof::ProfileConfig::on()
-        });
+        b.profile(xg_prof::ProfileConfig::on());
         let mut sim = b.build();
         for i in 0..4 {
-            sim.post_wake(rec, 1 + i * 10, 0);
+            sim.post_wake(rec, 1 + i * xg_prof::EPOCH_CYCLES, 0);
         }
-        assert!(sim.run_to_quiescence(1_000).quiescent);
+        assert!(sim.run_to_quiescence(5 * xg_prof::EPOCH_CYCLES).quiescent);
         let report = sim.report();
         assert!(report.profile_get("epoch.0000.events") > 0);
         assert!(report
@@ -1774,7 +1765,7 @@ mod tests {
         let s = b.add(Box::new(Spanner { first_at: None }));
         let mut sim = b.build();
         assert!(sim.timeline_json().is_none(), "no timeline by default");
-        sim.enable_timeline(xg_prof::TimelineConfig::new());
+        sim.enable_timeline();
         sim.post(s, s, 0);
         sim.post(s, s, 1);
         assert!(sim.run_to_quiescence(1_000).quiescent);

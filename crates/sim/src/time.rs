@@ -38,16 +38,18 @@ impl Cycle {
     }
 }
 
+/// Saturates at the end of time: a delay, however large, can never wrap
+/// an event into the past.
 impl Add<u64> for Cycle {
     type Output = Cycle;
     fn add(self, rhs: u64) -> Cycle {
-        Cycle(self.0 + rhs)
+        Cycle(self.0.saturating_add(rhs))
     }
 }
 
 impl AddAssign<u64> for Cycle {
     fn add_assign(&mut self, rhs: u64) {
-        self.0 += rhs;
+        *self = *self + rhs;
     }
 }
 
@@ -80,6 +82,12 @@ mod tests {
         assert_eq!(Cycle::new(120) - t, 20);
         assert_eq!(t.saturating_since(Cycle::new(150)), 0);
         assert_eq!(Cycle::new(150).saturating_since(t), 50);
+        // A delay never wraps an event into the past.
+        let end = Cycle::new(u64::MAX);
+        assert_eq!(t + u64::MAX, end);
+        let mut late = end;
+        late += 5;
+        assert_eq!(late, end);
     }
 
     #[test]

@@ -33,16 +33,17 @@ pub enum TraceLevel {
     Echo,
 }
 
+/// Events retained per address (oldest evicted first).
+pub(crate) const RING_CAPACITY: usize = 64;
+/// Distinct addresses tracked; events for further addresses are counted in
+/// [`Tracer::dropped`] rather than growing memory unboundedly.
+pub(crate) const MAX_ADDRS: usize = 4096;
+
 /// Tracer configuration, fixed at simulator build time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceConfig {
     /// Recording level.
     pub level: TraceLevel,
-    /// Maximum events retained per address (oldest evicted first).
-    pub ring_capacity: usize,
-    /// Maximum distinct addresses tracked; events for further addresses are
-    /// counted in [`Tracer::dropped`] rather than growing memory unboundedly.
-    pub max_addrs: usize,
 }
 
 impl TraceConfig {
@@ -50,16 +51,13 @@ impl TraceConfig {
     pub fn off() -> Self {
         TraceConfig {
             level: TraceLevel::Off,
-            ring_capacity: 64,
-            max_addrs: 4096,
         }
     }
 
-    /// Ring recording with default bounds — what failure replays use.
+    /// Ring recording — what failure replays use.
     pub fn ring() -> Self {
         TraceConfig {
             level: TraceLevel::Ring,
-            ..Self::off()
         }
     }
 
@@ -67,7 +65,6 @@ impl TraceConfig {
     pub fn echo() -> Self {
         TraceConfig {
             level: TraceLevel::Echo,
-            ..Self::off()
         }
     }
 
@@ -225,12 +222,12 @@ impl Tracer {
         if self.config.level == TraceLevel::Echo {
             eprintln!("[{tick}] {component} {addr:#x} [{state}] {event} {detail}");
         }
-        if !self.rings.contains_key(&addr) && self.rings.len() >= self.config.max_addrs {
+        if !self.rings.contains_key(&addr) && self.rings.len() >= MAX_ADDRS {
             self.dropped += 1;
             return;
         }
         let ring = self.rings.entry(addr).or_default();
-        if ring.len() >= self.config.ring_capacity {
+        if ring.len() >= RING_CAPACITY {
             ring.pop_front();
         }
         ring.push_back(TraceEvent {
@@ -338,31 +335,31 @@ mod tests {
 
     #[test]
     fn ring_is_bounded_per_address() {
-        let mut t = Tracer::new(TraceConfig {
-            ring_capacity: 3,
-            ..TraceConfig::ring()
-        });
-        for tick in 0..10 {
+        let mut t = Tracer::new(TraceConfig::ring());
+        let n = RING_CAPACITY as u64;
+        for tick in 0..n + 3 {
             t.record(tick, "dir", 0x80, "S", "GetS", format!("n{tick}"));
         }
         let ticks: Vec<u64> = t.events_for(0x80).map(|e| e.tick).collect();
-        assert_eq!(ticks, vec![7, 8, 9], "keeps only the newest events");
+        assert_eq!(
+            ticks,
+            (3..n + 3).collect::<Vec<_>>(),
+            "keeps only the newest events"
+        );
     }
 
     #[test]
     fn address_table_is_bounded() {
-        let mut t = Tracer::new(TraceConfig {
-            max_addrs: 2,
-            ..TraceConfig::ring()
-        });
-        t.record(0, "a", 0x1, "I", "e", String::new());
-        t.record(1, "a", 0x2, "I", "e", String::new());
-        t.record(2, "a", 0x3, "I", "e", String::new());
-        assert_eq!(t.events_for(0x3).count(), 0);
+        let mut t = Tracer::new(TraceConfig::ring());
+        let n = MAX_ADDRS as u64;
+        for addr in 0..=n {
+            t.record(addr, "a", addr, "I", "e", String::new());
+        }
+        assert_eq!(t.events_for(n).count(), 0);
         assert_eq!(t.dropped(), 1);
         // Known addresses still record.
-        t.record(3, "a", 0x1, "I", "e2", String::new());
-        assert_eq!(t.events_for(0x1).count(), 2);
+        t.record(n + 1, "a", 0, "I", "e2", String::new());
+        assert_eq!(t.events_for(0).count(), 2);
     }
 
     #[test]
