@@ -1,20 +1,13 @@
-//! A set-associative tag array with pluggable replacement.
-
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+//! A set-associative tag array with least-recently-used replacement.
 
 use crate::addr::BlockAddr;
 
-/// Replacement policy for a [`SetAssocCache`].
+/// Replacement policy for a [`SetAssocCache`]: least-recently-used, the
+/// one policy the array has.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Replacement {
     /// Evict the least-recently-used line.
     Lru,
-    /// Evict the oldest-inserted line.
-    Fifo,
-    /// Evict a uniformly random line (deterministic given the seed passed to
-    /// [`SetAssocCache::new`]).
-    Random,
 }
 
 #[derive(Debug)]
@@ -22,7 +15,6 @@ struct Line<E> {
     addr: BlockAddr,
     entry: E,
     last_used: u64,
-    inserted: u64,
 }
 
 // `Clone` by hand so that `clone_from` goes field by field, down to the
@@ -37,7 +29,6 @@ impl<E: Clone> Clone for Line<E> {
             addr: self.addr,
             entry: self.entry.clone(),
             last_used: self.last_used,
-            inserted: self.inserted,
         }
     }
 
@@ -46,12 +37,10 @@ impl<E: Clone> Clone for Line<E> {
             addr,
             entry,
             last_used,
-            inserted,
         } = source;
         self.addr = *addr;
         self.entry.clone_from(entry);
         self.last_used = *last_used;
-        self.inserted = *inserted;
     }
 }
 
@@ -75,9 +64,7 @@ impl<E: Clone> Clone for Line<E> {
 pub struct SetAssocCache<E> {
     sets: Vec<Vec<Line<E>>>,
     ways: usize,
-    policy: Replacement,
     clock: u64,
-    rng: SmallRng,
 }
 
 impl<E: Clone> Clone for SetAssocCache<E> {
@@ -85,44 +72,30 @@ impl<E: Clone> Clone for SetAssocCache<E> {
         SetAssocCache {
             sets: self.sets.clone(),
             ways: self.ways,
-            policy: self.policy,
             clock: self.clock,
-            rng: self.rng.clone(),
         }
     }
 
     fn clone_from(&mut self, source: &Self) {
-        let SetAssocCache {
-            sets,
-            ways,
-            policy,
-            clock,
-            rng,
-        } = source;
+        let SetAssocCache { sets, ways, clock } = source;
         self.sets.clone_from(sets);
         self.ways = *ways;
-        self.policy = *policy;
         self.clock = *clock;
-        self.rng.clone_from(rng);
     }
 }
 
 impl<E> SetAssocCache<E> {
-    /// Creates a cache with `sets × ways` lines. `seed` only matters for
-    /// [`Replacement::Random`].
+    /// Creates a cache with `sets × ways` lines. `Replacement` has the one
+    /// policy, and `seed` is unused: no victim choice draws.
     ///
     /// # Panics
-    /// Panics if `sets` or `ways` is zero, or `ways` exceeds 64 (victim
-    /// selection keeps one eligibility bit per way in a machine word).
-    pub fn new(sets: usize, ways: usize, policy: Replacement, seed: u64) -> Self {
+    /// Panics if `sets` or `ways` is zero.
+    pub fn new(sets: usize, ways: usize, _policy: Replacement, _seed: u64) -> Self {
         assert!(sets > 0 && ways > 0, "cache must have at least one line");
-        assert!(ways <= 64, "at most 64 ways per set");
         SetAssocCache {
             sets: (0..sets).map(|_| Vec::with_capacity(ways)).collect(),
             ways,
-            policy,
             clock: 0,
-            rng: SmallRng::seed_from_u64(seed),
         }
     }
 
@@ -218,46 +191,21 @@ impl<E> SetAssocCache<E> {
         self.evict(idx, eligible)
     }
 
-    /// Removes and returns the eligible line of set `idx` the policy picks.
+    /// Removes and returns the least-recently-used eligible line of set
+    /// `idx`: the first minimum in way order.
     fn evict(
         &mut self,
         idx: usize,
-        eligible: impl FnMut(BlockAddr, &E) -> bool,
-    ) -> Option<(BlockAddr, E)> {
-        let way = self.choose_victim(idx, eligible)?;
-        let line = self.sets[idx].swap_remove(way);
-        Some((line.addr, line.entry))
-    }
-
-    /// The way of set `idx` the policy evicts among the eligible ones: the
-    /// first minimum in way order for LRU/FIFO, one uniform draw over the
-    /// eligible ways for Random.
-    fn choose_victim(
-        &mut self,
-        idx: usize,
         mut eligible: impl FnMut(BlockAddr, &E) -> bool,
-    ) -> Option<usize> {
+    ) -> Option<(BlockAddr, E)> {
         let mut oldest: Option<(u64, usize)> = None;
-        let mut mask = 0u64;
         for (way, l) in self.sets[idx].iter().enumerate() {
-            if !eligible(l.addr, &l.entry) {
-                continue;
-            }
-            mask |= 1 << way;
-            let age = match self.policy {
-                Replacement::Lru => l.last_used,
-                Replacement::Fifo => l.inserted,
-                Replacement::Random => continue,
-            };
-            if oldest.is_none_or(|(min, _)| age < min) {
-                oldest = Some((age, way));
+            if eligible(l.addr, &l.entry) && oldest.is_none_or(|(min, _)| l.last_used < min) {
+                oldest = Some((l.last_used, way));
             }
         }
-        if self.policy != Replacement::Random || mask == 0 {
-            return oldest.map(|(_, way)| way);
-        }
-        let pick = self.rng.gen_range(0..mask.count_ones() as usize);
-        (0..self.ways).filter(|way| mask >> way & 1 == 1).nth(pick)
+        let line = self.sets[idx].swap_remove(oldest?.1);
+        Some((line.addr, line.entry))
     }
 
     /// Inserts (or replaces) the entry for `addr`, evicting and returning a
@@ -281,7 +229,6 @@ impl<E> SetAssocCache<E> {
             addr,
             entry,
             last_used: clock,
-            inserted: clock,
         });
         victim
     }
@@ -338,10 +285,13 @@ impl<E> Resident<'_, E> {
 
 #[cfg(test)]
 mod tests {
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+
     use super::*;
 
-    fn cache(policy: Replacement) -> SetAssocCache<u64> {
-        SetAssocCache::new(4, 2, policy, 99)
+    fn cache() -> SetAssocCache<u64> {
+        SetAssocCache::new(4, 2, Replacement::Lru, 99)
     }
 
     /// Addresses 0, 4, 8, ... all map to set 0 of a 4-set cache.
@@ -351,16 +301,16 @@ mod tests {
 
     #[test]
     fn clone_from_is_clone_whatever_the_destination_held() {
-        let mut source = cache(Replacement::Lru);
+        let mut source = cache();
         source.insert(same_set(0), 10);
         source.insert(same_set(1), 11);
         source.insert(BlockAddr::new(1), 12);
         source.touch(same_set(0));
-        let mut fuller = cache(Replacement::Lru);
+        let mut fuller = cache();
         for i in 0..8 {
             fuller.insert(BlockAddr::new(i), 100 + i);
         }
-        for mut copy in [cache(Replacement::Lru), fuller] {
+        for mut copy in [cache(), fuller] {
             copy.clone_from(&source);
             assert!(copy.iter().eq(source.iter()));
             // Recency came along: both evict the line `touch` passed over.
@@ -372,7 +322,7 @@ mod tests {
 
     #[test]
     fn hit_and_miss() {
-        let mut c = cache(Replacement::Lru);
+        let mut c = cache();
         assert!(c.insert(BlockAddr::new(1), 10).is_none());
         assert_eq!(c.get(BlockAddr::new(1)), Some(&10));
         assert_eq!(c.get(BlockAddr::new(2)), None);
@@ -384,7 +334,7 @@ mod tests {
 
     #[test]
     fn replace_in_place_does_not_evict() {
-        let mut c = cache(Replacement::Lru);
+        let mut c = cache();
         c.insert(same_set(0), 1);
         c.insert(same_set(1), 2);
         assert!(c.insert(same_set(0), 3).is_none());
@@ -394,7 +344,7 @@ mod tests {
 
     #[test]
     fn lru_evicts_least_recently_used() {
-        let mut c = cache(Replacement::Lru);
+        let mut c = cache();
         c.insert(same_set(0), 1);
         c.insert(same_set(1), 2);
         c.touch(same_set(0));
@@ -405,36 +355,8 @@ mod tests {
     }
 
     #[test]
-    fn fifo_ignores_recency() {
-        let mut c = cache(Replacement::Fifo);
-        c.insert(same_set(0), 1);
-        c.insert(same_set(1), 2);
-        c.touch(same_set(0));
-        let (victim, _) = c.insert(same_set(2), 3).unwrap();
-        assert_eq!(victim, same_set(0));
-    }
-
-    #[test]
-    fn random_is_deterministic_per_seed() {
-        let run = || {
-            let mut c: SetAssocCache<u64> = SetAssocCache::new(1, 4, Replacement::Random, 7);
-            for i in 0..4 {
-                c.insert(BlockAddr::new(i), i);
-            }
-            let mut victims = Vec::new();
-            for i in 4..20 {
-                if let Some((v, _)) = c.insert(BlockAddr::new(i), i) {
-                    victims.push(v);
-                }
-            }
-            victims
-        };
-        assert_eq!(run(), run());
-    }
-
-    #[test]
     fn take_victim_then_insert() {
-        let mut c = cache(Replacement::Lru);
+        let mut c = cache();
         c.insert(same_set(0), 1);
         c.insert(same_set(1), 2);
         assert!(c.needs_eviction(same_set(2)));
@@ -446,7 +368,7 @@ mod tests {
 
     #[test]
     fn take_victim_where_respects_filter() {
-        let mut c = cache(Replacement::Lru);
+        let mut c = cache();
         c.insert(same_set(0), 1);
         c.insert(same_set(1), 2);
         // LRU victim would be block 0, but the filter pins it.
@@ -461,9 +383,9 @@ mod tests {
     }
 
     /// The selection this file used before it became one pass: collect the
-    /// eligible ways, then pick among them.
+    /// eligible ways, then pick the least recently used among them.
     fn reference_victim(
-        c: &mut SetAssocCache<u64>,
+        c: &SetAssocCache<u64>,
         addr: BlockAddr,
         eligible: impl Fn(BlockAddr) -> bool,
     ) -> Option<BlockAddr> {
@@ -471,47 +393,38 @@ mod tests {
             return None;
         }
         let set = &c.sets[c.set_index(addr)];
-        let candidates: Vec<usize> = (0..set.len()).filter(|&i| eligible(set[i].addr)).collect();
-        if candidates.is_empty() {
-            return None;
-        }
-        let way = match c.policy {
-            Replacement::Lru => candidates.iter().copied().min_by_key(|&i| set[i].last_used),
-            Replacement::Fifo => candidates.iter().copied().min_by_key(|&i| set[i].inserted),
-            Replacement::Random => Some(candidates[c.rng.gen_range(0..candidates.len())]),
-        };
+        let candidates = (0..set.len()).filter(|&i| eligible(set[i].addr));
+        let way = candidates.min_by_key(|&i| set[i].last_used);
         way.map(|w| set[w].addr)
     }
 
     #[test]
     fn one_pass_selection_picks_the_reference_victim() {
-        for policy in [Replacement::Lru, Replacement::Fifo, Replacement::Random] {
-            let mut c: SetAssocCache<u64> = SetAssocCache::new(2, 4, policy, 5);
-            let mut ops = SmallRng::seed_from_u64(11);
-            for step in 0..4_000u64 {
-                let addr = BlockAddr::new(ops.gen_range(0..24));
-                let pinned = BlockAddr::new(ops.gen_range(0..24));
-                match ops.gen_range(0..4) {
-                    0 => c.touch(addr),
-                    1 => {
-                        c.remove(addr);
-                    }
-                    _ => {
-                        let expected = reference_victim(&mut c.clone(), addr, |a| a != pinned);
-                        let way_order: Vec<_> = match c.needs_eviction(addr) {
-                            true => c.sets[c.set_index(addr)].iter().map(|l| l.addr).collect(),
-                            false => Vec::new(),
-                        };
-                        let mut asked = Vec::new();
-                        let got = c.take_victim_where(addr, |a, _| {
-                            asked.push(a);
-                            a != pinned
-                        });
-                        assert_eq!(got.map(|(a, _)| a), expected, "{policy:?} step {step}");
-                        assert_eq!(asked, way_order, "once per line, in way order");
-                        if !c.needs_eviction(addr) {
-                            c.insert(addr, step);
-                        }
+        let mut c: SetAssocCache<u64> = SetAssocCache::new(2, 4, Replacement::Lru, 5);
+        let mut ops = SmallRng::seed_from_u64(11);
+        for step in 0..4_000u64 {
+            let addr = BlockAddr::new(ops.gen_range(0..24));
+            let pinned = BlockAddr::new(ops.gen_range(0..24));
+            match ops.gen_range(0..4) {
+                0 => c.touch(addr),
+                1 => {
+                    c.remove(addr);
+                }
+                _ => {
+                    let expected = reference_victim(&c, addr, |a| a != pinned);
+                    let way_order: Vec<_> = match c.needs_eviction(addr) {
+                        true => c.sets[c.set_index(addr)].iter().map(|l| l.addr).collect(),
+                        false => Vec::new(),
+                    };
+                    let mut asked = Vec::new();
+                    let got = c.take_victim_where(addr, |a, _| {
+                        asked.push(a);
+                        a != pinned
+                    });
+                    assert_eq!(got.map(|(a, _)| a), expected, "step {step}");
+                    assert_eq!(asked, way_order, "once per line, in way order");
+                    if !c.needs_eviction(addr) {
+                        c.insert(addr, step);
                     }
                 }
             }
@@ -520,7 +433,7 @@ mod tests {
 
     #[test]
     fn lookup_scans_once_and_touches_on_request() {
-        let mut c = cache(Replacement::Lru);
+        let mut c = cache();
         c.insert(same_set(0), 1);
         c.insert(same_set(1), 2);
         assert!(c.lookup(same_set(2)).is_none());
@@ -540,7 +453,7 @@ mod tests {
 
     #[test]
     fn take_victim_when_not_needed_is_none() {
-        let mut c = cache(Replacement::Lru);
+        let mut c = cache();
         c.insert(same_set(0), 1);
         assert!(c.take_victim(same_set(1)).is_none());
         // Resident address never needs eviction even in a full set.
@@ -550,7 +463,7 @@ mod tests {
 
     #[test]
     fn remove_and_iter() {
-        let mut c = cache(Replacement::Lru);
+        let mut c = cache();
         c.insert(BlockAddr::new(1), 10);
         c.insert(BlockAddr::new(2), 20);
         assert_eq!(c.remove(BlockAddr::new(1)), Some(10));

@@ -9,8 +9,8 @@
 //! * [`PagePerm`] / [`PermissionTable`] — the page-permission information
 //!   Crossing Guard consults to enforce Guarantee 0 (paper §3.1, following
 //!   Border Control).
-//! * [`SetAssocCache`] — a set-associative tag/data array with pluggable
-//!   replacement policy, used by every cache controller.
+//! * [`SetAssocCache`] — a set-associative tag/data array with
+//!   least-recently-used replacement, used by every cache controller.
 //! * [`Mshr`] — a bounded miss-status holding register / transaction table.
 //! * [`IdMap`] / [`IdSet`] — `std` hash tables over [`IdHasher`], for the
 //!   per-block (page, word, op id, core index) bookkeeping every controller

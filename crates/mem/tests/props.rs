@@ -32,13 +32,8 @@ proptest! {
         ops in vec(op_strategy(), 1..200),
         sets in 1usize..8,
         ways in 1usize..5,
-        policy in prop_oneof![
-            Just(Replacement::Lru),
-            Just(Replacement::Fifo),
-            Just(Replacement::Random)
-        ],
     ) {
-        let mut cache: SetAssocCache<u64> = SetAssocCache::new(sets, ways, policy, 42);
+        let mut cache: SetAssocCache<u64> = SetAssocCache::new(sets, ways, Replacement::Lru, 42);
         // Model: resident entries (an eviction removes from the model too).
         let mut model: HashMap<u64, u64> = HashMap::new();
 

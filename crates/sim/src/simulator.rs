@@ -69,11 +69,6 @@ enum Effect {
         delay: u64,
         token: u64,
     },
-    Redeliver {
-        from: NodeId,
-        msg: SlabId,
-        delay: u64,
-    },
 }
 
 /// The execution context handed to a component while it handles an event.
@@ -133,14 +128,6 @@ impl<M> Ctx<'_, M> {
     /// now (minimum one cycle).
     pub fn wake_in(&mut self, delay: u64, token: u64) {
         self.effects.push(Effect::Wake { delay, token });
-    }
-
-    /// Re-delivers `msg` to *this* component after `delay` cycles, preserving
-    /// the original sender. This models a controller stalling/recycling a
-    /// message it cannot process in its current state.
-    pub fn redeliver(&mut self, from: NodeId, msg: M, delay: u64) {
-        let msg = self.msgs.insert(msg);
-        self.effects.push(Effect::Redeliver { from, msg, delay });
     }
 
     /// Deterministic simulation RNG: this component's own stream, seeded
@@ -939,13 +926,6 @@ impl<M: Clone + 'static> Simulator<M> {
                 Effect::Wake { delay, token } => {
                     push(time + delay.max(1), sender, EventKind::Wake { token });
                 }
-                Effect::Redeliver { from, msg, delay } => {
-                    push(
-                        time + delay.max(1),
-                        sender,
-                        EventKind::Deliver { from, msg },
-                    );
-                }
             }
         }
         if let Some((class, timer)) = profiled {
@@ -1547,45 +1527,6 @@ mod tests {
             assert!(!sim.tracer().enabled());
         }
         assert!(sim.post_mortem().is_none());
-    }
-
-    #[test]
-    fn redeliver_requeues_to_self() {
-        struct Stubborn {
-            attempts: u32,
-            done_at: Option<u64>,
-        }
-        impl Component<u64> for Stubborn {
-            fn name(&self) -> &str {
-                "stubborn"
-            }
-            fn handle(&mut self, from: NodeId, msg: u64, ctx: &mut Ctx<'_, u64>) {
-                if self.attempts < 3 {
-                    self.attempts += 1;
-                    ctx.redeliver(from, msg, 10);
-                } else {
-                    self.done_at = Some(ctx.now().as_u64());
-                    ctx.note_progress();
-                }
-            }
-            fn as_any(&self) -> &dyn std::any::Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-                self
-            }
-        }
-        let mut b = SimBuilder::new(1);
-        let s = b.add(Box::new(Stubborn {
-            attempts: 0,
-            done_at: None,
-        }));
-        let mut sim = b.build();
-        sim.post(s, s, 9);
-        assert!(sim.run_to_quiescence(1_000).quiescent);
-        let comp = sim.get::<Stubborn>(s).unwrap();
-        assert_eq!(comp.attempts, 3);
-        assert!(comp.done_at.unwrap() >= 30);
     }
 
     fn faulty_sim(spec: FaultSpec, count: u64, seed: u64) -> (Vec<u64>, LinkFaultCounts, Report) {
@@ -2210,7 +2151,7 @@ mod tests {
         );
     }
 
-    /// One `Effect` is written and read back per send, wake and redelivery.
+    /// One `Effect` is written and read back per send and wake.
     #[test]
     fn effect_layout_is_pinned() {
         assert!(std::mem::size_of::<Effect>() <= 32);
@@ -2249,8 +2190,7 @@ mod tests {
     }
 
     /// Spends a payload's hop budget on sends to its peer, fan-out and
-    /// redeliveries to itself; every payload it is handed dies with the
-    /// handler.
+    /// sends to itself; every payload it is handed dies with the handler.
     #[derive(Clone)]
     struct Relay {
         peer: NodeId,
@@ -2259,13 +2199,13 @@ mod tests {
         fn name(&self) -> &str {
             "relay"
         }
-        fn handle(&mut self, from: NodeId, msg: Counted, ctx: &mut Ctx<'_, Counted>) {
+        fn handle(&mut self, _from: NodeId, msg: Counted, ctx: &mut Ctx<'_, Counted>) {
             let Some(hops) = msg.hops.checked_sub(1) else {
                 return;
             };
             let next = || Counted::new(hops, &msg.tally);
             match hops % 4 {
-                0 => ctx.redeliver(from, next(), 3),
+                0 => ctx.send(ctx.self_id(), next()),
                 1 => {
                     ctx.send(self.peer, next());
                     ctx.send_after(self.peer, Counted::new(0, &msg.tally), 7);
@@ -2305,7 +2245,7 @@ mod tests {
 
     #[test]
     fn payload_lifetime_every_payload_is_dropped_exactly_once() {
-        // Delivered, fanned out and redelivered over a clean link.
+        // Delivered, fanned out and sent to itself over a clean link.
         let tally = Tally::default();
         let (mut sim, a, c) = relay_sim(Link::unordered(1, 9));
         for hops in [5, 12, 30] {
