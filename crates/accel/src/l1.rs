@@ -14,22 +14,10 @@
 
 use std::sync::OnceLock;
 
-use xg_fsm::{alphabet, Alphabet, Controller, Machine, Step, Table, TableBuilder};
+use xg_fsm::{alphabet, Alphabet, Controller, Machine, Parked, Step, Table, TableBuilder};
 use xg_mem::{BlockAddr, IdMap, Replacement, SetAssocCache, Spares};
 use xg_proto::{CoreKind, CoreMsg, Ctx, Message, XgData, XgiKind, XgiMsg};
 use xg_sim::{Component, CoverageGrid, Cycle, FsmRows, Histogram, NodeId, Report};
-
-/// Coherence sophistication of an [`AccelL1`] (paper §2.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AccelMode {
-    /// Full MESI — the Table 1 protocol.
-    #[default]
-    Mesi,
-    /// MSI: treat `DataE` as `DataM` and send only dirty writebacks.
-    Msi,
-    /// VI: issue only `GetM`; every resident block is writable.
-    Vi,
-}
 
 /// Next-line prefetching (paper §1: "an accelerator that performs mostly
 /// streaming accesses may prefetch aggressively"). On every demand miss
@@ -58,8 +46,6 @@ pub struct AccelL1Config {
     /// Accelerator block size in host (64 B) blocks; Crossing Guard
     /// translates when this is > 1 (paper §2.5).
     pub block_blocks: usize,
-    /// Protocol sophistication.
-    pub mode: AccelMode,
     /// Prefetching policy.
     pub prefetch: Prefetch,
 }
@@ -70,7 +56,6 @@ impl Default for AccelL1Config {
             sets: 64,
             ways: 4,
             block_blocks: 1,
-            mode: AccelMode::Mesi,
             prefetch: Prefetch::Off,
         }
     }
@@ -79,7 +64,7 @@ impl Default for AccelL1Config {
 alphabet! {
     /// Table 1's rows: the states the table and the coverage grid are keyed
     /// by and [`AccelL1::state_of`] reports. `B`, the one transient state,
-    /// is a block with a request outstanding; only MESI mode holds `E`.
+    /// is a block with a request outstanding.
     pub enum L1State { M, E, S, I, B }
 }
 
@@ -111,7 +96,7 @@ alphabet! {
         Write,
         /// Take the line out of the array.
         Remove,
-        /// Open a `GetS` (a `GetM` in VI mode) for the op, and prefetch.
+        /// Open a `GetS` for the op, and prefetch.
         IssueGetS,
         /// Open a `GetM` for the op, and prefetch.
         IssueGetM,
@@ -123,8 +108,8 @@ alphabet! {
         AckFlush,
         /// Answer an `Inv` with the removed line's data, or with a bare ack.
         SendDirtyWb, SendCleanWb, SendInvAck,
-        /// Complete the Get: install the grant as S (M in VI mode), as E (M
-        /// in MSI and VI mode), as M. A victim runs its `Repl` row first.
+        /// Complete the Get: install the grant as S, as E, as M. A victim
+        /// runs its `Repl` row first.
         FillS, FillE, FillM,
         /// Complete the Put: count the writeback.
         Retire,
@@ -143,9 +128,7 @@ pub fn table() -> &'static Table<L1State, L1Event, L1Action> {
         let mut b = TableBuilder::new("accel_l1");
         b.note(
             "The paper's Table 1 (§2.1): four stable states and one transient \
-             state, `B`, a block with exactly one request outstanding. The \
-             successors are the MESI mode's; MSI mode installs `DataE` as M \
-             and VI mode installs every grant as M, so those rows are dynamic.",
+             state, `B`, a block with exactly one request outstanding.",
         );
         b.note(
             "Outside Table 1: the `Flush` column, a core flush, which writes \
@@ -178,8 +161,8 @@ pub fn table() -> &'static Table<L1State, L1Event, L1Action> {
             b.stall(B, e);
         }
         b.on(B, DataM, &[FillM, Drain], M);
-        b.on_dyn(B, DataE, &[FillE, Drain]);
-        b.on_dyn(B, DataS, &[FillS, Drain]);
+        b.on(B, DataE, &[FillE, Drain], E);
+        b.on(B, DataS, &[FillS, Drain], S);
         b.on(B, WbAck, &[Retire, Drain], I);
         for s in [M, E, S] {
             b.on(s, Flush, &[Remove, Replace], B);
@@ -207,7 +190,7 @@ xg_sim::clone_in_place!(impl[] for Line { state, data, prefetched });
 struct Pending {
     is_put: bool,
     is_prefetch: bool,
-    waiting: Vec<(NodeId, CoreMsg)>,
+    waiting: Parked<(NodeId, CoreMsg)>,
     started: Cycle,
 }
 
@@ -247,7 +230,7 @@ pub struct L1Cx<'a, 'b> {
     /// array or of the victim a `Repl` row writes back.
     data: Option<XgData>,
     /// The core ops that waited for the request a response completed.
-    waiting: Vec<(NodeId, CoreMsg)>,
+    waiting: Parked<(NodeId, CoreMsg)>,
 }
 
 impl<'a, 'b> L1Cx<'a, 'b> {
@@ -262,7 +245,7 @@ impl<'a, 'b> L1Cx<'a, 'b> {
             la,
             op,
             data,
-            waiting: Vec::new(),
+            waiting: Parked::default(),
         }
     }
 }
@@ -277,7 +260,7 @@ pub struct AccelL1 {
     cache: SetAssocCache<Line>,
     pending: IdMap<BlockAddr, Pending>,
     /// Emptied `Pending::waiting` buffers, reused by the next request.
-    spare_waiting: Spares<Vec<(NodeId, CoreMsg)>>,
+    spares: Spares<Parked<(NodeId, CoreMsg)>>,
     stats: Stats,
     /// `(state, column)` pairs visited, by index; named in `report`.
     seen: CoverageGrid<L1State, L1Event>,
@@ -285,7 +268,7 @@ pub struct AccelL1 {
 }
 
 xg_sim::clone_in_place!(impl[] for AccelL1 {
-    name, below, cfg, cache, pending, spare_waiting, stats, seen, machine,
+    name, below, cfg, cache, pending, spares, stats, seen, machine,
 });
 
 impl AccelL1 {
@@ -302,7 +285,7 @@ impl AccelL1 {
             cache: SetAssocCache::new(cfg.sets, cfg.ways, Replacement::Lru, 0),
             pending: IdMap::default(),
             cfg,
-            spare_waiting: Spares::default(),
+            spares: Spares::default(),
             stats: Stats::default(),
             seen: CoverageGrid::new(),
             machine: Machine::new(table()),
@@ -403,8 +386,10 @@ impl AccelL1 {
 
     /// Opens `la`'s one outstanding request, `op` waiting for it.
     fn open(&mut self, la: BlockAddr, is_put: bool, op: Option<(NodeId, CoreMsg)>, now: Cycle) {
-        let mut waiting = self.spare_waiting.take();
-        waiting.extend(op);
+        let mut waiting = Parked::default();
+        if let Some(op) = op {
+            waiting.park(op, &mut self.spares);
+        }
         self.pending.insert(
             la,
             Pending {
@@ -433,7 +418,7 @@ impl AccelL1 {
                 Pending {
                     is_put: false,
                     is_prefetch: true,
-                    waiting: self.spare_waiting.take(),
+                    waiting: Parked::default(),
                     started: ctx.now(),
                 },
             );
@@ -454,11 +439,10 @@ impl AccelL1 {
         debug_assert!(evicted.is_none(), "the victim left first");
     }
 
-    fn drain(&mut self, mut waiting: Vec<(NodeId, CoreMsg)>, ctx: &mut Ctx<'_>) {
-        for (from, msg) in waiting.drain(..) {
+    fn drain(&mut self, mut waiting: Parked<(NodeId, CoreMsg)>, ctx: &mut Ctx<'_>) {
+        while let Some((from, msg)) = waiting.pop_first(&mut self.spares, |_| true) {
             self.handle_core(from, msg, ctx);
         }
-        self.spare_waiting.put(waiting);
     }
 }
 
@@ -495,8 +479,8 @@ impl<'a, 'b> Controller<L1State, L1Event, L1Action, L1Cx<'a, 'b>> for AccelL1 {
             }
             L1Action::Remove => cx.data = self.cache.remove(la).map(|line| line.data),
             L1Action::IssueGetS | L1Action::IssueGetM => {
-                let req = match (action, self.cfg.mode) {
-                    (L1Action::IssueGetS, AccelMode::Mesi | AccelMode::Msi) => XgiKind::GetS,
+                let req = match action {
+                    L1Action::IssueGetS => XgiKind::GetS,
                     _ => XgiKind::GetM,
                 };
                 self.stats.misses += 1;
@@ -541,10 +525,9 @@ impl<'a, 'b> Controller<L1State, L1Event, L1Action, L1Cx<'a, 'b>> for AccelL1 {
                 let now = cx.ctx.now();
                 self.stats.lat_miss.record(now.saturating_since(p.started));
                 cx.ctx.span(la.as_u64(), "miss", p.started);
-                let state = match (action, self.cfg.mode) {
-                    (L1Action::FillM, _) | (_, AccelMode::Vi) => L1State::M,
-                    (L1Action::FillE, AccelMode::Msi) => L1State::M,
-                    (L1Action::FillE, _) => L1State::E,
+                let state = match action {
+                    L1Action::FillM => L1State::M,
+                    L1Action::FillE => L1State::E,
                     _ => L1State::S,
                 };
                 let line = Line {
@@ -575,7 +558,7 @@ impl<'a, 'b> Controller<L1State, L1Event, L1Action, L1Cx<'a, 'b>> for AccelL1 {
         match (cx.op.take(), self.pending.get_mut(&cx.la)) {
             (Some(op), Some(p)) => {
                 self.stats.stalls += 1;
-                p.waiting.push(op);
+                p.waiting.park(op, &mut self.spares);
             }
             _ => self.violation(),
         }

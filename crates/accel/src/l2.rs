@@ -18,10 +18,9 @@
 //! `accel_l2` table ([`table`], dumped to `docs/tables/accel_l2.md`) in the
 //! state one lookup gives: the block's record, else its array line.
 
-use std::collections::VecDeque;
 use std::sync::OnceLock;
 
-use xg_fsm::{alphabet, Alphabet, Controller, Machine, Step, Table, TableBuilder};
+use xg_fsm::{alphabet, Alphabet, Controller, Machine, Parked, Step, Table, TableBuilder};
 use xg_mem::{BlockAddr, IdMap, Replacement, SetAssocCache, SortedSet, Spares};
 use xg_proto::{Ctx, Message, XgData, XgiKind, XgiMsg, XgiTag};
 use xg_sim::{Component, Cycle, FsmRows, Histogram, NodeId, Report};
@@ -231,13 +230,11 @@ struct Block {
     busy: Option<Busy>,
     /// Cycle `busy` was last opened; times `lat.up_get` for a `Fetch`.
     since: Cycle,
-    queue: Queue,
+    /// Parked L1 Gets and guard `Inv`s, which carry no data.
+    queue: Parked<(NodeId, XgiTag)>,
 }
 
 xg_sim::clone_in_place!(impl[] for Block { busy, since, queue });
-
-/// Parked messages: L1 Gets and guard `Inv`s, which carry no data.
-type Queue = VecDeque<(NodeId, XgiTag)>;
 
 #[derive(Debug, Default)]
 struct Stats {
@@ -269,14 +266,16 @@ pub struct AccelL2 {
     cfg: AccelL2Config,
     array: SetAssocCache<L2Line>,
     blocks: IdMap<BlockAddr, Block>,
-    /// Emptied `Block::queue` buffers, reused by the next parked request.
-    spare_queues: Spares<Queue>,
+    /// Blocks whose grant waits for a way (`Busy::InstallWait`).
+    installs: Parked<BlockAddr>,
+    spares: Spares<Parked<(NodeId, XgiTag)>>,
+    spare_installs: Spares<Parked<BlockAddr>>,
     stats: Stats,
     machine: Machine<L2State, XgiTag, L2Action>,
 }
 
 xg_sim::clone_in_place!(impl[] for AccelL2 {
-    name, below, cfg, array, blocks, spare_queues, stats, machine,
+    name, below, cfg, array, blocks, installs, spares, spare_installs, stats, machine,
 });
 
 /// Per-dispatch context for [`L2Action`] interpretation.
@@ -301,7 +300,9 @@ impl AccelL2 {
             array: SetAssocCache::new(cfg.sets, cfg.ways, Replacement::Lru, 0),
             blocks: IdMap::default(),
             cfg,
-            spare_queues: Spares::default(),
+            installs: Parked::default(),
+            spares: Spares::default(),
+            spare_installs: Spares::default(),
             stats: Stats::default(),
             machine: Machine::new(table()),
         }
@@ -580,13 +581,13 @@ impl AccelL2 {
         });
         if !self.try_install(addr, cx.ctx) {
             self.stats.install_retries += 1;
+            self.installs.park(addr, &mut self.spare_installs);
         }
     }
 
     /// Installs `addr`'s parked grant, evicting a victim first if the set is
     /// full. `false` when every candidate way is mid-transaction: the grant
-    /// stays parked, and [`retry_installs`](Self::retry_installs) tries
-    /// again when a record closes.
+    /// parks in `installs` until a record closes.
     fn try_install(&mut self, addr: BlockAddr, ctx: &mut Ctx<'_>) -> bool {
         if !matches!(self.busy(addr), Some(Busy::InstallWait { .. })) {
             return true;
@@ -631,22 +632,6 @@ impl AccelL2 {
         true
     }
 
-    /// Retries every parked grant, in `blocks` order. Called where a record
-    /// closes: a way is a victim candidate only while its block has no
-    /// record, so that is the one event that can unblock a parked grant.
-    fn retry_installs(&mut self, ctx: &mut Ctx<'_>) {
-        // Empty, and so not allocated, unless a fill is parked.
-        let waiting: Vec<BlockAddr> = self
-            .blocks
-            .iter()
-            .filter(|(_, b)| matches!(b.busy, Some(Busy::InstallWait { .. })))
-            .map(|(&a, _)| a)
-            .collect();
-        for addr in waiting {
-            self.try_install(addr, ctx);
-        }
-    }
-
     /// A guard Inv on a block nothing holds busy.
     fn process_host_inv(&mut self, cx: &mut L2Cx<'_, '_>) {
         let addr = cx.addr;
@@ -679,6 +664,8 @@ impl AccelL2 {
         else {
             return self.violation();
         };
+        self.installs
+            .pop_first(&mut self.spare_installs, |&a| a == addr);
         let resp = match host {
             Host::M => XgiKind::DirtyWb { data },
             Host::E => XgiKind::CleanWb { data },
@@ -726,37 +713,39 @@ impl AccelL2 {
         ctx.send(self.below, XgiMsg::new(addr, req).into());
     }
 
+    /// Installs the grants parked for a way while one has room; a way is a
+    /// victim only while its block has no record, so a record just closed.
+    fn install_parked(&mut self, ctx: &mut Ctx<'_>) {
+        loop {
+            let (array, blocks) = (&self.array, &self.blocks);
+            let room = |&a: &BlockAddr| array.has_room_where(a, |v, _| !blocks.contains_key(&v));
+            let Some(addr) = self.installs.pop_first(&mut self.spare_installs, room) else {
+                return;
+            };
+            self.try_install(addr, ctx);
+        }
+    }
+
     /// Runs the messages parked on `addr` while it is free, and a guard
-    /// `Inv` also while the block is busy on the guard; drops the record
+    /// `Inv` also while the block waits on the guard; closes the record
     /// once it is free and empty.
     fn drain(&mut self, addr: BlockAddr, ctx: &mut Ctx<'_>) {
         let below = self.below;
-        loop {
-            let Some(block) = self.blocks.get_mut(&addr) else {
-                return;
-            };
-            let next = match block.busy {
-                None => block.queue.pop_front(),
-                // A guard Inv must never wait on a transaction that itself
-                // waits on the guard: our request would park at the guard
-                // behind its own pending Inv. So it drains with priority
-                // even when a new busy state has started.
-                Some(Busy::Fetch { .. } | Busy::InstallWait { .. } | Busy::EvictPut) => block
-                    .queue
-                    .iter()
-                    .position(|&entry| entry == (below, XgiTag::Inv))
-                    .and_then(|i| block.queue.remove(i)),
-                // An internal recall stalls a guard Inv again, so pulling it
-                // out here would spin inside this call forever; it drains
-                // when the recall resolves.
-                Some(_) => return,
-            };
-            let Some((from, event)) = next else {
-                if block.busy.is_none() {
-                    if let Some(block) = self.blocks.remove(&addr) {
-                        self.spare_queues.unequip(block.queue);
-                    }
-                    self.retry_installs(ctx);
+        while let Some(block) = self.blocks.get_mut(&addr) {
+            let idle = block.busy.is_none();
+            // A guard Inv must never wait on a transaction that itself
+            // waits on the guard: our request would park at the guard
+            // behind its own pending Inv. An internal recall stalls a guard
+            // Inv again, so it drains when the recall resolves.
+            let on_guard = matches!(
+                block.busy,
+                Some(Busy::Fetch { .. } | Busy::InstallWait { .. } | Busy::EvictPut)
+            );
+            let admit = |&m: &(NodeId, XgiTag)| idle || on_guard && m == (below, XgiTag::Inv);
+            let Some((from, event)) = block.queue.pop_first(&mut self.spares, admit) else {
+                if idle {
+                    self.blocks.remove(&addr);
+                    self.install_parked(ctx);
                 }
                 return;
             };
@@ -801,10 +790,7 @@ impl<'a, 'b> Controller<L2State, XgiTag, L2Action, L2Cx<'a, 'b>> for AccelL2 {
     fn stalled(&mut self, step: Step<L2State, XgiTag>, cx: &mut L2Cx<'a, 'b>) {
         // Only busy blocks stall, and a busy block has a record.
         match self.blocks.get_mut(&cx.addr) {
-            Some(block) => {
-                self.spare_queues.equip(&mut block.queue);
-                block.queue.push_back((cx.from, step.event));
-            }
+            Some(block) => block.queue.park((cx.from, step.event), &mut self.spares),
             None => self.violation(),
         }
     }

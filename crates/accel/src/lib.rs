@@ -18,12 +18,6 @@
 //!   to host and XG alike) that also demonstrates the interface composes
 //!   hierarchically.
 //!
-//! [`AccelL1`] also implements the degraded modes of §2.1 — an accelerator
-//! that values simplicity over performance can treat messages uniformly:
-//! [`AccelMode::Msi`] treats `DataE` as `DataM` (and only ever writes back
-//! dirty), and [`AccelMode::Vi`] issues nothing but `GetM`. Both remain
-//! fully coherent through the same interface.
-//!
 //! Accelerator block sizes that are multiples of the 64 B host block are
 //! supported end-to-end ([`AccelL1Config::block_blocks`]); Crossing Guard
 //! performs the merge/split (paper §2.5).
@@ -36,5 +30,5 @@ pub mod l2;
 #[cfg(test)]
 mod tests;
 
-pub use l1::{AccelL1, AccelL1Config, AccelMode, Prefetch};
+pub use l1::{AccelL1, AccelL1Config, Prefetch};
 pub use l2::{AccelL2, AccelL2Config};

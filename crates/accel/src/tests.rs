@@ -4,7 +4,7 @@ use xg_mem::{Addr, BlockAddr, DataBlock, IdMap};
 use xg_proto::{CoreKind, CoreMsg, Ctx, Message, XgData, XgiKind, XgiMsg};
 use xg_sim::{Component, Link, NodeId, SimBuilder};
 
-use crate::{AccelL1, AccelL1Config, AccelL2, AccelL2Config, AccelMode, Prefetch};
+use crate::{AccelL1, AccelL1Config, AccelL2, AccelL2Config, Prefetch};
 
 /// A scripted stand-in for Crossing Guard: records every interface message
 /// and can answer requests from a trivial memory model.
@@ -461,38 +461,6 @@ fn eviction_writes_back_through_interface() {
     let id = rig.op(CoreKind::Load, 0x100);
     rig.run();
     assert_eq!(rig.load_value(id), Some(31));
-}
-
-#[test]
-fn msi_mode_treats_e_as_m() {
-    let cfg = AccelL1Config {
-        mode: AccelMode::Msi,
-        ..AccelL1Config::default()
-    };
-    let mut rig = Rig::new(cfg, true, true); // guard grants E
-    let id = rig.op(CoreKind::Load, 0x300);
-    rig.run();
-    assert_eq!(rig.load_value(id), Some(0));
-    // DataE was mapped to M locally.
-    assert_eq!(rig.state(0x300), "M");
-    // Inv must produce a *dirty* writeback (MSI never claims clean).
-    rig.xg_send(0x300, XgiKind::Inv);
-    rig.run();
-    assert!(rig.xg_kinds().contains(&"DirtyWb"));
-}
-
-#[test]
-fn vi_mode_issues_only_getm() {
-    let cfg = AccelL1Config {
-        mode: AccelMode::Vi,
-        ..AccelL1Config::default()
-    };
-    let mut rig = Rig::new(cfg, true, false);
-    rig.op(CoreKind::Load, 0x400);
-    rig.op(CoreKind::Store { value: 1 }, 0x440);
-    rig.run();
-    let kinds = rig.xg_kinds();
-    assert!(kinds.iter().all(|&k| k == "GetM"), "{kinds:?}");
 }
 
 #[test]

@@ -22,10 +22,9 @@
 //! is admitted before any later request, and before a response that
 //! answers an `Inv` on its block. Responses are never held (§2.5).
 
-use std::collections::VecDeque;
 use std::sync::OnceLock;
 
-use xg_fsm::{alphabet, Alphabet, Controller, Machine, Step, Table, TableBuilder};
+use xg_fsm::{alphabet, Alphabet, Controller, Machine, Parked, Step, Table, TableBuilder};
 use xg_mem::{BlockAddr, DataBlock, IdMap, PagePerm, Spares};
 use xg_proto::{Ctx, HomeMap, Message, OsMsg, XgData, XgError, XgErrorKind, XgiKind, XgiMsg};
 use xg_sim::{CheckDigest, Component, Cycle, FsmRows, Histogram, NodeId, Report};
@@ -382,6 +381,16 @@ impl Grants {
         self.m |= u64::from(state == GrantState::M) << sub;
         self.dirty |= u64::from(dirty) << sub;
     }
+
+    /// Gives up the owned grant of sub-block `sub`: its data, dirty bit.
+    fn take_owned(&mut self, sub: u64) -> Option<(DataBlock, bool)> {
+        let got = (self.data.blocks()[sub as usize], self.dirty >> sub & 1 == 1);
+        let owned = self.owned >> sub & 1 == 1;
+        for bits in [&mut self.got, &mut self.owned, &mut self.m, &mut self.dirty] {
+            *bits &= !(u64::from(owned) << sub);
+        }
+        owned.then_some(got)
+    }
 }
 
 /// Why an `Inv` is outstanding at the accelerator.
@@ -403,7 +412,7 @@ struct OpenBlock {
     /// The `Inv` outstanding at the accelerator.
     inv: Option<InvPending>,
     /// Requests parked behind `req`, `inv` or `relinquishing`.
-    queue: VecDeque<(XgEvent, XgiKind)>,
+    queue: Parked<(XgEvent, XgiMsg)>,
     /// Sub-blocks with an internal relinquish put in flight at the persona.
     relinquishing: u64,
 }
@@ -459,14 +468,15 @@ pub struct CrossingGuard {
     rate: Option<TokenBucket>,
     /// Requests the rate limiter holds, in arrival order, and whether its
     /// timer is armed.
-    held: VecDeque<(XgEvent, XgiMsg)>,
+    held: Parked<(XgEvent, XgiMsg)>,
     throttle_armed: bool,
     disabled: bool,
     /// The persona's events for the host message being handled; empty
     /// between messages, kept for its capacity.
     events: Vec<PersonaEvent>,
-    /// Emptied `InvPending::reasons` buffers, reused by the next `Inv`.
+    /// Emptied `InvPending::reasons` and request-queue buffers.
     spare_reasons: Spares<Vec<(BlockAddr, DemandKind)>>,
+    spares: Spares<Parked<(XgEvent, XgiMsg)>>,
     stats: Stats,
     /// Errors reported, indexed by `XgErrorKind as usize`.
     errors: [u64; XgErrorKind::ALL.len()],
@@ -478,7 +488,8 @@ pub struct CrossingGuard {
 
 xg_sim::clone_in_place!(impl[] for CrossingGuard {
     name, accel, os, cfg, k, persona, table, shadow_blocks, open, open_reqs, open_invs, rate,
-    held, throttle_armed, disabled, events, spare_reasons, stats, errors, peak_storage, full, tx,
+    held, throttle_armed, disabled, events, spare_reasons, spares, stats, errors, peak_storage,
+    full, tx,
 });
 
 /// Per-dispatch context for [`XgAction`] interpretation.
@@ -580,11 +591,12 @@ impl CrossingGuard {
             open_reqs: 0,
             open_invs: 0,
             rate,
-            held: VecDeque::new(),
+            held: Parked::default(),
             throttle_armed: false,
             disabled: false,
             events: Vec::new(),
             spare_reasons: Spares::default(),
+            spares: Spares::default(),
             cfg,
             stats: Stats::default(),
             errors: [0; XgErrorKind::ALL.len()],
@@ -740,10 +752,10 @@ impl CrossingGuard {
         // `Inv` may not overtake the requests of its block held before it:
         // the interface link is ordered (§2.1).
         if self.open.get(&a).is_some_and(|o| o.inv.is_some()) {
-            while let Some(i) = self.held.iter().position(|(_, m)| m.addr == a) {
-                if let Some((event, msg)) = self.held.remove(i) {
-                    self.admit(event, msg, ctx);
-                }
+            while let Some((event, msg)) =
+                self.held.pop_first(&mut self.spares, |(_, m)| m.addr == a)
+            {
+                self.admit(event, msg, ctx);
             }
         }
         self.run(event, &mut XgCx::new(ctx, a, a, Some(msg.kind)));
@@ -763,7 +775,7 @@ impl CrossingGuard {
         ctx.trace(msg.addr.as_u64(), "guard", "Throttle", || {
             format!("{} held", msg.kind)
         });
-        self.held.push_back((event, msg));
+        self.held.park((event, msg), &mut self.spares);
         self.arm_throttle(ctx);
     }
 
@@ -780,7 +792,7 @@ impl CrossingGuard {
     fn release_held(&mut self, ctx: &mut Ctx<'_>) {
         self.throttle_armed = false;
         while !self.held.is_empty() && self.rate.as_mut().is_some_and(|r| r.try_take(ctx.now())) {
-            if let Some((event, msg)) = self.held.pop_front() {
+            if let Some((event, msg)) = self.held.pop_first(&mut self.spares, |_| true) {
                 self.admit(event, msg, ctx);
             }
         }
@@ -1104,16 +1116,35 @@ impl CrossingGuard {
                 dirty,
                 keep_shared: true,
             },
-            // The host believing we own while our own Get is open means
-            // desync; keep the host safe anyway.
             (XgAction::AnswerOpenGet, _, Some(kind)) if kind.expects_data() => {
-                ctx.trace(h.as_u64(), "guard", "Fabricate", || {
-                    format!("open-get kind={kind:?}")
-                });
-                self.stats.fabricated_responses += 1;
+                let read_only = matches!(kind, DemandKind::ReadOnly { .. });
+                let collected = match self.req_mut(a) {
+                    Some(AccelReq::Get {
+                        grants, req_kind, ..
+                    }) if !read_only => grants.take_owned(idx as u64).zip(Some(*req_kind)),
+                    _ => None,
+                };
+                let (data, dirty) = match collected {
+                    // An owner demand on a sub-block the open Get already
+                    // owns (§2.5), which the host saw complete: it takes the
+                    // collected data, and the Get asks for it again.
+                    Some((got, req)) => {
+                        self.persona.issue_get(h, req, ctx);
+                        got
+                    }
+                    // Otherwise the host believing we own while our own Get
+                    // is open means desync; keep the host safe anyway.
+                    None => {
+                        ctx.trace(h.as_u64(), "guard", "Fabricate", || {
+                            format!("open-get kind={kind:?}")
+                        });
+                        self.stats.fabricated_responses += 1;
+                        (DataBlock::zeroed(), true)
+                    }
+                };
                 DemandResponse::Data {
-                    data: DataBlock::zeroed(),
-                    dirty: true,
+                    data,
+                    dirty,
                     keep_shared: false,
                 }
             }
@@ -1312,14 +1343,14 @@ impl CrossingGuard {
 
     fn drain_queue(&mut self, a: BlockAddr, ctx: &mut Ctx<'_>) {
         while let Some(open) = self.open.get_mut(&a) {
-            if open.inv.is_some() || open.req.is_some() || open.relinquishing != 0 {
-                return;
-            }
-            let Some((event, kind)) = open.queue.pop_front() else {
-                self.open.remove(&a);
+            let idle = open.inv.is_none() && open.req.is_none() && open.relinquishing == 0;
+            let Some((event, msg)) = open.queue.pop_first(&mut self.spares, |_| idle) else {
+                if idle {
+                    self.open.remove(&a);
+                }
                 return;
             };
-            self.run(event, &mut XgCx::new(ctx, a, a, Some(kind)));
+            self.run(event, &mut XgCx::new(ctx, a, a, Some(msg.kind)));
         }
     }
 
@@ -1367,7 +1398,8 @@ macro_rules! guard_controller {
             fn stalled(&mut self, step: Step<$state, XgEvent>, cx: &mut XgCx<'a, 'b>) {
                 if let Some(kind) = cx.kind.take() {
                     let open = self.open.entry(cx.a).or_default();
-                    open.queue.push_back((step.event, kind));
+                    open.queue
+                        .park((step.event, XgiMsg::new(cx.a, kind)), &mut self.spares);
                 }
             }
 
@@ -1505,14 +1537,10 @@ impl Component<Message> for CrossingGuard {
         // Requests parked behind an open transaction or pending Inv.
         let queued = open.iter().filter(|(_, o)| !o.queue.is_empty());
         out.write_u64(queued.clone().count() as u64);
-        let mut queued_msgs = 0u64;
         for (a, o) in queued {
             out.write_addr(a.as_u64());
-            out.write_u64(o.queue.len() as u64);
-            queued_msgs += o.queue.len() as u64;
             o.queue
-                .iter()
-                .for_each(|(_, kind)| digest_xgi_kind(kind, out));
+                .digest(out, |(_, msg), out| digest_xgi_kind(&msg.kind, out));
         }
         // Forwarded invalidations still open at the accelerator.
         out.write_u64(self.open_invs as u64);
@@ -1540,14 +1568,13 @@ impl Component<Message> for CrossingGuard {
         // Requests the rate limiter holds (none without a limit).
         if !self.held.is_empty() {
             out.write_str("held");
-            out.write_u64(self.held.len() as u64);
-            for (_, msg) in &self.held {
+            self.held.digest(out, |(_, msg), out| {
                 out.write_addr(msg.addr.as_u64());
                 digest_xgi_kind(&msg.kind, out);
-            }
+            });
         }
-        let pending = self.open_reqs + self.open_invs + internal.len() + self.held.len();
-        out.obligation(pending as u64 + queued_msgs);
+        let pending = self.open_reqs + self.open_invs + internal.len();
+        out.obligation(pending as u64);
         self.persona.check_state(out);
     }
 

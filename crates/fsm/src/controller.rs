@@ -38,7 +38,8 @@ pub trait Controller<S: Alphabet, E: Alphabet, A: Alphabet, Cx> {
     /// Interprets one symbolic action against concrete data.
     fn apply(&mut self, action: A, step: Step<S, E>, cx: &mut Cx);
 
-    /// The row said [`Resolution::Stall`]: queue/defer the stimulus.
+    /// The row said [`Resolution::Stall`]: one
+    /// [`Parked::park`](crate::Parked::park) behind the blocking record.
     fn stalled(&mut self, step: Step<S, E>, cx: &mut Cx);
 
     /// The row said [`Resolution::Violation`]: count/flag it.

@@ -24,6 +24,9 @@
 //! * [`Table::to_markdown`] and [`Table::to_dot`] dump the implemented
 //!   tables for DESIGN.md and CI golden-file diffs, the markdown headed by
 //!   the table's [`TableBuilder::note`]s.
+//! * [`Parked`] is the one queue every controller parks messages in; a
+//!   stall is one [`park`](Parked::park), and every drain re-dispatches
+//!   what [`pop_first`](Parked::pop_first) admits until it admits nothing.
 //!
 //! ## Division of labor
 //!
@@ -75,10 +78,12 @@
 mod controller;
 mod dump;
 mod machine;
+mod park;
 mod table;
 
 pub use controller::{Controller, Step};
 pub use machine::{Machine, Resolution};
+pub use park::Parked;
 pub use table::{NextState, RowKind, RowOutcome, Table, TableBuilder, TableError};
 
 // The vocabulary idiom lives in `xg-sim` so that controllers without a

@@ -313,7 +313,6 @@ pub fn build_system(
         ways: cfg.accel_cache.1,
         block_blocks: cfg.xg.block_blocks,
         prefetch: cfg.prefetch,
-        ..AccelL1Config::default()
     };
     // The guard of one hierarchy; `accel_side` is the node above it.
     let guard = |name: String, accel_side: NodeId, variant, slot: &AccelSlot| {

@@ -413,7 +413,7 @@ fn handle_hammer(l1: &mut HammerCache, msg: HammerMsg, ctx: &mut Ctx<'_>) {
                     }
                 }
             }
-            l1.drain_waiting(waiting, ctx);
+            l1.release(waiting, ctx);
         }
         // Requests only a directory should receive.
         HammerKind::GetS
@@ -512,5 +512,5 @@ fn complete_get(l1: &mut HammerCache, addr: BlockAddr, event: CEvent, ctx: &mut 
     };
     l1.install_line(addr, line, (before, event), ctx);
     ctx.send(l1.home(addr), HammerMsg::new(addr, grant.unblock()).into());
-    l1.drain_waiting(waiting, ctx);
+    l1.release(waiting, ctx);
 }

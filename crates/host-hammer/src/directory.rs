@@ -12,10 +12,8 @@
 //! (owner identity, queue contents, memory) stays here, interpreted through
 //! the symbolic [`DirAction`]s.
 
-use std::collections::VecDeque;
-
-use xg_fsm::{alphabet, Alphabet, Controller, Machine, Step, Table, TableBuilder};
-use xg_mem::{BlockAddr, DataBlock, IdMap};
+use xg_fsm::{alphabet, Alphabet, Controller, Machine, Parked, Step, Table, TableBuilder};
+use xg_mem::{BlockAddr, DataBlock, IdMap, Spares};
 use xg_proto::{Ctx, HammerKind, HammerMsg, Message};
 use xg_sim::{CheckDigest, Component, CoverageGrid, Cycle, FsmRows, Histogram, NodeId, Report};
 
@@ -160,7 +158,7 @@ struct DirBlock {
     owner: Option<NodeId>,
     busy: Option<Busy>,
     since: Option<Cycle>,
-    queue: VecDeque<(NodeId, HammerKind)>,
+    queue: Parked<(NodeId, HammerKind)>,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -254,6 +252,8 @@ pub struct HammerDirectory {
     caches: Vec<NodeId>,
     memory: IdMap<BlockAddr, DataBlock>,
     blocks: IdMap<BlockAddr, DirBlock>,
+    /// Emptied `DirBlock::queue` buffers, reused by the next stall.
+    spares: Spares<Parked<(NodeId, HammerKind)>>,
     mem_latency: u64,
     stats: Stats,
     /// `(state, message kind)` pairs visited, by index; named in `report`.
@@ -266,6 +266,7 @@ xg_sim::clone_in_place!(impl[] for HammerDirectory {
     caches,
     memory,
     blocks,
+    spares,
     mem_latency,
     stats,
     seen,
@@ -283,6 +284,7 @@ impl HammerDirectory {
             caches,
             memory: IdMap::default(),
             blocks: IdMap::default(),
+            spares: Spares::default(),
             mem_latency,
             stats: Stats::default(),
             seen: CoverageGrid::new(),
@@ -345,16 +347,11 @@ impl HammerDirectory {
         self.dispatch(state, event, &mut cx);
     }
 
+    /// Re-handles queued requests until one makes the block busy again.
     fn drain_queue(&mut self, addr: BlockAddr, ctx: &mut Ctx<'_>) {
-        // Re-handle queued requests until one makes the block busy again.
-        loop {
-            let Some(block) = self.blocks.get_mut(&addr) else {
-                return;
-            };
-            if block.busy.is_some() {
-                return;
-            }
-            let Some((from, kind)) = block.queue.pop_front() else {
+        while let Some(block) = self.blocks.get_mut(&addr) {
+            let idle = block.busy.is_none();
+            let Some((from, kind)) = block.queue.pop_first(&mut self.spares, |_| idle) else {
                 return;
             };
             self.handle_request(from, addr, kind, ctx);
@@ -469,11 +466,8 @@ impl<'a, 'b> Controller<DirState, DirEvent, DirAction, DirCx<'a, 'b>> for Hammer
     }
 
     fn stalled(&mut self, _step: Step<DirState, DirEvent>, cx: &mut DirCx<'a, 'b>) {
-        self.blocks
-            .entry(cx.addr)
-            .or_default()
-            .queue
-            .push_back((cx.from, cx.kind));
+        let block = self.blocks.entry(cx.addr).or_default();
+        block.queue.park((cx.from, cx.kind), &mut self.spares);
     }
 
     fn violated(&mut self, _step: Step<DirState, DirEvent>, _cx: &mut DirCx<'a, 'b>) {
@@ -577,11 +571,8 @@ impl Component<Message> for HammerDirectory {
                 }
                 None => out.write_str("idle"),
             }
-            out.write_u64(b.queue.len() as u64);
-            for (from, kind) in &b.queue {
-                digest_queued(*from, kind, out);
-            }
-            out.obligation(b.queue.len() as u64);
+            b.queue
+                .digest(out, |(from, kind), out| digest_queued(*from, kind, out));
         }
         out.recycle(blocks);
     }

@@ -37,9 +37,10 @@
 //! textbook MESI race that the accelerator protocols behind Crossing Guard
 //! never see.
 
+use xg_fsm::Parked;
 use xg_mem::{BlockAddr, DataBlock, Replacement, SetAssocCache, Spares};
 use xg_proto::host_l1::{self, HostL1, L1Protocol};
-use xg_proto::{CoreKind, Ctx, MesiKind, MesiMsg, Message};
+use xg_proto::{CoreKind, CoreMsg, Ctx, MesiKind, MesiMsg, Message};
 use xg_sim::{alphabet, Alphabet, CheckDigest, NodeId, Report};
 
 /// Configuration for a [`MesiL1`].
@@ -174,7 +175,7 @@ pub struct Get {
     local: Option<DataBlock>,
     /// An invalidation hit us mid-flight (ISI): use data once, then I.
     poisoned: bool,
-    deferred: Vec<Deferred>,
+    deferred: Parked<Deferred>,
 }
 
 impl Get {
@@ -188,7 +189,7 @@ impl Get {
 /// counters only this protocol has.
 #[derive(Debug, Default)]
 pub struct Mesi {
-    spare_deferred: Spares<Vec<Deferred>>,
+    spare_deferred: Spares<Parked<Deferred>>,
     isi_races: u64,
     deferred_fwds: u64,
 }
@@ -264,7 +265,7 @@ impl L1Protocol for Mesi {
             acks_got: 0,
             local: copy.map(|copy| copy.data),
             poisoned: false,
-            deferred: self.spare_deferred.take(),
+            deferred: Parked::default(),
         });
         (txn, MesiMsg::new(addr, req).into())
     }
@@ -328,14 +329,12 @@ impl L1Protocol for Mesi {
                     None => out.write_str("no-local"),
                 }
                 out.write_u64(u64::from(*poisoned));
-                out.write_u64(deferred.len() as u64);
-                for d in deferred {
+                deferred.digest(out, |d, out| {
                     out.write_str(d.event().label());
                     if let Deferred::FwdGetS(r) | Deferred::FwdGetM(r) = d {
                         out.write_node(*r);
                     }
-                }
-                out.obligation(deferred.len() as u64);
+                });
             }
             Txn::Wb {
                 kind,
@@ -568,7 +567,7 @@ fn handle_demand(
         Some(Txn::Get(get)) => {
             // We are the owner-to-be but have no data yet: defer.
             l1.proto.deferred_fwds += 1;
-            get.deferred.push(demand);
+            get.deferred.park(demand, &mut l1.proto.spare_deferred);
         }
         Some(Txn::Wb {
             kind: kind @ (L1State::E | L1State::M),
@@ -604,7 +603,7 @@ fn handle_demand(
 /// Closes a finished writeback and re-handles the ops parked behind it.
 fn close_writeback(l1: &mut MesiL1, addr: BlockAddr, ctx: &mut Ctx<'_>) {
     if let Some(open) = l1.mshr.remove(addr) {
-        l1.drain_waiting(open.waiting, ctx);
+        l1.release(open.waiting, ctx);
     }
 }
 
@@ -622,24 +621,20 @@ fn complete_get(l1: &mut MesiL1, addr: BlockAddr, event: CEvent, ctx: &mut Ctx<'
         // ISI: satisfy the loads that were already waiting with the
         // granted (coherent-at-grant-time) data, then drop the block.
         MesiL1::trace_change(ctx, addr, (before, event, CState::I), Some(&data));
-        waiting.retain(|&(from, msg)| {
-            let CoreKind::Load = msg.kind else {
-                return true;
-            };
+        let load = |(_, msg): &(NodeId, CoreMsg)| matches!(msg.kind, CoreKind::Load);
+        while let Some((from, msg)) = waiting.pop_first(&mut l1.spares, load) {
             let value = data.read_u64(msg.addr.block_offset() & !7);
             ctx.send(from, msg.reply(CoreKind::LoadResp { value }).into());
-            false
-        });
-        l1.drain_waiting(waiting, ctx);
+        }
+        l1.release(waiting, ctx);
         return;
     }
 
     l1.install_line(addr, Line { state, dirty, data }, (before, event), ctx);
     // Serve demands that raced ahead of our own completion.
     let mut deferred = get.deferred;
-    for demand in deferred.drain(..) {
+    while let Some(demand) = deferred.pop_first(&mut l1.proto.spare_deferred, |_| true) {
         handle_demand(l1, addr, demand, true, ctx);
     }
-    l1.proto.spare_deferred.put(deferred);
-    l1.drain_waiting(waiting, ctx);
+    l1.release(waiting, ctx);
 }

@@ -29,9 +29,7 @@
 //! `xg-fsm` table maps `(state, event)` to transition, stall (queue), or
 //! violation. Data movement lives in the symbolic [`L2Action`]s.
 
-use std::collections::VecDeque;
-
-use xg_fsm::{alphabet, Alphabet, Controller, Machine, Step, Table, TableBuilder};
+use xg_fsm::{alphabet, Alphabet, Controller, Machine, Parked, Step, Table, TableBuilder};
 use xg_mem::{BlockAddr, DataBlock, IdMap, Replacement, SetAssocCache, SortedSet, Spares};
 use xg_proto::{Ctx, MesiKind, MesiMsg, Message};
 use xg_sim::{CheckDigest, Component, CoverageGrid, Cycle, FsmRows, Histogram, NodeId, Report};
@@ -90,7 +88,7 @@ alphabet! {
         /// Memory-fetch completion timer.
         FetchDone,
         /// Retry of a fill parked for a way, dispatched when a record
-        /// closes (`MesiL2::retry_installs`).
+        /// closes (`MesiL2::install_parked`).
         InstallRetry,
         /// A message kind the L2 never receives.
         Stray,
@@ -313,7 +311,7 @@ struct Block {
     /// Cycle the current busy episode opened (a `Fetch` and the
     /// `InstallWait` it turns into are one episode); times `lat.busy`.
     since: Cycle,
-    queue: VecDeque<(NodeId, MesiKind)>,
+    queue: Parked<(NodeId, MesiKind)>,
 }
 
 impl Block {
@@ -394,8 +392,10 @@ pub struct MesiL2 {
     array: SetAssocCache<L2Line>,
     blocks: IdMap<BlockAddr, Block>,
     memory: IdMap<BlockAddr, DataBlock>,
-    /// Emptied `Block::queue` buffers, reused by the next stall.
-    spare_queues: Spares<VecDeque<(NodeId, MesiKind)>>,
+    /// Blocks whose fill waits for a way (`Busy::InstallWait`).
+    installs: Parked<BlockAddr>,
+    spares: Spares<Parked<(NodeId, MesiKind)>>,
+    spare_installs: Spares<Parked<BlockAddr>>,
     stats: Stats,
     /// `(state, message kind)` pairs visited, by index; named in `report`.
     seen: CoverageGrid<L2State, L2Msg>,
@@ -408,7 +408,9 @@ xg_sim::clone_in_place!(impl[] for MesiL2 {
     array,
     blocks,
     memory,
-    spare_queues,
+    installs,
+    spares,
+    spare_installs,
     stats,
     seen,
     machine,
@@ -423,7 +425,9 @@ impl MesiL2 {
             blocks: IdMap::default(),
             memory: IdMap::default(),
             cfg,
-            spare_queues: Spares::default(),
+            installs: Parked::default(),
+            spares: Spares::default(),
+            spare_installs: Spares::default(),
             stats: Stats::default(),
             seen: CoverageGrid::new(),
             machine: Machine::new(table()),
@@ -601,22 +605,15 @@ impl MesiL2 {
         self.drain(addr, ctx);
     }
 
-    /// Retries every parked fill, in `blocks` order. Called where a record
-    /// closes: a way is a victim candidate only while its block has no
-    /// record, so that is the one event that can unblock a parked fill.
-    fn retry_installs(&mut self, ctx: &mut Ctx<'_>) {
-        // Empty, and so not allocated, unless a fill is parked.
-        let waiting: Vec<BlockAddr> = self
-            .blocks
-            .iter()
-            .filter(|(_, b)| matches!(b.busy, Some(Busy::InstallWait { .. })))
-            .map(|(&a, _)| a)
-            .collect();
-        for addr in waiting {
-            // An earlier retry of this walk may have installed it already.
-            if !matches!(self.busy(addr), Some(Busy::InstallWait { .. })) {
-                continue;
-            }
+    /// Retries the fills parked for a way while one has room; a way is a
+    /// victim only while its block has no record, so a record just closed.
+    fn install_parked(&mut self, ctx: &mut Ctx<'_>) {
+        loop {
+            let (array, blocks) = (&self.array, &self.blocks);
+            let room = |&a: &BlockAddr| array.has_room_where(a, |v, _| !blocks.contains_key(&v));
+            let Some(addr) = self.installs.pop_first(&mut self.spare_installs, room) else {
+                return;
+            };
             let me = ctx.self_id();
             let mut cx = L2Cx {
                 ctx,
@@ -630,8 +627,7 @@ impl MesiL2 {
 
     /// Installs `addr`'s fetched fill, recalling a victim first if the set
     /// is full. `false` when every candidate way is mid-transaction: the
-    /// fill stays parked, and [`retry_installs`](Self::retry_installs)
-    /// tries again when a record closes.
+    /// fill parks in `installs` until a record closes.
     fn try_install(&mut self, addr: BlockAddr, ctx: &mut Ctx<'_>) -> bool {
         let Some(Busy::InstallWait { .. }) = self.busy(addr) else {
             return true;
@@ -707,19 +703,17 @@ impl MesiL2 {
         }
     }
 
+    /// Re-handles the requests parked on `addr` while it is free; closes
+    /// the record once it is free and empty.
     fn drain(&mut self, addr: BlockAddr, ctx: &mut Ctx<'_>) {
-        loop {
-            let Some(block) = self.blocks.get_mut(&addr) else {
-                return;
-            };
-            if block.busy.is_some() {
-                return;
-            }
-            let Some((from, kind)) = block.queue.pop_front() else {
-                if let Some(block) = self.blocks.remove(&addr) {
-                    self.spare_queues.unequip(block.queue);
+        while let Some(block) = self.blocks.get_mut(&addr) {
+            let idle = block.busy.is_none();
+            let Some((from, kind)) = block.queue.pop_first(&mut self.spares, |_| idle) else {
+                if idle {
+                    self.blocks.remove(&addr);
+                    self.install_parked(ctx);
                 }
-                return self.retry_installs(ctx);
+                return;
             };
             self.process(from, addr, kind, ctx);
         }
@@ -936,6 +930,7 @@ impl<'a, 'b> Controller<L2State, L2Event, L2Action, L2Cx<'a, 'b>> for MesiL2 {
                 });
                 if !self.try_install(addr, cx.ctx) {
                     self.stats.install_retries += 1;
+                    self.installs.park(addr, &mut self.spare_installs);
                 }
             }
             L2Action::TryInstall => {
@@ -947,8 +942,7 @@ impl<'a, 'b> Controller<L2State, L2Event, L2Action, L2Cx<'a, 'b>> for MesiL2 {
     fn stalled(&mut self, _step: Step<L2State, L2Event>, cx: &mut L2Cx<'a, 'b>) {
         if let Some(kind) = cx.kind {
             let block = self.blocks.entry(cx.addr).or_default();
-            self.spare_queues.equip(&mut block.queue);
-            block.queue.push_back((cx.from, kind));
+            block.queue.park((cx.from, kind), &mut self.spares);
         }
     }
 
@@ -1133,13 +1127,10 @@ impl Component<Message> for MesiL2 {
         out.write_u64(queued.clone().count() as u64);
         for (a, block) in queued {
             out.write_addr(a.as_u64());
-            let q = &block.queue;
-            out.write_u64(q.len() as u64);
-            out.obligation(q.len() as u64);
-            for (from, kind) in q {
+            block.queue.digest(out, |(from, kind), out| {
                 out.write_node(*from);
                 out.write_str(msg_kind(kind).label());
-            }
+            });
         }
         // Memory: entries holding zeroed data are indistinguishable from
         // absent ones (`read_memory` defaults to zero), so filter them.

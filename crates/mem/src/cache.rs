@@ -167,6 +167,17 @@ impl<E> SetAssocCache<E> {
         set.len() >= self.ways && !set.iter().any(|l| l.addr == addr)
     }
 
+    /// Whether `addr` (not already resident) could be inserted now: its set
+    /// has a free way, or a line `eligible` accepts as the victim.
+    pub fn has_room_where(
+        &self,
+        addr: BlockAddr,
+        mut eligible: impl FnMut(BlockAddr, &E) -> bool,
+    ) -> bool {
+        let set = &self.sets[self.set_index(addr)];
+        !self.needs_eviction(addr) || set.iter().any(|l| eligible(l.addr, &l.entry))
+    }
+
     /// Removes and returns the line that would be evicted to make room for
     /// `addr`, if the set is full. Controllers call this *before* `insert`
     /// so they can run the victim's writeback transaction first.

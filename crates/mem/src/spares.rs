@@ -1,7 +1,5 @@
 //! Recycled buffers for per-transaction queues.
 
-use std::collections::VecDeque;
-
 /// A growable buffer that can be emptied while keeping its allocation.
 pub trait Recycle: Default {
     /// Drops the contents, keeps the capacity.
@@ -16,15 +14,6 @@ impl<T> Recycle for Vec<T> {
     }
     fn capacity(&self) -> usize {
         Vec::capacity(self)
-    }
-}
-
-impl<T> Recycle for VecDeque<T> {
-    fn clear(&mut self) {
-        VecDeque::clear(self);
-    }
-    fn capacity(&self) -> usize {
-        VecDeque::capacity(self)
     }
 }
 
@@ -70,24 +59,6 @@ impl<B: Recycle> Spares<B> {
     pub fn take(&mut self) -> B {
         self.lent += 1;
         self.bufs.pop().unwrap_or_default()
-    }
-
-    /// Gives `buf` a recycled allocation if it has none of its own — for a
-    /// queue that is created empty with its record and only sometimes used.
-    /// Hand it back with [`unequip`](Spares::unequip).
-    pub fn equip(&mut self, buf: &mut B) {
-        if buf.capacity() == 0 {
-            *buf = self.take();
-        }
-    }
-
-    /// [`put`](Spares::put) for a queue [`equip`](Spares::equip) may have
-    /// served: one without an allocation was never equipped (an equipped
-    /// queue is pushed into at once), so it was never lent either.
-    pub fn unequip(&mut self, buf: B) {
-        if buf.capacity() > 0 {
-            self.put(buf);
-        }
     }
 
     /// Returns a buffer [`take`](Spares::take) lent, emptied, for a later
@@ -137,18 +108,6 @@ mod tests {
         assert_eq!(pool.clone().take().capacity(), 0);
         pool.clone_from(&Spares::default());
         assert_eq!(pool.take().capacity(), 16);
-    }
-
-    #[test]
-    fn a_queue_that_was_never_equipped_returns_no_loan() {
-        let mut pool: Spares<Vec<u8>> = Spares::default();
-        let mut used = Vec::new();
-        pool.equip(&mut used);
-        used.push(1);
-        // Another record's queue, never used: not a return of `used`'s loan.
-        pool.unequip(Vec::new());
-        pool.unequip(used);
-        assert!(pool.take().capacity() > 0, "the equipped queue came back");
     }
 
     #[test]

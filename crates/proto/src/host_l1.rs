@@ -15,8 +15,7 @@
 //! out of [`HostL1::cache`] before it opens a record in [`HostL1::mshr`],
 //! and by filling through [`HostL1::install_line`] only after it closed one.
 
-use std::collections::VecDeque;
-
+use xg_fsm::Parked;
 use xg_mem::{BlockAddr, DataBlock, Mshr, SetAssocCache, Spares, BLOCK_BYTES};
 use xg_sim::{Alphabet, CheckDigest, Component, CoverageGrid, Cycle, Histogram, NodeId, Report};
 
@@ -33,8 +32,8 @@ pub struct Line<S> {
     pub data: DataBlock,
 }
 
-/// Core ops parked behind an open block, in arrival order.
-pub type Parked = Vec<(NodeId, CoreMsg)>;
+/// Core ops parked behind an open block or a full MSHR, in arrival order.
+pub type Waiting = Parked<(NodeId, CoreMsg)>;
 
 /// Everything open on one block — the MSHR entry: the transaction, the
 /// cycle it opened (for `lat.miss`), and the core ops parked behind it.
@@ -45,7 +44,7 @@ pub struct Open<T> {
     /// The cycle the record opened.
     pub started: Cycle,
     /// Core ops that arrived while the block was in flight.
-    pub waiting: Parked,
+    pub waiting: Waiting,
 }
 
 /// What differs between the host L1s: the network side of one protocol.
@@ -159,9 +158,9 @@ pub struct HostL1<P: L1Protocol> {
     /// arrived behind them, in arrival order. Every op parked behind a
     /// record arrived before all of them. Drained while a slot is free
     /// after each network message, so after the ops of a record it closed.
-    stalled: VecDeque<(NodeId, CoreMsg)>,
-    /// Emptied `Open::waiting` buffers, reused by the next transaction.
-    spare_waiting: Spares<Parked>,
+    stalled: Waiting,
+    /// Emptied queue buffers, reused by the next parked op.
+    pub spares: Spares<Waiting>,
     stats: Stats,
     /// `(state, event)` pairs visited, by index; named in `report`.
     pub seen: CoverageGrid<P::State, P::Event>,
@@ -175,7 +174,7 @@ xg_sim::clone_in_place!(impl[P: L1Protocol] for HostL1<P> {
     cache,
     mshr,
     stalled,
-    spare_waiting,
+    spares,
     stats,
     seen,
     proto,
@@ -191,8 +190,8 @@ impl<P: L1Protocol> HostL1<P> {
             home: home.into(),
             cache,
             mshr: Mshr::new(mshr_entries),
-            stalled: VecDeque::new(),
-            spare_waiting: Spares::default(),
+            stalled: Waiting::default(),
+            spares: Spares::default(),
             stats: Stats::default(),
             seen: CoverageGrid::new(),
             proto,
@@ -306,7 +305,7 @@ impl<P: L1Protocol> HostL1<P> {
                         let value = copy.read_u64(offset);
                         ctx.send(from, msg.reply(CoreKind::LoadResp { value }).into());
                     }
-                    _ => open.waiting.push((from, msg)),
+                    _ => open.waiting.park((from, msg), &mut self.spares),
                 }
                 return;
             }
@@ -360,15 +359,15 @@ impl<P: L1Protocol> HostL1<P> {
                 self.cache.insert(addr, copy);
             }
             self.stats.mshr_stalls += 1;
-            return self.stalled.push_back(op);
+            return self.stalled.park(op, &mut self.spares);
         }
         let (txn, request) = self.proto.open_get(addr, store, copy);
         let before = copy.map_or(P::INVALID, |copy| copy.state.into());
         let event = if store { P::STORE } else { P::LOAD };
         let held = copy.as_ref().map(|copy| &copy.data);
         Self::trace_change(ctx, addr, (before, event, P::txn_state(&txn)), held);
-        let mut waiting = self.spare_waiting.take();
-        waiting.push(op);
+        let mut waiting = Waiting::default();
+        waiting.park(op, &mut self.spares);
         let open = Open {
             txn,
             started: ctx.now(),
@@ -403,7 +402,7 @@ impl<P: L1Protocol> HostL1<P> {
         &mut self,
         addr: BlockAddr,
         ctx: &mut Ctx<'_>,
-    ) -> Option<(P::State, P::Txn, Parked)> {
+    ) -> Option<(P::State, P::Txn, Waiting)> {
         let open = self.mshr.remove(addr)?;
         let waited = ctx.now().saturating_since(open.started);
         self.stats.lat_miss.record(waited);
@@ -452,7 +451,7 @@ impl<P: L1Protocol> HostL1<P> {
         let open = Open {
             txn,
             started: ctx.now(),
-            waiting: self.spare_waiting.take(),
+            waiting: Waiting::default(),
         };
         if self.mshr.alloc(addr, open).is_ok() {
             self.stats.mshr_occupancy.record(self.mshr.len() as u64);
@@ -466,35 +465,19 @@ impl<P: L1Protocol> HostL1<P> {
         }
     }
 
-    /// Re-handles the core ops that were parked behind a record now closed.
-    /// They arrived before every stalled op: one that finds every MSHR
-    /// taken, and each op after it, queues ahead of those, in order.
-    pub fn drain_waiting(&mut self, mut waiting: Parked, ctx: &mut Ctx<'_>) {
+    /// Re-handles, in order, the core ops parked behind a record now
+    /// closed. They arrived before every op waiting for an MSHR: one that
+    /// finds every MSHR taken goes, with the ops behind it, ahead of those.
+    pub fn release(&mut self, mut waiting: Waiting, ctx: &mut Ctx<'_>) {
         let later = std::mem::take(&mut self.stalled);
-        for (from, msg) in waiting.drain(..) {
-            if self.stalled.is_empty() {
-                self.handle_core(from, msg, ctx);
-            } else {
-                self.stalled.push_back((from, msg));
-            }
-        }
-        self.spare_waiting.put(waiting);
-        if self.stalled.is_empty() {
-            self.stalled = later;
-        } else {
-            self.stalled.extend(later);
-        }
-    }
-
-    /// Re-handles stalled ops in order while an MSHR is free. Each takes
-    /// at most the one slot it finds, so none stalls again.
-    fn drain_stalled(&mut self, ctx: &mut Ctx<'_>) {
-        while self.mshr.len() < self.mshr.capacity() {
-            let Some((from, msg)) = self.stalled.pop_front() else {
-                break;
-            };
+        while let Some((from, msg)) =
+            waiting.pop_first(&mut self.spares, |_| self.stalled.is_empty())
+        {
             self.handle_core(from, msg, ctx);
         }
+        waiting.park_ahead(std::mem::take(&mut self.stalled), &mut self.spares);
+        self.stalled = later;
+        self.stalled.park_ahead(waiting, &mut self.spares);
     }
 }
 
@@ -514,7 +497,7 @@ impl<P: L1Protocol> Component<Message> for HostL1<P> {
                     CoreKind::Load | CoreKind::Store { .. } | CoreKind::Flush
                 );
                 if op && !self.stalled.is_empty() {
-                    self.stalled.push_back((from, c));
+                    self.stalled.park((from, c), &mut self.spares);
                 } else {
                     self.handle_core(from, c, ctx);
                 }
@@ -522,7 +505,16 @@ impl<P: L1Protocol> Component<Message> for HostL1<P> {
             }
             other => {
                 let addr = P::handle_net(self, from, other, ctx);
-                self.drain_stalled(ctx);
+                // Stalled ops run in order while an MSHR is free; each takes
+                // at most the one slot it finds, so none stalls again.
+                loop {
+                    let free = self.mshr.len() < self.mshr.capacity();
+                    let Some((from, msg)) = self.stalled.pop_first(&mut self.spares, |_| free)
+                    else {
+                        break;
+                    };
+                    self.handle_core(from, msg, ctx);
+                }
                 addr
             }
         };
@@ -557,20 +549,14 @@ impl<P: L1Protocol> Component<Message> for HostL1<P> {
             out.write_addr(a.as_u64());
             P::digest_txn(&open.txn, out);
             // `started` is a timestamp and excluded.
-            out.write_u64(open.waiting.len() as u64);
-            for (from, msg) in &open.waiting {
-                msg.digest(*from, out);
-            }
-            out.obligation(open.waiting.len() as u64);
+            open.waiting
+                .digest(out, |(from, msg), out| msg.digest(*from, out));
         }
         // Stalled ops are obligations too. A drained state has none, so an
         // empty queue adds nothing to the digest.
         if !self.stalled.is_empty() {
-            out.write_u64(self.stalled.len() as u64);
-            for (from, msg) in &self.stalled {
-                msg.digest(*from, out);
-            }
-            out.obligation(self.stalled.len() as u64);
+            self.stalled
+                .digest(out, |(from, msg), out| msg.digest(*from, out));
         }
         out.obligation(self.mshr.len() as u64);
     }

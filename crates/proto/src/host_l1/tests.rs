@@ -63,7 +63,7 @@ fn open() -> Open<()> {
     Open {
         txn: (),
         started: Cycle::ZERO,
-        waiting: Vec::new(),
+        waiting: Default::default(),
     }
 }
 
