@@ -14,8 +14,10 @@
 
 use std::sync::OnceLock;
 
-use xg_fsm::{alphabet, Alphabet, Controller, Machine, Parked, Step, Table, TableBuilder};
-use xg_mem::{BlockAddr, IdMap, Replacement, SetAssocCache, Spares};
+use xg_fsm::{
+    alphabet, Alphabet, Controller, Machine, Parked, Record, Records, Step, Table, TableBuilder,
+};
+use xg_mem::{BlockAddr, Replacement, SetAssocCache};
 use xg_proto::{CoreKind, CoreMsg, Ctx, Message, XgData, XgiKind, XgiMsg};
 use xg_sim::{Component, CoverageGrid, Cycle, FsmRows, Histogram, NodeId, Report};
 
@@ -185,16 +187,14 @@ struct Line {
 
 xg_sim::clone_in_place!(impl[] for Line { state, data, prefetched });
 
-/// A block's one outstanding request: what `B` is.
-#[derive(Debug)]
-struct Pending {
-    is_put: bool,
-    is_prefetch: bool,
-    waiting: Parked<(NodeId, CoreMsg)>,
-    started: Cycle,
+/// A block's one outstanding request, what `B` is: a core op's Get, a
+/// prefetch's Get, or a replaced line's Put.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Pending {
+    Get,
+    Prefetch,
+    Put,
 }
-
-xg_sim::clone_in_place!(impl[] for Pending { is_put, is_prefetch, waiting, started });
 
 #[derive(Debug, Default)]
 struct Stats {
@@ -210,7 +210,7 @@ struct Stats {
     protocol_violation: u64,
     /// Cycles from issuing a Get below to its grant arriving.
     lat_miss: Histogram,
-    /// Outstanding-miss (MSHR) population, sampled at each new allocation.
+    /// Outstanding-request (MSHR) population, sampled at each new request.
     mshr_occupancy: Histogram,
 }
 
@@ -229,8 +229,8 @@ pub struct L1Cx<'a, 'b> {
     /// A grant's payload, or the data of the line `Remove` took out of the
     /// array or of the victim a `Repl` row writes back.
     data: Option<XgData>,
-    /// The core ops that waited for the request a response completed.
-    waiting: Parked<(NodeId, CoreMsg)>,
+    /// The core ops waiting for the request a response completed.
+    released: Parked<(NodeId, CoreMsg)>,
 }
 
 impl<'a, 'b> L1Cx<'a, 'b> {
@@ -245,7 +245,7 @@ impl<'a, 'b> L1Cx<'a, 'b> {
             la,
             op,
             data,
-            waiting: Parked::default(),
+            released: Parked::default(),
         }
     }
 }
@@ -258,9 +258,8 @@ pub struct AccelL1 {
     below: NodeId,
     cfg: AccelL1Config,
     cache: SetAssocCache<Line>,
-    pending: IdMap<BlockAddr, Pending>,
-    /// Emptied `Pending::waiting` buffers, reused by the next request.
-    spares: Spares<Parked<(NodeId, CoreMsg)>>,
+    /// Each block's one outstanding request and the core ops waiting for it.
+    pending: Records<Pending, (NodeId, CoreMsg)>,
     stats: Stats,
     /// `(state, column)` pairs visited, by index; named in `report`.
     seen: CoverageGrid<L1State, L1Event>,
@@ -268,7 +267,7 @@ pub struct AccelL1 {
 }
 
 xg_sim::clone_in_place!(impl[] for AccelL1 {
-    name, below, cfg, cache, pending, spares, stats, seen, machine,
+    name, below, cfg, cache, pending, stats, seen, machine,
 });
 
 impl AccelL1 {
@@ -283,9 +282,8 @@ impl AccelL1 {
             name: name.into(),
             below,
             cache: SetAssocCache::new(cfg.sets, cfg.ways, Replacement::Lru, 0),
-            pending: IdMap::default(),
+            pending: Records::default(),
             cfg,
-            spares: Spares::default(),
             stats: Stats::default(),
             seen: CoverageGrid::new(),
             machine: Machine::new(table()),
@@ -373,8 +371,8 @@ impl AccelL1 {
         let fits = data
             .as_ref()
             .is_none_or(|d| d.len() == self.cfg.block_blocks);
-        let (state, row) = match self.pending.get(&la) {
-            Some(p) if event == L1Event::Inv || (p.is_put == (event == L1Event::WbAck) && fits) => {
+        let (state, row) = match self.pending.get(&la).map(|p| p.txn == Pending::Put) {
+            Some(put) if event == L1Event::Inv || (put == (event == L1Event::WbAck) && fits) => {
                 (L1State::B, event)
             }
             Some(_) => (L1State::B, L1Event::Unasked),
@@ -385,20 +383,8 @@ impl AccelL1 {
     }
 
     /// Opens `la`'s one outstanding request, `op` waiting for it.
-    fn open(&mut self, la: BlockAddr, is_put: bool, op: Option<(NodeId, CoreMsg)>, now: Cycle) {
-        let mut waiting = Parked::default();
-        if let Some(op) = op {
-            waiting.park(op, &mut self.spares);
-        }
-        self.pending.insert(
-            la,
-            Pending {
-                is_put,
-                is_prefetch: false,
-                waiting,
-                started: now,
-            },
-        );
+    fn open(&mut self, la: BlockAddr, txn: Pending, op: Option<(NodeId, CoreMsg)>, now: Cycle) {
+        self.pending.open(la, txn, now, op);
         self.stats.mshr_occupancy.record(self.pending.len() as u64);
     }
 
@@ -413,15 +399,7 @@ impl AccelL1 {
             if self.cache.contains(next) || self.pending.contains_key(&next) {
                 continue;
             }
-            self.pending.insert(
-                next,
-                Pending {
-                    is_put: false,
-                    is_prefetch: true,
-                    waiting: Parked::default(),
-                    started: ctx.now(),
-                },
-            );
+            self.open(next, Pending::Prefetch, None, ctx.now());
             self.stats.prefetches_issued += 1;
             self.send_below(next, req.clone(), ctx);
         }
@@ -437,12 +415,6 @@ impl AccelL1 {
         }
         let evicted = self.cache.insert(la, line);
         debug_assert!(evicted.is_none(), "the victim left first");
-    }
-
-    fn drain(&mut self, mut waiting: Parked<(NodeId, CoreMsg)>, ctx: &mut Ctx<'_>) {
-        while let Some((from, msg)) = waiting.pop_first(&mut self.spares, |_| true) {
-            self.handle_core(from, msg, ctx);
-        }
     }
 }
 
@@ -484,7 +456,7 @@ impl<'a, 'b> Controller<L1State, L1Event, L1Action, L1Cx<'a, 'b>> for AccelL1 {
                     _ => XgiKind::GetM,
                 };
                 self.stats.misses += 1;
-                self.open(la, false, cx.op.take(), cx.ctx.now());
+                self.open(la, Pending::Get, cx.op.take(), cx.ctx.now());
                 self.send_below(la, req.clone(), cx.ctx);
                 self.prefetch(la, req, cx.ctx);
             }
@@ -497,7 +469,7 @@ impl<'a, 'b> Controller<L1State, L1Event, L1Action, L1Cx<'a, 'b>> for AccelL1 {
                     L1Action::IssuePutE => XgiKind::PutE { data },
                     _ => XgiKind::PutS,
                 };
-                self.open(la, true, cx.op.take(), cx.ctx.now());
+                self.open(la, Pending::Put, cx.op.take(), cx.ctx.now());
                 self.send_below(la, req, cx.ctx);
             }
             L1Action::Replace => self.run(step.state, L1Event::Repl, L1Event::Repl, cx),
@@ -519,12 +491,12 @@ impl<'a, 'b> Controller<L1State, L1Event, L1Action, L1Cx<'a, 'b>> for AccelL1 {
             }
             L1Action::SendInvAck => self.send_below(la, XgiKind::InvAck, cx.ctx),
             L1Action::FillS | L1Action::FillE | L1Action::FillM => {
-                let (Some(data), Some(p)) = (cx.data.take(), self.pending.remove(&la)) else {
+                let (Some(data), Some(p)) = (cx.data.take(), self.pending.close(la)) else {
                     return self.violation();
                 };
                 let now = cx.ctx.now();
-                self.stats.lat_miss.record(now.saturating_since(p.started));
-                cx.ctx.span(la.as_u64(), "miss", p.started);
+                self.stats.lat_miss.record(now.saturating_since(p.since));
+                cx.ctx.span(la.as_u64(), "miss", p.since);
                 let state = match action {
                     L1Action::FillM => L1State::M,
                     L1Action::FillE => L1State::E,
@@ -533,21 +505,23 @@ impl<'a, 'b> Controller<L1State, L1Event, L1Action, L1Cx<'a, 'b>> for AccelL1 {
                 let line = Line {
                     state,
                     data,
-                    prefetched: p.is_prefetch,
+                    prefetched: p.txn == Pending::Prefetch,
                 };
                 self.install(la, line, cx.ctx);
-                cx.waiting = p.waiting;
+                cx.released = p.queue;
             }
             L1Action::Retire => {
-                let Some(p) = self.pending.remove(&la) else {
+                let Some(Record { queue, .. }) = self.pending.close(la) else {
                     return self.violation();
                 };
                 self.stats.writebacks += 1;
-                cx.waiting = p.waiting;
+                cx.released = queue;
             }
             L1Action::Drain => {
-                let waiting = std::mem::take(&mut cx.waiting);
-                self.drain(waiting, cx.ctx);
+                while let Some((from, msg)) = cx.released.pop_first(self.pending.spares(), |_| true)
+                {
+                    self.handle_core(from, msg, cx.ctx);
+                }
             }
         }
     }
@@ -555,11 +529,8 @@ impl<'a, 'b> Controller<L1State, L1Event, L1Action, L1Cx<'a, 'b>> for AccelL1 {
     fn stalled(&mut self, _step: Step<L1State, L1Event>, cx: &mut L1Cx<'a, 'b>) {
         // Only core ops stall: `(B, Repl)` never runs, as victims are
         // resident and a resident block is never pending.
-        match (cx.op.take(), self.pending.get_mut(&cx.la)) {
-            (Some(op), Some(p)) => {
-                self.stats.stalls += 1;
-                p.waiting.park(op, &mut self.spares);
-            }
+        match cx.op.take() {
+            Some(op) if self.pending.park(cx.la, op) => self.stats.stalls += 1,
             _ => self.violation(),
         }
     }

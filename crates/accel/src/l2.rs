@@ -20,10 +20,12 @@
 
 use std::sync::OnceLock;
 
-use xg_fsm::{alphabet, Alphabet, Controller, Machine, Parked, Step, Table, TableBuilder};
-use xg_mem::{BlockAddr, IdMap, Replacement, SetAssocCache, SortedSet, Spares};
+use xg_fsm::{
+    alphabet, Alphabet, Controller, Machine, Next, Parked, Records, Step, Table, TableBuilder,
+};
+use xg_mem::{BlockAddr, Replacement, SetAssocCache, SortedSet, Spares};
 use xg_proto::{Ctx, Message, XgData, XgiKind, XgiMsg, XgiTag};
-use xg_sim::{Component, Cycle, FsmRows, Histogram, NodeId, Report};
+use xg_sim::{Component, FsmRows, Histogram, NodeId, Report};
 
 /// Configuration for an [`AccelL2`].
 #[derive(Debug, Clone)]
@@ -168,7 +170,7 @@ enum Host {
     M,
 }
 
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 struct L2Line {
     data: XgData,
     dirty: bool,
@@ -196,7 +198,7 @@ fn recall(l1s: impl Iterator<Item = NodeId>, addr: BlockAddr, ctx: &mut Ctx<'_>)
     sent
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 enum Busy {
     /// Upward Get in flight.
     Fetch { requestor: NodeId, want_m: bool },
@@ -221,20 +223,6 @@ enum Busy {
     /// Upward Put in flight for an evicted block.
     EvictPut,
 }
-
-/// Everything open on one block: the transaction holding it busy (if any)
-/// and the messages parked behind it. A record exists only while one of the
-/// two does; `drain` removes it.
-#[derive(Debug, Default)]
-struct Block {
-    busy: Option<Busy>,
-    /// Cycle `busy` was last opened; times `lat.up_get` for a `Fetch`.
-    since: Cycle,
-    /// Parked L1 Gets and guard `Inv`s, which carry no data.
-    queue: Parked<(NodeId, XgiTag)>,
-}
-
-xg_sim::clone_in_place!(impl[] for Block { busy, since, queue });
 
 #[derive(Debug, Default)]
 struct Stats {
@@ -265,17 +253,18 @@ pub struct AccelL2 {
     below: NodeId,
     cfg: AccelL2Config,
     array: SetAssocCache<L2Line>,
-    blocks: IdMap<BlockAddr, Block>,
+    /// The transaction holding each block busy (`since` times `lat.up_get`)
+    /// and the L1 Gets and guard `Inv`s, which carry no data, parked behind it.
+    blocks: Records<Option<Busy>, (NodeId, XgiTag)>,
     /// Blocks whose grant waits for a way (`Busy::InstallWait`).
     installs: Parked<BlockAddr>,
-    spares: Spares<Parked<(NodeId, XgiTag)>>,
     spare_installs: Spares<Parked<BlockAddr>>,
     stats: Stats,
     machine: Machine<L2State, XgiTag, L2Action>,
 }
 
 xg_sim::clone_in_place!(impl[] for AccelL2 {
-    name, below, cfg, array, blocks, installs, spares, spare_installs, stats, machine,
+    name, below, cfg, array, blocks, installs, spare_installs, stats, machine,
 });
 
 /// Per-dispatch context for [`L2Action`] interpretation.
@@ -298,10 +287,9 @@ impl AccelL2 {
             name: name.into(),
             below,
             array: SetAssocCache::new(cfg.sets, cfg.ways, Replacement::Lru, 0),
-            blocks: IdMap::default(),
+            blocks: Records::default(),
             cfg,
             installs: Parked::default(),
-            spares: Spares::default(),
             spare_installs: Spares::default(),
             stats: Stats::default(),
             machine: Machine::new(table()),
@@ -317,14 +305,10 @@ impl AccelL2 {
         self.stats.protocol_violation += 1;
     }
 
-    fn busy(&self, addr: BlockAddr) -> Option<&Busy> {
-        self.blocks.get(&addr).and_then(|b| b.busy.as_ref())
-    }
-
     /// Table state of `addr`: the transaction holding it busy, else what
     /// the array holds.
     fn state(&self, addr: BlockAddr) -> L2State {
-        match self.busy(addr) {
+        match self.blocks.get(&addr).and_then(|b| b.txn.as_ref()) {
             Some(Busy::Fetch { .. }) => L2State::BusyFetch,
             Some(Busy::InstallWait { .. }) => L2State::BusyInstall,
             Some(Busy::RecallForGrant { .. }) => L2State::BusyRecall,
@@ -359,20 +343,14 @@ impl AccelL2 {
         self.dispatch(self.state(addr), event, &mut cx);
     }
 
-    /// Opens a busy episode on `addr`.
-    fn set_busy(&mut self, addr: BlockAddr, busy: Busy, ctx: &Ctx<'_>) {
-        let block = self.blocks.entry(addr).or_default();
-        block.busy = Some(busy);
-        block.since = ctx.now();
-    }
-
     /// Issues an upward Get on behalf of `requestor` and holds `addr` busy
     /// until the grant arrives.
     fn start_fetch(&mut self, addr: BlockAddr, requestor: NodeId, want_m: bool, ctx: &mut Ctx<'_>) {
         self.stats.up_gets += 1;
-        self.set_busy(addr, Busy::Fetch { requestor, want_m }, ctx);
+        let busy = Some(Busy::Fetch { requestor, want_m });
+        self.blocks.open(addr, busy, ctx.now(), None);
         // Between handlers every record is busy, and `addr`'s just became so.
-        debug_assert!(self.blocks.values().all(|b| b.busy.is_some()));
+        debug_assert!(self.blocks.iter().all(|(_, b)| b.txn.is_some()));
         self.stats.mshr_occupancy.record(self.blocks.len() as u64);
         let req = if want_m { XgiKind::GetM } else { XgiKind::GetS };
         ctx.send(self.below, XgiMsg::new(addr, req).into());
@@ -412,7 +390,8 @@ impl AccelL2 {
                 want_m,
                 pending,
             };
-            return self.set_busy(addr, busy, cx.ctx);
+            self.blocks.open(addr, Some(busy), cx.ctx.now(), None);
+            return;
         }
         self.grant_l1(from, addr, want_m, false, cx.ctx);
     }
@@ -474,7 +453,7 @@ impl AccelL2 {
         // response, and the only race (our Inv crossing this Put) is
         // resolved by absorbing or discarding the data. An eviction's line
         // waits out its recall in the record, and takes the data there.
-        let evicted = match self.blocks.get_mut(&addr).and_then(|b| b.busy.as_mut()) {
+        let evicted = match self.blocks.get_mut(&addr).and_then(|b| b.txn.as_mut()) {
             Some(Busy::EvictRecall { line, .. }) => Some(line),
             _ => None,
         };
@@ -495,7 +474,7 @@ impl AccelL2 {
     fn recall_response(&mut self, dirty: bool, cx: &mut L2Cx<'_, '_>) {
         let (from, addr) = (cx.from, cx.addr);
         let mut block = self.blocks.get_mut(&addr);
-        let busy = block.as_mut().and_then(|b| b.busy.as_mut());
+        let busy = block.as_mut().and_then(|b| b.txn.as_mut());
         let line = self.array.get_mut(addr);
         // Absorb returned data into wherever the line currently lives.
         match (cx.data.take(), line, busy) {
@@ -525,7 +504,7 @@ impl AccelL2 {
             Busy::RecallForGrant { pending, .. }
             | Busy::HostInv { pending }
             | Busy::EvictRecall { pending, .. },
-        ) = &mut block.busy
+        ) = &mut block.txn
         else {
             return self.violation();
         };
@@ -533,7 +512,7 @@ impl AccelL2 {
         if *pending > 0 {
             return;
         }
-        match block.busy.take() {
+        match block.txn.take() {
             Some(Busy::RecallForGrant {
                 requestor, want_m, ..
             }) => {
@@ -559,21 +538,21 @@ impl AccelL2 {
         let (Some(data), Some(block)) = (cx.data.take(), self.blocks.get_mut(&addr)) else {
             return self.violation();
         };
-        let Some(Busy::Fetch { requestor, want_m }) = block.busy else {
+        let Some(Busy::Fetch { requestor, want_m }) = block.txn else {
             return self.violation();
         };
         let waited = cx.ctx.now().saturating_since(block.since);
         self.stats.lat_up_get.record(waited);
         if let Some(line) = self.array.get_mut(addr) {
             // Upgrade completion for a resident S line.
-            block.busy = None;
+            block.txn = None;
             line.host = host.max(Host::E);
             line.data = data;
             self.grant_l1(requestor, addr, want_m, false, cx.ctx);
             self.drain(addr, cx.ctx);
             return;
         }
-        block.busy = Some(Busy::InstallWait {
+        block.txn = Some(Busy::InstallWait {
             requestor,
             want_m,
             data,
@@ -589,7 +568,8 @@ impl AccelL2 {
     /// full. `false` when every candidate way is mid-transaction: the grant
     /// parks in `installs` until a record closes.
     fn try_install(&mut self, addr: BlockAddr, ctx: &mut Ctx<'_>) -> bool {
-        if !matches!(self.busy(addr), Some(Busy::InstallWait { .. })) {
+        let busy = self.blocks.get(&addr).map(|b| &b.txn);
+        if !matches!(busy, Some(Some(Busy::InstallWait { .. }))) {
             return true;
         }
         if self.array.needs_eviction(addr) {
@@ -607,7 +587,7 @@ impl AccelL2 {
         let Some(block) = self.blocks.get_mut(&addr) else {
             return true;
         };
-        match block.busy.take() {
+        match block.txn.take() {
             Some(Busy::InstallWait {
                 requestor,
                 want_m,
@@ -627,7 +607,7 @@ impl AccelL2 {
                 self.grant_l1(requestor, addr, want_m, false, ctx);
                 self.drain(addr, ctx);
             }
-            other => block.busy = other,
+            other => block.txn = other,
         }
         true
     }
@@ -647,14 +627,15 @@ impl AccelL2 {
             return self.respond_host_inv(addr, cx.ctx);
         }
         self.stats.recalls += 1;
-        self.set_busy(addr, Busy::HostInv { pending }, cx.ctx);
+        let busy = Some(Busy::HostInv { pending });
+        self.blocks.open(addr, busy, cx.ctx.now(), None);
     }
 
     /// A guard Inv on a grant parked waiting for a way outranks it: the data
     /// goes back, and the waiting L1's Get is fetched again.
     fn surrender(&mut self, cx: &mut L2Cx<'_, '_>) {
         let addr = cx.addr;
-        let busy = self.blocks.get_mut(&addr).and_then(|b| b.busy.take());
+        let busy = self.blocks.get_mut(&addr).and_then(|b| b.txn.take());
         let Some(Busy::InstallWait {
             requestor,
             want_m,
@@ -698,7 +679,8 @@ impl AccelL2 {
             return;
         }
         self.stats.recalls += 1;
-        self.set_busy(addr, Busy::EvictRecall { pending, line }, ctx);
+        let busy = Some(Busy::EvictRecall { pending, line });
+        self.blocks.open(addr, busy, ctx.now(), None);
     }
 
     fn start_evict_put(&mut self, addr: BlockAddr, line: L2Line, ctx: &mut Ctx<'_>) {
@@ -709,7 +691,8 @@ impl AccelL2 {
             (Host::E, false) => XgiKind::PutE { data },
             (Host::S, false) => XgiKind::PutS,
         };
-        self.set_busy(addr, Busy::EvictPut, ctx);
+        self.blocks
+            .open(addr, Some(Busy::EvictPut), ctx.now(), None);
         ctx.send(self.below, XgiMsg::new(addr, req).into());
     }
 
@@ -727,29 +710,25 @@ impl AccelL2 {
     }
 
     /// Runs the messages parked on `addr` while it is free, and a guard
-    /// `Inv` also while the block waits on the guard; closes the record
-    /// once it is free and empty.
+    /// `Inv` also while the block waits on the guard; once the record
+    /// closes, a way may be a victim again.
     fn drain(&mut self, addr: BlockAddr, ctx: &mut Ctx<'_>) {
-        let below = self.below;
-        while let Some(block) = self.blocks.get_mut(&addr) {
-            let idle = block.busy.is_none();
-            // A guard Inv must never wait on a transaction that itself
-            // waits on the guard: our request would park at the guard
-            // behind its own pending Inv. An internal recall stalls a guard
-            // Inv again, so it drains when the recall resolves.
-            let on_guard = matches!(
-                block.busy,
-                Some(Busy::Fetch { .. } | Busy::InstallWait { .. } | Busy::EvictPut)
-            );
-            let admit = |&m: &(NodeId, XgiTag)| idle || on_guard && m == (below, XgiTag::Inv);
-            let Some((from, event)) = block.queue.pop_first(&mut self.spares, admit) else {
-                if idle {
-                    self.blocks.remove(&addr);
-                    self.install_parked(ctx);
-                }
-                return;
-            };
-            self.run(from, addr, event, None, ctx);
+        // A guard Inv must never wait on a transaction that itself waits on
+        // the guard: our request would park at the guard behind its own
+        // pending Inv. An internal recall stalls a guard Inv again, so it
+        // drains when the recall resolves.
+        let inv = (self.below, XgiTag::Inv);
+        let admit = |busy: &Option<Busy>, &m: &(NodeId, XgiTag)| match busy {
+            None => true,
+            Some(Busy::Fetch { .. } | Busy::InstallWait { .. } | Busy::EvictPut) => m == inv,
+            Some(_) => false,
+        };
+        loop {
+            match self.blocks.next(addr, admit) {
+                Next::Run((from, event)) => self.run(from, addr, event, None, ctx),
+                Next::Closed => return self.install_parked(ctx),
+                Next::Hold => return,
+            }
         }
     }
 }
@@ -774,7 +753,7 @@ impl<'a, 'b> Controller<L2State, XgiTag, L2Action, L2Cx<'a, 'b>> for AccelL2 {
             }
             L2Action::Retire => {
                 if let Some(block) = self.blocks.get_mut(&cx.addr) {
-                    block.busy = None;
+                    block.txn = None;
                 }
                 self.drain(cx.addr, cx.ctx);
             }
@@ -789,9 +768,8 @@ impl<'a, 'b> Controller<L2State, XgiTag, L2Action, L2Cx<'a, 'b>> for AccelL2 {
 
     fn stalled(&mut self, step: Step<L2State, XgiTag>, cx: &mut L2Cx<'a, 'b>) {
         // Only busy blocks stall, and a busy block has a record.
-        match self.blocks.get_mut(&cx.addr) {
-            Some(block) => block.queue.park((cx.from, step.event), &mut self.spares),
-            None => self.violation(),
+        if !self.blocks.park(cx.addr, (cx.from, step.event)) {
+            self.violation();
         }
     }
 
@@ -815,7 +793,7 @@ impl Component<Message> for AccelL2 {
             format!(
                 "{} from {side} (busy={})",
                 msg.kind,
-                self.busy(addr).is_some()
+                self.blocks.get(&addr).is_some_and(|b| b.txn.is_some())
             )
         });
         let from_l1 = msg.kind.is_accel_request() || msg.kind.is_accel_response();

@@ -514,6 +514,24 @@ fn next_line_prefetch_hides_streaming_misses() {
     assert!(report.get("accel_l1.hits") > report.get("accel_l1.misses"));
 }
 
+/// A prefetch opens its record the way a demand miss does, so the MSHR
+/// histogram samples it too: one load miss with two blocks prefetched
+/// leaves three records open, sampled at 1, 2 and 3.
+#[test]
+fn prefetches_are_sampled_in_the_mshr_histogram() {
+    let cfg = AccelL1Config {
+        prefetch: Prefetch::NextLine { degree: 2 },
+        ..AccelL1Config::default()
+    };
+    let mut rig = Rig::new(cfg, false, false);
+    rig.op(CoreKind::Load, 0x2000);
+    rig.run();
+    assert_eq!(rig.xg_kinds(), ["GetS", "GetS", "GetS"]);
+    let report = rig.sim.report();
+    let occupancy = report.hist("accel_l1.mshr_occupancy").unwrap();
+    assert_eq!((occupancy.count(), occupancy.max()), (3, 3));
+}
+
 #[test]
 fn prefetch_off_by_default_issues_nothing() {
     let mut rig = Rig::new(AccelL1Config::default(), true, false);

@@ -24,7 +24,10 @@
 
 use std::sync::OnceLock;
 
-use xg_fsm::{alphabet, Alphabet, Controller, Machine, Parked, Step, Table, TableBuilder};
+use xg_fsm::{
+    alphabet, Alphabet, Controller, Machine, Next, Parked, Record, Records, Step, Table,
+    TableBuilder,
+};
 use xg_mem::{BlockAddr, DataBlock, IdMap, PagePerm, Spares};
 use xg_proto::{Ctx, HomeMap, Message, OsMsg, XgData, XgError, XgErrorKind, XgiKind, XgiMsg};
 use xg_sim::{CheckDigest, Component, Cycle, FsmRows, Histogram, NodeId, Report};
@@ -331,7 +334,7 @@ struct Entry {
 }
 
 /// An open accelerator-initiated transaction.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 enum AccelReq {
     Get {
         m: bool,
@@ -351,7 +354,7 @@ enum AccelReq {
 /// The host grants collected so far for one accelerator Get, by sub-block:
 /// the payload being assembled plus one bit per sub-block and property, so
 /// the common single-block Get keeps nothing on the heap.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct Grants {
     data: XgData,
     /// Sub-blocks granted so far; of those, granted E or M / M / dirty.
@@ -394,7 +397,7 @@ impl Grants {
 }
 
 /// Why an `Inv` is outstanding at the accelerator.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct InvPending {
     reasons: Vec<(BlockAddr, DemandKind)>,
     /// A racing Put already answered the host (`Rec::RInv`).
@@ -403,16 +406,13 @@ struct InvPending {
     started: Cycle,
 }
 
-/// Everything open on one accelerator block. A record exists only while
-/// one of its fields is non-empty; `drain_queue` removes it.
-#[derive(Debug, Default, Clone)]
-struct OpenBlock {
+/// What is open on one accelerator block, requests parked behind any of it.
+#[derive(Debug, Default, Clone, PartialEq)]
+struct Open {
     /// The accelerator's own transaction (Guarantee 1b: at most one).
     req: Option<AccelReq>,
     /// The `Inv` outstanding at the accelerator.
     inv: Option<InvPending>,
-    /// Requests parked behind `req`, `inv` or `relinquishing`.
-    queue: Parked<(XgEvent, XgiMsg)>,
     /// Sub-blocks with an internal relinquish put in flight at the persona.
     relinquishing: u64,
 }
@@ -459,8 +459,8 @@ pub struct CrossingGuard {
     table: Option<IdMap<BlockAddr, Entry>>,
     /// Shadow blocks held across `table` (`forget`, `unshadow` drop them).
     shadow_blocks: u64,
-    /// Open transactions, keyed by accelerator block.
-    open: IdMap<BlockAddr, OpenBlock>,
+    /// Open transactions by accelerator block; its pool lends `held` too.
+    open: Records<Open, (XgEvent, XgiMsg)>,
     /// How many records hold a `req` / an `inv` (the 24-byte transaction
     /// records `storage_bytes` charges for).
     open_reqs: usize,
@@ -474,9 +474,8 @@ pub struct CrossingGuard {
     /// The persona's events for the host message being handled; empty
     /// between messages, kept for its capacity.
     events: Vec<PersonaEvent>,
-    /// Emptied `InvPending::reasons` and request-queue buffers.
+    /// Emptied `InvPending::reasons` buffers.
     spare_reasons: Spares<Vec<(BlockAddr, DemandKind)>>,
-    spares: Spares<Parked<(XgEvent, XgiMsg)>>,
     stats: Stats,
     /// Errors reported, indexed by `XgErrorKind as usize`.
     errors: [u64; XgErrorKind::ALL.len()],
@@ -488,7 +487,7 @@ pub struct CrossingGuard {
 
 xg_sim::clone_in_place!(impl[] for CrossingGuard {
     name, accel, os, cfg, k, persona, table, shadow_blocks, open, open_reqs, open_invs, rate,
-    held, throttle_armed, disabled, events, spare_reasons, spares, stats, errors, peak_storage,
+    held, throttle_armed, disabled, events, spare_reasons, stats, errors, peak_storage,
     full, tx,
 });
 
@@ -587,7 +586,7 @@ impl CrossingGuard {
             persona,
             table,
             shadow_blocks: 0,
-            open: IdMap::default(),
+            open: Records::default(),
             open_reqs: 0,
             open_invs: 0,
             rate,
@@ -596,7 +595,6 @@ impl CrossingGuard {
             disabled: false,
             events: Vec::new(),
             spare_reasons: Spares::default(),
-            spares: Spares::default(),
             cfg,
             stats: Stats::default(),
             errors: [0; XgErrorKind::ALL.len()],
@@ -687,7 +685,7 @@ impl CrossingGuard {
 
     /// What `a`'s open record holds (see [`Rec`]).
     fn record(&self, a: BlockAddr) -> Rec {
-        let Some(open) = self.open.get(&a) else {
+        let Some(open) = self.open.get(&a).map(|r| &r.txn) else {
             return Rec::Idle;
         };
         match (&open.inv, &open.req) {
@@ -719,7 +717,7 @@ impl CrossingGuard {
 
     fn handle_accel(&mut self, msg: XgiMsg, ctx: &mut Ctx<'_>) {
         ctx.trace(msg.addr.as_u64(), "guard", "RecvAccel", || {
-            let open = self.open.get(&self.align(msg.addr));
+            let open = self.open.get(&self.align(msg.addr)).map(|r| &r.txn);
             format!(
                 "{} (req={} inv={})",
                 msg.kind,
@@ -751,9 +749,10 @@ impl CrossingGuard {
         // A response is never held (paper §2.5), but one that answers an
         // `Inv` may not overtake the requests of its block held before it:
         // the interface link is ordered (§2.1).
-        if self.open.get(&a).is_some_and(|o| o.inv.is_some()) {
-            while let Some((event, msg)) =
-                self.held.pop_first(&mut self.spares, |(_, m)| m.addr == a)
+        if self.open.get(&a).is_some_and(|o| o.txn.inv.is_some()) {
+            while let Some((event, msg)) = self
+                .held
+                .pop_first(self.open.spares(), |(_, m)| m.addr == a)
             {
                 self.admit(event, msg, ctx);
             }
@@ -775,7 +774,7 @@ impl CrossingGuard {
         ctx.trace(msg.addr.as_u64(), "guard", "Throttle", || {
             format!("{} held", msg.kind)
         });
-        self.held.park((event, msg), &mut self.spares);
+        self.held.park((event, msg), self.open.spares());
         self.arm_throttle(ctx);
     }
 
@@ -792,7 +791,7 @@ impl CrossingGuard {
     fn release_held(&mut self, ctx: &mut Ctx<'_>) {
         self.throttle_armed = false;
         while !self.held.is_empty() && self.rate.as_mut().is_some_and(|r| r.try_take(ctx.now())) {
-            if let Some((event, msg)) = self.held.pop_first(&mut self.spares, |_| true) {
+            if let Some((event, msg)) = self.held.pop_first(self.open.spares(), |_| true) {
                 self.admit(event, msg, ctx);
             }
         }
@@ -833,7 +832,7 @@ impl CrossingGuard {
     /// with some sub-block shared / with every one owned.
     fn grant_event(&self, h: BlockAddr, state: GrantState) -> XgEvent {
         let a = self.align(h);
-        let Some(AccelReq::Get { grants, .. }) = self.open.get(&a).and_then(|o| o.req.as_ref())
+        let Some(AccelReq::Get { grants, .. }) = self.open.get(&a).and_then(|o| o.txn.req.as_ref())
         else {
             return XgEvent::Unasked;
         };
@@ -851,7 +850,7 @@ impl CrossingGuard {
     /// of the accelerator's open Put.
     fn put_done_event(&self, h: BlockAddr) -> XgEvent {
         let a = self.align(h);
-        let open = self.open.get(&a);
+        let open = self.open.get(&a).map(|r| &r.txn);
         match open.map(|o| (o.relinquishing >> (h.as_u64() - a.as_u64()) & 1, &o.req)) {
             Some((1, _)) => RelDone,
             Some((_, Some(AccelReq::Put { pending, .. }))) if *pending > 1 => PutAck,
@@ -872,7 +871,7 @@ impl CrossingGuard {
     fn on_timeout(&mut self, a: BlockAddr, ctx: &mut Ctx<'_>) {
         // A stale timer finds its Inv answered — no Inv pending, or a later
         // one whose own deadline is still ahead — and is no stimulus.
-        let open = self.open.get(&a).and_then(|o| o.inv.as_ref());
+        let open = self.open.get(&a).and_then(|o| o.txn.inv.as_ref());
         if open.is_some_and(|ip| ip.started + self.cfg.inv_timeout == ctx.now()) {
             self.run(Timeout, &mut XgCx::new(ctx, a, a, None));
         }
@@ -996,10 +995,10 @@ impl CrossingGuard {
             }
             Relinquished => {
                 if let Some(open) = self.open.get_mut(&a) {
-                    open.relinquishing &= !(1 << (h.as_u64() - a.as_u64()));
+                    open.txn.relinquishing &= !(1 << (h.as_u64() - a.as_u64()));
                 }
             }
-            Drain => self.drain_queue(a, ctx),
+            Drain => self.drain(a, ctx),
             AnswerNoCopy | AnswerShared | AnswerShadow | AnswerOpenGet => {
                 self.stats.demands_answered_locally += 1;
                 let resp = self.local_answer(action, a, h, demand, ctx);
@@ -1028,7 +1027,7 @@ impl CrossingGuard {
                 }
             }
             FromOwner | FromSharer | FromTx => {
-                let inv = self.open.get(&a).and_then(|o| o.inv.as_ref());
+                let inv = self.open.get(&a).and_then(|o| o.txn.inv.as_ref());
                 let expects_owned = match action {
                     FromOwner => true,
                     FromSharer => false,
@@ -1074,7 +1073,7 @@ impl CrossingGuard {
                 // The Put's own (single) response.
                 self.send_accel(a, XgiKind::WbAck, ctx);
                 self.stats.wbacks += 1;
-                if let Some(ip) = self.open.get_mut(&a).and_then(|o| o.inv.as_mut()) {
+                if let Some(ip) = self.open.get_mut(&a).and_then(|o| o.txn.inv.as_mut()) {
                     ip.race_consumed = true;
                 }
             }
@@ -1248,24 +1247,24 @@ impl CrossingGuard {
     }
 
     fn open_req(&mut self, a: BlockAddr, req: AccelReq) {
-        self.open.entry(a).or_default().req = Some(req);
+        self.open.entry(a).txn.req = Some(req);
         self.open_reqs += 1;
     }
 
     fn req_mut(&mut self, a: BlockAddr) -> Option<&mut AccelReq> {
-        self.open.get_mut(&a)?.req.as_mut()
+        self.open.get_mut(&a)?.txn.req.as_mut()
     }
 
     /// Closes the accelerator's transaction on `a`, if one is open.
     fn close_req(&mut self, a: BlockAddr) -> Option<AccelReq> {
-        let req = self.open.get_mut(&a)?.req.take()?;
+        let req = self.open.get_mut(&a)?.txn.req.take()?;
         self.open_reqs -= 1;
         Some(req)
     }
 
     fn internal_put(&mut self, h: BlockAddr, data: DataBlock, dirty: bool, ctx: &mut Ctx<'_>) {
         let a = self.align(h);
-        self.open.entry(a).or_default().relinquishing |= 1 << (h.as_u64() - a.as_u64());
+        self.open.entry(a).txn.relinquishing |= 1 << (h.as_u64() - a.as_u64());
         self.persona
             .issue_put(h, PutReq::Owned { data, dirty }, ctx);
     }
@@ -1273,7 +1272,7 @@ impl CrossingGuard {
     /// Answers every pending host demand on `a` from a resolution, then
     /// relinquishes leftover sub-blocks the host still thinks we own.
     fn apply_resolution(&mut self, a: BlockAddr, resolution: Resolution, ctx: &mut Ctx<'_>) {
-        let open = self.open.get_mut(&a);
+        let open = self.open.get_mut(&a).map(|r| &mut r.txn);
         let relinquishing = open.as_ref().map_or(0, |o| o.relinquishing);
         let reasons = open
             .and_then(|o| o.inv.as_mut())
@@ -1332,24 +1331,17 @@ impl CrossingGuard {
     }
 
     fn close_inv(&mut self, a: BlockAddr, ctx: &mut Ctx<'_>) {
-        if let Some(ip) = self.open.get_mut(&a).and_then(|o| o.inv.take()) {
+        if let Some(ip) = self.open.get_mut(&a).and_then(|o| o.txn.inv.take()) {
             self.open_invs -= 1;
             let lat = ctx.now().saturating_since(ip.started);
             self.stats.lat_inv_resp.record(lat);
             ctx.span(a.as_u64(), "inv", ip.started);
         }
-        self.drain_queue(a, ctx);
+        self.drain(a, ctx);
     }
 
-    fn drain_queue(&mut self, a: BlockAddr, ctx: &mut Ctx<'_>) {
-        while let Some(open) = self.open.get_mut(&a) {
-            let idle = open.inv.is_none() && open.req.is_none() && open.relinquishing == 0;
-            let Some((event, msg)) = open.queue.pop_first(&mut self.spares, |_| idle) else {
-                if idle {
-                    self.open.remove(&a);
-                }
-                return;
-            };
+    fn drain(&mut self, a: BlockAddr, ctx: &mut Ctx<'_>) {
+        while let Next::Run((event, msg)) = self.open.next(a, |open, _| *open == Open::default()) {
             self.run(event, &mut XgCx::new(ctx, a, a, Some(msg.kind)));
         }
     }
@@ -1361,7 +1353,7 @@ impl CrossingGuard {
             // hangs — the defect the campaign's minimizer demo hunts.
             return;
         }
-        let open = self.open.entry(a).or_default();
+        let open = &mut self.open.entry(a).txn;
         if let Some(ip) = &mut open.inv {
             return ip.reasons.push((h, kind));
         }
@@ -1394,12 +1386,11 @@ macro_rules! guard_controller {
                 self.act(action, s.event, cx);
             }
 
-            /// Parks a request behind the block's open record.
+            /// Parks a request behind the block's record.
             fn stalled(&mut self, step: Step<$state, XgEvent>, cx: &mut XgCx<'a, 'b>) {
                 if let Some(kind) = cx.kind.take() {
-                    let open = self.open.entry(cx.a).or_default();
-                    open.queue
-                        .park((step.event, XgiMsg::new(cx.a, kind)), &mut self.spares);
+                    let msg = XgiMsg::new(cx.a, kind);
+                    self.open.park_or_open(cx.a, (step.event, msg));
                 }
             }
 
@@ -1499,12 +1490,9 @@ impl Component<Message> for CrossingGuard {
             out.write_str("transactional");
         }
         // Open blocks, sorted by address role, one section per field.
-        let mut open: Vec<_> = self.open.iter().collect();
-        open.sort_by_key(|(a, _)| out.addr_role(a.as_u64()));
         // Open accelerator transactions.
-        out.write_u64(self.open_reqs as u64);
-        for (a, req) in open.iter().filter_map(|(a, o)| Some((a, o.req.as_ref()?))) {
-            out.write_addr(a.as_u64());
+        let req: fn(&Record<Open, _>) -> Option<&AccelReq> = |o| o.txn.req.as_ref();
+        self.open.digest(out, req, |req, out| {
             match req {
                 AccelReq::Get {
                     m,
@@ -1533,38 +1521,29 @@ impl Component<Message> for CrossingGuard {
                     out.write_u64(u64::from(*pending));
                 }
             }
-        }
+        });
         // Requests parked behind an open transaction or pending Inv.
-        let queued = open.iter().filter(|(_, o)| !o.queue.is_empty());
-        out.write_u64(queued.clone().count() as u64);
-        for (a, o) in queued {
-            out.write_addr(a.as_u64());
-            o.queue
-                .digest(out, |(_, msg), out| digest_xgi_kind(&msg.kind, out));
-        }
+        self.open.digest(out, Record::parked, |queue, out| {
+            queue.digest(out, |(_, msg), out| digest_xgi_kind(&msg.kind, out));
+        });
         // Forwarded invalidations still open at the accelerator.
-        out.write_u64(self.open_invs as u64);
-        for (a, ip) in open.iter().filter_map(|(a, o)| Some((a, o.inv.as_ref()?))) {
-            out.write_addr(a.as_u64());
+        let inv: fn(&Record<Open, _>) -> Option<&InvPending> = |o| o.txn.inv.as_ref();
+        self.open.digest(out, inv, |ip, out| {
             out.write_u64(u64::from(ip.race_consumed));
             out.write_u64(ip.reasons.len() as u64);
             for (h, kind) in &ip.reasons {
                 out.write_addr(h.as_u64());
                 kind.digest(out);
             }
-        }
+        });
         // Internal relinquish puts in flight, as host blocks.
-        let mut internal: Vec<_> = open
-            .iter()
-            .flat_map(|(a, o)| {
-                (0..self.k)
-                    .filter(|i| o.relinquishing & (1 << i) != 0)
-                    .map(|i| a.offset(i))
-            })
-            .collect();
-        internal.sort_by_key(|h| out.addr_role(h.as_u64()));
+        let internal = out.sorted_by_addr_role(self.open.iter().flat_map(|(a, o)| {
+            (0..self.k)
+                .filter(move |i| o.txn.relinquishing & (1 << i) != 0)
+                .map(move |i| a.offset(i).as_u64())
+        }));
         out.write_u64(internal.len() as u64);
-        internal.iter().for_each(|h| out.write_addr(h.as_u64()));
+        internal.iter().for_each(|&h| out.write_addr(h));
         // Requests the rate limiter holds (none without a limit).
         if !self.held.is_empty() {
             out.write_str("held");
@@ -1574,6 +1553,7 @@ impl Component<Message> for CrossingGuard {
             });
         }
         let pending = self.open_reqs + self.open_invs + internal.len();
+        out.recycle(internal);
         out.obligation(pending as u64);
         self.persona.check_state(out);
     }

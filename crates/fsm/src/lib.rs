@@ -27,6 +27,8 @@
 //! * [`Parked`] is the one queue every controller parks messages in; a
 //!   stall is one [`park`](Parked::park), and every drain re-dispatches
 //!   what [`pop_first`](Parked::pop_first) admits until it admits nothing.
+//! * [`Records`] keeps one [`Record`] per block while something is open on
+//!   it; [`Records::next`] is the one drain rule.
 //!
 //! ## Division of labor
 //!
@@ -79,11 +81,13 @@ mod controller;
 mod dump;
 mod machine;
 mod park;
+mod records;
 mod table;
 
 pub use controller::{Controller, Step};
 pub use machine::{Machine, Resolution};
 pub use park::Parked;
+pub use records::{Next, Record, Records};
 pub use table::{NextState, RowKind, RowOutcome, Table, TableBuilder, TableError};
 
 // The vocabulary idiom lives in `xg-sim` so that controllers without a

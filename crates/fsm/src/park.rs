@@ -87,7 +87,7 @@ impl<M> Parked<M> {
     }
 
     /// Hands an emptied buffer back; a queue nothing was parked in has none.
-    fn release(self, spares: &mut Spares<Self>) {
+    pub(crate) fn release(self, spares: &mut Spares<Self>) {
         if self.capacity() > 0 {
             spares.put(self);
         }

@@ -43,9 +43,10 @@
 //! bookkeeping with dirty bits and response counters — against which the
 //! five-state accelerator cache of Table 1 is compared.
 
+use xg_fsm::Record;
 use xg_mem::{BlockAddr, DataBlock, Replacement, SetAssocCache};
 use xg_proto::hammer::{self, Collect, GetKind, Grant, Held};
-use xg_proto::host_l1::{self, HostL1, L1Protocol, Open};
+use xg_proto::host_l1::{self, HostL1, L1Protocol};
 use xg_proto::{Ctx, HammerKind, HammerMsg, Message};
 use xg_sim::{alphabet, Alphabet, CheckDigest, NodeId, Report};
 
@@ -380,21 +381,23 @@ fn handle_hammer(l1: &mut HammerCache, msg: HammerMsg, ctx: &mut Ctx<'_>) {
             } else {
                 (CEvent::WbNack, "WbNack without writeback")
             };
-            let open = l1.mshr.remove(addr);
-            let state = HammerCache::state_given(&l1.cache, addr, open.as_ref());
+            let open = l1.mshr.close(addr);
+            let state = HammerCache::state_given(&l1.cache, addr, open.as_ref().map(|o| &o.txn));
             l1.seen.visit(state, event);
-            let Some(Open {
+            let Some(Record {
                 txn:
                     Txn::Wb {
                         data,
                         dirty,
                         invalidated,
                     },
-                waiting,
+                queue: waiting,
                 ..
             }) = open
             else {
-                l1.restore(addr, open);
+                if let Some(open) = open {
+                    l1.mshr.put_back(addr, open);
+                }
                 return l1.violation(why);
             };
             let change = (state, event, CState::I);
@@ -459,7 +462,7 @@ fn handle_fwd(
         return;
     }
     // In-flight transaction?
-    let Some(open) = l1.mshr.get_mut(addr) else {
+    let Some(open) = l1.mshr.get_mut(&addr) else {
         l1.seen.visit(CState::I, event);
         return ctx.send(requestor, reply(Held::Nothing));
     };

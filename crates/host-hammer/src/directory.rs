@@ -12,10 +12,10 @@
 //! (owner identity, queue contents, memory) stays here, interpreted through
 //! the symbolic [`DirAction`]s.
 
-use xg_fsm::{alphabet, Alphabet, Controller, Machine, Parked, Step, Table, TableBuilder};
-use xg_mem::{BlockAddr, DataBlock, IdMap, Spares};
+use xg_fsm::{alphabet, Alphabet, Controller, Machine, Next, Records, Step, Table, TableBuilder};
+use xg_mem::{BlockAddr, DataBlock, IdMap};
 use xg_proto::{Ctx, HammerKind, HammerMsg, Message};
-use xg_sim::{CheckDigest, Component, CoverageGrid, Cycle, FsmRows, Histogram, NodeId, Report};
+use xg_sim::{CheckDigest, Component, CoverageGrid, FsmRows, Histogram, NodeId, Report};
 
 alphabet! {
     /// Abstract per-block directory states (paper §2.3 naming).
@@ -152,13 +152,12 @@ pub fn table() -> &'static Table<DirState, DirEvent, DirAction> {
     })
 }
 
-/// Per-block directory state.
-#[derive(Debug, Default, Clone)]
-struct DirBlock {
+/// A block's recorded owner and the transaction holding it busy. A block
+/// with neither is memory's, and has no record.
+#[derive(Debug, Default, Clone, Copy, PartialEq)]
+struct DirEntry {
     owner: Option<NodeId>,
     busy: Option<Busy>,
-    since: Option<Cycle>,
-    queue: Parked<(NodeId, HammerKind)>,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -169,9 +168,9 @@ enum Busy {
     Wb { putter: NodeId },
 }
 
-impl DirBlock {
-    /// Abstract state for table dispatch and coverage. A block the
-    /// directory has never seen is a default record: memory owns it.
+impl DirEntry {
+    /// Abstract state for table dispatch and coverage. A block without a
+    /// record is a default entry: memory owns it.
     fn state(&self) -> DirState {
         match (self.busy, self.owner) {
             (Some(Busy::Get { .. }), _) => DirState::BusyGet,
@@ -239,8 +238,8 @@ pub struct DirCx<'a, 'b> {
     from: NodeId,
     addr: BlockAddr,
     kind: HammerKind,
-    /// The block's owner when the message was classified.
-    owner: Option<NodeId>,
+    /// The block's entry when the message was classified.
+    entry: DirEntry,
     /// How many peers `Broadcast` forwarded to: the response count
     /// `SendMemData` announces.
     peers: u32,
@@ -251,9 +250,8 @@ pub struct HammerDirectory {
     name: String,
     caches: Vec<NodeId>,
     memory: IdMap<BlockAddr, DataBlock>,
-    blocks: IdMap<BlockAddr, DirBlock>,
-    /// Emptied `DirBlock::queue` buffers, reused by the next stall.
-    spares: Spares<Parked<(NodeId, HammerKind)>>,
+    /// Owned or busy blocks and their stalled requests; `since` times `lat.busy`.
+    blocks: Records<DirEntry, (NodeId, HammerKind)>,
     mem_latency: u64,
     stats: Stats,
     /// `(state, message kind)` pairs visited, by index; named in `report`.
@@ -266,7 +264,6 @@ xg_sim::clone_in_place!(impl[] for HammerDirectory {
     caches,
     memory,
     blocks,
-    spares,
     mem_latency,
     stats,
     seen,
@@ -283,8 +280,7 @@ impl HammerDirectory {
             name: name.into(),
             caches,
             memory: IdMap::default(),
-            blocks: IdMap::default(),
-            spares: Spares::default(),
+            blocks: Records::default(),
             mem_latency,
             stats: Stats::default(),
             seen: CoverageGrid::new(),
@@ -321,41 +317,30 @@ impl HammerDirectory {
         kind: HammerKind,
         ctx: &mut Ctx<'_>,
     ) {
-        let block = self.blocks.entry(addr).or_default();
+        let record = self.blocks.get(&addr);
+        let entry = record.map_or_else(DirEntry::default, |r| r.txn);
         if ctx.trace_active() {
             let detail = format!(
                 "{:?} from {from} (owner={:?} busy={:?} qlen={})",
                 kind,
-                block.owner,
-                block.busy,
-                block.queue.len()
+                entry.owner,
+                entry.busy,
+                record.map_or(0, |r| r.queue.len())
             );
             ctx.trace(addr.as_u64(), "hammer-dir", "Recv", || detail);
         }
-        let state = block.state();
-        let event = block.classify(from, &kind);
-        let owner = block.owner;
+        let state = entry.state();
+        let event = entry.classify(from, &kind);
         self.seen.visit(state, msg_kind(&kind));
         let mut cx = DirCx {
             ctx,
             from,
             addr,
             kind,
-            owner,
+            entry,
             peers: 0,
         };
         self.dispatch(state, event, &mut cx);
-    }
-
-    /// Re-handles queued requests until one makes the block busy again.
-    fn drain_queue(&mut self, addr: BlockAddr, ctx: &mut Ctx<'_>) {
-        while let Some(block) = self.blocks.get_mut(&addr) {
-            let idle = block.busy.is_none();
-            let Some((from, kind)) = block.queue.pop_first(&mut self.spares, |_| idle) else {
-                return;
-            };
-            self.handle_request(from, addr, kind, ctx);
-        }
     }
 }
 
@@ -372,9 +357,9 @@ impl<'a, 'b> Controller<DirState, DirEvent, DirAction, DirCx<'a, 'b>> for Hammer
     ) {
         match action {
             DirAction::SetBusyGet => {
-                let block = self.blocks.entry(cx.addr).or_default();
-                block.busy = Some(Busy::Get { requestor: cx.from });
-                block.since = Some(cx.ctx.now());
+                let busy = Some(Busy::Get { requestor: cx.from });
+                self.blocks
+                    .open(cx.addr, DirEntry { busy, ..cx.entry }, cx.ctx.now(), None);
             }
             DirAction::CountGet => {
                 if matches!(cx.kind, HammerKind::GetM) {
@@ -386,7 +371,7 @@ impl<'a, 'b> Controller<DirState, DirEvent, DirAction, DirCx<'a, 'b>> for Hammer
             }
             DirAction::Broadcast => {
                 for &peer in self.caches.iter().filter(|&&c| c != cx.from) {
-                    let to_owner = cx.owner == Some(peer);
+                    let to_owner = cx.entry.owner == Some(peer);
                     let fwd = match cx.kind {
                         HammerKind::GetS => HammerKind::FwdGetS {
                             requestor: cx.from,
@@ -423,9 +408,9 @@ impl<'a, 'b> Controller<DirState, DirEvent, DirAction, DirCx<'a, 'b>> for Hammer
                 self.stats.puts += 1;
             }
             DirAction::AckWb => {
-                let block = self.blocks.entry(cx.addr).or_default();
-                block.busy = Some(Busy::Wb { putter: cx.from });
-                block.since = Some(cx.ctx.now());
+                let busy = Some(Busy::Wb { putter: cx.from });
+                self.blocks
+                    .open(cx.addr, DirEntry { busy, ..cx.entry }, cx.ctx.now(), None);
                 cx.ctx
                     .send(cx.from, HammerMsg::new(cx.addr, HammerKind::WbAck).into());
             }
@@ -445,29 +430,39 @@ impl<'a, 'b> Controller<DirState, DirEvent, DirAction, DirCx<'a, 'b>> for Hammer
                     self.stats.protocol_violation += 1;
                 }
             }
-            DirAction::ClearOwner => {
-                self.blocks.entry(cx.addr).or_default().owner = None;
-            }
-            DirAction::RecordOwner => {
-                self.blocks.entry(cx.addr).or_default().owner = Some(cx.from);
-            }
-            DirAction::FinishBusy => {
-                let now = cx.ctx.now();
-                let block = self.blocks.entry(cx.addr).or_default();
-                block.busy = None;
-                if let Some(since) = block.since.take() {
-                    self.stats.lat_busy.record(now.saturating_since(since));
+            // The three run only in busy states, which have a record.
+            DirAction::ClearOwner | DirAction::RecordOwner | DirAction::FinishBusy => {
+                let Some(record) = self.blocks.get_mut(&cx.addr) else {
+                    return;
+                };
+                match action {
+                    DirAction::ClearOwner => record.txn.owner = None,
+                    DirAction::RecordOwner => record.txn.owner = Some(cx.from),
+                    _ => {
+                        if record.txn.busy.take().is_some() {
+                            let busy = cx.ctx.now().saturating_since(record.since);
+                            self.stats.lat_busy.record(busy);
+                        }
+                    }
                 }
             }
+            // Re-handles queued requests until one makes the block busy
+            // again; a block left with no owner closes.
             DirAction::Drain => {
-                self.drain_queue(cx.addr, cx.ctx);
+                while let Next::Run((from, kind)) =
+                    self.blocks.next(cx.addr, |entry, _| entry.busy.is_none())
+                {
+                    self.handle_request(from, cx.addr, kind, cx.ctx);
+                }
             }
         }
     }
 
+    /// Only busy blocks stall, and a busy block has a record.
     fn stalled(&mut self, _step: Step<DirState, DirEvent>, cx: &mut DirCx<'a, 'b>) {
-        let block = self.blocks.entry(cx.addr).or_default();
-        block.queue.park((cx.from, cx.kind), &mut self.spares);
+        if !self.blocks.park(cx.addr, (cx.from, cx.kind)) {
+            self.stats.protocol_violation += 1;
+        }
     }
 
     fn violated(&mut self, _step: Step<DirState, DirEvent>, _cx: &mut DirCx<'a, 'b>) {
@@ -543,17 +538,9 @@ impl Component<Message> for HammerDirectory {
             out.write_bytes(self.memory[&BlockAddr::new(a)].as_bytes());
         }
         out.recycle(mem);
-        // Per-block directory state. Entries that drained back to the
-        // default (no owner, not busy, empty queue) equal absent ones.
-        let live = self
-            .blocks
-            .iter()
-            .filter(|(_, b)| b.owner.is_some() || b.busy.is_some() || !b.queue.is_empty());
-        let blocks = out.sorted_by_addr_role(live.map(|(a, _)| a.as_u64()));
-        out.write_u64(blocks.len() as u64);
-        for &a in &blocks {
-            let b = &self.blocks[&BlockAddr::new(a)];
-            out.write_addr(a);
+        // Per-block directory state: a block with a record.
+        self.blocks.digest(out, Some, |record, out| {
+            let b = &record.txn;
             match b.owner {
                 Some(owner) => out.write_node(owner),
                 None => out.write_str("mem"),
@@ -571,10 +558,10 @@ impl Component<Message> for HammerDirectory {
                 }
                 None => out.write_str("idle"),
             }
-            b.queue
+            record
+                .queue
                 .digest(out, |(from, kind), out| digest_queued(*from, kind, out));
-        }
-        out.recycle(blocks);
+        });
     }
 
     fn report(&self, out: &mut Report) {

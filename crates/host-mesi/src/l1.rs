@@ -465,7 +465,7 @@ fn handle_inv(l1: &mut MesiL1, addr: BlockAddr, requestor: NodeId, ctx: &mut Ctx
         }
         return;
     }
-    let Some(open) = l1.mshr.get_mut(addr) else {
+    let Some(open) = l1.mshr.get_mut(&addr) else {
         return l1.seen.visit(CState::I, CEvent::Inv);
     };
     l1.seen.visit(Mesi::txn_state(&open.txn), CEvent::Inv);
@@ -558,7 +558,7 @@ fn handle_demand(
         }
         return;
     }
-    let open = l1.mshr.get_mut(addr);
+    let open = l1.mshr.get_mut(&addr);
     cover(
         open.as_ref()
             .map_or(CState::I, |open| Mesi::txn_state(&open.txn)),
@@ -602,8 +602,8 @@ fn handle_demand(
 
 /// Closes a finished writeback and re-handles the ops parked behind it.
 fn close_writeback(l1: &mut MesiL1, addr: BlockAddr, ctx: &mut Ctx<'_>) {
-    if let Some(open) = l1.mshr.remove(addr) {
-        l1.release(open.waiting, ctx);
+    if let Some(open) = l1.mshr.close(addr) {
+        l1.release(open.queue, ctx);
     }
 }
 
@@ -622,7 +622,7 @@ fn complete_get(l1: &mut MesiL1, addr: BlockAddr, event: CEvent, ctx: &mut Ctx<'
         // granted (coherent-at-grant-time) data, then drop the block.
         MesiL1::trace_change(ctx, addr, (before, event, CState::I), Some(&data));
         let load = |(_, msg): &(NodeId, CoreMsg)| matches!(msg.kind, CoreKind::Load);
-        while let Some((from, msg)) = waiting.pop_first(&mut l1.spares, load) {
+        while let Some((from, msg)) = waiting.pop_first(l1.mshr.spares(), load) {
             let value = data.read_u64(msg.addr.block_offset() & !7);
             ctx.send(from, msg.reply(CoreKind::LoadResp { value }).into());
         }

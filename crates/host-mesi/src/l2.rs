@@ -29,7 +29,10 @@
 //! `xg-fsm` table maps `(state, event)` to transition, stall (queue), or
 //! violation. Data movement lives in the symbolic [`L2Action`]s.
 
-use xg_fsm::{alphabet, Alphabet, Controller, Machine, Parked, Step, Table, TableBuilder};
+use xg_fsm::{
+    alphabet, Alphabet, Controller, Machine, Next, Parked, Record, Records, Step, Table,
+    TableBuilder,
+};
 use xg_mem::{BlockAddr, DataBlock, IdMap, Replacement, SetAssocCache, SortedSet, Spares};
 use xg_proto::{Ctx, MesiKind, MesiMsg, Message};
 use xg_sim::{CheckDigest, Component, CoverageGrid, Cycle, FsmRows, Histogram, NodeId, Report};
@@ -242,7 +245,7 @@ impl Default for MesiL2Config {
 }
 
 /// Directory + data state for one resident block.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 struct L2Line {
     data: DataBlock,
     dirty: bool,
@@ -285,7 +288,7 @@ impl GetKind {
     }
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 enum Busy {
     /// Memory fetch in flight for `requestor`.
     Fetch { requestor: NodeId, kind: GetKind },
@@ -302,31 +305,22 @@ enum Busy {
     Recall { pending: u32, line: L2Line },
 }
 
-/// Everything open on one block: the transient holding it busy (if any)
-/// and the requests stalled behind it. A record exists only while one of
-/// the two does; `drain` removes it.
-#[derive(Debug, Default, Clone)]
-struct Block {
-    busy: Option<Busy>,
-    /// Cycle the current busy episode opened (a `Fetch` and the
-    /// `InstallWait` it turns into are one episode); times `lat.busy`.
-    since: Cycle,
-    queue: Parked<(NodeId, MesiKind)>,
-}
+/// Everything open on one block: the transient holding it busy, the cycle
+/// the episode opened (`lat.busy`; a `Fetch` and its `InstallWait` are one
+/// episode) and the requests stalled behind it.
+type Block = Record<Option<Busy>, (NodeId, MesiKind)>;
 
-impl Block {
-    /// Ends the busy episode, recording how long it lasted.
-    fn close(
-        &mut self,
-        addr: BlockAddr,
-        lat_busy: &mut Histogram,
-        ctx: &mut Ctx<'_>,
-    ) -> Option<Busy> {
-        let busy = self.busy.take()?;
-        lat_busy.record(ctx.now().saturating_since(self.since));
-        ctx.span(addr.as_u64(), "l2_busy", self.since);
-        Some(busy)
-    }
+/// Ends `block`'s busy episode, recording how long it lasted.
+fn end_busy(
+    block: &mut Block,
+    addr: BlockAddr,
+    lat_busy: &mut Histogram,
+    ctx: &mut Ctx<'_>,
+) -> Option<Busy> {
+    let busy = block.txn.take()?;
+    lat_busy.record(ctx.now().saturating_since(block.since));
+    ctx.span(addr.as_u64(), "l2_busy", block.since);
+    Some(busy)
 }
 
 #[derive(Debug, Default)]
@@ -390,11 +384,11 @@ pub struct MesiL2 {
     name: String,
     cfg: MesiL2Config,
     array: SetAssocCache<L2Line>,
-    blocks: IdMap<BlockAddr, Block>,
+    /// A [`Block`] for each block busy or with requests stalled on it.
+    blocks: Records<Option<Busy>, (NodeId, MesiKind)>,
     memory: IdMap<BlockAddr, DataBlock>,
     /// Blocks whose fill waits for a way (`Busy::InstallWait`).
     installs: Parked<BlockAddr>,
-    spares: Spares<Parked<(NodeId, MesiKind)>>,
     spare_installs: Spares<Parked<BlockAddr>>,
     stats: Stats,
     /// `(state, message kind)` pairs visited, by index; named in `report`.
@@ -409,7 +403,6 @@ xg_sim::clone_in_place!(impl[] for MesiL2 {
     blocks,
     memory,
     installs,
-    spares,
     spare_installs,
     stats,
     seen,
@@ -422,11 +415,10 @@ impl MesiL2 {
         MesiL2 {
             name: name.into(),
             array: SetAssocCache::new(cfg.sets, cfg.ways, Replacement::Lru, 0),
-            blocks: IdMap::default(),
+            blocks: Records::default(),
             memory: IdMap::default(),
             cfg,
             installs: Parked::default(),
-            spares: Spares::default(),
             spare_installs: Spares::default(),
             stats: Stats::default(),
             seen: CoverageGrid::new(),
@@ -463,10 +455,6 @@ impl MesiL2 {
         self.array.get(addr).map(|l| (l.data, l.dirty))
     }
 
-    fn busy(&self, addr: BlockAddr) -> Option<&Busy> {
-        self.blocks.get(&addr).and_then(|b| b.busy.as_ref())
-    }
-
     /// Abstract state of a block given its busy transient and its line.
     fn state_given(busy: Option<&Busy>, line: Option<&L2Line>) -> L2State {
         match (busy, line) {
@@ -484,7 +472,8 @@ impl MesiL2 {
     /// Abstract state of `addr` (timer wakes and trace lines; a message is
     /// classified by [`classify`](Self::classify)).
     fn l2_state(&self, addr: BlockAddr) -> L2State {
-        Self::state_given(self.busy(addr), self.array.get(addr))
+        let busy = self.blocks.get(&addr).and_then(|b| b.txn.as_ref());
+        Self::state_given(busy, self.array.get(addr))
     }
 
     /// Classifies one message against its block with one record probe and
@@ -493,7 +482,7 @@ impl MesiL2 {
     /// identity against the directory entry, busy-entry match for
     /// responses, and the §3.2.2 configuration for debt settlement.
     fn classify(&self, from: NodeId, addr: BlockAddr, kind: &MesiKind) -> (L2State, L2Event) {
-        let busy = self.busy(addr);
+        let busy = self.blocks.get(&addr).and_then(|b| b.txn.as_ref());
         let line = self.array.get(addr);
         let event = match kind {
             MesiKind::GetS => L2Event::GetS,
@@ -534,12 +523,10 @@ impl MesiL2 {
     }
 
     /// Opens a busy episode on `addr`.
-    fn set_busy(&mut self, addr: BlockAddr, busy: Busy, now: Cycle) {
-        let block = self.blocks.entry(addr).or_default();
-        block.busy = Some(busy);
-        block.since = now;
+    fn open_busy(&mut self, addr: BlockAddr, busy: Busy, now: Cycle) {
+        self.blocks.open(addr, Some(busy), now, None);
         // Between handlers every record is busy, and `addr`'s just became so.
-        debug_assert!(self.blocks.values().all(|b| b.busy.is_some()));
+        debug_assert!(self.blocks.values().all(|b| b.txn.is_some()));
         self.stats.mshr_occupancy.record(self.blocks.len() as u64);
     }
 
@@ -579,7 +566,7 @@ impl MesiL2 {
         let Some(block) = self.blocks.get_mut(&addr) else {
             return self.violation("recall response without recall");
         };
-        let Some(Busy::Recall { pending, line }) = &mut block.busy else {
+        let Some(Busy::Recall { pending, line }) = &mut block.txn else {
             return self.violation("recall response without recall");
         };
         if let Some((d, dirty)) = data {
@@ -588,7 +575,8 @@ impl MesiL2 {
         }
         *pending -= 1;
         if *pending == 0 {
-            let Some(Busy::Recall { line, .. }) = block.close(addr, &mut self.stats.lat_busy, ctx)
+            let Some(Busy::Recall { line, .. }) =
+                end_busy(block, addr, &mut self.stats.lat_busy, ctx)
             else {
                 return;
             };
@@ -629,7 +617,7 @@ impl MesiL2 {
     /// is full. `false` when every candidate way is mid-transaction: the
     /// fill parks in `installs` until a record closes.
     fn try_install(&mut self, addr: BlockAddr, ctx: &mut Ctx<'_>) -> bool {
-        let Some(Busy::InstallWait { .. }) = self.busy(addr) else {
+        let Some(Some(Busy::InstallWait { .. })) = self.blocks.get(&addr).map(|b| &b.txn) else {
             return true;
         };
         if self.array.needs_eviction(addr) {
@@ -652,11 +640,11 @@ impl MesiL2 {
             requestor,
             kind,
             data,
-        }) = block.busy
+        }) = block.txn
         else {
             return true;
         };
-        block.close(addr, &mut self.stats.lat_busy, ctx);
+        end_busy(block, addr, &mut self.stats.lat_busy, ctx);
         self.array.insert(addr, L2Line::fresh(data));
         // Don't double-count the request statistics for the replay.
         self.stats.gets = self
@@ -699,23 +687,19 @@ impl MesiL2 {
         if pending == 0 {
             self.finish_eviction(addr, line, ctx);
         } else {
-            self.set_busy(addr, Busy::Recall { pending, line }, ctx.now());
+            self.open_busy(addr, Busy::Recall { pending, line }, ctx.now());
         }
     }
 
-    /// Re-handles the requests parked on `addr` while it is free; closes
-    /// the record once it is free and empty.
+    /// Re-handles the requests parked on `addr` while it is free; once the
+    /// record closes, a way may be a victim again.
     fn drain(&mut self, addr: BlockAddr, ctx: &mut Ctx<'_>) {
-        while let Some(block) = self.blocks.get_mut(&addr) {
-            let idle = block.busy.is_none();
-            let Some((from, kind)) = block.queue.pop_first(&mut self.spares, |_| idle) else {
-                if idle {
-                    self.blocks.remove(&addr);
-                    self.install_parked(ctx);
-                }
-                return;
-            };
-            self.process(from, addr, kind, ctx);
+        loop {
+            match self.blocks.next(addr, |busy, _| busy.is_none()) {
+                Next::Run((from, kind)) => self.process(from, addr, kind, ctx),
+                Next::Closed => return self.install_parked(ctx),
+                Next::Hold => return,
+            }
         }
     }
 }
@@ -746,7 +730,7 @@ impl<'a, 'b> Controller<L2State, L2Event, L2Action, L2Cx<'a, 'b>> for MesiL2 {
                     requestor: from,
                     kind,
                 };
-                self.set_busy(addr, busy, cx.ctx.now());
+                self.open_busy(addr, busy, cx.ctx.now());
                 cx.ctx.wake_in(self.cfg.mem_latency.max(1), addr.as_u64());
             }
             L2Action::GrantE => {
@@ -774,7 +758,7 @@ impl<'a, 'b> Controller<L2State, L2Event, L2Action, L2Cx<'a, 'b>> for MesiL2 {
                     owner,
                     requestor: from,
                 };
-                self.set_busy(addr, busy, cx.ctx.now());
+                self.open_busy(addr, busy, cx.ctx.now());
                 cx.ctx.send(
                     owner,
                     MesiMsg::new(addr, MesiKind::FwdGetS { requestor: from }).into(),
@@ -868,10 +852,10 @@ impl<'a, 'b> Controller<L2State, L2Event, L2Action, L2Cx<'a, 'b>> for MesiL2 {
                 let Some(block) = self.blocks.get_mut(&addr) else {
                     return;
                 };
-                let Some(Busy::FwdS { requestor, .. }) = block.busy else {
+                let Some(Busy::FwdS { requestor, .. }) = block.txn else {
                     return;
                 };
-                block.close(addr, &mut self.stats.lat_busy, cx.ctx);
+                end_busy(block, addr, &mut self.stats.lat_busy, cx.ctx);
                 let (data, dirty) = put_payload(&cx.kind);
                 if let Some(line) = self.array.get_mut(addr) {
                     if let Some(d) = data {
@@ -918,12 +902,12 @@ impl<'a, 'b> Controller<L2State, L2Event, L2Action, L2Cx<'a, 'b>> for MesiL2 {
                 let Some(block) = self.blocks.get_mut(&addr) else {
                     return;
                 };
-                let Some(Busy::Fetch { requestor, kind }) = block.busy else {
+                let Some(Busy::Fetch { requestor, kind }) = block.txn else {
                     return;
                 };
                 let data = self.memory.get(&addr).copied().unwrap_or_default();
                 // Same busy episode: `since` keeps timing from the fetch.
-                block.busy = Some(Busy::InstallWait {
+                block.txn = Some(Busy::InstallWait {
                     requestor,
                     kind,
                     data,
@@ -939,10 +923,12 @@ impl<'a, 'b> Controller<L2State, L2Event, L2Action, L2Cx<'a, 'b>> for MesiL2 {
         }
     }
 
+    /// Only busy states stall, and a busy block has a record.
     fn stalled(&mut self, _step: Step<L2State, L2Event>, cx: &mut L2Cx<'a, 'b>) {
         if let Some(kind) = cx.kind {
-            let block = self.blocks.entry(cx.addr).or_default();
-            block.queue.park((cx.from, kind), &mut self.spares);
+            if !self.blocks.park(cx.addr, (cx.from, kind)) {
+                self.violation("stall without a busy entry");
+            }
         }
     }
 
@@ -1087,12 +1073,8 @@ impl Component<Message> for MesiL2 {
         // Open blocks, sorted by address role: first the busy (transient)
         // entries, one obligation each (`since` is a timestamp and
         // excluded), then the stall queues.
-        let mut open: Vec<_> = self.blocks.iter().collect();
-        open.sort_by_key(|(a, _)| out.addr_role(a.as_u64()));
-        let busy = open.iter().filter_map(|(a, b)| Some((a, b.busy.as_ref()?)));
-        out.write_u64(busy.clone().count() as u64);
-        for (a, busy) in busy {
-            out.write_addr(a.as_u64());
+        let busy: fn(&Block) -> Option<&Busy> = |b| b.txn.as_ref();
+        self.blocks.digest(out, busy, |busy, out| {
             out.obligation(1);
             match busy {
                 Busy::Fetch { requestor, kind } => {
@@ -1121,17 +1103,14 @@ impl Component<Message> for MesiL2 {
                     digest_line(line, out);
                 }
             }
-        }
+        });
         // Per-block stall queues: each queued stimulus is an obligation.
-        let queued = open.iter().filter(|(_, b)| !b.queue.is_empty());
-        out.write_u64(queued.clone().count() as u64);
-        for (a, block) in queued {
-            out.write_addr(a.as_u64());
-            block.queue.digest(out, |(from, kind), out| {
+        self.blocks.digest(out, Record::parked, |queue, out| {
+            queue.digest(out, |(from, kind), out| {
                 out.write_node(*from);
                 out.write_str(msg_kind(kind).label());
             });
-        }
+        });
         // Memory: entries holding zeroed data are indistinguishable from
         // absent ones (`read_memory` defaults to zero), so filter them.
         let written = self

@@ -48,7 +48,7 @@ impl<E: Clone> Clone for Line<E> {
 /// `E` (protocol state + data, typically).
 ///
 /// By convention in this workspace, controllers keep only *stable*-state
-/// lines in the array; in-flight transactions live in an [`crate::Mshr`].
+/// lines in the array; in-flight transactions live in a record table.
 /// That convention means any line is always a legal eviction victim.
 ///
 /// ```rust

@@ -11,7 +11,7 @@
 //!   Border Control).
 //! * [`SetAssocCache`] — a set-associative tag/data array with
 //!   least-recently-used replacement, used by every cache controller.
-//! * [`Mshr`] — a bounded miss-status holding register / transaction table.
+//! * [`Mshr`] — a bounded transaction table; only `benchmark/` still uses it.
 //! * [`IdMap`] / [`IdSet`] — `std` hash tables over [`IdHasher`], for the
 //!   per-block (page, word, op id, core index) bookkeeping every controller
 //!   keeps on its message path.

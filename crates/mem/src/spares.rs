@@ -32,7 +32,9 @@ impl<T> Recycle for Vec<T> {
 /// buffer the pool never lent (the restore cloned it into the open
 /// record); keeping that one too when the transaction closes would grow
 /// the pool by a buffer per restore, without bound, in a model checker
-/// that forks mid-step. So the pool plus its buffers on loan never
+/// that forks mid-step. A restore that drops a queue holding a loan hands
+/// its buffer back first (`xg_fsm::Records` does), or the pool would go on
+/// counting a loan that is gone. So the pool plus its buffers on loan never
 /// outnumber the most the controller ever had open at once.
 ///
 /// ```rust

@@ -1,7 +1,7 @@
 //! The host private cache both host protocols share.
 //!
 //! Toward its core a Hammer cache and a MESI L1 are the same machine: a
-//! set-associative array of stable lines, one [`Open`] record per block in
+//! set-associative array of stable lines, one [`Record`] per block in
 //! flight, loads and stores that hit, miss, upgrade, park behind an open
 //! block or wait in order for a free MSHR, fills that write their victim
 //! back, and a digest, a report and probes over all of it.
@@ -15,9 +15,9 @@
 //! out of [`HostL1::cache`] before it opens a record in [`HostL1::mshr`],
 //! and by filling through [`HostL1::install_line`] only after it closed one.
 
-use xg_fsm::Parked;
-use xg_mem::{BlockAddr, DataBlock, Mshr, SetAssocCache, Spares, BLOCK_BYTES};
-use xg_sim::{Alphabet, CheckDigest, Component, CoverageGrid, Cycle, Histogram, NodeId, Report};
+use xg_fsm::{Parked, Record, Records};
+use xg_mem::{BlockAddr, DataBlock, SetAssocCache, BLOCK_BYTES};
+use xg_sim::{Alphabet, CheckDigest, Component, CoverageGrid, Histogram, NodeId, Report};
 
 use crate::{CoreKind, CoreMsg, Ctx, HomeMap, Message};
 
@@ -34,18 +34,6 @@ pub struct Line<S> {
 
 /// Core ops parked behind an open block or a full MSHR, in arrival order.
 pub type Waiting = Parked<(NodeId, CoreMsg)>;
-
-/// Everything open on one block — the MSHR entry: the transaction, the
-/// cycle it opened (for `lat.miss`), and the core ops parked behind it.
-#[derive(Debug, Clone)]
-pub struct Open<T> {
-    /// The protocol's transaction.
-    pub txn: T,
-    /// The cycle the record opened.
-    pub started: Cycle,
-    /// Core ops that arrived while the block was in flight.
-    pub waiting: Waiting,
-}
 
 /// What differs between the host L1s: the network side of one protocol.
 pub trait L1Protocol: Clone + Send + Sized + 'static {
@@ -152,15 +140,17 @@ pub struct HostL1<P: L1Protocol> {
     home: HomeMap,
     /// Resident stable lines.
     pub cache: SetAssocCache<Line<P::Stable>>,
-    /// One record per block in flight.
-    pub mshr: Mshr<Open<P::Txn>>,
+    /// One record per block in flight: the protocol's transaction, the cycle
+    /// it opened (`lat.miss`) and the core ops that arrived meanwhile. Its
+    /// pool lends `stalled` its buffer too.
+    pub mshr: Records<P::Txn, (NodeId, CoreMsg)>,
+    /// The most records `mshr` holds at once.
+    mshr_entries: usize,
     /// Core ops that found every MSHR taken, and every core op that
     /// arrived behind them, in arrival order. Every op parked behind a
     /// record arrived before all of them. Drained while a slot is free
     /// after each network message, so after the ops of a record it closed.
     stalled: Waiting,
-    /// Emptied queue buffers, reused by the next parked op.
-    pub spares: Spares<Waiting>,
     stats: Stats,
     /// `(state, event)` pairs visited, by index; named in `report`.
     pub seen: CoverageGrid<P::State, P::Event>,
@@ -173,8 +163,8 @@ xg_sim::clone_in_place!(impl[P: L1Protocol] for HostL1<P> {
     home,
     cache,
     mshr,
+    mshr_entries,
     stalled,
-    spares,
     stats,
     seen,
     proto,
@@ -189,9 +179,9 @@ impl<P: L1Protocol> HostL1<P> {
             name: name.into(),
             home: home.into(),
             cache,
-            mshr: Mshr::new(mshr_entries),
+            mshr: Records::default(),
+            mshr_entries,
             stalled: Waiting::default(),
-            spares: Spares::default(),
             stats: Stats::default(),
             seen: CoverageGrid::new(),
             proto,
@@ -210,7 +200,8 @@ impl<P: L1Protocol> HostL1<P> {
     /// small-model checker at quiescent points for Guarantee 0
     /// cross-checks.
     pub fn probe_state(&self, addr: BlockAddr) -> &'static str {
-        Self::state_given(&self.cache, addr, self.mshr.get(addr)).label()
+        let txn = self.mshr.get(&addr).map(|open| &open.txn);
+        Self::state_given(&self.cache, addr, txn).label()
     }
 
     /// Resident stable-line view of `addr`: `(data, dirty)`.
@@ -223,17 +214,17 @@ impl<P: L1Protocol> HostL1<P> {
         self.home.for_block(addr)
     }
 
-    /// State of `addr` given its MSHR record, if it has one. A block is
-    /// never both resident and in flight, so handlers name the state from
-    /// whichever of the two lookups they make anyway; the tag scan here is
-    /// for a message that found no transaction to land on.
+    /// State of `addr` given its open transaction, if it has one. A block
+    /// is never both resident and in flight, so handlers name the state
+    /// from whichever of the two lookups they make anyway; the tag scan
+    /// here is for a message that found no transaction to land on.
     pub fn state_given(
         cache: &SetAssocCache<Line<P::Stable>>,
         addr: BlockAddr,
-        open: Option<&Open<P::Txn>>,
+        txn: Option<&P::Txn>,
     ) -> P::State {
-        match open {
-            Some(open) => P::txn_state(&open.txn),
+        match txn {
+            Some(txn) => P::txn_state(txn),
             None => cache.get(addr).map_or(P::INVALID, |line| line.state.into()),
         }
     }
@@ -241,10 +232,10 @@ impl<P: L1Protocol> HostL1<P> {
     /// The transaction a response to `addr` lands on, recording `event`
     /// against the block's state from that one lookup.
     pub fn txn_for(&mut self, addr: BlockAddr, event: P::Event) -> Option<&mut P::Txn> {
-        let open = self.mshr.get_mut(addr);
-        let state = Self::state_given(&self.cache, addr, open.as_deref());
+        let txn = self.mshr.get_mut(&addr).map(|open| &mut open.txn);
+        let state = Self::state_given(&self.cache, addr, txn.as_deref());
         self.seen.visit(state, event);
-        open.map(|open| &mut open.txn)
+        txn
     }
 
     /// Counts an impossible event under the reason `why`.
@@ -298,22 +289,19 @@ impl<P: L1Protocol> HostL1<P> {
         // A block is resident or in flight, never both: a hit needs the
         // tag scan alone, and only a miss goes on to probe the MSHR.
         let Some(mut line) = self.cache.lookup(addr) else {
-            if let Some(open) = self.mshr.get_mut(addr) {
+            if let Some((open, spares)) = self.mshr.get_mut_with_spares(&addr) {
                 self.seen.visit(P::txn_state(&open.txn), event);
-                match (store, P::readable_copy(&open.txn)) {
-                    (None, Some(copy)) => {
-                        let value = copy.read_u64(offset);
-                        ctx.send(from, msg.reply(CoreKind::LoadResp { value }).into());
-                    }
-                    _ => open.waiting.park((from, msg), &mut self.spares),
+                if let (None, Some(copy)) = (store, P::readable_copy(&open.txn)) {
+                    let value = copy.read_u64(offset);
+                    return ctx.send(from, msg.reply(CoreKind::LoadResp { value }).into());
                 }
-                return;
+                return open.queue.park((from, msg), spares);
             }
             self.seen.visit(P::INVALID, event);
             self.stats.misses += 1;
             return self.start_get(store.is_some(), addr, None, (from, msg), ctx);
         };
-        debug_assert!(self.mshr.get(addr).is_none(), "resident and in flight");
+        debug_assert!(self.mshr.get(&addr).is_none(), "resident and in flight");
         let state = line.get().state;
         self.seen.visit(state.into(), event);
         match (store, P::store_hit(state)) {
@@ -352,48 +340,24 @@ impl<P: L1Protocol> HostL1<P> {
         op: (NodeId, CoreMsg),
         ctx: &mut Ctx<'_>,
     ) {
-        if self.mshr.len() >= self.mshr.capacity() {
+        if self.mshr.len() >= self.mshr_entries {
             // All MSHRs busy: reinstall any copy we pulled out, and wait
             // for a record to close.
             if let Some(copy) = copy {
                 self.cache.insert(addr, copy);
             }
             self.stats.mshr_stalls += 1;
-            return self.stalled.park(op, &mut self.spares);
+            return self.stalled.park(op, self.mshr.spares());
         }
         let (txn, request) = self.proto.open_get(addr, store, copy);
         let before = copy.map_or(P::INVALID, |copy| copy.state.into());
         let event = if store { P::STORE } else { P::LOAD };
         let held = copy.as_ref().map(|copy| &copy.data);
         Self::trace_change(ctx, addr, (before, event, P::txn_state(&txn)), held);
-        let mut waiting = Waiting::default();
-        waiting.park(op, &mut self.spares);
-        let open = Open {
-            txn,
-            started: ctx.now(),
-            waiting,
-        };
-        if self.open_record(addr, open, "Get opened past the MSHR's capacity") {
-            self.stats.mshr_occupancy.record(self.mshr.len() as u64);
-            ctx.send(self.home(addr), request);
-        }
-    }
-
-    /// Allocates the record of a block whose slot the caller knows to be
-    /// free; finding it taken is the violation `why`, and drops the record.
-    fn open_record(&mut self, addr: BlockAddr, open: Open<P::Txn>, why: &'static str) -> bool {
-        let opened = self.mshr.alloc(addr, open).is_ok();
-        if !opened {
-            self.violation(why);
-        }
-        opened
-    }
-
-    /// Puts back a record a handler removed and found was not its own.
-    pub fn restore(&mut self, addr: BlockAddr, open: Option<Open<P::Txn>>) {
-        if let Some(open) = open {
-            self.open_record(addr, open, "restored record found its slot taken");
-        }
+        debug_assert!(!self.mshr.contains_key(&addr), "a second Get in flight");
+        self.mshr.open(addr, txn, ctx.now(), Some(op));
+        self.stats.mshr_occupancy.record(self.mshr.len() as u64);
+        ctx.send(self.home(addr), request);
     }
 
     /// Closes the record open on `addr` as a finished Get: the state it
@@ -403,11 +367,11 @@ impl<P: L1Protocol> HostL1<P> {
         addr: BlockAddr,
         ctx: &mut Ctx<'_>,
     ) -> Option<(P::State, P::Txn, Waiting)> {
-        let open = self.mshr.remove(addr)?;
-        let waited = ctx.now().saturating_since(open.started);
+        let Record { txn, since, queue } = self.mshr.close(addr)?;
+        let waited = ctx.now().saturating_since(since);
         self.stats.lat_miss.record(waited);
-        ctx.span(addr.as_u64(), "miss", open.started);
-        Some((P::txn_state(&open.txn), open.txn, open.waiting))
+        ctx.span(addr.as_u64(), "miss", since);
+        Some((P::txn_state(&txn), txn, queue))
     }
 
     /// Counts a writeback the home node accepted.
@@ -448,12 +412,9 @@ impl<P: L1Protocol> HostL1<P> {
             return Self::trace_change(ctx, addr, change, Some(&line.data));
         };
         let change = (before, P::REPL, P::txn_state(&txn));
-        let open = Open {
-            txn,
-            started: ctx.now(),
-            waiting: Waiting::default(),
-        };
-        if self.mshr.alloc(addr, open).is_ok() {
+        if self.mshr.len() < self.mshr_entries {
+            debug_assert!(!self.mshr.contains_key(&addr), "resident and in flight");
+            self.mshr.open(addr, txn, ctx.now(), None);
             self.stats.mshr_occupancy.record(self.mshr.len() as u64);
             Self::trace_change(ctx, addr, change, Some(&line.data));
             ctx.send(self.home(addr), put);
@@ -471,13 +432,13 @@ impl<P: L1Protocol> HostL1<P> {
     pub fn release(&mut self, mut waiting: Waiting, ctx: &mut Ctx<'_>) {
         let later = std::mem::take(&mut self.stalled);
         while let Some((from, msg)) =
-            waiting.pop_first(&mut self.spares, |_| self.stalled.is_empty())
+            waiting.pop_first(self.mshr.spares(), |_| self.stalled.is_empty())
         {
             self.handle_core(from, msg, ctx);
         }
-        waiting.park_ahead(std::mem::take(&mut self.stalled), &mut self.spares);
+        waiting.park_ahead(std::mem::take(&mut self.stalled), self.mshr.spares());
         self.stalled = later;
-        self.stalled.park_ahead(waiting, &mut self.spares);
+        self.stalled.park_ahead(waiting, self.mshr.spares());
     }
 }
 
@@ -497,7 +458,7 @@ impl<P: L1Protocol> Component<Message> for HostL1<P> {
                     CoreKind::Load | CoreKind::Store { .. } | CoreKind::Flush
                 );
                 if op && !self.stalled.is_empty() {
-                    self.stalled.park((from, c), &mut self.spares);
+                    self.stalled.park((from, c), self.mshr.spares());
                 } else {
                     self.handle_core(from, c, ctx);
                 }
@@ -508,8 +469,8 @@ impl<P: L1Protocol> Component<Message> for HostL1<P> {
                 // Stalled ops run in order while an MSHR is free; each takes
                 // at most the one slot it finds, so none stalls again.
                 loop {
-                    let free = self.mshr.len() < self.mshr.capacity();
-                    let Some((from, msg)) = self.stalled.pop_first(&mut self.spares, |_| free)
+                    let free = self.mshr.len() < self.mshr_entries;
+                    let Some((from, msg)) = self.stalled.pop_first(self.mshr.spares(), |_| free)
                     else {
                         break;
                     };
@@ -541,17 +502,12 @@ impl<P: L1Protocol> Component<Message> for HostL1<P> {
             out.write_bytes(line.data.as_bytes());
         }
         out.recycle(lines);
-        // Open MSHR transactions (each one an obligation).
-        let mut txns: Vec<_> = self.mshr.iter().collect();
-        txns.sort_by_key(|(a, _)| out.addr_role(a.as_u64()));
-        out.write_u64(txns.len() as u64);
-        for (a, open) in txns {
-            out.write_addr(a.as_u64());
+        // Open MSHR transactions, each an obligation (`since` is excluded).
+        self.mshr.digest(out, Some, |open, out| {
             P::digest_txn(&open.txn, out);
-            // `started` is a timestamp and excluded.
-            open.waiting
+            open.queue
                 .digest(out, |(from, msg), out| msg.digest(*from, out));
-        }
+        });
         // Stalled ops are obligations too. A drained state has none, so an
         // empty queue adds nothing to the digest.
         if !self.stalled.is_empty() {

@@ -1,10 +1,11 @@
-//! The shell's own failure paths, driven with the smallest protocol that
+//! The shell's own capacity bound, driven with the smallest protocol that
 //! satisfies [`L1Protocol`].
 
 use xg_mem::Replacement;
-use xg_sim::alphabet;
+use xg_sim::{alphabet, Cycle, SimBuilder};
 
 use super::*;
+use crate::OsMsg;
 
 alphabet! { enum ToyState { V, I, Busy } }
 alphabet! { enum ToyEvent { Load, Store, Repl } }
@@ -18,9 +19,13 @@ impl From<Valid> for ToyState {
     }
 }
 
-/// One stable state, one kind of transaction, nothing to say to a network.
+/// One stable state and one kind of transaction. Every network message
+/// fills block [`FILL`], whose victim it writes back.
 #[derive(Clone)]
 struct Toy;
+
+/// The block every network message fills.
+const FILL: BlockAddr = BlockAddr::new(4);
 
 impl L1Protocol for Toy {
     /// MSHR entries.
@@ -47,71 +52,67 @@ impl L1Protocol for Toy {
         Some(state)
     }
     fn open_get(&mut self, _: BlockAddr, _: bool, _: Option<Line<Valid>>) -> ((), Message) {
-        unreachable!("no test here sends a core op")
+        unreachable!("every test here keeps the MSHR full")
     }
     fn evict(&mut self, _: BlockAddr, _: &Line<Valid>) -> Option<((), Message)> {
-        None
+        Some(((), OsMsg::DisableAccelerator.into()))
     }
-    fn handle_net(_: &mut HostL1<Self>, _: NodeId, _: Message, _: &mut Ctx<'_>) -> u64 {
-        u64::MAX
+    fn handle_net(l1: &mut HostL1<Self>, _: NodeId, _: Message, ctx: &mut Ctx<'_>) -> u64 {
+        let line = Line {
+            state: Valid,
+            dirty: true,
+            data: DataBlock::default(),
+        };
+        l1.install_line(FILL, line, (ToyState::Busy, ToyEvent::Load), ctx);
+        FILL.as_u64()
     }
     fn digest_txn(_: &(), _: &mut CheckDigest) {}
     fn report(&self, _: &str, _: &mut Report) {}
 }
 
-fn open() -> Open<()> {
-    Open {
-        txn: (),
-        started: Cycle::ZERO,
-        waiting: Default::default(),
-    }
-}
-
-/// A one-entry cache whose entry is taken by block 1.
+/// A one-line cache holding block 3, its one MSHR taken by block 1.
 fn full_l1() -> HostL1<Toy> {
     let mut l1 = HostL1::<Toy>::new("toy", NodeId::from_index(0), 1);
-    l1.mshr
-        .alloc(BlockAddr::new(1), open())
-        .expect("the one entry is free");
+    l1.mshr.open(BlockAddr::new(1), (), Cycle::ZERO, None);
+    let line = Line {
+        state: Valid,
+        dirty: true,
+        data: DataBlock::default(),
+    };
+    l1.cache.insert(BlockAddr::new(3), line);
     l1
 }
 
-fn violations(l1: &HostL1<Toy>, why: &str) -> (u64, u64) {
-    let mut report = Report::new();
-    Component::report(l1, &mut report);
-    (
-        report.get("toy.protocol_violation"),
-        report.get(&format!("toy.violation[{why}]")),
-    )
-}
-
-/// Both allocations the shell makes into a slot it believes free — a Get
-/// past the capacity check, a record a handler removed and puts back —
-/// count a violation under their own reason when the slot is taken, drop
-/// the record and leave the table as it was. Neither panics.
+/// With every MSHR taken, a core miss waits in `stalled` and a fill's
+/// victim stays in the array; each counts one stall, and neither opens a
+/// record past the bound.
 #[test]
-fn a_record_that_finds_its_slot_taken_is_a_counted_violation() {
-    let mut l1 = full_l1();
-    // `start_get` opens its record through `open_record` with this reason.
-    let why = "Get opened past the MSHR's capacity";
-    assert!(!l1.open_record(BlockAddr::new(2), open(), why));
-    assert_eq!(violations(&l1, why), (1, 1));
-    assert_eq!(l1.protocol_violations(), 1);
-    assert_eq!(l1.probe_state(BlockAddr::new(2)), "I");
+fn a_full_mshr_opens_no_record_for_a_miss_or_a_victim() {
+    let mut builder = SimBuilder::new(1);
+    let l1 = builder.add(Box::new(full_l1()));
+    let mut sim = builder.build();
+    let load = CoreMsg {
+        id: 0,
+        addr: BlockAddr::new(2).base(),
+        kind: CoreKind::Load,
+    };
+    sim.post(l1, l1, load.into());
+    sim.run_to_quiescence(100);
+    let cache = sim.get::<HostL1<Toy>>(l1).unwrap();
+    assert_eq!((cache.stats.misses, cache.stats.mshr_stalls), (1, 1));
+    assert_eq!((cache.mshr.len(), cache.stalled.len()), (1, 1));
 
-    let mut l1 = full_l1();
-    l1.restore(BlockAddr::new(2), Some(open()));
-    assert_eq!(
-        violations(&l1, "restored record found its slot taken"),
-        (1, 1)
-    );
-    assert_eq!(l1.probe_state(BlockAddr::new(1)), "Busy");
-    assert_eq!(l1.probe_state(BlockAddr::new(2)), "I");
-
-    // With the slot free, both open the record and count nothing.
-    let mut l1 = HostL1::<Toy>::new("toy", NodeId::from_index(0), 1);
-    l1.restore(BlockAddr::new(2), Some(open()));
-    l1.restore(BlockAddr::new(3), None);
-    assert_eq!(l1.protocol_violations(), 0);
-    assert_eq!(l1.probe_state(BlockAddr::new(2)), "Busy");
+    // The fill finds no MSHR for its dirty victim: the victim goes back,
+    // and the fill, with no way left, evicts it unannounced — a counted
+    // violation. The stalled load still finds every MSHR taken.
+    sim.post(l1, l1, OsMsg::DisableAccelerator.into());
+    sim.run_to_quiescence(100);
+    let cache = sim.get::<HostL1<Toy>>(l1).unwrap();
+    assert_eq!(cache.stats.mshr_stalls, 2);
+    assert_eq!((cache.mshr.len(), cache.stalled.len()), (1, 1));
+    let why = "fill evicted a line without a writeback";
+    assert_eq!(cache.stats.violation_reasons.get(why), Some(&1));
+    assert_eq!(cache.protocol_violations(), 1);
+    assert_eq!(cache.probe_state(BlockAddr::new(3)), "I");
+    assert_eq!(cache.probe_state(FILL), "V");
 }
