@@ -9,17 +9,12 @@ use std::process::{Command, Output};
 
 /// The binaries that take `--jobs` / `XG_JOBS` / `XG_TRACE`, each with the
 /// arguments that put it on its sweep path.
-const BINARIES: [(&str, &str, &[&str]); 3] = [
+const BINARIES: [(&str, &str, &[&str]); 2] = [
     ("xg-report", env!("CARGO_BIN_EXE_xg-report"), &["quick"]),
     (
         "xg-fuzz",
         env!("CARGO_BIN_EXE_xg-fuzz"),
         &["--campaign", "quick"],
-    ),
-    (
-        "xg-sweep-bench",
-        env!("CARGO_BIN_EXE_xg-sweep-bench"),
-        &["--check", "--out", "/nonexistent/BENCH_sweep.json"],
     ),
 ];
 
@@ -84,38 +79,34 @@ fn a_jobs_flag_without_a_value_is_refused() {
 }
 
 /// The flag wins over the variable, so a good flag is not held up by a
-/// bad variable (`xg-sweep-bench --check` then fails on its missing
-/// baseline: exit 1, past argument handling).
+/// bad variable: `xg-fuzz` gets past its worker count and refuses the
+/// accelerator count it reads next.
 #[test]
 fn a_good_jobs_flag_is_accepted_whatever_the_variable_says() {
-    let (_, exe, args) = BINARIES[2];
-    let out = run(exe, args, &["--jobs", "1"], &[("XG_JOBS", "banana")]);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(1), "{stderr}");
-    assert!(stderr.contains("--check: failed to read"), "{stderr}");
+    let (name, exe, args) = BINARIES[1];
+    let out = run(
+        exe,
+        args,
+        &["--jobs", "1", "--accels", "0"],
+        &[("XG_JOBS", "banana")],
+    );
+    let said = refusal(name, &out);
+    assert!(
+        said.contains("--accels 0") && !said.contains("XG_JOBS"),
+        "{said}"
+    );
 }
 
 /// A mistyped flag is refused, not ignored: `xg-report --help` would
-/// otherwise start the full-scale report, and `xg-sweep-bench --chek`
-/// rewrite the file it was meant to gate.
+/// otherwise start the full-scale report.
 #[test]
 fn an_unknown_argument_is_refused_by_name() {
-    let sweep_out = std::env::temp_dir().join(format!(
-        "xg-bench-cli-{}-BENCH_sweep.json",
-        std::process::id()
-    ));
-    let sweep_out_path = sweep_out.to_str().expect("temp paths are UTF-8 here");
-    let cases: [(&str, &str, &[&str]); 4] = [
+    let cases: [(&str, &str, &[&str]); 3] = [
         ("xg-report", env!("CARGO_BIN_EXE_xg-report"), &["--help"]),
         (
             "xg-fuzz",
             env!("CARGO_BIN_EXE_xg-fuzz"),
             &["--campaign", "quick", "--bogus"],
-        ),
-        (
-            "xg-sweep-bench",
-            env!("CARGO_BIN_EXE_xg-sweep-bench"),
-            &["--out", sweep_out_path, "--chek"],
         ),
         ("xg-tables", env!("CARGO_BIN_EXE_xg-tables"), &["--bogus"]),
     ];
@@ -127,7 +118,6 @@ fn an_unknown_argument_is_refused_by_name() {
             "{name}: {said}"
         );
     }
-    assert!(!sweep_out.exists(), "xg-sweep-bench wrote {sweep_out_path}");
 }
 
 /// `--accels` is bounded on both sides: the link table has a slot per pair

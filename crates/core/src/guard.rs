@@ -25,10 +25,10 @@
 use std::sync::OnceLock;
 
 use xg_fsm::{
-    alphabet, Alphabet, Controller, Machine, Next, Parked, Record, Records, Step, Table,
+    alphabet, Alphabet, Borrows, Controller, Machine, Next, Parked, Record, Records, Step, Table,
     TableBuilder,
 };
-use xg_mem::{BlockAddr, DataBlock, IdMap, PagePerm, Spares};
+use xg_mem::{BlockAddr, DataBlock, IdMap, PagePerm};
 use xg_proto::{Ctx, HomeMap, Message, OsMsg, XgData, XgError, XgErrorKind, XgiKind, XgiMsg};
 use xg_sim::{CheckDigest, Component, Cycle, FsmRows, Histogram, NodeId, Report};
 
@@ -396,10 +396,14 @@ impl Grants {
     }
 }
 
+/// The host demands an `Inv` answers, in arrival order.
+type Reasons = Vec<(BlockAddr, DemandKind)>;
+
 /// Why an `Inv` is outstanding at the accelerator.
 #[derive(Debug, Clone, PartialEq)]
 struct InvPending {
-    reasons: Vec<(BlockAddr, DemandKind)>,
+    /// Borrowed from `CrossingGuard::open`'s loan pool.
+    reasons: Reasons,
     /// A racing Put already answered the host (`Rec::RInv`).
     race_consumed: bool,
     /// Forwarded; the Guarantee 2c deadline is `inv_timeout` cycles later.
@@ -415,6 +419,12 @@ struct Open {
     inv: Option<InvPending>,
     /// Sub-blocks with an internal relinquish put in flight at the persona.
     relinquishing: u64,
+}
+
+impl Borrows<Reasons> for Open {
+    fn borrowed(&mut self) -> Option<&mut Reasons> {
+        self.inv.as_mut().map(|ip| &mut ip.reasons)
+    }
 }
 
 #[derive(Debug, Default)]
@@ -459,8 +469,9 @@ pub struct CrossingGuard {
     table: Option<IdMap<BlockAddr, Entry>>,
     /// Shadow blocks held across `table` (`forget`, `unshadow` drop them).
     shadow_blocks: u64,
-    /// Open transactions by accelerator block; its pool lends `held` too.
-    open: Records<Open, (XgEvent, XgiMsg)>,
+    /// Open transactions by accelerator block; its pools lend `held` and
+    /// `InvPending::reasons` too.
+    open: Records<Open, (XgEvent, XgiMsg), Reasons>,
     /// How many records hold a `req` / an `inv` (the 24-byte transaction
     /// records `storage_bytes` charges for).
     open_reqs: usize,
@@ -474,8 +485,6 @@ pub struct CrossingGuard {
     /// The persona's events for the host message being handled; empty
     /// between messages, kept for its capacity.
     events: Vec<PersonaEvent>,
-    /// Emptied `InvPending::reasons` buffers.
-    spare_reasons: Spares<Vec<(BlockAddr, DemandKind)>>,
     stats: Stats,
     /// Errors reported, indexed by `XgErrorKind as usize`.
     errors: [u64; XgErrorKind::ALL.len()],
@@ -487,7 +496,7 @@ pub struct CrossingGuard {
 
 xg_sim::clone_in_place!(impl[] for CrossingGuard {
     name, accel, os, cfg, k, persona, table, shadow_blocks, open, open_reqs, open_invs, rate,
-    held, throttle_armed, disabled, events, spare_reasons, stats, errors, peak_storage,
+    held, throttle_armed, disabled, events, stats, errors, peak_storage,
     full, tx,
 });
 
@@ -594,7 +603,6 @@ impl CrossingGuard {
             throttle_armed: false,
             disabled: false,
             events: Vec::new(),
-            spare_reasons: Spares::default(),
             cfg,
             stats: Stats::default(),
             errors: [0; XgErrorKind::ALL.len()],
@@ -647,6 +655,14 @@ impl CrossingGuard {
     /// the Guarantee 2c timeout).
     pub fn open_invs(&self) -> usize {
         self.open_invs
+    }
+
+    /// Takes every emptied `InvPending::reasons` buffer out of the loan
+    /// pool, and counts them.
+    #[cfg(test)]
+    pub(crate) fn take_kept_reasons(&mut self) -> usize {
+        let loans = self.open.loans();
+        std::iter::from_fn(|| Some(loans.take()).filter(|b| b.capacity() > 0)).count()
     }
 
     fn visit_machine(&self, visit: &mut dyn FnMut(&'static dyn FsmRows, &[u64])) {
@@ -1327,7 +1343,7 @@ impl CrossingGuard {
                 }
             }
         }
-        self.spare_reasons.put(reasons);
+        self.open.give_back(reasons);
     }
 
     fn close_inv(&mut self, a: BlockAddr, ctx: &mut Ctx<'_>) {
@@ -1353,14 +1369,13 @@ impl CrossingGuard {
             // hangs — the defect the campaign's minimizer demo hunts.
             return;
         }
-        let open = &mut self.open.entry(a).txn;
-        if let Some(ip) = &mut open.inv {
+        if let Some(ip) = self.open.get_mut(&a).and_then(|o| o.txn.inv.as_mut()) {
             return ip.reasons.push((h, kind));
         }
-        let mut reasons = self.spare_reasons.take();
+        let mut reasons = self.open.loans().take();
         reasons.push((h, kind));
         let (race_consumed, started) = (false, ctx.now());
-        open.inv = Some(InvPending {
+        self.open.entry(a).txn.inv = Some(InvPending {
             reasons,
             race_consumed,
             started,

@@ -812,6 +812,64 @@ fn answered_inv_leaves_a_stale_timer_that_never_fires() {
     rig.assert_host_clean();
 }
 
+/// A restore that overwrites an open `Inv` hands its `reasons` buffer back
+/// to the record table's loan pool first. Open, checkpoint, restore over
+/// it and drain, again and again: the pool keeps no more buffers than were
+/// ever open at once (one).
+#[test]
+fn a_restore_over_an_open_inv_hands_its_reasons_back() {
+    let mut rig = build(
+        HostKind::Hammer,
+        1,
+        AccelKind::Raw(InvBehavior::Silent),
+        cfg(XgVariant::FullState),
+        OsPolicy::ReportOnly,
+        41,
+    );
+    rig.raw_send(0x400, XgiKind::GetM); // the accelerator owns 0x400
+    rig.post_cpu(0, 0x400, CoreKind::Store { value: 1 });
+    // Stop in front of the host's demand, and keep it to send again.
+    let (xg, home) = (rig.xg, NodeId::from_index(2));
+    let mut demand = None;
+    let deadline = rig.sim.now() + 100_000;
+    let stopped = rig.sim.run_until(deadline, |to, msg| {
+        demand = Some(msg.clone()).filter(|_| to == xg);
+        demand.is_some()
+    });
+    assert!(stopped.is_none(), "the demand never reached the guard");
+    let demand = demand.unwrap();
+    fn guard(rig: &mut Rig) -> &mut CrossingGuard {
+        rig.sim.get_mut::<CrossingGuard>(rig.xg).unwrap()
+    }
+    let bare = guard(&mut rig).clone();
+    let step_until_open_invs = |rig: &mut Rig, n: usize| {
+        while guard(rig).open_invs() != n {
+            assert!(rig.sim.step(), "ran dry waiting for {n} open Invs");
+        }
+    };
+    step_until_open_invs(&mut rig, 1);
+    let open = guard(&mut rig).clone();
+    guard(&mut rig).clone_from(&bare);
+    rig.sim.post(home, xg, demand);
+    step_until_open_invs(&mut rig, 1);
+    guard(&mut rig).clone_from(&bare);
+    let block = Addr::new(0x400).block();
+    for _ in 0..2 {
+        guard(&mut rig).clone_from(&open);
+        let answer = XgiKind::DirtyWb {
+            data: XgData::zeroed(1),
+        };
+        rig.sim.post(
+            rig.accel_frontends[0],
+            xg,
+            XgiMsg::new(block, answer).into(),
+        );
+        step_until_open_invs(&mut rig, 0);
+    }
+    let kept = guard(&mut rig).take_kept_reasons();
+    assert!(kept <= 1, "{kept} kept, at most 1 open");
+}
+
 #[test]
 fn buggy_writeback_on_shared_block() {
     // Accelerator holds S but answers Inv with a dirty writeback. Full

@@ -87,7 +87,7 @@ mod table;
 pub use controller::{Controller, Step};
 pub use machine::{Machine, Resolution};
 pub use park::Parked;
-pub use records::{Next, Record, Records};
+pub use records::{Borrows, Next, Record, Records};
 pub use table::{NextState, RowKind, RowOutcome, Table, TableBuilder, TableError};
 
 // The vocabulary idiom lives in `xg-sim` so that controllers without a

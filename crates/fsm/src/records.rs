@@ -3,7 +3,7 @@
 use std::collections::hash_map::Entry;
 use std::ops::Deref;
 
-use xg_mem::{BlockAddr, IdMap, Spares};
+use xg_mem::{BlockAddr, IdMap, Recycle, Spares};
 use xg_sim::{CheckDigest, Cycle};
 
 use crate::Parked;
@@ -44,45 +44,76 @@ pub enum Next<M> {
     Closed,
 }
 
+/// A transaction that may hold a buffer `B` lent by its table's
+/// [`loans`](Records::loans) pool. Every transaction borrows `()`, which
+/// is nothing.
+pub trait Borrows<B> {
+    /// The buffer the transaction holds, if any.
+    fn borrowed(&mut self) -> Option<&mut B>;
+}
+
+impl<T> Borrows<()> for T {
+    fn borrowed(&mut self) -> Option<&mut ()> {
+        None
+    }
+}
+
 /// One [`Record`] per block with something open, read through the map it
-/// derefs to, and the pool its queues borrow buffers from. A record leaves
-/// whole by [`close`](Records::close), or by [`next`](Records::next), the
-/// one drain rule, once its transaction is back to its default and its
-/// queue is empty.
+/// derefs to, the pool its queues borrow buffers from, and the pool its
+/// transactions borrow `B` buffers from. A record leaves whole by
+/// [`close`](Records::close), or by [`next`](Records::next), the one drain
+/// rule, once its transaction is back to its default and its queue is
+/// empty.
 #[derive(Debug)]
-pub struct Records<T, M> {
+pub struct Records<T, M, B = ()> {
     map: IdMap<BlockAddr, Record<T, M>>,
     spares: Pool<M>,
+    loans: Spares<B>,
 }
 
 /// The pool a table's queues borrow their buffers from.
 type Pool<M> = Spares<Parked<M>>;
 
-impl<T: Clone, M: Clone> Clone for Records<T, M> {
+/// An open record, with the pools its queue and its transaction borrow from.
+type WithPools<'a, T, M, B> = (&'a mut Record<T, M>, &'a mut Pool<M>, &'a mut Spares<B>);
+
+impl<T: Clone + Borrows<B>, M: Clone, B: Recycle> Clone for Records<T, M, B> {
     fn clone(&self) -> Self {
-        let (map, spares) = (self.map.clone(), self.spares.clone());
-        Records { map, spares }
+        let (map, spares, loans) = (self.map.clone(), self.spares.clone(), self.loans.clone());
+        Records { map, spares, loans }
     }
 
-    /// A restore drops every record it overwrites: their queues' buffers go
-    /// back to the pool first, so it never counts as lent a buffer that is
-    /// gone, and keeps no more than were ever open at once.
+    /// A restore drops every record it overwrites: the buffers its queue
+    /// and its transaction borrowed go back to their pools first, so
+    /// neither counts as lent a buffer that is gone, nor keeps more than
+    /// were ever open at once.
     fn clone_from(&mut self, source: &Self) {
         for record in self.map.values_mut() {
             std::mem::take(&mut record.queue).release(&mut self.spares);
+            if let Some(buf) = Borrows::<B>::borrowed(&mut record.txn) {
+                give_back(&mut self.loans, std::mem::take(buf));
+            }
         }
         self.map.clone_from(&source.map);
     }
 }
 
-impl<T, M> Default for Records<T, M> {
-    fn default() -> Self {
-        let (map, spares) = Default::default();
-        Records { map, spares }
+/// Hands `buf` back to `loans`, if it holds an allocation: one without was
+/// never lent, or went back already.
+fn give_back<B: Recycle>(loans: &mut Spares<B>, buf: B) {
+    if buf.capacity() > 0 {
+        loans.put(buf);
     }
 }
 
-impl<T, M> Deref for Records<T, M> {
+impl<T, M, B> Default for Records<T, M, B> {
+    fn default() -> Self {
+        let (map, spares, loans) = Default::default();
+        Records { map, spares, loans }
+    }
+}
+
+impl<T, M, B> Deref for Records<T, M, B> {
     type Target = IdMap<BlockAddr, Record<T, M>>;
 
     fn deref(&self) -> &Self::Target {
@@ -90,7 +121,21 @@ impl<T, M> Deref for Records<T, M> {
     }
 }
 
-impl<T, M> Records<T, M> {
+impl<T, M, B: Recycle> Records<T, M, B> {
+    /// The pool transactions borrow from. What one borrowed goes back by
+    /// [`give_back`](Records::give_back), or when a restore overwrites it.
+    pub fn loans(&mut self) -> &mut Spares<B> {
+        &mut self.loans
+    }
+
+    /// Hands back a buffer a transaction borrowed. One that holds no
+    /// allocation was never lent, or went back already, and is dropped.
+    pub fn give_back(&mut self, buf: B) {
+        give_back(&mut self.loans, buf);
+    }
+}
+
+impl<T, M, B> Records<T, M, B> {
     /// The record open on `addr`, to change its transaction in place.
     pub fn get_mut(&mut self, addr: &BlockAddr) -> Option<&mut Record<T, M>> {
         self.map.get_mut(addr)
@@ -112,12 +157,10 @@ impl<T, M> Records<T, M> {
         }
     }
 
-    /// The record open on `addr` and the pool its queue parks with.
-    pub fn get_mut_with_spares(
-        &mut self,
-        addr: &BlockAddr,
-    ) -> Option<(&mut Record<T, M>, &mut Pool<M>)> {
-        Some((self.map.get_mut(addr)?, &mut self.spares))
+    /// The record open on `addr`, the pool its queue parks with and the
+    /// pool its transaction borrows from.
+    pub fn get_mut_with_spares(&mut self, addr: &BlockAddr) -> Option<WithPools<'_, T, M, B>> {
+        Some((self.map.get_mut(addr)?, &mut self.spares, &mut self.loans))
     }
 
     /// Parks `msg` behind the record open on `addr`; `false` (dropped) if none.
@@ -173,7 +216,7 @@ impl<T, M> Records<T, M> {
     }
 }
 
-impl<T: Default + PartialEq, M> Records<T, M> {
+impl<T: Default + PartialEq, M, B> Records<T, M, B> {
     /// The record open on `addr`, opened with nothing open if there is
     /// none: for a transaction whose parts open one at a time.
     pub fn entry(&mut self, addr: BlockAddr) -> &mut Record<T, M> {

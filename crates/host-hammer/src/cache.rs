@@ -212,6 +212,7 @@ impl L1Protocol for Hammer {
     type State = CState;
     type Event = CEvent;
     type Txn = Txn;
+    type Loan = ();
 
     const FAMILY: &'static str = "hammer_cache";
     const INVALID: CState = CState::I;

@@ -37,8 +37,8 @@
 //! textbook MESI race that the accelerator protocols behind Crossing Guard
 //! never see.
 
-use xg_fsm::Parked;
-use xg_mem::{BlockAddr, DataBlock, Replacement, SetAssocCache, Spares};
+use xg_fsm::{Borrows, Parked};
+use xg_mem::{BlockAddr, DataBlock, Replacement, SetAssocCache};
 use xg_proto::host_l1::{self, HostL1, L1Protocol};
 use xg_proto::{CoreKind, CoreMsg, Ctx, MesiKind, MesiMsg, Message};
 use xg_sim::{alphabet, Alphabet, CheckDigest, NodeId, Report};
@@ -130,7 +130,7 @@ enum GetKind {
 
 /// A forward that arrived while our own write was still completing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Deferred {
+pub enum Deferred {
     FwdGetS(NodeId),
     FwdGetM(NodeId),
     Recall,
@@ -175,7 +175,17 @@ pub struct Get {
     local: Option<DataBlock>,
     /// An invalidation hit us mid-flight (ISI): use data once, then I.
     poisoned: bool,
+    /// Borrowed from [`HostL1::mshr`]'s loan pool.
     deferred: Parked<Deferred>,
+}
+
+impl Borrows<Parked<Deferred>> for Txn {
+    fn borrowed(&mut self) -> Option<&mut Parked<Deferred>> {
+        match self {
+            Txn::Get(get) => Some(&mut get.deferred),
+            Txn::Wb { .. } => None,
+        }
+    }
 }
 
 impl Get {
@@ -185,16 +195,14 @@ impl Get {
     }
 }
 
-/// The MESI side of a [`HostL1`]: recycled `Get::deferred` buffers and the
-/// counters only this protocol has.
+/// The MESI side of a [`HostL1`]: the counters only this protocol has.
 #[derive(Debug, Default)]
 pub struct Mesi {
-    spare_deferred: Spares<Parked<Deferred>>,
     isi_races: u64,
     deferred_fwds: u64,
 }
 
-xg_sim::clone_in_place!(impl[] for Mesi { spare_deferred, isi_races, deferred_fwds });
+xg_sim::clone_in_place!(impl[] for Mesi { isi_races, deferred_fwds });
 
 impl Mesi {
     /// Number of ISI races survived (invalidation overtook a grant).
@@ -212,6 +220,7 @@ impl L1Protocol for Mesi {
     type State = CState;
     type Event = CEvent;
     type Txn = Txn;
+    type Loan = Parked<Deferred>;
 
     const FAMILY: &'static str = "mesi_l1";
     const INVALID: CState = CState::I;
@@ -558,24 +567,27 @@ fn handle_demand(
         }
         return;
     }
-    let open = l1.mshr.get_mut(&addr);
+    let open = l1.mshr.get_mut_with_spares(&addr);
     cover(
         open.as_ref()
-            .map_or(CState::I, |open| Mesi::txn_state(&open.txn)),
+            .map_or(CState::I, |(open, ..)| Mesi::txn_state(&open.txn)),
     );
-    match open.map(|open| &mut open.txn) {
-        Some(Txn::Get(get)) => {
+    match open.map(|(open, _, loans)| (&mut open.txn, loans)) {
+        Some((Txn::Get(get), loans)) => {
             // We are the owner-to-be but have no data yet: defer.
             l1.proto.deferred_fwds += 1;
-            get.deferred.park(demand, &mut l1.proto.spare_deferred);
+            get.deferred.park(demand, loans);
         }
-        Some(Txn::Wb {
-            kind: kind @ (L1State::E | L1State::M),
-            data,
-            dirty,
-            invalidated: invalidated @ false,
-            nacked,
-        }) => {
+        Some((
+            Txn::Wb {
+                kind: kind @ (L1State::E | L1State::M),
+                data,
+                dirty,
+                invalidated: invalidated @ false,
+                nacked,
+            },
+            _,
+        )) => {
             serve(ctx, *data, *dirty);
             if read {
                 // Our in-flight Put demotes to a PutS at the L2 (it will
@@ -633,7 +645,7 @@ fn complete_get(l1: &mut MesiL1, addr: BlockAddr, event: CEvent, ctx: &mut Ctx<'
     l1.install_line(addr, Line { state, dirty, data }, (before, event), ctx);
     // Serve demands that raced ahead of our own completion.
     let mut deferred = get.deferred;
-    while let Some(demand) = deferred.pop_first(&mut l1.proto.spare_deferred, |_| true) {
+    while let Some(demand) = deferred.pop_first(l1.mshr.loans(), |_| true) {
         handle_demand(l1, addr, demand, true, ctx);
     }
     l1.release(waiting, ctx);

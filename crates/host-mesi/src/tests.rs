@@ -2,6 +2,7 @@
 
 use xg_mem::Addr;
 use xg_mem::DataBlock;
+use xg_mem::Recycle;
 use xg_proto::{CoreKind, CoreMsg, Ctx, MesiKind, MesiMsg, Message};
 use xg_sim::{Component, Link, NodeId, SimBuilder};
 
@@ -640,4 +641,74 @@ fn l2_parked_fill_installs_when_the_blocking_record_closes() {
     assert_eq!(report.get("l2.recalls"), 1);
     let rows = report.fsm("mesi_l2").unwrap();
     assert_eq!(rows.count("Busy_Install", "InstallRetry"), 1);
+}
+
+/// A restore that overwrites a Get holding a deferred demand hands that
+/// demand queue's buffer back to the MSHR table's loan pool first. Open,
+/// checkpoint, restore over it and drain, again and again: the pool keeps
+/// no more buffers than were ever open at once (one).
+#[test]
+fn a_restore_over_a_deferred_demand_hands_its_buffer_back() {
+    let mut b = SimBuilder::new(16);
+    let core = b.add(Box::new(TestCore {
+        name: "core0".into(),
+        responses: Vec::new(),
+    }));
+    let l2 = NodeId::from_index(2);
+    let l1 = b.add(Box::new(MesiL1::new("l1_0", l2, MesiL1Config::default())));
+    let scripted = ScriptedL1 {
+        name: "l2".into(),
+        received: Vec::new(),
+    };
+    assert_eq!(b.add(Box::new(scripted)), l2);
+    b.default_link(Link::unordered(1, 12));
+    b.link_bidi(core, l1, Link::ordered(1, 1));
+    let mut sim = b.build();
+    let addr = Addr::new(0x2000);
+    let block = addr.block();
+    let store = CoreMsg {
+        id: 0,
+        addr,
+        kind: CoreKind::Store { value: 7 },
+    };
+    sim.post(core, l1, store.into());
+    fn cache(sim: &mut xg_proto::Sim) -> &mut MesiL1 {
+        sim.get_mut::<MesiL1>(NodeId::from_index(1)).unwrap()
+    }
+    while cache(&mut sim).probe_state(block) != "IM_AD" {
+        assert!(sim.step());
+    }
+    let bare = cache(&mut sim).clone();
+    // The L2 recalls the block before it granted it: the Get defers that.
+    let defer = |sim: &mut xg_proto::Sim| {
+        sim.post(l2, l1, MesiMsg::new(block, MesiKind::Recall).into());
+        while sim.report().get("l1_0.deferred_fwds") == 0 {
+            assert!(sim.step());
+        }
+    };
+    defer(&mut sim);
+    let deferred = cache(&mut sim).clone();
+    cache(&mut sim).clone_from(&bare);
+    defer(&mut sim);
+    cache(&mut sim).clone_from(&bare);
+    // The grant completes the Get, which then serves the Recall.
+    let recalled = |sim: &xg_proto::Sim| {
+        let received = &sim.get::<ScriptedL1>(l2).unwrap().received;
+        let data = |k: &&MesiKind| matches!(k, MesiKind::RecallData { .. });
+        received.iter().filter(data).count()
+    };
+    for served in 1..=2 {
+        cache(&mut sim).clone_from(&deferred);
+        let grant = MesiKind::DataM {
+            data: DataBlock::zeroed(),
+            acks: 0,
+        };
+        sim.post(l2, l1, MesiMsg::new(block, grant).into());
+        while recalled(&sim) < served {
+            assert!(sim.step());
+        }
+    }
+    let loans = cache(&mut sim).mshr.loans();
+    let kept = std::iter::from_fn(|| Some(loans.take()).filter(|b| b.capacity() > 0)).count();
+    assert!(kept <= 1, "{kept} kept, at most 1 open");
 }

@@ -8,6 +8,14 @@ pub trait Recycle: Default {
     fn capacity(&self) -> usize;
 }
 
+/// No buffer at all: what a transaction that borrows nothing holds.
+impl Recycle for () {
+    fn clear(&mut self) {}
+    fn capacity(&self) -> usize {
+        0
+    }
+}
+
 impl<T> Recycle for Vec<T> {
     fn clear(&mut self) {
         Vec::clear(self);

@@ -15,8 +15,8 @@
 //! out of [`HostL1::cache`] before it opens a record in [`HostL1::mshr`],
 //! and by filling through [`HostL1::install_line`] only after it closed one.
 
-use xg_fsm::{Parked, Record, Records};
-use xg_mem::{BlockAddr, DataBlock, SetAssocCache, BLOCK_BYTES};
+use xg_fsm::{Borrows, Parked, Record, Records};
+use xg_mem::{BlockAddr, DataBlock, Recycle, SetAssocCache, BLOCK_BYTES};
 use xg_sim::{Alphabet, CheckDigest, Component, CoverageGrid, Histogram, NodeId, Report};
 
 use crate::{CoreKind, CoreMsg, Ctx, HomeMap, Message};
@@ -47,7 +47,10 @@ pub trait L1Protocol: Clone + Send + Sized + 'static {
     /// The coverage columns.
     type Event: Alphabet;
     /// An open transaction.
-    type Txn: Clone + Send;
+    type Txn: Clone + Send + Borrows<Self::Loan>;
+    /// The buffer an open transaction borrows from [`HostL1::mshr`]'s loan
+    /// pool; `()` where none borrows one.
+    type Loan: Recycle + Send + 'static;
 
     /// Tag of the state digest and family of the coverage key.
     const FAMILY: &'static str;
@@ -143,7 +146,7 @@ pub struct HostL1<P: L1Protocol> {
     /// One record per block in flight: the protocol's transaction, the cycle
     /// it opened (`lat.miss`) and the core ops that arrived meanwhile. Its
     /// pool lends `stalled` its buffer too.
-    pub mshr: Records<P::Txn, (NodeId, CoreMsg)>,
+    pub mshr: Records<P::Txn, (NodeId, CoreMsg), P::Loan>,
     /// The most records `mshr` holds at once.
     mshr_entries: usize,
     /// Core ops that found every MSHR taken, and every core op that
@@ -289,7 +292,7 @@ impl<P: L1Protocol> HostL1<P> {
         // A block is resident or in flight, never both: a hit needs the
         // tag scan alone, and only a miss goes on to probe the MSHR.
         let Some(mut line) = self.cache.lookup(addr) else {
-            if let Some((open, spares)) = self.mshr.get_mut_with_spares(&addr) {
+            if let Some((open, spares, _)) = self.mshr.get_mut_with_spares(&addr) {
                 self.seen.visit(P::txn_state(&open.txn), event);
                 if let (None, Some(copy)) = (store, P::readable_copy(&open.txn)) {
                     let value = copy.read_u64(offset);

@@ -34,6 +34,7 @@ impl L1Protocol for Toy {
     type State = ToyState;
     type Event = ToyEvent;
     type Txn = ();
+    type Loan = ();
 
     const FAMILY: &'static str = "toy";
     const INVALID: ToyState = ToyState::I;

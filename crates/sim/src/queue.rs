@@ -111,9 +111,10 @@ impl<T> Ord for Entry<T> {
     }
 }
 
-/// Deterministic scheduler-operation counters, for the perf trajectory
-/// (`BENCH_sweep.json` gates these — they depend only on the simulated
-/// workload, never on the host machine).
+/// Deterministic scheduler-operation counters: they depend only on the
+/// simulated workload, never on the host machine, so a test can pin them
+/// (`xg-harness`'s `tests/observability.rs` holds the overflow, migration
+/// and rebase counts of the stress matrix at 0).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueueStats {
     /// Events pushed, total.
