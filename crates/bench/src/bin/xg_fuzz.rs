@@ -229,8 +229,8 @@ fn campaign_mode(args: &[String]) -> i32 {
             out.runs,
             wall * 1e3,
             out.runs as f64 / wall.max(1e-9),
-            out.report.get("fuzz.campaign_cut_live"),
-            out.report.get("fuzz.campaign_capped")
+            out.cut_live,
+            out.capped
         );
         println!(
             "{label}: {} runs, {} messages injected, {} distinct (state, event) pairs, \

@@ -103,7 +103,7 @@ pub fn run_jobs(scale: Scale, seed: u64, jobs: usize) -> (Vec<Row>, Report) {
     let mut summary = Report::new();
     for (cfg, out) in cells.iter().zip(outcomes) {
         let row = Row {
-            config: cfg.exec_name(),
+            config: cfg.name(),
             cpus: cfg.cpu_cores,
             accels: cfg.num_accels,
             banks: cfg.home_banks,

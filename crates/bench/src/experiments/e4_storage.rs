@@ -31,7 +31,7 @@ pub struct Row {
 fn measure(cfg: &SystemConfig, pattern: Pattern, ops: u64) -> u64 {
     let out = run_workload(cfg, pattern, ops);
     assert!(!out.incomplete, "{} hung", cfg.name());
-    out.report.get("xg.peak_storage_bytes")
+    out.report.get("xg.storage_bytes.hwm")
 }
 
 /// Runs the storage sweep at the resolved default worker count.

@@ -316,11 +316,7 @@ fn transactional_sweep_reaches_coverage_baseline() {
             ..StressOpts::default()
         };
         let out = run_stress(&cfg, &opts);
-        assert!(
-            !out.deadlocked && out.data_errors == 0,
-            "{}",
-            cfg.exec_name()
-        );
+        assert!(!out.deadlocked && out.data_errors == 0, "{}", cfg.name());
         cov.merge(out.report.fsm("xg_tx").expect("xg_tx coverage"));
     }
     let missing: Vec<_> = XG_TX_BASELINE

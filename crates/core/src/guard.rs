@@ -623,8 +623,9 @@ impl CrossingGuard {
         table + shadows + txns
     }
 
-    /// High-water mark of [`storage_bytes`](Self::storage_bytes).
-    pub fn peak_storage_bytes(&self) -> u64 {
+    /// High-water mark of [`storage_bytes`](Self::storage_bytes), reported
+    /// as `{name}.storage_bytes.hwm` (a merge keeps the largest).
+    pub fn storage_bytes_hwm(&self) -> u64 {
         self.peak_storage
     }
 
@@ -1598,7 +1599,7 @@ impl Component<Message> for CrossingGuard {
             out.add(format_args!("{n}.{key}"), count);
         }
         out.set(format_args!("{n}.storage_bytes"), self.storage_bytes());
-        out.set(format_args!("{n}.peak_storage_bytes"), self.peak_storage);
+        out.set(format_args!("{n}.storage_bytes.hwm"), self.peak_storage);
         for kind in XgErrorKind::ALL
             .into_iter()
             .filter(|&k| self.error_count(k) > 0)

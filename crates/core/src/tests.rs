@@ -1284,7 +1284,7 @@ fn storage_accounting_tracks_variants() {
     // transactions (none are open at quiescence).
     assert!(fs_guard.storage_bytes() >= 32 * 10);
     assert_eq!(tx_guard.storage_bytes(), 0);
-    assert!(fs_guard.peak_storage_bytes() > tx_guard.peak_storage_bytes());
+    assert!(fs_guard.storage_bytes_hwm() > tx_guard.storage_bytes_hwm());
     let _ = DataBlock::zeroed(); // keep the import exercised under cfg(test)
 }
 
@@ -1363,7 +1363,7 @@ fn wrong_protocol_host_message_is_malformed_and_inert() {
         assert_eq!((err.kind, err.addr), (XgErrorKind::Malformed, Some(block)));
         let guard = rig.sim.get::<CrossingGuard>(rig.xg).unwrap();
         assert_eq!(guard.storage_bytes(), 0, "no transaction opened");
-        assert_eq!(guard.peak_storage_bytes(), 0);
+        assert_eq!(guard.storage_bytes_hwm(), 0);
         let after = rig.sim.report();
         for key in [
             "xg.host_sent",

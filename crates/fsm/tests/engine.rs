@@ -382,7 +382,7 @@ proptest! {
         prop_assert_eq!(dump(&lr), dump(&w));
         prop_assert_eq!(dump(&rl), dump(&w));
 
-        // Same invariance at the Report level (JSON round-trip included).
+        // Same invariance at the Report level, in JSON bytes.
         let mut ra = Report::new();
         left.record_into(&mut ra);
         right.record_into(&mut ra);
@@ -390,7 +390,5 @@ proptest! {
         right.record_into(&mut rb);
         left.record_into(&mut rb);
         prop_assert_eq!(ra.to_json(), rb.to_json());
-        let back = Report::from_json(&ra.to_json()).expect("round trip");
-        prop_assert_eq!(back.to_json(), ra.to_json());
     }
 }

@@ -194,25 +194,18 @@ impl SystemConfig {
     /// A human-readable name: `hammer/xg_full_l1`, `mesi/host_side`, ...
     /// Multi-accelerator systems append the instance count
     /// (`hammer/xg_full_l1x2`) or join heterogeneous tags
-    /// (`hammer/fuzz_xg_full+xg_full_l1`).
+    /// (`hammer/fuzz_xg_full+xg_full_l1`), and `M > 1` home banks append
+    /// `@b{M}` (`mesi/xg_full_l1@b2`).
     pub fn name(&self) -> String {
         let slots = self.accel_slots();
-        if slots.len() == 1 {
-            return format!("{}/{}", self.host.tag(), slots[0].org.tag());
-        }
         let tags: Vec<String> = slots.iter().map(|s| s.org.tag()).collect();
-        if tags.windows(2).all(|w| w[0] == w[1]) {
+        let mut out = if tags.len() == 1 {
+            format!("{}/{}", self.host.tag(), tags[0])
+        } else if tags.windows(2).all(|w| w[0] == w[1]) {
             format!("{}/{}x{}", self.host.tag(), tags[0], tags.len())
         } else {
             format!("{}/{}", self.host.tag(), tags.join("+"))
-        }
-    }
-
-    /// [`name`](SystemConfig::name) plus `@b{M}` for `M > 1` home banks.
-    /// Identical to `name()` at the default, so historical golden keys are
-    /// untouched.
-    pub fn exec_name(&self) -> String {
-        let mut out = self.name();
+        };
         if self.home_banks > 1 {
             out.push_str(&format!("@b{}", self.home_banks));
         }
@@ -319,6 +312,13 @@ mod tests {
         };
         assert_eq!(hetero.accel_slots().len(), 2);
         assert_eq!(hetero.name(), "hammer/fuzz_xg_full+xg_full_l1");
+
+        let banked = SystemConfig {
+            host: HostProtocol::Mesi,
+            home_banks: 2,
+            ..homogeneous
+        };
+        assert_eq!(banked.name(), "mesi/xg_full_l1x3@b2");
     }
 
     #[test]

@@ -145,7 +145,7 @@ fn measure_report(cfg: &SystemConfig, ops: u64) -> (u64, Report) {
     });
     system.start_cores();
     let out = system.sim.run_with_watchdog(50_000_000, 100_000);
-    assert!(shared.done() && !out.stalled, "{}", cfg.exec_name());
+    assert!(shared.done() && !out.stalled, "{}", cfg.name());
     let before = allocs();
     let report = system.sim.report();
     (allocs() - before, report)
@@ -161,10 +161,10 @@ fn reports_allocate_per_scalar_key_not_per_label() {
         let per_key = allocs as f64 / keys as f64;
         eprintln!(
             "{}: report() made {allocs} allocations for {keys} scalar keys ({per_key:.2} per key)",
-            cfg.exec_name()
+            cfg.name()
         );
         if per_key > BUDGET {
-            over.push(format!("{}: {per_key:.2}", cfg.exec_name()));
+            over.push(format!("{}: {per_key:.2}", cfg.name()));
         }
     }
     assert!(
@@ -188,10 +188,10 @@ fn reports_merge_into_an_accumulator_holding_their_keys_without_allocating() {
         let allocs = allocs() - before;
         eprintln!(
             "{}: merge into a key-complete accumulator made {allocs} allocations",
-            cfg.exec_name()
+            cfg.name()
         );
         if allocs > 0 {
-            over.push(format!("{}: {allocs}", cfg.exec_name()));
+            over.push(format!("{}: {allocs}", cfg.name()));
         }
     }
     assert!(

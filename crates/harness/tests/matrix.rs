@@ -23,7 +23,7 @@ fn stress_all_twelve_configurations() {
         ..cfg
     });
     for cfg in SystemConfig::matrix(7).into_iter().chain(banked) {
-        let name = cfg.exec_name();
+        let name = cfg.name();
         let out = run_stress(&cfg, &stress_opts(600));
         assert!(
             !out.deadlocked,
@@ -61,14 +61,8 @@ fn banked_homes_stay_clean_on_the_serial_path() {
             ..SystemConfig::default()
         };
         let out = run_stress(&cfg, &stress_opts(400));
-        assert!(!out.deadlocked, "{}", cfg.exec_name());
-        assert_eq!(
-            out.data_errors,
-            0,
-            "{}: {:?}",
-            cfg.exec_name(),
-            out.error_log
-        );
+        assert!(!out.deadlocked, "{}", cfg.name());
+        assert_eq!(out.data_errors, 0, "{}: {:?}", cfg.name(), out.error_log);
         assert_eq!(out.report.sum_suffix(".protocol_violation"), 0);
         assert_eq!(out.report.get("os.errors_total"), 0);
     }
@@ -364,7 +358,7 @@ fn two_level_stress_evicting_the_l2_loses_no_accelerator_write() {
 /// for 800 ops, and 100 coverage-guided campaigns on each guarded fuzz
 /// configuration in the benchmark's campaign shape (3 generations of 3,
 /// 40-step schedules, 300 CPU ops), none of whose executions may run to the
-/// cycle cap (`fuzz.campaign_capped`). A hundred matrix seeds are not enough:
+/// cycle cap (`CampaignOutcome::capped`). A hundred matrix seeds are not enough:
 /// the Hammer stale read failed 15 of these 48 000 runs, and none of the
 /// first 1 800. Run with `cargo test --release -p xg-harness --test
 /// matrix -- --ignored seed_scan`.
@@ -411,7 +405,7 @@ fn seed_scan_reports_zero_findings() {
         };
         let out = run_campaign(&base, &opts);
         let name = base.name();
-        let capped = out.report.get("fuzz.campaign_capped");
+        let capped = out.capped;
         out.failures
             .iter()
             .map(|f| {

@@ -24,9 +24,9 @@ fn rate_limited_guarded_stress_runs_clean() {
             let out = run_stress(&cfg, &opts);
             let os_errors = out.report.get("os.errors_total");
             if out.deadlocked || out.data_errors > 0 || os_errors > 0 {
-                failing.push(format!("{} seed {seed}", cfg.exec_name()));
+                failing.push(format!("{} seed {seed}", cfg.name()));
             }
-            assert!(out.report.get("xg.throttled") > 0, "{}", cfg.exec_name());
+            assert!(out.report.get("xg.throttled") > 0, "{}", cfg.name());
         }
     }
     assert!(

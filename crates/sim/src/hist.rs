@@ -11,9 +11,10 @@
 //! allocates nothing once the buffer has grown. Two histograms from
 //! different runs or different controllers [`merge`](Histogram::merge)
 //! losslessly — the property the report pipeline relies on when it folds
-//! per-component stats into one run-level [`crate::Report`].
+//! per-component stats into one run-level [`crate::Report`]. A histogram
+//! is only ever recorded or merged into; the report writes its count, sum,
+//! min, max and non-empty buckets, and nothing reads them back.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// A mergeable histogram with logarithmic (power-of-two) buckets.
@@ -127,60 +128,6 @@ impl Histogram {
         (0u32..)
             .zip(self.buckets.iter().copied())
             .filter(|&(_, n)| n > 0)
-    }
-
-    /// Reassembles a histogram from serialized parts, validating internal
-    /// consistency (used by [`crate::Report::from_json`]). A bucket listed
-    /// with population 0 holds no observation and is dropped.
-    pub fn from_parts(
-        buckets: BTreeMap<u32, u64>,
-        count: u64,
-        sum: u64,
-        min: u64,
-        max: u64,
-    ) -> Result<Histogram, &'static str> {
-        if buckets.keys().any(|&i| i > 64) {
-            return Err("bucket index out of range");
-        }
-        let mut total = 0u64;
-        for &n in buckets.values() {
-            total = total
-                .checked_add(n)
-                .ok_or("bucket populations do not sum to count")?;
-        }
-        if total != count {
-            return Err("bucket populations do not sum to count");
-        }
-        let mut filled = buckets.iter().filter(|&(_, &n)| n > 0).map(|(&i, _)| i);
-        let lowest = filled.next();
-        let highest = filled.next_back().or(lowest);
-        let mut dense = Vec::new();
-        match (lowest, highest) {
-            (Some(lowest), Some(highest)) => {
-                if min > max {
-                    return Err("min exceeds max");
-                }
-                if Self::bucket_index(min) != lowest || Self::bucket_index(max) != highest {
-                    return Err("min/max inconsistent with buckets");
-                }
-                dense.resize(highest as usize + 1, 0);
-                for (&i, &n) in buckets.range(..=highest) {
-                    dense[i as usize] = n;
-                }
-            }
-            _ => {
-                if min != 0 || max != 0 || sum != 0 {
-                    return Err("empty histogram with nonzero stats");
-                }
-            }
-        }
-        Ok(Histogram {
-            buckets: dense,
-            count,
-            sum,
-            min,
-            max,
-        })
     }
 
     /// Folds another histogram into this one. Merging is lossless: the

@@ -4,10 +4,10 @@
 //! available; this module hand-rolls the small subset of JSON the report
 //! pipeline needs: objects, arrays, strings, and unsigned 64-bit integers.
 //! That subset is exactly what [`crate::Report`] serializes — counters,
-//! coverage tables, and histograms — and keeping the grammar closed makes the
-//! round-trip property (`from_json(to_json(r)) == r`) easy to guarantee,
-//! including for `u64::MAX`, which real-world JSON libraries routed through
-//! `f64` would corrupt.
+//! coverage tables, and histograms — including `u64::MAX`, which real-world
+//! JSON libraries routed through `f64` would corrupt. Nothing reads a report
+//! back into a `Report`; [`JsonValue::parse`] is for tests and tools that
+//! check what was written.
 
 use std::collections::BTreeMap;
 use std::fmt;

@@ -17,7 +17,7 @@ use std::marker::PhantomData;
 
 use crate::alphabet::{labels_distinct, Alphabet};
 use crate::hist::Histogram;
-use crate::json::{JsonError, JsonValue};
+use crate::json::JsonValue;
 
 /// A state or event name in a coverage table, or the key of a report
 /// entry: borrowed from a `'static` label table, or owned when it came
@@ -250,9 +250,16 @@ fn all<V>(_: &V) -> bool {
     true
 }
 
-/// Counter sections merge by addition.
-fn sum(_: &Label, n: &mut u64, v: &u64) {
-    *n += v;
+/// How the counters of `scalars` and `profile` merge: a high-water mark —
+/// a key ending in `.hwm` — takes the max (the deepest any run got), every
+/// other counter sums. Both rules are commutative and associative, so
+/// shard merges stay permutation-invariant.
+fn combine(key: &Label, n: &mut u64, v: &u64) {
+    if key.ends_with(".hwm") {
+        *n = (*n).max(*v);
+    } else {
+        *n += v;
+    }
 }
 
 thread_local! {
@@ -549,8 +556,11 @@ impl TransitionCoverage {
 /// which is written into a reused buffer and copied into the report only
 /// when the key is new.
 ///
-/// A report serializes to JSON with [`to_json`](Report::to_json) and parses
-/// back with [`from_json`](Report::from_json); the round trip is lossless.
+/// Scalars and profile counters merge by one rule: a key ending in `.hwm`
+/// is a high-water mark and takes the max, every other counter sums.
+///
+/// A report is written, as JSON with [`to_json`](Report::to_json) or as
+/// text with `Display`, and never read back.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Report {
     scalars: Section<u64>,
@@ -562,9 +572,7 @@ pub struct Report {
     /// Kernel-profiling metrics (`xg-prof`): dispatch counters, host-time
     /// attribution, queue high-water marks, and the epoch time series. Kept
     /// out of `scalars` so profiling-off reports keep their exact
-    /// serialized form, and merged with section-specific rules — keys
-    /// ending in `.hwm` take the max across shards, everything else sums —
-    /// so shard merges stay permutation-invariant.
+    /// serialized form; merged by the same rule as `scalars`.
     profile: Section<u64>,
 }
 
@@ -722,11 +730,11 @@ impl Report {
         self.hists.pairs()
     }
 
-    /// Merges another report into this one (scalars are summed, coverage
-    /// sets are unioned, histograms are merged).
+    /// Merges another report into this one (counters are summed, or for a
+    /// `.hwm` key maxed, coverage sets are unioned, histograms are merged).
     ///
-    /// Every merge operation is commutative and associative — scalar sums,
-    /// set unions, histogram bucket/min/max/count/sum merges — so merging a
+    /// Every merge operation is commutative and associative — counter sums
+    /// and maxes, set unions, histogram bucket/min/max/count/sum merges — so merging a
     /// fixed set of reports yields the same result (and the same
     /// [`to_json`](Report::to_json) bytes) in *any* order. Parallel sweep
     /// shards can therefore be merged as they arrive or in canonical
@@ -737,7 +745,7 @@ impl Report {
     /// is cloned (a borrowed label stays borrowed); when it holds every key
     /// of `other`, as an accumulator soon does, the merge allocates nothing.
     pub fn merge(&mut self, other: &Report) {
-        self.scalars.merge(&other.scalars, all, sum);
+        self.scalars.merge(&other.scalars, all, combine);
         self.coverage
             .merge(&other.coverage, all, |_, set, theirs| set.merge(theirs));
         self.fsm
@@ -747,16 +755,7 @@ impl Report {
             |h| !h.is_empty(),
             |_, h, theirs| h.merge(theirs),
         );
-        // High-water marks combine with max (the deepest any shard got),
-        // counters and time estimates with sum. Both rules are commutative
-        // and associative, preserving permutation-invariant shard merging.
-        self.profile.merge(&other.profile, all, |k, n, &v| {
-            if k.ends_with(".hwm") {
-                *n = (*n).max(v);
-            } else {
-                *n += v;
-            }
-        });
+        self.profile.merge(&other.profile, all, combine);
     }
 
     /// Merges a sequence of per-shard reports into one.
@@ -862,114 +861,6 @@ impl Report {
             root.insert("profile".to_owned(), counters(&self.profile));
         }
         JsonValue::Obj(root).to_string()
-    }
-    /// Parses a report serialized by [`to_json`](Report::to_json). A
-    /// top-level key that is not one of the five sections is an error, so
-    /// a report of another shape is refused rather than read in part.
-    pub fn from_json(input: &str) -> Result<Report, JsonError> {
-        fn bad(message: &str) -> JsonError {
-            JsonError {
-                message: message.to_owned(),
-                offset: 0,
-            }
-        }
-        fn object<'a>(
-            value: &'a JsonValue,
-            what: &str,
-        ) -> Result<&'a BTreeMap<String, JsonValue>, JsonError> {
-            value
-                .as_obj()
-                .ok_or_else(|| bad(&format!("{what} must be an object")))
-        }
-        /// A counter section: each key's number into `section`.
-        fn counters(
-            value: &JsonValue,
-            name: &str,
-            section: &mut Section<u64>,
-        ) -> Result<(), JsonError> {
-            for (k, v) in object(value, name)? {
-                let v = v
-                    .as_num()
-                    .ok_or_else(|| bad(&format!("{name} values must be numbers")))?;
-                *section.slot(k) = v;
-            }
-            Ok(())
-        }
-        let root = JsonValue::parse(input)?;
-        let root = object(&root, "report")?;
-        let mut report = Report::new();
-        for (name, section) in root {
-            match name.as_str() {
-                "scalars" => counters(section, name, &mut report.scalars)?,
-                "profile" => counters(section, name, &mut report.profile)?,
-                "coverage" => {
-                    for (ctrl, states) in object(section, name)? {
-                        let set = report.coverage.slot(ctrl);
-                        for (state, events) in object(states, "coverage entries")? {
-                            let events = events
-                                .as_arr()
-                                .ok_or_else(|| bad("coverage events must be arrays"))?;
-                            for ev in events {
-                                let ev = ev
-                                    .as_str()
-                                    .ok_or_else(|| bad("coverage events must be strings"))?;
-                                set.visit(state, ev);
-                            }
-                        }
-                    }
-                }
-                "fsm" => {
-                    for (machine, states) in object(section, name)? {
-                        let cov = report.fsm.slot(machine);
-                        for (state, events) in object(states, "fsm entries")? {
-                            for (ev, n) in object(events, "fsm events")? {
-                                let n = n
-                                    .as_num()
-                                    .ok_or_else(|| bad("fsm row counts must be numbers"))?;
-                                cov.fire(state, ev, n);
-                            }
-                        }
-                    }
-                }
-                "hists" => {
-                    for (key, h) in object(section, name)? {
-                        let h = object(h, "hist entries")?;
-                        let field = |name: &str| -> Result<u64, JsonError> {
-                            h.get(name)
-                                .and_then(JsonValue::as_num)
-                                .ok_or_else(|| bad(&format!("hist missing numeric '{name}'")))
-                        };
-                        let buckets = h
-                            .get("buckets")
-                            .and_then(JsonValue::as_obj)
-                            .ok_or_else(|| bad("hist missing 'buckets' object"))?;
-                        let mut parsed = BTreeMap::new();
-                        for (idx, n) in buckets {
-                            let idx: u32 =
-                                idx.parse().map_err(|_| bad("bucket keys must be u32"))?;
-                            if idx > 64 {
-                                return Err(bad("bucket index out of range"));
-                            }
-                            let n = n
-                                .as_num()
-                                .ok_or_else(|| bad("bucket counts must be numbers"))?;
-                            parsed.insert(idx, n);
-                        }
-                        let hist = Histogram::from_parts(
-                            parsed,
-                            field("count")?,
-                            field("sum")?,
-                            field("min")?,
-                            field("max")?,
-                        )
-                        .map_err(bad)?;
-                        *report.hists.slot(key) = hist;
-                    }
-                }
-                unknown => return Err(bad(&format!("unknown report section '{unknown}'"))),
-            }
-        }
-        Ok(report)
     }
 }
 
@@ -1170,16 +1061,19 @@ mod tests {
     }
 
     #[test]
-    fn report_fsm_round_trips_and_merges() {
+    fn report_fsm_serializes_and_merges() {
         let mut t = TransitionCoverage::new();
         t.declare("NO", "Put");
         t.fire("O_mem", "GetS", 7);
         let mut r = Report::new();
         r.record_fsm("hammer_dir", &t);
 
-        let back = Report::from_json(&r.to_json()).unwrap();
-        assert_eq!(back, r);
-        let cov = back.fsm("hammer_dir").unwrap();
+        assert_eq!(
+            r.to_json(),
+            "{\"coverage\":{},\"fsm\":{\"hammer_dir\":{\"NO\":{\"Put\":0},\
+             \"O_mem\":{\"GetS\":7}}},\"hists\":{},\"scalars\":{}}"
+        );
+        let cov = r.fsm("hammer_dir").unwrap();
         assert_eq!(cov.count("O_mem", "GetS"), 7);
         assert!(cov.is_declared("NO", "Put"));
         assert_eq!(cov.fired_rows(), 1);
@@ -1192,27 +1086,51 @@ mod tests {
     }
 
     #[test]
-    fn campaign_and_guard_counters_are_scalars() {
+    fn fuzz_and_guard_counters_are_scalars() {
         let mut r = Report::new();
-        r.set("fuzz.campaign_runs", 3);
+        r.set("fuzz.hammer/fuzz_xg_full.budget", 3);
         r.set("guard.xg.os_errors", 7);
         r.set("guard.a1_xg.os_errors", 0);
         let mut other = Report::new();
-        other.set("fuzz.campaign_runs", 2);
+        other.set("fuzz.hammer/fuzz_xg_full.budget", 2);
         other.set("guard.xg.os_errors", 3);
         r.merge(&other);
-        assert_eq!(r.get("fuzz.campaign_runs"), 5);
+        assert_eq!(r.get("fuzz.hammer/fuzz_xg_full.budget"), 5);
         assert_eq!(r.get("guard.xg.os_errors"), 10);
         assert_eq!(
             r.to_json(),
-            "{\"coverage\":{},\"fsm\":{},\"hists\":{},\"scalars\":{\"fuzz.campaign_runs\":5,\
+            "{\"coverage\":{},\"fsm\":{},\"hists\":{},\"scalars\":{\
+             \"fuzz.hammer/fuzz_xg_full.budget\":5,\
              \"guard.a1_xg.os_errors\":0,\"guard.xg.os_errors\":10}}"
         );
         assert!(r.to_string().contains("guard.xg.os_errors = 10"));
     }
 
+    /// Two runs whose guards each peaked at 222 bytes peaked at 222 bytes:
+    /// a merged high-water mark is the larger one, not the sum.
     #[test]
-    fn profile_section_round_trips_merges_and_strips() {
+    fn high_water_marks_merge_by_max() {
+        let run = |peak, ops| {
+            let mut r = Report::new();
+            r.set("xg.storage_bytes.hwm", peak);
+            r.add("xg.grants", ops);
+            r
+        };
+        let mut merged = run(222, 5);
+        merged.merge(&run(222, 7));
+        assert_eq!(merged.get("xg.storage_bytes.hwm"), 222);
+        assert_eq!(merged.get("xg.grants"), 12, "other counters still sum");
+        merged.merge(&run(300, 0));
+        assert_eq!(merged.get("xg.storage_bytes.hwm"), 300);
+        assert_eq!(
+            Report::merge_shards([&run(10, 1), &run(222, 1), &run(0, 1)])
+                .get("xg.storage_bytes.hwm"),
+            222
+        );
+    }
+
+    #[test]
+    fn profile_section_serializes_merges_and_strips() {
         let mut r = Report::new();
         r.profile_add("dispatch.guard.GetM", 5);
         r.profile_add("dispatch.guard.GetM", 2);
@@ -1222,12 +1140,10 @@ mod tests {
         assert_eq!(r.profile_get("dispatch.guard.GetM"), 7);
         assert_eq!(r.profile_get("absent"), 0);
 
-        // JSON round trip is lossless and the section is present.
-        let json = r.to_json();
-        assert!(json.contains("\"profile\""));
-        let back = Report::from_json(&json).unwrap();
-        assert_eq!(back, r);
-        assert_eq!(back.to_json(), json);
+        // The section is written in key order with the other four.
+        assert!(r.to_json().contains(
+            ",\"profile\":{\"dispatch.guard.GetM\":7,\"events.total\":100,\"queue.hwm\":9},\"scalars\""
+        ));
 
         // Merge: counters sum, `.hwm` keys take the max, commutatively.
         let mut other = Report::new();
@@ -1260,15 +1176,15 @@ mod tests {
     }
 
     #[test]
-    fn empty_profile_section_is_not_serialized() {
-        let r = Report::new();
-        assert!(!r.to_json().contains("profile"));
-        let back = Report::from_json(&r.to_json()).unwrap();
-        assert_eq!(back, r);
+    fn an_empty_report_writes_four_empty_sections() {
+        assert_eq!(
+            Report::new().to_json(),
+            "{\"coverage\":{},\"fsm\":{},\"hists\":{},\"scalars\":{}}"
+        );
     }
 
     #[test]
-    fn json_round_trip_is_lossless() {
+    fn json_holds_extreme_counts_and_escaped_labels_at_their_paths() {
         let mut r = Report::new();
         r.add("guard.reqs", 42);
         r.set("big", u64::MAX);
@@ -1284,21 +1200,25 @@ mod tests {
         r.observe("lat", 0);
         r.observe("lat", 17);
         r.observe("lat", u64::MAX);
-        r.observe("other", 3);
-        r.set("fuzz.campaign.budget", 12345);
+        r.profile_max("queue.hwm", 3);
 
-        let json = r.to_json();
-        let back = Report::from_json(&json).unwrap();
-        assert_eq!(back, r);
-        // And the serialized form is stable.
-        assert_eq!(back.to_json(), json);
-    }
-
-    #[test]
-    fn empty_report_round_trips() {
-        let r = Report::new();
-        let back = Report::from_json(&r.to_json()).unwrap();
-        assert_eq!(back, r);
+        let json = JsonValue::parse(&r.to_json()).unwrap();
+        let at = |path: &[&str]| path.iter().try_fold(&json, |v, key| v.as_obj()?.get(*key));
+        let num = |path: &[&str]| at(path).and_then(JsonValue::as_num).unwrap();
+        assert_eq!(num(&["scalars", "guard.reqs"]), 42);
+        assert_eq!(num(&["scalars", "big"]), u64::MAX);
+        let events = |state| at(&["coverage", "l1_0", state]).and_then(JsonValue::as_arr);
+        assert_eq!(events("I"), Some(&[JsonValue::Str("Load".into())][..]));
+        let quoted = JsonValue::Str("Data\"quote\"".into());
+        assert_eq!(events("I_M"), Some(&[quoted][..]));
+        assert_eq!(num(&["fsm", "mesi_l2", "NP", "GetS"]), 9);
+        assert_eq!(num(&["fsm", "mesi_l2", "Owned", "Recall"]), 0);
+        assert_eq!(num(&["hists", "lat", "count"]), 3);
+        assert_eq!(num(&["hists", "lat", "sum"]), u64::MAX);
+        assert_eq!(num(&["hists", "lat", "min"]), 0);
+        assert_eq!(num(&["hists", "lat", "max"]), u64::MAX);
+        assert_eq!(num(&["hists", "lat", "buckets", "5"]), 1);
+        assert_eq!(num(&["profile", "queue.hwm"]), 3);
     }
 
     crate::alphabet! {
@@ -1330,17 +1250,15 @@ mod tests {
         assert_eq!(borrowed, owned);
         assert_eq!(borrowed.len(), 3);
 
-        // Equal reports, equal bytes, and the bytes parse back to both.
+        // Equal reports, equal bytes.
         let report = |set: &CoverageSet| {
             let mut r = Report::new();
             r.record_coverage("l1", set);
             r
         };
         let (from_borrowed, from_owned) = (report(&borrowed), report(&owned));
+        assert_eq!(from_borrowed, from_owned);
         assert_eq!(from_borrowed.to_json(), from_owned.to_json());
-        let back = Report::from_json(&from_borrowed.to_json()).unwrap();
-        assert_eq!(back, from_borrowed);
-        assert_eq!(back.to_json(), from_borrowed.to_json());
 
         // Merging either way round gives one set; a label merged into an
         // empty set stays borrowed.
@@ -1389,9 +1307,6 @@ mod tests {
         o.record_fsm("toy", &owned);
         assert_eq!(r, o);
         assert_eq!(r.to_json(), o.to_json());
-        let back = Report::from_json(&r.to_json()).unwrap();
-        assert_eq!(back, r);
-        assert_eq!(back.to_json(), r.to_json());
 
         let mut other = TransitionCoverage::new();
         other.fire("S", "Inv", 3);
@@ -1406,22 +1321,5 @@ mod tests {
         let mut copy = TransitionCoverage::new();
         copy.merge(&borrowed);
         assert!(all_borrowed(&copy.rows));
-    }
-
-    #[test]
-    fn from_json_rejects_malformed_reports() {
-        for bad in [
-            "[]",
-            "{\"scalars\": 3}",
-            "{\"coverage\": {\"c\": [\"not-an-obj\"]}}",
-            "{\"hists\": {\"h\": {\"count\": 1}}}",
-            "{\"hists\": {\"h\": {\"count\":1,\"sum\":1,\"min\":1,\"max\":1,\"buckets\":{\"99\":1}}}}",
-            "{\"hists\": {\"h\": {\"count\":2,\"sum\":1,\"min\":1,\"max\":1,\"buckets\":{\"1\":1}}}}",
-            "{\"fsm\": {\"m\": {\"s\": {\"e\": \"str\"}}}}",
-            "{\"profile\": 3}",
-            "{\"profile\": {\"k\": \"str\"}}",
-        ] {
-            assert!(Report::from_json(bad).is_err(), "accepted {bad}");
-        }
     }
 }

@@ -1,21 +1,17 @@
-//! Never-panics properties for the two loaders that read files somebody
-//! else wrote: [`JsonValue::parse`] and [`Report::from_json`] answer any
-//! input with `Ok` or `Err` — no panic, no stack overflow. Also: a report
-//! with a section the loader does not know is refused, and strings are
-//! written exactly as a character-at-a-time writer writes them.
+//! Never-panics properties for [`JsonValue::parse`], which reads text
+//! somebody else wrote: it answers any input with `Ok` or `Err` — no panic,
+//! no stack overflow. Also: strings are written exactly as a
+//! character-at-a-time writer writes them.
 
 use std::fmt::Write as _;
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use xg_sim::{JsonValue, Report};
+use xg_sim::JsonValue;
 
-/// Both loaders, for their verdicts only; a panic fails the test by itself.
-fn load(input: &str) -> (bool, bool) {
-    (
-        JsonValue::parse(input).is_ok(),
-        Report::from_json(input).is_ok(),
-    )
+/// The parser's verdict only; a panic fails the test by itself.
+fn load(input: &str) -> bool {
+    JsonValue::parse(input).is_ok()
 }
 
 /// The pieces a JSON document is made of, so that random sequences get past
@@ -93,22 +89,6 @@ proptest! {
         prop_assert_eq!(JsonValue::parse(&written), Ok(JsonValue::Str(text)));
     }
 
-    /// Any top-level key but the five sections is refused, by name.
-    #[test]
-    fn a_report_with_an_unknown_section_is_refused(picks in vec(any::<u32>(), 1..12)) {
-        let name: String = picks.iter().map(|&n| character(n)).collect();
-        let sections = ["scalars", "coverage", "fsm", "hists", "profile"];
-        let section = JsonValue::Str(name.clone()).to_string();
-        let input = format!("{{\"scalars\":{{\"x\":1}},{section}:{{}}}}");
-        let verdict = Report::from_json(&input);
-        if sections.contains(&name.as_str()) {
-            prop_assert!(verdict.is_ok());
-        } else {
-            let err = verdict.expect_err("an unknown section");
-            prop_assert!(err.message.contains(&format!("'{name}'")), "{}", err);
-        }
-    }
-
     #[test]
     fn arbitrary_bytes_never_panic(bytes in vec(any::<u8>(), 0..256)) {
         load(&String::from_utf8_lossy(&bytes));
@@ -134,16 +114,15 @@ proptest! {
         for &object in shape.iter().rev() {
             input.push(if object { '}' } else { ']' });
         }
-        let (value, _) = load(&input);
-        prop_assert_eq!(value, shape.len() <= JsonValue::MAX_DEPTH);
+        prop_assert_eq!(load(&input), shape.len() <= JsonValue::MAX_DEPTH);
         // Left open, it is an error at any depth.
         input.truncate(input.rfind('0').expect("the innermost value"));
-        prop_assert_eq!(load(&input), (false, false));
+        prop_assert!(!load(&input));
     }
 }
 
 /// ROADMAP item 4d's reproducer: 200 000 open brackets overflowed the stack
-/// and aborted the process, under `Report::from_json` as well.
+/// and aborted the process.
 #[test]
 fn two_hundred_thousand_brackets_are_an_error() {
     for open in ["[", "{\"scalars\":", "{\"coverage\":{\"c\":{\"s\":["] {
@@ -153,20 +132,5 @@ fn two_hundred_thousand_brackets_are_an_error() {
             err.offset < 4_096,
             "error names where the cap was hit: {err}"
         );
-        assert!(Report::from_json(&input).is_err());
-    }
-}
-
-/// A report written while campaign and per-guard counters were sections of
-/// their own would lose them silently if the loader skipped what it does not
-/// know; it names the section instead.
-#[test]
-fn reports_with_the_retired_fuzz_and_guards_sections_are_refused() {
-    for (input, section) in [
-        ("{\"fuzz\":{},\"scalars\":{}}", "fuzz"),
-        ("{\"guards\":{\"xg\":{\"os_errors\":2}}}", "guards"),
-    ] {
-        let err = Report::from_json(input).expect_err("an unknown section");
-        assert!(err.message.contains(&format!("'{section}'")), "{err}");
     }
 }

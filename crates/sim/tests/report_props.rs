@@ -4,15 +4,16 @@
 //!
 //! - `merge` is commutative and associative, in `to_json` bytes;
 //! - merging into an empty report gives a clone;
-//! - `from_json(to_json(r)) == r`;
+//! - `to_json` holds every entry at its path, and nothing else;
 //! - every merge — into an empty report, into one that holds all of the
-//!   incoming keys, into one that lacks some — equals the reference fold.
+//!   incoming keys, into one that lacks some — equals the reference fold,
+//!   in which counters sum and `.hwm` keys, scalar or profile, take the max.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use xg_sim::{CoverageSet, Histogram, Report, TransitionCoverage};
+use xg_sim::{CoverageSet, Histogram, JsonValue, Report, TransitionCoverage};
 
 /// Keys sharing prefixes, and ordered differently by byte than by any
 /// reading of their parts (`.` < `/` < `[` < `_`, `-` < `.`).
@@ -122,9 +123,18 @@ impl Model {
 
     /// The reference fold of `other` into `self`.
     fn merge(&mut self, other: &Model) {
-        for (k, v) in &other.scalars {
-            *self.scalars.entry(k.clone()).or_default() += v;
+        /// Counters sum; high-water marks take the max.
+        fn fold(mine: &mut BTreeMap<String, u64>, theirs: &BTreeMap<String, u64>) {
+            for (k, &v) in theirs {
+                let mine = mine.entry(k.clone()).or_default();
+                *mine = if k.ends_with(".hwm") {
+                    (*mine).max(v)
+                } else {
+                    *mine + v
+                };
+            }
         }
+        fold(&mut self.scalars, &other.scalars);
         for (c, pairs) in &other.coverage {
             let mine = self.coverage.entry(c.clone()).or_default();
             mine.extend(pairs.iter().cloned());
@@ -138,15 +148,79 @@ impl Model {
         for (k, h) in other.hists.iter().filter(|(_, h)| !h.is_empty()) {
             self.hists.entry(k.clone()).or_default().merge(h);
         }
-        for (k, &v) in &other.profile {
-            let mine = self.profile.entry(k.clone()).or_default();
-            *mine = if k.ends_with(".hwm") {
-                (*mine).max(v)
-            } else {
-                *mine + v
-            };
-        }
+        fold(&mut self.profile, &other.profile);
     }
+}
+
+/// Whether `r`'s JSON, read back with [`JsonValue::parse`], holds every
+/// entry of `r` at its path and nothing else: each scalar and profile
+/// counter, coverage pair, fsm row count, and histogram count, sum, min,
+/// max and bucket population.
+fn json_holds(r: &Report) -> TestCaseResult {
+    let root = JsonValue::parse(&r.to_json()).expect("a report's JSON parses");
+    let at = |path: &[&str]| path.iter().try_fold(&root, |v, key| v.as_obj()?.get(*key));
+    let num = |path: &[&str]| at(path).and_then(JsonValue::as_num);
+    let len = |path: &[&str]| at(path).and_then(JsonValue::as_obj).map(|o| o.len());
+    /// Entries two levels down: coverage pairs, fsm rows.
+    fn leaves(states: Option<&JsonValue>) -> usize {
+        let states = states
+            .and_then(JsonValue::as_obj)
+            .into_iter()
+            .flat_map(|s| s.values());
+        states
+            .map(|events| match events {
+                JsonValue::Arr(events) => events.len(),
+                JsonValue::Obj(events) => events.len(),
+                _ => 0,
+            })
+            .sum()
+    }
+
+    for (k, v) in r.scalars() {
+        prop_assert_eq!(num(&["scalars", k]), Some(v), "scalar {}", k);
+    }
+    prop_assert_eq!(len(&["scalars"]), Some(r.scalars().count()));
+    for (k, v) in r.profile_entries() {
+        prop_assert_eq!(num(&["profile", k]), Some(v), "profile {}", k);
+    }
+    let profiled = r.profile_entries().count();
+    prop_assert_eq!(len(&["profile"]), (profiled > 0).then_some(profiled));
+    for (c, set) in r.coverages() {
+        for (s, e) in set.iter() {
+            let events = at(&["coverage", c, s]).and_then(JsonValue::as_arr);
+            let event = JsonValue::Str(e.to_owned());
+            prop_assert!(
+                events.is_some_and(|events| events.contains(&event)),
+                "{c} {s}/{e}"
+            );
+        }
+        prop_assert_eq!(leaves(at(&["coverage", c])), set.len());
+    }
+    prop_assert_eq!(len(&["coverage"]), Some(r.coverages().count()));
+    for (m, cov) in r.fsms() {
+        for (s, e, n) in cov.iter() {
+            prop_assert_eq!(num(&["fsm", m, s, e]), Some(n), "{} {}/{}", m, s, e);
+        }
+        prop_assert_eq!(leaves(at(&["fsm", m])), cov.total_rows());
+    }
+    prop_assert_eq!(len(&["fsm"]), Some(r.fsms().count()));
+    for (k, h) in r.hists() {
+        let stats = [
+            ("count", h.count()),
+            ("sum", h.sum()),
+            ("min", h.min()),
+            ("max", h.max()),
+        ];
+        for (field, v) in stats {
+            prop_assert_eq!(num(&["hists", k, field]), Some(v), "{} {}", k, field);
+        }
+        for (b, n) in h.buckets() {
+            prop_assert_eq!(num(&["hists", k, "buckets", &b.to_string()]), Some(n));
+        }
+        prop_assert_eq!(len(&["hists", k, "buckets"]), Some(h.buckets().count()));
+    }
+    prop_assert_eq!(len(&["hists"]), Some(r.hists().count()));
+    Ok(())
 }
 
 /// Whether every section of `r` iterates in strictly increasing byte order
@@ -208,13 +282,11 @@ proptest! {
     }
 
     #[test]
-    fn json_round_trips(a in ops()) {
+    fn json_holds_every_entry_at_its_path(a in ops(), b in ops()) {
         let a = build(&a);
         prop_assert!(in_key_order(&a));
-        let json = a.to_json();
-        let back = Report::from_json(&json).expect("a report's own JSON parses");
-        prop_assert_eq!(&back, &a);
-        prop_assert_eq!(back.to_json(), json);
+        json_holds(&a)?;
+        json_holds(&merged(&a, &build(&b)))?;
     }
 
     #[test]
