@@ -45,8 +45,8 @@ pub mod workloads;
 
 pub use campaign::{
     ddmin_pair, ddmin_vec, escape_literal, guarantee_probe, minimize, run_blind, run_campaign,
-    run_schedule, run_schedule_with, BlindOutcome, CampaignFailure, CampaignOpts, CampaignOutcome,
-    CorpusEntry,
+    run_campaign_with, run_schedule, run_schedule_with, BlindOutcome, CampaignFailure,
+    CampaignOpts, CampaignOutcome, CorpusEntry,
 };
 pub use config::{AccelOrg, AccelSlot, HostProtocol, SystemConfig};
 pub use fuzz::{FuzzAccel, FuzzHostCache, FuzzOpts, Schedule};
