@@ -61,7 +61,7 @@ fn main() {
     let json_path = arg_value(&args, "--json");
     let jobs = cli::jobs(&args);
     if args.iter().any(|a| a == "--profile") {
-        let (report, findings) = xg_bench::profile::collect_profile_jobs(scale, jobs);
+        let (report, findings) = xg_bench::profile::collect_profile(scale, jobs);
         print!("{}", xg_bench::profile::profile_table(&report, 12));
         if let Some(path) = json_path {
             write_json(&path, &report);
@@ -79,7 +79,7 @@ fn main() {
         return;
     }
     if args.iter().any(|a| a == "--coverage") {
-        let (report, findings) = xg_bench::collect_report_jobs(scale, jobs);
+        let (report, findings) = xg_bench::collect_report(scale, jobs);
         print!("{}", xg_bench::coverage_tables(&report));
         if let Some(path) = json_path {
             write_json(&path, &report);
@@ -92,52 +92,52 @@ fn main() {
 
     let mut gate_failures: Vec<String> = Vec::new();
 
-    let rows = e1_stress::run_jobs(scale, &[1, 2], jobs);
+    let rows = e1_stress::run(scale, &[1, 2], jobs);
     println!("{}", e1_stress::table(&rows));
     gate_failures.extend(e1_stress::failures(&rows));
 
-    let rows = e2_fuzz::run_jobs(scale, 5, jobs);
+    let rows = e2_fuzz::run(scale, 5, jobs);
     println!("{}", e2_fuzz::table(&rows));
     gate_failures.extend(e2_fuzz::failures(&rows));
 
-    let (rows, campaign_summary) = e2_campaign::run_jobs(scale, 0xC4A55, jobs);
+    let (rows, campaign_summary) = e2_campaign::run(scale, 0xC4A55, jobs);
     println!("{}", e2_campaign::table(&rows));
     gate_failures.extend(e2_campaign::failures(&rows));
 
-    let series = e3_performance::run_jobs(scale, 9, jobs);
+    let series = e3_performance::run(scale, 9, jobs);
     println!("{}", e3_performance::table(&series));
 
-    let rows = e4_storage::run_jobs(scale, 3, jobs);
+    let rows = e4_storage::run(scale, 3, jobs);
     println!("{}", e4_storage::table(&rows));
 
-    let rows = e5_puts::run_jobs(scale, 4, jobs);
+    let rows = e5_puts::run(scale, 4, jobs);
     println!("{}", e5_puts::table(&rows));
 
-    let rows = e6_rate_limit::run_jobs(scale, 6, jobs);
+    let rows = e6_rate_limit::run(scale, 6, jobs);
     println!("{}", e6_rate_limit::table(&rows));
 
-    let rows = e8_timeout::run_jobs(scale, 7, jobs);
+    let rows = e8_timeout::run(scale, 7, jobs);
     println!("{}", e8_timeout::table(&rows));
     gate_failures.extend(e8_timeout::failures(&rows));
 
-    let rows = e9_blocksize::run_jobs(scale, 8, jobs);
+    let rows = e9_blocksize::run(scale, 8, jobs);
     println!("{}", e9_blocksize::table(&rows));
     gate_failures.extend(e9_blocksize::failures(&rows));
 
-    let rows = e11_prefetch::run_jobs(scale, 5, jobs);
+    let rows = e11_prefetch::run(scale, 5, jobs);
     println!("{}", e11_prefetch::table(&rows));
     gate_failures.extend(e11_prefetch::failures(&rows));
 
-    let (rows, blast_summary) = e12_blast_radius::run_jobs(scale, 12, jobs);
+    let (rows, blast_summary) = e12_blast_radius::run(scale, 12, jobs);
     println!("{}", e12_blast_radius::table(&rows));
     gate_failures.extend(e12_blast_radius::failures(&rows));
 
-    let (rows, scaling_summary) = e13_scaling::run_jobs(scale, 13, jobs);
+    let (rows, scaling_summary) = e13_scaling::run(scale, 13, jobs);
     println!("{}", e13_scaling::table(&rows));
     gate_failures.extend(e13_scaling::failures(&rows));
 
     if let Some(path) = json_path {
-        let (mut report, findings) = xg_bench::collect_report_jobs(scale, jobs);
+        let (mut report, findings) = xg_bench::collect_report(scale, jobs);
         report.merge(&campaign_summary);
         report.merge(&blast_summary);
         report.merge(&scaling_summary);

@@ -31,13 +31,8 @@ pub struct Row {
     pub errors: u64,
 }
 
-/// Runs the prefetch sweep at the resolved default worker count.
-pub fn run(scale: Scale, seed: u64) -> Vec<Row> {
-    run_jobs(scale, seed, xg_harness::resolve_jobs(None))
-}
-
 /// Runs the prefetch sweep on `jobs` workers, one shard per setting.
-pub fn run_jobs(scale: Scale, seed: u64, jobs: usize) -> Vec<Row> {
+pub fn run(scale: Scale, seed: u64, jobs: usize) -> Vec<Row> {
     let ops = scale.ops(4_000, 12_000);
     let shards = vec![
         ("off", Prefetch::Off),
@@ -113,7 +108,7 @@ mod tests {
 
     #[test]
     fn prefetching_cuts_streaming_latency_without_errors() {
-        let rows = run(Scale::Quick, 5);
+        let rows = run(Scale::Quick, 5, xg_harness::resolve_jobs(None));
         let off = &rows[0];
         let deg2 = &rows[2];
         assert_eq!(off.issued, 0);

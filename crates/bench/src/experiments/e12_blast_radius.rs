@@ -97,16 +97,11 @@ pub fn configs(seed: u64) -> Vec<SystemConfig> {
     out
 }
 
-/// Runs the experiment at the resolved default worker count.
-pub fn run(scale: Scale, seed: u64) -> (Vec<Row>, Report) {
-    run_jobs(scale, seed, xg_harness::resolve_jobs(None))
-}
-
 /// Runs every cell (4 configurations x {attacked, baseline}) on `jobs`
 /// workers. The returned [`Report`] carries the per-configuration numbers
 /// as scalars under `fuzz.<config>.{sibling_data_errors, sibling_os_errors,
 /// attacked_os_errors, slowdown_pct}`.
-pub fn run_jobs(scale: Scale, seed: u64, jobs: usize) -> (Vec<Row>, Report) {
+pub fn run(scale: Scale, seed: u64, jobs: usize) -> (Vec<Row>, Report) {
     let messages = scale.ops(300, 3_000);
     let cpu_ops = scale.ops(200, 2_000);
     let cells: Vec<(SystemConfig, bool)> = configs(seed)
@@ -149,7 +144,7 @@ pub fn run_jobs(scale: Scale, seed: u64, jobs: usize) -> (Vec<Row>, Report) {
             ("attacked_os_errors", row.attacked_os_errors),
             ("slowdown_pct", row.slowdown_pct()),
         ] {
-            summary.set(format_args!("fuzz.{label}.{key}"), value);
+            summary.add(format_args!("fuzz.{label}.{key}"), value);
         }
         rows.push(row);
     }
@@ -256,7 +251,7 @@ mod tests {
     /// attacked guard, and the collateral slowdown stays bounded.
     #[test]
     fn blast_radius_stops_at_the_attacked_guard() {
-        let (rows, summary) = run(Scale::Quick, 0xB1A57);
+        let (rows, summary) = run(Scale::Quick, 0xB1A57, xg_harness::resolve_jobs(None));
         assert_eq!(rows.len(), 4);
         let gate = failures(&rows);
         assert!(gate.is_empty(), "{gate:?}");

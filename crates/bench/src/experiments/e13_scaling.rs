@@ -79,14 +79,9 @@ pub fn configs(seed: u64) -> Vec<SystemConfig> {
     out
 }
 
-/// Runs the experiment at the resolved default worker count.
-pub fn run(scale: Scale, seed: u64) -> (Vec<Row>, Report) {
-    run_jobs(scale, seed, xg_harness::resolve_jobs(None))
-}
-
 /// Runs every cell on `jobs` workers. The returned [`Report`] carries
 /// per-cell simulated throughput under `e13.<config>.*` scalar keys.
-pub fn run_jobs(scale: Scale, seed: u64, jobs: usize) -> (Vec<Row>, Report) {
+pub fn run(scale: Scale, seed: u64, jobs: usize) -> (Vec<Row>, Report) {
     let ops = scale.ops(150, 1_500);
     let cells = configs(seed);
     let outcomes = xg_harness::sweep(cells.clone(), jobs, move |cfg, _| {
@@ -114,11 +109,11 @@ pub fn run_jobs(scale: Scale, seed: u64, jobs: usize) -> (Vec<Row>, Report) {
             data_errors: out.data_errors,
             deadlocked: out.deadlocked,
         };
-        summary.set(
+        summary.add(
             format_args!("e13.{}.ops_per_kcycle", row.config),
             row.ops_per_kcycle(),
         );
-        summary.set(format_args!("e13.{}.cycles", row.config), row.cycles);
+        summary.add(format_args!("e13.{}.cycles", row.config), row.cycles);
         rows.push(row);
     }
     (rows, summary)
@@ -181,7 +176,7 @@ mod tests {
     /// The acceptance claim: the whole (shape × banks) product runs clean.
     #[test]
     fn every_bank_count_runs_clean() {
-        let (rows, summary) = run(Scale::Quick, 0x5CA1E);
+        let (rows, summary) = run(Scale::Quick, 0x5CA1E, xg_harness::resolve_jobs(None));
         assert_eq!(rows.len(), SHAPES.len() * BANKS.len());
         let gate = failures(&rows);
         assert!(gate.is_empty(), "{gate:?}");

@@ -29,17 +29,11 @@ pub struct Row {
     pub cycles: u64,
 }
 
-/// Runs the stress test over the full configuration matrix, using the
-/// resolved default worker count (`XG_JOBS` or one per core).
-pub fn run(scale: Scale, seeds: &[u64]) -> Vec<Row> {
-    run_jobs(scale, seeds, xg_harness::resolve_jobs(None))
-}
-
 /// Runs the stress test over the full configuration matrix on `jobs`
 /// workers. Every `(configuration, seed)` pair is an independent shard;
 /// shard outcomes fold back per configuration in matrix order, so the rows
 /// are identical for any `jobs`.
-pub fn run_jobs(scale: Scale, seeds: &[u64], jobs: usize) -> Vec<Row> {
+pub fn run(scale: Scale, seeds: &[u64], jobs: usize) -> Vec<Row> {
     let ops = scale.ops(800, 10_000);
     let matrix = SystemConfig::matrix(1);
     let shards: Vec<SystemConfig> = matrix
@@ -120,7 +114,7 @@ mod tests {
 
     #[test]
     fn quick_run_is_clean_everywhere() {
-        let rows = run(Scale::Quick, &[3]);
+        let rows = run(Scale::Quick, &[3], xg_harness::resolve_jobs(None));
         assert_eq!(rows.len(), 12);
         for r in &rows {
             assert_eq!(r.data_errors, 0, "{}", r.config);

@@ -71,16 +71,11 @@ pub fn opts(scale: Scale, seed: u64) -> CampaignOpts {
     }
 }
 
-/// Runs the comparison at the resolved default worker count.
-pub fn run(scale: Scale, seed: u64) -> (Vec<Row>, Report) {
-    run_jobs(scale, seed, xg_harness::resolve_jobs(None))
-}
-
 /// Runs the comparison on `jobs` workers. Configurations run serially
 /// (each campaign parallelizes its own generation batches); the returned
 /// [`Report`] carries the per-configuration numbers as scalars under
 /// `fuzz.<config>.{budget, guided_pairs, blind_injected, blind_pairs}`.
-pub fn run_jobs(scale: Scale, seed: u64, jobs: usize) -> (Vec<Row>, Report) {
+pub fn run(scale: Scale, seed: u64, jobs: usize) -> (Vec<Row>, Report) {
     let mut rows = Vec::new();
     let mut summary = Report::new();
     for base in configs() {
@@ -103,7 +98,7 @@ pub fn run_jobs(scale: Scale, seed: u64, jobs: usize) -> (Vec<Row>, Report) {
             ("blind_injected", blind.injected),
             ("blind_pairs", blind.distinct_pairs()),
         ] {
-            summary.set(format_args!("fuzz.{label}.{key}"), value);
+            summary.add(format_args!("fuzz.{label}.{key}"), value);
         }
         rows.push(Row {
             config: label,
@@ -197,7 +192,7 @@ mod tests {
     /// breaks, and the numbers land in the Report's `fuzz.*` scalars.
     #[test]
     fn guided_beats_blind_on_every_guarded_config() {
-        let (rows, summary) = run(Scale::Quick, 0xC4A55);
+        let (rows, summary) = run(Scale::Quick, 0xC4A55, xg_harness::resolve_jobs(None));
         assert_eq!(rows.len(), 4);
         let gate = failures(&rows);
         assert!(gate.is_empty(), "{gate:?}");

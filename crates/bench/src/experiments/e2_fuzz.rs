@@ -85,14 +85,9 @@ fn campaign(seed: u64) -> Vec<(String, SystemConfig)> {
     shards
 }
 
-/// Runs the fuzz suite at the resolved default worker count.
-pub fn run(scale: Scale, seed: u64) -> Vec<Row> {
-    run_jobs(scale, seed, xg_harness::resolve_jobs(None))
-}
-
 /// Runs the fuzz suite on `jobs` workers, one shard per attacked
 /// configuration; row order is the fixed campaign order for any `jobs`.
-pub fn run_jobs(scale: Scale, seed: u64, jobs: usize) -> Vec<Row> {
+pub fn run(scale: Scale, seed: u64, jobs: usize) -> Vec<Row> {
     let messages = scale.ops(400, 3_000);
     let cpu_ops = scale.ops(800, 6_000);
     let fuzz = FuzzOpts {
@@ -173,7 +168,7 @@ mod tests {
 
     #[test]
     fn guarded_modified_hosts_are_safe_and_unprotected_is_not() {
-        let rows = run(Scale::Quick, 5);
+        let rows = run(Scale::Quick, 5, xg_harness::resolve_jobs(None));
         // Group 1 (first four rows): the paper's safety claim.
         for r in &rows[0..4] {
             assert_eq!(r.host_violations, 0, "{}", r.config);

@@ -87,15 +87,10 @@ pub fn patterns(scale: Scale) -> Vec<Pattern> {
     }
 }
 
-/// Runs the sweep at the resolved default worker count.
-pub fn run(scale: Scale, seed: u64) -> Vec<Series> {
-    run_jobs(scale, seed, xg_harness::resolve_jobs(None))
-}
-
 /// Runs the sweep on `jobs` workers. Every (host, workload, organization)
 /// cell is an independent shard; cells fold back into series in the fixed
 /// host-major, workload-minor presentation order for any `jobs`.
-pub fn run_jobs(scale: Scale, seed: u64, jobs: usize) -> Vec<Series> {
+pub fn run(scale: Scale, seed: u64, jobs: usize) -> Vec<Series> {
     let ops = scale.ops(2_500, 10_000);
     let orgs = organizations();
     let mut shards = Vec::new();

@@ -34,14 +34,9 @@ fn measure(cfg: &SystemConfig, pattern: Pattern, ops: u64) -> u64 {
     out.report.get("xg.storage_bytes.hwm")
 }
 
-/// Runs the storage sweep at the resolved default worker count.
-pub fn run(scale: Scale, seed: u64) -> Vec<Row> {
-    run_jobs(scale, seed, xg_harness::resolve_jobs(None))
-}
-
 /// Runs the storage sweep on `jobs` workers: one shard per measured
 /// configuration, rows in the fixed presentation order for any `jobs`.
-pub fn run_jobs(scale: Scale, seed: u64, jobs: usize) -> Vec<Row> {
+pub fn run(scale: Scale, seed: u64, jobs: usize) -> Vec<Row> {
     let ops = scale.ops(4_000, 12_000);
     // Each shard carries the finished row minus the measured peak.
     let mut shards: Vec<(SystemConfig, Pattern, Row)> = Vec::new();
@@ -154,7 +149,7 @@ mod tests {
 
     #[test]
     fn full_state_scales_with_cache_and_transactional_does_not() {
-        let rows = run(Scale::Quick, 3);
+        let rows = run(Scale::Quick, 3, xg_harness::resolve_jobs(None));
         let fs: Vec<&Row> = rows
             .iter()
             .filter(|r| r.label.starts_with("full_state /"))

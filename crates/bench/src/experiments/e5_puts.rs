@@ -86,15 +86,9 @@ fn measure(
     }
 }
 
-/// Runs the PutS bandwidth measurement at the resolved default worker
-/// count.
-pub fn run(scale: Scale, seed: u64) -> Vec<Row> {
-    run_jobs(scale, seed, xg_harness::resolve_jobs(None))
-}
-
 /// Runs the PutS bandwidth measurement on `jobs` workers, one shard per
 /// measured configuration.
-pub fn run_jobs(scale: Scale, seed: u64, jobs: usize) -> Vec<Row> {
+pub fn run(scale: Scale, seed: u64, jobs: usize) -> Vec<Row> {
     let ops = scale.ops(4_000, 12_000);
     let shards: Vec<(HostProtocol, bool, Pattern, &str)> = vec![
         (
@@ -157,7 +151,7 @@ mod tests {
 
     #[test]
     fn puts_share_is_small_and_suppression_works() {
-        let rows = run(Scale::Quick, 4);
+        let rows = run(Scale::Quick, 4, xg_harness::resolve_jobs(None));
         let hammer = &rows[0];
         let fwd = &rows[1];
         let sup = &rows[2];

@@ -84,14 +84,9 @@ fn flood_once(limit: Option<RateLimit>, cpu_ops: u64, seed: u64, label: &str) ->
     }
 }
 
-/// Runs the DoS experiment at the resolved default worker count.
-pub fn run(scale: Scale, seed: u64) -> Vec<Row> {
-    run_jobs(scale, seed, xg_harness::resolve_jobs(None))
-}
-
 /// Runs the DoS experiment on `jobs` workers, one shard per limiter
 /// setting.
-pub fn run_jobs(scale: Scale, seed: u64, jobs: usize) -> Vec<Row> {
+pub fn run(scale: Scale, seed: u64, jobs: usize) -> Vec<Row> {
     let cpu_ops = scale.ops(1_500, 10_000);
     let shards: Vec<(Option<RateLimit>, &str)> = vec![
         (None, "no limit (flood unchecked)"),
@@ -145,7 +140,7 @@ mod tests {
 
     #[test]
     fn limiter_throttles_and_reduces_host_pressure() {
-        let rows = run(Scale::Quick, 6);
+        let rows = run(Scale::Quick, 6, xg_harness::resolve_jobs(None));
         let unlimited = &rows[0];
         let tight = &rows[2];
         assert_eq!(unlimited.throttled, 0);

@@ -148,13 +148,8 @@ fn one(timeout: u64, host: HostProtocol, seed: u64) -> Row {
     }
 }
 
-/// Runs the timeout sweep at the resolved default worker count.
-pub fn run(scale: Scale, seed: u64) -> Vec<Row> {
-    run_jobs(scale, seed, xg_harness::resolve_jobs(None))
-}
-
 /// Runs the timeout sweep on `jobs` workers, one shard per setting.
-pub fn run_jobs(_scale: Scale, seed: u64, jobs: usize) -> Vec<Row> {
+pub fn run(_scale: Scale, seed: u64, jobs: usize) -> Vec<Row> {
     sweep(vec![500u64, 2_000, 8_000], jobs, |t, _| {
         one(t, HostProtocol::Hammer, seed)
     })
@@ -197,7 +192,7 @@ mod tests {
     #[test]
     fn latency_tracks_timeout_and_host_always_completes() {
         for seed in 0..24 {
-            let rows = run(Scale::Quick, seed);
+            let rows = run(Scale::Quick, seed, xg_harness::resolve_jobs(None));
             for r in &rows {
                 assert!(r.completed, "seed {seed} timeout={}", r.timeout);
                 assert!(

@@ -27,13 +27,8 @@ pub struct Row {
     pub errors: u64,
 }
 
-/// Runs the block-size sweep at the resolved default worker count.
-pub fn run(scale: Scale, seed: u64) -> Vec<Row> {
-    run_jobs(scale, seed, xg_harness::resolve_jobs(None))
-}
-
 /// Runs the block-size sweep on `jobs` workers, one shard per block size.
-pub fn run_jobs(scale: Scale, seed: u64, jobs: usize) -> Vec<Row> {
+pub fn run(scale: Scale, seed: u64, jobs: usize) -> Vec<Row> {
     let ops = scale.ops(3_000, 10_000);
     sweep(vec![1usize, 2, 4], jobs, |k, _| {
         let cfg = SystemConfig {
@@ -99,7 +94,7 @@ mod tests {
 
     #[test]
     fn larger_blocks_cut_interface_traffic_without_errors() {
-        let rows = run(Scale::Quick, 8);
+        let rows = run(Scale::Quick, 8, xg_harness::resolve_jobs(None));
         assert_eq!(rows.len(), 3);
         for r in &rows {
             assert_eq!(r.errors, 0, "k={}", r.k);

@@ -26,15 +26,12 @@ pub mod table;
 /// the guard, the host controllers, and the accelerator hierarchy. This is
 /// what `xg-report --json` serializes. Beside it come the runs'
 /// [`stress_findings`].
-pub fn collect_report(scale: Scale) -> (xg_sim::Report, Vec<String>) {
-    collect_report_jobs(scale, xg_harness::resolve_jobs(None))
-}
-
-/// [`collect_report`] on `jobs` workers: each host protocol runs as an
-/// independent shard and the shard reports are merged in submission order.
+///
+/// Each host protocol runs as an independent shard on `jobs` workers, and
+/// the shard reports are merged in submission order.
 /// [`xg_sim::Report::merge`] is commutative, so the merged JSON is
 /// byte-identical at any worker count.
-pub fn collect_report_jobs(scale: Scale, jobs: usize) -> (xg_sim::Report, Vec<String>) {
+pub fn collect_report(scale: Scale, jobs: usize) -> (xg_sim::Report, Vec<String>) {
     use xg_harness::{run_stress, sweep, HostProtocol, StressOpts, SystemConfig};
     let ops = scale.ops(4_000, 10_000);
     let shards = vec![(HostProtocol::Hammer, 11), (HostProtocol::Mesi, 12)];

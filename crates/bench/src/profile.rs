@@ -21,7 +21,7 @@ use crate::{stress_findings, Scale};
 /// [`Report::merge`]), so the merged attribution covers every host
 /// protocol and accelerator organization at once. Beside the report come
 /// the runs' [`stress_findings`].
-pub fn collect_profile_jobs(scale: Scale, jobs: usize) -> (Report, Vec<String>) {
+pub fn collect_profile(scale: Scale, jobs: usize) -> (Report, Vec<String>) {
     let ops = scale.ops(400, 4_000);
     let shards: Vec<(SystemConfig, u64)> = SystemConfig::matrix(13)
         .into_iter()
@@ -133,11 +133,11 @@ mod tests {
     #[test]
     fn profile_table_ranks_by_dispatch_count() {
         let mut r = Report::default();
-        r.profile_set("dispatch.guard.Hammer.GetM", 70);
-        r.profile_set("host_ns.guard.Hammer.GetM", 7_000);
-        r.profile_set("dispatch.home.Hammer.GetS", 30);
-        r.profile_set("events.total", 100);
-        r.profile_set("queue.hwm", 9);
+        r.profile_add("dispatch.guard.Hammer.GetM", 70);
+        r.profile_add("host_ns.guard.Hammer.GetM", 7_000);
+        r.profile_add("dispatch.home.Hammer.GetS", 30);
+        r.profile_add("events.total", 100);
+        r.profile_add("queue.hwm", 9);
         let table = profile_table(&r, 8);
         let getm = table.find("guard.Hammer.GetM").unwrap();
         let gets = table.find("home.Hammer.GetS").unwrap();
@@ -150,7 +150,7 @@ mod tests {
 
     #[test]
     fn quick_profile_run_attributes_protocol_classes() {
-        let (report, findings) = collect_profile_jobs(Scale::Quick, xg_harness::resolve_jobs(None));
+        let (report, findings) = collect_profile(Scale::Quick, xg_harness::resolve_jobs(None));
         assert!(findings.is_empty(), "{findings:?}");
         assert!(report.profile_get("events.total") > 0);
         // Both host protocols ran, so both protocol families must appear.

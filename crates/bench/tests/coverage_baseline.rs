@@ -10,7 +10,7 @@
 //! `Scale::Quick` (Hammer seed 11, Mesi seed 12), which is byte-identical
 //! at any worker count.
 
-use xg_bench::{collect_report_jobs, Scale};
+use xg_bench::{collect_report, Scale};
 
 const HAMMER_PERSONA_BASELINE: &[(&str, &str)] = &[
     ("Get", "FwdRead"),
@@ -260,7 +260,7 @@ fn checker_exploration_covers_fuzz_baseline() {
 
 #[test]
 fn stress_sweep_reaches_coverage_baseline() {
-    let (report, findings) = collect_report_jobs(Scale::Quick, 1);
+    let (report, findings) = collect_report(Scale::Quick, 1);
     assert!(findings.is_empty(), "{findings:?}");
     for (machine, baseline) in [
         ("hammer_persona", HAMMER_PERSONA_BASELINE),

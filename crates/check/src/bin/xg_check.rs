@@ -46,6 +46,15 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
+/// A worker count from `source` (`--jobs` or `XG_JOBS`), or exit 2 naming
+/// it.
+fn jobs(source: &str, raw: &str) -> usize {
+    xg_harness::sweep::parse_jobs(raw).unwrap_or_else(|why| {
+        eprintln!("{source}: {why}");
+        std::process::exit(2);
+    })
+}
+
 fn parse_args() -> Args {
     let mut args = Args {
         personas: Vec::new(),
@@ -90,7 +99,7 @@ fn parse_args() -> Args {
             "--max-states" => {
                 args.max_states = value("--max-states").parse().unwrap_or_else(|_| usage())
             }
-            "--jobs" => args.jobs = Some(value("--jobs").parse().unwrap_or_else(|_| usage())),
+            "--jobs" => args.jobs = Some(jobs("--jobs", &value("--jobs"))),
             "--seed" => args.seed = value("--seed").parse().unwrap_or_else(|_| usage()),
             "--no-races" => args.races = false,
             "--emit-dir" => args.emit_dir = Some(value("--emit-dir")),
@@ -102,6 +111,9 @@ fn parse_args() -> Args {
                 usage();
             }
         }
+    }
+    if args.jobs.is_none() {
+        args.jobs = std::env::var("XG_JOBS").ok().map(|v| jobs("XG_JOBS", &v));
     }
     if args.personas.is_empty() {
         args.personas = Persona::ALL.to_vec();

@@ -521,9 +521,9 @@ impl Component<Message> for ChaosAccel {
 
     fn report(&self, out: &mut Report) {
         let n = &self.name;
-        out.set(format_args!("{n}.unscripted_invs"), self.unscripted);
-        out.set(format_args!("{n}.forbidden_data"), self.forbidden_data);
-        out.set(format_args!("{n}.ro_exclusive_data"), self.ro_exclusive);
+        out.add(format_args!("{n}.unscripted_invs"), self.unscripted);
+        out.add(format_args!("{n}.forbidden_data"), self.forbidden_data);
+        out.add(format_args!("{n}.ro_exclusive_data"), self.ro_exclusive);
     }
 
     fn box_clone(&self) -> Option<Box<dyn Component<Message>>> {
@@ -739,9 +739,9 @@ impl Component<Message> for ProbeCore {
 
     fn report(&self, out: &mut Report) {
         let n = &self.name;
-        out.set(format_args!("{n}.ops_completed"), self.completed);
-        out.set(format_args!("{n}.data_errors"), self.data_errors);
-        out.set(
+        out.add(format_args!("{n}.ops_completed"), self.completed);
+        out.add(format_args!("{n}.data_errors"), self.data_errors);
+        out.add(
             format_args!("{n}.outstanding"),
             u64::from(self.in_flight.is_some()),
         );

@@ -141,3 +141,31 @@ fn an_xg_trace_that_is_not_a_switch_is_refused_by_name() {
     );
     assert!(out.stdout.is_empty(), "explored anyway");
 }
+
+#[test]
+fn an_xg_jobs_variable_that_is_not_a_count_is_refused_by_name() {
+    let out = Command::new(env!("CARGO_BIN_EXE_xg-check"))
+        .args(["--persona", "hammer", "--depth", "1"])
+        .env("XG_JOBS", "banana")
+        .output()
+        .expect("xg-check runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.contains("XG_JOBS") && stderr.contains("banana"),
+        "{stderr}"
+    );
+    assert!(out.stdout.is_empty(), "explored anyway");
+}
+
+#[test]
+fn a_jobs_flag_that_is_not_a_count_is_refused_by_name() {
+    let out = xg_check(&["--persona", "hammer", "--depth", "1", "--jobs", "banana"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.contains("--jobs") && stderr.contains("banana"),
+        "{stderr}"
+    );
+    assert!(out.stdout.is_empty(), "explored anyway");
+}

@@ -1598,8 +1598,7 @@ impl Component<Message> for CrossingGuard {
         for (key, count) in counters {
             out.add(format_args!("{n}.{key}"), count);
         }
-        out.set(format_args!("{n}.storage_bytes"), self.storage_bytes());
-        out.set(format_args!("{n}.storage_bytes.hwm"), self.peak_storage);
+        out.add(format_args!("{n}.storage_bytes.hwm"), self.peak_storage);
         for kind in XgErrorKind::ALL
             .into_iter()
             .filter(|&k| self.error_count(k) > 0)

@@ -115,14 +115,14 @@ impl Component<Message> for Os {
 
     fn report(&self, out: &mut Report) {
         let n = &self.name;
-        out.set(format_args!("{n}.errors_total"), self.total());
+        out.add(format_args!("{n}.errors_total"), self.total());
         for kind in XgErrorKind::ALL {
             let count = self.count(kind);
             if count > 0 {
                 out.add(format_args!("{n}.errors.{kind}"), count);
             }
         }
-        out.set(
+        out.add(
             format_args!("{n}.guards_disabled"),
             self.disabled.len() as u64,
         );

@@ -360,11 +360,12 @@ impl Component<Message> for FuzzAccel {
         out.add(format_args!("{n}.invs_seen"), self.invs_seen);
         out.add(format_args!("{n}.inv_responses"), self.inv_responses);
         out.add(format_args!("{n}.grants_seen"), self.grants_seen);
-        out.add(
-            format_args!("{n}.first_inject"),
-            self.first_inject.unwrap_or(0),
-        );
-        out.add(format_args!("{n}.last_inject"), self.last_inject);
+        // A duration rather than cycle stamps: a merge sums it, and a sum
+        // of spans is still a count of cycles.
+        let span = self
+            .first_inject
+            .map_or(0, |first| self.last_inject - first);
+        out.add(format_args!("{n}.inject_span"), span);
     }
 
     fn as_any(&self) -> &dyn std::any::Any {

@@ -158,12 +158,12 @@ fn fill_guard_counters(report: &mut Report, system: &BuiltSystem, shared: &Share
         let label = inst.label.as_str();
         if let Some(xg) = inst.xg {
             let Some(os) = os else { continue };
-            report.set(format_args!("guard.{label}.os_errors"), os.errors_from(xg));
+            report.add(format_args!("guard.{label}.os_errors"), os.errors_from(xg));
             for (kind, count) in os.kinds_from(xg) {
-                report.set(format_args!("guard.{label}.os.{kind}"), count);
+                report.add(format_args!("guard.{label}.os.{kind}"), count);
             }
             let disabled = os.disabled_guards().contains(&xg);
-            report.set(format_args!("guard.{label}.disabled"), u64::from(disabled));
+            report.add(format_args!("guard.{label}.disabled"), u64::from(disabled));
         }
         if !inst.cores.is_empty() {
             let data_errors: u64 = inst
@@ -171,7 +171,7 @@ fn fill_guard_counters(report: &mut Report, system: &BuiltSystem, shared: &Share
                 .iter()
                 .map(|&i| shared.data_errors_of(i))
                 .sum();
-            report.set(format_args!("guard.{label}.data_errors"), data_errors);
+            report.add(format_args!("guard.{label}.data_errors"), data_errors);
             let (mut completed, mut outstanding) = (0u64, 0u64);
             for &core in &inst.cores {
                 if let Some(t) = system.sim.get::<TesterCore>(core) {
@@ -179,8 +179,8 @@ fn fill_guard_counters(report: &mut Report, system: &BuiltSystem, shared: &Share
                     outstanding += t.outstanding() as u64;
                 }
             }
-            report.set(format_args!("guard.{label}.ops_completed"), completed);
-            report.set(format_args!("guard.{label}.outstanding"), outstanding);
+            report.add(format_args!("guard.{label}.ops_completed"), completed);
+            report.add(format_args!("guard.{label}.outstanding"), outstanding);
         }
     }
 }

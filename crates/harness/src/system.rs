@@ -189,8 +189,7 @@ pub fn build_system(
                 HammerConfig {
                     sets,
                     ways,
-                    strict_data: cfg.strict_host,
-                    sink_nacks: !cfg.strict_host,
+                    strict: cfg.strict_host,
                     ..HammerConfig::default()
                 },
             )),

@@ -345,9 +345,6 @@ impl Component<Message> for WorkloadCore {
         let n = &self.name;
         out.add(format_args!("{n}.ops_completed"), self.completed);
         out.add(format_args!("{n}.latency_sum"), self.latency_sum);
-        if let Some(done) = self.done_at {
-            out.set(format_args!("{n}.done_at"), done.as_u64());
-        }
     }
 
     fn as_any(&self) -> &dyn std::any::Any {

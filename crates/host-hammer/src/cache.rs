@@ -34,9 +34,10 @@
 //!
 //! † An unexpected `WbNack` in `WB` is impossible among trusted caches; it
 //! can be provoked by an erroneous accelerator `Put` reaching the directory
-//! (paper §3.2.1). With [`HammerConfig::sink_nacks`] the cache sinks it and
-//! counts `unexpected_nack`; otherwise it counts a `protocol_violation`
-//! (the unmodified-baseline behavior the ablation measures).
+//! (paper §3.2.1). By default the cache sinks it and counts
+//! `unexpected_nack`; with [`HammerConfig::strict`] it counts a
+//! `protocol_violation` (the unmodified-baseline behavior the ablation
+//! measures).
 //!
 //! This is exactly the complexity budget the paper quotes for a host
 //! private cache — four host requests, seven host responses, and transient
@@ -59,14 +60,13 @@ pub struct HammerConfig {
     pub ways: usize,
     /// Maximum simultaneous transactions.
     pub mshr_entries: usize,
-    /// Baseline ack-counting behavior: receiving more than one data
-    /// response for a transaction is a protocol violation. Turn **off** for
-    /// the Transactional-Crossing-Guard host modification that counts
-    /// responses and tolerates zero or multiple data copies (paper §3.2.1).
-    pub strict_data: bool,
-    /// Host modification: sink unexpected `WbNack`s (count them) instead of
-    /// flagging a protocol violation.
-    pub sink_nacks: bool,
+    /// The unmodified baseline host: a second data response for a
+    /// transaction, or an unexpected `WbNack`, is a protocol violation.
+    /// **Off** (the default) is the Transactional-Crossing-Guard host
+    /// modification (paper §3.2.1): requestors count responses and tolerate
+    /// zero or multiple data copies, and caches sink unexpected `WbNack`s
+    /// and count them.
+    pub strict: bool,
 }
 
 impl Default for HammerConfig {
@@ -75,8 +75,7 @@ impl Default for HammerConfig {
             sets: 64,
             ways: 8,
             mshr_entries: 16,
-            strict_data: false,
-            sink_nacks: true,
+            strict: false,
         }
     }
 }
@@ -188,12 +187,11 @@ pub struct Get {
     local: Option<Line>,
 }
 
-/// The Hammer side of a [`HostL1`]: the two host-modification switches of
+/// The Hammer side of a [`HostL1`]: the host-modification switch of
 /// [`HammerConfig`] and the counters only this protocol has.
 #[derive(Debug, Clone)]
 pub struct Hammer {
-    strict_data: bool,
-    sink_nacks: bool,
+    strict: bool,
     silent_drops: u64,
     unexpected_nack: u64,
     multi_data: u64,
@@ -223,8 +221,7 @@ impl L1Protocol for Hammer {
     fn build(cfg: HammerConfig) -> (SetAssocCache<Line>, usize, Self) {
         let cache = SetAssocCache::new(cfg.sets, cfg.ways, Replacement::Lru, 0);
         let proto = Hammer {
-            strict_data: cfg.strict_data,
-            sink_nacks: cfg.sink_nacks,
+            strict: cfg.strict,
             silent_drops: 0,
             unexpected_nack: 0,
             multi_data: 0,
@@ -358,7 +355,7 @@ fn handle_hammer(l1: &mut HammerCache, msg: HammerMsg, ctx: &mut Ctx<'_>) {
             let complete = get.got.complete();
             if second {
                 l1.proto.multi_data += 1;
-                if l1.proto.strict_data {
+                if l1.proto.strict {
                     l1.violation("multiple data responses");
                 }
             }
@@ -410,10 +407,10 @@ fn handle_hammer(l1: &mut HammerCache, msg: HammerMsg, ctx: &mut Ctx<'_>) {
             } else {
                 HammerCache::trace_change(ctx, addr, change, None);
                 if !invalidated {
-                    if l1.proto.sink_nacks {
-                        l1.proto.unexpected_nack += 1;
-                    } else {
+                    if l1.proto.strict {
                         l1.violation("unexpected WbNack");
+                    } else {
+                        l1.proto.unexpected_nack += 1;
                     }
                 }
             }

@@ -24,15 +24,15 @@
 //!
 //! ## Host modifications for Transactional Crossing Guard (paper §3.2.1)
 //!
-//! All three published modifications are implemented, each toggleable via
-//! [`HammerConfig`] so the ablation experiments can measure the unmodified
-//! baseline:
+//! All three published modifications are implemented; the cache's two are
+//! switched off together by [`HammerConfig::strict`], so the ablation
+//! experiments can measure the unmodified baseline:
 //!
 //! 1. a non-upgradable `GetSOnly` request (plus `FwdGetSOnly`),
 //! 2. caches *sink* unexpected `WbNack`s and count an error instead of
-//!    treating them as protocol violations ([`HammerConfig::sink_nacks`]),
+//!    treating them as protocol violations,
 //! 3. requestors count *responses* rather than asserting exactly one data
-//!    message ([`HammerConfig::strict_data`] off).
+//!    message.
 //!
 //! ## Transition summary (cache controller)
 //!

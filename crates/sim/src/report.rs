@@ -250,13 +250,15 @@ fn all<V>(_: &V) -> bool {
     true
 }
 
-/// How the counters of `scalars` and `profile` merge: a high-water mark —
-/// a key ending in `.hwm` — takes the max (the deepest any run got), every
-/// other counter sums. Both rules are commutative and associative, so
-/// shard merges stay permutation-invariant.
-fn combine(key: &Label, n: &mut u64, v: &u64) {
+/// How a value folds into a counter of `scalars` or `profile`, on a write
+/// and on a merge alike: a high-water mark — a key ending in `.hwm` — takes
+/// the max (the deepest any run got), every other counter sums. Both rules
+/// are commutative and associative, so shard merges stay
+/// permutation-invariant, and writing two values into one report equals
+/// merging two reports that each hold one.
+fn combine(key: &str, n: &mut u64, v: u64) {
     if key.ends_with(".hwm") {
-        *n = (*n).max(*v);
+        *n = (*n).max(v);
     } else {
         *n += v;
     }
@@ -556,8 +558,13 @@ impl TransitionCoverage {
 /// which is written into a reused buffer and copied into the report only
 /// when the key is new.
 ///
-/// Scalars and profile counters merge by one rule: a key ending in `.hwm`
-/// is a high-water mark and takes the max, every other counter sums.
+/// A scalar or profile key is a counter or a high-water mark, never a
+/// cycle stamp or an end-of-run gauge, and both are written and merged by
+/// one rule: a key ending in `.hwm` is a high-water mark and takes the
+/// max, every other counter sums. [`add`](Report::add) and
+/// [`profile_add`](Report::profile_add) are the only writes, so writing
+/// two values into one report equals merging two reports that hold one
+/// each.
 ///
 /// A report is written, as JSON with [`to_json`](Report::to_json) or as
 /// text with `Display`, and never read back.
@@ -582,14 +589,10 @@ impl Report {
         Self::default()
     }
 
-    /// Adds `value` to the scalar counter `key` (creating it at zero).
+    /// Adds `value` into the scalar counter `key` (creating it at zero) by
+    /// the merge rule: a `.hwm` key keeps the max, any other key sums.
     pub fn add(&mut self, key: impl fmt::Display, value: u64) {
-        with_key(key, |key| *self.scalars.slot(key) += value);
-    }
-
-    /// Sets the scalar counter `key`, replacing any prior value.
-    pub fn set(&mut self, key: impl fmt::Display, value: u64) {
-        with_key(key, |key| *self.scalars.slot(key) = value);
+        with_key(key, |key| combine(key, self.scalars.slot(key), value));
     }
 
     /// Reads a scalar counter, returning 0 if absent.
@@ -666,25 +669,10 @@ impl Report {
         self.fsm.pairs()
     }
 
-    /// Adds `value` to the profile-section counter `key` (creating it at
-    /// zero). Note that merges treat `.hwm`-suffixed keys specially — use
-    /// [`profile_max`](Report::profile_max) to combine high-water marks.
+    /// Adds `value` into the profile-section counter `key` (creating it at
+    /// zero) by the merge rule, as [`add`](Report::add) does for scalars.
     pub fn profile_add(&mut self, key: impl fmt::Display, value: u64) {
-        with_key(key, |key| *self.profile.slot(key) += value);
-    }
-
-    /// Raises the profile-section counter `key` to at least `value` — the
-    /// combine rule for `.hwm` high-water-mark keys.
-    pub fn profile_max(&mut self, key: impl fmt::Display, value: u64) {
-        with_key(key, |key| {
-            let slot = self.profile.slot(key);
-            *slot = (*slot).max(value);
-        });
-    }
-
-    /// Sets the profile-section counter `key`, replacing any prior value.
-    pub fn profile_set(&mut self, key: impl fmt::Display, value: u64) {
-        with_key(key, |key| *self.profile.slot(key) = value);
+        with_key(key, |key| combine(key, self.profile.slot(key), value));
     }
 
     /// Reads a profile-section counter, returning 0 if absent.
@@ -705,11 +693,6 @@ impl Report {
             profile: Section::default(),
             ..self.clone()
         }
-    }
-
-    /// Records one observation into the histogram `key` (creating it empty).
-    pub fn observe(&mut self, key: impl fmt::Display, value: u64) {
-        with_key(key, |key| self.hists.slot(key).record(value));
     }
 
     /// Merges a component-owned histogram into the histogram `key`.
@@ -745,7 +728,8 @@ impl Report {
     /// is cloned (a borrowed label stays borrowed); when it holds every key
     /// of `other`, as an accumulator soon does, the merge allocates nothing.
     pub fn merge(&mut self, other: &Report) {
-        self.scalars.merge(&other.scalars, all, combine);
+        let counter = |key: &Label, n: &mut u64, v: &u64| combine(key, n, *v);
+        self.scalars.merge(&other.scalars, all, counter);
         self.coverage
             .merge(&other.coverage, all, |_, set, theirs| set.merge(theirs));
         self.fsm
@@ -755,7 +739,7 @@ impl Report {
             |h| !h.is_empty(),
             |_, h, theirs| h.merge(theirs),
         );
-        self.profile.merge(&other.profile, all, combine);
+        self.profile.merge(&other.profile, all, counter);
     }
 
     /// Merges a sequence of per-shard reports into one.
@@ -894,15 +878,27 @@ impl fmt::Display for Report {
 mod tests {
     use super::*;
 
+    fn hist(values: &[u64]) -> Histogram {
+        let mut h = Histogram::new();
+        for &v in values {
+            h.record(v);
+        }
+        h
+    }
+
     #[test]
     fn scalars_accumulate() {
         let mut r = Report::new();
         r.add("a.hits", 3);
         r.add("a.hits", 4);
-        r.set("a.misses", 9);
-        r.set("a.misses", 2);
+        r.add("a.depth.hwm", 9);
+        r.add("a.depth.hwm", 2);
         assert_eq!(r.get("a.hits"), 7);
-        assert_eq!(r.get("a.misses"), 2);
+        assert_eq!(
+            r.get("a.depth.hwm"),
+            9,
+            "a written high-water mark keeps the max"
+        );
         assert_eq!(r.get("absent"), 0);
     }
 
@@ -952,7 +948,7 @@ mod tests {
         let mut cov = CoverageSet::new();
         cov.visit("I", "Load");
         b.record_coverage("ctrl", &cov);
-        b.observe("lat", 7);
+        b.record_hist("lat", &hist(&[7]));
         a.merge(&b);
         assert_eq!(a.get("x"), 3);
         assert_eq!(a.hist("lat").unwrap().count(), 1);
@@ -965,10 +961,9 @@ mod tests {
     #[test]
     fn histograms_merge_across_reports() {
         let mut a = Report::new();
-        a.observe("xg.lat.grant", 4);
-        a.observe("xg.lat.grant", 1000);
+        a.record_hist("xg.lat.grant", &hist(&[4, 1000]));
         let mut b = Report::new();
-        b.observe("xg.lat.grant", 9);
+        b.record_hist("xg.lat.grant", &hist(&[9]));
         a.merge(&b);
         let h = a.hist("xg.lat.grant").unwrap();
         assert_eq!(h.count(), 3);
@@ -1088,12 +1083,12 @@ mod tests {
     #[test]
     fn fuzz_and_guard_counters_are_scalars() {
         let mut r = Report::new();
-        r.set("fuzz.hammer/fuzz_xg_full.budget", 3);
-        r.set("guard.xg.os_errors", 7);
-        r.set("guard.a1_xg.os_errors", 0);
+        r.add("fuzz.hammer/fuzz_xg_full.budget", 3);
+        r.add("guard.xg.os_errors", 7);
+        r.add("guard.a1_xg.os_errors", 0);
         let mut other = Report::new();
-        other.set("fuzz.hammer/fuzz_xg_full.budget", 2);
-        other.set("guard.xg.os_errors", 3);
+        other.add("fuzz.hammer/fuzz_xg_full.budget", 2);
+        other.add("guard.xg.os_errors", 3);
         r.merge(&other);
         assert_eq!(r.get("fuzz.hammer/fuzz_xg_full.budget"), 5);
         assert_eq!(r.get("guard.xg.os_errors"), 10);
@@ -1112,7 +1107,7 @@ mod tests {
     fn high_water_marks_merge_by_max() {
         let run = |peak, ops| {
             let mut r = Report::new();
-            r.set("xg.storage_bytes.hwm", peak);
+            r.add("xg.storage_bytes.hwm", peak);
             r.add("xg.grants", ops);
             r
         };
@@ -1134,8 +1129,8 @@ mod tests {
         let mut r = Report::new();
         r.profile_add("dispatch.guard.GetM", 5);
         r.profile_add("dispatch.guard.GetM", 2);
-        r.profile_max("queue.hwm", 9);
-        r.profile_set("events.total", 100);
+        r.profile_add("queue.hwm", 9);
+        r.profile_add("events.total", 100);
         r.add("os.errors_total", 1);
         assert_eq!(r.profile_get("dispatch.guard.GetM"), 7);
         assert_eq!(r.profile_get("absent"), 0);
@@ -1148,8 +1143,8 @@ mod tests {
         // Merge: counters sum, `.hwm` keys take the max, commutatively.
         let mut other = Report::new();
         other.profile_add("dispatch.guard.GetM", 3);
-        other.profile_max("queue.hwm", 4);
-        other.profile_set("events.total", 50);
+        other.profile_add("queue.hwm", 4);
+        other.profile_add("events.total", 50);
         let mut ab = r.clone();
         ab.merge(&other);
         let mut ba = other.clone();
@@ -1168,10 +1163,10 @@ mod tests {
     }
 
     #[test]
-    fn profile_max_never_lowers() {
+    fn a_written_profile_high_water_mark_never_lowers() {
         let mut r = Report::new();
-        r.profile_max("inflight.dir.hwm", 6);
-        r.profile_max("inflight.dir.hwm", 2);
+        r.profile_add("inflight.dir.hwm", 6);
+        r.profile_add("inflight.dir.hwm", 2);
         assert_eq!(r.profile_get("inflight.dir.hwm"), 6);
     }
 
@@ -1187,7 +1182,7 @@ mod tests {
     fn json_holds_extreme_counts_and_escaped_labels_at_their_paths() {
         let mut r = Report::new();
         r.add("guard.reqs", 42);
-        r.set("big", u64::MAX);
+        r.add("big", u64::MAX);
         let mut cov = CoverageSet::new();
         cov.visit("I", "Load");
         cov.visit("I_M", "Data\"quote\"");
@@ -1197,10 +1192,8 @@ mod tests {
         fsm.fire("NP", "GetS", 9);
         fsm.declare("Owned", "Recall");
         r.record_fsm("mesi_l2", &fsm);
-        r.observe("lat", 0);
-        r.observe("lat", 17);
-        r.observe("lat", u64::MAX);
-        r.profile_max("queue.hwm", 3);
+        r.record_hist("lat", &hist(&[0, 17, u64::MAX]));
+        r.profile_add("queue.hwm", 3);
 
         let json = JsonValue::parse(&r.to_json()).unwrap();
         let at = |path: &[&str]| path.iter().try_fold(&json, |v, key| v.as_obj()?.get(*key));

@@ -1022,14 +1022,14 @@ impl<M: Clone + 'static> Simulator<M> {
             // deterministic (workload-only), but kept out of unprofiled
             // reports so goldens stay byte-identical.
             let stats = self.queue.stats();
-            out.profile_set("sched.pushes", stats.pushes);
-            out.profile_set("sched.pops", stats.pops);
-            out.profile_set("sched.overflow", stats.overflow_pushes);
-            out.profile_set("sched.migrated", stats.migrated);
-            out.profile_set("sched.rebases", stats.rebases);
+            out.profile_add("sched.pushes", stats.pushes);
+            out.profile_add("sched.pops", stats.pops);
+            out.profile_add("sched.overflow", stats.overflow_pushes);
+            out.profile_add("sched.migrated", stats.migrated);
+            out.profile_add("sched.rebases", stats.rebases);
         }
         for (k, v) in entries {
-            out.profile_set(k, v);
+            out.profile_add(k, v);
         }
         out
     }

@@ -7,7 +7,9 @@
 //! - `to_json` holds every entry at its path, and nothing else;
 //! - every merge — into an empty report, into one that holds all of the
 //!   incoming keys, into one that lacks some — equals the reference fold,
-//!   in which counters sum and `.hwm` keys, scalar or profile, take the max.
+//!   in which counters sum and `.hwm` keys, scalar or profile, take the max;
+//! - a write folds by the merge's rule: adding a sequence of values into
+//!   one report equals merging reports that hold one value each.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -61,7 +63,7 @@ fn build(ops: &[Op]) -> Report {
         let (key, key2, state, event) = (KEYS[k], KEYS[k2], LABELS[s], LABELS[e]);
         match section {
             0 => r.add(key, v),
-            1 => r.set(format_args!("{key}/{key2}"), v),
+            1 => r.add(format_args!("{key}/{key2}.hwm"), v),
             2 => {
                 let mut set = CoverageSet::new();
                 set.visit(state, event);
@@ -74,11 +76,15 @@ fn build(ops: &[Op]) -> Report {
                 cov.declare(event, state);
                 r.record_fsm(key, &cov);
             }
-            4 => r.observe(key, v * v * 1000 + v),
+            4 => {
+                let mut hist = Histogram::new();
+                hist.record(v * v * 1000 + v);
+                r.record_hist(key, &hist);
+            }
             5 => r.add(format_args!("fuzz.{key}"), v),
             6 => r.add(format_args!("guard.{key}.{key2}"), v),
             7 => r.profile_add(key, v),
-            _ => r.profile_max(key, v * 7),
+            _ => r.profile_add(format_args!("{key}.hwm"), v * 7),
         }
     }
     r
@@ -245,6 +251,26 @@ fn in_key_order(r: &Report) -> bool {
         && increasing(r.profile_entries().map(|(k, _)| k))
 }
 
+/// One counter write: `(section and kind, key, value)`. Bit 0 of the first
+/// field picks the profile section, bit 1 a `.hwm` key; four keys, so a
+/// sequence repeats them.
+type Write = (u8, usize, u64);
+
+fn writes() -> impl Strategy<Value = Vec<Write>> {
+    vec((0..4u8, 0..4usize, 0..1000u64), 0..32)
+}
+
+/// Adds one write into `r` with the section's one write verb.
+fn write(r: &mut Report, &(kind, k, v): &Write) {
+    let hwm = if kind & 2 == 0 { "" } else { ".hwm" };
+    let key = format_args!("{}{hwm}", KEYS[k]);
+    if kind & 1 == 0 {
+        r.add(key, v);
+    } else {
+        r.profile_add(key, v);
+    }
+}
+
 fn merged(a: &Report, b: &Report) -> Report {
     let mut out = a.clone();
     out.merge(b);
@@ -302,6 +328,32 @@ proptest! {
         prop_assert_eq!(Model::of(&merged(&a, &a)), reference(&ma, &ma));
         // Into an empty one.
         prop_assert_eq!(Model::of(&merged(&Report::new(), &b)), mb);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 256 })]
+
+    /// A report written twice under one key holds what merging two reports
+    /// written once each holds: a repeated `.hwm` key keeps the max, a
+    /// repeated counter sums.
+    #[test]
+    fn adding_into_one_report_equals_merging_one_entry_reports(writes in writes()) {
+        let mut one = Report::new();
+        for w in &writes {
+            write(&mut one, w);
+        }
+        let shards: Vec<Report> = writes
+            .iter()
+            .map(|w| {
+                let mut shard = Report::new();
+                write(&mut shard, w);
+                shard
+            })
+            .collect();
+        let merged = Report::merge_shards(&shards);
+        prop_assert_eq!(&one, &merged);
+        prop_assert_eq!(one.to_json(), merged.to_json());
     }
 }
 
