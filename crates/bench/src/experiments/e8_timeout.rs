@@ -106,23 +106,19 @@ fn one(timeout: u64, host: HostProtocol, seed: u64) -> Row {
         schedule: Some(xg_harness::Schedule::default()),
         ..xg_harness::FuzzOpts::default()
     };
-    let mut system = build_system(
-        &raw_cfg,
-        OsPolicy::ReportOnly,
-        Some(fuzz),
-        |slot, cache, _| {
-            match slot {
-                CoreSlot::Cpu(_) => Box::new(OneStore {
-                    cache,
-                    addr: BLOCK,
-                    delay: 400, // let the silent owner take M first
-                    issued_at: None,
-                    latency: None,
-                }),
-                CoreSlot::Accel(_) => unreachable!("fuzz orgs have no accel cores"),
-            }
-        },
-    );
+    let mut system = build_system(&raw_cfg, OsPolicy::ReportOnly, None, |slot, node, _| {
+        match slot {
+            CoreSlot::Cpu(_) => Box::new(OneStore {
+                cache: node,
+                addr: BLOCK,
+                delay: 400, // let the silent owner take M first
+                issued_at: None,
+                latency: None,
+            }),
+            // The one slot past the (no) accelerator cores: the stand-in.
+            CoreSlot::Accel(k) => Box::new(fuzz.stand_in(seed, k, node)),
+        }
+    });
     // The raw peer takes M on the block, then goes silent forever.
     let fuzzer = system.fuzzer.expect("fuzz org has a raw peer");
     let xg = system.xg.expect("guarded org");

@@ -164,7 +164,10 @@ const CHECKER_FIRED_FLOORS: &[(&str, usize)] = &[
 /// Three-step script whose race steps drive the mesi persona's
 /// `Get`/`OwnerRead` row — the one fuzz-baseline row that needs depth 3
 /// to appear in plain exploration. Pinning it keeps this test at depth 2.
-const MESI_OWNER_READ_SCRIPT: &str = "xg-check v1\ns a 0 0\ns r 0 1 l 0\ns r 0 0 l 0\n";
+/// Which race lands in the row depends on the world's latency draws: the
+/// first script found by search over the steps was re-pinned when the CPU
+/// cache's name, and with it its stream, changed.
+const MESI_OWNER_READ_SCRIPT: &str = "xg-check v1\ns a 0 1\ns r 0 0 s 1\ns r 0 0 l 0\n";
 
 /// Three-step script that drives the mesi persona's `Get_Acks`/`OwnerRecall`
 /// row: the accelerator's `GetM` of the attack block is still waiting for
@@ -172,8 +175,15 @@ const MESI_OWNER_READ_SCRIPT: &str = "xg-check v1\ns a 0 0\ns r 0 1 l 0\ns r 0 0
 /// shares the host L2's one way, recalls the attack block. Plain
 /// exploration reaches the row at depth 3. Within depth 2 it fired only
 /// while the L2 polled every four cycles for a free way; the L2 now retries
-/// a parked fill when a record closes, and that timing is gone.
-const MESI_OWNER_RECALL_SCRIPT: &str = "xg-check v1\ns a 0 0\ns c l 0\ns r 1 0 l 1\nc 2\n";
+/// a parked fill when a record closes, and that timing is gone. Re-pinned
+/// by search, as the script above, when the CPU cache's stream changed.
+const MESI_OWNER_RECALL_SCRIPT: &str = "xg-check v1\ns r 0 0 l 1\ns r 4 0 l 0\ns r 1 0 l 1\n";
+
+/// Three-step script that drives the mesi persona's `Get`/`AckIn` row,
+/// which depth 2 does not reach: the accelerator's racing `GetM` of the
+/// attack block the CPU shares collects the CPU's invalidation ack. It was
+/// the `OwnerRecall` script above until the CPU cache's stream changed.
+const MESI_ACK_IN_SCRIPT: &str = "xg-check v1\ns a 0 0\ns c l 0\ns r 1 0 l 1\nc 2\n";
 
 /// Coverage closure: every persona row the fuzz campaign's baseline
 /// exercises is also reachable by the model checker's exploration, so the
@@ -207,6 +217,7 @@ fn checker_exploration_covers_fuzz_baseline() {
             for (text, (state, event)) in [
                 (MESI_OWNER_READ_SCRIPT, ("Get", "OwnerRead")),
                 (MESI_OWNER_RECALL_SCRIPT, ("Get_Acks", "OwnerRecall")),
+                (MESI_ACK_IN_SCRIPT, ("Get", "AckIn")),
             ] {
                 let script = Script::from_text(text).expect("pinned script parses");
                 let out = replay(&spec, &script);

@@ -1,6 +1,13 @@
 //! The small-model world: one guard persona, one modified host controller,
 //! one host CPU cache, one scripted chaos accelerator, one probe core.
 //!
+//! A world is a [`SystemConfig`] ([`WorldSpec::system`]: one CPU with a
+//! tiny cache, a `FuzzXg` accelerator slot) wired by
+//! [`xg_harness::build_system`], the builder every stress and fuzz run
+//! uses. Only the two stimulus components are the checker's own: the
+//! factory makes a [`ProbeCore`] for the CPU core slot and a
+//! [`ChaosAccel`] for the accelerator's stand-in slot.
+//!
 //! All state is reachable from the [`WorldSpec`] plus a [`crate::Script`]:
 //! [`crate::replay`] builds a world from scratch and runs the script. The
 //! explorer builds one world per worker and moves it between states with
@@ -20,13 +27,13 @@
 //! constants, the chaos accelerator sends fixed fills — so the reachable
 //! digest set closes and exhaustive exploration terminates.
 
-use xg_core::{CrossingGuard, Os, OsPolicy, XgConfig};
+use xg_core::{OsPolicy, XgConfig, XgVariant};
 use xg_harness::fuzz::inv_response;
-use xg_host_hammer::{HammerCache, HammerConfig, HammerDirectory};
-use xg_host_mesi::{MesiL1, MesiL1Config, MesiL2, MesiL2Config};
+use xg_harness::system::CoreSlot;
+use xg_harness::{build_system, AccelOrg, ExecSim, HostProtocol, SystemConfig};
 use xg_mem::{BlockAddr, DataBlock, PagePerm, PermissionTable, BLOCK_BYTES};
-use xg_proto::{CoreKind, CoreMsg, Ctx, Message, Sim, SimBuilder, XgData, XgiKind, XgiMsg};
-use xg_sim::{CheckDigest, Component, Link, NodeId, Report};
+use xg_proto::{CoreKind, CoreMsg, Ctx, Message, Sim, XgData, XgiKind, XgiMsg};
+use xg_sim::{CheckDigest, Component, NodeId, Report};
 
 use crate::script::{CpuOp, ACCEL_KIND_CODES, INV_CHOICE_CODES};
 
@@ -104,6 +111,17 @@ impl Role {
         Role::Guard,
         Role::Chaos,
     ];
+
+    /// The order [`build_system`] builds the roles in: the CPU cache, the
+    /// home, the OS, the guard and its stand-in, then the core.
+    const BUILT: [Role; 6] = [
+        Role::CpuCache,
+        Role::Home,
+        Role::Os,
+        Role::Guard,
+        Role::Chaos,
+        Role::Probe,
+    ];
 }
 
 /// Specification of one checker world.
@@ -124,6 +142,11 @@ pub struct WorldSpec {
     pub node_order: [Role; 6],
     /// Plants the guard's test-only swallowed-invalidation bug.
     pub swallow_invs: bool,
+    /// Geometry (sets, ways) of the MESI home's shared L2; Hammer's home
+    /// caches nothing. The default `(2, 1)` keeps the attack blocks of an
+    /// even base in two sets; `(1, 1)` puts every block in one set, so
+    /// touching one block evicts another.
+    pub l2_cache: (usize, usize),
 }
 
 impl WorldSpec {
@@ -137,6 +160,7 @@ impl WorldSpec {
             seed: 0x00C0_FFEE,
             node_order: Role::ALL,
             swallow_invs: false,
+            l2_cache: (2, 1),
         }
     }
 
@@ -165,6 +189,46 @@ impl WorldSpec {
         Ok(())
     }
 
+    /// The system a world of this spec is: one CPU core, the persona's
+    /// host with tiny caches (effectively direct-mapped, so capacity
+    /// conflicts — evictions, recalls — are reachable within a handful of
+    /// steps, and single-way sets make LRU metadata irrelevant: the digests
+    /// exclude recency) and a Full State guard fronting a `FuzzXg` slot,
+    /// whose stand-in is the chaos accelerator. Its node order is
+    /// [`WorldSpec::node_order`]'s.
+    ///
+    /// # Panics
+    /// Panics if `node_order` is not a permutation of [`Role::ALL`].
+    pub fn system(&self) -> SystemConfig {
+        let id = |role: Role| {
+            self.node_order
+                .iter()
+                .position(|&r| r == role)
+                .expect("node_order must be a permutation of Role::ALL")
+        };
+        SystemConfig {
+            host: match self.persona {
+                Persona::Hammer => HostProtocol::Hammer,
+                Persona::Mesi => HostProtocol::Mesi,
+            },
+            cpu_cores: 1,
+            cpu_cache: (2, 1),
+            l2_cache: self.l2_cache,
+            mem_latency: 10,
+            accel: AccelOrg::FuzzXg {
+                variant: XgVariant::FullState,
+            },
+            xg: XgConfig {
+                perms: self.perms(),
+                test_swallow_invs: self.swallow_invs,
+                ..XgConfig::default()
+            },
+            seed: self.seed,
+            node_order: Role::BUILT.map(id).to_vec(),
+            ..SystemConfig::default()
+        }
+    }
+
     /// Accelerator-visible block addresses: attack blocks, then the
     /// read-only window, then the forbidden block.
     pub fn accel_blocks(&self) -> Vec<u64> {
@@ -182,11 +246,6 @@ impl WorldSpec {
         vec![self.attack_base * BLOCK_BYTES, WINDOW_BLOCK * BLOCK_BYTES]
     }
 
-    /// The byte address of the read-only window word.
-    pub fn window_word(&self) -> u64 {
-        WINDOW_BLOCK * BLOCK_BYTES
-    }
-
     /// Page-permission table: everything read-write except the window
     /// (read-only) and the forbidden page (no access).
     pub fn perms(&self) -> PermissionTable {
@@ -196,22 +255,18 @@ impl WorldSpec {
         t
     }
 
-    /// Registers this spec's address roles on a digest: attack block `i`
-    /// gets role `i`, then the window, then the forbidden block.
-    pub fn assign_roles(&self, d: &mut CheckDigest, ids: &RoleIds) {
+    /// A digest carrying the roles of a world built from this spec, to be
+    /// [`reset`](CheckDigest::reset) and reused for every state of it:
+    /// nodes in [`Role::ALL`] order, and attack block `i` gets address
+    /// role `i`, then the window, then the forbidden block.
+    pub fn digest_for(&self, ids: &RoleIds) -> CheckDigest {
+        let mut d = CheckDigest::new();
         for (role, block) in self.accel_blocks().into_iter().enumerate() {
             d.assign_addr_role(block, role as u64);
         }
         for (i, &role) in Role::ALL.iter().enumerate() {
             d.assign_node_role(ids.of(role), i as u64);
         }
-    }
-
-    /// A digest carrying the roles of a world built from this spec, to be
-    /// [`reset`](CheckDigest::reset) and reused for every state of it.
-    pub fn digest_for(&self, ids: &RoleIds) -> CheckDigest {
-        let mut d = CheckDigest::new();
-        self.assign_roles(&mut d, ids);
         d
     }
 }
@@ -261,109 +316,35 @@ pub fn build_world(spec: &WorldSpec, choices: &[u8]) -> World {
     if let Err(why) = spec.check() {
         panic!("invalid WorldSpec: {why}");
     }
-    // Plan every id up front from the (permutable) registration order, so
-    // constructors can reference peers that are registered after them.
-    let pos = |role: Role| {
-        spec.node_order
-            .iter()
-            .position(|&r| r == role)
-            .expect("node_order must be a permutation of Role::ALL")
-    };
-    let ids = RoleIds {
-        probe: NodeId::from_index(pos(Role::Probe)),
-        cpu_cache: NodeId::from_index(pos(Role::CpuCache)),
-        home: NodeId::from_index(pos(Role::Home)),
-        os: NodeId::from_index(pos(Role::Os)),
-        xg: NodeId::from_index(pos(Role::Guard)),
-        chaos: NodeId::from_index(pos(Role::Chaos)),
-    };
-
-    let mut b = SimBuilder::new(spec.seed);
-    // RNG streams are keyed by component name, not registration index, so
-    // the node-order permutation cannot perturb latency draws.
-    b.event_label(Message::class);
-
-    let xg_cfg = XgConfig {
-        perms: spec.perms(),
-        test_swallow_invs: spec.swallow_invs,
-        ..XgConfig::default()
-    };
-    // Tiny, effectively direct-mapped caches: every interesting block maps
-    // to set 0, so capacity conflicts (evictions, recalls) are reachable
-    // within a handful of steps, and single-way sets make LRU metadata
-    // irrelevant (the digests exclude recency).
-    let hammer_cfg = HammerConfig {
-        sets: 2,
-        ways: 1,
-        mshr_entries: 4,
-        ..HammerConfig::default()
-    };
-    let l1_cfg = MesiL1Config {
-        sets: 2,
-        ways: 1,
-        mshr_entries: 4,
-    };
-    let l2_cfg = MesiL2Config {
-        sets: 2,
-        ways: 1,
-        mem_latency: 10,
-        ..MesiL2Config::default()
-    };
-
-    for &role in &spec.node_order {
-        let component: Box<dyn Component<Message>> = match (role, spec.persona) {
-            (Role::Probe, _) => Box::new(ProbeCore::new(
+    let system = build_system(
+        &spec.system(),
+        OsPolicy::ReportOnly,
+        None,
+        |slot, node, _| match slot {
+            CoreSlot::Cpu(_) => Box::new(ProbeCore::new(
                 "probe",
-                ids.cpu_cache,
+                node,
                 spec.cpu_words(),
-                spec.window_word(),
+                WINDOW_BLOCK * BLOCK_BYTES,
             )),
-            (Role::CpuCache, Persona::Hammer) => {
-                Box::new(HammerCache::new("cpu_cache", ids.home, hammer_cfg.clone()))
-            }
-            (Role::CpuCache, Persona::Mesi) => {
-                Box::new(MesiL1::new("cpu_cache", ids.home, l1_cfg.clone()))
-            }
-            (Role::Home, Persona::Hammer) => {
-                Box::new(HammerDirectory::new("dir", vec![ids.cpu_cache, ids.xg], 10))
-            }
-            (Role::Home, Persona::Mesi) => Box::new(MesiL2::new("host_l2", l2_cfg.clone())),
-            (Role::Os, _) => Box::new(Os::new("os", OsPolicy::ReportOnly)),
-            (Role::Guard, Persona::Hammer) => Box::new(CrossingGuard::new_hammer(
-                "xg",
-                ids.chaos,
-                ids.home,
-                ids.os,
-                xg_cfg.clone(),
-            )),
-            (Role::Guard, Persona::Mesi) => Box::new(CrossingGuard::new_mesi(
-                "xg",
-                ids.chaos,
-                ids.home,
-                ids.os,
-                xg_cfg.clone(),
-            )),
-            (Role::Chaos, _) => Box::new(ChaosAccel::new(
+            CoreSlot::Accel(_) => Box::new(ChaosAccel::new(
                 "chaos",
-                ids.xg,
+                node,
                 spec.accel_blocks(),
                 choices.to_vec(),
             )),
-        };
-        let id = b.add(component);
-        assert_eq!(id, ids.of(role), "planned id must match registration");
-    }
-
-    // Chip crossing: ordered, slow. Core↔cache: ordered, fast. Everything
-    // else (guard↔home, cache↔home) rides the unordered host network.
-    b.link_bidi(ids.xg, ids.chaos, Link::ordered(40, 60));
-    b.link_bidi(ids.probe, ids.cpu_cache, Link::ordered(1, 1));
-    b.default_link(Link::unordered(2, 10));
-
-    World {
-        sim: b.build(),
-        ids,
-    }
+        },
+    );
+    let ids = RoleIds {
+        probe: system.cpu_cores[0],
+        cpu_cache: system.cpu_caches[0],
+        home: system.homes[0],
+        os: system.os,
+        xg: system.xg.expect("the world is guarded"),
+        chaos: system.fuzzer.expect("the chaos accelerator stands in"),
+    };
+    let ExecSim::Serial(sim) = system.sim;
+    World { sim, ids }
 }
 
 /// The scripted chaos accelerator: a stateless XGI message injector.
@@ -560,7 +541,6 @@ pub struct ProbeCore {
     window_stored: bool,
     completed: u64,
     data_errors: u64,
-    error_log: Vec<String>,
 }
 
 xg_sim::clone_in_place!(impl[] for ProbeCore {
@@ -573,7 +553,6 @@ xg_sim::clone_in_place!(impl[] for ProbeCore {
     window_stored,
     completed,
     data_errors,
-    error_log,
 });
 
 impl ProbeCore {
@@ -589,28 +568,12 @@ impl ProbeCore {
             window_stored: false,
             completed: 0,
             data_errors: 0,
-            error_log: Vec::new(),
         }
     }
 
     /// Value-oracle failures observed (must be zero: Guarantee 1).
     pub fn data_errors(&self) -> u64 {
         self.data_errors
-    }
-
-    /// Operations completed.
-    pub fn completed(&self) -> u64 {
-        self.completed
-    }
-
-    /// Human-readable descriptions of the first few oracle failures.
-    pub fn error_log(&self) -> &[String] {
-        &self.error_log
-    }
-
-    /// Whether an issued operation is still unanswered.
-    pub fn outstanding(&self) -> bool {
-        self.in_flight.is_some()
     }
 
     /// Encodes a CPU step as a wake token.
@@ -623,30 +586,17 @@ impl ProbeCore {
         code | (u64::from(addr_idx) << 8)
     }
 
-    fn record_error(&mut self, msg: String) {
-        self.data_errors += 1;
-        if self.error_log.len() < 8 {
-            self.error_log.push(msg);
-        }
-    }
-
+    /// Counts a loaded `value` of `word` outside what the oracle allows:
+    /// exactly the probe's own store (or zero before it) on the window,
+    /// any value of the legal set on an attack word.
     fn check_value(&mut self, word: u64, value: u64) {
-        if word == self.window_word {
-            let expected = if self.window_stored { W_VALUE } else { 0 };
-            if value != expected {
-                self.record_error(format!(
-                    "read-only window read {value:#x} at {word:#x}, expected {expected:#x}"
-                ));
-            }
-            return;
-        }
-        let splat = |b: u8| u64::from_le_bytes([b; 8]);
-        let legal = [0, A_VALUE, splat(STEP_FILL), splat(INV_FILL)];
-        if !legal.contains(&value) {
-            self.record_error(format!(
-                "attack word read {value:#x} at {word:#x}, outside the legal value set"
-            ));
-        }
+        let legal = if word == self.window_word {
+            value == if self.window_stored { W_VALUE } else { 0 }
+        } else {
+            let splat = |b: u8| u64::from_le_bytes([b; 8]);
+            [0, A_VALUE, splat(STEP_FILL), splat(INV_FILL)].contains(&value)
+        };
+        self.data_errors += u64::from(!legal);
     }
 }
 
@@ -766,6 +716,10 @@ impl Component<Message> for ProbeCore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::script::{Script, Step};
+    use xg_core::{CrossingGuard, Os};
+    use xg_host_hammer::{HammerCache, HammerDirectory};
+    use xg_host_mesi::{MesiL1, MesiL2};
     use xg_mem::PageAddr;
 
     #[test]
@@ -869,8 +823,41 @@ mod tests {
             Role::Probe,
         ];
         let w = build_world(&spec, &[]);
-        assert_eq!(w.ids.chaos, NodeId::from_index(0));
-        assert_eq!(w.ids.probe, NodeId::from_index(5));
+        for (i, role) in spec.node_order.into_iter().enumerate() {
+            assert_eq!(w.ids.of(role), NodeId::from_index(i), "{role:?}");
+        }
+        assert_eq!(w.sim.component_names()[0], "chaos");
+    }
+
+    /// Item 4's shape: with a one-set, one-way MESI L2 the two attack
+    /// blocks share a set, so the accelerator taking the second evicts the
+    /// first — a recall the guard answers through the chaos accelerator —
+    /// and the world drains clean.
+    #[test]
+    fn two_attack_blocks_in_one_l2_set_evict_each_other() {
+        let spec = WorldSpec {
+            l2_cache: (1, 1),
+            ..WorldSpec::new(Persona::Mesi).with_attack_blocks(2)
+        };
+        let script = Script {
+            steps: vec![
+                Step::Accel { kind: 1, addr: 0 },
+                Step::Accel { kind: 1, addr: 1 },
+            ],
+            choices: vec![3],
+        };
+        let out = crate::replay(&spec, &script);
+        assert!(out.verdict.is_clean(), "{:?}", out.verdict.violation());
+        assert_eq!(out.report.get("host_l2.recalls"), 1);
+        assert_eq!(
+            out.unscripted_invs, 0,
+            "the recall's Inv took the script's reply"
+        );
+        let apart = crate::replay(
+            &WorldSpec::new(Persona::Mesi).with_attack_blocks(2),
+            &script,
+        );
+        assert_eq!(apart.report.get("host_l2.recalls"), 0, "two sets keep both");
     }
 
     #[test]

@@ -23,10 +23,12 @@
 //!   that keeps it (a `box_clone` of six components, some forty calls
 //!   spread over the expansions that found nothing new).
 //!
-//! That is 1.79 (Hammer) and 2.84 (MESI) calls; 3.45 and 4.65 while every
-//! restore copied all six components, every successor and reply branch
-//! carried its own choice list and every first guard error formatted its
-//! flag. Anything past the gate is a regression: before the in-place
+//! That is 1.63 (Hammer) and 2.71 (MESI) calls since the world is built by
+//! `build_system` (1.64 and 2.76 on the old state sets, with the CPU
+//! cache's old name restored; 1.79 and 2.84 hand-wired); 3.45 and 4.65
+//! while every restore copied all six components, every successor and
+//! reply branch carried its own choice list and every first guard error
+//! formatted its flag. Anything past the gate is a regression: before the in-place
 //! restore an expansion made 56 and 63 calls.
 //!
 //! This file is its own test binary with exactly one `#[test]` because the

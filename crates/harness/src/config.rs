@@ -151,6 +151,11 @@ pub struct SystemConfig {
     /// [`xg_mem::BlockAddr::bank`] hash, and every cache and guard routes
     /// each request to the owning bank.
     pub home_banks: usize,
+    /// Node numbering, a permutation of build order: entry `i` is the id
+    /// of the `i`-th node [`crate::build_system`] builds. Empty (the
+    /// default) numbers nodes in build order. The model checker permutes
+    /// it to show that its state digests do not depend on node ids.
+    pub node_order: Vec<usize>,
 }
 
 impl Default for SystemConfig {
@@ -177,6 +182,7 @@ impl Default for SystemConfig {
             strict_host: false,
             host_faults: FaultSpec::NONE,
             home_banks: 1,
+            node_order: Vec::new(),
         }
     }
 }

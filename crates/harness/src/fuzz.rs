@@ -223,6 +223,16 @@ impl FuzzOpts {
         let mut rng = SmallRng::seed_from_u64(rand::stream_seed(seed, name));
         Schedule::random(&mut rng, self.messages as usize, &blocks)
     }
+
+    /// The fuzz accelerator standing in for `FuzzXg` hierarchy `k` of a
+    /// run seeded `seed`, aimed at its guard `xg`: `fuzz_accel` (`a{k}_`
+    /// before it past the first hierarchy), replaying the schedule
+    /// [`FuzzOpts::schedule_for`] its name.
+    pub fn stand_in(&self, seed: u64, k: usize, xg: NodeId) -> FuzzAccel {
+        let name = format!("{}fuzz_accel", crate::system::instance_prefix(k));
+        let schedule = self.schedule_for(seed, &name);
+        FuzzAccel::new(name, xg, schedule)
+    }
 }
 
 /// Deterministic payload for scripted steps: `blocks` copies of `fill`.

@@ -55,6 +55,8 @@ pub use runner::{
     Instrumentation, PerfOutcome, StressOpts, StressOutcome,
 };
 pub use sweep::{available_jobs, resolve_jobs, sweep};
-pub use system::{accel_core_count, build_system, BuiltSystem, ExecSim, GuardInstance};
+pub use system::{
+    accel_core_count, accel_cores_of, build_system, BuiltSystem, ExecSim, GuardInstance,
+};
 pub use tester::{SharedTester, TesterCfg, TesterCore, TesterShared};
 pub use workloads::{Pattern, WorkloadCore};

@@ -9,7 +9,7 @@ use xg_sim::{ProfileConfig, Report, RunOutcome, TraceConfig};
 
 use crate::config::{AccelOrg, SystemConfig};
 use crate::fuzz::FuzzOpts;
-use crate::system::{accel_core_count, build_system, BuiltSystem, CoreSlot};
+use crate::system::{accel_cores_of, build_system, BuiltSystem, CoreSlot};
 use crate::tester::{word_pool, SharedTester, TesterCfg, TesterCore, TesterShared};
 use crate::workloads::{Pattern, WorkloadCore};
 
@@ -202,13 +202,8 @@ const FUZZ_CPU_POOL: u64 = 0x100_0000;
 /// The tester hub of `cfg` running `load` over the word pool at
 /// `pool_base`: one core per CPU and per accelerator tester slot.
 fn tester_hub(cfg: &SystemConfig, load: &StressOpts, pool_base: u64) -> SharedTester {
-    let accel_cores: usize = cfg
-        .accel_slots()
-        .iter()
-        .map(|slot| accel_core_count(&slot.org, cfg.accel_cores))
-        .sum();
     let pool = word_pool(pool_base, load.blocks, load.words_per_block);
-    TesterShared::new(cfg.cpu_cores + accel_cores, load.ops, pool)
+    TesterShared::new(cfg.cpu_cores + accel_cores_of(cfg), load.ops, pool)
 }
 
 /// The CPU testers' load in a fuzz run.
@@ -232,9 +227,10 @@ struct Driven {
 }
 
 /// What stress and fuzz runs share: builds `cfg` with a tester core in
-/// every core slot, running `load` over the word pool at `pool_base`, runs
-/// it under the progress watchdog, and collects the report, its guard
-/// section and the artefacts.
+/// every core slot and a [`FuzzOpts::stand_in`] in every `FuzzXg` stand-in
+/// slot, running `load` over the word pool at `pool_base`, runs it under
+/// the progress watchdog, and collects the report, its guard section and
+/// the artefacts.
 fn drive(
     cfg: &SystemConfig,
     fuzz: Option<FuzzOpts>,
@@ -244,13 +240,19 @@ fn drive(
     stall_bound: u64,
 ) -> Driven {
     let shared = tester_hub(cfg, load, pool_base);
-    let mut system = build_system(cfg, OsPolicy::ReportOnly, fuzz, |slot, cache, index| {
+    let accel_cores = accel_cores_of(cfg);
+    let stand_ins = fuzz.clone();
+    let mut system = build_system(cfg, OsPolicy::ReportOnly, fuzz, |slot, node, index| {
         let name = match slot {
             CoreSlot::Cpu(i) => format!("tester_cpu{i}"),
+            CoreSlot::Accel(i) if i >= accel_cores => {
+                let opts = stand_ins.as_ref().expect("FuzzXg needs FuzzOpts");
+                return Box::new(opts.stand_in(cfg.seed, i - accel_cores, node));
+            }
             CoreSlot::Accel(i) => format!("tester_acc{i}"),
         };
         let tester = load.tester.clone();
-        Box::new(TesterCore::new(name, cache, index, shared.clone(), tester))
+        Box::new(TesterCore::new(name, node, index, shared.clone(), tester))
     });
     // `SimBuilder::new` read `XG_TRACE`; a caller asking for less keeps it.
     let tracer = system.sim.tracer_mut();
@@ -639,9 +641,7 @@ mod tests {
             let hub = tester_hub(&cfg, &load, base);
             let words = (load.blocks * load.words_per_block) as usize;
             let writers: Vec<usize> = (0..words).map(|slot| hub.writer_of(slot)).collect();
-            let accel: usize = (cfg.accel_slots().iter())
-                .map(|slot| accel_core_count(&slot.org, cfg.accel_cores))
-                .sum();
+            let accel = accel_cores_of(&cfg);
             let name = cfg.name();
             for core in 0..cfg.cpu_cores + accel {
                 assert!(writers.contains(&core), "{name}: core {core} never writes");

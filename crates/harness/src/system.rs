@@ -7,6 +7,10 @@
 //! own host-protocol node identity on the home's peer list. Instance 0
 //! keeps the historical single-accelerator component names (`xg`,
 //! `accel_l1`, ...); instance `k > 0` prefixes them with `a{k}_`.
+//!
+//! Every system is wired here: the stress tester, the fuzzer and the model
+//! checker's micro-worlds differ only in their [`SystemConfig`] and in the
+//! components their factory makes for the core slots.
 
 use xg_accel::{AccelL1, AccelL1Config, AccelL2, AccelL2Config};
 use xg_core::{CrossingGuard, Os, OsPolicy, XgConfig};
@@ -16,7 +20,7 @@ use xg_proto::{HomeMap, Message, Sim, SimBuilder};
 use xg_sim::{Component, Link, NodeId, ProfileConfig};
 
 use crate::config::{AccelOrg, AccelSlot, HostProtocol, SystemConfig};
-use crate::fuzz::{FuzzAccel, FuzzHostCache, FuzzOpts};
+use crate::fuzz::{FuzzHostCache, FuzzOpts};
 
 /// Latency range of the host on-chip network (unordered), which also
 /// carries the guard ↔ home links.
@@ -28,8 +32,28 @@ pub enum CoreSlot {
     /// CPU core `i`; its global core index equals `i`.
     Cpu(usize),
     /// Accelerator core `i` (numbered across every hierarchy); its global
-    /// core index is `cpu_cores + i`.
+    /// core index is `cpu_cores + i`. Past the last of the `a` cores,
+    /// `Accel(a + k)` is the stand-in of `FuzzXg` hierarchy `k`: the
+    /// component that plays the accelerator at its guard's interface.
     Accel(usize),
+}
+
+/// Accelerator cores across every hierarchy of `cfg`: the first slot past
+/// them is a `FuzzXg` stand-in's ([`CoreSlot::Accel`]).
+pub fn accel_cores_of(cfg: &SystemConfig) -> usize {
+    (cfg.accel_slots().iter())
+        .map(|slot| accel_core_count(&slot.org, cfg.accel_cores))
+        .sum()
+}
+
+/// The component-name prefix of accelerator hierarchy `k`: none for the
+/// first, `a{k}_` after it.
+pub(crate) fn instance_prefix(k: usize) -> String {
+    if k == 0 {
+        String::new()
+    } else {
+        format!("a{k}_")
+    }
 }
 
 /// Number of cores the topology builder attaches to a hierarchy with
@@ -148,17 +172,20 @@ impl BuiltSystem {
 }
 
 /// Builds the system described by `cfg`. The `make_core` factory produces
-/// each core component given its slot, the cache it should talk to, and
+/// each core component given its slot, the node it should talk to, and
 /// its global core index (CPU cores first, then accelerator cores across
-/// every hierarchy in slot order).
+/// every hierarchy in slot order). A `FuzzXg` hierarchy's stand-in comes
+/// from the same factory, in the slot past every core
+/// ([`CoreSlot::Accel`]); it talks to its guard over the crossing and is
+/// woken with the fuzzers, not counted as a core.
 ///
-/// Fuzzing slots (`FuzzXg`, `FuzzAccelSide`) need [`FuzzOpts`]; pass
-/// `None` otherwise. Every fuzzing slot shares the same options; without
-/// a schedule each fuzz accelerator draws its own blind one here, from a
-/// stream named after it ([`FuzzOpts::schedule_for`]).
+/// `FuzzAccelSide` slots need [`FuzzOpts`]; pass `None` otherwise. Every
+/// such slot shares the same options.
 ///
 /// # Panics
-/// Panics if a fuzzing organization is selected without `fuzz` options.
+/// Panics if `FuzzAccelSide` is selected without `fuzz` options, or if
+/// [`SystemConfig::node_order`] is neither empty nor a permutation of the
+/// built nodes.
 pub fn build_system(
     cfg: &SystemConfig,
     os_policy: OsPolicy,
@@ -166,6 +193,9 @@ pub fn build_system(
     mut make_core: impl FnMut(CoreSlot, NodeId, usize) -> Box<dyn Component<Message>>,
 ) -> BuiltSystem {
     let mut b = SimBuilder::new(cfg.seed);
+    // Every id below is planned through the builder, so a node order
+    // relabels the whole system.
+    b.node_order(cfg.node_order.clone());
     // Label dispatched events by protocol-qualified message class so the
     // profiler can attribute hot paths (one function pointer; free when
     // profiling is off).
@@ -175,7 +205,7 @@ pub fn build_system(
     // Address-interleaved home banks: ids n..n+m, right after the CPU
     // caches. Every requester below routes per-block through this map.
     let m = cfg.home_banks.max(1);
-    let homes: Vec<NodeId> = (0..m).map(|b| NodeId::from_index(n + b)).collect();
+    let homes: Vec<NodeId> = (0..m).map(|bank| b.planned_id(n + bank)).collect();
     let home_map = HomeMap::new(homes.clone());
 
     // ---- host caches (ids 0..n) ----
@@ -211,51 +241,25 @@ pub fn build_system(
     }
 
     // ---- layout bookkeeping for nodes added after the home banks ----
-    let os_id = NodeId::from_index(n + m);
+    let os_id = b.planned_id(n + m);
 
     // Plan every hierarchy's node-id block up front so the home's peer
     // list (one host-protocol identity per hierarchy) is known before any
-    // accelerator node exists.
+    // accelerator node exists. A hierarchy's first node is that identity:
+    // its cache, its guard or its raw fuzzer.
+    let mut starts = Vec::with_capacity(slots.len());
     let mut next_free = n + m + 1;
-    let mut plans: Vec<(NodeId, AccelInfra)> = Vec::new();
     for slot in &slots {
-        let start = next_free;
-        let (host_peer, infra, size) = match &slot.org {
-            AccelOrg::AccelSide => {
-                let cache = NodeId::from_index(start);
-                (cache, AccelInfra::AccelSide { cache }, 1)
-            }
-            AccelOrg::HostSide => {
-                let cache = NodeId::from_index(start);
-                (cache, AccelInfra::HostSide { cache }, 1)
-            }
-            AccelOrg::Xg { two_level, .. } => {
-                let xg = NodeId::from_index(start);
-                let top = NodeId::from_index(start + 1);
-                let size = if *two_level { 2 + cfg.accel_cores } else { 2 };
-                (
-                    xg,
-                    AccelInfra::Xg {
-                        xg,
-                        top,
-                        two_level: *two_level,
-                    },
-                    size,
-                )
-            }
-            AccelOrg::FuzzXg { .. } => {
-                let xg = NodeId::from_index(start);
-                let fz = NodeId::from_index(start + 1);
-                (xg, AccelInfra::FuzzXg { xg, fuzzer: fz }, 2)
-            }
-            AccelOrg::FuzzAccelSide => {
-                let fz = NodeId::from_index(start);
-                (fz, AccelInfra::FuzzHost { fuzzer: fz }, 1)
-            }
+        starts.push(next_free);
+        next_free += match slot.org {
+            AccelOrg::AccelSide | AccelOrg::HostSide | AccelOrg::FuzzAccelSide => 1,
+            AccelOrg::Xg {
+                two_level: true, ..
+            } => 2 + cfg.accel_cores,
+            AccelOrg::Xg { .. } | AccelOrg::FuzzXg { .. } => 2,
         };
-        plans.push((host_peer, infra));
-        next_free += size;
     }
+    let host_peers: Vec<NodeId> = starts.iter().map(|&start| b.planned_id(start)).collect();
 
     // ---- home bank nodes ----
     // Bank 0 keeps the historical name (`dir` / `host_l2`) when it is the
@@ -266,7 +270,7 @@ pub fn build_system(
     match cfg.host {
         HostProtocol::Hammer => {
             let mut peers = cpu_caches.clone();
-            peers.extend(plans.iter().map(|(peer, _)| *peer));
+            peers.extend(&host_peers);
             for (bank, &home) in homes.iter().enumerate() {
                 let name = if m == 1 {
                     "dir".to_string()
@@ -330,15 +334,12 @@ pub fn build_system(
         Box::new(new_guard(name, accel_side, home, os_id, xg_cfg))
     };
 
+    let accel_cores = accel_cores_of(cfg);
     let mut instances: Vec<GuardInstance> = Vec::new();
-    for (k, (slot, (host_peer, infra))) in slots.iter().zip(&plans).enumerate() {
+    for (k, (slot, &start)) in slots.iter().zip(&starts).enumerate() {
         // Instance 0 keeps the historical names so single-accelerator
         // reports stay byte-identical; later instances get `a{k}_`.
-        let prefix = if k == 0 {
-            String::new()
-        } else {
-            format!("a{k}_")
-        };
+        let prefix = instance_prefix(k);
         let mut inst = GuardInstance {
             org: slot.org.clone(),
             label: String::new(),
@@ -348,25 +349,19 @@ pub fn build_system(
             cores: Vec::new(),
             core_indices: Vec::new(),
         };
-        match (&slot.org, infra) {
-            (AccelOrg::AccelSide, AccelInfra::AccelSide { cache }) => {
+        match &slot.org {
+            AccelOrg::AccelSide => {
                 let name = format!("{prefix}accel_cache");
-                let c = host_cache(name.clone(), cfg.accel_cache);
-                let id = b.add(c);
-                assert_eq!(id, *cache);
+                let cache = b.add(host_cache(name.clone(), cfg.accel_cache));
                 // The accelerator-side cache reaches the host over the chip
                 // crossing (one link per home bank).
                 for &home in &homes {
-                    b.link_bidi(
-                        *cache,
-                        home,
-                        Link::unordered(cfg.crossing.0, cfg.crossing.1),
-                    );
+                    b.link_bidi(cache, home, Link::unordered(cfg.crossing.0, cfg.crossing.1));
                 }
                 inst.label = name;
-                inst.frontends.push(*cache);
+                inst.frontends.push(cache);
             }
-            (AccelOrg::HostSide, AccelInfra::HostSide { cache }) => {
+            AccelOrg::HostSide => {
                 let name = format!("{prefix}hostside_cache");
                 // Sized as a CPU's cache under Hammer, as a default L1
                 // under MESI whatever `cpu_cache` says: an old asymmetry
@@ -378,26 +373,24 @@ pub fn build_system(
                         (l1.sets, l1.ways)
                     }
                 };
-                let c = host_cache(name.clone(), geometry);
-                let id = b.add(c);
-                assert_eq!(id, *cache);
+                let cache = b.add(host_cache(name.clone(), geometry));
                 inst.label = name;
-                inst.frontends.push(*cache);
+                inst.frontends.push(cache);
                 // The *core↔cache* link carries the crossing latency here:
                 // the accelerator has no cache of its own (Figure 2(b)).
             }
-            (AccelOrg::Xg { variant, .. }, AccelInfra::Xg { xg, top, two_level }) => {
+            AccelOrg::Xg { variant, two_level } => {
                 let name = format!("{prefix}xg");
-                let id = b.add(guard(name.clone(), *top, *variant, slot));
-                assert_eq!(id, *xg);
+                let top = b.planned_id(start + 1);
+                let xg = b.add(guard(name.clone(), top, *variant, slot));
                 inst.label = name;
-                inst.xg = Some(*xg);
-                link_guard_to_home(&mut b, cfg, *xg, &homes);
-                b.link_bidi(*xg, *top, Link::ordered(cfg.crossing.0, cfg.crossing.1));
+                inst.xg = Some(xg);
+                link_guard_to_home(&mut b, cfg, xg, &homes);
+                b.link_bidi(xg, top, Link::ordered(cfg.crossing.0, cfg.crossing.1));
                 if *two_level {
                     let l2 = b.add(Box::new(AccelL2::new(
                         format!("{prefix}accel_l2"),
-                        *xg,
+                        xg,
                         AccelL2Config {
                             sets: cfg.l2_cache.0,
                             ways: cfg.l2_cache.1,
@@ -405,7 +398,7 @@ pub fn build_system(
                             weak_sharing: cfg.weak_accel_sharing,
                         },
                     )));
-                    assert_eq!(l2, *top);
+                    assert_eq!(l2, top);
                     for i in 0..cfg.accel_cores {
                         let l1 = b.add(Box::new(AccelL1::new(
                             format!("{prefix}accel_l1_{i}"),
@@ -418,39 +411,33 @@ pub fn build_system(
                 } else {
                     let l1 = b.add(Box::new(AccelL1::new(
                         format!("{prefix}accel_l1"),
-                        *xg,
+                        xg,
                         accel_l1_cfg.clone(),
                     )));
-                    assert_eq!(l1, *top);
+                    assert_eq!(l1, top);
                     inst.frontends.push(l1);
                 }
             }
-            (AccelOrg::FuzzXg { variant }, AccelInfra::FuzzXg { xg, fuzzer }) => {
+            AccelOrg::FuzzXg { variant } => {
                 let name = format!("{prefix}xg");
-                let id = b.add(guard(name.clone(), *fuzzer, *variant, slot));
-                assert_eq!(id, *xg);
+                let fuzzer = b.planned_id(start + 1);
+                let xg = b.add(guard(name.clone(), fuzzer, *variant, slot));
                 inst.label = name;
-                inst.xg = Some(*xg);
-                link_guard_to_home(&mut b, cfg, *xg, &homes);
-                let fz_name = format!("{prefix}fuzz_accel");
-                let opts = fuzz.as_ref().expect("FuzzXg needs FuzzOpts");
-                let schedule = opts.schedule_for(cfg.seed, &fz_name);
-                let fz = b.add(Box::new(FuzzAccel::new(fz_name, *xg, schedule)));
-                assert_eq!(fz, *fuzzer);
+                inst.xg = Some(xg);
+                link_guard_to_home(&mut b, cfg, xg, &homes);
+                let stand_in = accel_cores + k;
+                let fz = b.add(make_core(CoreSlot::Accel(stand_in), xg, n + stand_in));
+                assert_eq!(fz, fuzzer);
                 inst.fuzzer = Some(fz);
-                b.link_bidi(*xg, fz, Link::ordered(cfg.crossing.0, cfg.crossing.1));
+                b.link_bidi(xg, fz, Link::ordered(cfg.crossing.0, cfg.crossing.1));
             }
-            (AccelOrg::FuzzAccelSide, AccelInfra::FuzzHost { fuzzer }) => {
+            AccelOrg::FuzzAccelSide => {
                 let opts = fuzz.clone().expect("FuzzAccelSide needs FuzzOpts");
                 // This fuzzer speaks raw host protocol at the CPU caches and
                 // every *other* hierarchy's host identity.
                 let mut peers = cpu_caches.clone();
                 peers.extend(
-                    plans
-                        .iter()
-                        .enumerate()
-                        .filter(|&(j, _)| j != k)
-                        .map(|(_, (peer, _))| *peer),
+                    (host_peers.iter().enumerate()).filter_map(|(j, &p)| (j != k).then_some(p)),
                 );
                 let name = format!("{prefix}fuzz_host");
                 let fz = b.add(Box::new(FuzzHostCache::new(
@@ -460,19 +447,15 @@ pub fn build_system(
                     peers,
                     opts,
                 )));
-                assert_eq!(fz, *fuzzer);
                 inst.label = name;
                 inst.fuzzer = Some(fz);
                 for &home in &homes {
                     b.link_bidi(fz, home, Link::unordered(cfg.crossing.0, cfg.crossing.1));
                 }
             }
-            _ => unreachable!("accel org / infra mismatch"),
         }
-        debug_assert!(
-            inst.xg.is_none() || inst.xg == Some(*host_peer),
-            "a guarded hierarchy's host identity is its guard"
-        );
+        let first = inst.xg.or(inst.fuzzer).or(inst.frontends.first().copied());
+        assert_eq!(first, Some(host_peers[k]), "a hierarchy's host identity");
         instances.push(inst);
     }
 
@@ -537,26 +520,4 @@ fn link_guard_to_home(b: &mut SimBuilder, cfg: &SystemConfig, xg: NodeId, homes:
     for &home in homes {
         b.link_bidi(xg, home, link);
     }
-}
-
-/// Internal: node layout per accelerator organization.
-enum AccelInfra {
-    AccelSide {
-        cache: NodeId,
-    },
-    HostSide {
-        cache: NodeId,
-    },
-    Xg {
-        xg: NodeId,
-        top: NodeId,
-        two_level: bool,
-    },
-    FuzzXg {
-        xg: NodeId,
-        fuzzer: NodeId,
-    },
-    FuzzHost {
-        fuzzer: NodeId,
-    },
 }

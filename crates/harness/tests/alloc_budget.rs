@@ -20,7 +20,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use xg_core::{OsPolicy, XgVariant};
-use xg_harness::system::{accel_core_count, CoreSlot};
+use xg_harness::system::{accel_cores_of, CoreSlot};
 use xg_harness::tester::word_pool;
 use xg_harness::{
     build_system, run_workload, AccelOrg, HostProtocol, Pattern, SystemConfig, TesterCfg,
@@ -124,12 +124,8 @@ fn steady_state_handlers_do_not_allocate() {
 /// `run_stress` does, and the allocations that call made.
 fn measure_report(cfg: &SystemConfig, ops: u64) -> (u64, Report) {
     let cfg = cfg.clone().shrink_caches();
-    let accel_cores: usize = cfg
-        .accel_slots()
-        .iter()
-        .map(|slot| accel_core_count(&slot.org, cfg.accel_cores))
-        .sum();
-    let shared = TesterShared::new(cfg.cpu_cores + accel_cores, ops, word_pool(0x4000, 4, 2));
+    let cores = cfg.cpu_cores + accel_cores_of(&cfg);
+    let shared = TesterShared::new(cores, ops, word_pool(0x4000, 4, 2));
     let mut system = build_system(&cfg, OsPolicy::ReportOnly, None, |slot, cache, index| {
         let name = match slot {
             CoreSlot::Cpu(i) => format!("tester_cpu{i}"),

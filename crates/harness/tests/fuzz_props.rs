@@ -7,13 +7,10 @@
 //! Each case runs a full fuzz simulation, so case counts are small.
 
 use proptest::prelude::*;
-use xg_core::{OsPolicy, XgVariant};
+use xg_core::XgVariant;
 use xg_harness::campaign::CPU_POOL_PAGE;
 use xg_harness::fuzz::InvPolicy;
-use xg_harness::{
-    build_system, run_fuzz, AccelOrg, FuzzAccel, FuzzOpts, HostProtocol, Pattern, Schedule,
-    SystemConfig, WorkloadCore,
-};
+use xg_harness::{run_fuzz, AccelOrg, FuzzOpts, HostProtocol, Schedule, SystemConfig};
 
 fn host_strategy() -> impl Strategy<Value = HostProtocol> {
     prop_oneof![Just(HostProtocol::Hammer), Just(HostProtocol::Mesi)]
@@ -40,27 +37,11 @@ fn scripted(schedule: Schedule) -> FuzzOpts {
     }
 }
 
-/// The schedule `build_system` draws for the fuzz accelerator of `cfg`
-/// under `opts`, read back from the built component.
+/// The schedule the fuzz accelerator of `cfg` replays under `opts`, read
+/// back from the stand-in a fuzz run builds.
 fn drawn_schedule(cfg: &SystemConfig, opts: &FuzzOpts) -> Schedule {
-    let system = build_system(
-        cfg,
-        OsPolicy::ReportOnly,
-        Some(opts.clone()),
-        |_, cache, i| {
-            Box::new(WorkloadCore::new(
-                format!("core{i}"),
-                cache,
-                Pattern::Streaming,
-                0,
-                64,
-                0,
-            ))
-        },
-    );
-    let fuzzer = system.fuzzer.expect("a fuzzing configuration");
-    let accel: &FuzzAccel = system.sim.get(fuzzer).expect("the fuzzer is a FuzzAccel");
-    accel.schedule().clone()
+    let guard = xg_sim::NodeId::from_index(0);
+    opts.stand_in(cfg.seed, 0, guard).schedule().clone()
 }
 
 /// A blind run and the replay of the schedule it drew are the same run,

@@ -80,8 +80,6 @@ pub struct EpochSample {
     pub events: u64,
     /// Forward-progress units reported during the epoch.
     pub progress: u64,
-    /// Event-queue depth at the epoch boundary.
-    pub queue_depth: u64,
 }
 
 /// Kernel profiler owned by the simulator.
@@ -224,16 +222,15 @@ impl Profiler {
     }
 
     /// Advances the epoch sampler to simulated time `now`. `progress` is the
-    /// simulation's cumulative progress counter and `queue_depth` the
-    /// current queue depth; both are snapshotted at each epoch boundary.
+    /// simulation's cumulative progress counter, snapshotted at each epoch
+    /// boundary.
     #[inline]
-    pub fn epoch_tick(&mut self, now: u64, progress: u64, queue_depth: usize) {
+    pub fn epoch_tick(&mut self, now: u64, progress: u64) {
         while now >= self.epoch_start + EPOCH_CYCLES {
             if self.epochs.len() < MAX_EPOCHS {
                 self.epochs.push(EpochSample {
                     events: self.epoch_events,
                     progress: progress - self.epoch_progress_base,
-                    queue_depth: queue_depth as u64,
                 });
             } else {
                 self.epoch_dropped += 1;
@@ -263,7 +260,7 @@ impl Profiler {
     ///   sampled)
     /// * `inflight.<component>.hwm` — queued-events high-water mark per
     ///   target component
-    /// * `epoch.<i>.events` / `.progress` / `.qdepth` — time series
+    /// * `epoch.<i>.events` / `.progress` — time series
     /// * `epoch.dropped` — epochs past [`MAX_EPOCHS`]
     pub fn entries(&self, names: &[String]) -> Vec<(String, u64)> {
         let mut out = Vec::new();
@@ -311,7 +308,6 @@ impl Profiler {
         for (i, ep) in self.epochs.iter().enumerate() {
             out.push((format!("epoch.{i:04}.events"), ep.events));
             out.push((format!("epoch.{i:04}.progress"), ep.progress));
-            out.push((format!("epoch.{i:04}.qdepth"), ep.queue_depth));
         }
         if self.epoch_dropped > 0 {
             out.push(("epoch.dropped".to_owned(), self.epoch_dropped));
@@ -612,24 +608,23 @@ mod tests {
         const E: u64 = EPOCH_CYCLES;
         let mut p = Profiler::new(ProfileConfig::on());
         p.begin_event(0);
-        p.epoch_tick(E / 2, 1, 3);
+        p.epoch_tick(E / 2, 1);
         assert!(p.epochs().is_empty(), "mid-epoch: nothing emitted");
         p.begin_event(0);
-        p.epoch_tick(E + E / 5, 4, 7);
+        p.epoch_tick(E + E / 5, 4);
         assert_eq!(
             p.epochs(),
             &[EpochSample {
                 events: 2,
-                progress: 4,
-                queue_depth: 7
+                progress: 4
             }]
         );
-        p.epoch_tick(2 * E + E / 2, 9, 1);
+        p.epoch_tick(2 * E + E / 2, 9);
         assert_eq!(p.epochs().len(), 2);
         assert_eq!(p.epochs()[1].events, 0);
         assert_eq!(p.epochs()[1].progress, 5);
         // Past the cap: dropped, not grown.
-        p.epoch_tick((MAX_EPOCHS as u64 + 3) * E, 9, 0);
+        p.epoch_tick((MAX_EPOCHS as u64 + 3) * E, 9);
         assert_eq!(p.epochs().len(), MAX_EPOCHS);
         let entries: BTreeMap<String, u64> = p.entries(&[]).into_iter().collect();
         assert_eq!(entries["epoch.0000.events"], 2);

@@ -44,19 +44,17 @@ fn main() {
     let mut system = build_system(
         &cfg,
         OsPolicy::DisableAccelerator,
-        Some(fuzz),
-        |slot, cache, index| {
-            let name = match slot {
-                CoreSlot::Cpu(i) => format!("cpu{i}"),
-                CoreSlot::Accel(i) => format!("acc{i}"),
-            };
-            Box::new(TesterCore::new(
-                name,
-                cache,
+        None,
+        |slot, node, index| match slot {
+            CoreSlot::Cpu(i) => Box::new(TesterCore::new(
+                format!("cpu{i}"),
+                node,
                 index,
                 shared.clone(),
                 TesterCfg::default(),
-            ))
+            )),
+            // The accelerator is the fuzzer, aimed at its guard.
+            CoreSlot::Accel(k) => Box::new(fuzz.stand_in(cfg.seed, k, node)),
         },
     );
     system.start_cores();
