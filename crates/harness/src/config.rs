@@ -119,8 +119,6 @@ pub struct SystemConfig {
     pub accel_cores: usize,
     /// Master seed.
     pub seed: u64,
-    /// Host↔accelerator crossing latency range.
-    pub crossing: (u64, u64),
     /// Memory latency in cycles.
     pub mem_latency: u64,
     /// CPU cache geometry (sets, ways).
@@ -171,7 +169,6 @@ impl Default for SystemConfig {
             accels: Vec::new(),
             accel_cores: 1,
             seed: 1,
-            crossing: (40, 60),
             mem_latency: 100,
             cpu_cache: (64, 8),
             accel_cache: (64, 4),

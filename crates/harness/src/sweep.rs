@@ -131,13 +131,12 @@ where
         .collect()
 }
 
-/// Compile-time proof that everything a sweep moves between threads is
-/// [`Send`]: the work descriptions, the built simulator itself, and every
-/// structured outcome. A non-`Send` field sneaking into any of these breaks
-/// the build here rather than at a distant `sweep` call site.
-#[allow(dead_code)]
-fn assert_sweep_types_are_send() {
-    fn is_send<T: Send>() {}
+// Compile-time proof that everything a sweep moves between threads is
+// `Send`: the work descriptions, the built simulator itself, and every
+// structured outcome. A non-`Send` field sneaking into any of these breaks
+// the build here rather than at a distant `sweep` call site.
+const _: () = {
+    const fn is_send<T: Send>() {}
     is_send::<crate::SystemConfig>();
     is_send::<crate::StressOpts>();
     is_send::<crate::FuzzOpts>();
@@ -149,7 +148,7 @@ fn assert_sweep_types_are_send() {
     is_send::<xg_sim::Report>();
     is_send::<xg_sim::RunOutcome>();
     is_send::<xg_sim::Simulator<xg_proto::Message>>();
-}
+};
 
 #[cfg(test)]
 mod tests {

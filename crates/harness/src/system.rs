@@ -26,6 +26,11 @@ use crate::fuzz::{FuzzHostCache, FuzzOpts};
 /// carries the guard ↔ home links.
 const HOST_LINK: (u64, u64) = (2, 10);
 
+/// Latency range of the chip crossing, on every link that crosses it: a
+/// guard to its accelerator, an accelerator-side cache or a host-facing
+/// fuzzer to its homes, and a host-side accelerator core to its cache.
+const CROSSING: (u64, u64) = (40, 60);
+
 /// Where a core sits, passed to the core factory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CoreSlot {
@@ -356,7 +361,7 @@ pub fn build_system(
                 // The accelerator-side cache reaches the host over the chip
                 // crossing (one link per home bank).
                 for &home in &homes {
-                    b.link_bidi(cache, home, Link::unordered(cfg.crossing.0, cfg.crossing.1));
+                    b.link_bidi(cache, home, Link::unordered(CROSSING.0, CROSSING.1));
                 }
                 inst.label = name;
                 inst.frontends.push(cache);
@@ -386,7 +391,7 @@ pub fn build_system(
                 inst.label = name;
                 inst.xg = Some(xg);
                 link_guard_to_home(&mut b, cfg, xg, &homes);
-                b.link_bidi(xg, top, Link::ordered(cfg.crossing.0, cfg.crossing.1));
+                b.link_bidi(xg, top, Link::ordered(CROSSING.0, CROSSING.1));
                 if *two_level {
                     let l2 = b.add(Box::new(AccelL2::new(
                         format!("{prefix}accel_l2"),
@@ -429,7 +434,7 @@ pub fn build_system(
                 let fz = b.add(make_core(CoreSlot::Accel(stand_in), xg, n + stand_in));
                 assert_eq!(fz, fuzzer);
                 inst.fuzzer = Some(fz);
-                b.link_bidi(xg, fz, Link::ordered(cfg.crossing.0, cfg.crossing.1));
+                b.link_bidi(xg, fz, Link::ordered(CROSSING.0, CROSSING.1));
             }
             AccelOrg::FuzzAccelSide => {
                 let opts = fuzz.clone().expect("FuzzAccelSide needs FuzzOpts");
@@ -450,7 +455,7 @@ pub fn build_system(
                 inst.label = name;
                 inst.fuzzer = Some(fz);
                 for &home in &homes {
-                    b.link_bidi(fz, home, Link::unordered(cfg.crossing.0, cfg.crossing.1));
+                    b.link_bidi(fz, home, Link::unordered(CROSSING.0, CROSSING.1));
                 }
             }
         }
@@ -474,7 +479,7 @@ pub fn build_system(
             let core = b.add(make_core(CoreSlot::Accel(ai), frontend, n + ai));
             let link = if matches!(inst.org, AccelOrg::HostSide) {
                 // Figure 2(b): every access crosses the chip boundary.
-                Link::ordered(cfg.crossing.0, cfg.crossing.1)
+                Link::ordered(CROSSING.0, CROSSING.1)
             } else {
                 Link::ordered(1, 1)
             };

@@ -288,13 +288,14 @@ impl TesterHub {
     }
 }
 
+/// Random delay between a core's issues, in cycles.
+const THINK: (u64, u64) = (1, 20);
+
 /// Tester configuration knobs.
 #[derive(Debug, Clone)]
 pub struct TesterCfg {
     /// Maximum outstanding operations per core.
     pub max_in_flight: usize,
-    /// Random delay between issues (cycles).
-    pub think: (u64, u64),
     /// Probability (percent) that a writer writes instead of reading.
     pub store_percent: u32,
 }
@@ -303,7 +304,6 @@ impl Default for TesterCfg {
     fn default() -> Self {
         TesterCfg {
             max_in_flight: 2,
-            think: (1, 20),
             store_percent: 50,
         }
     }
@@ -371,7 +371,7 @@ impl TesterCore {
             name: name.into(),
             cache,
             core_index,
-            think: Uniform::from(cfg.think.0..=cfg.think.1),
+            think: Uniform::from(THINK.0..=THINK.1),
             pick: Uniform::from(0..shared.pool.len()),
             roll: Uniform::from(0..100),
             shared,

@@ -54,6 +54,29 @@ const DISPATCHED: [(&str, u64, u64); 12] = [
 /// The event queue's high-water mark, the most over the twelve runs.
 const QUEUE_HWM: u64 = 52;
 
+/// The key families a profiled run's report holds, every one of them and
+/// nothing else: a name ending in `.` is a prefix, any other the whole key.
+const PROFILE_FAMILIES: [&str; 7] = [
+    "events.total",
+    "queue.hwm",
+    "dispatch.",
+    "host_ns.",
+    "epoch.",
+    "sched.overflow",
+    "sched.migrated",
+];
+
+/// The family of [`PROFILE_FAMILIES`] a profile key belongs to.
+fn family(key: &str) -> Option<&'static str> {
+    PROFILE_FAMILIES.into_iter().find(|&f| {
+        if f.ends_with('.') {
+            key.starts_with(f)
+        } else {
+            key == f
+        }
+    })
+}
+
 /// How far, in percent of the pin, a dispatched-work count may move.
 const DRIFT_PCT: u64 = 20;
 
@@ -69,8 +92,9 @@ fn drifted(pinned: u64, now: u64) -> bool {
 /// recovers those same bytes: instrumentation observes the run without
 /// perturbing it. The profile itself holds each run's dispatched work to
 /// [`DISPATCHED`] and [`QUEUE_HWM`], and the calendar queue to its wheel
-/// (no overflow, migration or rebase); the goldens pin the protocol's
-/// own counters exactly.
+/// (no overflow or migration); it holds exactly the
+/// [`PROFILE_FAMILIES`]. The goldens pin the protocol's own counters
+/// exactly.
 #[test]
 fn profiled_reports_strip_back_to_the_golden_bytes() {
     let mut failures = Vec::new();
@@ -113,10 +137,23 @@ fn profiled_reports_strip_back_to_the_golden_bytes() {
                 drifts.push(format!("{name}: {what} pinned {pinned}, now {now}"));
             }
         }
-        for key in ["sched.overflow", "sched.migrated", "sched.rebases"] {
+        for key in ["sched.overflow", "sched.migrated"] {
             let now = report.profile_get(key);
             if now != 0 {
                 drifts.push(format!("{name}: {key} pinned 0, now {now}"));
+            }
+        }
+        let mut seen = Vec::new();
+        for (key, _) in report.profile_entries() {
+            match family(key) {
+                Some(f) if !seen.contains(&f) => seen.push(f),
+                Some(_) => {}
+                None => drifts.push(format!("{name}: profile key {key} is in no family")),
+            }
+        }
+        for f in PROFILE_FAMILIES {
+            if !seen.contains(&f) {
+                drifts.push(format!("{name}: no profile key of family {f}"));
             }
         }
         hwm = hwm.max(report.profile_get("queue.hwm"));
@@ -135,7 +172,7 @@ fn profiled_reports_strip_back_to_the_golden_bytes() {
     assert!(
         failures.is_empty() && drifts.is_empty(),
         "profiling perturbed the run (stripped report != golden) for {failures:?}; \
-         dispatched work beyond {DRIFT_PCT}% of its pin:\n{}",
+         dispatched work beyond {DRIFT_PCT}% of its pin, or profile keys off their families:\n{}",
         drifts.join("\n")
     );
 }

@@ -56,7 +56,6 @@ proptest! {
                 tester: TesterCfg {
                     max_in_flight: in_flight,
                     store_percent,
-                    ..TesterCfg::default()
                 },
                 ..StressOpts::default()
             },

@@ -8,7 +8,7 @@ use crate::addr::BLOCK_BYTES;
 ///
 /// The stress tester (paper §4.1) checks *values*, not just protocol state,
 /// so data must actually flow through the simulated protocols. `DataBlock`
-/// provides byte- and word-granularity access:
+/// reads bytes and words and writes words:
 ///
 /// ```rust
 /// use xg_mem::DataBlock;
@@ -44,14 +44,6 @@ impl DataBlock {
     /// Panics if `offset >= 64`.
     pub fn read_u8(&self, offset: usize) -> u8 {
         self.bytes[offset]
-    }
-
-    /// Writes the byte at `offset`.
-    ///
-    /// # Panics
-    /// Panics if `offset >= 64`.
-    pub fn write_u8(&mut self, offset: usize, value: u8) {
-        self.bytes[offset] = value;
     }
 
     /// Reads the little-endian `u64` at byte `offset` (need not be aligned,
@@ -123,7 +115,7 @@ mod tests {
     #[test]
     fn byte_access() {
         let mut d = DataBlock::zeroed();
-        d.write_u8(63, 0xFF);
+        d.write_u64(56, 0xFF << 56);
         assert_eq!(d.read_u8(63), 0xFF);
         assert_eq!(d.read_u8(62), 0);
     }

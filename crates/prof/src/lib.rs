@@ -6,9 +6,10 @@
 //!
 //! * **Where does the events/sec budget go?** — [`Profiler`] keeps
 //!   per-component / per-event-class dispatch counters, coarse sampled
-//!   host-time attribution, event-queue depth high-water marks, and an epoch
-//!   sampler that turns a run into a time series (events per epoch,
-//!   progress per epoch, queue depth at each epoch boundary).
+//!   host-time attribution, the event queue's depth high-water mark, and
+//!   an epoch sampler that turns a run into a time series (events and
+//!   progress per epoch). It sees each event once, as it is dispatched:
+//!   the kernel's push path carries no profiling branch.
 //! * **What happened to this transaction?** — [`Timeline`] records
 //!   per-address request lifecycle spans and per-component instants and
 //!   renders them as Chrome trace-event JSON, loadable in Perfetto
@@ -101,10 +102,6 @@ pub struct Profiler {
     dispatch: Vec<Vec<(&'static str, DispatchSlot)>>,
     /// Deepest the central event queue ever got.
     queue_hwm: u64,
-    /// Currently-queued events per target component.
-    inflight: Vec<u64>,
-    /// High-water mark of `inflight` per target component.
-    inflight_hwm: Vec<u64>,
     /// Total events dispatched.
     events_total: u64,
     /// Countdown to the next wall-clock sample.
@@ -127,8 +124,6 @@ impl Profiler {
             config,
             dispatch: Vec::new(),
             queue_hwm: 0,
-            inflight: Vec::new(),
-            inflight_hwm: Vec::new(),
             events_total: 0,
             sample_countdown: HOST_TIME_SAMPLE,
             epochs: Vec::new(),
@@ -150,27 +145,6 @@ impl Profiler {
     #[inline]
     pub fn enabled(&self) -> bool {
         self.config.enabled
-    }
-
-    /// Notes an event entering the central queue for `target`.
-    #[inline]
-    pub fn note_push(&mut self, target: usize) {
-        if target >= self.inflight.len() {
-            self.inflight.resize(target + 1, 0);
-            self.inflight_hwm.resize(target + 1, 0);
-        }
-        self.inflight[target] += 1;
-        if self.inflight[target] > self.inflight_hwm[target] {
-            self.inflight_hwm[target] = self.inflight[target];
-        }
-    }
-
-    /// Notes an event leaving the central queue for `target`.
-    #[inline]
-    pub fn note_pop(&mut self, target: usize) {
-        if let Some(n) = self.inflight.get_mut(target) {
-            *n = n.saturating_sub(1);
-        }
     }
 
     /// Begins accounting one dispatched event. `queue_depth` is the queue
@@ -258,8 +232,6 @@ impl Profiler {
     /// * `host_ns.<component>.<class>` — estimated host nanoseconds
     ///   (sampled ns scaled by the sampling interval; absent when never
     ///   sampled)
-    /// * `inflight.<component>.hwm` — queued-events high-water mark per
-    ///   target component
     /// * `epoch.<i>.events` / `.progress` — time series
     /// * `epoch.dropped` — epochs past [`MAX_EPOCHS`]
     pub fn entries(&self, names: &[String]) -> Vec<(String, u64)> {
@@ -298,11 +270,6 @@ impl Profiler {
                     let est = slot.sampled_ns * u64::from(HOST_TIME_SAMPLE);
                     out.push((format!("host_ns.{comp}.{class}"), est));
                 }
-            }
-        }
-        for (idx, &hwm) in self.inflight_hwm.iter().enumerate() {
-            if hwm > 0 {
-                out.push((format!("inflight.{}.hwm", label(idx)), hwm));
             }
         }
         for (i, ep) in self.epochs.iter().enumerate() {
@@ -587,20 +554,6 @@ mod tests {
         let entries: BTreeMap<String, u64> = p.entries(&["c".to_owned()]).into_iter().collect();
         // 100 ns sampled at 1-in-N → estimated N × 100 ns.
         assert_eq!(entries["host_ns.c.x"], 100 * u64::from(HOST_TIME_SAMPLE));
-    }
-
-    #[test]
-    fn inflight_hwm_tracks_per_target_queue_depth() {
-        let mut p = Profiler::new(ProfileConfig::on());
-        p.note_push(2);
-        p.note_push(2);
-        p.note_pop(2);
-        p.note_push(2);
-        p.begin_event(0);
-        p.end_event(2, "x", None);
-        let names = vec![String::new(), String::new(), "guard".to_owned()];
-        let entries: BTreeMap<String, u64> = p.entries(&names).into_iter().collect();
-        assert_eq!(entries["inflight.guard.hwm"], 2);
     }
 
     #[test]

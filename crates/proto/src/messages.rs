@@ -502,15 +502,6 @@ impl XgData {
     pub fn is_empty(&self) -> bool {
         self.blocks().is_empty()
     }
-
-    /// The single block of a size-1 payload.
-    ///
-    /// # Panics
-    /// Panics if the payload does not contain exactly one block.
-    pub fn expect_single(&self) -> DataBlock {
-        assert_eq!(self.len(), 1, "expected single-block payload");
-        self.blocks()[0]
-    }
 }
 
 impl From<DataBlock> for XgData {
@@ -829,7 +820,7 @@ mod tests {
     fn xg_data_payloads() {
         let d = XgData::single(DataBlock::splat(3));
         assert_eq!(d.len(), 1);
-        assert_eq!(d.expect_single(), DataBlock::splat(3));
+        assert_eq!(d.blocks(), [DataBlock::splat(3)]);
         let d = XgData::zeroed(4);
         assert_eq!(d.len(), 4);
         assert!(!d.is_empty());

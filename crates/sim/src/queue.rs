@@ -34,7 +34,7 @@
 //! inline into its run loop whole (`#[inline(always)]`), an event's fields
 //! go from the caller's registers into the node and back without a stop on
 //! the stack, and everything that is not the common case — the overflow
-//! heap, a rebase, the migration loop — sits behind one branch in a
+//! heap, a refused push, the migration loop — sits behind one branch in a
 //! function of its own. Two things keep that true and are easy to undo by
 //! accident: no out-of-line function on the wheel path may take the item
 //! by value (its address would escape, and the compiler would then build
@@ -60,11 +60,11 @@
 //!    overflow heap only ever holds events at or beyond the window horizon
 //!    — so the popped event is the global `(time, seq)` minimum.
 //!
-//! Pushing a time *before* the cursor (impossible from the simulator,
-//! whose effects are always strictly future, but legal for an arbitrary
-//! client) triggers a **rebase**: every live event is spilled into the
-//! overflow heap and re-migrated, restoring the invariants at `O(n log n)`
-//! cost for that one operation.
+//! A push may not go *before* the cursor: the simulator only schedules
+//! strictly-future events, and its restore moves the window back with
+//! [`CalendarQueue::reset_at`] before it re-queues a checkpoint. Such a
+//! push panics, naming both cycles, on the cold path the horizon test
+//! already sends it to.
 //!
 //! Only relative order matters, never a `seq` value: a simulator checkpoint
 //! lists the queue in pop order ([`CalendarQueue::for_each_in_order`]) and
@@ -113,8 +113,8 @@ impl<T> Ord for Entry<T> {
 
 /// Deterministic scheduler-operation counters: they depend only on the
 /// simulated workload, never on the host machine, so a test can pin them
-/// (`xg-harness`'s `tests/observability.rs` holds the overflow, migration
-/// and rebase counts of the stress matrix at 0).
+/// (`xg-harness`'s `tests/observability.rs` holds the overflow and
+/// migration counts of the stress matrix at 0).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueueStats {
     /// Events pushed, total.
@@ -125,9 +125,6 @@ pub struct QueueStats {
     pub overflow_pushes: u64,
     /// Events migrated from the overflow heap into the wheel.
     pub migrated: u64,
-    /// Full rebases caused by a push before the cursor (never happens on
-    /// simulator workloads; counted so the gate would notice if it did).
-    pub rebases: u64,
 }
 
 /// What [`CalendarQueue::pop_until`] found at the head of the queue.
@@ -231,7 +228,7 @@ impl<T> CalendarQueue<T> {
     /// operation counters carry on.
     pub fn reset_at(&mut self, cursor: Cycle) {
         if self.wheel_len > 0 {
-            self.drain_wheel(drop);
+            self.clear_wheel();
         }
         self.overflow.clear();
         self.cursor = cursor.as_u64();
@@ -284,6 +281,10 @@ impl<T> CalendarQueue<T> {
 
     /// Schedules `item` at `time`, after everything already scheduled at
     /// the same time (FIFO tie-break).
+    ///
+    /// # Panics
+    /// If `time` is before the cursor: the time of the last pop, or the
+    /// cycle of the last [`reset_at`](Self::reset_at).
     #[inline(always)]
     pub fn push(&mut self, time: Cycle, item: T) {
         let time = time.as_u64();
@@ -291,7 +292,7 @@ impl<T> CalendarQueue<T> {
         self.seq += 1;
         self.stats.pushes += 1;
         // One test for "inside the window": a time before the cursor wraps
-        // to a huge distance.
+        // to a huge distance and takes the cold path, which refuses it.
         if time.wrapping_sub(self.cursor) < WHEEL_SLOTS as u64 {
             self.slot_push(time, seq, item);
         } else {
@@ -300,16 +301,17 @@ impl<T> CalendarQueue<T> {
     }
 
     /// A push the window does not cover: beyond the horizon it waits in the
-    /// overflow heap; before the cursor (cold by construction — the
-    /// simulator only schedules strictly-future events) it rebases.
+    /// overflow heap; before the cursor it is refused.
     #[inline(never)]
     fn push_outside(&mut self, entry: Entry<T>) {
-        if entry.time < self.cursor {
-            self.rebase(entry);
-        } else {
-            self.stats.overflow_pushes += 1;
-            self.overflow.push(entry);
-        }
+        assert!(
+            entry.time >= self.cursor,
+            "event pushed at cycle {} before the queue's cursor at cycle {}",
+            entry.time,
+            self.cursor
+        );
+        self.stats.overflow_pushes += 1;
+        self.overflow.push(entry);
     }
 
     /// Time of the earliest scheduled event, if any.
@@ -487,22 +489,8 @@ impl<T> CalendarQueue<T> {
         }
     }
 
-    /// Restores the invariants after a push before the cursor: spill all
-    /// wheel events (and the new entry) into the overflow heap, restart
-    /// the window at the new minimum, and re-migrate.
-    fn rebase(&mut self, entry: Entry<T>) {
-        self.stats.rebases += 1;
-        self.cursor = entry.time;
-        let mut spilled = std::mem::take(&mut self.overflow);
-        spilled.push(entry);
-        self.drain_wheel(|e| spilled.push(e));
-        self.overflow = spilled;
-        self.migrate();
-    }
-
-    /// Unlinks every wheel event (in slot-index order, not pop order),
-    /// hands it to `f`, and returns its node to the free list.
-    fn drain_wheel(&mut self, mut f: impl FnMut(Entry<T>)) {
+    /// Drops every wheel event and returns its node to the free list.
+    fn clear_wheel(&mut self) {
         for w in 0..WORDS {
             let mut bits = self.occupied[w];
             while bits != 0 {
@@ -511,12 +499,7 @@ impl<T> CalendarQueue<T> {
                 let mut i = self.heads[idx];
                 while i != NIL {
                     let node = &mut self.arena[i as usize];
-                    let item = node.item.take().expect("live node has an item");
-                    f(Entry {
-                        time: node.time,
-                        seq: node.seq,
-                        item,
-                    });
+                    node.item = None;
                     let next = node.next;
                     node.next = self.free_head;
                     self.free_head = i;
@@ -594,16 +577,14 @@ mod tests {
         q.reset_at(Cycle::new(100));
         assert!(q.is_empty());
         assert_eq!(q.peek_time(), None);
-        // Earlier than the old cursor, yet no rebase: the window moved.
+        // Earlier than the old cursor, yet accepted: the window moved.
         q.push(Cycle::new(105), 3);
         q.push(Cycle::new(101), 4);
         assert_eq!(drain(&mut q), vec![(101, 4), (105, 3)]);
-        assert_eq!(q.stats().rebases, 0);
-        // Empty reset backwards again.
+        // Empty reset backwards again, to the very cycle pushed.
         q.reset_at(Cycle::new(7));
-        q.push(Cycle::new(8), 5);
-        assert_eq!(drain(&mut q), vec![(8, 5)]);
-        assert_eq!(q.stats().rebases, 0);
+        q.push(Cycle::new(7), 5);
+        assert_eq!(drain(&mut q), vec![(7, 5)]);
     }
 
     #[test]
@@ -636,7 +617,6 @@ mod tests {
         assert_eq!(q.pop(), Some((Cycle::new(far), 1)));
         assert_eq!(q.pop(), None);
         assert_eq!(q.stats().migrated, 1);
-        assert_eq!(q.stats().rebases, 0);
     }
 
     #[test]
@@ -651,14 +631,13 @@ mod tests {
     }
 
     #[test]
-    fn push_before_cursor_rebases() {
+    #[should_panic(expected = "event pushed at cycle 10 before the queue's cursor at cycle 50")]
+    fn push_before_cursor_is_refused() {
         let mut q = CalendarQueue::new();
         q.push(Cycle::new(50), 1);
         assert_eq!(q.pop(), Some((Cycle::new(50), 1)));
         q.push(Cycle::new(60), 2);
-        q.push(Cycle::new(10), 3); // before the cursor (50)
-        assert_eq!(q.stats().rebases, 1);
-        assert_eq!(drain(&mut q), vec![(10, 3), (60, 2)]);
+        q.push(Cycle::new(10), 3);
     }
 
     #[test]
@@ -692,7 +671,6 @@ mod tests {
             Head::Later(Cycle::new(far))
         );
         q.push(Cycle::new(8), 3);
-        assert_eq!(q.stats().rebases, 0);
         assert_eq!(q.pop_until(Cycle::new(far)), Head::Due(Cycle::new(8), 3));
         assert_eq!(q.pop_until(Cycle::new(far)), Head::Due(Cycle::new(far), 2));
         assert_eq!(q.stats().migrated, 1);

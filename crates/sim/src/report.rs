@@ -1165,9 +1165,9 @@ mod tests {
     #[test]
     fn a_written_profile_high_water_mark_never_lowers() {
         let mut r = Report::new();
-        r.profile_add("inflight.dir.hwm", 6);
-        r.profile_add("inflight.dir.hwm", 2);
-        assert_eq!(r.profile_get("inflight.dir.hwm"), 6);
+        r.profile_add("queue.hwm", 6);
+        r.profile_add("queue.hwm", 2);
+        assert_eq!(r.profile_get("queue.hwm"), 6);
     }
 
     #[test]

@@ -757,13 +757,17 @@ impl<M: Clone + 'static> Simulator<M> {
             .links
             .route(rng, &mut self.faults, self.now, from, to, 0);
         let msg = self.msgs.insert(msg);
-        self.deliver(time, to, from, msg);
+        let kind = EventKind::Deliver { from, msg };
+        self.queue.push(time, Pending { target: to, kind });
     }
 
-    /// Schedules a wake-up for `target` at `delay` cycles from now.
+    /// Schedules a wake-up for `target` at `delay` cycles from now (one
+    /// cycle at least: every event the simulator schedules is strictly
+    /// future).
     pub fn post_wake(&mut self, target: NodeId, delay: u64, token: u64) {
-        let time = self.now + delay.max(1);
-        self.push_event(time, target, EventKind::Wake { token });
+        let kind = EventKind::Wake { token };
+        self.queue
+            .push(self.now + delay.max(1), Pending { target, kind });
     }
 
     /// Runs until the event queue is empty or `max_cycles` of simulated time
@@ -878,9 +882,8 @@ impl<M: Clone + 'static> Simulator<M> {
         debug_assert!(time >= self.now, "event queue went backwards");
         self.now = time;
         // One branch when profiling is off; the profiler is never touched.
-        let profiling = self.profiler.enabled();
-        let profiled = if profiling {
-            Some(self.profile_begin(ev.target, ev.kind))
+        let profiled = if self.profiler.enabled() {
+            Some(self.profile_begin(ev.kind))
         } else {
             None
         };
@@ -900,7 +903,6 @@ impl<M: Clone + 'static> Simulator<M> {
             last_progress_at,
             tracer,
             faults,
-            profiler,
             ..
         } = self;
         // The dispatched component's stream serves its handler's draws and,
@@ -933,13 +935,9 @@ impl<M: Clone + 'static> Simulator<M> {
             *last_progress_at = time;
         }
 
+        // Every effect lands strictly after `time`: a route adds at least
+        // one cycle of latency, and a wake at least one cycle of delay.
         let sender = ev.target;
-        let mut push = |time: Cycle, target: NodeId, kind: EventKind| {
-            if profiling {
-                profiler.note_push(target.index());
-            }
-            queue.push(time, Pending { target, kind });
-        };
         for effect in effects.drain(..) {
             match effect {
                 Effect::Send {
@@ -948,10 +946,18 @@ impl<M: Clone + 'static> Simulator<M> {
                     extra_delay,
                 } => {
                     let at = links.route(rng, faults, time, sender, to, extra_delay);
-                    push(at, to, EventKind::Deliver { from: sender, msg });
+                    let kind = EventKind::Deliver { from: sender, msg };
+                    queue.push(at, Pending { target: to, kind });
                 }
                 Effect::Wake { delay, token } => {
-                    push(time + delay.max(1), sender, EventKind::Wake { token });
+                    let kind = EventKind::Wake { token };
+                    queue.push(
+                        time + delay.max(1),
+                        Pending {
+                            target: sender,
+                            kind,
+                        },
+                    );
                 }
             }
         }
@@ -966,12 +972,7 @@ impl<M: Clone + 'static> Simulator<M> {
     /// The profiler's view of a just-popped event: its class label, and a
     /// running timer if this event is one of the sampled ones.
     #[cold]
-    fn profile_begin(
-        &mut self,
-        target: NodeId,
-        kind: EventKind,
-    ) -> (&'static str, Option<Instant>) {
-        self.profiler.note_pop(target.index());
+    fn profile_begin(&mut self, kind: EventKind) -> (&'static str, Option<Instant>) {
         let class = match kind {
             EventKind::Deliver { msg, .. } => self
                 .event_label
@@ -985,18 +986,6 @@ impl<M: Clone + 'static> Simulator<M> {
             .then(Instant::now);
         self.profiler.epoch_tick(self.now.as_u64(), self.progress);
         (class, timer)
-    }
-
-    fn push_event(&mut self, time: Cycle, target: NodeId, kind: EventKind) {
-        if self.profiler.enabled() {
-            self.profiler.note_push(target.index());
-        }
-        self.queue.push(time, Pending { target, kind });
-    }
-
-    /// Enqueues a routed delivery.
-    fn deliver(&mut self, time: Cycle, to: NodeId, from: NodeId, msg: SlabId) {
-        self.push_event(time, to, EventKind::Deliver { from, msg });
     }
 
     /// Scheduler-operation counters (pushes, pops, overflow traffic) for
@@ -1044,15 +1033,12 @@ impl<M: Clone + 'static> Simulator<M> {
         // to an uninstrumented run's) unless profiling recorded something.
         let entries = self.profiler.entries(&self.names);
         if !entries.is_empty() {
-            // Scheduler-operation counters ride along with the profile:
-            // deterministic (workload-only), but kept out of unprofiled
-            // reports so goldens stay byte-identical.
+            // The scheduler's far-future traffic rides along with the
+            // profile: deterministic (workload-only), but kept out of
+            // unprofiled reports so goldens stay byte-identical.
             let stats = self.queue.stats();
-            out.profile_add("sched.pushes", stats.pushes);
-            out.profile_add("sched.pops", stats.pops);
             out.profile_add("sched.overflow", stats.overflow_pushes);
             out.profile_add("sched.migrated", stats.migrated);
-            out.profile_add("sched.rebases", stats.rebases);
         }
         for (k, v) in entries {
             out.profile_add(k, v);
@@ -1229,6 +1215,8 @@ impl<M: Clone + 'static> Simulator<M> {
         self.touched = 0;
         self.restored = Some(checkpoint.id);
         self.tracer.clear_flags();
+        // Every checkpointed event is due at or after `checkpoint.now`, so
+        // with the window moved there the re-pushes are all in its future.
         self.queue.reset_at(checkpoint.now);
         self.msgs.clear();
         self.effects.clear();
@@ -1682,7 +1670,6 @@ mod tests {
         // 16 bursts + 1 trigger + 1 wake.
         assert_eq!(prof_report.profile_get("events.total"), 18);
         assert!(prof_report.profile_get("queue.hwm") >= 1);
-        assert!(prof_report.profile_get("inflight.recorder.hwm") >= 1);
     }
 
     /// A node order numbers the components by it, and a system wired by

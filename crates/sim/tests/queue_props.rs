@@ -4,10 +4,11 @@
 //! * [`CalendarQueue`] is checked against a `BinaryHeap` ordered by
 //!   `(time, seq)` — the exact scheduler the calendar queue replaced. Every
 //!   schedule (random and adversarial) must pop in the identical order,
-//!   including same-cycle FIFO ties, across the wheel/overflow boundary,
-//!   across window wraps, and through rebase-triggering pushes into the
-//!   past. Resets with events still queued, ordered walks and refused
-//!   heads (what a simulator checkpoint uses) are checked the same way.
+//!   including same-cycle FIFO ties, across the wheel/overflow boundary
+//!   and across window wraps. Every push is at or after the last popped
+//!   time, the contract the simulator keeps. Resets with events still
+//!   queued, ordered walks and refused heads (what a simulator checkpoint
+//!   uses) are checked the same way.
 //! * [`Slab`] is checked against a `HashMap` model under random alloc/free
 //!   interleavings: every live handle reads back its value, freed slots are
 //!   recycled before the arena grows, and the id sequence is a pure
@@ -38,16 +39,10 @@ struct OracleQueue {
 
 impl OracleQueue {
     fn push(&mut self, time: u64, item: u32) {
+        assert!(time >= self.cursor, "a schedule pushed into the past");
         self.stats.pushes += 1;
         self.heap.push(Reverse((time, self.seq, item)));
-        if time < self.cursor {
-            // A push into the past restarts the window there: every event
-            // spills beyond the horizon and the covered ones come back.
-            self.stats.rebases += 1;
-            self.cursor = time;
-            self.beyond = self.heap.iter().map(|&Reverse((t, s, _))| (t, s)).collect();
-            self.migrate();
-        } else if time - self.cursor >= WINDOW {
+        if time - self.cursor >= WINDOW {
             self.stats.overflow_pushes += 1;
             self.beyond.insert((time, self.seq));
         }
@@ -98,8 +93,6 @@ impl OracleQueue {
 /// One step of a schedule.
 #[derive(Debug, Clone, Copy)]
 enum Op {
-    /// Push at an absolute time.
-    Push(u64),
     /// Push this far after the last popped time.
     PushAhead(u64),
     /// Peek, then pop; the two must agree.
@@ -127,11 +120,8 @@ fn check_schedule(ops: &[Op]) -> Result<(), TestCaseError> {
     let mut now = 0u64;
     for &op in ops {
         match op {
-            Op::Push(time) | Op::PushAhead(time) => {
-                let time = match op {
-                    Op::PushAhead(ahead) => now + ahead,
-                    _ => time,
-                };
+            Op::PushAhead(ahead) => {
+                let time = now + ahead;
                 cal.push(Cycle::new(time), item);
                 oracle.push(time, item);
                 item += 1;
@@ -216,7 +206,7 @@ fn future_schedule(steps: &[(bool, u64)], horizon: u64) -> Vec<Op> {
             if is_pop {
                 Op::Pop
             } else {
-                Op::Push(raw % horizon)
+                Op::PushAhead(raw % horizon)
             }
         })
         .collect()
@@ -240,18 +230,19 @@ proptest! {
         check_schedule(&future_schedule(&steps, WHEEL_SLOTS as u64 * 5))?;
     }
 
-    /// Fully adversarial schedules: arbitrary absolute times, including
-    /// pushes before the cursor (rebase path) and times that alias the
-    /// same slot across different rotations.
+    /// Adversarial schedules: arbitrary distances from the cursor, up to
+    /// four windows, so times that alias the same slot across different
+    /// rotations meet in the wheel and the overflow heap.
     #[test]
     fn adversarial_schedules_match_oracle(
         steps in vec((any::<bool>(), any::<u64>()), 1..200),
         times in vec(0u64..WHEEL_SLOTS as u64 * 3, 4..12),
     ) {
         let mut ops: Vec<Op> = Vec::new();
-        // A prefix that advances the cursor, so later small times rebase.
+        // A prefix that advances the cursor off slot zero, so the times
+        // drawn below alias from an arbitrary residue.
         for &t in &times {
-            ops.push(Op::Push(t));
+            ops.push(Op::PushAhead(t));
         }
         ops.push(Op::Pop);
         ops.push(Op::Pop);
@@ -261,7 +252,7 @@ proptest! {
             } else {
                 // Bias toward slot-aliasing times: the same residue, one
                 // window apart, must never interleave out of order.
-                ops.push(Op::Push(raw % (WHEEL_SLOTS as u64 * 4)));
+                ops.push(Op::PushAhead(raw % (WHEEL_SLOTS as u64 * 4)));
             }
         }
         check_schedule(&ops)?;
