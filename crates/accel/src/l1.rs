@@ -19,7 +19,7 @@ use xg_fsm::{
 };
 use xg_mem::{BlockAddr, Replacement, SetAssocCache};
 use xg_proto::{CoreKind, CoreMsg, Ctx, Message, XgData, XgiKind, XgiMsg};
-use xg_sim::{Component, CoverageGrid, Cycle, FsmRows, Histogram, NodeId, Report};
+use xg_sim::{CloneComponent, Component, CoverageGrid, Cycle, FsmRows, Histogram, NodeId, Report};
 
 /// Next-line prefetching (paper §1: "an accelerator that performs mostly
 /// streaming accesses may prefetch aggressively"). On every demand miss
@@ -583,25 +583,13 @@ impl Component<Message> for AccelL1 {
             format_args!("{n}.mshr_occupancy"),
             &self.stats.mshr_occupancy,
         );
-        self.machine.record_into(out);
     }
 
-    fn box_clone(&self) -> Option<Box<dyn Component<Message>>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn restore_from(&mut self, saved: &dyn Component<Message>) -> bool {
-        xg_sim::restore_in_place(self, saved)
+    fn cloneable(&self) -> Option<&dyn CloneComponent<Message>> {
+        Some(self)
     }
 
     fn visit_fired(&self, visit: &mut dyn FnMut(&'static dyn FsmRows, &[u64])) {
         self.machine.visit_fired(visit);
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
     }
 }

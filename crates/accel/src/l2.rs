@@ -25,7 +25,7 @@ use xg_fsm::{
 };
 use xg_mem::{BlockAddr, Replacement, SetAssocCache, SortedSet, Spares};
 use xg_proto::{Ctx, Message, XgData, XgiKind, XgiMsg, XgiTag};
-use xg_sim::{Component, FsmRows, Histogram, NodeId, Report};
+use xg_sim::{CloneComponent, Component, FsmRows, Histogram, NodeId, Report};
 
 /// Configuration for an [`AccelL2`].
 #[derive(Debug, Clone)]
@@ -830,25 +830,13 @@ impl Component<Message> for AccelL2 {
             format_args!("{n}.mshr_occupancy"),
             &self.stats.mshr_occupancy,
         );
-        self.machine.record_into(out);
     }
 
-    fn box_clone(&self) -> Option<Box<dyn Component<Message>>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn restore_from(&mut self, saved: &dyn Component<Message>) -> bool {
-        xg_sim::restore_in_place(self, saved)
+    fn cloneable(&self) -> Option<&dyn CloneComponent<Message>> {
+        Some(self)
     }
 
     fn visit_fired(&self, visit: &mut dyn FnMut(&'static dyn FsmRows, &[u64])) {
         self.machine.visit_fired(visit);
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
     }
 }

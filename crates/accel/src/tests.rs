@@ -2,13 +2,12 @@
 
 use xg_mem::{Addr, BlockAddr, DataBlock, IdMap};
 use xg_proto::{CoreKind, CoreMsg, Ctx, Message, XgData, XgiKind, XgiMsg};
-use xg_sim::{Component, Link, NodeId, SimBuilder};
+use xg_sim::{CloneComponent, Component, Link, NodeId, SimBuilder};
 
 use crate::{AccelL1, AccelL1Config, AccelL2, AccelL2Config, Prefetch};
 
 /// A scripted stand-in for Crossing Guard: records every interface message
 /// and can answer requests from a trivial memory model.
-#[derive(Clone)]
 struct MockGuard {
     name: String,
     /// Everything received, in order.
@@ -20,6 +19,8 @@ struct MockGuard {
     memory: IdMap<BlockAddr, Vec<DataBlock>>,
     blocks: usize,
 }
+
+xg_sim::clone_in_place!(impl[] for MockGuard { name, log, auto, grant_e, memory, blocks });
 
 impl MockGuard {
     fn new(auto: bool, grant_e: bool, blocks: usize) -> Self {
@@ -83,14 +84,8 @@ impl Component<Message> for MockGuard {
             _ => {}
         }
     }
-    fn box_clone(&self) -> Option<Box<dyn Component<Message>>> {
-        Some(Box::new(self.clone()))
-    }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
+    fn cloneable(&self) -> Option<&dyn CloneComponent<Message>> {
+        Some(self)
     }
 }
 
@@ -111,14 +106,8 @@ impl Component<Message> for Probe {
             ctx.note_progress();
         }
     }
-    fn box_clone(&self) -> Option<Box<dyn Component<Message>>> {
-        Some(Box::new(self.clone()))
-    }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
+    fn cloneable(&self) -> Option<&dyn CloneComponent<Message>> {
+        Some(self)
     }
 }
 
@@ -651,8 +640,9 @@ impl TwoLevel {
 
 /// Both accelerator caches checkpoint: a world saved mid-transaction (an
 /// L1 in `B`, the L2's fetch at the guard) and restored over the run that
-/// went on from there — each cache copied back in place — finishes exactly
-/// as the run that was never interrupted.
+/// went on from there — every component copied back in place, the mock
+/// guard's log into the buffer it already had — finishes exactly as the
+/// run that was never interrupted.
 #[test]
 fn caches_restored_in_place_mid_transaction_resume_the_same_run() {
     // Five blocks of one L1 set (four ways): evictions and Puts as well.
@@ -679,23 +669,13 @@ fn caches_restored_in_place_mid_transaction_resume_the_same_run() {
     let block = Addr::new(0x500).block();
     assert_eq!(tl.sim.get::<AccelL1>(l1).unwrap().state_of(block), "B");
     let checkpoint = tl.sim.checkpoint().expect("every component checkpoints");
-    let saved_l1 = tl.sim.get::<AccelL1>(l1).unwrap().box_clone().unwrap();
-    let saved_l2 = tl.sim.get::<AccelL2>(tl.l2).unwrap().box_clone().unwrap();
     for _ in 0..20 {
         assert!(tl.sim.step(), "the run is still in flight");
     }
-    let l1_in_place = tl
-        .sim
-        .get_mut::<AccelL1>(l1)
-        .unwrap()
-        .restore_from(&*saved_l1);
-    let l2_in_place = tl
-        .sim
-        .get_mut::<AccelL2>(tl.l2)
-        .unwrap()
-        .restore_from(&*saved_l2);
-    assert!(l1_in_place && l2_in_place);
+    let log = tl.sim.get::<MockGuard>(tl.xg).unwrap().log.as_ptr();
     tl.sim.restore(&checkpoint);
+    let kept = tl.sim.get::<MockGuard>(tl.xg).unwrap().log.as_ptr();
+    assert_eq!(kept, log, "the log keeps its buffer");
     assert_eq!(tl.sim.get::<AccelL1>(l1).unwrap().state_of(block), "B");
     assert_eq!(tl.outcome(), expected);
 }

@@ -59,12 +59,6 @@ impl Component<Message> for OneStore {
             .into(),
         );
     }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
 }
 
 /// One timeout setting's outcome.

@@ -12,10 +12,10 @@
 //! [`crate::replay`] builds a world from scratch and runs the script. The
 //! explorer builds one world per worker and moves it between states with
 //! [`xg_sim::Simulator::restore`], so every component here and in the host
-//! and guard crates implements `Component::box_clone` (what a kept state
-//! is made of) and `Component::restore_from` (how the worker's world is
-//! overwritten with it, in place, before every step), and the chaos
-//! accelerator's choice list can be extended in place
+//! and guard crates is `Component::cloneable`: `CloneComponent::box_clone`
+//! is what a kept state is made of, and `CloneComponent::restore_into` how
+//! the worker's world is overwritten with it, in place, before every step,
+//! and the chaos accelerator's choice list can be extended in place
 //! ([`ChaosAccel::extend_choices`]) to stand for the longer list a child
 //! script would have been built with. Two knobs exist purely for the
 //! canonicalization tests: the node registration order
@@ -33,7 +33,7 @@ use xg_harness::system::CoreSlot;
 use xg_harness::{build_system, AccelOrg, ExecSim, HostProtocol, SystemConfig};
 use xg_mem::{BlockAddr, DataBlock, PagePerm, PermissionTable, BLOCK_BYTES};
 use xg_proto::{CoreKind, CoreMsg, Ctx, Message, Sim, XgData, XgiKind, XgiMsg};
-use xg_sim::{CheckDigest, Component, NodeId, Report};
+use xg_sim::{CheckDigest, CloneComponent, Component, NodeId, Report};
 
 use crate::script::{CpuOp, ACCEL_KIND_CODES, INV_CHOICE_CODES};
 
@@ -507,19 +507,8 @@ impl Component<Message> for ChaosAccel {
         out.add(format_args!("{n}.ro_exclusive_data"), self.ro_exclusive);
     }
 
-    fn box_clone(&self) -> Option<Box<dyn Component<Message>>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn restore_from(&mut self, saved: &dyn Component<Message>) -> bool {
-        xg_sim::restore_in_place(self, saved)
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
+    fn cloneable(&self) -> Option<&dyn CloneComponent<Message>> {
+        Some(self)
     }
 }
 
@@ -697,19 +686,8 @@ impl Component<Message> for ProbeCore {
         );
     }
 
-    fn box_clone(&self) -> Option<Box<dyn Component<Message>>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn restore_from(&mut self, saved: &dyn Component<Message>) -> bool {
-        xg_sim::restore_in_place(self, saved)
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
+    fn cloneable(&self) -> Option<&dyn CloneComponent<Message>> {
+        Some(self)
     }
 }
 
@@ -740,15 +718,19 @@ mod tests {
             .allows_read());
     }
 
-    /// `Simulator::restore` falls back to `box_clone` for a component that
-    /// does not restore in place; none of the checker's may take that path.
+    /// Every component of both worlds opts into checkpointing, and a copy
+    /// of it restores into it in place.
     #[test]
     fn every_component_of_both_worlds_restores_in_place() {
-        fn in_place<T: Component<Message> + 'static>(world: &mut World, role: Role) -> bool {
+        fn in_place<T: Component<Message>>(world: &mut World, role: Role) -> bool {
             let id = world.ids.of(role);
             let component = world.sim.get_mut::<T>(id).expect("role has this type");
-            let saved = component.box_clone().expect("checkpointable");
-            component.restore_from(&*saved)
+            let Some(saved) = component.cloneable().map(CloneComponent::box_clone) else {
+                return false;
+            };
+            let copy = saved.cloneable().expect("a copy is cloneable too");
+            copy.restore_into(component);
+            true
         }
         for persona in Persona::ALL {
             let w = &mut build_world(&WorldSpec::new(persona), &[]);
@@ -767,7 +749,7 @@ mod tests {
                 },
             ];
             for (role, restored) in by_role {
-                assert!(restored, "{persona:?} {role:?} fell back to box_clone");
+                assert!(restored, "{persona:?} {role:?} is not cloneable");
             }
             assert_eq!(by_role.len(), Role::ALL.len());
         }
@@ -803,9 +785,8 @@ mod tests {
             let mut into = build_world(&live_spec, &[]);
             assert_ne!(digest_of(&into, &live_spec), want);
 
-            let checkpoint = guard(&from).box_clone().expect("checkpointable");
             let live_guard = into.sim.get_mut::<CrossingGuard>(into.ids.xg);
-            assert!(live_guard.expect("guard").restore_from(&*checkpoint));
+            guard(&from).restore_into(live_guard.expect("guard"));
             let got = digest_of(&into, &live_spec);
             assert_eq!(got, want, "{saved:?} into {live:?}");
         }

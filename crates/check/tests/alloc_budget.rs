@@ -20,7 +20,7 @@
 //! - allocations inside handlers (the Hammer directory's table, the guard's
 //!   admission, the MESI L2's eviction), 0.2–0.3 per expansion;
 //! - for the one successor in fifty that is a new state, the `checkpoint()`
-//!   that keeps it (a `box_clone` of six components, some forty calls
+//!   that keeps it (a deep copy of six components, some forty calls
 //!   spread over the expansions that found nothing new).
 //!
 //! That is 1.63 (Hammer) and 2.71 (MESI) calls since the world is built by

@@ -30,7 +30,7 @@ use xg_fsm::{
 };
 use xg_mem::{BlockAddr, DataBlock, IdMap, PagePerm};
 use xg_proto::{Ctx, HomeMap, Message, OsMsg, XgData, XgError, XgErrorKind, XgiKind, XgiMsg};
-use xg_sim::{CheckDigest, Component, Cycle, FsmRows, Histogram, NodeId, Report};
+use xg_sim::{CheckDigest, CloneComponent, Component, Cycle, FsmRows, Histogram, NodeId, Report};
 
 use crate::config::{XgConfig, XgVariant};
 use crate::persona::{
@@ -664,13 +664,6 @@ impl CrossingGuard {
     pub(crate) fn take_kept_reasons(&mut self) -> usize {
         let loans = self.open.loans();
         std::iter::from_fn(|| Some(loans.take()).filter(|b| b.capacity() > 0)).count()
-    }
-
-    fn visit_machine(&self, visit: &mut dyn FnMut(&'static dyn FsmRows, &[u64])) {
-        match self.table {
-            Some(_) => self.full.visit_fired(visit),
-            None => self.tx.visit_fired(visit),
-        }
     }
 
     fn report_error(&mut self, addr: Option<BlockAddr>, kind: XgErrorKind, ctx: &mut Ctx<'_>) {
@@ -1609,27 +1602,17 @@ impl Component<Message> for CrossingGuard {
         out.record_hist(format_args!("{n}.lat.wback"), &s.lat_wback);
         out.record_hist(format_args!("{n}.lat.inv_resp"), &s.lat_inv_resp);
         out.record_hist(format_args!("{n}.lat.host_rtt"), &p.host_rtt);
-        self.persona.record_machine(out);
-        self.visit_machine(&mut |rows, fired| out.record_fired(rows, fired));
     }
 
-    fn box_clone(&self) -> Option<Box<dyn Component<Message>>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn restore_from(&mut self, saved: &dyn Component<Message>) -> bool {
-        xg_sim::restore_in_place(self, saved)
+    fn cloneable(&self) -> Option<&dyn CloneComponent<Message>> {
+        Some(self)
     }
 
     fn visit_fired(&self, visit: &mut dyn FnMut(&'static dyn FsmRows, &[u64])) {
         self.persona.visit_fired(visit);
-        self.visit_machine(visit);
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
+        match self.table {
+            Some(_) => self.full.visit_fired(visit),
+            None => self.tx.visit_fired(visit),
+        }
     }
 }

@@ -1,7 +1,7 @@
 //! The OS model: error sink and policy engine (paper §2.2).
 
 use xg_proto::{Ctx, Message, OsMsg, XgError, XgErrorKind};
-use xg_sim::{CheckDigest, Component, NodeId, Report};
+use xg_sim::{CheckDigest, CloneComponent, Component, NodeId, Report};
 
 use crate::config::OsPolicy;
 
@@ -128,19 +128,8 @@ impl Component<Message> for Os {
         );
     }
 
-    fn box_clone(&self) -> Option<Box<dyn Component<Message>>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn restore_from(&mut self, saved: &dyn Component<Message>) -> bool {
-        xg_sim::restore_in_place(self, saved)
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
+    fn cloneable(&self) -> Option<&dyn CloneComponent<Message>> {
+        Some(self)
     }
 }
 
@@ -162,12 +151,6 @@ mod tests {
             if let Message::Os(OsMsg::DisableAccelerator) = msg {
                 self.disabled = true;
             }
-        }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
         }
     }
 

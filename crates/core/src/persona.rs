@@ -20,7 +20,7 @@
 use xg_fsm::{Alphabet, Controller, Machine, Step, Table};
 use xg_mem::{BlockAddr, DataBlock, IdMap};
 use xg_proto::{Ctx, HomeMap, Message};
-use xg_sim::{CheckDigest, Cycle, FsmRows, Histogram, NodeId, Report};
+use xg_sim::{CheckDigest, Cycle, FsmRows, Histogram, NodeId};
 
 use crate::hammer_side::Hammer;
 use crate::mesi_side::Mesi;
@@ -416,11 +416,6 @@ impl Persona {
     /// The persona's statistics, folded into the guard's report.
     pub(crate) fn stats(&self) -> &PersonaStats {
         on_side!(self, side => &side.stats)
-    }
-
-    /// Folds the persona's transition coverage into the report.
-    pub(crate) fn record_machine(&self, out: &mut Report) {
-        on_side!(self, side => side.machine.record_into(out))
     }
 
     /// The persona's machine, dense (see [`xg_sim::Component::visit_fired`]).

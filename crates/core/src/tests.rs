@@ -36,12 +36,6 @@ impl Component<Message> for Probe {
             ctx.note_progress();
         }
     }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
 }
 
 /// A scriptable raw accelerator: records interface traffic; optionally
@@ -85,12 +79,6 @@ impl Component<Message> for RawAccel {
             }
             self.received.push(m);
         }
-    }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
     }
 }
 

@@ -102,11 +102,6 @@ impl<S: Alphabet, E: Alphabet, A: Alphabet> Machine<S, E, A> {
     pub fn visit_fired(&self, visit: &mut dyn FnMut(&'static dyn FsmRows, &[u64])) {
         visit(self.table, &self.fired);
     }
-
-    /// Folds this instance's coverage into a report under the table name.
-    pub fn record_into(&self, report: &mut xg_sim::Report) {
-        report.record_fired(self.table, &self.fired);
-    }
 }
 
 impl<S: Alphabet, E: Alphabet, A: Alphabet> std::fmt::Debug for Machine<S, E, A> {

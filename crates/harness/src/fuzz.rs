@@ -377,13 +377,6 @@ impl Component<Message> for FuzzAccel {
             .map_or(0, |first| self.last_inject - first);
         out.add(format_args!("{n}.inject_span"), span);
     }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
 }
 
 /// A fuzzer that speaks the raw host protocol — what a buggy
@@ -530,13 +523,6 @@ impl Component<Message> for FuzzHostCache {
 
     fn report(&self, out: &mut Report) {
         out.add(format_args!("{}.sent", self.name), self.sent);
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
     }
 }
 

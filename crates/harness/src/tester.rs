@@ -520,13 +520,6 @@ impl Component<Message> for TesterCore {
         out.add(format_args!("{n}.latency_sum"), self.latency_sum);
         out.add(format_args!("{n}.outstanding"), self.in_flight.len() as u64);
     }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
 }
 
 /// Builds a word-address pool of `blocks` cache blocks × `words_per_block`
@@ -621,12 +614,6 @@ mod tests {
             };
             ctx.send_after(from, CoreMsg { kind, ..c }.into(), 5);
         }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
-        }
     }
 
     /// A failed check seen through a running simulation: the error text,
@@ -701,12 +688,6 @@ mod tests {
             };
             let delay = ctx.rng().gen_range(0..40u64);
             ctx.send_after(from, CoreMsg { kind, ..c }.into(), delay);
-        }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
         }
     }
 

@@ -346,13 +346,6 @@ impl Component<Message> for WorkloadCore {
         out.add(format_args!("{n}.ops_completed"), self.completed);
         out.add(format_args!("{n}.latency_sum"), self.latency_sum);
     }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
 }
 
 #[cfg(test)]
@@ -456,12 +449,6 @@ mod tests {
             "sink_cache"
         }
         fn handle(&mut self, _from: NodeId, _msg: Message, _ctx: &mut Ctx<'_>) {}
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
-        }
     }
 
     #[test]

@@ -45,12 +45,6 @@ impl Component<Message> for Recorder {
             ctx.note_progress();
         }
     }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
 }
 
 /// `n` recording cores, each on a private cache of `host`'s protocol named

@@ -15,7 +15,9 @@
 use xg_fsm::{alphabet, Alphabet, Controller, Machine, Next, Records, Step, Table, TableBuilder};
 use xg_mem::{BlockAddr, DataBlock, IdMap};
 use xg_proto::{Ctx, HammerKind, HammerMsg, Message};
-use xg_sim::{CheckDigest, Component, CoverageGrid, FsmRows, Histogram, NodeId, Report};
+use xg_sim::{
+    CheckDigest, CloneComponent, Component, CoverageGrid, FsmRows, Histogram, NodeId, Report,
+};
 
 alphabet! {
     /// Abstract per-block directory states (paper §2.3 naming).
@@ -578,25 +580,13 @@ impl Component<Message> for HammerDirectory {
         );
         out.record_grid(format_args!("hammer_dir/{n}"), &self.seen);
         out.record_hist(format_args!("{n}.lat.busy"), &self.stats.lat_busy);
-        self.machine.record_into(out);
     }
 
-    fn box_clone(&self) -> Option<Box<dyn Component<Message>>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn restore_from(&mut self, saved: &dyn Component<Message>) -> bool {
-        xg_sim::restore_in_place(self, saved)
+    fn cloneable(&self) -> Option<&dyn CloneComponent<Message>> {
+        Some(self)
     }
 
     fn visit_fired(&self, visit: &mut dyn FnMut(&'static dyn FsmRows, &[u64])) {
         self.machine.visit_fired(visit);
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
     }
 }

@@ -38,12 +38,6 @@ impl Component<Message> for TestCore {
             ctx.note_progress();
         }
     }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
 }
 
 struct System {

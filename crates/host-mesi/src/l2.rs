@@ -35,7 +35,9 @@ use xg_fsm::{
 };
 use xg_mem::{BlockAddr, DataBlock, IdMap, Replacement, SetAssocCache, SortedSet, Spares};
 use xg_proto::{Ctx, MesiKind, MesiMsg, Message};
-use xg_sim::{CheckDigest, Component, CoverageGrid, Cycle, FsmRows, Histogram, NodeId, Report};
+use xg_sim::{
+    CheckDigest, CloneComponent, Component, CoverageGrid, Cycle, FsmRows, Histogram, NodeId, Report,
+};
 
 alphabet! {
     /// Abstract per-block L2 states (stable + transient).
@@ -1164,25 +1166,13 @@ impl Component<Message> for MesiL2 {
             out.add(format_args!("{n}.violation[{why}]"), *count);
         }
         out.record_grid(format_args!("mesi_l2/{n}"), &self.seen);
-        self.machine.record_into(out);
     }
 
-    fn box_clone(&self) -> Option<Box<dyn Component<Message>>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn restore_from(&mut self, saved: &dyn Component<Message>) -> bool {
-        xg_sim::restore_in_place(self, saved)
+    fn cloneable(&self) -> Option<&dyn CloneComponent<Message>> {
+        Some(self)
     }
 
     fn visit_fired(&self, visit: &mut dyn FnMut(&'static dyn FsmRows, &[u64])) {
         self.machine.visit_fired(visit);
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
     }
 }

@@ -24,12 +24,6 @@ impl Component<Message> for TestCore {
             ctx.note_progress();
         }
     }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
 }
 
 struct System {
@@ -443,12 +437,6 @@ impl Component<Message> for ScriptedL1 {
         if let Message::Mesi(m) = msg {
             self.received.push(m.kind);
         }
-    }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
     }
 }
 

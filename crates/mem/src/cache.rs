@@ -18,7 +18,7 @@ struct Line<E> {
 }
 
 // `Clone` by hand so that `clone_from` goes field by field, down to the
-// entry: restoring a checkpoint into a live cache (`Component::restore_from`)
+// entry: restoring a checkpoint into a live cache (`CloneComponent::restore_into`)
 // reuses the sets and whatever the entries own. Each `clone_from` below
 // destructures exhaustively — a new field does not compile until it is
 // copied too. (`xg_sim::clone_in_place!` is this pattern as a macro; this

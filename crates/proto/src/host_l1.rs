@@ -17,7 +17,9 @@
 
 use xg_fsm::{Borrows, Parked, Record, Records};
 use xg_mem::{BlockAddr, DataBlock, Recycle, SetAssocCache, BLOCK_BYTES};
-use xg_sim::{Alphabet, CheckDigest, Component, CoverageGrid, Histogram, NodeId, Report};
+use xg_sim::{
+    Alphabet, CheckDigest, CloneComponent, Component, CoverageGrid, Histogram, NodeId, Report,
+};
 
 use crate::{CoreKind, CoreMsg, Ctx, HomeMap, Message};
 
@@ -541,19 +543,8 @@ impl<P: L1Protocol> Component<Message> for HostL1<P> {
         out.record_hist(format_args!("{n}.mshr_occupancy"), &stats.mshr_occupancy);
     }
 
-    fn box_clone(&self) -> Option<Box<dyn Component<Message>>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn restore_from(&mut self, saved: &dyn Component<Message>) -> bool {
-        xg_sim::restore_in_place(self, saved)
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
+    fn cloneable(&self) -> Option<&dyn CloneComponent<Message>> {
+        Some(self)
     }
 }
 

@@ -42,21 +42,15 @@ impl fmt::Display for NodeId {
 /// component and [`wake`](Component::wake) for every timer the component
 /// armed. All outgoing effects (sends, timers) go through the [`Ctx`].
 ///
-/// The `as_any` methods exist so that a test harness can downcast a
-/// registered component back to its concrete type after a run to inspect
-/// final state; they are mechanical:
-///
-/// ```rust,ignore
-/// fn as_any(&self) -> &dyn std::any::Any { self }
-/// fn as_any_mut(&mut self) -> &mut dyn std::any::Any { self }
-/// ```
+/// A component writes only its protocol: the simulator downcasts through
+/// the [`Any`] supertrait and copies through [`CloneComponent`].
 ///
 /// Components must be [`Send`]: a built [`crate::Simulator`] is moved into
 /// worker threads by the parallel sweep executor (`xg_harness::sweep`), so a
 /// component may not hold thread-bound state like `Rc`. Each simulation is
 /// still single-threaded — no component needs `Sync` or internal locking
 /// beyond what it shares with other components in the *same* simulation.
-pub trait Component<M>: Send {
+pub trait Component<M>: Send + Any {
     /// Short human-readable name used in reports and error messages.
     fn name(&self) -> &str;
 
@@ -84,55 +78,67 @@ pub trait Component<M>: Send {
         let _ = out;
     }
 
-    /// A deep copy of this component — behaviour, statistics and fired
-    /// counters alike — for [`crate::Simulator::checkpoint`]. The default
-    /// `None` marks a component that cannot be checkpointed (a world
-    /// containing one makes `checkpoint` fail by name); components that
-    /// share state with a peer (`Arc<Mutex<_>>`) must keep it, since a copy
-    /// would alias the original.
-    fn box_clone(&self) -> Option<Box<dyn Component<M>>> {
+    /// This component for [`crate::Simulator::checkpoint`]: a `Clone`
+    /// component (written with [`clone_in_place!`](crate::clone_in_place))
+    /// opts in with `Some(self)`. The default `None` makes `checkpoint`
+    /// fail by name; a component sharing state with a peer
+    /// (`Arc<Mutex<_>>`) keeps it, since a copy would alias the original.
+    fn cloneable(&self) -> Option<&dyn CloneComponent<M>> {
         None
     }
 
-    /// Overwrites this component with `saved`, a [`box_clone`] of a
-    /// component of the same concrete type, keeping the allocations it
-    /// already owns — what [`crate::Simulator::restore`] does to every
-    /// component of a scratch world, a hundred times per parent state.
-    /// Implement it as `xg_sim::restore_in_place(self, saved)` over a
-    /// `Clone` written with [`clone_in_place!`](crate::clone_in_place), so
-    /// every field is copied and none is forgotten. `false` — the default,
-    /// and the answer to a `saved` of another type — leaves `self` as it
-    /// was; `restore` then replaces it by a fresh `box_clone`.
-    ///
-    /// [`box_clone`]: Component::box_clone
-    fn restore_from(&mut self, saved: &dyn Component<M>) -> bool {
-        let _ = saved;
-        false
-    }
-
     /// Hands each table-driven machine of this component — its row
-    /// universe and its dense per-cell fired counters — to `visit`, without
-    /// building the string-keyed coverage [`report`](Component::report)
-    /// does. The default visits nothing.
+    /// universe and its dense per-cell fired counters — to `visit`: the
+    /// report's `fsm` section and the checker's coverage both come from
+    /// here. The default visits nothing.
     fn visit_fired(&self, visit: &mut dyn FnMut(&'static dyn FsmRows, &[u64])) {
         let _ = visit;
     }
 
-    /// Upcast for downcasting in harnesses.
-    fn as_any(&self) -> &dyn Any;
-    /// Upcast for mutable downcasting in harnesses.
-    fn as_any_mut(&mut self) -> &mut dyn Any;
+    /// Upcast to [`Any`], which `&dyn Component<M>` does by itself; kept
+    /// so that implementations of it still compile.
+    fn as_any(&self) -> &dyn Any
+    where
+        Self: Sized,
+    {
+        self
+    }
+
+    /// Mutable [`as_any`](Component::as_any).
+    fn as_any_mut(&mut self) -> &mut dyn Any
+    where
+        Self: Sized,
+    {
+        self
+    }
 }
 
-/// [`Component::restore_from`] for a component that is `Clone`:
-/// `dst.clone_from(saved)` if `saved` is a `T`, else `false`.
-pub fn restore_in_place<T: Clone + 'static, M>(dst: &mut T, saved: &dyn Component<M>) -> bool {
-    match saved.as_any().downcast_ref::<T>() {
-        Some(src) => {
-            dst.clone_from(src);
-            true
+/// A checkpointable component ([`Component::cloneable`]); implemented
+/// once, for every `Clone` component.
+pub trait CloneComponent<M> {
+    /// A deep copy: behaviour, statistics and fired counters alike.
+    fn box_clone(&self) -> Box<dyn Component<M>>;
+
+    /// Copies this component into `dst` with `clone_from`, keeping the
+    /// buffers `dst` owns: [`crate::Simulator::restore`], per component.
+    /// Panics, naming `dst`, if it is of another type.
+    fn restore_into(&self, dst: &mut dyn Component<M>);
+}
+
+impl<M: 'static, T: Component<M> + Clone> CloneComponent<M> for T {
+    fn box_clone(&self) -> Box<dyn Component<M>> {
+        Box::new(self.clone())
+    }
+
+    fn restore_into(&self, dst: &mut dyn Component<M>) {
+        match (&mut *dst as &mut dyn Any).downcast_mut::<T>() {
+            Some(dst) => dst.clone_from(self),
+            None => panic!(
+                "checkpoint of another simulator: component {:?} is not a {}",
+                dst.name(),
+                std::any::type_name::<T>()
+            ),
         }
-        None => false,
     }
 }
 

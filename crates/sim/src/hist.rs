@@ -7,7 +7,7 @@
 //! `b ≥ 1` holds `[2^(b-1), 2^b)`. Buckets are stored densely, in a `Vec`
 //! indexed by bucket and grown to the highest bucket ever hit (65 entries at
 //! most): recording is an index increment, and restoring a checkpoint
-//! ([`crate::Component::restore_from`]) is a `Vec::clone_from`, which
+//! ([`crate::CloneComponent::restore_into`]) is a `Vec::clone_from`, which
 //! allocates nothing once the buffer has grown. Two histograms from
 //! different runs or different controllers [`merge`](Histogram::merge)
 //! losslessly — the property the report pipeline relies on when it folds

@@ -36,8 +36,6 @@
 //!         if msg < 3 { ctx.send(from, msg + 1); }
 //!         ctx.note_progress();
 //!     }
-//!     fn as_any(&self) -> &dyn std::any::Any { self }
-//!     fn as_any_mut(&mut self) -> &mut dyn std::any::Any { self }
 //! }
 //!
 //! let mut b = SimBuilder::new(42);
@@ -70,7 +68,7 @@ mod trace;
 pub use alphabet::sort_by_label;
 pub use alphabet::Alphabet;
 pub use check::CheckDigest;
-pub use component::{restore_in_place, Component, NodeId};
+pub use component::{CloneComponent, Component, NodeId};
 pub use hist::Histogram;
 pub use json::{JsonError, JsonValue};
 pub use link::{FaultSpec, Link};

@@ -1,5 +1,6 @@
 //! The simulator proper: builder, event loop, and component context.
 
+use std::any::Any;
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -9,7 +10,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng, Uniform};
 use xg_prof::{ProfileConfig, Profiler, Timeline, PID_ADDRESSES, PID_COMPONENTS};
 
-use crate::component::{Component, NodeId};
+use crate::component::{CloneComponent, Component, NodeId};
 use crate::event::{EventKind, Pending};
 use crate::link::Link;
 use crate::queue::{CalendarQueue, Head, QueueStats};
@@ -594,7 +595,7 @@ impl RngBank {
 /// [`Simulator::checkpoint_into`]), reinstated — any number of times, into
 /// the simulator it came from or any other built from the same
 /// construction sequence — by [`Simulator::restore`]. It holds a deep copy
-/// of every component ([`Component::box_clone`]), simulated time, the RNG
+/// of every component ([`CloneComponent::box_clone`]), simulated time, the RNG
 /// streams, each link's ordered-delivery floor and reorder-burst countdown,
 /// the progress and link-fault counters, and every event still in flight,
 /// in pop order, each delivery with a copy of its payload. Because event
@@ -657,7 +658,7 @@ impl<M> Checkpoint<M> {
 /// Why [`Simulator::checkpoint`] refused.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CheckpointError {
-    /// The named component does not implement [`Component::box_clone`].
+    /// The named component is not [`Component::cloneable`].
     NotCloneable {
         /// The component's name.
         component: String,
@@ -668,7 +669,7 @@ impl std::fmt::Display for CheckpointError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             CheckpointError::NotCloneable { component } => {
-                write!(f, "component {component:?} does not implement box_clone")
+                write!(f, "component {component:?} is not cloneable")
             }
         }
     }
@@ -694,12 +695,12 @@ fn touch_bit(idx: usize) -> u64 {
     }
 }
 
-/// A deep copy of `component`, or the error naming it.
-fn clone_component<M>(
+/// `component` as a [`CloneComponent`], or the error naming it.
+fn cloneable<M: 'static>(
     component: &dyn Component<M>,
-) -> Result<Box<dyn Component<M>>, CheckpointError> {
+) -> Result<&dyn CloneComponent<M>, CheckpointError> {
     component
-        .box_clone()
+        .cloneable()
         .ok_or_else(|| CheckpointError::NotCloneable {
             component: component.name().to_owned(),
         })
@@ -997,14 +998,14 @@ impl<M: Clone + 'static> Simulator<M> {
 
     /// Downcasts a registered component to a concrete type for inspection.
     pub fn get<T: 'static>(&self, id: NodeId) -> Option<&T> {
-        self.components[id.index()].as_any().downcast_ref::<T>()
+        (&*self.components[id.index()] as &dyn Any).downcast_ref::<T>()
     }
 
     /// Downcasts a registered component to a concrete type, mutably (and
     /// marks it touched: the next [`restore`](Self::restore) copies it back).
     pub fn get_mut<T: 'static>(&mut self, id: NodeId) -> Option<&mut T> {
         self.touched |= touch_bit(id.index());
-        self.components[id.index()].as_any_mut().downcast_mut::<T>()
+        (&mut *self.components[id.index()] as &mut dyn Any).downcast_mut::<T>()
     }
 
     /// Link faults injected so far (all zero unless some link carries a
@@ -1021,6 +1022,7 @@ impl<M: Clone + 'static> Simulator<M> {
         for comp in self.components.iter() {
             comp.report(&mut out);
         }
+        self.visit_fired(&mut |rows, fired| out.record_fired(rows, fired));
         if self.faults.total() + self.faults.burst_overtakes > 0 {
             out.add("sim.link_faults.delay_spikes", self.faults.delay_spikes);
             out.add("sim.link_faults.reorder_bursts", self.faults.reorder_bursts);
@@ -1071,12 +1073,12 @@ impl<M: Clone + 'static> Simulator<M> {
     /// Captures this simulator's state as a [`Checkpoint`], events in
     /// flight included — at quiescence or in the middle of a run, say where
     /// [`run_until`](Self::run_until) stopped. Refused, by name, only for a
-    /// component that does not implement [`Component::box_clone`].
+    /// component that is not [`Component::cloneable`].
     pub fn checkpoint(&self) -> Result<Checkpoint<M>, CheckpointError> {
         let components = self
             .components
             .iter()
-            .map(|c| clone_component(&**c))
+            .map(|c| cloneable(&**c).map(CloneComponent::box_clone))
             .collect::<Result<Vec<_>, _>>()?;
         let mut checkpoint = Checkpoint {
             id: next_checkpoint_id(),
@@ -1096,15 +1098,15 @@ impl<M: Clone + 'static> Simulator<M> {
     /// [`checkpoint`](Self::checkpoint), written over `checkpoint` — one
     /// taken earlier from this simulator or one built the same way — the
     /// way [`restore`](Self::restore) writes a checkpoint over the
-    /// simulator: each saved component copies its live peer in place
-    /// ([`Component::restore_from`]), and the kernel state and in-flight
+    /// simulator: each live component is copied into its saved peer in place
+    /// ([`CloneComponent::restore_into`]), and the kernel state and in-flight
     /// list reuse the buffers they have. A reused checkpoint therefore
     /// stays off the allocator. On an error `checkpoint` is left partly
     /// written and must not be restored.
     ///
     /// # Panics
     /// If `checkpoint` came from a simulator with a different component
-    /// list.
+    /// list: another length, or a component of another type.
     pub fn checkpoint_into(&self, checkpoint: &mut Checkpoint<M>) -> Result<(), CheckpointError> {
         assert_eq!(
             checkpoint.components.len(),
@@ -1116,9 +1118,7 @@ impl<M: Clone + 'static> Simulator<M> {
         checkpoint.id = next_checkpoint_id();
         for (saved, live) in checkpoint.components.iter_mut().zip(&self.components) {
             debug_assert_eq!(saved.name(), live.name(), "checkpoint of another simulator");
-            if !saved.restore_from(&**live) {
-                *saved = clone_component(&**live)?;
-            }
+            cloneable(&**live)?.restore_into(&mut **saved);
         }
         self.capture_kernel(checkpoint);
         Ok(())
@@ -1158,10 +1158,9 @@ impl<M: Clone + 'static> Simulator<M> {
     /// the checkpoint's in-flight events are pushed back in the order they
     /// would have popped, each delivery's payload parked again.
     ///
-    /// Nothing is rebuilt that can be overwritten: each component is handed
-    /// its saved peer ([`Component::restore_from`]) and copies it field by
-    /// field into the tables and buffers it already owns — only one that
-    /// declines is replaced by a fresh [`Component::box_clone`] — the RNG
+    /// Nothing is rebuilt that can be overwritten: each saved component is
+    /// copied field by field into the tables and buffers its live peer
+    /// already owns ([`CloneComponent::restore_into`]), the RNG
     /// streams and link floors are copied into place, and the queue and
     /// the payload slab are emptied in place. Restoring the
     /// same simulator over and over, as a model checker does once per
@@ -1186,7 +1185,7 @@ impl<M: Clone + 'static> Simulator<M> {
     ///
     /// # Panics
     /// If `checkpoint` came from a simulator with a different component
-    /// list or topology.
+    /// list (a component of another type is named) or topology.
     pub fn restore(&mut self, checkpoint: &Checkpoint<M>) -> usize {
         assert_eq!(
             checkpoint.components.len(),
@@ -1205,11 +1204,10 @@ impl<M: Clone + 'static> Simulator<M> {
                 continue;
             }
             debug_assert_eq!(slot.name(), saved.name(), "checkpoint of another simulator");
-            if !slot.restore_from(&**saved) {
-                *slot = saved
-                    .box_clone()
-                    .expect("a checkpointed component clones again");
-            }
+            saved
+                .cloneable()
+                .expect("a checkpointed component is cloneable")
+                .restore_into(&mut **slot);
             copied += 1;
         }
         self.touched = 0;
@@ -1327,12 +1325,6 @@ mod tests {
         fn wake(&mut self, token: u64, ctx: &mut Ctx<'_, u64>) {
             self.woken.push((ctx.now().as_u64(), token));
         }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
-        }
     }
 
     /// Sends `count` messages to a peer when first poked.
@@ -1348,12 +1340,6 @@ mod tests {
             for i in 0..self.count {
                 ctx.send(self.peer, i);
             }
-        }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
         }
     }
 
@@ -1436,12 +1422,6 @@ mod tests {
                 let to = self.peer.unwrap_or(from);
                 ctx.send(to, msg);
             }
-            fn as_any(&self) -> &dyn std::any::Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-                self
-            }
         }
         let mut b = SimBuilder::new(3);
         let a = b.add(Box::new(Pong { peer: None }));
@@ -1478,12 +1458,6 @@ mod tests {
             fn report(&self, out: &mut Report) {
                 out.add("stat.value", 11);
             }
-            fn as_any(&self) -> &dyn std::any::Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-                self
-            }
         }
         let mut b = SimBuilder::new(1);
         b.add(Box::new(Stat));
@@ -1507,12 +1481,6 @@ mod tests {
                 if msg == 2 {
                     ctx.flag_post_mortem(0xabc0, "payload 2 observed");
                 }
-            }
-            fn as_any(&self) -> &dyn std::any::Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-                self
             }
         }
 
@@ -1746,12 +1714,6 @@ mod tests {
                 }
                 ctx.note_progress();
             }
-            fn as_any(&self) -> &dyn std::any::Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-                self
-            }
         }
         let mut b = SimBuilder::new(4);
         let s = b.add(Box::new(Spanner { first_at: None }));
@@ -1814,12 +1776,6 @@ mod tests {
                 ctx.send(self.peer, payload);
             }
         }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
-        }
     }
 
     /// One chatter/recorder pair, optionally preceded by an unrelated
@@ -1878,9 +1834,7 @@ mod tests {
         );
     }
 
-    /// A [`Recorder`] that can be checkpointed, and restored in place (the
-    /// `Relay` of the payload-lifetime test below only clones, so `restore`
-    /// replaces it: between them the tests take both paths).
+    /// A [`Recorder`] that can be checkpointed, and restored in place.
     #[derive(Clone)]
     struct Tape(Vec<(u64, u64)>);
     impl Component<u64> for Tape {
@@ -1903,27 +1857,32 @@ mod tests {
         fn report(&self, out: &mut Report) {
             out.add("tape.seen", self.0.len() as u64);
         }
-        fn box_clone(&self) -> Option<Box<dyn Component<u64>>> {
-            Some(Box::new(self.clone()))
+        fn cloneable(&self) -> Option<&dyn CloneComponent<u64>> {
+            Some(self)
         }
-        fn restore_from(&mut self, saved: &dyn Component<u64>) -> bool {
-            crate::restore_in_place(self, saved)
+    }
+
+    /// Named like a [`Tape`], but of another type.
+    #[derive(Clone)]
+    struct NotATape;
+    impl Component<u64> for NotATape {
+        fn name(&self) -> &str {
+            "tape"
         }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
+        fn handle(&mut self, _from: NodeId, _msg: u64, _ctx: &mut Ctx<'_, u64>) {}
+        fn cloneable(&self) -> Option<&dyn CloneComponent<u64>> {
+            Some(self)
         }
     }
 
     #[test]
+    #[should_panic(expected = "checkpoint of another simulator: component \"tape\" is not a")]
     fn restore_from_refuses_a_component_of_another_type() {
-        let mut tape = Tape(vec![(1, 2)]);
-        assert!(!tape.restore_from(&Recorder::new()));
-        assert_eq!(tape.0, [(1, 2)], "left as it was");
-        assert!(tape.restore_from(&Tape(vec![(3, 4), (5, 6)])));
-        assert_eq!(tape.0, [(3, 4), (5, 6)]);
+        let (sim, _) = tape_sim();
+        let cp = sim.checkpoint().expect("tapes clone");
+        let mut b = SimBuilder::new(5);
+        b.add(Box::new(NotATape));
+        b.build().restore(&cp);
     }
 
     fn tape_sim() -> (Simulator<u64>, NodeId) {
@@ -2124,14 +2083,8 @@ mod tests {
         fn handle(&mut self, _from: NodeId, addr: u64, ctx: &mut Ctx<'_, u64>) {
             ctx.flag_post_mortem(addr, "alarm");
         }
-        fn box_clone(&self) -> Option<Box<dyn Component<u64>>> {
-            Some(Box::new(self.clone()))
-        }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
+        fn cloneable(&self) -> Option<&dyn CloneComponent<u64>> {
+            Some(self)
         }
     }
 
@@ -2264,14 +2217,8 @@ mod tests {
                 _ => ctx.send(self.peer, next()),
             }
         }
-        fn box_clone(&self) -> Option<Box<dyn Component<Counted>>> {
-            Some(Box::new(self.clone()))
-        }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
+        fn cloneable(&self) -> Option<&dyn CloneComponent<Counted>> {
+            Some(self)
         }
     }
 
@@ -2365,22 +2312,34 @@ mod tests {
         assert_each_dropped_once(&tally);
     }
 
+    /// A component that does not opt in with `cloneable` — being `Clone`
+    /// is not enough — makes `checkpoint` fail, naming it.
     #[test]
     fn checkpoint_names_the_component_that_cannot_clone() {
-        let mut b = SimBuilder::new(1);
-        b.add(Box::new(Tape(Vec::new())));
-        b.add(Box::new(Recorder::new()));
-        let err = b
-            .build()
-            .checkpoint()
-            .err()
-            .expect("recorder has no box_clone");
-        assert_eq!(
-            err,
-            CheckpointError::NotCloneable {
-                component: "recorder".into()
+        #[derive(Clone)]
+        struct Plain;
+        impl Component<u64> for Plain {
+            fn name(&self) -> &str {
+                "plain"
             }
-        );
-        assert!(err.to_string().contains("recorder"), "{err}");
+            fn handle(&mut self, _from: NodeId, _msg: u64, _ctx: &mut Ctx<'_, u64>) {}
+        }
+        let refused: [(Box<dyn Component<u64>>, &str); 2] = [
+            (Box::new(Recorder::new()), "recorder"),
+            (Box::new(Plain), "plain"),
+        ];
+        for (component, name) in refused {
+            let mut b = SimBuilder::new(1);
+            b.add(Box::new(Tape(Vec::new())));
+            b.add(component);
+            let err = b.build().checkpoint().err().expect("not cloneable");
+            assert_eq!(
+                err,
+                CheckpointError::NotCloneable {
+                    component: name.into()
+                }
+            );
+            assert!(err.to_string().contains(name), "{err}");
+        }
     }
 }

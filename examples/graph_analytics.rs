@@ -93,12 +93,6 @@ impl Component<Message> for Builder {
     fn wake(&mut self, _token: u64, ctx: &mut Ctx<'_>) {
         self.step(ctx);
     }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
 }
 
 /// An accelerator core: waits for the flag, then chases successors from a
@@ -171,12 +165,6 @@ impl Component<Message> for Walker {
             self.polling_flag = true;
             self.issue_load(FLAG, ctx);
         }
-    }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
     }
 }
 

@@ -135,12 +135,6 @@ impl Component<Message> for ScriptCore {
     fn wake(&mut self, _token: u64, ctx: &mut Ctx<'_>) {
         self.issue(ctx);
     }
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
 }
 
 fn main() {
