@@ -61,7 +61,7 @@ pub fn run(scale: Scale, seed: u64, jobs: usize) -> Vec<Row> {
             avg_latency: out.accel_avg_latency,
             issued: out.report.get("accel_l1.prefetches_issued"),
             useful: out.report.get("accel_l1.prefetch_hits"),
-            errors: out.report.get("os.errors_total"),
+            errors: out.report.get("xg.errors_total"),
         }
     })
 }

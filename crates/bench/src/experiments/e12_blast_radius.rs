@@ -125,11 +125,12 @@ pub fn run(scale: Scale, seed: u64, jobs: usize) -> (Vec<Row>, Report) {
         };
         let label = cfg.name();
         let guard = |guard: &str, key: &str| attacked.report.get(&format!("guard.{guard}.{key}"));
+        let errors = |guard: &str| attacked.report.get(&format!("{guard}.errors_total"));
         let row = Row {
             config: label.clone(),
             injected: attacked.injected,
-            attacked_os_errors: guard(ATTACKED_GUARD, "os_errors"),
-            sibling_os_errors: guard(SIBLING_GUARD, "os_errors"),
+            attacked_os_errors: errors(ATTACKED_GUARD),
+            sibling_os_errors: errors(SIBLING_GUARD),
             sibling_data_errors: guard(SIBLING_GUARD, "data_errors"),
             sibling_ops: guard(SIBLING_GUARD, "ops_completed"),
             host_violations: attacked.host_violations,

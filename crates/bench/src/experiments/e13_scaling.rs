@@ -105,7 +105,7 @@ pub fn run(scale: Scale, seed: u64, jobs: usize) -> (Vec<Row>, Report) {
             ops: out.completed,
             cycles: out.cycles,
             violations: out.report.sum_suffix(".protocol_violation"),
-            os_errors: out.report.get("os.errors_total"),
+            os_errors: out.report.sum_suffix(".errors_total"),
             data_errors: out.data_errors,
             deadlocked: out.deadlocked,
         };

@@ -11,7 +11,7 @@ use xg_harness::system::CoreSlot;
 use xg_harness::tester::word_pool;
 use xg_harness::{
     build_system, sweep, AccelOrg, HostProtocol, Pattern, SystemConfig, TesterCfg, TesterCore,
-    TesterShared, WorkloadCore,
+    TesterHub, WorkloadCore,
 };
 
 use crate::table::Table;
@@ -49,14 +49,14 @@ fn flood_once(limit: Option<RateLimit>, cpu_ops: u64, seed: u64, label: &str) ->
         seed,
         ..SystemConfig::default()
     };
-    let shared = TesterShared::new(cfg.cpu_cores, cpu_ops, word_pool(0x40_0000, 8, 2));
+    let hub = TesterHub::new(cfg.cpu_cores, cpu_ops, word_pool(0x40_0000, 8, 2));
     let mut system = build_system(&cfg, OsPolicy::ReportOnly, None, |slot, cache, index| {
         match slot {
             CoreSlot::Cpu(i) => Box::new(TesterCore::new(
                 format!("tester_cpu{i}"),
                 cache,
                 index,
-                shared.clone(),
+                hub.clone(),
                 TesterCfg::default(),
             )),
             CoreSlot::Accel(_) => Box::new(WorkloadCore::new(
@@ -71,7 +71,7 @@ fn flood_once(limit: Option<RateLimit>, cpu_ops: u64, seed: u64, label: &str) ->
     });
     system.start_cores();
     let out = system.sim.run_with_watchdog(80_000_000, 500_000);
-    assert!(shared.done(), "{label}: CPUs starved entirely");
+    assert!(hub.done(), "{label}: CPUs starved entirely");
     let report = system.sim.report();
     let cpu_completed = report.sum_suffix(".ops_completed") - report.get("flooder.ops_completed");
     let latency_sum = report.get("tester_cpu0.latency_sum") + report.get("tester_cpu1.latency_sum");

@@ -133,7 +133,7 @@ fn one(timeout: u64, host: HostProtocol, seed: u64) -> Row {
     Row {
         timeout,
         store_latency: store.latency.unwrap_or(0),
-        timeouts_reported: report.get("os.errors.timeout"),
+        timeouts_reported: report.get("xg.errors.timeout"),
         completed: store.latency.is_some() && !out.stalled,
     }
 }

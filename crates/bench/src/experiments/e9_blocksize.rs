@@ -51,7 +51,7 @@ pub fn run(scale: Scale, seed: u64, jobs: usize) -> Vec<Row> {
             runtime: out.accel_runtime,
             interface_msgs: out.report.get("xg.accel_received") + out.report.get("xg.accel_sent"),
             host_msgs: out.report.get("xg.host_sent") + out.report.get("xg.host_received"),
-            errors: out.report.get("os.errors_total"),
+            errors: out.report.get("xg.errors_total"),
         }
     })
 }

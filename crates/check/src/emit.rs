@@ -92,7 +92,9 @@ pub fn transcript(spec: &WorldSpec, script: &Script) -> String {
 }
 
 /// Emits a self-contained `#[test]` source that replays `script` through
-/// the public checker API and asserts the checked properties hold.
+/// the public checker API and asserts the checked properties hold. The
+/// emitted spec is `spec`: every field that differs from
+/// [`WorldSpec::new`]'s default is set.
 ///
 /// While the defect that produced the counterexample is present, the
 /// generated test fails with the violated property in its panic message;
@@ -118,8 +120,30 @@ pub fn repro_test_source(fn_name: &str, spec: &WorldSpec, script: &Script) -> St
         "\x20   let spec = xg_check::WorldSpec::new(xg_check::Persona::{:?}).with_attack_blocks({});\n",
         spec.persona, spec.attack_blocks
     ));
-    if spec.swallow_invs {
-        src.push_str("\x20   let mut spec = spec;\n\x20   spec.swallow_invs = true;\n");
+    // Every other field that differs from `WorldSpec::new`'s default.
+    let default = WorldSpec::new(spec.persona);
+    let mut fields = Vec::new();
+    if spec.attack_base != default.attack_base {
+        fields.push(format!("attack_base = {}", spec.attack_base));
+    }
+    if spec.seed != default.seed {
+        fields.push(format!("seed = {}", spec.seed));
+    }
+    if spec.node_order != default.node_order {
+        let roles = spec.node_order.map(|r| format!("xg_check::Role::{r:?}"));
+        fields.push(format!("node_order = [{}]", roles.join(", ")));
+    }
+    if spec.swallow_invs != default.swallow_invs {
+        fields.push(format!("swallow_invs = {}", spec.swallow_invs));
+    }
+    if spec.l2_cache != default.l2_cache {
+        fields.push(format!("l2_cache = {:?}", spec.l2_cache));
+    }
+    if !fields.is_empty() {
+        src.push_str("\x20   let mut spec = spec;\n");
+        for field in fields {
+            src.push_str(&format!("\x20   spec.{field};\n"));
+        }
     }
     src.push_str(
         "\x20   let out = xg_check::replay(&spec, &script);\n\
@@ -158,6 +182,29 @@ mod tests {
         let end = src[start + 1..].find('"').unwrap() + start + 1;
         let embedded = src[start + 1..end].replace("\\n", "\n");
         assert_eq!(Script::from_text(&embedded).unwrap(), script);
+    }
+
+    #[test]
+    fn emitted_source_sets_every_field_off_its_default() {
+        let mut spec = WorldSpec::new(Persona::Mesi).with_attack_blocks(2);
+        spec.attack_base = 4;
+        spec.seed = 7;
+        spec.node_order.swap(0, 5);
+        spec.swallow_invs = true;
+        spec.l2_cache = (1, 1);
+        let src = repro_test_source("all_fields", &spec, &Script::empty());
+        for line in [
+            "WorldSpec::new(xg_check::Persona::Mesi).with_attack_blocks(2);",
+            "spec.attack_base = 4;",
+            "spec.seed = 7;",
+            "spec.node_order = [xg_check::Role::Chaos, xg_check::Role::CpuCache, \
+             xg_check::Role::Home, xg_check::Role::Os, xg_check::Role::Guard, \
+             xg_check::Role::Probe];",
+            "spec.swallow_invs = true;",
+            "spec.l2_cache = (1, 1);",
+        ] {
+            assert!(src.contains(line), "{line} missing from\n{src}");
+        }
     }
 
     #[test]

@@ -60,7 +60,8 @@ pub struct Verdict {
     pub host_window_chaos: bool,
     /// Probe value-oracle failures (Guarantee 1).
     pub cpu_data_errors: u64,
-    /// Errors the OS logged (informational — expected under attack).
+    /// Errors the guard reported to the OS (informational — expected
+    /// under attack).
     pub os_errors: u64,
 }
 
@@ -242,10 +243,6 @@ pub(crate) fn judge(
         .sim
         .get::<CrossingGuard>(ids.xg)
         .expect("guard node is a CrossingGuard");
-    let os = world
-        .sim
-        .get::<xg_core::Os>(ids.os)
-        .expect("os node is an Os");
 
     // Every host copy of the window: the CPU cache's, the home's (MESI
     // L2 only), and memory's.
@@ -296,7 +293,7 @@ pub(crate) fn judge(
         guard_window_writable,
         host_window_chaos: window_copies.iter().flatten().any(holds_chaos_fill),
         cpu_data_errors: probe.data_errors(),
-        os_errors: os.total(),
+        os_errors: guard.errors_total(),
     }
 }
 

@@ -92,7 +92,7 @@ pub enum Role {
     CpuCache,
     /// The home node (Hammer directory / MESI shared L2).
     Home,
-    /// The OS error sink.
+    /// The OS (policy engine).
     Os,
     /// The Crossing Guard instance.
     Guard,

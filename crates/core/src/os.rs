@@ -1,12 +1,14 @@
-//! The OS model: error sink and policy engine (paper §2.2).
+//! The OS model: the policy engine of paper §2.2.
 
-use xg_proto::{Ctx, Message, OsMsg, XgError, XgErrorKind};
+use xg_proto::{Ctx, Message, OsMsg};
 use xg_sim::{CheckDigest, CloneComponent, Component, NodeId, Report};
 
 use crate::config::OsPolicy;
 
-/// A minimal OS: receives [`XgError`] reports from Crossing Guard
-/// instances and applies a policy.
+/// A minimal OS: receives [`XgError`](xg_proto::XgError) reports from
+/// Crossing Guard instances and applies a policy. It keeps no error log:
+/// each guard counts the errors it raises (`<guard>.errors_total`,
+/// `<guard>.errors.<kind>`).
 ///
 /// With [`OsPolicy::DisableAccelerator`], the first error from a guard
 /// triggers an [`OsMsg::DisableAccelerator`] back to that guard, after
@@ -17,14 +19,10 @@ use crate::config::OsPolicy;
 pub struct Os {
     name: String,
     policy: OsPolicy,
-    /// Every report, in arrival order. The per-kind and per-guard counts
-    /// below are read off it on demand: they are asked for a few times per
-    /// run, the log is copied at every checkpoint restore.
-    errors: Vec<XgError>,
     disabled: Vec<NodeId>,
 }
 
-xg_sim::clone_in_place!(impl[] for Os { name, policy, errors, disabled });
+xg_sim::clone_in_place!(impl[] for Os { name, policy, disabled });
 
 impl Os {
     /// Creates an OS model with the given policy.
@@ -32,46 +30,8 @@ impl Os {
         Os {
             name: name.into(),
             policy,
-            errors: Vec::new(),
             disabled: Vec::new(),
         }
-    }
-
-    /// All error reports received so far, in arrival order.
-    pub fn errors(&self) -> &[XgError] {
-        &self.errors
-    }
-
-    /// Number of errors of a given kind.
-    pub fn count(&self, kind: XgErrorKind) -> u64 {
-        self.errors.iter().filter(|e| e.kind == kind).count() as u64
-    }
-
-    /// Total errors received.
-    pub fn total(&self) -> u64 {
-        self.errors.len() as u64
-    }
-
-    /// Total errors attributed to one guard instance (the guard a report
-    /// names, so a multi-accelerator OS can blame the *offending* guard,
-    /// not the fleet).
-    pub fn errors_from(&self, guard: NodeId) -> u64 {
-        self.errors.iter().filter(|e| e.guard == guard).count() as u64
-    }
-
-    /// Errors of one kind attributed to one guard instance.
-    pub fn count_from(&self, guard: NodeId, kind: XgErrorKind) -> u64 {
-        let from_guard = self.errors.iter().filter(|e| e.guard == guard);
-        from_guard.filter(|e| e.kind == kind).count() as u64
-    }
-
-    /// Iterates `(kind, count)` over the kinds one guard reported, in
-    /// [`XgErrorKind`] order.
-    pub fn kinds_from(&self, guard: NodeId) -> impl Iterator<Item = (XgErrorKind, u64)> + '_ {
-        XgErrorKind::ALL
-            .into_iter()
-            .map(move |kind| (kind, self.count_from(guard, kind)))
-            .filter(|&(_, n)| n > 0)
     }
 
     /// Guards this OS has disabled.
@@ -91,7 +51,6 @@ impl Component<Message> for Os {
         };
         let addr = err.addr.map_or(u64::MAX, |a| a.as_u64());
         ctx.trace(addr, "os", "Error", || format!("{} from {from}", err.kind));
-        self.errors.push(err);
         if self.policy == OsPolicy::DisableAccelerator && !self.disabled.contains(&from) {
             ctx.flag_post_mortem(addr, format!("OS disabling guard {from}"));
             self.disabled.push(from);
@@ -100,10 +59,8 @@ impl Component<Message> for Os {
     }
 
     fn check_state(&self, out: &mut CheckDigest) {
-        // Only the disabled set feeds back into protocol behavior (a
-        // disabled guard drops accelerator requests); error logs and counts
-        // are write-only history and would fracture the explored state
-        // space if digested.
+        // The disabled set is the OS's only state, and it feeds back into
+        // protocol behavior: a disabled guard drops accelerator requests.
         out.write_str("os");
         let mut disabled: Vec<_> = self.disabled.clone();
         disabled.sort_by_key(|n| out.node_role(*n));
@@ -115,13 +72,6 @@ impl Component<Message> for Os {
 
     fn report(&self, out: &mut Report) {
         let n = &self.name;
-        out.add(format_args!("{n}.errors_total"), self.total());
-        for kind in XgErrorKind::ALL {
-            let count = self.count(kind);
-            if count > 0 {
-                out.add(format_args!("{n}.errors.{kind}"), count);
-            }
-        }
         out.add(
             format_args!("{n}.guards_disabled"),
             self.disabled.len() as u64,
@@ -137,6 +87,7 @@ impl Component<Message> for Os {
 mod tests {
     use super::*;
     use xg_mem::BlockAddr;
+    use xg_proto::{XgError, XgErrorKind};
     use xg_sim::SimBuilder;
 
     /// A stub guard that records whether it was disabled.
@@ -159,22 +110,17 @@ mod tests {
     }
 
     #[test]
-    fn report_only_counts_without_disabling() {
+    fn report_only_never_disables() {
         let mut b = SimBuilder::new(1);
         let guard = b.add(Box::new(StubGuard { disabled: false }));
         let os = b.add(Box::new(Os::new("os", OsPolicy::ReportOnly)));
         let mut sim = b.build();
         sim.post(guard, os, err(guard, XgErrorKind::DuplicateRequest));
-        sim.post(guard, os, err(guard, XgErrorKind::DuplicateRequest));
         sim.post(guard, os, err(guard, XgErrorKind::ResponseTimeout));
         assert!(sim.run_to_quiescence(1_000).quiescent);
-        let osr = sim.get::<Os>(os).unwrap();
-        assert_eq!(osr.total(), 3);
-        assert_eq!(osr.count(XgErrorKind::DuplicateRequest), 2);
-        assert_eq!(osr.count(XgErrorKind::ResponseTimeout), 1);
-        assert_eq!(osr.count(XgErrorKind::Malformed), 0);
-        assert!(osr.disabled_guards().is_empty());
+        assert!(sim.get::<Os>(os).unwrap().disabled_guards().is_empty());
         assert!(!sim.get::<StubGuard>(guard).unwrap().disabled);
+        assert_eq!(sim.report().get("os.guards_disabled"), 0);
     }
 
     #[test]
@@ -182,28 +128,17 @@ mod tests {
         let mut b = SimBuilder::new(1);
         let guard_a = b.add(Box::new(StubGuard { disabled: false }));
         let guard_b = b.add(Box::new(StubGuard { disabled: false }));
-        let os = b.add(Box::new(Os::new("os", OsPolicy::ReportOnly)));
+        let os = b.add(Box::new(Os::new("os", OsPolicy::DisableAccelerator)));
         let mut sim = b.build();
-        sim.post(guard_a, os, err(guard_a, XgErrorKind::PermissionRead));
         sim.post(guard_a, os, err(guard_a, XgErrorKind::PermissionRead));
         sim.post(guard_a, os, err(guard_a, XgErrorKind::ResponseTimeout));
         assert!(sim.run_to_quiescence(1_000).quiescent);
-        let osr = sim.get::<Os>(os).unwrap();
-        assert_eq!(osr.total(), 3);
-        assert_eq!(osr.errors_from(guard_a), 3);
-        assert_eq!(osr.errors_from(guard_b), 0, "sibling stays clean");
-        assert_eq!(osr.count_from(guard_a, XgErrorKind::PermissionRead), 2);
-        assert_eq!(osr.count_from(guard_a, XgErrorKind::ResponseTimeout), 1);
-        assert_eq!(osr.count_from(guard_b, XgErrorKind::PermissionRead), 0);
-        let kinds: Vec<_> = osr.kinds_from(guard_a).collect();
-        assert_eq!(
-            kinds,
-            vec![
-                (XgErrorKind::PermissionRead, 2),
-                (XgErrorKind::ResponseTimeout, 1)
-            ]
+        assert!(sim.get::<StubGuard>(guard_a).unwrap().disabled);
+        assert!(
+            !sim.get::<StubGuard>(guard_b).unwrap().disabled,
+            "sibling stays enabled"
         );
-        assert_eq!(osr.kinds_from(guard_b).count(), 0);
+        assert_eq!(sim.get::<Os>(os).unwrap().disabled_guards(), &[guard_a]);
     }
 
     #[test]
@@ -217,8 +152,6 @@ mod tests {
         assert!(sim.run_to_quiescence(1_000).quiescent);
         assert!(sim.get::<StubGuard>(guard).unwrap().disabled);
         assert_eq!(sim.get::<Os>(os).unwrap().disabled_guards(), &[guard]);
-        let report = sim.report();
-        assert_eq!(report.get("os.guards_disabled"), 1);
-        assert_eq!(report.get("os.errors_total"), 2);
+        assert_eq!(sim.report().get("os.guards_disabled"), 1);
     }
 }

@@ -99,7 +99,6 @@ struct Rig {
     sim: xg_proto::Sim,
     cores: Vec<NodeId>,
     host_caches: Vec<NodeId>,
-    os: NodeId,
     xg: NodeId,
     accel_frontends: Vec<NodeId>,
     accel_cores: Vec<NodeId>,
@@ -245,7 +244,6 @@ fn build_with(
         sim: b.build(),
         cores,
         host_caches,
-        os,
         xg,
         accel_frontends,
         accel_cores,
@@ -344,8 +342,11 @@ impl Rig {
         assert!(self.sim.run_to_quiescence(500_000).quiescent);
     }
 
-    fn os_count(&self, kind: XgErrorKind) -> u64 {
-        self.sim.get::<Os>(self.os).unwrap().count(kind)
+    fn error_count(&self, kind: XgErrorKind) -> u64 {
+        self.sim
+            .get::<CrossingGuard>(self.xg)
+            .unwrap()
+            .error_count(kind)
     }
 
     fn assert_host_clean(&self) {
@@ -363,12 +364,11 @@ impl Rig {
     }
 
     fn assert_no_errors(&self) {
-        assert_eq!(
-            self.sim.get::<Os>(self.os).unwrap().total(),
-            0,
-            "unexpected OS error reports: {:?}",
-            self.sim.get::<Os>(self.os).unwrap().errors()
-        );
+        let raised: Vec<_> = XgErrorKind::ALL
+            .into_iter()
+            .filter(|&kind| self.error_count(kind) > 0)
+            .collect();
+        assert!(raised.is_empty(), "unexpected guard errors: {raised:?}");
     }
 }
 
@@ -572,7 +572,7 @@ fn guarantee_1b_duplicate_request() {
         XgiMsg::new(Addr::new(0x100).block(), XgiKind::GetS).into(),
     );
     rig.raw_send(0x100, XgiKind::GetS);
-    assert_eq!(rig.os_count(XgErrorKind::DuplicateRequest), 1);
+    assert_eq!(rig.error_count(XgErrorKind::DuplicateRequest), 1);
     rig.assert_host_clean();
 }
 
@@ -593,7 +593,7 @@ fn guarantee_2b_unsolicited_response() {
             data: XgData::zeroed(1),
         },
     );
-    assert_eq!(rig.os_count(XgErrorKind::UnsolicitedResponse), 2);
+    assert_eq!(rig.error_count(XgErrorKind::UnsolicitedResponse), 2);
     rig.assert_host_clean();
 }
 
@@ -615,7 +615,7 @@ fn guarantee_0a_no_permission() {
     );
     rig.raw_send(0x100000, XgiKind::GetS);
     rig.raw_send(0x100040, XgiKind::GetM);
-    assert_eq!(rig.os_count(XgErrorKind::PermissionRead), 2);
+    assert_eq!(rig.error_count(XgErrorKind::PermissionRead), 2);
     // No request crossed into the host.
     assert_eq!(rig.sim.report().get("xg.host_sent"), 0);
     rig.assert_host_clean();
@@ -639,7 +639,7 @@ fn guarantee_0b_read_only_pages() {
     );
     // Writes are rejected...
     rig.raw_send(0x100000, XgiKind::GetM);
-    assert_eq!(rig.os_count(XgErrorKind::PermissionWrite), 1);
+    assert_eq!(rig.error_count(XgErrorKind::PermissionWrite), 1);
     // ...but reads succeed and are granted at most S.
     rig.raw_send(0x100040, XgiKind::GetS);
     let raw = rig.sim.get::<RawAccel>(rig.accel_frontends[0]).unwrap();
@@ -674,7 +674,7 @@ fn guarantee_1a_put_without_holding() {
         },
     );
     rig.raw_send(0x240, XgiKind::PutS);
-    assert_eq!(rig.os_count(XgErrorKind::InconsistentRequest), 2);
+    assert_eq!(rig.error_count(XgErrorKind::InconsistentRequest), 2);
     assert_eq!(rig.sim.report().get("xg.host_sent"), 0);
     rig.assert_host_clean();
 }
@@ -695,7 +695,7 @@ fn guarantee_2a_wrong_response_type_corrected() {
     );
     rig.raw_send(0x300, XgiKind::GetM); // accel now owns 0x300
     rig.cpu_store(0, 0x300, 77); // host demands it back; accel misbehaves
-    assert_eq!(rig.os_count(XgErrorKind::InconsistentResponse), 1);
+    assert_eq!(rig.error_count(XgErrorKind::InconsistentResponse), 1);
     // The host converged despite the lie.
     assert_eq!(rig.cpu_load(0, 0x300), 77);
     rig.assert_host_clean();
@@ -722,7 +722,7 @@ fn guarantee_2c_timeout_recovery() {
         rig.raw_send(0x400, XgiKind::GetM); // accel owns, then goes silent
         rig.cpu_store(0, 0x400, 9); // must not hang the host
         assert_eq!(
-            rig.os_count(XgErrorKind::ResponseTimeout),
+            rig.error_count(XgErrorKind::ResponseTimeout),
             1,
             "host={:?}",
             matches!(host, HostKind::Hammer)
@@ -791,7 +791,7 @@ fn answered_inv_leaves_a_stale_timer_that_never_fires() {
     assert!(rig.sim.run_to_quiescence(500_000).quiescent);
 
     // One timeout, and it ran the second Inv's full course.
-    assert_eq!(rig.os_count(XgErrorKind::ResponseTimeout), 1);
+    assert_eq!(rig.error_count(XgErrorKind::ResponseTimeout), 1);
     let report = rig.sim.report();
     assert_eq!(report.get("xg.timeouts"), 1);
     let inv_resp = report.hist("xg.lat.inv_resp").unwrap();
@@ -875,7 +875,7 @@ fn buggy_writeback_on_shared_block() {
         rig.cpu_store(0, 0x500, 5); // CPU owns first
         rig.raw_send(0x500, XgiKind::GetS); // accel becomes a reader
         rig.cpu_store(0, 0x500, 6); // invalidation round; accel lies
-        assert!(rig.os_count(XgErrorKind::InconsistentResponse) >= 1);
+        assert!(rig.error_count(XgErrorKind::InconsistentResponse) >= 1);
         assert_eq!(rig.cpu_load(0, 0x500), 6);
         rig.assert_host_clean();
     }
@@ -1175,8 +1175,8 @@ fn race_put_on_a_read_only_page_never_reaches_the_host() {
             assert!(rig.sim.run_to_quiescence(500_000).quiescent);
 
             assert_eq!(race_puts(&rig.sim.report()), 1, "{name}");
-            assert_eq!(rig.os_count(XgErrorKind::PermissionWrite), 1, "{name}");
-            assert_eq!(rig.os_count(XgErrorKind::ResponseTimeout), 0, "{name}");
+            assert_eq!(rig.error_count(XgErrorKind::PermissionWrite), 1, "{name}");
+            assert_eq!(rig.error_count(XgErrorKind::ResponseTimeout), 0, "{name}");
             assert_eq!(rig.cpu_load(0, addr), 8, "{name}");
             assert_eq!(rig.cpu_load(0, addr + 8), 77, "{name}: host data lost");
             rig.assert_host_clean();
@@ -1345,11 +1345,18 @@ fn wrong_protocol_host_message_is_malformed_and_inert() {
         rig.sim.post(home, rig.xg, stray);
         assert!(rig.sim.run_to_quiescence(500_000).quiescent);
 
-        let os = rig.sim.get::<Os>(rig.os).unwrap();
-        assert_eq!(os.total(), 1, "exactly one report");
-        let err = &os.errors()[0];
-        assert_eq!((err.kind, err.addr), (XgErrorKind::Malformed, Some(block)));
         let guard = rig.sim.get::<CrossingGuard>(rig.xg).unwrap();
+        assert_eq!(guard.errors_total(), 1, "exactly one report");
+        assert_eq!(guard.error_count(XgErrorKind::Malformed), 1);
+        let flags = rig.sim.tracer().flags();
+        assert_eq!(
+            flags
+                .iter()
+                .map(|f| (f.addr, &*f.reason))
+                .collect::<Vec<_>>(),
+            [(block.as_u64(), XgErrorKind::Malformed.flag_reason())],
+            "the first error flags its block"
+        );
         assert_eq!(guard.storage_bytes(), 0, "no transaction opened");
         assert_eq!(guard.storage_bytes_hwm(), 0);
         let after = rig.sim.report();

@@ -56,7 +56,7 @@ fn check(host: HostProtocol, variant: XgVariant) {
     );
     assert!(!out.deadlocked, "{host:?}/{variant:?}: recall wedged");
     assert!(
-        out.report.get("os.errors.perm_write") > 0,
+        out.report.get("xg.errors.perm_write") > 0,
         "{host:?}/{variant:?}: 0b must dominate the malformed writeback"
     );
 }

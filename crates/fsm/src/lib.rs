@@ -91,5 +91,5 @@ pub use records::{Borrows, Next, Record, Records};
 pub use table::{NextState, RowKind, RowOutcome, Table, TableBuilder, TableError};
 
 // The vocabulary idiom lives in `xg-sim` so that controllers without a
-// table (the accelerator L2, the host L1s) can key their coverage the same way.
+// table (the host L1s) can key their coverage the same way.
 pub use xg_sim::{alphabet, Alphabet};

@@ -28,7 +28,7 @@
 //!   producer-consumer sharing.
 //! * [`runner`] — one-call experiment drivers returning structured
 //!   outcomes (cycles, errors, coverage, violations).
-//! * [`sweep`] — a work-stealing executor fanning independent
+//! * [`sweep`](mod@sweep) — a work-stealing executor fanning independent
 //!   `(SystemConfig, seed)` shards across cores, with results returned in
 //!   submission order so parallel sweeps are byte-identical to serial ones.
 
@@ -58,5 +58,5 @@ pub use sweep::{available_jobs, resolve_jobs, sweep};
 pub use system::{
     accel_core_count, accel_cores_of, build_system, BuiltSystem, ExecSim, GuardInstance,
 };
-pub use tester::{SharedTester, TesterCfg, TesterCore, TesterShared};
+pub use tester::{TesterCfg, TesterCore, TesterHub};
 pub use workloads::{Pattern, WorkloadCore};

@@ -4,13 +4,15 @@
 //! generators, runs it under a progress watchdog (so protocol deadlock is
 //! *detected*, never hung on), and returns a structured outcome.
 
-use xg_core::{Os, OsPolicy};
+use std::sync::Arc;
+
+use xg_core::OsPolicy;
 use xg_sim::{ProfileConfig, Report, RunOutcome, TraceConfig};
 
 use crate::config::{AccelOrg, SystemConfig};
 use crate::fuzz::FuzzOpts;
 use crate::system::{accel_cores_of, build_system, BuiltSystem, CoreSlot};
-use crate::tester::{word_pool, SharedTester, TesterCfg, TesterCore, TesterShared};
+use crate::tester::{word_pool, TesterCfg, TesterCore, TesterHub};
 use crate::workloads::{Pattern, WorkloadCore};
 
 /// Instrumentation attached to a run: post-mortem ring tracing, kernel
@@ -147,41 +149,28 @@ pub fn run_stress(cfg: &SystemConfig, opts: &StressOpts) -> StressOutcome {
     out
 }
 
-/// Writes the per-guard counters of a finished run, as scalars named
-/// `guard.<label>.<counter>`: OS error attribution per guard instance
-/// (total, per kind, and whether the OS disabled it) plus per-hierarchy
-/// tester results (value-check failures, completed operations, operations
-/// left hanging).
-fn fill_guard_counters(report: &mut Report, system: &BuiltSystem, shared: &SharedTester) {
-    let os = system.sim.get::<Os>(system.os);
-    for inst in &system.accels {
+/// Writes the per-hierarchy tester results of a finished run, as scalars
+/// named `guard.<label>.<counter>`: value-check failures, completed
+/// operations and operations left hanging. Each guard counts its own
+/// errors (`<label>.errors_total`, `<label>.errors.<kind>`).
+fn fill_guard_counters(report: &mut Report, system: &BuiltSystem, shared: &TesterHub) {
+    for inst in system.accels.iter().filter(|inst| !inst.cores.is_empty()) {
         let label = inst.label.as_str();
-        if let Some(xg) = inst.xg {
-            let Some(os) = os else { continue };
-            report.add(format_args!("guard.{label}.os_errors"), os.errors_from(xg));
-            for (kind, count) in os.kinds_from(xg) {
-                report.add(format_args!("guard.{label}.os.{kind}"), count);
+        let data_errors: u64 = inst
+            .core_indices
+            .iter()
+            .map(|&i| shared.data_errors_of(i))
+            .sum();
+        report.add(format_args!("guard.{label}.data_errors"), data_errors);
+        let (mut completed, mut outstanding) = (0u64, 0u64);
+        for &core in &inst.cores {
+            if let Some(t) = system.sim.get::<TesterCore>(core) {
+                completed += t.completed();
+                outstanding += t.outstanding() as u64;
             }
-            let disabled = os.disabled_guards().contains(&xg);
-            report.add(format_args!("guard.{label}.disabled"), u64::from(disabled));
         }
-        if !inst.cores.is_empty() {
-            let data_errors: u64 = inst
-                .core_indices
-                .iter()
-                .map(|&i| shared.data_errors_of(i))
-                .sum();
-            report.add(format_args!("guard.{label}.data_errors"), data_errors);
-            let (mut completed, mut outstanding) = (0u64, 0u64);
-            for &core in &inst.cores {
-                if let Some(t) = system.sim.get::<TesterCore>(core) {
-                    completed += t.completed();
-                    outstanding += t.outstanding() as u64;
-                }
-            }
-            report.add(format_args!("guard.{label}.ops_completed"), completed);
-            report.add(format_args!("guard.{label}.outstanding"), outstanding);
-        }
+        report.add(format_args!("guard.{label}.ops_completed"), completed);
+        report.add(format_args!("guard.{label}.outstanding"), outstanding);
     }
 }
 
@@ -201,9 +190,9 @@ const FUZZ_CPU_POOL: u64 = 0x100_0000;
 
 /// The tester hub of `cfg` running `load` over the word pool at
 /// `pool_base`: one core per CPU and per accelerator tester slot.
-fn tester_hub(cfg: &SystemConfig, load: &StressOpts, pool_base: u64) -> SharedTester {
+fn tester_hub(cfg: &SystemConfig, load: &StressOpts, pool_base: u64) -> Arc<TesterHub> {
     let pool = word_pool(pool_base, load.blocks, load.words_per_block);
-    TesterShared::new(cfg.cpu_cores + accel_cores_of(cfg), load.ops, pool)
+    TesterHub::new(cfg.cpu_cores + accel_cores_of(cfg), load.ops, pool)
 }
 
 /// The CPU testers' load in a fuzz run.
@@ -219,7 +208,7 @@ fn fuzz_load(fuzz: &FuzzOpts, cpu_ops: u64) -> StressOpts {
 /// A tester-driven run taken to its stop, before the caller's verdict.
 struct Driven {
     end: RunOutcome,
-    shared: SharedTester,
+    shared: Arc<TesterHub>,
     report: Report,
     post_mortem: Option<String>,
     timeline: Option<String>,
@@ -317,7 +306,8 @@ pub struct FuzzOutcome {
     /// Host-side protocol violations (impossible events at host
     /// controllers). Zero when a Crossing Guard protects the host.
     pub host_violations: u64,
-    /// Errors the guard reported to the OS, total.
+    /// Errors the guards reported to the OS, summed over the run's guards
+    /// (each guard's `<label>.errors_total`).
     pub os_errors: u64,
     /// True if the host's work did not finish (CPU testers starved) or
     /// ops were left permanently outstanding.
@@ -490,7 +480,7 @@ pub fn run_fuzz_with(
         cycles: run.end.now.as_u64(),
         injected: report.sum_suffix("fuzz_accel.sent") + report.sum_suffix("fuzz_host.sent"),
         host_violations: report.sum_suffix(".protocol_violation"),
-        os_errors: report.get("os.errors_total"),
+        os_errors: report.sum_suffix(".errors_total"),
         deadlocked,
         cut_live: !run.end.quiescent && !deadlocked,
         capped: !run.end.quiescent && !run.end.stalled,

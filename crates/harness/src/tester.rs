@@ -13,8 +13,8 @@
 //!
 //! Combined with the shrunken caches and randomized message latencies of
 //! the stress configuration, this is the same methodology the paper used
-//! for 22 compute-years (scaled down to CI budgets; crank
-//! [`TesterHub::target_ops`] to scale up).
+//! for 22 compute-years (scaled down to CI budgets; crank the hub's
+//! operation target, [`TesterHub::new`], to scale up).
 //!
 //! Cores are event-driven: each holds at most one pending issue timer,
 //! armed `think` cycles out only while it has a free issue slot and the run
@@ -31,16 +31,13 @@ use xg_mem::Addr;
 use xg_proto::{CoreKind, CoreMsg, Ctx, Message};
 use xg_sim::{Component, NodeId, Report};
 
-/// Handle to the state shared by every tester core in one run.
-pub type SharedTester = Arc<TesterHub>;
-
 /// The state shared by every tester core in one run: the word pool, what
 /// the run knows of each word's writes, the completion count, and the
 /// failure log.
 ///
 /// Shared cells are atomics, not `RefCell`s, so tester cores — and the
 /// systems containing them — are [`Send`] and whole simulations can be
-/// fanned across worker threads by [`crate::sweep`]. One simulation runs on
+/// fanned across worker threads by [`crate::sweep()`]. One simulation runs on
 /// one thread, and each cell is a standalone value that publishes no other
 /// data, so every access is a `Relaxed` load or store (an increment is a
 /// load then a store, not a locked read-modify-write).
@@ -59,7 +56,7 @@ pub struct TesterHub {
     /// Set by the completion that reaches `target_ops` (exact, since
     /// `target_ops` is fixed at construction).
     done: AtomicBool,
-    failures: Mutex<TesterShared>,
+    failures: Mutex<FailureLog>,
 }
 
 /// What the run knows of one word's writes.
@@ -76,28 +73,46 @@ struct WordLog {
 /// `WordLog::stored_at` before any store to the word completed.
 const NO_STORE: u64 = u64::MAX;
 
-/// The failure log of one run: value-check failures per observing core,
-/// their descriptions and the words they hit. Built by
-/// [`TesterShared::new`], read through [`TesterHub`].
+/// The failure log of one run: value-check failures per observing core
+/// and their descriptions, read through [`TesterHub`].
 #[derive(Debug, Default)]
-pub struct TesterShared {
+struct FailureLog {
     /// Value-check failures per observing core index, for multi-accelerator
     /// blast-radius attribution (which hierarchy saw corrupted data).
     errors_by_core: Vec<u64>,
     error_log: Vec<String>,
-    /// Word addresses whose value checks failed, in detection order.
-    corrupted: Vec<u64>,
 }
 
-impl TesterShared {
-    /// Creates shared state for `total_cores` testers drawing word
-    /// addresses from `pool` and aiming for `target_ops` completed
-    /// operations.
+impl FailureLog {
+    fn record_error(&mut self, core: usize, msg: String) {
+        if core >= self.errors_by_core.len() {
+            self.errors_by_core.resize(core + 1, 0);
+        }
+        self.errors_by_core[core] += 1;
+        if self.error_log.len() < 16 {
+            self.error_log.push(msg);
+        }
+    }
+}
+
+impl WordLog {
+    fn new(writer: usize) -> WordLog {
+        WordLog {
+            writer,
+            issued: AtomicU64::new(0),
+            stored_at: AtomicU64::new(NO_STORE),
+        }
+    }
+}
+
+impl TesterHub {
+    /// Creates the hub of `total_cores` testers drawing word addresses
+    /// from `pool` and aiming for `target_ops` completed operations, to
+    /// be handed to each [`TesterCore`].
     ///
     /// # Panics
     /// Panics if the pool is empty or names a word twice.
-    #[allow(clippy::new_ret_no_self)] // returns the hub, by design
-    pub fn new(total_cores: usize, target_ops: u64, pool: Vec<u64>) -> SharedTester {
+    pub fn new(total_cores: usize, target_ops: u64, pool: Vec<u64>) -> Arc<TesterHub> {
         assert!(!pool.is_empty(), "tester needs a nonempty address pool");
         let mut distinct = pool.clone();
         distinct.sort_unstable();
@@ -124,36 +139,6 @@ impl TesterShared {
             done: AtomicBool::new(target_ops == 0),
             failures: Mutex::default(),
         })
-    }
-
-    fn record_error(&mut self, core: usize, word_addr: u64, msg: String) {
-        if core >= self.errors_by_core.len() {
-            self.errors_by_core.resize(core + 1, 0);
-        }
-        self.errors_by_core[core] += 1;
-        if self.error_log.len() < 16 {
-            self.error_log.push(msg);
-        }
-        if self.corrupted.len() < 16 {
-            self.corrupted.push(word_addr);
-        }
-    }
-}
-
-impl WordLog {
-    fn new(writer: usize) -> WordLog {
-        WordLog {
-            writer,
-            issued: AtomicU64::new(0),
-            stored_at: AtomicU64::new(NO_STORE),
-        }
-    }
-}
-
-impl TesterHub {
-    /// Stop issuing once this many operations completed system-wide.
-    pub fn target_ops(&self) -> u64 {
-        self.target_ops
     }
 
     /// The unique writer core of pool slot `slot`:
@@ -197,12 +182,7 @@ impl TesterHub {
         self.failures().error_log.clone()
     }
 
-    /// Word addresses whose value checks failed, in detection order.
-    pub fn corrupted_addrs(&self) -> Vec<u64> {
-        self.failures().corrupted.clone()
-    }
-
-    fn failures(&self) -> std::sync::MutexGuard<'_, TesterShared> {
+    fn failures(&self) -> std::sync::MutexGuard<'_, FailureLog> {
         self.failures
             .lock()
             .expect("a tester core panicked while logging a failure")
@@ -259,7 +239,6 @@ impl TesterHub {
             let writer = self.last_store(slot);
             failures.record_error(
                 core,
-                word_addr,
                 format!(
                     "core {core} read {value} at {word_addr:#x} but only {issued} were written; {writer}"
                 ),
@@ -269,7 +248,6 @@ impl TesterHub {
             let writer = self.last_store(slot);
             failures.record_error(
                 core,
-                word_addr,
                 format!(
                     "core {core} read {value} at {word_addr:#x} after having read {prev} (went backwards); {writer}"
                 ),
@@ -314,7 +292,7 @@ pub struct TesterCore {
     name: String,
     cache: NodeId,
     core_index: usize,
-    shared: SharedTester,
+    hub: Arc<TesterHub>,
     cfg: TesterCfg,
     /// This core's view of each pool slot. No other core reads it.
     slots: Box<[SlotView]>,
@@ -358,13 +336,13 @@ impl TesterCore {
         name: impl Into<String>,
         cache: NodeId,
         core_index: usize,
-        shared: SharedTester,
+        hub: Arc<TesterHub>,
         cfg: TesterCfg,
     ) -> Self {
-        let slots = (0..shared.pool.len())
+        let slots = (0..hub.pool.len())
             .map(|slot| SlotView {
                 last_seen: 0,
-                writer: shared.writer_of(slot) == core_index,
+                writer: hub.writer_of(slot) == core_index,
             })
             .collect();
         TesterCore {
@@ -372,9 +350,9 @@ impl TesterCore {
             cache,
             core_index,
             think: Uniform::from(THINK.0..=THINK.1),
-            pick: Uniform::from(0..shared.pool.len()),
+            pick: Uniform::from(0..hub.pool.len()),
             roll: Uniform::from(0..100),
-            shared,
+            hub,
             cfg,
             slots,
             in_flight: Vec::new(),
@@ -402,7 +380,7 @@ impl TesterCore {
     pub fn outstanding_ops(&self) -> Vec<(u64, bool)> {
         self.in_flight
             .iter()
-            .map(|op| (self.shared.pool[op.slot], op.store))
+            .map(|op| (self.hub.pool[op.slot], op.store))
             .collect()
     }
 
@@ -410,7 +388,7 @@ impl TesterCore {
     /// pending, a slot is free and the run is not done. The only place a
     /// tester schedules a wake: a full or finished core holds no timer.
     fn arm_if_free(&mut self, ctx: &mut Ctx<'_>) {
-        if self.armed || self.in_flight.len() >= self.cfg.max_in_flight || self.shared.done() {
+        if self.armed || self.in_flight.len() >= self.cfg.max_in_flight || self.hub.done() {
             return;
         }
         let delay = self.think.sample(ctx.rng());
@@ -425,7 +403,7 @@ impl TesterCore {
         self.next_id += 1;
         let kind = if store {
             CoreKind::Store {
-                value: self.shared.issue_store(slot),
+                value: self.hub.issue_store(slot),
             }
         } else {
             CoreKind::Load
@@ -441,7 +419,7 @@ impl TesterCore {
             self.cache,
             CoreMsg {
                 id,
-                addr: Addr::new(self.shared.pool[slot]),
+                addr: Addr::new(self.hub.pool[slot]),
                 kind,
             }
             .into(),
@@ -453,7 +431,7 @@ impl TesterCore {
     #[cold]
     #[inline(never)]
     fn flag_failed_load(&self, slot: usize, value: u64, ctx: &mut Ctx<'_>) {
-        let word_addr = self.shared.pool[slot];
+        let word_addr = self.hub.pool[slot];
         let block = Addr::new(word_addr).block().as_u64();
         ctx.flag_post_mortem(
             block,
@@ -462,7 +440,7 @@ impl TesterCore {
                 self.name
             ),
         );
-        let writer = self.shared.last_store(slot);
+        let writer = self.hub.last_store(slot);
         ctx.flag_post_mortem(block, format!("word {word_addr:#x}: {writer}"));
     }
 }
@@ -484,7 +462,7 @@ impl Component<Message> for TesterCore {
                 debug_assert!(!op.store);
                 let last_seen = &mut self.slots[op.slot].last_seen;
                 if self
-                    .shared
+                    .hub
                     .check_load(self.core_index, op.slot, last_seen, value)
                 {
                     self.flag_failed_load(op.slot, value, ctx);
@@ -492,11 +470,11 @@ impl Component<Message> for TesterCore {
             }
             CoreKind::StoreResp => {
                 debug_assert!(op.store);
-                self.shared.store_completed(op.slot, ctx.now().as_u64());
+                self.hub.store_completed(op.slot, ctx.now().as_u64());
             }
             _ => return,
         }
-        self.shared.complete_one();
+        self.hub.complete_one();
         self.completed_ops += 1;
         ctx.note_progress();
         self.arm_if_free(ctx);
@@ -504,7 +482,7 @@ impl Component<Message> for TesterCore {
 
     fn wake(&mut self, _token: u64, ctx: &mut Ctx<'_>) {
         self.armed = false;
-        if self.shared.done() {
+        if self.hub.done() {
             return;
         }
         if self.in_flight.len() < self.cfg.max_in_flight {
@@ -550,9 +528,9 @@ mod tests {
     #[test]
     fn writers_follow_block_and_word_from_the_pool_start() {
         let writers = |cores, pool| {
-            let shared = TesterShared::new(cores, 100, pool);
-            (0..shared.pool.len())
-                .map(|slot| shared.writer_of(slot))
+            let hub = TesterHub::new(cores, 100, pool);
+            (0..hub.pool.len())
+                .map(|slot| hub.writer_of(slot))
                 .collect::<Vec<_>>()
         };
         let pool = || word_pool(0x4008, 4, 2);
@@ -565,27 +543,26 @@ mod tests {
 
     #[test]
     fn check_load_flags_future_and_backwards_values() {
-        let shared = TesterShared::new(2, 100, vec![0x40, 0x100]);
+        let hub = TesterHub::new(2, 100, vec![0x40, 0x100]);
         for _ in 0..5 {
-            shared.issue_store(1);
+            hub.issue_store(1);
         }
         let mut seen = 0;
-        assert!(!shared.check_load(0, 1, &mut seen, 3));
-        assert_eq!(shared.data_errors(), 0);
-        assert!(shared.check_load(0, 1, &mut seen, 6)); // beyond issued
-        assert_eq!(shared.data_errors(), 1);
-        shared.store_completed(1, 77);
-        assert!(shared.check_load(0, 1, &mut seen, 2)); // went backwards (saw 6 before)
+        assert!(!hub.check_load(0, 1, &mut seen, 3));
+        assert_eq!(hub.data_errors(), 0);
+        assert!(hub.check_load(0, 1, &mut seen, 6)); // beyond issued
+        assert_eq!(hub.data_errors(), 1);
+        hub.store_completed(1, 77);
+        assert!(hub.check_load(0, 1, &mut seen, 2)); // went backwards (saw 6 before)
         assert_eq!(seen, 6);
-        assert_eq!(shared.data_errors(), 2);
-        assert_eq!(shared.data_errors_of(0), 2, "both failures blame core 0");
-        assert_eq!(shared.data_errors_of(1), 0, "core 1 saw nothing");
-        assert_eq!(shared.data_errors_of(7), 0, "no such core");
-        assert_eq!(shared.corrupted_addrs(), vec![0x100, 0x100]);
+        assert_eq!(hub.data_errors(), 2);
+        assert_eq!(hub.data_errors_of(0), 2, "both failures blame core 0");
+        assert_eq!(hub.data_errors_of(1), 0, "core 1 saw nothing");
+        assert_eq!(hub.data_errors_of(7), 0, "no such core");
         // Each message names the reader first, then the word's writer.
-        let writer = shared.writer_of(1);
+        let writer = hub.writer_of(1);
         assert_eq!(
-            shared.error_log(),
+            hub.error_log(),
             vec![
                 format!(
                     "core 0 read 6 at 0x100 but only 5 were written; \
@@ -621,8 +598,8 @@ mod tests {
     /// word's block, reader's half first.
     #[test]
     fn a_failed_value_check_is_logged_attributed_and_flagged() {
-        let shared = TesterShared::new(2, 1, word_pool(0x1000, 1, 1));
-        let writer = shared.writer_of(0);
+        let hub = TesterHub::new(2, 1, word_pool(0x1000, 1, 1));
+        let writer = hub.writer_of(0);
         let reader = 1 - writer;
         let mut b = xg_sim::SimBuilder::new(3);
         let cache = b.add(Box::new(LyingCache));
@@ -630,7 +607,7 @@ mod tests {
             "tester",
             cache,
             reader,
-            shared.clone(),
+            hub.clone(),
             TesterCfg {
                 max_in_flight: 1,
                 ..TesterCfg::default()
@@ -639,15 +616,14 @@ mod tests {
         let mut sim = b.build();
         sim.post_wake(core, 1, 0);
         sim.run_to_quiescence(10_000);
-        assert!(shared.done());
-        assert_eq!(shared.completed(), 1);
-        assert_eq!(shared.data_errors(), 1);
-        assert_eq!(shared.data_errors_of(reader), 1);
-        assert_eq!(shared.data_errors_of(writer), 0);
-        assert_eq!(shared.corrupted_addrs(), vec![0x1000]);
+        assert!(hub.done());
+        assert_eq!(hub.completed(), 1);
+        assert_eq!(hub.data_errors(), 1);
+        assert_eq!(hub.data_errors_of(reader), 1);
+        assert_eq!(hub.data_errors_of(writer), 0);
         let no_store = format!("no store by core {writer} has completed");
         assert_eq!(
-            shared.error_log(),
+            hub.error_log(),
             vec![format!(
                 "core {reader} read 1000 at 0x1000 but only 0 were written; {no_store}"
             )]
@@ -699,7 +675,7 @@ mod tests {
     #[test]
     fn one_timer_per_core_and_only_with_a_free_slot() {
         for (seed, max_in_flight) in [(1, 1), (2, 2), (3, 3)] {
-            let shared = TesterShared::new(1, 300, word_pool(0x1000, 2, 2));
+            let hub = TesterHub::new(1, 300, word_pool(0x1000, 2, 2));
             let cfg = TesterCfg {
                 max_in_flight,
                 ..TesterCfg::default()
@@ -710,7 +686,7 @@ mod tests {
                 "tester",
                 cache,
                 0,
-                shared.clone(),
+                hub.clone(),
                 cfg,
             )));
             let mut sim = b.build();
@@ -722,7 +698,7 @@ mod tests {
                 let in_flight = sim.get::<TesterCore>(core).unwrap().outstanding();
                 assert!(in_flight <= max_in_flight);
                 let timers = queued - in_flight;
-                if shared.done() {
+                if hub.done() {
                     let before = timers_after_done.replace(timers).unwrap_or(timers);
                     assert!(timers <= before, "timer armed after done");
                 } else {
@@ -736,7 +712,7 @@ mod tests {
                     break;
                 }
             }
-            assert!(shared.done());
+            assert!(hub.done());
             assert_eq!(sim.get::<TesterCore>(core).unwrap().outstanding(), 0);
         }
     }

@@ -24,7 +24,7 @@ use xg_harness::system::{accel_cores_of, CoreSlot};
 use xg_harness::tester::word_pool;
 use xg_harness::{
     build_system, run_workload, AccelOrg, HostProtocol, Pattern, SystemConfig, TesterCfg,
-    TesterCore, TesterShared,
+    TesterCore, TesterHub,
 };
 use xg_sim::Report;
 
@@ -125,7 +125,7 @@ fn steady_state_handlers_do_not_allocate() {
 fn measure_report(cfg: &SystemConfig, ops: u64) -> (u64, Report) {
     let cfg = cfg.clone().shrink_caches();
     let cores = cfg.cpu_cores + accel_cores_of(&cfg);
-    let shared = TesterShared::new(cores, ops, word_pool(0x4000, 4, 2));
+    let hub = TesterHub::new(cores, ops, word_pool(0x4000, 4, 2));
     let mut system = build_system(&cfg, OsPolicy::ReportOnly, None, |slot, cache, index| {
         let name = match slot {
             CoreSlot::Cpu(i) => format!("tester_cpu{i}"),
@@ -135,13 +135,13 @@ fn measure_report(cfg: &SystemConfig, ops: u64) -> (u64, Report) {
             name,
             cache,
             index,
-            shared.clone(),
+            hub.clone(),
             TesterCfg::default(),
         ))
     });
     system.start_cores();
     let out = system.sim.run_with_watchdog(50_000_000, 100_000);
-    assert!(shared.done() && !out.stalled, "{}", cfg.name());
+    assert!(hub.done() && !out.stalled, "{}", cfg.name());
     let before = allocs();
     let report = system.sim.report();
     (allocs() - before, report)

@@ -30,7 +30,7 @@ fn tiny_campaign_runs_clean_and_builds_a_corpus() {
     };
     let mut os_errors = 0;
     let out = run_campaign_with(&base, &opts, |_, _, run| {
-        os_errors += run.report.get("os.errors_total");
+        os_errors += run.report.get("xg.errors_total");
     });
 
     assert_eq!(out.runs, 9);
@@ -133,8 +133,8 @@ fn two_guard_campaign_contains_the_blast() {
     // saw clean data while still making progress.
     let mut attacked_os_errors = 0;
     let out = run_campaign_with(&base, &opts, |_, seed, run| {
-        attacked_os_errors += run.report.get("guard.xg.os_errors");
-        assert_eq!(run.report.get("guard.a1_xg.os_errors"), 0, "seed {seed}");
+        attacked_os_errors += run.report.get("xg.errors_total");
+        assert_eq!(run.report.get("a1_xg.errors_total"), 0, "seed {seed}");
         assert_eq!(run.report.get("guard.a1_xg.data_errors"), 0, "seed {seed}");
         assert!(
             run.report.get("guard.a1_xg.ops_completed") > 0,

@@ -43,7 +43,7 @@ fn stress_all_twelve_configurations() {
             "{name}: protocol violations"
         );
         assert_eq!(
-            out.report.get("os.errors_total"),
+            out.report.sum_suffix(".errors_total"),
             0,
             "{name}: spurious guard errors"
         );
@@ -64,7 +64,7 @@ fn banked_homes_stay_clean_on_the_serial_path() {
         assert!(!out.deadlocked, "{}", cfg.name());
         assert_eq!(out.data_errors, 0, "{}: {:?}", cfg.name(), out.error_log);
         assert_eq!(out.report.sum_suffix(".protocol_violation"), 0);
-        assert_eq!(out.report.get("os.errors_total"), 0);
+        assert_eq!(out.report.sum_suffix(".errors_total"), 0);
     }
 }
 
@@ -212,7 +212,7 @@ fn weak_sharing_accelerator_is_still_host_safe() {
             out.error_log
         );
         assert_eq!(out.report.sum_suffix(".protocol_violation"), 0);
-        assert_eq!(out.report.get("os.errors_total"), 0);
+        assert_eq!(out.report.sum_suffix(".errors_total"), 0);
     }
 }
 
@@ -232,7 +232,7 @@ fn workload_runs_complete_on_guarded_config() {
         assert!(!out.incomplete, "{}: incomplete", pattern.name());
         assert!(out.accel_runtime > 0);
         assert_eq!(out.report.sum_suffix(".protocol_violation"), 0);
-        assert_eq!(out.report.get("os.errors_total"), 0);
+        assert_eq!(out.report.sum_suffix(".errors_total"), 0);
     }
 }
 
@@ -446,7 +446,7 @@ fn soak_all_configurations() {
                 out.error_log
             );
             assert_eq!(out.report.sum_suffix(".protocol_violation"), 0);
-            assert_eq!(out.report.get("os.errors_total"), 0);
+            assert_eq!(out.report.sum_suffix(".errors_total"), 0);
         }
     }
 }
@@ -491,5 +491,5 @@ fn regression_two_level_inv_behind_internal_recall_returns() {
     let out = run_workload(&cfg, Pattern::Stencil, 8_000);
     assert!(!out.incomplete);
     assert_eq!(out.report.sum_suffix(".protocol_violation"), 0);
-    assert_eq!(out.report.get("os.errors_total"), 0);
+    assert_eq!(out.report.sum_suffix(".errors_total"), 0);
 }

@@ -22,7 +22,7 @@ fn rate_limited_guarded_stress_runs_clean() {
                 burst: 1,
             });
             let out = run_stress(&cfg, &opts);
-            let os_errors = out.report.get("os.errors_total");
+            let os_errors = out.report.sum_suffix(".errors_total");
             if out.deadlocked || out.data_errors > 0 || os_errors > 0 {
                 failing.push(format!("{} seed {seed}", cfg.name()));
             }

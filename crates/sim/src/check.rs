@@ -1,61 +1,62 @@
-//! Canonical state digests for explicit-state model checking.
-//!
-//! The `xg-check` small-model checker deduplicates explored system states
-//! by hashing every component's *protocol-relevant* state into one 128-bit
-//! digest at quiescent (drained) points. Two requirements shape the API:
-//!
-//! * **Canonicalization** — digests must be invariant under relabeling of
-//!   block addresses and agents (paper-style symmetry reduction). A
-//!   [`CheckDigest`] therefore carries role tables: raw block addresses and
-//!   [`NodeId`]s are translated to small canonical *roles* before hashing,
-//!   and components sort any address- or node-keyed collections **by
-//!   role**, not by raw value, before folding them in
-//!   ([`CheckDigest::sorted_by_addr_role`] lends the buffer to do it in).
-//! * **Obligation counting** — deadlock detection needs to know whether a
-//!   drained state still owes work (open transactions, queued demands,
-//!   pending invalidations). Components add those counts via
-//!   [`CheckDigest::obligation`]; a quiescent state with nonzero
-//!   obligations has lost a message or stalled forever.
-//!
-//! Components contribute through [`Component::check_state`]
-//! (default: contributes nothing), and a harness folds a whole simulator
-//! with [`crate::Simulator::fold_check_state`], passing the node order
-//! itself so the digest never depends on registration order.
-//!
-//! **The mixing function.** The digest is two 64-bit lanes. Folding a word
-//! `v` in is one *folded multiply* per lane: `h ← lo(p) ^ hi(p)` with
-//! `p = (h ⊕ v) · K` taken as the full 128-bit product (`⊕` is xor in one
-//! lane and wrapping addition in the other, `K` an odd constant per lane).
-//! The high half of the product carries every bit of `h ⊕ v` downwards and
-//! the low half carries it upwards, so one multiply mixes a whole word —
-//! where the byte-at-a-time FNV this replaced spent eight dependent
-//! multiplies on it. Bytes go in eight at a time behind their length, the
-//! last word zero-padded; [`CheckDigest::finish`] folds the obligation
-//! count in the same way. It is not a cryptographic hash and need not be:
-//! its inputs are states of a simulator, not adversarial.
-//!
-//! What it must not do is merge states, and that is checked rather than
-//! argued: a weaker hash can only *lose* states (two distinct states
-//! sharing a digest are deduplicated into one and the second is never
-//! expanded), never invent them, so an exploration that reports the same
-//! state count as one under a different hash has seen no collision that
-//! mattered under either. The committed baselines were first produced
-//! under the FNV digest; under this one the one-address fixpoint (1 698 /
-//! 1 555 states, Hammer / MESI), the two-address depth-4 run (1 665 /
-//! 4 332) and the two-address depth-6 run the nightly job makes (4 712 /
-//! 13 726) all reproduce their state counts exactly, while every
-//! fingerprint — a hash of the digests themselves — changed.
-//!
-//! What to exclude, by convention: timestamps, statistics, histograms,
-//! RNG state, LRU/recency metadata, and identity-only tokens (epochs) —
-//! anything that distinguishes states without changing future protocol
-//! behavior would blow up (or, worse, silently fracture) the explored
-//! state space.
+//! Canonical state digests for explicit-state model checking
+//! ([`CheckDigest`]).
 
 use crate::component::NodeId;
 
 /// Incremental 128-bit digest of a system state, plus the canonical role
-/// tables and the obligation counter described in the [module docs](self).
+/// tables and the obligation counter.
+///
+/// The `xg-check` small-model checker deduplicates explored system states
+/// by hashing every component's *protocol-relevant* state into one 128-bit
+/// digest at quiescent (drained) points. Two requirements shape the API:
+///
+/// * **Canonicalization** — digests must be invariant under relabeling of
+///   block addresses and agents (paper-style symmetry reduction). A
+///   [`CheckDigest`] therefore carries role tables: raw block addresses and
+///   [`NodeId`]s are translated to small canonical *roles* before hashing,
+///   and components sort any address- or node-keyed collections **by
+///   role**, not by raw value, before folding them in
+///   ([`CheckDigest::sorted_by_addr_role`] lends the buffer to do it in).
+/// * **Obligation counting** — deadlock detection needs to know whether a
+///   drained state still owes work (open transactions, queued demands,
+///   pending invalidations). Components add those counts via
+///   [`CheckDigest::obligation`]; a quiescent state with nonzero
+///   obligations has lost a message or stalled forever.
+///
+/// Components contribute through [`crate::Component::check_state`]
+/// (default: contributes nothing), and a harness folds a whole simulator
+/// with [`crate::Simulator::fold_check_state`], passing the node order
+/// itself so the digest never depends on registration order.
+///
+/// **The mixing function.** The digest is two 64-bit lanes. Folding a word
+/// `v` in is one *folded multiply* per lane: `h ← lo(p) ^ hi(p)` with
+/// `p = (h ⊕ v) · K` taken as the full 128-bit product (`⊕` is xor in one
+/// lane and wrapping addition in the other, `K` an odd constant per lane).
+/// The high half of the product carries every bit of `h ⊕ v` downwards and
+/// the low half carries it upwards, so one multiply mixes a whole word —
+/// where the byte-at-a-time FNV this replaced spent eight dependent
+/// multiplies on it. Bytes go in eight at a time behind their length, the
+/// last word zero-padded; [`CheckDigest::finish`] folds the obligation
+/// count in the same way. It is not a cryptographic hash and need not be:
+/// its inputs are states of a simulator, not adversarial.
+///
+/// What it must not do is merge states, and that is checked rather than
+/// argued: a weaker hash can only *lose* states (two distinct states
+/// sharing a digest are deduplicated into one and the second is never
+/// expanded), never invent them, so an exploration that reports the same
+/// state count as one under a different hash has seen no collision that
+/// mattered under either. The committed baselines were first produced
+/// under the FNV digest; under this one the one-address fixpoint (1 698 /
+/// 1 555 states, Hammer / MESI), the two-address depth-4 run (1 665 /
+/// 4 332) and the two-address depth-6 run the nightly job makes (4 712 /
+/// 13 726) all reproduce their state counts exactly, while every
+/// fingerprint — a hash of the digests themselves — changed.
+///
+/// What to exclude, by convention: timestamps, statistics, histograms,
+/// RNG state, LRU/recency metadata, and identity-only tokens (epochs) —
+/// anything that distinguishes states without changing future protocol
+/// behavior would blow up (or, worse, silently fracture) the explored
+/// state space.
 ///
 /// A digest is built once per worker and [`reset`](CheckDigest::reset)
 /// between states: the role tables and the sort buffers stay, so digesting

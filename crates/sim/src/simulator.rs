@@ -1009,7 +1009,7 @@ impl<M: Clone + 'static> Simulator<M> {
     }
 
     /// Link faults injected so far (all zero unless some link carries a
-    /// non-empty [`FaultSpec`]).
+    /// non-empty [`FaultSpec`](crate::FaultSpec)).
     pub fn link_fault_counts(&self) -> LinkFaultCounts {
         self.faults
     }

@@ -12,12 +12,11 @@
 //! class is reported to the OS, and the OS eventually quarantines the
 //! accelerator (the "disable" policy of paper §2.2).
 
-use crossing_guard::core::{Os, OsPolicy, XgVariant};
+use crossing_guard::core::{CrossingGuard, OsPolicy, XgVariant};
 use crossing_guard::harness::system::CoreSlot;
 use crossing_guard::harness::tester::word_pool;
 use crossing_guard::harness::{
-    build_system, AccelOrg, FuzzOpts, HostProtocol, SystemConfig, TesterCfg, TesterCore,
-    TesterShared,
+    build_system, AccelOrg, FuzzOpts, HostProtocol, SystemConfig, TesterCfg, TesterCore, TesterHub,
 };
 use crossing_guard::proto::XgErrorKind;
 
@@ -40,7 +39,7 @@ fn main() {
         ..FuzzOpts::default()
     };
     // CPUs work on their own pages (the fuzzer has no permission there).
-    let shared = TesterShared::new(cfg.cpu_cores, 4_000, word_pool(0x200_0000, 8, 2));
+    let hub = TesterHub::new(cfg.cpu_cores, 4_000, word_pool(0x200_0000, 8, 2));
     let mut system = build_system(
         &cfg,
         OsPolicy::DisableAccelerator,
@@ -50,7 +49,7 @@ fn main() {
                 format!("cpu{i}"),
                 node,
                 index,
-                shared.clone(),
+                hub.clone(),
                 TesterCfg::default(),
             )),
             // The accelerator is the fuzzer, aimed at its guard.
@@ -62,36 +61,37 @@ fn main() {
 
     let report = system.sim.report();
     println!("\nwhile being bombarded:");
-    println!("  CPU operations completed : {}", shared.completed());
-    println!("  CPU value-check failures : {}", shared.data_errors());
+    println!("  CPU operations completed : {}", hub.completed());
+    println!("  CPU value-check failures : {}", hub.data_errors());
     println!(
         "  host protocol violations : {}",
         report.sum_suffix(".protocol_violation")
     );
     println!("  host deadlocked          : {}", out.stalled);
 
-    let os = system.sim.get::<Os>(system.os).unwrap();
+    let xg = system.accels[0].xg.expect("the fuzzer sits behind a guard");
+    let guard = system.sim.get::<CrossingGuard>(xg).unwrap();
     println!("\nviolations the guard reported to the OS:");
     for kind in XgErrorKind::ALL {
-        let n = os.count(kind);
+        let n = guard.error_count(kind);
         if n > 0 {
             println!("  {kind:18} {n}");
         }
     }
     println!(
         "\naccelerator quarantined by the OS: {} (requests dropped after disable: {})",
-        !os.disabled_guards().is_empty(),
+        guard.is_disabled(),
         report.get("xg.dropped_disabled")
     );
 
-    assert_eq!(shared.data_errors(), 0, "CPU data must stay intact");
+    assert_eq!(hub.data_errors(), 0, "CPU data must stay intact");
     assert_eq!(
         report.sum_suffix(".protocol_violation"),
         0,
         "host controllers must never see an impossible event"
     );
     assert!(!out.stalled, "the host must keep making progress");
-    assert!(os.total() > 0, "violations must be reported");
-    assert!(!os.disabled_guards().is_empty());
+    assert!(guard.errors_total() > 0, "violations must be reported");
+    assert!(guard.is_disabled());
     println!("\nthe host never noticed. that is the point.");
 }

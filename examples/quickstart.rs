@@ -14,7 +14,7 @@ use crossing_guard::core::{OsPolicy, XgVariant};
 use crossing_guard::harness::system::CoreSlot;
 use crossing_guard::harness::tester::word_pool;
 use crossing_guard::harness::{
-    build_system, AccelOrg, HostProtocol, SystemConfig, TesterCfg, TesterCore, TesterShared,
+    build_system, AccelOrg, HostProtocol, SystemConfig, TesterCfg, TesterCore, TesterHub,
 };
 
 fn main() {
@@ -31,7 +31,7 @@ fn main() {
 
     // Three cores (two CPU, one accelerator) share a small pool of hot
     // words; every value is checked against the single-writer discipline.
-    let shared = TesterShared::new(3, 5_000, word_pool(0x4000, 8, 2));
+    let hub = TesterHub::new(3, 5_000, word_pool(0x4000, 8, 2));
     let mut system = build_system(&cfg, OsPolicy::ReportOnly, None, |slot, cache, index| {
         let name = match slot {
             CoreSlot::Cpu(i) => format!("cpu{i}"),
@@ -41,7 +41,7 @@ fn main() {
             name,
             cache,
             index,
-            shared.clone(),
+            hub.clone(),
             TesterCfg::default(),
         ))
     });
@@ -50,11 +50,11 @@ fn main() {
 
     println!(
         "\nran {} operations in {} simulated cycles (deadlock: {})",
-        shared.completed(),
+        hub.completed(),
         outcome.now,
         outcome.stalled
     );
-    println!("value-check failures: {}", shared.data_errors());
+    println!("value-check failures: {}", hub.data_errors());
 
     let report = system.sim.report();
     println!("\nCrossing Guard counters:");

@@ -8,7 +8,7 @@ use crossing_guard::harness::system::CoreSlot;
 use crossing_guard::harness::tester::word_pool;
 use crossing_guard::harness::{
     build_system, run_fuzz, run_stress, run_workload, AccelOrg, FuzzOpts, HostProtocol, Pattern,
-    StressOpts, SystemConfig, TesterCfg, TesterCore, TesterShared,
+    StressOpts, SystemConfig, TesterCfg, TesterCore, TesterHub,
 };
 
 fn guarded(host: HostProtocol, variant: XgVariant, two_level: bool, seed: u64) -> SystemConfig {
@@ -24,7 +24,7 @@ fn guarded(host: HostProtocol, variant: XgVariant, two_level: bool, seed: u64) -
 #[test]
 fn facade_quickstart_compiles_and_runs() {
     let cfg = guarded(HostProtocol::Hammer, XgVariant::FullState, false, 42);
-    let shared = TesterShared::new(3, 300, word_pool(0x4000, 4, 2));
+    let hub = TesterHub::new(3, 300, word_pool(0x4000, 4, 2));
     let mut system = build_system(&cfg, OsPolicy::ReportOnly, None, |slot, cache, index| {
         let name = match slot {
             CoreSlot::Cpu(i) => format!("cpu{i}"),
@@ -34,15 +34,15 @@ fn facade_quickstart_compiles_and_runs() {
             name,
             cache,
             index,
-            shared.clone(),
+            hub.clone(),
             TesterCfg::default(),
         ))
     });
     system.start_cores();
     let outcome = system.sim.run_with_watchdog(10_000_000, 100_000);
     assert!(!outcome.stalled);
-    assert_eq!(shared.data_errors(), 0);
-    assert!(shared.done());
+    assert_eq!(hub.data_errors(), 0);
+    assert!(hub.done());
 }
 
 #[test]
@@ -63,7 +63,7 @@ fn every_guarded_configuration_survives_longer_stress() {
                 assert!(!out.deadlocked, "{}", cfg.name());
                 assert_eq!(out.data_errors, 0, "{}: {:?}", cfg.name(), out.error_log);
                 assert_eq!(out.report.sum_suffix(".protocol_violation"), 0);
-                assert_eq!(out.report.get("os.errors_total"), 0, "{}", cfg.name());
+                assert_eq!(out.report.sum_suffix(".errors_total"), 0, "{}", cfg.name());
             }
         }
     }
@@ -123,7 +123,7 @@ fn workloads_complete_across_patterns_and_hosts() {
             let cfg = guarded(host, XgVariant::FullState, false, 0xABCD);
             let out = run_workload(&cfg, pattern, 2_000);
             assert!(!out.incomplete, "{} {}", cfg.name(), pattern.name());
-            assert_eq!(out.report.get("os.errors_total"), 0);
+            assert_eq!(out.report.sum_suffix(".errors_total"), 0);
         }
     }
 }
