@@ -16,6 +16,11 @@
 //! containment breach, never legal traffic. Each cell runs twice — once
 //! attacked, once with a zero-message fuzzer — and the cycle ratio bounds
 //! the collateral slowdown.
+//!
+//! The tester columns are read off the testers' own report keys and are
+//! disjoint: the attacked slot has no tester core, so every accelerator
+//! tester (`tester_acc*`) is the sibling's, and the CPU column sums the
+//! CPU testers (`tester_cpu*`) alone.
 
 use xg_core::XgVariant;
 use xg_harness::{run_fuzz, AccelOrg, AccelSlot, FuzzOpts, HostProtocol, SystemConfig};
@@ -55,7 +60,8 @@ pub struct Row {
     pub sibling_ops: u64,
     /// Host protocol violations (must stay 0).
     pub host_violations: u64,
-    /// CPU-side value-check failures (must stay 0).
+    /// CPU tester value-check failures (must stay 0); the sibling's are
+    /// in `sibling_data_errors`, not here.
     pub cpu_data_errors: u64,
     /// True if anything wedged under attack.
     pub deadlocked: bool,
@@ -81,7 +87,6 @@ pub fn configs(seed: u64) -> Vec<SystemConfig> {
         for variant in [XgVariant::FullState, XgVariant::Transactional] {
             out.push(SystemConfig {
                 host,
-                accel: AccelOrg::FuzzXg { variant },
                 accels: vec![
                     AccelSlot::from(AccelOrg::FuzzXg { variant }),
                     AccelSlot::from(AccelOrg::Xg {
@@ -124,17 +129,23 @@ pub fn run(scale: Scale, seed: u64, jobs: usize) -> (Vec<Row>, Report) {
             unreachable!("cells come in attacked/baseline pairs");
         };
         let label = cfg.name();
-        let guard = |guard: &str, key: &str| attacked.report.get(&format!("guard.{guard}.{key}"));
+        // Summed over the testers whose names start with `testers`.
+        let tested = |testers: &str, key: &str| -> u64 {
+            let keys = attacked.report.scalars();
+            keys.filter(|(k, _)| k.starts_with(testers) && k.ends_with(key))
+                .map(|(_, n)| n)
+                .sum()
+        };
         let errors = |guard: &str| attacked.report.get(&format!("{guard}.errors_total"));
         let row = Row {
             config: label.clone(),
             injected: attacked.injected,
             attacked_os_errors: errors(ATTACKED_GUARD),
             sibling_os_errors: errors(SIBLING_GUARD),
-            sibling_data_errors: guard(SIBLING_GUARD, "data_errors"),
-            sibling_ops: guard(SIBLING_GUARD, "ops_completed"),
+            sibling_data_errors: tested("tester_acc", ".data_errors"),
+            sibling_ops: tested("tester_acc", ".ops_completed"),
             host_violations: attacked.host_violations,
-            cpu_data_errors: attacked.cpu_data_errors,
+            cpu_data_errors: tested("tester_cpu", ".data_errors"),
             deadlocked: attacked.deadlocked || baseline.deadlocked,
             attacked_cycles: attacked.cycles,
             baseline_cycles: baseline.cycles,

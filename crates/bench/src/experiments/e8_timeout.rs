@@ -114,8 +114,8 @@ fn one(timeout: u64, host: HostProtocol, seed: u64) -> Row {
         }
     });
     // The raw peer takes M on the block, then goes silent forever.
-    let fuzzer = system.fuzzer.expect("fuzz org has a raw peer");
-    let xg = system.xg.expect("guarded org");
+    let fuzzer = system.accels[0].fuzzer.expect("fuzz org has a raw peer");
+    let xg = system.accels[0].xg.expect("guarded org");
     system.sim.post(
         fuzzer,
         xg,

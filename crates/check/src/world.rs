@@ -340,8 +340,10 @@ pub fn build_world(spec: &WorldSpec, choices: &[u8]) -> World {
         cpu_cache: system.cpu_caches[0],
         home: system.homes[0],
         os: system.os,
-        xg: system.xg.expect("the world is guarded"),
-        chaos: system.fuzzer.expect("the chaos accelerator stands in"),
+        xg: system.accels[0].xg.expect("the world is guarded"),
+        chaos: system.accels[0]
+            .fuzzer
+            .expect("the chaos accelerator stands in"),
     };
     let ExecSim::Serial(sim) = system.sim;
     World { sim, ids }

@@ -675,7 +675,7 @@ impl CrossingGuard {
             // noise, and the post-mortem dump stays focused.
             ctx.flag_post_mortem(raw, kind.flag_reason());
         }
-        let err = XgError::new(ctx.self_id(), addr, kind);
+        let err = XgError::new(addr, kind);
         ctx.send(self.os, OsMsg::Error(err).into());
     }
 

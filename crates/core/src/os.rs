@@ -105,8 +105,8 @@ mod tests {
         }
     }
 
-    fn err(guard: NodeId, kind: XgErrorKind) -> Message {
-        OsMsg::Error(XgError::new(guard, Some(BlockAddr::new(1)), kind)).into()
+    fn err(kind: XgErrorKind) -> Message {
+        OsMsg::Error(XgError::new(Some(BlockAddr::new(1)), kind)).into()
     }
 
     #[test]
@@ -115,8 +115,8 @@ mod tests {
         let guard = b.add(Box::new(StubGuard { disabled: false }));
         let os = b.add(Box::new(Os::new("os", OsPolicy::ReportOnly)));
         let mut sim = b.build();
-        sim.post(guard, os, err(guard, XgErrorKind::DuplicateRequest));
-        sim.post(guard, os, err(guard, XgErrorKind::ResponseTimeout));
+        sim.post(guard, os, err(XgErrorKind::DuplicateRequest));
+        sim.post(guard, os, err(XgErrorKind::ResponseTimeout));
         assert!(sim.run_to_quiescence(1_000).quiescent);
         assert!(sim.get::<Os>(os).unwrap().disabled_guards().is_empty());
         assert!(!sim.get::<StubGuard>(guard).unwrap().disabled);
@@ -130,8 +130,8 @@ mod tests {
         let guard_b = b.add(Box::new(StubGuard { disabled: false }));
         let os = b.add(Box::new(Os::new("os", OsPolicy::DisableAccelerator)));
         let mut sim = b.build();
-        sim.post(guard_a, os, err(guard_a, XgErrorKind::PermissionRead));
-        sim.post(guard_a, os, err(guard_a, XgErrorKind::ResponseTimeout));
+        sim.post(guard_a, os, err(XgErrorKind::PermissionRead));
+        sim.post(guard_a, os, err(XgErrorKind::ResponseTimeout));
         assert!(sim.run_to_quiescence(1_000).quiescent);
         assert!(sim.get::<StubGuard>(guard_a).unwrap().disabled);
         assert!(
@@ -147,8 +147,8 @@ mod tests {
         let guard = b.add(Box::new(StubGuard { disabled: false }));
         let os = b.add(Box::new(Os::new("os", OsPolicy::DisableAccelerator)));
         let mut sim = b.build();
-        sim.post(guard, os, err(guard, XgErrorKind::PermissionWrite));
-        sim.post(guard, os, err(guard, XgErrorKind::PermissionWrite));
+        sim.post(guard, os, err(XgErrorKind::PermissionWrite));
+        sim.post(guard, os, err(XgErrorKind::PermissionWrite));
         assert!(sim.run_to_quiescence(1_000).quiescent);
         assert!(sim.get::<StubGuard>(guard).unwrap().disabled);
         assert_eq!(sim.get::<Os>(os).unwrap().disabled_guards(), &[guard]);

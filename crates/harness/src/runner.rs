@@ -149,31 +149,6 @@ pub fn run_stress(cfg: &SystemConfig, opts: &StressOpts) -> StressOutcome {
     out
 }
 
-/// Writes the per-hierarchy tester results of a finished run, as scalars
-/// named `guard.<label>.<counter>`: value-check failures, completed
-/// operations and operations left hanging. Each guard counts its own
-/// errors (`<label>.errors_total`, `<label>.errors.<kind>`).
-fn fill_guard_counters(report: &mut Report, system: &BuiltSystem, shared: &TesterHub) {
-    for inst in system.accels.iter().filter(|inst| !inst.cores.is_empty()) {
-        let label = inst.label.as_str();
-        let data_errors: u64 = inst
-            .core_indices
-            .iter()
-            .map(|&i| shared.data_errors_of(i))
-            .sum();
-        report.add(format_args!("guard.{label}.data_errors"), data_errors);
-        let (mut completed, mut outstanding) = (0u64, 0u64);
-        for &core in &inst.cores {
-            if let Some(t) = system.sim.get::<TesterCore>(core) {
-                completed += t.completed();
-                outstanding += t.outstanding() as u64;
-            }
-        }
-        report.add(format_args!("guard.{label}.ops_completed"), completed);
-        report.add(format_args!("guard.{label}.outstanding"), outstanding);
-    }
-}
-
 /// Longest any stress or fuzz run may simulate; also the longest step
 /// delay a parsed schedule may carry.
 pub const MAX_CYCLES: u64 = 50_000_000;
@@ -218,8 +193,7 @@ struct Driven {
 /// What stress and fuzz runs share: builds `cfg` with a tester core in
 /// every core slot and a [`FuzzOpts::stand_in`] in every `FuzzXg` stand-in
 /// slot, running `load` over the word pool at `pool_base`, runs it under
-/// the progress watchdog, and collects the report, its guard section and
-/// the artefacts.
+/// the progress watchdog, and collects the report and the artefacts.
 fn drive(
     cfg: &SystemConfig,
     fuzz: Option<FuzzOpts>,
@@ -255,8 +229,7 @@ fn drive(
     system.start_cores();
     let end = system.sim.run_with_watchdog(MAX_CYCLES, stall_bound);
     let hung_ops = flag_outstanding(&mut system, end.now.as_u64());
-    let mut report = system.sim.report();
-    fill_guard_counters(&mut report, &system, &shared);
+    let report = system.sim.report();
     // Flags are collected even with tracing off, but a dump of flags over
     // empty rings explains nothing: only recorded rings give a post-mortem.
     let rings = system.sim.tracer().enabled();
@@ -321,10 +294,14 @@ pub struct FuzzOutcome {
     /// watchdog bound of its last stimulus, so this is counted, and the
     /// seed scan requires it to stay zero.
     pub capped: bool,
-    /// CPU tester operations that completed *while being bombarded* —
-    /// evidence the host stayed alive.
+    /// Tester operations that completed *while being bombarded* —
+    /// evidence the host stayed alive. Counts every tester core of the
+    /// run: the CPU testers and a correct sibling hierarchy's accelerator
+    /// testers (each core's own count is its `<core>.ops_completed`).
     pub cpu_ops_completed: u64,
-    /// CPU-side value-check failures.
+    /// Value-check failures of every tester core of the run, as
+    /// [`FuzzOutcome::cpu_ops_completed`] counts them (each core's own
+    /// count is its `<core>.data_errors`).
     pub cpu_data_errors: u64,
     /// Post-mortem trace dump: the last events touching each flagged
     /// address, across the guard and every host controller. [`run_fuzz`]

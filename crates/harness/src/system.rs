@@ -74,26 +74,19 @@ pub fn accel_core_count(org: &AccelOrg, accel_cores: usize) -> usize {
     }
 }
 
-/// One accelerator hierarchy of a built system, for per-guard reporting
-/// and blast-radius attribution.
+/// One accelerator hierarchy of a built system: the nodes a caller drives
+/// or inspects directly. What the hierarchy did is in its components' own
+/// report keys.
 #[derive(Debug, Clone)]
 pub struct GuardInstance {
     /// The hierarchy's organization.
     pub org: AccelOrg,
-    /// Report label: the guard's component name where guarded (`xg`,
-    /// `a1_xg`, ...), the frontend/fuzzer name otherwise.
-    pub label: String,
     /// The Crossing Guard node, if this hierarchy has one.
     pub xg: Option<NodeId>,
     /// The fuzzer node, if this hierarchy is a fuzzing stand-in.
     pub fuzzer: Option<NodeId>,
     /// The cache(s) this hierarchy's cores talk to.
     pub frontends: Vec<NodeId>,
-    /// Core nodes (from the factory), in slot order.
-    pub cores: Vec<NodeId>,
-    /// Global core indices of `cores` (CPU cores first, then accelerator
-    /// cores across all hierarchies).
-    pub core_indices: Vec<usize>,
 }
 
 /// The simulation behind a [`BuiltSystem`].
@@ -149,10 +142,6 @@ pub struct BuiltSystem {
     pub homes: Vec<NodeId>,
     /// The OS model.
     pub os: NodeId,
-    /// The first Crossing Guard, if any configuration slot has one.
-    pub xg: Option<NodeId>,
-    /// The first fuzzer node, if any slot is a fuzzing configuration.
-    pub fuzzer: Option<NodeId>,
     /// Per-hierarchy breakdown, in slot order.
     pub accels: Vec<GuardInstance>,
 }
@@ -347,27 +336,21 @@ pub fn build_system(
         let prefix = instance_prefix(k);
         let mut inst = GuardInstance {
             org: slot.org.clone(),
-            label: String::new(),
             xg: None,
             fuzzer: None,
             frontends: Vec::new(),
-            cores: Vec::new(),
-            core_indices: Vec::new(),
         };
         match &slot.org {
             AccelOrg::AccelSide => {
-                let name = format!("{prefix}accel_cache");
-                let cache = b.add(host_cache(name.clone(), cfg.accel_cache));
+                let cache = b.add(host_cache(format!("{prefix}accel_cache"), cfg.accel_cache));
                 // The accelerator-side cache reaches the host over the chip
                 // crossing (one link per home bank).
                 for &home in &homes {
                     b.link_bidi(cache, home, Link::unordered(CROSSING.0, CROSSING.1));
                 }
-                inst.label = name;
                 inst.frontends.push(cache);
             }
             AccelOrg::HostSide => {
-                let name = format!("{prefix}hostside_cache");
                 // Sized as a CPU's cache under Hammer, as a default L1
                 // under MESI whatever `cpu_cache` says: an old asymmetry
                 // the goldens pin.
@@ -378,17 +361,14 @@ pub fn build_system(
                         (l1.sets, l1.ways)
                     }
                 };
-                let cache = b.add(host_cache(name.clone(), geometry));
-                inst.label = name;
+                let cache = b.add(host_cache(format!("{prefix}hostside_cache"), geometry));
                 inst.frontends.push(cache);
                 // The *core↔cache* link carries the crossing latency here:
                 // the accelerator has no cache of its own (Figure 2(b)).
             }
             AccelOrg::Xg { variant, two_level } => {
-                let name = format!("{prefix}xg");
                 let top = b.planned_id(start + 1);
-                let xg = b.add(guard(name.clone(), top, *variant, slot));
-                inst.label = name;
+                let xg = b.add(guard(format!("{prefix}xg"), top, *variant, slot));
                 inst.xg = Some(xg);
                 link_guard_to_home(&mut b, cfg, xg, &homes);
                 b.link_bidi(xg, top, Link::ordered(CROSSING.0, CROSSING.1));
@@ -424,10 +404,8 @@ pub fn build_system(
                 }
             }
             AccelOrg::FuzzXg { variant } => {
-                let name = format!("{prefix}xg");
                 let fuzzer = b.planned_id(start + 1);
-                let xg = b.add(guard(name.clone(), fuzzer, *variant, slot));
-                inst.label = name;
+                let xg = b.add(guard(format!("{prefix}xg"), fuzzer, *variant, slot));
                 inst.xg = Some(xg);
                 link_guard_to_home(&mut b, cfg, xg, &homes);
                 let stand_in = accel_cores + k;
@@ -444,15 +422,13 @@ pub fn build_system(
                 peers.extend(
                     (host_peers.iter().enumerate()).filter_map(|(j, &p)| (j != k).then_some(p)),
                 );
-                let name = format!("{prefix}fuzz_host");
                 let fz = b.add(Box::new(FuzzHostCache::new(
-                    name.clone(),
+                    format!("{prefix}fuzz_host"),
                     cfg.host,
                     home_map.clone(),
                     peers,
                     opts,
                 )));
-                inst.label = name;
                 inst.fuzzer = Some(fz);
                 for &home in &homes {
                     b.link_bidi(fz, home, Link::unordered(CROSSING.0, CROSSING.1));
@@ -473,7 +449,7 @@ pub fn build_system(
     }
     let mut accel_cores = Vec::new();
     let mut ai = 0usize; // accelerator core index across hierarchies
-    for inst in &mut instances {
+    for inst in &instances {
         for i in 0..accel_core_count(&inst.org, cfg.accel_cores) {
             let frontend = inst.frontends[i.min(inst.frontends.len() - 1)];
             let core = b.add(make_core(CoreSlot::Accel(ai), frontend, n + ai));
@@ -484,8 +460,6 @@ pub fn build_system(
                 Link::ordered(1, 1)
             };
             b.link_bidi(core, frontend, link);
-            inst.cores.push(core);
-            inst.core_indices.push(n + ai);
             accel_cores.push(core);
             ai += 1;
         }
@@ -506,8 +480,6 @@ pub fn build_system(
             .collect(),
         homes,
         os,
-        xg: instances.iter().find_map(|inst| inst.xg),
-        fuzzer: instances.iter().find_map(|inst| inst.fuzzer),
         accels: instances,
     }
 }

@@ -33,7 +33,7 @@ use xg_sim::{Component, NodeId, Report};
 
 /// The state shared by every tester core in one run: the word pool, what
 /// the run knows of each word's writes, the completion count, and the
-/// failure log.
+/// failure log. What one core did is that core's own (its report keys).
 ///
 /// Shared cells are atomics, not `RefCell`s, so tester cores — and the
 /// systems containing them — are [`Send`] and whole simulations can be
@@ -73,22 +73,18 @@ struct WordLog {
 /// `WordLog::stored_at` before any store to the word completed.
 const NO_STORE: u64 = u64::MAX;
 
-/// The failure log of one run: value-check failures per observing core
-/// and their descriptions, read through [`TesterHub`].
+/// The failure log of one run: how many value checks failed, on any core,
+/// and the descriptions of the first few, read through [`TesterHub`]. Each
+/// core counts its own failures ([`TesterCore`]'s `data_errors` key).
 #[derive(Debug, Default)]
 struct FailureLog {
-    /// Value-check failures per observing core index, for multi-accelerator
-    /// blast-radius attribution (which hierarchy saw corrupted data).
-    errors_by_core: Vec<u64>,
+    errors: u64,
     error_log: Vec<String>,
 }
 
 impl FailureLog {
-    fn record_error(&mut self, core: usize, msg: String) {
-        if core >= self.errors_by_core.len() {
-            self.errors_by_core.resize(core + 1, 0);
-        }
-        self.errors_by_core[core] += 1;
+    fn record_error(&mut self, msg: String) {
+        self.errors += 1;
         if self.error_log.len() < 16 {
             self.error_log.push(msg);
         }
@@ -163,18 +159,10 @@ impl TesterHub {
         self.completed.load(Relaxed)
     }
 
-    /// Value-check failures observed (must be zero for a correct protocol).
+    /// Value-check failures observed by every core (must be zero for a
+    /// correct protocol).
     pub fn data_errors(&self) -> u64 {
-        self.failures().errors_by_core.iter().sum()
-    }
-
-    /// Value-check failures observed by one core (by global core index).
-    pub fn data_errors_of(&self, core: usize) -> u64 {
-        self.failures()
-            .errors_by_core
-            .get(core)
-            .copied()
-            .unwrap_or(0)
+        self.failures().errors
     }
 
     /// Human-readable description of the first few failures.
@@ -216,18 +204,18 @@ impl TesterHub {
 
     /// Checks a value core `core` loaded from pool slot `slot` against the
     /// two coherence properties, given the largest value the core read
-    /// there before (`last_seen`, raised to `value`). Returns whether the
-    /// check failed; a failure is logged.
+    /// there before (`last_seen`, raised to `value`). Returns how many of
+    /// the two properties the value broke; each failure is logged.
     #[inline]
-    fn check_load(&self, core: usize, slot: usize, last_seen: &mut u64, value: u64) -> bool {
+    fn check_load(&self, core: usize, slot: usize, last_seen: &mut u64, value: u64) -> u64 {
         let issued = self.words[slot].issued.load(Relaxed);
         let prev = *last_seen;
         *last_seen = prev.max(value);
         if value <= issued && value >= prev {
-            return false;
+            return 0;
         }
         self.load_failed(core, slot, value, issued, prev);
-        true
+        u64::from(value > issued) + u64::from(value < prev)
     }
 
     #[cold]
@@ -237,21 +225,15 @@ impl TesterHub {
         let mut failures = self.failures();
         if value > issued {
             let writer = self.last_store(slot);
-            failures.record_error(
-                core,
-                format!(
-                    "core {core} read {value} at {word_addr:#x} but only {issued} were written; {writer}"
-                ),
-            );
+            failures.record_error(format!(
+                "core {core} read {value} at {word_addr:#x} but only {issued} were written; {writer}"
+            ));
         }
         if value < prev {
             let writer = self.last_store(slot);
-            failures.record_error(
-                core,
-                format!(
-                    "core {core} read {value} at {word_addr:#x} after having read {prev} (went backwards); {writer}"
-                ),
-            );
+            failures.record_error(format!(
+                "core {core} read {value} at {word_addr:#x} after having read {prev} (went backwards); {writer}"
+            ));
         }
     }
 
@@ -306,6 +288,8 @@ pub struct TesterCore {
     next_id: u64,
     issued_ops: u64,
     completed_ops: u64,
+    /// Value checks this core's loads failed.
+    data_errors: u64,
     latency_sum: u64,
     /// Whether this core's one issue timer is pending.
     armed: bool,
@@ -359,14 +343,10 @@ impl TesterCore {
             next_id: 0,
             issued_ops: 0,
             completed_ops: 0,
+            data_errors: 0,
             latency_sum: 0,
             armed: false,
         }
-    }
-
-    /// Operations completed by this core.
-    pub fn completed(&self) -> u64 {
-        self.completed_ops
     }
 
     /// Operations still outstanding (nonzero at the end of a run means a
@@ -461,10 +441,11 @@ impl Component<Message> for TesterCore {
             CoreKind::LoadResp { value } => {
                 debug_assert!(!op.store);
                 let last_seen = &mut self.slots[op.slot].last_seen;
-                if self
+                let failed = self
                     .hub
-                    .check_load(self.core_index, op.slot, last_seen, value)
-                {
+                    .check_load(self.core_index, op.slot, last_seen, value);
+                if failed > 0 {
+                    self.data_errors += failed;
                     self.flag_failed_load(op.slot, value, ctx);
                 }
             }
@@ -495,6 +476,7 @@ impl Component<Message> for TesterCore {
         let n = &self.name;
         out.add(format_args!("{n}.ops_completed"), self.completed_ops);
         out.add(format_args!("{n}.ops_issued"), self.issued_ops);
+        out.add(format_args!("{n}.data_errors"), self.data_errors);
         out.add(format_args!("{n}.latency_sum"), self.latency_sum);
         out.add(format_args!("{n}.outstanding"), self.in_flight.len() as u64);
     }
@@ -548,17 +530,14 @@ mod tests {
             hub.issue_store(1);
         }
         let mut seen = 0;
-        assert!(!hub.check_load(0, 1, &mut seen, 3));
+        assert_eq!(hub.check_load(0, 1, &mut seen, 3), 0);
         assert_eq!(hub.data_errors(), 0);
-        assert!(hub.check_load(0, 1, &mut seen, 6)); // beyond issued
+        assert_eq!(hub.check_load(0, 1, &mut seen, 6), 1); // beyond issued
         assert_eq!(hub.data_errors(), 1);
         hub.store_completed(1, 77);
-        assert!(hub.check_load(0, 1, &mut seen, 2)); // went backwards (saw 6 before)
+        assert_eq!(hub.check_load(0, 1, &mut seen, 2), 1); // went backwards (saw 6 before)
         assert_eq!(seen, 6);
         assert_eq!(hub.data_errors(), 2);
-        assert_eq!(hub.data_errors_of(0), 2, "both failures blame core 0");
-        assert_eq!(hub.data_errors_of(1), 0, "core 1 saw nothing");
-        assert_eq!(hub.data_errors_of(7), 0, "no such core");
         // Each message names the reader first, then the word's writer.
         let writer = hub.writer_of(1);
         assert_eq!(
@@ -574,6 +553,10 @@ mod tests {
                 ),
             ]
         );
+        // A value from the future below one read before breaks both.
+        assert_eq!(hub.check_load(0, 1, &mut seen, 9), 1);
+        assert_eq!(hub.check_load(0, 1, &mut seen, 7), 2);
+        assert_eq!(hub.data_errors(), 5);
     }
 
     /// Answers every load with a value no one wrote, after a fixed delay.
@@ -594,7 +577,7 @@ mod tests {
     }
 
     /// A failed check seen through a running simulation: the error text,
-    /// the core it is charged to, and the two post-mortem flags on the
+    /// the reading core's own count, and the two post-mortem flags on the
     /// word's block, reader's half first.
     #[test]
     fn a_failed_value_check_is_logged_attributed_and_flagged() {
@@ -619,8 +602,7 @@ mod tests {
         assert!(hub.done());
         assert_eq!(hub.completed(), 1);
         assert_eq!(hub.data_errors(), 1);
-        assert_eq!(hub.data_errors_of(reader), 1);
-        assert_eq!(hub.data_errors_of(writer), 0);
+        assert_eq!(sim.report().get("tester.data_errors"), 1);
         let no_store = format!("no store by core {writer} has completed");
         assert_eq!(
             hub.error_log(),

@@ -47,6 +47,25 @@ fn num_accels_1_reports_are_byte_identical_to_single_accel_goldens() {
             cfg.name()
         );
         assert!(!out.deadlocked, "{}: golden run deadlocked", cfg.name());
+        // Tester results are counted once, by the tester cores themselves.
+        let report = &out.report;
+        assert_eq!(
+            report.sum_suffix(".ops_completed"),
+            out.completed,
+            "{}: completed ops counted more than once",
+            cfg.name()
+        );
+        assert_eq!(
+            report.sum_suffix(".data_errors"),
+            out.data_errors,
+            "{}",
+            cfg.name()
+        );
+        let guard_keys: Vec<&str> = (report.scalars())
+            .map(|(k, _)| k)
+            .filter(|k| k.starts_with("guard."))
+            .collect();
+        assert!(guard_keys.is_empty(), "{}: {guard_keys:?}", cfg.name());
         let got = out.report.to_json();
         let path = fixture_path(&cfg);
         if bless {

@@ -74,11 +74,6 @@ proptest! {
         );
         prop_assert_eq!(out.report.sum_suffix(".protocol_violation"), 0);
         prop_assert_eq!(out.report.sum_suffix(".errors_total"), 0);
-        // Every guard instance reports its own counters, clean.
-        for k in 0..num_accels {
-            let label = if k == 0 { "xg".into() } else { format!("a{k}_xg") };
-            prop_assert_eq!(out.report.get(&format!("guard.{label}.data_errors")), 0);
-        }
     }
 }
 

@@ -171,7 +171,7 @@ fn swallowed_inv_post_mortem(host: HostProtocol) -> String {
     assert!(out.deadlocked, "swallowed invalidations must wedge the run");
     assert!(out.completed < opts.ops);
     // Every `.outstanding` counter is a tester's own count of its hanging
-    // ops, or the guard's roll-up of its accelerator testers' counts.
+    // ops.
     let hanging = |testers: &str| -> u64 {
         let keys = out.report.scalars();
         keys.filter(|(k, _)| k.starts_with(testers) && k.ends_with(".outstanding"))
@@ -179,12 +179,7 @@ fn swallowed_inv_post_mortem(host: HostProtocol) -> String {
             .sum()
     };
     assert!(hanging("tester_") > 0);
-    let behind_guard = out.report.get("guard.xg.outstanding");
-    assert_eq!(behind_guard, hanging("tester_acc"));
-    assert_eq!(
-        out.report.sum_suffix(".outstanding"),
-        hanging("tester_") + behind_guard
-    );
+    assert_eq!(out.report.sum_suffix(".outstanding"), hanging("tester_"));
     let pm = out
         .post_mortem
         .expect("a deadlocked run must attach a post-mortem");

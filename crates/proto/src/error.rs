@@ -4,7 +4,6 @@ use std::error::Error;
 use std::fmt;
 
 use xg_mem::BlockAddr;
-use xg_sim::NodeId;
 
 /// Which guarantee an accelerator message (or silence) violated.
 ///
@@ -82,11 +81,10 @@ impl fmt::Display for XgErrorKind {
     }
 }
 
-/// An error report sent by a Crossing Guard instance to the OS.
+/// An error report sent by a Crossing Guard instance to the OS. The OS
+/// knows the reporting guard as the message's sender.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct XgError {
-    /// The Crossing Guard instance that detected the violation.
-    pub guard: NodeId,
     /// The block involved, if the violation concerns one.
     pub addr: Option<BlockAddr>,
     /// Which guarantee was violated.
@@ -95,24 +93,16 @@ pub struct XgError {
 
 impl XgError {
     /// Creates an error report.
-    pub fn new(guard: NodeId, addr: Option<BlockAddr>, kind: XgErrorKind) -> Self {
-        XgError { guard, addr, kind }
+    pub fn new(addr: Option<BlockAddr>, kind: XgErrorKind) -> Self {
+        XgError { addr, kind }
     }
 }
 
 impl fmt::Display for XgError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self.addr {
-            Some(addr) => write!(
-                f,
-                "accelerator violation {} at {} (guard {})",
-                self.kind, addr, self.guard
-            ),
-            None => write!(
-                f,
-                "accelerator violation {} (guard {})",
-                self.kind, self.guard
-            ),
+            Some(addr) => write!(f, "accelerator violation {} at {}", self.kind, addr),
+            None => write!(f, "accelerator violation {}", self.kind),
         }
     }
 }
@@ -125,15 +115,11 @@ mod tests {
 
     #[test]
     fn display_includes_kind_and_addr() {
-        let e = XgError::new(
-            NodeId::from_index(3),
-            Some(BlockAddr::new(2)),
-            XgErrorKind::PermissionWrite,
-        );
+        let e = XgError::new(Some(BlockAddr::new(2)), XgErrorKind::PermissionWrite);
         let s = e.to_string();
         assert!(s.contains("perm_write"));
         assert!(s.contains("0x80"));
-        let e = XgError::new(NodeId::from_index(3), None, XgErrorKind::ResponseTimeout);
+        let e = XgError::new(None, XgErrorKind::ResponseTimeout);
         assert!(e.to_string().contains("timeout"));
     }
 

@@ -773,12 +773,8 @@ mod tests {
         let m: Message = XgiMsg::new(BlockAddr::new(7), XgiKind::GetS).into();
         assert_eq!(m.block_addr(), Some(BlockAddr::new(7)));
 
-        let m: Message = OsMsg::Error(XgError::new(
-            NodeId::from_index(0),
-            None,
-            crate::XgErrorKind::ResponseTimeout,
-        ))
-        .into();
+        let m: Message =
+            OsMsg::Error(XgError::new(None, crate::XgErrorKind::ResponseTimeout)).into();
         assert_eq!(m.block_addr(), None);
     }
 

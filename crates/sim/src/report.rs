@@ -551,9 +551,9 @@ impl TransitionCoverage {
 /// Components contribute to a `Report` via [`crate::Component::report`]:
 /// scalar counters (message counts, hits, errors, ...), per-controller
 /// coverage sets, and log₂-bucketed latency [`Histogram`]s. Keys are
-/// free-form text, conventionally `"<component>.<counter>"` (a guard
-/// instance's counters are `"guard.<label>.<counter>"`, a fuzz campaign's
-/// summary `"fuzz.<key>"`), given as anything that implements
+/// free-form text, conventionally `"<component>.<counter>"` (an
+/// experiment's summary rows are `"fuzz.<config>.<key>"`), given as
+/// anything that implements
 /// [`Display`](fmt::Display) — a `&str`, or `format_args!("{name}.hits")`,
 /// which is written into a reused buffer and copied into the report only
 /// when the key is new.
